@@ -11,7 +11,7 @@ test:
 	$(PYTHON) -m pytest tests/
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) benchmarks/e25/run.py
 
 examples:
 	$(PYTHON) examples/quickstart.py
@@ -24,5 +24,5 @@ examples:
 all: test bench
 
 clean:
-	rm -rf .pytest_cache benchmarks/results
+	rm -rf .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -293,9 +293,8 @@ EXPERIMENT = Experiment("E23", "chain throughput: mempool + batch verify + "
                         "parallel apply", run_bench)
 
 
-def test_e23_chain_throughput(benchmark):
-    payload = benchmark.pedantic(lambda: run_bench(quick=True),
-                                 rounds=1, iterations=1)
+def test_e23_chain_throughput():
+    payload = run_bench(quick=True)
     report("E23", "chain throughput (mempool, batch verify, parallel apply)",
            payload["lines"])
 

@@ -133,8 +133,8 @@ EXPERIMENT = Experiment(
 )
 
 
-def test_e10_leakage_precision_tradeoff(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e10_leakage_precision_tradeoff():
+    payload = run_bench()
     report("E10", "annotation generalization: leakage vs matching",
            payload["lines"])
 

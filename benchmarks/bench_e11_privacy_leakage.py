@@ -106,8 +106,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E11", "DP vs membership inference", run_bench)
 
 
-def test_e11_epsilon_sweep(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e11_epsilon_sweep():
+    payload = run_bench()
     report("E11", "membership-inference advantage vs epsilon",
            payload["lines"])
 

@@ -101,8 +101,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E12", "governance gas scalability", run_bench)
 
 
-def test_e12_gas_scales_linearly(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e12_gas_scales_linearly():
+    payload = run_bench()
     report("E12", "governance gas vs marketplace size", payload["lines"])
 
     assert payload["audits_clean"]

@@ -93,8 +93,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E13", "ERC-20/721 gas ablation", run_bench)
 
 
-def test_e13_token_gas_profile(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e13_token_gas_profile():
+    payload = run_bench()
     report("E13", "token operation gas profile", payload["lines"])
 
     gas = payload["gas"]

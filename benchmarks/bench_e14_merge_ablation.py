@@ -83,8 +83,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E14", "gossip merge-strategy ablation", run_bench)
 
 
-def test_e14_merge_strategy_ablation(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e14_merge_strategy_ablation():
+    payload = run_bench()
     report("E14", "gossip merge-strategy ablation", payload["lines"])
 
     results = payload["results"]

@@ -85,8 +85,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E15", "gossip message compression", run_bench)
 
 
-def test_e15_compression_ablation(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e15_compression_ablation():
+    payload = run_bench()
     report("E15", "gossip message-compression ablation", payload["lines"])
 
     results = payload["results"]

@@ -119,8 +119,8 @@ EXPERIMENT = Experiment(
 )
 
 
-def test_e16_quorum_under_faults(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e16_quorum_under_faults():
+    payload = run_bench()
     report("E16", "executor fault injection vs the result quorum",
            payload["lines"])
 

@@ -84,8 +84,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E17", "executor economics", run_bench)
 
 
-def test_e17_executor_viability(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e17_executor_viability():
+    payload = run_bench()
     report("E17", "executor economics per workload class",
            payload["lines"])
 

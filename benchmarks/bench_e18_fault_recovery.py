@@ -150,8 +150,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E18", "lifecycle fault recovery sweep", run_bench)
 
 
-def test_e18_fault_recovery_sweep(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e18_fault_recovery_sweep():
+    payload = run_bench()
     report("E18", "lifecycle fault recovery sweep", payload["lines"])
 
     settled_by = payload["settled_by"]

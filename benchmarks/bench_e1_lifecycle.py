@@ -105,9 +105,9 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E1", TITLE, run_bench)
 
 
-def test_e1_full_lifecycle(benchmark):
+def test_e1_full_lifecycle():
     """Benchmark one full Fig. 2 lifecycle and report its vital signs."""
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    payload = run_bench()
     report("E1", TITLE, payload["lines"])
 
     result = payload["result"]

@@ -138,9 +138,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E20", "vectorized gossip kernels", run_bench)
 
 
-def test_e20_kernel_scale(benchmark):
-    payload = benchmark.pedantic(run_bench, kwargs={"quick": True},
-                                 rounds=1, iterations=1)
+def test_e20_kernel_scale():
+    payload = run_bench(quick=True)
     report("E20", "kernel engine speedup and 10k-node scale",
            payload["lines"])
 

@@ -118,9 +118,8 @@ EXPERIMENT = Experiment("E21", "sharded batch execution at sweep scale",
                         run_bench)
 
 
-def test_e21_batch_scale(benchmark):
-    payload = benchmark.pedantic(lambda: run_bench(quick=True),
-                                 rounds=1, iterations=1)
+def test_e21_batch_scale():
+    payload = run_bench(quick=True)
     report("E21", "sharded batch execution at sweep scale",
            payload["lines"])
     # Byte-identity is the acceptance criterion, not a soft target.

@@ -143,9 +143,8 @@ EXPERIMENT = Experiment("E22", "distributed trace assembly under chaos",
                         run_bench)
 
 
-def test_e22_trace_assembly(benchmark):
-    payload = benchmark.pedantic(lambda: run_bench(quick=True),
-                                 rounds=1, iterations=1)
+def test_e22_trace_assembly():
+    payload = run_bench(quick=True)
     report("E22", "distributed trace assembly under chaos",
            payload["lines"])
     # Causal completeness and report determinism are the acceptance

@@ -179,9 +179,8 @@ EXPERIMENT = Experiment("E24", "chain observability: audit overhead + "
                         "attribution determinism", run_bench)
 
 
-def test_e24_chain_observability(benchmark):
-    payload = benchmark.pedantic(lambda: run_bench(quick=True),
-                                 rounds=1, iterations=1)
+def test_e24_chain_observability():
+    payload = run_bench(quick=True)
     report("E24", "chain observability (ops plane, invariant auditor)",
            payload["lines"])
 

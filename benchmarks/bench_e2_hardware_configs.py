@@ -102,9 +102,9 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E2", "Fig. 3 hardware configurations", run_bench)
 
 
-def test_e2_hardware_configurations(benchmark):
+def test_e2_hardware_configurations():
     """Measure all three Fig. 3 configurations."""
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+    payload = run_bench()
     report("E2", "Fig. 3 hardware configurations "
                  f"({DATA_BYTES // 1024} KiB partition)",
            payload["lines"])

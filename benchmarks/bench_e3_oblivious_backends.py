@@ -131,8 +131,8 @@ EXPERIMENT = Experiment("E3", "oblivious backends, linear scoring",
                         run_bench)
 
 
-def test_e3_backend_overheads(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e3_backend_overheads():
+    payload = run_bench()
     report("E3", "oblivious backends, linear scoring "
                  f"n={payload['samples']} d={FEATURES}",
            payload["lines"])

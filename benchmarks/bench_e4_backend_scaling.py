@@ -74,8 +74,8 @@ EXPERIMENT = Experiment(
 )
 
 
-def test_e4_backend_scaling(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e4_backend_scaling():
+    payload = run_bench()
     report("E4", "backend scaling over MLP size (cost-model estimates)",
            payload["lines"])
 

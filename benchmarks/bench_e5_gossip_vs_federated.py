@@ -74,8 +74,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E5", "gossip vs federated learning", run_bench)
 
 
-def test_e5_gossip_vs_federated(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e5_gossip_vs_federated():
+    payload = run_bench()
     report("E5", "gossip vs federated, 24 non-IID providers",
            payload["lines"])
 

@@ -111,8 +111,8 @@ EXPERIMENT = Experiment(
 )
 
 
-def test_e7_shapley(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e7_shapley():
+    payload = run_bench()
     report("E7", "exact Shapley cost and approximation quality",
            payload["lines"])
 

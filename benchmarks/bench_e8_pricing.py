@@ -62,8 +62,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E8", "model-based pricing curve", run_bench)
 
 
-def test_e8_price_quality_curve(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e8_price_quality_curve():
+    payload = run_bench()
     report("E8", "model-based pricing curve", payload["lines"])
 
     curve = payload["curve"]

@@ -111,8 +111,8 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment("E9", "data-authenticity detection", run_bench)
 
 
-def test_e9_detection_sweep(benchmark):
-    payload = benchmark.pedantic(run_bench, rounds=1, iterations=1)
+def test_e9_detection_sweep():
+    payload = run_bench()
     report("E9", "authenticity detection vs adversarial rate",
            payload["lines"])
 

@@ -339,7 +339,7 @@ def _cmd_experiments(args: argparse.Namespace, out: OutputWriter) -> int:
         ("E22", "distributed trace assembly under chaos kills",
          "bench_e22_trace_assembly.py"),
     ]
-    out.line("experiment suite (run: pytest benchmarks/ --benchmark-only)\n")
+    out.line("experiment suite (run: pytest benchmarks/)\n")
     for exp_id, title, bench in experiments:
         out.line(f"  {exp_id:<4} {title:<48} benchmarks/{bench}")
     out.set("experiments", [

@@ -35,9 +35,9 @@ from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform
 from repro.core.workload import (
     WorkloadSpec,
     enclave_entry_point,
+    join_rows,
     serialize_partition,
 )
-from repro.utils.serialization import canonical_json_bytes
 
 #: A provider policy: (spec, own matching record count) -> participate?
 ParticipationPolicy = Callable[[WorkloadSpec, int], bool]
@@ -73,18 +73,29 @@ class ProviderActor:
     record_id: str = ""
     stored_object_id: str = ""
     rewards_received: int = 0
+    #: ``(dataset, its serialized rows)``: a ``Dataset`` is frozen, so the
+    #: rows stay valid until ``dataset`` is rebound to another object.
+    _encoded: Optional[tuple[Dataset, list[bytes]]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def address(self) -> str:
         return self.wallet.address
 
+    def partition_rows(self) -> list[bytes]:
+        """The canonical serialized rows (Merkle leaves), encoded once.
+
+        Storage, every session's certificate and envelope, and every fault
+        re-match commit to these same bytes.
+        """
+        if self._encoded is None or self._encoded[0] is not self.dataset:
+            self._encoded = (self.dataset, serialize_partition(
+                self.dataset.features, self.dataset.targets))
+        return self._encoded[1]
+
     def partition_payload(self) -> bytes:
         """The canonical serialized partition (rows as one JSON document)."""
-        return canonical_json_bytes([
-            {"x": [float(v) for v in self.dataset.features[i]],
-             "y": float(self.dataset.targets[i])}
-            for i in range(len(self.dataset))
-        ])
+        return join_rows(self.partition_rows())
 
     def store_dataset(self) -> str:
         """Persist the serialized partition into the provider's backend."""
@@ -110,11 +121,9 @@ class ProviderActor:
         key, so only the measured code can read them.  Kind-agnostic: both
         ML-training and aggregate workloads submit data this way.
         """
-        rows = serialize_partition(self.dataset.features,
-                                   self.dataset.targets)
         certificate = issue_certificate(
-            self.wallet.key, workload_id, executor_address, rows,
-            issued_at=issued_at,
+            self.wallet.key, workload_id, executor_address,
+            self.partition_rows(), issued_at=issued_at,
         )
         envelope = Enclave.encrypt_for_enclave(
             enclave_key, self.wallet.key, self.partition_payload(), rng

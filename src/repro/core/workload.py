@@ -14,6 +14,7 @@ parameters — all within enclave-private memory.
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -29,7 +30,7 @@ from repro.ml.models import (
     SoftmaxRegressionModel,
 )
 from repro.storage.semantic import Requirement
-from repro.utils.serialization import canonical_json_bytes
+from repro.utils.serialization import CANONICAL_JSON_SETTINGS
 
 
 class RewardScheme(enum.Enum):
@@ -163,21 +164,43 @@ class WorkloadSpec:
 # ---------------------------------------------------------------------------
 
 
+#: A row is string keys, floats and one list, so the recursive type walk of
+#: ``canonical_json`` has nothing to convert and the bare encoder emits the
+#: same bytes; ``allow_nan=False`` is its NaN/inf rejection.
+_ROW_ENCODER = json.JSONEncoder(**CANONICAL_JSON_SETTINGS, allow_nan=False)
+
+
 def serialize_row(features: np.ndarray, target: float | int) -> bytes:
     """Canonical bytes of one (features, target) example."""
-    return canonical_json_bytes({
-        "x": [float(v) for v in np.asarray(features).ravel()],
-        "y": float(target),
-    })
+    return serialize_partition(np.asarray(features).reshape(1, -1),
+                               np.asarray(target).reshape(1))[0]
 
 
 def serialize_partition(features: np.ndarray,
                         targets: np.ndarray) -> list[bytes]:
-    """Serialize a provider's partition row by row (Merkle leaves)."""
-    return [
-        serialize_row(features[index], targets[index])
-        for index in range(len(features))
-    ]
+    """Serialize a provider's partition row by row (Merkle leaves).
+
+    Each row is the canonical JSON of ``{"x": [floats], "y": float}``; the
+    whole partition as one canonical document is :func:`join_rows` of the
+    result.
+    """
+    count = len(features)
+    if count == 0:
+        return []
+    xs = np.asarray(features, dtype=float).reshape(count, -1).tolist()
+    ys = np.asarray(targets, dtype=float).reshape(-1).tolist()
+    encode = _ROW_ENCODER.encode
+    return [encode({"x": x, "y": y}).encode("ascii")
+            for x, y in zip(xs, ys, strict=True)]
+
+
+def join_rows(rows: list[bytes]) -> bytes:
+    """The canonical JSON list whose items are the encoded ``rows``.
+
+    Canonical JSON puts nothing but a comma between list items, so joining
+    the items' encodings is the encoding of the list.
+    """
+    return b"[" + b",".join(rows) + b"]"
 
 
 def deserialize_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.crypto.hashing import hmac_sha256, sha256
-from repro.errors import DecryptionError
+from repro.errors import DecryptionError, InvalidKeyError
 
 KEY_BYTES = 32
 NONCE_BYTES = 16
@@ -37,8 +37,6 @@ def generate_key(rng: np.random.Generator) -> bytes:
 
 
 def _derive_subkeys(key: bytes) -> tuple[bytes, bytes]:
-    if len(key) != KEY_BYTES:
-        raise DecryptionError(f"key must be {KEY_BYTES} bytes")
     return sha256(key + b"enc"), sha256(key + b"mac")
 
 
@@ -47,6 +45,17 @@ def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
     for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
         blocks.append(sha256(enc_key + nonce + counter.to_bytes(8, "big")))
     return b"".join(blocks)[:length]
+
+
+def _xor_keystream(data: bytes, enc_key: bytes, nonce: bytes) -> bytes:
+    """``data`` XOR the keystream, as one big-integer operation.
+
+    Byte ``i`` of both operands sits at the same bit offset of its integer,
+    so the result equals the byte-by-byte XOR.
+    """
+    stream = _keystream(enc_key, nonce, len(data))
+    return (int.from_bytes(data, "big")
+            ^ int.from_bytes(stream, "big")).to_bytes(len(data), "big")
 
 
 @dataclass(frozen=True)
@@ -75,19 +84,21 @@ class Envelope:
 
 def encrypt(key: bytes, plaintext: bytes, rng: np.random.Generator) -> Envelope:
     """Encrypt and authenticate ``plaintext`` under ``key``."""
+    if len(key) != KEY_BYTES:
+        raise InvalidKeyError(f"key must be {KEY_BYTES} bytes")
     enc_key, mac_key = _derive_subkeys(key)
     nonce = rng.bytes(NONCE_BYTES)
-    stream = _keystream(enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    ciphertext = _xor_keystream(plaintext, enc_key, nonce)
     tag = hmac_sha256(mac_key, nonce + ciphertext)
     return Envelope(nonce=nonce, ciphertext=ciphertext, tag=tag)
 
 
 def decrypt(key: bytes, envelope: Envelope) -> bytes:
     """Verify the tag and decrypt, raising :class:`DecryptionError` on tamper."""
+    if len(key) != KEY_BYTES:
+        raise DecryptionError(f"key must be {KEY_BYTES} bytes")
     enc_key, mac_key = _derive_subkeys(key)
     expected_tag = hmac_sha256(mac_key, envelope.nonce + envelope.ciphertext)
     if not hmac.compare_digest(expected_tag, envelope.tag):
         raise DecryptionError("authentication tag mismatch (wrong key or tampered)")
-    stream = _keystream(enc_key, envelope.nonce, len(envelope.ciphertext))
-    return bytes(c ^ s for c, s in zip(envelope.ciphertext, stream))
+    return _xor_keystream(envelope.ciphertext, enc_key, envelope.nonce)

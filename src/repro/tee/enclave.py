@@ -6,7 +6,9 @@ implements a *behavioral* simulation that preserves every property the
 marketplace protocol observes:
 
 * **Measurement** — an enclave's identity is the hash of the exact code it
-  runs (``EnclaveCode.measurement`` hashes the registered function's source).
+  runs (``EnclaveCode.measurement`` hashes name, version and the registered
+  function's source, once per code unit: like MRENCLAVE it is fixed when the
+  code is built, and every later quote, launch and event reads that value).
   Change one character of the workload and the measurement changes.
 * **Sealing** — data sealed by an enclave can only be unsealed by an enclave
   with the same measurement on the same platform (keys are derived from
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -51,6 +54,36 @@ _RUN_SECONDS = _tm.histogram(
 )
 
 
+def _measured_text(entry_point: Callable[..., Any]) -> str:
+    """What the measurement covers of an entry point: its source text.
+
+    Builtins, ``partial`` objects and REPL-defined functions have no
+    retrievable source and fall back to the qualified name, which still
+    distinguishes code units and, unlike ``repr``, holds no memory address,
+    so the identity is the same in every process.
+    """
+    try:
+        return inspect.getsource(entry_point)
+    except (OSError, TypeError):
+        module = getattr(entry_point, "__module__", None)
+        qualname = getattr(entry_point, "__qualname__", None)
+        if qualname is None:
+            qualname = type(entry_point).__qualname__
+        return f"{module}.{qualname}"
+
+
+@lru_cache(maxsize=256)
+def _measure(name: str, version: str,
+             entry_point: Callable[..., Any]) -> bytes:
+    """The measurement of one code unit, computed on first use.
+
+    Keyed by value because callers build an equal ``EnclaveCode`` per use
+    (``ExecutorActor.code_for``); bounded, since the key holds the function.
+    """
+    payload = "\x00".join([name, version, _measured_text(entry_point)])
+    return keccak256(payload.encode("utf-8"))
+
+
 @dataclass(frozen=True)
 class EnclaveCode:
     """A unit of code deployable into enclaves.
@@ -65,15 +98,8 @@ class EnclaveCode:
 
     @property
     def measurement(self) -> bytes:
-        """32-byte identity hash of this code unit."""
-        try:
-            source = inspect.getsource(self.entry_point)
-        except (OSError, TypeError):
-            # Builtins/lambdas without retrievable source fall back to the
-            # qualified name, which still distinguishes code units.
-            source = repr(self.entry_point)
-        payload = "\x00".join([self.name, self.version, source])
-        return keccak256(payload.encode("utf-8"))
+        """32-byte identity hash of this code unit (computed once)."""
+        return _measure(self.name, self.version, self.entry_point)
 
 
 class TEEPlatform:

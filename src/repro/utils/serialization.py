@@ -33,6 +33,12 @@ _BYTES_KEY = "__bytes__"
 _NDARRAY_KEY = "__ndarray__"
 _RESERVED_KEYS = (_BYTES_KEY, _NDARRAY_KEY)
 
+#: ``json`` settings of every canonical document: sorted keys, no
+#: insignificant whitespace, ASCII only.
+CANONICAL_JSON_SETTINGS = {
+    "sort_keys": True, "separators": (",", ":"), "ensure_ascii": True,
+}
+
 #: ndarray dtypes allowed on the wire (everything else is a modeling error).
 _NDARRAY_DTYPES = ("float64", "float32", "int64", "int32", "bool")
 
@@ -74,7 +80,7 @@ def _encode(value: Any) -> Any:
     if isinstance(value, (set, frozenset)):
         items = [_encode(item) for item in value]
         return sorted(items, key=lambda item: json.dumps(
-            item, sort_keys=True, separators=(",", ":"), ensure_ascii=True
+            item, **CANONICAL_JSON_SETTINGS
         ))
     if isinstance(value, (list, tuple)):
         return [_encode(item) for item in value]
@@ -96,9 +102,9 @@ def _encode(value: Any) -> Any:
 def _decode(value: Any) -> Any:
     """Inverse of :func:`_encode`: restore bytes and ndarray wrappers."""
     if isinstance(value, dict):
-        if set(value.keys()) == {_BYTES_KEY}:
+        if len(value) == 1 and _BYTES_KEY in value:
             return bytes.fromhex(value[_BYTES_KEY])
-        if set(value.keys()) == {_NDARRAY_KEY}:
+        if len(value) == 1 and _NDARRAY_KEY in value:
             wrapped = value[_NDARRAY_KEY]
             array = np.asarray(wrapped["data"], dtype=wrapped["dtype"])
             return array.reshape(wrapped["shape"])
@@ -115,9 +121,7 @@ def canonical_json(value: Any) -> str:
     as hex wrappers.  Two structurally-equal values always serialize to the
     same string, which makes the result safe to hash or sign.
     """
-    return json.dumps(
-        _encode(value), sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    )
+    return json.dumps(_encode(value), **CANONICAL_JSON_SETTINGS)
 
 
 def canonical_json_bytes(value: Any) -> bytes:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+import repro.core.actors as actors_module
 from repro.core import (
     Marketplace,
     ModelSpec,
@@ -13,9 +16,12 @@ from repro.core import (
     WorkloadSpec,
     minimum_reward_policy,
 )
+from repro.core.workload import enclave_entry_point
 from repro.errors import MatchingError
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
+from repro.tee import enclave as enclave_module
+from tests.core.test_workload_spec import _reference_payload
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +166,58 @@ class TestLifecycleVariants:
         before = providers[0].rewards_received
         market.run_workload(consumer, har_spec(workload_id="wl-acc"))
         assert providers[0].rewards_received > before
+
+
+class TestDataPathDoesWorkOnce:
+    """Rows are encoded once per dataset, the enclave measured once."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_payload_is_the_canonical_document(self, market_setup):
+        _, providers, *_ = market_setup
+        for provider in providers:
+            assert provider.partition_payload() == _reference_payload(
+                provider.dataset)
+
+    def test_sessions_reuse_the_encoded_rows(self, market_setup, monkeypatch):
+        market, providers, consumer, _ = market_setup
+        encodings = self._count_calls(monkeypatch, actors_module,
+                                      "serialize_partition")
+        report = market.run_workload(consumer, har_spec(workload_id="wl-once"))
+        assert report.audit.clean
+        assert encodings == []  # add_provider already encoded every dataset
+
+        provider = providers[0]
+        original, before = provider.dataset, provider.partition_payload()
+        provider.dataset = original.subset(np.arange(10))
+        try:
+            assert provider.partition_payload() != before
+            assert len(provider.partition_rows()) == 10
+            assert len(encodings) == 1
+        finally:
+            provider.dataset = original
+
+    def test_entry_point_source_read_once(self, market_setup, monkeypatch):
+        market, _, consumer, _ = market_setup
+        enclave_module._measure.cache_clear()
+        reads = self._count_calls(monkeypatch, inspect, "getsource")
+        first = market.run_workload(consumer, har_spec(workload_id="wl-m1"))
+        assert [args[0] for args in reads] == [enclave_entry_point]
+        onchain = consumer.wallet.view(first.workload_address,
+                                       "code_measurement")
+        assert onchain == market.executors[0].code_for(
+            har_spec(workload_id="wl-m1")).measurement.hex()
+        assert len(reads) == 1
 
 
 class TestActiveExecutors:

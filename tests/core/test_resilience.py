@@ -19,6 +19,7 @@ from repro.core import (
     WorkloadSpec,
     run_with_faults,
 )
+from repro.core.actors import ProviderActor
 from repro.core.lifecycle import (
     LIFECYCLE_PHASES,
     PHASE_EXECUTE,
@@ -28,7 +29,10 @@ from repro.core.lifecycle import (
     TERMINAL_FAILED,
     TERMINAL_STATES,
 )
-from repro.errors import MarketplaceError
+from repro.core.resilience import Fault, FaultInjector
+from repro.crypto.ecdsa import shared_secret
+from repro.crypto.symmetric import decrypt
+from repro.errors import DecryptionError, MarketplaceError
 from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
@@ -39,15 +43,15 @@ EXECUTOR_NAMES = tuple(f"e{i}" for i in range(N_EXECUTORS))
 PROVIDER_NAMES = tuple(f"u{i}" for i in range(N_PROVIDERS))
 
 
-def build_market(seed: int = 42):
+def build_market(seed: int = 42, n_providers: int = N_PROVIDERS):
     """A fresh, fully deterministic marketplace for one injected run."""
     rng = np.random.default_rng(seed)
     data = make_iot_activity(600, rng)
     train, validation = train_test_split(data, 0.25, rng)
-    parts = split_dirichlet(train, N_PROVIDERS, 1.0, rng, min_samples=15)
+    parts = split_dirichlet(train, n_providers, 1.0, rng, min_samples=15)
     market = Marketplace(seed=seed)
     for index, part in enumerate(parts):
-        market.add_provider(PROVIDER_NAMES[index], part,
+        market.add_provider(f"u{index}", part,
                             SemanticAnnotation("heart_rate", {}))
     consumer = market.add_consumer("c", validation=validation)
     for name in EXECUTOR_NAMES:
@@ -281,6 +285,62 @@ class TestTransientRetry:
         assert [r["action"] for r in result.recoveries] == \
             ["retry"] * RetryPolicy().max_attempts
         assert result.refunded == 600_000
+
+
+class _CrashAfterDelivery(FaultInjector):
+    """Holds executor faults back until that executor already holds data.
+
+    A plan's crash otherwise fires the first time its executor comes up, when
+    no provider has sent it anything and nobody has to resubmit.
+    """
+
+    def fire(self, session, point, executor=None, provider=None):
+        if executor is None or session.ctx.assignments.get(executor.address):
+            super().fire(session, point, executor=executor, provider=provider)
+
+
+class TestRematchReencrypts:
+    """A re-matched provider reuses its encoded rows, not its envelope."""
+
+    @pytest.mark.parametrize("plan", [
+        FaultPlan.single(FaultKind.CRASH_SUBMIT, target="e0"),
+        FaultPlan(faults=(Fault(FaultKind.PROVIDER_CHURN, target="u0"),
+                          Fault(FaultKind.CRASH_SUBMIT, target="e0"))),
+    ], ids=["crash_submit", "provider_churn+crash_submit"])
+    def test_second_envelope_is_for_the_new_enclave(self, monkeypatch, plan):
+        monkeypatch.setattr("repro.core.resilience.FaultInjector",
+                            _CrashAfterDelivery)
+        submissions = []
+        prepare = ProviderActor.prepare_submission_for
+
+        def recording(provider, workload_id, executor_address, enclave_key,
+                      issued_at, rng):
+            envelope, certificate = prepare(
+                provider, workload_id, executor_address, enclave_key,
+                issued_at=issued_at, rng=rng)
+            submissions.append((provider, enclave_key, envelope, certificate))
+            return envelope, certificate
+
+        monkeypatch.setattr(ProviderActor, "prepare_submission_for",
+                            recording)
+        market, consumer = build_market(n_providers=4)
+        result = run_with_faults(market, consumer, spec("wl-rekey"), plan)
+        assert result.outcome == "settled"
+        assert "crash_submit" in [r["kind"] for r in result.injected]
+
+        u0 = [entry for entry in submissions if entry[0].name == "u0"]
+        assert len(u0) == 2 and len(submissions) == 5
+        (provider, old_key, old_envelope, old_certificate), \
+            (_, new_key, new_envelope, new_certificate) = u0
+        assert new_key != old_key
+        assert new_certificate.executor != old_certificate.executor
+        assert new_certificate.data_root == old_certificate.data_root
+        assert new_envelope.to_bytes() != old_envelope.to_bytes()
+        payload = provider.partition_payload()
+        assert decrypt(shared_secret(provider.wallet.key, new_key),
+                       new_envelope) == payload
+        with pytest.raises(DecryptionError):
+            decrypt(shared_secret(provider.wallet.key, old_key), new_envelope)
 
 
 class TestEscrowConservation:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.workload import (
     ModelSpec,
@@ -12,11 +15,12 @@ from repro.core.workload import (
     WorkloadSpec,
     deserialize_rows,
     enclave_entry_point,
+    join_rows,
     serialize_partition,
     serialize_row,
 )
 from repro.errors import WorkloadSpecError
-from repro.ml.datasets import make_iot_activity
+from repro.ml.datasets import Dataset, make_iot_activity
 from repro.storage.semantic import ConceptRequirement
 from repro.utils.serialization import canonical_json_bytes
 
@@ -89,17 +93,84 @@ class TestRowSerialization:
             deserialize_rows([])
 
 
+def _reference_rows(features, targets) -> list[bytes]:
+    """Row by row through ``canonical_json`` (what the bulk encoder replaced)."""
+    return [
+        canonical_json_bytes({
+            "x": [float(v) for v in np.asarray(features[index]).ravel()],
+            "y": float(targets[index]),
+        })
+        for index in range(len(features))
+    ]
+
+
+def _reference_payload(dataset: Dataset) -> bytes:
+    """The partition document, encoded from the values a second time."""
+    return canonical_json_bytes([
+        {"x": [float(v) for v in dataset.features[i]],
+         "y": float(dataset.targets[i])}
+        for i in range(len(dataset))
+    ])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+_TARGETS = st.one_of(
+    hnp.arrays(np.float64, 7, elements=_FINITE),
+    hnp.arrays(np.int64, 7, elements=st.integers(-2**53, 2**53)),
+)
+
+
+class TestSameRowBytes:
+    """One bulk encoding; the bytes are those of ``canonical_json``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64, (7, 3), elements=_FINITE), _TARGETS)
+    def test_rows_and_payload_match_canonical_json(self, features, targets):
+        rows = serialize_partition(features, targets)
+        assert rows == _reference_rows(features, targets)
+        assert join_rows(rows) == _reference_payload(
+            Dataset(features=features, targets=targets))
+
+    def test_signed_zero_float32_and_integer_features(self):
+        for features in (np.array([[-0.0, 0.0], [1e-320, -1e300]]),
+                         np.array([[0.1, 2.5]], dtype=np.float32),
+                         np.array([[1, -2], [3, 4]])):
+            targets = np.arange(len(features))
+            rows = serialize_partition(features, targets)
+            assert rows == _reference_rows(features, targets)
+        assert b"-0.0" in serialize_partition(np.array([[-0.0]]),
+                                              np.array([1]))[0]
+
+    def test_one_dimensional_features(self):
+        features, targets = np.array([0.5, -1.25, 3.0]), np.array([0, 1, 0])
+        rows = serialize_partition(features, targets)
+        assert rows == _reference_rows(features, targets)
+        assert rows[0] == serialize_row(features[0], targets[0])
+        assert rows[1] == b'{"x":[-1.25],"y":1.0}'
+
+    def test_empty_partition(self):
+        assert serialize_partition(np.empty((0, 3)), np.empty(0)) == []
+        assert join_rows([]) == canonical_json_bytes([])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            serialize_partition(np.array([[1.0, bad]]), np.array([0.0]))
+        with pytest.raises(ValueError):
+            serialize_partition(np.array([[1.0, 2.0]]), np.array([bad]))
+        with pytest.raises(ValueError):
+            serialize_row(np.array([bad]), 0)
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            serialize_partition(np.zeros((3, 2)), np.zeros(2))
+
+
 class TestEnclaveEntryPoint:
     def _inputs_for(self, parts):
-        inputs = {}
-        for index, part in enumerate(parts):
-            payload = canonical_json_bytes([
-                {"x": [float(v) for v in part.features[i]],
-                 "y": float(part.targets[i])}
-                for i in range(len(part))
-            ])
-            inputs[f"provider:0x{index:040x}"] = payload
-        return inputs
+        return {f"provider:0x{index:040x}": _reference_payload(part)
+                for index, part in enumerate(parts)}
 
     def test_trains_and_reports_counts(self, rng):
         data = make_iot_activity(120, rng)

@@ -2,19 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.hashing import hmac_sha256
 from repro.crypto.symmetric import (
     Envelope,
     KEY_BYTES,
+    NONCE_BYTES,
+    _derive_subkeys,
+    _keystream,
     decrypt,
     encrypt,
     generate_key,
 )
-from repro.errors import DecryptionError
+from repro.errors import DecryptionError, InvalidKeyError
 
 
 class TestEncryptDecrypt:
@@ -73,8 +79,11 @@ class TestEncryptDecrypt:
             decrypt(key, tampered)
 
     def test_bad_key_length_rejected(self, rng):
-        with pytest.raises(DecryptionError):
+        with pytest.raises(InvalidKeyError):
             encrypt(b"short", b"data", rng)
+        envelope = encrypt(generate_key(rng), b"data", rng)
+        with pytest.raises(DecryptionError):
+            decrypt(b"short", envelope)
 
     @settings(max_examples=25, deadline=None)
     @given(st.binary(max_size=256))
@@ -98,3 +107,87 @@ class TestEnvelopeWire:
 
     def test_key_size_constant(self, rng):
         assert len(generate_key(rng)) == KEY_BYTES
+
+
+def _pattern(length: int) -> bytes:
+    return bytes((i * 7 + 3) % 256 for i in range(length))
+
+
+#: ``Envelope.to_bytes().hex()`` of ``encrypt(bytes(range(32)),
+#: _pattern(n), default_rng(0))``, generated with the per-byte XOR of commit
+#: f47aa5d.  4096 is pinned by the SHA-256 of the same wire bytes.
+_KNOWN_ENVELOPES = {
+    0: (
+        "5f82c2d9cfeb0fa321d7d982f8bd10455252b9ac417ddb7ff2cc633d393c5dcc"
+        "715583b9db94c7e1793e2f259315fb50"
+    ),
+    1: (
+        "5f82c2d9cfeb0fa321d7d982f8bd10450915704f288ce6ade99355f594a113a9"
+        "ede27b8db005bf17a390fac2c3d0a77afd"
+    ),
+    31: (
+        "5f82c2d9cfeb0fa321d7d982f8bd10455a47f6415d50c92da8a880cb5a950c8a"
+        "46010599188b8c6917507dbd68885e0cfdca9575b32cd7b32d69fd981ed01ea6"
+        "ced41a5cf13e4283f35af6c1e96eda"
+    ),
+    32: (
+        "5f82c2d9cfeb0fa321d7d982f8bd104574cc1be5d44c8b993167c8d08c92bfbf"
+        "a7ea249f24852b234b43a74b25b51ba8fdca9575b32cd7b32d69fd981ed01ea6"
+        "ced41a5cf13e4283f35af6c1e96edad8"
+    ),
+    33: (
+        "5f82c2d9cfeb0fa321d7d982f8bd104539e2214ce997ebdb7c0221e76fbf888d"
+        "881a9c1e317e8c8d7484918d43876873fdca9575b32cd7b32d69fd981ed01ea6"
+        "ced41a5cf13e4283f35af6c1e96edad899"
+    ),
+}
+_KNOWN_ENVELOPE_4096_SHA256 = (
+    "1951b1ae9ddb07596fa10e0a9ecccba3ef35056a5a8ce702ac2a55aa06c9d4d3")
+
+
+def _reference_encrypt(key: bytes, plaintext: bytes,
+                       rng: np.random.Generator) -> Envelope:
+    """The per-byte construction the word-wide XOR replaced (test oracle)."""
+    enc_key, mac_key = _derive_subkeys(key)
+    nonce = rng.bytes(NONCE_BYTES)
+    stream = _keystream(enc_key, nonce, len(plaintext))
+    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
+    return Envelope(nonce=nonce, ciphertext=ciphertext,
+                    tag=hmac_sha256(mac_key, nonce + ciphertext))
+
+
+class TestSameBytes:
+    """The envelope bytes are pinned: a faster XOR may not move them."""
+
+    @pytest.mark.parametrize("length", sorted(_KNOWN_ENVELOPES))
+    def test_known_answer(self, length):
+        envelope = encrypt(bytes(range(32)), _pattern(length),
+                           np.random.default_rng(0))
+        assert envelope.to_bytes().hex() == _KNOWN_ENVELOPES[length]
+        assert decrypt(bytes(range(32)), envelope) == _pattern(length)
+
+    def test_known_answer_4096(self):
+        envelope = encrypt(bytes(range(32)), _pattern(4096),
+                           np.random.default_rng(0))
+        assert (hashlib.sha256(envelope.to_bytes()).hexdigest()
+                == _KNOWN_ENVELOPE_4096_SHA256)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=KEY_BYTES, max_size=KEY_BYTES),
+           st.binary(max_size=300), st.integers(0, 2**32 - 1))
+    def test_equals_per_byte_reference(self, key, plaintext, seed):
+        envelope = encrypt(key, plaintext, np.random.default_rng(seed))
+        assert envelope == _reference_encrypt(
+            key, plaintext, np.random.default_rng(seed))
+        assert decrypt(key, envelope) == plaintext
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.binary(min_size=1, max_size=100), st.data())
+    def test_any_flipped_byte_rejected(self, plaintext, data):
+        rng = np.random.default_rng(2)
+        key = generate_key(rng)
+        wire = bytearray(encrypt(key, plaintext, rng).to_bytes())
+        position = data.draw(st.integers(0, len(wire) - 1))
+        wire[position] ^= data.draw(st.integers(1, 255))
+        with pytest.raises(DecryptionError):
+            decrypt(key, Envelope.from_bytes(bytes(wire)))

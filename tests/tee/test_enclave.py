@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.core.workload import enclave_entry_point
 from repro.crypto.ecdsa import PrivateKey
 from repro.errors import EnclaveViolationError, SealingError
-from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform
+from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform, _measured_text
 
 
 def echo_entry(inputs, suffix=""):
@@ -43,6 +50,56 @@ class TestMeasurement:
 
     def test_measurement_is_32_bytes(self, code):
         assert len(code.measurement) == 32
+
+    def test_golden_measurement_of_sourced_code(self):
+        """Computed at commit f47aa5d, before measurements were cached."""
+        code = EnclaveCode("pds2-golden", "1.0", enclave_entry_point)
+        assert code.measurement.hex() == (
+            "602e6024d961ddba8b5470631c9e8633"
+            "38168d8320d2ff5551a642516b68d2eb")
+
+
+class TestSourcelessMeasurement:
+    """No retrievable source: the qualified name, never a memory address."""
+
+    SOURCELESS = (len, functools.partial(echo_entry, suffix="!"),
+                  eval("lambda inputs: inputs"))
+
+    def test_fallback_holds_no_address(self):
+        assert "0x" in repr(self.SOURCELESS[1])
+        assert "0x" in repr(self.SOURCELESS[2])
+        for entry_point in self.SOURCELESS:
+            assert "0x" not in _measured_text(entry_point)
+        assert _measured_text(len) == "builtins.len"
+        assert _measured_text(self.SOURCELESS[1]) == "functools.partial"
+
+    def test_sourceless_units_still_differ(self):
+        measurements = {EnclaveCode("c", "1", entry_point).measurement
+                        for entry_point in self.SOURCELESS}
+        assert len(measurements) == len(self.SOURCELESS)
+
+    def test_same_identity_in_every_process(self):
+        script = (
+            "import functools\n"
+            "import sys\n"
+            "from repro.tee.enclave import EnclaveCode\n"
+            "heap_shift = [object() for _ in range(int(sys.argv[1]))]\n"
+            "for entry in (len, functools.partial(len),\n"
+            "              eval('lambda inputs: inputs')):\n"
+            "    print(EnclaveCode('c', '1', entry).measurement.hex())\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="random")
+        outputs = [
+            subprocess.run([sys.executable, "-c", script, padding],
+                           env=env, capture_output=True, text=True,
+                           check=True, timeout=120).stdout
+            for padding in ("0", "5000")
+        ]
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].split()) == 3
+        assert outputs[0].split()[0] == EnclaveCode(
+            "c", "1", len).measurement.hex()
 
 
 class TestExecution:

@@ -62,6 +62,15 @@ class TestGoldenContainers:
         assert canonical_json({10, 2}) == "[10,2]"
         assert canonical_json(frozenset(["a"])) == '["a"]'
 
+    def test_only_single_key_dicts_decode_as_wrappers(self):
+        assert from_canonical_json('{"__bytes__":"00ff"}') == b"\x00\xff"
+        document = '{"__bytes__":"00ff","other":1}'
+        assert from_canonical_json(document) == {"__bytes__": "00ff",
+                                                 "other": 1}
+        document = '{"__ndarray__":{},"other":1}'
+        assert from_canonical_json(document) == {"__ndarray__": {},
+                                                 "other": 1}
+
     def test_sets_decode_as_lists(self):
         restored = from_canonical_json(canonical_json({"s": {"a", "b"}}))
         assert restored == {"s": ["a", "b"]}
