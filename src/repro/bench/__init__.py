@@ -29,6 +29,7 @@ from repro.bench.schema import (
     info,
     lower_is_better,
     provenance,
+    source_lines,
 )
 
 __all__ = [
@@ -49,4 +50,5 @@ __all__ = [
     "provenance",
     "run_experiment",
     "run_suite",
+    "source_lines",
 ]

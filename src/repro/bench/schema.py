@@ -130,6 +130,15 @@ def provenance(cwd: Optional[Path] = None) -> dict:
     }
 
 
+def source_lines(package_root: Optional[Path] = None) -> int:
+    """Lines of Python under ``src/repro`` — the size the trajectory tracks
+    (the SRC experiment publishes it), so deleted paths show as a drop."""
+    root = (package_root if package_root is not None
+            else Path(__file__).resolve().parents[1])
+    return sum(len(path.read_bytes().splitlines())
+               for path in root.rglob("*.py"))
+
+
 def condense(snapshot: Mapping) -> dict[str, float]:
     """Reduce a registry snapshot to ``{metric name: total}`` for the
     trajectory entry (full snapshots stay in the per-experiment sidecars;

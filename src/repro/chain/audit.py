@@ -7,9 +7,12 @@ conservation laws the ledger is supposed to enforce by construction:
   balances is constant across a block;
 * nonce monotonicity — nonces never move backwards, and each sender's
   nonce advances by exactly its mined-transaction count;
-* header consistency — the sealed ``state_root`` matches a recomputation
-  over the live world state, the ``tx_root`` matches the block body, and
-  the header's gas both matches the receipt sum and respects the limit;
+* header consistency — the sealed ``state_root`` matches
+  :func:`recompute_state_root`, a from-scratch encoding of the live world
+  state that shares nothing with the chain's incremental root (so every
+  block is also a differential test of that root, and storage written
+  behind the VM's back is caught), the ``tx_root`` matches the block body,
+  and the header's gas both matches the receipt sum and respects the limit;
 * receipt completeness — every mined transaction has a receipt pinned to
   this block;
 * mempool/chain disjointness — a mined hash never stays pooled;
@@ -39,6 +42,7 @@ from typing import Any, Optional
 
 from repro.chain.block import Block
 from repro.chain.transaction import CREATE
+from repro.crypto.hashing import hash_object
 from repro.errors import ChainAuditError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.tracing import tracer as _tracer
@@ -52,6 +56,23 @@ _AUDIT_VIOLATIONS = _tm.counter(
     "Invariant violations found at block commit, by kind",
     labelnames=("kind",),
 )
+
+
+def recompute_state_root(state: Any) -> bytes:
+    """The state root from scratch: one canonical encoding of everything.
+
+    Deliberately independent of ``WorldState.state_root`` and the
+    per-contract encodings it keeps — O(state) per call, which is the
+    price of the check.
+    """
+    return hash_object({
+        "balances": {k: v for k, v in sorted(state.balances.items()) if v},
+        "nonces": dict(sorted(state.nonces.items())),
+        "contracts": {
+            address: contract.storage
+            for address, contract in sorted(state.contracts.items())
+        },
+    })
 
 
 @dataclass
@@ -139,7 +160,7 @@ class ChainAuditor:
                      f"{before} -> {after}", sender)
 
         # Header consistency against recomputation.
-        if header.state_root != state.state_root():
+        if header.state_root != recompute_state_root(state):
             flag("state_root",
                  f"block {number} header state_root does not match the "
                  f"recomputed world-state root")

@@ -73,10 +73,9 @@ class Contract:
 
         Charges :data:`~repro.chain.gas.STORAGE_READ`.  Raises
         :class:`ContractError` when the slot is missing and no ``default``
-        was provided.  Under the parallel engine the returned value is a
-        *snapshot*: mutate it and write it back with :meth:`swrite` (the
-        idiom every contract here uses); in-place mutation without a
-        write-back is unsupported.
+        was provided.  The returned value is always a *snapshot*: mutate it
+        and write it back with :meth:`swrite` (the idiom every contract here
+        uses); in-place mutation without a write-back changes nothing.
         """
         ctx = self.ctx
         ctx.charge(gas_schedule.STORAGE_READ)

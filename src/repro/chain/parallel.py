@@ -12,7 +12,8 @@ guaranteeing results **byte-identical** to serial execution:
    (:func:`~repro.chain.state.shard_of` of the group's anchor address) and
    run on a thread pool — serial in block order within a group, concurrent
    across lanes.  Each transaction runs under a per-thread
-   :class:`~repro.chain.state.AccessTracker` and write journal.
+   :class:`~repro.chain.state.AccessTracker` (and, as on the serial engine,
+   the VM's per-transaction write journal).
 3. The *recorded* access sets are validated after the fact: any cross-group
    pair of paths where one is a prefix of the other and at least one side
    wrote is a conflict.  Prediction is best-effort; this validation is what
@@ -438,7 +439,7 @@ def _run_groups(vm: VM, state: WorldState, block: BlockContext,
                 try:
                     receipt = vm.apply_transaction(
                         state, block, tx, skip_signature=skip_signature,
-                        isolation="journal", fee_sink=fees,
+                        fee_sink=fees,
                     )
                 except ChainError as exc:
                     outcomes[index] = ("rejected", str(exc))

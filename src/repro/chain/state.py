@@ -1,17 +1,23 @@
 """World state: balances, nonces, and deployed contracts.
 
-The state object supports deep snapshots so the VM can roll back every effect
-of a reverted call — the property the governance layer's audit guarantees
-rest on.  Contract *instances* survive a rollback (they are identity-stable);
-only their ``storage`` dicts are restored.
+Every transaction runs under a :class:`WriteJournal` — a per-transaction
+undo log the VM attaches to the executing thread — so rolling back a
+reverted call costs O(what it wrote), not O(state).  That rollback is the
+property the governance layer's audit guarantees rest on.  Contract
+*instances* survive a rollback (they are identity-stable); only their
+``storage`` dicts are restored.  The parallel engine additionally attaches
+an :class:`AccessTracker` recording the read/write path set of the
+transaction on the current thread; with no tracker attached the accessors
+record nothing.
 
-For the parallel transaction engine the state additionally supports a
-*thread-local transaction context*: an :class:`AccessTracker` recording the
-read/write path set of the transaction executing on the current thread, and a
-:class:`WriteJournal` — a per-transaction undo log that replaces the O(state)
-deep snapshot with an O(writes) revert.  Both are opt-in: with no context
-attached (the default, and the serial engine's mode) every accessor behaves
-exactly as before.
+:meth:`WorldState.snapshot` / :meth:`WorldState.restore` deep-copy the whole
+state.  Only the parallel engine's block-level fallback uses them.
+
+:meth:`WorldState.state_root` is incremental: each contract's canonical
+encoding is kept until the contract is written *through the VM* (or the
+journal, or ``restore``).  Writing ``contract.storage`` any other way is
+tampering: the root will not see it, and the chain auditor — which
+recomputes the root from scratch every block — flags the block.
 """
 
 from __future__ import annotations
@@ -22,8 +28,9 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.chain.contract import Contract
-from repro.crypto.hashing import hash_object
+from repro.crypto.hashing import keccak256
 from repro.errors import InsufficientBalanceError, UnknownContractError
+from repro.utils.serialization import canonical_json_bytes
 
 #: Sentinel for "slot absent" in journal pre-images.
 _ABSENT = object()
@@ -129,6 +136,7 @@ class WriteJournal:
                     state.nonces[address] = old
             elif kind == "slot":
                 _, contract, path, old = record
+                state.storage_changed(contract.address)
                 node: Any = contract.storage
                 for key in path[:-1]:
                     if not isinstance(node, dict) or key not in node:
@@ -142,6 +150,7 @@ class WriteJournal:
                         node[path[-1]] = old
             elif kind == "mknode":
                 _, contract, created = record
+                state.storage_changed(contract.address)
                 node = contract.storage
                 for key in created[:-1]:
                     if not isinstance(node, dict) or key not in node:
@@ -177,6 +186,9 @@ class WorldState:
         # own tracker/journal, so concurrent transactions record into their
         # own structures without any locking.
         self._tls = threading.local()
+        # address -> b'"address":{...storage...}', the contract's member of
+        # the state-root document, valid until storage_changed(address).
+        self._contract_json: dict[str, bytes] = {}
 
     # -- per-thread transaction context ---------------------------------------
 
@@ -297,11 +309,22 @@ class WorldState:
             journal.record_contract(address)
         contract.address = address
         self.contracts[address] = contract
+        self.storage_changed(address)
+
+    def storage_changed(self, address: str) -> None:
+        """Forget the cached state-root encoding of one contract.
+
+        Called by every sanctioned storage mutation: the VM's
+        ``storage_write``/``storage_delete``, a journal revert, a contract
+        install, and :meth:`restore`.
+        """
+        self._contract_json.pop(address, None)
 
     # -- snapshots ------------------------------------------------------------
 
     def snapshot(self) -> StateSnapshot:
-        """Deep-copy everything a reverted call could have touched."""
+        """Deep-copy the whole mutable state (O(state): a block-level undo
+        point for the parallel engine's fallback, not for transactions)."""
         return StateSnapshot(
             balances=dict(self.balances),
             nonces=dict(self.nonces),
@@ -320,17 +343,33 @@ class WorldState:
                 del self.contracts[address]
         for address, storage in snap.contract_storages.items():
             self.contracts[address].storage = copy.deepcopy(storage)
+        self._contract_json.clear()
 
     # -- commitments ------------------------------------------------------------
 
     def state_root(self) -> bytes:
-        """A digest committing to the full state (used in block headers)."""
-        summary = {
-            "balances": {k: v for k, v in sorted(self.balances.items()) if v},
-            "nonces": dict(sorted(self.nonces.items())),
-            "contracts": {
-                address: contract.storage
-                for address, contract in sorted(self.contracts.items())
-            },
-        }
-        return hash_object(summary)
+        """A digest committing to the full state (used in block headers).
+
+        The Keccak-256 of the canonical JSON of ``{"balances": {nonzero},
+        "contracts": {address: storage}, "nonces": {...}}``, spliced from
+        one encoding per member: balances and nonces are encoded on every
+        call, a contract only when it was written since the last one.
+        """
+        members = self._contract_json
+        contracts = []
+        for address in sorted(self.contracts):
+            member = members.get(address)
+            if member is None:
+                # The one-key document without its braces: `"address":{...}`.
+                member = canonical_json_bytes(
+                    {address: self.contracts[address].storage})[1:-1]
+                members[address] = member
+            contracts.append(member)
+        balances = canonical_json_bytes(
+            {k: v for k, v in self.balances.items() if v})
+        nonces = canonical_json_bytes(self.nonces)
+        return keccak256(
+            b'{"balances":' + balances
+            + b',"contracts":{' + b",".join(contracts)
+            + b'},"nonces":' + nonces + b"}"
+        )

@@ -4,9 +4,10 @@
 
 1. structural + signature validation, nonce check, upfront gas purchase;
 2. intrinsic gas for calldata;
-3. value transfer and contract dispatch under a state snapshot;
-4. on :class:`ContractError` (revert) or :class:`OutOfGasError`, the snapshot
-   is restored — gas is still consumed;
+3. value transfer and contract dispatch under a per-transaction write
+   journal (:class:`~repro.chain.state.WriteJournal`);
+4. on :class:`ContractError` (revert) or :class:`OutOfGasError`, the journal
+   is reverted — gas is still consumed;
 5. unused gas is refunded and the fee is credited to the block's validator.
 
 Static (read-only) calls let clients query contract views for free without a
@@ -118,11 +119,11 @@ class ExecutionContext:
     def storage_read(self, contract, path: tuple) -> tuple[bool, Any]:
         """Navigate a storage path; returns ``(found, value)``.
 
-        Records the read in the thread's access tracker.  When a write
-        journal is active (parallel engine), mutable values are returned as
-        deep copies: the governance contracts mutate read results in place
-        before writing them back, and a live reference would both leak
-        cross-thread aliasing and make the journal's pre-images lies.
+        Records the read in the thread's access tracker.  Mutable values are
+        returned as deep copies: the governance contracts mutate read
+        results in place before writing them back, and a live reference
+        would make the journal's pre-images lies, let a static view write,
+        and leak cross-thread aliasing under the parallel engine.
         """
         state = self._state
         tracker = state.tx_tracker
@@ -133,7 +134,7 @@ class ExecutionContext:
             if not isinstance(node, dict) or key not in node:
                 return False, None
             node = node[key]
-        if state.tx_journal is not None and isinstance(node, (dict, list)):
+        if isinstance(node, (dict, list)):
             node = copy.deepcopy(node)
         return True, node
 
@@ -144,6 +145,7 @@ class ExecutionContext:
         if tracker is not None:
             tracker.writes.add(("store", contract.address) + tuple(path))
         journal = state.tx_journal
+        state.storage_changed(contract.address)
         node = contract.storage
         created: Any = None
         for depth, key in enumerate(path[:-1]):
@@ -178,6 +180,7 @@ class ExecutionContext:
             return
         if journal is not None:
             journal.record_slot(contract, tuple(path), node, None)
+        state.storage_changed(contract.address)
         node.pop(path[-1], None)
 
     def transfer(self, recipient: str, amount: int) -> None:
@@ -269,19 +272,18 @@ class VM:
     @profiled_function("chain.apply_transaction")
     def apply_transaction(self, state: WorldState, block: BlockContext,
                           tx: Transaction, *, skip_signature: bool = False,
-                          isolation: str = "snapshot",
                           fee_sink: Optional[list[int]] = None) -> Receipt:
         """Run the full state transition for one transaction.
 
+        Execution runs under a write journal attached to this thread, so a
+        revert undoes exactly what the transaction wrote.
         ``skip_signature`` skips the per-transaction signature check — the
         chain sets it after a block-entry batch verification already vouched
-        for the signature.  ``isolation="journal"`` replaces the O(state)
-        revert snapshot with a per-transaction write journal (the parallel
-        engine's mode; semantics are identical).  ``fee_sink``, when given,
-        receives the validator fee instead of the validator account being
-        credited inline — the parallel engine credits fees in commit order
-        at block end, since the inline credit would make every transaction
-        conflict on the validator account.
+        for the signature.  ``fee_sink``, when given, receives the validator
+        fee instead of the validator account being credited inline — the
+        parallel engine credits fees in commit order at block end, since the
+        inline credit would make every transaction conflict on the validator
+        account.
         """
         tx.validate_shape()
         if not skip_signature:
@@ -301,38 +303,28 @@ class VM:
 
         meter = GasMeter(tx.gas_limit)
         logs: list[LogEntry] = []
-        journal: Optional[WriteJournal] = None
-        snapshot = None
-        if isolation == "journal":
-            journal = WriteJournal(state)
-            state.attach_journal(journal)
-        else:
-            snapshot = state.snapshot()
+        journal = WriteJournal(state)
+        state.attach_journal(journal)
         receipt = Receipt(tx_hash=tx.tx_hash, status=True, gas_used=0)
         try:
-            try:
-                meter.charge(tx.intrinsic_gas)
-                if tx.to is CREATE:
-                    receipt.contract_address = self._deploy(
-                        state, block, tx, meter, logs
-                    )
-                else:
-                    receipt.return_value = self._call_top(
-                        state, block, tx, meter, logs
-                    )
-            except (ContractError, OutOfGasError) as exc:
-                if journal is not None:
-                    journal.revert()
-                else:
-                    state.restore(snapshot)
-                receipt.status = False
-                receipt.error = str(exc)
-                receipt.contract_address = None
-                if isinstance(exc, OutOfGasError):
-                    meter.used = meter.limit
+            meter.charge(tx.intrinsic_gas)
+            if tx.to is CREATE:
+                receipt.contract_address = self._deploy(
+                    state, block, tx, meter, logs
+                )
+            else:
+                receipt.return_value = self._call_top(
+                    state, block, tx, meter, logs
+                )
+        except (ContractError, OutOfGasError) as exc:
+            journal.revert()
+            receipt.status = False
+            receipt.error = str(exc)
+            receipt.contract_address = None
+            if isinstance(exc, OutOfGasError):
+                meter.used = meter.limit
         finally:
-            if journal is not None:
-                state.attach_journal(None)
+            state.attach_journal(None)
         receipt.gas_used = min(meter.used, meter.limit)
         receipt.logs = logs if receipt.status else []
         # Refund unused gas; pay the validator for what was burned.
@@ -450,17 +442,14 @@ class VM:
                     target: str, method: str, **args: Any) -> Any:
         """Query a contract view without a transaction (free, read-only).
 
-        State mutations revert; gas is metered against a generous limit only
-        to bound runaway loops.
+        The call is static, so every write path reverts
+        (``require_writable``) and every storage read is a copy; nothing
+        needs restoring afterwards.  Gas is metered against a generous
+        limit only to bound runaway loops.
         """
-        meter = GasMeter(gas_schedule.BLOCK_GAS_LIMIT)
-        logs: list[LogEntry] = []
-        snapshot = state.snapshot()
-        try:
-            return self.execute_call(
-                state=state, block=block, origin=caller, sender=caller,
-                target=target, method=method, args=args, value=0,
-                gas_meter=meter, logs=logs, static=True, depth=0,
-            )
-        finally:
-            state.restore(snapshot)
+        return self.execute_call(
+            state=state, block=block, origin=caller, sender=caller,
+            target=target, method=method, args=args, value=0,
+            gas_meter=GasMeter(gas_schedule.BLOCK_GAS_LIMIT), logs=[],
+            static=True, depth=0,
+        )

@@ -30,6 +30,7 @@ from repro.bench import (
     provenance,
     run_experiment,
     run_suite,
+    source_lines,
 )
 
 
@@ -65,6 +66,15 @@ class TestSchema:
     def test_git_sha_present_in_checkout(self):
         assert git_sha() != "unknown"
         assert provenance()["git_sha"] == git_sha()
+
+    def test_source_lines_counts_python_under_a_root(self, tmp_path):
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "a.py").write_text("x = 1\ny = 2\n")
+        (tmp_path / "pkg" / "b.py").write_text("z = 3")
+        (tmp_path / "notes.txt").write_text("not\ncounted\n")
+        assert source_lines(tmp_path) == 3
+        # The default root is the installed package, this very checkout.
+        assert source_lines() > 10_000
 
     def test_condense_sums_counters_and_histogram_counts(self):
         snapshot = {"metrics": [

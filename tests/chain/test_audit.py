@@ -15,6 +15,7 @@ import pytest
 from repro.chain.audit import (
     install_fault_plan,
     install_state_corruption,
+    recompute_state_root,
 )
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
@@ -175,6 +176,26 @@ class TestOtherInvariants:
                    if v["kind"] == "contract_invariant"]
         assert any(v["account"] == token for v in flagged)
         assert any("supply mismatch" in v["detail"] for v in flagged)
+
+    def test_direct_storage_write_is_a_state_root_violation(self):
+        chain, wallets = _build_chain(43)
+        token = wallets[0].deploy_and_mine("erc20", initial_supply=10**9)
+
+        def tamper(chain_, block):
+            # Breaks no token invariant; only the root commits to it.
+            if block.header.number == 2:
+                chain_.state.contracts[token].storage["ghost"] = 1
+
+        chain.tamper_hooks.append(tamper)
+        _mine_traffic(chain, wallets, blocks=1)
+        violations = chain.auditor.summary()["violations"]
+        assert [(v["block"], v["kind"]) for v in violations] == [
+            (2, "state_root")]
+        # The incremental root never saw the write — which is why the
+        # auditor recomputes instead of asking it.
+        assert chain.state.state_root() == chain.head.header.state_root
+        assert recompute_state_root(chain.state) != \
+            chain.head.header.state_root
 
     def test_mempool_overlap_violation(self):
         chain, wallets = _build_chain(43)

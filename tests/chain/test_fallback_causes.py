@@ -112,6 +112,10 @@ def _mine_both(seed: int, submit, wallets: int = 4, prepare=None):
             == parallel_chain.state.state_root())
     assert (serial_chain.head.header.tx_root
             == parallel_chain.head.header.tx_root)
+    # Both engines journal and both seal the incremental root; the auditor
+    # re-derived every header's root from scratch, fallback blocks included.
+    for chain in (serial_chain, parallel_chain):
+        assert chain.auditor.summary()["violation_count"] == 0
     for tx_hash in hashes:
         assert (_receipt_key(serial_chain.receipt_for(tx_hash))
                 == _receipt_key(parallel_chain.receipt_for(tx_hash)))
@@ -149,7 +153,7 @@ class TestFallbackCauses:
             real = chain.vm.apply_transaction
 
             def flaky(state, block, tx, **kwargs):
-                if kwargs.get("isolation") == "journal":
+                if kwargs.get("fee_sink") is not None:  # a parallel lane
                     raise RuntimeError("lane blew up")
                 return real(state, block, tx, **kwargs)
 

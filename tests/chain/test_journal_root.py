@@ -1,0 +1,370 @@
+"""Journaled revert and the incremental state root, against their oracles.
+
+Two pieces of the chain cost O(what a transaction touched) instead of
+O(state): the VM reverts through a per-transaction
+:class:`~repro.chain.state.WriteJournal`, and ``WorldState.state_root``
+splices cached per-contract encodings.  The code they replaced lives on
+here as oracles:
+
+* :func:`apply_with_snapshot` — the state transition of commit ``5d597fa``:
+  deep-copy the whole state before execution, put the copy back on revert;
+* :func:`repro.chain.audit.recompute_state_root` — one canonical encoding of
+  the whole state, which is also what the chain auditor checks headers with.
+
+Generated sequences of transactions run on two states, one per
+implementation, and must agree on state, receipts and root after every step.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.chain import gas as gas_schedule
+from repro.chain.audit import recompute_state_root
+from repro.chain.contract import Contract, ContractRegistry
+from repro.chain.state import WorldState, WriteJournal
+from repro.chain.transaction import CREATE, Receipt, Transaction
+from repro.chain.vm import VM, BlockContext, ExecutionContext, GasMeter
+from repro.errors import ContractError, OutOfGasError
+from tests.chain.test_known_answers import aggregate_session, small_market
+from tests.chain.test_parallel_apply import _receipt_key
+
+SENDERS = ("0x" + "a1" * 20, "0x" + "b2" * 20)
+VALIDATOR = "0x" + "c3" * 20
+BLOCK = BlockContext(number=1, timestamp=1.0, validator=VALIDATOR)
+
+
+class Scratch(Contract):
+    """Writes, nested creates, deletes and read-modify-writes on demand."""
+
+    def setup(self, fail: bool = False) -> None:
+        self.swrite(0, "batches")
+        self.swrite({"leaf": [1, 2]}, "tree", "seed")
+        self.require(not fail, "stillborn")
+
+    def batch(self, ops: list, fail: bool = False, burn: bool = False) -> int:
+        for kind, path, value in ops:
+            if kind == "put":
+                self.swrite(value, *path)
+            elif kind == "drop":
+                self.sdelete(*path)
+            else:  # "grow": mutate what sread returned, then write it back
+                held = self.sread(*path, default=[])
+                if isinstance(held, list):
+                    held.append(value)
+                elif isinstance(held, dict):
+                    held["grown"] = value
+                else:
+                    held = [held, value]
+                self.swrite(held, *path)
+        self.swrite(self.sread("batches") + 1, "batches")
+        if burn:
+            self.step(10**9)
+        self.require(not fail, "boom")
+        return len(ops)
+
+    def scribble(self) -> dict:
+        """A view that mutates what it read, in place, at two depths."""
+        tree = self.sread("tree")
+        tree["seed"]["leaf"].append("scribbled")
+        tree["extra"] = True
+        return tree
+
+
+def _registry() -> ContractRegistry:
+    registry = ContractRegistry()
+    registry.register("scratch", Scratch)
+    return registry
+
+
+def apply_with_snapshot(vm: VM, state: WorldState, block: BlockContext,
+                        tx: Transaction) -> Receipt:
+    """``VM.apply_transaction`` as of 5d597fa (``isolation="snapshot"``)."""
+    upfront = tx.gas_limit * tx.gas_price
+    state.debit(tx.sender, upfront)
+    state.bump_nonce(tx.sender)
+    meter = GasMeter(tx.gas_limit)
+    logs: list = []
+    snapshot = state.snapshot()
+    receipt = Receipt(tx_hash=tx.tx_hash, status=True, gas_used=0)
+    try:
+        meter.charge(tx.intrinsic_gas)
+        if tx.to is CREATE:
+            receipt.contract_address = vm._deploy(state, block, tx, meter,
+                                                  logs)
+        else:
+            receipt.return_value = vm._call_top(state, block, tx, meter,
+                                                logs)
+    except (ContractError, OutOfGasError) as exc:
+        state.restore(snapshot)
+        receipt.status = False
+        receipt.error = str(exc)
+        receipt.contract_address = None
+        if isinstance(exc, OutOfGasError):
+            meter.used = meter.limit
+    receipt.gas_used = min(meter.used, meter.limit)
+    receipt.logs = logs if receipt.status else []
+    state.credit(tx.sender, (tx.gas_limit - receipt.gas_used) * tx.gas_price)
+    state.credit(block.validator, receipt.gas_used * tx.gas_price)
+    receipt.block_number = block.number
+    return receipt
+
+
+def image(state: WorldState) -> dict:
+    return {
+        "balances": dict(state.balances),
+        "nonces": dict(state.nonces),
+        "storage": {address: copy.deepcopy(contract.storage)
+                    for address, contract in state.contracts.items()},
+    }
+
+
+def funded_state() -> WorldState:
+    state = WorldState()
+    for sender in SENDERS:
+        state.credit(sender, 10**15)
+    return state
+
+
+# ---------------------------------------------------------------------------
+# (a) generated sequences: journal ≡ snapshot, incremental ≡ from scratch
+# ---------------------------------------------------------------------------
+
+KEYS = st.sampled_from(["a", "b", "tree", "seed", "leaf", "batches"])
+PATHS = st.lists(KEYS, min_size=1, max_size=3)
+VALUES = st.recursive(
+    st.one_of(st.integers(-5, 5), st.sampled_from(["", "x", "}{", '"']),
+              st.booleans(), st.none()),
+    lambda inner: st.one_of(st.lists(inner, max_size=2),
+                            st.dictionaries(KEYS, inner, max_size=2)),
+    max_leaves=4,
+)
+OPS = st.lists(
+    st.tuples(st.sampled_from(["put", "put", "drop", "grow"]), PATHS, VALUES),
+    max_size=4,
+)
+STEPS = st.lists(st.one_of(
+    st.tuples(st.just("deploy"), st.integers(0, 1), st.booleans()),
+    st.tuples(st.just("batch"), st.integers(0, 1), st.integers(0, 3), OPS,
+              st.sampled_from(["ok", "ok", "fail", "burn"]),
+              st.integers(0, 3)),
+    st.tuples(st.just("pay"), st.integers(0, 1), st.integers(0, 3),
+              st.integers(0, 10**6)),
+    st.tuples(st.just("snapshot")),
+    st.tuples(st.just("restore")),
+), min_size=1, max_size=12)
+
+
+def _transaction(step: tuple, state: WorldState) -> Transaction:
+    sender = SENDERS[step[1]]
+    nonce = state.nonce_of(sender)
+    deployed = sorted(state.contracts)
+    if step[0] == "deploy" or (step[0] == "batch" and not deployed):
+        fail = step[2] is True
+        return Transaction(sender=sender, nonce=nonce, to=CREATE, value=0,
+                           payload={"contract": "scratch",
+                                    "args": {"fail": fail}})
+    if step[0] == "batch":
+        _, _, target, ops, outcome, value = step
+        return Transaction(
+            sender=sender, nonce=nonce, to=deployed[target % len(deployed)],
+            value=value,
+            payload={"method": "batch", "args": {
+                "ops": [list(op) for op in ops],
+                "fail": outcome == "fail", "burn": outcome == "burn"}},
+        )
+    _, _, target, value = step
+    recipients = deployed + [SENDERS[1 - step[1]]]
+    return Transaction(sender=sender, nonce=nonce,
+                       to=recipients[target % len(recipients)], value=value)
+
+
+@settings(max_examples=120, deadline=None)
+@given(STEPS)
+def test_journal_and_incremental_root_match_their_oracles(steps):
+    vm = VM(registry=_registry())
+    live, oracle = funded_state(), funded_state()
+    saved = None
+    for step in steps:
+        if step[0] == "snapshot":
+            saved = (live.snapshot(), oracle.snapshot())
+        elif step[0] == "restore":
+            if saved is not None:
+                live.restore(saved[0])
+                oracle.restore(saved[1])
+        else:
+            tx = _transaction(step, live)
+            journaled = vm.apply_transaction(live, BLOCK, tx,
+                                             skip_signature=True)
+            snapshotted = apply_with_snapshot(vm, oracle, BLOCK, tx)
+            assert _receipt_key(journaled) == _receipt_key(snapshotted)
+            assert live.tx_journal is None
+        assert image(live) == image(oracle)
+        # Asked after *every* step, so each root is spliced from whatever
+        # the previous steps left cached.
+        root = live.state_root()
+        assert root == recompute_state_root(live)
+        assert root == recompute_state_root(oracle)
+        assert root == oracle.state_root()
+
+
+def test_the_generated_sequences_reach_every_kind_of_step():
+    """The strategy above is only as good as the outcomes it produces."""
+    vm = VM(registry=_registry())
+    state = funded_state()
+
+    def run(step):
+        return vm.apply_transaction(state, BLOCK, _transaction(step, state),
+                                    skip_signature=True)
+
+    assert run(("deploy", 0, True)).error == "stillborn"
+    assert not state.contracts
+    assert run(("deploy", 0, False)).status
+    nested = [("put", ["a", "b", "leaf"], 1)]
+    assert run(("batch", 1, 0, nested, "ok", 2)).return_value == 1
+    before = image(state)
+    root = state.state_root()
+    assert run(("batch", 0, 0, nested + [("drop", ["tree"], None)],
+                "fail", 0)).error == "boom"
+    burned = run(("batch", 0, 0, nested, "burn", 0))
+    assert burned.gas_used == gas_schedule.DEFAULT_TX_GAS_LIMIT
+    crossing = run(("batch", 0, 0, [("put", ["batches", "x"], 1)], "ok", 0))
+    assert "crosses a non-dict slot" in crossing.error
+    assert image(state)["storage"] == before["storage"]
+    # Only fees moved, so the root moved; put the accounts back and the
+    # three reverts have left no trace.
+    assert state.state_root() != root
+    state.balances, state.nonces = before["balances"], before["nonces"]
+    assert state.state_root() == root == recompute_state_root(state)
+
+
+def _deployed_scratch():
+    vm = VM(registry=_registry())
+    state = funded_state()
+    receipt = vm.apply_transaction(
+        state, BLOCK, _transaction(("deploy", 0, False), state),
+        skip_signature=True)
+    return vm, state, receipt.contract_address
+
+
+@pytest.mark.parametrize("write", [
+    lambda ctx, c: ctx.storage_write(c, ("batches",), 7),
+    lambda ctx, c: ctx.storage_write(c, ("new", "deep", "leaf"), 1),
+    lambda ctx, c: ctx.storage_delete(c, ("tree",)),
+], ids=["slot", "nested-create", "delete"])
+def test_root_asked_mid_transaction_does_not_survive_the_revert(write):
+    """Nothing asks for a root while a transaction runs, but a root that
+    was asked for must not outlive the writes it encoded."""
+    vm, state, address = _deployed_scratch()
+    root = state.state_root()
+    journal = WriteJournal(state)
+    state.attach_journal(journal)
+    write(ExecutionContext(
+        vm=vm, state=state, block=BLOCK, origin=SENDERS[0],
+        sender=SENDERS[0], value=0, gas_meter=GasMeter(10**6), logs=[],
+        static=False,
+    ), state.contracts[address])
+    assert state.state_root() == recompute_state_root(state) != root
+    journal.revert()
+    state.attach_journal(None)
+    assert state.state_root() == root == recompute_state_root(state)
+
+
+# ---------------------------------------------------------------------------
+# (c) views: side-effect-free without a snapshot
+# ---------------------------------------------------------------------------
+
+
+def test_view_mutating_what_it_read_changes_nothing():
+    vm, state, address = _deployed_scratch()
+    before = image(state)
+    root = state.state_root()
+    seen = vm.static_view(state, BLOCK, SENDERS[0], address, "scribble")
+    assert seen["extra"] is True
+    assert seen["seed"]["leaf"] == [1, 2, "scribbled"]
+    assert image(state) == before
+    assert state.state_root() == root == recompute_state_root(state)
+    # And what the view returned is not an alias of storage either.
+    seen["seed"]["leaf"].clear()
+    assert recompute_state_root(state) == root
+
+
+def test_view_cannot_write():
+    vm, state, address = _deployed_scratch()
+    root = state.state_root()
+    with pytest.raises(ContractError, match="static call"):
+        vm.static_view(state, BLOCK, SENDERS[0], address, "batch",
+                       ops=[["put", ["a"], 1]])
+    assert state.state_root() == root == recompute_state_root(state)
+
+
+def test_view_inside_an_active_journal_leaves_it_attached():
+    vm, state, address = _deployed_scratch()
+    journal = WriteJournal(state)
+    state.attach_journal(journal)
+    try:
+        state.credit(SENDERS[1], 5)
+        records = list(journal.records)
+        vm.static_view(state, BLOCK, SENDERS[0], address, "scribble")
+        assert state.tx_journal is journal
+        assert journal.records == records
+    finally:
+        state.attach_journal(None)
+
+
+# ---------------------------------------------------------------------------
+# (d) the cost at height: nothing proportional to the state
+# ---------------------------------------------------------------------------
+
+
+def test_a_session_on_a_tall_chain_touches_only_what_it_wrote(monkeypatch):
+    from repro.chain import state as state_module
+
+    market, consumer = small_market(8, providers=4, rows=25, executors=2)
+    chain = market.chain
+    index = 0
+    while chain.height < 60:
+        aggregate_session(market, consumer, f"tall-{index}")
+        index += 1
+    contracts_before = set(chain.state.contracts)
+    height_before = chain.height
+
+    snapshots = []
+    real_snapshot = WorldState.snapshot
+
+    def counting_snapshot(self):
+        snapshots.append(self)
+        return real_snapshot(self)
+
+    monkeypatch.setattr(WorldState, "snapshot", counting_snapshot)
+    encoded: list[str] = []
+    real_encode = state_module.canonical_json_bytes
+
+    def counting_encode(value):
+        # A contract is encoded as the one-key document {address: storage}.
+        if len(value) == 1 and next(iter(value)) in chain.state.contracts:
+            encoded.append(next(iter(value)))
+        return real_encode(value)
+
+    monkeypatch.setattr(state_module, "canonical_json_bytes", counting_encode)
+    aggregate_session(market, consumer, f"tall-{index}")
+
+    blocks = chain.blocks[height_before + 1:]
+    touched = set()
+    for block in blocks:
+        for tx in block.transactions:
+            receipt = chain.receipt_for(tx.tx_hash)
+            touched.update(filter(None, [tx.to, receipt.contract_address]))
+            touched.update(log.address for log in receipt.logs)
+    assert len(contracts_before) >= 12
+    assert snapshots == []
+    assert set(encoded) <= touched & set(chain.state.contracts)
+    # At most once per block that wrote it — never once per root per contract.
+    assert len(encoded) <= len(blocks) * len(set(encoded))
+    assert len(set(encoded)) < len(contracts_before) / 4
+    assert chain.auditor.summary()["violation_count"] == 0
+    assert chain.state.state_root() == recompute_state_root(chain.state)

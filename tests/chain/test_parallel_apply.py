@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chain.audit import recompute_state_root
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import Contract, ContractRegistry, default_registry
@@ -78,6 +79,11 @@ def _run_differential(seed: int, submit, wallets: int = 8,
         assert left.header.gas_used == right.header.gas_used
     assert (serial_chain.state.state_root()
             == parallel_chain.state.state_root())
+    for chain in (serial_chain, parallel_chain):
+        # The incremental root against the from-scratch one, twice: the
+        # auditor did it per block, this does it for the final state.
+        assert chain.auditor.summary()["violation_count"] == 0
+        assert chain.state.state_root() == recompute_state_root(chain.state)
     for tx_hash in hashes:
         left = serial_chain.receipt_for(tx_hash)
         right = parallel_chain.receipt_for(tx_hash)

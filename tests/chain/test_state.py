@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.audit import recompute_state_root
 from repro.chain.contract import Contract
 from repro.chain.state import WorldState
+from repro.chain.vm import ExecutionContext, GasMeter
 from repro.errors import InsufficientBalanceError, UnknownContractError
 
 ALICE = "0x" + "aa" * 20
@@ -136,8 +138,28 @@ class TestStateRoot:
         assert state.state_root() == root_before
 
     def test_changes_with_contract_storage(self, state):
+        # Storage is written through the VM's write path; that is what
+        # tells the incremental root to re-encode the contract.
+        contract = Contract()
+        state.install_contract(ALICE, contract)
+        root_before = state.state_root()
+        ctx = ExecutionContext(
+            vm=None, state=state, block=None, origin=ALICE, sender=ALICE,
+            value=0, gas_meter=GasMeter(10**6), logs=[], static=False,
+        )
+        ctx.storage_write(contract, ("k",), "v")
+        root_written = state.state_root()
+        assert root_written != root_before
+        ctx.storage_delete(contract, ("k",))
+        assert state.state_root() == root_before
+
+    def test_direct_storage_write_is_invisible_to_the_root(self, state):
+        # The converse rule: anything else is tampering.  The root keeps
+        # the stale encoding; the auditor's from-scratch recompute is what
+        # catches it (tests/chain/test_audit.py).
         contract = Contract()
         state.install_contract(ALICE, contract)
         root_before = state.state_root()
         contract.storage["k"] = "v"
-        assert state.state_root() != root_before
+        assert state.state_root() == root_before
+        assert recompute_state_root(state) != root_before
