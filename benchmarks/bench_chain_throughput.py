@@ -172,7 +172,7 @@ def _run_baseline(count: int) -> dict:
 
 def _run_batched(count: int, execution: str) -> dict:
     """Submit everything, then mine until the mempool drains."""
-    chain, rng = _make_chain(2300, verify_mode="mined", execution=execution)
+    chain, rng = _make_chain(2300, execution=execution)
     sessions = _session_actors(chain, rng, count)
     start_height = chain.height
     workloads = []

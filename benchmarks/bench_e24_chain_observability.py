@@ -55,8 +55,7 @@ CORRUPT_BLOCK = 2
 def _run(count: int, *, observe: bool = True, audit: bool = True,
          corrupt_block: int | None = None, seed: int = 2400) -> dict:
     """Drive ``count`` governance sessions through the batched pipeline."""
-    chain, rng = _make_chain(seed, verify_mode="mined",
-                             execution="parallel", observe=observe,
+    chain, rng = _make_chain(seed, execution="parallel", observe=observe,
                              audit=audit)
     if corrupt_block is not None:
         install_state_corruption(chain, corrupt_block, seed=seed)

@@ -5,6 +5,14 @@ authority: transactions enter a pending pool, ``mine_block`` seals them into
 the next block, and receipts/events stay queryable forever — the audit trail
 the governance layer (Section II-C) requires.
 
+Signatures are checked **once, at block entry, batched**: ``submit`` does no
+curve work for a transaction that contests nothing, ``mine_block`` runs one
+key-folded :func:`~repro.crypto.ecdsa.batch_verify` over everything the
+mempool selected, and nothing below it (engines, VM) re-verifies.  Deferred
+is not trusted: a transaction that fails the batch is dropped without a
+receipt, and a transaction that contests a pooled one is verified on the
+spot (see :meth:`Blockchain.submit`).
+
 :class:`Wallet` is the ergonomic account handle used throughout the
 marketplace: it tracks nonces, signs, and exposes ``deploy`` / ``call`` /
 ``view`` helpers.
@@ -58,7 +66,8 @@ _TXS_INCLUDED = _tm.counter(
 )
 _TXS_REJECTED = _tm.counter(
     "pds2_chain_txs_rejected_total",
-    "Transactions dropped at block admission (bad nonce, unaffordable)"
+    "Transactions dropped at block admission (bad signature, bad nonce, "
+    "unaffordable)"
 )
 _BLOCK_GAS_HIST = _tm.histogram(
     "pds2_chain_block_gas", "Gas used per sealed block",
@@ -78,14 +87,11 @@ class Blockchain:
                  registry: Optional[ContractRegistry] = None,
                  genesis_alloc: Optional[dict[str, int]] = None,
                  block_gas_limit: int = gas_schedule.BLOCK_GAS_LIMIT,
-                 verify_mode: str = "submit",
                  execution: str = "serial",
                  parallel_lanes: int = DEFAULT_LANES,
                  observe: bool = True,
                  audit: bool = True,
                  audit_strict: bool = False):
-        if verify_mode not in ("submit", "mined"):
-            raise ValueError("verify_mode must be 'submit' or 'mined'")
         if execution not in ("serial", "parallel"):
             raise ValueError("execution must be 'serial' or 'parallel'")
         self.consensus = consensus
@@ -93,10 +99,6 @@ class Blockchain:
         self.vm = VM(registry=self.registry)
         self.state = WorldState()
         self.block_gas_limit = block_gas_limit
-        #: ``"submit"`` verifies each signature eagerly at intake (the
-        #: historical behavior); ``"mined"`` defers to one amortized batch
-        #: verification over all transactions entering a block.
-        self.verify_mode = verify_mode
         #: ``"serial"`` applies block transactions in order on one thread;
         #: ``"parallel"`` overlaps non-conflicting transactions and falls
         #: back to serial whenever equivalence is in doubt.
@@ -192,76 +194,71 @@ class Blockchain:
 
         Rejects duplicates of both *pooled* and *already mined* transactions
         — resubmitting a mined hash used to mint a synthetic failure receipt
-        that overwrote the original success receipt.  In ``verify_mode
-        "submit"`` the signature is checked here; in ``"mined"`` it is
-        deferred to the amortized batch verification at block entry.
+        that overwrote the original success receipt.
+
+        The signature of a transaction that lands in an empty
+        ``(sender, nonce)`` slot is *not* checked here — that is all honest
+        traffic, and :meth:`mine_block` verifies it batched.  A transaction
+        that contests an occupied slot (a duplicate or a replace-by-fee) is
+        verified on the spot and raises :class:`InvalidTransactionError` if
+        forged, so an unverified transaction can never evict or shadow
+        another one (:meth:`Mempool.add <repro.chain.mempool.Mempool.add>`).
+        Only verified transactions ever get a receipt, so "already mined"
+        cannot be provoked by a forgery either.
         """
         tx.validate_shape()
         if tx.tx_hash in self._receipts:
             raise DuplicateTransactionError(
                 f"transaction {tx.tx_hash.hex()} was already mined"
             )
-        if self.verify_mode == "submit":
-            tx.verify_signature()
         self.mempool.add(tx, self.state.nonce_of(tx.sender))
         return tx.tx_hash
 
     def _verify_block_batch(self, selected: list[Transaction],
-                            number: int,
-                            stats: Optional[dict] = None
-                            ) -> list[Transaction]:
-        """Batch-verify signatures of the block's transactions.
+                            stats: dict) -> list[Transaction]:
+        """Batch-verify the signatures of the block's transactions.
 
-        One multi-scalar multiplication covers the whole batch; bisection
-        inside :func:`~repro.crypto.ecdsa.batch_verify` isolates any bad
-        signatures, which get failed receipts while the rest of their
-        sender's chain goes back to the pool (a later nonce cannot run once
-        its predecessor is dropped).  Returns the transactions to execute.
+        One key-folded multi-scalar multiplication covers the whole batch;
+        bisection inside :func:`~repro.crypto.ecdsa.batch_verify` isolates
+        any bad signatures.  Those are dropped and counted — **no receipt**:
+        the hash does not cover the signature, so a receipt for a forgery
+        would mark the genuine transaction "already mined" — while the rest
+        of their sender's chain goes back to the pool (a later nonce cannot
+        run once its predecessor is dropped).  Returns the transactions to
+        execute; ``stats`` receives the bisection telemetry plus ``invalid``.
         """
         with _tracer().span("chain.verify_batch",
                             transactions=len(selected)) as span:
-            errors: dict[int, str] = {}
+            invalid: set[int] = set()
             items = []
             item_indices = []
             for index, tx in enumerate(selected):
-                if tx.signature is None or tx.public_key is None:
-                    errors[index] = "transaction is unsigned"
-                elif tx.public_key.address != tx.sender:
-                    errors[index] = "public key does not match the sender address"
+                if (tx.signature is None or tx.public_key is None
+                        or tx.public_key.address != tx.sender):
+                    invalid.add(index)
                 else:
                     items.append((tx.public_key, tx.signing_bytes(),
                                   tx.signature))
                     item_indices.append(index)
             verdicts = batch_verify(items, stats) if items else []
-            for index, good in zip(item_indices, verdicts):
-                if not good:
-                    errors[index] = "invalid transaction signature"
+            invalid.update(index for index, good
+                           in zip(item_indices, verdicts) if not good)
             failed_senders: set[str] = set()
             to_execute: list[Transaction] = []
             for index, tx in enumerate(selected):
                 if tx.sender in failed_senders:
                     self.mempool.requeue(tx)
-                    continue
-                error = errors.get(index)
-                if error is None:
+                elif index in invalid:
+                    _TXS_REJECTED.inc()
+                    failed_senders.add(tx.sender)
+                else:
                     to_execute.append(tx)
-                    continue
-                if tx.tx_hash not in self._receipts:
-                    self._receipts[tx.tx_hash] = Receipt(
-                        tx_hash=tx.tx_hash, status=False, gas_used=0,
-                        error=f"rejected: {error}", block_number=number,
-                    )
-                _TXS_REJECTED.inc()
-                failed_senders.add(tx.sender)
-            span.set_attribute("invalid", len(errors))
-            if stats is not None:
-                stats.setdefault("batched", 0)
-                stats.setdefault("singles", 0)
-                stats.setdefault("subchecks", 0)
-                stats.setdefault("depth", 0)
-                stats["invalid"] = len(errors)
+            span.set_attribute("invalid", len(invalid))
+            for key in ("batched", "singles", "subchecks", "depth"):
+                stats.setdefault(key, 0)
+            stats["invalid"] = len(invalid)
             child = _VERIFY_BATCH.labels(
-                outcome="invalid" if errors else "clean"
+                outcome="invalid" if invalid else "clean"
             )
             child.inc()
             _tm.annotate_exemplar(child)
@@ -272,9 +269,12 @@ class Blockchain:
 
         The mempool hands over sender chains in nonce order, highest gas
         price first, packing by gas-limit reservation — a chain whose head
-        does not fit is deferred whole.  Transactions that fail *admission*
-        (bad nonce, unaffordable) are dropped with a synthetic failed
-        receipt and the rest of their sender's chain returns to the pool;
+        does not fit is deferred whole.  Every selected transaction's
+        signature is then checked in one batch (:meth:`_verify_block_batch`,
+        the only verification a transaction gets); a forged one is dropped
+        with no receipt.  Verified transactions that fail *admission* (bad
+        nonce, unaffordable) are dropped with a synthetic failed receipt.
+        Either way the rest of the sender's chain returns to the pool;
         transactions that revert during execution are still included, as on
         Ethereum.
         """
@@ -299,23 +299,19 @@ class Blockchain:
                     "deferred",
                     self.mempool.last_selection.get("deferred", 0),
                 )
-            skip_signature = self.verify_mode == "mined"
             verify_stats: dict[str, int] = {}
-            if skip_signature and selected:
-                selected = self._verify_block_batch(selected, number,
-                                                    verify_stats)
+            if selected:
+                selected = self._verify_block_batch(selected, verify_stats)
             with _tracer().span("block.execute", height=number,
                                 engine=self.execution):
                 if self.execution == "parallel":
                     execution = execute_parallel(
                         self.vm, self.state, block_ctx, selected,
-                        skip_signature=skip_signature,
                         lanes=self.parallel_lanes,
                     )
                 else:
                     execution = execute_serial(
                         self.vm, self.state, block_ctx, selected,
-                        skip_signature=skip_signature,
                     )
             for tx, error in execution.rejected:
                 # Never overwrite a mined receipt with a synthetic failure

@@ -16,7 +16,15 @@ sender's later nonces, which were then dropped with ``bad nonce`` receipts.
   receipts), so a receipt can never be clobbered;
 * a same-sender/same-nonce resubmission is treated as **replace-by-fee**: it
   must bump the gas price by at least :data:`REPLACEMENT_BUMP_PCT` percent,
-  and then swaps in place (inheriting the original's arrival position).
+  and then swaps in place (inheriting the original's arrival position);
+* signatures are checked at block entry, not here — except when a
+  transaction **contests an occupied slot**.  The transaction hash does not
+  cover the signature, so a forged copy is a "duplicate" of the genuine
+  transaction and a forged same-nonce transaction is a "replacement" of it;
+  a conflict is therefore settled between *verified* transactions only: the
+  incoming one is verified before it may displace or be called a duplicate
+  of anything, and an incumbent that turns out to be forged is evicted with
+  no fee bump.  An empty slot (all honest traffic) costs one dict probe.
 
 Selection across senders is by effective fee: a max-heap over the current
 head transaction of every sender, keyed ``(-gas_price, arrival, sender)`` so
@@ -47,7 +55,7 @@ _POOL_ADMITTED = _tm.counter(
 _POOL_REJECTED = _tm.counter(
     "pds2_mempool_rejected_total",
     "Transactions rejected at mempool admission",
-    labelnames=("reason",),  # duplicate | stale | underpriced
+    labelnames=("reason",),  # duplicate | stale | underpriced | forged
 )
 _POOL_SELECTED = _tm.counter(
     "pds2_mempool_selected_total", "Transactions selected for block inclusion"
@@ -56,6 +64,14 @@ _POOL_DEFERRED = _tm.counter(
     "pds2_mempool_deferred_total",
     "Sender chains deferred whole for lack of block-gas space"
 )
+
+
+def _is_genuine(tx: Transaction) -> bool:
+    try:
+        tx.verify_signature()
+    except InvalidTransactionError:
+        return False
+    return True
 
 
 class Mempool:
@@ -122,24 +138,17 @@ class Mempool:
     def add(self, tx: Transaction, current_nonce: int) -> None:
         """Admit ``tx`` to the pool.
 
-        Raises :class:`DuplicateTransactionError` when the exact hash is
-        already pooled, :class:`InvalidTransactionError` when the nonce is
-        below the account's state nonce, and
-        :class:`UnderpricedReplacementError` when a same-nonce replacement
-        does not bump the gas price by ``REPLACEMENT_BUMP_PCT`` percent.
+        Raises :class:`InvalidTransactionError` when the nonce is below the
+        account's state nonce.  When the ``(sender, nonce)`` slot is taken
+        the conflict is settled between verified transactions: a forged
+        ``tx`` raises :class:`InvalidTransactionError`, a forged incumbent
+        is evicted and ``tx`` admitted as new; otherwise
+        :class:`DuplicateTransactionError` when the incumbent has the same
+        hash and :class:`UnderpricedReplacementError` when ``tx`` does not
+        bump the gas price by ``REPLACEMENT_BUMP_PCT`` percent.
         """
-        tx_hash = tx.tx_hash
-        if tx_hash in self._hashes:
-            child = _POOL_REJECTED.labels(reason="duplicate")
-            child.inc()
-            _tm.annotate_exemplar(child)
-            raise DuplicateTransactionError(
-                f"transaction {tx_hash.hex()} is already pending"
-            )
         if tx.nonce < current_nonce:
-            child = _POOL_REJECTED.labels(reason="stale")
-            child.inc()
-            _tm.annotate_exemplar(child)
+            self._reject("stale")
             raise InvalidTransactionError(
                 f"stale nonce {tx.nonce}: account {tx.sender} is at "
                 f"{current_nonce}"
@@ -147,28 +156,51 @@ class Mempool:
         queue = self._queues.setdefault(tx.sender, {})
         existing = queue.get(tx.nonce)
         if existing is not None:
-            floor = existing.gas_price * (100 + REPLACEMENT_BUMP_PCT)
-            if tx.gas_price * 100 < floor:
-                child = _POOL_REJECTED.labels(reason="underpriced")
-                child.inc()
-                _tm.annotate_exemplar(child)
-                raise UnderpricedReplacementError(
-                    f"replacement for nonce {tx.nonce} needs gas price >= "
-                    f"{-(-floor // 100)}, got {tx.gas_price}"
-                )
+            try:
+                tx.verify_signature()
+            except InvalidTransactionError:
+                self._reject("forged")
+                raise
+            if _is_genuine(existing):
+                self._replace(queue, existing, tx)
+                return
+            # A forged squatter never held the slot: drop it, admit as new.
+            self._reject("forged")
             self._hashes.discard(existing.tx_hash)
-            queue[tx.nonce] = tx
-            self._hashes.add(tx_hash)
-            self.replacements += 1
-            child = _POOL_ADMITTED.labels(kind="replacement")
-            child.inc()
-            _tm.annotate_exemplar(child)
-            return
         queue[tx.nonce] = tx
-        self._hashes.add(tx_hash)
+        self._hashes.add(tx.tx_hash)
         self._arrival[(tx.sender, tx.nonce)] = self._counter
         self._counter += 1
         child = _POOL_ADMITTED.labels(kind="new")
+        child.inc()
+        _tm.annotate_exemplar(child)
+
+    def _replace(self, queue: dict[int, Transaction], existing: Transaction,
+                 tx: Transaction) -> None:
+        """Replace-by-fee between two verified transactions of one slot."""
+        if existing.tx_hash == tx.tx_hash:
+            self._reject("duplicate")
+            raise DuplicateTransactionError(
+                f"transaction {tx.tx_hash.hex()} is already pending"
+            )
+        floor = existing.gas_price * (100 + REPLACEMENT_BUMP_PCT)
+        if tx.gas_price * 100 < floor:
+            self._reject("underpriced")
+            raise UnderpricedReplacementError(
+                f"replacement for nonce {tx.nonce} needs gas price >= "
+                f"{-(-floor // 100)}, got {tx.gas_price}"
+            )
+        self._hashes.discard(existing.tx_hash)
+        queue[tx.nonce] = tx
+        self._hashes.add(tx.tx_hash)
+        self.replacements += 1
+        child = _POOL_ADMITTED.labels(kind="replacement")
+        child.inc()
+        _tm.annotate_exemplar(child)
+
+    @staticmethod
+    def _reject(reason: str) -> None:
+        child = _POOL_REJECTED.labels(reason=reason)
         child.inc()
         _tm.annotate_exemplar(child)
 

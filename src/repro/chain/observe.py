@@ -263,14 +263,13 @@ def render_chain_top(records: list[dict],
         f"   rbf {pool.get('replacements_total', 0):>4}"
         f"   sel-age p95 {age_p95:>4}"
     )
-    if verify:
-        lines.append(
-            f"  verify        batched {verify.get('batched', 0):>5}"
-            f"   singles {verify.get('singles', 0):>3}"
-            f"   subchecks {verify.get('subchecks', 0):>4}"
-            f"   depth {verify.get('depth', 0):>2}"
-            f"   bad {verify.get('invalid', 0):>3}"
-        )
+    # bisect = batch equations evaluated / deepest bisection level.
+    lines.append(
+        f"  verify        batched {verify.get('batched', 0):>5}"
+        f"   singles {verify.get('singles', 0):>3}"
+        f"   bisect {verify.get('subchecks', 0):>4}/{verify.get('depth', 0):<2}"
+        f"   bad {verify.get('invalid', 0):>3}"
+    )
     lines.append(rule)
     lines.append(
         f"  execution     parallel {report['parallel_blocks']:>4}"

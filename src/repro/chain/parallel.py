@@ -117,8 +117,7 @@ class BlockExecution:
 
 
 def execute_serial(vm: VM, state: WorldState, block: BlockContext,
-                   txs: list[Transaction], *,
-                   skip_signature: bool = False) -> BlockExecution:
+                   txs: list[Transaction]) -> BlockExecution:
     """Apply ``txs`` in order on the calling thread."""
     result = BlockExecution()
     failed_senders: set[str] = set()
@@ -127,9 +126,7 @@ def execute_serial(vm: VM, state: WorldState, block: BlockContext,
             result.deferred.append(tx)
             continue
         try:
-            receipt = vm.apply_transaction(
-                state, block, tx, skip_signature=skip_signature
-            )
+            receipt = vm.apply_transaction(state, block, tx)
         except ChainError as exc:
             result.rejected.append((tx, str(exc)))
             failed_senders.add(tx.sender)
@@ -335,7 +332,6 @@ def _annotate_grouping(result: BlockExecution, grouping: dict) -> None:
 
 def execute_parallel(vm: VM, state: WorldState, block: BlockContext,
                      txs: list[Transaction], *,
-                     skip_signature: bool = False,
                      lanes: int = DEFAULT_LANES) -> BlockExecution:
     """Apply ``txs`` concurrently where the conflict analysis allows.
 
@@ -344,8 +340,7 @@ def execute_parallel(vm: VM, state: WorldState, block: BlockContext,
     equivalence triggers a snapshot-restore and a serial replay.
     """
     if len(txs) < 2 or lanes <= 1:
-        result = execute_serial(vm, state, block, txs,
-                                skip_signature=skip_signature)
+        result = execute_serial(vm, state, block, txs)
         if txs:
             result.serial_cause = "small_block"
             _serial_cause(result.serial_cause)
@@ -354,8 +349,7 @@ def execute_parallel(vm: VM, state: WorldState, block: BlockContext,
     groups = _group_transactions(state, txs, grouping)
     if len(groups) < 2:
         # Everything predicted-conflicts into one group: nothing to overlap.
-        result = execute_serial(vm, state, block, txs,
-                                skip_signature=skip_signature)
+        result = execute_serial(vm, state, block, txs)
         result.groups = 1
         # A hint-less contract widens its predictions to the whole
         # contract, which is the usual reason a block collapses; blame it
@@ -368,8 +362,7 @@ def execute_parallel(vm: VM, state: WorldState, block: BlockContext,
     snapshot = state.snapshot()
     try:
         outcomes, trackers, lane_txs = _run_groups(
-            vm, state, block, txs, groups,
-            skip_signature=skip_signature, lanes=lanes,
+            vm, state, block, txs, groups, lanes=lanes,
         )
         _validate(trackers, groups, block.validator)
     except _FallbackNeeded as fallback:
@@ -378,8 +371,7 @@ def execute_parallel(vm: VM, state: WorldState, block: BlockContext,
         child.inc()
         _tm.annotate_exemplar(child)
         _PARALLEL_BLOCKS.labels(outcome="fallback").inc()
-        result = execute_serial(vm, state, block, txs,
-                                skip_signature=skip_signature)
+        result = execute_serial(vm, state, block, txs)
         result.fell_back = True
         result.groups = len(groups)
         result.serial_cause = fallback.reason
@@ -409,7 +401,6 @@ def execute_parallel(vm: VM, state: WorldState, block: BlockContext,
 
 def _run_groups(vm: VM, state: WorldState, block: BlockContext,
                 txs: list[Transaction], groups: list[list[int]], *,
-                skip_signature: bool,
                 lanes: int) -> tuple[dict, dict, dict]:
     """Execute groups on sharded lanes.
 
@@ -438,8 +429,7 @@ def _run_groups(vm: VM, state: WorldState, block: BlockContext,
                 fees: list[int] = []
                 try:
                     receipt = vm.apply_transaction(
-                        state, block, tx, skip_signature=skip_signature,
-                        fee_sink=fees,
+                        state, block, tx, fee_sink=fees,
                     )
                 except ChainError as exc:
                     outcomes[index] = ("rejected", str(exc))

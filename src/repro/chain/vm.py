@@ -2,7 +2,8 @@
 
 ``VM.apply_transaction`` implements the full Ethereum-style state transition:
 
-1. structural + signature validation, nonce check, upfront gas purchase;
+1. structural validation, nonce check, upfront gas purchase (the signature
+   was already checked, once, at block entry — see ``Blockchain.mine_block``);
 2. intrinsic gas for calldata;
 3. value transfer and contract dispatch under a per-transaction write
    journal (:class:`~repro.chain.state.WriteJournal`);
@@ -271,23 +272,21 @@ class VM:
 
     @profiled_function("chain.apply_transaction")
     def apply_transaction(self, state: WorldState, block: BlockContext,
-                          tx: Transaction, *, skip_signature: bool = False,
+                          tx: Transaction, *,
                           fee_sink: Optional[list[int]] = None) -> Receipt:
         """Run the full state transition for one transaction.
 
         Execution runs under a write journal attached to this thread, so a
-        revert undoes exactly what the transaction wrote.
-        ``skip_signature`` skips the per-transaction signature check — the
-        chain sets it after a block-entry batch verification already vouched
-        for the signature.  ``fee_sink``, when given, receives the validator
+        revert undoes exactly what the transaction wrote.  The signature is
+        not checked here: ``Blockchain.mine_block`` batch-verifies every
+        transaction once at block entry and hands over only the ones that
+        passed.  ``fee_sink``, when given, receives the validator
         fee instead of the validator account being credited inline — the
         parallel engine credits fees in commit order at block end, since the
         inline credit would make every transaction conflict on the validator
         account.
         """
         tx.validate_shape()
-        if not skip_signature:
-            tx.verify_signature()
         if state.nonce_of(tx.sender) != tx.nonce:
             raise InvalidTransactionError(
                 f"bad nonce: expected {state.nonce_of(tx.sender)}, got {tx.nonce}"

@@ -966,8 +966,7 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
 
     rng = np.random.default_rng(args.seed)
     consensus = ProofOfAuthority.with_generated_validators(1, rng)
-    chain = Blockchain(consensus, verify_mode="mined",
-                       execution=args.execution)
+    chain = Blockchain(consensus, execution=args.execution)
     recorder = ChainRunRecorder(args.root)
     recorder.attach(chain)
     wallets = [Wallet.generate(chain, rng, f"w{index}")

@@ -391,23 +391,12 @@ def batch_execute(root: str, workers: int = 4, *,
                             # of the sweep; drain and report FAILED.
                             pending.clear()
 
-                # 2. Chaos hook: SIGKILL one busy worker per threshold.
-                while kill_thresholds and done_this_run >= kill_thresholds[0]:
-                    victim = next((w for w in pool.values()
-                                   if w.assigned is not None), None)
-                    if victim is None:
-                        break  # nobody busy right now; try again next poll
-                    kill_thresholds.pop(0)
-                    os.kill(victim.process.pid, signal.SIGKILL)
-                    victim.process.join(timeout=5.0)
-                    reap(victim, reason="chaos")
-
-                # 3. Operator kill sentinel aborts the whole batch.
+                # 2. Operator kill sentinel aborts the whole batch.
                 if db.kill_requested() is not None:
                     aborted = True
                     break
 
-                # 4. Dead or hung workers.
+                # 3. Dead or hung workers.
                 beats = None
                 for worker in list(pool.values()):
                     if not worker.process.is_alive():
@@ -423,7 +412,7 @@ def batch_execute(root: str, workers: int = 4, *,
                                 and time.time() - seen > heartbeat_timeout_s):
                             reap(worker, reason="hung")
 
-                # 5. Keep the pool at strength while there is work left.
+                # 4. Keep the pool at strength while there is work left.
                 outstanding = len(pending) + sum(
                     1 for w in pool.values() if w.assigned is not None)
                 while pending and len(pool) < min(workers, outstanding):
@@ -431,6 +420,20 @@ def batch_execute(root: str, workers: int = 4, *,
                 for worker in pool.values():
                     if worker.assigned is None and pending:
                         assign(worker, pending.pop(0))
+
+                # 5. Chaos hook: SIGKILL one busy worker per threshold.  It
+                # runs right after assignment so that a victim exists
+                # whenever work is left: a job shorter than one poll interval
+                # is never still in flight at the *start* of a poll.
+                while kill_thresholds and done_this_run >= kill_thresholds[0]:
+                    victim = next((w for w in pool.values()
+                                   if w.assigned is not None), None)
+                    if victim is None:
+                        break  # nothing left to run
+                    kill_thresholds.pop(0)
+                    os.kill(victim.process.pid, signal.SIGKILL)
+                    victim.process.join(timeout=5.0)
+                    reap(victim, reason="chaos")
 
                 if progress is not None:
                     done_total = len(results)

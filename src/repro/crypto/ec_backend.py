@@ -5,7 +5,7 @@ textbook affine implementation there performs one modular inversion *per point
 addition* (≈380 inversions per scalar multiplication); this backend works in
 Jacobian projective coordinates ``(X, Y, Z)`` with ``x = X/Z²``, ``y = Y/Z³``
 so a full scalar multiplication needs exactly **one** inversion, at the very
-end.  On top of the coordinate change it layers the three classic
+end.  On top of the coordinate change it layers the classic
 speed-for-memory trades:
 
 * a **fixed-base window table** for the generator ``G`` (64 windows of 4 bits,
@@ -15,7 +15,14 @@ speed-for-memory trades:
   multiplication, cutting additions from ~128 to ~43 per 256-bit scalar;
 * **Shamir's trick** (interleaved dual-scalar multiplication) for the
   ``u1·G + u2·Q`` inside ECDSA verification: one shared doubling chain instead
-  of two, with a wide (width-7) precomputed wNAF table for the ``G`` side.
+  of two, with a wide (width-7) precomputed wNAF table for the ``G`` side;
+* the **GLV endomorphism** on every variable-base path: each full-length
+  scalar splits into two half-length ones, so ~128 doublings instead of ~256.
+
+There is one variable-base engine, :func:`multi_scalar_mult`; ECDH
+(:func:`scalar_mult`), single verification
+(:func:`double_scalar_mult_base`) and batch verification are its one-point,
+one-pair and many-pair cases.
 
 All tables are built lazily on first use and normalized to affine with a
 single batched inversion (Montgomery's trick), so importing this module costs
@@ -28,7 +35,7 @@ oracle.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.telemetry import metrics as _tm
 from repro.telemetry.profiler import profiled_function
@@ -148,14 +155,6 @@ def jacobian_add_affine(p1: JacobianPoint, p2: AffinePoint) -> JacobianPoint:
     y3 = (r * (u1h_sq - x3) - y1 * h_cu) % P
     z3 = h * z1 % P
     return (x3, y3, z3)
-
-
-def jacobian_negate(point: JacobianPoint) -> JacobianPoint:
-    """Negate a Jacobian point."""
-    if point is None:
-        return None
-    x, y, z = point
-    return (x, (-y) % P, z)
 
 
 def to_jacobian(point: AffinePoint) -> JacobianPoint:
@@ -281,33 +280,13 @@ def _g_wnaf_table() -> list[AffinePoint]:
     return _G_WNAF_TABLE
 
 
-# LRU of per-point odd-multiple tables.  Real workloads verify many
-# signatures from a small set of keys (validator seals, repeat senders), so
-# the per-point precomputation is worth remembering across calls.  A manual
-# OrderedDict rather than ``lru_cache`` so the batched table builder below
-# can probe for hits and seed misses it normalized in bulk.
+# LRU of per-point odd-multiple tables (see ``_point_tables_batched``).
+# Real workloads verify many signatures from a small set of keys (validator
+# seals, repeat senders), so the per-point precomputation is worth
+# remembering across calls.
 _POINT_TABLE_CACHE: "OrderedDict[tuple[int, int], list[AffinePoint]]" = \
     OrderedDict()
 _POINT_TABLE_CACHE_MAX = 512
-
-
-def _store_point_table(key: tuple[int, int],
-                       table: list[AffinePoint]) -> None:
-    _POINT_TABLE_CACHE[key] = table
-    if len(_POINT_TABLE_CACHE) > _POINT_TABLE_CACHE_MAX:
-        _POINT_TABLE_CACHE.popitem(last=False)
-
-
-def _point_wnaf_table(x: int, y: int) -> list[AffinePoint]:
-    """Affine odd-multiple table for an arbitrary point, LRU-cached."""
-    key = (x, y)
-    table = _POINT_TABLE_CACHE.get(key)
-    if table is None:
-        table = batch_to_affine(_odd_multiples((x, y), _WNAF_POINT_WIDTH))
-        _store_point_table(key, table)
-    else:
-        _POINT_TABLE_CACHE.move_to_end(key)
-    return table
 
 
 # -- public scalar-multiplication API ----------------------------------------
@@ -357,38 +336,9 @@ def scalar_mult_base(scalar: int) -> AffinePoint:
 
 @profiled_function("ec.scalar_mult")
 def scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
-    """``scalar · point`` via width-5 wNAF with Jacobian accumulation."""
-    _SCALAR_MULTS.labels(kind="point").inc()
-    scalar %= N
-    if scalar == 0 or point is None:
-        return None
-    digits = wnaf(scalar, _WNAF_POINT_WIDTH)
-    table = _point_wnaf_table(point[0], point[1])
-    p = P
-    accumulator: JacobianPoint = None
-    for digit in reversed(digits):
-        # Inlined jacobian_double: the ~256 doublings dominate the loop, so
-        # the call/tuple overhead is worth trading away.
-        if accumulator is not None:
-            x1, y1, z1 = accumulator
-            if y1 == 0:
-                accumulator = None
-            else:
-                y1_sq = y1 * y1 % p
-                s = 4 * x1 * y1_sq % p
-                m = 3 * x1 * x1 % p
-                x3 = (m * m - 2 * s) % p
-                accumulator = (
-                    x3,
-                    (m * (s - x3) - 8 * y1_sq * y1_sq) % p,
-                    2 * y1 * z1 % p,
-                )
-        if digit > 0:
-            accumulator = jacobian_add_affine(accumulator, table[digit >> 1])
-        elif digit < 0:
-            x, y = table[(-digit) >> 1]
-            accumulator = jacobian_add_affine(accumulator, (x, p - y))
-    return to_affine(accumulator)
+    """``scalar · point``: the one-point case of :func:`multi_scalar_mult`
+    (GLV split into two half-length streams, ~128 doublings)."""
+    return multi_scalar_mult(0, [(scalar, point)])
 
 
 # -- GLV endomorphism --------------------------------------------------------
@@ -512,108 +462,22 @@ def _signed_stream(scalar: int, width: int,
 @profiled_function("ec.double_scalar_mult_base")
 def double_scalar_mult_base(scalar_g: int, scalar_q: int,
                             point_q: AffinePoint) -> AffinePoint:
-    """``scalar_g · G + scalar_q · Q`` with one shared doubling chain.
-
-    This is Shamir's trick as used by ECDSA verification: all wNAF expansions
-    are interleaved so the doublings are paid once.  With the GLV
-    endomorphism available each scalar splits into two half-length halves
-    (four streams, ~128 doublings); otherwise two full-length streams
-    (~256 doublings) are used.  The ``G`` side always reads the wide static
-    table; the ``Q`` side precomputes (and LRU-caches) its odd multiples.
-    """
-    scalar_g %= N
-    scalar_q %= N
-    if point_q is None or scalar_q == 0:
-        return scalar_mult_base(scalar_g)
-    if scalar_g == 0:
-        return scalar_mult(scalar_q, point_q)
-    _SCALAR_MULTS.labels(kind="double_base").inc()
-    table_q = _point_wnaf_table(point_q[0], point_q[1])
-    params = _glv_params()
-    if params is not None:
-        lam, beta, a1, b1, a2, b2 = params
-        g1, g2 = _glv_split(scalar_g, lam, a1, b1, a2, b2)
-        q1, q2 = _glv_split(scalar_q, lam, a1, b1, a2, b2)
-        table_phi_q = [(beta * x % P, y) for x, y in table_q]
-        sources = (
-            (g1, _WNAF_BASE_WIDTH, _g_wnaf_table()),
-            (g2, _WNAF_BASE_WIDTH, _phi_g_wnaf_table()),
-            (q1, _WNAF_POINT_WIDTH, table_q),
-            (q2, _WNAF_POINT_WIDTH, table_phi_q),
-        )
-    else:
-        sources = (
-            (scalar_g, _WNAF_BASE_WIDTH, _g_wnaf_table()),
-            (scalar_q, _WNAF_POINT_WIDTH, table_q),
-        )
-    streams = [
-        _signed_stream(scalar, width, table)
-        for scalar, width, table in sources
-        if scalar != 0
-    ]
-    length = max(len(digits) for digits, _ in streams)
-    for digits, _ in streams:
-        digits.extend([0] * (length - len(digits)))
-    p = P
-    # The accumulator lives in three scalar locals (az == 0 means infinity):
-    # over ~128-256 iterations, tuple packing/unpacking and helper calls are
-    # the dominant interpreter cost, so both the doubling and the mixed
-    # addition are inlined.  Rare degenerate branches fall back to helpers.
-    ax = ay = az = 0
-    for index in range(length - 1, -1, -1):
-        if az:
-            if ay == 0:
-                az = 0
-            else:
-                y_sq = ay * ay % p
-                s = 4 * ax * y_sq % p
-                m = 3 * ax * ax % p
-                x3 = (m * m - 2 * s) % p
-                az = 2 * ay * az % p
-                ay = (m * (s - x3) - 8 * y_sq * y_sq) % p
-                ax = x3
-        for digits, table in streams:
-            digit = digits[index]
-            if digit == 0:
-                continue
-            if digit > 0:
-                qx, qy = table[digit >> 1]
-            else:
-                qx, qy = table[(-digit) >> 1]
-                qy = p - qy
-            if az == 0:
-                ax, ay, az = qx, qy, 1
-                continue
-            z_sq = az * az % p
-            u2 = qx * z_sq % p
-            if ax == u2:  # same x: doubling or cancellation (rare)
-                result = jacobian_add_affine((ax, ay, az), (qx, qy))
-                ax, ay, az = result if result is not None else (0, 0, 0)
-                continue
-            s2 = qy * z_sq * az % p
-            h = u2 - ax
-            r = (s2 - ay) % p
-            h_sq = h * h % p
-            h_cu = h * h_sq % p
-            u1h_sq = ax * h_sq % p
-            x3 = (r * r - h_cu - 2 * u1h_sq) % p
-            ay = (r * (u1h_sq - x3) - ay * h_cu) % p
-            ax = x3
-            az = h * az % p
-    if az == 0:
-        return None
-    return to_affine((ax, ay, az))
+    """``scalar_g · G + scalar_q · Q``: Shamir's trick as used by ECDSA
+    verification, the one-pair case of :func:`multi_scalar_mult`."""
+    return multi_scalar_mult(scalar_g, [(scalar_q, point_q)])
 
 
-def _point_tables_batched(points: list[tuple[int, int]]) -> list[list[AffinePoint]]:
+def _point_tables_batched(points: list[tuple[int, int]],
+                          kept: int) -> list[list[AffinePoint]]:
     """Odd-multiple wNAF tables for many points, normalized in ONE inversion.
 
-    ``_point_wnaf_table`` pays a Montgomery batch per point; a block-sized
-    batch verification brings dozens of fresh nonce points and public keys
-    at once, so uncached tables are built in Jacobian form first and the
-    whole concatenation shares a single batched inversion.  Hits and misses
-    both go through the shared per-point LRU, so repeat senders across
-    blocks skip the precomputation entirely.
+    A block-sized batch verification brings dozens of fresh nonce points and
+    public keys at once, so uncached tables are built in Jacobian form first
+    and the whole concatenation shares a single batched inversion.  Tables of
+    the first ``kept`` points (public keys: repeat senders across blocks) go
+    through the shared per-point LRU; the rest (signature nonce points, never
+    seen again) are built and dropped, so a block's worth of them cannot
+    evict every sender's table.
     """
     result: list[Optional[list[AffinePoint]]] = []
     missing: list[int] = []
@@ -633,31 +497,43 @@ def _point_tables_batched(points: list[tuple[int, int]]) -> list[list[AffinePoin
         for row, index in enumerate(missing):
             table = affine[row * per:(row + 1) * per]
             result[index] = table
-            _store_point_table(points[index], table)
+            if index < kept:
+                _POINT_TABLE_CACHE[points[index]] = table
+                if len(_POINT_TABLE_CACHE) > _POINT_TABLE_CACHE_MAX:
+                    _POINT_TABLE_CACHE.popitem(last=False)
     return result
 
 
 @profiled_function("ec.multi_scalar_mult")
 def multi_scalar_mult(base_scalar: int,
-                      pairs: list[tuple[int, AffinePoint]]) -> AffinePoint:
+                      pairs: list[tuple[int, AffinePoint]],
+                      one_shot_pairs: Sequence[tuple[int, AffinePoint]] = (),
+                      ) -> AffinePoint:
     """``base_scalar · G + Σ kᵢ · Qᵢ`` with one shared doubling chain.
 
     Strauss interleaving generalized to arbitrarily many points: every
     scalar is wNAF-recoded (GLV-split into half-length halves when the
     endomorphism is available), all streams share a single ~128/256-step
     doubling chain, and all per-point precomputation tables are normalized
-    with one batched inversion.  This is the engine behind amortized batch
-    signature verification: the per-signature cost collapses to the mixed
-    additions of its two streams instead of a full Shamir double-mult.
+    with one batched inversion.  This is the one variable-base engine:
+    amortized batch signature verification (the per-signature cost collapses
+    to the mixed additions of its streams), single verification
+    (:func:`double_scalar_mult_base`, one pair) and ECDH
+    (:func:`scalar_mult`, one pair and no base scalar).
+
+    ``one_shot_pairs`` are further ``(kᵢ, Qᵢ)`` terms of the same sum whose
+    points will not recur (signature nonce points): their tables stay out
+    of the per-point LRU that ``pairs`` (public keys) share across calls.
     """
     base_scalar %= N
     live = [(k % N, q) for k, q in pairs if q is not None and k % N != 0]
+    kept = len(live)
+    live += [(k % N, q) for k, q in one_shot_pairs
+             if q is not None and k % N != 0]
     if not live:
         return scalar_mult_base(base_scalar)
-    if len(live) == 1 and base_scalar:
-        return double_scalar_mult_base(base_scalar, live[0][0], live[0][1])
     _SCALAR_MULTS.labels(kind="multi").inc()
-    tables = _point_tables_batched([q for _, q in live])
+    tables = _point_tables_batched([q for _, q in live], kept)
     params = _glv_params()
     sources: list[tuple[int, int, list[AffinePoint]]] = []
     if params is not None:
@@ -706,9 +582,10 @@ def multi_scalar_mult(base_scalar: int,
             elif digit < 0:
                 x, y = table[(-digit) >> 1]
                 events[index].append((x, p - y))
-    # Same inlined accumulator as double_scalar_mult_base: three scalar
-    # locals, doubling and mixed addition open-coded, rare degenerate
-    # branches falling back to the helper.
+    # The accumulator lives in three scalar locals (az == 0 means
+    # infinity) with doubling and mixed addition open-coded: over ~128-256
+    # iterations tuple packing and helper calls are the dominant
+    # interpreter cost.  Rare degenerate branches fall back to the helper.
     ax = ay = az = 0
     for index in range(length - 1, -1, -1):
         if az:

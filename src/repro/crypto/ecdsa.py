@@ -10,12 +10,19 @@ enclave quote in the reproduction:
   side too, so the (r, -s) malleability twin of a signature is rejected,
 * Ethereum-style address derivation from the uncompressed public key.
 
-The point arithmetic behind signing and verification lives in
+The point arithmetic behind signing, verification and ECDH lives in
 :mod:`repro.crypto.ec_backend` (Jacobian coordinates, wNAF, fixed-base
-tables, Shamir's trick, GLV): scalar multiplications that used to cost one
-modular inversion per point addition now cost one inversion total.  On top
-of the fast math sits a small LRU cache of verification outcomes, so chain
-audits that re-verify the same seals (``verify_chain``) are near-free.
+tables, Shamir's trick, GLV on every variable-base path): scalar
+multiplications that used to cost one modular inversion per point addition
+now cost one inversion total.  On top of the fast math sits a small LRU
+cache of verification outcomes, so chain audits that re-verify the same
+seals (``verify_chain``) are near-free.
+
+There are two verifiers and they agree on every input.
+:meth:`PublicKey.verify` checks one signature and is the authority;
+:func:`batch_verify` checks many in one key-folded multi-scalar equation —
+the chain's block-entry path — and bisects down to ``PublicKey.verify`` on
+any failure.
 
 The original textbook affine implementation is retained below
 (:func:`_point_add` / :func:`_point_mul`) as the *reference oracle*: it is
@@ -369,9 +376,11 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 # of many such equations then collapses a whole block's verification into a
 # single multi-scalar multiplication (Shamir's trick at batch width):
 #
-#     Σ aᵢ·u1ᵢ · G  +  Σ aᵢ·u2ᵢ · Qᵢ  −  Σ aᵢ · Rᵢ  =  𝒪
+#     Σ aᵢ·u1ᵢ · G  +  Σ_Q (Σ_{i: Qᵢ=Q} aᵢ·u2ᵢ) · Q  −  Σ aᵢ · Rᵢ  =  𝒪
 #
-# with independent 128-bit coefficients ``aᵢ``.  A forged signature makes the
+# with independent 128-bit coefficients ``aᵢ`` (terms of one public key are
+# folded into a single scalar, so a block costs one full-length stream pair
+# per *sender*, not per transaction).  A forged signature makes the
 # combination miss the point at infinity except with probability ~2⁻¹²⁸, and
 # because the coefficients are derived deterministically from the batch
 # content (keccak), the whole check is reproducible.  On failure the batch is
@@ -410,6 +419,8 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
     Each entry is ``(u1, u2, Q, R)``.  Coefficients are 128-bit values
     derived from a keccak commitment to the whole sub-batch, so a signer
     cannot grind a signature against coefficients chosen before seeing it.
+    Entries that share a public key share one term, ``(Σ aᵢ·u2ᵢ)·Q`` — the
+    same sum, so a block from few senders carries few full-length streams.
     """
     commitment = keccak256(b"".join(
         q[0].to_bytes(32, "big") + q[1].to_bytes(32, "big")
@@ -418,7 +429,8 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
         for u1, u2, q, r_pt in entries
     ))
     base_scalar = 0
-    pairs: list[tuple[int, _Point]] = []
+    key_scalars: dict[_Point, int] = {}
+    nonce_pairs: list[tuple[int, _Point]] = []
     for index, (u1, u2, q, r_pt) in enumerate(entries):
         coeff = int.from_bytes(
             keccak256(commitment + index.to_bytes(4, "big"))[
@@ -427,11 +439,13 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
             "big",
         ) | 1  # force odd so no coefficient degenerates to zero
         base_scalar = (base_scalar + coeff * u1) % N
-        pairs.append((coeff * u2 % N, q))
+        key_scalars[q] = (key_scalars.get(q, 0) + coeff * u2) % N
         # −aᵢ·Rᵢ as aᵢ·(−Rᵢ): the coefficient stays 128 bits, so the R
         # stream needs no GLV split — half the additions of an N − aᵢ run.
-        pairs.append((coeff, (r_pt[0], P - r_pt[1])))
-    return ec_backend.multi_scalar_mult(base_scalar, pairs) is None
+        nonce_pairs.append((coeff, (r_pt[0], P - r_pt[1])))
+    return ec_backend.multi_scalar_mult(
+        base_scalar, [(k, q) for q, k in key_scalars.items()], nonce_pairs
+    ) is None
 
 
 def batch_verify(
@@ -455,6 +469,11 @@ def batch_verify(
     evaluated) and ``depth`` (deepest bisection level; 0 when the first
     equation held).
     """
+    if len(items) == 1:  # nothing to amortize, no nonce point to recover
+        public_key, message, signature = items[0]
+        if stats is not None:
+            stats.update(batched=0, singles=1, subchecks=0, depth=0)
+        return [public_key.verify(message, signature)]
     verdicts: list[Optional[bool]] = [None] * len(items)
     singles: list[int] = []
     batch: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, u1, u2, Q, R)
@@ -524,10 +543,8 @@ def batch_verify(
         public_key, message, signature = items[index]
         verdicts[index] = public_key.verify(message, signature)
     if stats is not None:
-        stats["batched"] = len(batch)
-        stats["singles"] = len(singles)
-        stats["subchecks"] = subchecks
-        stats["depth"] = max_depth
+        stats.update(batched=len(batch), singles=len(singles),
+                     subchecks=subchecks, depth=max_depth)
     return [bool(verdict) for verdict in verdicts]
 
 

@@ -47,17 +47,10 @@ class Quote:
     platform_public_key: PublicKey
     signature: Signature
 
-    def signed_payload(self) -> dict:
-        """The fields covered by the platform signature."""
-        return {
-            "platform_id": self.platform_id,
-            "measurement": self.measurement,
-            "report_data": self.report_data,
-        }
-
     @staticmethod
     def payload_bytes(platform_id: str, measurement: bytes,
                       report_data: bytes) -> bytes:
+        """Canonical bytes of the fields the platform signature covers."""
         return canonical_json_bytes({
             "platform_id": platform_id,
             "measurement": measurement,
@@ -104,24 +97,30 @@ class AttestationService:
 
     @staticmethod
     def produce_quote(enclave: Enclave) -> Quote:
-        """Create a quote for ``enclave``, binding its ephemeral public key.
+        """The quote for ``enclave``, binding its ephemeral public key.
 
         Signed by the *platform* attestation key, as in SGX where the
-        quoting enclave signs on behalf of application enclaves.
+        quoting enclave signs on behalf of application enclaves.  A quote is
+        a pure function of platform id, measurement and ephemeral key, so
+        the enclave keeps it for its lifetime (:meth:`Enclave.terminate`
+        drops it): every provider routed to one enclave is shown the same
+        signed statement instead of a byte-identical re-signature.
         """
-        report_data = enclave.ephemeral_public_key.to_bytes()
-        payload = Quote.payload_bytes(
-            enclave.platform.platform_id, enclave.measurement, report_data
-        )
-        signature = enclave.platform.attestation_key.sign(payload)
-        _QUOTES_PRODUCED.inc()
-        return Quote(
-            platform_id=enclave.platform.platform_id,
-            measurement=enclave.measurement,
-            report_data=report_data,
-            platform_public_key=enclave.platform.attestation_key.public_key,
-            signature=signature,
-        )
+        if enclave.quote is None:
+            report_data = enclave.ephemeral_public_key.to_bytes()
+            payload = Quote.payload_bytes(
+                enclave.platform.platform_id, enclave.measurement, report_data
+            )
+            enclave.quote = Quote(
+                platform_id=enclave.platform.platform_id,
+                measurement=enclave.measurement,
+                report_data=report_data,
+                platform_public_key=(
+                    enclave.platform.attestation_key.public_key),
+                signature=enclave.platform.attestation_key.sign(payload),
+            )
+            _QUOTES_PRODUCED.inc()
+        return enclave.quote
 
     # -- verification -------------------------------------------------------------
 

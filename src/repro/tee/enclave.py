@@ -168,6 +168,9 @@ class Enclave:
         self._ran = False
         self._terminated = False
         self.call_transitions = 0  # ECALL/OCALL counter for the cost model
+        #: The platform-signed quote for this instance, kept by
+        #: ``AttestationService.produce_quote`` once signed.
+        self.quote: Any = None
 
     @property
     def measurement(self) -> bytes:
@@ -189,6 +192,7 @@ class Enclave:
         self._terminated = True
         self._private_inputs.clear()
         self._private_output = None
+        self.quote = None
 
     @property
     def terminated(self) -> bool:

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain import blockchain as blockchain_mod
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
+from repro.crypto import ec_backend
+from repro.crypto.ecdsa import PublicKey
 from repro.errors import ChainError, InvalidBlockError
 from tests.conftest import make_funded_wallet
 
@@ -60,6 +63,66 @@ class TestMining:
         receipt = chain.receipt_for(tx_hash)
         assert not receipt.status
         assert "rejected" in receipt.error
+
+
+class TestBlockEntryVerification:
+    """One batched check per block is the only verification a tx gets."""
+
+    def test_one_batch_call_and_no_individual_verifies(
+            self, chain, rng, monkeypatch):
+        wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(6)]
+        for wallet in wallets:
+            for _ in range(3):
+                wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
+        batches, singles = [], []
+        real_batch = blockchain_mod.batch_verify
+        real_verify = PublicKey.verify
+
+        def counting_batch(items, stats=None):
+            batches.append(len(items))
+            return real_batch(items, stats)
+
+        def counting_verify(key, message, signature):
+            singles.append(key)
+            return real_verify(key, message, signature)
+
+        monkeypatch.setattr(blockchain_mod, "batch_verify", counting_batch)
+        monkeypatch.setattr(PublicKey, "verify", counting_verify)
+        block = chain.mine_block()
+        assert len(block.transactions) == 18
+        assert batches == [18]
+        assert singles == []
+        assert chain.observer.records[-1]["verify"] == {
+            "batched": 18, "singles": 0, "subchecks": 1, "depth": 0,
+            "invalid": 0,
+        }
+
+    def test_sender_tables_survive_a_blocks_worth_of_nonce_points(
+            self, chain, rng, monkeypatch):
+        # 64 senders × 8 transactions: 512 one-shot nonce points per block
+        # against a 512-entry table LRU.  Every sender's table must still
+        # be cached when the second block arrives.
+        wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(64)]
+        senders = {(w.key.public_key.x, w.key.public_key.y) for w in wallets}
+        ec_backend._POINT_TABLE_CACHE.clear()
+        built = []
+        real = ec_backend._odd_multiples
+
+        def recording(point, width):
+            built.append(point)
+            return real(point, width)
+
+        monkeypatch.setattr(ec_backend, "_odd_multiples", recording)
+        for expect_sender_tables in (64, 0):
+            for wallet in wallets:
+                for _ in range(8):
+                    wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
+            del built[:]
+            block = chain.mine_block()
+            assert len(block.transactions) == 512
+            assert len(senders.intersection(built)) == expect_sender_tables
+        assert senders <= set(ec_backend._POINT_TABLE_CACHE)
+        assert len(ec_backend._POINT_TABLE_CACHE) < 100  # no nonce points
 
 
 class TestReceiptsAndEvents:

@@ -198,8 +198,7 @@ def test_journal_and_incremental_root_match_their_oracles(steps):
                 oracle.restore(saved[1])
         else:
             tx = _transaction(step, live)
-            journaled = vm.apply_transaction(live, BLOCK, tx,
-                                             skip_signature=True)
+            journaled = vm.apply_transaction(live, BLOCK, tx)
             snapshotted = apply_with_snapshot(vm, oracle, BLOCK, tx)
             assert _receipt_key(journaled) == _receipt_key(snapshotted)
             assert live.tx_journal is None
@@ -218,8 +217,7 @@ def test_the_generated_sequences_reach_every_kind_of_step():
     state = funded_state()
 
     def run(step):
-        return vm.apply_transaction(state, BLOCK, _transaction(step, state),
-                                    skip_signature=True)
+        return vm.apply_transaction(state, BLOCK, _transaction(step, state))
 
     assert run(("deploy", 0, True)).error == "stillborn"
     assert not state.contracts
@@ -246,8 +244,7 @@ def _deployed_scratch():
     vm = VM(registry=_registry())
     state = funded_state()
     receipt = vm.apply_transaction(
-        state, BLOCK, _transaction(("deploy", 0, False), state),
-        skip_signature=True)
+        state, BLOCK, _transaction(("deploy", 0, False), state))
     return vm, state, receipt.contract_address
 
 

@@ -3,7 +3,9 @@
 The regression tests at the bottom reproduce the flat-pending-list bugs this
 subsystem replaced: a duplicate submission clobbering a mined success receipt,
 and a gas-deferred transaction orphaning (and dropping) the same sender's
-later nonces.
+later nonces.  ``TestForgedIntake`` covers the intake rule that lets
+signatures be checked at block entry only: a forged transaction never
+executes, never gets a receipt, and never evicts or shadows a genuine one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.mempool import Mempool
 from repro.chain.transaction import Transaction
+from repro.crypto.ecdsa import N, Signature
 from repro.errors import (
+    ChainError,
     DuplicateTransactionError,
     InvalidTransactionError,
     UnderpricedReplacementError,
@@ -29,6 +33,13 @@ def _tx(wallet: Wallet, nonce: int, gas_price: int = 1,
         sender=wallet.address, nonce=nonce, to="0x" + "ee" * 20,
         value=value, gas_limit=gas_limit, gas_price=gas_price,
     ).sign(wallet.key)
+
+
+def _forge(tx: Transaction) -> Transaction:
+    """Corrupt ``r`` in place: same fields and hash, invalid signature."""
+    sig = tx.signature
+    tx.signature = Signature(r=sig.r % (N - 1) + 1, s=sig.s, v=sig.v)
+    return tx
 
 
 @pytest.fixture
@@ -247,3 +258,97 @@ class TestNonceChainDropRegression:
         # The follower is back in the pool, unmined, with no receipt.
         assert len(chain.pending) == 1
         assert chain.pending[0].tx_hash == h1
+
+
+class TestForgedIntake:
+    """Deferred verification is not trust (``Mempool.add``, ``mine_block``)."""
+
+    def test_forged_copy_first_cannot_shadow_the_genuine_tx(
+            self, chain, funded_wallet):
+        forged = _forge(_tx(funded_wallet, 0, value=17))
+        genuine = _tx(funded_wallet, 0, value=17)
+        assert forged.tx_hash == genuine.tx_hash
+        chain.submit(forged)  # empty slot: admitted unverified
+        chain.submit(genuine)  # same hash, but the incumbent is forged
+        assert chain.pending == [genuine]
+        chain.mine_block()
+        assert chain.receipt_for(genuine.tx_hash).status
+        assert chain.state.balance_of(genuine.to) == 17
+        # The one receipt under that hash belongs to the genuine execution.
+        assert chain.head.transactions == [genuine]
+
+    def test_forgery_dropped_at_a_block_boundary_leaves_no_receipt(
+            self, chain, funded_wallet):
+        forged = _forge(_tx(funded_wallet, 0, value=17))
+        chain.submit(forged)
+        block = chain.mine_block()
+        assert block.transactions == []
+        assert chain.observer.records[-1]["verify"]["invalid"] == 1
+        with pytest.raises(ChainError, match="no receipt"):
+            chain.receipt_for(forged.tx_hash)
+        genuine = _tx(funded_wallet, 0, value=17)
+        chain.submit(genuine)  # not "already mined"
+        chain.mine_block()
+        assert chain.receipt_for(genuine.tx_hash).status
+
+    @pytest.mark.parametrize("bump_pct", [10, 1000])
+    def test_forged_replacement_never_evicts(self, chain, funded_wallet,
+                                             bump_pct):
+        genuine = _tx(funded_wallet, 0, gas_price=10)
+        chain.submit(genuine)
+        forged = _forge(_tx(funded_wallet, 0, value=2,
+                            gas_price=10 + bump_pct // 10))
+        with pytest.raises(InvalidTransactionError, match="signature"):
+            chain.submit(forged)
+        assert chain.pending == [genuine]
+        assert chain.mempool.replacements == 0
+        chain.mine_block()
+        assert chain.receipt_for(genuine.tx_hash).status
+
+    def test_forged_squatter_is_evicted_at_lower_fee(self, chain,
+                                                     funded_wallet):
+        squatter = _forge(_tx(funded_wallet, 0, value=2, gas_price=50))
+        chain.submit(squatter)
+        genuine = _tx(funded_wallet, 0, gas_price=1)
+        chain.submit(genuine)  # no fee bump owed to a forgery
+        assert chain.pending == [genuine]
+        assert squatter.tx_hash not in chain.mempool
+        assert chain.mempool.replacements == 0
+        chain.mine_block()
+        assert chain.receipt_for(genuine.tx_hash).status
+
+    def test_forged_duplicate_of_a_genuine_pending_tx_is_refused(
+            self, chain, funded_wallet):
+        genuine = _tx(funded_wallet, 0)
+        chain.submit(genuine)
+        with pytest.raises(InvalidTransactionError, match="signature"):
+            chain.submit(_forge(_tx(funded_wallet, 0)))
+        assert chain.pending == [genuine]
+
+    @pytest.mark.parametrize("tamper", ["r", "s", "key", "unsigned", "field"])
+    def test_tampered_signature_never_executes_on_the_default_chain(
+            self, chain, two_wallets, tamper):
+        alice, bob = two_wallets
+        tx = _tx(alice, 0, value=1000)
+        sig = tx.signature
+        if tamper == "r":
+            _forge(tx)
+        elif tamper == "s":
+            tx.signature = Signature(r=sig.r, s=sig.s % (N // 2) + 1, v=sig.v)
+        elif tamper == "key":
+            tx.public_key = bob.key.public_key
+        elif tamper == "unsigned":
+            tx.signature = None
+        else:
+            tx.value = 10**6  # signed for 1000
+        root = chain.state.state_root()
+        chain.submit(tx)
+        bob_hash = bob.transfer("0x" + "dd" * 20, 5)
+        block = chain.mine_block()
+        assert [t.tx_hash for t in block.transactions] == [bob_hash]
+        assert tx.tx_hash not in chain._receipts
+        assert chain.state.nonce_of(alice.address) == 0
+        assert chain.state.balance_of(alice.address) == 10**12
+        assert chain.state.balance_of(tx.to) == 0
+        assert chain.state.state_root() != root  # bob's transfer only
+        assert chain.auditor.summary()["violation_count"] == 0

@@ -24,6 +24,7 @@ from repro.chain.observe import (
     render_chain_top,
 )
 from repro.chain.transaction import Transaction
+from repro.crypto.ecdsa import Signature
 from repro.telemetry.tracing import tracer
 
 
@@ -50,7 +51,7 @@ def _mine_traffic(chain, wallets, blocks: int = 3):
 
 class TestBlockRecords:
     def test_one_record_per_block_with_core_fields(self):
-        chain, wallets = _build_chain(7, verify_mode="mined")
+        chain, wallets = _build_chain(7)
         _mine_traffic(chain, wallets, blocks=3)
         records = chain.observer.records
         assert [r["number"] for r in records] == [1, 2, 3]
@@ -147,15 +148,41 @@ class TestAttributionReport:
 class TestRenderChainTop:
     def test_panel_renders_core_sections(self):
         chain, wallets = _build_chain(17, wallets=8)
-        _mine_traffic(chain, wallets, blocks=3)
+        _mine_traffic(chain, wallets, blocks=2)
+        # Last block: one forged transaction among the honest traffic, so
+        # the verify row shows non-zero singles and bad.
+        forged = Transaction(
+            sender=wallets[3].address, nonce=2, to="0x" + "ee" * 20, value=1,
+        ).sign(wallets[3].key)
+        sig = forged.signature
+        forged.signature = Signature(r=sig.r ^ 1, s=sig.s, v=sig.v)
+        chain.submit(forged)
+        _mine_traffic(chain, wallets[:3] + wallets[4:], blocks=1)
+        verify = chain.observer.records[-1]["verify"]
+        assert verify["invalid"] == 1 and verify["singles"] >= 1
         panel = render_chain_top(chain.observer.records,
                                  audit=chain.auditor.summary())
         assert "PDS2 CHAIN" in panel
         assert "utilization" in panel
         assert "mempool" in panel
+        [row] = [line for line in panel.splitlines()
+                 if line.startswith("  verify")]
+        assert row.split() == [
+            "verify", "batched", str(verify["batched"]),
+            "singles", str(verify["singles"]),
+            "bisect", f"{verify['subchecks']}/{verify['depth']}",
+            "bad", "1",
+        ]
         assert "execution" in panel
         assert "audit: OK" in panel
         # Deterministic width discipline: no line exceeds the panel.
+        assert max(len(line) for line in panel.splitlines()) <= 74
+
+    def test_verify_row_fits_at_block_capacity(self):
+        record = {"txs": 1428, "verify": {
+            "batched": 1428, "singles": 1428, "subchecks": 2855,
+            "depth": 11, "invalid": 1428}}
+        panel = render_chain_top([record])
         assert max(len(line) for line in panel.splitlines()) <= 74
 
     def test_empty_run_renders(self):
@@ -215,7 +242,7 @@ class TestExemplarSatellite:
                                   "fault_kind": "corrupt_state"}
 
     def test_verify_batch_counter_annotated(self):
-        chain, wallets = _build_chain(23, verify_mode="mined")
+        chain, wallets = _build_chain(23)
         from repro.chain import blockchain as blockchain_mod
         with tracer().scoped_context(trace_id="trace-obs-3"):
             wallets[0].transfer("0x" + "ee" * 20, 5)

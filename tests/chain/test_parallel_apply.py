@@ -3,8 +3,8 @@
 Two chains are built from identical rng seeds (same validator and wallet
 keys), fed identical transactions, and mined — one serially, one with the
 parallel engine.  State roots and receipts must match exactly.  The suite
-also covers block-entry batch signature verification (``verify_mode
-"mined"``), including bisection isolating a single corrupted signature.
+also covers block-entry batch signature verification, including bisection
+isolating a single corrupted signature.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.chain import blockchain as blockchain_mod
 from repro.chain.audit import recompute_state_root
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
@@ -19,7 +20,8 @@ from repro.chain.contract import Contract, ContractRegistry, default_registry
 from repro.chain.parallel import execute_parallel, predicted_paths
 from repro.chain.transaction import Transaction
 from repro.chain.vm import BlockContext
-from repro.crypto.ecdsa import N, Signature
+from repro.crypto.ecdsa import _VERIFY_CACHE, N, Signature
+from repro.errors import ChainError
 from repro.governance import register_governance_contracts
 
 
@@ -220,7 +222,7 @@ def _corrupt(tx: Transaction) -> Transaction:
 
 class TestMinedModeBatchVerification:
     def test_all_valid_signatures_included(self):
-        chain, wallets = _build_chain(20, 6, verify_mode="mined")
+        chain, wallets = _build_chain(20, 6)
         hashes = [w.transfer("0x" + "55" * 20, 100) for w in wallets]
         block = chain.mine_block()
         assert len(block.transactions) == len(wallets)
@@ -229,7 +231,7 @@ class TestMinedModeBatchVerification:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bisection_isolates_single_corruption(self, seed):
-        chain, wallets = _build_chain(100 + seed, 7, verify_mode="mined")
+        chain, wallets = _build_chain(100 + seed, 7)
         bad_index = seed % len(wallets)
         hashes = []
         for i, w in enumerate(wallets):
@@ -242,50 +244,69 @@ class TestMinedModeBatchVerification:
             hashes.append(chain.submit(tx))
         block = chain.mine_block()
         assert len(block.transactions) == len(wallets) - 1
+        assert chain.observer.records[-1]["verify"]["invalid"] == 1
         for i, tx_hash in enumerate(hashes):
-            receipt = chain.receipt_for(tx_hash)
             if i == bad_index:
-                assert not receipt.status
-                assert receipt.error == (
-                    "rejected: invalid transaction signature"
-                )
+                # Dropped and counted, never receipted: a receipt would
+                # mark the genuine transaction of that hash "already mined".
+                with pytest.raises(ChainError, match="no receipt"):
+                    chain.receipt_for(tx_hash)
+                assert chain.state.nonce_of(wallets[i].address) == 0
             else:
-                assert receipt.status
+                assert chain.receipt_for(tx_hash).status
 
-    def test_receipts_identical_to_submit_mode(self):
+    def test_receipts_identical_to_per_item_oracle(self, monkeypatch):
+        def per_item(items, stats=None):
+            return [key.verify(message, signature)
+                    for key, message, signature in items]
+
         outcomes = {}
-        for mode in ("submit", "mined"):
-            chain, wallets = _build_chain(30, 5, verify_mode=mode)
+        for verifier in ("batch", "per_item"):
+            if verifier == "per_item":
+                monkeypatch.setattr(blockchain_mod, "batch_verify", per_item)
+            _VERIFY_CACHE.clear()  # matched seeds replay identical signatures
+            chain, wallets = _build_chain(30, 5)
             hashes = [w.transfer("0x" + "44" * 20, 250) for w in wallets]
+            forged = Transaction(
+                sender=wallets[2].address, nonce=1, to="0x" + "44" * 20,
+                value=1,
+            ).sign(wallets[2].key)
+            chain.submit(_corrupt(forged))
             chain.mine_block()
-            outcomes[mode] = (
+            assert forged.tx_hash not in chain._receipts
+            outcomes[verifier] = (
                 [_receipt_key(chain.receipt_for(h)) for h in hashes],
                 chain.state.state_root(),
             )
-        assert outcomes["submit"] == outcomes["mined"]
+        assert outcomes["batch"] == outcomes["per_item"]
 
     def test_bad_signature_defers_senders_later_nonces(self):
-        chain, wallets = _build_chain(31, 2, verify_mode="mined")
+        chain, wallets = _build_chain(31, 2)
         alice, bob = wallets
-        first = Transaction(
-            sender=alice.address, nonce=0, to="0x" + "33" * 20, value=9,
-        ).sign(alice.key)
-        _corrupt(first)
-        chain.submit(first)
+
+        def head():
+            return Transaction(
+                sender=alice.address, nonce=0, to="0x" + "33" * 20, value=9,
+            ).sign(alice.key)
+
+        forged = _corrupt(head())
+        chain.submit(forged)
         second_hash = alice.transfer("0x" + "33" * 20, 9)
         bob_hash = bob.transfer("0x" + "22" * 20, 9)
         block = chain.mine_block()
-        # Bob mines; alice's corrupted head is rejected and her follower
-        # returns to the pool instead of dying on a nonce check.
+        # Bob mines; alice's corrupted head is dropped without a receipt
+        # and her follower returns to the pool instead of dying on a nonce
+        # check.
         assert len(block.transactions) == 1
         assert chain.receipt_for(bob_hash).status
-        assert not chain.receipt_for(first.tx_hash).status
+        assert forged.tx_hash not in chain._receipts
         assert len(chain.pending) == 1
         assert chain.pending[0].tx_hash == second_hash
-        # Resubmitting a fixed head lets the chain drain.
-        fixed = Transaction(
-            sender=alice.address, nonce=0, to="0x" + "33" * 20, value=10,
-        ).sign(alice.key)
+        # Resubmitting the identical content, genuinely signed, lets the
+        # chain drain: the dropped forgery left nothing behind that could
+        # make its hash "already mined".
+        fixed = head()
+        assert fixed.tx_hash == forged.tx_hash
         chain.submit(fixed)
         chain.mine_block()
         assert chain.receipt_for(fixed.tx_hash).status
@@ -297,8 +318,7 @@ class TestMinedModeBatchVerification:
                     for i, w in enumerate(wallets)]
         results = {}
         for mode in ("serial", "parallel"):
-            chain, ws = _build_chain(32, 8, execution=mode,
-                                     verify_mode="mined")
+            chain, ws = _build_chain(32, 8, execution=mode)
             hashes = submit(chain, ws)
             chain.mine_block()
             results[mode] = (

@@ -121,6 +121,20 @@ class TestBatchExecute:
             assert (report.results[spec.job_id].result_digest
                     == run_job(spec).result_digest)
 
+    def test_chaos_kill_lands_when_jobs_are_shorter_than_a_poll(
+            self, tmp_path, monkeypatch):
+        # With a poll this slow every job is finished by the time the
+        # coordinator looks again; the kill must still find a victim.
+        monkeypatch.setattr("repro.control.batch._POLL_S", 0.4)
+        specs = clean_specs(6, seed0=720)
+        root = str(tmp_path / "batch")
+        submit_batch(root, specs)
+        report = batch_execute(root, workers=2, kill_after=[2])
+        assert report.status == BATCH_DONE
+        assert report.worker_deaths == 1
+        assert report.requeues == 1
+        assert not report.divergent
+
     def test_partial_failed_only_for_intentionally_faulted(self, tmp_path):
         # recover=False makes an injected fault deterministically terminal.
         specs = clean_specs(3, seed0=800)

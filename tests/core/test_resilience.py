@@ -30,12 +30,13 @@ from repro.core.lifecycle import (
     TERMINAL_STATES,
 )
 from repro.core.resilience import Fault, FaultInjector
-from repro.crypto.ecdsa import shared_secret
+from repro.crypto.ecdsa import PrivateKey, shared_secret
 from repro.crypto.symmetric import decrypt
 from repro.errors import DecryptionError, MarketplaceError
 from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
+from repro.tee.attestation import AttestationService
 
 N_PROVIDERS = 3
 N_EXECUTORS = 3
@@ -341,6 +342,61 @@ class TestRematchReencrypts:
                        new_envelope) == payload
         with pytest.raises(DecryptionError):
             decrypt(shared_secret(provider.wallet.key, old_key), new_envelope)
+
+
+class TestQuotePerEnclave:
+    """Providers routed to one enclave are shown one signed quote."""
+
+    @staticmethod
+    def _record_quotes(monkeypatch):
+        shown = []
+        produce = AttestationService.produce_quote
+
+        def recording(enclave):
+            quote = produce(enclave)
+            shown.append((enclave, quote))
+            return quote
+
+        monkeypatch.setattr(AttestationService, "produce_quote",
+                            staticmethod(recording))
+        return shown
+
+    def test_one_quote_per_enclave_per_session(self, monkeypatch):
+        shown = self._record_quotes(monkeypatch)
+        market, consumer = build_market(n_providers=6)
+        platform_keys = {executor.platform.attestation_key
+                         for executor in market.executors}
+        signed = []
+        sign = PrivateKey.sign
+
+        def recording(key, message):
+            signed.append(key)
+            return sign(key, message)
+
+        monkeypatch.setattr(PrivateKey, "sign", recording)
+        report = market.run_workload(consumer, spec("wl-quotes"))
+        assert report.audit.clean
+        enclaves = {id(enclave) for enclave, _ in shown}
+        assert len(shown) == 6 and 1 < len(enclaves) < 6
+        assert len({id(quote) for _, quote in shown}) == len(enclaves)
+        assert len([key for key in signed if key in platform_keys]) \
+            == len(enclaves)
+
+    def test_rematch_onto_a_new_enclave_gets_a_new_quote(self, monkeypatch):
+        monkeypatch.setattr("repro.core.resilience.FaultInjector",
+                            _CrashAfterDelivery)
+        shown = self._record_quotes(monkeypatch)
+        market, consumer = build_market(n_providers=4)
+        plan = FaultPlan.single(FaultKind.CRASH_SUBMIT, target="e0")
+        result = run_with_faults(market, consumer, spec("wl-requote"), plan)
+        assert result.outcome == "settled"
+        crashed = [enclave for enclave, _ in shown if enclave.terminated]
+        assert crashed and all(enclave.quote is None for enclave in crashed)
+        old = {quote.report_data for enclave, quote in shown
+               if enclave.terminated}
+        new = {quote.report_data for enclave, quote in shown
+               if not enclave.terminated}
+        assert old and new and old.isdisjoint(new)
 
 
 class TestEscrowConservation:

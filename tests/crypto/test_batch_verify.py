@@ -6,21 +6,28 @@ differentially against the affine oracle retained in :mod:`repro.crypto.ecdsa`
 *agreement with the individual verifier* — the authoritative oracle — on
 all-good batches, corrupted batches, malformed scalars, flipped parity bits,
 and cache interactions.  The bisection sweep runs ≥20 seeds with exactly one
-corrupted signature each, asserting only that signature is rejected.
+corrupted signature each, asserting only that signature is rejected; the
+Hypothesis sweep draws batches from few keys (so the per-key folded term is
+always exercised) with up to three corruptions of five kinds.
 """
 
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.crypto import ec_backend
+from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ec_backend import GX, GY, N, multi_scalar_mult
 from repro.crypto.ecdsa import (
     _VERIFY_CACHE,
     PrivateKey,
+    PublicKey,
     Signature,
+    _batch_equation_holds,
     _point_add,
     _point_mul,
     _recover_nonce_point,
@@ -86,6 +93,24 @@ class TestMultiScalarMult:
         base = random_scalar()
         assert multi_scalar_mult(base, pairs) == _oracle_msm(base, pairs)
 
+    def test_one_shot_pairs_are_terms_of_the_same_sum(self):
+        pairs = [(random_scalar(), _point_mul(random_scalar(), G))
+                 for _ in range(6)]
+        base = random_scalar()
+        expected = _oracle_msm(base, pairs)
+        for cut in range(len(pairs) + 1):
+            assert multi_scalar_mult(base, pairs[:cut], pairs[cut:]) \
+                == expected
+
+    def test_one_shot_tables_stay_out_of_the_lru(self):
+        ec_backend._POINT_TABLE_CACHE.clear()
+        keys = [_point_mul(random_scalar(), G) for _ in range(3)]
+        nonces = [_point_mul(random_scalar(), G) for _ in range(5)]
+        multi_scalar_mult(random_scalar(),
+                          [(random_scalar(), q) for q in keys],
+                          [(random_scalar(), r) for r in nonces])
+        assert set(ec_backend._POINT_TABLE_CACHE) == set(keys)
+
 
 def _make_batch(seed: int, size: int):
     """Deterministic (key, message, signature) triples for one seed."""
@@ -95,6 +120,124 @@ def _make_batch(seed: int, size: int):
         message = b"payload-%d-%d" % (seed, index)
         items.append((key.public_key, message, key.sign(message)))
     return items
+
+
+@lru_cache(maxsize=None)
+def _signed(key_index: int, message_index: int):
+    """One of 4 keys × 40 messages, signed once per process."""
+    key = PrivateKey.from_seed(b"fold-key-%d" % key_index)
+    message = b"fold-msg-%d-%d" % (key_index, message_index)
+    return key.public_key, message, key.sign(message)
+
+
+CORRUPTIONS = ("bad_r", "bad_s", "flip_v", "swap_key", "bad_message")
+
+
+def _corrupt_item(item, kind: str, other_key: PublicKey):
+    public_key, message, sig = item
+    if kind == "bad_r":
+        return public_key, message, Signature(sig.r % (N - 1) + 1, sig.s,
+                                              sig.v)
+    if kind == "bad_s":
+        return public_key, message, Signature(sig.r, sig.s % (N // 2) + 1,
+                                              sig.v)
+    if kind == "flip_v":
+        return public_key, message, Signature(sig.r, sig.s, sig.v ^ 1)
+    if kind == "swap_key":
+        return other_key, message, sig
+    return public_key, message + b"!", sig
+
+
+@st.composite
+def _batches(draw):
+    """(items, corrupted indices → kind) from 1–4 keys, 2–40 signatures."""
+    keys = draw(st.integers(1, 4))
+    size = draw(st.integers(2, 40))
+    slots = draw(st.lists(
+        st.tuples(st.integers(0, keys - 1), st.integers(0, 39)),
+        min_size=size, max_size=size, unique=True,
+    ))
+    items = [_signed(*slot) for slot in slots]
+    victims = draw(st.lists(st.integers(0, size - 1), max_size=3,
+                            unique=True))
+    corrupted = {}
+    for victim in victims:
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        # Swap to another key *of this batch* so the forged item joins an
+        # existing key group's folded term.
+        others = [item[0] for item in items if item[0] != items[victim][0]]
+        if kind == "swap_key" and not others:
+            kind = "bad_r"
+        items[victim] = _corrupt_item(items[victim], kind,
+                                      others[0] if others else None)
+        corrupted[victim] = kind
+    return items, corrupted
+
+
+class TestKeyFoldedEquation:
+    """Entries sharing a public key share one ``(Σ aᵢ·u2ᵢ)·Q`` term."""
+
+    def setup_method(self):
+        _VERIFY_CACHE.clear()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_batches())
+    def test_agrees_with_individual_verifier_on_generated_batches(
+            self, batch):
+        items, corrupted = batch
+        _VERIFY_CACHE.clear()
+        stats: dict = {}
+        got = batch_verify(items, stats)
+        _VERIFY_CACHE.clear()
+        expected = [key.verify(message, sig) for key, message, sig in items]
+        assert got == expected
+        # A flipped parity bit is still a valid signature (``verify``
+        # ignores v); every other corruption is not.
+        assert expected == [corrupted.get(index, "flip_v") == "flip_v"
+                            for index in range(len(items))]
+        # Every corrupted item — and nothing that a passing sub-batch
+        # vouched for — reaches the individual oracle.  A good item ends
+        # up there only as the sibling leaf of a bad one (at most two per
+        # bad item: sub-batches of three split 1 + 2).
+        assert stats["batched"] + stats["singles"] >= len(items)
+        assert len(corrupted) <= stats["singles"] <= 3 * len(corrupted)
+        if not corrupted:
+            assert (stats["subchecks"], stats["depth"]) == (1, 0)
+
+    def test_one_bad_signature_among_a_senders_good_ones(self):
+        items = [_signed(0, index) for index in range(24)]
+        items[17] = _corrupt_item(items[17], "bad_s", None)
+        stats: dict = {}
+        assert batch_verify(items, stats) == [i != 17 for i in range(24)]
+        assert stats["depth"] >= 3  # bisected inside one key group
+
+    def test_single_key_batch_is_one_key_term(self, monkeypatch):
+        seen = []
+        real = ec_backend.multi_scalar_mult
+
+        def spy(base_scalar, pairs, one_shot_pairs=()):
+            seen.append((len(pairs), len(one_shot_pairs)))
+            return real(base_scalar, pairs, one_shot_pairs)
+
+        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
+        items = [_signed(k, m) for k in range(3) for m in range(8)]
+        assert batch_verify(items) == [True] * 24
+        assert seen == [(3, 24)]
+
+    def test_key_term_folding_to_zero(self, monkeypatch):
+        # With every coefficient forced to 1, u2 and n − u2 under one key
+        # fold to 0·Q: the key drops out of the sum and the equation must
+        # still hold exactly when each entry's own point equation does.
+        monkeypatch.setattr(ecdsa, "keccak256", lambda data: bytes(32))
+        q = _point_mul(0xFEED, G)
+        u1_a, u1_b, u2 = random_scalar(), random_scalar(), random_scalar()
+        r_a = _point_add(_point_mul(u1_a, G), _point_mul(u2, q))
+        r_b = _point_add(_point_mul(u1_b, G), _point_mul(N - u2, q))
+        assert _batch_equation_holds([(u1_a, u2, q, r_a),
+                                      (u1_b, N - u2, q, r_b)])
+        wrong = _point_add(r_b, G)
+        assert not _batch_equation_holds([(u1_a, u2, q, r_a),
+                                          (u1_b, N - u2, q, wrong)])
 
 
 class TestRecoverNoncePoint:
@@ -125,6 +268,16 @@ class TestBatchVerify:
 
     def test_empty_batch(self):
         assert batch_verify([]) == []
+
+    def test_single_item_goes_straight_to_the_oracle(self, monkeypatch):
+        monkeypatch.setattr(ecdsa, "_recover_nonce_point",
+                            lambda r, v: pytest.fail("nothing to amortize"))
+        [(pk, msg, sig)] = _make_batch(6, 1)
+        stats: dict = {}
+        assert batch_verify([(pk, msg, sig)], stats) == [True]
+        assert stats == {"batched": 0, "singles": 1, "subchecks": 0,
+                         "depth": 0}
+        assert batch_verify([(pk, msg + b"!", sig)]) == [False]
 
     def test_agrees_with_individual_verifier(self):
         items = _make_batch(2, 12)

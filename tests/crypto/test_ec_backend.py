@@ -49,6 +49,25 @@ def random_scalar() -> int:
     return _RANDOM.randrange(1, N)
 
 
+def _wnaf_scalar_mult(scalar, point):
+    """``ec_backend.scalar_mult`` as of 62b3626: one full-length width-5 wNAF
+    stream, ~256 doublings, no GLV split.  Kept here as a second oracle for
+    the multi-scalar engine that replaced it."""
+    scalar %= N
+    if scalar == 0 or point is None:
+        return None
+    table = batch_to_affine(ec_backend._odd_multiples(point, 5))
+    accumulator = None
+    for digit in reversed(wnaf(scalar, 5)):
+        accumulator = jacobian_double(accumulator)
+        if digit > 0:
+            accumulator = jacobian_add_affine(accumulator, table[digit >> 1])
+        elif digit < 0:
+            x, y = table[(-digit) >> 1]
+            accumulator = jacobian_add_affine(accumulator, (x, P - y))
+    return to_affine(accumulator)
+
+
 class TestJacobianPrimitives:
     def test_round_trip_affine_jacobian(self):
         point = _point_mul(1234567, G)
@@ -167,6 +186,50 @@ class TestDifferentialScalarMult:
             assert scalar_mult(scalar, base) == _point_mul(scalar, base)
         assert scalar_mult(5, None) is None
         assert scalar_mult(0, base) is None
+
+    def test_variable_point_glv_edge_scalars(self):
+        lam = ec_backend._glv_params()[0]
+        base = _point_mul(0xFACADE, G)
+        scalars = [1, 2, N - 1, lam, lam * lam % N, N - lam,
+                   2**127, 2**128 - 1, 2**140, 2**140 + 1,  # the GLV-skip edge
+                   2**255, 2**255 + 12345]
+        scalars += [_RANDOM.randrange(1, 2**128) for _ in range(5)]
+        scalars += [_RANDOM.randrange(2**255, N) for _ in range(5)]
+        for scalar in scalars:
+            got = scalar_mult(scalar, base)
+            assert got == _point_mul(scalar, base), hex(scalar)
+            assert got == _wnaf_scalar_mult(scalar, base), hex(scalar)
+        # N itself and multiples fold to the point at infinity.
+        assert scalar_mult(N, base) is None
+        assert scalar_mult(3 * N, base) is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 * N),
+           st.integers(min_value=1, max_value=N - 1))
+    def test_variable_point_hypothesis(self, scalar, point_scalar):
+        point = scalar_mult_base(point_scalar)
+        assert scalar_mult(scalar, point) == _wnaf_scalar_mult(scalar, point)
+
+    def test_variable_point_without_glv_matches(self, monkeypatch):
+        base = _point_mul(0xACE, G)
+        scalars = [random_scalar() for _ in range(5)]
+        with_glv = [scalar_mult(k, base) for k in scalars]
+        monkeypatch.setattr(ec_backend, "_glv_params", lambda: None)
+        assert [scalar_mult(k, base) for k in scalars] == with_glv
+
+    def test_variable_point_is_the_one_point_multi_scalar_case(
+            self, monkeypatch):
+        calls = []
+        real = ec_backend.multi_scalar_mult
+
+        def spy(base_scalar, pairs, *rest):
+            calls.append((base_scalar, pairs))
+            return real(base_scalar, pairs, *rest)
+
+        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
+        base = _point_mul(77, G)
+        assert scalar_mult(9, base) == _point_mul(9 * 77, G)
+        assert calls == [(0, [(9, base)])]
 
     def test_dual_scalar_differential(self):
         q = _point_mul(0xC0DE, G)

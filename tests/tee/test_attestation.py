@@ -8,7 +8,7 @@ import pytest
 
 from repro.crypto.ecdsa import PrivateKey
 from repro.errors import AttestationError
-from repro.tee.attestation import AttestationService
+from repro.tee.attestation import AttestationService, Quote
 from repro.tee.enclave import EnclaveCode, TEEPlatform
 
 
@@ -108,3 +108,50 @@ class TestQuotes:
         )
         with pytest.raises(AttestationError):
             service.verify(forged)
+
+
+class TestQuoteKeptByEnclave:
+    """A quote is a pure function of the enclave, so it is signed once."""
+
+    def test_same_bytes_as_a_fresh_signature(self, platform, code):
+        enclave = platform.launch(code)
+        quote = AttestationService.produce_quote(enclave)
+        payload = Quote.payload_bytes(
+            platform.platform_id, enclave.measurement,
+            enclave.ephemeral_public_key.to_bytes())
+        assert quote.signature == platform.attestation_key.sign(payload)
+        assert quote.report_data == enclave.ephemeral_public_key.to_bytes()
+        assert quote.measurement == code.measurement
+
+    def test_one_signature_per_enclave(self, platform, code, monkeypatch):
+        signed = []
+        real = PrivateKey.sign
+
+        def recording(key, message):
+            signed.append(key)
+            return real(key, message)
+
+        monkeypatch.setattr(PrivateKey, "sign", recording)
+        first, second = platform.launch(code), platform.launch(code)
+        quotes = [AttestationService.produce_quote(enclave)
+                  for enclave in (first, second, first, first, second)]
+        assert signed == [platform.attestation_key] * 2
+        assert quotes[0] is quotes[2] is quotes[3]
+        assert quotes[1] is quotes[4]
+        assert quotes[0].report_data != quotes[1].report_data
+
+    def test_terminate_drops_the_quote(self, platform, code):
+        enclave = platform.launch(code)
+        AttestationService.produce_quote(enclave)
+        enclave.terminate()
+        assert enclave.quote is None
+
+    def test_kept_quote_of_a_revoked_platform_still_fails(
+            self, service, platform, code):
+        enclave = platform.launch(code)
+        quote = AttestationService.produce_quote(enclave)
+        service.verify(quote)
+        service.revoke_platform(platform.platform_id)
+        assert AttestationService.produce_quote(enclave) is quote
+        with pytest.raises(AttestationError, match="revoked"):
+            service.verify(quote)
