@@ -4,9 +4,8 @@ An Ethereum-style chain built from scratch: ECDSA accounts, gas-metered
 transactions, a contract VM with revert semantics and events, proof-of-
 authority sealing, and the ERC-20 / ERC-721 token standards the paper selects
 for rewards and data deeds.  Throughput machinery on top: a nonce-ordered
-fee-prioritized mempool, amortized batch signature verification at block
-entry, and an optimistic-parallel execution engine with serial-equivalent
-semantics.
+fee-prioritized mempool and amortized batch signature verification at block
+entry.
 """
 
 from repro.chain.block import Block, BlockHeader
@@ -14,12 +13,7 @@ from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority, Validator
 from repro.chain.contract import Contract, ContractRegistry, default_registry
 from repro.chain.mempool import Mempool
-from repro.chain.parallel import (
-    BlockExecution,
-    execute_parallel,
-    execute_serial,
-)
-from repro.chain.state import AccessTracker, WorldState, WriteJournal, shard_of
+from repro.chain.state import WorldState, WriteJournal
 from repro.chain.transaction import CREATE, LogEntry, Receipt, Transaction
 from repro.chain.vm import VM, BlockContext, ExecutionContext, GasMeter
 
@@ -34,13 +28,8 @@ __all__ = [
     "ContractRegistry",
     "default_registry",
     "Mempool",
-    "BlockExecution",
-    "execute_parallel",
-    "execute_serial",
-    "AccessTracker",
     "WorldState",
     "WriteJournal",
-    "shard_of",
     "CREATE",
     "LogEntry",
     "Receipt",

@@ -8,7 +8,7 @@ the governance layer (Section II-C) requires.
 Signatures are checked **once, at block entry, batched**: ``submit`` does no
 curve work for a transaction that contests nothing, ``mine_block`` runs one
 key-folded :func:`~repro.crypto.ecdsa.batch_verify` over everything the
-mempool selected, and nothing below it (engines, VM) re-verifies.  Deferred
+mempool selected, and nothing below it re-verifies.  Deferred
 is not trusted: a transaction that fails the batch is dropped without a
 receipt, and a transaction that contests a pooled one is verified on the
 spot (see :meth:`Blockchain.submit`).
@@ -20,7 +20,7 @@ marketplace: it tracks nonces, signs, and exposes ``deploy`` / ``call`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -32,11 +32,6 @@ from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import ContractRegistry, default_registry
 from repro.chain.mempool import Mempool
 from repro.chain.observe import ChainObserver
-from repro.chain.parallel import (
-    DEFAULT_LANES,
-    execute_parallel,
-    execute_serial,
-)
 from repro.chain.state import WorldState
 from repro.chain.transaction import CREATE, LogEntry, Receipt, Transaction
 from repro.chain.vm import VM, BlockContext
@@ -80,6 +75,49 @@ _VERIFY_BATCH = _tm.counter(
 )
 
 
+@dataclass
+class BlockExecution:
+    """Outcome of applying one block's worth of transactions."""
+
+    #: Transactions included in the block, in commit order.
+    included: list[Transaction] = field(default_factory=list)
+    #: Receipt per included transaction hash.
+    receipts: dict[bytes, Receipt] = field(default_factory=dict)
+    #: Admission failures: ``(tx, error message)`` — the chain writes the
+    #: synthetic failed receipt (it owns receipt bookkeeping).
+    rejected: list[tuple[Transaction, str]] = field(default_factory=list)
+    #: Transactions to put back in the pool (sender chain behind a failure).
+    deferred: list[Transaction] = field(default_factory=list)
+    gas_used: int = 0
+
+
+def execute_serial(vm: VM, state: WorldState, block: BlockContext,
+                   txs: list[Transaction]) -> BlockExecution:
+    """Apply ``txs`` in block order.
+
+    A transaction that fails admission (bad nonce, unaffordable) is
+    rejected with its error string, and the same sender's later
+    transactions are deferred back to the pool instead of being run into
+    certain ``bad nonce`` failures.
+    """
+    result = BlockExecution()
+    failed_senders: set[str] = set()
+    for tx in txs:
+        if tx.sender in failed_senders:
+            result.deferred.append(tx)
+            continue
+        try:
+            receipt = vm.apply_transaction(state, block, tx)
+        except ChainError as exc:
+            result.rejected.append((tx, str(exc)))
+            failed_senders.add(tx.sender)
+            continue
+        result.receipts[tx.tx_hash] = receipt
+        result.included.append(tx)
+        result.gas_used += receipt.gas_used
+    return result
+
+
 class Blockchain:
     """A single-chain ledger with PoA sealing and full receipt history."""
 
@@ -87,23 +125,14 @@ class Blockchain:
                  registry: Optional[ContractRegistry] = None,
                  genesis_alloc: Optional[dict[str, int]] = None,
                  block_gas_limit: int = gas_schedule.BLOCK_GAS_LIMIT,
-                 execution: str = "serial",
-                 parallel_lanes: int = DEFAULT_LANES,
                  observe: bool = True,
                  audit: bool = True,
                  audit_strict: bool = False):
-        if execution not in ("serial", "parallel"):
-            raise ValueError("execution must be 'serial' or 'parallel'")
         self.consensus = consensus
         self.registry = registry if registry is not None else default_registry()
         self.vm = VM(registry=self.registry)
         self.state = WorldState()
         self.block_gas_limit = block_gas_limit
-        #: ``"serial"`` applies block transactions in order on one thread;
-        #: ``"parallel"`` overlaps non-conflicting transactions and falls
-        #: back to serial whenever equivalence is in doubt.
-        self.execution = execution
-        self.parallel_lanes = parallel_lanes
         for address, amount in (genesis_alloc or {}).items():
             self.state.credit(address, amount)
         self.blocks: list[Block] = []
@@ -302,17 +331,10 @@ class Blockchain:
             verify_stats: dict[str, int] = {}
             if selected:
                 selected = self._verify_block_batch(selected, verify_stats)
-            with _tracer().span("block.execute", height=number,
-                                engine=self.execution):
-                if self.execution == "parallel":
-                    execution = execute_parallel(
-                        self.vm, self.state, block_ctx, selected,
-                        lanes=self.parallel_lanes,
-                    )
-                else:
-                    execution = execute_serial(
-                        self.vm, self.state, block_ctx, selected,
-                    )
+            with _tracer().span("block.execute", height=number):
+                execution = execute_serial(
+                    self.vm, self.state, block_ctx, selected,
+                )
             for tx, error in execution.rejected:
                 # Never overwrite a mined receipt with a synthetic failure
                 # (the duplicate-submission clobber this layer used to have).

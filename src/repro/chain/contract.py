@@ -20,7 +20,6 @@ role of compiled bytecode.
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING, Any
 
 from repro.chain import gas as gas_schedule
@@ -39,26 +38,16 @@ class Contract:
     def __init__(self) -> None:
         self.storage: dict = {}
         self.address: str = ""
-        # Execution contexts are per *thread*, not per instance: under the
-        # parallel engine two lanes may call into the same contract (the
-        # conflict validator decides afterwards whether that was legal), and
-        # each must see its own call context.
-        self._ctx_tls = threading.local()
+        # The context of the innermost call executing on this contract;
+        # ``VM.execute_call`` saves and restores it around nested calls.
+        self._ctx: "ExecutionContext | None" = None
 
     # -- execution context ----------------------------------------------------
 
     @property
-    def _ctx(self) -> "ExecutionContext | None":
-        return getattr(self._ctx_tls, "value", None)
-
-    @_ctx.setter
-    def _ctx(self, value: "ExecutionContext | None") -> None:
-        self._ctx_tls.value = value
-
-    @property
     def ctx(self) -> "ExecutionContext":
         """The context of the call currently executing on this contract."""
-        ctx = getattr(self._ctx_tls, "value", None)
+        ctx = self._ctx
         if ctx is None:
             raise ContractError("contract accessed outside a transaction")
         return ctx
@@ -108,22 +97,6 @@ class Contract:
         ctx.charge(gas_schedule.STORAGE_WRITE)
         ctx.storage_delete(self, path)
 
-    # -- parallel-scheduling hints ---------------------------------------------
-
-    @classmethod
-    def access_hints(cls, method: str, args: dict,
-                     sender: str) -> "list[tuple[str, ...]] | None":
-        """Predicted storage paths ``method(**args)`` may touch, or None.
-
-        Used by the parallel engine to *group* transactions before running
-        them; correctness never depends on the prediction (recorded actual
-        access sets are validated afterwards), so hints only need to be good,
-        not sound.  None means "assume the whole contract", which serializes
-        all transactions targeting it.  Token contracts override this with
-        slot-level hints so transfers between disjoint accounts parallelize.
-        """
-        return None
-
     # -- integrity auditing ------------------------------------------------------
 
     def audit_invariants(self, state: Any) -> list[str]:
@@ -165,8 +138,7 @@ class Contract:
         """Names of externally callable methods (public, not framework)."""
         framework = {
             "setup", "sread", "swrite", "sdelete", "emit", "require", "step",
-            "external_methods", "ctx", "storage", "address", "access_hints",
-            "audit_invariants",
+            "external_methods", "ctx", "storage", "address", "audit_invariants",
         }
         names = set()
         for name in dir(cls):

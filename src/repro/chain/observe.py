@@ -4,16 +4,12 @@ Counterpart of the batch control plane's ``trace_ops``: every sealed block
 becomes one deterministic, JSON-safe record — gas utilization, fee
 percentiles (through the same histogram-quantile math the telemetry
 registry exports), transaction mix, the mempool's selection-time gauges,
-batch-signature bisection stats, and the parallel engine's attribution
-(lane occupancy, predicted-conflict merge keys, the labeled cause of every
-serially-executed block).
+batch-signature bisection stats, and how many transactions were rejected or
+deferred at admission.  Records carry no wall-clock values, so matched
+seeds produce byte-identical ``blocks.jsonl`` files.
 
-The records power three consumers:
+The records power two consumers:
 
-* :func:`attribution_report` — an aggregate that answers "where did my
-  parallelism go": per-lane occupancy, the conflict matrix keyed by
-  contract/account, and a serial-cause breakdown.  Contains no wall-clock
-  values, so matched seeds produce byte-identical reports.
 * :func:`render_chain_top` — the fixed-width panel behind
   ``python -m repro chain top [--watch]``.
 * :class:`ChainRunRecorder` / :func:`read_chain_run` — a crash-tolerant
@@ -33,7 +29,7 @@ from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import tracer as _tracer
 
 #: Bumped when the block-record shape changes (readers stay tolerant).
-RECORD_VERSION = 1
+RECORD_VERSION = 2
 
 #: Gas-price buckets for per-block fee percentiles.
 FEE_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
@@ -109,16 +105,6 @@ class ChainObserver:
             "mempool": dict(selection),
             "verify": dict(verify_stats),
             "execution": {
-                "engine": self.chain.execution,
-                "groups": execution.groups,
-                "fell_back": execution.fell_back,
-                "serial_cause": execution.serial_cause,
-                "lane_txs": {str(lane): count for lane, count
-                             in sorted(execution.lane_txs.items())},
-                "conflict_keys": dict(sorted(
-                    execution.conflict_keys.items())),
-                "hinted_txs": execution.hinted_txs,
-                "unhinted_txs": execution.unhinted_txs,
                 "rejected": len(execution.rejected),
                 "deferred": len(execution.deferred),
             },
@@ -131,7 +117,6 @@ class ChainObserver:
             "block.observe", height=header.number,
             transactions=len(block.transactions),
             utilization_pct=round(utilization, 1),
-            serial_cause=execution.serial_cause,
         ):
             pass
         self.records.append(record)
@@ -141,77 +126,13 @@ class ChainObserver:
 
 
 # ---------------------------------------------------------------------------
-# Attribution: where did the parallelism go?
-# ---------------------------------------------------------------------------
-
-
-def attribution_report(records: list[dict]) -> dict:
-    """Aggregate per-block execution records into the attribution report.
-
-    Deterministic by construction — inputs carry no wall-clock values and
-    every map is emitted key-sorted — so ``json.dumps(report,
-    sort_keys=True)`` is byte-identical across matched-seed runs.
-    """
-    lane_txs: dict[str, int] = {}
-    causes: dict[str, int] = {}
-    conflicts: dict[str, int] = {}
-    hinted = unhinted = 0
-    parallel_blocks = serial_blocks = fallbacks = total_txs = 0
-    for record in records:
-        execution = record.get("execution", {})
-        txs = record.get("txs", 0)
-        total_txs += txs
-        if txs:
-            cause = execution.get("serial_cause", "")
-            if not cause and execution.get("engine") != "parallel":
-                cause = "serial_engine"
-            if cause:
-                serial_blocks += 1
-                causes[cause] = causes.get(cause, 0) + 1
-            else:
-                parallel_blocks += 1
-        if execution.get("fell_back"):
-            fallbacks += 1
-        for lane, count in execution.get("lane_txs", {}).items():
-            lane_txs[lane] = lane_txs.get(lane, 0) + count
-        for key, count in execution.get("conflict_keys", {}).items():
-            conflicts[key] = conflicts.get(key, 0) + count
-        hinted += execution.get("hinted_txs", 0)
-        unhinted += execution.get("unhinted_txs", 0)
-    ranked = sorted(conflicts.items(), key=lambda item: (-item[1], item[0]))
-    return {
-        "blocks": len(records),
-        "transactions": total_txs,
-        "parallel_blocks": parallel_blocks,
-        "serial_blocks": serial_blocks,
-        "fallbacks": fallbacks,
-        "serial_causes": dict(sorted(causes.items())),
-        "lane_txs": dict(sorted(lane_txs.items())),
-        "conflict_matrix": dict(sorted(conflicts.items())),
-        "top_conflict_keys": [
-            {"key": key, "merges": count} for key, count in ranked[:10]
-        ],
-        "hinted_txs": hinted,
-        "unhinted_txs": unhinted,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Rendering: python -m repro chain top
 # ---------------------------------------------------------------------------
 
 _WIDTH = 74
 
 
-def _bar(value: int, peak: int, width: int = 16) -> str:
-    if peak <= 0:
-        return " " * width
-    filled = max(1 if value else 0, round(width * value / peak))
-    return ("#" * filled).ljust(width)
-
-
 def render_chain_top(records: list[dict],
-                     attribution: Optional[dict] = None,
                      audit: Optional[dict] = None) -> str:
     """Fixed-width ops panel over a chain run's block records."""
     rule = "-" * _WIDTH
@@ -220,16 +141,15 @@ def render_chain_top(records: list[dict],
         lines.append("  (no blocks recorded yet)")
         lines.append(rule)
         return "\n".join(lines)
-    report = attribution if attribution is not None \
-        else attribution_report(records)
     registry = MetricsRegistry()
     util_hist = registry.histogram("util", buckets=(5, 10, 25, 50, 75, 90,
                                                     100))
-    gas_total = 0
+    gas_total = tx_total = 0
     mix = {"transfer": 0, "call": 0, "deploy": 0}
     for record in records:
         util_hist.observe(record.get("utilization_pct", 0.0))
         gas_total += record.get("gas_used", 0)
+        tx_total += record.get("txs", 0)
         for kind, count in record.get("tx_mix", {}).items():
             mix[kind] = mix.get(kind, 0) + count
     util = util_hist.child().quantiles()
@@ -237,7 +157,7 @@ def render_chain_top(records: list[dict],
     pool = last.get("mempool", {})
     verify = last.get("verify", {})
     lines.append(
-        f"  blocks {report['blocks']:>6}   txs {report['transactions']:>7}"
+        f"  blocks {len(records):>6}   txs {tx_total:>7}"
         f"   gas {gas_total:>14,}"
     )
     lines.append(
@@ -271,34 +191,6 @@ def render_chain_top(records: list[dict],
         f"   bad {verify.get('invalid', 0):>3}"
     )
     lines.append(rule)
-    lines.append(
-        f"  execution     parallel {report['parallel_blocks']:>4}"
-        f"   serial {report['serial_blocks']:>4}"
-        f"   fallbacks {report['fallbacks']:>3}"
-        f"   hinted {report['hinted_txs']}"
-        f"/{report['hinted_txs'] + report['unhinted_txs']}"
-    )
-    lane_txs = report.get("lane_txs", {})
-    if lane_txs:
-        peak = max(lane_txs.values())
-        for lane in sorted(lane_txs, key=int):
-            count = lane_txs[lane]
-            lines.append(
-                f"  lane {lane:>2}       {_bar(count, peak)} {count:>6} txs"
-            )
-    causes = report.get("serial_causes", {})
-    if causes:
-        shown = "   ".join(f"{cause} {count}" for cause, count
-                           in sorted(causes.items()))
-        lines.append(f"  serial causes {shown}")
-    top = report.get("top_conflict_keys", [])
-    if top:
-        lines.append("  top conflict keys (predicted-merge counts):")
-        for entry in top[:5]:
-            key = entry["key"]
-            shown_key = key if len(key) <= 48 else key[:45] + "..."
-            lines.append(f"    {shown_key:<50} {entry['merges']:>6}")
-    lines.append(rule)
     if audit is not None:
         count = audit.get("violation_count", 0)
         checked = audit.get("blocks_checked", 0)
@@ -323,7 +215,7 @@ def render_chain_top(records: list[dict],
 
 class ChainRunRecorder:
     """Streams block records to ``<root>/blocks.jsonl`` and finalizes
-    ``attribution.json`` / ``audit.json`` on :meth:`close`."""
+    ``audit.json`` on :meth:`close`."""
 
     def __init__(self, root: str):
         self.root = root
@@ -345,14 +237,7 @@ class ChainRunRecorder:
                                                        "forensics")
 
     def close(self, chain: Any) -> None:
-        """Write the aggregate reports and release the stream."""
-        records = chain.observer.records if chain.observer is not None \
-            else []
-        with open(os.path.join(self.root, "attribution.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(attribution_report(records), fh, sort_keys=True,
-                      indent=2)
-            fh.write("\n")
+        """Write the audit summary and release the stream."""
         if chain.auditor is not None:
             with open(os.path.join(self.root, "audit.json"), "w",
                       encoding="utf-8") as fh:
@@ -365,10 +250,10 @@ class ChainRunRecorder:
 def read_chain_run(root: str) -> dict:
     """Read a chain run directory back, tolerating a torn jsonl tail.
 
-    Returns ``{"records", "attribution", "audit"}``; the attribution is
-    recomputed from the records when ``attribution.json`` is absent (a
-    live run being watched), and ``audit`` is None when the auditor was
-    off or the run has not finalized.
+    Returns ``{"records", "audit"}``; ``audit`` is None when the auditor
+    was off or the run has not finalized.  Version-1 records (which carry
+    engine attribution under ``execution``) read back as they are, and an
+    ``attribution.json`` left by such a run is ignored.
     """
     records: list[dict] = []
     blocks_path = os.path.join(root, "blocks.jsonl")
@@ -382,16 +267,6 @@ def read_chain_run(root: str) -> dict:
                     records.append(json.loads(line))
                 except json.JSONDecodeError:
                     break  # torn tail: a writer died mid-record
-    attribution: Optional[dict] = None
-    attribution_path = os.path.join(root, "attribution.json")
-    if os.path.exists(attribution_path):
-        try:
-            with open(attribution_path, "r", encoding="utf-8") as fh:
-                attribution = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            attribution = None
-    if attribution is None:
-        attribution = attribution_report(records)
     audit: Optional[dict] = None
     audit_path = os.path.join(root, "audit.json")
     if os.path.exists(audit_path):
@@ -400,4 +275,4 @@ def read_chain_run(root: str) -> dict:
                 audit = json.load(fh)
         except (json.JSONDecodeError, OSError):
             audit = None
-    return {"records": records, "attribution": attribution, "audit": audit}
+    return {"records": records, "audit": audit}

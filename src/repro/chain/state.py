@@ -1,17 +1,15 @@
 """World state: balances, nonces, and deployed contracts.
 
 Every transaction runs under a :class:`WriteJournal` — a per-transaction
-undo log the VM attaches to the executing thread — so rolling back a
-reverted call costs O(what it wrote), not O(state).  That rollback is the
-property the governance layer's audit guarantees rest on.  Contract
-*instances* survive a rollback (they are identity-stable); only their
-``storage`` dicts are restored.  The parallel engine additionally attaches
-an :class:`AccessTracker` recording the read/write path set of the
-transaction on the current thread; with no tracker attached the accessors
-record nothing.
+undo log the VM attaches to the state — so rolling back a reverted call
+costs O(what it wrote), not O(state).  That rollback is the property the
+governance layer's audit guarantees rest on.  Contract *instances* survive
+a rollback (they are identity-stable); only their ``storage`` dicts are
+restored.
 
 :meth:`WorldState.snapshot` / :meth:`WorldState.restore` deep-copy the whole
-state.  Only the parallel engine's block-level fallback uses them.
+state.  They have no production caller: the tests use them as the oracle
+the journal's revert is compared against.
 
 :meth:`WorldState.state_root` is incremental: each contract's canonical
 encoding is kept until the contract is written *through the VM* (or the
@@ -23,7 +21,6 @@ recomputes the root from scratch every block — flags the block.
 from __future__ import annotations
 
 import copy
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -34,38 +31,6 @@ from repro.utils.serialization import canonical_json_bytes
 
 #: Sentinel for "slot absent" in journal pre-images.
 _ABSENT = object()
-
-
-def shard_of(address: str, shards: int) -> int:
-    """Account-range shard of ``address``: first two address bytes mod shards.
-
-    The parallel engine uses this to pin conflict groups to execution lanes,
-    so transactions landing in the same account range (ERC-20/721 hot
-    accounts, busy contracts) serialize on one lane instead of contending.
-    """
-    if shards <= 1:
-        return 0
-    try:
-        return int(address[2:6], 16) % shards
-    except (ValueError, TypeError):
-        return 0
-
-
-class AccessTracker:
-    """Read/write path sets recorded while one transaction executes.
-
-    Paths are tuples: ``("acct", address)`` for account balance/nonce,
-    ``("code", address)`` for contract existence, and
-    ``("store", address, *slot_path)`` for storage slots.  Two paths touch
-    the same state iff one is a prefix of the other; the parallel engine
-    treats any cross-group prefix overlap involving a write as a conflict.
-    """
-
-    __slots__ = ("reads", "writes")
-
-    def __init__(self) -> None:
-        self.reads: set[tuple] = set()
-        self.writes: set[tuple] = set()
 
 
 class WriteJournal:
@@ -182,56 +147,33 @@ class WorldState:
     contracts: dict[str, Contract] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        # Thread-local transaction context: each engine thread attaches its
-        # own tracker/journal, so concurrent transactions record into their
-        # own structures without any locking.
-        self._tls = threading.local()
+        self._journal: Optional[WriteJournal] = None
         # address -> b'"address":{...storage...}', the contract's member of
         # the state-root document, valid until storage_changed(address).
         self._contract_json: dict[str, bytes] = {}
 
-    # -- per-thread transaction context ---------------------------------------
-
-    @property
-    def tx_tracker(self) -> Optional[AccessTracker]:
-        """The access tracker of the transaction on this thread (or None)."""
-        return getattr(self._tls, "tracker", None)
+    # -- transaction context ---------------------------------------------------
 
     @property
     def tx_journal(self) -> Optional[WriteJournal]:
-        """The write journal of the transaction on this thread (or None)."""
-        return getattr(self._tls, "journal", None)
-
-    def begin_tx(self, tracker: Optional[AccessTracker]) -> None:
-        """Attach an access tracker to this thread's transaction."""
-        self._tls.tracker = tracker
+        """The write journal of the executing transaction (or None)."""
+        return self._journal
 
     def attach_journal(self, journal: Optional[WriteJournal]) -> None:
-        """Attach a write journal to this thread's transaction."""
-        self._tls.journal = journal
-
-    def end_tx(self) -> None:
-        """Detach this thread's tracker and journal."""
-        self._tls.tracker = None
-        self._tls.journal = None
+        """Attach a write journal to the executing transaction (None detaches)."""
+        self._journal = journal
 
     # -- balances -------------------------------------------------------------
 
     def balance_of(self, address: str) -> int:
         """Current base-currency balance of ``address`` (0 if untouched)."""
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.reads.add(("acct", address))
         return self.balances.get(address, 0)
 
     def credit(self, address: str, amount: int) -> None:
         """Add ``amount`` to an account balance."""
         if amount < 0:
             raise ValueError("credit amount must be non-negative")
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.writes.add(("acct", address))
-        journal = getattr(self._tls, "journal", None)
+        journal = self._journal
         if journal is not None:
             journal.record_balance(address)
         self.balances[address] = self.balances.get(address, 0) + amount
@@ -245,10 +187,7 @@ class WorldState:
             raise InsufficientBalanceError(
                 f"{address} holds {balance}, cannot pay {amount}"
             )
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.writes.add(("acct", address))
-        journal = getattr(self._tls, "journal", None)
+        journal = self._journal
         if journal is not None:
             journal.record_balance(address)
         self.balances[address] = balance - amount
@@ -262,17 +201,11 @@ class WorldState:
 
     def nonce_of(self, address: str) -> int:
         """The next expected transaction nonce for ``address``."""
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.reads.add(("acct", address))
         return self.nonces.get(address, 0)
 
     def bump_nonce(self, address: str) -> None:
         """Advance the account's nonce after accepting a transaction."""
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.writes.add(("acct", address))
-        journal = getattr(self._tls, "journal", None)
+        journal = self._journal
         if journal is not None:
             journal.record_nonce(address)
         self.nonces[address] = self.nonces.get(address, 0) + 1
@@ -281,9 +214,6 @@ class WorldState:
 
     def contract_at(self, address: str) -> Contract:
         """The contract deployed at ``address`` or raise UnknownContractError."""
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.reads.add(("code", address))
         contract = self.contracts.get(address)
         if contract is None:
             raise UnknownContractError(f"no contract at {address}")
@@ -291,20 +221,13 @@ class WorldState:
 
     def has_contract(self, address: str) -> bool:
         """True when a contract is deployed at ``address``."""
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.reads.add(("code", address))
         return address in self.contracts
 
     def install_contract(self, address: str, contract: Contract) -> None:
         """Bind a freshly constructed contract instance to ``address``."""
         if address in self.contracts:
             raise UnknownContractError(f"address {address} already occupied")
-        tracker = getattr(self._tls, "tracker", None)
-        if tracker is not None:
-            tracker.writes.add(("code", address))
-            tracker.writes.add(("store", address))
-        journal = getattr(self._tls, "journal", None)
+        journal = self._journal
         if journal is not None:
             journal.record_contract(address)
         contract.address = address
@@ -323,8 +246,7 @@ class WorldState:
     # -- snapshots ------------------------------------------------------------
 
     def snapshot(self) -> StateSnapshot:
-        """Deep-copy the whole mutable state (O(state): a block-level undo
-        point for the parallel engine's fallback, not for transactions)."""
+        """Deep-copy the whole mutable state (O(state))."""
         return StateSnapshot(
             balances=dict(self.balances),
             nonces=dict(self.nonces),

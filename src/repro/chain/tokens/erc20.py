@@ -15,37 +15,6 @@ from repro.chain.contract import Contract
 class ERC20Token(Contract):
     """A fungible token ledger with allowances and an optional minter."""
 
-    @classmethod
-    def access_hints(cls, method: str, args: dict,
-                     sender: str) -> list[tuple[str, ...]] | None:
-        """Slot-level predictions so disjoint transfers parallelize.
-
-        ``mint``/``burn`` touch the global supply counter and so serialize
-        against each other; plain transfers between distinct account pairs
-        are declared independent.
-        """
-        if method == "transfer":
-            return [("balances", sender), ("balances", args.get("recipient"))]
-        if method == "approve":
-            return [("allowances", sender, args.get("spender"))]
-        if method == "transfer_from":
-            owner = args.get("owner")
-            return [
-                ("allowances", owner, sender),
-                ("balances", owner),
-                ("balances", args.get("recipient")),
-            ]
-        if method == "mint":
-            return [("minter",), ("total_supply",),
-                    ("balances", args.get("recipient"))]
-        if method == "burn":
-            return [("total_supply",), ("balances", sender)]
-        if method == "balance_of":
-            return [("balances", args.get("owner"))]
-        if method == "allowance":
-            return [("allowances", args.get("owner"), args.get("spender"))]
-        return None
-
     def audit_invariants(self, state) -> list[str]:
         """Supply conservation: issued balances must sum to total_supply."""
         balances = self.storage.get("balances", {})

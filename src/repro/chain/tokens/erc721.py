@@ -17,49 +17,6 @@ _ZERO_ADDRESS = "0x" + "0" * 40
 class ERC721Token(Contract):
     """A registry of unique, ownable tokens with per-token metadata."""
 
-    @classmethod
-    def access_hints(cls, method: str, args: dict,
-                     sender: str) -> list[tuple[str, ...]] | None:
-        """Per-token predictions; ``mint`` serializes on the id counter.
-
-        Paths involving an owner that is only known from storage (operator
-        approvals looked up during authorization) are widened to the whole
-        ``operator_approvals`` subtree — over-approximation only costs
-        parallelism, never correctness.
-        """
-        token_id = args.get("token_id")
-        token_key = str(token_id) if token_id is not None else None
-        if method == "transfer_from":
-            owner = args.get("sender")
-            return [
-                ("owners", token_key),
-                ("token_approvals", token_key),
-                ("operator_approvals", owner),
-                ("balances", owner),
-                ("balances", args.get("recipient")),
-            ]
-        if method == "approve":
-            return [("owners", token_key), ("token_approvals", token_key),
-                    ("operator_approvals",)]
-        if method == "set_approval_for_all":
-            return [("operator_approvals", sender)]
-        if method == "burn":
-            return [("owners", token_key), ("token_approvals", token_key),
-                    ("uris", token_key), ("hashes", token_key),
-                    ("operator_approvals",), ("balances",)]
-        if method == "mint":
-            return [("minter",), ("next_id",),
-                    ("owners",), ("balances", args.get("recipient")),
-                    ("uris",), ("hashes",)]
-        if method in ("owner_of", "token_uri", "content_hash", "get_approved"):
-            return [("owners", token_key), ("token_approvals", token_key),
-                    ("uris", token_key), ("hashes", token_key)]
-        if method == "balance_of":
-            return [("balances", args.get("owner"))]
-        if method == "is_approved_for_all":
-            return [("operator_approvals", args.get("owner"))]
-        return None
-
     def audit_invariants(self, state) -> list[str]:
         """Deed conservation: ownership records and balances must agree."""
         owners = self.storage.get("owners", {})

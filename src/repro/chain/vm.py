@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.chain import gas as gas_schedule
 from repro.chain.contract import ContractRegistry
@@ -115,21 +115,16 @@ class ExecutionContext:
         self.charge(gas_schedule.STORAGE_READ)
         return self._state.balance_of(address)
 
-    # -- contract storage (navigation + access recording + journaling) -------
+    # -- contract storage (navigation + journaling) ---------------------------
 
     def storage_read(self, contract, path: tuple) -> tuple[bool, Any]:
         """Navigate a storage path; returns ``(found, value)``.
 
-        Records the read in the thread's access tracker.  Mutable values are
-        returned as deep copies: the governance contracts mutate read
-        results in place before writing them back, and a live reference
-        would make the journal's pre-images lies, let a static view write,
-        and leak cross-thread aliasing under the parallel engine.
+        Mutable values are returned as deep copies: the governance
+        contracts mutate read results in place before writing them back,
+        and a live reference would make the journal's pre-images lies and
+        let a static view write.
         """
-        state = self._state
-        tracker = state.tx_tracker
-        if tracker is not None:
-            tracker.reads.add(("store", contract.address) + tuple(path))
         node: Any = contract.storage
         for key in path:
             if not isinstance(node, dict) or key not in node:
@@ -142,9 +137,6 @@ class ExecutionContext:
     def storage_write(self, contract, path: tuple, value: Any) -> None:
         """Write a storage slot, creating intermediate dicts as needed."""
         state = self._state
-        tracker = state.tx_tracker
-        if tracker is not None:
-            tracker.writes.add(("store", contract.address) + tuple(path))
         journal = state.tx_journal
         state.storage_changed(contract.address)
         node = contract.storage
@@ -168,9 +160,6 @@ class ExecutionContext:
     def storage_delete(self, contract, path: tuple) -> None:
         """Delete a storage slot if present."""
         state = self._state
-        tracker = state.tx_tracker
-        if tracker is not None:
-            tracker.writes.add(("store", contract.address) + tuple(path))
         journal = state.tx_journal
         node: Any = contract.storage
         for key in path[:-1]:
@@ -272,19 +261,14 @@ class VM:
 
     @profiled_function("chain.apply_transaction")
     def apply_transaction(self, state: WorldState, block: BlockContext,
-                          tx: Transaction, *,
-                          fee_sink: Optional[list[int]] = None) -> Receipt:
+                          tx: Transaction) -> Receipt:
         """Run the full state transition for one transaction.
 
-        Execution runs under a write journal attached to this thread, so a
+        Execution runs under a write journal attached to the state, so a
         revert undoes exactly what the transaction wrote.  The signature is
         not checked here: ``Blockchain.mine_block`` batch-verifies every
         transaction once at block entry and hands over only the ones that
-        passed.  ``fee_sink``, when given, receives the validator
-        fee instead of the validator account being credited inline — the
-        parallel engine credits fees in commit order at block end, since the
-        inline credit would make every transaction conflict on the validator
-        account.
+        passed.
         """
         tx.validate_shape()
         if state.nonce_of(tx.sender) != tx.nonce:
@@ -329,10 +313,7 @@ class VM:
         # Refund unused gas; pay the validator for what was burned.
         refund = (tx.gas_limit - receipt.gas_used) * tx.gas_price
         state.credit(tx.sender, refund)
-        if fee_sink is None:
-            state.credit(block.validator, receipt.gas_used * tx.gas_price)
-        else:
-            fee_sink.append(receipt.gas_used * tx.gas_price)
+        state.credit(block.validator, receipt.gas_used * tx.gas_price)
         receipt.block_number = block.number
         _TX_APPLIED.labels(status="ok" if receipt.status else "reverted").inc()
         _TX_GAS_HIST.observe(receipt.gas_used)

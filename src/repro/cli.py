@@ -966,7 +966,7 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
 
     rng = np.random.default_rng(args.seed)
     consensus = ProofOfAuthority.with_generated_validators(1, rng)
-    chain = Blockchain(consensus, execution=args.execution)
+    chain = Blockchain(consensus)
     recorder = ChainRunRecorder(args.root)
     recorder.attach(chain)
     wallets = [Wallet.generate(chain, rng, f"w{index}")
@@ -985,8 +985,8 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
     chain.mine_block()
     count = len(wallets)
     for block in range(args.blocks):
-        # Disjoint transfer pairs so the parallel engine has real groups;
-        # every third block goes through the token for a mixed tx profile.
+        # Transfers between rotating wallet pairs; every third block goes
+        # through the token for a mixed tx profile.
         offset = 1 + int(rng.integers(1, max(2, count - 1)))
         for index, wallet in enumerate(wallets):
             partner = wallets[(index + offset) % count]
@@ -1002,8 +1002,7 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
     recorder.close(chain)
     violations = (len(chain.auditor.violations)
                   if chain.auditor is not None else 0)
-    out.line(f"mined {chain.height} blocks into {args.root} "
-             f"({args.execution} execution)")
+    out.line(f"mined {chain.height} blocks into {args.root}")
     out.line(f"audit: {violations} violation(s) over "
              f"{chain.auditor.blocks_checked} blocks")
     out.set("root", args.root)
@@ -1021,7 +1020,7 @@ def _chain_top(args: argparse.Namespace, out: OutputWriter) -> int:
     data = None
     while True:
         data = read_chain_run(args.root)
-        out.line(render_chain_top(data["records"], data["attribution"],
+        out.line(render_chain_top(data["records"],
                                   data["audit"]).rstrip("\n"))
         # audit.json only appears when the run finalizes — the chain
         # equivalent of a terminal batch state for --watch.
@@ -1030,7 +1029,6 @@ def _chain_top(args: argparse.Namespace, out: OutputWriter) -> int:
         out.line("")
         _time.sleep(args.watch)
     out.set("blocks", len(data["records"]))
-    out.set("attribution", data["attribution"])
     return 0
 
 
@@ -1358,8 +1356,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="workload blocks to mine (plus setup)")
     chain_run.add_argument("--wallets", type=int, default=8)
     chain_run.add_argument("--seed", type=int, default=0)
-    chain_run.add_argument("--execution", choices=("serial", "parallel"),
-                           default="parallel")
     chain_run.add_argument("--corrupt-block", type=int, default=None,
                            metavar="N",
                            help="arm a corrupt_state fault right after "
@@ -1368,8 +1364,8 @@ def build_parser() -> argparse.ArgumentParser:
     chain_run.set_defaults(handler=_cmd_chain)
 
     chain_top = chain_sub.add_parser(
-        "top", help="ops panel: utilization, fees, mempool, lanes, "
-                    "serial causes, audit verdict"
+        "top", help="ops panel: utilization, fees, mempool, batch "
+                    "verification, audit verdict"
     )
     chain_top.add_argument("root", help="chain run directory")
     chain_top.add_argument("--watch", type=float, default=None,

@@ -8,6 +8,7 @@ from repro.chain import blockchain as blockchain_mod
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
+from repro.chain.transaction import Transaction
 from repro.crypto import ec_backend
 from repro.crypto.ecdsa import PublicKey
 from repro.errors import ChainError, InvalidBlockError
@@ -15,6 +16,13 @@ from tests.conftest import make_funded_wallet
 
 
 class TestGenesis:
+    def test_there_is_no_execution_selector(self, rng):
+        consensus = ProofOfAuthority.with_generated_validators(1, rng)
+        with pytest.raises(TypeError, match="execution"):
+            Blockchain(consensus, execution="parallel")
+        with pytest.raises(TypeError, match="parallel_lanes"):
+            Blockchain(consensus, parallel_lanes=4)
+
     def test_genesis_exists(self, chain):
         assert chain.height == 0
         assert chain.blocks[0].transactions == []
@@ -63,6 +71,25 @@ class TestMining:
         receipt = chain.receipt_for(tx_hash)
         assert not receipt.status
         assert "rejected" in receipt.error
+
+
+    def test_validator_fee_is_the_sum_of_gas_used_times_gas_price(self, rng):
+        consensus = ProofOfAuthority.with_generated_validators(1, rng)
+        chain = Blockchain(consensus)
+        validator = consensus.proposer_for(1).address
+        hashes = []
+        for price in (1, 2, 3, 5, 8, 13):
+            wallet = make_funded_wallet(chain, rng, f"w{price}")
+            hashes.append(chain.submit(Transaction(
+                sender=wallet.address, nonce=0, to="0x" + "11" * 20,
+                value=123, gas_price=price,
+            ).sign(wallet.key)))
+        block = chain.mine_block()
+        receipts = [chain.receipt_for(tx_hash) for tx_hash in hashes]
+        assert [r.gas_used for r in receipts] == [21_032] * 6
+        assert block.header.gas_used == 6 * 21_032
+        # Fees are credited inline, one transaction at a time, in full.
+        assert chain.state.balance_of(validator) == 21_032 * (1 + 2 + 3 + 5 + 8 + 13)
 
 
 class TestBlockEntryVerification:

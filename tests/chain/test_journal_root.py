@@ -31,7 +31,7 @@ from repro.chain.transaction import CREATE, Receipt, Transaction
 from repro.chain.vm import VM, BlockContext, ExecutionContext, GasMeter
 from repro.errors import ContractError, OutOfGasError
 from tests.chain.test_known_answers import aggregate_session, small_market
-from tests.chain.test_parallel_apply import _receipt_key
+from tests.chain.test_block_verify import _receipt_key
 
 SENDERS = ("0x" + "a1" * 20, "0x" + "b2" * 20)
 VALIDATOR = "0x" + "c3" * 20
@@ -75,9 +75,26 @@ class Scratch(Contract):
         return tree
 
 
+class PingPong(Contract):
+    """A calls B calls A ...: every frame checks it got its context back."""
+
+    def ping(self, peer: str, hops: int, fail: bool = False) -> list:
+        ctx = self.ctx
+        self.swrite(ctx.sender, "deep", "hop", str(hops))
+        below = []
+        if hops:
+            below = ctx.call(peer, "ping", peer=self.address, hops=hops - 1,
+                             fail=fail)
+        self.require(not fail, "boom")
+        # The frame below ran on this same instance in between.
+        self.require(self.ctx is ctx, "context was not restored")
+        return [[self.address, ctx.sender, hops]] + below
+
+
 def _registry() -> ContractRegistry:
     registry = ContractRegistry()
     registry.register("scratch", Scratch)
+    registry.register("pingpong", PingPong)
     return registry
 
 
@@ -314,7 +331,67 @@ def test_view_inside_an_active_journal_leaves_it_attached():
 
 
 # ---------------------------------------------------------------------------
-# (d) the cost at height: nothing proportional to the state
+# (d) re-entrant calls: one context attribute per contract, saved per frame
+# ---------------------------------------------------------------------------
+
+
+def _deployed_pingpongs():
+    vm = VM(registry=_registry())
+    state = funded_state()
+    addresses = []
+    for sender in SENDERS:
+        receipt = vm.apply_transaction(state, BLOCK, Transaction(
+            sender=sender, nonce=0, to=CREATE, value=0,
+            payload={"contract": "pingpong", "args": {}}))
+        addresses.append(receipt.contract_address)
+    return vm, state, addresses
+
+
+def test_each_frame_of_a_reentrant_call_sees_its_own_context():
+    vm, state, (a, b) = _deployed_pingpongs()
+    receipt = vm.apply_transaction(state, BLOCK, Transaction(
+        sender=SENDERS[0], nonce=1, to=a, value=0,
+        payload={"method": "ping", "args": {"peer": b, "hops": 2}}))
+    assert receipt.error is None
+    assert receipt.return_value == [[a, SENDERS[0], 2], [b, a, 1], [a, b, 0]]
+    assert state.contracts[a].storage["deep"]["hop"] == {
+        "2": SENDERS[0], "0": b}
+    assert state.contracts[a]._ctx is None is state.contracts[b]._ctx
+    assert state.tx_journal is None
+
+
+def test_inner_revert_leaves_outer_context_and_journal_intact():
+    vm, state, (a, b) = _deployed_pingpongs()
+    root = state.state_root()
+    meter = GasMeter(10**6)
+    # An outer frame is executing on A: its context and the transaction's
+    # journal must both survive B calling back into A and A reverting.
+    outer = ExecutionContext(
+        vm=vm, state=state, block=BLOCK, origin=SENDERS[0],
+        sender=SENDERS[0], value=0, gas_meter=meter, logs=[], static=False)
+    outer._self_address = a
+    state.contracts[a]._ctx = outer
+    journal = WriteJournal(state)
+    state.attach_journal(journal)
+    try:
+        with pytest.raises(ContractError, match="boom"):
+            outer.call(b, "ping", peer=a, hops=1, fail=True)
+        assert state.contracts[a]._ctx is outer
+        assert state.contracts[b]._ctx is None
+        assert state.tx_journal is journal
+        assert len(journal.records) == 2  # one nested create per contract
+        assert state.state_root() == recompute_state_root(state) != root
+        journal.revert()
+    finally:
+        state.attach_journal(None)
+        state.contracts[a]._ctx = None
+    assert "deep" not in state.contracts[a].storage
+    assert "deep" not in state.contracts[b].storage
+    assert state.state_root() == root == recompute_state_root(state)
+
+
+# ---------------------------------------------------------------------------
+# (e) the cost at height: nothing proportional to the state
 # ---------------------------------------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Chain ops plane: block records, attribution, rendering, run directory.
+"""Chain ops plane: block records, rendering, run directory.
 
 Also covers the telemetry satellite — mempool/verify counters carrying
 ``trace_id`` exemplars and ``fault_kind`` annotations picked up from the
@@ -19,7 +19,6 @@ from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
 from repro.chain.observe import (
     ChainRunRecorder,
-    attribution_report,
     read_chain_run,
     render_chain_top,
 )
@@ -56,7 +55,7 @@ class TestBlockRecords:
         records = chain.observer.records
         assert [r["number"] for r in records] == [1, 2, 3]
         record = records[-1]
-        assert record["v"] == 1
+        assert record["v"] == 2
         assert record["txs"] == len(wallets)
         assert record["gas_used"] > 0
         assert 0 < record["utilization_pct"] <= 100
@@ -64,7 +63,7 @@ class TestBlockRecords:
                                     "deploy": 0}
         assert set(record["fees"]) == {"p50", "p95", "p99"}
         assert record["verify"]["invalid"] == 0
-        assert record["execution"]["engine"] == chain.execution
+        assert record["execution"] == {"rejected": 0, "deferred": 0}
         # Records must be JSON-safe and key-stable.
         assert json.loads(json.dumps(record, sort_keys=True)) == record
 
@@ -123,28 +122,6 @@ class TestMempoolSelectionStats:
         assert record["mempool"]["replacements_total"] == 1
 
 
-class TestAttributionReport:
-    def test_aggregates_and_determinism(self):
-        blobs = []
-        for _ in range(2):
-            chain, wallets = _build_chain(13)
-            _mine_traffic(chain, wallets, blocks=4)
-            report = attribution_report(chain.observer.records)
-            assert report["blocks"] == 4
-            assert report["transactions"] == 4 * len(wallets)
-            assert (report["parallel_blocks"] + report["serial_blocks"]
-                    == 4)
-            blobs.append(json.dumps(report, sort_keys=True))
-        assert blobs[0] == blobs[1]
-
-    def test_serial_engine_blocks_are_attributed(self):
-        chain, wallets = _build_chain(13, execution="serial")
-        _mine_traffic(chain, wallets, blocks=2)
-        report = attribution_report(chain.observer.records)
-        assert report["serial_causes"].get("serial_engine") == 2
-        assert report["parallel_blocks"] == 0
-
-
 class TestRenderChainTop:
     def test_panel_renders_core_sections(self):
         chain, wallets = _build_chain(17, wallets=8)
@@ -173,7 +150,6 @@ class TestRenderChainTop:
             "bisect", f"{verify['subchecks']}/{verify['depth']}",
             "bad", "1",
         ]
-        assert "execution" in panel
         assert "audit: OK" in panel
         # Deterministic width discipline: no line exceeds the panel.
         assert max(len(line) for line in panel.splitlines()) <= 74
@@ -200,7 +176,6 @@ class TestRunDirectory:
         recorder.close(chain)
         data = read_chain_run(root)
         assert len(data["records"]) == 3
-        assert data["attribution"]["blocks"] == 3
         assert data["audit"]["violation_count"] == 0
         assert data["audit"]["blocks_checked"] == 3
 
@@ -216,6 +191,24 @@ class TestRunDirectory:
         data = read_chain_run(root)
         assert len(data["records"]) == 2
         assert data["audit"] is None  # never finalized
+
+    def test_v1_directory_with_stale_attribution_reads_back(self, tmp_path):
+        # A run recorded before the parallel engine was deleted: version-1
+        # records with engine attribution, plus an attribution.json.
+        root = tmp_path / "run"
+        root.mkdir()
+        old = {"v": 1, "number": 1, "txs": 3, "gas_used": 63000,
+               "utilization_pct": 0.2, "tx_mix": {"transfer": 3},
+               "execution": {"engine": "parallel", "groups": 3,
+                             "lane_txs": {"0": 2, "1": 1},
+                             "serial_cause": "", "rejected": 0,
+                             "deferred": 0}}
+        (root / "blocks.jsonl").write_text(json.dumps(old) + "\n")
+        (root / "attribution.json").write_text("{not json")
+        data = read_chain_run(str(root))
+        assert data == {"records": [old], "audit": None}
+        panel = render_chain_top(data["records"], data["audit"])
+        assert "blocks      1   txs       3" in panel
 
     def test_attach_requires_observer(self, tmp_path):
         chain, _ = _build_chain(19, observe=False)
