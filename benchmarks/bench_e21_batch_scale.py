@@ -16,27 +16,10 @@ the whole claim).  Throughput and wall time are reported as context.
 
 from __future__ import annotations
 
-import shutil
-import tempfile
-
+from harness import CHAOS_FAULT_EVERY, CHAOS_FAULT_RATE, chaos_sweep
 from repro.bench import Experiment, higher_is_better, info
-from repro.control import JobSpec, batch_execute, run_job, submit_batch
+from repro.control import run_job
 from reporting import format_table, report
-
-#: Every FAULT_EVERY-th job runs with faults armed at FAULT_RATE.
-FAULT_RATE = 0.4
-FAULT_EVERY = 10
-
-
-def make_specs(jobs: int) -> list[JobSpec]:
-    return [
-        JobSpec(
-            job_id=f"job-{index:05d}",
-            seed=2100 + index,
-            fault_rate=FAULT_RATE if index % FAULT_EVERY == 0 else 0.0,
-        )
-        for index in range(jobs)
-    ]
 
 
 def run_bench(quick: bool = False) -> dict:
@@ -46,30 +29,23 @@ def run_bench(quick: bool = False) -> dict:
     baseline_sample = 40 if quick else 500
     workers = 4
     kill_every = 40 if quick else 1_000
-    kill_after = tuple(range(kill_every, jobs, kill_every))
 
-    specs = make_specs(jobs)
-    root = tempfile.mkdtemp(prefix="pds2-e21-")
-    try:
-        submit_batch(root, specs)
-        report_obj = batch_execute(root, workers=workers,
-                                   kill_after=kill_after)
+    # The quick sweep is the one E22 assembles its trace from.
+    _, specs, report_obj = chaos_sweep(jobs, workers, kill_every)
 
-        # Single-process baseline over a deterministic stride sample
-        # (includes faulted jobs and, with high probability, re-queued
-        # ones); digests must match the sharded run byte for byte.
-        stride = max(1, jobs // baseline_sample)
-        sampled = specs[::stride][:baseline_sample]
-        identical = 0
-        for spec in sampled:
-            baseline = run_job(spec)
-            sharded = report_obj.results.get(spec.job_id)
-            if (sharded is not None
-                    and sharded.result_digest == baseline.result_digest):
-                identical += 1
-        identical_fraction = identical / max(1, len(sampled))
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    # Single-process baseline over a deterministic stride sample
+    # (includes faulted jobs and, with high probability, re-queued
+    # ones); digests must match the sharded run byte for byte.
+    stride = max(1, jobs // baseline_sample)
+    sampled = specs[::stride][:baseline_sample]
+    identical = 0
+    for spec in sampled:
+        baseline = run_job(spec)
+        sharded = report_obj.results.get(spec.job_id)
+        if (sharded is not None
+                and sharded.result_digest == baseline.result_digest):
+            identical += 1
+    identical_fraction = identical / max(1, len(sampled))
 
     counts = report_obj.counts
     settled = counts.get("settled", 0) + counts.get("settled_degraded", 0)
@@ -91,7 +67,7 @@ def run_bench(quick: bool = False) -> dict:
     )
     lines += [
         "",
-        f"1-in-{FAULT_EVERY} jobs armed with fault rate {FAULT_RATE}; one",
+        f"1-in-{CHAOS_FAULT_EVERY} jobs armed with fault rate {CHAOS_FAULT_RATE}; one",
         f"busy worker SIGKILLed every {kill_every} results.  'digest match'",
         "compares the sharded run's per-job settlement digest against an",
         "uninterrupted single-process replay of the sampled jobs.",

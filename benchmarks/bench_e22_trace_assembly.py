@@ -2,10 +2,12 @@
 
 E21 established that the sharded batch control plane settles byte-
 identically under SIGKILLed workers; this experiment asks whether it can
-*explain itself* under the same abuse.  A quick-scale chaos sweep runs
-with periodic worker kills, then the trace assembler merges the per-shard
-span sidecars, the jobs journal, and heartbeat evidence — entirely from
-disk, as a post-mortem would — into one causally-linked tree.
+*explain itself* under the same abuse.  A chaos sweep runs with periodic
+worker kills (the quick suite reuses the run directory E21 just settled —
+same specs, seeds and kill schedule), then the trace assembler merges the
+per-shard span sidecars, the jobs journal, and heartbeat evidence —
+entirely from disk, as a post-mortem would — into one causally-linked
+tree.
 
 Gated metrics are the observability acceptance criteria:
 
@@ -23,18 +25,12 @@ assembly wall time are reported as context.
 from __future__ import annotations
 
 import json
-import shutil
-import tempfile
 import time
 from pathlib import Path
 
+from harness import chaos_sweep
 from repro.bench import Experiment, higher_is_better, info
-from repro.control import (
-    JobSpec,
-    assemble_batch_trace,
-    batch_execute,
-    submit_batch,
-)
+from repro.control import assemble_batch_trace
 from repro.telemetry.distributed import (
     critical_path,
     render_critical_path,
@@ -43,56 +39,33 @@ from repro.telemetry.distributed import (
 )
 from reporting import format_table, report
 
-#: Every FAULT_EVERY-th job runs with faults armed at FAULT_RATE (the E21
-#: chaos mix, so the two experiments describe the same regime).
-FAULT_RATE = 0.4
-FAULT_EVERY = 10
-
 SCHEMA_PATH = (Path(__file__).resolve().parent.parent
                / "docs" / "chrome-trace.schema.json")
-
-
-def make_specs(jobs: int) -> list[JobSpec]:
-    return [
-        JobSpec(
-            job_id=f"job-{index:05d}",
-            seed=2100 + index,
-            fault_rate=FAULT_RATE if index % FAULT_EVERY == 0 else 0.0,
-        )
-        for index in range(jobs)
-    ]
 
 
 def run_bench(quick: bool = False) -> dict:
     jobs = 240 if quick else 2_000
     workers = 4
     kill_every = 40 if quick else 200
-    kill_after = tuple(range(kill_every, jobs, kill_every))
 
-    root = tempfile.mkdtemp(prefix="pds2-e22-")
-    try:
-        submit_batch(root, make_specs(jobs))
-        report_obj = batch_execute(root, workers=workers,
-                                   kill_after=kill_after)
+    root, _, report_obj = chaos_sweep(jobs, workers, kill_every)
 
-        started = time.perf_counter()
-        assembled = assemble_batch_trace(root)
-        assembly_s = time.perf_counter() - started
-        first_report = render_critical_path(critical_path(assembled))
+    started = time.perf_counter()
+    assembled = assemble_batch_trace(root)
+    assembly_s = time.perf_counter() - started
+    first_report = render_critical_path(critical_path(assembled))
 
-        # Second, fully independent assembly from the same directory: the
-        # report must come back byte for byte.
-        again = assemble_batch_trace(root)
-        second_report = render_critical_path(critical_path(again))
-        deterministic = first_report == second_report
+    # Second, fully independent assembly from the same directory: the
+    # report must come back byte for byte.
+    again = assemble_batch_trace(root)
+    second_report = render_critical_path(critical_path(again))
+    deterministic = first_report == second_report
 
-        chrome = to_chrome_trace(assembled)
-        with open(SCHEMA_PATH, encoding="utf-8") as handle:
-            schema = json.load(handle)
-        chrome_errors = validate_chrome_trace(chrome, schema)
-        json.dumps(chrome)  # must be serializable end to end
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
+    chrome = to_chrome_trace(assembled)
+    with open(SCHEMA_PATH, encoding="utf-8") as handle:
+        schema = json.load(handle)
+    chrome_errors = validate_chrome_trace(chrome, schema)
+    json.dumps(chrome)  # must be serializable end to end
 
     counts = report_obj.counts
     settled = counts.get("settled", 0) + counts.get("settled_degraded", 0)

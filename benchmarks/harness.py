@@ -9,13 +9,17 @@ this file is the in-tree entry point —
     PYTHONPATH=src python benchmarks/harness.py --suite quick
     PYTHONPATH=src python -m repro bench --suite quick --compare BENCH_seed.json
 
-— plus the dataset builders the ML experiments share, so the same seeded
-problem is used by the pytest fixtures and the harness path alike.
+— plus the builders experiments share: the seeded ML problem (used by the
+pytest fixtures and the harness path alike) and the chaos batch sweep E21
+settles and E22 explains.
 """
 
 from __future__ import annotations
 
+import atexit
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +58,46 @@ def har_problem(nodes: int = 24, samples: int = 3000):
                                 min_samples=15)
         _HAR_CACHE[key] = (parts, test)
     return _HAR_CACHE[key]
+
+
+#: Every CHAOS_FAULT_EVERY-th chaos job runs with faults armed at
+#: CHAOS_FAULT_RATE.
+CHAOS_FAULT_RATE = 0.4
+CHAOS_FAULT_EVERY = 10
+
+#: Cache keyed by (jobs, workers, kill_every): E21 and E22 describe the same
+#: quick sweep, so one process runs it once and both read its directory.
+_CHAOS_CACHE: dict[tuple[int, int, int], tuple] = {}
+
+
+def chaos_sweep(jobs: int, workers: int, kill_every: int):
+    """Run the sharded chaos batch once per process: ``(root, specs, report)``.
+
+    One busy worker is SIGKILLed every ``kill_every`` results.  The run
+    directory is kept for later experiments and removed at interpreter
+    exit.
+    """
+    key = (jobs, workers, kill_every)
+    if key not in _CHAOS_CACHE:
+        from repro.control import JobSpec, batch_execute, submit_batch
+
+        specs = [
+            JobSpec(
+                job_id=f"job-{index:05d}",
+                seed=2100 + index,
+                fault_rate=(CHAOS_FAULT_RATE
+                            if index % CHAOS_FAULT_EVERY == 0 else 0.0),
+            )
+            for index in range(jobs)
+        ]
+        root = tempfile.mkdtemp(prefix="pds2-chaos-")
+        atexit.register(shutil.rmtree, root, ignore_errors=True)
+        submit_batch(root, specs)
+        report = batch_execute(
+            root, workers=workers,
+            kill_after=tuple(range(kill_every, jobs, kill_every)))
+        _CHAOS_CACHE[key] = (root, specs, report)
+    return _CHAOS_CACHE[key]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -20,30 +20,27 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from bench_e20_kernel_scale import build  # noqa: E402
 from harness import har_problem  # noqa: E402
-from repro.ml.gossip import GossipConfig, GossipTrainer  # noqa: E402
-from repro.ml.models import SoftmaxRegressionModel  # noqa: E402
+from repro.kernels.gossip_kernel import GossipKernelTrainer  # noqa: E402
+from repro.ml.gossip import GossipConfig, GossipNodeTrainer  # noqa: E402
 from repro.telemetry import Profiler, profile_to_collapsed  # noqa: E402
-
-
-def factory():
-    return SoftmaxRegressionModel(6, 5, l2=0.01)
 
 
 def main() -> int:
     docs = Path(__file__).parent.parent / "docs"
     parts, test = har_problem(nodes=64, samples=3000)
-    for engine in ("objects", "kernel"):
+    for name, engine in (("objects", GossipNodeTrainer),
+                         ("kernel", GossipKernelTrainer)):
         profiler = Profiler(mode="calls", call_interval=64)
         with profiler:
-            trainer = GossipTrainer(
-                factory, parts, test,
-                GossipConfig(engine=engine, batch_size=8), seed=11)
+            trainer = build(engine, parts, test,
+                            GossipConfig(batch_size=8), seed=11)
             trainer.run(600.0, eval_interval_s=300.0)
         profile = profiler.result()
-        path = docs / f"profile_gossip_{engine}.collapsed"
+        path = docs / f"profile_gossip_{name}.collapsed"
         path.write_text(profile_to_collapsed(profile))
-        print(f"{engine}: {profile.total_samples} samples -> {path}")
+        print(f"{name}: {profile.total_samples} samples -> {path}")
     return 0
 
 

@@ -94,14 +94,13 @@ class Violation:
 class ChainAuditor:
     """Re-checks conservation invariants at every block commit."""
 
-    def __init__(self, chain: Any, strict: bool = False,
-                 forensics_dir: Optional[str] = None,
+    def __init__(self, chain: Any, forensics_dir: Optional[str] = None,
                  span_window: int = 25):
         self.chain = chain
-        #: When True a violation raises :class:`ChainAuditError`; the
-        #: default records it (counters, bundle, span event) and lets the
-        #: chain continue, so auditing never masks the original bug.
-        self.strict = strict
+        #: When set to True a violation raises :class:`ChainAuditError`;
+        #: the default records it (counters, bundle, span event) and lets
+        #: the chain continue, so auditing never masks the original bug.
+        self.strict = False
         #: Directory forensic bundles are written to (None = memory only).
         self.forensics_dir = forensics_dir
         #: How many recent finished spans a bundle captures.

@@ -124,10 +124,7 @@ class Blockchain:
     def __init__(self, consensus: ProofOfAuthority,
                  registry: Optional[ContractRegistry] = None,
                  genesis_alloc: Optional[dict[str, int]] = None,
-                 block_gas_limit: int = gas_schedule.BLOCK_GAS_LIMIT,
-                 observe: bool = True,
-                 audit: bool = True,
-                 audit_strict: bool = False):
+                 block_gas_limit: int = gas_schedule.BLOCK_GAS_LIMIT):
         self.consensus = consensus
         self.registry = registry if registry is not None else default_registry()
         self.vm = VM(registry=self.registry)
@@ -149,14 +146,10 @@ class Blockchain:
         #: harness uses to corrupt state at a block boundary
         #: (:func:`repro.chain.audit.install_state_corruption`).
         self.tamper_hooks: list[Any] = []
-        #: Per-block analytics (None when built with ``observe=False``).
-        self.observer: Optional[ChainObserver] = (
-            ChainObserver(self) if observe else None
-        )
-        #: Continuous invariant auditor (None when ``audit=False``).
-        self.auditor: Optional[ChainAuditor] = (
-            ChainAuditor(self, strict=audit_strict) if audit else None
-        )
+        #: Per-block analytics.
+        self.observer = ChainObserver(self)
+        #: Continuous invariant auditor.
+        self.auditor = ChainAuditor(self)
         self._seal_genesis()
 
     # -- construction --------------------------------------------------------
@@ -318,7 +311,7 @@ class Blockchain:
             validator=proposer.address,
         )
         with _tracer().span("chain.mine_block", height=number) as span:
-            pre_audit = self.auditor.pre_block() if self.auditor else None
+            pre_audit = self.auditor.pre_block()
             with _tracer().span("mempool.select", height=number) as sel_span:
                 selected = self.mempool.select(
                     self.state.nonce_of, self.block_gas_limit
@@ -373,13 +366,10 @@ class Blockchain:
             # sees exactly what the next block would build on.
             for hook in self.tamper_hooks:
                 hook(self, block)
-            if self.observer is not None:
-                self.observer.record_block(
-                    block, execution, self.mempool.last_selection,
-                    verify_stats,
-                )
-            if self.auditor is not None:
-                self.auditor.post_block(block, execution, pre_audit)
+            self.observer.record_block(
+                block, execution, self.mempool.last_selection, verify_stats,
+            )
+            self.auditor.post_block(block, execution, pre_audit)
         for observer in self.block_observers:
             observer(block)
         return block

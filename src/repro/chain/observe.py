@@ -13,8 +13,8 @@ The records power two consumers:
 * :func:`render_chain_top` — the fixed-width panel behind
   ``python -m repro chain top [--watch]``.
 * :class:`ChainRunRecorder` / :func:`read_chain_run` — a crash-tolerant
-  run directory (``blocks.jsonl`` is append-only and read back tolerating
-  a torn tail, like the batch event log).
+  run directory (``blocks.jsonl`` is append-only and read back through the
+  same torn-tail reader as the batch journals).
 """
 
 from __future__ import annotations
@@ -24,9 +24,11 @@ import os
 from typing import Any, Callable, Optional
 
 from repro.chain.transaction import CREATE, Transaction
+from repro.errors import ChainError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import tracer as _tracer
+from repro.utils.serialization import read_jsonl
 
 #: Bumped when the block-record shape changes (readers stay tolerant).
 RECORD_VERSION = 2
@@ -229,44 +231,29 @@ class ChainRunRecorder:
 
     def attach(self, chain: Any) -> None:
         """Wire this recorder into a chain's observer and auditor."""
-        if chain.observer is None:
-            raise ValueError("chain was built with observe=False")
         chain.observer.sinks.append(self.sink)
-        if chain.auditor is not None:
-            chain.auditor.forensics_dir = os.path.join(self.root,
-                                                       "forensics")
+        chain.auditor.forensics_dir = os.path.join(self.root, "forensics")
 
     def close(self, chain: Any) -> None:
         """Write the audit summary and release the stream."""
-        if chain.auditor is not None:
-            with open(os.path.join(self.root, "audit.json"), "w",
-                      encoding="utf-8") as fh:
-                json.dump(chain.auditor.summary(), fh, sort_keys=True,
-                          indent=2)
-                fh.write("\n")
+        with open(os.path.join(self.root, "audit.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(chain.auditor.summary(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
         self._fh.close()
 
 
 def read_chain_run(root: str) -> dict:
     """Read a chain run directory back, tolerating a torn jsonl tail.
 
-    Returns ``{"records", "audit"}``; ``audit`` is None when the auditor
-    was off or the run has not finalized.  Version-1 records (which carry
-    engine attribution under ``execution``) read back as they are, and an
-    ``attribution.json`` left by such a run is ignored.
+    Returns ``{"records", "audit"}``; ``audit`` is None until the run has
+    finalized.  A damaged ``blocks.jsonl`` line anywhere but the tail
+    raises :class:`~repro.errors.ChainError` rather than hiding the blocks
+    behind it.  Version-1 records (which carry engine attribution under
+    ``execution``) read back as they are, and an ``attribution.json`` left
+    by such a run is ignored.
     """
-    records: list[dict] = []
-    blocks_path = os.path.join(root, "blocks.jsonl")
-    if os.path.exists(blocks_path):
-        with open(blocks_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    break  # torn tail: a writer died mid-record
+    records = read_jsonl(os.path.join(root, "blocks.jsonl"), ChainError)
     audit: Optional[dict] = None
     audit_path = os.path.join(root, "audit.json")
     if os.path.exists(audit_path):

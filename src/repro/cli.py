@@ -404,13 +404,13 @@ def _cmd_aggregate(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_gossip(args: argparse.Namespace, out: OutputWriter) -> int:
-    """Run one seeded gossip-learning experiment on either engine.
+    """Run one seeded gossip-learning experiment.
 
     The population gets an even per-node split of the seeded HAR corpus
     (scales to tens of thousands of nodes, unlike the Dirichlet sampler,
     which needs a huge corpus to satisfy its minimum-partition size).
-    Both engines accept the same flags and — by the kernel contract —
-    produce byte-identical histories at matched seeds.
+    A softmax model with uncompressed messages always lands on the
+    flat-array kernels (see ``GossipTrainer``).
     """
     import time as _time
 
@@ -441,11 +441,11 @@ def _cmd_gossip(args: argparse.Namespace, out: OutputWriter) -> int:
                                              mean_online_s=60.0)
 
     out.line(f"gossip: {args.nodes} nodes x {args.per_node} samples, "
-             f"engine={args.engine}, {args.duration:.0f}s simulated")
+             f"{args.duration:.0f}s simulated")
     start = _time.perf_counter()
     trainer = GossipTrainer(
         lambda: SoftmaxRegressionModel(6, 5, l2=0.01), parts, test,
-        GossipConfig(engine=args.engine, batch_size=args.batch_size),
+        GossipConfig(batch_size=args.batch_size),
         seed=args.seed, churn=churn,
     )
     result = trainer.run(args.duration, eval_interval_s=args.eval_interval)
@@ -462,7 +462,6 @@ def _cmd_gossip(args: argparse.Namespace, out: OutputWriter) -> int:
              f"({result.messages_dropped:,} dropped)")
     out.line(f"wall time: {wall:.2f}s "
              f"({result.events_processed / wall:,.0f} events/s)")
-    out.set("engine", args.engine)
     out.set("nodes", args.nodes)
     out.set("final_accuracy", result.final_mean_score)
     out.set("history", result.history)
@@ -1000,8 +999,7 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
                                 1000 + int(rng.integers(0, 1000)))
         chain.mine_block()
     recorder.close(chain)
-    violations = (len(chain.auditor.violations)
-                  if chain.auditor is not None else 0)
+    violations = len(chain.auditor.violations)
     out.line(f"mined {chain.height} blocks into {args.root}")
     out.line(f"audit: {violations} violation(s) over "
              f"{chain.auditor.blocks_checked} blocks")
@@ -1041,8 +1039,7 @@ def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
     data = read_chain_run(args.root)
     audit = data["audit"]
     if audit is None:
-        out.error(f"no audit report in {args.root!r} (run not finalized, "
-                  "or the auditor was disabled)")
+        out.error(f"no audit report in {args.root!r} (run not finalized)")
         return 2
     checked = audit.get("blocks_checked", 0)
     violations = audit.get("violations", [])
@@ -1062,12 +1059,18 @@ def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace, out: OutputWriter) -> int:
+    from repro.errors import ChainError
+
     if args.chain_command == "run":
         return _chain_run(args, out)
-    if args.chain_command == "top":
-        return _chain_top(args, out)
-    if args.chain_command == "audit":
-        return _chain_audit(args, out)
+    try:
+        if args.chain_command == "top":
+            return _chain_top(args, out)
+        if args.chain_command == "audit":
+            return _chain_audit(args, out)
+    except ChainError as exc:
+        out.error(f"cannot read chain run at {args.root!r}: {exc}")
+        return 2
     out.error(f"unknown chain command {args.chain_command!r}")
     return 2
 
@@ -1154,11 +1157,11 @@ def build_parser() -> argparse.ArgumentParser:
     aggregate.set_defaults(handler=_cmd_aggregate)
 
     gossip = subparsers.add_parser(
-        "gossip", help="run one gossip-learning experiment on either engine"
+        "gossip", help="run one gossip-learning experiment"
     )
     gossip.add_argument("--nodes", type=int, default=64,
-                        help="population size (the kernel engine handles "
-                             "tens of thousands)")
+                        help="population size (tens of thousands run in "
+                             "seconds)")
     gossip.add_argument("--per-node", type=int, default=24,
                         help="training samples per node")
     gossip.add_argument("--duration", type=float, default=300.0,
@@ -1166,10 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     gossip.add_argument("--eval-interval", type=float, default=100.0,
                         help="accuracy checkpoint spacing in simulated "
                              "seconds")
-    gossip.add_argument("--engine", choices=["objects", "kernel"],
-                        default="kernel",
-                        help="per-node object simulation or the vectorized "
-                             "flat-array kernels (byte-identical results)")
     gossip.add_argument("--batch-size", type=int, default=8)
     gossip.add_argument("--availability", type=float, default=1.0,
                         help="node availability in (0, 1]; below 1 enables "

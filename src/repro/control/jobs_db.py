@@ -33,6 +33,7 @@ from typing import IO, Any, Iterable, Optional
 
 from repro.control.jobs import JobResult, JobSpec
 from repro.errors import JobsDBError
+from repro.utils.serialization import read_jsonl
 
 INDEX_FORMAT = "pds2-batch-index/1"
 MANIFEST_FORMAT = "pds2-batch-manifest/1"
@@ -46,28 +47,6 @@ BATCH_PARTIAL_FAILED = "partial_failed"
 BATCH_STATES = (BATCH_PENDING, BATCH_RUNNING, BATCH_DONE, BATCH_FAILED,
                 BATCH_PARTIAL_FAILED)
 TERMINAL_BATCH_STATES = (BATCH_DONE, BATCH_FAILED, BATCH_PARTIAL_FAILED)
-
-
-def _read_jsonl(path: str) -> list[dict]:
-    """Torn-tail-tolerant JSONL reader (same contract as event traces)."""
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    records = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # torn tail from a killed writer
-            raise JobsDBError(
-                f"corrupt journal line {index + 1} in {path}"
-            ) from None
-    return records
 
 
 def _atomic_write_json(path: str, payload: Any) -> None:
@@ -169,7 +148,7 @@ class JobsDB:
 
     def specs(self) -> list[JobSpec]:
         return [JobSpec.from_dict(record)
-                for record in _read_jsonl(self.specs_path)]
+                for record in read_jsonl(self.specs_path, JobsDBError)]
 
     # -- journal ------------------------------------------------------------
 
@@ -221,9 +200,8 @@ class JobsDB:
         if os.path.isdir(self.journal_dir):
             for name in sorted(os.listdir(self.journal_dir)):
                 if name.endswith(".jsonl"):
-                    records.extend(
-                        _read_jsonl(os.path.join(self.journal_dir, name))
-                    )
+                    records.extend(read_jsonl(
+                        os.path.join(self.journal_dir, name), JobsDBError))
         records.sort(key=lambda r: (r.get("ts", 0.0), r.get("shard", ""),
                                     r.get("seq", 0)))
         return records

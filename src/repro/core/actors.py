@@ -130,16 +130,6 @@ class ProviderActor:
         )
         return envelope, certificate
 
-    def prepare_submission(self, spec: WorkloadSpec, executor_address: str,
-                           enclave_key: PublicKey, issued_at: float,
-                           rng: np.random.Generator
-                           ) -> tuple[Envelope, ParticipationCertificate]:
-        """Spec-based wrapper over :meth:`prepare_submission_for`."""
-        return self.prepare_submission_for(
-            spec.workload_id, executor_address, enclave_key,
-            issued_at=issued_at, rng=rng,
-        )
-
 
 @dataclass
 class ConsumerActor:
@@ -196,26 +186,18 @@ class ExecutorActor:
         """Launch (or return) the enclave for one workload by id + code.
 
         This is the kind-agnostic primitive both ML-training and aggregate
-        workloads use; the spec-based helpers below delegate to it.
+        workloads use.
         """
         if workload_id not in self.enclaves:
             self.enclaves[workload_id] = self.platform.launch(code)
             self.providers_served[workload_id] = []
         return self.enclaves[workload_id]
 
-    def launch_enclave(self, spec: WorkloadSpec) -> Enclave:
-        """Launch (or return) the enclave for one ML workload."""
-        return self.launch_enclave_for(spec.workload_id, self.code_for(spec))
-
     def quote_for_workload(self, workload_id: str, code: EnclaveCode) -> Quote:
         """Attestation quote for an arbitrary workload's enclave."""
         return AttestationService.produce_quote(
             self.launch_enclave_for(workload_id, code)
         )
-
-    def quote_for(self, spec: WorkloadSpec) -> Quote:
-        """Produce the attestation quote providers verify before sending."""
-        return self.quote_for_workload(spec.workload_id, self.code_for(spec))
 
     def accept_data_for(self, workload_id: str, code: EnclaveCode,
                         provider_address: str, envelope: Envelope,
@@ -226,13 +208,6 @@ class ExecutorActor:
             f"provider:{provider_address}", envelope, provider_key
         )
         self.providers_served[workload_id].append(provider_address)
-
-    def accept_data(self, spec: WorkloadSpec, provider_address: str,
-                    envelope: Envelope,
-                    provider_key: PublicKey) -> None:
-        """Spec-based wrapper over :meth:`accept_data_for`."""
-        self.accept_data_for(spec.workload_id, self.code_for(spec),
-                             provider_address, envelope, provider_key)
 
     def execute_for(self, workload_id: str, code: EnclaveCode,
                     **run_kwargs: object) -> dict:
@@ -245,12 +220,6 @@ class ExecutorActor:
         enclave = self.launch_enclave_for(workload_id, code)
         enclave.run(**run_kwargs)
         return enclave.extract_output()
-
-    def execute(self, spec: WorkloadSpec, training_seed: int) -> dict:
-        """Run the measured training code for one ML workload."""
-        return self.execute_for(spec.workload_id, self.code_for(spec),
-                                spec_dict=spec.to_dict(),
-                                training_seed=training_seed)
 
 
 def result_hash_of(params: np.ndarray, weights_bps: dict[str, int]) -> str:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from repro.chain.blockchain import Blockchain
 from repro.core.lifecycle import (
     PHASE_SETTLE,
     LifecyclePhase,
@@ -135,12 +134,3 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
         crony_payout=crony_paid,
         report=report if completed else None,
     )
-
-
-def confirmed_result(chain: Blockchain, workload_address: str,
-                     caller: str) -> str | None:
-    """The finalized result hash, or None while unconfirmed."""
-    state = chain.view(caller, workload_address, "state")
-    if state != "complete":
-        return None
-    return chain.view(caller, workload_address, "final_result_hash")

@@ -18,11 +18,14 @@ a session and cross-check it against the on-chain history.
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+
+from repro.utils.serialization import read_jsonl
 
 
 @dataclass(frozen=True)
@@ -118,14 +121,6 @@ class RingBufferSink:
         """All buffered events of one session, in publication order."""
         return tuple(e for e in self._buffer if e.session_id == session_id)
 
-    def session_ids(self) -> list[str]:
-        """Distinct session ids in first-seen order (excluding platform events)."""
-        seen: dict[str, None] = {}
-        for event in self._buffer:
-            if event.session_id:
-                seen.setdefault(event.session_id, None)
-        return list(seen)
-
     def clear(self) -> None:
         self._buffer.clear()
 
@@ -185,21 +180,8 @@ def read_jsonl_events(path: str) -> list[LifecycleEvent]:
     is dropped silently; corruption anywhere else still raises, because a
     torn middle means the file was edited, not interrupted.
     """
-    events = []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break  # torn tail from an interrupted writer
-            raise
-        events.append(LifecycleEvent.from_dict(record))
-    return events
+    os.stat(path)  # a missing trace is an error, not an empty trace
+    return [LifecycleEvent.from_dict(record) for record in read_jsonl(path)]
 
 
 class MetricsSink:
@@ -345,36 +327,3 @@ def phase_gas_totals(events: Iterable[LifecycleEvent]) -> dict[str, int]:
         if event.gas_delta:
             totals[event.phase] = totals.get(event.phase, 0) + event.gas_delta
     return totals
-
-
-#: Event names worth surfacing as instant markers on a trace timeline.
-MARKER_EVENT_PREFIXES = ("fault.", "recovery.", "session.")
-
-
-def instant_markers(events: Iterable[LifecycleEvent]) -> list[dict]:
-    """Fault/recovery/session events as Chrome trace-event instants.
-
-    Complements the span lanes of a Chrome export: spans show *where time
-    went*, these ``ph:"i"`` markers show *what happened to the run* —
-    injected faults, recovery directives, session boundaries — at their
-    sim-clock positions (sim units mapped 1:1 to microseconds, matching
-    nothing but themselves: instants are ordinal, not durations).
-    """
-    markers: list[dict] = []
-    for event in events:
-        if not event.name.startswith(MARKER_EVENT_PREFIXES):
-            continue
-        markers.append({
-            "ph": "i", "pid": 1, "tid": 1, "s": "g",
-            "name": event.name,
-            "cat": event.name.split(".", 1)[0],
-            "ts": max(0.0, event.sim_clock),
-            "args": {
-                "session_id": event.session_id,
-                "phase": event.phase,
-                "sequence": event.sequence,
-                **{k: v for k, v in event.data.items()
-                   if isinstance(v, (str, int, float, bool))},
-            },
-        })
-    return markers

@@ -378,21 +378,6 @@ class Marketplace:
 
     # -- the lifecycle -------------------------------------------------------------------
 
-    def submit_workload(self, consumer: ConsumerActor,
-                        spec: WorkloadSpec) -> str:
-        """Phase 1 (Fig. 2): deploy the workload contract with escrow."""
-        code = ExecutorActor.code_for(spec)
-        address = consumer.wallet.deploy_and_mine(
-            "workload", value=spec.reward_pool,
-            spec_hash=spec.spec_hash,
-            code_measurement=code.measurement.hex(),
-            min_providers=spec.min_providers,
-            min_samples=spec.min_samples,
-            infra_share_bps=spec.infra_share_bps,
-            required_confirmations=spec.required_confirmations,
-        )
-        return address
-
     def matching_providers(self, spec: WorkloadSpec) -> list[ProviderActor]:
         """Phase 2: storage-subsystem matching + provider consent."""
         willing = []
@@ -442,9 +427,3 @@ class Marketplace:
             required_confirmations=required_confirmations,
         )
         return self.session_for(consumer, kind).run()
-
-    # -- accounting helpers ----------------------------------------------------------------
-
-    def _total_gas(self) -> int:
-        """Cumulative gas, maintained at mine time (O(1), not O(blocks))."""
-        return self.chain.total_gas_used

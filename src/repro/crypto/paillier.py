@@ -178,10 +178,6 @@ class PaillierPrivateKey:
         # Garner recombination: m = mq + q * ((mp - mq) * q^-1 mod p).
         return (mq + q * ((mp - mq) * self._q_inv_p % p)) % (p * q)
 
-    def decrypt_vector(self, ciphertexts, codec: "FixedPointCodec") -> np.ndarray:
-        """Decrypt a ciphertext list back into a float vector."""
-        return np.array([codec.decode(self.decrypt(c)) for c in ciphertexts])
-
 
 @dataclass(frozen=True)
 class PaillierCiphertext:

@@ -100,10 +100,6 @@ class GovernanceError(PDS2Error):
     """Base class for governance-layer rule violations."""
 
 
-class WorkloadStateError(GovernanceError):
-    """An operation is illegal in the workload's current lifecycle state."""
-
-
 class CertificateError(GovernanceError):
     """A participation certificate is invalid, expired, or mis-signed."""
 

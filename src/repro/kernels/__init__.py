@@ -1,15 +1,10 @@
 """Flat-array simulation kernels for the gossip/net/ML hot loops.
 
-The package provides the *kernel engine* behind
-``GossipConfig(engine="kernel")``: per-node object state refactored into
-preallocated numpy arrays, per-message callbacks replaced by batched
-round kernels, with an optional numba-JIT path for integer bookkeeping
-(:mod:`repro.kernels.jit`) and numpy fallbacks kept differentially
-equivalent.  See :mod:`repro.kernels.ops` for the complexity contract and
-the determinism rules that make kernel runs byte-identical to the object
-engine at matched seeds.
+The package provides the *kernel engine* that
+:func:`repro.ml.gossip.GossipTrainer` hands back for every input it
+supports: per-node object state refactored into preallocated numpy arrays,
+per-message callbacks replaced by batched round kernels.  See
+:mod:`repro.kernels.ops` for the complexity contract and the determinism
+rules that make kernel runs byte-identical to the per-node engine at
+matched seeds.
 """
-
-from repro.kernels.jit import HAS_NUMBA, njit
-
-__all__ = ["HAS_NUMBA", "njit"]

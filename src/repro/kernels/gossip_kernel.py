@@ -1,10 +1,10 @@
 """Flat-array gossip engine: whole rounds as stacked matrix ops.
 
-This is the ``engine="kernel"`` implementation behind
-:class:`repro.ml.gossip.GossipTrainer`.  Instead of one ``GossipNode``
-object per participant exchanging per-message simulator callbacks, all
-per-node state lives in preallocated arrays owned by
-:class:`GossipKernelTrainer`:
+This is the engine :func:`repro.ml.gossip.GossipTrainer` hands back
+whenever the model has a vectorized family and messages are not
+subsampled.  Instead of one ``GossipNode`` object per participant
+exchanging per-message simulator callbacks, all per-node state lives in
+preallocated arrays owned by :class:`GossipKernelTrainer`:
 
 * ``params``  — ``(N, P)`` model parameter matrix,
 * ``ages``    — ``(N,)`` merge ages,
@@ -36,7 +36,7 @@ elementwise-stable under stacking (see :mod:`repro.kernels.ops`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,38 +85,33 @@ _T_D, _SEQ, _PARAMS, _AGE, _SAMPLES, _ROUND = range(6)
 class GossipKernelTrainer:
     """Array-of-structs → struct-of-arrays gossip engine.
 
-    Construct via ``GossipTrainer(..., config=GossipConfig(engine="kernel"))``
-    rather than directly; the trainer validates shared arguments and
-    delegates here.
+    Construct via :func:`repro.ml.gossip.GossipTrainer` rather than
+    directly; it validates the shared arguments, builds the models and
+    picks this engine for every input it supports.  ``models`` holds one
+    fresh model per partition and ``uplinks`` one upload rate per partition.
     """
 
-    def __init__(self, model_factory: Callable[[], Model],
-                 partitions: list[Dataset], test_set: Dataset,
-                 config: GossipConfig, seed: int,
+    def __init__(self, models: list[Model], partitions: list[Dataset],
+                 test_set: Dataset, config: GossipConfig, seed: int,
                  churn: Optional[ChurnModel], mean_latency_s: float,
                  uplinks: list[float]):
         if config.compression.kind is CompressionKind.SUBSAMPLE:
             raise MLError(
                 "the kernel engine does not support subsample compression "
                 "(its per-message coordinate draws are inherently "
-                "per-object); use engine='objects'"
+                "per-object)"
+            )
+        family = family_of(models[0])
+        if family is None:
+            raise MLError(
+                f"the kernel engine has no vectorized family for "
+                f"{type(models[0]).__name__}"
             )
         self.config = config
         self.seed = seed
         self.test_set = test_set
         num_nodes = len(partitions)
         self.num_nodes = num_nodes
-
-        # Models: the factory is called exactly once per node, in index
-        # order, matching the object engine call-for-call (factories may be
-        # stateful).
-        models = [model_factory() for _ in range(num_nodes)]
-        family = family_of(models[0])
-        if family is None:
-            raise MLError(
-                f"the kernel engine has no vectorized family for "
-                f"{type(models[0]).__name__}; use engine='objects'"
-            )
         self.family = family
         self.params = np.stack([model.params for model in models])
         self.ages = np.zeros(num_nodes, dtype=np.int64)
@@ -480,7 +475,7 @@ class GossipKernelTrainer:
     def run(self, duration_s: float,
             eval_interval_s: float = 50.0) -> GossipResult:
         """Run the protocol; same semantics and results as the object
-        engine's :meth:`~repro.ml.gossip.GossipTrainer.run`."""
+        engine's :meth:`~repro.ml.gossip.GossipNodeTrainer.run`."""
         config = self.config
         checkpoints = np.arange(eval_interval_s, duration_s + 1e-9,
                                 eval_interval_s)
@@ -505,7 +500,7 @@ class GossipKernelTrainer:
 
         tracer = _tracer()
         with tracer.span("gossip.run", nodes=self.num_nodes,
-                         duration_s=duration_s, engine="kernel"):
+                         duration_s=duration_s):
             # Wake timelines: first draw on each node stream is the random
             # phase, exactly as the object engine draws it.
             firsts = np.asarray([

@@ -29,11 +29,8 @@ functions below, and every function is elementwise-stable under stacking:
   ``G == 1``);
 * merges are elementwise convex combinations (never a ``coeffs @ stacked``
   dgemv, whose accumulation order would differ from the scalar form);
-* floating-point math is **never** JIT-compiled — numba may emit FMA or
-  fastmath code that differs from numpy in the last ulp.  Only exact
-  integer bookkeeping goes through :func:`repro.kernels.jit.njit`, with a
-  ``*_py`` numpy fallback kept differentially equivalent (``tests/kernels``
-  asserts strict equality between the two on every kernel).
+* everything is plain numpy: a compiler that may emit FMA or fastmath code
+  would differ from numpy in the last ulp and break the contract.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.kernels.jit import HAS_NUMBA, njit
 from repro.ml.models import Model, SoftmaxRegressionModel
 from repro.utils.rng import derive_rng
 
@@ -53,9 +49,7 @@ __all__ = [
     "quantize_rows",
     "dequantize_rows",
     "clamped_floor_indices",
-    "clamped_floor_indices_py",
     "counts_to_offsets",
-    "counts_to_offsets_py",
     "wake_schedule",
     "sample_eval_indices",
 ]
@@ -228,59 +222,27 @@ def dequantize_rows(codes: np.ndarray, low: np.ndarray, high: np.ndarray,
     return dense
 
 
-# -- integer bookkeeping (the only JIT-compiled kernels) ---------------------------
+# -- integer bookkeeping ---------------------------------------------------------
 
 
-def clamped_floor_indices_py(uniforms: np.ndarray,
-                             limits: np.ndarray) -> np.ndarray:
+def clamped_floor_indices(uniforms: np.ndarray,
+                          limits: np.ndarray) -> np.ndarray:
     """Map uniforms in ``[0, 1)`` to indices ``floor(u * limit)``.
 
-    Vectorized fallback.  The clamp guards the (rounding-only) case where
-    ``u * limit`` lands exactly on ``limit``.
+    The clamp guards the (rounding-only) case where ``u * limit`` lands
+    exactly on ``limit``.
     """
     scaled = (uniforms * limits).astype(np.int64)
     return np.minimum(scaled, limits - 1)
 
 
-@njit(cache=True)
-def _clamped_floor_indices_jit(uniforms: np.ndarray,
-                               limits: np.ndarray) -> np.ndarray:
-    out = np.empty(uniforms.shape[0], dtype=np.int64)
-    for i in range(uniforms.shape[0]):
-        index = np.int64(uniforms[i] * limits[i])
-        cap = limits[i] - 1
-        if index > cap:
-            index = cap
-        out[i] = index
-    return out
-
-
-def counts_to_offsets_py(counts: np.ndarray) -> np.ndarray:
+def counts_to_offsets(counts: np.ndarray) -> np.ndarray:
     """Exclusive prefix sum: offsets of variable-length groups in a flat
-    array; ``offsets[-1]`` is the total.  Vectorized fallback."""
+    array; ``offsets[-1]`` is the total."""
     offsets = np.empty(len(counts) + 1, dtype=np.int64)
     offsets[0] = 0
     np.cumsum(counts, out=offsets[1:])
     return offsets
-
-
-@njit(cache=True)
-def _counts_to_offsets_jit(counts: np.ndarray) -> np.ndarray:
-    offsets = np.empty(counts.shape[0] + 1, dtype=np.int64)
-    offsets[0] = 0
-    total = np.int64(0)
-    for i in range(counts.shape[0]):
-        total += counts[i]
-        offsets[i + 1] = total
-    return offsets
-
-
-if HAS_NUMBA:
-    clamped_floor_indices = _clamped_floor_indices_jit
-    counts_to_offsets = _counts_to_offsets_jit
-else:
-    clamped_floor_indices = clamped_floor_indices_py
-    counts_to_offsets = counts_to_offsets_py
 
 
 # -- shared schedule/eval helpers --------------------------------------------------

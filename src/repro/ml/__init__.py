@@ -39,9 +39,9 @@ from repro.ml.federated import (
 from repro.ml.gossip import (
     GossipConfig,
     GossipNode,
+    GossipNodeTrainer,
     GossipResult,
     GossipTrainer,
-    ModelMessage,
 )
 from repro.ml.matrix_factorization import (
     ItemFactorModel,
@@ -91,9 +91,9 @@ __all__ = [
     "SERVER_ADDRESS",
     "GossipConfig",
     "GossipNode",
+    "GossipNodeTrainer",
     "GossipResult",
     "GossipTrainer",
-    "ModelMessage",
     "ItemFactorModel",
     "make_ratings_problem",
     "rmse_per_user",

@@ -6,15 +6,20 @@ parameters to a random overlay neighbor.  There is no coordinator, no global
 barrier — the properties the paper values for PDS2 (no bottleneck, no
 aggregation black box, churn tolerance).
 
-Two engines implement the identical protocol, selected via
-``GossipConfig(engine=...)``:
+Two engines implement the identical protocol, and :func:`GossipTrainer`
+picks one from its inputs — there is no engine option:
 
-* ``"objects"`` — one :class:`GossipNode` per participant on the
-  discrete-event :class:`~repro.net.simulator.Network` (this module);
-* ``"kernel"``  — flat-array round kernels over the whole population
-  (:class:`repro.kernels.gossip_kernel.GossipKernelTrainer`), byte-identical
-  to the object engine at matched seeds and ≥10× faster at hundreds of
-  nodes.
+* the flat-array round kernels over the whole population
+  (:class:`repro.kernels.gossip_kernel.GossipKernelTrainer`) run whenever
+  they can: the model has a vectorized family
+  (:func:`repro.kernels.ops.family_of`) and messages are not subsampled.
+  Byte-identical to the per-node engine at matched seeds and ≥10× faster
+  at hundreds of nodes;
+* :class:`GossipNodeTrainer` — one :class:`GossipNode` per participant on
+  the discrete-event :class:`~repro.net.simulator.Network` (this module) —
+  runs everything else (SUBSAMPLE compression draws coordinates per
+  message; models such as ``ItemFactorModel`` have no stacked kernels),
+  and is the reference ``tests/kernels`` compares the kernels against.
 
 Determinism discipline (shared by both engines, enforced by
 ``tests/kernels``):
@@ -35,9 +40,8 @@ Determinism discipline (shared by both engines, enforced by
   :func:`repro.net.topology.edge_latencies`,
   :meth:`repro.net.churn.ChurnModel.precompute_timeline`).
 
-:class:`GossipTrainer` wires either engine, runs the protocol for simulated
-time, and records an accuracy-versus-time history plus full traffic
-accounting.
+Either trainer runs the protocol for simulated time and records an
+accuracy-versus-time history plus full traffic accounting.
 """
 
 from __future__ import annotations
@@ -57,6 +61,7 @@ from repro.kernels.ops import (
 from repro.ml.compression import (
     CompressedUpdate,
     CompressionConfig,
+    CompressionKind,
     compress,
     merge_compressed_into,
 )
@@ -77,9 +82,6 @@ from repro.utils.rng import derive_rng
 
 #: Fixed per-message envelope overhead (headers, age, sample count).
 MESSAGE_OVERHEAD_BYTES = 64
-
-#: Engines selectable via :attr:`GossipConfig.engine`.
-ENGINES = ("objects", "kernel")
 
 _WAKES = _tm.counter(
     "pds2_gossip_wakes_total", "Gossip node wake cycles that ran"
@@ -108,7 +110,6 @@ class GossipConfig:
         default_factory=CompressionConfig
     )
     dp_noise_std: float = 0.0  # Gaussian noise on every *shared* model
-    engine: str = "objects"    # "objects" | "kernel"
 
     def __post_init__(self) -> None:
         if self.wake_interval_s <= 0:
@@ -117,21 +118,6 @@ class GossipConfig:
             raise MLError("local steps and push count must be >= 1")
         if self.dp_noise_std < 0:
             raise MLError("dp noise std must be non-negative")
-        if self.engine not in ENGINES:
-            raise MLError(f"engine must be one of {ENGINES}")
-
-
-@dataclass
-class ModelMessage:
-    """An uncompressed gossip payload (kept for API compatibility)."""
-
-    params: np.ndarray
-    age: int
-    samples: int
-
-    @property
-    def size_bytes(self) -> int:
-        return self.params.nbytes + MESSAGE_OVERHEAD_BYTES
 
 
 class GossipEnvelope:
@@ -290,48 +276,67 @@ class GossipResult:
     merges: int = 0                              # models merged at wakes
 
 
-class GossipTrainer:
-    """Builds and runs a full gossip-learning deployment.
+def GossipTrainer(model_factory: Callable[[], Model],
+                  partitions: list[Dataset], test_set: Dataset,
+                  config: Optional[GossipConfig] = None, seed: int = 0,
+                  churn: Optional[ChurnModel] = None,
+                  mean_latency_s: float = 0.05,
+                  upload_bytes_per_s: "float | list[float]" = 1_250_000.0):
+    """Build a full gossip-learning deployment — the one public constructor.
 
-    ``config.engine`` selects the implementation: ``"objects"`` builds one
-    :class:`GossipNode` per participant on the event-driven network;
-    ``"kernel"`` delegates to the flat-array
-    :class:`~repro.kernels.gossip_kernel.GossipKernelTrainer`.
+    Returns the flat-array
+    :class:`~repro.kernels.gossip_kernel.GossipKernelTrainer` when the model
+    has a vectorized family and messages are not subsampled, and the
+    :class:`GossipNodeTrainer` otherwise; both expose ``run``,
+    ``mean_score``, ``final_params`` and ``final_ages`` and are
+    byte-identical where both can run.
+
+    ``model_factory`` is called exactly once per partition, in index order,
+    whichever engine runs (factories may be stateful).
+    ``upload_bytes_per_s`` may be a single rate or one per node — the
+    heterogeneous-devices setting of Section III-C.
+    """
+    if len(partitions) < 2:
+        raise MLError("gossip needs at least two providers")
+    if isinstance(upload_bytes_per_s, (int, float)):
+        uplinks = [float(upload_bytes_per_s)] * len(partitions)
+    else:
+        uplinks = [float(rate) for rate in upload_bytes_per_s]
+        if len(uplinks) != len(partitions):
+            raise MLError("need one uplink rate per provider")
+    config = config if config is not None else GossipConfig()
+    models = [model_factory() for _ in partitions]
+    engine = GossipNodeTrainer
+    if (family_of(models[0]) is not None
+            and config.compression.kind is not CompressionKind.SUBSAMPLE):
+        # Local import: the kernel module imports this one for the
+        # config/result types, so the dependency must stay one-way at
+        # import time.
+        from repro.kernels.gossip_kernel import GossipKernelTrainer
+
+        engine = GossipKernelTrainer
+    return engine(models, partitions, test_set, config, seed=seed,
+                  churn=churn, mean_latency_s=mean_latency_s,
+                  uplinks=uplinks)
+
+
+class GossipNodeTrainer:
+    """The per-node engine: one :class:`GossipNode` per participant on the
+    event-driven network.
+
+    Built by :func:`GossipTrainer` for the inputs the kernels cannot run;
+    named directly only where a test or benchmark wants this engine in
+    particular.  ``models`` holds one fresh model per partition and
+    ``uplinks`` one upload rate per partition.
     """
 
-    def __init__(self, model_factory: Callable[[], Model],
-                 partitions: list[Dataset], test_set: Dataset,
-                 config: Optional[GossipConfig] = None, seed: int = 0,
-                 churn: Optional[ChurnModel] = None,
-                 mean_latency_s: float = 0.05,
-                 upload_bytes_per_s: "float | list[float]" = 1_250_000.0):
-        """``upload_bytes_per_s`` may be a single rate or one per node —
-        the heterogeneous-devices setting of Section III-C."""
-        if len(partitions) < 2:
-            raise MLError("gossip needs at least two providers")
-        if isinstance(upload_bytes_per_s, (int, float)):
-            uplinks = [float(upload_bytes_per_s)] * len(partitions)
-        else:
-            uplinks = [float(rate) for rate in upload_bytes_per_s]
-            if len(uplinks) != len(partitions):
-                raise MLError("need one uplink rate per provider")
-        self.config = config if config is not None else GossipConfig()
+    def __init__(self, models: list[Model], partitions: list[Dataset],
+                 test_set: Dataset, config: GossipConfig, seed: int,
+                 churn: Optional[ChurnModel], mean_latency_s: float,
+                 uplinks: list[float]):
+        self.config = config
         self.test_set = test_set
         self.seed = seed
-        self._kernel = None
-        if self.config.engine == "kernel":
-            # Local import: the kernel module imports this one for the
-            # config/result types, so the dependency must stay one-way at
-            # import time.
-            from repro.kernels.gossip_kernel import GossipKernelTrainer
-
-            self._kernel = GossipKernelTrainer(
-                model_factory, partitions, test_set, self.config,
-                seed=seed, churn=churn, mean_latency_s=mean_latency_s,
-                uplinks=uplinks,
-            )
-            self.family = self._kernel.family
-            return
         self.simulator = Simulator()
         self.network = Network(self.simulator,
                                default_latency_s=mean_latency_s)
@@ -346,11 +351,10 @@ class GossipTrainer:
         for index, part in enumerate(partitions):
             address = address_of(index)
             node_rng = derive_rng(seed, f"gossip-node-{index}")
-            model = model_factory()
             node = GossipNode(
-                address=address, model=model, data=part, config=self.config,
-                simulator=self.simulator, network=self.network,
-                peers=[], rng=node_rng,
+                address=address, model=models[index], data=part,
+                config=self.config, simulator=self.simulator,
+                network=self.network, peers=[], rng=node_rng,
             )
             self.nodes.append(node)
             self.network.attach(address, node,
@@ -399,30 +403,22 @@ class GossipTrainer:
         Sampling is deterministic via ``derive_rng(seed, "gossip-eval")``,
         shared with the kernel engine so accuracy histories match.
         """
-        if self._kernel is not None:
-            return self._kernel.mean_score(sample_nodes)
         indices = sample_eval_indices(self.seed, len(self.nodes),
                                       sample_nodes)
         return float(np.mean(self._node_scores(indices)))
 
     def final_params(self) -> np.ndarray:
         """The ``(nodes, params)`` parameter matrix (differential testing)."""
-        if self._kernel is not None:
-            return self._kernel.final_params()
         return np.stack([node.tracked.model.params for node in self.nodes])
 
     def final_ages(self) -> np.ndarray:
         """Per-node model ages (differential testing)."""
-        if self._kernel is not None:
-            return self._kernel.final_ages()
         return np.asarray([node.tracked.age for node in self.nodes],
                           dtype=np.int64)
 
     def run(self, duration_s: float,
             eval_interval_s: float = 50.0) -> GossipResult:
         """Run the protocol for ``duration_s`` of simulated time."""
-        if self._kernel is not None:
-            return self._kernel.run(duration_s, eval_interval_s)
         tracer = _tracer()
         saved_clock = tracer.sim_clock
         # Gossip runs on the discrete-event simulator's clock, not the

@@ -14,7 +14,7 @@ private at the provider, which is the privacy point).
   solve the *local* user factor ``u`` by ridge regression before
   differentiating with respect to ``V`` — the standard alternating
   formulation, collapsed so the model fits the :class:`~repro.ml.models.Model`
-  interface used by :class:`~repro.ml.gossip.GossipTrainer`.
+  interface used by :func:`~repro.ml.gossip.GossipTrainer`.
 
 Ratings are encoded as feature rows ``(item_index, rating)`` so the
 existing ``Dataset`` plumbing works unchanged.

@@ -9,7 +9,6 @@ timestamp and a semantic annotation — and answers requirement queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from repro.errors import ObjectNotFoundError, StorageError
 from repro.storage.semantic import Ontology, Requirement, SemanticAnnotation
@@ -88,10 +87,6 @@ class DataCatalog:
     def records_of(self, owner: str) -> list[DataRecord]:
         """All records registered by ``owner``."""
         return [self._records[rid] for rid in self._by_owner.get(owner, [])]
-
-    def all_records(self) -> Iterator[DataRecord]:
-        """Every record, in registration order."""
-        return iter(list(self._records.values()))
 
     # -- matching -------------------------------------------------------------
 

@@ -37,13 +37,13 @@ causal story.  This module closes that gap with four pieces:
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.tracing import Span
+from repro.utils.serialization import read_jsonl
 
 TRACEPARENT_VERSION = "00"
 TRACEPARENT_FLAGS = "01"
@@ -249,24 +249,7 @@ def read_span_records(path: str) -> list[dict]:
     Same contract as the jobs journal: a half-written final line from a
     SIGKILLed writer is dropped; corruption anywhere else raises.
     """
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.readlines()
-    records: list[dict] = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break
-            raise TelemetryError(
-                f"corrupt span sidecar line {index + 1} in {path}"
-            ) from None
-    return records
+    return read_jsonl(path, TelemetryError)
 
 
 def span_from_record(record: Mapping) -> Span:
@@ -327,9 +310,6 @@ class AssembledTrace:
         return [r for r in self.spans
                 if r.get("job_id")
                 and r.get("attempt") == self.winners.get(r["job_id"])]
-
-    def spans_as_tree_input(self) -> list[Span]:
-        return [span_from_record(r) for r in self.spans]
 
 
 def _chains_to(record_id: str, by_id: Mapping[str, dict],

@@ -25,6 +25,7 @@ Determinism rules (golden-tested in ``tests/test_serialization_golden.py``):
 from __future__ import annotations
 
 import json
+import os
 from typing import Any
 
 import numpy as np
@@ -134,3 +135,33 @@ def from_canonical_json(text: str | bytes) -> Any:
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     return _decode(json.loads(text))
+
+
+def read_jsonl(path: str, corrupt: type[Exception] | None = None) -> list:
+    """Records of an append-only JSONL file; ``[]`` when it does not exist.
+
+    A half-written *final* line — the signature of a writer killed
+    mid-record — is dropped.  An undecodable line anywhere else means the
+    file was edited, not interrupted: it raises ``corrupt`` naming the line
+    (the ``json.JSONDecodeError`` itself when ``corrupt`` is None).
+    """
+    if not os.path.exists(path):
+        return []
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.readlines()
+    records = []
+    for index, line in enumerate(lines):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError:
+            if index == len(lines) - 1:
+                break
+            if corrupt is None:
+                raise
+            raise corrupt(
+                f"corrupt JSONL line {index + 1} in {path}"
+            ) from None
+    return records

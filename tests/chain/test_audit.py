@@ -67,9 +67,10 @@ class TestCleanRuns:
         assert chain.auditor.summary()["violation_count"] == 0
 
     def test_audit_opt_out(self):
-        chain, wallets = _build_chain(31, audit=False)
-        _mine_traffic(chain, wallets, blocks=1)
-        assert chain.auditor is None
+        """The auditor is always on; both build-time switches are gone."""
+        for switch in ("audit", "audit_strict"):
+            with pytest.raises(TypeError):
+                _build_chain(31, **{switch: False})
 
 
 class TestSeededCorruption:
@@ -114,7 +115,8 @@ class TestSeededCorruption:
         assert bundle["violations"]
 
     def test_strict_mode_raises(self):
-        chain, wallets = _build_chain(37, audit_strict=True)
+        chain, wallets = _build_chain(37)
+        chain.auditor.strict = True
         install_state_corruption(chain, block_number=1, seed=1)
         for wallet in wallets:
             wallet.transfer("0x" + "ee" * 20, 100)

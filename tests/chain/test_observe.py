@@ -24,6 +24,7 @@ from repro.chain.observe import (
 )
 from repro.chain.transaction import Transaction
 from repro.crypto.ecdsa import Signature
+from repro.errors import ChainError
 from repro.telemetry.tracing import tracer
 
 
@@ -77,9 +78,9 @@ class TestBlockRecords:
         assert len(ages) == record["mempool"]["selected"]
 
     def test_observe_opt_out(self):
-        chain, wallets = _build_chain(7, observe=False)
-        _mine_traffic(chain, wallets, blocks=1)
-        assert chain.observer is None
+        """The observer is always on; the build-time switch is gone."""
+        with pytest.raises(TypeError):
+            _build_chain(7, observe=False)
 
 
 class TestMempoolSelectionStats:
@@ -210,11 +211,28 @@ class TestRunDirectory:
         panel = render_chain_top(data["records"], data["audit"])
         assert "blocks      1   txs       3" in panel
 
-    def test_attach_requires_observer(self, tmp_path):
-        chain, _ = _build_chain(19, observe=False)
-        recorder = ChainRunRecorder(str(tmp_path / "run"))
-        with pytest.raises(ValueError):
-            recorder.attach(chain)
+    def test_mid_file_corruption_raises(self, tmp_path, capsys):
+        """One damaged record in the middle must not hide the blocks
+        behind it from ``chain top`` / ``chain audit`` with exit 0."""
+        from repro.cli import main
+
+        root = str(tmp_path / "run")
+        recorder = ChainRunRecorder(root)
+        chain, wallets = _build_chain(19)
+        recorder.attach(chain)
+        _mine_traffic(chain, wallets, blocks=3)
+        recorder.close(chain)
+        path = os.path.join(root, "blocks.jsonl")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+        lines[1] = lines[1][:20] + "\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines)
+        with pytest.raises(ChainError, match="line 2"):
+            read_chain_run(root)
+        for command in ("top", "audit"):
+            assert main(["chain", command, root]) == 2
+            assert "cannot read chain run" in capsys.readouterr().err
 
 
 class TestExemplarSatellite:

@@ -258,30 +258,37 @@ class TestTelemetryCommands:
 
 class TestGossipCommand:
     def test_parses(self):
-        args = build_parser().parse_args(
-            ["gossip", "--nodes", "16", "--engine", "kernel"])
+        args = build_parser().parse_args(["gossip", "--nodes", "16"])
         assert callable(args.handler)
 
     def test_bad_engine_rejected(self):
+        """The engine is picked from the inputs; the flag is gone."""
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["gossip", "--engine", "warp"])
+            build_parser().parse_args(["gossip", "--engine", "kernel"])
 
-    def test_engines_agree_byte_for_byte(self, capsys):
-        """The CLI path exercises the kernel contract end to end."""
+    def test_engines_agree_byte_for_byte(self, capsys, monkeypatch):
+        """The CLI lands on the kernels; with the per-node engine swapped in
+        under it, the same command prints the same numbers."""
         import json
 
-        payloads = []
-        for engine in ("kernel", "objects"):
-            code = main(["gossip", "--nodes", "12", "--per-node", "16",
-                         "--duration", "100", "--eval-interval", "50",
-                         "--engine", engine, "--seed", "5", "--json"])
-            assert code == 0
-            payloads.append(json.loads(capsys.readouterr().out))
-        kernel, objects = payloads
-        assert kernel["history"] == objects["history"]
-        assert kernel["final_accuracy"] == objects["final_accuracy"]
-        assert kernel["events_processed"] == objects["events_processed"]
-        assert kernel["bytes_delivered"] == objects["bytes_delivered"]
+        import repro.ml.gossip as gossip
+        from tests.kernels.test_differential import build
+
+        def per_node(factory, parts, test, config, seed, churn):
+            return build(gossip.GossipNodeTrainer, parts, test, config,
+                         seed=seed, churn=churn, model_factory=factory)
+
+        argv = ["gossip", "--nodes", "12", "--per-node", "16",
+                "--duration", "100", "--eval-interval", "50",
+                "--seed", "5", "--json"]
+        assert main(argv) == 0
+        kernel = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(gossip, "GossipTrainer", per_node)
+        assert main(argv) == 0
+        objects = json.loads(capsys.readouterr().out)
+        for key in ("history", "final_accuracy", "events_processed",
+                    "bytes_delivered"):
+            assert kernel[key] == objects[key]
 
     def test_churn_flag_drops_messages(self, capsys):
         import json

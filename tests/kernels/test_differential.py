@@ -1,11 +1,14 @@
 """Differential tests: the kernel engine must be byte-identical to the
-object engine at matched seeds.
+per-node engine at matched seeds, and ``GossipTrainer`` must pick between
+them from its inputs alone.
 
 Every assertion here is strict equality — not approx — because the two
 engines promise the same IEEE-754 operations in the same order (see the
 determinism notes in ``repro.kernels.ops``).  The sweep covers merge
 strategies, churn, DP noise, quantization, multi-push, and uneven
-partitions across many seeds and node counts.
+partitions across many seeds and node counts.  Both engines are built by
+class name here — ``GossipTrainer`` would only ever hand back the kernel
+for these inputs.
 """
 
 from __future__ import annotations
@@ -16,13 +19,14 @@ import numpy as np
 import pytest
 
 from repro.errors import MLError
+from repro.kernels.gossip_kernel import GossipKernelTrainer
 from repro.ml.compression import CompressionConfig, CompressionKind
 from repro.ml.datasets import (
     make_iot_activity,
     split_dirichlet,
     train_test_split,
 )
-from repro.ml.gossip import GossipConfig, GossipTrainer
+from repro.ml.gossip import GossipConfig, GossipNodeTrainer, GossipTrainer
 from repro.ml.matrix_factorization import ItemFactorModel
 from repro.ml.merge import MergeStrategy
 from repro.ml.models import SoftmaxRegressionModel
@@ -45,18 +49,29 @@ def factory():
     return SoftmaxRegressionModel(NUM_FEATURES, NUM_CLASSES, l2=0.01)
 
 
+ENGINES = {"objects": GossipNodeTrainer, "kernel": GossipKernelTrainer}
+
+
+def build(engine, parts, test, config, seed=0, churn=None,
+          model_factory=factory, uplinks=None):
+    """One engine by class, with ``GossipTrainer``'s defaults."""
+    return engine(
+        [model_factory() for _ in parts], parts, test, config, seed=seed,
+        churn=churn, mean_latency_s=0.05,
+        uplinks=uplinks or [1_250_000.0] * len(parts),
+    )
+
+
 def run_both(problem, config_kwargs, seed, churn=None,
-             duration=200.0, interval=100.0):
+             duration=200.0, interval=100.0, uplinks=None):
     parts, test = problem
     results = {}
-    for engine in ("objects", "kernel"):
-        trainer = GossipTrainer(
-            factory, parts, test,
-            GossipConfig(engine=engine, **config_kwargs),
-            seed=seed, churn=copy.deepcopy(churn),
-        )
+    for name, engine in ENGINES.items():
+        trainer = build(engine, parts, test, GossipConfig(**config_kwargs),
+                        seed=seed, churn=copy.deepcopy(churn),
+                        uplinks=uplinks)
         outcome = trainer.run(duration, eval_interval_s=interval)
-        results[engine] = (trainer, outcome)
+        results[name] = (trainer, outcome)
     return results
 
 
@@ -118,6 +133,17 @@ class TestConfigMatrix:
              "batch_size": 5},
             seed, churn=churn))
 
+    def test_heterogeneous_uplinks(self, problem):
+        """Per-node upload rates (one starved below a message per run)
+        shift delivery times identically on both engines."""
+        uplinks = [(1.0, 2_000.0, 1_250_000.0)[i % 3]
+                   for i in range(len(problem[0]))]
+        results = run_both(problem, {}, seed=7, uplinks=uplinks)
+        assert_identical(results)
+        uniform = run_both(problem, {}, seed=7)["kernel"][1]
+        assert (results["kernel"][1].messages_delivered
+                < uniform.messages_delivered)
+
     @pytest.mark.parametrize("seed", [8])
     def test_everything_at_once(self, problem, seed):
         churn = ChurnModel.from_availability(0.75, mean_online_s=50)
@@ -168,30 +194,95 @@ class TestEdgeCases:
         assert_identical(clipped)
 
 
+def mf_problem():
+    rng = np.random.default_rng(3)
+    data = make_iot_activity(400, rng)
+    train, test = train_test_split(data, 0.25, rng)
+    parts = split_dirichlet(train, 4, alpha=1.0, rng=rng, min_samples=5)
+    return parts, test
+
+
+def mf_factory():
+    return ItemFactorModel(10, 2, init_rng=np.random.default_rng(1))
+
+
+SUBSAMPLE = CompressionConfig(kind=CompressionKind.SUBSAMPLE,
+                              subsample_fraction=0.5)
+
+
 class TestKernelRejections:
+    """Naming the kernel class for an input it cannot run is a typed
+    error, and the selector that used to reach it is gone."""
+
     def test_subsample_compression_unsupported(self, problem):
         parts, test = problem
-        compression = CompressionConfig(kind=CompressionKind.SUBSAMPLE,
-                                        subsample_fraction=0.5)
         with pytest.raises(MLError):
-            GossipTrainer(
-                factory, parts, test,
-                GossipConfig(engine="kernel", compression=compression),
-                seed=0)
+            build(GossipKernelTrainer, parts, test,
+                  GossipConfig(compression=SUBSAMPLE))
 
     def test_unsupported_model_family(self):
-        rng = np.random.default_rng(3)
-        data = make_iot_activity(400, rng)
-        train, test = train_test_split(data, 0.25, rng)
-        parts = split_dirichlet(train, 4, alpha=1.0, rng=rng, min_samples=5)
-
-        def mf_factory():
-            return ItemFactorModel(10, 2, init_rng=np.random.default_rng(1))
-
+        parts, test = mf_problem()
         with pytest.raises(MLError):
-            GossipTrainer(mf_factory, parts, test,
-                          GossipConfig(engine="kernel"), seed=0)
+            build(GossipKernelTrainer, parts, test, GossipConfig(),
+                  model_factory=mf_factory)
 
     def test_bad_engine_name_rejected(self):
-        with pytest.raises(MLError):
-            GossipConfig(engine="warp")
+        with pytest.raises(TypeError):
+            GossipConfig(engine="kernel")
+
+
+class CountingFactory:
+    """A stateful factory: counts its calls."""
+
+    def __init__(self, make):
+        self.make = make
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.make()
+
+
+class TestEngineSelection:
+    """``GossipTrainer`` picks the engine from the model and the
+    compression kind, and builds each model exactly once either way."""
+
+    @pytest.mark.parametrize("compression", [
+        CompressionConfig(),
+        CompressionConfig(kind=CompressionKind.QUANTIZE, quantize_bits=8),
+    ], ids=["none", "quantize"])
+    def test_softmax_runs_on_the_kernel(self, problem, compression):
+        parts, test = problem
+        counting = CountingFactory(factory)
+        trainer = GossipTrainer(counting, parts, test,
+                                GossipConfig(compression=compression))
+        assert type(trainer) is GossipKernelTrainer
+        assert counting.calls == len(parts)
+
+    def test_subsample_runs_per_node(self, problem):
+        parts, test = problem
+        counting = CountingFactory(factory)
+        trainer = GossipTrainer(counting, parts, test,
+                                GossipConfig(compression=SUBSAMPLE))
+        assert type(trainer) is GossipNodeTrainer
+        assert counting.calls == len(parts)
+        assert trainer.run(100.0, 100.0).messages_delivered > 0
+
+    def test_unvectorized_model_runs_per_node(self):
+        parts, test = mf_problem()
+        counting = CountingFactory(mf_factory)
+        trainer = GossipTrainer(counting, parts, test)
+        assert type(trainer) is GossipNodeTrainer
+        assert counting.calls == len(parts)
+
+    def test_selected_kernel_matches_named_per_node_engine(self, problem):
+        """The public constructor's result equals the reference engine
+        byte for byte (same defaults as ``build``)."""
+        parts, test = problem
+        picked = GossipTrainer(factory, parts, test, seed=4)
+        reference = build(GossipNodeTrainer, parts, test, GossipConfig(),
+                          seed=4)
+        assert_identical({
+            "kernel": (picked, picked.run(200.0, 100.0)),
+            "objects": (reference, reference.run(200.0, 100.0)),
+        })

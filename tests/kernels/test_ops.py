@@ -1,16 +1,10 @@
-"""Unit tests for the stacked kernels in ``repro.kernels.ops`` and the
-optional-JIT dispatch in ``repro.kernels.jit``."""
+"""Unit tests for the stacked kernels in ``repro.kernels.ops``."""
 
 from __future__ import annotations
-
-import importlib
-import sys
-import types
 
 import numpy as np
 import pytest
 
-from repro.kernels import jit as jit_module
 from repro.kernels import ops
 from repro.ml.models import SoftmaxRegressionModel
 
@@ -122,33 +116,33 @@ class TestMergeKernels:
 
 
 class TestIntegerKernels:
-    def test_clamped_floor_indices_py_vs_dispatch(self, rng):
+    def test_clamped_floor_indices_match_scalar_loop(self, rng):
         uniforms = rng.random(1000)
         limits = rng.integers(1, 50, size=1000)
-        fallback = ops.clamped_floor_indices_py(uniforms, limits)
-        dispatched = ops.clamped_floor_indices(uniforms, limits)
-        assert np.array_equal(fallback, dispatched)
-        assert fallback.dtype == np.int64
-        assert (fallback >= 0).all()
-        assert (fallback < limits).all()
+        indices = ops.clamped_floor_indices(uniforms, limits)
+        expected = [min(int(u * limit), limit - 1)
+                    for u, limit in zip(uniforms.tolist(), limits.tolist())]
+        assert indices.tolist() == expected
+        assert indices.dtype == np.int64
+        assert (indices >= 0).all()
+        assert (indices < limits).all()
 
     def test_clamp_guards_exact_hit(self):
         # u close enough to 1 that u * limit rounds to limit.
         uniforms = np.array([np.nextafter(1.0, 0.0)])
         limits = np.array([49])
-        assert ops.clamped_floor_indices_py(uniforms, limits)[0] == 48
+        assert ops.clamped_floor_indices(uniforms, limits)[0] == 48
 
     def test_counts_to_offsets(self):
         counts = np.array([3, 0, 2, 5], dtype=np.int64)
         expected = np.array([0, 3, 3, 5, 10], dtype=np.int64)
-        assert np.array_equal(ops.counts_to_offsets_py(counts), expected)
         assert np.array_equal(ops.counts_to_offsets(counts), expected)
 
     def test_empty_inputs(self):
         empty_f = np.empty(0)
         empty_i = np.empty(0, dtype=np.int64)
-        assert len(ops.clamped_floor_indices_py(empty_f, empty_i)) == 0
-        assert np.array_equal(ops.counts_to_offsets_py(empty_i),
+        assert len(ops.clamped_floor_indices(empty_f, empty_i)) == 0
+        assert np.array_equal(ops.counts_to_offsets(empty_i),
                               np.array([0], dtype=np.int64))
 
 
@@ -174,84 +168,3 @@ class TestScheduleHelpers:
     def test_sample_eval_indices_clamps_to_population(self):
         indices = ops.sample_eval_indices(7, 5, 16)
         assert np.array_equal(indices, np.arange(5))
-
-
-class TestJitDispatch:
-    def _reload_with(self, monkeypatch, *, numba_module, disable_env):
-        """Reload jit+ops under a controlled numba availability, restoring
-        the real modules afterwards (the caller's fixture teardown)."""
-        if disable_env:
-            monkeypatch.setenv("PDS2_DISABLE_NUMBA", "1")
-        else:
-            monkeypatch.delenv("PDS2_DISABLE_NUMBA", raising=False)
-        if numba_module is None:
-            monkeypatch.setitem(sys.modules, "numba", None)  # forces ImportError
-        else:
-            monkeypatch.setitem(sys.modules, "numba", numba_module)
-        jit_reloaded = importlib.reload(jit_module)
-        ops_reloaded = importlib.reload(ops)
-        return jit_reloaded, ops_reloaded
-
-    @pytest.fixture(autouse=True)
-    def _restore_modules(self):
-        yield
-        importlib.reload(jit_module)
-        importlib.reload(ops)
-
-    def test_numba_absent_falls_back(self, monkeypatch):
-        jit_reloaded, ops_reloaded = self._reload_with(
-            monkeypatch, numba_module=None, disable_env=False)
-        assert jit_reloaded.HAS_NUMBA is False
-        assert (ops_reloaded.clamped_floor_indices
-                is ops_reloaded.clamped_floor_indices_py)
-        assert (ops_reloaded.counts_to_offsets
-                is ops_reloaded.counts_to_offsets_py)
-
-    def test_fake_numba_selects_jit_branch(self, monkeypatch, rng):
-        """With a (fake) numba importable, dispatch picks the loop-form
-        kernels — and they agree exactly with the numpy fallbacks."""
-        fake = types.ModuleType("numba")
-
-        def njit(*args, **kwargs):
-            if len(args) == 1 and callable(args[0]) and not kwargs:
-                return args[0]
-            return lambda fn: fn
-
-        fake.njit = njit
-        jit_reloaded, ops_reloaded = self._reload_with(
-            monkeypatch, numba_module=fake, disable_env=False)
-        assert jit_reloaded.HAS_NUMBA is True
-        assert (ops_reloaded.clamped_floor_indices
-                is not ops_reloaded.clamped_floor_indices_py)
-
-        uniforms = rng.random(500)
-        limits = rng.integers(1, 30, size=500)
-        assert np.array_equal(
-            ops_reloaded.clamped_floor_indices(uniforms, limits),
-            ops_reloaded.clamped_floor_indices_py(uniforms, limits))
-        counts = rng.integers(0, 9, size=64)
-        assert np.array_equal(
-            ops_reloaded.counts_to_offsets(counts),
-            ops_reloaded.counts_to_offsets_py(counts))
-
-    def test_disable_env_overrides_installed_numba(self, monkeypatch):
-        fake = types.ModuleType("numba")
-        fake.njit = lambda *a, **k: (a[0] if a and callable(a[0])
-                                     else (lambda fn: fn))
-        jit_reloaded, ops_reloaded = self._reload_with(
-            monkeypatch, numba_module=fake, disable_env=True)
-        assert jit_reloaded.HAS_NUMBA is False
-        assert (ops_reloaded.clamped_floor_indices
-                is ops_reloaded.clamped_floor_indices_py)
-
-    def test_identity_njit_forms(self):
-        @jit_module._identity_njit
-        def bare(x):
-            return x + 1
-
-        @jit_module._identity_njit(cache=True)
-        def parametrized(x):
-            return x * 2
-
-        assert bare(1) == 2
-        assert parametrized(3) == 6

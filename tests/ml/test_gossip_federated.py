@@ -145,21 +145,21 @@ class TestFederated:
 class TestHeterogeneousUplinks:
     def test_per_node_uplink_rates(self, problem):
         parts, test = problem
-        slow_and_fast = [125_000.0 if i % 2 else 12_500_000.0
-                         for i in range(len(parts))]
-        trainer = GossipTrainer(
-            factory, parts, test,
-            GossipConfig(wake_interval_s=10, learning_rate=0.3),
-            seed=6, upload_bytes_per_s=slow_and_fast,
-        )
-        result = trainer.run(300, 300)
+        config = GossipConfig(wake_interval_s=10, learning_rate=0.3)
+
+        def run(slow_rate):
+            rates = [slow_rate if i % 2 else 12_500_000.0
+                     for i in range(len(parts))]
+            return GossipTrainer(factory, parts, test, config, seed=6,
+                                 upload_bytes_per_s=rates).run(300, 300)
+
+        result = run(125_000.0)
         assert result.final_mean_score > 0.4
-        # The network actually applied per-node rates.
-        rates = {
-            trainer.network.node_state(node.address).upload_bytes_per_s
-            for node in trainer.nodes
-        }
-        assert rates == {125_000.0, 12_500_000.0}
+        # The per-node rates are really applied: at 1 B/s a message takes
+        # longer than the whole run to upload, so every odd node's pushes
+        # stay in flight and that share of the traffic never lands.
+        starved = run(1.0)
+        assert 0 < starved.messages_delivered < result.messages_delivered
 
     def test_uplink_count_mismatch_rejected(self, problem):
         parts, test = problem

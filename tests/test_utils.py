@@ -1,6 +1,8 @@
-"""Tests for canonical serialization and RNG discipline."""
+"""Tests for canonical serialization, the JSONL reader and RNG discipline."""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from repro.utils.serialization import (
     canonical_json,
     canonical_json_bytes,
     from_canonical_json,
+    read_jsonl,
 )
 
 
@@ -76,6 +79,28 @@ class TestCanonicalJson:
         restored = from_canonical_json(encoded)
         # Lists/tuples normalize; everything else round-trips exactly.
         assert canonical_json(restored) == encoded
+
+
+class TestReadJsonl:
+    """The one torn-tail reader behind the jobs journal, span sidecars,
+    event traces and chain run directories (each caller also tests its own
+    typed error)."""
+
+    def test_missing_file_is_empty(self, tmp_path):
+        assert read_jsonl(str(tmp_path / "nope.jsonl")) == []
+
+    def test_torn_tail_and_blank_lines_are_dropped(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n\n{"b": 2}\n{"tor', encoding="utf-8")
+        assert read_jsonl(str(path), ValueError) == [{"a": 1}, {"b": 2}]
+
+    def test_mid_file_garbage_raises_the_callers_error(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n{tor\n{"b": 2}\n', encoding="utf-8")
+        with pytest.raises(KeyError, match="line 2"):
+            read_jsonl(str(path), KeyError)
+        with pytest.raises(json.JSONDecodeError):
+            read_jsonl(str(path))
 
 
 class TestRng:
