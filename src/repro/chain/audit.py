@@ -7,12 +7,15 @@ conservation laws the ledger is supposed to enforce by construction:
   balances is constant across a block;
 * nonce monotonicity — nonces never move backwards, and each sender's
   nonce advances by exactly its mined-transaction count;
-* header consistency — the sealed ``state_root`` matches
-  :func:`recompute_state_root`, a from-scratch encoding of the live world
-  state that shares nothing with the chain's incremental root (so every
-  block is also a differential test of that root, and storage written
-  behind the VM's back is caught), the ``tx_root`` matches the block body,
-  and the header's gas both matches the receipt sum and respects the limit;
+* header consistency — the sealed ``state_root`` matches the auditor's own
+  root of the live world state (:meth:`ChainAuditor.state_root`), which
+  shares nothing with the chain's incremental root: the chain trusts its
+  write hooks to say what changed, the auditor fingerprints every
+  contract's storage every block and re-encodes the ones whose value
+  moved (so every block is also a differential test of the chain's root,
+  and storage written behind the VM's back is caught on the block it
+  happens), the ``tx_root`` matches the block body, and the header's gas
+  both matches the receipt sum and respects the limit;
 * receipt completeness — every mined transaction has a receipt pinned to
   this block;
 * mempool/chain disjointness — a mined hash never stays pooled;
@@ -37,15 +40,18 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 from dataclasses import dataclass
+from hashlib import blake2b
 from typing import Any, Optional
 
 from repro.chain.block import Block
 from repro.chain.transaction import CREATE
-from repro.crypto.hashing import hash_object
+from repro.crypto.hashing import keccak256
 from repro.errors import ChainAuditError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.tracing import tracer as _tracer
+from repro.utils.serialization import canonical_json_bytes
 
 _AUDIT_BLOCKS = _tm.counter(
     "pds2_chain_audit_blocks_total",
@@ -58,21 +64,23 @@ _AUDIT_VIOLATIONS = _tm.counter(
 )
 
 
-def recompute_state_root(state: Any) -> bytes:
-    """The state root from scratch: one canonical encoding of everything.
+def _fingerprint(storage: dict) -> Optional[bytes]:
+    """A type-strict digest of a storage tree, or None when it has none.
 
-    Deliberately independent of ``WorldState.state_root`` and the
-    per-contract encodings it keeps — O(state) per call, which is the
-    price of the check.
+    Pickle walks the tree in C and writes every value with its type, so
+    ``1``, ``True`` and ``1.0`` — equal to ``==``, three different canonical
+    encodings — have three different fingerprints, as do ``0.0`` and
+    ``-0.0``.  Unpickling the bytes would rebuild the tree, so equal
+    fingerprints mean equal trees and equal encodings.  The converse does
+    not hold (key order, object sharing, ``numpy.int64(1)`` for ``1``), and
+    does not need to: a fingerprint that moved for no reason costs one
+    encoding.
     """
-    return hash_object({
-        "balances": {k: v for k, v in sorted(state.balances.items()) if v},
-        "nonces": dict(sorted(state.nonces.items())),
-        "contracts": {
-            address: contract.storage
-            for address, contract in sorted(state.contracts.items())
-        },
-    })
+    try:
+        return blake2b(pickle.dumps(storage, pickle.HIGHEST_PROTOCOL),
+                       digest_size=32).digest()
+    except Exception:  # noqa: BLE001 - whatever pickle refused, encode it
+        return None
 
 
 @dataclass
@@ -108,6 +116,42 @@ class ChainAuditor:
         self.blocks_checked = 0
         self.violations: list[Violation] = []
         self.bundles: list[dict] = []
+        #: address -> (storage fingerprint, ``"address":{...}`` member of
+        #: the state-root document) as of the last :meth:`state_root`.
+        self._members: dict[str, tuple[Optional[bytes], bytes]] = {}
+
+    # -- the auditor's own state root ---------------------------------------
+
+    def state_root(self) -> bytes:
+        """The root of the live world state, by the auditor's own means.
+
+        Byte for byte the document ``WorldState.state_root`` hashes, built
+        without asking the state what changed: every contract's storage is
+        fingerprinted (:func:`_fingerprint`) on every call, and a contract
+        is canonically encoded when its fingerprint is not the one its kept
+        member was encoded under.  Balances and nonces are encoded on every
+        call.
+        """
+        state = self.chain.state
+        kept, members = self._members, {}
+        for address, contract in sorted(state.contracts.items()):
+            mark = _fingerprint(contract.storage)
+            member = kept.get(address)
+            if member is None or mark is None or member[0] != mark:
+                # The one-key document without its braces: `"address":{...}`.
+                member = (mark, canonical_json_bytes(
+                    {address: contract.storage})[1:-1])
+            members[address] = member
+        # Contracts no longer deployed leave with the old dict.
+        self._members = members
+        balances = canonical_json_bytes(
+            {k: v for k, v in state.balances.items() if v})
+        nonces = canonical_json_bytes(state.nonces)
+        return keccak256(
+            b'{"balances":' + balances + b',"contracts":{'
+            + b",".join(member for _, member in members.values())
+            + b'},"nonces":' + nonces + b"}"
+        )
 
     # -- lifecycle hooks (called by Blockchain.mine_block) ------------------
 
@@ -159,7 +203,7 @@ class ChainAuditor:
                      f"{before} -> {after}", sender)
 
         # Header consistency against recomputation.
-        if header.state_root != recompute_state_root(state):
+        if header.state_root != self.state_root():
             flag("state_root",
                  f"block {number} header state_root does not match the "
                  f"recomputed world-state root")

@@ -134,6 +134,9 @@ class Blockchain:
             self.state.credit(address, amount)
         self.blocks: list[Block] = []
         self._receipts: dict[bytes, Receipt] = {}
+        #: ``(block_number, log)`` per emitting contract, in chain order,
+        #: appended as blocks seal: what ``events(address=...)`` reads.
+        self._logs_by_address: dict[str, list[tuple[int, LogEntry]]] = {}
         self.mempool = Mempool()
         #: Cumulative gas over all sealed blocks, maintained at mine time so
         #: gas accounting is O(1) instead of a rescan of the whole chain.
@@ -190,18 +193,19 @@ class Blockchain:
         """Iterate ``(block_number, log)`` over successful-tx events.
 
         Filters by event name and/or emitting contract address.  This is the
-        query surface providers and auditors use to follow workloads.
+        query surface providers and auditors use to follow workloads; asked
+        by address it reads that contract's own log list (kept at seal
+        time), otherwise it walks every block from ``since_block``.
         """
+        if address is not None:
+            for number, log in self._logs_by_address.get(address, ()):
+                if number >= since_block and (name is None
+                                              or log.name == name):
+                    yield number, log
+            return
         for block in self.blocks[since_block:]:
-            for tx in block.transactions:
-                receipt = self._receipts[tx.tx_hash]
-                if not receipt.status:
-                    continue
-                for log in receipt.logs:
-                    if name is not None and log.name != name:
-                        continue
-                    if address is not None and log.address != address:
-                        continue
+            for log in self.logs_of(block):
+                if name is None or log.name == name:
                     yield block.header.number, log
 
     # -- transaction intake and mining ----------------------------------------------
@@ -354,6 +358,9 @@ class Blockchain:
             self.consensus.seal(header)
             block = Block(header=header, transactions=included)
             self.blocks.append(block)
+            for log in self.logs_of(block):
+                self._logs_by_address.setdefault(log.address, []).append(
+                    (number, log))
             self.total_gas_used += gas_used
             _BLOCKS_MINED.inc()
             _CHAIN_GAS.inc(gas_used)
@@ -387,12 +394,18 @@ class Blockchain:
         """Re-verify every header, seal, and parent link from genesis.
 
         This is the audit primitive: any retroactive tamper with a block body
-        or header breaks either a tx root, a parent hash, or a seal.
+        or header breaks either a tx root, a parent hash, or a seal, and a
+        chain cut at the front no longer starts at genesis.  The seals are
+        checked last, all in one batch.
         """
+        if not self.blocks:
+            raise InvalidBlockError("the chain has no genesis block")
+        genesis = self.blocks[0].header
+        if genesis.number != 0 or genesis.parent_hash != GENESIS_PARENT:
+            raise InvalidBlockError("the chain does not start at genesis")
         previous: Optional[Block] = None
         for block in self.blocks:
             block.validate_structure()
-            self.consensus.verify_seal(block.header)
             if previous is not None:
                 if block.header.parent_hash != previous.block_hash:
                     raise InvalidBlockError(
@@ -403,6 +416,7 @@ class Blockchain:
                 if block.header.timestamp < previous.header.timestamp:
                     raise InvalidBlockError("timestamps must not decrease")
             previous = block
+        self.consensus.verify_seals([block.header for block in self.blocks])
 
     # -- free views --------------------------------------------------------------
 

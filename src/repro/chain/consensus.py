@@ -10,11 +10,12 @@ to the architecture evaluation but wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.chain.block import BlockHeader
-from repro.crypto.ecdsa import PrivateKey
+from repro.crypto.ecdsa import PrivateKey, batch_verify
 from repro.errors import InvalidBlockError
 
 
@@ -71,15 +72,31 @@ class ProofOfAuthority:
 
     def verify_seal(self, header: BlockHeader) -> None:
         """Check the header was sealed by the scheduled proposer."""
-        proposer = self.proposer_for(header.number)
-        if header.validator != proposer.address:
-            raise InvalidBlockError(
-                f"block {header.number} sealed by wrong validator"
-            )
-        if header.seal is None or header.validator_public_key is None:
-            raise InvalidBlockError("block header is unsealed")
-        if header.validator_public_key.address != proposer.address:
-            raise InvalidBlockError("seal public key does not match proposer")
-        if not header.validator_public_key.verify(header.sealing_bytes(),
-                                                  header.seal):
-            raise InvalidBlockError("invalid block seal signature")
+        self.verify_seals([header])
+
+    def verify_seals(self, headers: Sequence[BlockHeader]) -> None:
+        """Check every header was sealed by its scheduled proposer.
+
+        Who sealed what is checked header by header; the signatures then go
+        to one key-folded :func:`~repro.crypto.ecdsa.batch_verify`, which
+        answers the seals it has seen before from the verification LRU.
+        """
+        items = []
+        for header in headers:
+            proposer = self.proposer_for(header.number)
+            if header.validator != proposer.address:
+                raise InvalidBlockError(
+                    f"block {header.number} sealed by wrong validator"
+                )
+            if header.seal is None or header.validator_public_key is None:
+                raise InvalidBlockError("block header is unsealed")
+            if header.validator_public_key.address != proposer.address:
+                raise InvalidBlockError(
+                    "seal public key does not match proposer")
+            items.append((header.validator_public_key,
+                          header.sealing_bytes(), header.seal))
+        for header, good in zip(headers, batch_verify(items)):
+            if not good:
+                raise InvalidBlockError(
+                    f"invalid seal signature on block {header.number}"
+                )

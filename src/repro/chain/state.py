@@ -14,8 +14,8 @@ the journal's revert is compared against.
 :meth:`WorldState.state_root` is incremental: each contract's canonical
 encoding is kept until the contract is written *through the VM* (or the
 journal, or ``restore``).  Writing ``contract.storage`` any other way is
-tampering: the root will not see it, and the chain auditor — which
-recomputes the root from scratch every block — flags the block.
+tampering: the root will not see it, and the chain auditor — which looks
+at every contract's storage itself every block — flags the block.
 """
 
 from __future__ import annotations

@@ -54,8 +54,13 @@ _RUN_SECONDS = _tm.histogram(
 )
 
 
+@lru_cache(maxsize=256)
 def _measured_text(entry_point: Callable[..., Any]) -> str:
     """What the measurement covers of an entry point: its source text.
+
+    Read once per function: every workload is a code unit of its own
+    (``ExecutorActor.code_for``) over the one shared entry point, so
+    :func:`_measure` misses once per session.
 
     Builtins, ``partial`` objects and REPL-defined functions have no
     retrievable source and fall back to the qualified name, which still

@@ -12,16 +12,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.chain.audit import (
-    install_fault_plan,
-    install_state_corruption,
-    recompute_state_root,
-)
+from repro.chain.audit import install_fault_plan, install_state_corruption
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
 from repro.core.resilience import FaultKind, FaultPlan
 from repro.errors import ChainAuditError
+from tests.chain.test_journal_root import recompute_state_root
 
 BYSTANDER = "0x" + "b7" * 20
 
@@ -179,25 +176,50 @@ class TestOtherInvariants:
         assert any(v["account"] == token for v in flagged)
         assert any("supply mismatch" in v["detail"] for v in flagged)
 
-    def test_direct_storage_write_is_a_state_root_violation(self):
+    @pytest.mark.parametrize(
+        "height,touched", [(2, False), (2, True), (64, False), (64, True)],
+        ids=["lo", "lo-w", "hi", "hi-w"])  # -w: the block wrote it too
+    def test_direct_storage_write_is_a_state_root_violation(
+            self, height, touched):
+        """Flagged on the block it happens and on every later block, until
+        the VM next writes the contract — whether or not the block wrote the
+        contract too, and however long ago the auditor last encoded it."""
         chain, wallets = _build_chain(43)
         token = wallets[0].deploy_and_mine("erc20", initial_supply=10**9)
+        while chain.height < height - 1:
+            chain.mine_block()
+
+        def vm_write():
+            wallets[0].call(token, "transfer", recipient=wallets[1].address,
+                            amount=1)
 
         def tamper(chain_, block):
             # Breaks no token invariant; only the root commits to it.
-            if block.header.number == 2:
+            if block.header.number == height:
                 chain_.state.contracts[token].storage["ghost"] = 1
 
         chain.tamper_hooks.append(tamper)
-        _mine_traffic(chain, wallets, blocks=1)
+        if touched:
+            vm_write()
+        _mine_traffic(chain, wallets, blocks=2)
         violations = chain.auditor.summary()["violations"]
         assert [(v["block"], v["kind"]) for v in violations] == [
-            (2, "state_root")]
+            (height, "state_root"), (height + 1, "state_root")]
         # The incremental root never saw the write — which is why the
-        # auditor recomputes instead of asking it.
+        # auditor looks for itself instead of asking it.
         assert chain.state.state_root() == chain.head.header.state_root
         assert recompute_state_root(chain.state) != \
             chain.head.header.state_root
+        assert chain.auditor.state_root() == recompute_state_root(chain.state)
+        # A sanctioned write makes the chain encode the contract again,
+        # ghost included: from here on the two agree.
+        vm_write()
+        _mine_traffic(chain, wallets, blocks=1)
+        assert chain.state.contracts[token].storage["balances"][
+            wallets[1].address] == 1 + touched
+        assert len(chain.auditor.violations) == 2
+        assert chain.head.header.state_root == \
+            recompute_state_root(chain.state)
 
     def test_mempool_overlap_violation(self):
         chain, wallets = _build_chain(43)

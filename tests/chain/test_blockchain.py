@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.chain import blockchain as blockchain_mod
+from repro.chain import consensus as consensus_mod
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto import ec_backend
+from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ecdsa import PublicKey
 from repro.errors import ChainError, InvalidBlockError
 from tests.conftest import make_funded_wallet
@@ -176,6 +177,52 @@ class TestReceiptsAndEvents:
         assert len(recent) == 1
 
 
+    def test_events_by_address_equal_the_filtered_scan(self, chain, rng):
+        """``events(address=...)`` reads a list kept at seal time; the scan
+        over every block and receipt is what it has to agree with."""
+        rich, other = (make_funded_wallet(chain, rng, name)
+                       for name in ("rich", "other"))
+        poor = Wallet.generate(chain, rng, "poor")
+        chain.state.credit(poor.address, 10)  # cannot afford gas: rejected
+        tokens = [rich.deploy_and_mine("erc20", initial_supply=100),
+                  other.deploy_and_mine("erc20", initial_supply=100)]
+        deed = rich.deploy_and_mine("erc721")
+        for round_ in range(3):
+            rich.call(tokens[0], "transfer", recipient=other.address,
+                      amount=1)
+            rich.call(tokens[0], "approve", spender=other.address, amount=2)
+            other.call(tokens[1], "transfer", recipient=rich.address,
+                       amount=1)
+            # Overdraws: reverts, and a reverted transaction logs nothing.
+            other.call(tokens[0], "transfer", recipient=rich.address,
+                       amount=10**6)
+            rich.call(deed, "mint", recipient=other.address,
+                      uri=f"deed-{round_}")
+            poor.call(tokens[1], "approve", spender=rich.address,
+                      amount=round_)
+            chain.mine_block()
+            chain.mine_block()  # an empty block between rounds
+        scan = list(chain.events())
+        assert {log.address for _, log in scan} == {*tokens, deed}
+        statuses = [chain.receipt_for(tx.tx_hash).status
+                    for block in chain.blocks for tx in block.transactions]
+        assert statuses.count(False) == 3  # the overdraws; rejects not mined
+        names = {log.name for _, log in scan} | {None, "NoSuchEvent"}
+        for address in (*tokens, deed, rich.address):
+            for name in names:
+                for since in range(chain.height + 2):
+                    assert list(chain.events(
+                        name=name, address=address, since_block=since,
+                    )) == [
+                        (number, log) for number, log in scan
+                        if log.address == address and number >= since
+                        and name in (None, log.name)
+                    ]
+        assert list(chain.events(address=rich.address)) == []
+        assert list(chain.events(name="Approval")) == [
+            entry for entry in scan if entry[1].name == "Approval"]
+
+
 class TestVerification:
     def test_fresh_chain_verifies(self, chain, funded_wallet):
         funded_wallet.transfer("0x" + "11" * 20, 5)
@@ -201,6 +248,59 @@ class TestVerification:
         chain.mine_block()
         chain.blocks[2].header.parent_hash = b"\x00" * 32
         with pytest.raises(InvalidBlockError):
+            chain.verify_chain()
+
+    def test_chain_cut_at_the_front_is_detected(self, chain):
+        for _ in range(3):
+            chain.mine_block()
+        del chain.blocks[0:2]  # what is left links up and is sealed
+        with pytest.raises(InvalidBlockError, match="genesis"):
+            chain.verify_chain()
+
+    def test_empty_chain_is_detected(self, chain):
+        chain.blocks.clear()
+        with pytest.raises(InvalidBlockError, match="genesis"):
+            chain.verify_chain()
+
+    def test_seals_go_to_one_batch_and_no_individual_verifies(
+            self, rng, monkeypatch):
+        consensus = ProofOfAuthority.with_generated_validators(3, rng)
+        chain = Blockchain(consensus)
+        for _ in range(7):
+            chain.mine_block()
+        batches, singles = [], []
+        real_batch = consensus_mod.batch_verify
+        real_verify = PublicKey.verify
+
+        def counting_batch(items, stats=None):
+            batches.append(len(items))
+            return real_batch(items, stats)
+
+        def counting_verify(key, message, signature):
+            singles.append(key)
+            return real_verify(key, message, signature)
+
+        monkeypatch.setattr(consensus_mod, "batch_verify", counting_batch)
+        monkeypatch.setattr(PublicKey, "verify", counting_verify)
+        ecdsa._VERIFY_CACHE.clear()
+        chain.verify_chain()  # eight fresh seals, folded onto three keys
+        chain.verify_chain()  # eight answers from the verification LRU
+        chain.mine_block()
+        chain.mine_block()
+        chain.verify_chain()  # two fresh seals among eight remembered
+        assert batches == [8, 8, 10]
+        assert singles == []
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_one_bad_seal_among_forty_is_detected(self, chain, warm):
+        for _ in range(40):
+            chain.mine_block()
+        ecdsa._VERIFY_CACHE.clear()
+        if warm:
+            chain.verify_chain()
+        # A genuine signature by the right validator, over another header.
+        chain.blocks[23].header.seal = chain.blocks[22].header.seal
+        with pytest.raises(InvalidBlockError, match="block 23"):
             chain.verify_chain()
 
     def test_tx_root_matches_body(self, chain, funded_wallet):

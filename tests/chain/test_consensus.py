@@ -44,12 +44,22 @@ class TestValidatorSet:
             assert poa.proposer_for(number).address == expected
 
 
+def assert_rejected(poa: ProofOfAuthority, header: BlockHeader) -> None:
+    """Alone or in a batch of one, a header is rejected for the same reason."""
+    with pytest.raises(InvalidBlockError) as single:
+        poa.verify_seal(header)
+    with pytest.raises(InvalidBlockError) as batched:
+        poa.verify_seals([header])
+    assert str(single.value) == str(batched.value)
+
+
 class TestSealing:
     def test_seal_and_verify(self, poa):
         proposer = poa.proposer_for(1)
         header = make_header(proposer.address)
         poa.seal(header)
         poa.verify_seal(header)
+        poa.verify_seals([header])
 
     def test_wrong_proposer_cannot_seal(self, poa):
         wrong = poa.proposer_for(2)  # not scheduled for block 1
@@ -57,23 +67,36 @@ class TestSealing:
         with pytest.raises(InvalidBlockError):
             poa.seal(header)
 
+    def test_seal_by_an_unscheduled_validator_rejected(self, poa):
+        header = make_header(poa.proposer_for(2).address, number=2)
+        poa.seal(header)
+        header.number = 1  # a genuine seal, out of turn
+        assert_rejected(poa, header)
+
     def test_unsealed_header_rejected(self, poa):
         header = make_header(poa.proposer_for(1).address)
-        with pytest.raises(InvalidBlockError):
-            poa.verify_seal(header)
+        assert_rejected(poa, header)
 
     def test_tampered_seal_detected(self, poa):
         proposer = poa.proposer_for(1)
         header = make_header(proposer.address)
         poa.seal(header)
         header.gas_used = 999  # covered by the seal payload
-        with pytest.raises(InvalidBlockError):
-            poa.verify_seal(header)
+        assert_rejected(poa, header)
 
     def test_foreign_key_detected(self, poa, rng):
         proposer = poa.proposer_for(1)
         header = make_header(proposer.address)
         poa.seal(header)
         header.validator_public_key = PrivateKey.generate(rng).public_key
-        with pytest.raises(InvalidBlockError):
-            poa.verify_seal(header)
+        assert_rejected(poa, header)
+
+    def test_a_batch_names_the_header_it_rejects(self, poa):
+        headers = [make_header(poa.proposer_for(number).address, number)
+                   for number in range(1, 7)]
+        for header in headers:
+            poa.seal(header)
+        poa.verify_seals(headers)
+        headers[3].gas_used = 999
+        with pytest.raises(InvalidBlockError, match="block 4"):
+            poa.verify_seals(headers)

@@ -8,8 +8,10 @@ here as oracles:
 
 * :func:`apply_with_snapshot` — the state transition of commit ``5d597fa``:
   deep-copy the whole state before execution, put the copy back on revert;
-* :func:`repro.chain.audit.recompute_state_root` — one canonical encoding of
-  the whole state, which is also what the chain auditor checks headers with.
+* :func:`recompute_state_root` — one canonical encoding of the whole state,
+  which is what the chain auditor checked headers with before it kept its
+  own per-contract encodings (``tests/chain/test_audit_root.py`` holds that
+  differential).
 
 Generated sequences of transactions run on two states, one per
 implementation, and must agree on state, receipts and root after every step.
@@ -24,11 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chain import gas as gas_schedule
-from repro.chain.audit import recompute_state_root
 from repro.chain.contract import Contract, ContractRegistry
 from repro.chain.state import WorldState, WriteJournal
 from repro.chain.transaction import CREATE, Receipt, Transaction
 from repro.chain.vm import VM, BlockContext, ExecutionContext, GasMeter
+from repro.crypto.hashing import hash_object
 from repro.errors import ContractError, OutOfGasError
 from tests.chain.test_known_answers import aggregate_session, small_market
 from tests.chain.test_block_verify import _receipt_key
@@ -98,6 +100,18 @@ def _registry() -> ContractRegistry:
     return registry
 
 
+def recompute_state_root(state: WorldState) -> bytes:
+    """The state root from scratch: one canonical encoding of everything."""
+    return hash_object({
+        "balances": {k: v for k, v in sorted(state.balances.items()) if v},
+        "nonces": dict(sorted(state.nonces.items())),
+        "contracts": {
+            address: contract.storage
+            for address, contract in sorted(state.contracts.items())
+        },
+    })
+
+
 def apply_with_snapshot(vm: VM, state: WorldState, block: BlockContext,
                         tx: Transaction) -> Receipt:
     """``VM.apply_transaction`` as of 5d597fa (``isolation="snapshot"``)."""
@@ -164,7 +178,7 @@ OPS = st.lists(
     st.tuples(st.sampled_from(["put", "put", "drop", "grow"]), PATHS, VALUES),
     max_size=4,
 )
-STEPS = st.lists(st.one_of(
+STEP = st.one_of(
     st.tuples(st.just("deploy"), st.integers(0, 1), st.booleans()),
     st.tuples(st.just("batch"), st.integers(0, 1), st.integers(0, 3), OPS,
               st.sampled_from(["ok", "ok", "fail", "burn"]),
@@ -173,7 +187,8 @@ STEPS = st.lists(st.one_of(
               st.integers(0, 10**6)),
     st.tuples(st.just("snapshot")),
     st.tuples(st.just("restore")),
-), min_size=1, max_size=12)
+)
+STEPS = st.lists(STEP, min_size=1, max_size=12)
 
 
 def _transaction(step: tuple, state: WorldState) -> Transaction:
@@ -395,7 +410,27 @@ def test_inner_revert_leaves_outer_context_and_journal_intact():
 # ---------------------------------------------------------------------------
 
 
+def record_encodings(monkeypatch, module) -> list:
+    """Every document ``module`` canonically encodes from here on."""
+    seen: list = []
+    real_encode = module.canonical_json_bytes
+
+    def recording_encode(value):
+        seen.append(value)
+        return real_encode(value)
+
+    monkeypatch.setattr(module, "canonical_json_bytes", recording_encode)
+    return seen
+
+
+def contracts_among(documents: list, state: WorldState) -> list[str]:
+    """A contract is encoded as the one-key document {address: storage}."""
+    return [next(iter(doc)) for doc in documents
+            if len(doc) == 1 and next(iter(doc)) in state.contracts]
+
+
 def test_a_session_on_a_tall_chain_touches_only_what_it_wrote(monkeypatch):
+    from repro.chain import audit as audit_module
     from repro.chain import state as state_module
 
     market, consumer = small_market(8, providers=4, rows=25, executors=2)
@@ -415,30 +450,41 @@ def test_a_session_on_a_tall_chain_touches_only_what_it_wrote(monkeypatch):
         return real_snapshot(self)
 
     monkeypatch.setattr(WorldState, "snapshot", counting_snapshot)
-    encoded: list[str] = []
-    real_encode = state_module.canonical_json_bytes
-
-    def counting_encode(value):
-        # A contract is encoded as the one-key document {address: storage}.
-        if len(value) == 1 and next(iter(value)) in chain.state.contracts:
-            encoded.append(next(iter(value)))
-        return real_encode(value)
-
-    monkeypatch.setattr(state_module, "canonical_json_bytes", counting_encode)
+    sealed = record_encodings(monkeypatch, state_module)
+    audited = record_encodings(monkeypatch, audit_module)
+    # Block observers run after the auditor: where each block's share ends.
+    marks = [0]
+    chain.block_observers.append(lambda block: marks.append(len(audited)))
     aggregate_session(market, consumer, f"tall-{index}")
 
     blocks = chain.blocks[height_before + 1:]
+    assert len(blocks) == len(marks) - 1 >= 4
     touched = set()
-    for block in blocks:
+    audited_contracts = set()
+    for block, begin, end in zip(blocks, marks, marks[1:]):
+        wrote = set()
         for tx in block.transactions:
             receipt = chain.receipt_for(tx.tx_hash)
-            touched.update(filter(None, [tx.to, receipt.contract_address]))
-            touched.update(log.address for log in receipt.logs)
+            wrote.update(filter(None, [tx.to, receipt.contract_address]))
+            wrote.update(log.address for log in receipt.logs)
+        # The auditor's own root: the contracts this block wrote, each
+        # once, then balances and nonces — and nothing else.
+        *contracts, balances, nonces = audited[begin:end]
+        addresses = contracts_among(contracts, chain.state)
+        assert len(addresses) == len(contracts)
+        assert addresses == sorted(set(addresses)) and set(addresses) <= wrote
+        assert len(balances) > 1 and nonces is chain.state.nonces
+        touched |= wrote
+        audited_contracts.update(addresses)
+    encoded = contracts_among(sealed, chain.state)
     assert len(contracts_before) >= 12
     assert snapshots == []
     assert set(encoded) <= touched & set(chain.state.contracts)
     # At most once per block that wrote it — never once per root per contract.
     assert len(encoded) <= len(blocks) * len(set(encoded))
     assert len(set(encoded)) < len(contracts_before) / 4
+    # What the values say was written is what the write hooks say.
+    assert audited_contracts == set(encoded)
     assert chain.auditor.summary()["violation_count"] == 0
     assert chain.state.state_root() == recompute_state_root(chain.state)
+    assert chain.auditor.state_root() == chain.state.state_root()

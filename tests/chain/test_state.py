@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.audit import recompute_state_root
 from repro.chain.contract import Contract
 from repro.chain.state import WorldState
 from repro.chain.vm import ExecutionContext, GasMeter
 from repro.errors import InsufficientBalanceError, UnknownContractError
+from tests.chain.test_journal_root import recompute_state_root
 
 ALICE = "0x" + "aa" * 20
 BOB = "0x" + "bb" * 20
@@ -155,8 +155,8 @@ class TestStateRoot:
 
     def test_direct_storage_write_is_invisible_to_the_root(self, state):
         # The converse rule: anything else is tampering.  The root keeps
-        # the stale encoding; the auditor's from-scratch recompute is what
-        # catches it (tests/chain/test_audit.py).
+        # the stale encoding; the auditor's own root is what catches it
+        # (tests/chain/test_audit_root.py).
         contract = Contract()
         state.install_contract(ALICE, contract)
         root_before = state.state_root()

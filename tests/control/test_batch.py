@@ -158,20 +158,29 @@ class TestBatchExecute:
         assert report.results["job-bad"].outcome == "error"
 
     def test_operator_kill_aborts_then_resume_completes(self, tmp_path):
-        # Enough jobs that the batch outlasts the kill several times over:
-        # ten of them finish in about 0.6 s since sessions stopped paying
-        # for whole-state snapshots, which is when the kill lands.
+        # The kill lands when the first result is journaled, however fast
+        # sessions are: 29 jobs are still queued or running by then.
         specs = clean_specs(30, seed0=950)
         root = str(tmp_path / "batch")
         submit_batch(root, specs)
         db = JobsDB.open(root)
+        finished = threading.Event()
 
-        def kill_soon():
-            time.sleep(0.6)
-            db.request_kill("test")
+        def kill_after_first_result():
+            while not finished.is_set():
+                if db.results():
+                    db.request_kill("test")
+                    return
+                time.sleep(0.01)
 
-        threading.Thread(target=kill_soon, daemon=True).start()
-        aborted = batch_execute(root, workers=2)
+        killer = threading.Thread(target=kill_after_first_result, daemon=True)
+        killer.start()
+        try:
+            aborted = batch_execute(root, workers=2)
+        finally:
+            finished.set()
+            killer.join(timeout=10)
+        assert not killer.is_alive()
         assert aborted.status == BATCH_FAILED
         assert aborted.aborted
         assert len(aborted.results) < 30

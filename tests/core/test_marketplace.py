@@ -210,14 +210,21 @@ class TestDataPathDoesWorkOnce:
     def test_entry_point_source_read_once(self, market_setup, monkeypatch):
         market, _, consumer, _ = market_setup
         enclave_module._measure.cache_clear()
+        enclave_module._measured_text.cache_clear()
         reads = self._count_calls(monkeypatch, inspect, "getsource")
-        first = market.run_workload(consumer, har_spec(workload_id="wl-m1"))
+        # Two workloads are two code units (name and version differ) over
+        # one entry point, whose source is read for the first only.
+        measurements = []
+        for workload_id in ("wl-m1", "wl-m2"):
+            spec = har_spec(workload_id=workload_id)
+            report = market.run_workload(consumer, spec)
+            onchain = consumer.wallet.view(report.workload_address,
+                                           "code_measurement")
+            assert onchain == market.executors[0].code_for(
+                spec).measurement.hex()
+            measurements.append(onchain)
         assert [args[0] for args in reads] == [enclave_entry_point]
-        onchain = consumer.wallet.view(first.workload_address,
-                                       "code_measurement")
-        assert onchain == market.executors[0].code_for(
-            har_spec(workload_id="wl-m1")).measurement.hex()
-        assert len(reads) == 1
+        assert measurements[0] != measurements[1]
 
 
 class TestActiveExecutors:
