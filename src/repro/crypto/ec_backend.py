@@ -8,28 +8,32 @@ so a full scalar multiplication needs exactly **one** inversion, at the very
 end.  On top of the coordinate change it layers the classic
 speed-for-memory trades:
 
-* a **fixed-base window table** for the generator ``G`` (64 windows of 4 bits,
-  960 precomputed affine points): key generation and signing become ~64 mixed
-  additions with no doublings at all;
+* a **fixed-base comb table** for the generator ``G`` (33 rows of signed
+  8-bit digits, 128 affine points each — 4 224 points, ≈ 0.8 MB): key
+  generation and signing become at most 33 mixed additions with no doublings
+  at all;
 * **wNAF** (width-5 non-adjacent form) recoding for variable-point
   multiplication, cutting additions from ~128 to ~43 per 256-bit scalar;
 * **Shamir's trick** (interleaved dual-scalar multiplication) for the
   ``u1·G + u2·Q`` inside ECDSA verification: one shared doubling chain instead
   of two, with a wide (width-7) precomputed wNAF table for the ``G`` side;
 * the **GLV endomorphism** on every variable-base path: each full-length
-  scalar splits into two half-length ones, so ~128 doublings instead of ~256.
+  scalar splits into two half-length ones, so ~128 doublings instead of ~256;
+* **Pippenger's bucket method** for wide batches of points that will not
+  recur (a block's signature nonce points): no per-point table at all, one
+  mixed addition per point per window.
 
 There is one variable-base engine, :func:`multi_scalar_mult`; ECDH
 (:func:`scalar_mult`), single verification
 (:func:`double_scalar_mult_base`) and batch verification are its one-point,
 one-pair and many-pair cases.
 
-All tables are built lazily on first use and normalized to affine with a
-single batched inversion (Montgomery's trick), so importing this module costs
-nothing.  Points at the API boundary are affine ``(x, y)`` tuples or ``None``
-for the point at infinity — the same convention as the affine reference in
-:mod:`repro.crypto.ecdsa`, which is retained there as a differential-testing
-oracle.
+All tables are built lazily on first use, sharing one inversion across many
+points (Montgomery's trick, :func:`batch_inverse`), so importing this module
+costs nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
+``None`` for the point at infinity — the same convention as the affine
+reference in :mod:`repro.crypto.ecdsa`, which is retained there as a
+differential-testing oracle.
 """
 
 from __future__ import annotations
@@ -50,14 +54,22 @@ AffinePoint = Optional[tuple[int, int]]
 #: Jacobian point (X, Y, Z); None is the point at infinity.
 JacobianPoint = Optional[tuple[int, int, int]]
 
-# Fixed-base table geometry: 4-bit windows over 256-bit scalars.
-_FB_WINDOW_BITS = 4
-_FB_WINDOWS = 256 // _FB_WINDOW_BITS
-_FB_TABLE_SIZE = (1 << _FB_WINDOW_BITS) - 1  # odd+even digits 1..15
+# Fixed-base comb geometry: signed 8-bit digits over 256-bit scalars.  A row
+# holds the multiples 1..128 of its window base (a negative digit negates y
+# for free), and one row beyond the scalar's 32 bytes takes the final carry.
+_COMB_BITS = 8
+_COMB_HALF = 1 << (_COMB_BITS - 1)
+_COMB_ROWS = 256 // _COMB_BITS + 1
 
 # wNAF widths: wide for the static G table, narrower for per-call points.
 _WNAF_BASE_WIDTH = 7
 _WNAF_POINT_WIDTH = 5
+
+# One-shot points at or above this count go through Pippenger's buckets
+# instead of per-point wNAF tables.  Bucket ÷ Strauss wall time, measured:
+# 1.5 at 8 points, 1.07 at 32, 1.0 at 48, 0.93 at 64, 0.77 at 128, 0.65 at
+# 256 (EXPERIMENTS §E25) — the first power of two past the crossover.
+_BUCKET_MIN_POINTS = 64
 
 # Scalars at or below this length skip the GLV split in multi-scalar
 # multiplication: they are already no longer than the half-length components
@@ -174,34 +186,43 @@ def to_affine(point: JacobianPoint) -> AffinePoint:
     return (x * z_inv_sq % P, y * z_inv_sq * z_inv % P)
 
 
-def batch_to_affine(points: list[JacobianPoint]) -> list[AffinePoint]:
-    """Normalize many Jacobian points with ONE inversion (Montgomery's trick).
+def batch_inverse(values: Sequence[int], modulus: int) -> list[int]:
+    """Inverses of non-zero residues with ONE inversion (Montgomery's trick).
 
-    Used when building precomputation tables: inverting 960 Z coordinates
-    one-by-one would cost more than the table saves.
+    Three multiplications per value replace its own extended-Euclid run:
+    invert the product of all of them, then peel one inverse off per value
+    walking backwards through the prefix products.  The caller guarantees
+    every value is non-zero mod ``modulus`` (a zero would zero the product).
     """
-    # Prefix products of the non-zero Zs.
-    zs = [p[2] for p in points if p is not None and p[2] != 0]
-    if not zs:
-        return [None] * len(points)
-    prefix = [1] * (len(zs) + 1)
-    for index, z in enumerate(zs):
-        prefix[index + 1] = prefix[index] * z % P
-    inv_all = field_inverse(prefix[-1])
-    # Walk backwards, peeling one inverse Z per point.
-    inv_zs: list[int] = [0] * len(zs)
-    for index in range(len(zs) - 1, -1, -1):
-        inv_zs[index] = prefix[index] * inv_all % P
-        inv_all = inv_all * zs[index] % P
+    if not values:
+        return []
+    prefix = [1] * (len(values) + 1)
+    for index, value in enumerate(values):
+        prefix[index + 1] = prefix[index] * value % modulus
+    inv_all = pow(prefix[-1], -1, modulus)
+    inverses = [0] * len(values)
+    for index in range(len(values) - 1, -1, -1):
+        inverses[index] = prefix[index] * inv_all % modulus
+        inv_all = inv_all * values[index] % modulus
+    return inverses
+
+
+def batch_to_affine(points: list[JacobianPoint]) -> list[AffinePoint]:
+    """Normalize many Jacobian points with one shared inversion.
+
+    Used when building precomputation tables: inverting thousands of Z
+    coordinates one-by-one would cost more than the table saves.
+    """
+    inv_zs = iter(batch_inverse(
+        [p[2] for p in points if p is not None and p[2] != 0], P
+    ))
     result: list[AffinePoint] = []
-    cursor = 0
     for point in points:
         if point is None or point[2] == 0:
             result.append(None)
             continue
         x, y, _ = point
-        z_inv = inv_zs[cursor]
-        cursor += 1
+        z_inv = next(inv_zs)
         z_inv_sq = z_inv * z_inv % P
         result.append((x * z_inv_sq % P, y * z_inv_sq * z_inv % P))
     return result
@@ -251,22 +272,36 @@ _PHI_G_WNAF_TABLE: Optional[list[AffinePoint]] = None
 
 
 def _fixed_base_table() -> list[list[AffinePoint]]:
-    """``table[i][d-1] = d · 16^i · G`` for windows ``i`` and digits ``d``."""
+    """``table[i][d-1] = d · 256^i · G`` for rows ``i`` and digits ``d``.
+
+    Built in affine coordinates with the rows in lock step: entry ``d`` of
+    every row is entry ``d − 1`` plus the row's base, and the 33 slope
+    denominators of one step share a single inversion — about six
+    multiplications per point and no normalization pass afterwards.
+    """
     global _FIXED_BASE_TABLE
     if _FIXED_BASE_TABLE is None:
-        flat: list[JacobianPoint] = []
-        window_base: JacobianPoint = (GX, GY, 1)
-        for _ in range(_FB_WINDOWS):
-            entry = window_base
-            for _ in range(_FB_TABLE_SIZE):
-                flat.append(entry)
-                entry = jacobian_add(entry, window_base)
-            window_base = entry  # 16 · previous window base
-        affine = batch_to_affine(flat)
-        _FIXED_BASE_TABLE = [
-            affine[row * _FB_TABLE_SIZE:(row + 1) * _FB_TABLE_SIZE]
-            for row in range(_FB_WINDOWS)
-        ]
+        jacobian_bases: list[JacobianPoint] = [(GX, GY, 1)]
+        for _ in range(_COMB_ROWS - 1):
+            point = jacobian_bases[-1]
+            for _ in range(_COMB_BITS):
+                point = jacobian_double(point)
+            jacobian_bases.append(point)
+        bases = batch_to_affine(jacobian_bases)
+        doubles = batch_to_affine([jacobian_double(b) for b in jacobian_bases])
+        table = [[base, double] for base, double in zip(bases, doubles)]
+        for _ in range(_COMB_HALF - 2):
+            # d·B and B never share an x for 2 ≤ d ≤ 128, so no denominator
+            # is zero and the plain chord formula covers every step.
+            inverses = batch_inverse(
+                [row[-1][0] - row[0][0] for row in table], P
+            )
+            for row, inverse in zip(table, inverses):
+                (x1, y1), (x2, y2) = row[-1], row[0]
+                slope = (y1 - y2) * inverse % P
+                x3 = (slope * slope - x1 - x2) % P
+                row.append((x3, (slope * (x1 - x3) - y1) % P))
+        _FIXED_BASE_TABLE = table
     return _FIXED_BASE_TABLE
 
 
@@ -294,22 +329,29 @@ _POINT_TABLE_CACHE_MAX = 512
 
 @profiled_function("ec.scalar_mult_base")
 def scalar_mult_base(scalar: int) -> AffinePoint:
-    """``scalar · G`` via the fixed-base window table (no doublings)."""
+    """``scalar · G`` via the signed 8-bit comb table (no doublings)."""
     _SCALAR_MULTS.labels(kind="base").inc()
     scalar %= N
     if scalar == 0:
         return None
-    table = _fixed_base_table()
     p = P
     # Mixed additions inlined over scalar locals (az == 0 is infinity); this
-    # is the signing hot loop, ~64 iterations with no doublings at all.
+    # is the signing hot loop, at most 33 iterations with no doublings.
     ax = ay = az = 0
-    for window in range(_FB_WINDOWS):
-        digit = scalar & _FB_TABLE_SIZE
-        scalar >>= _FB_WINDOW_BITS
+    carry = 0
+    for row, byte in zip(_fixed_base_table(),
+                         scalar.to_bytes(_COMB_ROWS, "little")):
+        digit = byte + carry
+        carry = digit > _COMB_HALF
+        if carry:  # signed digit: borrow 256 from the next window
+            digit -= 1 << _COMB_BITS
         if not digit:
             continue
-        qx, qy = table[window][digit - 1]
+        if digit > 0:
+            qx, qy = row[digit - 1]
+        else:
+            qx, qy = row[-digit - 1]
+            qy = p - qy
         if az == 0:
             ax, ay, az = qx, qy, 1
             continue
@@ -504,6 +546,58 @@ def _point_tables_batched(points: list[tuple[int, int]],
     return result
 
 
+def _bucket_events(pairs: list[tuple[int, tuple[int, int]]],
+                   ) -> list[tuple[int, tuple[int, int]]]:
+    """Pippenger's bucket method: ``Σ kᵢ·Pᵢ`` as addends for a doubling chain.
+
+    Every scalar (``0 < kᵢ < n``) is cut into signed ``c``-bit digits, ``c``
+    from the pair count; within window ``j`` a point is added into the bucket
+    of its digit's magnitude — one mixed addition, y negated for a negative
+    digit — and a running sum collapses the buckets to
+    ``Sⱼ = Σ_b b·bucket[b]``.  Returns ``[(c·j, Sⱼ), …]`` (affine, one shared
+    inversion, infinities dropped) with ``Σ kᵢ·Pᵢ = Σⱼ 2^(c·j)·Sⱼ``.  No
+    per-point table is built or normalized and nothing is wNAF-recoded: a
+    point costs its ``bits/c`` additions, a window a fixed ``2^c`` additions
+    for the collapse.
+    """
+    # Measured optimum 5/6/7/7/8 bits at 64/128/256/512/1024 points, flat
+    # within 4 % one bit either side.
+    width = max(4, len(pairs).bit_length() - 3)
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    # One window beyond the longest scalar takes the final carry.
+    windows = max(k.bit_length() for k, _ in pairs) // width + 1
+    buckets: list[list[JacobianPoint]] = [[None] * half
+                                          for _ in range(windows)]
+    for k, point in pairs:
+        negated = (point[0], P - point[1])
+        for row in buckets:
+            if not k:
+                break
+            digit = k & mask
+            k >>= width
+            if digit > half:  # signed digit: borrow from the next window
+                digit -= full
+                k += 1
+            if digit > 0:
+                row[digit - 1] = jacobian_add_affine(row[digit - 1], point)
+            elif digit < 0:
+                row[-digit - 1] = jacobian_add_affine(row[-digit - 1],
+                                                      negated)
+    sums: list[JacobianPoint] = []
+    for row in buckets:
+        running: JacobianPoint = None
+        total: JacobianPoint = None
+        for held in reversed(row):
+            running = jacobian_add(running, held)
+            total = jacobian_add(total, running)
+        sums.append(total)
+    return [(width * window, point)
+            for window, point in enumerate(batch_to_affine(sums))
+            if point is not None]
+
+
 @profiled_function("ec.multi_scalar_mult")
 def multi_scalar_mult(base_scalar: int,
                       pairs: list[tuple[int, AffinePoint]],
@@ -523,16 +617,24 @@ def multi_scalar_mult(base_scalar: int,
 
     ``one_shot_pairs`` are further ``(kᵢ, Qᵢ)`` terms of the same sum whose
     points will not recur (signature nonce points): their tables stay out
-    of the per-point LRU that ``pairs`` (public keys) share across calls.
+    of the per-point LRU that ``pairs`` (public keys) share across calls,
+    and ``_BUCKET_MIN_POINTS`` or more of them skip tables altogether — they
+    go through :func:`_bucket_events` and join the doubling chain as
+    one addend per window.
     """
     base_scalar %= N
     live = [(k % N, q) for k, q in pairs if q is not None and k % N != 0]
     kept = len(live)
-    live += [(k % N, q) for k, q in one_shot_pairs
-             if q is not None and k % N != 0]
-    if not live:
+    one_shot = [(k % N, q) for k, q in one_shot_pairs
+                if q is not None and k % N != 0]
+    if not live and not one_shot:
         return scalar_mult_base(base_scalar)
     _SCALAR_MULTS.labels(kind="multi").inc()
+    bucket_events: list[tuple[int, tuple[int, int]]] = []
+    if len(one_shot) >= _BUCKET_MIN_POINTS:
+        bucket_events = _bucket_events(one_shot)
+    else:
+        live += one_shot
     tables = _point_tables_batched([q for _, q in live], kept)
     params = _glv_params()
     sources: list[tuple[int, int, list[AffinePoint]]] = []
@@ -565,9 +667,8 @@ def multi_scalar_mult(base_scalar: int,
         for scalar, width, table in sources
         if scalar != 0
     ]
-    if not streams:
-        return None
-    length = max(len(digits) for digits, _ in streams)
+    length = max([len(digits) for digits, _ in streams]
+                 + [bit + 1 for bit, _ in bucket_events], default=0)
     p = P
     # Resolve every non-zero digit to its affine addend up front, bucketed
     # by bit position.  With dozens of interleaved streams the inner loop
@@ -582,6 +683,8 @@ def multi_scalar_mult(base_scalar: int,
             elif digit < 0:
                 x, y = table[(-digit) >> 1]
                 events[index].append((x, p - y))
+    for bit, point in bucket_events:
+        events[bit].append(point)
     # The accumulator lives in three scalar locals (az == 0 means
     # infinity) with doubling and mixed addition open-coded: over ~128-256
     # iterations tuple packing and helper calls are the dominant

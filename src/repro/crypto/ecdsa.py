@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
@@ -135,14 +135,23 @@ def _point_mul(scalar: int, point: _Point) -> _Point:
 class Signature:
     """An ECDSA signature ``(r, s)`` with a recovery-style parity bit ``v``.
 
-    ``v`` records the parity of the nonce point's y coordinate.  The
-    reproduction verifies against an explicit public key, so ``v`` is kept
-    only for wire-format fidelity with Ethereum transactions.
+    ``v`` is the parity of the nonce point's y coordinate: together with
+    ``r`` it names that point, which is what lets :func:`batch_verify` turn
+    a signature into a point equation.  :meth:`PublicKey.verify` checks
+    against an explicit public key and ignores it.
+
+    ``nonce_y`` is an unsigned *hint*, not part of the signature: the signer
+    computed the nonce point and may leave its y coordinate here so a batch
+    verifier can confirm it with the curve equation instead of taking a
+    modular square root.  It is absent from the wire format, equality, the
+    hash and every cache key; a missing or wrong hint costs the verifier one
+    square root and changes no verdict.
     """
 
     r: int
     s: int
     v: int
+    nonce_y: Optional[int] = field(default=None, compare=False, repr=False)
 
     def to_bytes(self) -> bytes:
         """Serialize as 65 bytes: ``r (32) || s (32) || v (1)``."""
@@ -195,6 +204,10 @@ class PublicKey:
     y: int
 
     def __post_init__(self) -> None:
+        # Canonical coordinates only: x + p names the same point but would
+        # serialize differently and derive a different address.
+        if not (0 <= self.x < P and 0 <= self.y < P):
+            raise InvalidKeyError("public key coordinate out of range [0, p)")
         if not _is_on_curve((self.x, self.y)):
             raise InvalidKeyError("public key is not a point on secp256k1")
 
@@ -343,13 +356,16 @@ class PrivateKey:
             if s == 0:
                 attempt += 1
                 continue
-            v = point[1] & 1
-            if s > N // 2:  # enforce low-s, flipping the parity bit to match
+            nonce_y = point[1]
+            if s > N // 2:  # enforce low-s: −s signs for the point −R
                 s = N - s
-                v ^= 1
+                nonce_y = P - nonce_y
             _SIGN_TOTAL.inc()
             _SIGN_SECONDS.observe(_time.perf_counter() - began)
-            return Signature(r=r, s=s, v=v)
+            # The hint names (r, nonce_y); when R.x ≥ n (probability
+            # ~2⁻¹²⁸) that is not the nonce point, so none is given.
+            return Signature(r=r, s=s, v=nonce_y & 1,
+                             nonce_y=nonce_y if point[0] < N else None)
 
 
 def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
@@ -391,7 +407,8 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 _BATCH_COEFF_BITS = 128
 
 
-def _recover_nonce_point(r: int, v: int) -> _Point:
+def _recover_nonce_point(r: int, v: int,
+                         hint: Optional[int] = None) -> _Point:
     """Recover the signer's nonce point from ``(r, v)``.
 
     ``r`` is ``R.x mod n``; since ``n < p`` the x coordinate is ``r`` or
@@ -399,7 +416,17 @@ def _recover_nonce_point(r: int, v: int) -> _Point:
     None when neither candidate is a curve x-coordinate — no valid signature
     can exist for such an ``r``, but callers still route that case through
     the individual oracle rather than deciding here.
+
+    ``hint`` is the signer's claim for y (:attr:`Signature.nonce_y`).  It is
+    taken only when it is a field element of parity ``v`` with
+    ``hint² = r³ + 7`` — and then ``(r, hint)`` *is* the point the square
+    root below would return: ``r³ + 7`` is a residue, so the loop stops at
+    ``x = r``, and of its two roots only one has parity ``v``.  Any other
+    hint is ignored.
     """
+    if (hint is not None and 0 < hint < P and (hint & 1) == (v & 1)
+            and hint * hint % P == (r * r * r + B) % P):
+        return (r, hint)
     for x in (r, r + N):
         if x >= P:
             continue
@@ -476,7 +503,8 @@ def batch_verify(
         return [public_key.verify(message, signature)]
     verdicts: list[Optional[bool]] = [None] * len(items)
     singles: list[int] = []
-    batch: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, u1, u2, Q, R)
+    pending: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, z, r, Q, R)
+    pending_s: list[int] = []
     cache_keys: list[Optional[tuple[int, int, int, int, int]]] = [None] * len(items)
     for index, (public_key, message, signature) in enumerate(items):
         r, s = signature.r, signature.s
@@ -495,18 +523,20 @@ def batch_verify(
             verdicts[index] = cached
             continue
         cache_keys[index] = cache_key
-        nonce_point = _recover_nonce_point(r, signature.v)
+        nonce_point = _recover_nonce_point(r, signature.v, signature.nonce_y)
         if nonce_point is None:
             singles.append(index)
             continue
-        s_inv = _inverse_mod(s, N)
-        batch.append((
-            index,
-            digest * s_inv % N,
-            r * s_inv % N,
-            (public_key.x, public_key.y),
-            nonce_point,
-        ))
+        pending.append((index, digest, r, (public_key.x, public_key.y),
+                        nonce_point))
+        pending_s.append(s)
+    # Every s here passed the range check above, so none is zero mod n and
+    # the whole batch shares one inversion.
+    batch = [  # (idx, u1, u2, Q, R)
+        (index, digest * s_inv % N, r * s_inv % N, q, nonce_point)
+        for (index, digest, r, q, nonce_point), s_inv
+        in zip(pending, ec_backend.batch_inverse(pending_s, N))
+    ]
 
     began = _time.perf_counter()
     subchecks = 0

@@ -17,6 +17,7 @@ RNG and embedding them in the envelope.
 
 from __future__ import annotations
 
+import hashlib
 import hmac
 from dataclasses import dataclass
 
@@ -41,9 +42,14 @@ def _derive_subkeys(key: bytes) -> tuple[bytes, bytes]:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
+    # Block i is SHA256(enc_key || nonce || i); the 48-byte prefix is
+    # absorbed once and each block continues from a copy of that state.
+    keyed = hashlib.sha256(enc_key + nonce)
     blocks = []
     for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
-        blocks.append(sha256(enc_key + nonce + counter.to_bytes(8, "big")))
+        block = keyed.copy()
+        block.update(counter.to_bytes(8, "big"))
+        blocks.append(block.digest())
     return b"".join(blocks)[:length]
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.crypto.ecdsa import PrivateKey
+from repro.crypto.ecdsa import PrivateKey, batch_verify
 from repro.errors import AuthenticityError
 from repro.identity.device import (
     DeviceCertificate,
@@ -112,7 +112,18 @@ class AuthenticityVerifier:
                                              DeviceCertificate]],
                      now: float | None = None
                      ) -> tuple[list[SignedReading], list[str]]:
-        """Verify many readings; returns (accepted, rejection reasons)."""
+        """Verify many readings; returns (accepted, rejection reasons).
+
+        One device's readings share one key, so the signatures are checked
+        up front in a single key-folded :func:`batch_verify`.  That call
+        only leaves its verdicts in the verification LRU; :meth:`verify`
+        below still decides every reading, in order, and finds them there.
+        """
+        batch_verify([
+            (certificate.device_public_key, reading.signed_payload(),
+             reading.signature)
+            for reading, certificate in items
+        ])
         accepted: list[SignedReading] = []
         reasons: list[str] = []
         for reading, certificate in items:

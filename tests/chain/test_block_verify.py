@@ -4,7 +4,9 @@
 ``batch_verify`` call; these tests pin what the chain does with the
 verdicts: valid batches are included whole, bisection isolates a single
 corrupted signature (dropped, no receipt), receipts equal the per-item
-oracle's, and a forged head defers its sender's later nonces.
+oracle's, and a forged head defers its sender's later nonces.  The last
+class counts what a 512-transaction block costs in square roots and
+inversions mod n.
 """
 
 from __future__ import annotations
@@ -140,3 +142,51 @@ class TestBlockVerify:
         chain.mine_block()
         assert chain.receipt_for(fixed.tx_hash).status
         assert chain.receipt_for(second_hash).status
+
+
+class TestWideBlockCost:
+    """What a block's verification does *not* compute (``curve_ops`` counts
+    every square root and inversion mod n inside ``batch_verify`` only, so
+    the validator signing its seal stays out of the tally)."""
+
+    @staticmethod
+    def _mine_512(monkeypatch, curve_ops, seed, strip_hints):
+        chain, wallets = _build_chain(seed, 64)
+        for wallet in wallets:
+            for nonce in range(8):
+                tx = Transaction(
+                    sender=wallet.address, nonce=nonce, to="0x" + "77" * 20,
+                    value=1 + nonce, gas_limit=50_000,
+                ).sign(wallet.key)
+                if strip_hints:  # as a signature parsed off the wire
+                    sig = tx.signature
+                    tx.signature = Signature(sig.r, sig.s, sig.v)
+                chain.submit(tx)
+        spent = []
+        real = blockchain_mod.batch_verify
+
+        def metered(items, stats=None):
+            before = dict(curve_ops)
+            verdicts = real(items, stats)
+            spent.append({name: curve_ops[name] - before[name]
+                          for name in curve_ops})
+            return verdicts
+
+        monkeypatch.setattr(blockchain_mod, "batch_verify", metered)
+        block = chain.mine_block()
+        assert len(block.transactions) == 512
+        assert chain.observer.records[-1]["verify"] == {
+            "batched": 512, "singles": 0, "subchecks": 1, "depth": 0,
+            "invalid": 0,
+        }
+        return spent
+
+    def test_wallet_signed_block_takes_no_square_root_and_one_inversion(
+            self, monkeypatch, curve_ops):
+        assert self._mine_512(monkeypatch, curve_ops, 40, False) == [
+            {"sqrt": 0, "inverse_mod_n": 1}]
+
+    def test_block_without_hints_takes_512_square_roots_and_verifies(
+            self, monkeypatch, curve_ops):
+        assert self._mine_512(monkeypatch, curve_ops, 41, True) == [
+            {"sqrt": 512, "inverse_mod_n": 1}]

@@ -231,7 +231,11 @@ def test_journal_and_incremental_root_match_their_oracles(steps):
         else:
             tx = _transaction(step, live)
             journaled = vm.apply_transaction(live, BLOCK, tx)
-            snapshotted = apply_with_snapshot(vm, oracle, BLOCK, tx)
+            # Its own copy: storage_write keeps a reference to a dict or list
+            # from the payload, and one transaction applied to two states
+            # would otherwise let each state write into the other's storage.
+            snapshotted = apply_with_snapshot(vm, oracle, BLOCK,
+                                              copy.deepcopy(tx))
             assert _receipt_key(journaled) == _receipt_key(snapshotted)
             assert live.tx_journal is None
         assert image(live) == image(oracle)

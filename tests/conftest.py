@@ -39,3 +39,27 @@ def make_funded_wallet(chain, rng, name="wallet") -> Wallet:
     wallet = Wallet.generate(chain, rng, name)
     chain.state.credit(wallet.address, 10**12)
     return wallet
+
+
+@pytest.fixture
+def curve_ops(monkeypatch) -> dict:
+    """Counts the big-number operations batch verification exists to avoid.
+
+    ``pow`` is shadowed in the two EC modules, so every modular square root
+    (``sqrt``: exponent ``(p + 1) / 4`` mod p) and every inversion mod n
+    (``inverse_mod_n``) they perform is counted, whichever function asks.
+    """
+    from repro.crypto import ec_backend, ecdsa
+
+    counts = {"sqrt": 0, "inverse_mod_n": 0}
+
+    def counting_pow(base, exponent, modulus=None):
+        if modulus == ecdsa.P and exponent == (ecdsa.P + 1) // 4:
+            counts["sqrt"] += 1
+        elif modulus == ecdsa.N and exponent == -1:
+            counts["inverse_mod_n"] += 1
+        return pow(base, exponent, modulus)
+
+    for module in (ecdsa, ec_backend):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    return counts

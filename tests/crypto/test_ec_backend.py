@@ -171,6 +171,24 @@ class TestDifferentialScalarMult:
         assert scalar_mult_base(0) is None
         assert scalar_mult_base(N) is None
 
+    def test_fixed_base_comb_carry_chains(self):
+        """Signed 8-bit digits: a byte above 128 borrows from the next row,
+        a run of them carries through every row to the 33rd."""
+        scalars = [127, 128, 129, 255, 256, 257, 0x80FF, 0xFF80,
+                   int("80" * 32, 16), int("81" * 32, 16),
+                   int("ff" * 32, 16) % N, 2**255, N - 1, N - 2]
+        for scalar in scalars:
+            assert scalar_mult_base(scalar) == _point_mul(scalar, G), \
+                hex(scalar)
+
+    def test_fixed_base_table_geometry(self):
+        table = ec_backend._fixed_base_table()
+        assert [len(row) for row in table] == [128] * 33
+        for row_index in (0, 1, 32):
+            for digit in (1, 2, 3, 128):
+                assert table[row_index][digit - 1] == \
+                    _point_mul(digit << (8 * row_index), G)
+
     def test_fixed_base_bulk_1000(self):
         """The headline differential: 1000 random scalars, fast vs oracle."""
         mismatches = 0

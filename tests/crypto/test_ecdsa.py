@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.ecdsa import (
     N,
+    P,
     PrivateKey,
     PublicKey,
     Signature,
@@ -39,6 +40,29 @@ class TestKeys:
     def test_off_curve_point_rejected(self):
         with pytest.raises(InvalidKeyError):
             PublicKey(1, 1)
+
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_canonical_coordinate_rejected(self, key, axis):
+        # x + p names the same curve point, fits 32 bytes and would derive
+        # a different address.
+        x, y = key.public_key.x, key.public_key.y
+        for shift in (P, -P):
+            coords = (x + shift, y) if axis == "x" else (x, y + shift)
+            with pytest.raises(InvalidKeyError, match="out of range"):
+                PublicKey(*coords)
+
+    def test_non_canonical_encoding_rejected(self):
+        # Coordinates small enough that coordinate + p still fits 32 bytes:
+        # (1, √8) and (∛−6, 1) are on the curve (p ≡ 3 mod 4, p ≡ 7 mod 9).
+        for x, y in ((1, pow(8, (P + 1) // 4, P)),
+                     (pow(P - 6, (P + 2) // 9, P), 1)):
+            good = PublicKey(x, y)
+            assert PublicKey.from_bytes(good.to_bytes()) == good
+            shifted = (x + P, y) if x == 1 else (x, y + P)
+            encoded = b"\x04" + b"".join(c.to_bytes(32, "big")
+                                         for c in shifted)
+            with pytest.raises(InvalidKeyError, match="out of range"):
+                PublicKey.from_bytes(encoded)
 
     def test_from_seed_deterministic(self):
         assert PrivateKey.from_seed(b"dev-1").secret == \
@@ -108,6 +132,27 @@ class TestSignatures:
     def test_sign_verify_property(self, message):
         key = PrivateKey.from_seed(b"property-test")
         assert key.public_key.verify(message, key.sign(message))
+
+
+class TestNonceHintIsNotPartOfTheSignature:
+    def test_equality_hash_and_wire_format_ignore_the_hint(self, key):
+        signed = key.sign(b"hinted")
+        assert signed.nonce_y is not None
+        bare = Signature(signed.r, signed.s, signed.v)
+        other = Signature(signed.r, signed.s, signed.v, nonce_y=12345)
+        assert bare.nonce_y is None
+        assert signed == bare == other
+        assert hash(signed) == hash(bare) == hash(other)
+        assert len({signed, bare, other}) == 1
+        assert signed.to_bytes() == bare.to_bytes() == other.to_bytes()
+        assert len(signed.to_bytes()) == 65
+        assert repr(signed) == repr(bare)
+
+    def test_wire_round_trip_drops_the_hint_and_still_verifies(self, key):
+        signed = key.sign(b"wire")
+        parsed = Signature.from_bytes(signed.to_bytes())
+        assert parsed == signed and parsed.nonce_y is None
+        assert key.public_key.verify(b"wire", parsed)
 
 
 class TestMalleabilityHardening:

@@ -181,3 +181,54 @@ class TestAdversarialStream:
             [(reading, device.certificate) for reading, _ in stream]
         )
         assert set(verifier.stats.rejected) >= {"bad_signature", "duplicate"}
+
+    def test_warmed_batch_equals_the_reading_by_reading_loop(
+            self, manufacturer, registry, device, monkeypatch):
+        """``verify_batch`` checks the signatures in one ``batch_verify`` up
+        front; the decisions, their order and the reasons must be those of
+        calling ``verify`` reading by reading on a cold cache."""
+        from repro.crypto import ecdsa
+        from repro.identity import authenticity
+
+        rng = np.random.default_rng(57)
+        stream = simulate_adversarial_stream(device, honest_count=40,
+                                             attack_rate=0.4, rng=rng)
+        stranger = Manufacturer("ghost", b"ghost-root").build_device("SN-G")
+        items = [(reading, device.certificate) for reading, _ in stream]
+        # An unregistered maker, a certificate of the wrong serial and two
+        # readings out of order: rejected before or after the signature check.
+        items.insert(7, (stranger.produce_reading({"v": 1.0}, timestamp=1.0),
+                         stranger.certificate))
+        items.insert(20, (items[3][0], manufacturer.build_device(
+            "SN-other").certificate))
+        late = [device.produce_reading({"value": 0.0}, timestamp=stamp)
+                for stamp in (1000.0, 1001.0)]
+        items += [(reading, device.certificate) for reading in late[::-1]]
+
+        def outcome(verifier, run):
+            ecdsa._VERIFY_CACHE.clear()
+            accepted, reasons = run(verifier)
+            return ([r.sequence for r in accepted], reasons,
+                    verifier.stats.accepted, dict(verifier.stats.rejected))
+
+        def loop(verifier):
+            accepted, reasons = [], []
+            for reading, certificate in items:
+                try:
+                    verifier.verify(reading, certificate)
+                    accepted.append(reading)
+                except AuthenticityError as exc:
+                    reasons.append(str(exc))
+            return accepted, reasons
+
+        batches = []
+        real = authenticity.batch_verify
+        monkeypatch.setattr(
+            authenticity, "batch_verify",
+            lambda triples: batches.append(len(triples)) or real(triples))
+        warmed = outcome(AuthenticityVerifier(registry),
+                         lambda verifier: verifier.verify_batch(items))
+        assert batches == [len(items)]
+        assert warmed == outcome(AuthenticityVerifier(registry), loop)
+        assert {"bad_signature", "duplicate", "timestamp_regression",
+                "unknown_manufacturer", "bad_certificate"} <= set(warmed[3])
