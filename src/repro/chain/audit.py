@@ -116,42 +116,40 @@ class ChainAuditor:
         self.blocks_checked = 0
         self.violations: list[Violation] = []
         self.bundles: list[dict] = []
-        #: address -> (storage fingerprint, ``"address":{...}`` member of
-        #: the state-root document) as of the last :meth:`state_root`.
-        self._members: dict[str, tuple[Optional[bytes], bytes]] = {}
+        #: address -> (storage fingerprint, the contract's leaf of the state
+        #: root) as of the last :meth:`state_root`.
+        self._leaves: dict[str, tuple[Optional[bytes], bytes]] = {}
 
     # -- the auditor's own state root ---------------------------------------
 
     def state_root(self) -> bytes:
         """The root of the live world state, by the auditor's own means.
 
-        Byte for byte the document ``WorldState.state_root`` hashes, built
-        without asking the state what changed: every contract's storage is
-        fingerprinted (:func:`_fingerprint`) on every call, and a contract
-        is canonically encoded when its fingerprint is not the one its kept
-        member was encoded under.  Balances and nonces are encoded on every
-        call.
+        The value ``WorldState.state_root`` commits to — ``keccak(keccak(
+        balances) + keccak(nonces) + one leaf per contract in address
+        order)`` — built without asking the state what changed: every
+        contract's storage is fingerprinted (:func:`_fingerprint`) on every
+        call, and a contract is canonically encoded and its leaf re-hashed
+        when its fingerprint is not the one its kept leaf was made under.
+        Balances and nonces are encoded on every call.
         """
         state = self.chain.state
-        kept, members = self._members, {}
+        kept, leaves = self._leaves, {}
         for address, contract in sorted(state.contracts.items()):
             mark = _fingerprint(contract.storage)
-            member = kept.get(address)
-            if member is None or mark is None or member[0] != mark:
+            leaf = kept.get(address)
+            if leaf is None or mark is None or leaf[0] != mark:
                 # The one-key document without its braces: `"address":{...}`.
-                member = (mark, canonical_json_bytes(
-                    {address: contract.storage})[1:-1])
-            members[address] = member
+                leaf = (mark, keccak256(canonical_json_bytes(
+                    {address: contract.storage})[1:-1]))
+            leaves[address] = leaf
         # Contracts no longer deployed leave with the old dict.
-        self._members = members
-        balances = canonical_json_bytes(
-            {k: v for k, v in state.balances.items() if v})
-        nonces = canonical_json_bytes(state.nonces)
-        return keccak256(
-            b'{"balances":' + balances + b',"contracts":{'
-            + b",".join(member for _, member in members.values())
-            + b'},"nonces":' + nonces + b"}"
-        )
+        self._leaves = leaves
+        balances = keccak256(canonical_json_bytes(
+            {k: v for k, v in state.balances.items() if v}))
+        nonces = keccak256(canonical_json_bytes(state.nonces))
+        return keccak256(balances + nonces
+                         + b"".join(leaf for _, leaf in leaves.values()))
 
     # -- lifecycle hooks (called by Blockchain.mine_block) ------------------
 

@@ -390,21 +390,32 @@ class Blockchain:
 
     # -- verification ------------------------------------------------------------
 
-    def verify_chain(self) -> None:
-        """Re-verify every header, seal, and parent link from genesis.
+    def verify_chain(self, since: int = 0) -> None:
+        """Re-verify every header, seal, and parent link from block ``since``.
 
         This is the audit primitive: any retroactive tamper with a block body
         or header breaks either a tx root, a parent hash, or a seal, and a
         chain cut at the front no longer starts at genesis.  The seals are
         checked last, all in one batch.
+
+        From genesis by default.  With ``since = k`` the front is still
+        anchored and ``blocks[k]`` must be block ``k``; structure, order and
+        seals are checked for blocks ``k`` to the head, and the parent link
+        of block ``k`` into block ``k - 1``.  Blocks before ``k`` are then
+        vouched for only by that link and by the auditor that checked each
+        of them when it was sealed.
         """
         if not self.blocks:
             raise InvalidBlockError("the chain has no genesis block")
         genesis = self.blocks[0].header
         if genesis.number != 0 or genesis.parent_hash != GENESIS_PARENT:
             raise InvalidBlockError("the chain does not start at genesis")
-        previous: Optional[Block] = None
-        for block in self.blocks:
+        if (not 0 <= since < len(self.blocks)
+                or self.blocks[since].header.number != since):
+            raise InvalidBlockError(f"the chain holds no block {since}")
+        previous = self.blocks[since - 1] if since else None
+        segment = self.blocks[since:]
+        for block in segment:
             block.validate_structure()
             if previous is not None:
                 if block.header.parent_hash != previous.block_hash:
@@ -416,7 +427,7 @@ class Blockchain:
                 if block.header.timestamp < previous.header.timestamp:
                     raise InvalidBlockError("timestamps must not decrease")
             previous = block
-        self.consensus.verify_seals([block.header for block in self.blocks])
+        self.consensus.verify_seals([block.header for block in segment])
 
     # -- free views --------------------------------------------------------------
 

@@ -11,11 +11,13 @@ restored.
 state.  They have no production caller: the tests use them as the oracle
 the journal's revert is compared against.
 
-:meth:`WorldState.state_root` is incremental: each contract's canonical
-encoding is kept until the contract is written *through the VM* (or the
-journal, or ``restore``).  Writing ``contract.storage`` any other way is
-tampering: the root will not see it, and the chain auditor — which looks
-at every contract's storage itself every block — flags the block.
+:meth:`WorldState.state_root` is a two-level commitment — one 32-byte leaf
+per contract under one root hash — and incremental: a contract's leaf is
+kept until the contract is written *through the VM* (or the journal, or
+``restore``), so a root hashes what was written plus 32 bytes per contract.
+Writing ``contract.storage`` any other way is tampering: the root will not
+see it, and the chain auditor — which looks at every contract's storage
+itself every block — flags the block.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ class WorldState:
 
     def __post_init__(self) -> None:
         self._journal: Optional[WriteJournal] = None
-        # address -> b'"address":{...storage...}', the contract's member of
-        # the state-root document, valid until storage_changed(address).
-        self._contract_json: dict[str, bytes] = {}
+        # address -> the contract's leaf of the state root (see state_root),
+        # valid until storage_changed(address).
+        self._contract_leaves: dict[str, bytes] = {}
 
     # -- transaction context ---------------------------------------------------
 
@@ -235,13 +237,13 @@ class WorldState:
         self.storage_changed(address)
 
     def storage_changed(self, address: str) -> None:
-        """Forget the cached state-root encoding of one contract.
+        """Forget the cached state-root leaf of one contract.
 
         Called by every sanctioned storage mutation: the VM's
         ``storage_write``/``storage_delete``, a journal revert, a contract
         install, and :meth:`restore`.
         """
-        self._contract_json.pop(address, None)
+        self._contract_leaves.pop(address, None)
 
     # -- snapshots ------------------------------------------------------------
 
@@ -265,33 +267,33 @@ class WorldState:
                 del self.contracts[address]
         for address, storage in snap.contract_storages.items():
             self.contracts[address].storage = copy.deepcopy(storage)
-        self._contract_json.clear()
+        self._contract_leaves.clear()
 
     # -- commitments ------------------------------------------------------------
 
     def state_root(self) -> bytes:
         """A digest committing to the full state (used in block headers).
 
-        The Keccak-256 of the canonical JSON of ``{"balances": {nonzero},
-        "contracts": {address: storage}, "nonces": {...}}``, spliced from
-        one encoding per member: balances and nonces are encoded on every
-        call, a contract only when it was written since the last one.
+        Two levels: ``keccak(keccak(balances) + keccak(nonces) + leaf(a1) +
+        ... + leaf(aC))`` over the canonical JSON of the non-zero balances,
+        of the nonces, and one leaf per contract in sorted-address order,
+        ``leaf(a) = keccak(b'"a":{...storage...}')``.  A leaf's preimage
+        names its contract and the first two positions are fixed, so no
+        position needs a tag.  Balances and nonces are encoded on every
+        call, a contract only when it was written since the last one; what
+        is hashed is those encodings plus 32 bytes per contract.
         """
-        members = self._contract_json
-        contracts = []
+        leaves = self._contract_leaves
+        digests = [
+            keccak256(canonical_json_bytes(
+                {k: v for k, v in self.balances.items() if v})),
+            keccak256(canonical_json_bytes(self.nonces)),
+        ]
         for address in sorted(self.contracts):
-            member = members.get(address)
-            if member is None:
+            leaf = leaves.get(address)
+            if leaf is None:
                 # The one-key document without its braces: `"address":{...}`.
-                member = canonical_json_bytes(
-                    {address: self.contracts[address].storage})[1:-1]
-                members[address] = member
-            contracts.append(member)
-        balances = canonical_json_bytes(
-            {k: v for k, v in self.balances.items() if v})
-        nonces = canonical_json_bytes(self.nonces)
-        return keccak256(
-            b'{"balances":' + balances
-            + b',"contracts":{' + b",".join(contracts)
-            + b'},"nonces":' + nonces + b"}"
-        )
+                leaf = leaves[address] = keccak256(canonical_json_bytes(
+                    {address: self.contracts[address].storage})[1:-1])
+            digests.append(leaf)
+        return keccak256(b"".join(digests))

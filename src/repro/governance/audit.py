@@ -5,7 +5,11 @@ governance layer, in a trustless decentralized fashion."  Because every
 workload step emits events from a sealed chain, any party can re-derive and
 check the full history.  :func:`audit_workload` performs the checks:
 
-1. the chain itself verifies (seals, parent links, tx roots);
+1. the chain verifies (seals, parent links, tx roots) from the block of
+   the workload's first event to the head, and that block links to its
+   parent: the audit vouches for the segment that holds the workload;
+   ``Blockchain.verify_chain()`` is the whole-chain check, and every block
+   was checked by the chain auditor when it was sealed;
 2. the workload's event sequence respects the lifecycle state machine;
 3. every paid reward corresponds to a recorded participant;
 4. reward conservation: total payouts equal the escrowed pool (when the
@@ -60,16 +64,15 @@ def audit_workload(chain: Blockchain, workload_address: str,
     """Re-derive and verify one workload's full history from chain data."""
     violations: list[str] = []
 
+    logged = list(chain.events(address=workload_address))
+    events = [log for _, log in logged]
     chain_valid = True
     try:
-        chain.verify_chain()
+        chain.verify_chain(since=logged[0][0] if logged else 0)
     except Exception as exc:  # noqa: BLE001 - auditors report, not crash
         chain_valid = False
         violations.append(f"chain verification failed: {exc}")
 
-    events = [
-        log for _, log in chain.events(address=workload_address)
-    ]
     if not events or events[0].name != "WorkloadCreated":
         violations.append("history does not begin with WorkloadCreated")
         return AuditReport(

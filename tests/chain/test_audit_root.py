@@ -1,12 +1,12 @@
 """The auditor's own state root, against the from-scratch oracle.
 
-``ChainAuditor.state_root`` keeps one encoded member per contract and
-decides from a *fingerprint* of the live storage — a digest of its pickle —
-whether the member still stands.  Nothing tells it what was written, so
-unlike ``WorldState.state_root`` it must also be right about storage written
-behind the VM's back.  The oracle is
-:func:`tests.chain.test_journal_root.recompute_state_root`, which is the
-code the auditor ran every block before this.
+``ChainAuditor.state_root`` keeps one 32-byte leaf per contract and decides
+from a *fingerprint* of the live storage — a digest of its pickle — whether
+the leaf still stands.  Nothing tells it what was written, so unlike
+``WorldState.state_root`` it must also be right about storage written behind
+the VM's back.  The oracle is
+:func:`tests.chain.test_journal_root.recompute_state_root`, which encodes
+and hashes everything on every call.
 """
 
 from __future__ import annotations
@@ -96,10 +96,10 @@ def test_auditor_root_matches_the_from_scratch_root(steps):
                 state.restore(saved)
         else:  # deploys, reverted deploys, writes, reverts, payments
             vm.apply_transaction(state, BLOCK, _transaction(step, state))
-        # Asked after *every* step, so each root is spliced from whatever
-        # members the previous steps left behind.
+        # Asked after *every* step, so each root is built from whatever
+        # leaves the previous steps left behind.
         assert auditor.state_root() == recompute_state_root(state)
-        assert set(auditor._members) == set(state.contracts)
+        assert set(auditor._leaves) == set(state.contracts)
 
 
 def test_the_pokes_change_what_they_claim_to():
@@ -207,7 +207,7 @@ def test_members_of_contracts_that_are_gone_are_dropped():
     auditor.state_root()
     del state.contracts[gone]
     assert auditor.state_root() == recompute_state_root(state)
-    assert list(auditor._members) == [stays]
+    assert list(auditor._leaves) == [stays]
     # Another contract at the old address starts from nothing.
     state.install_contract(gone, Contract())
     assert auditor.state_root() == recompute_state_root(state)
@@ -219,13 +219,13 @@ def test_what_an_auditor_keeps_is_its_own(monkeypatch):
     root = first.state_root()
     encoded = record_encodings(monkeypatch, audit_module)
     second = auditor_of(state)
-    assert second._members == {}
+    assert second._leaves == {}
     # The second auditor encodes both contracts itself; the first, asked
     # again on the same state, encodes neither.
     assert second.state_root() == root == first.state_root()
     assert contracts_among(encoded, state) == addresses
     # And neither reads the encodings the state keeps for its own root.
-    state._contract_json[addresses[0]] = b'"poisoned":{}'
+    state._contract_leaves[addresses[0]] = b"poisoned".ljust(32)
     state.contracts[addresses[1]].storage["b"] = 3
     assert state.state_root() != recompute_state_root(state)
     assert first.state_root() == recompute_state_root(state)

@@ -311,6 +311,96 @@ class TestVerification:
         )
 
 
+class TestVerifyChainSince:
+    """``verify_chain(since=k)``: blocks k to the head, and the link into
+    block k - 1.  What lies before that link is the documented boundary."""
+
+    K, HEAD = 5, 8
+
+    @pytest.fixture
+    def tall(self, chain, funded_wallet):
+        for index in range(self.HEAD):
+            funded_wallet.transfer("0x" + "11" * 20, 5 + index)
+            chain.mine_block()
+        ecdsa._VERIFY_CACHE.clear()
+        return chain
+
+    @staticmethod
+    def _edit(chain, number, what):
+        block = chain.blocks[number]
+        if what == "body":
+            block.transactions.clear()
+        elif what == "header":
+            block.header.gas_used += 1
+        else:  # a genuine seal by the right validator, over another header
+            block.header.seal = chain.blocks[number - 1].header.seal
+
+    def test_checks_only_its_segment(self, tall, monkeypatch):
+        structures, batches = [], []
+        real_structure = Block.validate_structure
+        real_batch = consensus_mod.batch_verify
+
+        def counting_structure(block):
+            structures.append(block.header.number)
+            return real_structure(block)
+
+        def counting_batch(items, stats=None):
+            batches.append(len(items))
+            return real_batch(items, stats)
+
+        monkeypatch.setattr(Block, "validate_structure", counting_structure)
+        monkeypatch.setattr(consensus_mod, "batch_verify", counting_batch)
+        tall.verify_chain(since=self.K)
+        assert structures == list(range(self.K, self.HEAD + 1))
+        assert batches == [self.HEAD - self.K + 1]
+        tall.verify_chain(since=tall.height)
+        assert structures[-1:] == [self.HEAD] and batches[-1] == 1
+        del structures[:]
+        tall.verify_chain(since=0)
+        assert structures == list(range(self.HEAD + 1))
+
+    @pytest.mark.parametrize("what", ["body", "header", "seal"])
+    @pytest.mark.parametrize("number", [K, K + 1, HEAD])
+    def test_edit_at_or_after_since_is_rejected(self, tall, number, what):
+        self._edit(tall, number, what)
+        with pytest.raises(InvalidBlockError):
+            tall.verify_chain(since=self.K)
+        with pytest.raises(InvalidBlockError):
+            tall.verify_chain()
+
+    def test_broken_link_into_the_block_before_is_rejected(self, tall):
+        # Block K - 1 is outside the segment; its hash is not.
+        self._edit(tall, self.K - 1, "header")
+        with pytest.raises(InvalidBlockError,
+                           match=f"block {self.K} has a broken parent link"):
+            tall.verify_chain(since=self.K)
+
+    @pytest.mark.parametrize("number,what", [
+        (K - 1, "body"), (K - 1, "seal"), (K - 2, "header"), (1, "body")])
+    def test_edit_before_the_link_is_seen_from_genesis_only(
+            self, tall, number, what):
+        self._edit(tall, number, what)
+        tall.verify_chain(since=self.K)  # the boundary: not its segment
+        with pytest.raises(InvalidBlockError):
+            tall.verify_chain()
+        with pytest.raises(InvalidBlockError):
+            tall.verify_chain(since=number)
+
+    @pytest.mark.parametrize("since", [-1, HEAD + 1, 10**6])
+    def test_since_out_of_range_is_rejected(self, tall, since):
+        with pytest.raises(InvalidBlockError, match="holds no block"):
+            tall.verify_chain(since=since)
+
+    def test_front_is_anchored_whatever_since_is(self, tall):
+        genesis = tall.blocks[0]
+        del tall.blocks[0:2]
+        with pytest.raises(InvalidBlockError, match="genesis"):
+            tall.verify_chain(since=self.K)
+        tall.blocks.insert(0, genesis)  # block 1 is missing: blocks[K] is K + 1
+        with pytest.raises(InvalidBlockError, match="holds no block"):
+            tall.verify_chain(since=self.K)
+
+
 class TestWallet:
     def test_nonce_tracking_across_blocks(self, chain, funded_wallet):
         funded_wallet.transfer("0x" + "11" * 20, 1)

@@ -3,15 +3,14 @@
 Two pieces of the chain cost O(what a transaction touched) instead of
 O(state): the VM reverts through a per-transaction
 :class:`~repro.chain.state.WriteJournal`, and ``WorldState.state_root``
-splices cached per-contract encodings.  The code they replaced lives on
-here as oracles:
+keeps one 32-byte leaf per contract under a root hash.  Their oracles:
 
 * :func:`apply_with_snapshot` — the state transition of commit ``5d597fa``:
   deep-copy the whole state before execution, put the copy back on revert;
-* :func:`recompute_state_root` — one canonical encoding of the whole state,
-  which is what the chain auditor checked headers with before it kept its
-  own per-contract encodings (``tests/chain/test_audit_root.py`` holds that
-  differential).
+* :func:`recompute_state_root` — the same two-level commitment computed
+  from nothing kept: every member encoded and every leaf hashed on every
+  call, with no code from ``state.py`` or ``audit.py`` (the auditor's own
+  root is held against it in ``tests/chain/test_audit_root.py``).
 
 Generated sequences of transactions run on two states, one per
 implementation, and must agree on state, receipts and root after every step.
@@ -20,6 +19,7 @@ implementation, and must agree on state, receipts and root after every step.
 from __future__ import annotations
 
 import copy
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -30,8 +30,8 @@ from repro.chain.contract import Contract, ContractRegistry
 from repro.chain.state import WorldState, WriteJournal
 from repro.chain.transaction import CREATE, Receipt, Transaction
 from repro.chain.vm import VM, BlockContext, ExecutionContext, GasMeter
-from repro.crypto.hashing import hash_object
 from repro.errors import ContractError, OutOfGasError
+from repro.utils.serialization import canonical_json_bytes
 from tests.chain.test_known_answers import aggregate_session, small_market
 from tests.chain.test_block_verify import _receipt_key
 
@@ -101,15 +101,21 @@ def _registry() -> ContractRegistry:
 
 
 def recompute_state_root(state: WorldState) -> bytes:
-    """The state root from scratch: one canonical encoding of everything."""
-    return hash_object({
-        "balances": {k: v for k, v in sorted(state.balances.items()) if v},
-        "nonces": dict(sorted(state.nonces.items())),
-        "contracts": {
-            address: contract.storage
-            for address, contract in sorted(state.contracts.items())
-        },
-    })
+    """The two-level state root from scratch, sharing no code with
+    ``state.py`` or ``audit.py``: every member encoded, every leaf hashed."""
+    def keccak(data: bytes) -> bytes:
+        return hashlib.sha3_256(data).digest()
+
+    nodes = [
+        keccak(canonical_json_bytes(
+            {k: v for k, v in sorted(state.balances.items()) if v})),
+        keccak(canonical_json_bytes(dict(sorted(state.nonces.items())))),
+    ]
+    for address, contract in sorted(state.contracts.items()):
+        # The member `"address":{...storage...}`, key and value on their own.
+        nodes.append(keccak(canonical_json_bytes(address) + b":"
+                            + canonical_json_bytes(contract.storage)))
+    return keccak(b"".join(nodes))
 
 
 def apply_with_snapshot(vm: VM, state: WorldState, block: BlockContext,
@@ -230,12 +236,13 @@ def test_journal_and_incremental_root_match_their_oracles(steps):
                 oracle.restore(saved[1])
         else:
             tx = _transaction(step, live)
+            # Its own copy, taken before either runs: storage_write keeps a
+            # reference to a dict or list from the payload, so applying a
+            # transaction can write into its payload, and one transaction
+            # applied to two states shares storage between them.
+            twin = copy.deepcopy(tx)
             journaled = vm.apply_transaction(live, BLOCK, tx)
-            # Its own copy: storage_write keeps a reference to a dict or list
-            # from the payload, and one transaction applied to two states
-            # would otherwise let each state write into the other's storage.
-            snapshotted = apply_with_snapshot(vm, oracle, BLOCK,
-                                              copy.deepcopy(tx))
+            snapshotted = apply_with_snapshot(vm, oracle, BLOCK, twin)
             assert _receipt_key(journaled) == _receipt_key(snapshotted)
             assert live.tx_journal is None
         assert image(live) == image(oracle)
@@ -492,3 +499,46 @@ def test_a_session_on_a_tall_chain_touches_only_what_it_wrote(monkeypatch):
     assert chain.auditor.summary()["violation_count"] == 0
     assert chain.state.state_root() == recompute_state_root(chain.state)
     assert chain.auditor.state_root() == chain.state.state_root()
+
+
+@pytest.mark.parametrize("padding", [0, 40_000], ids=["small", "large"])
+def test_a_root_hashes_what_was_written_plus_32_bytes_a_contract(
+        monkeypatch, padding):
+    """What Keccak is fed for a root does not depend on how much storage
+    the contracts the block did not write hold."""
+    from repro.chain import state as state_module
+
+    vm = VM(registry=_registry())
+    state = funded_state()
+    for index in range(60):
+        address = "0x" + f"{index:02x}" * 20
+        state.install_contract(address, Scratch())
+        state.contracts[address].storage = {"pad": "x" * padding, "n": index}
+    state.state_root()  # every leaf is kept from here on
+    written = state.contracts["0x" + "07" * 20]
+    ExecutionContext(
+        vm=vm, state=state, block=BLOCK, origin=SENDERS[0],
+        sender=SENDERS[0], value=0, gas_meter=GasMeter(10**6), logs=[],
+        static=False,
+    ).storage_write(written, ("n",), "written")
+
+    fed = []
+    real_keccak = state_module.keccak256
+
+    def recording_keccak(data):
+        fed.append(len(data))
+        return real_keccak(data)
+
+    monkeypatch.setattr(state_module, "keccak256", recording_keccak)
+    assert state.state_root() == recompute_state_root(state)
+    member = canonical_json_bytes({written.address: written.storage})[1:-1]
+    assert len(member) > padding
+    assert sorted(fed) == sorted([
+        len(canonical_json_bytes(state.balances)),
+        len(canonical_json_bytes(state.nonces)),
+        len(member),          # the one contract the "block" wrote
+        32 * (2 + 60),        # balances, nonces and a leaf per contract
+    ])
+    del fed[:]
+    state.state_root()        # nothing written since: no leaf is re-hashed
+    assert len(fed) == 3 and max(fed) == 32 * 62

@@ -1,11 +1,25 @@
 """Known-answer state roots, block hashes, gas and receipts.
 
-The values were computed at commit ``5d597fa`` — whole-state deepcopy
-isolation, whole-state re-encoding for every root — by running this file's
-scenario builders against that checkout.  Journaled revert and the spliced
-incremental root must reproduce every byte: a state root commits to all of
-storage, a block hash to the root, the receipt digest to gas, logs, return
-values and revert messages.
+``height``, ``gas`` and ``receipts`` were computed at commit ``5d597fa`` —
+whole-state deepcopy isolation, whole-state re-encoding for every root — by
+running this file's scenario builders against that checkout.  Journaled
+revert and the incremental root must reproduce every byte: a state root
+commits to all of storage, a block hash to the root, the receipt digest to
+gas, logs, return values and revert messages.
+
+``state_root``, ``head`` and ``roots`` stood from ``5d597fa`` to ``d865906``
+and were re-pinned once, on the commit after ``d865906`` that replaced the
+flat state-root document by the two-level commitment
+(``WorldState.state_root``): the format of the root changed, so every root
+and every block hash (a header commits to its root) changed with it, and
+nothing else did — ``height``, ``gas`` and ``receipts`` were byte-equal
+across that commit.
+
+``structure`` is what a receipt says with every identity taken out: status,
+gas, error, log names and data with the enclave measurement masked, return
+value, created address and block, and no transaction hash.  It was computed
+at ``d865906`` and holds across any change of root format or of how an
+enclave is measured.
 """
 
 from __future__ import annotations
@@ -32,18 +46,24 @@ REQUIREMENT = ConceptRequirement("physiological")
 
 def fingerprint(chain: Blockchain) -> dict:
     """Digests of everything a changed state transition would move."""
-    receipts = []
+    receipts, structure = [], []
     for block in chain.blocks:
         for tx in block.transactions:
             receipt = chain.receipt_for(tx.tx_hash)
-            receipts.append({
-                "tx": receipt.tx_hash, "status": receipt.status,
-                "gas": receipt.gas_used, "error": receipt.error,
-                "logs": [log.to_dict() for log in receipt.logs],
+            logs = [log.to_dict() for log in receipt.logs]
+            blind = {
+                "status": receipt.status, "gas": receipt.gas_used,
+                "error": receipt.error, "logs": logs,
                 "return": receipt.return_value,
                 "created": receipt.contract_address,
                 "block": receipt.block_number,
-            })
+            }
+            receipts.append({"tx": receipt.tx_hash, **blind})
+            structure.append({**blind, "logs": [
+                [log.address, log.name,
+                 {key: "<measurement>" if key == "code_measurement" else value
+                  for key, value in log.data.items()}]
+                for log in receipt.logs]})
     return {
         "height": chain.height,
         "gas": chain.total_gas_used,
@@ -52,6 +72,7 @@ def fingerprint(chain: Blockchain) -> dict:
         "roots": hash_object(
             [block.header.state_root for block in chain.blocks]).hex(),
         "receipts": hash_object(receipts).hex(),
+        "structure": hash_object(structure).hex(),
     }
 
 
@@ -125,37 +146,43 @@ KNOWN = {
         "height": 14,
         "gas": 1064405,
         "state_root":
-            "8328fdb1db8adb26faf0e5d113002505f1397d114d335a778fa26dae6d565e18",
+            "0a5d1c7354f838443f8ae13a0e3bd7fba91eb4f515525f4869c80b15586a7fbe",
         "head":
-            "65633b3dcd0021de539167ac1127d323ddeee6593d9fa9322cc81253edf77dfc",
+            "c0d571be4560d0e7c4033d3482e8b191035dc41d40480f2e8ba7ee07f569c17e",
         "roots":
-            "0395d0b2722bafb726c8a09a319ff6265970613d5e2f55d9bec6b5adda0601fb",
+            "65f56d3620ab81f1d4a3335f4d83b458bf7c036c373623ebbd83e4b721aabde4",
         "receipts":
             "15e1d0b9cb56b04015b406741d59fa36ff7927d70bbc71ba92468b24d19b5b28",
+        "structure":
+            "8678fb8671c51b4d54b4aa15fb06e8ac7b506a67c315018213b953cbdf9032f3",
     },
     "aggregate_sessions": {
         "height": 20,
         "gas": 1740719,
         "state_root":
-            "63b05e2417523a80f8b165fe2f01020985cda6b8461a61a897f6399598bfdc38",
+            "120339a578f730e086d7ef7618399ff6f61d0f513db9f598fd3c73180481afa7",
         "head":
-            "5fc8ef04d3f467a6c4bed13b2212452d0fad46046500055962dcdd9d2dc884e8",
+            "f42f8f3705b7b59131b6178106ea3ea60c6204e2630a26192d7b66084572f6ef",
         "roots":
-            "e7c3f49bb7f30a3bf17a5bedcd1b7a0efb541b2383d15d65582944ba15b7c823",
+            "ee0a70604311075cc45d09c046536afa01cd8b2dd6dd5ce53fc3b5533bbeacbb",
         "receipts":
             "ff0853ab6c9fe62ef0cbd2ca5ed871e18160cdd70b87e0bb148f54c6b3f4671c",
+        "structure":
+            "edfaf4a8873428cd7aa1b1b7b5ebe8532e9e065b10d79b07b0351d8e4080de1b",
     },
     "erc20_block_with_revert": {
         "height": 2,
         "gas": 203245,
         "state_root":
-            "885e6feb39d208fe9b9cbfc7fb551717f56e937079f92167b7dc952fd91a2364",
+            "ab91ca4fa6f2455b05b2bd66d4e70e4b287165df911fdb267015f469680ded4c",
         "head":
-            "3fdc14923a40ab4e0782f7d0374b5c192032be19ab1767cf8fd98962e5017039",
+            "d1632645791d332114f181cf0d3f3d0d3dd31f53daa1cfafb4e1bf32d0b54657",
         "roots":
-            "59ed4ce512cda51386b77c60c76df1fb526cf34382ab90a92aec814c66ad8b88",
+            "6468eb489c4419e419f2a6d0e113594decb18c818cf909d35db33af9c252c3bc",
         "receipts":
             "135b2c831da791230805359141eef405039ac43ae3736af098ea533d188b169f",
+        "structure":
+            "3feab8d69e1f0a057aa9ae2dfecea05648b35cf05da1ed4181a2222ea1219ece",
     },
 }
 

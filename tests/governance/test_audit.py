@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import AuditError
+from repro.chain.block import Block
+from repro.errors import AuditError, InvalidBlockError
 from repro.governance.audit import audit_workload, require_clean_audit
 from repro.governance.contracts import BPS
 from tests.conftest import make_funded_wallet
 
 
-@pytest.fixture
-def completed_workload(chain, rng):
+def _complete_a_workload(chain, rng):
     consumer = make_funded_wallet(chain, rng, "consumer")
     executor = make_funded_wallet(chain, rng, "exec")
     provider = make_funded_wallet(chain, rng, "prov")
@@ -29,6 +29,11 @@ def completed_workload(chain, rng):
     executor.call_and_mine(workload, "submit_result", result_hash="rr" * 16,
                            provider_weights_bps={provider.address: BPS})
     return chain, consumer, workload
+
+
+@pytest.fixture
+def completed_workload(chain, rng):
+    return _complete_a_workload(chain, rng)
 
 
 class TestCleanAudit:
@@ -85,3 +90,62 @@ class TestTamperDetection:
         chain.blocks[1].header.gas_used += 1
         with pytest.raises(AuditError):
             require_clean_audit(chain, workload)
+
+
+class TestAuditedSegment:
+    """A workload audit verifies from the block of the workload's first
+    event to the head (and that block's link to its parent), not from
+    genesis: ``chain.verify_chain()`` is the whole-chain check."""
+
+    @pytest.fixture
+    def late_workload(self, chain, rng):
+        """A completed workload whose first event sits at block 36 of 40."""
+        while chain.height < 35:
+            chain.mine_block()
+        return _complete_a_workload(chain, rng)
+
+    def test_structure_is_checked_from_the_first_event_block(
+            self, late_workload, monkeypatch):
+        chain, consumer, workload = late_workload
+        first = next(chain.events(address=workload))[0]
+        assert (first, chain.height) == (36, 40)
+        checked = []
+        real_structure = Block.validate_structure
+
+        def counting_structure(block):
+            checked.append(block.header.number)
+            return real_structure(block)
+
+        monkeypatch.setattr(Block, "validate_structure", counting_structure)
+        report = audit_workload(chain, workload, auditor=consumer.address)
+        assert report.clean and report.chain_valid
+        assert checked == list(range(first, chain.height + 1))
+        # No events, no segment: an unknown address is audited from genesis.
+        del checked[:]
+        audit_workload(chain, "0x" + "77" * 20, auditor=consumer.address)
+        assert checked == list(range(chain.height + 1))
+
+    @pytest.mark.parametrize("number", [36, 38, 40])
+    def test_tamper_inside_the_segment_is_reported(self, late_workload,
+                                                   number):
+        chain, consumer, workload = late_workload
+        chain.blocks[number].transactions.pop()
+        report = audit_workload(chain, workload, auditor=consumer.address)
+        assert not report.chain_valid and not report.clean
+
+    def test_a_replaced_parent_of_the_segment_is_reported(self,
+                                                          late_workload):
+        chain, consumer, workload = late_workload
+        chain.blocks[35].header.timestamp -= 0.5
+        report = audit_workload(chain, workload, auditor=consumer.address)
+        assert not report.chain_valid
+        assert "block 36 has a broken parent link" in report.violations[0]
+
+    def test_tamper_before_the_segment_is_left_to_verify_chain(
+            self, late_workload):
+        chain, consumer, workload = late_workload
+        chain.blocks[20].header.gas_used += 1
+        assert audit_workload(chain, workload,
+                              auditor=consumer.address).chain_valid
+        with pytest.raises(InvalidBlockError):
+            chain.verify_chain()
