@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.chain.blockchain import Wallet
 from repro.crypto.ecdsa import PublicKey
+from repro.crypto.merkle import MerkleTree
 from repro.crypto.symmetric import Envelope
 from repro.errors import MarketplaceError
 from repro.governance.certificates import (
@@ -73,14 +74,22 @@ class ProviderActor:
     record_id: str = ""
     stored_object_id: str = ""
     rewards_received: int = 0
-    #: ``(dataset, its serialized rows)``: a ``Dataset`` is frozen, so the
-    #: rows stay valid until ``dataset`` is rebound to another object.
-    _encoded: Optional[tuple[Dataset, list[bytes]]] = field(
+    #: ``(dataset, its serialized rows, their Merkle tree)``: a ``Dataset``
+    #: is frozen, so both stay valid until ``dataset`` is rebound to another
+    #: object.
+    _encoded: Optional[tuple[Dataset, list[bytes], MerkleTree]] = field(
         default=None, init=False, repr=False, compare=False)
 
     @property
     def address(self) -> str:
         return self.wallet.address
+
+    def _encode(self) -> tuple[Dataset, list[bytes], MerkleTree]:
+        if self._encoded is None or self._encoded[0] is not self.dataset:
+            rows = serialize_partition(
+                self.dataset.features, self.dataset.targets)
+            self._encoded = (self.dataset, rows, MerkleTree(rows))
+        return self._encoded
 
     def partition_rows(self) -> list[bytes]:
         """The canonical serialized rows (Merkle leaves), encoded once.
@@ -88,10 +97,12 @@ class ProviderActor:
         Storage, every session's certificate and envelope, and every fault
         re-match commit to these same bytes.
         """
-        if self._encoded is None or self._encoded[0] is not self.dataset:
-            self._encoded = (self.dataset, serialize_partition(
-                self.dataset.features, self.dataset.targets))
-        return self._encoded[1]
+        return self._encode()[1]
+
+    def partition_tree(self) -> MerkleTree:
+        """The Merkle tree over :meth:`partition_rows`, hashed once: every
+        certificate this provider issues commits to its root."""
+        return self._encode()[2]
 
     def partition_payload(self) -> bytes:
         """The canonical serialized partition (rows as one JSON document)."""
@@ -123,7 +134,7 @@ class ProviderActor:
         """
         certificate = issue_certificate(
             self.wallet.key, workload_id, executor_address,
-            self.partition_rows(), issued_at=issued_at,
+            self.partition_tree(), issued_at=issued_at,
         )
         envelope = Enclave.encrypt_for_enclave(
             enclave_key, self.wallet.key, self.partition_payload(), rng

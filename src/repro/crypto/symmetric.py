@@ -2,17 +2,19 @@
 
 Providers encrypt their data before handing it to any storage backend, so the
 backend operator learns nothing.  The construction is encrypt-then-MAC over a
-SHA-256 counter-mode keystream:
+SHAKE-256 keystream:
 
 * ``enc_key, mac_key = HKDF-like split of the master key``
-* ``ciphertext = plaintext XOR SHA256(enc_key || nonce || counter)...``
-* ``tag = HMAC-SHA256(mac_key, nonce || ciphertext)``
+* ``ciphertext = plaintext XOR SHAKE256(enc_key || nonce)``, the
+  extendable-output function squeezed to the plaintext's length in one call
+* ``tag = HMAC-SHA256(mac_key, nonce || ciphertext)``, checked before
+  anything is decrypted
 
-This is a standard, honest construction (CTR + HMAC), implemented with
-primitives from the standard library so the repository has no binary
-dependencies.  Keys are 32 bytes; nonces are 16 bytes and must be unique per
-message, which :func:`encrypt` guarantees by drawing them from the caller's
-RNG and embedding them in the envelope.
+This is a standard, honest construction (a keyed XOF as stream cipher, plus
+HMAC), implemented with primitives from the standard library so the
+repository has no binary dependencies.  Keys are 32 bytes; nonces are 16
+bytes and must be unique per message, which :func:`encrypt` guarantees by
+drawing them from the caller's RNG and embedding them in the envelope.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from repro.errors import DecryptionError, InvalidKeyError
 KEY_BYTES = 32
 NONCE_BYTES = 16
 TAG_BYTES = 32
-_BLOCK_BYTES = 32  # SHA-256 output size
 
 
 def generate_key(rng: np.random.Generator) -> bytes:
@@ -42,15 +43,7 @@ def _derive_subkeys(key: bytes) -> tuple[bytes, bytes]:
 
 
 def _keystream(enc_key: bytes, nonce: bytes, length: int) -> bytes:
-    # Block i is SHA256(enc_key || nonce || i); the 48-byte prefix is
-    # absorbed once and each block continues from a copy of that state.
-    keyed = hashlib.sha256(enc_key + nonce)
-    blocks = []
-    for counter in range((length + _BLOCK_BYTES - 1) // _BLOCK_BYTES):
-        block = keyed.copy()
-        block.update(counter.to_bytes(8, "big"))
-        blocks.append(block.digest())
-    return b"".join(blocks)[:length]
+    return hashlib.shake_256(enc_key + nonce).digest(length)
 
 
 def _xor_keystream(data: bytes, enc_key: bytes, nonce: bytes) -> bytes:

@@ -69,22 +69,25 @@ class ParticipationCertificate:
 
 
 def issue_certificate(provider_key: PrivateKey, workload_id: str,
-                      executor: str, data_items: list[bytes],
+                      executor: str, data_items: list[bytes] | MerkleTree,
                       issued_at: float) -> ParticipationCertificate:
     """Provider-side: sign consent over an exact set of data items.
 
     The Merkle root pins the certificate to *these* bytes: an executor
-    substituting or adding items can no longer match the root.
+    substituting or adding items can no longer match the root.  A provider
+    that certifies the same items again and again hands over the
+    :class:`MerkleTree` it keeps of them instead of the bare items.
     """
-    if not data_items:
+    tree = (data_items if isinstance(data_items, MerkleTree)
+            else MerkleTree(data_items))
+    if not len(tree):
         raise CertificateError("cannot certify an empty data set")
-    tree = MerkleTree(data_items)
     payload = {
         "workload_id": workload_id,
         "provider": provider_key.address,
         "executor": executor,
         "data_root": tree.root,
-        "item_count": len(data_items),
+        "item_count": len(tree),
         "issued_at": issued_at,
     }
     signature = provider_key.sign(canonical_json_bytes(payload))
@@ -93,7 +96,7 @@ def issue_certificate(provider_key: PrivateKey, workload_id: str,
         provider=provider_key.address,
         executor=executor,
         data_root=tree.root,
-        item_count=len(data_items),
+        item_count=len(tree),
         issued_at=issued_at,
         provider_public_key=provider_key.public_key,
         signature=signature,

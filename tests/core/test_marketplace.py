@@ -17,7 +17,10 @@ from repro.core import (
     minimum_reward_policy,
 )
 from repro.core.workload import enclave_entry_point
+from repro.crypto import merkle as merkle_module
+from repro.crypto.merkle import MerkleTree
 from repro.errors import MatchingError
+from repro.governance.certificates import issue_certificate
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee import enclave as enclave_module
@@ -206,6 +209,46 @@ class TestDataPathDoesWorkOnce:
             assert len(encodings) == 1
         finally:
             provider.dataset = original
+
+    def test_sessions_reuse_the_merkle_tree(self, market_setup, monkeypatch):
+        market, providers, consumer, _ = market_setup
+        trees = [provider.partition_tree() for provider in providers]
+        rows = [provider.partition_rows() for provider in providers]
+        roots = [tree.root for tree in trees]  # hashed here if not before
+        built = self._count_calls(monkeypatch, MerkleTree, "__init__")
+        hashed = self._count_calls(monkeypatch, merkle_module, "_hash_leaf")
+        for workload_id in ("wl-tree-1", "wl-tree-2"):
+            report = market.run_workload(consumer,
+                                         har_spec(workload_id=workload_id))
+            assert len(report.participants) == len(providers)
+        # Blocks build trees over transaction hashes; nobody builds one
+        # over a provider's rows, and no row is hashed a second time.
+        assert [args for args in built if args[1] in rows] == []
+        assert not {args[0] for args in hashed} & {
+            row for partition in rows for row in partition}
+        assert all(provider.partition_tree() is tree
+                   for provider, tree in zip(providers, trees))
+        assert roots == [merkle_module.merkle_root(part) for part in rows]
+
+        provider = providers[0]
+        original = provider.dataset
+        provider.dataset = original.subset(np.arange(10))
+        try:
+            rebound = provider.partition_tree()
+            assert rebound is not trees[0] and len(rebound) == 10
+            assert provider.partition_tree() is rebound
+            assert [args[1] for args in built if args[0] is rebound] == [
+                provider.partition_rows()]
+            # Handing over the tree or the bare rows: the same certificate.
+            issued = [issue_certificate(provider.wallet.key, "wl-tree", "0xe",
+                                        items, issued_at=1.0)
+                      for items in (rebound, provider.partition_rows())]
+            assert issued[0] == issued[1]
+            assert issued[0].data_root == merkle_module.merkle_root(
+                provider.partition_rows())
+        finally:
+            provider.dataset = original
+        assert provider.partition_tree() is not trees[0]  # rebound again
 
     def test_entry_point_source_read_once(self, market_setup, monkeypatch):
         market, _, consumer, _ = market_setup

@@ -114,35 +114,38 @@ def _pattern(length: int) -> bytes:
 
 
 #: ``Envelope.to_bytes().hex()`` of ``encrypt(bytes(range(32)),
-#: _pattern(n), default_rng(0))``, generated with the per-byte XOR of commit
-#: f47aa5d.  4096 is pinned by the SHA-256 of the same wire bytes.
+#: _pattern(n), default_rng(0))``.  Nonce (first 16 bytes) and every seeded
+#: value downstream are those of commit f47aa5d; tag and ciphertext were
+#: re-pinned when the keystream became one SHAKE-256 call (the length-0
+#: envelope, which has no keystream, did not move).  4096 is pinned by the
+#: SHA-256 of the same wire bytes.
 _KNOWN_ENVELOPES = {
     0: (
         "5f82c2d9cfeb0fa321d7d982f8bd10455252b9ac417ddb7ff2cc633d393c5dcc"
         "715583b9db94c7e1793e2f259315fb50"
     ),
     1: (
-        "5f82c2d9cfeb0fa321d7d982f8bd10450915704f288ce6ade99355f594a113a9"
-        "ede27b8db005bf17a390fac2c3d0a77afd"
+        "5f82c2d9cfeb0fa321d7d982f8bd10458d2781c714ff85e5fa8b847f53e5262d"
+        "5b52bdcb934494b6cd616335c5f37d05d9"
     ),
     31: (
-        "5f82c2d9cfeb0fa321d7d982f8bd10455a47f6415d50c92da8a880cb5a950c8a"
-        "46010599188b8c6917507dbd68885e0cfdca9575b32cd7b32d69fd981ed01ea6"
-        "ced41a5cf13e4283f35af6c1e96eda"
+        "5f82c2d9cfeb0fa321d7d982f8bd1045509e3220912d5c4d3cf65bacd8001a5b"
+        "fb6baf2751fb6dc52f21cac0e232e809d95dec72c5075db46ea47d06e2214b26"
+        "7514f312ce52700256580851a49a68"
     ),
     32: (
-        "5f82c2d9cfeb0fa321d7d982f8bd104574cc1be5d44c8b993167c8d08c92bfbf"
-        "a7ea249f24852b234b43a74b25b51ba8fdca9575b32cd7b32d69fd981ed01ea6"
-        "ced41a5cf13e4283f35af6c1e96edad8"
+        "5f82c2d9cfeb0fa321d7d982f8bd1045cc603b5f4405f079bba9d00eff01210a"
+        "06c4e45c7a3bce84c68585b57bf2a7e7d95dec72c5075db46ea47d06e2214b26"
+        "7514f312ce52700256580851a49a683d"
     ),
     33: (
-        "5f82c2d9cfeb0fa321d7d982f8bd104539e2214ce997ebdb7c0221e76fbf888d"
-        "881a9c1e317e8c8d7484918d43876873fdca9575b32cd7b32d69fd981ed01ea6"
-        "ced41a5cf13e4283f35af6c1e96edad899"
+        "5f82c2d9cfeb0fa321d7d982f8bd104593bec9c35764af8482a0a42a93bfb7d7"
+        "707090b257fc8400927714044b7d8c01d95dec72c5075db46ea47d06e2214b26"
+        "7514f312ce52700256580851a49a683d6c"
     ),
 }
 _KNOWN_ENVELOPE_4096_SHA256 = (
-    "1951b1ae9ddb07596fa10e0a9ecccba3ef35056a5a8ce702ac2a55aa06c9d4d3")
+    "2d71f56ea17df2b38e1b1fdbe05640c7dc69fce4008b6ea3c82daa6af208e743")
 
 
 def _reference_encrypt(key: bytes, plaintext: bytes,
@@ -157,7 +160,8 @@ def _reference_encrypt(key: bytes, plaintext: bytes,
 
 
 class TestSameBytes:
-    """The envelope bytes are pinned: a faster XOR may not move them."""
+    """The envelope bytes are pinned: a faster XOR may not move them, and a
+    change of keystream moves them once, on purpose."""
 
     @pytest.mark.parametrize("length", sorted(_KNOWN_ENVELOPES))
     def test_known_answer(self, length):
@@ -180,6 +184,21 @@ class TestSameBytes:
         assert envelope == _reference_encrypt(
             key, plaintext, np.random.default_rng(seed))
         assert decrypt(key, envelope) == plaintext
+
+    @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4096])
+    def test_keystream_is_a_prefix_of_every_longer_one(self, length):
+        """One XOF output stream per (key, nonce): asking for more bytes
+        continues it, so a message's keystream does not depend on how long
+        the message is."""
+        enc_key, nonce = bytes(range(32)), bytes(range(16))
+        stream = _keystream(enc_key, nonce, length)
+        assert len(stream) == length
+        for extra in (1, 31, 32, 137):
+            assert _keystream(enc_key, nonce,
+                              length + extra)[:length] == stream
+        if length:
+            assert stream != _keystream(enc_key, nonce[::-1], length)
+            assert stream != _keystream(nonce * 2, nonce, length)
 
     @settings(max_examples=60, deadline=None)
     @given(st.binary(min_size=1, max_size=100), st.data())
