@@ -7,9 +7,11 @@ marketplace protocol observes:
 
 * **Measurement** — an enclave's identity is the hash of the exact code it
   runs (``EnclaveCode.measurement`` hashes name, version and the registered
-  function's source, once per code unit: like MRENCLAVE it is fixed when the
-  code is built, and every later quote, launch and event reads that value).
-  Change one character of the workload and the measurement changes.
+  function's code object — bytecode, constants, names — once per code unit:
+  like MRENCLAVE it is fixed when the code is built, and every later quote,
+  launch and event reads that value).  Change one instruction or constant
+  of the workload and the measurement changes; change a comment and it
+  does not.
 * **Sealing** — data sealed by an enclave can only be unsealed by an enclave
   with the same measurement on the same platform (keys are derived from
   ``platform_secret || measurement``).
@@ -27,9 +29,9 @@ primitives (:mod:`repro.tee.oblivious`) and the calibrated cost model
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from types import CodeType
 from typing import Any, Callable
 
 import numpy as np
@@ -54,27 +56,59 @@ _RUN_SECONDS = _tm.histogram(
 )
 
 
-@lru_cache(maxsize=256)
-def _measured_text(entry_point: Callable[..., Any]) -> str:
-    """What the measurement covers of an entry point: its source text.
+def _describe(value: Any) -> str:
+    """What the measurement covers of an entry point, or of a part of one.
 
-    Read once per function: every workload is a code unit of its own
-    (``ExecutorActor.code_for``) over the one shared entry point, so
-    :func:`_measure` misses once per session.
-
-    Builtins, ``partial`` objects and REPL-defined functions have no
-    retrievable source and fall back to the qualified name, which still
-    distinguishes code units and, unlike ``repr``, holds no memory address,
-    so the identity is the same in every process.
+    A function is its code object and its default arguments; a code object
+    is what the interpreter executes — bytecode, exception table, constants
+    (nested code objects walked the same way), the names it loads and
+    binds, argument counts and flags — and not where it came from: no file
+    name, line number or source text, so a comment or a blank line changes
+    nothing and a function whose ``.py`` is gone measures the same.
+    ``functools.partial`` is the function it wraps plus the arguments it
+    binds.  A callable with no code object (a builtin, an instance with
+    ``__call__``) falls back to its qualified name, which, unlike ``repr``,
+    holds no memory address.  Bytecode is the interpreter's, so a
+    measurement is per Python minor version.
     """
-    try:
-        return inspect.getsource(entry_point)
-    except (OSError, TypeError):
-        module = getattr(entry_point, "__module__", None)
-        qualname = getattr(entry_point, "__qualname__", None)
-        if qualname is None:
-            qualname = type(entry_point).__qualname__
-        return f"{module}.{qualname}"
+    if isinstance(value, CodeType):
+        return "code" + _describe((
+            value.co_code, getattr(value, "co_exceptiontable", b""),
+            value.co_consts, value.co_names, value.co_varnames,
+            value.co_freevars, value.co_cellvars, value.co_argcount,
+            value.co_posonlyargcount, value.co_kwonlyargcount,
+            value.co_flags))
+    if isinstance(value, (tuple, list)):
+        return "(" + ",".join(map(_describe, value)) + ")"
+    if isinstance(value, (frozenset, set)):  # iteration order is per process
+        return "{" + ",".join(sorted(map(_describe, value))) + "}"
+    if isinstance(value, dict):
+        return "{" + ",".join(sorted(
+            _describe(key) + "=" + _describe(item)
+            for key, item in value.items())) + "}"
+    if isinstance(value, partial):
+        return "partial" + _describe(
+            (value.func, value.args, value.keywords))
+    if isinstance(getattr(value, "__code__", None), CodeType):
+        return "function" + _describe((
+            value.__code__, value.__defaults__, value.__kwdefaults__))
+    if value is None or value is ... or isinstance(
+            value, (bool, int, float, complex, str, bytes)):
+        return f"{type(value).__name__}:{value!r}"
+    module = getattr(value, "__module__", None)
+    qualname = getattr(value, "__qualname__", None)
+    if qualname is None:
+        qualname = type(value).__qualname__
+    return f"{module}.{qualname}"
+
+
+@lru_cache(maxsize=256)
+def _measured_code(entry_point: Callable[..., Any]) -> bytes:
+    """The digest of :func:`_describe` of an entry point, walked once per
+    function: every workload is a code unit of its own
+    (``ExecutorActor.code_for``) over the one shared entry point, so
+    :func:`_measure` misses once per session."""
+    return keccak256(_describe(entry_point).encode("utf-8"))
 
 
 @lru_cache(maxsize=256)
@@ -85,7 +119,7 @@ def _measure(name: str, version: str,
     Keyed by value because callers build an equal ``EnclaveCode`` per use
     (``ExecutorActor.code_for``); bounded, since the key holds the function.
     """
-    payload = "\x00".join([name, version, _measured_text(entry_point)])
+    payload = "\x00".join([name, version, _measured_code(entry_point).hex()])
     return keccak256(payload.encode("utf-8"))
 
 
@@ -93,7 +127,7 @@ def _measure(name: str, version: str,
 class EnclaveCode:
     """A unit of code deployable into enclaves.
 
-    The measurement covers the name, version and the *source text* of the
+    The measurement covers the name, version and the *code object* of the
     entry point, mirroring SGX's MRENCLAVE covering the loaded pages.
     """
 

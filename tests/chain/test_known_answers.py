@@ -8,21 +8,31 @@ commits to all of storage, a block hash to the root, the receipt digest to
 gas, logs, return values and revert messages.
 
 ``state_root``, ``head`` and ``roots`` stood from ``5d597fa`` to ``d865906``
-and were re-pinned once, on the commit after ``d865906`` that replaced the
-flat state-root document by the two-level commitment
-(``WorldState.state_root``): the format of the root changed, so every root
-and every block hash (a header commits to its root) changed with it, and
-nothing else did — ``height``, ``gas`` and ``receipts`` were byte-equal
-across that commit.
+and were re-pinned twice in the one golden-value change that followed, one
+cause per commit:
 
-``structure`` is what a receipt says with every identity taken out: status,
-gas, error, log names and data with the enclave measurement masked, return
-value, created address and block, and no transaction hash.  It was computed
-at ``d865906`` and holds across any change of root format or of how an
-enclave is measured.
+* ``aaf7470`` replaced the flat state-root document by the two-level
+  commitment (``WorldState.state_root``): the format of the root changed, so
+  every root and every block hash (a header commits to its root) changed
+  with it, and nothing else did — ``height``, ``gas`` and ``receipts`` were
+  byte-equal across that commit.
+* A later commit of the same change (``tee/enclave.py``: ``_describe``)
+  measures an enclave by its code object instead of its source text.  The measurement hex is contract storage and transaction
+  payload, so in the two marketplace scenarios the roots and hashes moved
+  again and ``receipts`` (which holds transaction hashes and the
+  ``code_measurement`` log field) moved for the first time;
+  ``erc20_block_with_revert`` has no enclave and kept its ``aaf7470`` values.
+
+``structure`` is what the receipts say with every identity taken out: status,
+gas, error, logs with the enclave measurement masked, return value, created
+address and block, and no transaction hash.  It was computed at ``d865906``
+and is equal at both commits above: neither changed what any transaction
+did.
 """
 
 from __future__ import annotations
+
+import sys
 
 import numpy as np
 
@@ -50,10 +60,10 @@ def fingerprint(chain: Blockchain) -> dict:
     for block in chain.blocks:
         for tx in block.transactions:
             receipt = chain.receipt_for(tx.tx_hash)
-            logs = [log.to_dict() for log in receipt.logs]
             blind = {
                 "status": receipt.status, "gas": receipt.gas_used,
-                "error": receipt.error, "logs": logs,
+                "error": receipt.error,
+                "logs": [log.to_dict() for log in receipt.logs],
                 "return": receipt.return_value,
                 "created": receipt.contract_address,
                 "block": receipt.block_number,
@@ -146,13 +156,13 @@ KNOWN = {
         "height": 14,
         "gas": 1064405,
         "state_root":
-            "0a5d1c7354f838443f8ae13a0e3bd7fba91eb4f515525f4869c80b15586a7fbe",
+            "82783c8983916c318eeb02895c543a8df041517f4999cde1cda3f46f73579bb4",
         "head":
-            "c0d571be4560d0e7c4033d3482e8b191035dc41d40480f2e8ba7ee07f569c17e",
+            "ef7df81dec4611257fca6e4081b05cb76d0c65094001b431a0f407772f0243dc",
         "roots":
-            "65f56d3620ab81f1d4a3335f4d83b458bf7c036c373623ebbd83e4b721aabde4",
+            "14a0b845f183c0339b0e82bee0818122e3f5452cb6f1bf186222b11301b8a046",
         "receipts":
-            "15e1d0b9cb56b04015b406741d59fa36ff7927d70bbc71ba92468b24d19b5b28",
+            "21f9dccfadf38f96dffc58b89542ee0005f404bbf8ef591c00c0b400a0246c53",
         "structure":
             "8678fb8671c51b4d54b4aa15fb06e8ac7b506a67c315018213b953cbdf9032f3",
     },
@@ -160,13 +170,13 @@ KNOWN = {
         "height": 20,
         "gas": 1740719,
         "state_root":
-            "120339a578f730e086d7ef7618399ff6f61d0f513db9f598fd3c73180481afa7",
+            "88439f2defeeab57c7d60f7ccbf06866883d4644236715e2affadddbed9f39c0",
         "head":
-            "f42f8f3705b7b59131b6178106ea3ea60c6204e2630a26192d7b66084572f6ef",
+            "ba7c2ac7a27eae4804807814e0464dd8377fb36f25a095c1d9d7331b9a5cfe80",
         "roots":
-            "ee0a70604311075cc45d09c046536afa01cd8b2dd6dd5ce53fc3b5533bbeacbb",
+            "30f78c7fae1e9e59903f9f603149d785c0a5a91249b7db4d3ca0cf625feade89",
         "receipts":
-            "ff0853ab6c9fe62ef0cbd2ca5ed871e18160cdd70b87e0bb148f54c6b3f4671c",
+            "fd4cafe0d919cf7697b26e0313c2557793529440706e9491fb71d7a33ebb087a",
         "structure":
             "edfaf4a8873428cd7aa1b1b7b5ebe8532e9e065b10d79b07b0351d8e4080de1b",
     },
@@ -186,13 +196,27 @@ KNOWN = {
     },
 }
 
+#: What an enclave measurement reaches: it is contract storage (every root,
+#: so every block hash) and transaction payload (every transaction hash).
+MEASURED = ("state_root", "head", "roots", "receipts")
+
+
+def expect(chain: Blockchain, scenario: str, measured: bool) -> None:
+    got, known = fingerprint(chain), dict(KNOWN[scenario])
+    if measured and sys.version_info[:2] != (3, 11):
+        # A measurement covers bytecode, which is the interpreter's: the
+        # pinned identities are CPython 3.11's (what CI runs).
+        for key in MEASURED:
+            del got[key], known[key]
+    assert got == known
+
 
 def test_lifecycle_session_matches_5d597fa():
-    assert fingerprint(lifecycle_session()) == KNOWN["lifecycle_session"]
+    expect(lifecycle_session(), "lifecycle_session", measured=True)
 
 
 def test_aggregate_sessions_match_5d597fa():
-    assert fingerprint(aggregate_sessions()) == KNOWN["aggregate_sessions"]
+    expect(aggregate_sessions(), "aggregate_sessions", measured=True)
 
 
 def test_erc20_block_with_revert_matches_5d597fa():
@@ -200,4 +224,4 @@ def test_erc20_block_with_revert_matches_5d597fa():
     statuses = [chain.receipt_for(tx.tx_hash).status
                 for tx in chain.head.transactions]
     assert statuses.count(False) == 1
-    assert fingerprint(chain) == KNOWN["erc20_block_with_revert"]
+    expect(chain, "erc20_block_with_revert", measured=False)

@@ -251,12 +251,15 @@ class TestDataPathDoesWorkOnce:
         assert provider.partition_tree() is not trees[0]  # rebound again
 
     def test_entry_point_source_read_once(self, market_setup, monkeypatch):
+        """Source is not read at all any more; what is measured once per
+        entry point is its code object."""
         market, _, consumer, _ = market_setup
         enclave_module._measure.cache_clear()
-        enclave_module._measured_text.cache_clear()
+        enclave_module._measured_code.cache_clear()
         reads = self._count_calls(monkeypatch, inspect, "getsource")
+        walks = self._count_calls(monkeypatch, enclave_module, "_describe")
         # Two workloads are two code units (name and version differ) over
-        # one entry point, whose source is read for the first only.
+        # one entry point, whose code object is walked for the first only.
         measurements = []
         for workload_id in ("wl-m1", "wl-m2"):
             spec = har_spec(workload_id=workload_id)
@@ -266,7 +269,9 @@ class TestDataPathDoesWorkOnce:
             assert onchain == market.executors[0].code_for(
                 spec).measurement.hex()
             measurements.append(onchain)
-        assert [args[0] for args in reads] == [enclave_entry_point]
+        assert reads == []
+        assert [args[0] for args in walks
+                if callable(args[0])] == [enclave_entry_point]
         assert measurements[0] != measurements[1]
 
 

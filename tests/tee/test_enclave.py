@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,7 @@ import pytest
 from repro.core.workload import enclave_entry_point
 from repro.crypto.ecdsa import PrivateKey
 from repro.errors import EnclaveViolationError, SealingError
-from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform, _measured_text
+from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform, _describe
 
 
 def echo_entry(inputs, suffix=""):
@@ -52,15 +54,82 @@ class TestMeasurement:
         assert len(code.measurement) == 32
 
     def test_golden_measurement_of_sourced_code(self):
-        """Computed at commit f47aa5d, before measurements were cached."""
+        """Against a recomputation that shares no code with ``enclave.py``.
+
+        There is no pinned hex: bytecode belongs to the interpreter, so the
+        identity is per Python minor version (DESIGN §6).
+        """
         code = EnclaveCode("pds2-golden", "1.0", enclave_entry_point)
-        assert code.measurement.hex() == (
-            "602e6024d961ddba8b5470631c9e8633"
-            "38168d8320d2ff5551a642516b68d2eb")
+        assert code.measurement == recompute_measurement(
+            "pds2-golden", "1.0", enclave_entry_point)
+        assert recompute_measurement("pds2-golden", "1.1",
+                                     enclave_entry_point) != code.measurement
+
+    def test_measurement_covers_what_runs_and_not_where_it_came_from(self):
+        def unit(source: str, filename: str) -> EnclaveCode:
+            namespace: dict = {}
+            exec(compile(source, filename, "exec"), namespace)
+            return EnclaveCode("c", "1", namespace["entry"])
+
+        plain = unit(SOURCE, "a.py")
+        # Comments, blank lines, another (missing) file: the same identity.
+        assert plain.measurement == unit(
+            "# moved\n\n\n" + SOURCE.replace("total = 0", "total = 0  # sum"),
+            "/nowhere/b.py").measurement
+        # One constant, one name, one default, one nested constant: another.
+        edits = [("total = 0", "total = 1"), ("sorted", "list"),
+                 ("scale=2", "scale=3"), ("value * scale", "value + scale"),
+                 ("{1, 2}", "{1, 3}")]
+        measurements = {unit(SOURCE.replace(old, new), "a.py").measurement
+                        for old, new in edits}
+        assert len(measurements) == len(edits)
+        assert plain.measurement not in measurements
+
+
+SOURCE = """
+def entry(inputs, scale=2):
+    total = 0
+    for value in sorted(inputs):
+        if value in {1, 2}:
+            total += (lambda: value * scale)()
+    return total
+"""
+
+
+def recompute_measurement(name: str, version: str, function) -> bytes:
+    """The measurement of a plain function, written out a second time."""
+    def constant(value) -> str:
+        if isinstance(value, types.CodeType):
+            return code(value)
+        if isinstance(value, tuple):
+            return "(" + ",".join(constant(item) for item in value) + ")"
+        if isinstance(value, frozenset):
+            return "{" + ",".join(sorted(constant(item)
+                                         for item in value)) + "}"
+        return type(value).__name__ + ":" + repr(value)
+
+    def code(co: types.CodeType) -> str:
+        return "code(" + ",".join([
+            constant(co.co_code),
+            constant(getattr(co, "co_exceptiontable", b"")),
+            constant(co.co_consts), constant(co.co_names),
+            constant(co.co_varnames), constant(co.co_freevars),
+            constant(co.co_cellvars), constant(co.co_argcount),
+            constant(co.co_posonlyargcount), constant(co.co_kwonlyargcount),
+            constant(co.co_flags)]) + ")"
+
+    assert not function.__kwdefaults__
+    described = "function(%s,%s,NoneType:None)" % (
+        code(function.__code__), constant(function.__defaults__))
+    digest = hashlib.sha3_256(described.encode()).hexdigest()
+    return hashlib.sha3_256(
+        "\x00".join([name, version, digest]).encode()).digest()
 
 
 class TestSourcelessMeasurement:
-    """No retrievable source: the qualified name, never a memory address."""
+    """Source is never read.  A lambda is its code object, a ``partial`` the
+    function it wraps plus what it binds, and only a callable with no code
+    object is its qualified name — never a memory address."""
 
     SOURCELESS = (len, functools.partial(echo_entry, suffix="!"),
                   eval("lambda inputs: inputs"))
@@ -69,14 +138,24 @@ class TestSourcelessMeasurement:
         assert "0x" in repr(self.SOURCELESS[1])
         assert "0x" in repr(self.SOURCELESS[2])
         for entry_point in self.SOURCELESS:
-            assert "0x" not in _measured_text(entry_point)
-        assert _measured_text(len) == "builtins.len"
-        assert _measured_text(self.SOURCELESS[1]) == "functools.partial"
+            assert "0x" not in _describe(entry_point)
+        assert _describe(len) == "builtins.len"
+        assert _describe(self.SOURCELESS[1]) == (
+            "partial(%s,(),{str:'suffix'=str:'!'})" % _describe(echo_entry))
 
     def test_sourceless_units_still_differ(self):
+        entry_points = self.SOURCELESS + (
+            # Two lambdas, two partials: one identity each (they used to
+            # share "<lambda>" and "functools.partial").
+            eval("lambda inputs: None"),
+            functools.partial(echo_entry, suffix="?"),
+            functools.partial(other_entry),
+        )
         measurements = {EnclaveCode("c", "1", entry_point).measurement
-                        for entry_point in self.SOURCELESS}
-        assert len(measurements) == len(self.SOURCELESS)
+                        for entry_point in entry_points}
+        assert len(measurements) == len(entry_points)
+        assert EnclaveCode("c", "1", eval("lambda inputs: inputs")
+                           ).measurement in measurements
 
     def test_same_identity_in_every_process(self):
         script = (
@@ -84,8 +163,8 @@ class TestSourcelessMeasurement:
             "import sys\n"
             "from repro.tee.enclave import EnclaveCode\n"
             "heap_shift = [object() for _ in range(int(sys.argv[1]))]\n"
-            "for entry in (len, functools.partial(len),\n"
-            "              eval('lambda inputs: inputs')):\n"
+            "for entry in (len, functools.partial(len, 'abc'),\n"
+            "              eval('lambda inputs: inputs in {1, \"a\", None}')):\n"
             "    print(EnclaveCode('c', '1', entry).measurement.hex())\n"
         )
         src = str(Path(__file__).resolve().parents[2] / "src")
