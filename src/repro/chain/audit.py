@@ -125,13 +125,12 @@ class ChainAuditor:
     def state_root(self) -> bytes:
         """The root of the live world state, by the auditor's own means.
 
-        The value ``WorldState.state_root`` commits to — ``keccak(keccak(
-        balances) + keccak(nonces) + one leaf per contract in address
-        order)`` — built without asking the state what changed: every
-        contract's storage is fingerprinted (:func:`_fingerprint`) on every
-        call, and a contract is canonically encoded and its leaf re-hashed
-        when its fingerprint is not the one its kept leaf was made under.
-        Balances and nonces are encoded on every call.
+        The value ``WorldState.state_root`` commits to, built without asking
+        the state what changed: every contract's storage is fingerprinted
+        (:func:`_fingerprint`) on every call, and a contract is canonically
+        encoded and its leaf re-hashed when its fingerprint is not the one
+        its kept leaf was made under.  Balances and nonces are encoded and
+        hashed on every call.
         """
         state = self.chain.state
         kept, leaves = self._leaves, {}

@@ -398,12 +398,10 @@ class Blockchain:
         chain cut at the front no longer starts at genesis.  The seals are
         checked last, all in one batch.
 
-        From genesis by default.  With ``since = k`` the front is still
-        anchored and ``blocks[k]`` must be block ``k``; structure, order and
-        seals are checked for blocks ``k`` to the head, and the parent link
-        of block ``k`` into block ``k - 1``.  Blocks before ``k`` are then
-        vouched for only by that link and by the auditor that checked each
-        of them when it was sealed.
+        With ``since = k`` the front is still anchored, ``blocks[k]`` must be
+        block ``k``, and the checks cover blocks ``k`` to the head plus the
+        link of block ``k`` into block ``k - 1``; what lies before that link
+        was checked by the chain auditor as each block sealed (DESIGN §16).
         """
         if not self.blocks:
             raise InvalidBlockError("the chain has no genesis block")

@@ -11,10 +11,9 @@ restored.
 state.  They have no production caller: the tests use them as the oracle
 the journal's revert is compared against.
 
-:meth:`WorldState.state_root` is a two-level commitment — one 32-byte leaf
-per contract under one root hash — and incremental: a contract's leaf is
-kept until the contract is written *through the VM* (or the journal, or
-``restore``), so a root hashes what was written plus 32 bytes per contract.
+:meth:`WorldState.state_root` is a two-level commitment, one 32-byte leaf
+per contract under one root hash, and incremental: a leaf is kept until its
+contract is written *through the VM* (or the journal, or ``restore``).
 Writing ``contract.storage`` any other way is tampering: the root will not
 see it, and the chain auditor — which looks at every contract's storage
 itself every block — flags the block.
@@ -274,14 +273,12 @@ class WorldState:
     def state_root(self) -> bytes:
         """A digest committing to the full state (used in block headers).
 
-        Two levels: ``keccak(keccak(balances) + keccak(nonces) + leaf(a1) +
-        ... + leaf(aC))`` over the canonical JSON of the non-zero balances,
-        of the nonces, and one leaf per contract in sorted-address order,
-        ``leaf(a) = keccak(b'"a":{...storage...}')``.  A leaf's preimage
-        names its contract and the first two positions are fixed, so no
-        position needs a tag.  Balances and nonces are encoded on every
-        call, a contract only when it was written since the last one; what
-        is hashed is those encodings plus 32 bytes per contract.
+        ``keccak(keccak(balances) + keccak(nonces) + leaf(a1) + ... +
+        leaf(aC))``: the canonical JSON of the non-zero balances and of the
+        nonces, then ``leaf(a) = keccak(b'"a":{...storage...}')`` per contract
+        in sorted-address order (DESIGN §16).  Balances and nonces are
+        encoded on every call, a contract only when it was written since the
+        last one: a root hashes those encodings plus 32 bytes per contract.
         """
         leaves = self._contract_leaves
         digests = [

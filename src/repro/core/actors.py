@@ -74,9 +74,8 @@ class ProviderActor:
     record_id: str = ""
     stored_object_id: str = ""
     rewards_received: int = 0
-    #: ``(dataset, its serialized rows, their Merkle tree)``: a ``Dataset``
-    #: is frozen, so both stay valid until ``dataset`` is rebound to another
-    #: object.
+    #: ``(dataset, its serialized rows, their Merkle tree)``: a ``Dataset`` is
+    #: frozen, so both stay valid until ``dataset`` is rebound to another one.
     _encoded: Optional[tuple[Dataset, list[bytes], MerkleTree]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -86,9 +85,9 @@ class ProviderActor:
 
     def _encode(self) -> tuple[Dataset, list[bytes], MerkleTree]:
         if self._encoded is None or self._encoded[0] is not self.dataset:
-            rows = serialize_partition(
-                self.dataset.features, self.dataset.targets)
-            self._encoded = (self.dataset, rows, MerkleTree(rows))
+            dataset = self.dataset
+            rows = serialize_partition(dataset.features, dataset.targets)
+            self._encoded = (dataset, rows, MerkleTree(rows))
         return self._encoded
 
     def partition_rows(self) -> list[bytes]:

@@ -5,10 +5,9 @@ backend operator learns nothing.  The construction is encrypt-then-MAC over a
 SHAKE-256 keystream:
 
 * ``enc_key, mac_key = HKDF-like split of the master key``
-* ``ciphertext = plaintext XOR SHAKE256(enc_key || nonce)``, the
-  extendable-output function squeezed to the plaintext's length in one call
-* ``tag = HMAC-SHA256(mac_key, nonce || ciphertext)``, checked before
-  anything is decrypted
+* ``ciphertext = plaintext XOR SHAKE256(enc_key || nonce)``, one
+  extendable-output call squeezed to the plaintext's length
+* ``tag = HMAC-SHA256(mac_key, nonce || ciphertext)``, checked first
 
 This is a standard, honest construction (a keyed XOF as stream cipher, plus
 HMAC), implemented with primitives from the standard library so the

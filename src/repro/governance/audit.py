@@ -6,10 +6,8 @@ workload step emits events from a sealed chain, any party can re-derive and
 check the full history.  :func:`audit_workload` performs the checks:
 
 1. the chain verifies (seals, parent links, tx roots) from the block of
-   the workload's first event to the head, and that block links to its
-   parent: the audit vouches for the segment that holds the workload;
-   ``Blockchain.verify_chain()`` is the whole-chain check, and every block
-   was checked by the chain auditor when it was sealed;
+   the workload's first event, and that block links to its parent (the
+   whole-chain check is ``Blockchain.verify_chain()``; DESIGN §16);
 2. the workload's event sequence respects the lifecycle state machine;
 3. every paid reward corresponds to a recorded participant;
 4. reward conservation: total payouts equal the escrowed pool (when the

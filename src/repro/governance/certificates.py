@@ -75,8 +75,7 @@ def issue_certificate(provider_key: PrivateKey, workload_id: str,
 
     The Merkle root pins the certificate to *these* bytes: an executor
     substituting or adding items can no longer match the root.  A provider
-    that certifies the same items again and again hands over the
-    :class:`MerkleTree` it keeps of them instead of the bare items.
+    certifying the same items again passes the tree it keeps of them.
     """
     tree = (data_items if isinstance(data_items, MerkleTree)
             else MerkleTree(data_items))

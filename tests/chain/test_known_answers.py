@@ -16,11 +16,11 @@ cause per commit:
   every root and every block hash (a header commits to its root) changed
   with it, and nothing else did — ``height``, ``gas`` and ``receipts`` were
   byte-equal across that commit.
-* A later commit of the same change (``tee/enclave.py``: ``_describe``)
-  measures an enclave by its code object instead of its source text.  The measurement hex is contract storage and transaction
-  payload, so in the two marketplace scenarios the roots and hashes moved
-  again and ``receipts`` (which holds transaction hashes and the
-  ``code_measurement`` log field) moved for the first time;
+* ``198bf29`` measures an enclave by its code object instead of its source
+  text (``tee/enclave.py``: ``_describe``).  The measurement hex is contract
+  storage and transaction payload, so in the two marketplace scenarios the
+  roots and hashes moved again and ``receipts`` (which holds transaction
+  hashes and the ``code_measurement`` log field) moved for the first time;
   ``erc20_block_with_revert`` has no enclave and kept its ``aaf7470`` values.
 
 ``structure`` is what the receipts say with every identity taken out: status,
