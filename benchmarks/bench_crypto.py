@@ -1,8 +1,9 @@
 """Crypto microbenchmarks: fast EC backend vs the affine reference.
 
-Measures keygen / sign / verify under both the retained textbook affine
-implementation (the differential-testing oracle in ``repro.crypto.ecdsa``)
-and the Jacobian/wNAF/GLV backend that now powers the public API, plus the
+Measures keygen / sign / verify under both the textbook affine
+implementation (the differential-testing oracle, ``tests/crypto/
+affine_oracle.py``) and the Jacobian/wNAF/GLV backend behind the public
+API, plus the
 chain-facing caches (verification replay, Merkle proofs).
 
 Writes two artifacts under ``benchmarks/results/``:
@@ -25,6 +26,7 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent))  # tests/ (the oracle)
 
 from reporting import format_table, report  # noqa: E402
 
@@ -36,12 +38,11 @@ from repro.crypto.ecdsa import (  # noqa: E402
     N,
     PrivateKey,
     _VERIFY_CACHE,
-    _point_add,
-    _point_mul,
     shared_secret,
 )
 from repro.crypto.hashing import hash_to_int  # noqa: E402
 from repro.crypto.merkle import MerkleTree  # noqa: E402
+from tests.crypto.affine_oracle import point_add, point_mul  # noqa: E402
 
 RESULTS_DIR = Path(__file__).parent / "results"
 VERIFY_SPEEDUP_TARGET = 10.0
@@ -59,7 +60,7 @@ def _affine_sign(key: PrivateKey, message: bytes):
     """The seed implementation's signing path, on the affine oracle."""
     digest = hash_to_int(message, N)
     k = key._deterministic_nonce(digest, 0)
-    point = _point_mul(k, (GX, GY))
+    point = point_mul(k, (GX, GY))
     r = point[0] % N
     s = pow(k, -1, N) * (digest + r * key.secret) % N
     if s > N // 2:
@@ -71,9 +72,9 @@ def _affine_verify(public, message: bytes, r: int, s: int) -> bool:
     """The seed implementation's verification path, on the affine oracle."""
     digest = hash_to_int(message, N)
     s_inv = pow(s, -1, N)
-    point = _point_add(
-        _point_mul(digest * s_inv % N, (GX, GY)),
-        _point_mul(r * s_inv % N, (public.x, public.y)),
+    point = point_add(
+        point_mul(digest * s_inv % N, (GX, GY)),
+        point_mul(r * s_inv % N, (public.x, public.y)),
     )
     return point is not None and point[0] % N == r
 
@@ -93,7 +94,7 @@ def run(smoke: bool = False) -> dict:
     # Affine reference (the seed implementation, retained as the oracle).
     counter = iter(range(10**9))
     ms["affine_keygen"] = _time_per_call(
-        lambda: _point_mul(key.secret + next(counter), (GX, GY)), iters_slow
+        lambda: point_mul(key.secret + next(counter), (GX, GY)), iters_slow
     )
     ms["affine_sign"] = _time_per_call(
         lambda: _affine_sign(key, messages[next(counter) % len(messages)]),

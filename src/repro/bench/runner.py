@@ -94,6 +94,7 @@ def discover(bench_dir: Optional[Path] = None) -> dict[str, Experiment]:
     Modules without a declaration are skipped silently (they may be
     pytest-only helpers); a module that fails to import is a hard error —
     a broken benchmark must not silently vanish from the trajectory.
+    Returned in id order (E2 before E10), the order a suite runs in.
     """
     bench_dir = bench_dir if bench_dir is not None else default_bench_dir()
     # Benchmarks import their siblings (reporting, shared builders).
@@ -111,7 +112,9 @@ def discover(bench_dir: Optional[Path] = None) -> dict[str, Experiment]:
                 f"declared by {path.name}"
             )
         experiments[declared.experiment_id] = declared
-    return experiments
+    return {experiment_id: experiments[experiment_id]
+            for experiment_id in sorted(experiments,
+                                        key=_experiment_sort_key)}
 
 
 def _normalize_metrics(raw: Mapping) -> dict[str, Metric]:
@@ -178,9 +181,7 @@ def run_suite(suite: str = "quick",
         "provenance": provenance(),
         "experiments": {},
     }
-    for experiment_id in sorted(experiments,
-                                key=_experiment_sort_key):
-        experiment = experiments[experiment_id]
+    for experiment_id, experiment in experiments.items():
         if progress is not None:
             progress(f"running {experiment_id}: {experiment.title} …")
         entry = run_experiment(experiment, quick=quick)

@@ -135,7 +135,15 @@ class ExecutionContext:
         return True, node
 
     def storage_write(self, contract, path: tuple, value: Any) -> None:
-        """Write a storage slot, creating intermediate dicts as needed."""
+        """Write a storage slot, creating intermediate dicts as needed.
+
+        Mutable values are stored as deep copies, as :meth:`storage_read`
+        hands them out: a dict or list taken from a transaction's payload
+        would otherwise be live storage, and a later nested write would
+        edit the mined transaction.
+        """
+        if isinstance(value, (dict, list)):
+            value = copy.deepcopy(value)
         state = self._state
         journal = state.tx_journal
         state.storage_changed(contract.address)

@@ -116,17 +116,21 @@ def _cmd_info(args: argparse.Namespace, out: OutputWriter) -> int:
     return 0
 
 
-def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.core import Marketplace, ModelSpec, TrainingSpec, WorkloadSpec
+def _demo_market(args: argparse.Namespace, rows: int):
+    """The seeded demo marketplace of the run commands: ``rows`` HAR
+    samples, a quarter held out for the consumer, the rest Dirichlet-split
+    over ``--providers``, then ``--executors``.  Returns ``(market,
+    consumer)``."""
+    from repro.core import Marketplace
     from repro.ml.datasets import (
         make_iot_activity,
         split_dirichlet,
         train_test_split,
     )
-    from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
+    from repro.storage.semantic import SemanticAnnotation
 
     rng = np.random.default_rng(args.seed)
-    data = make_iot_activity(1600, rng)
+    data = make_iot_activity(rows, rng)
     train, validation = train_test_split(data, 0.25, rng)
     parts = split_dirichlet(train, args.providers, 1.0, rng, min_samples=15)
 
@@ -138,42 +142,65 @@ def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
     consumer = market.add_consumer("consumer", validation=validation)
     for index in range(args.executors):
         market.add_executor(f"executor-{index}")
+    return market, consumer
 
-    spec = WorkloadSpec(
-        workload_id="cli-quickstart",
+
+def _demo_spec(args: argparse.Namespace, workload_id: str, steps: int,
+               **overrides: Any):
+    """The demo softmax workload; ``overrides`` are WorkloadSpec fields."""
+    from repro.core import ModelSpec, TrainingSpec, WorkloadSpec
+    from repro.storage.semantic import ConceptRequirement
+
+    fields: dict[str, Any] = dict(
+        workload_id=workload_id,
         requirement=ConceptRequirement("physiological"),
         model=ModelSpec(family="softmax", num_features=6, num_classes=5),
-        training=TrainingSpec(steps=150, learning_rate=0.3),
+        training=TrainingSpec(steps=steps, learning_rate=0.3),
         reward_pool=1_000_000,
         min_providers=max(1, args.providers // 2),
         min_samples=100,
         required_confirmations=min(2, args.executors),
-        dp_epsilon=args.dp_epsilon,
     )
+    fields.update(overrides)
+    return WorkloadSpec(**fields)
+
+
+def _run_traced(market: Any, trace: str | None, out: OutputWriter,
+                run: Any) -> Any:
+    """``run()``, with ``--trace PATH`` also writing the market's events to
+    PATH and the process registry to the PATH.metrics.json sidecar."""
+    if not trace:
+        return run()
+    from repro.core.events import JSONLSink
+
+    with JSONLSink(trace) as sink:
+        market.events.attach(sink)
+        try:
+            result = run()
+        finally:
+            market.events.detach(sink)
+    # Sidecar snapshot of the process-wide registry: `repro metrics`
+    # prefers this exact view over a replay-derived approximation.
+    metrics_path = trace + ".metrics.json"
+    with open(metrics_path, "w", encoding="utf-8") as fh:
+        json.dump(_labeled_snapshot(), fh, indent=2)
+    out.line(f"event trace written to {trace} "
+             f"(replay: python -m repro trace {trace})")
+    out.line(f"metrics snapshot written to {metrics_path} "
+             f"(view: python -m repro metrics {metrics_path})")
+    out.set("trace", trace)
+    out.set("metrics_snapshot", metrics_path)
+    return result
+
+
+def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
+    market, consumer = _demo_market(args, rows=1600)
+    spec = _demo_spec(args, "cli-quickstart", steps=150,
+                      dp_epsilon=args.dp_epsilon)
     out.line(f"running workload with {args.providers} providers, "
              f"{args.executors} executors…")
-    if args.trace:
-        from repro.core.events import JSONLSink
-
-        with JSONLSink(args.trace) as sink:
-            market.events.attach(sink)
-            try:
-                report = market.run_workload(consumer, spec)
-            finally:
-                market.events.detach(sink)
-        # Sidecar snapshot of the process-wide registry: `repro metrics`
-        # prefers this exact view over a replay-derived approximation.
-        metrics_path = args.trace + ".metrics.json"
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(_labeled_snapshot(), fh, indent=2)
-        out.line(f"event trace written to {args.trace} "
-                 f"(replay: python -m repro trace {args.trace})")
-        out.line(f"metrics snapshot written to {metrics_path} "
-                 f"(view: python -m repro metrics {metrics_path})")
-        out.set("trace", args.trace)
-        out.set("metrics_snapshot", metrics_path)
-    else:
-        report = market.run_workload(consumer, spec)
+    report = _run_traced(market, args.trace, out,
+                         lambda: market.run_workload(consumer, spec))
     out.line(f"accuracy: {report.consumer_score:.3f}")
     out.line(f"gas used: {report.gas_used:,}")
     out.line(f"rewards paid: {report.total_paid:,} "
@@ -192,76 +219,32 @@ def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_faults(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.core import Marketplace, ModelSpec, TrainingSpec, WorkloadSpec
     from repro.core.resilience import SCENARIOS, run_with_faults
-    from repro.ml.datasets import (
-        make_iot_activity,
-        split_dirichlet,
-        train_test_split,
-    )
-    from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 
-    scenario = SCENARIOS[args.scenario]
+    scenario = SCENARIOS.get(args.scenario)
+    if scenario is None:
+        out.error(f"unknown fault scenario {args.scenario!r} "
+                  f"(choose from: {', '.join(sorted(SCENARIOS))})")
+        return 2
     out.line(f"scenario {scenario.name}: {scenario.description}")
 
-    rng = np.random.default_rng(args.seed)
-    data = make_iot_activity(900, rng)
-    train, validation = train_test_split(data, 0.25, rng)
-    parts = split_dirichlet(train, args.providers, 1.0, rng, min_samples=15)
-
-    market = Marketplace(seed=args.seed)
-    provider_names = []
-    for index, part in enumerate(parts):
-        provider = market.add_provider(
-            f"user-{index}", part,
-            SemanticAnnotation("heart_rate", {"rate_hz": 1.0}),
-        )
-        provider_names.append(provider.name)
-    consumer = market.add_consumer("consumer", validation=validation)
-    executor_names = [
-        market.add_executor(f"executor-{index}").name
-        for index in range(args.executors)
-    ]
-
-    spec = WorkloadSpec(
-        workload_id=f"cli-faults-{scenario.name}",
-        requirement=ConceptRequirement("physiological"),
-        model=ModelSpec(family="softmax", num_features=6, num_classes=5),
-        training=TrainingSpec(steps=80, learning_rate=0.3),
-        reward_pool=600_000,
+    market, consumer = _demo_market(args, rows=900)
+    spec = _demo_spec(
+        args, f"cli-faults-{scenario.name}", steps=80, reward_pool=600_000,
         # One provider may be dropped by recovery and the match still holds.
-        min_providers=max(1, args.providers - 1),
-        min_samples=50,
-        required_confirmations=min(2, args.executors),
+        min_providers=max(1, args.providers - 1), min_samples=50,
     )
-    plan = scenario.plan(executor_names, provider_names)
+    plan = scenario.plan([executor.name for executor in market.executors],
+                         [provider.name for provider in market.providers])
     for line in plan.describe():
         out.line(f"  armed: {line}")
     recover = not args.no_recovery
     out.line(f"recovery policy: {'on' if recover else 'off (baseline)'}")
 
-    if args.trace:
-        from repro.core.events import JSONLSink
-
-        with JSONLSink(args.trace) as sink:
-            market.events.attach(sink)
-            try:
-                result = run_with_faults(market, consumer, spec, plan,
-                                         recover=recover)
-            finally:
-                market.events.detach(sink)
-        metrics_path = args.trace + ".metrics.json"
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(_labeled_snapshot(), fh, indent=2)
-        out.line(f"event trace written to {args.trace} "
-                 f"(replay: python -m repro trace {args.trace})")
-        out.line(f"metrics snapshot written to {metrics_path} "
-                 f"(view: python -m repro metrics {metrics_path})")
-        out.set("trace", args.trace)
-        out.set("metrics_snapshot", metrics_path)
-    else:
-        result = run_with_faults(market, consumer, spec, plan,
-                                 recover=recover)
+    result = _run_traced(
+        market, args.trace, out,
+        lambda: run_with_faults(market, consumer, spec, plan,
+                                recover=recover))
 
     out.line(f"outcome: {result.outcome} "
              f"(session {result.session_state}, "
@@ -301,49 +284,20 @@ def _cmd_faults(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace, out: OutputWriter) -> int:
+    from pathlib import Path
+
+    from repro.bench import discover
+
     experiments = [
-        ("E1", "five-role lifecycle end to end", "bench_e1_lifecycle.py"),
-        ("E2", "Fig. 3 hardware configurations",
-         "bench_e2_hardware_configs.py"),
-        ("E3", "oblivious backend overheads (plain/TEE/SMC/HE)",
-         "bench_e3_oblivious_backends.py"),
-        ("E4", "backend scaling with model size",
-         "bench_e4_backend_scaling.py"),
-        ("E5", "gossip vs federated learning",
-         "bench_e5_gossip_vs_federated.py"),
-        ("E6", "churn and coordinator failure",
-         "bench_e6_churn_robustness.py"),
-        ("E7", "Shapley: exponential exact, cheap approximations",
-         "bench_e7_shapley.py"),
-        ("E8", "model-based pricing curve", "bench_e8_pricing.py"),
-        ("E9", "data-authenticity detection", "bench_e9_authenticity.py"),
-        ("E10", "metadata leakage vs matching precision",
-         "bench_e10_discovery.py"),
-        ("E11", "DP vs membership inference",
-         "bench_e11_privacy_leakage.py"),
-        ("E12", "governance gas scalability",
-         "bench_e12_governance_scalability.py"),
-        ("E13", "ERC-20/721 gas ablation", "bench_e13_token_ablation.py"),
-        ("E14", "gossip merge-strategy ablation",
-         "bench_e14_merge_ablation.py"),
-        ("E15", "gossip message compression", "bench_e15_compression.py"),
-        ("E16", "executor fault injection vs quorum",
-         "bench_e16_fault_injection.py"),
-        ("E17", "executor economics", "bench_e17_economics.py"),
-        ("E18", "lifecycle fault recovery sweep",
-         "bench_e18_fault_recovery.py"),
-        ("E20", "vectorized gossip kernels",
-         "bench_e20_kernel_scale.py"),
-        ("E21", "sharded batch control plane at sweep scale",
-         "bench_e21_batch_scale.py"),
-        ("E22", "distributed trace assembly under chaos kills",
-         "bench_e22_trace_assembly.py"),
+        (exp.experiment_id, exp.title,
+         f"benchmarks/{Path(exp.run.__code__.co_filename).name}")
+        for exp in discover().values()
     ]
-    out.line("experiment suite (run: pytest benchmarks/)\n")
+    out.line("experiment suite (run: python -m repro bench --suite full)\n")
     for exp_id, title, bench in experiments:
-        out.line(f"  {exp_id:<4} {title:<48} benchmarks/{bench}")
+        out.line(f"  {exp_id:<6} {title:<58} {bench}")
     out.set("experiments", [
-        {"id": exp_id, "title": title, "benchmark": f"benchmarks/{bench}"}
+        {"id": exp_id, "title": title, "benchmark": bench}
         for exp_id, title, bench in experiments
     ])
     return 0
@@ -724,13 +678,6 @@ def _cmd_profile(args: argparse.Namespace, out: OutputWriter) -> int:
     processes emit byte-identical collapsed stacks (the determinism tests
     run this command twice via subprocess and diff the output).
     """
-    from repro.core import Marketplace, ModelSpec, TrainingSpec, WorkloadSpec
-    from repro.ml.datasets import (
-        make_iot_activity,
-        split_dirichlet,
-        train_test_split,
-    )
-    from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
     from repro.telemetry import (
         Profiler,
         profile_snapshot,
@@ -738,30 +685,8 @@ def _cmd_profile(args: argparse.Namespace, out: OutputWriter) -> int:
         render_profile_tree,
     )
 
-    rng = np.random.default_rng(args.seed)
-    data = make_iot_activity(800, rng)
-    train, validation = train_test_split(data, 0.25, rng)
-    parts = split_dirichlet(train, args.providers, 1.0, rng, min_samples=15)
-
-    market = Marketplace(seed=args.seed)
-    for index, part in enumerate(parts):
-        market.add_provider(f"user-{index}", part,
-                            SemanticAnnotation("heart_rate",
-                                               {"rate_hz": 1.0}))
-    consumer = market.add_consumer("consumer", validation=validation)
-    for index in range(args.executors):
-        market.add_executor(f"executor-{index}")
-
-    spec = WorkloadSpec(
-        workload_id="cli-profile",
-        requirement=ConceptRequirement("physiological"),
-        model=ModelSpec(family="softmax", num_features=6, num_classes=5),
-        training=TrainingSpec(steps=60, learning_rate=0.3),
-        reward_pool=1_000_000,
-        min_providers=max(1, args.providers // 2),
-        min_samples=100,
-        required_confirmations=min(2, args.executors),
-    )
+    market, consumer = _demo_market(args, rows=800)
+    spec = _demo_spec(args, "cli-profile", steps=60)
     profiler = Profiler(mode=args.mode, hz=args.hz,
                         call_interval=args.interval)
     with profiler:
@@ -1075,19 +1000,6 @@ def _cmd_chain(args: argparse.Namespace, out: OutputWriter) -> int:
     return 2
 
 
-#: Scenario names accepted by `repro faults` (mirrors
-#: ``repro.core.resilience.SCENARIOS``; a test asserts the two match).
-FAULT_SCENARIOS = (
-    "chain-flaky",
-    "churn-provider",
-    "crash-execute",
-    "crash-register",
-    "crash-submit",
-    "drop-provider",
-    "drop-submission",
-)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1127,10 +1039,11 @@ def build_parser() -> argparse.ArgumentParser:
     faults = subparsers.add_parser(
         "faults", help="run a workload under an injected fault scenario"
     )
-    # Kept in sync with repro.core.resilience.SCENARIOS (tested); listing
-    # them statically keeps `repro info` etc. free of the core import.
-    faults.add_argument("scenario", choices=FAULT_SCENARIOS,
-                        help="named fault scenario to arm")
+    # The handler checks the name against repro.core.resilience.SCENARIOS,
+    # so building the parser (`repro info` etc.) stays free of the core import.
+    faults.add_argument("scenario",
+                        help="named fault scenario to arm (an unknown name "
+                             "lists the valid ones)")
     faults.add_argument("--providers", type=int, default=3)
     faults.add_argument("--executors", type=int, default=3)
     faults.add_argument("--seed", type=int, default=42)

@@ -1,9 +1,9 @@
 """Batch control plane: sharded, crash-resumable execution at sweep scale.
 
-Layer 2 of the checkpointable-sessions refactor.  The core gives one
-session a serializable :class:`~repro.core.checkpoint.SessionCheckpoint`;
-this package turns that into an operational capability: submit thousands
-of deterministic :class:`JobSpec`\\ s into a file-backed :class:`JobsDB`,
+The core gives one session a digestible boundary record
+(:class:`~repro.core.checkpoint.SessionCheckpoint`); this package turns
+that into an operational capability: submit thousands of deterministic
+:class:`JobSpec`\\ s into a file-backed :class:`JobsDB`,
 shard them across a ``multiprocessing`` worker pool with
 :func:`batch_execute`, survive worker SIGKILLs via journaled boundary
 digests and replay-verified re-queue, and settle the batch into a

@@ -15,9 +15,10 @@ the unit of work the E21 10k-session sweep shards.
   session's :meth:`SessionCheckpoint.digest` at every phase boundary;
 * replay-verified resume — a re-queued attempt replays the job from its
   seed and *verifies* each boundary digest against what the dead worker
-  journaled (live enclave/chain state dies with a process, so cross-process
-  resume is deterministic replay, not state transplant).  A mismatch is a
-  determinism violation and raises :class:`ControlPlaneError`.
+  journaled.  Live enclave/chain state dies with a process, so this is the
+  one way back from a crash (a session that was merely paused is still an
+  object: ``run()`` again).  A mismatch is a determinism violation and
+  raises :class:`ControlPlaneError`.
 """
 
 from __future__ import annotations

@@ -172,7 +172,6 @@ class ExecutorActor:
     wallet: Wallet
     platform: TEEPlatform
     enclaves: dict[str, Enclave] = field(default_factory=dict)
-    providers_served: dict[str, list[str]] = field(default_factory=dict)
 
     @property
     def address(self) -> str:
@@ -200,7 +199,6 @@ class ExecutorActor:
         """
         if workload_id not in self.enclaves:
             self.enclaves[workload_id] = self.platform.launch(code)
-            self.providers_served[workload_id] = []
         return self.enclaves[workload_id]
 
     def quote_for_workload(self, workload_id: str, code: EnclaveCode) -> Quote:
@@ -217,7 +215,6 @@ class ExecutorActor:
         enclave.provision_input(
             f"provider:{provider_address}", envelope, provider_key
         )
-        self.providers_served[workload_id].append(provider_address)
 
     def execute_for(self, workload_id: str, code: EnclaveCode,
                     **run_kwargs: object) -> dict:

@@ -1,66 +1,42 @@
-"""Externalizable session state: checkpoints and mid-lifecycle restore.
+"""The boundary record of a session: what a replay is verified against.
 
-A :class:`SessionCheckpoint` is the versioned, canonically-serialized
-projection of one :class:`~repro.core.lifecycle.WorkloadSession`'s mutable
-progress — current phase and next (re-)entry phase, the PR 4 bookkeeping
-sets (registered / submitted / certified / executed / voted), retry
-counters, blacklist, payouts, the aggregated result, the event trail, and
-the armed fault injector's remaining budget.  It is coherent exactly at
-*phase boundaries*, which is where the engine fires ``on_phase_boundary``
-(after every completed phase and after every applied recovery directive).
+A :class:`SessionCheckpoint` is the canonically-serialized projection of
+one :class:`~repro.core.lifecycle.WorkloadSession`'s seed-determined
+progress — current phase and next (re-)entry phase, the bookkeeping sets
+(registered / submitted / certified / executed / voted), retry counters,
+blacklist, payouts, the aggregated result, gas/block totals and the armed
+fault injector's remaining budget.  It is coherent exactly at *phase
+boundaries*, which is where the engine fires ``on_phase_boundary`` (after
+every completed phase and after every applied recovery directive).
 
-Two restore modes share this format:
+Nothing reads the bytes back.  A *paused* session continues by calling
+``run()`` again on the live object; a *crashed* one comes back by
+deterministic replay: :mod:`repro.control.supervisor` re-runs the job from
+its seed and compares :meth:`SessionCheckpoint.digest` at each boundary
+with the digest the dead worker journaled.  The record therefore excludes
+everything wall-clock-bearing (the event trail), so two processes reaching
+the same boundary at the same seed produce the same digest.  There is no
+rehydration from a checkpoint: its precondition — a market still holding
+the session's chain, enclaves and actors — is the presence of the object it
+would rebuild.
 
-* **Rehydration** (:func:`restore_session`) rebuilds a live session
-  against a marketplace that still holds the checkpoint's chain, enclave
-  and actor state — i.e. the same :class:`~repro.core.marketplace.
-  Marketplace` object, or a deterministic twin that replayed up to the
-  same boundary.  Every lifecycle phase contributes a ``restore()``
-  validation re-establishing its invariants against that market;
-  violations raise :class:`~repro.errors.CheckpointError` instead of
-  corrupting the resumed run.
-
-* **Replay verification** (used by :mod:`repro.control.supervisor` for
-  cross-process resume, where in-memory chain and enclave state died with
-  the worker): re-run the job from its seed and compare
-  :meth:`SessionCheckpoint.digest` at each boundary against the journaled
-  digests.  The digest covers :meth:`progress_dict` — a deterministic
-  projection that excludes wall-clock-bearing fields (the raw event
-  trail), so two processes reaching the same boundary at the same seed
-  produce the same digest.
-
-Format versioning: ``CHECKPOINT_FORMAT`` names the wire format; parsing a
-checkpoint with an unknown format string fails loudly rather than
-guessing.  Additive evolution bumps the minor suffix; field removals or
-semantic changes bump the major name.
+``CHECKPOINT_FORMAT`` names the record layout and is part of every digest;
+bump it when a field is added, removed or changes meaning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.core.events import LifecycleEvent
-from repro.core.lifecycle import (
-    LIFECYCLE_PHASES,
-    PHASE_INDEX,
-    STATE_CREATED,
-    TERMINAL_STATES,
-    TRANSITIONS,
-    WorkloadKind,
-    WorkloadSession,
-)
+from repro.core.lifecycle import TERMINAL_STATES, WorkloadSession
 from repro.errors import CheckpointError
-from repro.utils.serialization import canonical_json_bytes, from_canonical_json
+from repro.utils.serialization import canonical_json_bytes
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.actors import ConsumerActor, ExecutorActor, ProviderActor
-    from repro.core.marketplace import Marketplace
-
-#: Wire-format identifier; bump on incompatible change (see module docs).
+#: Record-layout identifier; bump on any field change (see module docs).
 CHECKPOINT_FORMAT = "pds2-session-checkpoint/1"
 
 
@@ -70,15 +46,14 @@ class SessionCheckpoint:
 
     session_id: str
     workload_id: str
-    #: Canonical hash of the workload spec — restore refuses a kind whose
-    #: spec hash differs (the checkpoint belongs to a different workload).
+    #: Canonical hash of the workload spec the session runs.
     spec_hash: str
     #: The phase the session last completed (or was failing in, on a
     #: recovery edge); ``created`` before the first phase.
     state: str
-    #: The phase the resumed session (re-)enters.  On the happy path this
-    #: is the successor of ``state``; on a RECOVERY_TRANSITIONS edge it can
-    #: be ``state`` itself or an earlier phase.
+    #: The phase the session (re-)enters next.  On the happy path this is
+    #: the successor of ``state``; on a RECOVERY_TRANSITIONS edge it can be
+    #: ``state`` itself or an earlier phase.
     next_phase: str
     consumer: str = ""
     workload_address: str = ""
@@ -94,7 +69,7 @@ class SessionCheckpoint:
     extra: dict = field(default_factory=dict)
     final_state: str = ""
     payouts: dict[str, int] = field(default_factory=dict)
-    # -- PR 4 bookkeeping (sorted for canonical bytes) ---------------------
+    # -- phase bookkeeping (sorted for canonical bytes) --------------------
     registered: list[str] = field(default_factory=list)
     submitted: list[str] = field(default_factory=list)
     certified: list[str] = field(default_factory=list)
@@ -106,14 +81,10 @@ class SessionCheckpoint:
     retries: dict[str, int] = field(default_factory=dict)
     recovery_log: list[dict] = field(default_factory=list)
     refunded: int = 0
-    # -- derived accounting, for cross-checks and replay digests -----------
+    # -- derived accounting ------------------------------------------------
     gas_used: int = 0
     blocks_mined: int = 0
     sim_clock: float = 0.0
-    #: The session's event trail (``LifecycleEvent.to_dict`` records).
-    #: Restored verbatim so gas accounting and the audit phase's
-    #: trail-covers-chain cross-check survive a pause/resume.
-    trail: list[dict] = field(default_factory=list)
     #: Armed fault injector state (plan + per-fault remaining budget +
     #: injected log), or None when the session runs without injection.
     injector: Optional[dict] = None
@@ -121,97 +92,20 @@ class SessionCheckpoint:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "session_id": self.session_id,
-            "workload_id": self.workload_id,
-            "spec_hash": self.spec_hash,
-            "state": self.state,
-            "next_phase": self.next_phase,
-            "consumer": self.consumer,
-            "workload_address": self.workload_address,
-            "participants": list(self.participants),
-            "executors": list(self.executors),
-            "active_executors": list(self.active_executors),
-            "assignments": {k: list(v) for k, v in self.assignments.items()},
-            "outputs": self.outputs,
-            "result_vector": np.asarray(self.result_vector, dtype=float),
-            "weights_bps": dict(self.weights_bps),
-            "result_hash": self.result_hash,
-            "extra": self.extra,
-            "final_state": self.final_state,
-            "payouts": dict(self.payouts),
-            "registered": sorted(self.registered),
-            "submitted": sorted(self.submitted),
-            "certified": sorted(self.certified),
-            "executed": sorted(self.executed),
-            "voted": sorted(self.voted),
-            "blacklist": list(self.blacklist),
-            "dropped_providers": sorted(self.dropped_providers),
-            "degraded": self.degraded,
-            "retries": dict(self.retries),
-            "recovery_log": self.recovery_log,
-            "refunded": self.refunded,
-            "gas_used": self.gas_used,
-            "blocks_mined": self.blocks_mined,
-            "sim_clock": self.sim_clock,
-            "trail": self.trail,
-            "injector": self.injector,
-        }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "SessionCheckpoint":
-        fmt = record.get("format")
-        if fmt != CHECKPOINT_FORMAT:
-            raise CheckpointError(
-                f"unknown checkpoint format {fmt!r} "
-                f"(this build reads {CHECKPOINT_FORMAT!r})"
-            )
-        known = {f for f in cls.__dataclass_fields__}
-        fields = {k: v for k, v in record.items() if k in known}
-        fields["result_vector"] = np.asarray(
-            record.get("result_vector", []), dtype=float
-        )
-        fields["injector"] = record.get("injector")
-        return cls(**fields)
-
-    def to_bytes(self) -> bytes:
-        """The canonical wire encoding (stable across processes)."""
-        return canonical_json_bytes(self.to_dict())
-
-    @classmethod
-    def from_bytes(cls, payload: bytes | str) -> "SessionCheckpoint":
-        try:
-            record = from_canonical_json(payload)
-        except (ValueError, TypeError) as exc:
-            raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
-        if not isinstance(record, dict):
-            raise CheckpointError("checkpoint payload is not an object")
-        return cls.from_dict(record)
-
-    def progress_dict(self) -> dict:
-        """The deterministic projection :meth:`digest` covers.
-
-        Excludes the raw trail (whose events carry wall-clock stamps and
-        bus sequence numbers that differ between processes) but keeps
-        every seed-determined field, including gas/block totals and the
-        injector's fired-fault log — so equal digests mean two runs made
-        byte-identical progress.
-        """
-        record = self.to_dict()
-        del record["trail"]
-        injector = record.pop("injector")
-        if injector is not None:
-            record["injector"] = {
-                "plan": injector.get("plan"),
-                "remaining": injector.get("remaining"),
-                "injected": injector.get("injected"),
-            }
+        """The progress record: every field is seed-determined, so equal
+        records mean two runs made byte-identical progress."""
+        record = {"format": CHECKPOINT_FORMAT, **vars(self)}
+        if self.injector is None:  # absent, not null, when unarmed
+            del record["injector"]
         return record
 
+    def to_bytes(self) -> bytes:
+        """The canonical encoding (stable across processes)."""
+        return canonical_json_bytes(self.to_dict())
+
     def digest(self) -> str:
-        """SHA-256 over the canonical bytes of :meth:`progress_dict`."""
-        return sha256(canonical_json_bytes(self.progress_dict())).hexdigest()
+        """SHA-256 over :meth:`to_bytes`."""
+        return sha256(self.to_bytes()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -271,165 +165,6 @@ def checkpoint_session(session: WorkloadSession) -> SessionCheckpoint:
         gas_used=session.gas_used,
         blocks_mined=session.blocks_mined,
         sim_clock=session.market.clock,
-        trail=[event.to_dict() for event in session.trail],
         injector=injector_state,
     )
 
-
-# ---------------------------------------------------------------------------
-# Restore
-# ---------------------------------------------------------------------------
-
-
-def _resolve(kind_name: str, wanted: list[str], pool: dict,
-             session_id: str) -> list:
-    resolved = []
-    for address in wanted:
-        actor = pool.get(address)
-        if actor is None:
-            raise CheckpointError(
-                f"checkpoint of {session_id} references {kind_name} "
-                f"{address} unknown to this marketplace — rehydrate against "
-                "the original market or replay from the job seed"
-            )
-        resolved.append(actor)
-    return resolved
-
-
-def restore_session(market: "Marketplace", kind: WorkloadKind,
-                    checkpoint: SessionCheckpoint,
-                    consumer: Optional["ConsumerActor"] = None,
-                    recovery: Optional[Any] = None,
-                    injector: Optional[Any] = None,
-                    on_phase_boundary: Optional[Any] = None,
-                    require_completion: bool = True,
-                    audit: bool = True) -> WorkloadSession:
-    """Rehydrate a checkpointed session against ``market`` and arm it to
-    resume at ``checkpoint.next_phase``.
-
-    ``market`` must still hold the checkpoint's live state (same object or
-    a deterministic twin replayed to the same boundary); each completed
-    phase's ``restore()`` validation enforces that.  Passing ``injector``
-    overrides the checkpointed fault-injector state; by default the
-    injector is rebuilt with its remaining fault budget, so a mid-session
-    fault plan continues exactly where it stopped.
-    """
-    if checkpoint.spec_hash != kind.spec_hash():
-        raise CheckpointError(
-            f"checkpoint spec hash {checkpoint.spec_hash[:12]}… does not "
-            f"match workload kind {kind.workload_id!r} "
-            f"({kind.spec_hash()[:12]}…)"
-        )
-    if checkpoint.state in TERMINAL_STATES:
-        raise CheckpointError(
-            f"checkpoint is terminal ({checkpoint.state}); nothing to resume"
-        )
-    if checkpoint.next_phase not in PHASE_INDEX:
-        raise CheckpointError(
-            f"checkpoint next_phase {checkpoint.next_phase!r} is not a "
-            "lifecycle phase"
-        )
-    if (checkpoint.state != STATE_CREATED
-            and checkpoint.state not in PHASE_INDEX):
-        raise CheckpointError(
-            f"checkpoint state {checkpoint.state!r} is not a lifecycle phase"
-        )
-    if checkpoint.next_phase not in TRANSITIONS[checkpoint.state]:
-        raise CheckpointError(
-            f"checkpoint re-entry edge {checkpoint.state!r} -> "
-            f"{checkpoint.next_phase!r} is not a declared transition"
-        )
-
-    consumers = {c.address: c for c in market.consumers}
-    if consumer is None:
-        consumer = consumers.get(checkpoint.consumer)
-        if consumer is None:
-            raise CheckpointError(
-                f"checkpoint consumer {checkpoint.consumer} is unknown to "
-                "this marketplace"
-            )
-    elif consumer.address != checkpoint.consumer:
-        raise CheckpointError(
-            f"supplied consumer {consumer.address} is not the checkpoint's "
-            f"consumer {checkpoint.consumer}"
-        )
-
-    providers = {p.address: p for p in market.providers}
-    executors = {e.address: e for e in market.executors}
-    ctx_executors = _resolve("executor", checkpoint.executors, executors,
-                             checkpoint.session_id)
-
-    restored_injector = injector
-    if restored_injector is None and checkpoint.injector is not None:
-        from repro.core.resilience import FaultInjector
-
-        restored_injector = FaultInjector.restore_state(checkpoint.injector)
-
-    session = WorkloadSession(
-        market, consumer, kind,
-        executors=ctx_executors,
-        require_completion=require_completion,
-        audit=audit,
-        recovery=recovery,
-        injector=restored_injector,
-        on_phase_boundary=on_phase_boundary,
-        session_id=checkpoint.session_id,
-    )
-    ctx = session.ctx
-    ctx.workload_address = checkpoint.workload_address
-    ctx.participants = _resolve("provider", checkpoint.participants,
-                                providers, checkpoint.session_id)
-    ctx.active_executors = _resolve(
-        "executor", checkpoint.active_executors, executors,
-        checkpoint.session_id,
-    )
-    ctx.assignments = {
-        executor: _resolve("provider", assigned, providers,
-                           checkpoint.session_id)
-        for executor, assigned in checkpoint.assignments.items()
-    }
-    ctx.outputs = list(checkpoint.outputs)
-    ctx.result_vector = np.asarray(checkpoint.result_vector, dtype=float)
-    ctx.weights_bps = dict(checkpoint.weights_bps)
-    ctx.result_hash = checkpoint.result_hash
-    ctx.extra = dict(checkpoint.extra)
-    ctx.final_state = checkpoint.final_state
-    ctx.payouts = dict(checkpoint.payouts)
-    ctx.registered = set(checkpoint.registered)
-    ctx.submitted = set(checkpoint.submitted)
-    ctx.certified = set(checkpoint.certified)
-    ctx.executed = set(checkpoint.executed)
-    ctx.voted = set(checkpoint.voted)
-    ctx.blacklist = list(checkpoint.blacklist)
-    ctx.dropped_providers = set(checkpoint.dropped_providers)
-    ctx.degraded = checkpoint.degraded
-    ctx.retries = dict(checkpoint.retries)
-    ctx.recovery_log = [dict(entry) for entry in checkpoint.recovery_log]
-    ctx.refunded = checkpoint.refunded
-    session.trail = [LifecycleEvent.from_dict(record)
-                     for record in checkpoint.trail]
-    session.state = checkpoint.state
-    session.next_phase = checkpoint.next_phase
-    session._resume_from = checkpoint.next_phase
-
-    # The sim clock is part of the checkpoint's coherence: a twin market
-    # that replayed fewer out-of-session ticks is fast-forwarded so the
-    # resumed blocks stay monotonic.
-    if market.clock < checkpoint.sim_clock:
-        market.advance_clock(checkpoint.sim_clock - market.clock)
-
-    # Re-establish each completed phase's invariants against this market.
-    for phase in LIFECYCLE_PHASES[:PHASE_INDEX[checkpoint.next_phase]]:
-        phase.restore(session)
-
-    if session.gas_used != checkpoint.gas_used:
-        raise CheckpointError(
-            f"restored trail accounts {session.gas_used} gas but the "
-            f"checkpoint recorded {checkpoint.gas_used}"
-        )
-    if session.blocks_mined != checkpoint.blocks_mined:
-        raise CheckpointError(
-            f"restored trail accounts {session.blocks_mined} blocks but "
-            f"the checkpoint recorded {checkpoint.blocks_mined}"
-        )
-    return session

@@ -29,9 +29,8 @@ clock), a **re-match** onto the surviving executors (re-entering
 ``register_executors`` with the dead executor blacklisted), a quorum
 **degrade** (proceed with the executors that still hold data), or a
 provider **drop** — each a declared re-entry edge in :data:`TRANSITIONS`.
-Without a policy every error behaves as before: the session fails, and —
-new in any case — a failing session that already escrowed funds aborts
-the workload contract so the consumer is refunded.
+Without a policy the session fails; a failing session that already
+escrowed funds aborts the workload contract so the consumer is refunded.
 """
 
 from __future__ import annotations
@@ -495,15 +494,11 @@ class WorkloadSession:
                  recovery: Optional[Any] = None,
                  injector: Optional[Any] = None,
                  on_phase_boundary: Optional[Callable[
-                     ["WorkloadSession", str], None]] = None,
-                 session_id: Optional[str] = None):
+                     ["WorkloadSession", str], None]] = None):
         self.market = market
         self.consumer = consumer
         self.kind = kind
-        #: Restored sessions keep their original id (and must not consume a
-        #: fresh one, or later sessions on the same market would renumber).
-        self.session_id = (session_id if session_id is not None
-                           else market.next_session_id(kind.workload_id))
+        self.session_id = market.next_session_id(kind.workload_id)
         self.state = STATE_CREATED
         self.interceptors: dict[str, PhaseInterceptor] = dict(
             interceptors or {}
@@ -512,7 +507,7 @@ class WorkloadSession:
         self.audit_enabled = audit
         #: Recovery policy consulted on phase failure (duck-typed: anything
         #: with ``decide(session, phase, error) -> RecoveryDirective|None``;
-        #: None keeps the historical fail-fast behavior).
+        #: None fails fast).
         self.recovery = recovery
         #: Fault injector whose ``fire(session, point, **info)`` runs at
         #: every named :meth:`fault_point` (None disables injection).
@@ -520,17 +515,12 @@ class WorkloadSession:
         #: Called as ``hook(session, next_phase)`` after every completed
         #: phase and after every applied recovery directive — the points a
         #: checkpoint is coherent at.  The hook may raise
-        #: :class:`~repro.errors.SessionPaused` to stop the session; the
-        #: object stays resumable (``checkpoint()`` + ``restore_session``).
+        #: :class:`~repro.errors.SessionPaused` to stop the session;
+        #: calling :meth:`run` again continues it at :attr:`next_phase`.
         self.on_phase_boundary = on_phase_boundary
-        #: The phase the engine will (re-)enter next; with ``state`` this
-        #: pins exactly where a checkpoint resumes, including recovery
-        #: re-entry edges where the next phase is *earlier* than the
-        #: current one.
+        #: The phase the engine (re-)enters next — where a paused session
+        #: continues; on a recovery edge it is ``state`` or an earlier phase.
         self.next_phase = PHASE_DEPLOY
-        #: Set by ``restore_session``: resume the loop here instead of at
-        #: ``deploy``.
-        self._resume_from: Optional[str] = None
         #: Running count of phase executions (recovery re-entry runs a
         #: phase more than once); stamped on every phase span so a trace
         #: shows the re-entry ordinal without diffing span names.
@@ -539,8 +529,6 @@ class WorkloadSession:
         self.ctx = SessionContext(executors=list(
             executors if executors is not None else market.executors
         ))
-        self._gas_start = market.chain.total_gas_used
-        self._blocks_start = market.chain.height
 
     # -- observability ------------------------------------------------------
 
@@ -564,13 +552,9 @@ class WorkloadSession:
         )
 
     def snapshot(self) -> dict:
-        """Where the session stands right now (attached to failures).
-
-        Includes the recovery-era bookkeeping sets (registered / submitted
-        / certified / executed / voted, per-phase retries, dropped
-        providers), so a debugger looking at a failed or resumed session
-        sees the same progress picture a checkpoint captures.
-        """
+        """Where the session stands right now (attached to failures): the
+        same progress picture a checkpoint captures, bookkeeping sets
+        included."""
         return {
             "session_id": self.session_id,
             "workload_id": self.kind.workload_id,
@@ -601,8 +585,8 @@ class WorkloadSession:
         """Externalize this session's progress as a ``SessionCheckpoint``.
 
         Coherent at phase boundaries (where :attr:`on_phase_boundary`
-        fires) and before the first phase; see
-        :mod:`repro.core.checkpoint` for the format and restore paths.
+        fires) and before the first phase; :mod:`repro.core.checkpoint`
+        says what the record is for.
         """
         from repro.core.checkpoint import checkpoint_session
 
@@ -637,42 +621,39 @@ class WorkloadSession:
         With a recovery policy attached, a failing phase may re-enter an
         earlier phase (or itself) instead of failing the session; the loop
         below follows whatever re-entry target :meth:`_run_phase` returns.
+
+        Re-entrant: a session stopped by :class:`~repro.errors.SessionPaused`
+        continues at :attr:`next_phase` when ``run()`` is called again.
         """
+        if self.state in TERMINAL_STATES:
+            raise TransitionError(f"session is {self.state}; nothing to run",
+                                  snapshot=self.snapshot())
         with self.market.active_session(self):
             with self.market.tracer.span(
                 "lifecycle.session", session_id=self.session_id,
                 workload_id=self.kind.workload_id,
                 kind=type(self.kind).__name__,
             ) as root:
-                if self._resume_from is None:
+                if self.state == STATE_CREATED:
                     self.emit("session.started",
                               workload_id=self.kind.workload_id,
                               kind=type(self.kind).__name__)
-                    index = 0
-                else:
-                    # Restored session: re-enter mid-lifecycle at the
-                    # checkpointed next phase (possibly an earlier phase,
-                    # on a recovery edge).
-                    index = PHASE_INDEX[self._resume_from]
-                    self.emit("session.resumed", phase=self._resume_from,
+                else:  # paused: continue where it stopped
+                    self.emit("session.resumed", phase=self.next_phase,
                               state=self.state)
-                    self._resume_from = None
-                while index < len(LIFECYCLE_PHASES):
+                while self.next_phase != TERMINAL_COMPLETE:
+                    index = PHASE_INDEX[self.next_phase]
                     target = self._run_phase(LIFECYCLE_PHASES[index])
-                    if target is None:
-                        index += 1
-                        self.next_phase = (
-                            LIFECYCLE_PHASES[index].name
-                            if index < len(LIFECYCLE_PHASES)
-                            else TERMINAL_COMPLETE
-                        )
-                    else:
-                        index = PHASE_INDEX[target]
-                        self.next_phase = target
+                    if target is None:  # no recovery edge: straight on
+                        target = (LIFECYCLE_PHASES[index + 1].name
+                                  if index + 1 < len(LIFECYCLE_PHASES)
+                                  else TERMINAL_COMPLETE)
+                    self.next_phase = target
                     if (self.on_phase_boundary is not None
-                            and self.next_phase != TERMINAL_COMPLETE):
-                        self.on_phase_boundary(self, self.next_phase)
+                            and target != TERMINAL_COMPLETE):
+                        self.on_phase_boundary(self, target)
                 self.advance(TERMINAL_COMPLETE)
+                self._release_enclaves(self.ctx.executors)
                 root.set_attribute("gas_used", self.gas_used)
                 root.set_attribute("blocks_mined", self.blocks_mined)
                 root.set_attribute("degraded", self.ctx.degraded)
@@ -793,6 +774,8 @@ class WorkloadSession:
         ctx = self.ctx
         if address not in ctx.blacklist:
             ctx.blacklist.append(address)
+        self._release_enclaves(
+            [e for e in ctx.executors if e.address == address])
         ctx.executors = [e for e in ctx.executors if e.address != address]
         ctx.active_executors = [
             e for e in ctx.active_executors if e.address != address
@@ -808,7 +791,17 @@ class WorkloadSession:
         self._release_escrow()
         _SESSION_OUTCOMES.labels(outcome="failed").inc()
         self.advance(TERMINAL_FAILED)
+        self._release_enclaves(self.ctx.executors)
         self.emit("session.failed", phase=phase.name)
+
+    def _release_enclaves(self, executors: list[ExecutorActor]) -> None:
+        """Terminate and forget this workload's enclaves on ``executors``:
+        decrypted provider rows must not outlive the session they were
+        submitted to (a paused session keeps its enclaves)."""
+        for executor in executors:
+            enclave = executor.enclaves.pop(self.kind.workload_id, None)
+            if enclave is not None:
+                enclave.terminate()
 
     def _release_escrow(self) -> None:
         """Settle-or-refund: a dying session must not strand the escrow.
@@ -887,27 +880,6 @@ class LifecyclePhase:
     def run(self, session: WorkloadSession) -> None:
         raise NotImplementedError
 
-    def restore(self, session: WorkloadSession) -> None:
-        """Re-establish this phase's invariants on a rehydrated session.
-
-        Called by :func:`repro.core.checkpoint.restore_session` for every
-        phase the checkpoint records as completed, *before* the session
-        resumes.  Implementations validate that the target marketplace
-        still holds the state this phase produced (deployed contract,
-        launched enclaves, consistent bookkeeping sets) and raise
-        :class:`~repro.errors.CheckpointError` when it does not — the
-        signature of restoring against the wrong market, where the right
-        move is a deterministic replay instead.
-        """
-
-    def _restore_fail(self, session: WorkloadSession, message: str) -> None:
-        from repro.errors import CheckpointError
-
-        raise CheckpointError(
-            f"cannot restore {session.session_id} past phase "
-            f"{self.name!r}: {message}"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<phase {self.name}>"
 
@@ -932,11 +904,10 @@ class DeployPhase(LifecyclePhase):
                 snapshot=session.snapshot(),
             )
         session.fault_point("deploy.chain_tx")
-        # Deploy + mine through the session clock (unlike the bare
-        # ``deploy_and_mine`` default of head-timestamp + 1): every block a
-        # session seals must carry the ticking sim clock, or a run that
-        # fails right after deployment leaves the clock behind the head
-        # timestamp and the *next* session would mine a non-monotonic block.
+        # Deploy + mine through the session clock (not ``deploy_and_mine``'s
+        # head-timestamp + 1): a run failing right after deployment would
+        # otherwise leave the clock behind the head timestamp and the
+        # *next* session would mine a non-monotonic block.
         deploy_tx = session.consumer.wallet.deploy(
             "workload", value=kind.reward_pool, **kind.contract_args()
         )
@@ -949,29 +920,6 @@ class DeployPhase(LifecyclePhase):
                      workload_address=session.ctx.workload_address,
                      reward_pool=kind.reward_pool)
 
-    def restore(self, session: WorkloadSession) -> None:
-        """The deployed contract must exist here and carry the same spec."""
-        ctx = session.ctx
-        if not ctx.workload_address:
-            self._restore_fail(session, "no workload address recorded")
-        try:
-            onchain_spec = session.consumer.wallet.view(
-                ctx.workload_address, "spec_hash"
-            )
-        except PDS2Error as exc:
-            self._restore_fail(
-                session,
-                f"contract {ctx.workload_address} is unknown to this "
-                f"marketplace ({type(exc).__name__}) — chain state does "
-                "not survive process death; replay from the job seed",
-            )
-        if onchain_spec != session.kind.spec_hash():
-            self._restore_fail(
-                session,
-                f"contract at {ctx.workload_address} holds spec "
-                f"{onchain_spec[:12]}…, not this workload's "
-                f"{session.kind.spec_hash()[:12]}…",
-            )
 
 
 class MatchPhase(LifecyclePhase):
@@ -996,26 +944,6 @@ class MatchPhase(LifecyclePhase):
             session.emit("match.provider_joined", actor=provider.address)
         session.emit("match.completed", providers=len(participants))
 
-    def restore(self, session: WorkloadSession) -> None:
-        """The matched participant set must still satisfy the spec."""
-        ctx = session.ctx
-        if not ctx.participants:
-            self._restore_fail(session, "no matched participants recorded")
-        if len(ctx.participants) < session.kind.min_providers:
-            self._restore_fail(
-                session,
-                f"{len(ctx.participants)} participants < min_providers "
-                f"{session.kind.min_providers}",
-            )
-        overlap = ctx.dropped_providers.intersection(
-            p.address for p in ctx.participants
-        )
-        if overlap:
-            self._restore_fail(
-                session,
-                f"dropped providers still listed as participants: "
-                f"{sorted(overlap)}",
-            )
 
 
 class RegisterExecutorsPhase(LifecyclePhase):
@@ -1040,29 +968,6 @@ class RegisterExecutorsPhase(LifecyclePhase):
             session.emit("executor.registered", actor=executor.address)
         session.market._mine()
 
-    def restore(self, session: WorkloadSession) -> None:
-        """Registered executors must still hold live, launched enclaves."""
-        ctx = session.ctx
-        known = {e.address for e in ctx.executors} | set(ctx.blacklist)
-        stray = ctx.registered - known
-        if stray:
-            self._restore_fail(
-                session,
-                f"registered executors neither live nor blacklisted: "
-                f"{sorted(stray)}",
-            )
-        workload_id = session.kind.workload_id
-        for executor in ctx.executors:
-            if executor.address not in ctx.registered:
-                continue
-            enclave = executor.enclaves.get(workload_id)
-            if enclave is None:
-                self._restore_fail(
-                    session,
-                    f"executor {executor.address} has no enclave for "
-                    f"{workload_id!r} — enclave state does not survive "
-                    "process death; replay from the job seed",
-                )
 
 
 class AttestAndSubmitPhase(LifecyclePhase):
@@ -1084,9 +989,8 @@ class AttestAndSubmitPhase(LifecyclePhase):
         for provider in ctx.participants:
             if provider.address in ctx.submitted:
                 continue  # recovery re-entry: data already with a live executor
-            # Round-robin over the (surviving) executors.  On a fault-free
-            # run ``len(ctx.submitted)`` equals the participant index, so
-            # assignments are byte-identical to the historical behavior.
+            # Round-robin over the (surviving) executors; on a fault-free
+            # run ``len(ctx.submitted)`` is the participant index.
             executor = ctx.executors[len(ctx.submitted) % len(ctx.executors)]
             session.fault_point("submit.executor", executor=executor)
             session.fault_point("submit.provider", provider=provider,
@@ -1125,35 +1029,6 @@ class AttestAndSubmitPhase(LifecyclePhase):
                          item_count=certificate.item_count)
         market._mine()
 
-    def restore(self, session: WorkloadSession) -> None:
-        """Submission bookkeeping must be internally consistent."""
-        ctx = session.ctx
-        stray = ctx.submitted - ctx.certified
-        if stray:
-            self._restore_fail(
-                session,
-                f"providers submitted without an on-chain certificate: "
-                f"{sorted(stray)}",
-            )
-        live = {e.address for e in ctx.executors}
-        assigned: set[str] = set()
-        for executor, providers in ctx.assignments.items():
-            if executor not in live:
-                self._restore_fail(
-                    session,
-                    f"assignment references non-live executor {executor}",
-                )
-            assigned.update(p.address for p in providers)
-        # Providers may be submitted yet unassigned only if their executor
-        # crashed and took the assignment record (degrade path keeps them
-        # in ``submitted`` — their data died with the enclave).
-        missing = ctx.submitted - assigned
-        if missing and not ctx.blacklist:
-            self._restore_fail(
-                session,
-                f"submitted providers missing from all assignments: "
-                f"{sorted(missing)}",
-            )
 
 
 class StartExecutionPhase(LifecyclePhase):
@@ -1173,15 +1048,6 @@ class StartExecutionPhase(LifecyclePhase):
                      actor=session.consumer.address)
         session.market._mine()
 
-    def restore(self, session: WorkloadSession) -> None:
-        """Execution must already have started on this chain."""
-        state = session.read_state()
-        if state not in (STATE_EXECUTING, STATE_COMPLETE):
-            self._restore_fail(
-                session,
-                f"contract state is {state!r}, expected executing or "
-                "complete after start_execution",
-            )
 
 
 class ExecutePhase(LifecyclePhase):
@@ -1209,21 +1075,6 @@ class ExecutePhase(LifecyclePhase):
             session.emit("enclave.executed", actor=executor.address,
                          providers=len(ctx.assignments[executor.address]))
 
-    def restore(self, session: WorkloadSession) -> None:
-        """Every recorded execution must have a captured output."""
-        ctx = session.ctx
-        if len(ctx.outputs) != len(ctx.executed):
-            self._restore_fail(
-                session,
-                f"{len(ctx.outputs)} outputs recorded for "
-                f"{len(ctx.executed)} executed enclaves",
-            )
-        stray = ctx.executed - ctx.registered
-        if stray:
-            self._restore_fail(
-                session,
-                f"executors executed without registration: {sorted(stray)}",
-            )
 
 
 class AggregatePhase(LifecyclePhase):
@@ -1244,21 +1095,6 @@ class AggregatePhase(LifecyclePhase):
         session.emit("aggregate.completed", result_hash=ctx.result_hash,
                      outputs=len(ctx.outputs), degraded=ctx.degraded)
 
-    def restore(self, session: WorkloadSession) -> None:
-        """The checkpointed result must recompute to its recorded hash."""
-        ctx = session.ctx
-        if not ctx.result_hash:
-            self._restore_fail(session, "no aggregated result hash recorded")
-        recomputed = result_hash_of(
-            np.asarray(ctx.result_vector, dtype=float), ctx.weights_bps
-        )
-        if recomputed != ctx.result_hash:
-            self._restore_fail(
-                session,
-                "checkpointed result vector/weights do not hash to the "
-                f"recorded result hash ({recomputed[:12]}… != "
-                f"{ctx.result_hash[:12]}…)",
-            )
 
 
 class SettlePhase(LifecyclePhase):
@@ -1303,30 +1139,6 @@ class SettlePhase(LifecyclePhase):
                      total_paid=sum(ctx.payouts.values()),
                      recipients=len(ctx.payouts))
 
-    def restore(self, session: WorkloadSession) -> None:
-        """A settled checkpoint must match the contract's final state."""
-        ctx = session.ctx
-        if ctx.final_state != STATE_COMPLETE:
-            if session.require_completion:
-                self._restore_fail(
-                    session,
-                    f"checkpoint settled in state {ctx.final_state!r} "
-                    "despite require_completion",
-                )
-            return
-        state = session.read_state()
-        if state != STATE_COMPLETE:
-            self._restore_fail(
-                session,
-                f"contract state is {state!r} but the checkpoint settled "
-                "complete",
-            )
-        if ctx.payouts != session.collect_payouts():
-            self._restore_fail(
-                session,
-                "checkpointed payouts disagree with the chain's RewardPaid "
-                "events",
-            )
 
 
 class AuditPhase(LifecyclePhase):
@@ -1352,14 +1164,6 @@ class AuditPhase(LifecyclePhase):
         session.emit("audit.completed", clean=report.clean,
                      violations=len(report.violations))
 
-    def restore(self, session: WorkloadSession) -> None:
-        """Audit re-runs on resume; the report is never checkpointed."""
-        if session.ctx.audit is not None:
-            self._restore_fail(
-                session,
-                "a restored session cannot carry a pre-built audit report "
-                "(the audit phase re-derives it from chain + trail)",
-            )
 
 
 #: The canonical phase order the engine drives.

@@ -143,13 +143,6 @@ class Fault:
         return {"kind": self.kind.value, "target": self.target,
                 "times": self.times, "point": self.point}
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "Fault":
-        return cls(kind=FaultKind(record["kind"]),
-                   target=record.get("target", ""),
-                   times=int(record.get("times", 1)),
-                   point=record.get("point", ""))
-
 
 def job_fault_seed(job_id: str) -> int:
     """Deterministic fault seed derived from a batch job spec id alone.
@@ -217,12 +210,6 @@ class FaultPlan:
     def to_dict(self) -> dict:
         return {"faults": [fault.to_dict() for fault in self.faults]}
 
-    @classmethod
-    def from_dict(cls, record: dict) -> "FaultPlan":
-        return cls(faults=tuple(
-            Fault.from_dict(entry) for entry in record.get("faults", ())
-        ))
-
 
 class FaultInjector:
     """Arms a plan against one session's ``fault_point`` hooks."""
@@ -235,24 +222,14 @@ class FaultInjector:
         self.injected: list[dict] = []
 
     def state_dict(self) -> dict:
-        """Checkpointable injector state (plan + remaining budgets)."""
+        """The injector's part of a boundary record (plan, remaining
+        budgets, what fired) — seed-determined, so it is in the digest."""
         return {
             "plan": self.plan.to_dict(),
             "remaining": {str(index): count
                           for index, count in self._remaining.items()},
             "injected": [dict(entry) for entry in self.injected],
         }
-
-    @classmethod
-    def restore_state(cls, state: dict) -> "FaultInjector":
-        """Rebuild an injector mid-plan, so resumed sessions keep facing
-        exactly the faults the plan still owes them."""
-        injector = cls(FaultPlan.from_dict(state["plan"]))
-        for index, count in state.get("remaining", {}).items():
-            injector._remaining[int(index)] = int(count)
-        injector.injected = [dict(entry)
-                             for entry in state.get("injected", ())]
-        return injector
 
     def fire(self, session: WorkloadSession, point: str,
              executor: Optional["ExecutorActor"] = None,

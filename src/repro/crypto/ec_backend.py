@@ -1,7 +1,7 @@
 """Fast secp256k1 point arithmetic: Jacobian coordinates, wNAF, fixed-base.
 
-This module is the performance engine behind :mod:`repro.crypto.ecdsa`.  The
-textbook affine implementation there performs one modular inversion *per point
+This module is the performance engine behind :mod:`repro.crypto.ecdsa`.  A
+textbook affine implementation performs one modular inversion *per point
 addition* (≈380 inversions per scalar multiplication); this backend works in
 Jacobian projective coordinates ``(X, Y, Z)`` with ``x = X/Z²``, ``y = Y/Z³``
 so a full scalar multiplication needs exactly **one** inversion, at the very
@@ -31,9 +31,9 @@ one-pair and many-pair cases.
 All tables are built lazily on first use, sharing one inversion across many
 points (Montgomery's trick, :func:`batch_inverse`), so importing this module
 costs nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
-``None`` for the point at infinity — the same convention as the affine
-reference in :mod:`repro.crypto.ecdsa`, which is retained there as a
-differential-testing oracle.
+``None`` for the point at infinity — the same convention as the textbook
+affine oracle the differential tests hold every path here against
+(``tests/crypto/affine_oracle.py``).
 """
 
 from __future__ import annotations
@@ -389,103 +389,35 @@ def scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
 # β and the map φ(x, y) = (βx, y) is an endomorphism acting as multiplication
 # by a cube root of unity λ in Z_n.  Any scalar k then splits as
 # ``k ≡ k1 + k2·λ (mod n)`` with |k1|, |k2| ≈ √n, halving the doubling chain
-# of a multi-scalar multiplication.  Rather than hard-coding the well-known
-# constants, they are DERIVED here (cube roots via exponentiation, the short
-# lattice basis via the extended Euclidean algorithm) and self-checked against
-# the curve; if any check fails the backend silently falls back to plain
-# full-length wNAF, so correctness never depends on the derivation.
+# of a multi-scalar multiplication.  The constants of this fixed curve — the
+# paired roots and a short basis ``(a1, b1), (a2, b2)`` of the lattice
+# ``{(x, y) : x + y·λ ≡ 0 (mod n)}`` — are written down; the derivation (cube
+# roots by exponentiation, the basis by the extended Euclidean algorithm)
+# lives in ``tests/crypto/glv_derivation.py`` and re-derives them as a test.
 
-_GLV_PARAMS: Optional[tuple] = None
-_GLV_READY = False
-
-
-def _cube_root_of_unity(modulus: int) -> Optional[int]:
-    """A primitive cube root of 1 modulo a prime ``modulus ≡ 1 (mod 3)``."""
-    if modulus % 3 != 1:
-        return None
-    exponent = (modulus - 1) // 3
-    for base in range(2, 64):
-        candidate = pow(base, exponent, modulus)
-        if candidate != 1 and pow(candidate, 3, modulus) == 1:
-            return candidate
-    return None
+_GLV_LAMBDA = 0x5363AD4CC05C30E0A5261C028812645A122E22EA20816678DF02967C1B23BD72
+_GLV_BETA = 0x7AE96A2B657C07106E64479EAC3434E99CF0497512F58995C1396C28719501EE
+_GLV_A1 = 0x3086D221A7D46BCDE86C90E49284EB15
+_GLV_B1 = -0xE4437ED6010E88286F547FA90ABFE4C3
+_GLV_A2 = 0x114CA50F7A8E2F3F657C1108D9D44CFD8
+_GLV_B2 = 0x3086D221A7D46BCDE86C90E49284EB15
 
 
-def _glv_basis(lam: int) -> tuple[int, int, int, int]:
-    """Two short vectors ``(a1, b1), (a2, b2)`` of the lattice
-    ``{(x, y) : x + y·λ ≡ 0 (mod n)}`` via the extended Euclidean algorithm.
-    """
-    from math import isqrt
-
-    bound = isqrt(N)
-    rows: list[tuple[int, int]] = [(N, 0), (lam, 1)]
-    r_prev, r_curr = N, lam
-    t_prev, t_curr = 0, 1
-    while r_curr != 0:
-        quotient = r_prev // r_curr
-        r_prev, r_curr = r_curr, r_prev - quotient * r_curr
-        t_prev, t_curr = t_curr, t_prev - quotient * t_curr
-        rows.append((r_curr, t_curr))
-    pivot = max(i for i, (r, _) in enumerate(rows) if r >= bound)
-    a1, b1 = rows[pivot + 1][0], -rows[pivot + 1][1]
-    candidates = [rows[pivot]]
-    if pivot + 2 < len(rows):
-        candidates.append(rows[pivot + 2])
-    r2, t2 = min(candidates, key=lambda row: row[0] * row[0] + row[1] * row[1])
-    return a1, b1, r2, -t2
-
-
-def _glv_split(k: int, lam: int, a1: int, b1: int,
-               a2: int, b2: int) -> tuple[int, int]:
+def _glv_split(k: int) -> tuple[int, int]:
     """Decompose ``k ≡ k1 + k2·λ (mod n)`` with half-length components."""
-    c1 = (2 * b2 * k + N) // (2 * N)
-    c2 = (-2 * b1 * k + N) // (2 * N)
-    k1 = k - c1 * a1 - c2 * a2
-    k2 = -c1 * b1 - c2 * b2
+    c1 = (2 * _GLV_B2 * k + N) // (2 * N)
+    c2 = (-2 * _GLV_B1 * k + N) // (2 * N)
+    k1 = k - c1 * _GLV_A1 - c2 * _GLV_A2
+    k2 = -c1 * _GLV_B1 - c2 * _GLV_B2
     return k1, k2
-
-
-def _glv_params() -> Optional[tuple]:
-    """Derive and cache (λ, β, a1, b1, a2, b2); None if derivation fails."""
-    global _GLV_PARAMS, _GLV_READY
-    if not _GLV_READY:
-        _GLV_READY = True
-        _GLV_PARAMS = _derive_glv()
-    return _GLV_PARAMS
-
-
-def _derive_glv() -> Optional[tuple]:
-    beta = _cube_root_of_unity(P)
-    lam = _cube_root_of_unity(N)
-    if beta is None or lam is None:
-        return None
-    # Pair up the roots: φ(G) = (βx, y) must equal λ·G.  Each root has one
-    # alternative (its square); try the four combinations.
-    for beta_cand in (beta, beta * beta % P):
-        mapped = (beta_cand * GX % P, GY)
-        for lam_cand in (lam, lam * lam % N):
-            if scalar_mult_base(lam_cand) == mapped:
-                a1, b1, a2, b2 = _glv_basis(lam_cand)
-                # Self-check the decomposition on a few awkward scalars.
-                for k in (1, 2, N - 1, N // 3, 0xDEADBEEF * 2**200 % N):
-                    k1, k2 = _glv_split(k, lam_cand, a1, b1, a2, b2)
-                    if (k1 + k2 * lam_cand - k) % N != 0:
-                        return None
-                    if max(abs(k1), abs(k2)).bit_length() > 135:
-                        return None
-                return (lam_cand, beta_cand, a1, b1, a2, b2)
-    return None
 
 
 def _phi_g_wnaf_table() -> list[AffinePoint]:
     """Affine odd multiples of φ(G) (the G table mapped through β)."""
     global _PHI_G_WNAF_TABLE
     if _PHI_G_WNAF_TABLE is None:
-        params = _glv_params()
-        assert params is not None
-        beta = params[1]
         _PHI_G_WNAF_TABLE = [
-            (beta * x % P, y) for x, y in _g_wnaf_table()
+            (_GLV_BETA * x % P, y) for x, y in _g_wnaf_table()
         ]
     return _PHI_G_WNAF_TABLE
 
@@ -606,10 +538,10 @@ def multi_scalar_mult(base_scalar: int,
     """``base_scalar · G + Σ kᵢ · Qᵢ`` with one shared doubling chain.
 
     Strauss interleaving generalized to arbitrarily many points: every
-    scalar is wNAF-recoded (GLV-split into half-length halves when the
-    endomorphism is available), all streams share a single ~128/256-step
-    doubling chain, and all per-point precomputation tables are normalized
-    with one batched inversion.  This is the one variable-base engine:
+    scalar is GLV-split into half-length halves and wNAF-recoded, all
+    streams share a single ~128-step doubling chain, and all per-point
+    precomputation tables are normalized with one batched inversion.  This
+    is the one variable-base engine:
     amortized batch signature verification (the per-signature cost collapses
     to the mixed additions of its streams), single verification
     (:func:`double_scalar_mult_base`, one pair) and ECDH
@@ -636,32 +568,22 @@ def multi_scalar_mult(base_scalar: int,
     else:
         live += one_shot
     tables = _point_tables_batched([q for _, q in live], kept)
-    params = _glv_params()
     sources: list[tuple[int, int, list[AffinePoint]]] = []
-    if params is not None:
-        lam, beta, a1, b1, a2, b2 = params
-        if base_scalar:
-            g1, g2 = _glv_split(base_scalar, lam, a1, b1, a2, b2)
-            sources.append((g1, _WNAF_BASE_WIDTH, _g_wnaf_table()))
-            sources.append((g2, _WNAF_BASE_WIDTH, _phi_g_wnaf_table()))
-        for (scalar, _), table in zip(live, tables):
-            if scalar.bit_length() <= _GLV_SHORT_BITS:
-                sources.append((scalar, _WNAF_POINT_WIDTH, table))
-                continue
-            k1, k2 = _glv_split(scalar, lam, a1, b1, a2, b2)
-            sources.append((k1, _WNAF_POINT_WIDTH, table))
-            if k2:
-                sources.append((
-                    k2, _WNAF_POINT_WIDTH,
-                    [(beta * x % P, y) for x, y in table],
-                ))
-    else:
-        if base_scalar:
-            sources.append((base_scalar, _WNAF_BASE_WIDTH, _g_wnaf_table()))
-        sources.extend(
-            (scalar, _WNAF_POINT_WIDTH, table)
-            for (scalar, _), table in zip(live, tables)
-        )
+    if base_scalar:
+        g1, g2 = _glv_split(base_scalar)
+        sources.append((g1, _WNAF_BASE_WIDTH, _g_wnaf_table()))
+        sources.append((g2, _WNAF_BASE_WIDTH, _phi_g_wnaf_table()))
+    for (scalar, _), table in zip(live, tables):
+        if scalar.bit_length() <= _GLV_SHORT_BITS:
+            sources.append((scalar, _WNAF_POINT_WIDTH, table))
+            continue
+        k1, k2 = _glv_split(scalar)
+        sources.append((k1, _WNAF_POINT_WIDTH, table))
+        if k2:
+            sources.append((
+                k2, _WNAF_POINT_WIDTH,
+                [(_GLV_BETA * x % P, y) for x, y in table],
+            ))
     streams = [
         _signed_stream(scalar, width, table)
         for scalar, width, table in sources

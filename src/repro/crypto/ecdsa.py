@@ -23,11 +23,6 @@ There are two verifiers and they agree on every input.
 :func:`batch_verify` checks many in one key-folded multi-scalar equation —
 the chain's block-entry path — and bisects down to ``PublicKey.verify`` on
 any failure.
-
-The original textbook affine implementation is retained below
-(:func:`_point_add` / :func:`_point_mul`) as the *reference oracle*: it is
-deliberately naive, independent of the fast backend, and used by the
-differential tests in ``tests/crypto`` to cross-check every optimized path.
 """
 
 from __future__ import annotations
@@ -91,44 +86,6 @@ def _is_on_curve(point: _Point) -> bool:
         return True
     x, y = point
     return (y * y - (x * x * x + A * x + B)) % P == 0
-
-
-def _point_add(p1: _Point, p2: _Point) -> _Point:
-    """Add two points on secp256k1 (affine coordinates).
-
-    Reference-oracle path: kept textbook-simple and independent of
-    :mod:`repro.crypto.ec_backend` for differential testing.
-    """
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1 = p1
-    x2, y2 = p2
-    if x1 == x2 and (y1 + y2) % P == 0:
-        return None
-    if p1 == p2:
-        slope = (3 * x1 * x1 + A) * _inverse_mod(2 * y1, P) % P
-    else:
-        slope = (y2 - y1) * _inverse_mod(x2 - x1, P) % P
-    x3 = (slope * slope - x1 - x2) % P
-    y3 = (slope * (x1 - x3) - y1) % P
-    return (x3, y3)
-
-
-def _point_mul(scalar: int, point: _Point) -> _Point:
-    """Double-and-add scalar multiplication (reference oracle, see above)."""
-    if scalar % N == 0 or point is None:
-        return None
-    scalar %= N
-    result: _Point = None
-    addend = point
-    while scalar:
-        if scalar & 1:
-            result = _point_add(result, addend)
-        addend = _point_add(addend, addend)
-        scalar >>= 1
-    return result
 
 
 @dataclass(frozen=True)

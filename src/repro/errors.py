@@ -235,12 +235,8 @@ class WorkloadSpecError(MarketplaceError):
 
 
 class CheckpointError(MarketplaceError):
-    """A session checkpoint cannot be produced, parsed, or restored.
-
-    Raised on format/version mismatches, on spec-hash divergence between a
-    checkpoint and the workload kind it is restored against, and when a
-    checkpoint references actors or contracts the target marketplace does
-    not know (the signature of rehydrating against the wrong market)."""
+    """A session checkpoint cannot be produced: the session is terminal,
+    or its injector has no ``state_dict()`` to put in the record."""
 
 
 # ---------------------------------------------------------------------------
@@ -337,12 +333,12 @@ class AuditFailure(LifecycleError):
 
 
 class SessionPaused(PDS2Error):
-    """A phase-boundary hook stopped the session for checkpointing.
+    """A phase-boundary hook stopped the session.
 
     Deliberately *not* a :class:`LifecycleError`: pausing is not a phase
     failure, so it must never trigger the recovery policy or escrow
-    release.  The session object stays resumable — serialize it with
-    ``WorkloadSession.checkpoint()`` and continue via ``restore_session``.
+    release.  The session object stays live — ``WorkloadSession.run()``
+    again continues it at ``next_phase``.
     """
 
     def __init__(self, message: str, *, phase: str = "", next_phase: str = ""):

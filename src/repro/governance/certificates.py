@@ -69,16 +69,14 @@ class ParticipationCertificate:
 
 
 def issue_certificate(provider_key: PrivateKey, workload_id: str,
-                      executor: str, data_items: list[bytes] | MerkleTree,
+                      executor: str, tree: MerkleTree,
                       issued_at: float) -> ParticipationCertificate:
     """Provider-side: sign consent over an exact set of data items.
 
-    The Merkle root pins the certificate to *these* bytes: an executor
-    substituting or adding items can no longer match the root.  A provider
-    certifying the same items again passes the tree it keeps of them.
+    ``tree`` is the Merkle tree over the items, which a provider keeps
+    across sessions.  Its root pins the certificate to *these* bytes: an
+    executor substituting or adding items can no longer match the root.
     """
-    tree = (data_items if isinstance(data_items, MerkleTree)
-            else MerkleTree(data_items))
     if not len(tree):
         raise CertificateError("cannot certify an empty data set")
     payload = {

@@ -236,13 +236,10 @@ def test_journal_and_incremental_root_match_their_oracles(steps):
                 oracle.restore(saved[1])
         else:
             tx = _transaction(step, live)
-            # Its own copy, taken before either runs: storage_write keeps a
-            # reference to a dict or list from the payload, so applying a
-            # transaction can write into its payload, and one transaction
-            # applied to two states shares storage between them.
-            twin = copy.deepcopy(tx)
+            payload = copy.deepcopy(tx.payload)
             journaled = vm.apply_transaction(live, BLOCK, tx)
-            snapshotted = apply_with_snapshot(vm, oracle, BLOCK, twin)
+            snapshotted = apply_with_snapshot(vm, oracle, BLOCK, tx)
+            assert tx.payload == payload
             assert _receipt_key(journaled) == _receipt_key(snapshotted)
             assert live.tx_journal is None
         assert image(live) == image(oracle)
@@ -252,6 +249,26 @@ def test_journal_and_incremental_root_match_their_oracles(steps):
         assert root == recompute_state_root(live)
         assert root == recompute_state_root(oracle)
         assert root == oracle.state_root()
+
+
+def test_nested_write_into_a_slot_put_from_the_payload_leaves_it_alone():
+    """What Hypothesis found: ``put seed {}`` stored the payload's own dict,
+    and ``grow seed.a`` in the same batch then wrote into it — storage
+    changing a mined transaction, and two states sharing one dict."""
+    vm, state, address = _deployed_scratch()
+    ops = [["put", ["seed"], {}], ["grow", ["seed", "a"], 1]]
+    tx = Transaction(sender=SENDERS[0], nonce=state.nonce_of(SENDERS[0]),
+                     to=address, value=0,
+                     payload={"method": "batch", "args": {
+                         "ops": ops, "fail": False, "burn": False}})
+    payload = copy.deepcopy(tx.payload)
+    assert vm.apply_transaction(state, BLOCK, tx).status
+    assert state.contracts[address].storage["seed"] == {"a": [1]}
+    assert tx.payload == payload
+    # Nor is storage an alias of the payload the other way round.
+    tx.payload["args"]["ops"][0][2]["poked"] = True
+    assert state.contracts[address].storage["seed"] == {"a": [1]}
+    assert state.state_root() == recompute_state_root(state)
 
 
 def test_the_generated_sequences_reach_every_kind_of_step():

@@ -10,7 +10,6 @@ executes, never gets a receipt, and never evicts or shadows a genuine one.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.chain.blockchain import Blockchain, Wallet

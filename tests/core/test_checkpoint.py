@@ -1,13 +1,15 @@
-"""Session checkpoints: serialization round-trip, restore, resume.
+"""Session checkpoints and the pause path: record, digest, ``run()`` again.
 
-Layer 1 of the batch control plane: a :class:`SessionCheckpoint` captures
-a paused session's full mutable progress (including the event trail, so
-trail-derived accounting survives), round-trips through canonical bytes,
-and :func:`restore_session` rehydrates it against a marketplace — every
-phase re-validating its own invariants — to resume byte-identically.
+A :class:`SessionCheckpoint` is the boundary record of a paused session —
+seed-determined progress only, no event trail — whose digest is what a
+replay is verified against.  The paused session itself stays a live
+object: ``run()`` again continues it at ``next_phase``, byte-identically
+to an uninterrupted run, and a terminal session refuses to run.
 """
 
 from __future__ import annotations
+
+from hashlib import sha256
 
 import numpy as np
 import pytest
@@ -20,15 +22,23 @@ from repro.core import (
     Marketplace,
     MLTrainingKind,
     ModelSpec,
-    SessionCheckpoint,
     TrainingSpec,
     WorkloadSpec,
     checkpoint_session,
     job_fault_seed,
-    restore_session,
 )
-from repro.core.lifecycle import LIFECYCLE_PHASES, TERMINAL_COMPLETE
-from repro.errors import CheckpointError, SessionPaused
+from repro.core.lifecycle import (
+    LIFECYCLE_PHASES,
+    TERMINAL_COMPLETE,
+    TERMINAL_FAILED,
+)
+from repro.errors import (
+    CheckpointError,
+    LifecycleError,
+    PDS2Error,
+    SessionPaused,
+    TransitionError,
+)
 from repro.ml.datasets import (
     make_iot_activity,
     split_dirichlet,
@@ -86,16 +96,16 @@ def report_key(report) -> str:
 
 
 class _PauseAt:
-    """Raise :class:`SessionPaused` at the k-th phase boundary."""
+    """Raise :class:`SessionPaused` at each of the given boundary indices."""
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self, *ks: int):
+        self.ks = set(ks)
         self.fired = 0
 
     def __call__(self, session, next_phase):
         boundary = self.fired
         self.fired += 1
-        if boundary == self.k:
+        if boundary in self.ks:
             raise SessionPaused("pause for checkpoint",
                                 phase=session.state, next_phase=next_phase)
 
@@ -122,24 +132,25 @@ class TestCheckpointRoundTrip:
         with pytest.raises(SessionPaused):
             session.run()
 
-        blob = session.checkpoint().to_bytes()
-        restored_cp = SessionCheckpoint.from_bytes(blob)
-        # Byte-stable: serialize -> deserialize -> serialize is identity.
-        assert restored_cp.to_bytes() == blob
-        assert restored_cp.to_dict()["format"] == CHECKPOINT_FORMAT
+        checkpoint = session.checkpoint()
+        blob = checkpoint.to_bytes()
+        # Byte-stable, and the digest is over exactly these bytes.
+        assert session.checkpoint().to_bytes() == blob
+        assert checkpoint.digest() == sha256(blob).hexdigest()
+        assert checkpoint.to_dict()["format"] == CHECKPOINT_FORMAT
 
-        resumed = restore_session(market, make_kind(), restored_cp)
-        assert resumed.session_id == session.session_id
-        report = resumed.run()
+        session_id = session.session_id
+        report = session.run()
+        assert report.session_id == session_id
         assert report_key(report) == baseline_key
 
     def test_created_state_checkpoint_runs_from_scratch(self, baseline_key):
         market, consumer = build_market()
         session = market.session_for(consumer, make_kind())
-        checkpoint = SessionCheckpoint.from_bytes(
-            session.checkpoint().to_bytes())
-        report = restore_session(market, make_kind(), checkpoint).run()
-        assert report_key(report) == baseline_key
+        checkpoint = session.checkpoint()
+        assert (checkpoint.state, checkpoint.next_phase) == \
+            ("created", "deploy")
+        assert report_key(session.run()) == baseline_key
 
     def test_digest_is_process_portable(self):
         # Twin markets paused at the same boundary produce the same digest
@@ -155,19 +166,88 @@ class TestCheckpointRoundTrip:
             digests.append(session.checkpoint().digest())
         assert digests[0] == digests[1]
 
-    def test_trail_survives_round_trip(self):
+    def test_to_bytes_carries_no_trail(self):
         market, consumer = build_market()
         session = market.session_for(consumer, make_kind(),
                                      on_phase_boundary=_PauseAt(4))
         with pytest.raises(SessionPaused):
             session.run()
-        checkpoint = SessionCheckpoint.from_bytes(
-            session.checkpoint().to_bytes())
-        assert len(checkpoint.trail) == len(session.trail)
-        resumed = restore_session(market, make_kind(), checkpoint)
-        # Trail-derived accounting carried over exactly.
-        assert resumed.gas_used == session.gas_used
-        assert resumed.blocks_mined == session.blocks_mined
+        assert session.trail
+        checkpoint = session.checkpoint()
+        assert "trail" not in checkpoint.to_dict()
+        assert not hasattr(checkpoint, "trail")
+        blob = checkpoint.to_bytes()
+        assert b"wall_time" not in blob and b"phase.started" not in blob
+        # Trail-derived accounting is in the record as totals.
+        assert checkpoint.gas_used == session.gas_used
+        assert checkpoint.blocks_mined == session.blocks_mined
+
+
+def _names(session) -> list[str]:
+    return [event.name for event in session.trail]
+
+
+class TestRunAgain:
+    def test_two_consecutive_pauses(self, baseline_key):
+        market, consumer = build_market()
+        session = market.session_for(consumer, make_kind(),
+                                     on_phase_boundary=_PauseAt(2, 3))
+        with pytest.raises(SessionPaused):
+            session.run()
+        assert session.next_phase == "attest_and_submit"
+        with pytest.raises(SessionPaused):
+            session.run()
+        assert session.next_phase == "start_execution"
+        assert report_key(session.run()) == baseline_key
+
+    def test_one_started_and_one_resumed_per_resume(self):
+        market, consumer = build_market()
+        session = market.session_for(consumer, make_kind(),
+                                     on_phase_boundary=_PauseAt(1, 5))
+        with pytest.raises(SessionPaused):
+            session.run()
+        assert _names(session).count("session.started") == 1
+        assert _names(session).count("session.resumed") == 0
+        with pytest.raises(SessionPaused):
+            session.run()
+        assert _names(session).count("session.resumed") == 1
+        session.run()
+        names = _names(session)
+        assert names.count("session.started") == 1
+        assert names.count("session.resumed") == 2
+        assert names.count("session.completed") == 1
+        resumed = [event for event in session.trail
+                   if event.name == "session.resumed"]
+        assert [event.data["phase"] for event in resumed] == \
+            ["register_executors", "aggregate"]
+        # Every phase ran exactly once across the three run() calls.
+        assert names.count("phase.completed") == len(LIFECYCLE_PHASES)
+
+    def test_complete_session_refuses_to_run(self):
+        market, consumer = build_market()
+        session = market.session_for(consumer, make_kind())
+        session.run()
+        assert session.state == TERMINAL_COMPLETE
+        self._assert_refuses(market, session)
+
+    def test_failed_session_refuses_to_run(self):
+        market, consumer = build_market()
+        session = market.session_for(
+            consumer, make_kind(), injector=FaultInjector(
+                FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
+        with pytest.raises(LifecycleError):  # no recovery policy: terminal
+            session.run()
+        assert session.state == TERMINAL_FAILED
+        self._assert_refuses(market, session)
+
+    @staticmethod
+    def _assert_refuses(market, session):
+        height = market.chain.height
+        events = len(session.trail)
+        with pytest.raises(TransitionError):
+            session.run()
+        assert market.chain.height == height
+        assert len(session.trail) == events
 
 
 class TestSnapshotConsistency:
@@ -211,65 +291,8 @@ class TestCheckpointErrors:
         with pytest.raises(CheckpointError):
             checkpoint_session(session)
 
-    def test_from_dict_rejects_unknown_format(self):
-        market, consumer = build_market()
-        record = market.session_for(consumer, make_kind()) \
-                       .checkpoint().to_dict()
-        record["format"] = "pds2-session-checkpoint/99"
-        with pytest.raises(CheckpointError):
-            SessionCheckpoint.from_dict(record)
-
-    def test_restore_rejects_spec_mismatch(self):
-        market, consumer = build_market()
-        checkpoint = market.session_for(consumer, make_kind()).checkpoint()
-        other = MLTrainingKind(WorkloadSpec(
-            workload_id="wl-other",
-            requirement=ConceptRequirement("physiological"),
-            model=ModelSpec(family="softmax", num_features=6, num_classes=5),
-            training=TrainingSpec(steps=11, learning_rate=0.3),
-            reward_pool=600_000,
-            min_providers=2,
-            min_samples=20,
-            required_confirmations=2,
-        ))
-        with pytest.raises(CheckpointError):
-            restore_session(market, other, checkpoint)
-
-    def test_restore_rejects_illegal_transition_edge(self):
-        market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(3))
-        with pytest.raises(SessionPaused):
-            session.run()
-        record = session.checkpoint().to_dict()
-        record["next_phase"] = "deploy"  # not reachable from mid-lifecycle
-        with pytest.raises(CheckpointError):
-            restore_session(market, make_kind(),
-                            SessionCheckpoint.from_dict(record))
-
-    def test_restore_rejects_missing_actor(self):
-        market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(3))
-        with pytest.raises(SessionPaused):
-            session.run()
-        checkpoint = session.checkpoint()
-        stranger, stranger_consumer = build_market(seed=99)
-        with pytest.raises(CheckpointError):
-            restore_session(stranger, make_kind(), checkpoint,
-                            consumer=stranger_consumer)
-
 
 class TestInjectorStateRoundTrip:
-    def test_state_dict_restores_plan_and_budgets(self):
-        plan = FaultPlan.sample(0.8, ("e0", "e1"), ("u0", "u1"), seed=7)
-        injector = FaultInjector(plan)
-        state = injector.state_dict()
-        clone = FaultInjector.restore_state(state)
-        assert clone.state_dict() == state
-        assert [f.kind for f in clone.plan.faults] == \
-            [f.kind for f in plan.faults]
-
     def test_job_fault_seed_is_stable_and_separated(self):
         assert job_fault_seed("job-0001") == job_fault_seed("job-0001")
         assert job_fault_seed("job-0001") != job_fault_seed("job-0002")
@@ -295,14 +318,17 @@ class TestInjectorStateRoundTrip:
         except Exception:
             pytest.skip("fault terminated the session before boundary 2")
         checkpoint = session.checkpoint()
-        assert checkpoint.injector is not None
-        restored = FaultInjector.restore_state(checkpoint.injector)
-        assert restored.state_dict() == injector.state_dict()
+        assert checkpoint.injector == injector.state_dict()
+        assert checkpoint.to_dict()["injector"] == injector.state_dict()
+        # An unarmed session's record has no injector key at all (absent,
+        # not null — the bytes every journaled digest was taken over).
+        market, consumer = build_market()
+        bare = market.session_for(consumer, make_kind()).checkpoint()
+        assert bare.injector is None and "injector" not in bare.to_dict()
 
 
 class TestSessionPausedSemantics:
     def test_session_paused_is_not_a_lifecycle_error(self):
-        from repro.errors import LifecycleError, PDS2Error
         assert issubclass(SessionPaused, PDS2Error)
         assert not issubclass(SessionPaused, LifecycleError)
 

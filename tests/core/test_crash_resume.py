@@ -1,12 +1,14 @@
-"""Crash-resume: kill at every boundary, resume, settle byte-identically.
+"""Pause at every boundary, continue, settle byte-identically.
 
-The acceptance criterion for checkpointable sessions: pausing at *any*
-phase boundary — including the boundaries RECOVERY_TRANSITIONS re-entry
-edges create after retry/re-match/degrade directives — then serializing,
-restoring and resuming must reproduce the uninterrupted run's settlement
-bytes exactly, at the same seed.  Faulted sessions carry their injector
-state across the pause so the resumed run faces exactly the faults still
-owed.
+The acceptance criterion for pausable sessions: stopping at *any* phase
+boundary — including the boundaries RECOVERY_TRANSITIONS re-entry edges
+create after retry/re-match/degrade directives — and calling ``run()``
+again must reproduce the uninterrupted run's settlement bytes exactly, at
+the same seed; the armed injector rides along on the live session, so the
+continued run faces exactly the faults still owed.  And the rule a crashed
+session comes back by (``control.supervisor.BoundaryRecorder``): a twin
+market built from the same seed reaches the paused session's checkpoint
+digest at every one of those boundaries.
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from repro.core import (
     MLTrainingKind,
     ModelSpec,
     RecoveryPolicy,
-    SessionCheckpoint,
     TrainingSpec,
     WorkloadSpec,
-    restore_session,
     run_with_faults,
 )
 from repro.core.lifecycle import TERMINAL_COMPLETE
@@ -129,15 +129,29 @@ class _PauseAt:
                                 next_phase=next_phase)
 
 
-def scenario_boundaries(plan) -> list[tuple[str, str]]:
-    """(state, next_phase) at every boundary of the scenario's run."""
+def scenario_boundaries(plan) -> list[tuple[str, str, str]]:
+    """(state, next_phase, checkpoint digest) at every boundary of the
+    scenario's uninterrupted run."""
     market, consumer = build_market()
-    boundaries: list[tuple[str, str]] = []
+    boundaries: list[tuple[str, str, str]] = []
     run_with_faults(
         market, consumer, make_kind(), plan,
-        on_phase_boundary=lambda s, n: boundaries.append((s.state, n)),
+        on_phase_boundary=lambda s, n: boundaries.append(
+            (s.state, n, s.checkpoint().digest())),
     )
     return boundaries
+
+
+def paused_session(plan, boundary: int):
+    """A fresh seed-built market's session, stopped at ``boundary``."""
+    market, consumer = build_market()
+    session = market.session_for(
+        consumer, make_kind(), recovery=RecoveryPolicy(),
+        injector=FaultInjector(plan), on_phase_boundary=_PauseAt(boundary),
+    )
+    with pytest.raises(SessionPaused):
+        session.run()
+    return session
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -152,38 +166,39 @@ def test_scenario_resumes_byte_identically_from_every_boundary(name):
     assert boundaries, "scenario produced no phase boundaries"
 
     recovery_edges = [
-        index for index, (state, next_phase) in enumerate(boundaries)
+        index for index, (state, next_phase, _) in enumerate(boundaries)
         if any(entry.get("target") == next_phase
                and entry.get("phase") == state
                for entry in baseline.recoveries)
     ]
     if baseline.recoveries:
-        # The crash sweep must cover the recovery re-entry edges, not just
+        # The pause sweep must cover the recovery re-entry edges, not just
         # the straight-line boundaries.
         assert recovery_edges
 
-    for crash_at in range(len(boundaries)):
-        market, consumer = build_market()
-        injector = FaultInjector(plan)
-        session = market.session_for(
-            consumer, make_kind(), recovery=RecoveryPolicy(),
-            injector=injector, on_phase_boundary=_PauseAt(crash_at),
-        )
-        with pytest.raises(SessionPaused):
-            session.run()
-
-        checkpoint = SessionCheckpoint.from_bytes(
-            session.checkpoint().to_bytes())
-        resumed = restore_session(market, make_kind(), checkpoint,
-                                  recovery=RecoveryPolicy())
+    for pause_at, (state, next_phase, _) in enumerate(boundaries):
+        session = paused_session(plan, pause_at)
+        assert (session.state, session.next_phase) == (state, next_phase)
         try:
-            resumed.run()
+            session.run()
         except LifecycleError:
-            pass  # failing scenarios legitimately fail after resume too
-        assert settlement_key(resumed) == baseline_key, (
-            f"{name}: boundary {crash_at} "
-            f"({boundaries[crash_at][0]} -> {boundaries[crash_at][1]}) "
-            f"did not resume byte-identically"
+            pass  # failing scenarios legitimately fail after a pause too
+        assert settlement_key(session) == baseline_key, (
+            f"{name}: boundary {pause_at} ({state} -> {next_phase}) "
+            f"did not continue byte-identically"
+        )
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_twin_replay_reaches_the_paused_digest_at_every_boundary(name):
+    plan = SCENARIOS[name].plan(EXECUTOR_NAMES, PROVIDER_NAMES)
+    # The twin: a second market from the seed, replaying without a pause.
+    replayed = scenario_boundaries(plan)
+    for pause_at, (state, next_phase, digest) in enumerate(replayed):
+        paused = paused_session(plan, pause_at)
+        assert paused.checkpoint().digest() == digest, (
+            f"{name}: twin diverged at boundary {pause_at} "
+            f"({state} -> {next_phase})"
         )
 
 
@@ -193,11 +208,10 @@ def test_happy_path_session_id_is_preserved_across_restore():
                                  on_phase_boundary=_PauseAt(0))
     with pytest.raises(SessionPaused):
         session.run()
+    session_id = session.session_id
     counter_before = market._session_counter
-    resumed = restore_session(
-        market, make_kind(),
-        SessionCheckpoint.from_bytes(session.checkpoint().to_bytes()))
-    # Restoring must not burn a fresh session id: the resumed session IS
-    # the original, and later sessions' ids must not shift.
-    assert resumed.session_id == session.session_id
+    report = session.run()
+    # Continuing must not burn a fresh session id: it IS the same session,
+    # and later sessions' ids must not shift.
+    assert report.session_id == session.session_id == session_id
     assert market._session_counter == counter_before

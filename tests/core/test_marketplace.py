@@ -239,10 +239,11 @@ class TestDataPathDoesWorkOnce:
             assert provider.partition_tree() is rebound
             assert [args[1] for args in built if args[0] is rebound] == [
                 provider.partition_rows()]
-            # Handing over the tree or the bare rows: the same certificate.
+            # The kept tree or one built afresh: the same certificate.
             issued = [issue_certificate(provider.wallet.key, "wl-tree", "0xe",
-                                        items, issued_at=1.0)
-                      for items in (rebound, provider.partition_rows())]
+                                        tree, issued_at=1.0)
+                      for tree in (rebound,
+                                   MerkleTree(provider.partition_rows()))]
             assert issued[0] == issued[1]
             assert issued[0].data_root == merkle_module.merkle_root(
                 provider.partition_rows())

@@ -12,6 +12,7 @@ from repro.core import (
     FaultKind,
     FaultPlan,
     Marketplace,
+    MLTrainingKind,
     ModelSpec,
     RecoveryPolicy,
     RetryPolicy,
@@ -32,11 +33,17 @@ from repro.core.lifecycle import (
 from repro.core.resilience import Fault, FaultInjector
 from repro.crypto.ecdsa import PrivateKey, shared_secret
 from repro.crypto.symmetric import decrypt
-from repro.errors import DecryptionError, MarketplaceError
+from repro.errors import (
+    DecryptionError,
+    EnclaveViolationError,
+    MarketplaceError,
+    SessionPaused,
+)
 from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee.attestation import AttestationService
+from repro.tee.enclave import TEEPlatform
 
 N_PROVIDERS = 3
 N_EXECUTORS = 3
@@ -390,13 +397,82 @@ class TestQuotePerEnclave:
         plan = FaultPlan.single(FaultKind.CRASH_SUBMIT, target="e0")
         result = run_with_faults(market, consumer, spec("wl-requote"), plan)
         assert result.outcome == "settled"
-        crashed = [enclave for enclave, _ in shown if enclave.terminated]
-        assert crashed and all(enclave.quote is None for enclave in crashed)
+        # Every enclave is terminated once the session settles, so the
+        # crashed one is told apart by the host it ran on.
+        dead_host = market.executors[0].platform
+        assert all(enclave.terminated and enclave.quote is None
+                   for enclave, _ in shown)
         old = {quote.report_data for enclave, quote in shown
-               if enclave.terminated}
+               if enclave.platform is dead_host}
         new = {quote.report_data for enclave, quote in shown
-               if not enclave.terminated}
+               if enclave.platform is not dead_host}
         assert old and new and old.isdisjoint(new)
+
+
+class TestEnclavesReleased:
+    """A finished session gives its enclaves back, plaintext included."""
+
+    @pytest.fixture
+    def launched(self, monkeypatch):
+        enclaves = []
+        launch = TEEPlatform.launch
+
+        def recording(platform, code):
+            enclaves.append(launch(platform, code))
+            return enclaves[-1]
+
+        monkeypatch.setattr(TEEPlatform, "launch", recording)
+        return enclaves
+
+    @staticmethod
+    def _assert_released(market, launched):
+        assert launched
+        assert all(executor.enclaves == {} for executor in market.executors)
+        for enclave in launched:
+            assert enclave.terminated and not enclave._private_inputs
+            with pytest.raises(EnclaveViolationError):
+                enclave.extract_output()
+
+    def test_after_run_workload(self, launched):
+        market, consumer = build_market()
+        assert market.run_workload(consumer, spec("wl-release")).audit.clean
+        self._assert_released(market, launched)
+
+    def test_after_a_failed_run(self, launched):
+        market, consumer = build_market()
+        plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
+        result = run_with_faults(market, consumer, spec("wl-release-f"),
+                                 plan, recover=False)
+        assert result.outcome == "failed"
+        self._assert_released(market, launched)
+
+    def test_after_a_degraded_run(self, launched):
+        market, consumer = build_market()
+        plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
+        result = run_with_faults(market, consumer, spec("wl-release-d"), plan)
+        assert result.outcome == "settled_degraded"
+        self._assert_released(market, launched)
+
+    def test_a_paused_session_keeps_its_enclaves(self, launched):
+        market, consumer = build_market()
+
+        def pause_before_aggregate(session, next_phase):
+            if next_phase == "aggregate":
+                raise SessionPaused("pause", phase=session.state,
+                                    next_phase=next_phase)
+
+        session = market.session_for(
+            consumer, MLTrainingKind(spec("wl-release-p")),
+            on_phase_boundary=pause_before_aggregate)
+        with pytest.raises(SessionPaused):
+            session.run()
+        held = [executor.enclaves["wl-release-p"]
+                for executor in market.executors]
+        assert held == launched
+        assert not any(enclave.terminated for enclave in held)
+        assert all(enclave.extract_output() for enclave in held)
+        session.run()
+        self._assert_released(market, launched)
 
 
 class TestEscrowConservation:

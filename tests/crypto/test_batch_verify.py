@@ -1,8 +1,8 @@
 """Batch signature verification: multi-scalar differential + bisection.
 
 Two layers are under test here.  ``ec_backend.multi_scalar_mult`` is checked
-differentially against the affine oracle retained in :mod:`repro.crypto.ecdsa`
-(sums of ``_point_mul`` results).  ``ecdsa.batch_verify`` is checked for
+differentially against the affine oracle in :mod:`tests.crypto.affine_oracle`
+(sums of ``point_mul`` results).  ``ecdsa.batch_verify`` is checked for
 *agreement with the individual verifier* — the authoritative oracle — on
 all-good batches, corrupted batches, malformed scalars, flipped parity bits,
 and cache interactions.  The bisection sweep runs ≥20 seeds with exactly one
@@ -28,11 +28,10 @@ from repro.crypto.ecdsa import (
     PublicKey,
     Signature,
     _batch_equation_holds,
-    _point_add,
-    _point_mul,
     _recover_nonce_point,
     batch_verify,
 )
+from tests.crypto.affine_oracle import point_add, point_mul
 
 G = (GX, GY)
 
@@ -44,57 +43,49 @@ def random_scalar() -> int:
 
 
 def _oracle_msm(base_scalar, pairs):
-    total = _point_mul(base_scalar, G)
+    total = point_mul(base_scalar, G)
     for scalar, point in pairs:
-        total = _point_add(total, _point_mul(scalar, point))
+        total = point_add(total, point_mul(scalar, point))
     return total
 
 
 class TestMultiScalarMult:
     def test_differential_against_oracle(self):
-        points = [_point_mul(k, G) for k in (0xACE, 0xBEEF, 0xC0DE, 0xF00D)]
+        points = [point_mul(k, G) for k in (0xACE, 0xBEEF, 0xC0DE, 0xF00D)]
         for _ in range(10):
             base = random_scalar()
             pairs = [(random_scalar(), point) for point in points]
             assert multi_scalar_mult(base, pairs) == _oracle_msm(base, pairs)
 
     def test_degenerate_inputs(self):
-        q = _point_mul(77, G)
-        assert multi_scalar_mult(5, []) == _point_mul(5, G)
+        q = point_mul(77, G)
+        assert multi_scalar_mult(5, []) == point_mul(5, G)
         assert multi_scalar_mult(0, []) is None
-        assert multi_scalar_mult(0, [(9, q)]) == _point_mul(9 * 77, G)
+        assert multi_scalar_mult(0, [(9, q)]) == point_mul(9 * 77, G)
         assert multi_scalar_mult(3, [(0, q), (N, q), (4, None)]) == \
-            _point_mul(3, G)
+            point_mul(3, G)
 
     def test_cancellation_to_infinity(self):
-        q = _point_mul(7, G)
+        q = point_mul(7, G)
         # 7·21·G − 3·49·G = 0 arranged as base + two point streams.
         assert multi_scalar_mult(
             147, [(N - 21, q), (0, q)]
         ) is None
 
     def test_single_pair_matches_double_mult(self):
-        q = _point_mul(0xDEAD, G)
+        q = point_mul(0xDEAD, G)
         u1, u2 = random_scalar(), random_scalar()
         assert multi_scalar_mult(u1, [(u2, q)]) == \
             ec_backend.double_scalar_mult_base(u1, u2, q)
 
-    def test_fallback_without_glv_matches(self, monkeypatch):
-        points = [_point_mul(k, G) for k in (11, 13, 17)]
-        base = random_scalar()
-        pairs = [(random_scalar(), point) for point in points]
-        with_glv = multi_scalar_mult(base, pairs)
-        monkeypatch.setattr(ec_backend, "_glv_params", lambda: None)
-        assert multi_scalar_mult(base, pairs) == with_glv
-
     def test_wide_batch(self):
-        pairs = [(random_scalar(), _point_mul(random_scalar(), G))
+        pairs = [(random_scalar(), point_mul(random_scalar(), G))
                  for _ in range(32)]
         base = random_scalar()
         assert multi_scalar_mult(base, pairs) == _oracle_msm(base, pairs)
 
     def test_one_shot_pairs_are_terms_of_the_same_sum(self):
-        pairs = [(random_scalar(), _point_mul(random_scalar(), G))
+        pairs = [(random_scalar(), point_mul(random_scalar(), G))
                  for _ in range(6)]
         base = random_scalar()
         expected = _oracle_msm(base, pairs)
@@ -104,8 +95,8 @@ class TestMultiScalarMult:
 
     def test_one_shot_tables_stay_out_of_the_lru(self):
         ec_backend._POINT_TABLE_CACHE.clear()
-        keys = [_point_mul(random_scalar(), G) for _ in range(3)]
-        nonces = [_point_mul(random_scalar(), G) for _ in range(5)]
+        keys = [point_mul(random_scalar(), G) for _ in range(3)]
+        nonces = [point_mul(random_scalar(), G) for _ in range(5)]
         multi_scalar_mult(random_scalar(),
                           [(random_scalar(), q) for q in keys],
                           [(random_scalar(), r) for r in nonces])
@@ -229,13 +220,13 @@ class TestKeyFoldedEquation:
         # fold to 0·Q: the key drops out of the sum and the equation must
         # still hold exactly when each entry's own point equation does.
         monkeypatch.setattr(ecdsa, "keccak256", lambda data: bytes(32))
-        q = _point_mul(0xFEED, G)
+        q = point_mul(0xFEED, G)
         u1_a, u1_b, u2 = random_scalar(), random_scalar(), random_scalar()
-        r_a = _point_add(_point_mul(u1_a, G), _point_mul(u2, q))
-        r_b = _point_add(_point_mul(u1_b, G), _point_mul(N - u2, q))
+        r_a = point_add(point_mul(u1_a, G), point_mul(u2, q))
+        r_b = point_add(point_mul(u1_b, G), point_mul(N - u2, q))
         assert _batch_equation_holds([(u1_a, u2, q, r_a),
                                       (u1_b, N - u2, q, r_b)])
-        wrong = _point_add(r_b, G)
+        wrong = point_add(r_b, G)
         assert not _batch_equation_holds([(u1_a, u2, q, r_a),
                                           (u1_b, N - u2, q, wrong)])
 

@@ -5,7 +5,7 @@ through ``_bucket_events`` and fewer through per-point wNAF tables.  Both
 must name the same group element for every input, so each test here
 evaluates one ``(base_scalar, pairs, one_shot_pairs)`` on both sides of
 that constant — and, where the input is small enough for it, against sums
-of the affine ``_point_mul`` retained in :mod:`repro.crypto.ecdsa`.
+of the affine ``point_mul`` of :mod:`tests.crypto.affine_oracle`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.crypto.ec_backend import (
     multi_scalar_mult,
     scalar_mult_base,
 )
-from repro.crypto.ecdsa import _point_add, _point_mul
+from tests.crypto.affine_oracle import point_add, point_mul
 
 G = (GX, GY)
 
@@ -73,9 +73,9 @@ def _buckets(base_scalar, pairs, one_shot):
 
 
 def _oracle(base_scalar, terms):
-    total = _point_mul(base_scalar, G)
+    total = point_mul(base_scalar, G)
     for scalar, point in terms:
-        total = _point_add(total, _point_mul(scalar, point))
+        total = point_add(total, point_mul(scalar, point))
     return total
 
 
@@ -136,7 +136,7 @@ class TestBucketEdgeCases:
             terms = [(scalar, point), (scalar, _negate(point))]
             assert ec_backend._bucket_events(terms) == []
             assert _buckets(0, [], terms) is None
-            assert _buckets(9, [], terms) == _point_mul(9, G)
+            assert _buckets(9, [], terms) == point_mul(9, G)
 
     def test_same_point_twice_doubles_inside_its_buckets(self):
         # Equal scalars have equal digits, so in every window the second
@@ -144,7 +144,7 @@ class TestBucketEdgeCases:
         point = POOL[1]
         scalar = 2**128 - 12345
         assert _buckets(0, [], [(scalar, point), (scalar, point)]) == \
-            _point_mul(2 * scalar, point)
+            point_mul(2 * scalar, point)
 
     def test_all_terms_cancel_with_no_other_stream(self):
         terms = [(k, POOL[k]) for k in range(1, 40)]
@@ -152,7 +152,7 @@ class TestBucketEdgeCases:
         assert len(terms) >= ec_backend._BUCKET_MIN_POINTS
         assert multi_scalar_mult(0, [], terms) is None
         assert multi_scalar_mult(0, [(3, KEYS[0])], terms) == \
-            _point_mul(3, KEYS[0])
+            point_mul(3, KEYS[0])
 
     def test_carry_runs_through_every_window(self):
         # Digits of all ones borrow from window to window up to the extra
@@ -164,5 +164,5 @@ class TestBucketEdgeCases:
                 events = ec_backend._bucket_events(terms)
                 total = None
                 for bit, addend in events:
-                    total = _point_add(total, _point_mul(1 << bit, addend))
-                assert total == _point_mul(scalar * count, point)
+                    total = point_add(total, point_mul(1 << bit, addend))
+                assert total == point_mul(scalar * count, point)

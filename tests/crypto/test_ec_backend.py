@@ -1,7 +1,7 @@
 """Differential tests for the fast EC backend against the affine oracle.
 
-The textbook affine implementation retained in :mod:`repro.crypto.ecdsa`
-(:func:`_point_add` / :func:`_point_mul`) is deliberately naive and shares no
+The textbook affine implementation in :mod:`tests.crypto.affine_oracle`
+(:func:`point_add` / :func:`point_mul`) is deliberately naive and shares no
 code with :mod:`repro.crypto.ec_backend`; everything here cross-checks the
 optimized Jacobian/wNAF/GLV paths against it, plus externally published
 secp256k1 test vectors (RFC 6979 deterministic nonces), so a bug would have
@@ -36,7 +36,9 @@ from repro.crypto.ec_backend import (
     to_jacobian,
     wnaf,
 )
-from repro.crypto.ecdsa import PrivateKey, _point_add, _point_mul
+from repro.crypto.ecdsa import PrivateKey
+from tests.crypto.affine_oracle import point_add, point_mul
+from tests.crypto.glv_derivation import derive_glv
 
 G = (GX, GY)
 
@@ -70,45 +72,45 @@ def _wnaf_scalar_mult(scalar, point):
 
 class TestJacobianPrimitives:
     def test_round_trip_affine_jacobian(self):
-        point = _point_mul(1234567, G)
+        point = point_mul(1234567, G)
         assert to_affine(to_jacobian(point)) == point
 
     def test_double_matches_oracle(self):
-        point = _point_mul(987654321, G)
+        point = point_mul(987654321, G)
         assert to_affine(jacobian_double(to_jacobian(point))) == \
-            _point_add(point, point)
+            point_add(point, point)
 
     def test_add_matches_oracle(self):
-        p1 = _point_mul(1111, G)
-        p2 = _point_mul(2222, G)
+        p1 = point_mul(1111, G)
+        p2 = point_mul(2222, G)
         assert to_affine(jacobian_add(to_jacobian(p1), to_jacobian(p2))) == \
-            _point_add(p1, p2)
+            point_add(p1, p2)
 
     def test_mixed_add_matches_oracle(self):
-        p1 = _point_mul(31337, G)
-        p2 = _point_mul(271828, G)
+        p1 = point_mul(31337, G)
+        p2 = point_mul(271828, G)
         assert to_affine(jacobian_add_affine(to_jacobian(p1), p2)) == \
-            _point_add(p1, p2)
+            point_add(p1, p2)
 
     def test_add_inverse_is_infinity(self):
-        point = _point_mul(42, G)
+        point = point_mul(42, G)
         negated = (point[0], P - point[1])
         assert jacobian_add(to_jacobian(point), to_jacobian(negated)) is None
 
     def test_add_equal_points_doubles(self):
-        point = _point_mul(7, G)
+        point = point_mul(7, G)
         assert to_affine(jacobian_add(to_jacobian(point), to_jacobian(point))) \
-            == _point_mul(14, G)
+            == point_mul(14, G)
 
     def test_infinity_identities(self):
-        point = to_jacobian(_point_mul(5, G))
+        point = to_jacobian(point_mul(5, G))
         assert jacobian_add(None, point) == point
         assert jacobian_add(point, None) == point
         assert jacobian_double(None) is None
         assert to_affine(None) is None
 
     def test_batch_to_affine_matches_single(self):
-        points = [to_jacobian(_point_mul(k, G)) for k in (3, 5, 7)]
+        points = [to_jacobian(point_mul(k, G)) for k in (3, 5, 7)]
         # Give them distinct non-trivial Z by adding then doubling.
         jacobians = [jacobian_double(p) for p in points]
         batched = batch_to_affine(jacobians + [None])
@@ -135,39 +137,36 @@ class TestWnaf:
 
 
 class TestGLV:
+    CONSTANTS = (ec_backend._GLV_LAMBDA, ec_backend._GLV_BETA,
+                 ec_backend._GLV_A1, ec_backend._GLV_B1,
+                 ec_backend._GLV_A2, ec_backend._GLV_B2)
+
     def test_params_derived(self):
-        params = ec_backend._glv_params()
-        assert params is not None, "GLV derivation failed on secp256k1"
-        lam, beta = params[0], params[1]
+        """The six numbers written down in the backend are the ones the
+        derivation under ``tests/`` arrives at."""
+        assert derive_glv() == self.CONSTANTS
+        lam, beta = self.CONSTANTS[:2]
         assert pow(lam, 3, N) == 1 and lam != 1
         assert pow(beta, 3, P) == 1 and beta != 1
 
     def test_endomorphism_maps_points(self):
-        lam, beta = ec_backend._glv_params()[:2]
+        lam, beta = self.CONSTANTS[:2]
         for k in (1, 7, 123456789):
-            x, y = _point_mul(k, G)
-            assert _point_mul(lam, (x, y)) == (beta * x % P, y)
+            x, y = point_mul(k, G)
+            assert point_mul(lam, (x, y)) == (beta * x % P, y)
 
     def test_split_congruence_and_size(self):
-        lam, _, a1, b1, a2, b2 = ec_backend._glv_params()
+        lam = ec_backend._GLV_LAMBDA
         for k in EDGE_SCALARS + [random_scalar() for _ in range(50)]:
-            k1, k2 = ec_backend._glv_split(k, lam, a1, b1, a2, b2)
+            k1, k2 = ec_backend._glv_split(k)
             assert (k1 + k2 * lam - k) % N == 0
             assert max(abs(k1), abs(k2)).bit_length() <= 135
-
-    def test_fallback_without_glv_matches(self, monkeypatch):
-        q = _point_mul(0xACE, G)
-        cases = [(random_scalar(), random_scalar()) for _ in range(5)]
-        with_glv = [double_scalar_mult_base(u1, u2, q) for u1, u2 in cases]
-        monkeypatch.setattr(ec_backend, "_glv_params", lambda: None)
-        without_glv = [double_scalar_mult_base(u1, u2, q) for u1, u2 in cases]
-        assert with_glv == without_glv
 
 
 class TestDifferentialScalarMult:
     def test_fixed_base_edge_scalars(self):
         for scalar in EDGE_SCALARS:
-            assert scalar_mult_base(scalar) == _point_mul(scalar, G), scalar
+            assert scalar_mult_base(scalar) == point_mul(scalar, G), scalar
         assert scalar_mult_base(0) is None
         assert scalar_mult_base(N) is None
 
@@ -178,7 +177,7 @@ class TestDifferentialScalarMult:
                    int("80" * 32, 16), int("81" * 32, 16),
                    int("ff" * 32, 16) % N, 2**255, N - 1, N - 2]
         for scalar in scalars:
-            assert scalar_mult_base(scalar) == _point_mul(scalar, G), \
+            assert scalar_mult_base(scalar) == point_mul(scalar, G), \
                 hex(scalar)
 
     def test_fixed_base_table_geometry(self):
@@ -187,27 +186,27 @@ class TestDifferentialScalarMult:
         for row_index in (0, 1, 32):
             for digit in (1, 2, 3, 128):
                 assert table[row_index][digit - 1] == \
-                    _point_mul(digit << (8 * row_index), G)
+                    point_mul(digit << (8 * row_index), G)
 
     def test_fixed_base_bulk_1000(self):
         """The headline differential: 1000 random scalars, fast vs oracle."""
         mismatches = 0
         for _ in range(1000):
             scalar = random_scalar()
-            if scalar_mult_base(scalar) != _point_mul(scalar, G):
+            if scalar_mult_base(scalar) != point_mul(scalar, G):
                 mismatches += 1
         assert mismatches == 0
 
     def test_variable_point_differential(self):
-        base = _point_mul(0xBEEF, G)
+        base = point_mul(0xBEEF, G)
         for scalar in EDGE_SCALARS + [random_scalar() for _ in range(30)]:
-            assert scalar_mult(scalar, base) == _point_mul(scalar, base)
+            assert scalar_mult(scalar, base) == point_mul(scalar, base)
         assert scalar_mult(5, None) is None
         assert scalar_mult(0, base) is None
 
     def test_variable_point_glv_edge_scalars(self):
-        lam = ec_backend._glv_params()[0]
-        base = _point_mul(0xFACADE, G)
+        lam = ec_backend._GLV_LAMBDA
+        base = point_mul(0xFACADE, G)
         scalars = [1, 2, N - 1, lam, lam * lam % N, N - lam,
                    2**127, 2**128 - 1, 2**140, 2**140 + 1,  # the GLV-skip edge
                    2**255, 2**255 + 12345]
@@ -215,7 +214,7 @@ class TestDifferentialScalarMult:
         scalars += [_RANDOM.randrange(2**255, N) for _ in range(5)]
         for scalar in scalars:
             got = scalar_mult(scalar, base)
-            assert got == _point_mul(scalar, base), hex(scalar)
+            assert got == point_mul(scalar, base), hex(scalar)
             assert got == _wnaf_scalar_mult(scalar, base), hex(scalar)
         # N itself and multiples fold to the point at infinity.
         assert scalar_mult(N, base) is None
@@ -228,13 +227,6 @@ class TestDifferentialScalarMult:
         point = scalar_mult_base(point_scalar)
         assert scalar_mult(scalar, point) == _wnaf_scalar_mult(scalar, point)
 
-    def test_variable_point_without_glv_matches(self, monkeypatch):
-        base = _point_mul(0xACE, G)
-        scalars = [random_scalar() for _ in range(5)]
-        with_glv = [scalar_mult(k, base) for k in scalars]
-        monkeypatch.setattr(ec_backend, "_glv_params", lambda: None)
-        assert [scalar_mult(k, base) for k in scalars] == with_glv
-
     def test_variable_point_is_the_one_point_multi_scalar_case(
             self, monkeypatch):
         calls = []
@@ -245,36 +237,36 @@ class TestDifferentialScalarMult:
             return real(base_scalar, pairs, *rest)
 
         monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
-        base = _point_mul(77, G)
-        assert scalar_mult(9, base) == _point_mul(9 * 77, G)
+        base = point_mul(77, G)
+        assert scalar_mult(9, base) == point_mul(9 * 77, G)
         assert calls == [(0, [(9, base)])]
 
     def test_dual_scalar_differential(self):
-        q = _point_mul(0xC0DE, G)
+        q = point_mul(0xC0DE, G)
         for _ in range(30):
             u1, u2 = random_scalar(), random_scalar()
-            expected = _point_add(_point_mul(u1, G), _point_mul(u2, q))
+            expected = point_add(point_mul(u1, G), point_mul(u2, q))
             assert double_scalar_mult_base(u1, u2, q) == expected
 
     def test_dual_scalar_degenerate_cases(self):
         # Cancellation to infinity, doubling overlap, and zero scalars.
         for u1 in (5, 77, 123456):
             assert double_scalar_mult_base(u1, N - u1, G) is None
-        assert double_scalar_mult_base(7, 7, G) == _point_mul(14, G)
-        assert double_scalar_mult_base(9, 0, G) == _point_mul(9, G)
-        assert double_scalar_mult_base(0, 9, G) == _point_mul(9, G)
+        assert double_scalar_mult_base(7, 7, G) == point_mul(14, G)
+        assert double_scalar_mult_base(9, 0, G) == point_mul(9, G)
+        assert double_scalar_mult_base(0, 9, G) == point_mul(9, G)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=N - 1))
     def test_fixed_base_hypothesis(self, scalar):
-        assert scalar_mult_base(scalar) == _point_mul(scalar, G)
+        assert scalar_mult_base(scalar) == point_mul(scalar, G)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=N - 1),
            st.integers(min_value=1, max_value=N - 1))
     def test_dual_scalar_hypothesis(self, u1, u2):
-        q = _point_mul(0xF00D, G)
-        expected = _point_add(_point_mul(u1, G), _point_mul(u2, q))
+        q = point_mul(0xF00D, G)
+        expected = point_add(point_mul(u1, G), point_mul(u2, q))
         assert double_scalar_mult_base(u1, u2, q) == expected
 
 
@@ -309,9 +301,9 @@ def _affine_oracle_verify(public_key, message: bytes, r: int, s: int) -> bool:
         return False
     digest = hash_to_int(message, N)
     s_inv = pow(s, -1, N)
-    point = _point_add(
-        _point_mul(digest * s_inv % N, G),
-        _point_mul(r * s_inv % N, (public_key.x, public_key.y)),
+    point = point_add(
+        point_mul(digest * s_inv % N, G),
+        point_mul(r * s_inv % N, (public_key.x, public_key.y)),
     )
     return point is not None and point[0] % N == r
 

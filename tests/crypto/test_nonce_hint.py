@@ -26,12 +26,11 @@ from repro.crypto.ecdsa import (
     PrivateKey,
     PublicKey,
     Signature,
-    _point_add,
-    _point_mul,
     _recover_nonce_point,
     batch_verify,
 )
 from repro.crypto.hashing import hash_to_int
+from tests.crypto.affine_oracle import point_add, point_mul
 
 G = (GX, GY)
 
@@ -83,8 +82,8 @@ def _wrapped_r_signature(message: bytes, r_is_curve_x: bool):
     s_inv = pow(s, -1, N)
     u1 = hash_to_int(message, N) * s_inv % N
     u2 = r * s_inv % N
-    minus_u1_g = _point_mul(N - u1, G)
-    q = _point_mul(pow(u2, -1, N), _point_add((x, y), minus_u1_g))
+    minus_u1_g = point_mul(N - u1, G)
+    q = point_mul(pow(u2, -1, N), point_add((x, y), minus_u1_g))
     return PublicKey(*q), message, Signature(r, s, y & 1, nonce_y=y)
 
 
