@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Callable, Optional
+from collections import deque
+from typing import Any, Callable, Optional, Sequence
 
 from repro.chain.transaction import CREATE, Transaction
 from repro.errors import ChainError
@@ -32,6 +33,10 @@ from repro.utils.serialization import read_jsonl
 
 #: Bumped when the block-record shape changes (readers stay tolerant).
 RECORD_VERSION = 2
+
+#: How many block records an observer keeps in memory (the tail; sinks
+#: receive every record, so a run directory holds them all).
+MAX_BLOCK_RECORDS = 1024
 
 #: Gas-price buckets for per-block fee percentiles.
 FEE_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
@@ -77,7 +82,7 @@ class ChainObserver:
 
     def __init__(self, chain: Any):
         self.chain = chain
-        self.records: list[dict] = []
+        self.records: deque[dict] = deque(maxlen=MAX_BLOCK_RECORDS)
         #: Callables invoked with each finished record (the run recorder
         #: registers here; the chain layer stays storage-agnostic).
         self.sinks: list[Callable[[dict], None]] = []
@@ -134,7 +139,7 @@ class ChainObserver:
 _WIDTH = 74
 
 
-def render_chain_top(records: list[dict],
+def render_chain_top(records: Sequence[dict],
                      audit: Optional[dict] = None) -> str:
     """Fixed-width ops panel over a chain run's block records."""
     rule = "-" * _WIDTH

@@ -746,7 +746,7 @@ def _batch_run(args: argparse.Namespace, out: OutputWriter) -> int:
         progress=progress,
     )
     db = JobsDB.open(args.root)
-    _batch_status_lines(out, db.load_index(), db.read_manifest())
+    _batch_status_lines(out, db.compact(), db.read_manifest())
     db.close()
     out.set("status", report.status)
     out.set("counts", report.counts)
@@ -861,8 +861,8 @@ def _cmd_batch(args: argparse.Namespace, out: OutputWriter) -> int:
         return _batch_run(args, out)
     if args.batch_command == "status":
         db = JobsDB.open(args.root)
-        _batch_status_lines(out, db.load_index(), db.read_manifest())
-        index = db.load_index()
+        index = db.compact()
+        _batch_status_lines(out, index, db.read_manifest())
         out.set("batch", index.get("batch", {}))
         out.set("counts", index.get("counts", {}))
         out.set("divergent", index.get("divergent", []))

@@ -33,7 +33,6 @@ from repro.control.jobs_db import (
     BATCH_PENDING,
     BATCH_RUNNING,
     BATCH_STATES,
-    INDEX_FORMAT,
     MANIFEST_FORMAT,
     TERMINAL_BATCH_STATES,
     JobsDB,
@@ -73,7 +72,6 @@ __all__ = [
     "BATCH_PENDING",
     "BATCH_RUNNING",
     "BATCH_STATES",
-    "INDEX_FORMAT",
     "MANIFEST_FORMAT",
     "TERMINAL_BATCH_STATES",
     "JobsDB",

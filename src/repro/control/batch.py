@@ -244,7 +244,7 @@ def batch_execute(root: str, workers: int = 4, *,
     db = JobsDB.open(root)
     db.clear_kill()  # an explicit (re)start supersedes any older kill
     specs = {spec.job_id: spec for spec in db.specs()}
-    index = db.compact(write=False)
+    index = db.compact()
 
     results: dict[str, JobResult] = db.results(index)
     checkpoints: dict[str, dict[int, str]] = {
@@ -460,7 +460,6 @@ def batch_execute(root: str, workers: int = 4, *,
             pool.clear()
 
     # -- settle the batch state machine -------------------------------------
-    index = db.compact(write=True)
     status = _terminal_status(specs, results, aborted,
                               missing=[j for j in specs if j not in results])
     batches_child = _BATCHES.labels(status=status)
@@ -473,7 +472,7 @@ def batch_execute(root: str, workers: int = 4, *,
     db.append({"type": "batch", "status": status, "jobs": total,
                "done": len(results), "worker_deaths": worker_deaths,
                "requeues": requeues, "wall_s": wall_s})
-    db.compact(write=True)
+    index = db.compact()
     digest = batch_digest_of(results)
     manifest_path = db.write_manifest({
         "status": status,

@@ -1,4 +1,4 @@
-"""File-backed jobs database: append-only journal + compacted index.
+"""File-backed jobs database: append-only journal, compacted on read.
 
 One batch lives in one directory::
 
@@ -6,7 +6,6 @@ One batch lives in one directory::
       specs.jsonl          # submitted JobSpecs, one per line (written once)
       journal/<shard>.jsonl# append-only progress records, one shard per
                            # writer process (no cross-process file locking)
-      index.json           # compacted view, rebuilt atomically by compact()
       manifest.json        # final batch manifest (terminal states only)
       manifest.metrics.json# telemetry sidecar (coordinator registry)
       heartbeats/<id>.json # per-worker liveness beacons
@@ -20,8 +19,8 @@ all shards in ``(ts, shard, seq)`` order into a queryable index: per-job
 status, attempt counts, checkpoint digests per phase boundary, and any
 *divergence* (two attempts of one deterministic job journaling different
 digests for the same boundary — a determinism violation worth failing
-loudly over).  The index is a cache: deleting ``index.json`` loses
-nothing.
+loudly over).  The index is computed from the journal on every call and
+never persisted, so no reader can see an older run's state.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.control.jobs import JobResult, JobSpec
 from repro.errors import JobsDBError
 from repro.utils.serialization import read_jsonl
 
-INDEX_FORMAT = "pds2-batch-index/1"
 MANIFEST_FORMAT = "pds2-batch-manifest/1"
 
 #: Batch states (the ``batch_execute`` state machine).
@@ -85,14 +83,13 @@ class JournalShard:
 
 
 class JobsDB:
-    """One batch directory: specs, sharded journal, index, liveness."""
+    """One batch directory: specs, sharded journal, liveness."""
 
     def __init__(self, root: str):
         self.root = root
         self.specs_path = os.path.join(root, "specs.jsonl")
         self.journal_dir = os.path.join(root, "journal")
         self.spans_dir = os.path.join(root, "spans")
-        self.index_path = os.path.join(root, "index.json")
         self.manifest_path = os.path.join(root, "manifest.json")
         self.heartbeat_dir = os.path.join(root, "heartbeats")
         self.kill_path = os.path.join(root, "KILL")
@@ -208,8 +205,8 @@ class JobsDB:
 
     # -- compaction ---------------------------------------------------------
 
-    def compact(self, write: bool = True) -> dict:
-        """Fold the journal into the queryable index (optionally persisted)."""
+    def compact(self) -> dict:
+        """Fold the journal into the queryable index."""
         jobs: dict[str, dict] = {}
         batch: dict = {"status": BATCH_PENDING}
         divergent: list[dict] = []
@@ -259,39 +256,19 @@ class JobsDB:
             result = entry.get("result")
             outcome = result["outcome"] if result else entry["status"]
             counts[outcome] = counts.get(outcome, 0) + 1
-        index = {
-            "format": INDEX_FORMAT,
-            "batch": batch,
-            "jobs": jobs,
-            "counts": counts,
-            "divergent": divergent,
-        }
-        if write:
-            _atomic_write_json(self.index_path, index)
-        return index
-
-    def load_index(self) -> dict:
-        """The persisted index, or a fresh compaction when absent."""
-        if os.path.exists(self.index_path):
-            with open(self.index_path, encoding="utf-8") as handle:
-                index = json.load(handle)
-            if index.get("format") != INDEX_FORMAT:
-                raise JobsDBError(
-                    f"unknown index format {index.get('format')!r}"
-                )
-            return index
-        return self.compact(write=False)
+        return {"batch": batch, "jobs": jobs, "counts": counts,
+                "divergent": divergent}
 
     def checkpoints_for(self, job_id: str,
                         index: Optional[dict] = None) -> dict[int, str]:
         """Boundary index -> checkpoint digest, for replay-verified resume."""
-        index = index if index is not None else self.compact(write=False)
+        index = index if index is not None else self.compact()
         entry = index["jobs"].get(job_id, {})
         return {int(boundary): record["digest"]
                 for boundary, record in entry.get("checkpoints", {}).items()}
 
     def results(self, index: Optional[dict] = None) -> dict[str, JobResult]:
-        index = index if index is not None else self.compact(write=False)
+        index = index if index is not None else self.compact()
         out = {}
         for job_id, entry in index["jobs"].items():
             if entry.get("result"):

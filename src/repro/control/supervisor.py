@@ -8,9 +8,9 @@ the unit of work the E21 10k-session sweep shards.
 
 :func:`run_job` wraps a handler with the control-plane contract:
 
-* telemetry isolation — ``telemetry.reset()`` per job, because session-id
-  context labels would otherwise blow the registry's ``MAX_LABEL_SETS``
-  cardinality guard thousands of jobs into a sweep;
+* telemetry isolation — ``telemetry.reset()`` per job, so the tracer's
+  span ids restart and a job's exported spans are a function of the job
+  alone, not of what the worker ran before it;
 * boundary checkpoints — an ``on_phase_boundary`` hook journals the
   session's :meth:`SessionCheckpoint.digest` at every phase boundary;
 * replay-verified resume — a re-queued attempt replays the job from its

@@ -86,7 +86,7 @@ def ops_snapshot(root: str, *,
     now = time.time() if now is None else now
     db = JobsDB.open(root)
     try:
-        index = db.compact(write=False)
+        index = db.compact()
         records = db.journal_records()
         beats = db.read_heartbeats()
     finally:

@@ -30,7 +30,6 @@ from repro.core.events import (
     EventBus,
     JSONLSink,
     LifecycleEvent,
-    MetricsSink,
     RingBufferSink,
     phase_gas_totals,
     phase_wall_times,
@@ -102,7 +101,6 @@ __all__ = [
     "EventBus",
     "JSONLSink",
     "LifecycleEvent",
-    "MetricsSink",
     "RingBufferSink",
     "phase_gas_totals",
     "phase_wall_times",

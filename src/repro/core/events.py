@@ -4,9 +4,8 @@ Every observable step of a workload lifecycle — phase transitions, block
 mining, attestation checks, enclave launches, data submissions, payouts —
 is published as a frozen :class:`LifecycleEvent` on the marketplace
 :class:`EventBus`.  Sinks are pluggable: the default in-memory
-:class:`RingBufferSink` backs interactive queries and tests, a
-:class:`JSONLSink` persists a run for ``python -m repro trace``, and a
-:class:`MetricsSink` keeps cheap counters for benchmarks.
+:class:`RingBufferSink` backs interactive queries and tests and a
+:class:`JSONLSink` persists a run for ``python -m repro trace``.
 
 The event trail is the off-chain half of the audit story (DataBright/D2M
 structure their markets the same way): each event records the session id,
@@ -20,7 +19,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
@@ -182,65 +181,6 @@ def read_jsonl_events(path: str) -> list[LifecycleEvent]:
     """
     os.stat(path)  # a missing trace is an error, not an empty trace
     return [LifecycleEvent.from_dict(record) for record in read_jsonl(path)]
-
-
-class MetricsSink:
-    """Event-stream metrics over a telemetry registry.
-
-    Historically this kept its own ad-hoc ``Counter`` dicts; it is now a
-    thin adapter feeding a :class:`~repro.telemetry.metrics.MetricsRegistry`
-    (its own private one by default, so attaching a sink never pollutes the
-    process registry).  The original attribute API (``total_gas``,
-    ``events_by_name``…) is preserved as views over the registry.
-    """
-
-    def __init__(self, registry=None) -> None:
-        from repro.telemetry.metrics import MetricsRegistry
-
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._by_name = self.registry.counter(
-            "pds2_events_total", "Lifecycle events by name",
-            labelnames=("name",),
-        )
-        self._by_phase = self.registry.counter(
-            "pds2_events_by_phase_total", "Lifecycle events by phase",
-            labelnames=("phase",),
-        )
-        self._gas = self.registry.counter(
-            "pds2_gas_used_total", "Gas consumed, by lifecycle phase",
-            labelnames=("phase",),
-        )
-
-    def emit(self, event: LifecycleEvent) -> None:
-        self._by_name.labels(name=event.name).inc()
-        self._by_phase.labels(phase=event.phase).inc()
-        if event.gas_delta:
-            self._gas.labels(phase=event.phase).inc(event.gas_delta)
-
-    # -- the original counter API, as registry views -------------------------
-
-    @property
-    def total_events(self) -> int:
-        return int(self._by_name.total())
-
-    @property
-    def total_gas(self) -> int:
-        return int(self._gas.total())
-
-    @property
-    def events_by_name(self) -> Counter[str]:
-        return Counter({s.labels["name"]: int(s.value)
-                        for s in self._by_name.samples() if s.value})
-
-    @property
-    def events_by_phase(self) -> Counter[str]:
-        return Counter({s.labels["phase"]: int(s.value)
-                        for s in self._by_phase.samples() if s.value})
-
-    @property
-    def gas_by_phase(self) -> Counter[str]:
-        return Counter({s.labels["phase"]: int(s.value)
-                        for s in self._gas.samples() if s.value})
 
 
 class EventBus:

@@ -137,10 +137,8 @@ class Marketplace:
         # Telemetry: this marketplace drives the process tracer's sim clock
         # and publishes every finished span as a `span.end` event, which is
         # how spans reach JSONL traces and `python -m repro spans`.  The
-        # metrics registry is process-global (subsystems hold module-level
-        # handles); the tracer clock follows whichever marketplace was
-        # constructed last — one simulation at a time, like the sim itself.
-        self.metrics = telemetry.REGISTRY
+        # tracer clock follows whichever marketplace was constructed last —
+        # one simulation at a time, like the sim itself.
         self.tracer = telemetry.tracer()
         self.tracer.sim_clock = lambda: self.clock
         self.tracer.on_finish = self._record_span
@@ -221,12 +219,10 @@ class Marketplace:
     def active_session(self, session: WorkloadSession) -> Iterator[None]:
         """Attribute chain/TEE events to ``session`` while it runs.
 
-        Beyond event attribution, this scopes the whole telemetry layer to
-        the session: every span opened inside (chain, TEE, storage — not
-        just lifecycle) inherits a ``session_id`` attribute via the tracer
-        context, and every metric child touched inside is split out under a
-        ``session_id`` ambient label, so profiler and harness output can be
-        filtered per session.
+        Beyond event attribution, every span opened inside (chain, TEE,
+        storage — not just lifecycle) inherits a ``session_id`` attribute
+        via the tracer context, so span and profiler output can be filtered
+        per session.  Metrics carry no session dimension.
         """
         if self._active is not None:
             raise MarketplaceError(
@@ -234,9 +230,7 @@ class Marketplace:
             )
         self._active = session
         try:
-            with self.tracer.scoped_context(session_id=session.session_id), \
-                    self.metrics.context_labels(
-                        session_id=session.session_id):
+            with self.tracer.scoped_context(session_id=session.session_id):
                 yield
         finally:
             self._active = None

@@ -25,13 +25,12 @@ alive, so module-level handles never dangle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import TelemetryError
 
-#: Default ceiling on distinct label sets per metric (the cardinality guard).
+#: Ceiling on distinct label sets per metric (the cardinality guard).
 MAX_LABEL_SETS = 1024
 
 #: Quantile points estimated from histogram buckets and surfaced in the
@@ -39,12 +38,6 @@ MAX_LABEL_SETS = 1024
 QUANTILE_POINTS: tuple[tuple[float, str], ...] = (
     (0.5, "p50"), (0.95, "p95"), (0.99, "p99"),
 )
-
-#: Context items: the ambient label assignment (sorted key/value pairs) a
-#: registry stamps onto every child touched while a context is active.
-ContextItems = tuple[tuple[str, str], ...]
-
-_NO_CONTEXT: Callable[[], ContextItems] = lambda: ()
 
 #: Default latency buckets, in seconds (sub-millisecond crypto ops up to
 #: multi-second end-to-end runs).
@@ -83,49 +76,29 @@ def _validate_name(name: str) -> None:
 class _Metric:
     """Shared child management for every metric type.
 
-    A child is keyed by ``(declared label values, ambient context items)``.
-    The context half comes from the owning registry's active
-    :meth:`MetricsRegistry.context_labels` block (e.g. ``session_id`` while
-    a :class:`~repro.core.lifecycle.WorkloadSession` runs); it is empty for
-    metrics used outside any context, which keeps the historical behavior —
-    and the historical cost — for every existing call site.
+    A child is keyed by its declared label values and nothing else: the
+    registry stamps no ambient dimension (a session id, a trace id) onto
+    children, because the cardinality guard's rule — no unbounded value as
+    a label — applies to the platform's own labels too.  Per-session
+    questions are answered by spans and events, which carry ``session_id``.
     """
 
     metric_type = "untyped"
 
     def __init__(self, name: str, help: str,
-                 labelnames: Sequence[str] = (),
-                 max_label_sets: int = MAX_LABEL_SETS):
+                 labelnames: Sequence[str] = ()):
         _validate_name(name)
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self.max_label_sets = max_label_sets
-        self._children: dict[tuple[tuple[str, ...], ContextItems],
-                             object] = {}
-        #: Rebound to the owning registry's context accessor on creation.
-        self._context: Callable[[], ContextItems] = _NO_CONTEXT
+        self._children: dict[tuple[str, ...], object] = {}
         if not self.labelnames:
-            # The unlabeled no-context child exists eagerly so
-            # `metric.inc()` works (and stays a plain dict hit).
-            self._children[((), ())] = self._new_child()
+            # The unlabeled child exists eagerly so `metric.inc()` works
+            # (and stays a plain dict hit).
+            self._children[()] = self._new_child()
 
     def _new_child(self):
         raise NotImplementedError
-
-    def _resolve(self, declared: tuple[str, ...]):
-        key = (declared, self._context())
-        child = self._children.get(key)
-        if child is None:
-            if len(self._children) >= self.max_label_sets:
-                raise TelemetryError(
-                    f"metric {self.name!r} exceeded {self.max_label_sets} "
-                    "label sets; a high-cardinality value (address, hash, "
-                    "session id) is probably being used as a label"
-                )
-            child = self._new_child()
-            self._children[key] = child
-        return child
 
     def labels(self, **labels: object):
         """The child for one label-value assignment (cached)."""
@@ -134,9 +107,18 @@ class _Metric:
                 f"metric {self.name!r} takes labels {self.labelnames}, "
                 f"got {tuple(labels)}"
             )
-        return self._resolve(
-            tuple(str(labels[name]) for name in self.labelnames)
-        )
+        key = tuple(str(labels[name]) for name in self.labelnames)
+        child = self._children.get(key)
+        if child is None:
+            if len(self._children) >= MAX_LABEL_SETS:
+                raise TelemetryError(
+                    f"metric {self.name!r} exceeded {MAX_LABEL_SETS} "
+                    "label sets; a high-cardinality value (address, hash, "
+                    "session id) is probably being used as a label"
+                )
+            child = self._new_child()
+            self._children[key] = child
+        return child
 
     def _default_child(self):
         if self.labelnames:
@@ -144,37 +126,12 @@ class _Metric:
                 f"metric {self.name!r} is labeled {self.labelnames}; "
                 "call .labels(...) first"
             )
-        return self._resolve(())
-
-    def _declared_values(self, labels: Mapping[str, object]
-                         ) -> tuple[str, ...]:
-        if set(labels) != set(self.labelnames):
-            raise TelemetryError(
-                f"metric {self.name!r} takes labels {self.labelnames}, "
-                f"got {tuple(labels)}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
-
-    def _values_matching(self, declared: tuple[str, ...]) -> list:
-        return [child for (key, _ctx), child in self._children.items()
-                if key == declared]
+        return self._children[()]
 
     def children(self) -> Iterator[tuple[dict[str, str], object]]:
-        """Yield ``(merged labels, child)`` — context keys appended."""
-        for (declared, context), child in self._children.items():
-            labels = dict(zip(self.labelnames, declared))
-            for key, value in context:
-                labels.setdefault(key, value)
-            yield labels, child
-
-    def children_split(self) -> Iterator[tuple[dict[str, str],
-                                               dict[str, str], object]]:
-        """Yield ``(declared labels, context labels, child)`` separately
-        (the snapshot shape, so :meth:`MetricsRegistry.from_snapshot` can
-        rebuild the exact child keys)."""
-        for (declared, context), child in self._children.items():
-            yield (dict(zip(self.labelnames, declared)), dict(context),
-                   child)
+        """Yield ``(labels, child)`` in creation order."""
+        for declared, child in self._children.items():
+            yield dict(zip(self.labelnames, declared)), child
 
     def reset(self) -> None:
         """Zero every child's value; children themselves stay alive."""
@@ -222,14 +179,8 @@ class Counter(_Metric):
         self._default_child().set_exemplar(**labels)
 
     def value(self, **labels: object) -> float:
-        """Current value for one declared label set, summed across every
-        ambient context it was updated under (so a query outside a session
-        sees work done inside one)."""
-        if self.labelnames and not labels:
-            self._default_child()  # raises the "call .labels(...)" error
-        declared = self._declared_values(labels)
-        return sum(child.value
-                   for child in self._values_matching(declared))
+        child = self.labels(**labels) if labels else self._default_child()
+        return child.value
 
     def total(self) -> float:
         """Sum over every label set (quick non-zero checks)."""
@@ -277,13 +228,8 @@ class Gauge(_Metric):
         self._default_child().dec(amount)
 
     def value(self, **labels: object) -> float:
-        """Current value for one declared label set, summed across every
-        ambient context it was updated under."""
-        if self.labelnames and not labels:
-            self._default_child()  # raises the "call .labels(...)" error
-        declared = self._declared_values(labels)
-        return sum(child.value
-                   for child in self._values_matching(declared))
+        child = self.labels(**labels) if labels else self._default_child()
+        return child.value
 
     def samples(self) -> list[Sample]:
         return [Sample(labels, child.value)
@@ -367,16 +313,14 @@ class Histogram(_Metric):
 
     def __init__(self, name: str, help: str,
                  buckets: Sequence[float] = LATENCY_BUCKETS_S,
-                 labelnames: Sequence[str] = (),
-                 max_label_sets: int = MAX_LABEL_SETS):
+                 labelnames: Sequence[str] = ()):
         edges = tuple(float(b) for b in buckets)
         if not edges or list(edges) != sorted(set(edges)):
             raise TelemetryError(
                 "histogram buckets must be non-empty, sorted, and distinct"
             )
         self.buckets = edges
-        super().__init__(name, help, labelnames=labelnames,
-                         max_label_sets=max_label_sets)
+        super().__init__(name, help, labelnames=labelnames)
 
     def _new_child(self) -> _HistogramChild:
         return _HistogramChild(self.buckets)
@@ -403,42 +347,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Metric] = {}
-        self._context_map: dict[str, str] = {}
-        self._context_items: ContextItems = ()
-        # One shared accessor closure; every metric's hot path calls it to
-        # key its child cache, so it must stay a plain attribute read.
-        self._context_accessor: Callable[[], ContextItems] = (
-            lambda: self._context_items
-        )
-
-    # -- ambient context -----------------------------------------------------
-
-    @contextmanager
-    def context_labels(self, **labels: object):
-        """Stamp ambient labels onto every child touched inside the block.
-
-        Used by :meth:`Marketplace.active_session` to split each metric's
-        series per ``session_id`` without threading the id through every
-        instrumented call site.  Blocks nest (inner values shadow outer
-        ones) and restore the previous context on exit.  Readers that
-        query :meth:`Counter.value` outside any context still see the
-        aggregate across contexts.
-        """
-        for name in labels:
-            _validate_name(name)
-        saved_map, saved_items = self._context_map, self._context_items
-        merged = dict(saved_map)
-        merged.update((k, str(v)) for k, v in labels.items())
-        self._context_map = merged
-        self._context_items = tuple(sorted(merged.items()))
-        try:
-            yield
-        finally:
-            self._context_map, self._context_items = saved_map, saved_items
-
-    def context(self) -> dict[str, str]:
-        """The currently active ambient labels (empty outside any block)."""
-        return dict(self._context_map)
 
     # -- creation ------------------------------------------------------------
 
@@ -464,30 +372,23 @@ class MetricsRegistry:
                 )
             return existing
         metric = cls(name, help, **kwargs)
-        metric._context = self._context_accessor
         self._metrics[name] = metric
         return metric
 
     def counter(self, name: str, help: str = "",
-                labelnames: Sequence[str] = (),
-                max_label_sets: int = MAX_LABEL_SETS) -> Counter:
+                labelnames: Sequence[str] = ()) -> Counter:
         return self._get_or_create(Counter, name, help,
-                                   labelnames=labelnames,
-                                   max_label_sets=max_label_sets)
+                                   labelnames=labelnames)
 
     def gauge(self, name: str, help: str = "",
-              labelnames: Sequence[str] = (),
-              max_label_sets: int = MAX_LABEL_SETS) -> Gauge:
-        return self._get_or_create(Gauge, name, help, labelnames=labelnames,
-                                   max_label_sets=max_label_sets)
+              labelnames: Sequence[str] = ()) -> Gauge:
+        return self._get_or_create(Gauge, name, help, labelnames=labelnames)
 
     def histogram(self, name: str, help: str = "",
                   buckets: Sequence[float] = LATENCY_BUCKETS_S,
-                  labelnames: Sequence[str] = (),
-                  max_label_sets: int = MAX_LABEL_SETS) -> Histogram:
+                  labelnames: Sequence[str] = ()) -> Histogram:
         return self._get_or_create(Histogram, name, help, buckets=buckets,
-                                   labelnames=labelnames,
-                                   max_label_sets=max_label_sets)
+                                   labelnames=labelnames)
 
     # -- access --------------------------------------------------------------
 
@@ -508,20 +409,16 @@ class MetricsRegistry:
 
     # -- snapshot round-trip ---------------------------------------------------
 
-    #: Current snapshot format; readers also accept the pre-context /1
-    #: format still present in committed ``benchmarks/results`` sidecars.
+    #: The format written; the reader also accepts the /1 documents older
+    #: ``benchmarks/results`` sidecars carry.
     SNAPSHOT_FORMAT = "pds2-metrics-snapshot/2"
     ACCEPTED_SNAPSHOT_FORMATS = ("pds2-metrics-snapshot/1",
                                  "pds2-metrics-snapshot/2")
 
     def snapshot(self) -> dict:
-        """JSON-serializable dump of every metric and child value.
-
-        Each sample keeps declared ``labels`` and ambient ``context``
-        separate (``context`` omitted when empty) so a rebuild restores
-        the exact child keys; histogram samples carry interpolated
-        ``quantiles`` alongside the raw buckets.
-        """
+        """JSON-serializable dump of every metric and child value;
+        histogram samples carry interpolated ``quantiles`` alongside the
+        raw buckets."""
         out = []
         for metric in self._metrics.values():
             entry: dict = {
@@ -533,19 +430,16 @@ class MetricsRegistry:
             samples: list[dict] = []
             if isinstance(metric, Histogram):
                 entry["buckets"] = list(metric.buckets)
-                for declared, context, child in metric.children_split():
-                    sample = {"labels": declared,
-                              "bucket_counts": list(child.bucket_counts),
-                              "sum": child.sum, "count": child.count,
-                              "quantiles": child.quantiles()}
-                    if context:
-                        sample["context"] = context
-                    samples.append(sample)
+                for labels, child in metric.children():
+                    samples.append({
+                        "labels": labels,
+                        "bucket_counts": list(child.bucket_counts),
+                        "sum": child.sum, "count": child.count,
+                        "quantiles": child.quantiles(),
+                    })
             else:
-                for declared, context, child in metric.children_split():
-                    sample = {"labels": declared, "value": child.value}
-                    if context:
-                        sample["context"] = context
+                for labels, child in metric.children():
+                    sample = {"labels": labels, "value": child.value}
                     if getattr(child, "exemplar", None):
                         sample["exemplar"] = dict(child.exemplar)
                     samples.append(sample)
@@ -555,84 +449,83 @@ class MetricsRegistry:
 
     @classmethod
     def from_snapshot(cls, snap: Mapping) -> "MetricsRegistry":
-        """Rebuild a registry from :meth:`snapshot` output (either format)."""
-        if snap.get("format") not in cls.ACCEPTED_SNAPSHOT_FORMATS:
+        """Rebuild a registry from a persisted snapshot (either format).
+
+        Several samples of one metric may name the same declared labels: a
+        /2 document written before the ambient ``context`` dimension was
+        removed has one per session.  They are folded into one child —
+        counter values and histogram buckets/sum/count add, a gauge takes
+        the last sample in file order — so old sidecars still print
+        totals.  Anything malformed raises :class:`TelemetryError`.
+        """
+        if (not isinstance(snap, Mapping)
+                or snap.get("format") not in cls.ACCEPTED_SNAPSHOT_FORMATS):
             raise TelemetryError("not a pds2 metrics snapshot")
         registry = cls()
-
-        @contextmanager
-        def under_context(sample: Mapping):
-            context = sample.get("context") or {}
-            if context:
-                with registry.context_labels(**context):
-                    yield
-            else:
-                yield
-
-        for entry in snap["metrics"]:
-            labelnames = tuple(entry.get("labelnames", ()))
-            kind = entry.get("type")
-            if kind == "counter":
-                metric = registry.counter(entry["name"], entry.get("help", ""),
-                                          labelnames=labelnames)
-                for sample in entry["samples"]:
-                    with under_context(sample):
-                        child = (metric.labels(**sample["labels"])
-                                 if labelnames else metric._default_child())
-                    child.value = float(sample["value"])
-                    if sample.get("exemplar"):
-                        child.exemplar = dict(sample["exemplar"])
-            elif kind == "gauge":
-                metric = registry.gauge(entry["name"], entry.get("help", ""),
-                                        labelnames=labelnames)
-                for sample in entry["samples"]:
-                    with under_context(sample):
-                        child = (metric.labels(**sample["labels"])
-                                 if labelnames else metric._default_child())
-                    child.value = float(sample["value"])
-            elif kind == "histogram":
-                metric = registry.histogram(
-                    entry["name"], entry.get("help", ""),
-                    buckets=entry["buckets"], labelnames=labelnames,
-                )
-                for sample in entry["samples"]:
-                    with under_context(sample):
-                        child = metric.child(**sample["labels"])
-                    child.bucket_counts = [int(c) for c
-                                           in sample["bucket_counts"]]
-                    child.sum = float(sample["sum"])
-                    child.count = int(sample["count"])
-            else:
-                raise TelemetryError(f"unknown metric type {kind!r}")
+        try:
+            for entry in snap["metrics"]:
+                registry._load_entry(entry)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise TelemetryError(
+                f"malformed metrics snapshot: {exc!r}") from exc
         return registry
+
+    def _load_entry(self, entry: Mapping) -> None:
+        kind = entry.get("type")
+        name, help = entry["name"], entry.get("help", "")
+        labelnames = tuple(entry.get("labelnames", ()))
+        if kind == "counter":
+            metric = self.counter(name, help, labelnames=labelnames)
+        elif kind == "gauge":
+            metric = self.gauge(name, help, labelnames=labelnames)
+        elif kind == "histogram":
+            metric = self.histogram(name, help, buckets=entry["buckets"],
+                                    labelnames=labelnames)
+        else:
+            raise TelemetryError(f"unknown metric type {kind!r}")
+        for sample in entry["samples"]:
+            child = metric.labels(**sample["labels"])
+            if kind == "histogram":
+                counts = [int(c) for c in sample["bucket_counts"]]
+                if len(counts) != len(child.bucket_counts):
+                    raise TelemetryError(
+                        f"histogram {name!r} sample has {len(counts)} "
+                        f"bucket counts, not {len(child.bucket_counts)}"
+                    )
+                child.bucket_counts = [
+                    a + b for a, b in zip(child.bucket_counts, counts)]
+                child.sum += float(sample["sum"])
+                child.count += int(sample["count"])
+            elif kind == "gauge":
+                child.value = float(sample["value"])
+            else:
+                child.value += float(sample["value"])
+                if sample.get("exemplar"):
+                    child.exemplar = dict(sample["exemplar"])
 
 
 #: The process-wide default registry every instrumented subsystem uses.
 REGISTRY = MetricsRegistry()
 
 
-def counter(name: str, help: str = "", labelnames: Sequence[str] = (),
-            max_label_sets: int = MAX_LABEL_SETS) -> Counter:
+def counter(name: str, help: str = "",
+            labelnames: Sequence[str] = ()) -> Counter:
     """Get-or-create a counter on the default registry."""
-    return REGISTRY.counter(name, help, labelnames=labelnames,
-                            max_label_sets=max_label_sets)
+    return REGISTRY.counter(name, help, labelnames=labelnames)
 
 
-def gauge(name: str, help: str = "", labelnames: Sequence[str] = (),
-          max_label_sets: int = MAX_LABEL_SETS) -> Gauge:
+def gauge(name: str, help: str = "",
+          labelnames: Sequence[str] = ()) -> Gauge:
     """Get-or-create a gauge on the default registry."""
-    return REGISTRY.gauge(name, help, labelnames=labelnames,
-                          max_label_sets=max_label_sets)
+    return REGISTRY.gauge(name, help, labelnames=labelnames)
 
 
 def histogram(name: str, help: str = "",
               buckets: Sequence[float] = LATENCY_BUCKETS_S,
-              labelnames: Sequence[str] = (),
-              max_label_sets: int = MAX_LABEL_SETS) -> Histogram:
+              labelnames: Sequence[str] = ()) -> Histogram:
     """Get-or-create a histogram on the default registry."""
     return REGISTRY.histogram(name, help, buckets=buckets,
-                              labelnames=labelnames,
-                              max_label_sets=max_label_sets)
+                              labelnames=labelnames)
 
 
 def annotate_exemplar(child: object) -> None:

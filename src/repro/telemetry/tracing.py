@@ -27,6 +27,9 @@ from typing import Any, Callable, Iterator, Optional
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
+#: How many finished spans a tracer keeps for in-process queries.
+MAX_FINISHED_SPANS = 50_000
+
 
 @dataclass
 class Span:
@@ -96,8 +99,7 @@ class Span:
 class Tracer:
     """Context-managed span creation with automatic parent linkage."""
 
-    def __init__(self, sim_clock: Optional[Callable[[], float]] = None,
-                 max_finished: int = 50_000):
+    def __init__(self, sim_clock: Optional[Callable[[], float]] = None):
         #: Where simulated time comes from.  The marketplace points this at
         #: its lifecycle clock; the gossip trainer at the event simulator.
         self.sim_clock: Callable[[], float] = sim_clock or (lambda: 0.0)
@@ -109,7 +111,7 @@ class Tracer:
         #: exporters compose: the distributed span exporter registers here
         #: so building a marketplace mid-job cannot silently detach it.
         self.exporters: list[Callable[[Span], None]] = []
-        self.finished: deque[Span] = deque(maxlen=max_finished)
+        self.finished: deque[Span] = deque(maxlen=MAX_FINISHED_SPANS)
         #: Ambient attributes merged under every opened span's own
         #: attributes (the marketplace sets ``session_id`` here for the
         #: duration of an active session, so *all* spans — chain, TEE,

@@ -107,6 +107,7 @@ class TestBatchExecute:
         assert manifest["status"] == BATCH_DONE
         assert manifest["batch_digest"] == report.batch_digest
         assert (tmp_path / "batch" / "manifest.metrics.json").exists()
+        assert not (tmp_path / "batch" / "index.json").exists()
 
     def test_chaos_kill_requeues_and_still_matches(self, tmp_path):
         specs = clean_specs(8, seed0=700)

@@ -9,7 +9,6 @@ import pytest
 
 from repro.control import (
     BATCH_PENDING,
-    INDEX_FORMAT,
     MANIFEST_FORMAT,
     JobResult,
     JobSpec,
@@ -58,9 +57,7 @@ class TestCreateOpen:
         db = JobsDB.create(str(tmp_path / "b"), make_specs())
         assert [spec.job_id for spec in db.specs()] == \
             ["job-0", "job-1", "job-2"]
-        index = db.compact(write=False)
-        assert index["format"] == INDEX_FORMAT
-        assert index["batch"]["status"] == BATCH_PENDING
+        assert db.compact()["batch"]["status"] == BATCH_PENDING
 
     def test_create_rejects_double_submit(self, tmp_path):
         root = str(tmp_path / "b")
@@ -135,8 +132,6 @@ class TestCompaction:
         assert entry["checkpoints"]["0"]["digest"] == "abc"
         assert db.results(index)["job-0"] == result
         assert db.checkpoints_for("job-0", index) == {0: "abc"}
-        # Persisted index loads back identically.
-        assert db.load_index() == index
 
     def test_requeue_returns_job_to_queued(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())
@@ -144,7 +139,7 @@ class TestCompaction:
                    "attempt": 1, "worker": "w0"}, shard="w0")
         db.append({"type": "job", "job_id": "job-1", "status": "requeued",
                    "attempt": 1, "worker": "w0"})
-        index = db.compact(write=False)
+        index = db.compact()
         assert index["jobs"]["job-1"]["status"] == "queued"
         assert index["jobs"]["job-1"]["attempts"] == 1
 
@@ -156,7 +151,7 @@ class TestCompaction:
         db.append({"type": "job", "job_id": "job-0", "status": "checkpoint",
                    "attempt": 2, "boundary": 2, "digest": "bbb"},
                   shard="w1")
-        index = db.compact(write=False)
+        index = db.compact()
         assert index["divergent"] == [
             {"job_id": "job-0", "boundary": 2, "digests": ["aaa", "bbb"]}
         ]
@@ -167,7 +162,7 @@ class TestCompaction:
             db.append({"type": "job", "job_id": "job-0",
                        "status": "checkpoint", "boundary": 1,
                        "digest": "same"}, shard=shard)
-        assert db.compact(write=False)["divergent"] == []
+        assert db.compact()["divergent"] == []
 
 
 class TestLivenessAndManifest:

@@ -328,6 +328,33 @@ class TestTraceOpsCommands:
             args = parser.parse_args(argv)
             assert callable(args.handler)
 
+    def test_batch_status_follows_the_journal(self, batch_root, tmp_path,
+                                              capsys):
+        # A resumed batch must not look finished: status is read from the
+        # journal, never from an index.json an earlier run (or an older
+        # version) left behind.
+        import json
+        import os
+        import shutil
+
+        from repro.control import JobsDB
+
+        root = str(tmp_path / "resumed")
+        shutil.copytree(batch_root, root)
+        assert main(["batch", "status", root]) == 0
+        assert "batch status: done" in capsys.readouterr().out
+        with open(os.path.join(root, "index.json"), "w") as handle:
+            json.dump({"format": "pds2-batch-index/1",
+                       "batch": {"status": "done"}, "jobs": {},
+                       "counts": {"settled": 4}, "divergent": []}, handle)
+        db = JobsDB.open(root)
+        db.append({"type": "batch", "status": "running"})
+        db.append({"type": "job", "job_id": "job-00000",
+                   "status": "requeued", "attempt": 1})
+        db.close()
+        assert main(["batch", "status", root]) == 0
+        assert "batch status: running" in capsys.readouterr().out
+
     def test_top_panel(self, batch_root, capsys):
         assert main(["top", batch_root]) == 0
         output = capsys.readouterr().out

@@ -10,9 +10,9 @@ from repro.core.events import (
     EventBus,
     JSONLSink,
     LifecycleEvent,
-    MetricsSink,
     read_jsonl_events,
 )
+from repro.telemetry.exporters import registry_from_events
 
 
 def make_event(sequence: int = 1, **overrides) -> LifecycleEvent:
@@ -118,21 +118,31 @@ class TestKilledMidRunTrace:
             read_jsonl_events(path)
 
 
+def by_label(registry, metric: str, label: str) -> dict[str, int]:
+    return {sample.labels[label]: int(sample.value)
+            for sample in registry.get(metric).samples()}
+
+
 class TestMetricsSinkRegistry:
+    """``registry_from_events``, the one events -> metrics derivation."""
+
     def test_uses_private_registry_by_default(self):
         from repro.telemetry import REGISTRY
 
-        sink = MetricsSink()
-        assert sink.registry is not REGISTRY
-        sink.emit(make_event(gas_delta=100))
-        assert sink.total_gas == 100
-        assert sink.events_by_phase["execute"] == 1
+        registry = registry_from_events([make_event(gas_delta=100)])
+        assert registry is not REGISTRY
+        assert registry.get("pds2_gas_used_total").total() == 100
+        assert by_label(registry, "pds2_events_by_phase_total",
+                        "phase")["execute"] == 1
 
     def test_counter_views_match_legacy_shapes(self):
-        sink = MetricsSink()
-        sink.emit(make_event(1, name="a", gas_delta=5))
-        sink.emit(make_event(2, name="a"))
-        sink.emit(make_event(3, name="b", phase="settle", gas_delta=7))
-        assert sink.total_events == 3
-        assert sink.events_by_name == {"a": 2, "b": 1}
-        assert sink.gas_by_phase == {"execute": 5, "settle": 7}
+        registry = registry_from_events([
+            make_event(1, name="a", gas_delta=5),
+            make_event(2, name="a"),
+            make_event(3, name="b", phase="settle", gas_delta=7),
+        ])
+        assert registry.get("pds2_events_total").total() == 3
+        assert by_label(registry, "pds2_events_total", "name") == \
+            {"a": 2, "b": 1}
+        assert by_label(registry, "pds2_gas_used_total", "phase") == \
+            {"execute": 5, "settle": 7}

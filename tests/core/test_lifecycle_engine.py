@@ -16,7 +16,7 @@ from repro.core import (
     WorkloadSpec,
     phase_gas_totals,
 )
-from repro.core.events import JSONLSink, MetricsSink, read_jsonl_events
+from repro.core.events import JSONLSink, read_jsonl_events
 from repro.core.lifecycle import (
     STATE_CREATED,
     TERMINAL_COMPLETE,
@@ -36,6 +36,7 @@ from repro.errors import (
 from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
+from repro.telemetry.exporters import registry_from_events
 
 
 @pytest.fixture(scope="module")
@@ -226,17 +227,15 @@ class TestEventTrail:
 
     def test_metrics_sink_counts(self, run):
         market, _, _ = run
-        consumer = market.consumers[0]
-        metrics = MetricsSink()
-        market.events.attach(metrics)
-        try:
-            report = market.run_workload(consumer, small_spec("wl-metrics"))
-        finally:
-            market.events.detach(metrics)
-        assert metrics.total_gas == report.gas_used
-        assert metrics.events_by_name["chain.block_mined"] == \
-            report.blocks_mined
-        assert metrics.events_by_phase["execute"] > 0
+        report = market.run_workload(market.consumers[0],
+                                     small_spec("wl-metrics"))
+        metrics = registry_from_events(
+            market.event_log.for_session(report.session_id))
+        assert metrics.get("pds2_gas_used_total").total() == report.gas_used
+        assert metrics.get("pds2_events_total").value(
+            name="chain.block_mined") == report.blocks_mined
+        assert metrics.get("pds2_events_by_phase_total").value(
+            phase="execute") > 0
 
 
 class TestInterceptors:

@@ -2,13 +2,21 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.errors import TelemetryError
+from repro.telemetry.exporters import to_prometheus
 from repro.telemetry.metrics import (
     GAS_BUCKETS,
+    MAX_LABEL_SETS,
     MetricsRegistry,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -98,22 +106,20 @@ class TestHistogramBucketEdges:
 
 class TestCardinalityGuard:
     def test_guard_trips_beyond_max_label_sets(self, registry):
-        c = registry.counter("pds2_guarded_total", labelnames=("addr",),
-                             max_label_sets=4)
-        for i in range(4):
+        c = registry.counter("pds2_guarded_total", labelnames=("addr",))
+        for i in range(MAX_LABEL_SETS):
             c.labels(addr=f"0x{i}").inc()
         with pytest.raises(TelemetryError, match="high-cardinality"):
-            c.labels(addr="0x999")
+            c.labels(addr="0x999999")
 
     def test_existing_children_still_usable_after_trip(self, registry):
-        c = registry.counter("pds2_guarded_total", labelnames=("addr",),
-                             max_label_sets=2)
-        c.labels(addr="a").inc()
-        c.labels(addr="b").inc()
+        c = registry.counter("pds2_guarded_total", labelnames=("addr",))
+        for i in range(MAX_LABEL_SETS):
+            c.labels(addr=f"0x{i}").inc()
         with pytest.raises(TelemetryError):
-            c.labels(addr="c")
-        c.labels(addr="a").inc()
-        assert c.value(addr="a") == 2
+            c.labels(addr="0x999999")
+        c.labels(addr="0x0").inc()
+        assert c.value(addr="0x0") == 2
 
 
 class TestRegistry:
@@ -187,8 +193,6 @@ class TestSnapshotRoundTrip:
         assert child.count == 3
 
     def test_snapshot_survives_json(self):
-        import json
-
         original = self._populated()
         wire = json.loads(json.dumps(original.snapshot()))
         rebuilt = MetricsRegistry.from_snapshot(wire)
@@ -197,6 +201,126 @@ class TestSnapshotRoundTrip:
     def test_wrong_format_marker_rejected(self):
         with pytest.raises(TelemetryError, match="snapshot"):
             MetricsRegistry.from_snapshot({"format": "nope", "metrics": []})
+
+
+def _fixture(name: str) -> dict:
+    with open(FIXTURES / name, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+def _totals(snap: dict) -> dict:
+    """Per-(metric, declared labels) totals straight from the document:
+    the oracle the reader's folding is compared against."""
+    totals: dict = {}
+    for entry in snap["metrics"]:
+        for sample in entry["samples"]:
+            key = (entry["name"], tuple(sorted(sample["labels"].items())))
+            if entry["type"] == "histogram":
+                counts, total, count = totals.get(
+                    key, ([0] * len(sample["bucket_counts"]), 0.0, 0))
+                totals[key] = (
+                    [a + b for a, b in zip(counts, sample["bucket_counts"])],
+                    total + sample["sum"], count + sample["count"])
+            else:
+                totals[key] = totals.get(key, 0.0) + sample["value"]
+    return totals
+
+
+def _loaded(registry: MetricsRegistry) -> dict:
+    loaded: dict = {}
+    for metric in registry.collect():
+        for labels, child in metric.children():
+            key = (metric.name, tuple(sorted(labels.items())))
+            assert key not in loaded
+            loaded[key] = (
+                (child.bucket_counts, child.sum, child.count)
+                if metric.metric_type == "histogram" else child.value)
+    return loaded
+
+
+class TestPersistedSnapshots:
+    """``from_snapshot`` is the one decoder of persisted metric bytes:
+    every format ever committed loads, everything else is a typed error."""
+
+    def test_context_samples_fold_into_declared_labels(self):
+        # Cut from benchmarks/results/e1.metrics.json at a83fef1, when
+        # every sample was split per session under a `context` key.
+        snap = _fixture("e1_a83fef1.metrics.json")
+        contexts = [s for e in snap["metrics"] for s in e["samples"]
+                    if s.get("context")]
+        assert snap["format"] == "pds2-metrics-snapshot/2" and contexts
+        registry = MetricsRegistry.from_snapshot(snap)
+        assert _loaded(registry) == _totals(snap)
+        mults = registry.get("pds2_crypto_scalar_mult_total")
+        assert mults.value(kind="base") == 54 + 37
+        assert mults.value(kind="point") == 16
+        assert registry.get("pds2_crypto_sign_seconds").child().count == 72
+        text = to_prometheus(registry)
+        assert "session_id" not in text
+        assert 'pds2_crypto_scalar_mult_total{kind="double_base"} 66' in text
+        resnap = registry.snapshot()
+        assert "context" not in json.dumps(resnap)
+        assert MetricsRegistry.from_snapshot(resnap).snapshot() == resnap
+
+    def test_gauge_takes_the_last_sample_in_file_order(self):
+        snap = {"format": "pds2-metrics-snapshot/2", "metrics": [{
+            "name": "pds2_depth", "type": "gauge", "labelnames": [],
+            "samples": [
+                {"labels": {}, "value": 7.0},
+                {"labels": {}, "value": 3.0, "context": {"session_id": "a"}},
+                {"labels": {}, "value": 5.0, "context": {"session_id": "b"}},
+            ]}]}
+        assert MetricsRegistry.from_snapshot(snap).get(
+            "pds2_depth").value() == 5.0
+
+    def test_format_1_loads_unchanged(self):
+        # Cut from benchmarks/results/e12.metrics.json at 20d0a98.
+        snap = _fixture("e12_20d0a98.metrics.json")
+        assert snap["format"] == "pds2-metrics-snapshot/1"
+        registry = MetricsRegistry.from_snapshot(snap)
+        assert _loaded(registry) == _totals(snap)
+        assert registry.get("pds2_crypto_scalar_mult_total").value(
+            kind="double_base") == 309
+        rewritten = registry.snapshot()
+        assert rewritten["format"] == "pds2-metrics-snapshot/2"
+        for before, after in zip(snap["metrics"], rewritten["metrics"]):
+            for old, new in zip(before["samples"], after["samples"]):
+                new.pop("quantiles", None)
+                assert old == new
+
+    @pytest.mark.parametrize("damage", [
+        lambda snap: snap.update(format="pds2-metrics-snapshot/3"),
+        lambda snap: snap.pop("metrics"),
+        lambda snap: snap["metrics"][0].pop("samples"),
+        lambda snap: snap["metrics"][0]["samples"][0].pop("value"),
+        lambda snap: snap["metrics"][0]["samples"][0].update(value="many"),
+        lambda snap: snap["metrics"][0]["samples"][0].update(value=None),
+        lambda snap: snap["metrics"][0]["samples"][0].update(labels=["kind"]),
+        lambda snap: snap["metrics"][0]["samples"][0].update(labels={}),
+        lambda snap: snap["metrics"][1]["samples"][0].update(
+            bucket_counts=[1, 2]),
+        lambda snap: snap["metrics"][1]["samples"][0].update(count="x"),
+        lambda snap: snap["metrics"][1].pop("buckets"),
+        lambda snap: snap["metrics"][1].update(type="summary"),
+        lambda snap: snap["metrics"].append("pds2_crypto_sign_total"),
+        lambda snap: snap["metrics"].append(
+            dict(snap["metrics"][0], type="gauge")),
+    ], ids=["unknown-format", "no-metrics", "no-samples", "no-value",
+            "text-value", "null-value", "labels-not-a-map", "labels-missing",
+            "short-buckets", "text-count", "no-buckets", "unknown-type",
+            "entry-not-a-map", "type-conflict"])
+    def test_malformed_documents_raise_telemetry_error(self, damage):
+        snap = _fixture("e1_a83fef1.metrics.json")
+        assert [e["type"] for e in snap["metrics"][:2]] == [
+            "counter", "histogram"]
+        damage(snap)
+        with pytest.raises(TelemetryError):
+            MetricsRegistry.from_snapshot(snap)
+
+    @pytest.mark.parametrize("document", [None, [], "text", 7])
+    def test_non_mapping_document_rejected(self, document):
+        with pytest.raises(TelemetryError, match="snapshot"):
+            MetricsRegistry.from_snapshot(document)
 
 
 class TestCounterExemplars:

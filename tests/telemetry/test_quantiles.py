@@ -95,31 +95,3 @@ class TestQuantileExport:
         restored = MetricsRegistry.from_snapshot(snap)
         assert "pds2_t_s_p95" in to_prometheus(restored)
 
-
-class TestContextLabels:
-    def test_context_splits_series(self, registry):
-        counter = registry.counter("pds2_jobs_total")
-        with registry.context_labels(session_id="s-1"):
-            counter.inc()
-            counter.inc()
-        with registry.context_labels(session_id="s-2"):
-            counter.inc()
-        text = to_prometheus(registry)
-        assert 'pds2_jobs_total{session_id="s-1"} 2' in text
-        assert 'pds2_jobs_total{session_id="s-2"} 1' in text
-
-    def test_context_composes_with_declared_labels(self, registry):
-        counter = registry.counter("pds2_ops_total", labelnames=("kind",))
-        with registry.context_labels(session_id="s-9"):
-            counter.labels(kind="read").inc(3)
-        text = to_prometheus(registry)
-        assert 'kind="read"' in text
-        assert 'session_id="s-9"' in text
-
-    def test_context_round_trips_through_snapshot(self, registry):
-        from repro.telemetry import snapshot as take
-
-        with registry.context_labels(session_id="s-3"):
-            registry.histogram("pds2_t_s", buckets=(1.0,)).observe(0.2)
-        restored = MetricsRegistry.from_snapshot(take(registry))
-        assert 'session_id="s-3"' in to_prometheus(restored)

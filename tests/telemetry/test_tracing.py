@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.telemetry import tracing
 from repro.telemetry.tracing import Span, Tracer, build_span_tree
 
 
@@ -110,8 +111,9 @@ class TestHooksAndReset:
                 pass
         assert seen == ["inner", "outer"]
 
-    def test_finished_deque_is_bounded(self):
-        small = Tracer(max_finished=3)
+    def test_finished_deque_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(tracing, "MAX_FINISHED_SPANS", 3)
+        small = Tracer()
         for i in range(5):
             with small.span(f"s{i}"):
                 pass
