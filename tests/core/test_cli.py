@@ -126,25 +126,15 @@ class TestFaults:
         # Prometheus exposition (what the CI smoke job greps for).
         assert main(["metrics", path + ".metrics.json"]) == 0
         output = capsys.readouterr().out
-        samples = dict(parse_prometheus(output))
-
-        def total(name, **wanted):
-            # Sum over label supersets: series are additionally split by
-            # the ambient session_id the run was recorded under.
-            return sum(
-                value for (sample_name, labels), value in samples.items()
-                if sample_name == name
-                and wanted.items() <= dict(labels).items()
-            )
-
+        samples = parse_prometheus(output)
         # >= because the process-global registry accumulates across the
         # other fault runs in this test module.
-        assert total("pds2_faults_injected_total",
-                     kind="crash_execute") >= 1.0
-        assert total("pds2_lifecycle_recovery_total",
-                     action="degrade") >= 1.0
-        assert total("pds2_lifecycle_sessions_total",
-                     outcome="degraded") >= 1.0
+        assert samples[("pds2_faults_injected_total",
+                        (("kind", "crash_execute"),))] >= 1.0
+        assert samples[("pds2_lifecycle_recovery_total",
+                        (("action", "degrade"),))] >= 1.0
+        assert samples[("pds2_lifecycle_sessions_total",
+                        (("outcome", "degraded"),))] >= 1.0
 
 
 class TestTrace:
@@ -232,6 +222,23 @@ class TestTelemetryCommands:
     def test_metrics_missing_file(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
+
+    def test_metrics_prints_totals_of_a_per_session_sidecar(self, capsys):
+        # A sidecar written when every sample was split per session.
+        from tests.telemetry.test_metrics import FIXTURES
+
+        assert main(["metrics",
+                     str(FIXTURES / "e1_a83fef1.metrics.json")]) == 0
+        output = capsys.readouterr().out
+        assert 'pds2_crypto_scalar_mult_total{kind="double_base"} 66' in output
+        assert "session_id" not in output
+
+    def test_metrics_rejects_a_damaged_snapshot(self, tmp_path, capsys):
+        path = tmp_path / "cut.metrics.json"
+        path.write_text('{"format": "pds2-metrics-snapshot/2", "metrics": '
+                        '[{"name": "pds2_x_total", "type": "counter"}]}')
+        assert main(["metrics", str(path)]) == 1
+        assert "rejected" in capsys.readouterr().err
 
     def test_spans_renders_nested_phase_tree(self, trace_path, capsys):
         assert main(["spans", trace_path]) == 0
