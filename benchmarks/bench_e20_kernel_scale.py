@@ -48,7 +48,7 @@ def factory():
 def build(engine, parts, test, config: GossipConfig, seed: int):
     """One engine by class, with ``GossipTrainer``'s defaults."""
     return engine([factory() for _ in parts], parts, test, config,
-                  seed=seed, churn=None, mean_latency_s=0.05,
+                  seed=seed, churn=None,
                   uplinks=[1_250_000.0] * len(parts))
 
 

@@ -20,7 +20,7 @@ import importlib.util
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
@@ -53,7 +53,6 @@ class Experiment:
     experiment_id: str
     title: str
     run: Callable[[bool], Mapping]
-    tags: tuple[str, ...] = field(default_factory=tuple)
 
 
 def _import_bench_module(path: Path):

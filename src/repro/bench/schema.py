@@ -107,9 +107,10 @@ def info(value: float, unit: str = "") -> Metric:
                   threshold_pct=None)
 
 
-def git_sha(short: bool = True, cwd: Optional[Path] = None) -> str:
-    """The current commit id, or ``"unknown"`` outside a git checkout."""
-    cmd = ["git", "rev-parse", "--short" if short else "--verify", "HEAD"]
+def git_sha(cwd: Optional[Path] = None) -> str:
+    """The current (short) commit id, or ``"unknown"`` outside a git
+    checkout."""
+    cmd = ["git", "rev-parse", "--short", "HEAD"]
     try:
         out = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
                              timeout=10)

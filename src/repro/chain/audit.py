@@ -99,20 +99,23 @@ class Violation:
                 "detail": self.detail, "account": self.account}
 
 
+#: How many recent finished spans a forensic bundle captures.
+BUNDLE_SPAN_WINDOW = 25
+#: Which bit of the victim's balance :func:`install_state_corruption` flips.
+CORRUPTED_BIT = 20
+
+
 class ChainAuditor:
     """Re-checks conservation invariants at every block commit."""
 
-    def __init__(self, chain: Any, forensics_dir: Optional[str] = None,
-                 span_window: int = 25):
+    def __init__(self, chain: Any):
         self.chain = chain
         #: When set to True a violation raises :class:`ChainAuditError`;
         #: the default records it (counters, bundle, span event) and lets
         #: the chain continue, so auditing never masks the original bug.
         self.strict = False
         #: Directory forensic bundles are written to (None = memory only).
-        self.forensics_dir = forensics_dir
-        #: How many recent finished spans a bundle captures.
-        self.span_window = span_window
+        self.forensics_dir: Optional[str] = None
         self.blocks_checked = 0
         self.violations: list[Violation] = []
         self.bundles: list[dict] = []
@@ -328,7 +331,7 @@ class ChainAuditor:
             },
             "recent_spans": [
                 span.to_dict() for span
-                in list(_tracer().finished)[-self.span_window:]
+                in list(_tracer().finished)[-BUNDLE_SPAN_WINDOW:]
             ],
         }
 
@@ -360,7 +363,7 @@ class ChainAuditor:
 
 
 def install_state_corruption(chain: Any, block_number: int,
-                             seed: int = 0, bit: int = 20) -> None:
+                             seed: int = 0) -> None:
     """Arm a tamper hook that bit-flips one balance after a block seals.
 
     The victim is drawn deterministically from ``(seed, block_number)``
@@ -388,7 +391,7 @@ def install_state_corruption(chain: Any, block_number: int,
             return None
         index = (seed * 2654435761 + block_number * 40503) % len(candidates)
         victim = candidates[index]
-        state.balances[victim] ^= (1 << bit)
+        state.balances[victim] ^= (1 << CORRUPTED_BIT)
         span = _tracer().current
         if span is not None:
             span.set_attribute("fault_kind", "corrupt_state")
@@ -399,7 +402,7 @@ def install_state_corruption(chain: Any, block_number: int,
     chain.tamper_hooks.append(tamper)
 
 
-def install_fault_plan(chain: Any, plan: Any, seed: int = 0) -> int:
+def install_fault_plan(chain: Any, plan: Any, seed: int) -> int:
     """Arm every ``corrupt_state`` fault of a resilience FaultPlan.
 
     Duck-typed on purpose: importing :mod:`repro.core.resilience` here

@@ -123,15 +123,12 @@ class Blockchain:
 
     def __init__(self, consensus: ProofOfAuthority,
                  registry: Optional[ContractRegistry] = None,
-                 genesis_alloc: Optional[dict[str, int]] = None,
                  block_gas_limit: int = gas_schedule.BLOCK_GAS_LIMIT):
         self.consensus = consensus
         self.registry = registry if registry is not None else default_registry()
         self.vm = VM(registry=self.registry)
         self.state = WorldState()
         self.block_gas_limit = block_gas_limit
-        for address, amount in (genesis_alloc or {}).items():
-            self.state.credit(address, amount)
         self.blocks: list[Block] = []
         self._receipts: dict[bytes, Receipt] = {}
         #: ``(block_number, log)`` per emitting contract, in chain order,
@@ -189,21 +186,20 @@ class Blockchain:
 
     def events(self, name: Optional[str] = None,
                address: Optional[str] = None,
-               since_block: int = 0) -> Iterator[tuple[int, LogEntry]]:
+               ) -> Iterator[tuple[int, LogEntry]]:
         """Iterate ``(block_number, log)`` over successful-tx events.
 
         Filters by event name and/or emitting contract address.  This is the
         query surface providers and auditors use to follow workloads; asked
         by address it reads that contract's own log list (kept at seal
-        time), otherwise it walks every block from ``since_block``.
+        time), otherwise it walks every block.
         """
         if address is not None:
             for number, log in self._logs_by_address.get(address, ()):
-                if number >= since_block and (name is None
-                                              or log.name == name):
+                if name is None or log.name == name:
                     yield number, log
             return
-        for block in self.blocks[since_block:]:
+        for block in self.blocks:
             for log in self.logs_of(block):
                 if name is None or log.name == name:
                     yield block.header.number, log

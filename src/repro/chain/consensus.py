@@ -70,10 +70,6 @@ class ProofOfAuthority:
         header.validator_public_key = proposer.key.public_key
         header.seal = proposer.key.sign(header.sealing_bytes())
 
-    def verify_seal(self, header: BlockHeader) -> None:
-        """Check the header was sealed by the scheduled proposer."""
-        self.verify_seals([header])
-
     def verify_seals(self, headers: Sequence[BlockHeader]) -> None:
         """Check every header was sealed by its scheduled proposer.
 

@@ -29,7 +29,7 @@ from repro.errors import ChainError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import tracer as _tracer
-from repro.utils.serialization import read_jsonl
+from repro.utils.serialization import append_jsonl, read_jsonl
 
 #: Bumped when the block-record shape changes (readers stay tolerant).
 RECORD_VERSION = 2
@@ -231,8 +231,7 @@ class ChainRunRecorder:
                         encoding="utf-8")
 
     def sink(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True) + "\n")
-        self._fh.flush()
+        append_jsonl(self._fh, record)
 
     def attach(self, chain: Any) -> None:
         """Wire this recorder into a chain's observer and auditor."""
@@ -252,11 +251,13 @@ def read_chain_run(root: str) -> dict:
     """Read a chain run directory back, tolerating a torn jsonl tail.
 
     Returns ``{"records", "audit"}``; ``audit`` is None until the run has
-    finalized.  A damaged ``blocks.jsonl`` line anywhere but the tail
-    raises :class:`~repro.errors.ChainError` rather than hiding the blocks
-    behind it.  Version-1 records (which carry engine attribution under
-    ``execution``) read back as they are, and an ``attribution.json`` left
-    by such a run is ignored.
+    finalized.  A damaged ``blocks.jsonl`` line anywhere but the tail, or
+    an ``audit.json`` that is present but undecodable, raises
+    :class:`~repro.errors.ChainError` naming the file rather than hiding
+    the blocks behind it or reporting a finalized run as still running.
+    Version-1 records (which carry engine attribution under ``execution``)
+    read back as they are, and an ``attribution.json`` left by such a run is
+    ignored.
     """
     records = read_jsonl(os.path.join(root, "blocks.jsonl"), ChainError)
     audit: Optional[dict] = None
@@ -265,6 +266,8 @@ def read_chain_run(root: str) -> dict:
         try:
             with open(audit_path, "r", encoding="utf-8") as fh:
                 audit = json.load(fh)
-        except (json.JSONDecodeError, OSError):
-            audit = None
+        except (json.JSONDecodeError, OSError) as exc:
+            raise ChainError(f"damaged {audit_path}: {exc}") from None
+        if not isinstance(audit, dict):
+            raise ChainError(f"damaged {audit_path}: not a JSON object")
     return {"records": records, "audit": audit}

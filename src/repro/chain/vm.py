@@ -263,7 +263,6 @@ class VM:
     """Applies transactions and dispatches contract calls."""
 
     registry: ContractRegistry
-    free_static_calls: bool = True
 
     # -- top-level transaction application ------------------------------------------
 

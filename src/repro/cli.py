@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, TextIO
+from typing import Any
 
 import numpy as np
 
@@ -60,22 +60,18 @@ class OutputWriter:
     go to stderr in both modes.
     """
 
-    def __init__(self, json_mode: bool = False,
-                 stream: TextIO | None = None,
-                 err_stream: TextIO | None = None):
+    def __init__(self, json_mode: bool = False):
         self.json_mode = json_mode
-        self._stream = stream if stream is not None else sys.stdout
-        self._err = err_stream if err_stream is not None else sys.stderr
         self._payload: dict[str, Any] = {}
 
     def line(self, text: str = "") -> None:
         """One line of human-facing text (dropped in JSON mode)."""
         if not self.json_mode:
-            print(text, file=self._stream)
+            print(text)
 
     def error(self, text: str) -> None:
         """Diagnostics: stderr in both modes."""
-        print(text, file=self._err)
+        print(text, file=sys.stderr)
 
     def set(self, key: str, value: Any) -> None:
         """Attach one field of the machine-readable result."""
@@ -84,8 +80,7 @@ class OutputWriter:
     def emit(self) -> None:
         """Flush the JSON payload (no-op in text mode or when empty)."""
         if self.json_mode and self._payload:
-            json.dump(self._payload, self._stream, indent=2, default=str)
-            self._stream.write("\n")
+            print(json.dumps(self._payload, indent=2, default=str))
 
 
 def _cmd_info(args: argparse.Namespace, out: OutputWriter) -> int:
@@ -428,10 +423,11 @@ def _cmd_gossip(args: argparse.Namespace, out: OutputWriter) -> int:
 
 def _cmd_trace(args: argparse.Namespace, out: OutputWriter) -> int:
     from repro.core.events import phase_gas_totals, read_jsonl_events
+    from repro.errors import PDS2Error
 
     try:
         events = read_jsonl_events(args.run)
-    except OSError as exc:
+    except (OSError, PDS2Error) as exc:
         out.error(f"cannot read trace {args.run!r}: {exc}")
         return 1
     if not events:
@@ -513,7 +509,7 @@ def _load_metrics_registry(source: str, out: OutputWriter):
 
     try:
         events = read_jsonl_events(source)
-    except OSError as exc:
+    except (OSError, TelemetryError) as exc:
         out.error(f"cannot read trace {source!r}: {exc}")
         return None
     if not events:
@@ -552,9 +548,9 @@ def _cmd_spans(args: argparse.Namespace, out: OutputWriter) -> int:
 
     from repro.errors import PDS2Error
     from repro.telemetry import (
+        Span,
         read_span_records,
         render_span_tree,
-        span_from_record,
         spans_from_events,
     )
 
@@ -575,14 +571,14 @@ def _cmd_spans(args: argparse.Namespace, out: OutputWriter) -> int:
         return 1
 
     if any(r.get("type") == "span" for r in records):
-        spans = [span_from_record(r) for r in records
+        spans = [Span.from_dict(r) for r in records
                  if r.get("type") == "span"]
     else:
         from repro.core.events import read_jsonl_events
 
         try:
             events = read_jsonl_events(source)
-        except OSError as exc:
+        except (OSError, PDS2Error) as exc:
             out.error(f"cannot read trace {source!r}: {exc}")
             return 1
         spans = spans_from_events(events)

@@ -1,7 +1,7 @@
 """Batch control plane: sharded, crash-resumable execution at sweep scale.
 
 The core gives one session a digestible boundary record
-(:class:`~repro.core.checkpoint.SessionCheckpoint`); this package turns
+(:meth:`~repro.core.lifecycle.WorkloadSession.record`); this package turns
 that into an operational capability: submit thousands of deterministic
 :class:`JobSpec`\\ s into a file-backed :class:`JobsDB`,
 shard them across a ``multiprocessing`` worker pool with

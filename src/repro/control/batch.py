@@ -75,6 +75,8 @@ _BATCHES = telemetry.counter(
 #: Queue poll / supervision cadence (seconds).
 _POLL_S = 0.05
 _HEARTBEAT_MIN_INTERVAL_S = 0.5
+#: A busy worker silent for this long (no heartbeat) is reaped as hung.
+_HEARTBEAT_TIMEOUT_S = 60.0
 
 
 def submit_batch(root: str, specs: Sequence[JobSpec]) -> JobsDB:
@@ -227,7 +229,6 @@ def batch_digest_of(results: dict[str, JobResult]) -> str:
 
 def batch_execute(root: str, workers: int = 4, *,
                   max_attempts: int = 3,
-                  heartbeat_timeout_s: float = 60.0,
                   kill_after: Sequence[int] = (),
                   progress: Optional[Callable[[int, int], None]] = None,
                   ) -> BatchReport:
@@ -408,8 +409,8 @@ def batch_execute(root: str, workers: int = 4, *,
                         beat = beats.get(worker.worker_id, {})
                         seen = max(beat.get("ts", 0.0), 0.0)
                         busy_for = time.monotonic() - worker.assigned_at
-                        if (busy_for > heartbeat_timeout_s
-                                and time.time() - seen > heartbeat_timeout_s):
+                        if (busy_for > _HEARTBEAT_TIMEOUT_S
+                                and time.time() - seen > _HEARTBEAT_TIMEOUT_S):
                             reap(worker, reason="hung")
 
                 # 4. Keep the pool at strength while there is work left.

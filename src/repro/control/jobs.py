@@ -49,7 +49,7 @@ class JobSpec:
     #: Per-actor fault probability; 0 disables injection.  The plan is
     #: drawn from ``job_fault_seed(job_id)`` so it is shard-invariant.
     fault_rate: float = 0.0
-    #: Arm the recovery policy (False reproduces the fail-fast baseline).
+    #: Recover from faults (False reproduces the fail-fast baseline).
     recover: bool = True
     #: W3C-style traceparent the coordinator stamps at assignment time so
     #: the worker's spans join the batch trace.  Observability metadata,

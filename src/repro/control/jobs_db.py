@@ -32,7 +32,7 @@ from typing import IO, Any, Iterable, Optional
 
 from repro.control.jobs import JobResult, JobSpec
 from repro.errors import JobsDBError
-from repro.utils.serialization import read_jsonl
+from repro.utils.serialization import append_jsonl, read_jsonl
 
 MANIFEST_FORMAT = "pds2-batch-manifest/1"
 
@@ -72,9 +72,7 @@ class JournalShard:
         stamped["shard"] = self.shard
         stamped["seq"] = self._seq
         stamped["ts"] = time.time()
-        self._handle.write(json.dumps(stamped, sort_keys=True))
-        self._handle.write("\n")
-        self._handle.flush()
+        append_jsonl(self._handle, stamped)
         return stamped
 
     def close(self) -> None:

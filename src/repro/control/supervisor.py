@@ -12,7 +12,8 @@ the unit of work the E21 10k-session sweep shards.
   span ids restart and a job's exported spans are a function of the job
   alone, not of what the worker ran before it;
 * boundary checkpoints — an ``on_phase_boundary`` hook journals the
-  session's :meth:`SessionCheckpoint.digest` at every phase boundary;
+  session's :meth:`~repro.core.lifecycle.WorkloadSession.digest` at every
+  phase boundary;
 * replay-verified resume — a re-queued attempt replays the job from its
   seed and *verifies* each boundary digest against what the dead worker
   journaled.  Live enclave/chain state dies with a process, so this is the
@@ -93,11 +94,9 @@ class BoundaryRecorder:
         self.resumed_boundary = -1
 
     def __call__(self, session, next_phase: str) -> None:
-        from repro.core.checkpoint import checkpoint_session
-
         boundary = self.boundaries
         self.boundaries += 1
-        digest = checkpoint_session(session).digest()
+        digest = session.digest()
         expected = self.ctx.resume_digests.get(boundary)
         if expected is not None:
             if digest != expected:

@@ -36,6 +36,7 @@ from repro.core.events import (
     read_jsonl_events,
 )
 from repro.core.lifecycle import (
+    CHECKPOINT_FORMAT,
     LIFECYCLE_PHASES,
     PHASES_BY_NAME,
     RECOVERY_TRANSITIONS,
@@ -55,16 +56,9 @@ from repro.core.resilience import (
     FaultKind,
     FaultPlan,
     FaultRunOutcome,
-    RecoveryPolicy,
-    RetryPolicy,
     Scenario,
     job_fault_seed,
     run_with_faults,
-)
-from repro.core.checkpoint import (
-    CHECKPOINT_FORMAT,
-    SessionCheckpoint,
-    checkpoint_session,
 )
 from repro.core.marketplace import (
     DEFAULT_FUNDING,
@@ -105,6 +99,7 @@ __all__ = [
     "phase_gas_totals",
     "phase_wall_times",
     "read_jsonl_events",
+    "CHECKPOINT_FORMAT",
     "LIFECYCLE_PHASES",
     "PHASES_BY_NAME",
     "RECOVERY_TRANSITIONS",
@@ -122,14 +117,9 @@ __all__ = [
     "FaultKind",
     "FaultPlan",
     "FaultRunOutcome",
-    "RecoveryPolicy",
-    "RetryPolicy",
     "Scenario",
     "job_fault_seed",
     "run_with_faults",
-    "CHECKPOINT_FORMAT",
-    "SessionCheckpoint",
-    "checkpoint_session",
     "DEFAULT_FUNDING",
     "Marketplace",
     "WorkloadRunReport",

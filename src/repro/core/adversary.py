@@ -92,9 +92,12 @@ def adversarial_settle_interceptor(behaviors: list["ExecutorBehavior"]):
     return intercept
 
 
+#: The non-participant address a self-dealing payout would have to reach.
+CRONY_ADDRESS = "0x" + "c0" * 20
+
+
 def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
                          behaviors: list[ExecutorBehavior],
-                         crony_address: str | None = None,
                          ) -> AdversarialOutcome:
     """Run the Fig. 2 lifecycle with per-executor behaviors.
 
@@ -107,8 +110,6 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     executors = market.executors
     if len(behaviors) != len(executors):
         raise MarketplaceError("one behavior per marketplace executor")
-    if crony_address is None:
-        crony_address = "0x" + "c0" * 20
 
     session = market.session_for(
         consumer, MLTrainingKind(spec),
@@ -123,7 +124,7 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
         int(log.data["amount"])
         for _, log in market.chain.events(name="RewardPaid",
                                           address=ctx.workload_address)
-        if log.data["recipient"] == crony_address
+        if log.data["recipient"] == CRONY_ADDRESS
     )
     completed = ctx.final_state == "complete"
     return AdversarialOutcome(

@@ -16,7 +16,6 @@ a session and cross-check it against the on-chain history.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from collections import deque
@@ -24,7 +23,8 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
 
-from repro.utils.serialization import read_jsonl
+from repro.errors import TelemetryError
+from repro.utils.serialization import append_jsonl, read_jsonl
 
 
 @dataclass(frozen=True)
@@ -97,11 +97,16 @@ class EventSink(Protocol):
         ...
 
 
-class RingBufferSink:
-    """Keep the most recent ``capacity`` events in memory (the default sink)."""
+#: Events the marketplace's in-memory ring keeps.
+RING_BUFFER_CAPACITY = 10_000
 
-    def __init__(self, capacity: int = 10_000):
-        self._buffer: deque[LifecycleEvent] = deque(maxlen=capacity)
+
+class RingBufferSink:
+    """Keep the most recent :data:`RING_BUFFER_CAPACITY` events in memory
+    (the default sink)."""
+
+    def __init__(self):
+        self._buffer: deque[LifecycleEvent] = deque(maxlen=RING_BUFFER_CAPACITY)
 
     def emit(self, event: LifecycleEvent) -> None:
         self._buffer.append(event)
@@ -125,41 +130,19 @@ class RingBufferSink:
 
 
 class JSONLSink:
-    """Append every event as one JSON line to ``path``.
+    """Append every event as one JSON line to ``path``, flushed as it is
+    written: a session killed mid-run loses at most the line being written
+    (``read_jsonl_events`` tolerates that torn tail)."""
 
-    ``flush_every`` trades durability for throughput: the default of 1
-    flushes after every event, so a session killed mid-run loses at most
-    the line being written (``read_jsonl_events`` tolerates that torn
-    tail).  Larger values batch OS writes for long benchmark traces; call
-    :meth:`flush` (or close, or exit the ``with`` block) to force the
-    buffer out.
-    """
-
-    def __init__(self, path: str, flush_every: int = 1):
-        if flush_every < 1:
-            raise ValueError("flush_every must be >= 1")
+    def __init__(self, path: str):
         self.path = path
-        self.flush_every = flush_every
-        self._pending = 0
         self._handle = open(path, "a", encoding="utf-8")
 
     def emit(self, event: LifecycleEvent) -> None:
-        self._handle.write(json.dumps(event.to_dict(), sort_keys=True))
-        self._handle.write("\n")
-        self._pending += 1
-        if self._pending >= self.flush_every:
-            self.flush()
-
-    def flush(self) -> None:
-        """Push buffered lines to the OS (no-op on a closed sink)."""
-        if not self._handle.closed:
-            self._handle.flush()
-        self._pending = 0
+        append_jsonl(self._handle, event.to_dict())
 
     def close(self) -> None:
-        if not self._handle.closed:
-            self._handle.flush()
-            self._handle.close()
+        self._handle.close()
 
     @property
     def closed(self) -> bool:
@@ -176,11 +159,23 @@ def read_jsonl_events(path: str) -> list[LifecycleEvent]:
     """Load a JSONL trace file back into events (the ``trace`` command).
 
     A truncated *final* line — the signature of a writer killed mid-write —
-    is dropped silently; corruption anywhere else still raises, because a
-    torn middle means the file was edited, not interrupted.
+    is dropped silently; corruption anywhere else, or a record that lacks
+    a required key, raises :class:`~repro.errors.TelemetryError`, because a
+    torn middle means the file was edited, not interrupted.  Keys this
+    version does not know are ignored.
     """
     os.stat(path)  # a missing trace is an error, not an empty trace
-    return [LifecycleEvent.from_dict(record) for record in read_jsonl(path)]
+    events = []
+    for number, record in enumerate(read_jsonl(path, TelemetryError), start=1):
+        try:
+            events.append(LifecycleEvent.from_dict(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            problem = (f"missing key {exc}" if isinstance(exc, KeyError)
+                       else str(exc))
+            raise TelemetryError(
+                f"record {number} of {path} is not a lifecycle event "
+                f"({problem})") from None
+    return events
 
 
 class EventBus:
@@ -195,11 +190,10 @@ class EventBus:
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter,
-                 abs_clock: Callable[[], float] = time.time,
-                 sinks: Iterable[EventSink] | None = None):
+                 abs_clock: Callable[[], float] = time.time):
         self._clock = clock
         self._abs_clock = abs_clock
-        self._sinks: list[EventSink] = list(sinks or ())
+        self._sinks: list[EventSink] = []
         self._sequence = 0
 
     def attach(self, sink: EventSink) -> EventSink:

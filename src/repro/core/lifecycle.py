@@ -22,14 +22,14 @@ Phases are individually testable objects; a phase can also be *intercepted*
 malicious result votes for the honest settle step without reaching into
 marketplace internals.
 
-Failures need not be terminal.  A session built with a *recovery policy*
-(see :mod:`repro.core.resilience`) consults it whenever a phase raises:
-the policy may direct a **retry** of the same phase (backoff on the sim
+Failures need not be terminal.  A session built with ``recover=True``
+consults :func:`repro.core.resilience.decide` whenever a phase raises: it
+may direct a **retry** of the same phase (backoff on the sim
 clock), a **re-match** onto the surviving executors (re-entering
 ``register_executors`` with the dead executor blacklisted), a quorum
 **degrade** (proceed with the executors that still hold data), or a
 provider **drop** — each a declared re-entry edge in :data:`TRANSITIONS`.
-Without a policy the session fails; a failing session that already
+Without recovery the session fails; a failing session that already
 escrowed funds aborts the workload contract so the consumer is refunded.
 """
 
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
 
 import numpy as np
@@ -78,6 +79,7 @@ from repro.tee.enclave import EnclaveCode
 from repro.telemetry import metrics as _tm
 from repro.telemetry.profiler import profiled
 from repro.utils.rng import derive_rng
+from repro.utils.serialization import canonical_json_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.core.marketplace import Marketplace
@@ -145,6 +147,10 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 }
 
 TERMINAL_STATES = (TERMINAL_COMPLETE, TERMINAL_FAILED)
+
+#: Layout tag of :meth:`WorkloadSession.record`, part of every digest; bump
+#: it when a field is added, removed or changes meaning.
+CHECKPOINT_FORMAT = "pds2-session-checkpoint/1"
 
 # Recovery observability: every applied directive and every terminal
 # session outcome is counted process-wide (exported by `repro metrics`).
@@ -333,13 +339,16 @@ class MLTrainingKind(WorkloadKind):
         )
 
 
+#: Executors' cut of an aggregate workload's reward pool (basis points).
+AGGREGATE_INFRA_SHARE_BPS = 1000
+
+
 class AggregateWorkloadKind(WorkloadKind):
     """The other workload class: privacy-preserving statistical aggregates."""
 
     def __init__(self, workload_id: str, requirement: Any,
                  agg_spec: AggregateSpec, reward_pool: int = 100_000,
                  min_providers: int = 1, min_samples: int = 1,
-                 infra_share_bps: int = 1000,
                  required_confirmations: int = 1):
         self.workload_id = workload_id
         self.requirement = requirement
@@ -348,7 +357,7 @@ class AggregateWorkloadKind(WorkloadKind):
         self.reward_pool = reward_pool
         self.min_providers = min_providers
         self.min_samples = min_samples
-        self.infra_share_bps = infra_share_bps
+        self.infra_share_bps = AGGREGATE_INFRA_SHARE_BPS
         self.required_confirmations = required_confirmations
         self._code = EnclaveCode(
             name=f"pds2-aggregate-{workload_id}",
@@ -461,12 +470,12 @@ class SessionContext:
 
 @dataclass
 class RecoveryDirective:
-    """What a recovery policy tells the engine to do about one failure.
+    """What :func:`repro.core.resilience.decide` tells the engine to do
+    about one failure.
 
     ``action`` is one of ``retry`` / ``rematch`` / ``degrade`` /
     ``drop_provider``; ``target`` is the phase the session re-enters (a
-    declared edge in :data:`TRANSITIONS`).  Policies live in
-    :mod:`repro.core.resilience`; the engine only interprets directives.
+    declared edge in :data:`TRANSITIONS`).
     """
 
     action: str
@@ -487,11 +496,10 @@ class WorkloadSession:
 
     def __init__(self, market: "Marketplace", consumer: ConsumerActor,
                  kind: WorkloadKind,
-                 executors: Optional[list[ExecutorActor]] = None,
                  interceptors: Optional[Mapping[str, PhaseInterceptor]] = None,
                  require_completion: bool = True,
                  audit: bool = True,
-                 recovery: Optional[Any] = None,
+                 recover: bool = False,
                  injector: Optional[Any] = None,
                  on_phase_boundary: Optional[Callable[
                      ["WorkloadSession", str], None]] = None):
@@ -505,10 +513,9 @@ class WorkloadSession:
         )
         self.require_completion = require_completion
         self.audit_enabled = audit
-        #: Recovery policy consulted on phase failure (duck-typed: anything
-        #: with ``decide(session, phase, error) -> RecoveryDirective|None``;
-        #: None fails fast).
-        self.recovery = recovery
+        #: Whether a failing phase consults
+        #: :func:`repro.core.resilience.decide` (False fails fast).
+        self.recover = recover
         #: Fault injector whose ``fire(session, point, **info)`` runs at
         #: every named :meth:`fault_point` (None disables injection).
         self.injector = injector
@@ -526,9 +533,7 @@ class WorkloadSession:
         #: shows the re-entry ordinal without diffing span names.
         self._phase_entries = 0
         self.trail: list[LifecycleEvent] = []
-        self.ctx = SessionContext(executors=list(
-            executors if executors is not None else market.executors
-        ))
+        self.ctx = SessionContext(executors=list(market.executors))
 
     # -- observability ------------------------------------------------------
 
@@ -551,46 +556,68 @@ class WorkloadSession:
             block_height=block_height, actor=actor, data=data,
         )
 
-    def snapshot(self) -> dict:
-        """Where the session stands right now (attached to failures): the
-        same progress picture a checkpoint captures, bookkeeping sets
-        included."""
-        return {
+    def record(self) -> dict:
+        """This session's seed-determined progress, in any state.
+
+        The one projection of a session: what a failure carries as its
+        ``snapshot`` and what :meth:`digest` is taken over.  It is coherent
+        at *phase boundaries* — where :attr:`on_phase_boundary` fires —
+        and excludes everything wall-clock-bearing (the event trail
+        appears as its gas and block totals), so two processes reaching
+        the same boundary at the same seed hold equal records.  Nothing
+        reads it back: a paused session continues on the live object and a
+        crashed one is replayed from its seed (:mod:`repro.control.supervisor`
+        compares digests at each boundary).
+        """
+        ctx = self.ctx
+        record = {
+            "format": CHECKPOINT_FORMAT,
             "session_id": self.session_id,
             "workload_id": self.kind.workload_id,
+            "spec_hash": self.kind.spec_hash(),
+            # The phase last completed (or failing, on a recovery edge) and
+            # the one (re-)entered next.
             "state": self.state,
             "next_phase": self.next_phase,
-            "workload_address": self.ctx.workload_address,
-            "participants": [p.address for p in self.ctx.participants],
-            "executors": [e.address for e in self.ctx.executors],
-            "final_state": self.ctx.final_state,
+            "consumer": self.consumer.address,
+            "workload_address": ctx.workload_address,
+            "participants": [p.address for p in ctx.participants],
+            "executors": [e.address for e in ctx.executors],
+            "active_executors": [e.address for e in ctx.active_executors],
+            "assignments": {
+                executor: [p.address for p in providers]
+                for executor, providers in ctx.assignments.items()
+            },
+            "outputs": list(ctx.outputs),
+            "result_vector": np.asarray(ctx.result_vector, dtype=float),
+            "weights_bps": dict(ctx.weights_bps),
+            "result_hash": ctx.result_hash,
+            "extra": dict(ctx.extra),
+            "final_state": ctx.final_state,
+            "payouts": dict(ctx.payouts),
+            # Phase bookkeeping, sorted for canonical bytes.
+            "registered": sorted(ctx.registered),
+            "submitted": sorted(ctx.submitted),
+            "certified": sorted(ctx.certified),
+            "executed": sorted(ctx.executed),
+            "voted": sorted(ctx.voted),
+            "blacklist": list(ctx.blacklist),
+            "dropped_providers": sorted(ctx.dropped_providers),
+            "degraded": ctx.degraded,
+            "retries": dict(ctx.retries),
+            "recovery_log": [dict(entry) for entry in ctx.recovery_log],
+            "refunded": ctx.refunded,
             "gas_used": self.gas_used,
             "blocks_mined": self.blocks_mined,
-            "events": len(self.trail),
-            "degraded": self.ctx.degraded,
-            "blacklisted": list(self.ctx.blacklist),
-            "recoveries": len(self.ctx.recovery_log),
-            "refunded": self.ctx.refunded,
-            # -- phase bookkeeping (idempotent re-entry progress) ----------
-            "registered": sorted(self.ctx.registered),
-            "submitted": sorted(self.ctx.submitted),
-            "certified": sorted(self.ctx.certified),
-            "executed": sorted(self.ctx.executed),
-            "voted": sorted(self.ctx.voted),
-            "dropped_providers": sorted(self.ctx.dropped_providers),
-            "retries": dict(self.ctx.retries),
+            "sim_clock": self.market.clock,
         }
+        if self.injector is not None:  # absent, not null, when unarmed
+            record["injector"] = self.injector.state_dict()
+        return record
 
-    def checkpoint(self) -> "Any":
-        """Externalize this session's progress as a ``SessionCheckpoint``.
-
-        Coherent at phase boundaries (where :attr:`on_phase_boundary`
-        fires) and before the first phase; :mod:`repro.core.checkpoint`
-        says what the record is for.
-        """
-        from repro.core.checkpoint import checkpoint_session
-
-        return checkpoint_session(self)
+    def digest(self) -> str:
+        """SHA-256 over the canonical encoding of :meth:`record`."""
+        return sha256(canonical_json_bytes(self.record())).hexdigest()
 
     def fault_point(self, point: str, **info: Any) -> None:
         """Named injection point; a no-op unless an injector is armed."""
@@ -606,7 +633,7 @@ class WorkloadSession:
             raise TransitionError(
                 f"illegal transition {self.state!r} -> {next_state!r} "
                 f"(allowed: {allowed})",
-                snapshot=self.snapshot(),
+                snapshot=self.record(),
             )
         self.state = next_state
 
@@ -618,7 +645,7 @@ class WorkloadSession:
         enclave runs etc. nest further down), so a trace renders as a
         root-to-leaf time decomposition of the Fig. 2 sequence.
 
-        With a recovery policy attached, a failing phase may re-enter an
+        With ``recover=True``, a failing phase may re-enter an
         earlier phase (or itself) instead of failing the session; the loop
         below follows whatever re-entry target :meth:`_run_phase` returns.
 
@@ -627,7 +654,7 @@ class WorkloadSession:
         """
         if self.state in TERMINAL_STATES:
             raise TransitionError(f"session is {self.state}; nothing to run",
-                                  snapshot=self.snapshot())
+                                  snapshot=self.record())
         with self.market.active_session(self):
             with self.market.tracer.span(
                 "lifecycle.session", session_id=self.session_id,
@@ -683,11 +710,11 @@ class WorkloadSession:
                     phase.run(self)
             except LifecycleError as err:
                 if not err.snapshot:
-                    err.snapshot = self.snapshot()
+                    err.snapshot = self.record()
                 return self._recover_or_fail(phase, err, span)
             except PDS2Error as err:
                 failure = phase.failure_class(str(err),
-                                              snapshot=self.snapshot())
+                                              snapshot=self.record())
                 failure.__cause__ = err
                 return self._recover_or_fail(phase, failure, span)
             span.set_attribute(
@@ -700,10 +727,11 @@ class WorkloadSession:
 
     def _recover_or_fail(self, phase: "LifecyclePhase",
                          error: LifecycleError, span: Any) -> str:
-        """Consult the recovery policy; apply its directive or fail."""
-        directive: Optional[RecoveryDirective] = None
-        if self.recovery is not None:
-            directive = self.recovery.decide(self, phase, error)
+        """Consult :func:`~repro.core.resilience.decide` when recovery is
+        on; apply its directive or fail."""
+        from repro.core.resilience import decide
+
+        directive = decide(self, phase, error) if self.recover else None
         if directive is None:
             self._fail(phase, error)
             raise error
@@ -825,7 +853,7 @@ class WorkloadSession:
             if self.read_state() != STATE_CANCELLED:
                 raise SettlementFailure(
                     "abort transaction did not cancel the workload",
-                    snapshot=self.snapshot(),
+                    snapshot=self.record(),
                 )
             ctx.refunded = escrow
             _ESCROW_REFUNDED.inc(escrow)
@@ -897,11 +925,11 @@ class DeployPhase(LifecyclePhase):
         executors = session.ctx.executors
         if not executors:
             raise DeployFailure("no executors available",
-                                snapshot=session.snapshot())
+                                snapshot=session.record())
         if kind.required_confirmations > len(executors):
             raise DeployFailure(
                 "spec requires more confirmations than executors exist",
-                snapshot=session.snapshot(),
+                snapshot=session.record(),
             )
         session.fault_point("deploy.chain_tx")
         # Deploy + mine through the session clock (not ``deploy_and_mine``'s
@@ -937,7 +965,7 @@ class MatchPhase(LifecyclePhase):
             raise MatchFailure(
                 f"only {len(participants)} willing providers; "
                 f"spec requires {session.kind.min_providers}",
-                snapshot=session.snapshot(),
+                snapshot=session.record(),
             )
         session.ctx.participants = participants
         for provider in participants:
@@ -1129,7 +1157,7 @@ class SettlePhase(LifecyclePhase):
                 raise SettlementFailure(
                     "workload did not complete "
                     f"(state={ctx.final_state!r})",
-                    snapshot=session.snapshot(),
+                    snapshot=session.record(),
                 )
             return
         ctx.payouts = session.collect_payouts()

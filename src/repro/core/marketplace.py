@@ -116,11 +116,10 @@ class Marketplace:
     """A complete, self-contained PDS2 deployment."""
 
     def __init__(self, seed: int = 0, validators: int = 3,
-                 ontology: Optional[Ontology] = None,
                  mint_deeds: bool = True):
         self.seed = seed
         self._rng = derive_rng(seed, "marketplace")
-        self.ontology = ontology if ontology is not None else Ontology.iot_default()
+        self.ontology = Ontology.iot_default()
         self.catalog = DataCatalog(self.ontology)
         self.attestation = AttestationService()
         self.manufacturers = ManufacturerRegistry()
@@ -385,26 +384,20 @@ class Marketplace:
         return willing
 
     def session_for(self, consumer: ConsumerActor, kind,
-                    executors: Optional[list[ExecutorActor]] = None,
                     **session_kwargs) -> WorkloadSession:
         """Build a lifecycle session over this marketplace's substrates."""
-        return WorkloadSession(self, consumer, kind, executors=executors,
-                               **session_kwargs)
+        return WorkloadSession(self, consumer, kind, **session_kwargs)
 
-    def run_workload(self, consumer: ConsumerActor, spec: WorkloadSpec,
-                     executors: Optional[list[ExecutorActor]] = None,
-                     ) -> WorkloadRunReport:
+    def run_workload(self, consumer: ConsumerActor,
+                     spec: WorkloadSpec) -> WorkloadRunReport:
         """Run the complete Fig. 2 sequence and return the full report."""
-        return self.session_for(
-            consumer, MLTrainingKind(spec), executors=executors
-        ).run()
+        return self.session_for(consumer, MLTrainingKind(spec)).run()
 
     def run_aggregate_workload(self, consumer: ConsumerActor,
                                workload_id: str, requirement,
                                agg_spec, reward_pool: int = 100_000,
                                min_providers: int = 1,
                                min_samples: int = 1,
-                               infra_share_bps: int = 1000,
                                required_confirmations: int = 1):
         """Run a *statistical aggregate* workload through the full lifecycle.
 
@@ -417,7 +410,7 @@ class Marketplace:
         kind = AggregateWorkloadKind(
             workload_id, requirement, agg_spec,
             reward_pool=reward_pool, min_providers=min_providers,
-            min_samples=min_samples, infra_share_bps=infra_share_bps,
+            min_samples=min_samples,
             required_confirmations=required_confirmations,
         )
         return self.session_for(consumer, kind).run()

@@ -13,10 +13,10 @@ two halves that meet inside :class:`~repro.core.lifecycle.WorkloadSession`:
   :func:`derive_rng`, so an injected run is as byte-deterministic as a
   clean one.
 
-* **Recovery** — a :class:`RecoveryPolicy` decides what the engine does
-  about a failure: transient faults back off and **retry** on the sim
-  clock (:class:`RetryPolicy`); an executor that died while the contract
-  is still OPEN is blacklisted and its providers **re-matched** onto the
+* **Recovery** — :func:`decide` says what the engine does about a
+  failure: transient faults back off and **retry** on the sim clock
+  (:func:`retry_delay`); an executor that died while the contract is
+  still OPEN is blacklisted and its providers **re-matched** onto the
   survivors; an executor that died mid-execute takes its enclave (and the
   data inside) with it, so the run **degrades** to the surviving quorum
   and the largest-remainder payout only rewards actual contributors; a
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.lifecycle import (
@@ -285,7 +285,7 @@ class FaultInjector:
         raise InjectedFaultError(
             f"injected {fault.kind.value} at {point}"
             + (f" on {fault.target}" if fault.target else ""),
-            snapshot=session.snapshot(),
+            snapshot=session.record(),
             point=point,
             transient=fault.kind in TRANSIENT_KINDS,
             dead_executor=dead_executor,
@@ -294,116 +294,94 @@ class FaultInjector:
 
 
 # ---------------------------------------------------------------------------
-# Recovery policies
+# Recovery
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Capped exponential backoff, waited out on the *sim* clock."""
-
-    max_attempts: int = 5
-    base_delay_s: float = 1.0
-    multiplier: float = 2.0
-    max_delay_s: float = 30.0
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retry number ``attempt`` (0-based)."""
-        return min(self.max_delay_s,
-                   self.base_delay_s * self.multiplier ** attempt)
+#: Retries of one phase before the engine gives up on it (or drops the
+#: provider that keeps failing).
+MAX_ATTEMPTS = 5
+#: Capped exponential backoff, waited out on the *sim* clock.
+BASE_DELAY_S = 1.0
+BACKOFF_MULTIPLIER = 2.0
+MAX_DELAY_S = 30.0
+#: Hard cap on total recovery actions per session (loop backstop).
+MAX_RECOVERIES = 16
 
 
-@dataclass
-class RecoveryPolicy:
-    """Maps one phase failure to a :class:`RecoveryDirective` (or None).
+def retry_delay(attempt: int) -> float:
+    """Backoff before retry number ``attempt`` (0-based)."""
+    return min(MAX_DELAY_S, BASE_DELAY_S * BACKOFF_MULTIPLIER ** attempt)
 
-    The engine fails the session whenever this returns None, exactly as
-    it would with no policy at all — so a policy only ever *adds* ways to
+
+def decide(session: WorkloadSession, phase: LifecyclePhase,
+           error: LifecycleError) -> Optional[RecoveryDirective]:
+    """Map one phase failure to a :class:`RecoveryDirective` (or None).
+
+    The engine fails the session whenever this returns None, exactly as it
+    does with ``recover=False`` — so recovery only ever *adds* ways to
     survive.
     """
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    rematch: bool = True
-    degrade: bool = True
-    drop_providers: bool = True
-    #: Hard cap on total recovery actions per session (loop backstop).
-    max_recoveries: int = 16
-
-    def decide(self, session: WorkloadSession, phase: LifecyclePhase,
-               error: LifecycleError) -> Optional[RecoveryDirective]:
-        if len(session.ctx.recovery_log) >= self.max_recoveries:
-            return None
-        if getattr(error, "transient", False):
-            return self._transient(session, phase, error)
-        dead = getattr(error, "dead_executor", "")
-        if dead:
-            return self._executor_dead(session, phase, dead)
+    if len(session.ctx.recovery_log) >= MAX_RECOVERIES:
         return None
+    if getattr(error, "transient", False):
+        return _transient(session, phase, error)
+    dead = getattr(error, "dead_executor", "")
+    if dead:
+        return _executor_dead(session, phase, dead)
+    return None
 
-    # -- transient faults: retry, then (for providers) drop ----------------
 
-    def _retry(self, session: WorkloadSession, phase: LifecyclePhase,
-               reason: str) -> Optional[RecoveryDirective]:
-        attempt = session.ctx.retries.get(phase.name, 0)
-        if attempt >= self.max_attempts_for(phase):
-            return None
+def _transient(session: WorkloadSession, phase: LifecyclePhase,
+               error: LifecycleError) -> Optional[RecoveryDirective]:
+    """Transient faults: retry, then (for providers) drop."""
+    attempt = session.ctx.retries.get(phase.name, 0)
+    if attempt < MAX_ATTEMPTS:
         return RecoveryDirective(
             action="retry", target=phase.name,
-            delay_s=self.retry.delay(attempt), reason=reason,
+            delay_s=retry_delay(attempt),
+            reason=f"transient: {type(error).__name__}",
         )
+    # Retry budget exhausted.  A provider that keeps failing can be cut
+    # loose as long as the match still satisfies the spec.
+    provider = getattr(error, "provider", "")
+    if provider:
+        remaining = len(session.ctx.participants) - 1
+        if remaining >= session.kind.min_providers:
+            return RecoveryDirective(
+                action="drop_provider", target=phase.name,
+                provider=provider,
+                reason="retry budget exhausted; dropping provider",
+            )
+    return None
 
-    def max_attempts_for(self, phase: LifecyclePhase) -> int:
-        """Per-phase retry budget (uniform by default; easy to override)."""
-        return self.retry.max_attempts
 
-    def _transient(self, session: WorkloadSession, phase: LifecyclePhase,
-                   error: LifecycleError) -> Optional[RecoveryDirective]:
-        directive = self._retry(session, phase,
-                                reason=f"transient: {type(error).__name__}")
-        if directive is not None:
-            return directive
-        # Retry budget exhausted.  A provider that keeps failing can be
-        # cut loose as long as the match still satisfies the spec.
-        provider = getattr(error, "provider", "")
-        if self.drop_providers and provider:
-            remaining = len(session.ctx.participants) - 1
-            if remaining >= session.kind.min_providers:
-                return RecoveryDirective(
-                    action="drop_provider", target=phase.name,
-                    provider=provider,
-                    reason="retry budget exhausted; dropping provider",
-                )
+def _executor_dead(session: WorkloadSession, phase: LifecyclePhase,
+                   dead: str) -> Optional[RecoveryDirective]:
+    """Dead executors: re-match while OPEN, degrade while EXECUTING."""
+    ctx = session.ctx
+    live = [e for e in ctx.executors if e.address != dead]
+    need = session.kind.required_confirmations
+    if phase.name in (PHASE_REGISTER, PHASE_SUBMIT):
+        if live and len(live) >= need:
+            return RecoveryDirective(
+                action="rematch", target=PHASE_REGISTER,
+                dead_executor=dead,
+                reason="executor crashed before start; re-matching "
+                       "its providers onto the survivors",
+            )
         return None
-
-    # -- dead executors: re-match while OPEN, degrade while EXECUTING ------
-
-    def _executor_dead(self, session: WorkloadSession,
-                       phase: LifecyclePhase,
-                       dead: str) -> Optional[RecoveryDirective]:
-        ctx = session.ctx
-        live = [e for e in ctx.executors if e.address != dead]
-        need = session.kind.required_confirmations
-        if phase.name in (PHASE_REGISTER, PHASE_SUBMIT):
-            if self.rematch and live and len(live) >= need:
-                return RecoveryDirective(
-                    action="rematch", target=PHASE_REGISTER,
-                    dead_executor=dead,
-                    reason="executor crashed before start; re-matching "
-                           "its providers onto the survivors",
-                )
-            return None
-        if phase.name == PHASE_EXECUTE and self.degrade:
-            # Data provisioned into the dead enclave is unrecoverable, so
-            # only executors that still hold data can carry the quorum.
-            live_active = [e for e in live if ctx.assignments.get(e.address)]
-            if live_active and len(live_active) >= need:
-                return RecoveryDirective(
-                    action="degrade", target=PHASE_EXECUTE,
-                    dead_executor=dead,
-                    reason="executor crashed mid-execute; continuing on "
-                           "the surviving quorum",
-                )
-        return None
+    if phase.name == PHASE_EXECUTE:
+        # Data provisioned into the dead enclave is unrecoverable, so
+        # only executors that still hold data can carry the quorum.
+        live_active = [e for e in live if ctx.assignments.get(e.address)]
+        if live_active and len(live_active) >= need:
+            return RecoveryDirective(
+                action="degrade", target=PHASE_EXECUTE,
+                dead_executor=dead,
+                reason="executor crashed mid-execute; continuing on "
+                       "the surviving quorum",
+            )
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -437,24 +415,20 @@ class FaultRunOutcome:
 def run_with_faults(market: "Marketplace", consumer: "ConsumerActor",
                     kind: WorkloadKind | WorkloadSpec,
                     plan: FaultPlan,
-                    policy: Optional[RecoveryPolicy] = None,
                     *, recover: bool = True,
                     **session_kwargs) -> FaultRunOutcome:
     """Run one lifecycle session with ``plan`` armed.
 
-    ``recover=False`` (or ``policy=None`` with ``recover=False``) runs the
-    pre-recovery engine — every injected fault is terminal — which is the
-    baseline the acceptance criterion and the E18 sweep compare against.
-    The function never raises on lifecycle failure; it reports.
+    ``recover=False`` runs the pre-recovery engine — every injected fault
+    is terminal — which is the baseline the acceptance criterion and the
+    E18 sweep compare against.  The function never raises on lifecycle
+    failure; it reports.
     """
     if isinstance(kind, WorkloadSpec):
         kind = MLTrainingKind(kind)
-    if recover and policy is None:
-        policy = RecoveryPolicy()
     injector = FaultInjector(plan)
     session = market.session_for(
-        consumer, kind, recovery=policy if recover else None,
-        injector=injector, **session_kwargs,
+        consumer, kind, recover=recover, injector=injector, **session_kwargs,
     )
     report: object = None
     error = ""

@@ -15,7 +15,8 @@ convention: anything above ``n // 2`` decodes as negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -234,15 +235,11 @@ class PaillierCiphertext:
 class FixedPointCodec:
     """Fixed-point encoding of floats into the Paillier plaintext space.
 
-    ``encode(x) = round(x * 2^fractional_bits)``.  A product of two encoded
-    values carries twice the scaling; :meth:`decode_product` accounts for it.
+    ``encode(x) = round(x * 2^24)``.  A product of two encoded values
+    carries twice the scaling; :meth:`decode_product` accounts for it.
     """
 
-    fractional_bits: int = 24
-
-    @property
-    def scale(self) -> int:
-        return 1 << self.fractional_bits
+    scale: ClassVar[int] = 1 << 24
 
     def encode(self, value: float) -> int:
         if not math.isfinite(value):
@@ -259,15 +256,14 @@ class FixedPointCodec:
 
 @dataclass
 class PaillierKeyPair:
-    """A generated key pair plus the codec the pair was provisioned with."""
+    """A generated key pair plus the fixed-point codec its users share."""
 
     public_key: PaillierPublicKey
     private_key: PaillierPrivateKey
-    codec: FixedPointCodec = field(default_factory=FixedPointCodec)
+    codec: ClassVar[FixedPointCodec] = FixedPointCodec()
 
 
-def generate_keypair(bits: int, rng: np.random.Generator,
-                     fractional_bits: int = 24) -> PaillierKeyPair:
+def generate_keypair(bits: int, rng: np.random.Generator) -> PaillierKeyPair:
     """Generate a Paillier key pair with an RSA modulus of ``bits`` bits.
 
     512-bit keys are the benchmark default: far below deployment strength but
@@ -290,11 +286,7 @@ def generate_keypair(bits: int, rng: np.random.Generator,
     l_value = (u - 1) // n
     mu = pow(l_value, -1, n)
     private = PaillierPrivateKey(public_key=public, lam=lam, mu=mu, p=p, q=q)
-    return PaillierKeyPair(
-        public_key=public,
-        private_key=private,
-        codec=FixedPointCodec(fractional_bits=fractional_bits),
-    )
+    return PaillierKeyPair(public_key=public, private_key=private)
 
 
 def encrypted_dot(ciphertexts: list[PaillierCiphertext],

@@ -20,33 +20,35 @@ import numpy as np
 
 from repro.errors import SecretSharingError
 
-#: Default field modulus: the Mersenne prime 2^127 - 1.
+#: The field modulus: the Mersenne prime 2^127 - 1.
 DEFAULT_PRIME = (1 << 127) - 1
+#: Bytes of a secret that fit one field element (:func:`shamir_share_bytes`).
+_CHUNK_BYTES = (DEFAULT_PRIME.bit_length() - 2) // 8
 
 
-def _random_field_element(rng: np.random.Generator, prime: int) -> int:
-    """Sample uniformly from ``[0, prime)`` using rejection over raw bytes."""
-    byte_length = (prime.bit_length() + 7) // 8
+def _random_field_element(rng: np.random.Generator) -> int:
+    """Sample uniformly from ``[0, q)`` using rejection over raw bytes."""
+    byte_length = (DEFAULT_PRIME.bit_length() + 7) // 8
     limit = 1 << (8 * byte_length)
-    threshold = limit - limit % prime  # rejection bound for uniformity
+    threshold = limit - limit % DEFAULT_PRIME  # rejection bound for uniformity
     while True:
         value = int.from_bytes(rng.bytes(byte_length), "big")
         if value < threshold:
-            return value % prime
+            return value % DEFAULT_PRIME
 
 
-def encode_signed(value: int, prime: int = DEFAULT_PRIME) -> int:
+def encode_signed(value: int) -> int:
     """Map a signed integer into the field (wrap-around convention)."""
-    if abs(value) >= prime // 2:
+    if abs(value) >= DEFAULT_PRIME // 2:
         raise SecretSharingError("value magnitude exceeds field capacity")
-    return value % prime
+    return value % DEFAULT_PRIME
 
 
-def decode_signed(element: int, prime: int = DEFAULT_PRIME) -> int:
+def decode_signed(element: int) -> int:
     """Inverse of :func:`encode_signed`."""
-    element %= prime
-    if element > prime // 2:
-        return element - prime
+    element %= DEFAULT_PRIME
+    if element > DEFAULT_PRIME // 2:
+        return element - DEFAULT_PRIME
     return element
 
 
@@ -55,8 +57,8 @@ def decode_signed(element: int, prime: int = DEFAULT_PRIME) -> int:
 # ---------------------------------------------------------------------------
 
 
-def additive_share(secret: int, parties: int, rng: np.random.Generator,
-                   prime: int = DEFAULT_PRIME) -> list[int]:
+def additive_share(secret: int, parties: int,
+                   rng: np.random.Generator) -> list[int]:
     """Split ``secret`` into ``parties`` additive shares summing to it mod q.
 
     All but the last share are uniform; the last absorbs the difference.  Any
@@ -65,18 +67,18 @@ def additive_share(secret: int, parties: int, rng: np.random.Generator,
     """
     if parties < 2:
         raise SecretSharingError("additive sharing needs at least 2 parties")
-    encoded = encode_signed(secret, prime)
-    shares = [_random_field_element(rng, prime) for _ in range(parties - 1)]
-    last = (encoded - sum(shares)) % prime
+    encoded = encode_signed(secret)
+    shares = [_random_field_element(rng) for _ in range(parties - 1)]
+    last = (encoded - sum(shares)) % DEFAULT_PRIME
     shares.append(last)
     return shares
 
 
-def additive_reconstruct(shares: list[int], prime: int = DEFAULT_PRIME) -> int:
+def additive_reconstruct(shares: list[int]) -> int:
     """Recombine additive shares into the signed secret."""
     if not shares:
         raise SecretSharingError("cannot reconstruct from zero shares")
-    return decode_signed(sum(shares) % prime, prime)
+    return decode_signed(sum(shares))
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +95,7 @@ class ShamirShare:
 
 
 def shamir_share(secret: int, threshold: int, parties: int,
-                 rng: np.random.Generator,
-                 prime: int = DEFAULT_PRIME) -> list[ShamirShare]:
+                 rng: np.random.Generator) -> list[ShamirShare]:
     """Split ``secret`` so any ``threshold`` of ``parties`` shares recover it.
 
     A random polynomial of degree ``threshold - 1`` with constant term equal
@@ -102,24 +103,20 @@ def shamir_share(secret: int, threshold: int, parties: int,
     """
     if not 1 <= threshold <= parties:
         raise SecretSharingError("need 1 <= threshold <= parties")
-    if parties >= prime:
-        raise SecretSharingError("too many parties for the field size")
-    encoded = encode_signed(secret, prime)
-    coefficients = [encoded] + [
-        _random_field_element(rng, prime) for _ in range(threshold - 1)
+    coefficients = [encode_signed(secret)] + [
+        _random_field_element(rng) for _ in range(threshold - 1)
     ]
 
     def evaluate(x: int) -> int:
         result = 0
         for coefficient in reversed(coefficients):  # Horner's rule
-            result = (result * x + coefficient) % prime
+            result = (result * x + coefficient) % DEFAULT_PRIME
         return result
 
     return [ShamirShare(x=x, y=evaluate(x)) for x in range(1, parties + 1)]
 
 
-def shamir_reconstruct(shares: list[ShamirShare],
-                       prime: int = DEFAULT_PRIME) -> int:
+def shamir_reconstruct(shares: list[ShamirShare]) -> int:
     """Lagrange-interpolate the polynomial at 0 to recover the secret.
 
     Callers must supply at least ``threshold`` *distinct* shares; fewer (or
@@ -131,6 +128,7 @@ def shamir_reconstruct(shares: list[ShamirShare],
     xs = [share.x for share in shares]
     if len(set(xs)) != len(xs):
         raise SecretSharingError("duplicate share x-coordinates")
+    prime = DEFAULT_PRIME
     secret = 0
     for i, share_i in enumerate(shares):
         numerator = 1
@@ -142,37 +140,32 @@ def shamir_reconstruct(shares: list[ShamirShare],
             denominator = denominator * (share_i.x - share_j.x) % prime
         lagrange = numerator * pow(denominator, -1, prime) % prime
         secret = (secret + share_i.y * lagrange) % prime
-    return decode_signed(secret, prime)
+    return decode_signed(secret)
 
 
 def shamir_share_bytes(secret: bytes, threshold: int, parties: int,
-                       rng: np.random.Generator,
-                       prime: int = DEFAULT_PRIME) -> list[list[ShamirShare]]:
+                       rng: np.random.Generator) -> list[list[ShamirShare]]:
     """Share an arbitrary byte string chunk-wise (for symmetric keys).
 
     The secret is split into chunks that fit the field, each shared
     independently; share ``k`` of every chunk goes to keeper ``k``.
     """
-    chunk_bytes = (prime.bit_length() - 2) // 8
-    if chunk_bytes < 1:
-        raise SecretSharingError("field too small to share bytes")
     chunks = [
-        secret[offset:offset + chunk_bytes]
-        for offset in range(0, len(secret), chunk_bytes)
+        secret[offset:offset + _CHUNK_BYTES]
+        for offset in range(0, len(secret), _CHUNK_BYTES)
     ] or [b""]
     per_keeper: list[list[ShamirShare]] = [[] for _ in range(parties)]
     for chunk in chunks:
         # Prefix a 0x01 byte so leading zeros in the chunk survive round-trip.
         value = int.from_bytes(b"\x01" + chunk, "big")
         for keeper_index, share in enumerate(
-            shamir_share(value, threshold, parties, rng, prime)
+            shamir_share(value, threshold, parties, rng)
         ):
             per_keeper[keeper_index].append(share)
     return per_keeper
 
 
-def shamir_reconstruct_bytes(keeper_shares: list[list[ShamirShare]],
-                             prime: int = DEFAULT_PRIME) -> bytes:
+def shamir_reconstruct_bytes(keeper_shares: list[list[ShamirShare]]) -> bytes:
     """Inverse of :func:`shamir_share_bytes` given >= threshold keepers."""
     if not keeper_shares:
         raise SecretSharingError("cannot reconstruct from zero keepers")
@@ -182,7 +175,7 @@ def shamir_reconstruct_bytes(keeper_shares: list[list[ShamirShare]],
     pieces = []
     for chunk_index in range(chunk_count):
         chunk_shares = [shares[chunk_index] for shares in keeper_shares]
-        value = shamir_reconstruct(chunk_shares, prime)
+        value = shamir_reconstruct(chunk_shares)
         if value < 0:
             raise SecretSharingError("corrupted byte-share reconstruction")
         raw = value.to_bytes((value.bit_length() + 7) // 8, "big")

@@ -65,26 +65,24 @@ class TripleDealer:
     the standard offline/online split that makes the online phase fast.
     """
 
-    def __init__(self, parties: int, rng: np.random.Generator,
-                 prime: int = DEFAULT_PRIME):
+    def __init__(self, parties: int, rng: np.random.Generator):
         if parties < 2:
             raise SecretSharingError("SMC needs at least 2 parties")
         self._parties = parties
         self._rng = rng
-        self._prime = prime
         self.triples_issued = 0
 
     def next_triple(self) -> BeaverTriple:
         """Deal one fresh triple (never reused, or privacy breaks)."""
-        prime = self._prime
+        prime = DEFAULT_PRIME
         a = int(self._rng.integers(0, 2**62)) % prime
         b = int(self._rng.integers(0, 2**62)) % prime
         c = a * b % prime
         self.triples_issued += 1
         return BeaverTriple(
-            a_shares=tuple(additive_share(a, self._parties, self._rng, prime)),
-            b_shares=tuple(additive_share(b, self._parties, self._rng, prime)),
-            c_shares=tuple(additive_share(c, self._parties, self._rng, prime)),
+            a_shares=tuple(additive_share(a, self._parties, self._rng)),
+            b_shares=tuple(additive_share(b, self._parties, self._rng)),
+            c_shares=tuple(additive_share(c, self._parties, self._rng)),
         )
 
 
@@ -114,27 +112,23 @@ class SMCEngine:
     communication log.
     """
 
-    def __init__(self, parties: int, rng: np.random.Generator,
-                 prime: int = DEFAULT_PRIME, fractional_bits: int = 16):
+    #: Fixed-point scale ``2^f`` of a shared float.
+    scale = 1 << 16
+
+    def __init__(self, parties: int, rng: np.random.Generator):
         if parties < 2:
             raise SecretSharingError("SMC needs at least 2 parties")
         self.parties = parties
-        self.prime = prime
-        self.fractional_bits = fractional_bits
         self._rng = rng
-        self.dealer = TripleDealer(parties, rng, prime)
+        self.dealer = TripleDealer(parties, rng)
         self.log = CommunicationLog()
 
     # -- input / output -----------------------------------------------------
 
-    @property
-    def scale(self) -> int:
-        return 1 << self.fractional_bits
-
     def share_scalar(self, value: float) -> SharedValue:
         """Fixed-point encode a float and split it into additive shares."""
         shares = additive_share(
-            round(value * self.scale), self.parties, self._rng, self.prime
+            round(value * self.scale), self.parties, self._rng
         )
         return SharedValue(shares=tuple(shares), scale_factors=1)
 
@@ -146,7 +140,7 @@ class SMCEngine:
         """Open a shared value to all parties (one broadcast round)."""
         self._check_parties(value)
         self.log.record_broadcast(self.parties, elements_per_party=1)
-        total = decode_signed(sum(value.shares) % self.prime, self.prime)
+        total = decode_signed(sum(value.shares))
         return total / (self.scale ** value.scale_factors)
 
     # -- arithmetic ---------------------------------------------------------
@@ -162,7 +156,7 @@ class SMCEngine:
         if left.scale_factors != right.scale_factors:
             raise SecretSharingError("cannot add values at different scales")
         shares = tuple(
-            (a + b) % self.prime for a, b in zip(left.shares, right.shares)
+            (a + b) % DEFAULT_PRIME for a, b in zip(left.shares, right.shares)
         )
         return SharedValue(shares=shares, scale_factors=left.scale_factors)
 
@@ -170,10 +164,10 @@ class SMCEngine:
         """Add a public constant (party 0 adjusts its share; local)."""
         self._check_parties(value)
         encoded = encode_signed(
-            round(plain * self.scale ** value.scale_factors), self.prime
+            round(plain * self.scale ** value.scale_factors)
         )
         shares = list(value.shares)
-        shares[0] = (shares[0] + encoded) % self.prime
+        shares[0] = (shares[0] + encoded) % DEFAULT_PRIME
         return SharedValue(shares=tuple(shares), scale_factors=value.scale_factors)
 
     def mul_plain(self, value: SharedValue, plain: float) -> SharedValue:
@@ -184,7 +178,7 @@ class SMCEngine:
         """
         self._check_parties(value)
         encoded = round(plain * self.scale)
-        shares = tuple(share * encoded % self.prime for share in value.shares)
+        shares = tuple(share * encoded % DEFAULT_PRIME for share in value.shares)
         return SharedValue(shares=shares, scale_factors=value.scale_factors + 1)
 
     def mul(self, left: SharedValue, right: SharedValue) -> SharedValue:
@@ -195,7 +189,7 @@ class SMCEngine:
         """
         self._check_parties(left)
         self._check_parties(right)
-        prime = self.prime
+        prime = DEFAULT_PRIME
         triple = self.dealer.next_triple()
         d_shares = [
             (x - a) % prime for x, a in zip(left.shares, triple.a_shares)
@@ -230,7 +224,7 @@ class SMCEngine:
         """
         if len(left) != len(right) or not left:
             raise SecretSharingError("dot product needs equal, non-empty vectors")
-        prime = self.prime
+        prime = DEFAULT_PRIME
         openings: list[tuple[BeaverTriple, int, int]] = []
         for x, y in zip(left, right):
             self._check_parties(x)

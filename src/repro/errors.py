@@ -230,16 +230,6 @@ class WorkloadSpecError(MarketplaceError):
 
 
 # ---------------------------------------------------------------------------
-# Workload lifecycle engine
-# ---------------------------------------------------------------------------
-
-
-class CheckpointError(MarketplaceError):
-    """A session checkpoint cannot be produced: the session is terminal,
-    or its injector has no ``state_dict()`` to put in the record."""
-
-
-# ---------------------------------------------------------------------------
 # Batch control plane
 # ---------------------------------------------------------------------------
 
@@ -257,11 +247,17 @@ class BatchError(ControlPlaneError):
     unknown job, exhausted retry budget, operator kill)."""
 
 
+# ---------------------------------------------------------------------------
+# Workload lifecycle engine
+# ---------------------------------------------------------------------------
+
+
 class LifecycleError(MarketplaceError):
     """A workload lifecycle phase failed.
 
-    Carries a ``snapshot`` of the session at the moment of failure (session
-    id, phase, workload address, participants, gas so far), so callers and
+    Carries a ``snapshot`` — the session's ``record()`` at the moment of
+    failure (session id, phase, workload address, participants, gas so far,
+    phase bookkeeping) — so callers and
     the adversary harness can inspect exactly where a run died without
     parsing the message.  One subclass exists per lifecycle phase.
     """
@@ -338,13 +334,8 @@ class SessionPaused(PDS2Error):
     Deliberately *not* a :class:`LifecycleError`: pausing is not a phase
     failure, so it must never trigger the recovery policy or escrow
     release.  The session object stays live — ``WorkloadSession.run()``
-    again continues it at ``next_phase``.
+    again continues it at its ``next_phase``.
     """
-
-    def __init__(self, message: str, *, phase: str = "", next_phase: str = ""):
-        super().__init__(message)
-        self.phase = phase
-        self.next_phase = next_phase
 
 
 class InjectedFaultError(LifecycleError):

@@ -110,7 +110,6 @@ class AuthenticityVerifier:
 
     def verify_batch(self, items: list[tuple[SignedReading,
                                              DeviceCertificate]],
-                     now: float | None = None
                      ) -> tuple[list[SignedReading], list[str]]:
         """Verify many readings; returns (accepted, rejection reasons).
 
@@ -128,7 +127,7 @@ class AuthenticityVerifier:
         reasons: list[str] = []
         for reading, certificate in items:
             try:
-                self.verify(reading, certificate, now=now)
+                self.verify(reading, certificate)
                 accepted.append(reading)
             except AuthenticityError as exc:
                 reasons.append(str(exc))
@@ -159,9 +158,9 @@ def forge_reading(template: SignedReading,
     )
 
 
-def tamper_reading(reading: SignedReading, delta: float = 5.0) -> SignedReading:
+def tamper_reading(reading: SignedReading) -> SignedReading:
     """A tamper: inflate the values but keep the original signature."""
-    inflated = {key: value + delta for key, value in reading.values.items()}
+    inflated = {key: value + 5.0 for key, value in reading.values.items()}
     return SignedReading(
         serial=reading.serial,
         sequence=reading.sequence,

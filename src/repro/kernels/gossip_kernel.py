@@ -63,6 +63,7 @@ from repro.ml.merge import MergeStrategy
 from repro.ml.models import Model
 from repro.net.churn import ChurnModel
 from repro.net.simulator import (
+    MEAN_LATENCY_S,
     _MSG_DELIVERED,
     _MSG_DROPPED,
     _MSG_SENT,
@@ -93,8 +94,7 @@ class GossipKernelTrainer:
 
     def __init__(self, models: list[Model], partitions: list[Dataset],
                  test_set: Dataset, config: GossipConfig, seed: int,
-                 churn: Optional[ChurnModel], mean_latency_s: float,
-                 uplinks: list[float]):
+                 churn: Optional[ChurnModel], uplinks: list[float]):
         if config.compression.kind is CompressionKind.SUBSAMPLE:
             raise MLError(
                 "the kernel engine does not support subsample compression "
@@ -146,8 +146,7 @@ class GossipKernelTrainer:
             num_nodes, min(config.overlay_degree, num_nodes - 1), topo_rng
         )
         peer_map = neighbors_map(overlay, self._address_of)
-        latency_map = edge_latencies(overlay, topo_rng,
-                                     mean_latency_s=mean_latency_s)
+        latency_map = edge_latencies(overlay, topo_rng)
         both_ways = {}
         for (left, right), value in latency_map.items():
             both_ways[(left, right)] = value
@@ -158,7 +157,7 @@ class GossipKernelTrainer:
         )
         max_degree = int(self.degrees.max())
         self.adjacency = np.zeros((num_nodes, max_degree), dtype=np.int64)
-        self.latency = np.full((num_nodes, max_degree), mean_latency_s)
+        self.latency = np.full((num_nodes, max_degree), MEAN_LATENCY_S)
         for index in range(num_nodes):
             peers = [int(addr.rsplit("-", 1)[1])
                      for addr in peer_map[self._address_of(index)]]
@@ -220,10 +219,9 @@ class GossipKernelTrainer:
 
     # -- evaluation -------------------------------------------------------------
 
-    def mean_score(self, sample_nodes: int = 16) -> float:
+    def mean_score(self) -> float:
         """Seeded-sample mean accuracy; same draw as the object engine."""
-        indices = sample_eval_indices(self.seed, self.num_nodes,
-                                      sample_nodes)
+        indices = sample_eval_indices(self.seed, self.num_nodes)
         return float(np.mean(self.family.scores(
             self.params[indices], self._test_X, self._test_y
         )))

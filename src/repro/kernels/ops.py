@@ -263,13 +263,17 @@ def wake_schedule(first: float, interval: float,
     return times[times <= duration]
 
 
-def sample_eval_indices(seed: int, num_nodes: int,
-                        sample_nodes: int) -> np.ndarray:
-    """Seeded, sorted node sample for accuracy checkpoints.
+#: Nodes an accuracy checkpoint scores (all of them in a smaller network).
+EVAL_SAMPLE_NODES = 16
+
+
+def sample_eval_indices(seed: int, num_nodes: int) -> np.ndarray:
+    """Seeded, sorted sample of :data:`EVAL_SAMPLE_NODES` nodes for
+    accuracy checkpoints.
 
     Derived from the experiment seed under its own label so evaluation
     sampling neither consumes nor perturbs any protocol stream.
     """
-    take = min(sample_nodes, num_nodes)
+    take = min(EVAL_SAMPLE_NODES, num_nodes)
     rng = derive_rng(seed, "gossip-eval")
     return np.sort(rng.choice(num_nodes, size=take, replace=False))

@@ -43,11 +43,6 @@ from repro.ml.gossip import (
     GossipResult,
     GossipTrainer,
 )
-from repro.ml.matrix_factorization import (
-    ItemFactorModel,
-    make_ratings_problem,
-    rmse_per_user,
-)
 from repro.ml.merge import (
     MergeStrategy,
     TrackedModel,
@@ -94,9 +89,6 @@ __all__ = [
     "GossipNodeTrainer",
     "GossipResult",
     "GossipTrainer",
-    "ItemFactorModel",
-    "make_ratings_problem",
-    "rmse_per_user",
     "MergeStrategy",
     "TrackedModel",
     "federated_average",

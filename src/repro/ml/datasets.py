@@ -67,8 +67,7 @@ def train_test_split(dataset: Dataset, test_fraction: float,
 
 def make_blobs_classification(samples: int, features: int, classes: int,
                               rng: np.random.Generator,
-                              separation: float = 2.0,
-                              name: str = "blobs") -> Dataset:
+                              separation: float = 2.0) -> Dataset:
     """Gaussian class clusters with controllable separation."""
     if classes < 2 or features < 1 or samples < classes:
         raise MLError("invalid blob generator sizes")
@@ -79,14 +78,13 @@ def make_blobs_classification(samples: int, features: int, classes: int,
         features=points,
         targets=labels.astype(int),
         feature_names=tuple(f"x{i}" for i in range(features)),
-        name=name,
+        name="blobs",
     )
 
 
 def make_binary_classification(samples: int, features: int,
                                rng: np.random.Generator,
-                               noise: float = 0.5,
-                               name: str = "binary") -> Dataset:
+                               noise: float = 0.5) -> Dataset:
     """A linearly separable-ish binary problem with label noise.
 
     Labels follow a logistic model over a random ground-truth hyperplane, so
@@ -100,14 +98,13 @@ def make_binary_classification(samples: int, features: int,
         features=points,
         targets=labels,
         feature_names=tuple(f"x{i}" for i in range(features)),
-        name=name,
+        name="binary",
     )
 
 
 def make_linear_regression(samples: int, features: int,
                            rng: np.random.Generator,
-                           noise: float = 0.1,
-                           name: str = "regression") -> Dataset:
+                           noise: float = 0.1) -> Dataset:
     """A noisy linear regression problem."""
     true_weights = rng.normal(0.0, 1.0, features)
     bias = float(rng.normal(0.0, 1.0))
@@ -117,7 +114,7 @@ def make_linear_regression(samples: int, features: int,
         features=points,
         targets=values,
         feature_names=tuple(f"x{i}" for i in range(features)),
-        name=name,
+        name="regression",
     )
 
 
@@ -139,9 +136,11 @@ _HAR_FEATURES = (
 )
 
 
-def make_iot_activity(samples: int, rng: np.random.Generator,
-                      noise: float = 0.15,
-                      name: str = "iot-har") -> Dataset:
+#: Sensor-noise scale of :func:`make_iot_activity`.
+HAR_NOISE = 0.15
+
+
+def make_iot_activity(samples: int, rng: np.random.Generator) -> Dataset:
     """Human-activity-recognition-style data from wearable sensors.
 
     Six summary features per window (accelerometer / gyroscope statistics
@@ -150,6 +149,7 @@ def make_iot_activity(samples: int, rng: np.random.Generator,
     """
     labels = rng.integers(0, len(HAR_ACTIVITIES), samples)
     base = _HAR_PROTOTYPES[labels]
+    noise = HAR_NOISE
     acc_mean = base[:, 0] + rng.normal(0, noise, samples)
     acc_var = np.abs(base[:, 1] + rng.normal(0, noise / 2, samples))
     gyro_mean = base[:, 2] + rng.normal(0, noise, samples)
@@ -164,12 +164,11 @@ def make_iot_activity(samples: int, rng: np.random.Generator,
         features=features,
         targets=labels.astype(int),
         feature_names=_HAR_FEATURES,
-        name=name,
+        name="iot-har",
     )
 
 
-def make_energy_consumption(samples: int, rng: np.random.Generator,
-                            name: str = "energy") -> Dataset:
+def make_energy_consumption(samples: int, rng: np.random.Generator) -> Dataset:
     """Household power-draw regression from weather/time features.
 
     Consumption = base + heating (cold) + cooling (hot) + occupancy cycles
@@ -197,7 +196,7 @@ def make_energy_consumption(samples: int, rng: np.random.Generator,
         targets=draw,
         feature_names=("temp", "hour_sin", "hour_cos", "weekend",
                        "household"),
-        name=name,
+        name="energy",
     )
 
 

@@ -28,6 +28,8 @@ from repro.net.simulator import Network, Simulator
 from repro.utils.rng import derive_rng
 
 SERVER_ADDRESS = "fed-server"
+#: The coordinator's uplink, 100 Mbit/s — ten times a client's default.
+SERVER_UPLOAD_BYTES_PER_S = 12_500_000.0
 
 
 @dataclass
@@ -191,24 +193,20 @@ class FederatedTrainer:
                  partitions: list[Dataset], test_set: Dataset,
                  config: Optional[FederatedConfig] = None, seed: int = 0,
                  churn: Optional[ChurnModel] = None,
-                 mean_latency_s: float = 0.05,
-                 client_upload_bytes_per_s: float = 1_250_000.0,
-                 server_upload_bytes_per_s: float = 12_500_000.0,
                  server_subject_to_churn: bool = False):
         if len(partitions) < 1:
             raise MLError("federated learning needs at least one client")
         self.config = config if config is not None else FederatedConfig()
         self.test_set = test_set
         self.simulator = Simulator()
-        self.network = Network(self.simulator,
-                               default_latency_s=mean_latency_s)
+        self.network = Network(self.simulator)
         self.server = FederatedServer(
             model=model_factory(), config=self.config,
             simulator=self.simulator, network=self.network,
             client_addresses=[], rng=derive_rng(seed, "fed-server"),
         )
         self.network.attach(SERVER_ADDRESS, self.server,
-                            upload_bytes_per_s=server_upload_bytes_per_s)
+                            upload_bytes_per_s=SERVER_UPLOAD_BYTES_PER_S)
         self.clients: list[FederatedClient] = []
         for index, part in enumerate(partitions):
             address = f"fed-client-{index}"
@@ -218,8 +216,7 @@ class FederatedTrainer:
                 rng=derive_rng(seed, f"fed-client-{index}"),
             )
             self.clients.append(client)
-            self.network.attach(address, client,
-                                upload_bytes_per_s=client_upload_bytes_per_s)
+            self.network.attach(address, client)
             self.server.client_addresses.append(address)
         if churn is not None:
             churned = [client.address for client in self.clients]

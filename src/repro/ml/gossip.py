@@ -18,7 +18,7 @@ picks one from its inputs — there is no engine option:
 * :class:`GossipNodeTrainer` — one :class:`GossipNode` per participant on
   the discrete-event :class:`~repro.net.simulator.Network` (this module) —
   runs everything else (SUBSAMPLE compression draws coordinates per
-  message; models such as ``ItemFactorModel`` have no stacked kernels),
+  message; every model but softmax regression has no stacked kernels),
   and is the reference ``tests/kernels`` compares the kernels against.
 
 Determinism discipline (shared by both engines, enforced by
@@ -280,7 +280,6 @@ def GossipTrainer(model_factory: Callable[[], Model],
                   partitions: list[Dataset], test_set: Dataset,
                   config: Optional[GossipConfig] = None, seed: int = 0,
                   churn: Optional[ChurnModel] = None,
-                  mean_latency_s: float = 0.05,
                   upload_bytes_per_s: "float | list[float]" = 1_250_000.0):
     """Build a full gossip-learning deployment — the one public constructor.
 
@@ -316,8 +315,7 @@ def GossipTrainer(model_factory: Callable[[], Model],
 
         engine = GossipKernelTrainer
     return engine(models, partitions, test_set, config, seed=seed,
-                  churn=churn, mean_latency_s=mean_latency_s,
-                  uplinks=uplinks)
+                  churn=churn, uplinks=uplinks)
 
 
 class GossipNodeTrainer:
@@ -332,14 +330,12 @@ class GossipNodeTrainer:
 
     def __init__(self, models: list[Model], partitions: list[Dataset],
                  test_set: Dataset, config: GossipConfig, seed: int,
-                 churn: Optional[ChurnModel], mean_latency_s: float,
-                 uplinks: list[float]):
+                 churn: Optional[ChurnModel], uplinks: list[float]):
         self.config = config
         self.test_set = test_set
         self.seed = seed
         self.simulator = Simulator()
-        self.network = Network(self.simulator,
-                               default_latency_s=mean_latency_s)
+        self.network = Network(self.simulator)
         topo_rng = derive_rng(seed, "gossip-topology")
         overlay = random_regular_overlay(
             len(partitions),
@@ -362,8 +358,7 @@ class GossipNodeTrainer:
         peer_map = neighbors_map(overlay, address_of)
         for index, node in enumerate(self.nodes):
             node.peers = peer_map[address_of(index)]
-        assign_latencies(self.network, overlay, address_of, topo_rng,
-                         mean_latency_s=mean_latency_s)
+        assign_latencies(self.network, overlay, address_of, topo_rng)
         if churn is not None:
             churn.install(self.simulator, self.network,
                           [node.address for node in self.nodes],
@@ -397,14 +392,13 @@ class GossipNodeTrainer:
             for i in indices
         ])
 
-    def mean_score(self, sample_nodes: int = 16) -> float:
-        """Mean test score over a seeded sample of ``sample_nodes`` nodes.
+    def mean_score(self) -> float:
+        """Mean test score over a seeded sample of nodes.
 
         Sampling is deterministic via ``derive_rng(seed, "gossip-eval")``,
         shared with the kernel engine so accuracy histories match.
         """
-        indices = sample_eval_indices(self.seed, len(self.nodes),
-                                      sample_nodes)
+        indices = sample_eval_indices(self.seed, len(self.nodes))
         return float(np.mean(self._node_scores(indices)))
 
     def final_params(self) -> np.ndarray:

@@ -294,6 +294,11 @@ class TrafficStats:
     bytes_delivered: int = 0
 
 
+#: Mean one-way link latency: what an unprofiled link costs, and the mean
+#: of the per-edge lognormal draws in :mod:`repro.net.topology`.
+MEAN_LATENCY_S = 0.05
+
+
 class Network:
     """Point-to-point message passing over a :class:`Simulator`.
 
@@ -303,10 +308,8 @@ class Network:
     centralized schemes under churn.
     """
 
-    def __init__(self, simulator: Simulator,
-                 default_latency_s: float = 0.05):
+    def __init__(self, simulator: Simulator):
         self.simulator = simulator
-        self.default_latency_s = default_latency_s
         self._nodes: dict[str, NodeState] = {}
         self._links: dict[tuple[str, str], LinkProfile] = {}
         self.stats = TrafficStats()
@@ -352,7 +355,7 @@ class Network:
 
     def link_latency(self, src: str, dst: str) -> float:
         profile = self._links.get((src, dst))
-        return profile.latency_s if profile else self.default_latency_s
+        return profile.latency_s if profile else MEAN_LATENCY_S
 
     # -- transport -------------------------------------------------------------------
 

@@ -12,7 +12,7 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.net.simulator import Network
+from repro.net.simulator import MEAN_LATENCY_S, Network
 
 
 def random_regular_overlay(num_nodes: int, degree: int,
@@ -51,39 +51,36 @@ def full_mesh(num_nodes: int) -> nx.Graph:
     return nx.complete_graph(num_nodes)
 
 
+#: Relative spread (lognormal sigma) of the per-edge latency draws.
+LATENCY_JITTER = 0.5
+
+
 def edge_latencies(graph: nx.Graph, rng: np.random.Generator,
-                   mean_latency_s: float = 0.05,
-                   jitter: float = 0.5) -> dict[tuple[int, int], float]:
+                   ) -> dict[tuple[int, int], float]:
     """Draw one symmetric latency per edge of ``graph``.
 
-    Latencies are lognormal around ``mean_latency_s`` with relative spread
-    ``jitter``.  Draw order follows ``graph.edges`` iteration, which is
+    Latencies are lognormal around :data:`MEAN_LATENCY_S` with relative
+    spread :data:`LATENCY_JITTER`.  Draw order follows ``graph.edges`` iteration, which is
     deterministic for a deterministically built graph — the object engine
     and the vectorized kernel engine both consume this exact stream, which
     is what keeps their simulations byte-identical.
     """
-    if jitter < 0:
-        raise SimulationError("jitter must be non-negative")
-    sigma = jitter
     return {
-        (u, v): float(mean_latency_s * rng.lognormal(mean=0.0, sigma=sigma))
+        (u, v): float(MEAN_LATENCY_S
+                      * rng.lognormal(mean=0.0, sigma=LATENCY_JITTER))
         for u, v in graph.edges
     }
 
 
 def assign_latencies(network: Network, graph: nx.Graph,
-                     address_of, rng: np.random.Generator,
-                     mean_latency_s: float = 0.05,
-                     jitter: float = 0.5) -> None:
+                     address_of, rng: np.random.Generator) -> None:
     """Draw a symmetric latency for every edge of ``graph``.
 
     The same value is set in both directions.  ``address_of`` maps graph
     node ids to network addresses.  Draws delegate to
     :func:`edge_latencies` so both gossip engines see identical links.
     """
-    for (u, v), latency in edge_latencies(
-        graph, rng, mean_latency_s=mean_latency_s, jitter=jitter
-    ).items():
+    for (u, v), latency in edge_latencies(graph, rng).items():
         network.set_link(address_of(u), address_of(v), latency)
         network.set_link(address_of(v), address_of(u), latency)
 

@@ -96,11 +96,8 @@ def advanced_composition_epsilon(per_step_epsilon: float, steps: int,
 class RDPAccountant:
     """Rényi-DP accountant for the subsampled Gaussian mechanism."""
 
-    def __init__(self, orders: tuple[float, ...] = DEFAULT_ORDERS):
-        if any(order <= 1.0 for order in orders):
-            raise PrivacyError("Rényi orders must exceed 1")
-        self.orders = orders
-        self._rdp = [0.0] * len(orders)
+    def __init__(self):
+        self._rdp = [0.0] * len(DEFAULT_ORDERS)
         self.steps_recorded = 0
 
     def step(self, noise_multiplier: float, sampling_rate: float,
@@ -118,7 +115,7 @@ class RDPAccountant:
             raise PrivacyError("steps must be >= 1")
         q = sampling_rate
         sigma = noise_multiplier
-        for index, alpha in enumerate(self.orders):
+        for index, alpha in enumerate(DEFAULT_ORDERS):
             if q == 1.0:
                 rdp = alpha / (2.0 * sigma**2)
             else:
@@ -132,6 +129,6 @@ class RDPAccountant:
             raise PrivacyError("delta must be in (0, 1)")
         candidates = [
             rdp + math.log(1.0 / delta) / (alpha - 1.0)
-            for alpha, rdp in zip(self.orders, self._rdp)
+            for alpha, rdp in zip(DEFAULT_ORDERS, self._rdp)
         ]
         return min(candidates)

@@ -51,6 +51,12 @@ class DPSGDResult:
     mean_clip_fraction: float  # fraction of per-example grads that hit the clip
 
 
+#: The delta of every (epsilon, delta) bill this module reports.
+DELTA = 1e-5
+#: Noise multipliers :func:`noise_multiplier_for_epsilon` searches between.
+NOISE_SEARCH_RANGE = (0.05, 64.0)
+
+
 def clip_gradients(per_example: np.ndarray, clip_norm: float) -> tuple[np.ndarray, float]:
     """Scale each row to L2 norm <= clip_norm; returns (clipped, hit rate)."""
     norms = np.linalg.norm(per_example, axis=1, keepdims=True)
@@ -61,8 +67,7 @@ def clip_gradients(per_example: np.ndarray, clip_norm: float) -> tuple[np.ndarra
 
 
 def train_dpsgd(model: Model, features: np.ndarray, targets: np.ndarray,
-                config: DPSGDConfig, rng: np.random.Generator,
-                delta: float = 1e-5) -> DPSGDResult:
+                config: DPSGDConfig, rng: np.random.Generator) -> DPSGDResult:
     """Train ``model`` in place with DP-SGD and return the (eps, delta) bill.
 
     Per-example gradients are obtained by calling the model's ``gradient``
@@ -98,26 +103,24 @@ def train_dpsgd(model: Model, features: np.ndarray, targets: np.ndarray,
         if config.noise_multiplier > 0:
             accountant.step(config.noise_multiplier, sampling_rate)
     if config.noise_multiplier > 0:
-        epsilon = accountant.get_epsilon(delta)
+        epsilon = accountant.get_epsilon(DELTA)
     else:
         epsilon = float("inf")
     return DPSGDResult(
         epsilon=epsilon,
-        delta=delta,
+        delta=DELTA,
         steps=config.steps,
         mean_clip_fraction=float(np.mean(clip_hits)),
     )
 
 
 def noise_multiplier_for_epsilon(target_epsilon: float, sampling_rate: float,
-                                 steps: int, delta: float = 1e-5,
-                                 lower: float = 0.05,
-                                 upper: float = 64.0) -> float:
+                                 steps: int) -> float:
     """Binary-search the noise multiplier hitting ``target_epsilon``.
 
     The epsilon reported by the RDP accountant is monotone decreasing in the
     noise multiplier, so bisection converges; raises when the target is
-    unreachable inside [lower, upper].
+    unreachable inside :data:`NOISE_SEARCH_RANGE`.
     """
     if target_epsilon <= 0:
         raise PrivacyError("target epsilon must be positive")
@@ -125,8 +128,9 @@ def noise_multiplier_for_epsilon(target_epsilon: float, sampling_rate: float,
     def epsilon_of(noise: float) -> float:
         accountant = RDPAccountant()
         accountant.step(noise, sampling_rate, steps=steps)
-        return accountant.get_epsilon(delta)
+        return accountant.get_epsilon(DELTA)
 
+    lower, upper = NOISE_SEARCH_RANGE
     if epsilon_of(upper) > target_epsilon:
         raise PrivacyError("target epsilon unreachable even at maximum noise")
     if epsilon_of(lower) < target_epsilon:

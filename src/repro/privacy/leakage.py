@@ -96,14 +96,17 @@ def _dp_discount(epsilon: float | None) -> float:
     return epsilon / (epsilon + 2.0)
 
 
-def assess_workload(profile: WorkloadRiskProfile,
-                    require_dp_threshold: float = 0.5,
-                    reject_threshold: float = 0.85) -> RiskAssessment:
+#: Risk scores at which a workload must add DP noise / is refused.
+REQUIRE_DP_THRESHOLD = 0.5
+REJECT_THRESHOLD = 0.85
+
+
+def assess_workload(profile: WorkloadRiskProfile) -> RiskAssessment:
     """Score a workload and recommend a mitigation level.
 
     The raw risk is the weighted mean of the three exposure factors, scaled
     by the DP discount.  Thresholds map the final score onto the mitigation
-    ladder; defaults make an un-noised full-model release from a small crowd
+    ladder; they make an un-noised full-model release from a small crowd
     land in ``REQUIRE_DP`` and a single-provider memorizing model in
     ``REJECT``.
     """
@@ -114,11 +117,11 @@ def assess_workload(profile: WorkloadRiskProfile,
     raw = 0.4 * capacity + 0.35 * output + 0.25 * concentration
     discount = _dp_discount(profile.dp_epsilon)
     score = raw * discount
-    if score >= reject_threshold:
+    if score >= REJECT_THRESHOLD:
         mitigation = MitigationLevel.REJECT
-    elif score >= require_dp_threshold:
+    elif score >= REQUIRE_DP_THRESHOLD:
         mitigation = MitigationLevel.REQUIRE_DP
-    elif score >= require_dp_threshold / 2:
+    elif score >= REQUIRE_DP_THRESHOLD / 2:
         mitigation = MitigationLevel.CLIP_OUTPUTS
     else:
         mitigation = MitigationLevel.NONE

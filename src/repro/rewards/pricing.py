@@ -33,10 +33,9 @@ class PriceTier:
 class ModelPricingScheme:
     """Prices a trained model by Gaussian-noise degradation.
 
-    ``noise_std(price) = base_noise_std * (min_price / price) ** decay``:
-    the buyer paying ``min_price`` gets the noisiest version; noise decays
-    polynomially toward zero as price grows to ``max_price`` (where the
-    exact model is sold).
+    ``noise_std(price) = base_noise_std * min_price / price``: the buyer
+    paying ``min_price`` gets the noisiest version; noise decays toward
+    zero as price grows to ``max_price`` (where the exact model is sold).
     """
 
     model: Model
@@ -44,12 +43,11 @@ class ModelPricingScheme:
     min_price: float = 1.0
     max_price: float = 100.0
     base_noise_std: float = 1.0
-    decay: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.min_price < self.max_price:
             raise RewardError("need 0 < min_price < max_price")
-        if self.base_noise_std < 0 or self.decay <= 0:
+        if self.base_noise_std < 0:
             raise RewardError("invalid noise parameters")
 
     def noise_std_for_price(self, price: float) -> float:
@@ -60,7 +58,7 @@ class ModelPricingScheme:
             )
         if price >= self.max_price:
             return 0.0
-        return self.base_noise_std * (self.min_price / price) ** self.decay
+        return self.base_noise_std * self.min_price / price
 
     def model_for_budget(self, budget: float,
                          rng: np.random.Generator) -> Model:

@@ -223,17 +223,14 @@ class DataValuationTask:
         return self._cache[key]
 
 
-def normalize_to_payouts(shapley_values: np.ndarray,
-                         clip_negative: bool = True) -> np.ndarray:
+def normalize_to_payouts(shapley_values: np.ndarray) -> np.ndarray:
     """Convert raw Shapley values into non-negative payout fractions.
 
-    Negative values (data that *hurt* the model) are clipped to zero by
-    default — a provider cannot owe money — then the vector is normalized
-    to sum to 1.  An all-nonpositive vector yields equal shares.
+    Negative values (data that *hurt* the model) are clipped to zero — a
+    provider cannot owe money — then the vector is normalized to sum to 1.
+    An all-nonpositive vector yields equal shares.
     """
-    values = np.asarray(shapley_values, dtype=float)
-    if clip_negative:
-        values = np.maximum(values, 0.0)
+    values = np.maximum(np.asarray(shapley_values, dtype=float), 0.0)
     total = values.sum()
     if total <= 0:
         return np.full(len(values), 1.0 / len(values))

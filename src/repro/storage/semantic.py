@@ -300,24 +300,27 @@ def concept_leakage_bits(ontology: Ontology, concept: str) -> float:
     return math.log2(total_leaves / covered)
 
 
-def property_leakage_bits(properties: dict[str, Any],
-                          bits_per_property: float = 4.0) -> float:
+#: Flat leakage charge per disclosed scalar property: a 16-bucket
+#: quantization.
+BITS_PER_PROPERTY = 4.0
+
+
+def property_leakage_bits(properties: dict[str, Any]) -> float:
     """Crude leakage charge for disclosed properties.
 
-    Each scalar property is charged a flat number of bits (default 4,
-    i.e. a 16-bucket quantization) — enough resolution for the monotone
-    trade-off experiment E10 needs without modeling full distributions.
+    Each scalar property is charged :data:`BITS_PER_PROPERTY` — enough
+    resolution for the monotone trade-off experiment E10 needs without
+    modeling full distributions.
     """
-    return bits_per_property * len(properties)
+    return BITS_PER_PROPERTY * len(properties)
 
 
 def annotation_leakage_bits(ontology: Ontology,
-                            annotation: SemanticAnnotation,
-                            bits_per_property: float = 4.0) -> float:
+                            annotation: SemanticAnnotation) -> float:
     """Total metadata leakage of one annotation (concept + properties)."""
     return (
         concept_leakage_bits(ontology, annotation.concept)
-        + property_leakage_bits(annotation.properties, bits_per_property)
+        + property_leakage_bits(annotation.properties)
     )
 
 

@@ -162,7 +162,7 @@ class CostModel:
 
 
 def mlp_profile(batch: int, features: int, hidden: list[int],
-                outputs: int, transitions: int = 2) -> WorkloadProfile:
+                outputs: int) -> WorkloadProfile:
     """Build a :class:`WorkloadProfile` for an MLP forward pass.
 
     MACs are the sum of layer matrix products; interactive depth counts one
@@ -177,5 +177,4 @@ def mlp_profile(batch: int, features: int, hidden: list[int],
         macs=macs,
         data_bytes=data_bytes,
         interactive_depth=len(widths) - 1,
-        transitions=transitions,
     )

@@ -39,11 +39,10 @@ class TouchCounter:
     element_touches: int = 0
     compare_exchanges: int = 0
 
-    def merged(self, other: "TouchCounter") -> "TouchCounter":
-        return TouchCounter(
-            element_touches=self.element_touches + other.element_touches,
-            compare_exchanges=self.compare_exchanges + other.compare_exchanges,
-        )
+
+#: Process-wide tally the ``oblivious_*`` functions count into; the
+#: obliviousness tests read its deltas.
+TOUCHES = TouchCounter()
 
 
 def oblivious_select(condition: bool, if_true: float, if_false: float) -> float:
@@ -57,8 +56,7 @@ def oblivious_select(condition: bool, if_true: float, if_false: float) -> float:
 
 
 @profiled_function("tee.oblivious_access")
-def oblivious_access(array: np.ndarray, index: int,
-                     counter: TouchCounter | None = None) -> float:
+def oblivious_access(array: np.ndarray, index: int) -> float:
     """Read ``array[index]`` while touching *every* element.
 
     A linear scan with arithmetic selection, the standard O(n) oblivious RAM
@@ -67,32 +65,29 @@ def oblivious_access(array: np.ndarray, index: int,
     if not 0 <= index < len(array):
         raise TEEError("oblivious access index out of range")
     _OBLIVIOUS_OPS.labels(op="access").inc()
-    counter = counter if counter is not None else TouchCounter()
     result = 0.0
     for position in range(len(array)):
-        counter.element_touches += 1
+        TOUCHES.element_touches += 1
         match = 1.0 if position == index else 0.0
         result += match * float(array[position])
     return result
 
 
 @profiled_function("tee.oblivious_write")
-def oblivious_write(array: np.ndarray, index: int, value: float,
-                    counter: TouchCounter | None = None) -> None:
+def oblivious_write(array: np.ndarray, index: int, value: float) -> None:
     """Write ``array[index] = value`` touching every element."""
     if not 0 <= index < len(array):
         raise TEEError("oblivious write index out of range")
     _OBLIVIOUS_OPS.labels(op="write").inc()
-    counter = counter if counter is not None else TouchCounter()
     for position in range(len(array)):
-        counter.element_touches += 1
+        TOUCHES.element_touches += 1
         match = 1.0 if position == index else 0.0
         array[position] = match * value + (1.0 - match) * array[position]
 
 
-def _compare_exchange(array: np.ndarray, low: int, high: int, ascending: bool,
-                      counter: TouchCounter) -> None:
-    counter.compare_exchanges += 1
+def _compare_exchange(array: np.ndarray, low: int, high: int,
+                      ascending: bool) -> None:
+    TOUCHES.compare_exchanges += 1
     a, b = float(array[low]), float(array[high])
     swap = (a > b) == ascending
     array[low] = oblivious_select(swap, b, a)
@@ -107,8 +102,7 @@ def _next_power_of_two(n: int) -> int:
 
 
 @profiled_function("tee.oblivious_sort")
-def oblivious_sort(values: np.ndarray,
-                   counter: TouchCounter | None = None) -> np.ndarray:
+def oblivious_sort(values: np.ndarray) -> np.ndarray:
     """Bitonic-network sort: the compare-exchange sequence depends only on n.
 
     Pads to a power of two with max-float sentinels (inf would turn the
@@ -116,8 +110,7 @@ def oblivious_sort(values: np.ndarray,
     and strips the padding.  Returns a new ascending array.
     """
     _OBLIVIOUS_OPS.labels(op="sort").inc()
-    counter = counter if counter is not None else TouchCounter()
-    exchanges_before = counter.compare_exchanges
+    exchanges_before = TOUCHES.compare_exchanges
     n = len(values)
     if n <= 1:
         return np.array(values, dtype=float)
@@ -133,10 +126,10 @@ def oblivious_sort(values: np.ndarray,
                 partner = i ^ j
                 if partner > i:
                     ascending = (i & k) == 0
-                    _compare_exchange(padded, i, partner, ascending, counter)
+                    _compare_exchange(padded, i, partner, ascending)
             j //= 2
         k *= 2
-    _SORT_EXCHANGES.inc(counter.compare_exchanges - exchanges_before)
+    _SORT_EXCHANGES.inc(TOUCHES.compare_exchanges - exchanges_before)
     return padded[:n]
 
 

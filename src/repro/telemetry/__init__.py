@@ -38,16 +38,13 @@ from repro.telemetry.distributed import (
     derive_trace_id,
     read_span_records,
     render_critical_path,
-    span_from_record,
     to_chrome_trace,
     validate_chrome_trace,
 )
 from repro.telemetry.exporters import (
-    parse_prometheus,
     profile_snapshot,
     profile_to_collapsed,
     registry_from_events,
-    registry_samples,
     render_profile_tree,
     render_span_tree,
     snapshot,
@@ -127,20 +124,17 @@ __all__ = [
     "derive_trace_id",
     "gauge",
     "histogram",
-    "parse_prometheus",
     "profile_snapshot",
     "profile_to_collapsed",
     "profiled",
     "profiled_function",
     "read_span_records",
     "registry_from_events",
-    "registry_samples",
     "render_critical_path",
     "render_profile_tree",
     "render_span_tree",
     "reset",
     "snapshot",
-    "span_from_record",
     "spans_from_events",
     "to_chrome_trace",
     "to_prometheus",

@@ -130,6 +130,21 @@ def batch_trace_context(spec_digests: Iterable[str]) -> TraceContext:
 # ---------------------------------------------------------------------------
 
 
+def span_record(span: Span, trace_id: str, span_id: str, parent_id: str,
+                job_id: str = "", attempt: int = 0) -> dict:
+    """The sidecar record of one finished span under its derived ids."""
+    return {
+        **span.to_dict(),
+        "type": SPAN_RECORD,
+        "trace_id": trace_id,
+        "span_id": span_id,
+        "parent_id": parent_id,
+        "job_id": job_id,
+        "attempt": attempt,
+        "attributes": _jsonable(span.attributes),
+    }
+
+
 class JobSpanExporter:
     """Export one job attempt's finished spans with derived, stable ids.
 
@@ -154,31 +169,14 @@ class JobSpanExporter:
         return derive_span_id(self.trace.trace_id, self.spec_digest,
                               str(self.attempt), local_id)
 
-    def record_of(self, span: Span) -> dict:
-        parent = (self._derived(span.parent_id) if span.parent_id
-                  else self.trace.span_id)
-        data = span.to_dict()
-        return {
-            "type": SPAN_RECORD,
-            "trace_id": self.trace.trace_id,
-            "span_id": self._derived(span.span_id),
-            "parent_id": parent,
-            "job_id": self.job_id,
-            "attempt": self.attempt,
-            "name": span.name,
-            "start_sim": data["start_sim"],
-            "end_sim": data["end_sim"],
-            "sim_duration": data["sim_duration"],
-            "wall_ms": data["wall_ms"],
-            "status": data["status"],
-            "error": data["error"],
-            "attributes": _jsonable(data["attributes"]),
-        }
-
     def __call__(self, span: Span) -> None:
         self.exported += 1
         if self.sink is not None:
-            self.sink(self.record_of(span))
+            parent = (self._derived(span.parent_id) if span.parent_id
+                      else self.trace.span_id)
+            self.sink(span_record(
+                span, self.trace.trace_id, self._derived(span.span_id),
+                parent, job_id=self.job_id, attempt=self.attempt))
 
 
 class CoordinatorSpanExporter:
@@ -207,25 +205,8 @@ class CoordinatorSpanExporter:
                                      f"{self._seq:06d}")
             parent = self._ids.get(span.parent_id, self.trace.span_id)
         self._ids[span.span_id] = span_id
-        if self.sink is None:
-            return
-        data = span.to_dict()
-        self.sink({
-            "type": SPAN_RECORD,
-            "trace_id": self.trace.trace_id,
-            "span_id": span_id,
-            "parent_id": parent,
-            "job_id": "",
-            "attempt": 0,
-            "name": span.name,
-            "start_sim": data["start_sim"],
-            "end_sim": data["end_sim"],
-            "sim_duration": data["sim_duration"],
-            "wall_ms": data["wall_ms"],
-            "status": data["status"],
-            "error": data["error"],
-            "attributes": _jsonable(data["attributes"]),
-        })
+        if self.sink is not None:
+            self.sink(span_record(span, self.trace.trace_id, span_id, parent))
 
 
 def _jsonable(value: Any) -> Any:
@@ -250,29 +231,6 @@ def read_span_records(path: str) -> list[dict]:
     SIGKILLed writer is dropped; corruption anywhere else raises.
     """
     return read_jsonl(path, TelemetryError)
-
-
-def span_from_record(record: Mapping) -> Span:
-    """View one sidecar record as a :class:`Span` (for the tree renderer)."""
-    wall_ms = float(record.get("wall_ms", 0.0))
-    start_sim = float(record.get("start_sim", 0.0))
-    end_sim = record.get("end_sim")
-    attributes = dict(record.get("attributes", {}))
-    for key in ("trace_id", "job_id", "attempt"):
-        if record.get(key):
-            attributes.setdefault(key, record[key])
-    return Span(
-        name=record.get("name", "?"),
-        span_id=record.get("span_id", ""),
-        parent_id=record.get("parent_id", ""),
-        start_wall=0.0,
-        start_sim=start_sim,
-        attributes=attributes,
-        end_wall=wall_ms / 1000.0,
-        end_sim=float(end_sim) if end_sim is not None else start_sim,
-        status=record.get("status", "ok"),
-        error=record.get("error", ""),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ Three consumers, three formats:
 * :func:`render_span_tree` prints a flame-style nested tree of finished
   spans with both clocks — what ``python -m repro spans`` shows.
 
-:func:`parse_prometheus` exists so the exposition format is *tested* as a
-round-trip, not just eyeballed.
+The exposition format is tested as a round-trip against the parser in
+``tests/telemetry/exposition_oracle.py``, not just eyeballed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping
 
-from repro.errors import TelemetryError
 from repro.telemetry.metrics import (
     QUANTILE_POINTS,
     Counter,
@@ -75,7 +74,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
                     f"{_format_value(child.value)}"
                 )
                 # Exemplars ride as comment lines (OpenMetrics-flavored),
-                # which `parse_prometheus` skips — round-trips stay exact.
+                # which parsers skip — round-trips stay exact.
                 exemplar = getattr(child, "exemplar", None)
                 if exemplar:
                     lines.append(
@@ -108,75 +107,6 @@ def to_prometheus(registry: MetricsRegistry) -> str:
                             f"{_format_value(quantiles[key])}"
                         )
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_prometheus(text: str) -> dict[tuple[str, tuple[tuple[str, str],
-                                                         ...]], float]:
-    """Parse exposition text back into ``{(name, sorted labels): value}``.
-
-    Covers the subset :func:`to_prometheus` emits (which is the subset the
-    round-trip tests assert on); malformed lines raise
-    :class:`TelemetryError`.
-    """
-    samples: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "{" in line:
-            name, rest = line.split("{", 1)
-            label_part, _, value_part = rest.rpartition("} ")
-            if not _:
-                raise TelemetryError(f"malformed sample line: {raw!r}")
-            labels = {}
-            # Our emitter never puts commas/braces inside label values, so a
-            # simple split is a faithful inverse.
-            for pair in label_part.split(","):
-                key, _, quoted = pair.partition("=")
-                if not quoted.startswith('"') or not quoted.endswith('"'):
-                    raise TelemetryError(f"malformed label in: {raw!r}")
-                value = (quoted[1:-1].replace('\\"', '"')
-                         .replace("\\n", "\n").replace("\\\\", "\\"))
-                labels[key] = value
-        else:
-            parts = line.rsplit(None, 1)
-            if len(parts) != 2:
-                raise TelemetryError(f"malformed sample line: {raw!r}")
-            name, value_part = parts
-            labels = {}
-        value = math.inf if value_part == "+Inf" else float(value_part)
-        samples[(name.strip(), tuple(sorted(labels.items())))] = value
-    return samples
-
-
-def registry_samples(registry: MetricsRegistry) -> dict[
-        tuple[str, tuple[tuple[str, str], ...]], float]:
-    """Flatten a registry into the same shape :func:`parse_prometheus`
-    returns, for round-trip comparisons."""
-    flat: dict[tuple[str, tuple[tuple[str, str], ...]], float] = {}
-    for metric in registry.collect():
-        if isinstance(metric, (Counter, Gauge)):
-            for labels, child in metric.children():
-                flat[(metric.name, tuple(sorted(labels.items())))] = \
-                    child.value
-        elif isinstance(metric, Histogram):
-            for labels, child in metric.children():
-                cumulative = child.cumulative_counts()
-                edges = [*metric.buckets, math.inf]
-                for edge, count in zip(edges, cumulative):
-                    key = dict(labels)
-                    key["le"] = _format_value(edge)
-                    flat[(f"{metric.name}_bucket",
-                          tuple(sorted(key.items())))] = float(count)
-                base = tuple(sorted(labels.items()))
-                flat[(f"{metric.name}_sum", base)] = child.sum
-                flat[(f"{metric.name}_count", base)] = float(child.count)
-                if child.count:
-                    quantiles = child.quantiles()
-                    for _, qkey in QUANTILE_POINTS:
-                        flat[(f"{metric.name}_{qkey}", base)] = \
-                            quantiles[qkey]
-    return flat
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +193,16 @@ def profile_snapshot(profile) -> dict:
     return profile.to_dict()
 
 
-def render_profile_tree(profile, max_depth: int = 0,
-                        min_percent: float = 0.5) -> str:
+#: Branches below this share of all samples are folded out of the tree.
+FOLD_BELOW_PERCENT = 0.5
+
+
+def render_profile_tree(profile) -> str:
     """Render merged flame data as an indented tree, heaviest branch first.
 
     Each row shows the inclusive sample count and percentage for one stack
-    prefix; branches below ``min_percent`` of total samples are folded to
-    keep terminal output readable.  ``max_depth=0`` means unlimited.
+    prefix; branches below :data:`FOLD_BELOW_PERCENT` of total samples are
+    folded to keep terminal output readable.
     """
     total = profile.total_samples
     if not total:
@@ -295,13 +228,11 @@ def render_profile_tree(profile, max_depth: int = 0,
     lines = [f"profile: {total} samples, mode={profile.mode}, "
              f"{profile.attribution_ratio * 100.0:.1f}% span-attributed"]
 
-    def walk(node: dict, prefix: str, depth: int) -> None:
-        if max_depth and depth >= max_depth:
-            return
+    def walk(node: dict, prefix: str) -> None:
         kids = sorted(node.items(),
                       key=lambda item: (-counts[id(item[1])], item[0]))
         visible = [(frame, child) for frame, child in kids
-                   if counts[id(child)] * 100.0 / total >= min_percent]
+                   if counts[id(child)] * 100.0 / total >= FOLD_BELOW_PERCENT]
         folded = len(kids) - len(visible)
         for index, (frame, child) in enumerate(visible):
             last = index == len(visible) - 1 and not folded
@@ -311,12 +242,12 @@ def render_profile_tree(profile, max_depth: int = 0,
                 f"{prefix}{connector}{frame}  "
                 f"{inclusive} ({inclusive * 100.0 / total:.1f}%)"
             )
-            walk(child, prefix + ("   " if last else "│  "), depth + 1)
+            walk(child, prefix + ("   " if last else "│  "))
         if folded:
             lines.append(f"{prefix}└─ … {folded} branch(es) "
-                         f"< {min_percent}%")
+                         f"< {FOLD_BELOW_PERCENT}%")
 
-    walk(root, "", 0)
+    walk(root, "")
     return "\n".join(lines)
 
 

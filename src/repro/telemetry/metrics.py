@@ -85,8 +85,7 @@ class _Metric:
 
     metric_type = "untyped"
 
-    def __init__(self, name: str, help: str,
-                 labelnames: Sequence[str] = ()):
+    def __init__(self, name: str, help: str, labelnames: Sequence[str]):
         _validate_name(name)
         self.name = name
         self.help = help
@@ -311,9 +310,8 @@ class Histogram(_Metric):
 
     metric_type = "histogram"
 
-    def __init__(self, name: str, help: str,
-                 buckets: Sequence[float] = LATENCY_BUCKETS_S,
-                 labelnames: Sequence[str] = ()):
+    def __init__(self, name: str, help: str, buckets: Sequence[float],
+                 labelnames: Sequence[str]):
         edges = tuple(float(b) for b in buckets)
         if not edges or list(edges) != sorted(set(edges)):
             raise TelemetryError(

@@ -150,8 +150,7 @@ class Profiler:
     def __init__(self, mode: str = "wall", hz: float = DEFAULT_HZ,
                  call_interval: int = DEFAULT_CALL_INTERVAL,
                  sim_clock: Optional[Callable[[], float]] = None,
-                 trace: Optional[Tracer] = None,
-                 max_depth: int = MAX_STACK_DEPTH):
+                 trace: Optional[Tracer] = None):
         if mode not in MODES:
             raise TelemetryError(f"profiler mode {mode!r} not in {MODES}")
         if hz <= 0:
@@ -162,7 +161,6 @@ class Profiler:
         self.hz = float(hz)
         self.period = 1.0 / float(hz)
         self.call_interval = int(call_interval)
-        self.max_depth = int(max_depth)
         self._tracer = trace if trace is not None else default_tracer()
         self._sim_clock = sim_clock
         #: Open ``profiled(...)`` region names, innermost last.
@@ -235,7 +233,7 @@ class Profiler:
         cache = self._label_cache
         stack: list[str] = []
         current = frame
-        while current is not None and len(stack) < self.max_depth:
+        while current is not None and len(stack) < MAX_STACK_DEPTH:
             code = current.f_code
             if code.co_filename != _THIS_FILE:
                 label = cache.get(code)

@@ -22,7 +22,7 @@ import time
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Mapping, Optional
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -76,24 +76,29 @@ class Span:
         }
 
     @classmethod
-    def from_dict(cls, record: dict) -> "Span":
-        """Inverse of :meth:`to_dict` (trace replay)."""
+    def from_dict(cls, record: Mapping) -> "Span":
+        """View a :meth:`to_dict` record — the ``span.end`` payload, or a
+        sidecar record, whose ``trace_id`` / ``job_id`` / ``attempt``
+        become attributes — as a span (trace replay, the tree renderer)."""
         wall_ms = float(record.get("wall_ms", 0.0))
         start_sim = float(record.get("start_sim", 0.0))
         end_sim = record.get("end_sim")
-        span = cls(
-            name=record["name"],
-            span_id=record["span_id"],
+        attributes = dict(record.get("attributes", {}))
+        for key in ("trace_id", "job_id", "attempt"):
+            if record.get(key):
+                attributes.setdefault(key, record[key])
+        return cls(
+            name=record.get("name", "?"),
+            span_id=record.get("span_id", ""),
             parent_id=record.get("parent_id", ""),
             start_wall=0.0,
             start_sim=start_sim,
-            attributes=dict(record.get("attributes", {})),
+            attributes=attributes,
             end_wall=wall_ms / 1000.0,
             end_sim=float(end_sim) if end_sim is not None else start_sim,
             status=record.get("status", STATUS_OK),
             error=record.get("error", ""),
         )
-        return span
 
 
 class Tracer:
@@ -129,18 +134,18 @@ class Tracer:
     def depth(self) -> int:
         return len(self._stack)
 
-    def current_attribute(self, key: str, default: Any = None) -> Any:
+    def current_attribute(self, key: str) -> Any:
         """Innermost value of ``key`` on the open span stack (or context).
 
         Used to read ambient annotations a caller higher up the stack
         stamped on its span — e.g. the ``fault_kind`` the fault injector
         sets — without threading them through every signature.  Falls back
-        to the ambient :attr:`context` map, then ``default``.
+        to the ambient :attr:`context` map, then None.
         """
         for span in reversed(self._stack):
             if key in span.attributes:
                 return span.attributes[key]
-        return self.context.get(key, default)
+        return self.context.get(key)
 
     def add_exporter(self, exporter: Callable[[Span], None]) -> None:
         """Attach a secondary finish hook (idempotent)."""
@@ -206,10 +211,6 @@ class Tracer:
                 self.on_finish(span)
             for exporter in tuple(self.exporters):
                 exporter(span)
-
-    def spans_named(self, prefix: str) -> list[Span]:
-        """Finished spans whose name starts with ``prefix`` (test helper)."""
-        return [s for s in self.finished if s.name.startswith(prefix)]
 
     def reset(self) -> None:
         """Drop finished spans and any dangling stack (test isolation).

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
+from typing import IO, Any
 
 import numpy as np
 
@@ -137,13 +137,20 @@ def from_canonical_json(text: str | bytes) -> Any:
     return _decode(json.loads(text))
 
 
-def read_jsonl(path: str, corrupt: type[Exception] | None = None) -> list:
+def append_jsonl(handle: IO[str], record: dict) -> None:
+    """Write ``record`` as one sorted-key JSON line and flush it: once this
+    returns, a kill of the process loses nothing already appended."""
+    handle.write(json.dumps(record, sort_keys=True) + "\n")
+    handle.flush()
+
+
+def read_jsonl(path: str, corrupt: type[Exception]) -> list[dict]:
     """Records of an append-only JSONL file; ``[]`` when it does not exist.
 
     A half-written *final* line — the signature of a writer killed
-    mid-record — is dropped.  An undecodable line anywhere else means the
-    file was edited, not interrupted: it raises ``corrupt`` naming the line
-    (the ``json.JSONDecodeError`` itself when ``corrupt`` is None).
+    mid-record — is dropped.  An undecodable line anywhere else, or a line
+    that is not a JSON object, means the file was edited, not interrupted:
+    it raises ``corrupt`` naming the line.
     """
     if not os.path.exists(path):
         return []
@@ -155,13 +162,15 @@ def read_jsonl(path: str, corrupt: type[Exception] | None = None) -> list:
         if not line:
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError:
             if index == len(lines) - 1:
                 break
-            if corrupt is None:
-                raise
             raise corrupt(
                 f"corrupt JSONL line {index + 1} in {path}"
             ) from None
+        if not isinstance(record, dict):
+            raise corrupt(
+                f"JSONL line {index + 1} in {path} is not an object")
+        records.append(record)
     return records

@@ -234,6 +234,30 @@ class TestRunDirectory:
             assert main(["chain", command, root]) == 2
             assert "cannot read chain run" in capsys.readouterr().err
 
+    def test_truncated_audit_json_raises(self, tmp_path, capsys):
+        """A finalized run whose ``audit.json`` was cut short is damaged,
+        not "still running": ``chain audit`` must not say "not finalized"
+        and ``chain top --watch`` must not wait for ever."""
+        from repro.cli import main
+
+        root = str(tmp_path / "run")
+        recorder = ChainRunRecorder(root)
+        chain, wallets = _build_chain(19)
+        recorder.attach(chain)
+        _mine_traffic(chain, wallets, blocks=2)
+        recorder.close(chain)
+        path = os.path.join(root, "audit.json")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text[:len(text) // 2])
+        with pytest.raises(ChainError, match="audit.json"):
+            read_chain_run(root)
+        for command in (["top"], ["top", "--watch", "0.01"], ["audit"]):
+            assert main(["chain", *command, root]) == 2
+            err = capsys.readouterr().err
+            assert "audit.json" in err and "not finalized" not in err
+
 
 class TestExemplarSatellite:
     def test_admission_counter_picks_up_trace_context(self):

@@ -1,10 +1,11 @@
-"""Session checkpoints and the pause path: record, digest, ``run()`` again.
+"""The session record and the pause path: record, digest, ``run()`` again.
 
-A :class:`SessionCheckpoint` is the boundary record of a paused session —
+``WorkloadSession.record()`` is the one projection of a session —
 seed-determined progress only, no event trail — whose digest is what a
-replay is verified against.  The paused session itself stays a live
-object: ``run()`` again continues it at ``next_phase``, byte-identically
-to an uninterrupted run, and a terminal session refuses to run.
+replay is verified against and which a failure carries as its snapshot.
+The paused session itself stays a live object: ``run()`` again continues it
+at ``next_phase``, byte-identically to an uninterrupted run, and a terminal
+session refuses to run.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from repro.core import (
     ModelSpec,
     TrainingSpec,
     WorkloadSpec,
-    checkpoint_session,
     job_fault_seed,
 )
 from repro.core.lifecycle import (
@@ -33,7 +33,7 @@ from repro.core.lifecycle import (
     TERMINAL_FAILED,
 )
 from repro.errors import (
-    CheckpointError,
+    InjectedFaultError,
     LifecycleError,
     PDS2Error,
     SessionPaused,
@@ -45,7 +45,7 @@ from repro.ml.datasets import (
     train_test_split,
 )
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
-from repro.utils.serialization import canonical_json
+from repro.utils.serialization import canonical_json, canonical_json_bytes
 
 N_PROVIDERS = 2
 N_EXECUTORS = 2
@@ -106,8 +106,7 @@ class _PauseAt:
         boundary = self.fired
         self.fired += 1
         if boundary in self.ks:
-            raise SessionPaused("pause for checkpoint",
-                                phase=session.state, next_phase=next_phase)
+            raise SessionPaused("pause for checkpoint")
 
 
 @pytest.fixture(scope="module")
@@ -132,12 +131,11 @@ class TestCheckpointRoundTrip:
         with pytest.raises(SessionPaused):
             session.run()
 
-        checkpoint = session.checkpoint()
-        blob = checkpoint.to_bytes()
+        blob = canonical_json_bytes(session.record())
         # Byte-stable, and the digest is over exactly these bytes.
-        assert session.checkpoint().to_bytes() == blob
-        assert checkpoint.digest() == sha256(blob).hexdigest()
-        assert checkpoint.to_dict()["format"] == CHECKPOINT_FORMAT
+        assert canonical_json_bytes(session.record()) == blob
+        assert session.digest() == sha256(blob).hexdigest()
+        assert session.record()["format"] == CHECKPOINT_FORMAT
 
         session_id = session.session_id
         report = session.run()
@@ -147,8 +145,8 @@ class TestCheckpointRoundTrip:
     def test_created_state_checkpoint_runs_from_scratch(self, baseline_key):
         market, consumer = build_market()
         session = market.session_for(consumer, make_kind())
-        checkpoint = session.checkpoint()
-        assert (checkpoint.state, checkpoint.next_phase) == \
+        record = session.record()
+        assert (record["state"], record["next_phase"]) == \
             ("created", "deploy")
         assert report_key(session.run()) == baseline_key
 
@@ -163,7 +161,7 @@ class TestCheckpointRoundTrip:
                                          on_phase_boundary=_PauseAt(3))
             with pytest.raises(SessionPaused):
                 session.run()
-            digests.append(session.checkpoint().digest())
+            digests.append(session.digest())
         assert digests[0] == digests[1]
 
     def test_to_bytes_carries_no_trail(self):
@@ -173,14 +171,13 @@ class TestCheckpointRoundTrip:
         with pytest.raises(SessionPaused):
             session.run()
         assert session.trail
-        checkpoint = session.checkpoint()
-        assert "trail" not in checkpoint.to_dict()
-        assert not hasattr(checkpoint, "trail")
-        blob = checkpoint.to_bytes()
+        record = session.record()
+        assert "trail" not in record
+        blob = canonical_json_bytes(record)
         assert b"wall_time" not in blob and b"phase.started" not in blob
         # Trail-derived accounting is in the record as totals.
-        assert checkpoint.gas_used == session.gas_used
-        assert checkpoint.blocks_mined == session.blocks_mined
+        assert record["gas_used"] == session.gas_used
+        assert record["blocks_mined"] == session.blocks_mined
 
 
 def _names(session) -> list[str]:
@@ -235,7 +232,7 @@ class TestRunAgain:
         session = market.session_for(
             consumer, make_kind(), injector=FaultInjector(
                 FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
-        with pytest.raises(LifecycleError):  # no recovery policy: terminal
+        with pytest.raises(LifecycleError):  # recover=False: terminal
             session.run()
         assert session.state == TERMINAL_FAILED
         self._assert_refuses(market, session)
@@ -252,23 +249,23 @@ class TestRunAgain:
 
 class TestSnapshotConsistency:
     def test_snapshot_matches_checkpoint_mid_run(self):
+        # A failure's snapshot *is* the session record at the moment it
+        # was raised: same keys, same progress, same format tag.
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(5))
-        with pytest.raises(SessionPaused):
+        session = market.session_for(
+            consumer, make_kind(), injector=FaultInjector(
+                FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
+        with pytest.raises(InjectedFaultError) as excinfo:
             session.run()
-        snapshot = session.snapshot()
-        checkpoint = session.checkpoint()
-        assert snapshot["state"] == checkpoint.state
-        assert snapshot["next_phase"] == checkpoint.next_phase
-        assert snapshot["registered"] == checkpoint.registered
-        assert snapshot["submitted"] == checkpoint.submitted
-        assert snapshot["certified"] == checkpoint.certified
-        assert snapshot["executed"] == checkpoint.executed
-        assert snapshot["voted"] == checkpoint.voted
-        assert snapshot["dropped_providers"] == checkpoint.dropped_providers
-        assert snapshot["retries"] == checkpoint.retries
-        assert snapshot["session_id"] == checkpoint.session_id
+        snapshot = excinfo.value.snapshot
+        record = session.record()
+        assert set(snapshot) == set(record)
+        assert snapshot["format"] == CHECKPOINT_FORMAT
+        assert snapshot["state"] == "execute"
+        for key in ("session_id", "next_phase", "registered", "submitted",
+                    "certified", "executed", "voted", "dropped_providers",
+                    "retries", "participants", "workload_address"):
+            assert snapshot[key] == record[key], key
 
     def test_snapshot_bookkeeping_sets_are_sorted_lists(self):
         market, consumer = build_market()
@@ -276,20 +273,22 @@ class TestSnapshotConsistency:
                                      on_phase_boundary=_PauseAt(5))
         with pytest.raises(SessionPaused):
             session.run()
-        snapshot = session.snapshot()
+        record = session.record()
         for field in ("registered", "submitted", "certified", "executed",
                       "voted", "dropped_providers"):
-            assert snapshot[field] == sorted(snapshot[field])
+            assert record[field] == sorted(record[field])
 
 
-class TestCheckpointErrors:
-    def test_terminal_session_cannot_checkpoint(self):
+class TestRecordInAnyState:
+    def test_terminal_session_has_a_record(self):
         market, consumer = build_market()
         session = market.session_for(consumer, make_kind())
         session.run()
-        assert session.state == TERMINAL_COMPLETE
-        with pytest.raises(CheckpointError):
-            checkpoint_session(session)
+        record = session.record()
+        assert record["state"] == TERMINAL_COMPLETE
+        assert record["payouts"] == session.ctx.payouts
+        assert session.digest() == \
+            sha256(canonical_json_bytes(record)).hexdigest()
 
 
 class TestInjectorStateRoundTrip:
@@ -317,14 +316,12 @@ class TestInjectorStateRoundTrip:
             pass
         except Exception:
             pytest.skip("fault terminated the session before boundary 2")
-        checkpoint = session.checkpoint()
-        assert checkpoint.injector == injector.state_dict()
-        assert checkpoint.to_dict()["injector"] == injector.state_dict()
+        assert session.record()["injector"] == injector.state_dict()
         # An unarmed session's record has no injector key at all (absent,
         # not null — the bytes every journaled digest was taken over).
         market, consumer = build_market()
-        bare = market.session_for(consumer, make_kind()).checkpoint()
-        assert bare.injector is None and "injector" not in bare.to_dict()
+        bare = market.session_for(consumer, make_kind()).record()
+        assert "injector" not in bare
 
 
 class TestSessionPausedSemantics:

@@ -112,7 +112,7 @@ class TestFaults:
     def test_trace_records_fault_and_recovery_events(self, tmp_path,
                                                      capsys):
         from repro.core.events import read_jsonl_events
-        from repro.telemetry import parse_prometheus
+        from tests.telemetry.exposition_oracle import parse_prometheus
 
         path = str(tmp_path / "faults.jsonl")
         assert main(["faults", "crash-execute", "--seed", "5",
@@ -192,7 +192,7 @@ class TestTelemetryCommands:
 
     def test_metrics_from_snapshot_is_valid_exposition(self, trace_path,
                                                        capsys):
-        from repro.telemetry import parse_prometheus
+        from tests.telemetry.exposition_oracle import parse_prometheus
 
         assert main(["metrics", trace_path + ".metrics.json"]) == 0
         output = capsys.readouterr().out
@@ -268,6 +268,54 @@ class TestTelemetryCommands:
         path.write_text(json.dumps(record) + "\n")
         assert main(["spans", str(path)]) == 1
         assert "no finished spans" in capsys.readouterr().err
+
+
+class TestMalformedTraceFiles:
+    """Valid JSON of the wrong shape: a typed error and one line on stderr
+    from ``trace``, ``spans`` and ``metrics`` — never a traceback."""
+
+    EVENT = {"session_id": "s-1", "phase": "deploy", "name": "phase.started",
+             "sequence": 1, "wall_time": 0.5, "sim_clock": 1.0}
+
+    @pytest.mark.parametrize("command", ["trace", "spans", "metrics"])
+    @pytest.mark.parametrize("line", ["{}", "[1, 2]", '{"session_id": "s"}',
+                                      '"a string"'],
+                             ids=["empty-object", "list", "missing-keys",
+                                  "string"])
+    def test_wrong_shape_exits_one_with_one_line(self, tmp_path, capsys,
+                                                 command, line):
+        import json
+
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(self.EVENT) + "\n" + line + "\n")
+        assert main([command, str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "line 2" in captured.err or "record 2" in captured.err
+
+    @pytest.mark.parametrize("command", ["trace", "spans", "metrics"])
+    def test_mid_file_garbage_exits_one(self, tmp_path, capsys, command):
+        import json
+
+        good = json.dumps(self.EVENT)
+        path = tmp_path / "torn-middle.jsonl"
+        path.write_text(good + "\n" + good[:20] + "\n" + good + "\n")
+        assert main([command, str(path)]) == 1
+        assert "line 2" in capsys.readouterr().err
+
+    def test_a_future_unknown_key_is_ignored(self, tmp_path, capsys):
+        import json
+
+        from repro.core.events import read_jsonl_events
+
+        path = tmp_path / "future.jsonl"
+        path.write_text(json.dumps({**self.EVENT, "shard": "v9"}) + "\n")
+        (event,) = read_jsonl_events(str(path))
+        assert (event.session_id, event.name) == ("s-1", "phase.started")
+        assert main(["trace", str(path)]) == 0
+        assert "phase.started" in capsys.readouterr().out
+        assert main(["metrics", str(path)]) == 0
 
 
 class TestGossipCommand:

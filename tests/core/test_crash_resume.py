@@ -22,7 +22,6 @@ from repro.core import (
     Marketplace,
     MLTrainingKind,
     ModelSpec,
-    RecoveryPolicy,
     TrainingSpec,
     WorkloadSpec,
     run_with_faults,
@@ -125,8 +124,7 @@ class _PauseAt:
         boundary = self.fired
         self.fired += 1
         if boundary == self.k:
-            raise SessionPaused("crash point", phase=session.state,
-                                next_phase=next_phase)
+            raise SessionPaused("crash point")
 
 
 def scenario_boundaries(plan) -> list[tuple[str, str, str]]:
@@ -137,7 +135,7 @@ def scenario_boundaries(plan) -> list[tuple[str, str, str]]:
     run_with_faults(
         market, consumer, make_kind(), plan,
         on_phase_boundary=lambda s, n: boundaries.append(
-            (s.state, n, s.checkpoint().digest())),
+            (s.state, n, s.digest())),
     )
     return boundaries
 
@@ -146,7 +144,7 @@ def paused_session(plan, boundary: int):
     """A fresh seed-built market's session, stopped at ``boundary``."""
     market, consumer = build_market()
     session = market.session_for(
-        consumer, make_kind(), recovery=RecoveryPolicy(),
+        consumer, make_kind(), recover=True,
         injector=FaultInjector(plan), on_phase_boundary=_PauseAt(boundary),
     )
     with pytest.raises(SessionPaused):
@@ -196,7 +194,7 @@ def test_twin_replay_reaches_the_paused_digest_at_every_boundary(name):
     replayed = scenario_boundaries(plan)
     for pause_at, (state, next_phase, digest) in enumerate(replayed):
         paused = paused_session(plan, pause_at)
-        assert paused.checkpoint().digest() == digest, (
+        assert paused.digest() == digest, (
             f"{name}: twin diverged at boundary {pause_at} "
             f"({state} -> {next_phase})"
         )

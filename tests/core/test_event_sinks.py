@@ -12,6 +12,7 @@ from repro.core.events import (
     LifecycleEvent,
     read_jsonl_events,
 )
+from repro.errors import TelemetryError
 from repro.telemetry.exporters import registry_from_events
 
 
@@ -66,17 +67,17 @@ class TestJSONLSinkLifecycle:
 
     def test_explicit_flush_makes_lines_visible(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        sink = JSONLSink(path, flush_every=100)
+        sink = JSONLSink(path)
         sink.emit(make_event(1))
         sink.emit(make_event(2))
-        sink.flush()
-        # Visible to a second reader while the sink is still open.
+        # The sink flushes each line as it writes it, so both are visible
+        # to a second reader while the sink is still open.
         assert len(read_jsonl_events(path)) == 2
         sink.close()
 
     def test_close_flushes_pending(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
-        sink = JSONLSink(path, flush_every=1000)
+        sink = JSONLSink(path)
         sink.emit(make_event())
         sink.close()
         assert len(read_jsonl_events(path)) == 1
@@ -85,11 +86,6 @@ class TestJSONLSinkLifecycle:
         sink = JSONLSink(str(tmp_path / "t.jsonl"))
         sink.close()
         sink.close()
-        sink.flush()  # no-op on a closed sink, must not raise
-
-    def test_flush_every_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            JSONLSink(str(tmp_path / "t.jsonl"), flush_every=0)
 
 
 class TestKilledMidRunTrace:
@@ -114,7 +110,7 @@ class TestKilledMidRunTrace:
         lines = [json.dumps(make_event(i).to_dict()) for i in (1, 2, 3)]
         lines[1] = lines[1][:10]  # corruption NOT at the tail
         (tmp_path / "edited.jsonl").write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(TelemetryError, match="line 2"):
             read_jsonl_events(path)
 
 

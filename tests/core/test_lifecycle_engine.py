@@ -129,8 +129,8 @@ class TestSessionStateMachine:
     def test_deploy_phase_rejects_empty_executor_set(self, market_setup):
         market, consumer = market_setup
         session = market.session_for(
-            consumer, MLTrainingKind(small_spec("wl-noexec")), executors=[]
-        )
+            consumer, MLTrainingKind(small_spec("wl-noexec")))
+        session.ctx.executors = []
         with pytest.raises(DeployFailure) as excinfo:
             DeployPhase().run(session)
         assert excinfo.value.snapshot["session_id"] == session.session_id

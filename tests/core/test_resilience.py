@@ -14,12 +14,11 @@ from repro.core import (
     Marketplace,
     MLTrainingKind,
     ModelSpec,
-    RecoveryPolicy,
-    RetryPolicy,
     TrainingSpec,
     WorkloadSpec,
     run_with_faults,
 )
+from repro.core import resilience
 from repro.core.actors import ProviderActor
 from repro.core.lifecycle import (
     LIFECYCLE_PHASES,
@@ -240,10 +239,8 @@ class TestTransientRetry:
         assert not result.blacklisted and not result.dropped_providers
 
     def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(max_attempts=5, base_delay_s=1.0,
-                             multiplier=2.0, max_delay_s=5.0)
-        assert [policy.delay(a) for a in range(5)] == [1.0, 2.0, 4.0,
-                                                       5.0, 5.0]
+        assert [resilience.retry_delay(a) for a in range(7)] == \
+            [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0]
 
     def test_repeated_churn_is_ridden_out(self):
         market, consumer = build_market()
@@ -272,7 +269,7 @@ class TestTransientRetry:
         result = run_with_faults(market, consumer, spec("wl-drop-prov"), plan)
         assert result.outcome == "settled_degraded"
         actions = [r["action"] for r in result.recoveries]
-        assert actions[:-1] == ["retry"] * RetryPolicy().max_attempts
+        assert actions[:-1] == ["retry"] * resilience.MAX_ATTEMPTS
         assert actions[-1] == "drop_provider"
         assert result.dropped_providers == [address_of(market, "u0")]
         # Only contributors are paid; the pool is still fully spent.
@@ -281,7 +278,7 @@ class TestTransientRetry:
 
     def test_drop_blocked_below_min_providers(self):
         # min_providers == provider count: dropping anyone breaks the
-        # match, so the policy gives up and the session fails.
+        # match, so recovery gives up and the session fails.
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.PROVIDER_CHURN, target="u0",
                                 times=1_000)
@@ -291,7 +288,7 @@ class TestTransientRetry:
         )
         assert result.outcome == "failed"
         assert [r["action"] for r in result.recoveries] == \
-            ["retry"] * RetryPolicy().max_attempts
+            ["retry"] * resilience.MAX_ATTEMPTS
         assert result.refunded == 600_000
 
 
@@ -458,8 +455,7 @@ class TestEnclavesReleased:
 
         def pause_before_aggregate(session, next_phase):
             if next_phase == "aggregate":
-                raise SessionPaused("pause", phase=session.state,
-                                    next_phase=next_phase)
+                raise SessionPaused("pause")
 
         session = market.session_for(
             consumer, MLTrainingKind(spec("wl-release-p")),
@@ -507,24 +503,29 @@ class TestEscrowConservation:
 
 
 class TestRecoveryPolicyLimits:
-    def test_max_recoveries_caps_the_loop(self):
+    def test_max_recoveries_caps_the_loop(self, monkeypatch):
+        # The backstop is a constant; a retry budget it cannot reach shows
+        # it is the cap, not the budget, that stops the loop.
+        monkeypatch.setattr(resilience, "MAX_ATTEMPTS", 1_000)
+        monkeypatch.setattr(resilience, "MAX_RECOVERIES", 3)
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.PROVIDER_CHURN, target="u0",
                                 times=1_000)
-        policy = RecoveryPolicy(retry=RetryPolicy(max_attempts=1_000),
-                                max_recoveries=3)
-        result = run_with_faults(market, consumer, spec("wl-cap"), plan,
-                                 policy=policy)
+        result = run_with_faults(market, consumer, spec("wl-cap"), plan)
         assert result.outcome == "failed"
         assert len(result.recoveries) == 3
 
     def test_disabled_degrade_fails_mid_execute_crash(self):
+        # Degrading needs a surviving quorum.  When every executor must
+        # confirm, losing one leaves none: no directive, fail and refund.
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
-        policy = RecoveryPolicy(degrade=False)
-        result = run_with_faults(market, consumer, spec("wl-nodeg"), plan,
-                                 policy=policy)
+        result = run_with_faults(
+            market, consumer,
+            spec("wl-nodeg", required_confirmations=len(EXECUTOR_NAMES)),
+            plan)
         assert result.outcome == "failed"
+        assert result.recoveries == []
         assert result.refunded == 600_000
 
 

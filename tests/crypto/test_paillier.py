@@ -106,11 +106,11 @@ class TestHomomorphisms:
 
 class TestFixedPoint:
     def test_encode_decode(self):
-        codec = FixedPointCodec(fractional_bits=16)
+        codec = FixedPointCodec()
         assert codec.decode(codec.encode(1.5)) == pytest.approx(1.5)
 
     def test_product_scaling(self):
-        codec = FixedPointCodec(fractional_bits=16)
+        codec = FixedPointCodec()
         product = codec.encode(1.5) * codec.encode(2.0)
         assert codec.decode_product(product) == pytest.approx(3.0)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto.secret_sharing import DEFAULT_PRIME
 from repro.crypto.smc import FIELD_ELEMENT_BYTES, SMCEngine, TripleDealer
 from repro.errors import SecretSharingError
 
@@ -134,7 +135,7 @@ class TestTripleDealer:
         dealer = TripleDealer(parties=3, rng=rng)
         for _ in range(5):
             triple = dealer.next_triple()
-            prime = dealer._prime
+            prime = DEFAULT_PRIME
             a = sum(triple.a_shares) % prime
             b = sum(triple.b_shares) % prime
             c = sum(triple.c_shares) % prime

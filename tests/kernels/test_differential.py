@@ -22,14 +22,14 @@ from repro.errors import MLError
 from repro.kernels.gossip_kernel import GossipKernelTrainer
 from repro.ml.compression import CompressionConfig, CompressionKind
 from repro.ml.datasets import (
+    make_binary_classification,
     make_iot_activity,
     split_dirichlet,
     train_test_split,
 )
 from repro.ml.gossip import GossipConfig, GossipNodeTrainer, GossipTrainer
-from repro.ml.matrix_factorization import ItemFactorModel
 from repro.ml.merge import MergeStrategy
-from repro.ml.models import SoftmaxRegressionModel
+from repro.ml.models import LogisticRegressionModel, SoftmaxRegressionModel
 from repro.net.churn import ChurnModel
 
 NUM_FEATURES = 6
@@ -57,7 +57,7 @@ def build(engine, parts, test, config, seed=0, churn=None,
     """One engine by class, with ``GossipTrainer``'s defaults."""
     return engine(
         [model_factory() for _ in parts], parts, test, config, seed=seed,
-        churn=churn, mean_latency_s=0.05,
+        churn=churn,
         uplinks=uplinks or [1_250_000.0] * len(parts),
     )
 
@@ -194,16 +194,17 @@ class TestEdgeCases:
         assert_identical(clipped)
 
 
-def mf_problem():
+def no_family_problem():
+    """A binary problem for a model the kernels have no family for."""
     rng = np.random.default_rng(3)
-    data = make_iot_activity(400, rng)
+    data = make_binary_classification(400, NUM_FEATURES, rng)
     train, test = train_test_split(data, 0.25, rng)
     parts = split_dirichlet(train, 4, alpha=1.0, rng=rng, min_samples=5)
     return parts, test
 
 
-def mf_factory():
-    return ItemFactorModel(10, 2, init_rng=np.random.default_rng(1))
+def no_family_factory():
+    return LogisticRegressionModel(NUM_FEATURES, l2=0.01)
 
 
 SUBSAMPLE = CompressionConfig(kind=CompressionKind.SUBSAMPLE,
@@ -221,10 +222,10 @@ class TestKernelRejections:
                   GossipConfig(compression=SUBSAMPLE))
 
     def test_unsupported_model_family(self):
-        parts, test = mf_problem()
+        parts, test = no_family_problem()
         with pytest.raises(MLError):
             build(GossipKernelTrainer, parts, test, GossipConfig(),
-                  model_factory=mf_factory)
+                  model_factory=no_family_factory)
 
     def test_bad_engine_name_rejected(self):
         with pytest.raises(TypeError):
@@ -269,11 +270,12 @@ class TestEngineSelection:
         assert trainer.run(100.0, 100.0).messages_delivered > 0
 
     def test_unvectorized_model_runs_per_node(self):
-        parts, test = mf_problem()
-        counting = CountingFactory(mf_factory)
+        parts, test = no_family_problem()
+        counting = CountingFactory(no_family_factory)
         trainer = GossipTrainer(counting, parts, test)
         assert type(trainer) is GossipNodeTrainer
         assert counting.calls == len(parts)
+        assert trainer.run(100.0, 100.0).messages_delivered > 0
 
     def test_selected_kernel_matches_named_per_node_engine(self, problem):
         """The public constructor's result equals the reference engine

@@ -158,13 +158,13 @@ class TestScheduleHelpers:
         assert ops.wake_schedule(0.0, 5.0, 20.0)[-1] == 20.0
 
     def test_sample_eval_indices_deterministic(self):
-        a = ops.sample_eval_indices(7, 100, 16)
-        b = ops.sample_eval_indices(7, 100, 16)
+        a = ops.sample_eval_indices(7, 100)
+        b = ops.sample_eval_indices(7, 100)
         assert np.array_equal(a, b)
         assert len(a) == 16
         assert len(np.unique(a)) == 16
         assert np.array_equal(a, np.sort(a))
 
     def test_sample_eval_indices_clamps_to_population(self):
-        indices = ops.sample_eval_indices(7, 5, 16)
+        indices = ops.sample_eval_indices(7, 5)
         assert np.array_equal(indices, np.arange(5))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.simulator import Network, Simulator
+from repro.net.simulator import MEAN_LATENCY_S, Network, Simulator
 
 
 class Recorder:
@@ -95,7 +95,7 @@ class TestNetwork:
     @pytest.fixture
     def net(self):
         sim = Simulator()
-        network = Network(sim, default_latency_s=0.1)
+        network = Network(sim)
         nodes = {name: Recorder(sim) for name in ("a", "b", "c")}
         for name, node in nodes.items():
             network.attach(name, node, upload_bytes_per_s=1000.0)
@@ -105,14 +105,14 @@ class TestNetwork:
         sim, network, nodes = net
         network.send("a", "b", "hello", size_bytes=0)
         sim.run_until(1.0)
-        assert nodes["b"].received == [(0.1, "a", "hello")]
+        assert nodes["b"].received == [(MEAN_LATENCY_S, "a", "hello")]
 
     def test_bandwidth_delays_large_messages(self, net):
         sim, network, nodes = net
         network.send("a", "b", "big", size_bytes=500)  # 0.5 s at 1 kB/s
         sim.run_until(1.0)
         time, _, _ = nodes["b"].received[0]
-        assert time == pytest.approx(0.6)
+        assert time == pytest.approx(MEAN_LATENCY_S + 0.5)
 
     def test_link_override(self, net):
         sim, network, nodes = net

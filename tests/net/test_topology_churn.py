@@ -58,8 +58,7 @@ class TestTopologies:
         graph = full_mesh(4)
         for index in range(4):
             network.attach(f"n{index}", _Sink())
-        assign_latencies(network, graph, lambda i: f"n{i}", rng,
-                         mean_latency_s=0.05)
+        assign_latencies(network, graph, lambda i: f"n{i}", rng)
         for u, v in graph.edges:
             assert network.link_latency(f"n{u}", f"n{v}") == \
                 network.link_latency(f"n{v}", f"n{u}")

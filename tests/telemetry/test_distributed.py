@@ -24,11 +24,10 @@ from repro.telemetry.distributed import (
     derive_trace_id,
     read_span_records,
     render_critical_path,
-    span_from_record,
     to_chrome_trace,
     validate_chrome_trace,
 )
-from repro.telemetry.tracing import Tracer
+from repro.telemetry.tracing import Span, Tracer
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
                            "docs", "chrome-trace.schema.json")
@@ -166,7 +165,7 @@ class TestJobSpanExporter:
         record = export_job_spans(trace, "job-1", "d1", 1, build)[0]
         assert record["status"] == "error"
         assert "boom" in record["error"]
-        span = span_from_record(record)
+        span = Span.from_dict(record)
         assert span.status == "error"
         assert "boom" in span.error
 

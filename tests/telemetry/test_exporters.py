@@ -8,15 +8,14 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry.exporters import (
-    parse_prometheus,
     registry_from_events,
-    registry_samples,
     render_span_tree,
     spans_from_events,
     to_prometheus,
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
+from tests.telemetry.exposition_oracle import parse_prometheus, registry_samples
 
 
 def populated_registry() -> MetricsRegistry:
@@ -187,7 +186,7 @@ class TestProfileFlameTree:
 
     def test_nested_profiled_regions_render_nested(self):
         from repro.telemetry.exporters import render_profile_tree
-        tree = render_profile_tree(self._profile(), min_percent=0.0)
+        tree = render_profile_tree(self._profile())
         lines = tree.splitlines()
         outer = next(i for i, l in enumerate(lines)
                      if "region:outer" in l)
@@ -223,7 +222,7 @@ class TestProfileFlameTree:
                 with profiled("region.outer"):
                     with profiled("region.inner"):
                         spin(4000)
-        tree = render_profile_tree(prof.result(), min_percent=0.0)
+        tree = render_profile_tree(prof.result())
         assert "span:batch.job" in tree
         assert "region:region.outer" in tree
         assert "region:region.inner" in tree

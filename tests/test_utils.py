@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -87,7 +85,7 @@ class TestReadJsonl:
     typed error)."""
 
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_jsonl(str(tmp_path / "nope.jsonl")) == []
+        assert read_jsonl(str(tmp_path / "nope.jsonl"), ValueError) == []
 
     def test_torn_tail_and_blank_lines_are_dropped(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -99,8 +97,12 @@ class TestReadJsonl:
         path.write_text('{"a": 1}\n{tor\n{"b": 2}\n', encoding="utf-8")
         with pytest.raises(KeyError, match="line 2"):
             read_jsonl(str(path), KeyError)
-        with pytest.raises(json.JSONDecodeError):
-            read_jsonl(str(path))
+
+    def test_a_line_that_is_not_an_object_raises_the_callers_error(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_text('{"a": 1}\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(KeyError, match="line 2"):
+            read_jsonl(str(path), KeyError)
 
 
 class TestRng:

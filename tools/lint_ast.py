@@ -81,12 +81,17 @@ def lint_file(path: Path) -> list[str]:
     return found
 
 
-def main(argv: list[str]) -> int:
-    roots = [Path(arg) for arg in argv] or [Path(p) for p in DEFAULT_PATHS]
-    files = sorted(
+def python_files(roots: list[Path]) -> list[Path]:
+    """Every ``.py`` file at or under ``roots``, sorted (shared with
+    ``tools/option_census.py``)."""
+    return sorted(
         file for root in roots
         for file in ([root] if root.is_file() else root.rglob("*.py"))
     )
+
+
+def main(argv: list[str]) -> int:
+    files = python_files([Path(arg) for arg in argv] or [Path(p) for p in DEFAULT_PATHS])
     found = [line for file in files for line in lint_file(file)]
     for line in found:
         print(line)
