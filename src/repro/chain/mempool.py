@@ -114,10 +114,6 @@ class Mempool:
             for nonce in sorted(queue):
                 yield queue[nonce]
 
-    def pending_count(self, sender: str) -> int:
-        """Number of pooled transactions from ``sender`` (O(1))."""
-        return len(self._queues.get(sender, ()))
-
     def next_nonce(self, sender: str, state_nonce: int) -> int:
         """First unused nonce: the end of the contiguous pooled run.
 

@@ -70,10 +70,8 @@ from repro.core.workload import (
     RewardScheme,
     TrainingSpec,
     WorkloadSpec,
-    deserialize_rows,
     enclave_entry_point,
     serialize_partition,
-    serialize_row,
 )
 
 __all__ = [
@@ -127,8 +125,6 @@ __all__ = [
     "RewardScheme",
     "TrainingSpec",
     "WorkloadSpec",
-    "deserialize_rows",
     "enclave_entry_point",
     "serialize_partition",
-    "serialize_row",
 ]

@@ -27,7 +27,6 @@ from repro.core.lifecycle import (
     PHASE_SETTLE,
     LifecyclePhase,
     MLTrainingKind,
-    SettlePhase,
     WorkloadSession,
 )
 from repro.core.marketplace import Marketplace, WorkloadRunReport
@@ -62,13 +61,14 @@ def adversarial_settle_interceptor(behaviors: list["ExecutorBehavior"]):
 
     The default settle phase has the first ``required_confirmations``
     active executors vote the honest (hash, weights) pair; this replacement
-    lets *every* active executor vote according to its assigned behavior,
-    then reuses the phase's own :meth:`~SettlePhase.finalize` tail (mine,
-    state check, payout accounting).
+    lets *every* active executor vote according to its assigned behavior.
+    The engine then mines and runs the phase's own
+    :meth:`~repro.core.lifecycle.SettlePhase.after_block` (state check,
+    payout accounting); a vote the contract reverts is reported in the
+    trail as ``chain.tx_reverted``, not raised.
     """
 
     def intercept(session: WorkloadSession, phase: LifecyclePhase) -> None:
-        assert isinstance(phase, SettlePhase)
         ctx = session.ctx
         for executor, behavior in zip(ctx.executors, behaviors):
             if executor not in ctx.active_executors:
@@ -87,7 +87,6 @@ def adversarial_settle_interceptor(behaviors: list["ExecutorBehavior"]):
                 corrupt[victim] = BPS
                 session.cast_vote(executor, ctx.result_hash, corrupt)
             # SILENT: do nothing.
-        phase.finalize(session)
 
     return intercept
 
@@ -120,18 +119,12 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     report = session.run()
     ctx = session.ctx
 
-    crony_paid = sum(
-        int(log.data["amount"])
-        for _, log in market.chain.events(name="RewardPaid",
-                                          address=ctx.workload_address)
-        if log.data["recipient"] == CRONY_ADDRESS
-    )
     completed = ctx.final_state == "complete"
     return AdversarialOutcome(
         completed=completed,
         honest_result_hash=ctx.result_hash,
         final_state=ctx.final_state,
         paid_total=sum(ctx.payouts.values()),
-        crony_payout=crony_paid,
+        crony_payout=ctx.payouts.get(CRONY_ADDRESS, 0),
         report=report if completed else None,
     )

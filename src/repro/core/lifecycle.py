@@ -17,10 +17,13 @@ the way enclave outputs are combined, and the shape of the final result.
 ``Marketplace.run_workload`` and ``Marketplace.run_aggregate_workload``
 are thin drivers over this one engine.
 
-Phases are individually testable objects; a phase can also be *intercepted*
-(replaced by a callable) — the adversary harness uses this to substitute
-malicious result votes for the honest settle step without reaching into
-marketplace internals.
+Phases are individually testable objects and none of them mines: a phase
+sends its transactions, the engine mines one block through the
+marketplace's single seam (:meth:`Marketplace.mine_and_read`, which also
+reads every receipt) and hands the phase the receipts.  The sending half
+can be *intercepted* (replaced by a callable) — the adversary harness
+substitutes malicious result votes for the honest ones this way, without
+reaching into marketplace internals.
 
 Failures need not be terminal.  A session built with ``recover=True``
 consults :func:`repro.core.resilience.decide` whenever a phase raises: it
@@ -82,6 +85,8 @@ from repro.utils.rng import derive_rng
 from repro.utils.serialization import canonical_json_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.chain.blockchain import Wallet
+    from repro.chain.transaction import Receipt
     from repro.core.marketplace import Marketplace
 
 
@@ -486,8 +491,9 @@ class RecoveryDirective:
     reason: str = ""
 
 
-#: An interceptor fully replaces one phase's execution.  It receives the
-#: session and the phase object it displaced (whose helpers it may reuse).
+#: An interceptor replaces one phase's ``run`` — for an on-chain phase the
+#: half that sends; the engine still mines and calls ``after_block``.  It
+#: receives the session and the phase object it displaced.
 PhaseInterceptor = Callable[["WorkloadSession", "LifecyclePhase"], None]
 
 
@@ -532,6 +538,9 @@ class WorkloadSession:
         #: phase more than once); stamped on every phase span so a trace
         #: shows the re-entry ordinal without diffing span names.
         self._phase_entries = 0
+        #: ``(tx_hash, sender, method)`` of every transaction sent and not
+        #: yet read back; :meth:`Marketplace.mine_and_read` drains it.
+        self.awaited: list[tuple[bytes, str, str]] = []
         self.trail: list[LifecycleEvent] = []
         self.ctx = SessionContext(executors=list(market.executors))
 
@@ -708,6 +717,12 @@ class WorkloadSession:
                     interceptor(self, phase)
                 else:
                     phase.run(self)
+                if phase.on_chain:
+                    # What an interceptor sent may revert (a vote after
+                    # quorum): reported by the seam, not required.
+                    phase.after_block(self, self.market.mine_and_read(
+                        self.awaited, required=interceptor is None,
+                        failure_class=phase.failure_class))
             except LifecycleError as err:
                 if not err.snapshot:
                     err.snapshot = self.record()
@@ -848,8 +863,12 @@ class WorkloadSession:
             escrow = int(self.consumer.wallet.view(
                 ctx.workload_address, "escrow"
             ))
-            self.consumer.wallet.call(ctx.workload_address, "abort")
-            self.market._mine()
+            # The failed phase's own sends die with it: only the abort is
+            # awaited (a reverted abort raises here, through the seam).
+            self.awaited.clear()
+            self.send(self.consumer.wallet, "abort")
+            self.market.mine_and_read(self.awaited, required=True,
+                                      failure_class=SettlementFailure)
             if self.read_state() != STATE_CANCELLED:
                 raise SettlementFailure(
                     "abort transaction did not cancel the workload",
@@ -865,14 +884,16 @@ class WorkloadSession:
 
     # -- helpers shared between the honest engine and interceptors ----------
 
+    def send(self, wallet: "Wallet", method: str, **args: Any) -> None:
+        """Queue one call to the workload contract and await its receipt."""
+        self.awaited.append(self.market.send(
+            wallet, self.ctx.workload_address, method, **args))
+
     def cast_vote(self, executor: ExecutorActor, result_hash: str,
                   weights_bps: dict[str, int]) -> None:
         """One executor submits one (result hash, weights) vote on-chain."""
-        executor.wallet.call(
-            self.ctx.workload_address, "submit_result",
-            result_hash=result_hash,
-            provider_weights_bps=weights_bps,
-        )
+        self.send(executor.wallet, "submit_result", result_hash=result_hash,
+                  provider_weights_bps=weights_bps)
         self.ctx.voted.add(executor.address)
         self.emit("settle.vote_cast", actor=executor.address,
                   result_hash=result_hash)
@@ -900,13 +921,26 @@ class WorkloadSession:
 
 
 class LifecyclePhase:
-    """One individually-testable lifecycle step."""
+    """One individually-testable lifecycle step.
+
+    A phase never mines.  :meth:`run` is all of an off-chain phase and the
+    *submit* half of an ``on_chain`` one (:meth:`WorkloadSession.send`) —
+    the half a :data:`PhaseInterceptor` replaces.  The engine then mines
+    one block through the marketplace seam, also when nothing was sent,
+    and calls :meth:`after_block` with the receipts of what was.
+    """
 
     name: str = ""
     failure_class: type[LifecycleError] = LifecycleError
+    on_chain: bool = False
 
     def run(self, session: WorkloadSession) -> None:
         raise NotImplementedError
+
+    def after_block(self, session: WorkloadSession,
+                    receipts: list["Receipt"]) -> None:
+        """What follows the block; every receipt passed here succeeded
+        unless an interceptor sent its transaction."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<phase {self.name}>"
@@ -917,11 +951,10 @@ class DeployPhase(LifecyclePhase):
 
     name = PHASE_DEPLOY
     failure_class = DeployFailure
+    on_chain = True
 
     def run(self, session: WorkloadSession) -> None:
         kind = session.kind
-        if session.ctx.workload_address:
-            return  # recovery re-entry: the contract is already deployed
         executors = session.ctx.executors
         if not executors:
             raise DeployFailure("no executors available",
@@ -932,22 +965,22 @@ class DeployPhase(LifecyclePhase):
                 snapshot=session.record(),
             )
         session.fault_point("deploy.chain_tx")
-        # Deploy + mine through the session clock (not ``deploy_and_mine``'s
-        # head-timestamp + 1): a run failing right after deployment would
-        # otherwise leave the clock behind the head timestamp and the
-        # *next* session would mine a non-monotonic block.
-        deploy_tx = session.consumer.wallet.deploy(
-            "workload", value=kind.reward_pool, **kind.contract_args()
-        )
-        session.market._mine()
-        session.ctx.workload_address = (
-            session.consumer.wallet.deployed_address(deploy_tx)
-        )
+        wallet = session.consumer.wallet
+        session.awaited.append((
+            wallet.deploy("workload", value=kind.reward_pool,
+                          **kind.contract_args()),
+            wallet.address, "deploy",
+        ))
+
+    def after_block(self, session: WorkloadSession,
+                    receipts: list["Receipt"]) -> None:
+        if session.awaited:
+            raise DeployFailure("deployment still pooled after its block")
+        session.ctx.workload_address = receipts[-1].contract_address
         session.emit("contract.deployed",
                      actor=session.consumer.address,
                      workload_address=session.ctx.workload_address,
-                     reward_pool=kind.reward_pool)
-
+                     reward_pool=session.kind.reward_pool)
 
 
 class MatchPhase(LifecyclePhase):
@@ -973,12 +1006,12 @@ class MatchPhase(LifecyclePhase):
         session.emit("match.completed", providers=len(participants))
 
 
-
 class RegisterExecutorsPhase(LifecyclePhase):
     """Fig. 2 step 3: executors launch enclaves and register on-chain."""
 
     name = PHASE_REGISTER
     failure_class = RegistrationFailure
+    on_chain = True
 
     def run(self, session: WorkloadSession) -> None:
         kind = session.kind
@@ -988,14 +1021,10 @@ class RegisterExecutorsPhase(LifecyclePhase):
                 continue  # recovery re-entry: already registered on-chain
             session.fault_point("register.executor", executor=executor)
             executor.launch_enclave_for(kind.workload_id, kind.code)
-            executor.wallet.call(
-                session.ctx.workload_address, "register_executor",
-                claimed_measurement=kind.code.measurement.hex(),
-            )
+            session.send(executor.wallet, "register_executor",
+                         claimed_measurement=kind.code.measurement.hex())
             ctx.registered.add(executor.address)
             session.emit("executor.registered", actor=executor.address)
-        session.market._mine()
-
 
 
 class AttestAndSubmitPhase(LifecyclePhase):
@@ -1003,6 +1032,7 @@ class AttestAndSubmitPhase(LifecyclePhase):
 
     name = PHASE_SUBMIT
     failure_class = SubmissionFailure
+    on_chain = True
 
     def run(self, session: WorkloadSession) -> None:
         market = session.market
@@ -1042,8 +1072,8 @@ class AttestAndSubmitPhase(LifecyclePhase):
                 # A provider re-matched onto a new executor after a crash
                 # already has a certificate on-chain; submitting a second
                 # one would double-count its samples in the contract.
-                executor.wallet.call(
-                    ctx.workload_address, "submit_participation",
+                session.send(
+                    executor.wallet, "submit_participation",
                     provider=provider.address,
                     certificate_hash=certificate.certificate_hash.hex(),
                     data_root=certificate.data_root.hex(),
@@ -1055,8 +1085,6 @@ class AttestAndSubmitPhase(LifecyclePhase):
             session.emit("storage.data_submitted", actor=provider.address,
                          executor=executor.address,
                          item_count=certificate.item_count)
-        market._mine()
-
 
 
 class StartExecutionPhase(LifecyclePhase):
@@ -1064,18 +1092,19 @@ class StartExecutionPhase(LifecyclePhase):
 
     name = PHASE_START
     failure_class = StartFailure
+    on_chain = True
 
     def run(self, session: WorkloadSession) -> None:
-        if session.read_state() == STATE_EXECUTING:
-            return  # recovery re-entry: the gate already tripped
         session.fault_point("start.chain_tx")
-        session.consumer.wallet.call(
-            session.ctx.workload_address, "start_execution"
-        )
+        session.send(session.consumer.wallet, "start_execution")
         session.emit("execution.start_requested",
                      actor=session.consumer.address)
-        session.market._mine()
 
+    def after_block(self, session: WorkloadSession,
+                    receipts: list["Receipt"]) -> None:
+        if session.awaited:  # its own send, or a certificate before it
+            raise StartFailure("the gate has not tripped: a transaction "
+                               "is still pooled after the block")
 
 
 class ExecutePhase(LifecyclePhase):
@@ -1104,7 +1133,6 @@ class ExecutePhase(LifecyclePhase):
                          providers=len(ctx.assignments[executor.address]))
 
 
-
 class AggregatePhase(LifecyclePhase):
     """Fig. 2 step 6b: all-reduce outputs and agree on payout weights."""
 
@@ -1124,17 +1152,16 @@ class AggregatePhase(LifecyclePhase):
                      outputs=len(ctx.outputs), degraded=ctx.degraded)
 
 
-
 class SettlePhase(LifecyclePhase):
     """Fig. 2 step 6c/7: quorum votes, contract payout, reward accounting.
 
     The adversary harness intercepts this phase to cast malicious votes;
-    :meth:`finalize` is the shared tail both the honest path and the
-    interceptors run after voting.
+    :meth:`after_block` is the tail the engine runs after either.
     """
 
     name = PHASE_SETTLE
     failure_class = SettlementFailure
+    on_chain = True
 
     def run(self, session: WorkloadSession) -> None:
         ctx = session.ctx
@@ -1144,12 +1171,11 @@ class SettlePhase(LifecyclePhase):
                 continue  # recovery re-entry: vote already on-chain
             session.fault_point("settle.chain_tx", executor=executor)
             session.cast_vote(executor, ctx.result_hash, ctx.weights_bps)
-        self.finalize(session)
 
-    def finalize(self, session: WorkloadSession) -> None:
-        """Mine the votes, check completion, and account the payouts."""
+    def after_block(self, session: WorkloadSession,
+                    receipts: list["Receipt"]) -> None:
+        """Check completion and account the payouts."""
         ctx = session.ctx
-        session.market._mine()
         ctx.final_state = session.read_state()
         if ctx.final_state != STATE_COMPLETE:
             session.emit("settle.incomplete", state=ctx.final_state)
@@ -1166,7 +1192,6 @@ class SettlePhase(LifecyclePhase):
         session.emit("settle.payouts_recorded",
                      total_paid=sum(ctx.payouts.values()),
                      recipients=len(ctx.payouts))
-
 
 
 class AuditPhase(LifecyclePhase):
@@ -1191,7 +1216,6 @@ class AuditPhase(LifecyclePhase):
         session.ctx.audit = report
         session.emit("audit.completed", clean=report.clean,
                      violations=len(report.violations))
-
 
 
 #: The canonical phase order the engine drives.

@@ -44,6 +44,7 @@ from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
+from repro.chain.transaction import Receipt
 from repro.chain.vm import VM
 from repro.core.actors import (
     ConsumerActor,
@@ -59,7 +60,7 @@ from repro.core.lifecycle import (
     WorkloadSession,
 )
 from repro.core.workload import WorkloadSpec
-from repro.errors import MarketplaceError
+from repro.errors import ChainError, MarketplaceError
 from repro.governance import register_governance_contracts
 from repro.governance.audit import AuditReport
 from repro.identity.device import ManufacturerRegistry
@@ -198,8 +199,65 @@ class Marketplace:
         self.clock += float(seconds)
         return self.clock
 
-    def _mine(self) -> None:
+    def mine_and_read(self, awaited: list[tuple[bytes, str, str]], *,
+                      required: bool,
+                      failure_class: type[MarketplaceError],
+                      ) -> list[Receipt]:
+        """The one place ``repro.core`` mines and reads receipts.
+
+        Mines one block — also when nothing is pooled — and drains
+        ``awaited``, the caller's ``(tx_hash, sender, method)`` entries: one
+        leaves the list with its receipt; one the block deferred (still
+        pooled: the block gas limit was reached) stays for the caller's
+        next block.  A transaction that reverted, or is neither mined nor
+        pooled (forged: dropped at block entry), is published as a
+        ``chain.tx_reverted`` event, and if the sends were ``required`` the
+        first such one raises ``failure_class`` with the chain's reason.
+
+        The block is timed by the marketplace clock (not ``mine_block``'s
+        head-timestamp + 1): a run failing right after a block would
+        otherwise leave the clock behind the head timestamp and the *next*
+        session would mine a non-monotonic block.
+        """
         self.chain.mine_block(self._tick())
+        receipts: list[Receipt] = []
+        pooled = []
+        failure = ""
+        for entry in awaited:
+            tx_hash, sender, method = entry
+            try:
+                receipt = self.chain.receipt_for(tx_hash)
+            except ChainError:
+                if tx_hash in self.chain.mempool:
+                    pooled.append(entry)
+                    continue
+                reason = "dropped at block entry: no receipt"
+            else:
+                receipts.append(receipt)
+                if receipt.status:
+                    continue
+                reason = receipt.error
+            self.publish_event("chain.tx_reverted", actor=sender,
+                               data={"method": method, "reason": reason})
+            failure = failure or f"{method} from {sender} failed: {reason}"
+        awaited[:] = pooled
+        if required and failure:
+            raise failure_class(failure)
+        return receipts
+
+    @staticmethod
+    def send(wallet: Wallet, contract: str, method: str,
+             **args) -> tuple[bytes, str, str]:
+        """Queue one contract call; returns the entry the seam awaits."""
+        return wallet.call(contract, method, **args), wallet.address, method
+
+    def _onboard(self, sent: list[tuple[bytes, str, str]]) -> None:
+        """Registrations go through the seam: nothing is recorded off-chain
+        until the chain accepted every one of them."""
+        self.mine_and_read(sent, required=True,
+                           failure_class=MarketplaceError)
+        if sent:
+            raise MarketplaceError(f"{sent[0][2]} is still pooled")
 
     def _new_wallet(self, label: str) -> Wallet:
         wallet = Wallet.generate(
@@ -317,19 +375,20 @@ class Marketplace:
             annotation=annotation, store=store, policy=policy,
             record_id=f"record-{name}",
         )
-        wallet.call(self.actor_registry, "register", role="provider")
+        sent = [self.send(wallet, self.actor_registry, "register",
+                          role="provider")]
         object_id = provider.store_dataset()
         payload_hash = content_address(provider.partition_payload())
         from repro.crypto.hashing import hash_object
 
         annotation_hash = hash_object(annotation.to_dict()).hex()
-        wallet.call(
-            self.data_registry, "register_dataset",
+        sent.append(self.send(
+            wallet, self.data_registry, "register_dataset",
             record_id=provider.record_id, content_hash=payload_hash,
             annotation_hash=annotation_hash,
             size_bytes=len(provider.partition_payload()),
-        )
-        self._mine()
+        ))
+        self._onboard(sent)
         self.catalog.register(DataRecord(
             record_id=provider.record_id,
             owner=wallet.address,
@@ -347,8 +406,8 @@ class Marketplace:
                      validation: Optional[Dataset] = None) -> ConsumerActor:
         """Onboard a consumer with an optional private validation set."""
         wallet = self._new_wallet(f"consumer-{name}")
-        wallet.call(self.actor_registry, "register", role="consumer")
-        self._mine()
+        self._onboard([self.send(wallet, self.actor_registry, "register",
+                                 role="consumer")])
         consumer = ConsumerActor(name=name, wallet=wallet,
                                  validation=validation)
         self.consumers.append(consumer)
@@ -357,8 +416,8 @@ class Marketplace:
     def add_executor(self, name: str) -> ExecutorActor:
         """Onboard an executor: wallet, role, provisioned TEE platform."""
         wallet = self._new_wallet(f"executor-{name}")
-        wallet.call(self.actor_registry, "register", role="executor")
-        self._mine()
+        self._onboard([self.send(wallet, self.actor_registry, "register",
+                                 role="executor")])
         platform = TEEPlatform(
             platform_id=f"platform-{name}",
             rng=derive_rng(self.seed, f"platform-{name}"),

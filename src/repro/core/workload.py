@@ -170,12 +170,6 @@ class WorkloadSpec:
 _ROW_ENCODER = json.JSONEncoder(**CANONICAL_JSON_SETTINGS, allow_nan=False)
 
 
-def serialize_row(features: np.ndarray, target: float | int) -> bytes:
-    """Canonical bytes of one (features, target) example."""
-    return serialize_partition(np.asarray(features).reshape(1, -1),
-                               np.asarray(target).reshape(1))[0]
-
-
 def serialize_partition(features: np.ndarray,
                         targets: np.ndarray) -> list[bytes]:
     """Serialize a provider's partition row by row (Merkle leaves).
@@ -201,21 +195,6 @@ def join_rows(rows: list[bytes]) -> bytes:
     the items' encodings is the encoding of the list.
     """
     return b"[" + b",".join(rows) + b"]"
-
-
-def deserialize_rows(rows: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`serialize_partition`."""
-    from repro.utils.serialization import from_canonical_json
-
-    if not rows:
-        raise WorkloadSpecError("cannot deserialize an empty partition")
-    features = []
-    targets = []
-    for row in rows:
-        record = from_canonical_json(row)
-        features.append(record["x"])
-        targets.append(record["y"])
-    return np.asarray(features, dtype=float), np.asarray(targets)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.crypto.ecdsa import (
     Signature,
     batch_verify,
     shared_secret,
-    verify_with_address,
 )
 from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
 from repro.crypto.paillier import (
@@ -72,7 +71,6 @@ __all__ = [
     "Signature",
     "batch_verify",
     "shared_secret",
-    "verify_with_address",
     "MerkleProof",
     "MerkleTree",
     "merkle_root",

@@ -647,11 +647,3 @@ def multi_scalar_mult(base_scalar: int,
     if az == 0:
         return None
     return to_affine((ax, ay, az))
-
-
-def is_on_curve(point: AffinePoint) -> bool:
-    """Check the affine curve equation (None counts as on-curve)."""
-    if point is None:
-        return True
-    x, y = point
-    return (y * y - (x * x * x + 7)) % P == 0

@@ -533,16 +533,3 @@ def batch_verify(
         stats.update(batched=len(batch), singles=len(singles),
                      subchecks=subchecks, depth=max_depth)
     return [bool(verdict) for verdict in verdicts]
-
-
-def verify_with_address(address: str, message: bytes, signature: Signature,
-                        public_key: PublicKey) -> bool:
-    """Verify a signature and check the key actually controls ``address``.
-
-    Without public-key recovery, callers must supply the claimed key; this
-    helper binds the two checks together so no call site forgets the address
-    comparison.
-    """
-    if public_key.address != address:
-        return False
-    return public_key.verify(message, signature)

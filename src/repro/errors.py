@@ -104,10 +104,6 @@ class CertificateError(GovernanceError):
     """A participation certificate is invalid, expired, or mis-signed."""
 
 
-class AuditError(GovernanceError):
-    """The audit trail is inconsistent with the recorded chain state."""
-
-
 # ---------------------------------------------------------------------------
 # Trusted execution environments
 # ---------------------------------------------------------------------------

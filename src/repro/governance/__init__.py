@@ -5,7 +5,7 @@ per-workload lifecycle contract with escrow and payout, and the trustless
 audit procedures.
 """
 
-from repro.governance.audit import AuditReport, audit_workload, require_clean_audit
+from repro.governance.audit import AuditReport, audit_workload
 from repro.governance.certificates import (
     ParticipationCertificate,
     issue_certificate,
@@ -24,7 +24,6 @@ from repro.governance.contracts import (
 __all__ = [
     "AuditReport",
     "audit_workload",
-    "require_clean_audit",
     "ParticipationCertificate",
     "issue_certificate",
     "BPS",

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chain.blockchain import Blockchain
-from repro.errors import AuditError
 from repro.governance.contracts import STATE_COMPLETE
 
 
@@ -201,13 +200,3 @@ def trail_covers_chain(chain: Blockchain, workload_address: str,
                 f"{log_name} event(s)"
             )
     return violations
-
-
-def require_clean_audit(chain: Blockchain, workload_address: str) -> AuditReport:
-    """Audit and raise :class:`AuditError` on any violation."""
-    report = audit_workload(chain, workload_address)
-    if not report.clean:
-        raise AuditError(
-            "audit violations: " + "; ".join(report.violations)
-        )
-    return report

@@ -78,10 +78,6 @@ class RewardSplit:
     executor_payouts: dict[str, int]
     total: int
 
-    def payout_of(self, address: str) -> int:
-        return (self.provider_payouts.get(address, 0)
-                + self.executor_payouts.get(address, 0))
-
 
 def distribute_rewards(pool: int, provider_weights: dict[str, float],
                        executors: list[str],

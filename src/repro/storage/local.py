@@ -51,10 +51,6 @@ class LocalEncryptedStore(StorageBackend):
 
     # -- owner-only extras -------------------------------------------------------
 
-    def put_owned(self, data: bytes) -> str:
-        """Shorthand: store data owned by this device's owner."""
-        return self.put(data, self.owner)
-
     def at_rest_bytes(self, object_id: str) -> bytes:
         """The raw ciphertext on disk (what a thief would see)."""
         if object_id not in self._envelopes:

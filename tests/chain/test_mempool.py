@@ -89,9 +89,8 @@ class TestAdmission:
         for nonce in range(3):
             pool.add(_tx(alice, nonce), 0)
         pool.add(_tx(bob, 0), 0)
-        assert pool.pending_count(alice.address) == 3
-        assert pool.pending_count(bob.address) == 1
-        assert pool.pending_count("0x" + "00" * 20) == 0
+        assert [tx.sender for tx in pool].count(alice.address) == 3
+        assert [tx.sender for tx in pool].count(bob.address) == 1
         assert len(pool) == 4
 
 
@@ -138,7 +137,7 @@ class TestSelection:
         selected = pool.select(lambda sender: 0, 3_900_000)
         order = [(tx.sender, tx.nonce) for tx in selected]
         assert order == [(alice.address, 0), (bob.address, 0)]
-        assert pool.pending_count(alice.address) == 1
+        assert [(tx.sender, tx.nonce) for tx in pool] == [(alice.address, 1)]
 
     def test_selection_removes_from_pool(self, funded_wallet):
         pool = Mempool()
@@ -178,7 +177,7 @@ class TestNextNonce:
             value=2, gas_price=2,
         ).sign(funded_wallet.key)
         chain.submit(bumped)
-        assert chain.mempool.pending_count(funded_wallet.address) == 3
+        assert len(chain.mempool) == 3
         assert funded_wallet._next_nonce() == 3
         chain.mine_block()
         assert chain.receipt_for(bumped.tx_hash).status

@@ -64,6 +64,23 @@ class TestAdversarialExecutors:
         assert outcome.completed
         assert outcome.paid_total == 100_000
 
+    def test_vote_reverted_after_quorum_is_reported(self, adversary_market):
+        market, consumer = adversary_market
+        outcome = run_with_adversaries(
+            market, consumer, spec("adv-late-vote", 2),
+            [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
+             ExecutorBehavior.WRONG_RESULT],
+        )
+        assert outcome.completed
+        reverted = [
+            event for event
+            in market.event_log.for_session(outcome.report.session_id)
+            if event.name == "chain.tx_reverted"
+        ]
+        assert [(e.actor, e.data["method"]) for e in reverted] == [
+            (market.executors[2].address, "submit_result")]
+        assert "requires state 'executing'" in reverted[0].data["reason"]
+
     def test_finalized_result_is_the_honest_one(self, adversary_market):
         market, consumer = adversary_market
         outcome = run_with_adversaries(

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.chain.blockchain import Blockchain, Wallet
+from repro.chain.gas import DEFAULT_TX_GAS_LIMIT
 from repro.core import (
     LIFECYCLE_PHASES,
     PHASES_BY_NAME,
@@ -16,6 +20,7 @@ from repro.core import (
     WorkloadSpec,
     phase_gas_totals,
 )
+from repro.core import lifecycle
 from repro.core.events import JSONLSink, read_jsonl_events
 from repro.core.lifecycle import (
     STATE_CREATED,
@@ -30,13 +35,18 @@ from repro.errors import (
     MarketplaceError,
     MatchFailure,
     MatchingError,
+    RegistrationFailure,
     SettlementFailure,
+    StartFailure,
+    SubmissionFailure,
     TransitionError,
 )
 from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
+from repro.tee.enclave import Enclave
 from repro.telemetry.exporters import registry_from_events
+from tests.chain.test_mempool import _forge
 
 
 @pytest.fixture(scope="module")
@@ -258,7 +268,7 @@ class TestInterceptors:
         market, consumer = market_setup
 
         def no_votes(session, phase):
-            phase.finalize(session)
+            """Nobody votes; the engine still mines and checks the state."""
 
         session = market.session_for(
             consumer, MLTrainingKind(small_spec("wl-novotes")),
@@ -266,6 +276,7 @@ class TestInterceptors:
             require_completion=False, audit=False,
         )
         session.run()
+        assert session.blocks_mined == 5  # the settle block holds no vote
         assert session.ctx.final_state == "executing"
         assert session.ctx.payouts == {}
         assert "settle.incomplete" in [e.name for e in session.trail]
@@ -274,7 +285,7 @@ class TestInterceptors:
         market, consumer = market_setup
 
         def no_votes(session, phase):
-            phase.finalize(session)
+            """Nobody votes; the engine still mines and checks the state."""
 
         with pytest.raises(SettlementFailure) as excinfo:
             market.session_for(
@@ -282,3 +293,168 @@ class TestInterceptors:
                 interceptors={"settle": no_votes},
             ).run()
         assert excinfo.value.snapshot["final_state"] == "executing"
+
+
+def tamper_calls(monkeypatch, method, change):
+    """Route every ``Wallet.call`` of ``method`` through ``change(real,
+    wallet, contract, args)``, which returns the transaction hash."""
+    real = Wallet.call
+
+    def call(wallet, contract, name, **args):
+        if name == method:
+            return change(real, wallet, contract, args)
+        return real(wallet, contract, name, **args)
+
+    monkeypatch.setattr(Wallet, "call", call)
+
+
+def sent_twice(real, wallet, contract, args):
+    real(wallet, contract, "submit_participation", **args)
+    return real(wallet, contract, "submit_participation", **args)
+
+
+def forged(real, wallet, contract, args):
+    tx = wallet._build(contract, 0, {"method": "start_execution",
+                                     "args": args}, DEFAULT_TX_GAS_LIMIT)
+    return wallet.chain.submit(_forge(tx))
+
+
+def run_failing(market, consumer, spec, failure):
+    session = market.session_for(consumer, MLTrainingKind(spec))
+    with pytest.raises(failure) as excinfo:
+        session.run()
+    return session, excinfo.value
+
+
+class TestOneSeamMinesAndReadsReceipts:
+    """Phases submit; ``Marketplace.mine_and_read`` mines the block and a
+    required transaction the chain refused fails the phase that sent it."""
+
+    def test_unmet_preconditions_stop_before_any_enclave_runs(
+            self, market_setup, monkeypatch):
+        market, consumer = market_setup
+        runs = []
+        real_run = Enclave.run
+        monkeypatch.setattr(
+            Enclave, "run",
+            lambda self, *a, **k: runs.append(1) or real_run(self, *a, **k))
+        session, error = run_failing(
+            market, consumer, small_spec("wl-gate", min_samples=10_000),
+            StartFailure)
+        assert "workload preconditions are not met" in str(error)
+        assert error.snapshot["state"] == "start_execution"
+        assert runs == []
+        names = [event.name for event in session.trail]
+        assert "enclave.executed" not in names
+        assert session.ctx.refunded == 100_000
+        failed = [e for e in session.trail if e.name == "session.failed"]
+        assert [e.data["phase"] for e in failed] == ["start_execution"]
+        reverted = [e for e in session.trail if e.name == "chain.tx_reverted"]
+        assert [(e.actor, e.data["method"]) for e in reverted] == [
+            (consumer.address, "start_execution")]
+
+    @pytest.mark.parametrize("method,change,failure,phase,reason", [
+        ("register_executor",
+         lambda real, w, c, args: real(w, c, "register_executor",
+                                       claimed_measurement="00" * 32),
+         RegistrationFailure, "register_executors",
+         "executor claims a different code measurement"),
+        ("submit_participation", sent_twice, SubmissionFailure,
+         "attest_and_submit", "certificate already submitted"),
+        ("submit_result",
+         lambda real, w, c, args: real(w, c, "submit_result",
+                                       **{**args, "provider_weights_bps": {}}),
+         SettlementFailure, "settle", "weights must sum to 10000 bps"),
+        ("start_execution", forged, StartFailure, "start_execution",
+         "dropped at block entry: no receipt"),
+    ], ids=["mismatching_measurement", "certificate_sent_twice",
+            "weights_off_bps", "forged_signature"])
+    def test_refused_transaction_fails_the_phase_that_sent_it(
+            self, market_setup, monkeypatch, method, change, failure, phase,
+            reason):
+        market, consumer = market_setup
+        tamper_calls(monkeypatch, method, change)
+        session, error = run_failing(
+            market, consumer, small_spec(f"wl-refused-{method}"), failure)
+        assert type(error) is failure
+        assert method in str(error) and reason in str(error)
+        assert error.snapshot["state"] == phase
+        assert [e.data["phase"] for e in session.trail
+                if e.name == "session.failed"] == [phase]
+        assert session.ctx.refunded == 100_000
+        assert session.read_state() == "cancelled"
+
+    def test_reverted_abort_does_not_mask_the_original_error(
+            self, market_setup, monkeypatch):
+        market, consumer = market_setup
+        stranger = market.executors[0].wallet
+        tamper_calls(monkeypatch, "abort",
+                     lambda real, w, c, args: real(stranger, c, "abort"))
+        session, error = run_failing(
+            market, consumer, small_spec("wl-noabort", min_samples=10_000),
+            StartFailure)
+        assert "workload preconditions are not met" in str(error)
+        refund = [e for e in session.trail
+                  if e.name.startswith("session.refund")]
+        assert [e.name for e in refund] == ["session.refund_failed"]
+        assert refund[0].data["error"] == "SettlementFailure"
+        assert "only the consumer may abort" in refund[0].data["message"]
+        assert session.ctx.refunded == 0
+
+    @pytest.fixture
+    def narrow_market(self, rng):
+        """Blocks that hold two transactions: the third certificate of
+        ``attest_and_submit`` is deferred into the ``start_execution`` block
+        (as the 16th is on E25's ``ml_wide``)."""
+        market = Marketplace(seed=29)
+        for index, part in enumerate(
+                split_dirichlet(make_iot_activity(300, rng), 3, 1.0, rng,
+                                min_samples=10)):
+            market.add_provider(f"u{index}", part,
+                                SemanticAnnotation("heart_rate", {}))
+        consumer = market.add_consumer("c")
+        market.add_executor("e0")
+        market.add_executor("e1")
+        market.chain.block_gas_limit = 2 * DEFAULT_TX_GAS_LIMIT
+        return market, consumer
+
+    def test_deferred_certificate_rides_into_the_next_block(
+            self, narrow_market):
+        market, consumer = narrow_market
+        report = market.run_workload(
+            consumer, small_spec("wl-narrow", min_providers=3))
+        sizes = [event.data["transactions"] for event
+                 in market.event_log.for_session(report.session_id)
+                 if event.name == "chain.block_mined"]
+        assert sizes == [1, 2, 2, 2, 1]
+        assert report.audit.clean and len(report.participants) == 3
+
+    def test_deferred_start_does_not_open_the_gate(
+            self, narrow_market, monkeypatch):
+        market, consumer = narrow_market
+        runs = []
+        monkeypatch.setattr(Enclave, "run",
+                            lambda self, *a, **k: runs.append(1))
+        tamper_calls(
+            monkeypatch, "start_execution",
+            lambda real, w, c, args: real(
+                w, c, "start_execution",
+                gas_limit=market.chain.block_gas_limit + 1))
+        session, error = run_failing(
+            market, consumer, small_spec("wl-pooled-start"), StartFailure)
+        assert "still pooled" in str(error)
+        assert error.snapshot["state"] == "start_execution"
+        assert runs == []
+
+    def test_fault_free_session_mines_five_blocks_through_the_seam(
+            self, market_setup, monkeypatch):
+        market, consumer = market_setup
+        mined = []
+        real_mine = Blockchain.mine_block
+        monkeypatch.setattr(
+            Blockchain, "mine_block",
+            lambda chain, *a, **k: mined.append(1) or real_mine(chain, *a, **k))
+        report = market.run_workload(consumer, small_spec("wl-five"))
+        assert len(mined) == report.blocks_mined == 5
+        source = inspect.getsource(lifecycle)
+        assert "_mine(" not in source and "mine_block(" not in source

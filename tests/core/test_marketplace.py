@@ -19,7 +19,7 @@ from repro.core import (
 from repro.core.workload import enclave_entry_point
 from repro.crypto import merkle as merkle_module
 from repro.crypto.merkle import MerkleTree
-from repro.errors import MatchingError
+from repro.errors import MarketplaceError, MatchingError
 from repro.governance.certificates import issue_certificate
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
@@ -274,6 +274,23 @@ class TestDataPathDoesWorkOnce:
         assert [args[0] for args in walks
                 if callable(args[0])] == [enclave_entry_point]
         assert measurements[0] != measurements[1]
+
+
+class TestOnboardingReadsReceipts:
+    def test_refused_registration_leaves_nothing_off_chain(self, rng):
+        market = Marketplace(seed=23)
+        market.add_executor("e0")
+        market.operator.call_and_mine(
+            market.data_registry, "register_dataset", record_id="record-x",
+            content_hash="00" * 32, annotation_hash="00" * 32, size_bytes=1)
+        platforms = dict(market.attestation._platforms)
+        with pytest.raises(MarketplaceError) as excinfo:
+            market.add_provider("x", make_iot_activity(40, rng),
+                                SemanticAnnotation("heart_rate", {}))
+        assert "dataset 'record-x' already registered" in str(excinfo.value)
+        assert market.providers == []
+        assert len(market.catalog) == 0
+        assert market.attestation._platforms == platforms
 
 
 class TestActiveExecutors:

@@ -13,16 +13,14 @@ from repro.core.workload import (
     RewardScheme,
     TrainingSpec,
     WorkloadSpec,
-    deserialize_rows,
     enclave_entry_point,
     join_rows,
     serialize_partition,
-    serialize_row,
 )
 from repro.errors import WorkloadSpecError
 from repro.ml.datasets import Dataset, make_iot_activity
 from repro.storage.semantic import ConceptRequirement
-from repro.utils.serialization import canonical_json_bytes
+from repro.utils.serialization import canonical_json_bytes, from_canonical_json
 
 
 def make_spec(**overrides) -> WorkloadSpec:
@@ -79,18 +77,14 @@ class TestRowSerialization:
     def test_row_round_trip(self, rng):
         data = make_iot_activity(5, rng)
         rows = serialize_partition(data.features, data.targets)
-        features, targets = deserialize_rows(rows)
-        assert np.allclose(features, data.features)
-        assert np.allclose(targets, data.targets)
+        records = [from_canonical_json(row) for row in rows]
+        assert np.allclose([r["x"] for r in records], data.features)
+        assert np.allclose([r["y"] for r in records], data.targets)
 
     def test_row_bytes_deterministic(self):
-        a = serialize_row(np.array([1.0, 2.0]), 1)
-        b = serialize_row(np.array([1.0, 2.0]), 1)
+        a = serialize_partition(np.array([[1.0, 2.0]]), np.array([1]))
+        b = serialize_partition(np.array([[1.0, 2.0]]), np.array([1]))
         assert a == b
-
-    def test_empty_partition_rejected(self):
-        with pytest.raises(WorkloadSpecError):
-            deserialize_rows([])
 
 
 def _reference_rows(features, targets) -> list[bytes]:
@@ -145,7 +139,7 @@ class TestSameRowBytes:
         features, targets = np.array([0.5, -1.25, 3.0]), np.array([0, 1, 0])
         rows = serialize_partition(features, targets)
         assert rows == _reference_rows(features, targets)
-        assert rows[0] == serialize_row(features[0], targets[0])
+        assert rows[0] == serialize_partition(features[:1], targets[:1])[0]
         assert rows[1] == b'{"x":[-1.25],"y":1.0}'
 
     def test_empty_partition(self):
@@ -159,8 +153,6 @@ class TestSameRowBytes:
             serialize_partition(np.array([[1.0, bad]]), np.array([0.0]))
         with pytest.raises(ValueError):
             serialize_partition(np.array([[1.0, 2.0]]), np.array([bad]))
-        with pytest.raises(ValueError):
-            serialize_row(np.array([bad]), 0)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

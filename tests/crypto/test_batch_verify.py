@@ -239,7 +239,7 @@ class TestRecoverNoncePoint:
             signature = key.sign(message)
             point = _recover_nonce_point(signature.r, signature.v)
             assert point is not None
-            assert ec_backend.is_on_curve(point)
+            assert ecdsa._is_on_curve(point)
             assert point[0] % N == signature.r
             assert (point[1] & 1) == signature.v
 

@@ -13,7 +13,6 @@ from repro.crypto.ecdsa import (
     PublicKey,
     Signature,
     shared_secret,
-    verify_with_address,
 )
 from repro.errors import InvalidKeyError, InvalidSignatureError
 
@@ -118,14 +117,6 @@ class TestSignatures:
         signature = key.sign(b"msg")
         forged = Signature(r=0, s=signature.s, v=signature.v)
         assert not key.public_key.verify(b"msg", forged)
-
-    def test_verify_with_address_binds_key(self, key, rng):
-        signature = key.sign(b"msg")
-        assert verify_with_address(key.address, b"msg", signature,
-                                   key.public_key)
-        other = PrivateKey.generate(rng)
-        assert not verify_with_address(other.address, b"msg", signature,
-                                       key.public_key)
 
     @settings(max_examples=10, deadline=None)
     @given(st.binary(min_size=0, max_size=64))

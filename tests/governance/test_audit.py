@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.block import Block
-from repro.errors import AuditError, InvalidBlockError
-from repro.governance.audit import audit_workload, require_clean_audit
+from repro.errors import InvalidBlockError
+from repro.governance.audit import audit_workload
 from repro.governance.contracts import BPS
 from tests.conftest import make_funded_wallet
 
@@ -50,10 +50,6 @@ class TestCleanAudit:
         assert report.executors_paid == 1
         assert report.certificates == 1
 
-    def test_require_clean_audit_passes(self, completed_workload):
-        chain, consumer, workload = completed_workload
-        require_clean_audit(chain, workload)
-
     def test_cancelled_workload_audits_clean(self, chain, rng):
         consumer = make_funded_wallet(chain, rng, "consumer")
         workload = consumer.deploy_and_mine(
@@ -84,12 +80,6 @@ class TestTamperDetection:
                                 auditor=consumer.address)
         assert not report.clean
         assert any("WorkloadCreated" in v for v in report.violations)
-
-    def test_require_clean_audit_raises(self, completed_workload):
-        chain, consumer, workload = completed_workload
-        chain.blocks[1].header.gas_used += 1
-        with pytest.raises(AuditError):
-            require_clean_audit(chain, workload)
 
 
 class TestAuditedSegment:

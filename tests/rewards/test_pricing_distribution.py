@@ -119,7 +119,8 @@ class TestDistribution:
         split = distribute_rewards(
             100, {"0xa": 1.0}, ["0xa"], infra_share=0.1,
         )
-        assert split.payout_of("0xa") == 100
+        assert (split.provider_payouts["0xa"]
+                + split.executor_payouts["0xa"]) == 100
 
     def test_weights_normalized(self):
         split = distribute_rewards(100, {"0xa": 10.0, "0xb": 30.0}, [])

@@ -94,7 +94,7 @@ class TestCommonBehavior:
 class TestLocalEncryptedStore:
     def test_at_rest_is_ciphertext(self, rng):
         store = LocalEncryptedStore(OWNER, rng)
-        object_id = store.put_owned(b"plaintext-readings")
+        object_id = store.put(b"plaintext-readings", OWNER)
         assert b"plaintext-readings" not in store.at_rest_bytes(object_id)
         assert store.verify_at_rest_confidentiality(object_id)
 

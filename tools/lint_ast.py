@@ -14,6 +14,14 @@ only, which covers two of ruff's rules and nothing else:
 
 ``# noqa`` on the line silences both, as it does for ruff.
 
+One structural rule of this repository's own rides along:
+
+* **PDS001** — under ``src/repro/core/`` a call that mines a block
+  (``mine_block``, ``_mine``, ``call_and_mine``, ``deploy_and_mine``) may
+  appear only in ``Marketplace.mine_and_read`` (the seam every phase and
+  every onboarding call goes through, DESIGN §8) and in
+  ``Marketplace.__init__`` (the three genesis deploys).
+
     python tools/lint_ast.py [PATH ...]      # default: src tests benchmarks
 
 Exits 1 when anything is reported, 0 otherwise.
@@ -30,6 +38,9 @@ LINE_LENGTH = 100
 LONG_LINES_ALLOWED = ("benchmarks", "examples")
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+MINING_SCOPE = ("src", "repro", "core")
+MINING_CALLS = {"mine_block", "_mine", "call_and_mine", "deploy_and_mine"}
+MINING_ALLOWED = {"Marketplace.mine_and_read", "Marketplace.__init__"}
 
 
 def _imported(tree: ast.AST) -> list[tuple[str, int]]:
@@ -57,6 +68,21 @@ def _read_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _mining_calls(node: ast.AST, scope: str = "") -> list[tuple[str, int, str]]:
+    """``(called name, line, enclosing scope)`` of every mining call."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call):
+            name = getattr(child.func, "attr", getattr(child.func, "id", ""))
+            if name in MINING_CALLS:
+                found.append((name, child.lineno, scope))
+        found.extend(_mining_calls(child, inner))
+    return found
+
+
 def lint_file(path: Path) -> list[str]:
     text = path.read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -73,6 +99,11 @@ def lint_file(path: Path) -> list[str]:
     for name, lineno in _imported(tree):
         if name not in read and not silenced(lineno):
             found.append(f"{path}:{lineno}: F401 {name!r} imported but unused")
+    if path.parts[-len(MINING_SCOPE) - 1:-1] == MINING_SCOPE:
+        for name, lineno, scope in _mining_calls(tree):
+            if scope not in MINING_ALLOWED:
+                found.append(f"{path}:{lineno}: PDS001 {name}() mines outside "
+                             "Marketplace.mine_and_read")
     if not set(path.parts) & set(LONG_LINES_ALLOWED):
         for lineno, line in enumerate(lines, start=1):
             if len(line) > LINE_LENGTH and not silenced(lineno):
@@ -96,7 +127,8 @@ def main(argv: list[str]) -> int:
     for line in found:
         print(line)
     print(f"lint_ast: {len(files)} files, {len(found)} finding(s) "
-          "(F401 unused imports, E501 line length; not a ruff run)",
+          "(F401 unused imports, E501 line length, PDS001 one mining "
+          "seam; not a ruff run)",
           file=sys.stderr)
     return 1 if found else 0
 
