@@ -119,12 +119,18 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     report = session.run()
     ctx = session.ctx
 
+    crony_paid = sum(
+        int(log.data["amount"])
+        for _, log in market.chain.events(name="RewardPaid",
+                                          address=ctx.workload_address)
+        if log.data["recipient"] == CRONY_ADDRESS
+    )
     completed = ctx.final_state == "complete"
     return AdversarialOutcome(
         completed=completed,
         honest_result_hash=ctx.result_hash,
         final_state=ctx.final_state,
         paid_total=sum(ctx.payouts.values()),
-        crony_payout=ctx.payouts.get(CRONY_ADDRESS, 0),
+        crony_payout=crony_paid,
         report=report if completed else None,
     )

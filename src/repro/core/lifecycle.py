@@ -17,13 +17,11 @@ the way enclave outputs are combined, and the shape of the final result.
 ``Marketplace.run_workload`` and ``Marketplace.run_aggregate_workload``
 are thin drivers over this one engine.
 
-Phases are individually testable objects and none of them mines: a phase
-sends its transactions, the engine mines one block through the
-marketplace's single seam (:meth:`Marketplace.mine_and_read`, which also
-reads every receipt) and hands the phase the receipts.  The sending half
-can be *intercepted* (replaced by a callable) — the adversary harness
-substitutes malicious result votes for the honest ones this way, without
-reaching into marketplace internals.
+Phases are individually testable objects and none of them mines (see
+:class:`LifecyclePhase`).  A phase's sending half can be *intercepted*
+(replaced by a callable) — the adversary harness substitutes malicious
+result votes for the honest ones this way, without reaching into
+marketplace internals.
 
 Failures need not be terminal.  A session built with ``recover=True``
 consults :func:`repro.core.resilience.decide` whenever a phase raises: it
@@ -72,7 +70,6 @@ from repro.errors import (
 )
 from repro.governance.audit import AuditReport, audit_workload, trail_covers_chain
 from repro.governance.contracts import (
-    STATE_CANCELLED,
     STATE_COMPLETE,
     STATE_EXECUTING,
     STATE_OPEN,
@@ -491,9 +488,8 @@ class RecoveryDirective:
     reason: str = ""
 
 
-#: An interceptor replaces one phase's ``run`` — for an on-chain phase the
-#: half that sends; the engine still mines and calls ``after_block``.  It
-#: receives the session and the phase object it displaced.
+#: An interceptor replaces one phase's ``run`` (see :class:`LifecyclePhase`).
+#: It receives the session and the phase object it displaced.
 PhaseInterceptor = Callable[["WorkloadSession", "LifecyclePhase"], None]
 
 
@@ -722,7 +718,7 @@ class WorkloadSession:
                     # quorum): reported by the seam, not required.
                     phase.after_block(self, self.market.mine_and_read(
                         self.awaited, required=interceptor is None,
-                        failure_class=phase.failure_class))
+                        drain=phase.drain))
             except LifecycleError as err:
                 if not err.snapshot:
                     err.snapshot = self.record()
@@ -863,17 +859,12 @@ class WorkloadSession:
             escrow = int(self.consumer.wallet.view(
                 ctx.workload_address, "escrow"
             ))
-            # The failed phase's own sends die with it: only the abort is
-            # awaited (a reverted abort raises here, through the seam).
+            # The failed phase's own sends die with it.  The seam raises
+            # unless the abort was mined and succeeded (state cancelled).
             self.awaited.clear()
             self.send(self.consumer.wallet, "abort")
             self.market.mine_and_read(self.awaited, required=True,
-                                      failure_class=SettlementFailure)
-            if self.read_state() != STATE_CANCELLED:
-                raise SettlementFailure(
-                    "abort transaction did not cancel the workload",
-                    snapshot=self.record(),
-                )
+                                      drain=True)
             ctx.refunded = escrow
             _ESCROW_REFUNDED.inc(escrow)
             self.emit("session.refunded", actor=self.consumer.address,
@@ -886,8 +877,8 @@ class WorkloadSession:
 
     def send(self, wallet: "Wallet", method: str, **args: Any) -> None:
         """Queue one call to the workload contract and await its receipt."""
-        self.awaited.append(self.market.send(
-            wallet, self.ctx.workload_address, method, **args))
+        self.market.send(self.awaited, wallet, self.ctx.workload_address,
+                         method, **args)
 
     def cast_vote(self, executor: ExecutorActor, result_hash: str,
                   weights_bps: dict[str, int]) -> None:
@@ -926,13 +917,16 @@ class LifecyclePhase:
     A phase never mines.  :meth:`run` is all of an off-chain phase and the
     *submit* half of an ``on_chain`` one (:meth:`WorkloadSession.send`) —
     the half a :data:`PhaseInterceptor` replaces.  The engine then mines
-    one block through the marketplace seam, also when nothing was sent,
-    and calls :meth:`after_block` with the receipts of what was.
+    one block through :meth:`Marketplace.mine_and_read`, also when nothing
+    was sent, and calls :meth:`after_block` with the receipts of what was.
+    A phase that ``drain``s is not over while a transaction the block gas
+    limit deferred is still pooled: the seam mines until each has a receipt.
     """
 
     name: str = ""
     failure_class: type[LifecycleError] = LifecycleError
     on_chain: bool = False
+    drain: bool = False
 
     def run(self, session: WorkloadSession) -> None:
         raise NotImplementedError
@@ -952,6 +946,7 @@ class DeployPhase(LifecyclePhase):
     name = PHASE_DEPLOY
     failure_class = DeployFailure
     on_chain = True
+    drain = True  # the next phases need the contract's address
 
     def run(self, session: WorkloadSession) -> None:
         kind = session.kind
@@ -966,16 +961,12 @@ class DeployPhase(LifecyclePhase):
             )
         session.fault_point("deploy.chain_tx")
         wallet = session.consumer.wallet
-        session.awaited.append((
-            wallet.deploy("workload", value=kind.reward_pool,
-                          **kind.contract_args()),
-            wallet.address, "deploy",
-        ))
+        tx_hash = wallet.deploy("workload", value=kind.reward_pool,
+                                **kind.contract_args())
+        session.awaited.append((tx_hash, wallet.address, "deploy"))
 
     def after_block(self, session: WorkloadSession,
                     receipts: list["Receipt"]) -> None:
-        if session.awaited:
-            raise DeployFailure("deployment still pooled after its block")
         session.ctx.workload_address = receipts[-1].contract_address
         session.emit("contract.deployed",
                      actor=session.consumer.address,
@@ -1093,18 +1084,13 @@ class StartExecutionPhase(LifecyclePhase):
     name = PHASE_START
     failure_class = StartFailure
     on_chain = True
+    drain = True  # no enclave runs before the gate's receipt is read
 
     def run(self, session: WorkloadSession) -> None:
         session.fault_point("start.chain_tx")
         session.send(session.consumer.wallet, "start_execution")
         session.emit("execution.start_requested",
                      actor=session.consumer.address)
-
-    def after_block(self, session: WorkloadSession,
-                    receipts: list["Receipt"]) -> None:
-        if session.awaited:  # its own send, or a certificate before it
-            raise StartFailure("the gate has not tripped: a transaction "
-                               "is still pooled after the block")
 
 
 class ExecutePhase(LifecyclePhase):

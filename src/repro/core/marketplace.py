@@ -200,64 +200,71 @@ class Marketplace:
         return self.clock
 
     def mine_and_read(self, awaited: list[tuple[bytes, str, str]], *,
-                      required: bool,
-                      failure_class: type[MarketplaceError],
-                      ) -> list[Receipt]:
+                      required: bool, drain: bool) -> list[Receipt]:
         """The one place ``repro.core`` mines and reads receipts.
 
-        Mines one block — also when nothing is pooled — and drains
-        ``awaited``, the caller's ``(tx_hash, sender, method)`` entries: one
-        leaves the list with its receipt; one the block deferred (still
-        pooled: the block gas limit was reached) stays for the caller's
-        next block.  A transaction that reverted, or is neither mined nor
-        pooled (forged: dropped at block entry), is published as a
-        ``chain.tx_reverted`` event, and if the sends were ``required`` the
-        first such one raises ``failure_class`` with the chain's reason.
+        Mines one block — also when nothing is pooled — and empties
+        ``awaited`` of every ``(tx_hash, sender, method)`` entry that block
+        decided.  One the block deferred (still pooled: the block gas limit
+        was reached) stays for the caller's next block, unless the caller
+        cannot go on without it (``drain``: a deployment, the start gate,
+        an abort, a registration): then the seam mines on until the pool
+        stops shrinking.  A transaction that reverted, is neither mined nor
+        pooled (forged: dropped at block entry) or can never be mined is
+        published as a ``chain.tx_reverted`` event, and if the sends were
+        ``required`` the first such one raises with the chain's reason.
 
         The block is timed by the marketplace clock (not ``mine_block``'s
         head-timestamp + 1): a run failing right after a block would
         otherwise leave the clock behind the head timestamp and the *next*
         session would mine a non-monotonic block.
         """
-        self.chain.mine_block(self._tick())
         receipts: list[Receipt] = []
-        pooled = []
         failure = ""
-        for entry in awaited:
-            tx_hash, sender, method = entry
-            try:
-                receipt = self.chain.receipt_for(tx_hash)
-            except ChainError:
-                if tx_hash in self.chain.mempool:
-                    pooled.append(entry)
-                    continue
-                reason = "dropped at block entry: no receipt"
-            else:
-                receipts.append(receipt)
-                if receipt.status:
-                    continue
-                reason = receipt.error
-            self.publish_event("chain.tx_reverted", actor=sender,
-                               data={"method": method, "reason": reason})
-            failure = failure or f"{method} from {sender} failed: {reason}"
-        awaited[:] = pooled
-        if required and failure:
-            raise failure_class(failure)
-        return receipts
+        while True:
+            depth = len(self.chain.mempool)
+            self.chain.mine_block(self._tick())
+            stuck = len(self.chain.mempool) == depth
+            pooled = []
+            for entry in awaited:
+                tx_hash, sender, method = entry
+                try:
+                    receipt = self.chain.receipt_for(tx_hash)
+                except ChainError:
+                    if tx_hash not in self.chain.mempool:
+                        reason = "dropped at block entry: no receipt"
+                    elif drain and stuck:
+                        reason = "still pooled: no block can take it"
+                    else:
+                        pooled.append(entry)
+                        continue
+                else:
+                    receipts.append(receipt)
+                    if receipt.status:
+                        continue
+                    reason = receipt.error
+                self.publish_event("chain.tx_reverted", actor=sender,
+                                   data={"method": method, "reason": reason})
+                failure = failure or f"{method} from {sender} failed: {reason}"
+            awaited[:] = pooled
+            if required and failure:
+                raise MarketplaceError(failure)
+            if not (drain and pooled):
+                return receipts
 
     @staticmethod
-    def send(wallet: Wallet, contract: str, method: str,
-             **args) -> tuple[bytes, str, str]:
-        """Queue one contract call; returns the entry the seam awaits."""
-        return wallet.call(contract, method, **args), wallet.address, method
+    def send(awaited: list[tuple[bytes, str, str]], wallet: Wallet,
+             contract: str, method: str, **args) -> None:
+        """Queue one contract call on ``awaited``, for the seam to read."""
+        awaited.append(
+            (wallet.call(contract, method, **args), wallet.address, method))
 
-    def _onboard(self, sent: list[tuple[bytes, str, str]]) -> None:
-        """Registrations go through the seam: nothing is recorded off-chain
-        until the chain accepted every one of them."""
-        self.mine_and_read(sent, required=True,
-                           failure_class=MarketplaceError)
-        if sent:
-            raise MarketplaceError(f"{sent[0][2]} is still pooled")
+    def _register(self, wallet: Wallet, role: str) -> None:
+        """Claim ``role`` on-chain; raises before anything is recorded
+        off-chain when the registry refuses."""
+        sent: list[tuple[bytes, str, str]] = []
+        self.send(sent, wallet, self.actor_registry, "register", role=role)
+        self.mine_and_read(sent, required=True, drain=True)
 
     def _new_wallet(self, label: str) -> Wallet:
         wallet = Wallet.generate(
@@ -375,20 +382,22 @@ class Marketplace:
             annotation=annotation, store=store, policy=policy,
             record_id=f"record-{name}",
         )
-        sent = [self.send(wallet, self.actor_registry, "register",
-                          role="provider")]
+        sent: list[tuple[bytes, str, str]] = []
+        self.send(sent, wallet, self.actor_registry, "register",
+                  role="provider")
         object_id = provider.store_dataset()
         payload_hash = content_address(provider.partition_payload())
         from repro.crypto.hashing import hash_object
 
         annotation_hash = hash_object(annotation.to_dict()).hex()
-        sent.append(self.send(
-            wallet, self.data_registry, "register_dataset",
+        self.send(
+            sent, wallet, self.data_registry, "register_dataset",
             record_id=provider.record_id, content_hash=payload_hash,
             annotation_hash=annotation_hash,
             size_bytes=len(provider.partition_payload()),
-        ))
-        self._onboard(sent)
+        )
+        # Nothing is recorded off-chain until the chain accepted both.
+        self.mine_and_read(sent, required=True, drain=True)
         self.catalog.register(DataRecord(
             record_id=provider.record_id,
             owner=wallet.address,
@@ -406,8 +415,7 @@ class Marketplace:
                      validation: Optional[Dataset] = None) -> ConsumerActor:
         """Onboard a consumer with an optional private validation set."""
         wallet = self._new_wallet(f"consumer-{name}")
-        self._onboard([self.send(wallet, self.actor_registry, "register",
-                                 role="consumer")])
+        self._register(wallet, "consumer")
         consumer = ConsumerActor(name=name, wallet=wallet,
                                  validation=validation)
         self.consumers.append(consumer)
@@ -416,8 +424,7 @@ class Marketplace:
     def add_executor(self, name: str) -> ExecutorActor:
         """Onboard an executor: wallet, role, provisioned TEE platform."""
         wallet = self._new_wallet(f"executor-{name}")
-        self._onboard([self.send(wallet, self.actor_registry, "register",
-                                 role="executor")])
+        self._register(wallet, "executor")
         platform = TEEPlatform(
             platform_id=f"platform-{name}",
             rng=derive_rng(self.seed, f"platform-{name}"),

@@ -397,7 +397,7 @@ class TestOneSeamMinesAndReadsReceipts:
         refund = [e for e in session.trail
                   if e.name.startswith("session.refund")]
         assert [e.name for e in refund] == ["session.refund_failed"]
-        assert refund[0].data["error"] == "SettlementFailure"
+        assert refund[0].data["error"] == "MarketplaceError"
         assert "only the consumer may abort" in refund[0].data["message"]
         assert session.ctx.refunded == 0
 
@@ -429,7 +429,28 @@ class TestOneSeamMinesAndReadsReceipts:
         assert sizes == [1, 2, 2, 2, 1]
         assert report.audit.clean and len(report.participants) == 3
 
-    def test_deferred_start_does_not_open_the_gate(
+    def test_deferred_start_is_mined_before_any_enclave_runs(
+            self, narrow_market, rng):
+        """Five certificates in two-transaction blocks push
+        ``start_execution`` out of its own block (as 32 providers do on
+        E12): the seam mines on, and Execute sees an opened gate."""
+        market, consumer = narrow_market
+        for index, part in enumerate(
+                split_dirichlet(make_iot_activity(200, rng), 2, 1.0, rng,
+                                min_samples=10)):
+            market.add_provider(f"v{index}", part,
+                                SemanticAnnotation("heart_rate", {}))
+        report = market.run_workload(
+            consumer, small_spec("wl-late-start", min_providers=5))
+        trail = market.event_log.for_session(report.session_id)
+        assert [event.data["transactions"] for event in trail
+                if event.name == "chain.block_mined"] == [1, 2, 2, 2, 2, 1]
+        marks = [event.data.get("log_name", event.name) for event in trail]
+        assert (marks.index("ExecutionStarted")
+                < marks.index("enclave.executed"))
+        assert report.audit.clean and len(report.participants) == 5
+
+    def test_unmineable_start_does_not_open_the_gate(
             self, narrow_market, monkeypatch):
         market, consumer = narrow_market
         runs = []
