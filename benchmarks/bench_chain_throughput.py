@@ -14,28 +14,25 @@ deploy + 35-transaction executor chain per session) through two regimes:
 
 Gated: settled sessions per block (packing is deterministic) and the ≥5×
 improvement over the baseline.  Wall-clock amortization of batch signature
-verification rides along and is asserted loosely (≥1.4× on a cold cache).
-
-``python benchmarks/bench_chain_throughput.py --smoke`` runs the CI smoke:
-the ~500-transaction batched workload twice at the same seed, exiting
-nonzero unless every session settles, no transaction fails, the auditor is
-clean and the two runs' state roots and receipts are byte-identical.
+verification rides along and is claimed loosely (≥1.4× on a cold cache).
+The batched workload runs twice at one seed: every session settles, no
+transaction fails, the auditor checks every block clean, and the two
+runs' state roots and receipts are byte-identical.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 
 import numpy as np
 
-from repro.bench import Experiment, higher_is_better, info
+from repro.bench import Experiment, format_table, higher_is_better, info
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
+from repro.chain.transaction import CREATE, Transaction
 from repro.crypto import ecdsa
 from repro.governance import register_governance_contracts
-from reporting import format_table, report
 
 #: E12 scale: providers paid per workload session.
 PROVIDERS_PER_SESSION = 32
@@ -97,15 +94,23 @@ def _submit_session(chain: Blockchain, consumer: Wallet, executor: Wallet,
     After the deploy, every transaction comes from the executor, so the
     mempool's per-sender nonce queue alone enforces the phase order —
     participations can never overtake registration, nor the result vote
-    its participations, no matter how blocks are packed.
+    its participations, no matter how blocks are packed.  The deploy comes
+    from another sender, so it outbids the executor's calls: at equal
+    prices a deploy the block cannot fit is deferred while a cheaper
+    executor call slips in ahead of the contract it calls (one session in
+    28 failed that way).
     """
-    hashes = [consumer.deploy(
-        "workload", value=PROVIDERS_PER_SESSION * 1_000,
-        gas_limit=GAS_DEPLOY, spec_hash=_SPEC_HASH,
-        code_measurement=_MEASUREMENT,
-        min_providers=PROVIDERS_PER_SESSION,
-        min_samples=PROVIDERS_PER_SESSION, required_confirmations=1,
-    )]
+    deploy = Transaction(
+        sender=consumer.address, nonce=0, to=CREATE,
+        value=PROVIDERS_PER_SESSION * 1_000, gas_limit=GAS_DEPLOY,
+        gas_price=2, payload={"contract": "workload", "args": {
+            "spec_hash": _SPEC_HASH, "code_measurement": _MEASUREMENT,
+            "min_providers": PROVIDERS_PER_SESSION,
+            "min_samples": PROVIDERS_PER_SESSION,
+            "required_confirmations": 1,
+        }},
+    )
+    hashes = [chain.submit(deploy.sign(consumer.key))]
     workload = chain.vm.contract_address_for(consumer.address, 0)
     if mine_per_phase:
         chain.mine_block()
@@ -231,6 +236,8 @@ def run_bench(quick: bool = False) -> dict:
     count = QUICK_SESSION_COUNT if quick else SESSION_COUNT
     baseline = _run_baseline(count)
     batched = _run_batched(count)
+    replay = _run_batched(count)
+    runs = (batched, replay)
 
     sessions_per_block_base = baseline["settled"] / baseline["blocks"]
     sessions_per_block = batched["settled"] / batched["blocks"]
@@ -261,74 +268,31 @@ def run_bench(quick: bool = False) -> dict:
         "sessions_settled": higher_is_better(batched["settled"],
                                              unit="sessions",
                                              threshold_pct=1.0),
-        "tx_failures": higher_is_better(
-            1.0 if batched["failures"] == 0 else 0.0, threshold_pct=1.0
-        ),
         # Wall-clock ratios stay ungated on shared runners.
         "verify_amortization_x": info(amortization, unit="x"),
         "baseline_sessions_per_block": info(sessions_per_block_base,
                                             unit="sessions"),
     }
-    return {
-        "metrics": metrics, "lines": lines,
-        "speedup": speedup, "sessions_per_block": sessions_per_block,
-        "amortization": amortization, "settled": batched["settled"],
-        "count": count, "failures": batched["failures"],
+    audits = [run["chain"].auditor.summary() for run in runs]
+    claims = {
+        "all_settled": all(run["settled"] == count for run in runs),
+        # 1.0 when no transaction failed (the name predates claims).
+        "tx_failures": not any(run["failures"] for run in runs),
+        # The batched pipeline settles ≥5x more sessions per block than the
+        # block-per-phase baseline (both sides are gas-deterministic).
+        "packing_5x": speedup >= 5.0,
+        # Batch signature verification amortizes on a cold cache
+        # (generous: the gap widens with block size).
+        "verify_amortizes": amortization >= 1.4,
+        "replay_identical": (batched["state_root"] == replay["state_root"]
+                             and batched["receipts"] == replay["receipts"]),
+        "audit_clean": not any(a["violation_count"] for a in audits),
+        "audit_coverage": all(a["blocks_checked"] == run["blocks"]
+                              for a, run in zip(audits, runs)),
     }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E23", "chain throughput: mempool + batch verify",
                         run_bench)
 
-
-def test_e23_chain_throughput():
-    payload = run_bench(quick=True)
-    report("E23", "chain throughput (mempool, batch verify)",
-           payload["lines"])
-
-    assert payload["settled"] == payload["count"]
-    assert payload["failures"] == 0
-    # The batched pipeline settles ≥5x more sessions per block than the
-    # block-per-phase baseline (both sides are gas-deterministic).
-    assert payload["speedup"] >= 5.0
-    # Batch signature verification amortizes: ≥1.4x over per-tx verifies
-    # on a cold cache (generous: the gap widens with block size).
-    assert payload["amortization"] >= 1.4
-
-
-def _smoke() -> int:
-    """CI smoke: the ~500-tx batched workload, twice at the same seed."""
-    count = QUICK_SESSION_COUNT
-    first = _run_batched(count)
-    second = _run_batched(count)
-    print(f"E23 smoke: {first['tx_count']} txs, {first['blocks']} blocks")
-    if first["state_root"] != second["state_root"]:
-        print("FAIL: state roots diverge between matched-seed runs")
-        return 1
-    if first["receipts"] != second["receipts"]:
-        print("FAIL: receipts diverge between matched-seed runs")
-        return 1
-    for run in (first, second):
-        if run["settled"] != count:
-            print(f"FAIL: only {run['settled']}/{count} sessions settled")
-            return 1
-        if run["failures"]:
-            print(f"FAIL: {run['failures']} transaction(s) failed")
-            return 1
-        audit = run["chain"].auditor.summary()
-        if audit["violation_count"]:
-            print(f"FAIL: {audit['violation_count']} invariant "
-                  "violation(s)")
-            return 1
-        if audit["blocks_checked"] != run["blocks"]:
-            print(f"FAIL: auditor checked {audit['blocks_checked']} of "
-                  f"{run['blocks']} blocks")
-            return 1
-    print(f"OK: {count}/{count} sessions settled, 0 failures, state roots "
-          "and receipts byte-identical across runs, every block audited "
-          "clean")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(_smoke() if "--smoke" in sys.argv else 0)

@@ -6,31 +6,20 @@ affine_oracle.py``) and the Jacobian/wNAF/GLV backend behind the public
 API, plus the
 chain-facing caches (verification replay, Merkle proofs).
 
-Writes two artifacts under ``benchmarks/results/``:
-
-* ``bench_crypto.txt`` — the human-readable table (via ``reporting``);
-* ``BENCH_crypto.json`` — machine-readable numbers so future PRs can track
-  the speedup over time.
-
-Run directly (``PYTHONPATH=src python benchmarks/bench_crypto.py``) or via
-pytest.  ``--smoke`` cuts iteration counts for CI and skips the hard
-speedup assertion (absolute timings on shared runners are noisy; the full
-run asserts verify is ≥10x the affine baseline).
+Every number is wall-clock and therefore noisy on shared runners, so
+nothing gates and the quick suite cuts the iteration counts; the full
+suite claims verify is ≥10x the affine baseline.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).parent))
 sys.path.insert(0, str(Path(__file__).parent.parent))  # tests/ (the oracle)
 
-from reporting import format_table, report  # noqa: E402
-
-from repro.bench import Experiment, info  # noqa: E402
+from repro.bench import Experiment, format_table, info  # noqa: E402
 from repro.crypto import ec_backend  # noqa: E402
 from repro.crypto.ecdsa import (  # noqa: E402
     GX,
@@ -44,7 +33,6 @@ from repro.crypto.hashing import hash_to_int  # noqa: E402
 from repro.crypto.merkle import MerkleTree  # noqa: E402
 from tests.crypto.affine_oracle import point_add, point_mul  # noqa: E402
 
-RESULTS_DIR = Path(__file__).parent / "results"
 VERIFY_SPEEDUP_TARGET = 10.0
 
 
@@ -79,9 +67,9 @@ def _affine_verify(public, message: bytes, r: int, s: int) -> bool:
     return point is not None and point[0] % N == r
 
 
-def run(smoke: bool = False) -> dict:
-    iters_fast = 20 if smoke else 200
-    iters_slow = 3 if smoke else 20
+def run_bench(quick: bool = False) -> dict:
+    iters_fast = 20 if quick else 200
+    iters_slow = 3 if quick else 20
 
     key = PrivateKey.from_seed(b"bench-crypto")
     peer = PrivateKey.from_seed(b"bench-peer")
@@ -164,39 +152,8 @@ def run(smoke: bool = False) -> dict:
         ["merkle proof (cached)", "-", f"{ms['merkle_proof_cached']:.4f}",
          "-"],
     ]
-    report("BENCH_crypto", "fast EC backend vs affine reference (ms/op)",
-           format_table(["operation", "affine ms", "fast ms", "speedup"],
-                        rows))
-
-    payload = {
-        "experiment": "bench_crypto",
-        "mode": "smoke" if smoke else "full",
-        "iterations": {"fast": iters_fast, "affine": iters_slow},
-        "ms": {name: round(value, 5) for name, value in ms.items()},
-        "speedup": {name: round(value, 2) for name, value in speedup.items()},
-        "verify_speedup_target": VERIFY_SPEEDUP_TARGET,
-    }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_crypto.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )
-
-    if not smoke:
-        assert speedup["verify"] >= VERIFY_SPEEDUP_TARGET, (
-            f"verify speedup {speedup['verify']:.1f}x below the "
-            f"{VERIFY_SPEEDUP_TARGET:.0f}x target"
-        )
-    return payload
-
-
-def run_bench(quick: bool = False) -> dict:
-    """Harness adapter.  Every metric is wall-clock and therefore noisy on
-    shared runners, so nothing gates — the trajectory records the speedups
-    for eyeballing, and the full pytest run keeps the hard ≥10x assertion.
-    """
-    payload = run(smoke=quick)
-    ms = payload["ms"]
-    speedup = payload["speedup"]
+    lines = format_table(["operation", "affine ms", "fast ms", "speedup"],
+                         rows)
     metrics = {
         "verify_speedup": info(speedup["verify"], unit="x"),
         "sign_speedup": info(speedup["sign"], unit="x"),
@@ -205,20 +162,13 @@ def run_bench(quick: bool = False) -> dict:
         "fast_sign_ms": info(ms["fast_sign"], unit="ms"),
         "verify_cached_ms": info(ms["fast_verify_cached"], unit="ms"),
     }
-    lines = [f"{name}: {value:.2f}x" for name, value in speedup.items()]
-    return {"metrics": metrics, "lines": lines, "payload": payload}
+    claims = {}
+    if not quick:
+        claims["verify_speedup_10x"] = (speedup["verify"]
+                                        >= VERIFY_SPEEDUP_TARGET)
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment(
     "CRYPTO", "fast EC backend vs affine reference", run_bench,
 )
-
-
-def test_crypto_speedup():
-    """Pytest entry point: the full benchmark with the ≥10x assertion."""
-    run(smoke=False)
-
-
-if __name__ == "__main__":
-    result = run(smoke="--smoke" in sys.argv)
-    print(json.dumps(result["speedup"], indent=2))

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Experiment, higher_is_better, info, lower_is_better
+from repro.bench import Experiment, format_table, info, lower_is_better
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
-from reporting import format_table, report
 
 
 def build_chain():
@@ -76,7 +75,6 @@ def run_bench(quick: bool = False) -> dict:
                  f"{r.gas_used / native_gas:.1f}x"])
 
     lines = format_table(["operation", "gas", "vs native"], rows)
-    bounded = native_gas < gas["erc20_transfer"] < 20 * native_gas
     metrics = {
         "native_transfer_gas": lower_is_better(native_gas, unit="gas"),
         "erc20_transfer_gas": lower_is_better(gas["erc20_transfer"],
@@ -84,20 +82,12 @@ def run_bench(quick: bool = False) -> dict:
         "erc721_mint_gas": lower_is_better(gas["erc721_mint"], unit="gas"),
         "erc20_overhead": info(gas["erc20_transfer"] / native_gas,
                                unit="x"),
-        "bounded_overhead": higher_is_better(1.0 if bounded else 0.0,
-                                             threshold_pct=1.0),
     }
-    return {"metrics": metrics, "lines": lines, "gas": gas}
+    # The richer semantics cost a bounded constant factor, not magnitudes.
+    claims = {"bounded_overhead":
+              native_gas < gas["erc20_transfer"] < 20 * native_gas}
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E13", "ERC-20/721 gas ablation", run_bench)
 
-
-def test_e13_token_gas_profile():
-    payload = run_bench()
-    report("E13", "token operation gas profile", payload["lines"])
-
-    gas = payload["gas"]
-    # The richer semantics cost a bounded constant factor, not magnitudes.
-    assert gas["native_transfer"] < gas["erc20_transfer"] \
-        < 20 * gas["native_transfer"]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Experiment, higher_is_better, info
+from repro.bench import Experiment, format_table, higher_is_better, info
 from repro.ml.datasets import (
     make_iot_activity,
     split_by_label,
@@ -21,7 +21,6 @@ from repro.ml.datasets import (
 from repro.ml.gossip import GossipConfig, GossipTrainer
 from repro.ml.merge import MergeStrategy
 from repro.ml.models import SoftmaxRegressionModel
-from reporting import format_table, report
 
 DURATION_S = 900.0
 NODES = 20
@@ -77,21 +76,16 @@ def run_bench(quick: bool = False) -> dict:
         "age_weighted_shard_score": info(
             results[(MergeStrategy.AGE_WEIGHTED.value, "shard")]),
     }
-    return {"metrics": metrics, "lines": lines, "results": results}
+    claims = {
+        # Every strategy learns on IID data...
+        "every_rule_learns_iid": min(iid_scores) > 0.6,
+        # ...and non-IID sharding is no easier for any of them.
+        "shards_no_easier": all(
+            results[(s.value, "shard")] <= results[(s.value, "iid")] + 0.05
+            for s in MergeStrategy),
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E14", "gossip merge-strategy ablation", run_bench)
 
-
-def test_e14_merge_strategy_ablation():
-    payload = run_bench()
-    report("E14", "gossip merge-strategy ablation", payload["lines"])
-
-    results = payload["results"]
-    # Every strategy must learn on IID data.
-    for strategy in MergeStrategy:
-        assert results[(strategy.value, "iid")] > 0.6
-    # Non-IID sharding is harder for every strategy.
-    for strategy in MergeStrategy:
-        assert results[(strategy.value, "shard")] <= \
-            results[(strategy.value, "iid")] + 0.05

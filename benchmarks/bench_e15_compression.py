@@ -8,13 +8,17 @@ subsampled model messages and charts accuracy against bytes on the wire.
 
 from __future__ import annotations
 
-
 from harness import har_problem
-from repro.bench import Experiment, higher_is_better, info, lower_is_better
+from repro.bench import (
+    Experiment,
+    format_table,
+    higher_is_better,
+    info,
+    lower_is_better,
+)
 from repro.ml.compression import CompressionConfig, CompressionKind
 from repro.ml.gossip import GossipConfig, GossipTrainer
 from repro.ml.models import SoftmaxRegressionModel
-from reporting import format_table, report
 
 DURATION_S = 900.0
 
@@ -72,29 +76,20 @@ def run_bench(quick: bool = False) -> dict:
         "quant8_bytes": lower_is_better(quant8.bytes_delivered, unit="B"),
         "dense_score": higher_is_better(dense.final_mean_score),
         "quant8_score": higher_is_better(quant8.final_mean_score),
-        "quant8_halves_traffic": higher_is_better(
-            1.0 if quant8.bytes_delivered < 0.5 * dense.bytes_delivered
-            else 0.0,
-            threshold_pct=1.0),
         "subsample_score": info(
             results["subsample 25%"].final_mean_score),
     }
-    return {"metrics": metrics, "lines": lines, "results": results}
+    claims = {
+        # 8-bit quantization: big byte savings at negligible accuracy cost.
+        "quant8_halves_traffic":
+            quant8.bytes_delivered < 0.5 * dense.bytes_delivered,
+        "quant8_keeps_accuracy":
+            quant8.final_mean_score > dense.final_mean_score - 0.05,
+        "every_format_learns": all(result.final_mean_score > 0.45
+                                   for result in results.values()),
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E15", "gossip message compression", run_bench)
 
-
-def test_e15_compression_ablation():
-    payload = run_bench()
-    report("E15", "gossip message-compression ablation", payload["lines"])
-
-    results = payload["results"]
-    dense = results["dense float64"]
-    quant8 = results["quantized 8-bit"]
-    # 8-bit quantization: big byte savings at negligible accuracy cost.
-    assert quant8.bytes_delivered < 0.5 * dense.bytes_delivered
-    assert quant8.final_mean_score > dense.final_mean_score - 0.05
-    # Every variant still learns.
-    for result in results.values():
-        assert result.final_mean_score > 0.45

@@ -28,12 +28,17 @@ import time
 import numpy as np
 
 from harness import har_problem
-from repro.bench import Experiment, higher_is_better, info, lower_is_better
+from repro.bench import (
+    Experiment,
+    format_table,
+    higher_is_better,
+    info,
+    lower_is_better,
+)
 from repro.kernels.gossip_kernel import GossipKernelTrainer
 from repro.ml.datasets import make_iot_activity, train_test_split
 from repro.ml.gossip import GossipConfig, GossipNodeTrainer, GossipTrainer
 from repro.ml.models import SoftmaxRegressionModel
-from reporting import format_table, report
 
 COMPARE_NODES = 256
 COMPARE_SEED = 11
@@ -127,8 +132,6 @@ def run_bench(quick: bool = False) -> dict:
         # to gate, with slack for noisy CI runners.
         "kernel_speedup_256": higher_is_better(speedup, unit="x",
                                                threshold_pct=30.0),
-        "kernel_identical_histories": higher_is_better(
-            float(identical), threshold_pct=0.0),
         "scale_10k_final_score": higher_is_better(scale.final_mean_score),
         "scale_10k_events": lower_is_better(scale.events_processed,
                                             unit="events"),
@@ -137,23 +140,17 @@ def run_bench(quick: bool = False) -> dict:
         "scale_10k_wall_s": info(scale_wall, unit="s"),
         "scale_10k_events_per_s": info(events_per_s, unit="events/s"),
     }
-    return {"metrics": metrics, "lines": lines, "speedup": speedup,
-            "identical": identical, "scale": scale}
+    claims = {
+        # An order of magnitude at 256 nodes, byte-identical to the object
+        # engine...
+        "kernel_10x": speedup >= 10.0,
+        "kernel_identical_histories": identical,
+        # ...and the 10k-node run simulated something substantial.
+        "scale_substantial": scale.events_processed > 100_000,
+        "scale_learns": scale.final_mean_score > 0.3,
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E20", "vectorized gossip kernels", run_bench)
 
-
-def test_e20_kernel_scale():
-    payload = run_bench(quick=True)
-    report("E20", "kernel engine speedup and 10k-node scale",
-           payload["lines"])
-
-    # The tentpole claims: an order of magnitude at 256 nodes, while
-    # staying byte-identical to the object engine.
-    assert payload["speedup"] >= 10.0
-    assert payload["identical"]
-    # The 10k-node run actually simulated something substantial.
-    scale = payload["scale"]
-    assert scale.events_processed > 100_000
-    assert scale.final_mean_score > 0.3

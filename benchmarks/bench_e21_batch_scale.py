@@ -17,9 +17,8 @@ the whole claim).  Throughput and wall time are reported as context.
 from __future__ import annotations
 
 from harness import CHAOS_FAULT_EVERY, CHAOS_FAULT_RATE, chaos_sweep
-from repro.bench import Experiment, higher_is_better, info
+from repro.bench import Experiment, format_table, higher_is_better, info
 from repro.control import run_job
-from reporting import format_table, report
 
 
 def run_bench(quick: bool = False) -> dict:
@@ -83,26 +82,20 @@ def run_bench(quick: bool = False) -> dict:
         "throughput_jobs_per_s": info(throughput, unit="jobs/s"),
         "wall_s": info(report_obj.wall_s, unit="s"),
     }
-    return {"metrics": metrics, "lines": lines,
-            "status": report_obj.status,
-            "identical_fraction": identical_fraction,
-            "worker_deaths": report_obj.worker_deaths,
-            "divergent": report_obj.divergent}
+    claims = {
+        # Byte-identity is the acceptance criterion, not a soft target.
+        "digests_identical": identical_fraction == 1.0,
+        # The chaos hook really did kill workers, and the batch still
+        # reached an orderly terminal state (failures only from
+        # intentionally-faulted jobs).
+        "workers_killed": report_obj.worker_deaths >= 1,
+        "orderly_terminal_state":
+            report_obj.status in ("done", "partial_failed"),
+        "no_divergence": not report_obj.divergent,
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E21", "sharded batch execution at sweep scale",
                         run_bench)
 
-
-def test_e21_batch_scale():
-    payload = run_bench(quick=True)
-    report("E21", "sharded batch execution at sweep scale",
-           payload["lines"])
-    # Byte-identity is the acceptance criterion, not a soft target.
-    assert payload["identical_fraction"] == 1.0
-    # The chaos hook really did kill workers, and the batch still reached
-    # an orderly terminal state (failures only from intentionally-faulted
-    # jobs).
-    assert payload["worker_deaths"] >= 1
-    assert payload["status"] in ("done", "partial_failed")
-    assert not payload["divergent"]

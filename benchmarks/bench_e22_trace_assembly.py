@@ -9,17 +9,18 @@ per-shard span sidecars, the jobs journal, and heartbeat evidence —
 entirely from disk, as a post-mortem would — into one causally-linked
 tree.
 
-Gated metrics are the observability acceptance criteria:
+The claims are the observability acceptance criteria:
 
-* ``completeness_fraction`` — every settled job's span subtree chains to
-  the batch root (must be 1.0 even though workers died mid-export);
+* ``causally_complete`` — every settled job's span subtree chains to
+  the batch root (``completeness_fraction`` 1.0 even though workers died
+  mid-export), with no orphans;
 * ``report_determinism`` — the rendered critical-path report is byte-
-  identical across two independent assemblies of the same directory
-  (1.0 = identical), the property that makes trace diffs meaningful
-  across replays.
+  identical across two independent assemblies of the same directory,
+  the property that makes trace diffs meaningful across replays;
+* dead attempts appear as lost-worker spans, and the Chrome export
+  validates against the checked-in schema.
 
-Orphan count, lost-worker span count, Chrome-export validity, and
-assembly wall time are reported as context.
+Span counts and assembly wall time are reported as context.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import time
 from pathlib import Path
 
 from harness import chaos_sweep
-from repro.bench import Experiment, higher_is_better, info
+from repro.bench import Experiment, format_table, higher_is_better, info
 from repro.control import assemble_batch_trace
 from repro.telemetry.distributed import (
     critical_path,
@@ -37,7 +38,6 @@ from repro.telemetry.distributed import (
     to_chrome_trace,
     validate_chrome_trace,
 )
-from reporting import format_table, report
 
 SCHEMA_PATH = (Path(__file__).resolve().parent.parent
                / "docs" / "chrome-trace.schema.json")
@@ -93,9 +93,6 @@ def run_bench(quick: bool = False) -> dict:
     metrics = {
         "completeness_fraction": higher_is_better(assembled.completeness,
                                                   threshold_pct=0.5),
-        "report_determinism": higher_is_better(1.0 if deterministic
-                                               else 0.0,
-                                               threshold_pct=0.5),
         "orphans": info(len(assembled.orphans)),
         "lost_worker_spans": info(len(assembled.lost)),
         "spans_total": info(len(assembled.spans)),
@@ -103,30 +100,21 @@ def run_bench(quick: bool = False) -> dict:
         "chrome_schema_violations": info(len(chrome_errors)),
         "assembly_wall_s": info(assembly_s, unit="s"),
     }
-    return {"metrics": metrics, "lines": lines,
-            "completeness": assembled.completeness,
-            "deterministic": deterministic,
-            "orphans": len(assembled.orphans),
-            "lost": len(assembled.lost),
-            "worker_deaths": report_obj.worker_deaths,
-            "chrome_errors": chrome_errors}
+    claims = {
+        # Causal completeness and report determinism are the acceptance
+        # criteria, not soft targets.
+        "causally_complete": assembled.completeness == 1.0,
+        "report_determinism": deterministic,
+        "no_orphans": not assembled.orphans,
+        # The chaos hook really did kill workers, and their dead attempts
+        # are represented rather than dropped.
+        "workers_killed": report_obj.worker_deaths >= 1,
+        "lost_spans_kept": len(assembled.lost) >= 1,
+        "chrome_valid": not chrome_errors,
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E22", "distributed trace assembly under chaos",
                         run_bench)
 
-
-def test_e22_trace_assembly():
-    payload = run_bench(quick=True)
-    report("E22", "distributed trace assembly under chaos",
-           payload["lines"])
-    # Causal completeness and report determinism are the acceptance
-    # criteria, not soft targets.
-    assert payload["completeness"] == 1.0
-    assert payload["deterministic"]
-    assert payload["orphans"] == 0
-    # The chaos hook really did kill workers, and their dead attempts are
-    # represented rather than dropped.
-    assert payload["worker_deaths"] >= 1
-    assert payload["lost"] >= 1
-    assert payload["chrome_errors"] == []

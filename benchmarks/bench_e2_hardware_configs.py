@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.bench import Experiment, info, lower_is_better
+from repro.bench import Experiment, format_table, info, lower_is_better
 from repro.storage.local import LocalEncryptedStore
 from repro.storage.swarm import SwarmStore
 from repro.tee.cost_model import NetworkProfile
-from reporting import format_table, report
 
 DATA_BYTES = 512 * 1024  # one provider's partition, serialized
 OWNER = "0x" + "aa" * 20
@@ -95,22 +94,14 @@ def run_bench(quick: bool = False) -> dict:
                                                        unit="ms"),
         "partition_bytes": info(data_bytes, unit="B"),
     }
-    return {"metrics": metrics, "lines": lines,
-            "bytes": (a_bytes, b_bytes, c_bytes)}
+    # The paper's point: control costs nothing extra in data movement.
+    claims = {
+        "self_hosted_moves_nothing": a_bytes == 0,
+        "bytes_ordered": a_bytes < b_bytes < c_bytes,
+        "full_outsourcing_doubles": c_bytes == 2 * b_bytes,
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E2", "Fig. 3 hardware configurations", run_bench)
 
-
-def test_e2_hardware_configurations():
-    """Measure all three Fig. 3 configurations."""
-    payload = run_bench()
-    report("E2", "Fig. 3 hardware configurations "
-                 f"({DATA_BYTES // 1024} KiB partition)",
-           payload["lines"])
-
-    a_bytes, b_bytes, c_bytes = payload["bytes"]
-    # The paper's point: control costs nothing extra in data movement.
-    assert a_bytes == 0
-    assert a_bytes < b_bytes < c_bytes
-    assert c_bytes == 2 * b_bytes

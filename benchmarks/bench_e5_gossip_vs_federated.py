@@ -11,13 +11,17 @@ and the load of the most-loaded node (gossip) versus the server (FedAvg).
 
 from __future__ import annotations
 
-
 from harness import har_problem
-from repro.bench import Experiment, higher_is_better, info, lower_is_better
+from repro.bench import (
+    Experiment,
+    format_table,
+    higher_is_better,
+    info,
+    lower_is_better,
+)
 from repro.ml.federated import FederatedConfig, FederatedTrainer
 from repro.ml.gossip import GossipConfig, GossipTrainer
 from repro.ml.models import SoftmaxRegressionModel
-from reporting import format_table, report
 
 DURATION_S = 1500.0
 EVAL_EVERY_S = 300.0
@@ -67,22 +71,18 @@ def run_bench(quick: bool = False) -> dict:
             gossip.max_node_bytes / gossip.bytes_delivered),
         "fedavg_server_bytes": info(fed.server_bytes, unit="B"),
     }
-    return {"metrics": metrics, "lines": lines,
-            "gossip": gossip, "fed": fed}
+    claims = {
+        # Gossip is competitive: within 10 accuracy points of FedAvg...
+        "gossip_within_10_points":
+            gossip.final_mean_score > fed.final_score - 0.10,
+        # ...and decentralized: its heaviest node is nowhere near a hub...
+        "gossip_decentralized":
+            gossip.max_node_bytes < 0.3 * gossip.bytes_delivered,
+        # ...while FedAvg's server touches every delivered byte.
+        "fedavg_server_is_hub": fed.server_bytes >= fed.bytes_delivered,
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E5", "gossip vs federated learning", run_bench)
 
-
-def test_e5_gossip_vs_federated():
-    payload = run_bench()
-    report("E5", "gossip vs federated, 24 non-IID providers",
-           payload["lines"])
-
-    gossip, fed = payload["gossip"], payload["fed"]
-    # Gossip must be competitive: within 10 accuracy points of FedAvg.
-    assert gossip.final_mean_score > fed.final_score - 0.10
-    # And decentralized: its heaviest node is nowhere near a full hub.
-    assert gossip.max_node_bytes < 0.3 * gossip.bytes_delivered
-    # FedAvg's server is a hub: it touches every delivered byte.
-    assert fed.server_bytes >= fed.bytes_delivered

@@ -13,14 +13,12 @@ sweeps node availability and compares:
 
 from __future__ import annotations
 
-
 from harness import har_problem
-from repro.bench import Experiment, higher_is_better, info
+from repro.bench import Experiment, format_table, higher_is_better, info
 from repro.ml.federated import FederatedConfig, FederatedTrainer
 from repro.ml.gossip import GossipConfig, GossipTrainer
 from repro.ml.models import SoftmaxRegressionModel
 from repro.net.churn import ChurnModel
-from reporting import format_table, report
 
 DURATION_S = 1200.0
 AVAILABILITIES = [1.0, 0.8, 0.5, 0.3]
@@ -82,28 +80,19 @@ def run_bench(quick: bool = False) -> dict:
         "gossip_score_full": higher_is_better(gossip_scores[0]),
         "gossip_score_low_availability": higher_is_better(
             gossip_scores[-1], threshold_pct=10.0),
-        "coordinator_fragile": higher_is_better(
-            1.0 if fed_churned_rounds[-1] < 0.6 * fed_reliable_rounds[-1]
-            else 0.0,
-            threshold_pct=1.0),
         "fed_rounds_reliable_low": info(fed_reliable_rounds[-1]),
         "fed_rounds_churned_low": info(fed_churned_rounds[-1]),
     }
-    return {"metrics": metrics, "lines": lines,
-            "gossip_scores": gossip_scores,
-            "fed_reliable_rounds": fed_reliable_rounds,
-            "fed_churned_rounds": fed_churned_rounds}
+    claims = {
+        # Gossip at the lowest availability still learns something real.
+        "gossip_learns_under_churn": gossip_scores[-1] > 0.45,
+        # A churned coordinator completes far fewer rounds than a reliable
+        # one.
+        "coordinator_fragile":
+            fed_churned_rounds[-1] < 0.6 * fed_reliable_rounds[-1],
+    }
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment("E6", "churn and coordinator failure", run_bench)
 
-
-def test_e6_churn_sweep():
-    payload = run_bench()
-    report("E6", "availability sweep: gossip vs fedavg", payload["lines"])
-
-    # Gossip at 30% availability still learns something real.
-    assert payload["gossip_scores"][-1] > 0.45
-    # A churned coordinator completes far fewer rounds than a reliable one.
-    assert payload["fed_churned_rounds"][-1] < \
-        0.6 * payload["fed_reliable_rounds"][-1]

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from repro.bench import Experiment, info, lower_is_better
+from repro.bench import Experiment, format_table, info, lower_is_better
 from repro.ml.datasets import (
     make_iot_activity,
     split_dirichlet,
@@ -30,7 +30,6 @@ from repro.rewards.shapley import (
     monte_carlo_shapley,
     truncated_monte_carlo_shapley,
 )
-from reporting import format_table, report
 
 
 def build_task(num_providers: int, seed: int = 17) -> DataValuationTask:
@@ -101,26 +100,21 @@ def run_bench(quick: bool = False) -> dict:
         "tmc_rel_error": info(rel_error(tmc)),
         "loo_rel_error": info(rel_error(loo)),
     }
-    return {"metrics": metrics, "lines": lines, "times": times,
-            "errors": {"mc": rel_error(mc), "tmc": rel_error(tmc)},
-            "mc_evals": mc_evals, "approx_n": n}
+    claims = {
+        "mc_accurate": rel_error(mc) < 0.5,
+        "tmc_accurate": rel_error(tmc) < 0.6,
+        # MC is cheaper than exhaustive enumeration.
+        "mc_cheaper_than_exact": mc_evals < 2**n,
+    }
+    if not quick:
+        # +2 players should multiply the cost by roughly 4x (2^n
+        # coalitions); over 4..10 demand at least 8x.  The quick sweep
+        # (4, 6) is one such step, so it cannot reach 8x.
+        claims["exact_cost_grows"] = times[-1] > 8 * times[0]
+    return {"metrics": metrics, "lines": lines, "claims": claims}
 
 
 EXPERIMENT = Experiment(
     "E7", "Shapley: exponential exact cost, cheap approximations", run_bench,
 )
 
-
-def test_e7_shapley():
-    payload = run_bench()
-    report("E7", "exact Shapley cost and approximation quality",
-           payload["lines"])
-
-    # Doubling the player count by +2 should multiply cost by roughly 4x
-    # (2^n coalitions); demand at least geometric growth overall.
-    times = payload["times"]
-    assert times[-1] > 8 * times[0]
-    assert payload["errors"]["mc"] < 0.5
-    assert payload["errors"]["tmc"] < 0.6
-    # MC is cheaper than exhaustive enumeration.
-    assert payload["mc_evals"] < 2 ** payload["approx_n"]

@@ -12,7 +12,9 @@ from repro.bench import Experiment, info, source_lines
 
 
 def run_bench(quick: bool = False) -> dict:
-    return {"src_lines": info(source_lines(), unit="lines")}
+    lines = source_lines()
+    return {"metrics": {"src_lines": info(lines, unit="lines")},
+            "lines": [f"{lines:,} lines of Python under src/repro"]}
 
 
 EXPERIMENT = Experiment(

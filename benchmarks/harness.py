@@ -1,47 +1,28 @@
-"""Unified benchmark harness: shared builders + the CLI entry point.
+"""Builders the experiments share.
 
-Every ``bench_*.py`` module in this directory declares a module-level
-``EXPERIMENT`` (:class:`repro.bench.Experiment`) whose ``run(quick)``
-callable performs the measurement and returns its published metrics.
-The discovery/execution/trajectory logic lives in :mod:`repro.bench`;
-this file is the in-tree entry point —
-
-    PYTHONPATH=src python benchmarks/harness.py --suite quick
-    PYTHONPATH=src python -m repro bench --suite quick --compare BENCH_seed.json
-
-— plus the builders experiments share: the seeded ML problem (used by the
-pytest fixtures and the harness path alike) and the chaos batch sweep E21
-settles and E22 explains.
+``har_problem`` is the seeded ML split E5, E6, E15 and E20 train on;
+``chaos_sweep`` is the chaos batch E21 settles and E22 explains.  The
+experiments themselves run through ``python -m repro bench``
+(:mod:`repro.bench.runner`), which puts this directory on ``sys.path``.
 """
 
 from __future__ import annotations
 
 import atexit
 import shutil
-import sys
 import tempfile
-from pathlib import Path
 
 import numpy as np
-
-# Sibling imports (reporting, this module) work no matter the rootdir.
-sys.path.insert(0, str(Path(__file__).parent))
 
 #: Cache keyed by (nodes, samples): the split is deterministic, and the
 #: quick suite reuses it across E5/E6/E15 within one process.
 _HAR_CACHE: dict[tuple[int, int], tuple] = {}
 
 
-def bench_rng(seed: int = 20260705) -> np.random.Generator:
-    """The shared benchmark RNG (same seed as the pytest fixture)."""
-    return np.random.default_rng(seed)
-
-
 def har_problem(nodes: int = 24, samples: int = 3000):
     """A seeded non-IID HAR split shared by the ML experiments.
 
-    The default parameterization matches the session-scoped pytest
-    fixture; quick-suite callers shrink both axes for CI latency.
+    Quick-suite callers shrink both axes for CI latency.
     """
     key = (nodes, samples)
     if key not in _HAR_CACHE:
@@ -98,14 +79,3 @@ def chaos_sweep(jobs: int, workers: int, kill_every: int):
             kill_after=tuple(range(kill_every, jobs, kill_every)))
         _CHAOS_CACHE[key] = (root, specs, report)
     return _CHAOS_CACHE[key]
-
-
-def main(argv: list[str] | None = None) -> int:
-    """Delegate to ``python -m repro bench`` with the same arguments."""
-    from repro.cli import main as cli_main
-
-    return cli_main(["bench", *(sys.argv[1:] if argv is None else argv)])
-
-
-if __name__ == "__main__":
-    sys.exit(main())

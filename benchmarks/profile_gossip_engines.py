@@ -6,8 +6,8 @@ Profiles the same 64-node, 600 s-simulated gossip run on both engines
 with the deterministic calls-mode sampler and writes collapsed stacks
 (flamegraph.pl input) to ``docs/profile_gossip_objects.collapsed`` and
 ``docs/profile_gossip_kernel.collapsed``.  The object engine's samples
-concentrate under ``span:gossip.run;region:gossip.wake`` (per-node
-python), the kernel engine's under ``region:kernel.round`` /
+concentrate under ``GossipNode.on_wake`` inside ``span:gossip.run``
+(per-node python), the kernel engine's under ``region:kernel.round`` /
 ``kernel.merge`` / ``kernel.train`` / ``kernel.push`` (stacked array
 ops) — the total sample counts are themselves a rough speedup witness,
 since calls-mode sampling is proportional to interpreter work.

@@ -16,6 +16,7 @@ from repro.bench.runner import (
     Experiment,
     default_bench_dir,
     discover,
+    format_table,
     run_experiment,
     run_suite,
 )
@@ -43,6 +44,7 @@ __all__ = [
     "condense",
     "default_bench_dir",
     "discover",
+    "format_table",
     "git_sha",
     "higher_is_better",
     "info",

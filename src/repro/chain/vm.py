@@ -33,7 +33,6 @@ from repro.errors import (
     OutOfGasError,
 )
 from repro.telemetry import metrics as _tm
-from repro.telemetry.profiler import profiled_function
 
 #: Depth limit for nested cross-contract calls.
 MAX_CALL_DEPTH = 64
@@ -44,8 +43,7 @@ _NO_NODE = object()
 # VM telemetry: per-transaction application outcome and gas distribution.
 # Spans stop at the mine_block level — a per-tx span would dominate the
 # cost of applying the cheap transactions it measures; the sampling
-# profiler gets a `profiled` region instead, which is two attribute loads
-# when no profiler runs.
+# profiler names `VM.apply_transaction` by its frame.
 _TX_APPLIED = _tm.counter(
     "pds2_vm_txs_applied_total", "Transactions applied, by outcome",
     labelnames=("status",),
@@ -266,7 +264,6 @@ class VM:
 
     # -- top-level transaction application ------------------------------------------
 
-    @profiled_function("chain.apply_transaction")
     def apply_transaction(self, state: WorldState, block: BlockContext,
                           tx: Transaction) -> Receipt:
         """Run the full state transition for one transaction.

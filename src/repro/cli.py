@@ -640,6 +640,15 @@ def _cmd_bench(args: argparse.Namespace, out: OutputWriter) -> int:
     if errored:
         out.error("experiment(s) errored: " + ", ".join(errored))
         exit_code = 1
+    false_claims = [
+        f"{experiment_id}/{name}"
+        for experiment_id, entry in trajectory["experiments"].items()
+        for name in entry["false_claims"]
+    ]
+    out.set("false_claims", false_claims)
+    if false_claims:
+        out.error("false claim(s): " + ", ".join(false_claims))
+        exit_code = 1
 
     if args.compare:
         try:
@@ -1145,7 +1154,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--suite", choices=["quick", "full"],
                        default="quick",
                        help="quick = reduced parameterizations for the CI "
-                            "gate; full = the complete experiment sweep")
+                            "gate; full = the complete experiment sweep, "
+                            "which also rewrites benchmarks/results/")
     bench.add_argument("--only", action="append", metavar="ID",
                        help="run only these experiment ids (repeatable, "
                             "e.g. --only E1 --only E12)")

@@ -77,7 +77,6 @@ from repro.governance.contracts import (
 from repro.rewards.distribution import normalize_weights_bps
 from repro.tee.enclave import EnclaveCode
 from repro.telemetry import metrics as _tm
-from repro.telemetry.profiler import profiled
 from repro.utils.rng import derive_rng
 from repro.utils.serialization import canonical_json_bytes
 
@@ -706,7 +705,7 @@ class WorkloadSession:
         with self.market.tracer.span(
             f"lifecycle.phase.{phase.name}", session_id=self.session_id,
             entry=self._phase_entries,
-        ) as span, profiled(f"phase.{phase.name}"):
+        ) as span:
             try:
                 interceptor = self.interceptors.get(phase.name)
                 if interceptor is not None:

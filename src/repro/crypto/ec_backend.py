@@ -42,7 +42,6 @@ from collections import OrderedDict
 from typing import Optional, Sequence
 
 from repro.telemetry import metrics as _tm
-from repro.telemetry.profiler import profiled_function
 
 # secp256k1 domain parameters (y^2 = x^3 + 7 over F_p, a = 0).
 P = 0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFEFFFFFC2F
@@ -81,7 +80,7 @@ _GLV_SHORT_BITS = 140
 # while a workload runs; the lookup is one dict hit against the O(100µs)
 # multiplication it counts.  Spans are deliberately absent here: these
 # functions sit under crypto.sign/verify timing already, and the sampling
-# profiler names them via `profiled` regions instead.
+# profiler names them by their own frames.
 _SCALAR_MULTS = _tm.counter(
     "pds2_crypto_scalar_mult_total",
     "Elliptic-curve scalar multiplications, by algorithm kind",
@@ -327,7 +326,6 @@ _POINT_TABLE_CACHE_MAX = 512
 # -- public scalar-multiplication API ----------------------------------------
 
 
-@profiled_function("ec.scalar_mult_base")
 def scalar_mult_base(scalar: int) -> AffinePoint:
     """``scalar · G`` via the signed 8-bit comb table (no doublings)."""
     _SCALAR_MULTS.labels(kind="base").inc()
@@ -376,7 +374,6 @@ def scalar_mult_base(scalar: int) -> AffinePoint:
     return to_affine((ax, ay, az))
 
 
-@profiled_function("ec.scalar_mult")
 def scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
     """``scalar · point``: the one-point case of :func:`multi_scalar_mult`
     (GLV split into two half-length streams, ~128 doublings)."""
@@ -433,7 +430,6 @@ def _signed_stream(scalar: int, width: int,
     return wnaf(scalar, width), table
 
 
-@profiled_function("ec.double_scalar_mult_base")
 def double_scalar_mult_base(scalar_g: int, scalar_q: int,
                             point_q: AffinePoint) -> AffinePoint:
     """``scalar_g · G + scalar_q · Q``: Shamir's trick as used by ECDSA
@@ -530,7 +526,6 @@ def _bucket_events(pairs: list[tuple[int, tuple[int, int]]],
             if point is not None]
 
 
-@profiled_function("ec.multi_scalar_mult")
 def multi_scalar_mult(base_scalar: int,
                       pairs: list[tuple[int, AffinePoint]],
                       one_shot_pairs: Sequence[tuple[int, AffinePoint]] = (),

@@ -76,7 +76,6 @@ from repro.net.topology import (
     random_regular_overlay,
 )
 from repro.telemetry import metrics as _tm
-from repro.telemetry.profiler import profiled_function
 from repro.telemetry.tracing import tracer as _tracer
 from repro.utils.rng import derive_rng
 
@@ -168,7 +167,6 @@ class GossipNode:
         """Queue the delivered model for the next wake (mailbox semantics)."""
         self.mailbox.append((self.simulator.now, message))
 
-    @profiled_function("gossip.wake")
     def on_wake(self, wake_index: int) -> None:
         """One wake cycle: merge eligible mail, train locally, push."""
         if not self.network.is_online(self.address):

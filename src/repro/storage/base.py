@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.crypto.hashing import keccak256
 from repro.errors import AccessDeniedError, ObjectNotFoundError
 from repro.telemetry import metrics as _tm
-from repro.telemetry.profiler import profiled_function
 
 _STORAGE_OPS = _tm.counter(
     "pds2_storage_ops_total", "Storage operations, by op and backend class",
@@ -96,7 +95,6 @@ class StorageBackend(abc.ABC):
 
     # -- public API ----------------------------------------------------------------
 
-    @profiled_function("storage.put")
     def put(self, data: bytes, owner: str) -> str:
         """Store ``data`` for ``owner``; returns its content address.
 
@@ -113,7 +111,6 @@ class StorageBackend(abc.ABC):
         _OBJECT_BYTES.observe(len(data))
         return object_id
 
-    @profiled_function("storage.get")
     def get(self, object_id: str, requester: str) -> bytes:
         """Fetch a blob, enforcing the owner's access grants."""
         obj = self._load(object_id)

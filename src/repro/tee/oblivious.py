@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.errors import TEEError
 from repro.telemetry import metrics as _tm
-from repro.telemetry.profiler import profiled_function
 
 # One counter child per operation, resolved per call so the series splits
 # under the ambient session_id; ``select`` is deliberately uncounted because
@@ -55,7 +54,6 @@ def oblivious_select(condition: bool, if_true: float, if_false: float) -> float:
     return flag * if_true + (1.0 - flag) * if_false
 
 
-@profiled_function("tee.oblivious_access")
 def oblivious_access(array: np.ndarray, index: int) -> float:
     """Read ``array[index]`` while touching *every* element.
 
@@ -73,7 +71,6 @@ def oblivious_access(array: np.ndarray, index: int) -> float:
     return result
 
 
-@profiled_function("tee.oblivious_write")
 def oblivious_write(array: np.ndarray, index: int, value: float) -> None:
     """Write ``array[index] = value`` touching every element."""
     if not 0 <= index < len(array):
@@ -101,7 +98,6 @@ def _next_power_of_two(n: int) -> int:
     return power
 
 
-@profiled_function("tee.oblivious_sort")
 def oblivious_sort(values: np.ndarray) -> np.ndarray:
     """Bitonic-network sort: the compare-exchange sequence depends only on n.
 
@@ -151,7 +147,6 @@ class ObliviousAggregator:
         self._sums = np.zeros(self.num_buckets)
         self._counts = np.zeros(self.num_buckets)
 
-    @profiled_function("tee.oblivious_aggregate_add")
     def add(self, bucket: int, value: float) -> None:
         """Accumulate ``value`` into ``bucket`` touching all buckets."""
         if not 0 <= bucket < self.num_buckets:

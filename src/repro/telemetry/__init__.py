@@ -71,7 +71,6 @@ from repro.telemetry.profiler import (
     Profiler,
     active_profiler,
     profiled,
-    profiled_function,
 )
 from repro.telemetry.tracing import (
     TRACER,
@@ -127,7 +126,6 @@ __all__ = [
     "profile_snapshot",
     "profile_to_collapsed",
     "profiled",
-    "profiled_function",
     "read_span_records",
     "registry_from_events",
     "render_critical_path",

@@ -22,8 +22,8 @@ Three trigger modes, ordered by determinism:
 
 Zero overhead when disabled: no hook is installed until :meth:`start`, and
 the :class:`profiled` region markers reduce to two attribute loads and a
-``None`` check when no profiler is active — cheap enough to sit on the
-chain/crypto hot paths permanently.
+``None`` check when no profiler is active — cheap enough to sit inside
+the gossip kernel's round loop permanently.
 
 Caveat: only one profiler can be active per process (``sys.setprofile`` is
 process-global), and code under profile must not install its own profile
@@ -32,7 +32,6 @@ hook.
 
 from __future__ import annotations
 
-import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -278,10 +277,12 @@ def active_profiler() -> Optional[Profiler]:
 class profiled:
     """Mark a hot region for the sampling profiler.
 
-    ``with profiled("ec.scalar_mult"):`` names the enclosed work in flame
-    output even where a full :class:`~repro.telemetry.tracing.Span` would
-    be too heavy (per-tx apply, per-scalar-mult).  When no profiler is
-    running, entry and exit are a global load and a ``None`` check.
+    ``with profiled("kernel.merge"):`` names part of a function in flame
+    output where no frame of its own does and a full
+    :class:`~repro.telemetry.tracing.Span` would be too heavy.  A whole
+    function needs no region: the sampler records its frame.  When no
+    profiler is running, entry and exit are a global load and a ``None``
+    check.
     """
 
     __slots__ = ("name",)
@@ -302,21 +303,3 @@ class profiled:
             prof.regions.pop()
         return False
 
-
-def profiled_function(name: str) -> Callable:
-    """Decorator form of :class:`profiled` for whole hot functions.
-
-    The wrapper frame lives in this module, which the sampler skips when
-    capturing stacks, so decorated functions profile exactly like inline
-    ``with profiled(...)`` blocks.
-    """
-    marker = profiled(name)
-
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            with marker:
-                return fn(*args, **kwargs)
-        return wrapper
-
-    return decorate

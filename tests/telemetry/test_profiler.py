@@ -24,7 +24,6 @@ from repro.telemetry import (
     profile_snapshot,
     profile_to_collapsed,
     profiled,
-    profiled_function,
     render_profile_tree,
 )
 from repro.telemetry.tracing import Tracer
@@ -111,16 +110,6 @@ class TestSampling:
         # Context frames come first, root-first.
         for stack in attributed:
             assert stack[0] == "span:phase.test"
-
-    def test_profiled_function_decorator_labels_frames(self):
-        @profiled_function("region.decorated")
-        def decorated():
-            return busy_work(100)
-
-        with Profiler(mode="calls", call_interval=4) as prof:
-            decorated()
-        stacks = prof.result().samples
-        assert any("region:region.decorated" in stack for stack in stacks)
 
     def test_region_stack_balanced_after_run(self):
         prof = Profiler(mode="calls", call_interval=4)

@@ -44,7 +44,7 @@ PRODUCTION_ROOTS = ("src", "benchmarks", "examples")
 TEST_ROOTS = ("tests",)
 
 #: ``--check`` fails above this; lower it whenever the count falls.
-PRODUCTION_UNSET_CEILING = 142
+PRODUCTION_UNSET_CEILING = 141
 
 #: Production-unset values that stay settable: ``(pattern, reason)``, the
 #: pattern an ``fnmatch`` glob over ``module.owner(param)`` /
