@@ -295,4 +295,3 @@ def run_bench(quick: bool = False) -> dict:
 
 EXPERIMENT = Experiment("E23", "chain throughput: mempool + batch verify",
                         run_bench)
-

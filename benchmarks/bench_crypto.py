@@ -33,8 +33,6 @@ from repro.crypto.hashing import hash_to_int  # noqa: E402
 from repro.crypto.merkle import MerkleTree  # noqa: E402
 from tests.crypto.affine_oracle import point_add, point_mul  # noqa: E402
 
-VERIFY_SPEEDUP_TARGET = 10.0
-
 
 def _time_per_call(fn, iterations: int) -> float:
     """Average milliseconds per call over ``iterations`` runs."""
@@ -164,8 +162,7 @@ def run_bench(quick: bool = False) -> dict:
     }
     claims = {}
     if not quick:
-        claims["verify_speedup_10x"] = (speedup["verify"]
-                                        >= VERIFY_SPEEDUP_TARGET)
+        claims["verify_speedup_10x"] = speedup["verify"] >= 10.0
     return {"metrics": metrics, "lines": lines, "claims": claims}
 
 

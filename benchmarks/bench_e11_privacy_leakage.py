@@ -106,4 +106,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E11", "DP vs membership inference", run_bench)
-

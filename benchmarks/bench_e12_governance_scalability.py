@@ -98,4 +98,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E12", "governance gas scalability", run_bench)
-

@@ -90,4 +90,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E13", "ERC-20/721 gas ablation", run_bench)
-

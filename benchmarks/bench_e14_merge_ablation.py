@@ -88,4 +88,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E14", "gossip merge-strategy ablation", run_bench)
-

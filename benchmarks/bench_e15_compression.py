@@ -92,4 +92,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E15", "gossip message compression", run_bench)
-

@@ -123,4 +123,3 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment(
     "E16", "executor fault injection vs quorum", run_bench,
 )
-

@@ -93,4 +93,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E17", "executor economics", run_bench)
-

@@ -160,4 +160,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E18", "lifecycle fault recovery sweep", run_bench)
-

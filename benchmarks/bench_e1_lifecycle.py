@@ -33,6 +33,7 @@ from repro.ml.datasets import (
 )
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 
+
 def build_market(num_providers: int, num_executors: int, seed: int = 7):
     rng = np.random.default_rng(1000 + num_providers)
     data = make_iot_activity(200 * num_providers, rng)
@@ -108,4 +109,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E1", "five-role lifecycle, end to end", run_bench)
-

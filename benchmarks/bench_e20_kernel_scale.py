@@ -153,4 +153,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E20", "vectorized gossip kernels", run_bench)
-

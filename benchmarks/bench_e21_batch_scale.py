@@ -98,4 +98,3 @@ def run_bench(quick: bool = False) -> dict:
 
 EXPERIMENT = Experiment("E21", "sharded batch execution at sweep scale",
                         run_bench)
-

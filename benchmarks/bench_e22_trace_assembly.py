@@ -117,4 +117,3 @@ def run_bench(quick: bool = False) -> dict:
 
 EXPERIMENT = Experiment("E22", "distributed trace assembly under chaos",
                         run_bench)
-

@@ -121,4 +121,3 @@ def run_bench(quick: bool = False) -> dict:
 
 EXPERIMENT = Experiment("E24", "chain observability: audit coverage + "
                         "record determinism", run_bench)
-

@@ -104,4 +104,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E2", "Fig. 3 hardware configurations", run_bench)
-

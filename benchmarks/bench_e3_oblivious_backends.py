@@ -128,4 +128,3 @@ def run_bench(quick: bool = False) -> dict:
 
 EXPERIMENT = Experiment("E3", "oblivious backends, linear scoring",
                         run_bench)
-

@@ -72,4 +72,3 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment(
     "E4", "backend scaling over MLP size (cost-model estimates)", run_bench,
 )
-

@@ -85,4 +85,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E5", "gossip vs federated learning", run_bench)
-

@@ -95,4 +95,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E6", "churn and coordinator failure", run_bench)
-

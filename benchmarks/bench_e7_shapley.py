@@ -117,4 +117,3 @@ def run_bench(quick: bool = False) -> dict:
 EXPERIMENT = Experiment(
     "E7", "Shapley: exponential exact cost, cheap approximations", run_bench,
 )
-

@@ -63,4 +63,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E8", "model-based pricing curve", run_bench)
-

@@ -110,4 +110,3 @@ def run_bench(quick: bool = False) -> dict:
 
 
 EXPERIMENT = Experiment("E9", "data-authenticity detection", run_bench)
-

@@ -302,4 +302,3 @@ class profiled:
         if prof is not None and prof.regions and prof.regions[-1] == self.name:
             prof.regions.pop()
         return False
-
