@@ -152,25 +152,18 @@ def _optimistic_match(ontology, requirement, annotation) -> bool:
     """
     from repro.storage.semantic import (
         AllOf as All_,
-        AnyOf as Any_,
         ConceptRequirement as Concept_,
-        EqualsRequirement,
-        OneOfRequirement,
         RangeRequirement as Range_,
     )
 
     if isinstance(requirement, All_):
         return all(_optimistic_match(ontology, clause, annotation)
                    for clause in requirement.clauses)
-    if isinstance(requirement, Any_):
-        return any(_optimistic_match(ontology, clause, annotation)
-                   for clause in requirement.clauses)
     if isinstance(requirement, Concept_):
         return (ontology.subsumes(requirement.concept, annotation.concept)
                 or ontology.subsumes(annotation.concept,
                                      requirement.concept))
-    if isinstance(requirement, (Range_, EqualsRequirement,
-                                OneOfRequirement)):
+    if isinstance(requirement, Range_):
         if requirement.property_name not in annotation.properties:
             return True  # unknown -> possibly satisfiable
         return requirement.matches(ontology, annotation)

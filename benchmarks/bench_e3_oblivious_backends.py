@@ -8,7 +8,7 @@ d features:
 * plain — numpy matrix product (the no-privacy floor);
 * TEE — the same computation run through the enclave interface, plus the
   calibrated attestation/transition costs from the cost model;
-* SMC — the real Beaver-triple engine (3 parties), wall time plus the
+* SMC — the real additive-sharing engine (3 parties), wall time plus the
   modeled network time for its logged traffic;
 * HE — real Paillier encrypted dot products at benchmark key size.
 

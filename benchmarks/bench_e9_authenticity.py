@@ -27,7 +27,7 @@ def run_detection(attack_rate: float, seed: int,
                   honest_per_device: int = HONEST_PER_DEVICE,
                   devices: int = DEVICES):
     rng = np.random.default_rng(seed)
-    manufacturer = Manufacturer("acme", b"root", trust_score=0.9)
+    manufacturer = Manufacturer("acme", b"root")
     registry = ManufacturerRegistry()
     registry.register(manufacturer)
     verifier = AuthenticityVerifier(registry)

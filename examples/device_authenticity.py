@@ -30,8 +30,7 @@ from repro.storage.swarm import SwarmStore
 def authenticity_demo(rng) -> None:
     print("=== authenticity: certified devices vs an active adversary ===")
     registry = ManufacturerRegistry()
-    trusted = Manufacturer("sensorcorp", b"sensorcorp-root",
-                           trust_score=0.95)
+    trusted = Manufacturer("sensorcorp", b"sensorcorp-root")
     registry.register(trusted)
 
     verifier = AuthenticityVerifier(registry)

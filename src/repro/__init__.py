@@ -11,7 +11,7 @@ Section VI calls for.  Subpackages map to the paper's subsystems:
 * :mod:`repro.storage` — local / swarm / cloud backends, semantic discovery;
 * :mod:`repro.net`     — discrete-event network simulation with churn;
 * :mod:`repro.ml`      — models, datasets, gossip learning, FedAvg;
-* :mod:`repro.privacy` — DP mechanisms, DP-SGD, membership inference;
+* :mod:`repro.privacy` — DP-SGD, RDP accounting, membership inference;
 * :mod:`repro.rewards` — Shapley valuation, pricing, distribution;
 * :mod:`repro.identity` — device keys, signed readings, authenticity;
 * :mod:`repro.core`    — the marketplace facade and workload lifecycle.

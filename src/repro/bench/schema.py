@@ -43,7 +43,6 @@ CONDENSED_METRICS = (
     "pds2_crypto_verify_total",
     "pds2_crypto_scalar_mult_total",
     "pds2_tee_enclave_launches_total",
-    "pds2_tee_oblivious_ops_total",
     "pds2_gossip_merges_total",
     "pds2_net_messages_total",
     "pds2_storage_ops_total",

@@ -30,10 +30,10 @@ a ``chain.audit.violation`` span and (in strict mode) raises
 :class:`~repro.errors.ChainAuditError`.  The default is record-only so an
 always-on auditor cannot mask the original failure.
 
-The module also provides the tamper seam the resilience harness uses:
-:func:`install_state_corruption` flips one bit of one balance right after
-a chosen block seals — precisely the silent corruption only this auditor
-can catch (``FaultKind.CORRUPT_STATE`` in the fault-plan DSL).
+The module also provides the tamper seam ``repro chain run
+--corrupt-block`` and E24 use: :func:`install_state_corruption` flips one
+bit of one balance right after a chosen block seals — precisely the silent
+``corrupt_state`` fault only this auditor can catch.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ class ChainAuditor:
             },
             "violations": [v.to_dict() for v in found],
             #: Accounts whose balance changed without any mined tx
-            #: touching them — under CORRUPT_STATE this names the victim.
+            #: touching them — under corrupt_state this names the victim.
             "suspect_accounts": unexplained,
             "account_diffs": diffs,
             "mempool": {
@@ -400,29 +400,3 @@ def install_state_corruption(chain: Any, block_number: int,
         return victim
 
     chain.tamper_hooks.append(tamper)
-
-
-def install_fault_plan(chain: Any, plan: Any, seed: int) -> int:
-    """Arm every ``corrupt_state`` fault of a resilience FaultPlan.
-
-    Duck-typed on purpose: importing :mod:`repro.core.resilience` here
-    would close a chain -> core -> chain import cycle.  ``Fault.target``
-    carries the boundary as ``block:<n>`` (missing/unparsable defaults to
-    block 1); ``times`` arms consecutive boundaries.  Returns the number
-    of hooks installed, so callers can assert the plan actually bound.
-    """
-    installed = 0
-    for fault in getattr(plan, "faults", ()):
-        kind = getattr(fault, "kind", "")
-        if getattr(kind, "value", kind) != "corrupt_state":
-            continue
-        target = getattr(fault, "target", "") or "block:1"
-        try:
-            block_number = int(str(target).split(":", 1)[1])
-        except (IndexError, ValueError):
-            block_number = 1
-        for occurrence in range(max(1, int(getattr(fault, "times", 1)))):
-            install_state_corruption(chain, block_number + occurrence,
-                                     seed=seed + occurrence)
-            installed += 1
-    return installed

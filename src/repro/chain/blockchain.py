@@ -206,11 +206,6 @@ class Blockchain:
 
     # -- transaction intake and mining ----------------------------------------------
 
-    @property
-    def pending(self) -> list[Transaction]:
-        """Snapshot of the pooled transactions (sender chains nonce-ordered)."""
-        return list(self.mempool)
-
     def submit(self, tx: Transaction) -> bytes:
         """Admit a signed transaction to the mempool; returns its hash.
 
@@ -455,10 +450,6 @@ class Wallet:
     @property
     def address(self) -> str:
         return self.key.address
-
-    @property
-    def balance(self) -> int:
-        return self.chain.state.balance_of(self.address)
 
     def _next_nonce(self) -> int:
         # End of our contiguous pooled nonce run — an O(queue) lookup in the

@@ -52,10 +52,6 @@ class ProofOfAuthority:
         ]
         return cls(validators)
 
-    @property
-    def validators(self) -> list[Validator]:
-        return list(self._validators)
-
     def proposer_for(self, block_number: int) -> Validator:
         """The validator whose turn it is to seal ``block_number``."""
         return self._validators[block_number % len(self._validators)]

@@ -111,7 +111,7 @@ class Contract:
         """
         return []
 
-    # -- events, guards, compute ------------------------------------------------
+    # -- events and guards --------------------------------------------------------
 
     def emit(self, name: str, **data: Any) -> None:
         """Emit an event into the transaction log."""
@@ -127,17 +127,13 @@ class Contract:
         if not condition:
             raise ContractError(message)
 
-    def step(self, count: int = 1) -> None:
-        """Charge ``count`` abstract compute steps (loops, hashes, compares)."""
-        self.ctx.charge(count * gas_schedule.COMPUTE_STEP)
-
     # -- dispatch ----------------------------------------------------------------
 
     @classmethod
     def external_methods(cls) -> set[str]:
         """Names of externally callable methods (public, not framework)."""
         framework = {
-            "setup", "sread", "swrite", "sdelete", "emit", "require", "step",
+            "setup", "sread", "swrite", "sdelete", "emit", "require",
             "external_methods", "ctx", "storage", "address", "audit_invariants",
         }
         names = set()
@@ -168,10 +164,6 @@ class ContractRegistry:
         if name not in self._classes:
             raise ContractError(f"no contract registered under {name!r}")
         return self._classes[name]
-
-    def names(self) -> list[str]:
-        """All registered contract names, sorted."""
-        return sorted(self._classes)
 
 
 def default_registry() -> ContractRegistry:

@@ -2,8 +2,8 @@
 
 The constants follow the spirit (and, where meaningful, the magnitudes) of
 the Ethereum yellow paper: a flat per-transaction base cost, per-byte calldata
-costs, and contract-level costs charged by the VM for storage access, event
-emission and compute steps.  Absolute values matter less than *ratios* — the
+costs, and contract-level costs charged by the VM for storage access and
+event emission.  Absolute values matter less than *ratios* — the
 governance-scalability experiment (E12) reports relative gas growth.
 """
 
@@ -27,9 +27,6 @@ STORAGE_READ = 200
 #: Emitting one event, plus a per-byte cost on the event payload.
 EVENT_BASE = 375
 EVENT_DATA_BYTE = 8
-
-#: One abstract unit of contract computation (loop iteration, hash, compare).
-COMPUTE_STEP = 5
 
 #: Default gas limit for a block.
 BLOCK_GAS_LIMIT = 30_000_000

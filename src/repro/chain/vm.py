@@ -90,10 +90,6 @@ class ExecutionContext:
         """Consume ``amount`` gas, raising OutOfGasError when exhausted."""
         self._gas.charge(amount)
 
-    @property
-    def gas_used(self) -> int:
-        return self._gas.used
-
     # -- write protection -----------------------------------------------------
 
     def require_writable(self) -> None:
@@ -105,13 +101,6 @@ class ExecutionContext:
 
     def log_event(self, address: str, name: str, data: dict) -> None:
         self._logs.append(LogEntry(address=address, name=name, data=data))
-
-    # -- state access for contracts ---------------------------------------------
-
-    def balance_of(self, address: str) -> int:
-        """Base-currency balance lookup (charged as a storage read)."""
-        self.charge(gas_schedule.STORAGE_READ)
-        return self._state.balance_of(address)
 
     # -- contract storage (navigation + journaling) ---------------------------
 
@@ -217,25 +206,6 @@ class ExecutionContext:
             depth=self._depth + 1,
         )
 
-    def static_call(self, address: str, method: str, **args: Any) -> Any:
-        """Read-only nested call: the callee cannot modify any state."""
-        if self._depth + 1 > MAX_CALL_DEPTH:
-            raise ContractError("maximum call depth exceeded")
-        return self._vm.execute_call(
-            state=self._state,
-            block=self.block,
-            origin=self.origin,
-            sender=self._self_address,
-            target=address,
-            method=method,
-            args=args,
-            value=0,
-            gas_meter=self._gas,
-            logs=self._logs,
-            static=True,
-            depth=self._depth + 1,
-        )
-
 
 class GasMeter:
     """Tracks gas consumption against a hard limit."""
@@ -250,10 +220,6 @@ class GasMeter:
         self.used += amount
         if self.used > self.limit:
             raise OutOfGasError(f"gas limit {self.limit} exceeded")
-
-    @property
-    def remaining(self) -> int:
-        return max(0, self.limit - self.used)
 
 
 @dataclass

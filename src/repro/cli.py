@@ -90,11 +90,11 @@ def _cmd_info(args: argparse.Namespace, out: OutputWriter) -> int:
         ("repro.crypto", "ECDSA, Merkle, Paillier, SMC, symmetric crypto"),
         ("repro.chain", "Ethereum-style ledger, contract VM, tokens"),
         ("repro.governance", "registries, workload contracts, audit"),
-        ("repro.tee", "enclaves, attestation, oblivious primitives"),
+        ("repro.tee", "enclaves, attestation, backend cost model"),
         ("repro.storage", "local/swarm/cloud backends, semantic catalog"),
         ("repro.net", "discrete-event network, topologies, churn"),
         ("repro.ml", "models, datasets, gossip learning, FedAvg"),
-        ("repro.privacy", "DP mechanisms, DP-SGD, membership inference"),
+        ("repro.privacy", "DP-SGD, RDP accounting, membership inference"),
         ("repro.rewards", "Shapley, pricing, distribution, economics"),
         ("repro.identity", "device keys, signed readings, verification"),
         ("repro.core", "the marketplace facade (paper Fig. 1/2)"),

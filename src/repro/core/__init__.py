@@ -23,7 +23,6 @@ from repro.core.actors import (
     ParticipationPolicy,
     ProviderActor,
     accept_all_policy,
-    minimum_reward_policy,
     result_hash_of,
 )
 from repro.core.events import (
@@ -67,7 +66,6 @@ from repro.core.marketplace import (
 )
 from repro.core.workload import (
     ModelSpec,
-    RewardScheme,
     TrainingSpec,
     WorkloadSpec,
     enclave_entry_point,
@@ -88,7 +86,6 @@ __all__ = [
     "ParticipationPolicy",
     "ProviderActor",
     "accept_all_policy",
-    "minimum_reward_policy",
     "result_hash_of",
     "EventBus",
     "JSONLSink",
@@ -122,7 +119,6 @@ __all__ = [
     "Marketplace",
     "WorkloadRunReport",
     "ModelSpec",
-    "RewardScheme",
     "TrainingSpec",
     "WorkloadSpec",
     "enclave_entry_point",

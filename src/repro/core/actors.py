@@ -49,18 +49,6 @@ def accept_all_policy(spec: WorkloadSpec, matching_records: int) -> bool:
     return matching_records > 0
 
 
-def minimum_reward_policy(min_reward_per_sample: float) -> ParticipationPolicy:
-    """A policy that joins only adequately paying workloads."""
-
-    def policy(spec: WorkloadSpec, matching_records: int) -> bool:
-        if matching_records <= 0:
-            return False
-        expected_share = spec.reward_pool / max(1, spec.min_samples)
-        return expected_share >= min_reward_per_sample
-
-    return policy
-
-
 @dataclass
 class ProviderActor:
     """A data provider: wallet + dataset + storage + annotation + policy."""

@@ -21,7 +21,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Iterable, Mapping, Protocol
 
 from repro.errors import TelemetryError
 from repro.utils.serialization import append_jsonl, read_jsonl
@@ -111,22 +111,9 @@ class RingBufferSink:
     def emit(self, event: LifecycleEvent) -> None:
         self._buffer.append(event)
 
-    def __len__(self) -> int:
-        return len(self._buffer)
-
-    def __iter__(self) -> Iterator[LifecycleEvent]:
-        return iter(tuple(self._buffer))
-
-    @property
-    def events(self) -> tuple[LifecycleEvent, ...]:
-        return tuple(self._buffer)
-
     def for_session(self, session_id: str) -> tuple[LifecycleEvent, ...]:
         """All buffered events of one session, in publication order."""
         return tuple(e for e in self._buffer if e.session_id == session_id)
-
-    def clear(self) -> None:
-        self._buffer.clear()
 
 
 class JSONLSink:
@@ -143,10 +130,6 @@ class JSONLSink:
 
     def close(self) -> None:
         self._handle.close()
-
-    @property
-    def closed(self) -> bool:
-        return self._handle.closed
 
     def __enter__(self) -> "JSONLSink":
         return self
@@ -203,10 +186,6 @@ class EventBus:
 
     def detach(self, sink: EventSink) -> None:
         self._sinks.remove(sink)
-
-    @property
-    def sinks(self) -> tuple[EventSink, ...]:
-        return tuple(self._sinks)
 
     def emit(self, *, session_id: str, phase: str, name: str,
              sim_clock: float, gas_delta: int = 0, block_height: int = -1,

@@ -241,10 +241,10 @@ def aggregate_training_outputs(outputs: list[dict],
 
     Parameters are averaged weighted by trained sample counts (the
     deterministic fixed point the executors' peer-to-peer averaging
-    converges to); raw payout weights come from certified sample counts or
-    from enclave-computed Shapley fractions scaled by each executor's data
-    share.  Returns ``(final_params, raw_weights, achieved_epsilon)``; the
-    raw weights are normalized to basis points by the caller.
+    converges to); raw payout weights are each provider's share of its
+    executor's certified samples, scaled by that executor's data share.
+    Returns ``(final_params, raw_weights, achieved_epsilon)``; the raw
+    weights are normalized to basis points by the caller.
     """
     if not outputs:
         raise AggregationFailure("no enclave outputs to aggregate")
@@ -259,16 +259,10 @@ def aggregate_training_outputs(outputs: list[dict],
     total_samples = float(sum(out["trained_samples"] for out in outputs))
     for out in outputs:
         executor_share = out["trained_samples"] / total_samples
-        if "shapley_fractions" in out:
-            for provider, fraction in out["shapley_fractions"].items():
-                raw[provider] = (raw.get(provider, 0.0)
-                                 + fraction * executor_share)
-        else:
-            executor_total = float(sum(out["sample_counts"].values()))
-            for provider, count in out["sample_counts"].items():
-                raw[provider] = (raw.get(provider, 0.0)
-                                 + (count / executor_total)
-                                 * executor_share)
+        executor_total = float(sum(out["sample_counts"].values()))
+        for provider, count in out["sample_counts"].items():
+            raw[provider] = (raw.get(provider, 0.0)
+                             + (count / executor_total) * executor_share)
     epsilons = [out.get("achieved_epsilon") for out in outputs]
     known = [e for e in epsilons if e is not None]
     achieved = max(known) if known else None
@@ -934,9 +928,6 @@ class LifecyclePhase:
                     receipts: list["Receipt"]) -> None:
         """What follows the block; every receipt passed here succeeded
         unless an interceptor sent its transaction."""
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<phase {self.name}>"
 
 
 class DeployPhase(LifecyclePhase):

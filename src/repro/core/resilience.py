@@ -85,12 +85,6 @@ class FaultKind(str, enum.Enum):
     PROVIDER_CHURN = "provider_churn"
     #: A chain transaction is rejected this attempt (transient).
     CHAIN_REJECT = "chain_reject"
-    #: One world-state balance slot is silently bit-flipped right after a
-    #: block seals.  Neither transient nor a crash: nothing retries, nothing
-    #: dies — only the chain auditor's conservation checks can catch it.
-    #: Armed via :func:`repro.chain.audit.install_fault_plan`, not the
-    #: lifecycle injector (``target`` carries the block, e.g. ``block:3``).
-    CORRUPT_STATE = "corrupt_state"
 
 
 #: Injection points each kind can fire at (``Fault.point`` can pin one).
@@ -103,7 +97,6 @@ KIND_POINTS: dict[FaultKind, tuple[str, ...]] = {
     FaultKind.PROVIDER_CHURN: ("submit.provider",),
     FaultKind.CHAIN_REJECT: ("deploy.chain_tx", "start.chain_tx",
                              "settle.chain_tx"),
-    FaultKind.CORRUPT_STATE: ("chain.block_boundary",),
 }
 
 #: Kinds a plain retry can clear.

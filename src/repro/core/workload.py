@@ -13,7 +13,6 @@ parameters — all within enclave-private memory.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -24,7 +23,6 @@ from repro.crypto.hashing import hash_object
 from repro.errors import WorkloadSpecError
 from repro.ml.models import (
     LinearRegressionModel,
-    LogisticRegressionModel,
     MLPClassifier,
     Model,
     SoftmaxRegressionModel,
@@ -33,24 +31,17 @@ from repro.storage.semantic import Requirement
 from repro.utils.serialization import CANONICAL_JSON_SETTINGS
 
 
-class RewardScheme(enum.Enum):
-    """How provider payout weights are computed."""
-
-    BY_SAMPLES = "by_samples"       # proportional to certified item counts
-    SHAPLEY = "shapley"             # truncated-MC Shapley inside the enclave
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """The model family and shape a workload trains."""
 
-    family: str                      # linear | logistic | softmax | mlp
+    family: str                      # linear | softmax | mlp
     num_features: int
     num_classes: int = 2
     hidden_units: int = 16
     l2: float = 0.0
 
-    _FAMILIES = ("linear", "logistic", "softmax", "mlp")
+    _FAMILIES = ("linear", "softmax", "mlp")
 
     def __post_init__(self) -> None:
         if self.family not in self._FAMILIES:
@@ -62,8 +53,6 @@ class ModelSpec:
         """Instantiate the model (deterministic initialization)."""
         if self.family == "linear":
             return LinearRegressionModel(self.num_features, l2=self.l2)
-        if self.family == "logistic":
-            return LogisticRegressionModel(self.num_features, l2=self.l2)
         if self.family == "softmax":
             return SoftmaxRegressionModel(self.num_features,
                                           self.num_classes, l2=self.l2)
@@ -121,7 +110,6 @@ class WorkloadSpec:
     min_samples: int = 1
     infra_share_bps: int = 1000
     required_confirmations: int = 1
-    reward_scheme: RewardScheme = RewardScheme.BY_SAMPLES
     dp_epsilon: float | None = None
     description: str = ""
 
@@ -148,7 +136,9 @@ class WorkloadSpec:
             "min_samples": self.min_samples,
             "infra_share_bps": self.infra_share_bps,
             "required_confirmations": self.required_confirmations,
-            "reward_scheme": self.reward_scheme.value,
+            # Payout weights are proportional to certified item counts; the
+            # key stays so the hashed spec keeps its bytes.
+            "reward_scheme": "by_samples",
             "dp_epsilon": self.dp_epsilon,
             "description": self.description,
         }
@@ -198,8 +188,14 @@ def join_rows(rows: list[bytes]) -> bytes:
 
 
 # ---------------------------------------------------------------------------
-# The enclave entry point (its source is the workload code measurement)
+# The enclave entry point (its code object is the workload code measurement)
 # ---------------------------------------------------------------------------
+
+# The measurement covers the entry point's bytecode, constants and names,
+# its docstring included, so changing any of them re-pins every state root
+# and E25 digest: that waits for a declared golden-value change.  Until
+# then its ``"shapley"`` branch stays as compiled and is unreachable —
+# ``WorkloadSpec.to_dict`` always emits ``"by_samples"``.
 
 
 def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
@@ -221,7 +217,7 @@ def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
     """
     import numpy as _np
 
-    from repro.utils.rng import derive_rng, rng_from_seed
+    from repro.utils.rng import derive_rng, rng_from_seed  # noqa: F401
     from repro.utils.serialization import from_canonical_json
 
     partitions: dict[str, tuple] = {}
@@ -288,71 +284,7 @@ def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
     }
 
     if spec_dict.get("reward_scheme") == "shapley" and len(partitions) > 1:
-        output["shapley_fractions"] = _enclave_shapley_fractions(
+        output["shapley_fractions"] = _enclave_shapley_fractions(  # noqa: F821
             partitions, model_spec, training, training_seed, classification
         )
     return output
-
-
-def _enclave_shapley_fractions(partitions: dict, model_spec: "ModelSpec",
-                               training: "TrainingSpec", training_seed: int,
-                               classification: bool) -> dict[str, float]:
-    """TMC-Shapley payout fractions over provider partitions (in-enclave).
-
-    A stratified holdout carved from the pooled data serves as validation;
-    coalitions train shortened schedules (a quarter of the spec's steps) to
-    keep valuation affordable, which preserves ranking even if absolute
-    scores differ.
-    """
-    import numpy as _np
-
-    from repro.ml.datasets import Dataset
-    from repro.rewards.shapley import (
-        DataValuationTask,
-        normalize_to_payouts,
-        truncated_monte_carlo_shapley,
-    )
-    from repro.utils.rng import derive_rng
-
-    providers = sorted(partitions)
-    holdout_rng = derive_rng(training_seed, "enclave-shapley-holdout")
-    train_parts: list[Dataset] = []
-    val_features = []
-    val_targets = []
-    for provider in providers:
-        features, targets = partitions[provider]
-        if classification:
-            targets = targets.astype(int)
-        n = len(features)
-        order = holdout_rng.permutation(n)
-        val_count = max(1, n // 5) if n > 1 else 0
-        val_index, train_index = order[:val_count], order[val_count:]
-        if len(train_index) == 0:
-            train_index = val_index
-        train_parts.append(Dataset(features=features[train_index],
-                                   targets=targets[train_index]))
-        if val_count:
-            val_features.append(features[val_index])
-            val_targets.append(targets[val_index])
-    validation = Dataset(
-        features=_np.concatenate(val_features),
-        targets=_np.concatenate(val_targets),
-    )
-    task = DataValuationTask(
-        model_factory=lambda: model_spec.build(seed=training.seed),
-        provider_datasets=train_parts,
-        validation=validation,
-        train_steps=max(10, training.steps // 4),
-        learning_rate=training.learning_rate,
-        batch_size=training.batch_size,
-        seed=training_seed,
-    )
-    estimates = truncated_monte_carlo_shapley(
-        len(providers), task, permutations=2 * len(providers),
-        rng=derive_rng(training_seed, "enclave-shapley-mc"),
-    )
-    fractions = normalize_to_payouts(estimates)
-    return {
-        provider: float(fraction)
-        for provider, fraction in zip(providers, fractions)
-    }

@@ -9,7 +9,7 @@ every cryptographic building block the PDS2 architecture needs:
 * :mod:`repro.crypto.paillier` — additively homomorphic encryption (the HE
   baseline of Section III-B);
 * :mod:`repro.crypto.secret_sharing` — additive and Shamir sharing;
-* :mod:`repro.crypto.smc` — Beaver-triple multiparty computation (the SMC
+* :mod:`repro.crypto.smc` — additive-sharing multiparty computation (the SMC
   baseline of Section III-B);
 * :mod:`repro.crypto.symmetric` — authenticated encryption for storage.
 """
@@ -43,7 +43,6 @@ from repro.crypto.paillier import (
 from repro.crypto.secret_sharing import (
     DEFAULT_PRIME,
     ShamirShare,
-    additive_reconstruct,
     additive_share,
     shamir_reconstruct,
     shamir_reconstruct_bytes,
@@ -51,11 +50,9 @@ from repro.crypto.secret_sharing import (
     shamir_share_bytes,
 )
 from repro.crypto.smc import (
-    BeaverTriple,
     CommunicationLog,
     SMCEngine,
     SharedValue,
-    TripleDealer,
 )
 from repro.crypto.symmetric import Envelope, decrypt, encrypt, generate_key
 
@@ -84,17 +81,14 @@ __all__ = [
     "generate_prime",
     "DEFAULT_PRIME",
     "ShamirShare",
-    "additive_reconstruct",
     "additive_share",
     "shamir_reconstruct",
     "shamir_reconstruct_bytes",
     "shamir_share",
     "shamir_share_bytes",
-    "BeaverTriple",
     "CommunicationLog",
     "SMCEngine",
     "SharedValue",
-    "TripleDealer",
     "Envelope",
     "decrypt",
     "encrypt",

@@ -24,7 +24,7 @@ def keccak256(data: bytes) -> bytes:
 
 
 def sha256(data: bytes) -> bytes:
-    """Plain SHA-256, used for seed derivation and sealing keys."""
+    """Plain SHA-256, used for envelope keys."""
     return hashlib.sha256(data).digest()
 
 

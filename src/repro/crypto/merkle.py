@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.crypto.hashing import keccak256
-from repro.errors import MerkleProofError
 
 _LEAF_PREFIX = b"\x00"
 _NODE_PREFIX = b"\x01"
@@ -33,21 +32,6 @@ class MerkleProof:
 
     leaf_index: int
     siblings: tuple[bytes, ...]
-
-    def to_dict(self) -> dict:
-        """Serialize for embedding in transactions or certificates."""
-        return {
-            "leaf_index": self.leaf_index,
-            "siblings": [sibling for sibling in self.siblings],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MerkleProof":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            leaf_index=int(data["leaf_index"]),
-            siblings=tuple(data["siblings"]),
-        )
 
 
 class MerkleTree:
@@ -148,13 +132,6 @@ class MerkleTree:
         if consumed != len(proof.siblings):
             return False
         return current == root
-
-    @classmethod
-    def require_proof(cls, root: bytes, leaf: bytes, proof: MerkleProof,
-                      tree_size: int) -> None:
-        """Like :meth:`verify_proof` but raises :class:`MerkleProofError`."""
-        if not cls.verify_proof(root, leaf, proof, tree_size):
-            raise MerkleProofError("Merkle inclusion proof failed verification")
 
 
 def merkle_root(leaves: list[bytes]) -> bytes:

@@ -220,16 +220,6 @@ class PaillierCiphertext:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        if isinstance(other, PaillierCiphertext):
-            return self + (-other)
-        if isinstance(other, int):
-            return self + (-other)
-        return NotImplemented
-
 
 @dataclass(frozen=True)
 class FixedPointCodec:
@@ -245,9 +235,6 @@ class FixedPointCodec:
         if not math.isfinite(value):
             raise CryptoError("cannot fixed-point encode a non-finite value")
         return round(value * self.scale)
-
-    def decode(self, encoded: int) -> float:
-        return encoded / self.scale
 
     def decode_product(self, encoded: int) -> float:
         """Decode a value carrying two scaling factors (plain*cipher product)."""

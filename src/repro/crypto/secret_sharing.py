@@ -74,13 +74,6 @@ def additive_share(secret: int, parties: int,
     return shares
 
 
-def additive_reconstruct(shares: list[int]) -> int:
-    """Recombine additive shares into the signed secret."""
-    if not shares:
-        raise SecretSharingError("cannot reconstruct from zero shares")
-    return decode_signed(sum(shares))
-
-
 # ---------------------------------------------------------------------------
 # Shamir (t-of-n) sharing
 # ---------------------------------------------------------------------------

@@ -38,10 +38,6 @@ class SecretSharingError(CryptoError):
     """Secret shares are inconsistent, insufficient, or malformed."""
 
 
-class MerkleProofError(CryptoError):
-    """A Merkle inclusion proof does not verify against the stated root."""
-
-
 # ---------------------------------------------------------------------------
 # Blockchain substrate
 # ---------------------------------------------------------------------------
@@ -117,10 +113,6 @@ class AttestationError(TEEError):
     """An enclave quote failed remote attestation."""
 
 
-class SealingError(TEEError):
-    """Sealed data could not be unsealed (wrong enclave measurement)."""
-
-
 class EnclaveViolationError(TEEError):
     """Code attempted an operation forbidden inside the enclave."""
 
@@ -180,10 +172,6 @@ class SimulationError(PDS2Error):
 
 class PrivacyError(PDS2Error):
     """Base class for differential-privacy failures."""
-
-
-class PrivacyBudgetExceededError(PrivacyError):
-    """An operation would exceed the accountant's (epsilon, delta) budget."""
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from repro.crypto.ecdsa import PrivateKey, PublicKey, Signature
 from repro.crypto.hashing import hash_object
-from repro.crypto.merkle import MerkleProof, MerkleTree
+from repro.crypto.merkle import MerkleTree
 from repro.errors import CertificateError
 from repro.utils.serialization import canonical_json_bytes
 
@@ -61,11 +61,6 @@ class ParticipationCertificate:
         message = canonical_json_bytes(self.signed_payload())
         if not self.provider_public_key.verify(message, self.signature):
             raise CertificateError("certificate signature invalid")
-
-    def verify_item(self, item: bytes, proof: MerkleProof) -> None:
-        """Check one data item is covered by this certificate's consent."""
-        MerkleTree.require_proof(self.data_root, item, proof,
-                                 self.item_count)
 
 
 def issue_certificate(provider_key: PrivateKey, workload_id: str,

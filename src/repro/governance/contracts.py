@@ -15,7 +15,7 @@ Three contracts implement the on-chain half of PDS2:
 The workload lifecycle state machine::
 
     OPEN --start_execution()--> EXECUTING --quorum of results--> COMPLETE
-      \\--cancel() (consumer)--> CANCELLED
+    OPEN | EXECUTING --abort() (consumer) | expire() (deadline)--> CANCELLED
 """
 
 from __future__ import annotations
@@ -49,18 +49,6 @@ class ActorRegistry(Contract):
                 self.swrite(self.sread("actor_count") + 1, "actor_count")
             self.swrite(sorted(roles + [role]), "roles", sender)
             self.emit("ActorRegistered", actor=sender, role=role)
-
-    def roles_of(self, actor: str) -> list:
-        """Roles the actor registered (empty when unknown)."""
-        return self.sread("roles", actor, default=[])
-
-    def has_role(self, actor: str, role: str) -> bool:
-        """True when ``actor`` registered as ``role``."""
-        return role in self.sread("roles", actor, default=[])
-
-    def actor_count(self) -> int:
-        """Number of distinct registered actors."""
-        return self.sread("actor_count")
 
 
 class DataRegistry(Contract):
@@ -108,27 +96,6 @@ class DataRegistry(Contract):
         self.emit("DatasetRegistered", record_id=record_id, owner=sender,
                   content_hash=content_hash, deed_id=entry["deed_id"])
         return entry["deed_id"]
-
-    def revoke_dataset(self, record_id: str) -> None:
-        """Owner-only: withdraw a dataset from the marketplace index."""
-        entry = self.sread("datasets", record_id, default=None)
-        self.require(entry is not None, f"unknown dataset {record_id!r}")
-        self.require(entry["owner"] == self.ctx.sender,
-                     "only the owner may revoke a dataset")
-        self.sdelete("datasets", record_id)
-        self.swrite(self.sread("dataset_count") - 1, "dataset_count")
-        self.emit("DatasetRevoked", record_id=record_id,
-                  owner=self.ctx.sender)
-
-    def dataset_info(self, record_id: str) -> dict:
-        """The stored commitment for one dataset."""
-        entry = self.sread("datasets", record_id, default=None)
-        self.require(entry is not None, f"unknown dataset {record_id!r}")
-        return entry
-
-    def dataset_count(self) -> int:
-        """Number of currently registered datasets."""
-        return self.sread("dataset_count")
 
 
 class WorkloadContract(Contract):
@@ -401,26 +368,14 @@ class WorkloadContract(Contract):
 
     # -- cancellation ----------------------------------------------------------------
 
-    def cancel(self) -> None:
-        """Consumer-only: abort an OPEN workload and reclaim the escrow."""
-        self._require_state(STATE_OPEN)
-        consumer = self.sread("consumer")
-        self.require(self.ctx.sender == consumer,
-                     "only the consumer may cancel")
-        escrow = self.sread("escrow")
-        if escrow > 0:
-            self._pay(consumer, escrow)
-        self.swrite(STATE_CANCELLED, "state")
-        self.emit("WorkloadCancelled", consumer=consumer, refunded=escrow)
-
     def abort(self) -> None:
         """Consumer-only: abandon a workload that can no longer finish.
 
-        Unlike :meth:`cancel`, abort is also legal while EXECUTING — the
-        recovery engine calls it when a session dies after the execution
-        gate tripped (e.g. too many crashed executors to reach quorum), so
-        the escrow flows back to the consumer instead of being stranded in
-        a contract that will never finalize.
+        Legal while OPEN and while EXECUTING — the recovery engine calls it
+        when a session dies after the execution gate tripped (e.g. too many
+        crashed executors to reach quorum), so the escrow flows back to the
+        consumer instead of being stranded in a contract that will never
+        finalize.
         """
         state = self.sread("state")
         self.require(state in (STATE_OPEN, STATE_EXECUTING),
@@ -461,46 +416,17 @@ class WorkloadContract(Contract):
 
     # -- views -----------------------------------------------------------------------
 
-    def deadline_info(self) -> dict:
-        """Expiry data: creation block, deadline window, current block."""
-        return {
-            "created_in_block": self.sread("created_in_block"),
-            "deadline_blocks": self.sread("deadline_blocks"),
-            "current_block": self.ctx.block.number,
-        }
-
     def state(self) -> str:
         """Current lifecycle state."""
         return self.sread("state")
-
-    def consumer(self) -> str:
-        """The address that deployed (and funds) this workload."""
-        return self.sread("consumer")
 
     def escrow(self) -> int:
         """The reward pool held by the contract."""
         return self.sread("escrow")
 
-    def spec_hash(self) -> str:
-        """Hash of the off-chain workload specification."""
-        return self.sread("spec_hash")
-
     def code_measurement(self) -> str:
         """The enclave measurement providers must see at attestation."""
         return self.sread("code_measurement")
-
-    def executors(self) -> list:
-        """Registered executor addresses."""
-        return self.sread("executors")
-
-    def provider_samples(self) -> dict:
-        """Per-provider certified item counts."""
-        return self.sread("provider_samples")
-
-    def final_result_hash(self) -> str:
-        """The confirmed result hash (COMPLETE state only)."""
-        self._require_state(STATE_COMPLETE)
-        return self.sread("final_result_hash")
 
     # -- helpers ----------------------------------------------------------------------
 

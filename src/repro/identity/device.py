@@ -9,15 +9,15 @@ copies and reselling them."  This module implements that chain of trust:
   (manufacturer signature over the device public key + serial);
 * an :class:`IoTDevice` emits :class:`SignedReading` objects — payload,
   monotone timestamp and sequence number, signed by the device key;
-* the certificate doubles as the paper's "seal of quality": verifiers can
-  weigh data by the trust score of the issuing manufacturer.
+* the certificate doubles as the paper's "seal of quality": a verifier
+  accepts a reading only under a certificate a registered manufacturer
+  signed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from repro.crypto.ecdsa import PrivateKey, PublicKey, Signature
-from repro.crypto.hashing import keccak256
 from repro.errors import AuthenticityError, IdentityError
 from repro.utils.serialization import canonical_json_bytes
 
@@ -62,22 +62,13 @@ class SignedReading:
             "values": self.values,
         })
 
-    @property
-    def reading_id(self) -> bytes:
-        """Content identifier of the reading (dedup key)."""
-        return keccak256(self.signed_payload())
-
 
 class Manufacturer:
     """A device maker: provisions device keys and issues certificates."""
 
-    def __init__(self, manufacturer_id: str, root_secret: bytes,
-                 trust_score: float = 1.0):
-        if not 0 <= trust_score <= 1:
-            raise IdentityError("trust score must be in [0, 1]")
+    def __init__(self, manufacturer_id: str, root_secret: bytes):
         self.manufacturer_id = manufacturer_id
         self._root_secret = root_secret
-        self.trust_score = trust_score
         self._signing_key = PrivateKey.from_seed(root_secret + b"signing")
 
     @property
@@ -153,10 +144,10 @@ class IoTDevice:
 
 
 class ManufacturerRegistry:
-    """The public directory of manufacturer keys and trust scores."""
+    """The public directory of manufacturer keys."""
 
     def __init__(self) -> None:
-        self._manufacturers: dict[str, tuple[PublicKey, float]] = {}
+        self._manufacturers: dict[str, PublicKey] = {}
 
     def register(self, manufacturer: Manufacturer) -> None:
         if manufacturer.manufacturer_id in self._manufacturers:
@@ -164,27 +155,19 @@ class ManufacturerRegistry:
                 f"manufacturer {manufacturer.manufacturer_id!r} exists"
             )
         self._manufacturers[manufacturer.manufacturer_id] = (
-            manufacturer.public_key, manufacturer.trust_score
-        )
+            manufacturer.public_key)
 
     def is_registered(self, manufacturer_id: str) -> bool:
         return manufacturer_id in self._manufacturers
 
-    def trust_score(self, manufacturer_id: str) -> float:
-        """The market's trust in this manufacturer's sensors."""
-        if manufacturer_id not in self._manufacturers:
-            raise IdentityError(f"unknown manufacturer {manufacturer_id!r}")
-        return self._manufacturers[manufacturer_id][1]
-
     def verify_certificate(self, certificate: DeviceCertificate) -> None:
         """Check a device certificate against the manufacturer's key."""
-        entry = self._manufacturers.get(certificate.manufacturer_id)
-        if entry is None:
+        public_key = self._manufacturers.get(certificate.manufacturer_id)
+        if public_key is None:
             raise AuthenticityError(
                 "certificate from unknown manufacturer "
                 f"{certificate.manufacturer_id!r}"
             )
-        public_key, _ = entry
         if not public_key.verify(certificate.signed_payload(),
                                  certificate.signature):
             raise AuthenticityError("device certificate signature invalid")

@@ -70,10 +70,6 @@ class SoftmaxFamily:
     num_classes: int
     l2: float
 
-    @property
-    def num_params(self) -> int:
-        return (self.num_features + 1) * self.num_classes
-
     def _matrices(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         group = params.shape[0]
         cut = self.num_features * self.num_classes

@@ -10,19 +10,15 @@ from repro.ml.compression import (
     CompressionConfig,
     CompressionKind,
     compress,
-    compression_ratio,
     decompress_dense,
     merge_compressed_into,
 )
 from repro.ml.datasets import (
     Dataset,
     HAR_ACTIVITIES,
-    label_distribution,
     make_binary_classification,
-    make_blobs_classification,
     make_energy_consumption,
     make_iot_activity,
-    make_linear_regression,
     split_by_label,
     split_dirichlet,
     split_iid,
@@ -46,13 +42,10 @@ from repro.ml.gossip import (
 from repro.ml.merge import (
     MergeStrategy,
     TrackedModel,
-    federated_average,
-    merge_into,
     merge_parameter_vectors,
 )
 from repro.ml.models import (
     LinearRegressionModel,
-    LogisticRegressionModel,
     MLPClassifier,
     Model,
     SoftmaxRegressionModel,
@@ -63,17 +56,13 @@ __all__ = [
     "CompressionConfig",
     "CompressionKind",
     "compress",
-    "compression_ratio",
     "decompress_dense",
     "merge_compressed_into",
     "Dataset",
     "HAR_ACTIVITIES",
-    "label_distribution",
     "make_binary_classification",
-    "make_blobs_classification",
     "make_energy_consumption",
     "make_iot_activity",
-    "make_linear_regression",
     "split_by_label",
     "split_dirichlet",
     "split_iid",
@@ -91,11 +80,8 @@ __all__ = [
     "GossipTrainer",
     "MergeStrategy",
     "TrackedModel",
-    "federated_average",
-    "merge_into",
     "merge_parameter_vectors",
     "LinearRegressionModel",
-    "LogisticRegressionModel",
     "MLPClassifier",
     "Model",
     "SoftmaxRegressionModel",

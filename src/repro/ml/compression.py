@@ -173,9 +173,3 @@ def _strategy_weights(local: TrackedModel, update: CompressedUpdate,
     if strategy is MergeStrategy.SAMPLE_WEIGHTED:
         return [float(max(1, local.samples)), float(max(1, update.samples))]
     return [float(max(1, local.age)), float(max(1, update.age))]
-
-
-def compression_ratio(update: CompressedUpdate) -> float:
-    """Wire size relative to the uncompressed (float64) message."""
-    dense_bytes = 64 + update.num_params * 8
-    return update.size_bytes / dense_bytes

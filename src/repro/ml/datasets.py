@@ -65,23 +65,6 @@ def train_test_split(dataset: Dataset, test_fraction: float,
 # ---------------------------------------------------------------------------
 
 
-def make_blobs_classification(samples: int, features: int, classes: int,
-                              rng: np.random.Generator,
-                              separation: float = 2.0) -> Dataset:
-    """Gaussian class clusters with controllable separation."""
-    if classes < 2 or features < 1 or samples < classes:
-        raise MLError("invalid blob generator sizes")
-    centers = rng.normal(0.0, separation, (classes, features))
-    labels = rng.integers(0, classes, samples)
-    points = centers[labels] + rng.normal(0.0, 1.0, (samples, features))
-    return Dataset(
-        features=points,
-        targets=labels.astype(int),
-        feature_names=tuple(f"x{i}" for i in range(features)),
-        name="blobs",
-    )
-
-
 def make_binary_classification(samples: int, features: int,
                                rng: np.random.Generator,
                                noise: float = 0.5) -> Dataset:
@@ -99,22 +82,6 @@ def make_binary_classification(samples: int, features: int,
         targets=labels,
         feature_names=tuple(f"x{i}" for i in range(features)),
         name="binary",
-    )
-
-
-def make_linear_regression(samples: int, features: int,
-                           rng: np.random.Generator,
-                           noise: float = 0.1) -> Dataset:
-    """A noisy linear regression problem."""
-    true_weights = rng.normal(0.0, 1.0, features)
-    bias = float(rng.normal(0.0, 1.0))
-    points = rng.normal(0.0, 1.0, (samples, features))
-    values = points @ true_weights + bias + rng.normal(0.0, noise, samples)
-    return Dataset(
-        features=points,
-        targets=values,
-        feature_names=tuple(f"x{i}" for i in range(features)),
-        name="regression",
     )
 
 
@@ -277,11 +244,3 @@ def split_by_label(dataset: Dataset, parts: int, labels_per_part: int,
         rows = np.concatenate([shards[s] for s in mine])
         out.append(dataset.subset(np.sort(rows)))
     return out
-
-
-def label_distribution(dataset: Dataset, num_classes: int) -> np.ndarray:
-    """Normalized label histogram (heterogeneity diagnostics)."""
-    targets = np.asarray(dataset.targets, dtype=int)
-    counts = np.bincount(targets, minlength=num_classes).astype(float)
-    total = counts.sum()
-    return counts / total if total else counts

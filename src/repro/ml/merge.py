@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MLError, ModelCompatibilityError
-from repro.kernels.ops import convex_combine_rows
+from repro.errors import MLError
 from repro.ml.models import Model
 
 
@@ -52,48 +51,3 @@ def merge_parameter_vectors(vectors: list[np.ndarray],
     stacked = np.stack(vectors)
     coeffs = np.asarray(weights, dtype=float) / total
     return coeffs @ stacked
-
-
-def merge_into(local: TrackedModel, remote_params: np.ndarray,
-               remote_age: int, remote_samples: int,
-               strategy: MergeStrategy) -> None:
-    """Merge a received parameter vector into ``local`` in place.
-
-    Updates the local age to ``max(local, remote)`` (so age keeps meaning
-    "updates absorbed by the freshest ancestor") and accumulates a sample
-    estimate for sample-weighted merging.
-    """
-    if remote_params.shape != (local.model.num_params,):
-        raise ModelCompatibilityError("remote model has incompatible shape")
-    if strategy is MergeStrategy.AVERAGE:
-        weights = [1.0, 1.0]
-    elif strategy is MergeStrategy.SAMPLE_WEIGHTED:
-        weights = [float(max(1, local.samples)),
-                   float(max(1, remote_samples))]
-    elif strategy is MergeStrategy.AGE_WEIGHTED:
-        weights = [float(max(1, local.age)), float(max(1, remote_age))]
-    else:  # pragma: no cover - exhaustive enum
-        raise MLError(f"unknown merge strategy {strategy}")
-    # Elementwise pairwise combine (shared with the vectorized kernel
-    # engine) rather than merge_parameter_vectors' dgemv: the elementwise
-    # form is what stays bit-identical under row stacking.
-    merged = convex_combine_rows(
-        local.model.params, remote_params, weights[0], weights[1]
-    )
-    local.model.set_params(merged)
-    local.age = max(local.age, remote_age)
-
-
-def federated_average(models: list[Model],
-                      sample_counts: list[int]) -> np.ndarray:
-    """FedAvg: sample-count-weighted mean of client parameter vectors."""
-    if len(models) != len(sample_counts) or not models:
-        raise MLError("need equal, non-empty model and count lists")
-    reference = models[0]
-    for model in models[1:]:
-        if not reference.compatible_with(model):
-            raise ModelCompatibilityError("cannot average unlike models")
-    return merge_parameter_vectors(
-        [model.params for model in models],
-        [float(max(0, count)) for count in sample_counts],
-    )

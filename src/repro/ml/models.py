@@ -11,6 +11,7 @@ cites (linear models) plus a small MLP for the scaling experiments.
 from __future__ import annotations
 
 import abc
+import copy
 from typing import Optional
 
 import numpy as np
@@ -69,24 +70,10 @@ class Model(abc.ABC):
         self._params = params.copy()
 
     def clone(self) -> "Model":
-        """A new model of the same architecture with copied parameters."""
-        twin = self.architecture_copy()
-        twin.set_params(self._params)
+        """A model of the same architecture with a copy of the parameters."""
+        twin = copy.copy(self)
+        twin._params = self._params.copy()
         return twin
-
-    @abc.abstractmethod
-    def architecture_copy(self) -> "Model":
-        """A freshly-initialized model with this model's architecture."""
-
-    def compatible_with(self, other: "Model") -> bool:
-        """True when parameter vectors may be averaged together."""
-        return (type(self) is type(other)
-                and self.num_params == other.num_params)
-
-    @property
-    def size_bytes(self) -> int:
-        """Serialized size of the parameter vector (message accounting)."""
-        return self._params.nbytes
 
     # -- learning interface -----------------------------------------------------------
 
@@ -139,9 +126,6 @@ class LinearRegressionModel(Model):
     def num_params(self) -> int:
         return self.num_features + 1  # weights + bias
 
-    def architecture_copy(self) -> "LinearRegressionModel":
-        return LinearRegressionModel(self.num_features, l2=self.l2)
-
     def _split(self) -> tuple[np.ndarray, float]:
         return self._params[:-1], float(self._params[-1])
 
@@ -176,57 +160,6 @@ class LinearRegressionModel(Model):
         return 1.0 - residual / total
 
 
-class LogisticRegressionModel(Model):
-    """Binary logistic regression (labels in {0, 1})."""
-
-    def __init__(self, num_features: int, l2: float = 0.0):
-        self.l2 = l2
-        super().__init__(num_features)
-
-    @property
-    def num_params(self) -> int:
-        return self.num_features + 1
-
-    def architecture_copy(self) -> "LogisticRegressionModel":
-        return LogisticRegressionModel(self.num_features, l2=self.l2)
-
-    def _split(self) -> tuple[np.ndarray, float]:
-        return self._params[:-1], float(self._params[-1])
-
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
-        features = _as_2d(features)
-        weights, bias = self._split()
-        return features @ weights + bias
-
-    def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        logits = np.clip(self.decision_function(features), -30.0, 30.0)
-        return 1.0 / (1.0 + np.exp(-logits))
-
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return (self.predict_proba(features) >= 0.5).astype(int)
-
-    def loss(self, features: np.ndarray, targets: np.ndarray) -> float:
-        probs = np.clip(self.predict_proba(features), 1e-12, 1 - 1e-12)
-        targets = np.asarray(targets, dtype=float)
-        nll = -np.mean(targets * np.log(probs)
-                       + (1 - targets) * np.log(1 - probs))
-        weights, _ = self._split()
-        return float(nll + self.l2 * np.dot(weights, weights) / 2)
-
-    def gradient(self, features: np.ndarray,
-                 targets: np.ndarray) -> np.ndarray:
-        features = _as_2d(features)
-        error = self.predict_proba(features) - np.asarray(targets, dtype=float)
-        weights, _ = self._split()
-        grad_w = features.T @ error / len(features) + self.l2 * weights
-        grad_b = float(np.mean(error))
-        return np.concatenate([grad_w, [grad_b]])
-
-    def score(self, features: np.ndarray, targets: np.ndarray) -> float:
-        """Classification accuracy."""
-        return float(np.mean(self.predict(features) == np.asarray(targets)))
-
-
 class SoftmaxRegressionModel(Model):
     """Multinomial logistic regression (labels in {0..classes-1})."""
 
@@ -240,10 +173,6 @@ class SoftmaxRegressionModel(Model):
     @property
     def num_params(self) -> int:
         return (self.num_features + 1) * self.num_classes
-
-    def architecture_copy(self) -> "SoftmaxRegressionModel":
-        return SoftmaxRegressionModel(self.num_features, self.num_classes,
-                                      l2=self.l2)
 
     def _matrices(self) -> tuple[np.ndarray, np.ndarray]:
         cut = self.num_features * self.num_classes
@@ -322,10 +251,6 @@ class MLPClassifier(Model):
     def num_params(self) -> int:
         return (self.num_features * self.hidden_units + self.hidden_units
                 + self.hidden_units * self.num_classes + self.num_classes)
-
-    def architecture_copy(self) -> "MLPClassifier":
-        return MLPClassifier(self.num_features, self.hidden_units,
-                             self.num_classes, l2=self.l2)
 
     def _matrices(self):
         f, h, c = self.num_features, self.hidden_units, self.num_classes

@@ -15,11 +15,8 @@ from repro.net.simulator import (
 )
 from repro.net.topology import (
     assign_latencies,
-    full_mesh,
     neighbors_map,
     random_regular_overlay,
-    small_world_overlay,
-    star_topology,
 )
 
 __all__ = [
@@ -30,9 +27,6 @@ __all__ = [
     "Simulator",
     "TrafficStats",
     "assign_latencies",
-    "full_mesh",
     "neighbors_map",
     "random_regular_overlay",
-    "small_world_overlay",
-    "star_topology",
 ]

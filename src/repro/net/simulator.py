@@ -10,15 +10,11 @@ classic event-heap simulator:
 * every delivered message is charged to traffic counters, giving the
   communication-cost axis of the gossip-vs-federated comparison.
 
-Two fast paths keep the heap small for vectorized experiments:
-
-* :meth:`Simulator.schedule_batch` registers a whole pre-sorted timeline of
-  events (one *lane*) while holding only the lane head in the heap.  Sequence
-  numbers for the entire lane are allocated contiguously up front, so
-  tie-breaking against individually scheduled events stays deterministic.
-* :meth:`Simulator.schedule_cancellable` returns an :class:`EventHandle`;
-  cancelled entries stay in the heap but are skipped on pop without counting
-  against ``events_processed`` or the :meth:`run_to_completion` budget.
+A fast path keeps the heap small for vectorized experiments:
+:meth:`Simulator.schedule_batch` registers a whole pre-sorted timeline of
+events (one *lane*) while holding only the lane head in the heap.  Sequence
+numbers for the entire lane are allocated contiguously up front, so
+tie-breaking against individually scheduled events stays deterministic.
 """
 
 from __future__ import annotations
@@ -57,31 +53,6 @@ _HEAP_HIGH_WATER = _tm.gauge(
 )
 
 
-class EventHandle:
-    """Cancellation handle returned by :meth:`Simulator.schedule_cancellable`.
-
-    Cancellation is O(1): the heap entry's callback slot is nulled and the
-    stale entry is discarded lazily when it reaches the top of the heap —
-    without counting as a processed event.
-    """
-
-    __slots__ = ("_entry",)
-
-    def __init__(self, entry: list) -> None:
-        self._entry = entry
-
-    def cancel(self) -> bool:
-        """Cancel the event; returns False when it already ran/was cancelled."""
-        if self._entry[2] is None:
-            return False
-        self._entry[2] = None
-        return True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[2] is None
-
-
 class _EventLane:
     """A pre-sorted timeline of events holding one heap slot at a time.
 
@@ -109,12 +80,7 @@ class _EventLane:
                 self._sim._heap,
                 [self._times[self._pos], self._seq0 + self._pos, self],
             )
-            self._sim._lane_backlog -= 1
         self._fn(pos)
-
-    @property
-    def remaining(self) -> int:
-        return len(self._times) - self._pos
 
 
 class Simulator:
@@ -126,7 +92,6 @@ class Simulator:
         self.now = 0.0
         self.events_processed = 0
         self.heap_high_water = 0
-        self._lane_backlog = 0  # lane events not yet holding a heap slot
 
     def _next_seq(self) -> int:
         seq = self._seq
@@ -142,38 +107,18 @@ class Simulator:
         if not math.isfinite(delay):
             # NaN slips past the `< 0` check below and corrupts the heap
             # invariant (every comparison with NaN is False); inf events
-            # can never run but burn the run_to_completion budget.
+            # can never run.
             raise SimulationError(
                 f"event delay must be finite, got {delay!r}"
             )
         if delay < 0:
             raise SimulationError("cannot schedule events in the past")
-        # Entries are lists (not tuples) so every heap element has the same
-        # type — heapq comparisons between mixed tuple/list entries raise —
-        # and so cancellable entries can null their callback slot in place.
+        # Entries are lists, as lane entries are: heapq comparisons between
+        # mixed tuple/list entries raise.
         heapq.heappush(
             self._heap, [self.now + delay, self._next_seq(), callback]
         )
         self._note_heap_size()
-
-    def schedule_cancellable(self, delay: float,
-                             callback: Callable[[], None]) -> EventHandle:
-        """Like :meth:`schedule`, but returns a cancellation handle.
-
-        A cancelled entry is skipped when popped: it does not run, does not
-        increment ``events_processed``, and does not count against the
-        :meth:`run_to_completion` event budget.
-        """
-        if not math.isfinite(delay):
-            raise SimulationError(
-                f"event delay must be finite, got {delay!r}"
-            )
-        if delay < 0:
-            raise SimulationError("cannot schedule events in the past")
-        entry = [self.now + delay, self._next_seq(), callback]
-        heapq.heappush(self._heap, entry)
-        self._note_heap_size()
-        return EventHandle(entry)
 
     def schedule_batch(self, times: Sequence[float],
                        fn: Callable[[int], None]) -> None:
@@ -203,7 +148,6 @@ class Simulator:
         self._seq = seq0 + len(times)
         lane = _EventLane(self, times, fn, seq0)
         heapq.heappush(self._heap, [times[0], seq0, lane])
-        self._lane_backlog += len(times) - 1
         self._note_heap_size()
 
     def run_until(self, end_time: float) -> None:
@@ -211,50 +155,16 @@ class Simulator:
         if end_time < self.now:
             raise SimulationError("end time is in the past")
         while self._heap and self._heap[0][0] <= end_time:
-            entry = heapq.heappop(self._heap)
-            time, _, callback = entry
-            if callback is None:  # cancelled entry: discard silently
-                continue
-            entry[2] = None  # fired: a late cancel() must report failure
+            time, _, callback = heapq.heappop(self._heap)
             self.now = time
             self.events_processed += 1
             callback()
         self.now = end_time
         self._export_gauges()
 
-    def run_to_completion(self, max_events: int = 1_000_000) -> None:
-        """Drain the event heap (bounded to catch runaway schedules).
-
-        Cancelled entries are discarded without charging the budget — only
-        events that actually run count toward ``max_events``.
-        """
-        processed = 0
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            time, _, callback = entry
-            if callback is None:
-                continue
-            if processed >= max_events:
-                raise SimulationError("event budget exhausted; likely a loop")
-            entry[2] = None
-            self.now = time
-            self.events_processed += 1
-            processed += 1
-            callback()
-        self._export_gauges()
-
     def _export_gauges(self) -> None:
         _EVENTS_PROCESSED.set(self.events_processed)
         _HEAP_HIGH_WATER.set(self.heap_high_water)
-
-    @property
-    def pending_events(self) -> int:
-        """Events not yet run: heap entries plus queued lane events.
-
-        Cancelled-but-unpopped entries are still counted (cancellation is
-        lazy); the count is an upper bound in their presence.
-        """
-        return len(self._heap) + self._lane_backlog
 
 
 class MessageHandler(Protocol):
@@ -340,10 +250,6 @@ class Network:
         if address not in self._nodes:
             raise SimulationError(f"unknown address {address!r}")
         return self._nodes[address]
-
-    @property
-    def addresses(self) -> list[str]:
-        return list(self._nodes)
 
     # -- links ---------------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Topology builders for the decentralized-ML experiments.
 
-Gossip learning runs over a peer sampling overlay; federated learning over a
-star centered on the coordinator.  These helpers build the corresponding
-``networkx`` graphs and assign per-link latencies so both protocols run on
-identical network conditions — the fairness requirement of experiment E5.
+Gossip learning runs over a random regular peer overlay.  These helpers
+build that ``networkx`` graph and assign per-link latencies, drawn the same
+way for every protocol that runs over them — the fairness requirement of
+experiment E5.
 """
 
 from __future__ import annotations
@@ -30,25 +30,6 @@ def random_regular_overlay(num_nodes: int, degree: int,
         if nx.is_connected(graph):
             return graph
     raise SimulationError("failed to build a connected regular overlay")
-
-
-def small_world_overlay(num_nodes: int, k: int, rewire_p: float,
-                        rng: np.random.Generator) -> nx.Graph:
-    """Watts-Strogatz small-world overlay (clustered edge networks)."""
-    seed = int(rng.integers(0, 2**31 - 1))
-    graph = nx.connected_watts_strogatz_graph(num_nodes, k, rewire_p,
-                                              seed=seed)
-    return graph
-
-
-def star_topology(num_clients: int) -> nx.Graph:
-    """A star: node 0 is the federated server, 1..n are clients."""
-    return nx.star_graph(num_clients)
-
-
-def full_mesh(num_nodes: int) -> nx.Graph:
-    """Complete graph: every pair connected (small SMC committees)."""
-    return nx.complete_graph(num_nodes)
 
 
 #: Relative spread (lognormal sigma) of the per-edge latency draws.

@@ -1,20 +1,13 @@
 """Privacy-leak control (paper Section IV-D).
 
-Differential-privacy mechanisms and accounting, DP-SGD training, the
-membership-inference attack used to *measure* leakage, and the workload
-risk analyzer executors run before accepting a job.
+DP-SGD training with Rényi-DP accounting, the membership-inference attack
+used to *measure* leakage, and the workload risk analyzer executors run
+before accepting a job.
 """
 
-from repro.privacy.accountant import (
-    DEFAULT_ORDERS,
-    PrivacyAccountant,
-    RDPAccountant,
-    SpendRecord,
-    advanced_composition_epsilon,
-)
+from repro.privacy.accountant import DEFAULT_ORDERS, RDPAccountant
 from repro.privacy.attacks import (
     MembershipInferenceResult,
-    empirical_epsilon_lower_bound,
     membership_inference_attack,
 )
 from repro.privacy.dpsgd import (
@@ -31,23 +24,11 @@ from repro.privacy.leakage import (
     WorkloadRiskProfile,
     assess_workload,
 )
-from repro.privacy.mechanisms import (
-    gaussian_mechanism,
-    gaussian_noise_sigma,
-    laplace_mechanism,
-    laplace_noise_scale,
-    randomized_response,
-    randomized_response_estimate,
-)
 
 __all__ = [
     "DEFAULT_ORDERS",
-    "PrivacyAccountant",
     "RDPAccountant",
-    "SpendRecord",
-    "advanced_composition_epsilon",
     "MembershipInferenceResult",
-    "empirical_epsilon_lower_bound",
     "membership_inference_attack",
     "DPSGDConfig",
     "DPSGDResult",
@@ -59,10 +40,4 @@ __all__ = [
     "RiskAssessment",
     "WorkloadRiskProfile",
     "assess_workload",
-    "gaussian_mechanism",
-    "gaussian_noise_sigma",
-    "laplace_mechanism",
-    "laplace_noise_scale",
-    "randomized_response",
-    "randomized_response_estimate",
 ]

@@ -104,15 +104,3 @@ def membership_inference_attack(model: Model, member_features: np.ndarray,
         member_mean_loss=float(member_losses.mean()),
         nonmember_mean_loss=float(nonmember_losses.mean()),
     )
-
-
-def empirical_epsilon_lower_bound(result: MembershipInferenceResult,
-                                  ) -> float:
-    """A crude epsilon lower bound implied by the observed advantage.
-
-    From the DP hypothesis-testing interpretation: advantage a implies
-    ``epsilon >= ln((1 + a) / (1 - a))`` (at delta = 0).  Useful as a sanity
-    check that measured leakage stays below the accountant's guarantee.
-    """
-    advantage = min(max(result.advantage, 0.0), 1.0 - 1e-9)
-    return float(np.log((1.0 + advantage) / (1.0 - advantage)))

@@ -8,7 +8,6 @@ distribution across providers and infrastructure actors.
 from repro.rewards.economics import (
     ExecutorCostModel,
     ViabilityAnalysis,
-    sweep_infra_share,
 )
 from repro.rewards.distribution import (
     RewardSplit,
@@ -33,7 +32,6 @@ from repro.rewards.shapley import (
 __all__ = [
     "ExecutorCostModel",
     "ViabilityAnalysis",
-    "sweep_infra_share",
     "RewardSplit",
     "distribute_rewards",
     "largest_remainder_allocation",

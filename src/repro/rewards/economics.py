@@ -132,19 +132,3 @@ class ViabilityAnalysis:
             raise RewardError("workload has no execution time")
         revenue_per_s = self.revenue_per_executor / self.job_seconds
         return revenue_per_s / self.cloud_price_per_s
-
-
-def sweep_infra_share(base: ViabilityAnalysis,
-                      shares: list[float]) -> list[tuple[float, float, bool]]:
-    """Profitability across candidate infra shares.
-
-    Returns ``(share, profit_per_executor, viable)`` rows for reporting.
-    """
-    from dataclasses import replace
-
-    rows = []
-    for share in shares:
-        analysis = replace(base, infra_share=share)
-        rows.append((share, analysis.profit_per_executor,
-                     analysis.is_viable))
-    return rows

@@ -184,10 +184,6 @@ class DataValuationTask:
     seed: int = 0
     _cache: dict[frozenset, float] = field(default_factory=dict, repr=False)
 
-    @property
-    def num_players(self) -> int:
-        return len(self.provider_datasets)
-
     def _coalition_data(self, coalition: frozenset) -> tuple[np.ndarray, np.ndarray]:
         parts = [self.provider_datasets[i] for i in sorted(coalition)]
         features = np.concatenate([p.features for p in parts])

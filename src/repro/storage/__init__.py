@@ -6,7 +6,6 @@ the metadata catalog and the semantic discovery layer.
 """
 
 from repro.storage.base import (
-    InMemoryBackend,
     StorageBackend,
     StoredObject,
     TransferLog,
@@ -17,10 +16,7 @@ from repro.storage.cloud import CloudStore, KeyKeeper
 from repro.storage.local import LocalEncryptedStore
 from repro.storage.semantic import (
     AllOf,
-    AnyOf,
     ConceptRequirement,
-    EqualsRequirement,
-    OneOfRequirement,
     Ontology,
     RangeRequirement,
     Requirement,
@@ -33,7 +29,6 @@ from repro.storage.semantic import (
 from repro.storage.swarm import SwarmNode, SwarmStore
 
 __all__ = [
-    "InMemoryBackend",
     "StorageBackend",
     "StoredObject",
     "TransferLog",
@@ -44,10 +39,7 @@ __all__ = [
     "KeyKeeper",
     "LocalEncryptedStore",
     "AllOf",
-    "AnyOf",
     "ConceptRequirement",
-    "EqualsRequirement",
-    "OneOfRequirement",
     "Ontology",
     "RangeRequirement",
     "Requirement",

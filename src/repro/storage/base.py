@@ -16,7 +16,7 @@ import abc
 from dataclasses import dataclass, field
 
 from repro.crypto.hashing import keccak256
-from repro.errors import AccessDeniedError, ObjectNotFoundError
+from repro.errors import AccessDeniedError
 from repro.telemetry import metrics as _tm
 
 _STORAGE_OPS = _tm.counter(
@@ -135,22 +135,6 @@ class StorageBackend(abc.ABC):
         obj.grants.add(grantee)
         self._store(object_id, obj)
 
-    def revoke(self, object_id: str, owner: str, grantee: str) -> None:
-        """Owner-only: withdraw a previously granted authorization."""
-        obj = self._load(object_id)
-        if obj.owner != owner:
-            raise AccessDeniedError("only the owner may revoke access")
-        obj.grants.discard(grantee)
-        self._store(object_id, obj)
-
-    def exists(self, object_id: str) -> bool:
-        """True when the backend holds an object under ``object_id``."""
-        return self._exists(object_id)
-
-    def owner_of(self, object_id: str) -> str:
-        """The registered owner of the object."""
-        return self._load(object_id).owner
-
     # -- integrity -------------------------------------------------------------------
 
     @staticmethod
@@ -161,22 +145,3 @@ class StorageBackend(abc.ABC):
             raise IntegrityError(
                 f"object {object_id[:12]}… failed its content-address check"
             )
-
-
-class InMemoryBackend(StorageBackend):
-    """The trivial reference backend: a dict. Used in tests and as a base."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._objects: dict[str, StoredObject] = {}
-
-    def _store(self, object_id: str, obj: StoredObject) -> None:
-        self._objects[object_id] = obj
-
-    def _load(self, object_id: str) -> StoredObject:
-        if object_id not in self._objects:
-            raise ObjectNotFoundError(f"no object {object_id[:12]}…")
-        return self._objects[object_id]
-
-    def _exists(self, object_id: str) -> bool:
-        return object_id in self._objects

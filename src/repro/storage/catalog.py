@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import ObjectNotFoundError, StorageError
+from repro.errors import StorageError
 from repro.storage.semantic import Ontology, Requirement, SemanticAnnotation
 
 
@@ -31,18 +31,6 @@ class DataRecord:
     size_bytes: int
     created_at: float
     annotation: SemanticAnnotation
-
-    def to_dict(self) -> dict:
-        return {
-            "record_id": self.record_id,
-            "owner": self.owner,
-            "backend_name": self.backend_name,
-            "object_id": self.object_id,
-            "content_hash": self.content_hash,
-            "size_bytes": self.size_bytes,
-            "created_at": self.created_at,
-            "annotation": self.annotation.to_dict(),
-        }
 
 
 @dataclass
@@ -67,35 +55,11 @@ class DataCatalog:
         self._records[record.record_id] = record
         self._by_owner.setdefault(record.owner, []).append(record.record_id)
 
-    def deregister(self, record_id: str, owner: str) -> None:
-        """Remove a record (owner-only) — the data-control requirement."""
-        record = self.get(record_id)
-        if record.owner != owner:
-            raise StorageError("only the owner may deregister a record")
-        del self._records[record_id]
-        self._by_owner[owner].remove(record_id)
-
-    def get(self, record_id: str) -> DataRecord:
-        """Look up one record by id."""
-        if record_id not in self._records:
-            raise ObjectNotFoundError(f"no record {record_id!r}")
-        return self._records[record_id]
-
-    def __len__(self) -> int:
-        return len(self._records)
-
     def records_of(self, owner: str) -> list[DataRecord]:
         """All records registered by ``owner``."""
         return [self._records[rid] for rid in self._by_owner.get(owner, [])]
 
     # -- matching -------------------------------------------------------------
-
-    def match(self, requirement: Requirement) -> list[DataRecord]:
-        """Records whose annotation satisfies ``requirement``."""
-        return [
-            record for record in self._records.values()
-            if requirement.matches(self.ontology, record.annotation)
-        ]
 
     def match_for_owner(self, requirement: Requirement,
                         owner: str) -> list[DataRecord]:

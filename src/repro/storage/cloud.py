@@ -144,8 +144,3 @@ class CloudStore(StorageBackend):
             raise StorageError("cannot fail more keepers than exist")
         for keeper in self.keepers[:count]:
             keeper.online = False
-
-    def recover_keepers(self) -> None:
-        """Bring every keeper back online."""
-        for keeper in self.keepers:
-            keeper.online = True

@@ -8,7 +8,7 @@ pieces:
 
 * :class:`Ontology` — a concept taxonomy (DAG) with subsumption reasoning;
 * :class:`Requirement` — a small predicate language over annotations
-  (concept subsumption, numeric ranges, equality, set membership, and/or);
+  (concept subsumption, numeric ranges, conjunction);
 * :func:`annotation_leakage_bits` — an information-theoretic measure of what
   an annotation reveals, so experiment E10 can chart the precision/leakage
   trade-off.
@@ -58,12 +58,6 @@ class Ontology:
             return True
         return nx.has_path(self._graph, general, specific)
 
-    def ancestors(self, concept: str) -> set[str]:
-        """All concepts subsuming ``concept`` (excluding itself)."""
-        if concept not in self._graph:
-            raise StorageError(f"unknown concept {concept!r}")
-        return nx.ancestors(self._graph, concept)
-
     def descendants(self, concept: str) -> set[str]:
         """All concepts subsumed by ``concept`` (excluding itself)."""
         if concept not in self._graph:
@@ -76,14 +70,6 @@ class Ontology:
         return {
             node for node in subtree if self._graph.out_degree(node) == 0
         }
-
-    def depth(self, concept: str) -> int:
-        """Shortest is-a distance from the root."""
-        return nx.shortest_path_length(self._graph, self.root, concept)
-
-    @property
-    def concepts(self) -> list[str]:
-        return sorted(self._graph.nodes)
 
     @classmethod
     def iot_default(cls) -> "Ontology":
@@ -127,11 +113,6 @@ class SemanticAnnotation:
     def to_dict(self) -> dict:
         return {"concept": self.concept, "properties": dict(self.properties)}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SemanticAnnotation":
-        return cls(concept=data["concept"],
-                   properties=dict(data.get("properties", {})))
-
 
 # ---------------------------------------------------------------------------
 # Requirement language
@@ -146,35 +127,11 @@ class Requirement:
                 annotation: SemanticAnnotation) -> bool:
         raise NotImplementedError
 
-    def complexity(self) -> int:
-        """Number of atomic predicates (E10's requirement-complexity axis)."""
-        return 1
-
     def to_dict(self) -> dict:
+        """The hashed form of the requirement inside a workload spec; only
+        :class:`ConceptRequirement`, the kind every spec here carries, has
+        one."""
         raise NotImplementedError
-
-    @staticmethod
-    def from_dict(data: dict) -> "Requirement":
-        """Deserialize any requirement node from its tagged dict form."""
-        kind = data.get("kind")
-        if kind == "concept":
-            return ConceptRequirement(concept=data["concept"])
-        if kind == "range":
-            return RangeRequirement(
-                property_name=data["property"],
-                minimum=data.get("minimum"),
-                maximum=data.get("maximum"),
-            )
-        if kind == "equals":
-            return EqualsRequirement(property_name=data["property"],
-                                     value=data["value"])
-        if kind == "one_of":
-            return OneOfRequirement(property_name=data["property"],
-                                    values=tuple(data["values"]))
-        if kind in ("all", "any"):
-            clauses = tuple(Requirement.from_dict(c) for c in data["clauses"])
-            return (AllOf(clauses) if kind == "all" else AnyOf(clauses))
-        raise StorageError(f"unknown requirement kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -210,42 +167,6 @@ class RangeRequirement(Requirement):
             return False
         return True
 
-    def to_dict(self) -> dict:
-        return {"kind": "range", "property": self.property_name,
-                "minimum": self.minimum, "maximum": self.maximum}
-
-
-@dataclass(frozen=True)
-class EqualsRequirement(Requirement):
-    """A property must equal ``value`` exactly."""
-
-    property_name: str
-    value: Any = None
-
-    def matches(self, ontology: Ontology,
-                annotation: SemanticAnnotation) -> bool:
-        return annotation.properties.get(self.property_name) == self.value
-
-    def to_dict(self) -> dict:
-        return {"kind": "equals", "property": self.property_name,
-                "value": self.value}
-
-
-@dataclass(frozen=True)
-class OneOfRequirement(Requirement):
-    """A property must take one of an allowed set of values."""
-
-    property_name: str
-    values: tuple = ()
-
-    def matches(self, ontology: Ontology,
-                annotation: SemanticAnnotation) -> bool:
-        return annotation.properties.get(self.property_name) in self.values
-
-    def to_dict(self) -> dict:
-        return {"kind": "one_of", "property": self.property_name,
-                "values": list(self.values)}
-
 
 @dataclass(frozen=True)
 class AllOf(Requirement):
@@ -256,29 +177,6 @@ class AllOf(Requirement):
     def matches(self, ontology: Ontology,
                 annotation: SemanticAnnotation) -> bool:
         return all(c.matches(ontology, annotation) for c in self.clauses)
-
-    def complexity(self) -> int:
-        return sum(c.complexity() for c in self.clauses)
-
-    def to_dict(self) -> dict:
-        return {"kind": "all", "clauses": [c.to_dict() for c in self.clauses]}
-
-
-@dataclass(frozen=True)
-class AnyOf(Requirement):
-    """Disjunction of clauses."""
-
-    clauses: tuple[Requirement, ...] = ()
-
-    def matches(self, ontology: Ontology,
-                annotation: SemanticAnnotation) -> bool:
-        return any(c.matches(ontology, annotation) for c in self.clauses)
-
-    def complexity(self) -> int:
-        return sum(c.complexity() for c in self.clauses)
-
-    def to_dict(self) -> dict:
-        return {"kind": "any", "clauses": [c.to_dict() for c in self.clauses]}
 
 
 # ---------------------------------------------------------------------------

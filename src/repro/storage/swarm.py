@@ -141,49 +141,6 @@ class SwarmStore(StorageBackend):
             self.nodes[index].online = False
         return failed
 
-    def recover_all_nodes(self) -> None:
-        """Bring every node back online (chunks intact)."""
-        for node in self.nodes:
-            node.online = True
-
-    def repair(self, object_id: str) -> int:
-        """Re-replicate an object's chunks onto healthy nodes.
-
-        For every chunk, surviving verified replicas are copied onto the
-        ``replication`` XOR-closest *online* nodes that lack them — the
-        maintenance loop a real swarm runs continuously.  Returns the
-        number of new replicas created; raises when a chunk has no
-        surviving replica at all (data loss).
-        """
-        manifest = self._manifests.get(object_id)
-        if manifest is None:
-            raise ObjectNotFoundError(f"no object {object_id[:12]}…")
-        created = 0
-        for address in manifest.chunk_addresses:
-            chunk = self._fetch_any_verified_chunk(address)
-            if chunk is None:
-                raise StorageError(
-                    f"chunk {address[:12]}… lost: no surviving replica"
-                )
-            target = bytes.fromhex(address)
-            online_ranked = sorted(
-                (node for node in self.nodes if node.online),
-                key=lambda node: _xor_distance(node.node_id, target),
-            )
-            for node in online_ranked[: self.replication]:
-                if address not in node.chunks:
-                    node.store_chunk(address, chunk)
-                    created += 1
-        return created
-
-    def _fetch_any_verified_chunk(self, address: str) -> bytes | None:
-        """Search *all* online nodes for a valid replica (repair path)."""
-        for node in self.nodes:
-            chunk = node.fetch_chunk(address)
-            if chunk is not None and keccak256(chunk).hex() == address:
-                return chunk
-        return None
-
     def chunk_availability(self, object_id: str) -> float:
         """Fraction of the object's chunks still retrievable right now."""
         manifest = self._manifests.get(object_id)

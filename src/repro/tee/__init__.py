@@ -1,8 +1,8 @@
 """Trusted execution environments (paper Section III-B).
 
-Behavioral SGX simulation: measured enclaves with sealing, isolation and
-remote attestation; oblivious primitives for side-channel-free data access;
-and a calibrated cost model relating TEE, SMC, HE and plain execution.
+Behavioral SGX simulation: measured enclaves with isolation and remote
+attestation, and a calibrated cost model relating TEE, SMC, HE and
+plain execution.
 """
 
 from repro.tee.attestation import AttestationService, Quote
@@ -14,14 +14,6 @@ from repro.tee.cost_model import (
     mlp_profile,
 )
 from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform
-from repro.tee.oblivious import (
-    ObliviousAggregator,
-    TouchCounter,
-    oblivious_access,
-    oblivious_select,
-    oblivious_sort,
-    oblivious_write,
-)
 
 __all__ = [
     "AttestationService",
@@ -34,10 +26,4 @@ __all__ = [
     "Enclave",
     "EnclaveCode",
     "TEEPlatform",
-    "ObliviousAggregator",
-    "TouchCounter",
-    "oblivious_access",
-    "oblivious_select",
-    "oblivious_sort",
-    "oblivious_write",
 ]

@@ -89,10 +89,6 @@ class AttestationService:
             raise AttestationError(f"unknown platform {platform_id!r}")
         self._revoked.add(platform_id)
 
-    def is_provisioned(self, platform_id: str) -> bool:
-        """True when the platform is registered and not revoked."""
-        return platform_id in self._platforms and platform_id not in self._revoked
-
     # -- quoting ---------------------------------------------------------------
 
     @staticmethod

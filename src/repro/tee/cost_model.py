@@ -1,7 +1,7 @@
 """Calibrated cost model for the four oblivious-computation backends.
 
 Experiment E3/E4 must compare plain execution, TEEs, SMC and homomorphic
-encryption.  Paillier and Beaver-triple SMC are *actually implemented* in
+encryption.  Paillier and additive-sharing SMC are *actually implemented* in
 this repository and can be timed directly; SGX hardware is not available, so
 TEE costs come from this parametric model, calibrated against the published
 numbers the paper itself cites (Slalom, Falcon, and the systematic comparison
@@ -140,14 +140,6 @@ class CostModel:
             ExecutionBackend.HE: self.he_seconds,
         }[backend]
         return estimator(profile)
-
-    def overhead_factor(self, backend: ExecutionBackend,
-                        profile: WorkloadProfile) -> float:
-        """Slowdown of ``backend`` relative to plain execution."""
-        baseline = self.plain_seconds(profile)
-        if baseline == 0:
-            raise ValueError("profile has zero compute; overhead undefined")
-        return self.estimate_seconds(backend, profile) / baseline
 
     def ranking(self, profile: WorkloadProfile) -> list[ExecutionBackend]:
         """Backends ordered fastest-first for ``profile``.

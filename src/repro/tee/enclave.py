@@ -12,9 +12,6 @@ marketplace protocol observes:
   launch and event reads that value).  Change one instruction or constant
   of the workload and the measurement changes; change a comment and it
   does not.
-* **Sealing** — data sealed by an enclave can only be unsealed by an enclave
-  with the same measurement on the same platform (keys are derived from
-  ``platform_secret || measurement``).
 * **Isolation** — inputs provisioned into an enclave are encrypted under an
   ECDH key shared with the enclave's ephemeral key; the host object never
   holds plaintext, and the host-facing API exposes none.
@@ -22,9 +19,8 @@ marketplace protocol observes:
   the platform's provisioned key; see :mod:`repro.tee.attestation`.
 
 What the simulation intentionally does *not* model are micro-architectural
-side channels; their mitigation cost is represented by the oblivious
-primitives (:mod:`repro.tee.oblivious`) and the calibrated cost model
-(:mod:`repro.tee.cost_model`).
+side channels; their mitigation cost is represented by the calibrated cost
+model (:mod:`repro.tee.cost_model`).
 """
 
 from __future__ import annotations
@@ -37,9 +33,9 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.crypto.ecdsa import PrivateKey, PublicKey, shared_secret
-from repro.crypto.hashing import keccak256, sha256
+from repro.crypto.hashing import keccak256
 from repro.crypto.symmetric import Envelope, decrypt, encrypt
-from repro.errors import DecryptionError, EnclaveViolationError, SealingError
+from repro.errors import DecryptionError, EnclaveViolationError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.tracing import tracer as _tracer
 
@@ -150,7 +146,9 @@ class TEEPlatform:
 
     def __init__(self, platform_id: str, rng: np.random.Generator):
         self.platform_id = platform_id
-        self._platform_secret = rng.bytes(32)
+        # The platform secret (fused into the CPU): nothing here derives a
+        # key from it, but the attestation key is the stream's next draw.
+        rng.bytes(32)
         self.attestation_key = PrivateKey.generate(rng)
         self._rng = rng
         #: Optional observer called with every launched enclave (the
@@ -166,14 +164,6 @@ class TEEPlatform:
         if self.on_launch is not None:
             self.on_launch(enclave)
         return enclave
-
-    def sealing_key(self, measurement: bytes) -> bytes:
-        """Derive the sealing key for a given enclave measurement.
-
-        Only this platform can derive it, and it is measurement-specific, so
-        sealed blobs move neither across machines nor across code versions.
-        """
-        return sha256(self._platform_secret + measurement)
 
 
 class Enclave:
@@ -225,17 +215,13 @@ class Enclave:
         """Tear the enclave down (host crash / power loss).
 
         Enclave memory is gone: every subsequent provision, run or extract
-        raises.  Like real SGX, nothing survives except what was sealed —
-        the fault-injection harness uses this to model crashed executors.
+        raises — the fault-injection harness uses this to model crashed
+        executors.
         """
         self._terminated = True
         self._private_inputs.clear()
         self._private_output = None
         self.quote = None
-
-    @property
-    def terminated(self) -> bool:
-        return self._terminated
 
     def _require_alive(self) -> None:
         if self._terminated:
@@ -320,20 +306,3 @@ class Enclave:
         payload = canonical_json_bytes(self._private_output)
         key = shared_secret(self._ephemeral_key, recipient_public_key)
         return encrypt(key, payload, self._rng)
-
-    # -- sealed storage ----------------------------------------------------------
-
-    def seal(self, data: bytes) -> Envelope:
-        """Encrypt ``data`` so only same-code-same-platform enclaves read it."""
-        key = self.platform.sealing_key(self.measurement)
-        return encrypt(key, data, self._rng)
-
-    def unseal(self, envelope: Envelope) -> bytes:
-        """Decrypt a blob sealed by an identical enclave on this platform."""
-        key = self.platform.sealing_key(self.measurement)
-        try:
-            return decrypt(key, envelope)
-        except DecryptionError as exc:
-            raise SealingError(
-                "sealed blob belongs to a different enclave or platform"
-            ) from exc

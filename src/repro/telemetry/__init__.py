@@ -69,7 +69,6 @@ from repro.telemetry.metrics import (
 from repro.telemetry.profiler import (
     Profile,
     Profiler,
-    active_profiler,
     profiled,
 )
 from repro.telemetry.tracing import (
@@ -113,7 +112,6 @@ __all__ = [
     "Span",
     "TraceContext",
     "Tracer",
-    "active_profiler",
     "assemble_trace",
     "batch_trace_context",
     "build_span_tree",

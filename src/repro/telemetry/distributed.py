@@ -103,11 +103,6 @@ class TraceContext:
             raise TelemetryError(f"malformed traceparent {header!r}")
         return cls(trace_id=parts[1], span_id=parts[2])
 
-    def child(self, *parts: str) -> "TraceContext":
-        """A context whose span id is derived from stable coordinates."""
-        return TraceContext(self.trace_id,
-                            derive_span_id(self.trace_id, *parts))
-
 
 def _is_hex(value: str) -> bool:
     return all(c in "0123456789abcdef" for c in value)

@@ -25,7 +25,6 @@ alive, so module-level handles never dangle.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.errors import TelemetryError
@@ -56,14 +55,6 @@ GAS_BUCKETS: tuple[float, ...] = (
 BYTES_BUCKETS: tuple[float, ...] = (
     64, 256, 1_024, 4_096, 16_384, 65_536, 262_144, 1_048_576, 4_194_304,
 )
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One exported time-series point of a metric child."""
-
-    labels: dict[str, str]
-    value: float
 
 
 def _validate_name(name: str) -> None:
@@ -177,17 +168,6 @@ class Counter(_Metric):
         """Exemplar on the unlabeled child (labeled: use ``.labels(...)``)."""
         self._default_child().set_exemplar(**labels)
 
-    def value(self, **labels: object) -> float:
-        child = self.labels(**labels) if labels else self._default_child()
-        return child.value
-
-    def total(self) -> float:
-        """Sum over every label set (quick non-zero checks)."""
-        return sum(child.value for child in self._children.values())
-
-    def samples(self) -> list[Sample]:
-        return [Sample(labels, child.value)
-                for labels, child in self.children()]
 
 
 class _GaugeChild:
@@ -198,12 +178,6 @@ class _GaugeChild:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
 
     def _zero(self) -> None:
         self.value = 0.0
@@ -219,20 +193,6 @@ class Gauge(_Metric):
 
     def set(self, value: float) -> None:
         self._default_child().set(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().dec(amount)
-
-    def value(self, **labels: object) -> float:
-        child = self.labels(**labels) if labels else self._default_child()
-        return child.value
-
-    def samples(self) -> list[Sample]:
-        return [Sample(labels, child.value)
-                for labels, child in self.children()]
 
 
 class _HistogramChild:
@@ -390,15 +350,9 @@ class MetricsRegistry:
 
     # -- access --------------------------------------------------------------
 
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
-
     def collect(self) -> Iterable[_Metric]:
         """Metrics in registration order (the export order)."""
         return tuple(self._metrics.values())
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
 
     def reset(self) -> None:
         """Zero every metric; registrations and handles stay valid."""

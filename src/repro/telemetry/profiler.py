@@ -110,7 +110,7 @@ class Profile:
         return self.attributed_samples / self.total_samples
 
     def to_dict(self) -> dict:
-        """JSON-serializable dump (inverse: :meth:`from_dict`)."""
+        """JSON-serializable dump."""
         return {
             "format": PROFILE_FORMAT,
             "mode": self.mode,
@@ -124,21 +124,6 @@ class Profile:
                 for stack, count in sorted(self.samples.items())
             ],
         }
-
-    @classmethod
-    def from_dict(cls, record: dict) -> "Profile":
-        if record.get("format") != PROFILE_FORMAT:
-            raise TelemetryError("not a pds2 profile document")
-        return cls(
-            mode=record.get("mode", "calls"),
-            samples={tuple(entry["stack"]): int(entry["count"])
-                     for entry in record.get("samples", ())},
-            total_samples=int(record.get("total_samples", 0)),
-            attributed_samples=int(record.get("attributed_samples", 0)),
-            events_seen=int(record.get("events_seen", 0)),
-            hz=float(record.get("hz", 0.0)),
-            call_interval=int(record.get("call_interval", 0)),
-        )
 
 
 class Profiler:
@@ -267,11 +252,6 @@ class Profiler:
 #: The process-wide active profiler, or None.  ``profiled`` markers check
 #: this on entry; keeping it a module global keeps the disabled path free.
 _ACTIVE: Optional[Profiler] = None
-
-
-def active_profiler() -> Optional[Profiler]:
-    """The currently running profiler, if any."""
-    return _ACTIVE
 
 
 class profiled:

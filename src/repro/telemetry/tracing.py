@@ -130,10 +130,6 @@ class Tracer:
         """The innermost open span, or None outside any span."""
         return self._stack[-1] if self._stack else None
 
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
     def current_attribute(self, key: str) -> Any:
         """Innermost value of ``key`` on the open span stack (or context).
 

@@ -82,14 +82,14 @@ class TestSchema:
         snapshot = {"metrics": [
             {"name": "pds2_chain_gas_total", "type": "counter",
              "samples": [{"value": 100}, {"value": 50}]},
-            {"name": "pds2_tee_oblivious_ops_total", "type": "histogram",
+            {"name": "pds2_gossip_merges_total", "type": "histogram",
              "samples": [{"count": 7, "sum": 1.0}]},
             {"name": "pds2_unlisted_total", "type": "counter",
              "samples": [{"value": 9}]},
         ]}
         totals = condense(snapshot)
         assert totals == {"pds2_chain_gas_total": 150.0,
-                          "pds2_tee_oblivious_ops_total": 7.0}
+                          "pds2_gossip_merges_total": 7.0}
 
 
 class TestMetricDelta:

@@ -12,11 +12,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.chain.audit import install_fault_plan, install_state_corruption
+from repro.chain.audit import install_state_corruption
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
-from repro.core.resilience import FaultKind, FaultPlan
 from repro.errors import ChainAuditError
 from tests.chain.test_journal_root import recompute_state_root
 
@@ -128,32 +127,6 @@ class TestSeededCorruption:
             _mine_traffic(chain, wallets, blocks=2)
             victims.append(chain.auditor.bundles[0]["suspect_accounts"])
         assert victims[0] == victims[1]
-
-
-class TestFaultPlanIntegration:
-    def test_corrupt_state_fault_kind_arms_the_seam(self):
-        chain, wallets = _build_chain(41)
-        plan = FaultPlan.single(FaultKind.CORRUPT_STATE, target="block:2")
-        assert install_fault_plan(chain, plan, seed=41) == 1
-        _mine_traffic(chain, wallets, blocks=3)
-        summary = chain.auditor.summary()
-        assert summary["violation_count"] > 0
-        assert {v["block"] for v in summary["violations"]} == {2}
-
-    def test_other_fault_kinds_are_ignored(self):
-        chain, wallets = _build_chain(41)
-        plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="exec-0")
-        assert install_fault_plan(chain, plan, seed=41) == 0
-        _mine_traffic(chain, wallets, blocks=2)
-        assert chain.auditor.summary()["violation_count"] == 0
-
-    def test_unparsable_target_defaults_to_block_one(self):
-        chain, wallets = _build_chain(41)
-        plan = FaultPlan.single(FaultKind.CORRUPT_STATE, target="")
-        assert install_fault_plan(chain, plan, seed=41) == 1
-        _mine_traffic(chain, wallets, blocks=2)
-        assert {v["block"] for v in
-                chain.auditor.summary()["violations"]} == {1}
 
 
 class TestOtherInvariants:

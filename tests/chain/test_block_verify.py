@@ -131,8 +131,8 @@ class TestBlockVerify:
         assert len(block.transactions) == 1
         assert chain.receipt_for(bob_hash).status
         assert forged.tx_hash not in chain._receipts
-        assert len(chain.pending) == 1
-        assert chain.pending[0].tx_hash == second_hash
+        assert len(chain.mempool) == 1
+        assert list(chain.mempool)[0].tx_hash == second_hash
         # Resubmitting the identical content, genuinely signed, lets the
         # chain drain: the dropped forgery left nothing behind that could
         # make its hash "already mined".

@@ -63,7 +63,7 @@ class TestMining:
             wallet.transfer("0x" + "11" * 20, 1)
         first = chain.mine_block()
         assert len(first.transactions) == 1
-        assert len(chain.pending) == 2
+        assert len(chain.mempool) == 2
         second = chain.mine_block()
         assert len(second.transactions) == 1
 
@@ -426,7 +426,7 @@ class TestWallet:
 
     def test_view_is_free(self, chain, funded_wallet):
         address = funded_wallet.deploy_and_mine("erc20", initial_supply=10)
-        balance_before = funded_wallet.balance
+        balance_before = funded_wallet.chain.state.balance_of(funded_wallet.address)
         for _ in range(5):
             funded_wallet.view(address, "total_supply")
-        assert funded_wallet.balance == balance_before
+        assert funded_wallet.chain.state.balance_of(funded_wallet.address) == balance_before

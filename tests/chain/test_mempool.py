@@ -231,7 +231,7 @@ class TestNonceChainDropRegression:
         # synthetic "bad nonce" receipts; now the chain defers whole.
         first = chain.mine_block()
         assert len(first.transactions) == 1
-        assert len(chain.pending) == 2
+        assert len(chain.mempool) == 2
         second = chain.mine_block()
         third = chain.mine_block()
         assert len(second.transactions) == 1
@@ -239,7 +239,7 @@ class TestNonceChainDropRegression:
         for tx_hash in hashes:
             assert chain.receipt_for(tx_hash).status
         assert chain.state.balance_of(recipient) == 300
-        assert len(chain.pending) == 0
+        assert len(chain.mempool) == 0
 
     def test_admission_failure_defers_rest_of_chain(self, chain, rng):
         # A sender whose first transaction fails admission (unaffordable)
@@ -254,8 +254,8 @@ class TestNonceChainDropRegression:
         assert not receipt.status
         assert receipt.error.startswith("rejected:")
         # The follower is back in the pool, unmined, with no receipt.
-        assert len(chain.pending) == 1
-        assert chain.pending[0].tx_hash == h1
+        assert len(chain.mempool) == 1
+        assert list(chain.mempool)[0].tx_hash == h1
 
 
 class TestForgedIntake:
@@ -268,7 +268,7 @@ class TestForgedIntake:
         assert forged.tx_hash == genuine.tx_hash
         chain.submit(forged)  # empty slot: admitted unverified
         chain.submit(genuine)  # same hash, but the incumbent is forged
-        assert chain.pending == [genuine]
+        assert list(chain.mempool) == [genuine]
         chain.mine_block()
         assert chain.receipt_for(genuine.tx_hash).status
         assert chain.state.balance_of(genuine.to) == 17
@@ -298,7 +298,7 @@ class TestForgedIntake:
                             gas_price=10 + bump_pct // 10))
         with pytest.raises(InvalidTransactionError, match="signature"):
             chain.submit(forged)
-        assert chain.pending == [genuine]
+        assert list(chain.mempool) == [genuine]
         assert chain.mempool.replacements == 0
         chain.mine_block()
         assert chain.receipt_for(genuine.tx_hash).status
@@ -309,7 +309,7 @@ class TestForgedIntake:
         chain.submit(squatter)
         genuine = _tx(funded_wallet, 0, gas_price=1)
         chain.submit(genuine)  # no fee bump owed to a forgery
-        assert chain.pending == [genuine]
+        assert list(chain.mempool) == [genuine]
         assert squatter.tx_hash not in chain.mempool
         assert chain.mempool.replacements == 0
         chain.mine_block()
@@ -321,7 +321,7 @@ class TestForgedIntake:
         chain.submit(genuine)
         with pytest.raises(InvalidTransactionError, match="signature"):
             chain.submit(_forge(_tx(funded_wallet, 0)))
-        assert chain.pending == [genuine]
+        assert list(chain.mempool) == [genuine]
 
     @pytest.mark.parametrize("tamper", ["r", "s", "key", "unsigned", "field"])
     def test_tampered_signature_never_executes_on_the_default_chain(

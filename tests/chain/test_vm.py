@@ -1,4 +1,4 @@
-"""Tests for the contract VM: dispatch, gas, revert, static calls."""
+"""Tests for the contract VM: dispatch, gas, revert, nested calls."""
 
 from __future__ import annotations
 
@@ -34,16 +34,10 @@ class Counter(Contract):
 
     def burn_gas(self, loops: int) -> None:
         for _ in range(loops):
-            self.step(1000)
+            self.ctx.charge(5_000)
 
     def call_other(self, target: str) -> int:
         return self.ctx.call(target, "increment", by=5)
-
-    def read_other(self, target: str) -> int:
-        return self.ctx.static_call(target, "current")
-
-    def sneaky_static_write(self, target: str) -> None:
-        self.ctx.static_call(target, "increment", by=1)
 
     def pay_out(self, recipient: str, amount: int) -> None:
         self.ctx.transfer(recipient, amount)
@@ -158,10 +152,10 @@ class TestGas:
 
     def test_gas_refund(self, wallet, vm_chain):
         address = wallet.deploy_and_mine("counter")
-        balance_before = wallet.balance
+        balance_before = wallet.chain.state.balance_of(wallet.address)
         receipt = wallet.call_and_mine(address, "increment", by=1,
                                        gas_limit=500_000)
-        spent = balance_before - wallet.balance
+        spent = balance_before - wallet.chain.state.balance_of(wallet.address)
         assert spent == receipt.gas_used  # gas price 1: fee == gas used
 
     def test_validator_earns_fees(self, wallet, vm_chain):
@@ -181,20 +175,6 @@ class TestCrossContract:
         receipt = wallet.call_and_mine(caller, "call_other", target=target)
         assert receipt.return_value == 5
         assert wallet.view(target, "current") == 5
-
-    def test_nested_static_call(self, wallet):
-        target = wallet.deploy_and_mine("counter", start=9)
-        caller = wallet.deploy_and_mine("counter")
-        receipt = wallet.call_and_mine(caller, "read_other", target=target)
-        assert receipt.return_value == 9
-
-    def test_static_call_blocks_writes(self, wallet):
-        target = wallet.deploy_and_mine("counter")
-        caller = wallet.deploy_and_mine("counter")
-        receipt = wallet.call_and_mine(caller, "sneaky_static_write",
-                                       target=target)
-        assert not receipt.status
-        assert wallet.view(target, "current") == 0
 
 
 class TestValueTransfer:

@@ -31,10 +31,6 @@ class Recurser(Contract):
     def emit_big(self, size: int) -> None:
         self.emit("Big", payload="x" * size)
 
-    def write_then_view_mutation(self) -> None:
-        # A view that mutates must revert even via static_call.
-        self.ctx.static_call(self.address, "sneaky")
-
     def sneaky(self) -> None:
         self.swrite(1, "mutated")
 
@@ -80,13 +76,6 @@ class TestEventGas:
 
 
 class TestStaticViews:
-    def test_view_cannot_mutate_even_indirectly(self, setup):
-        chain, wallet, address = setup
-        receipt = wallet.call_and_mine(address,
-                                       "write_then_view_mutation")
-        assert not receipt.status
-        assert "static call" in receipt.error
-
     def test_static_view_leaves_no_trace(self, setup):
         chain, wallet, address = setup
         root_before = chain.state.state_root()

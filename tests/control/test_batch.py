@@ -9,9 +9,6 @@ states (DONE / PARTIAL_FAILED / FAILED) correctly.
 
 from __future__ import annotations
 
-import threading
-import time
-
 import pytest
 
 from repro.control import (
@@ -159,29 +156,20 @@ class TestBatchExecute:
         assert report.results["job-bad"].outcome == "error"
 
     def test_operator_kill_aborts_then_resume_completes(self, tmp_path):
-        # The kill lands when the first result is journaled, however fast
-        # sessions are: 29 jobs are still queued or running by then.
+        # The coordinator reports progress just before it sleeps and checks
+        # the KILL sentinel at the top of its next loop, so a kill written
+        # when the first result is counted lands with 29 jobs still queued
+        # or running, however fast sessions are.
         specs = clean_specs(30, seed0=950)
         root = str(tmp_path / "batch")
         submit_batch(root, specs)
         db = JobsDB.open(root)
-        finished = threading.Event()
 
-        def kill_after_first_result():
-            while not finished.is_set():
-                if db.results():
-                    db.request_kill("test")
-                    return
-                time.sleep(0.01)
+        def kill_at_first_result(done: int, total: int) -> None:
+            if done:
+                db.request_kill("test")
 
-        killer = threading.Thread(target=kill_after_first_result, daemon=True)
-        killer.start()
-        try:
-            aborted = batch_execute(root, workers=2)
-        finally:
-            finished.set()
-            killer.join(timeout=10)
-        assert not killer.is_alive()
+        aborted = batch_execute(root, workers=2, progress=kill_at_first_result)
         assert aborted.status == BATCH_FAILED
         assert aborted.aborted
         assert len(aborted.results) < 30

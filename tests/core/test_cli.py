@@ -212,12 +212,17 @@ class TestTelemetryCommands:
         import json
 
         from repro.telemetry import MetricsRegistry
+        from tests.telemetry.exposition_oracle import (
+            metric_named,
+            series_total,
+        )
 
         assert main(["metrics", trace_path + ".metrics.json", "--json"]) == 0
         output = capsys.readouterr().out
         payload = json.loads(output)  # pure JSON, no prose mixed in
         rebuilt = MetricsRegistry.from_snapshot(payload["snapshot"])
-        assert rebuilt.get("pds2_chain_blocks_mined_total").total() > 0
+        mined = metric_named(rebuilt, "pds2_chain_blocks_mined_total")
+        assert series_total(mined) > 0
 
     def test_metrics_missing_file(self, tmp_path, capsys):
         assert main(["metrics", str(tmp_path / "absent.json")]) == 1

@@ -66,7 +66,6 @@ class TestHeterogeneousBackends:
     def test_each_backend_holds_the_data(self, market_and_report):
         market, report = market_and_report
         for provider in market.providers:
-            assert provider.store.exists(provider.stored_object_id)
             data = provider.store.get(provider.stored_object_id,
                                       provider.address)
             assert data == provider.partition_payload()

@@ -14,6 +14,7 @@ from repro.core.events import (
 )
 from repro.errors import TelemetryError
 from repro.telemetry.exporters import registry_from_events
+from tests.telemetry.exposition_oracle import metric_named, series_total
 
 
 def make_event(sequence: int = 1, **overrides) -> LifecycleEvent:
@@ -61,8 +62,8 @@ class TestJSONLSinkLifecycle:
         path = str(tmp_path / "t.jsonl")
         with JSONLSink(path) as sink:
             sink.emit(make_event())
-            assert not sink.closed
-        assert sink.closed
+        with pytest.raises(ValueError):      # I/O on a closed file
+            sink.emit(make_event())
         assert len(read_jsonl_events(path)) == 1
 
     def test_explicit_flush_makes_lines_visible(self, tmp_path):
@@ -115,8 +116,8 @@ class TestKilledMidRunTrace:
 
 
 def by_label(registry, metric: str, label: str) -> dict[str, int]:
-    return {sample.labels[label]: int(sample.value)
-            for sample in registry.get(metric).samples()}
+    return {labels[label]: int(child.value)
+            for labels, child in metric_named(registry, metric).children()}
 
 
 class TestMetricsSinkRegistry:
@@ -127,7 +128,7 @@ class TestMetricsSinkRegistry:
 
         registry = registry_from_events([make_event(gas_delta=100)])
         assert registry is not REGISTRY
-        assert registry.get("pds2_gas_used_total").total() == 100
+        assert series_total(metric_named(registry, "pds2_gas_used_total")) == 100
         assert by_label(registry, "pds2_events_by_phase_total",
                         "phase")["execute"] == 1
 
@@ -137,7 +138,7 @@ class TestMetricsSinkRegistry:
             make_event(2, name="a"),
             make_event(3, name="b", phase="settle", gas_delta=7),
         ])
-        assert registry.get("pds2_events_total").total() == 3
+        assert series_total(metric_named(registry, "pds2_events_total")) == 3
         assert by_label(registry, "pds2_events_total", "name") == \
             {"a": 2, "b": 1}
         assert by_label(registry, "pds2_gas_used_total", "phase") == \

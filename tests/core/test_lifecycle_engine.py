@@ -47,6 +47,7 @@ from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee.enclave import Enclave
 from repro.telemetry.exporters import registry_from_events
 from tests.chain.test_mempool import _forge
+from tests.telemetry.exposition_oracle import metric_named, series_total
 
 
 @pytest.fixture(scope="module")
@@ -241,11 +242,12 @@ class TestEventTrail:
                                      small_spec("wl-metrics"))
         metrics = registry_from_events(
             market.event_log.for_session(report.session_id))
-        assert metrics.get("pds2_gas_used_total").total() == report.gas_used
-        assert metrics.get("pds2_events_total").value(
-            name="chain.block_mined") == report.blocks_mined
-        assert metrics.get("pds2_events_by_phase_total").value(
-            phase="execute") > 0
+        gas = metric_named(metrics, "pds2_gas_used_total")
+        assert series_total(gas) == report.gas_used
+        assert metric_named(metrics, "pds2_events_total").labels(
+            name="chain.block_mined").value == report.blocks_mined
+        assert metric_named(metrics, "pds2_events_by_phase_total").labels(
+            phase="execute").value > 0
 
 
 class TestInterceptors:

@@ -397,8 +397,10 @@ class TestQuotePerEnclave:
         # Every enclave is terminated once the session settles, so the
         # crashed one is told apart by the host it ran on.
         dead_host = market.executors[0].platform
-        assert all(enclave.terminated and enclave.quote is None
-                   for enclave, _ in shown)
+        for enclave, _ in shown:
+            assert enclave.quote is None
+            with pytest.raises(EnclaveViolationError):
+                enclave.extract_output()
         old = {quote.report_data for enclave, quote in shown
                if enclave.platform is dead_host}
         new = {quote.report_data for enclave, quote in shown
@@ -426,7 +428,7 @@ class TestEnclavesReleased:
         assert launched
         assert all(executor.enclaves == {} for executor in market.executors)
         for enclave in launched:
-            assert enclave.terminated and not enclave._private_inputs
+            assert not enclave._private_inputs
             with pytest.raises(EnclaveViolationError):
                 enclave.extract_output()
 
@@ -465,7 +467,6 @@ class TestEnclavesReleased:
         held = [executor.enclaves["wl-release-p"]
                 for executor in market.executors]
         assert held == launched
-        assert not any(enclave.terminated for enclave in held)
         assert all(enclave.extract_output() for enclave in held)
         session.run()
         self._assert_released(market, launched)
@@ -475,7 +476,7 @@ class TestEscrowConservation:
     def test_failed_session_refunds_and_conserves_balance(self):
         market, consumer = build_market()
         supply_before = total_supply(market)
-        consumer_before = consumer.wallet.balance
+        consumer_before = market.chain.state.balance_of(consumer.address)
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
         result = run_with_faults(market, consumer, spec("wl-refund"), plan,
                                  recover=False)
@@ -483,7 +484,7 @@ class TestEscrowConservation:
         # Gas fees move to validators but never leave the system.
         assert total_supply(market) == supply_before
         # The consumer got the whole escrow back; only gas was spent.
-        gas_fees = consumer_before - consumer.wallet.balance
+        gas_fees = consumer_before - market.chain.state.balance_of(consumer.address)
         assert result.refunded == 600_000
         assert 0 < gas_fees < 600_000
         assert market.chain.state.balance_of(result.workload_address) == 0

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.workload import (
     ModelSpec,
-    RewardScheme,
     TrainingSpec,
     WorkloadSpec,
     enclave_entry_point,
@@ -36,7 +35,7 @@ def make_spec(**overrides) -> WorkloadSpec:
 
 class TestModelSpec:
     def test_all_families_buildable(self):
-        for family in ("linear", "logistic", "softmax", "mlp"):
+        for family in ("linear", "softmax", "mlp"):
             spec = ModelSpec(family=family, num_features=4, num_classes=3)
             model = spec.build(seed=1)
             assert model.num_params > 0
@@ -69,8 +68,8 @@ class TestWorkloadSpec:
             make_spec(dp_epsilon=0.0)
 
     def test_to_dict_round_trips_scheme(self):
-        spec = make_spec(reward_scheme=RewardScheme.SHAPLEY)
-        assert spec.to_dict()["reward_scheme"] == "shapley"
+        # Payouts follow certified samples; the hashed format keeps the key.
+        assert make_spec().to_dict()["reward_scheme"] == "by_samples"
 
 
 class TestRowSerialization:
@@ -200,16 +199,3 @@ class TestEnclaveEntryPoint:
                                      training_seed=1)
         assert output["achieved_epsilon"] is not None
         assert output["achieved_epsilon"] <= 4.0 * 1.05
-
-    def test_shapley_variant_reports_fractions(self, rng):
-        data = make_iot_activity(200, rng)
-        parts = [data.subset(np.arange(0, 100)),
-                 data.subset(np.arange(100, 200))]
-        spec = make_spec(reward_scheme=RewardScheme.SHAPLEY,
-                         training=TrainingSpec(steps=40, learning_rate=0.3))
-        output = enclave_entry_point(self._inputs_for(parts), spec.to_dict(),
-                                     training_seed=1)
-        fractions = output["shapley_fractions"]
-        assert len(fractions) == 2
-        assert sum(fractions.values()) == pytest.approx(1.0)
-        assert all(f >= 0 for f in fractions.values())

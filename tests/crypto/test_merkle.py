@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.merkle import MerkleProof, MerkleTree, merkle_root
-from repro.errors import MerkleProofError
 
 
 class TestConstruction:
@@ -86,17 +85,6 @@ class TestProofs:
         tree = MerkleTree([b"a", b"b"])
         proof = tree.proof(0)
         assert not MerkleTree.verify_proof(tree.root, b"a", proof, 0)
-
-    def test_require_proof_raises(self):
-        tree = MerkleTree([b"a", b"b"])
-        proof = tree.proof(0)
-        with pytest.raises(MerkleProofError):
-            MerkleTree.require_proof(tree.root, b"x", proof, 2)
-
-    def test_proof_serialization_round_trip(self):
-        tree = MerkleTree([b"a", b"b", b"c"])
-        proof = tree.proof(2)
-        assert MerkleProof.from_dict(proof.to_dict()) == proof
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.binary(min_size=1, max_size=8), min_size=1,

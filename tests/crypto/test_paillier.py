@@ -80,13 +80,6 @@ class TestHomomorphisms:
         a = keypair.public_key.encrypt(-7, enc_rng)
         assert keypair.private_key.decrypt(a * 6) == -42
 
-    def test_negation_and_subtraction(self, keypair, enc_rng):
-        a = keypair.public_key.encrypt(10, enc_rng)
-        b = keypair.public_key.encrypt(4, enc_rng)
-        assert keypair.private_key.decrypt(-a) == -10
-        assert keypair.private_key.decrypt(a - b) == 6
-        assert keypair.private_key.decrypt(a - 4) == 6
-
     def test_cross_key_combination_rejected(self, keypair, enc_rng):
         other = generate_keypair(KEY_BITS, np.random.default_rng(6))
         a = keypair.public_key.encrypt(1, enc_rng)
@@ -107,7 +100,8 @@ class TestHomomorphisms:
 class TestFixedPoint:
     def test_encode_decode(self):
         codec = FixedPointCodec()
-        assert codec.decode(codec.encode(1.5)) == pytest.approx(1.5)
+        assert codec.encode(1.5) == 3 << 23
+        assert codec.encode(-0.25) == -(1 << 22)
 
     def test_product_scaling(self):
         codec = FixedPointCodec()

@@ -56,7 +56,7 @@ class TestCleanAudit:
             "workload", value=10_000, spec_hash="11" * 32,
             code_measurement="22" * 32,
         )
-        consumer.call_and_mine(workload, "cancel")
+        consumer.call_and_mine(workload, "abort")
         report = audit_workload(chain, workload, auditor=consumer.address)
         assert report.clean
         assert report.total_paid == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.crypto.ecdsa import PrivateKey
-from repro.errors import CertificateError, MerkleProofError
+from repro.errors import CertificateError
 from repro.crypto.merkle import MerkleTree
 from repro.governance.certificates import issue_certificate
 
@@ -79,9 +79,10 @@ class TestIssueVerify:
 class TestItemCoverage:
     def test_covered_item_verifies(self, provider_key, items, tree):
         cert = issue_certificate(provider_key, "wl-1", EXECUTOR, tree, 1.0)
-        cert.verify_item(items[1], tree.proof(1))
+        assert MerkleTree.verify_proof(cert.data_root, items[1], tree.proof(1),
+                                       cert.item_count)
 
     def test_substituted_item_rejected(self, provider_key, tree):
         cert = issue_certificate(provider_key, "wl-1", EXECUTOR, tree, 1.0)
-        with pytest.raises(MerkleProofError):
-            cert.verify_item(b"injected-row", tree.proof(1))
+        assert not MerkleTree.verify_proof(cert.data_root, b"injected-row",
+                                           tree.proof(1), cert.item_count)

@@ -28,13 +28,13 @@ class TestExpiry:
     def test_expire_after_deadline_refunds(self, chain, actors):
         consumer, stranger, _ = actors
         workload = deploy(consumer, deadline_blocks=3)
-        balance_after_deploy = consumer.balance
+        balance_after_deploy = consumer.chain.state.balance_of(consumer.address)
         for _ in range(3):
             chain.mine_block()
         receipt = stranger.call_and_mine(workload, "expire")
         assert receipt.status, receipt.error
         assert consumer.view(workload, "state") == "cancelled"
-        assert consumer.balance == balance_after_deploy + 50_000
+        assert consumer.chain.state.balance_of(consumer.address) == balance_after_deploy + 50_000
 
     def test_expire_before_deadline_reverts(self, chain, actors):
         consumer, stranger, _ = actors
@@ -88,13 +88,6 @@ class TestExpiry:
         receipt = stranger.call_and_mine(workload, "expire")
         assert not receipt.status
         assert "already settled" in receipt.error
-
-    def test_deadline_info_view(self, chain, actors):
-        consumer, _, _ = actors
-        workload = deploy(consumer, deadline_blocks=7)
-        info = consumer.view(workload, "deadline_info")
-        assert info["deadline_blocks"] == 7
-        assert info["current_block"] >= info["created_in_block"]
 
     def test_expired_audit_is_clean(self, chain, actors):
         from repro.governance.audit import audit_workload

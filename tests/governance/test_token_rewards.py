@@ -126,7 +126,7 @@ class TestTokenPayout:
     def test_cancel_refunds_tokens(self, token_setup):
         chain, consumer, executor, provider, token = token_setup
         workload = deploy_token_workload(chain, consumer, token)
-        consumer.call_and_mine(workload, "cancel")
+        consumer.call_and_mine(workload, "abort")
         assert consumer.view(token, "balance_of",
                              owner=consumer.address) == 1_000_000
         assert consumer.view(token, "balance_of", owner=workload) == 0

@@ -20,7 +20,7 @@ from repro.identity.device import Manufacturer, ManufacturerRegistry
 
 @pytest.fixture
 def manufacturer():
-    return Manufacturer("acme", b"acme-root-secret", trust_score=0.9)
+    return Manufacturer("acme", b"acme-root-secret")
 
 
 @pytest.fixture
@@ -64,18 +64,9 @@ class TestManufacturer:
         with pytest.raises(AuthenticityError):
             registry.verify_certificate(forged)
 
-    def test_trust_score(self, registry):
-        assert registry.trust_score("acme") == 0.9
-        with pytest.raises(IdentityError):
-            registry.trust_score("ghost")
-
     def test_duplicate_registration_rejected(self, registry, manufacturer):
         with pytest.raises(IdentityError):
             registry.register(manufacturer)
-
-    def test_invalid_trust_score_rejected(self):
-        with pytest.raises(IdentityError):
-            Manufacturer("x", b"s", trust_score=1.5)
 
 
 class TestDevice:
@@ -92,7 +83,7 @@ class TestDevice:
     def test_reading_id_distinct(self, device):
         a = device.produce_reading({"t": 20.0}, timestamp=1.0)
         b = device.produce_reading({"t": 20.0}, timestamp=1.0)
-        assert a.reading_id != b.reading_id  # sequence differs
+        assert a.signed_payload() != b.signed_payload()  # sequence differs
 
 
 class TestVerifier:

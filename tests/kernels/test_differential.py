@@ -29,7 +29,7 @@ from repro.ml.datasets import (
 )
 from repro.ml.gossip import GossipConfig, GossipNodeTrainer, GossipTrainer
 from repro.ml.merge import MergeStrategy
-from repro.ml.models import LogisticRegressionModel, SoftmaxRegressionModel
+from repro.ml.models import MLPClassifier, SoftmaxRegressionModel
 from repro.net.churn import ChurnModel
 
 NUM_FEATURES = 6
@@ -204,7 +204,8 @@ def no_family_problem():
 
 
 def no_family_factory():
-    return LogisticRegressionModel(NUM_FEATURES, l2=0.01)
+    return MLPClassifier(NUM_FEATURES, 4, 2, l2=0.01,
+                         init_rng=np.random.default_rng(0))
 
 
 SUBSAMPLE = CompressionConfig(kind=CompressionKind.SUBSAMPLE,

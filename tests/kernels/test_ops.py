@@ -14,12 +14,16 @@ def family():
     return ops.SoftmaxFamily(num_features=6, num_classes=5, l2=0.01)
 
 
+#: Parameters of the fixture's family: a (6 + 1) x 5 weight-and-bias block.
+PARAMS = (6 + 1) * 5
+
+
 class TestSoftmaxFamily:
     def test_stacked_step_matches_individual_models(self, family, rng):
         """A G-stack SGD step equals G independent G=1 steps bit-for-bit
         — the core property the kernel engine's equivalence rests on."""
         group, batch = 7, 4
-        params = rng.normal(size=(group, family.num_params))
+        params = rng.normal(size=(group, PARAMS))
         features = rng.normal(size=(group, batch, family.num_features))
         targets = rng.integers(0, family.num_classes, size=(group, batch))
 
@@ -62,7 +66,7 @@ class TestSoftmaxFamily:
         """Scores are identical whether G is below or above the internal
         block size (the blocked path must not change any row)."""
         group = 600  # crosses the 256-row block boundary twice
-        params = rng.normal(size=(group, family.num_params))
+        params = rng.normal(size=(group, PARAMS))
         features = rng.normal(size=(30, 6))
         targets = rng.integers(0, 5, size=30)
         blocked = family.scores(params, features, targets)

@@ -9,12 +9,9 @@ from repro.errors import MLError
 from repro.ml.datasets import (
     HAR_ACTIVITIES,
     Dataset,
-    label_distribution,
     make_binary_classification,
-    make_blobs_classification,
     make_energy_consumption,
     make_iot_activity,
-    make_linear_regression,
     split_by_label,
     split_dirichlet,
     split_iid,
@@ -22,34 +19,16 @@ from repro.ml.datasets import (
 )
 
 
+def label_distribution(dataset: Dataset, num_classes: int) -> np.ndarray:
+    """Normalized label histogram: how skewed a partition is."""
+    counts = np.bincount(dataset.targets.astype(int), minlength=num_classes)
+    return counts / counts.sum()
+
+
 class TestGenerators:
-    def test_blobs_shapes(self, rng):
-        data = make_blobs_classification(100, 5, 3, rng)
-        assert data.features.shape == (100, 5)
-        assert set(np.unique(data.targets)) <= {0, 1, 2}
-
-    def test_blobs_separation_matters(self, rng):
-        near = make_blobs_classification(500, 4, 3,
-                                         np.random.default_rng(1),
-                                         separation=0.1)
-        far = make_blobs_classification(500, 4, 3,
-                                        np.random.default_rng(1),
-                                        separation=10.0)
-        # Class centroids are more spread with higher separation.
-        def spread(data):
-            centroids = [data.features[data.targets == c].mean(axis=0)
-                         for c in range(3)]
-            return float(np.linalg.norm(centroids[0] - centroids[1]))
-        assert spread(far) > spread(near)
-
     def test_binary_labels(self, rng):
         data = make_binary_classification(100, 4, rng)
         assert set(np.unique(data.targets)) <= {0, 1}
-
-    def test_regression_shapes(self, rng):
-        data = make_linear_regression(50, 3, rng)
-        assert data.features.shape == (50, 3)
-        assert data.targets.shape == (50,)
 
     def test_iot_activity(self, rng):
         data = make_iot_activity(200, rng)
@@ -123,7 +102,7 @@ class TestSplits:
         assert all(len(p) >= 5 for p in parts)
 
     def test_dirichlet_rejects_float_labels(self, rng):
-        data = make_linear_regression(100, 3, rng)
+        data = make_energy_consumption(100, rng)
         with pytest.raises(MLError):
             split_dirichlet(data, 4, 1.0, rng)
 

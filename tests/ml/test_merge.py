@@ -8,20 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MLError, ModelCompatibilityError
+from repro.ml.compression import (
+    CompressionConfig,
+    compress,
+    merge_compressed_into,
+)
 from repro.ml.merge import (
     MergeStrategy,
     TrackedModel,
-    federated_average,
-    merge_into,
     merge_parameter_vectors,
 )
-from repro.ml.models import LogisticRegressionModel, SoftmaxRegressionModel
+from repro.ml.models import LinearRegressionModel
 
 
 def tracked(params, age=1, samples=10) -> TrackedModel:
-    model = LogisticRegressionModel(len(params) - 1)
+    model = LinearRegressionModel(len(params) - 1)
     model.set_params(np.asarray(params, dtype=float))
     return TrackedModel(model=model, age=age, samples=samples)
+
+
+def merge_into(local: TrackedModel, remote_params: np.ndarray,
+               remote_age: int, remote_samples: int,
+               strategy: MergeStrategy) -> None:
+    """Merge a dense (uncompressed) gossip message, as a node does."""
+    update = compress(remote_params, remote_age, remote_samples,
+                      CompressionConfig(), np.random.default_rng(0))
+    merge_compressed_into(local, update, strategy)
 
 
 class TestVectorMerge:
@@ -89,24 +101,3 @@ class TestMergeInto:
         with pytest.raises(ModelCompatibilityError):
             merge_into(local, np.zeros(5), remote_age=1, remote_samples=1,
                        strategy=MergeStrategy.AVERAGE)
-
-
-class TestFederatedAverage:
-    def test_weighted_by_samples(self):
-        a = LogisticRegressionModel(1)
-        a.set_params(np.array([0.0, 0.0]))
-        b = LogisticRegressionModel(1)
-        b.set_params(np.array([4.0, 4.0]))
-        merged = federated_average([a, b], [30, 10])
-        assert np.allclose(merged, [1.0, 1.0])
-
-    def test_unlike_models_rejected(self):
-        a = LogisticRegressionModel(3)
-        b = SoftmaxRegressionModel(1, 2)  # same param count, different family
-        assert a.num_params == b.num_params
-        with pytest.raises(ModelCompatibilityError):
-            federated_average([a, b], [1, 1])
-
-    def test_empty_rejected(self):
-        with pytest.raises(MLError):
-            federated_average([], [])

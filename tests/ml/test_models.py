@@ -7,17 +7,34 @@ import pytest
 
 from repro.errors import MLError, ModelCompatibilityError
 from repro.ml.datasets import (
+    Dataset,
     make_binary_classification,
-    make_blobs_classification,
-    make_linear_regression,
     train_test_split,
 )
 from repro.ml.models import (
     LinearRegressionModel,
-    LogisticRegressionModel,
     MLPClassifier,
     SoftmaxRegressionModel,
 )
+
+
+def blobs(rng, samples: int = 600, features: int = 4, classes: int = 3,
+          separation: float = 3.0) -> Dataset:
+    """Gaussian class clusters: the classifiers' fitting problem."""
+    centers = rng.normal(0.0, separation, (classes, features))
+    labels = rng.integers(0, classes, samples)
+    points = centers[labels] + rng.normal(0.0, 1.0, (samples, features))
+    return Dataset(features=points, targets=labels)
+
+
+def linear_problem(rng, samples: int = 400, features: int = 4,
+                   noise: float = 0.05) -> Dataset:
+    """A noisy linear regression problem."""
+    weights = rng.normal(0.0, 1.0, features)
+    bias = float(rng.normal(0.0, 1.0))
+    points = rng.normal(0.0, 1.0, (samples, features))
+    values = points @ weights + bias + rng.normal(0.0, noise, samples)
+    return Dataset(features=points, targets=values)
 
 
 def numeric_gradient(model, features, targets, epsilon=1e-6):
@@ -39,41 +56,28 @@ def numeric_gradient(model, features, targets, epsilon=1e-6):
 
 class TestParameterInterface:
     def test_params_round_trip(self):
-        model = LogisticRegressionModel(4)
+        model = LinearRegressionModel(4)
         values = np.arange(5, dtype=float)
         model.set_params(values)
         assert np.array_equal(model.params, values)
 
     def test_params_are_copies(self):
-        model = LogisticRegressionModel(4)
+        model = LinearRegressionModel(4)
         external = model.params
         external[0] = 999.0
         assert model.params[0] == 0.0
 
     def test_wrong_shape_rejected(self):
-        model = LogisticRegressionModel(4)
+        model = LinearRegressionModel(4)
         with pytest.raises(ModelCompatibilityError):
             model.set_params(np.zeros(3))
 
     def test_clone_is_independent(self):
-        model = LogisticRegressionModel(4)
+        model = LinearRegressionModel(4)
         model.set_params(np.ones(5))
         twin = model.clone()
         twin.set_params(np.zeros(5))
         assert model.params[0] == 1.0
-
-    def test_compatibility(self):
-        a = LogisticRegressionModel(4)
-        b = LogisticRegressionModel(4)
-        c = LogisticRegressionModel(5)
-        d = SoftmaxRegressionModel(4, 2)
-        assert a.compatible_with(b)
-        assert not a.compatible_with(c)
-        assert not a.compatible_with(d)
-
-    def test_size_bytes(self):
-        model = LogisticRegressionModel(7)
-        assert model.size_bytes == 8 * 8
 
     def test_param_counts(self):
         assert LinearRegressionModel(3).num_params == 4
@@ -82,7 +86,7 @@ class TestParameterInterface:
 
     def test_invalid_shapes_rejected(self):
         with pytest.raises(MLError):
-            LogisticRegressionModel(0)
+            LinearRegressionModel(0)
         with pytest.raises(MLError):
             SoftmaxRegressionModel(3, 1)
         with pytest.raises(MLError):
@@ -97,15 +101,6 @@ class TestGradients:
         model.set_params(rng.normal(size=4))
         features = rng.normal(size=(8, 3))
         targets = rng.normal(size=8)
-        assert np.allclose(model.gradient(features, targets),
-                           numeric_gradient(model, features, targets),
-                           atol=1e-4)
-
-    def test_logistic_gradient(self, rng):
-        model = LogisticRegressionModel(3, l2=0.05)
-        model.set_params(rng.normal(size=4))
-        features = rng.normal(size=(8, 3))
-        targets = rng.integers(0, 2, 8)
         assert np.allclose(model.gradient(features, targets),
                            numeric_gradient(model, features, targets),
                            atol=1e-4)
@@ -130,42 +125,35 @@ class TestGradients:
 
 class TestLearning:
     def test_linear_regression_fits(self, rng):
-        data = make_linear_regression(400, 4, rng, noise=0.05)
+        data = linear_problem(rng)
         train, test = train_test_split(data, 0.25, rng)
         model = LinearRegressionModel(4)
         model.train_steps(train.features, train.targets, 800, 0.1, 32, rng)
         assert model.score(test.features, test.targets) > 0.95
 
-    def test_logistic_fits(self, rng):
-        data = make_binary_classification(600, 5, rng, noise=0.2)
-        train, test = train_test_split(data, 0.25, rng)
-        model = LogisticRegressionModel(5)
-        model.train_steps(train.features, train.targets, 600, 0.3, 32, rng)
-        assert model.score(test.features, test.targets) > 0.85
-
     def test_softmax_fits(self, rng):
-        data = make_blobs_classification(600, 4, 3, rng, separation=3.0)
+        data = blobs(rng)
         train, test = train_test_split(data, 0.25, rng)
         model = SoftmaxRegressionModel(4, 3)
         model.train_steps(train.features, train.targets, 600, 0.3, 32, rng)
         assert model.score(test.features, test.targets) > 0.9
 
     def test_mlp_fits(self, rng):
-        data = make_blobs_classification(600, 4, 3, rng, separation=3.0)
+        data = blobs(rng)
         train, test = train_test_split(data, 0.25, rng)
         model = MLPClassifier(4, 16, 3, init_rng=rng)
         model.train_steps(train.features, train.targets, 800, 0.2, 32, rng)
         assert model.score(test.features, test.targets) > 0.9
 
     def test_training_on_empty_data_is_noop(self, rng):
-        model = LogisticRegressionModel(3)
+        model = LinearRegressionModel(3)
         before = model.params
         model.train_steps(np.zeros((0, 3)), np.zeros(0), 10, 0.1, 8, rng)
         assert np.array_equal(model.params, before)
 
     def test_loss_decreases(self, rng):
         data = make_binary_classification(300, 4, rng)
-        model = LogisticRegressionModel(4)
+        model = SoftmaxRegressionModel(4, 2)
         before = model.loss(data.features, data.targets)
         model.train_steps(data.features, data.targets, 200, 0.3, 32, rng)
         assert model.loss(data.features, data.targets) < before

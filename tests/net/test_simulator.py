@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.simulator import MEAN_LATENCY_S, Network, Simulator
+from tests.telemetry.exposition_oracle import metric_named
 
 
 class Recorder:
@@ -45,7 +46,8 @@ class TestSimulator:
         sim.run_until(2.0)
         assert fired == [1]
         assert sim.now == 2.0
-        assert sim.pending_events == 1
+        sim.run_until(10.0)
+        assert fired == [1, 5]
 
     def test_nested_scheduling(self):
         sim = Simulator()
@@ -66,29 +68,19 @@ class TestSimulator:
 
     def test_non_finite_delay_rejected(self):
         # Regression: NaN compares False with everything, so it used to
-        # slip past the `< 0` guard and corrupt the event heap; inf events
-        # silently burned the run_to_completion budget.
+        # slip past the `< 0` guard and corrupt the event heap.
         sim = Simulator()
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(SimulationError):
                 sim.schedule(bad, lambda: None)
-        assert sim.pending_events == 0
+        sim.run_until(1e9)
+        assert sim.events_processed == 0
 
     def test_past_end_time_rejected(self):
         sim = Simulator()
         sim.run_until(5.0)
         with pytest.raises(SimulationError):
             sim.run_until(1.0)
-
-    def test_run_to_completion_bounded(self):
-        sim = Simulator()
-
-        def forever():
-            sim.schedule(1.0, forever)
-
-        sim.schedule(1.0, forever)
-        with pytest.raises(SimulationError):
-            sim.run_to_completion(max_events=100)
 
 
 class TestNetwork:
@@ -164,54 +156,6 @@ class TestNetwork:
             network.send("a", "ghost", "x", size_bytes=0)
 
 
-class TestCancellation:
-    def test_cancelled_event_does_not_run(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule_cancellable(1.0, lambda: fired.append(1))
-        assert handle.cancel()
-        sim.run_until(10.0)
-        assert fired == []
-        assert handle.cancelled
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        handle = sim.schedule_cancellable(1.0, lambda: None)
-        assert handle.cancel()
-        assert not handle.cancel()
-
-    def test_cancel_after_firing_fails(self):
-        sim = Simulator()
-        handle = sim.schedule_cancellable(1.0, lambda: None)
-        sim.run_until(10.0)
-        assert not handle.cancel()
-
-    def test_cancelled_events_skip_processed_count(self):
-        sim = Simulator()
-        sim.schedule_cancellable(1.0, lambda: None).cancel()
-        sim.schedule(2.0, lambda: None)
-        sim.run_until(10.0)
-        assert sim.events_processed == 1
-
-    def test_cancelled_events_skip_completion_budget(self):
-        """A swarm of cancelled entries must not trip the event budget."""
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule_cancellable(1.0, lambda: None).cancel()
-        ran = []
-        sim.schedule(2.0, lambda: ran.append(1))
-        sim.schedule(3.0, lambda: ran.append(2))
-        sim.run_to_completion(max_events=2)
-        assert ran == [1, 2]
-
-    def test_cancellable_rejects_bad_delays(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.schedule_cancellable(-1.0, lambda: None)
-        with pytest.raises(SimulationError):
-            sim.schedule_cancellable(float("nan"), lambda: None)
-
-
 class TestScheduleBatch:
     def test_lane_fires_in_order(self):
         sim = Simulator()
@@ -241,9 +185,8 @@ class TestScheduleBatch:
         sim = Simulator()
         sim.schedule_batch([float(t) for t in range(1, 1001)], lambda i: None)
         assert len(sim._heap) == 1
-        assert sim.pending_events == 1000
         sim.run_until(2000.0)
-        assert sim.pending_events == 0
+        assert sim.events_processed == 1000
         assert sim.heap_high_water == 1
 
     def test_partial_run_leaves_lane_resumable(self):
@@ -252,14 +195,14 @@ class TestScheduleBatch:
         sim.schedule_batch([1.0, 2.0, 3.0], seen.append)
         sim.run_until(1.5)
         assert seen == [0]
-        assert sim.pending_events == 2
         sim.run_until(10.0)
         assert seen == [0, 1, 2]
 
     def test_empty_batch_is_noop(self):
         sim = Simulator()
         sim.schedule_batch([], lambda i: None)
-        assert sim.pending_events == 0
+        sim.run_until(10.0)
+        assert sim.events_processed == 0
 
     def test_decreasing_times_rejected(self):
         sim = Simulator()
@@ -293,8 +236,7 @@ class TestTelemetryGauges:
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run_until(10.0)
-        events = REGISTRY.get("pds2_sim_events_processed")
-        heap = REGISTRY.get("pds2_sim_heap_high_water")
-        assert events is not None and heap is not None
-        assert events.samples()[0].value >= 1
-        assert heap.samples()[0].value >= 1
+        events = metric_named(REGISTRY, "pds2_sim_events_processed")
+        heap = metric_named(REGISTRY, "pds2_sim_heap_high_water")
+        assert events.labels().value >= 1
+        assert heap.labels().value >= 1

@@ -7,11 +7,8 @@ import pytest
 
 from repro.errors import PrivacyError
 from repro.ml.datasets import make_binary_classification, train_test_split
-from repro.ml.models import LogisticRegressionModel, MLPClassifier
-from repro.privacy.attacks import (
-    empirical_epsilon_lower_bound,
-    membership_inference_attack,
-)
+from repro.ml.models import MLPClassifier, SoftmaxRegressionModel
+from repro.privacy.attacks import membership_inference_attack
 from repro.privacy.dpsgd import (
     DPSGDConfig,
     clip_gradients,
@@ -45,7 +42,7 @@ class TestDPSGD:
     def test_training_learns_with_moderate_noise(self, rng):
         data = make_binary_classification(500, 6, rng, noise=0.3)
         train, test = train_test_split(data, 0.3, rng)
-        model = LogisticRegressionModel(6)
+        model = SoftmaxRegressionModel(6, 2)
         result = train_dpsgd(
             model, train.features, train.targets,
             DPSGDConfig(noise_multiplier=0.8, steps=150, batch_size=32,
@@ -58,7 +55,7 @@ class TestDPSGD:
 
     def test_zero_noise_reports_infinite_epsilon(self, rng):
         data = make_binary_classification(100, 4, rng)
-        model = LogisticRegressionModel(4)
+        model = SoftmaxRegressionModel(4, 2)
         result = train_dpsgd(
             model, data.features, data.targets,
             DPSGDConfig(noise_multiplier=0.0, steps=20), rng,
@@ -72,7 +69,7 @@ class TestDPSGD:
         train, test = train_test_split(data, 0.3, np.random.default_rng(5))
 
         def run(noise):
-            model = LogisticRegressionModel(6)
+            model = SoftmaxRegressionModel(6, 2)
             result = train_dpsgd(
                 model, train.features, train.targets,
                 DPSGDConfig(noise_multiplier=noise, steps=150,
@@ -87,7 +84,7 @@ class TestDPSGD:
         assert acc_high_noise <= acc_low_noise + 0.05
 
     def test_empty_data_rejected(self, rng):
-        model = LogisticRegressionModel(3)
+        model = SoftmaxRegressionModel(3, 2)
         with pytest.raises(PrivacyError):
             train_dpsgd(model, np.zeros((0, 3)), np.zeros(0),
                         DPSGDConfig(), rng)
@@ -149,7 +146,7 @@ class TestMembershipInference:
 
     def test_untrained_model_does_not_leak(self, rng):
         data = make_binary_classification(100, 8, rng)
-        model = LogisticRegressionModel(8)
+        model = SoftmaxRegressionModel(8, 2)
         result = membership_inference_attack(
             model, data.features[:50], data.targets[:50],
             data.features[50:], data.targets[50:],
@@ -158,19 +155,10 @@ class TestMembershipInference:
         assert result.advantage < 0.35
 
     def test_empty_sets_rejected(self, rng):
-        model = LogisticRegressionModel(3)
+        model = SoftmaxRegressionModel(3, 2)
         with pytest.raises(PrivacyError):
             membership_inference_attack(model, np.zeros((0, 3)), np.zeros(0),
                                         np.zeros((1, 3)), np.zeros(1))
-
-    def test_empirical_epsilon_bound(self, overfit_setup):
-        model, members, nonmembers = overfit_setup
-        result = membership_inference_attack(
-            model, members.features, members.targets.astype(int),
-            nonmembers.features, nonmembers.targets.astype(int),
-        )
-        bound = empirical_epsilon_lower_bound(result)
-        assert bound > 0
 
 
 class TestRiskAnalyzer:

@@ -1,132 +1,11 @@
-"""Tests for DP mechanisms and privacy accounting."""
+"""Tests for Rényi-DP accounting."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.errors import PrivacyBudgetExceededError, PrivacyError
-from repro.privacy.accountant import (
-    PrivacyAccountant,
-    RDPAccountant,
-    advanced_composition_epsilon,
-)
-from repro.privacy.mechanisms import (
-    gaussian_mechanism,
-    gaussian_noise_sigma,
-    laplace_mechanism,
-    laplace_noise_scale,
-    randomized_response,
-    randomized_response_estimate,
-)
-
-
-class TestLaplace:
-    def test_scale_formula(self):
-        assert laplace_noise_scale(2.0, 0.5) == 4.0
-
-    def test_invalid_args(self):
-        with pytest.raises(PrivacyError):
-            laplace_noise_scale(-1.0, 1.0)
-        with pytest.raises(PrivacyError):
-            laplace_noise_scale(1.0, 0.0)
-
-    def test_noise_is_centered(self, rng):
-        samples = np.array([
-            laplace_mechanism(0.0, 1.0, 1.0, rng) for _ in range(3000)
-        ])
-        assert abs(samples.mean()) < 0.15
-
-    def test_variance_scales_inverse_epsilon(self, rng):
-        tight = np.std([laplace_mechanism(0.0, 1.0, 10.0, rng)
-                        for _ in range(2000)])
-        loose = np.std([laplace_mechanism(0.0, 1.0, 0.1, rng)
-                        for _ in range(2000)])
-        assert loose > 10 * tight
-
-    def test_array_input(self, rng):
-        noised = laplace_mechanism(np.zeros(5), 1.0, 1.0, rng)
-        assert noised.shape == (5,)
-
-
-class TestGaussian:
-    def test_sigma_formula_monotone(self):
-        assert gaussian_noise_sigma(1.0, 0.5, 1e-5) > \
-            gaussian_noise_sigma(1.0, 1.0, 1e-5)
-        assert gaussian_noise_sigma(1.0, 1.0, 1e-9) > \
-            gaussian_noise_sigma(1.0, 1.0, 1e-3)
-
-    def test_invalid_delta(self):
-        with pytest.raises(PrivacyError):
-            gaussian_noise_sigma(1.0, 1.0, 0.0)
-        with pytest.raises(PrivacyError):
-            gaussian_noise_sigma(1.0, 1.0, 1.0)
-
-    def test_scalar_output(self, rng):
-        assert isinstance(gaussian_mechanism(1.0, 1.0, 1.0, 1e-5, rng),
-                          float)
-
-
-class TestRandomizedResponse:
-    def test_high_epsilon_nearly_truthful(self, rng):
-        answers = [randomized_response(True, 10.0, rng) for _ in range(200)]
-        assert sum(answers) > 190
-
-    def test_estimate_debiases(self, rng):
-        true_rate = 0.3
-        truths = [i < 300 for i in range(1000)]
-        responses = [randomized_response(t, 1.0, rng) for t in truths]
-        estimate = randomized_response_estimate(responses, 1.0)
-        assert abs(estimate - true_rate) < 0.1
-
-    def test_estimate_clipped_to_unit_interval(self, rng):
-        assert 0.0 <= randomized_response_estimate([True] * 5, 0.5) <= 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(PrivacyError):
-            randomized_response_estimate([], 1.0)
-
-
-class TestPrivacyAccountant:
-    def test_spend_within_budget(self):
-        accountant = PrivacyAccountant(epsilon_budget=2.0, delta_budget=1e-5)
-        accountant.spend(0.5, 0.0, label="query-1")
-        accountant.spend(1.0, 1e-6, label="query-2")
-        assert accountant.remaining_epsilon == pytest.approx(0.5)
-        assert len(accountant.history) == 2
-
-    def test_overspend_rejected(self):
-        accountant = PrivacyAccountant(epsilon_budget=1.0, delta_budget=0.0)
-        accountant.spend(0.9)
-        with pytest.raises(PrivacyBudgetExceededError):
-            accountant.spend(0.2)
-
-    def test_delta_budget_enforced(self):
-        accountant = PrivacyAccountant(epsilon_budget=10.0,
-                                       delta_budget=1e-6)
-        with pytest.raises(PrivacyBudgetExceededError):
-            accountant.spend(0.1, delta=1e-5)
-
-    def test_negative_spend_rejected(self):
-        accountant = PrivacyAccountant(epsilon_budget=1.0, delta_budget=0.0)
-        with pytest.raises(PrivacyError):
-            accountant.spend(-0.1)
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(PrivacyError):
-            PrivacyAccountant(epsilon_budget=0.0, delta_budget=0.0)
-
-
-class TestAdvancedComposition:
-    def test_beats_basic_composition_for_many_steps(self):
-        eps_step = 0.01
-        steps = 10_000
-        advanced = advanced_composition_epsilon(eps_step, steps, 1e-6)
-        assert advanced < eps_step * steps
-
-    def test_invalid_args(self):
-        with pytest.raises(PrivacyError):
-            advanced_composition_epsilon(0.0, 10, 1e-6)
+from repro.errors import PrivacyError
+from repro.privacy.accountant import RDPAccountant
 
 
 class TestRDPAccountant:

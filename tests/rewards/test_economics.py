@@ -8,7 +8,6 @@ from repro.errors import RewardError
 from repro.rewards.economics import (
     ExecutorCostModel,
     ViabilityAnalysis,
-    sweep_infra_share,
 )
 from repro.tee.cost_model import WorkloadProfile, mlp_profile
 
@@ -94,11 +93,6 @@ class TestViability:
     def test_competitiveness_ratio(self, analysis):
         ratio = analysis.competitiveness_vs_cloud()
         assert ratio > 0
-
-    def test_sweep_is_monotone(self, analysis):
-        rows = sweep_infra_share(analysis, [0.01, 0.05, 0.1, 0.2])
-        profits = [profit for _, profit, _ in rows]
-        assert profits == sorted(profits)
 
     def test_validation(self, workload):
         with pytest.raises(RewardError):

@@ -164,8 +164,8 @@ class TestDataValuation:
         )
 
     def test_efficiency_holds(self, task):
-        values = exact_shapley(task.num_players, task)
-        grand = task(frozenset(range(task.num_players)))
+        values = exact_shapley(len(task.provider_datasets), task)
+        grand = task(frozenset(range(len(task.provider_datasets))))
         empty = task(frozenset())
         assert values.sum() == pytest.approx(grand - empty, abs=1e-9)
 
@@ -175,7 +175,7 @@ class TestDataValuation:
         assert a == b
 
     def test_data_helps(self, task):
-        grand = task(frozenset(range(task.num_players)))
+        grand = task(frozenset(range(len(task.provider_datasets))))
         empty = task(frozenset())
         assert grand > empty
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ObjectNotFoundError, StorageError
+from repro.errors import StorageError
 from repro.storage.catalog import DataCatalog, DataRecord
 from repro.storage.semantic import (
     ConceptRequirement,
@@ -27,6 +27,12 @@ def make_record(record_id: str, owner: str, concept: str,
     )
 
 
+def matched(catalog: DataCatalog, requirement) -> set[str]:
+    """Ids of every owner's records matching ``requirement``."""
+    return {record.record_id for owner in (OWNER_A, OWNER_B)
+            for record in catalog.match_for_owner(requirement, owner)}
+
+
 @pytest.fixture
 def catalog() -> DataCatalog:
     catalog = DataCatalog(Ontology.iot_default())
@@ -38,8 +44,9 @@ def catalog() -> DataCatalog:
 
 class TestRegistration:
     def test_register_and_get(self, catalog):
-        assert catalog.get("r1").owner == OWNER_A
-        assert len(catalog) == 3
+        (record,) = catalog.records_of(OWNER_B)
+        assert (record.record_id, record.owner) == ("r3", OWNER_B)
+        assert len(catalog.records_of(OWNER_A)) == 2
 
     def test_duplicate_id_rejected(self, catalog):
         with pytest.raises(StorageError):
@@ -49,43 +56,26 @@ class TestRegistration:
         with pytest.raises(StorageError):
             catalog.register(make_record("r9", OWNER_A, "quantum_flux"))
 
-    def test_missing_record(self, catalog):
-        with pytest.raises(ObjectNotFoundError):
-            catalog.get("nope")
-
     def test_records_of_owner(self, catalog):
         assert {r.record_id for r in catalog.records_of(OWNER_A)} == \
             {"r1", "r2"}
         assert catalog.records_of("0x" + "99" * 20) == []
 
-    def test_deregister_owner_only(self, catalog):
-        with pytest.raises(StorageError):
-            catalog.deregister("r1", OWNER_B)
-        catalog.deregister("r1", OWNER_A)
-        assert len(catalog) == 2
-        assert {r.record_id for r in catalog.records_of(OWNER_A)} == {"r2"}
-
 
 class TestMatching:
     def test_concept_match(self, catalog):
-        matched = catalog.match(ConceptRequirement("environmental"))
-        assert {r.record_id for r in matched} == {"r1", "r3"}
+        assert matched(catalog, ConceptRequirement("environmental")) == \
+            {"r1", "r3"}
 
     def test_property_match(self, catalog):
-        matched = catalog.match(RangeRequirement("rate_hz", 0.5, 1.5))
-        assert {r.record_id for r in matched} == {"r1"}
+        assert matched(catalog, RangeRequirement("rate_hz", 0.5, 1.5)) == \
+            {"r1"}
 
     def test_match_for_owner(self, catalog):
-        matched = catalog.match_for_owner(
+        records = catalog.match_for_owner(
             ConceptRequirement("sensor_data"), OWNER_A
         )
-        assert {r.record_id for r in matched} == {"r1", "r2"}
+        assert {r.record_id for r in records} == {"r1", "r2"}
 
     def test_no_match(self, catalog):
-        assert catalog.match(ConceptRequirement("energy")) == []
-
-    def test_record_serialization(self, catalog):
-        record = catalog.get("r1")
-        as_dict = record.to_dict()
-        assert as_dict["record_id"] == "r1"
-        assert as_dict["annotation"]["concept"] == "temperature"
+        assert matched(catalog, ConceptRequirement("energy")) == set()

@@ -38,14 +38,6 @@ class TestProvisioning:
         with pytest.raises(AttestationError):
             service.provision_platform(platform)
 
-    def test_is_provisioned(self, service, platform):
-        assert service.is_provisioned(platform.platform_id)
-        assert not service.is_provisioned("unknown")
-
-    def test_revocation(self, service, platform):
-        service.revoke_platform(platform.platform_id)
-        assert not service.is_provisioned(platform.platform_id)
-
     def test_revoking_unknown_rejected(self, service):
         with pytest.raises(AttestationError):
             service.revoke_platform("ghost")

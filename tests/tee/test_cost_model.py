@@ -41,14 +41,14 @@ class TestOrdering:
             assert model.ranking(profile)[-1] == ExecutionBackend.HE
 
     def test_he_orders_of_magnitude_slower(self, model, small_profile):
-        overhead = model.overhead_factor(ExecutionBackend.HE, small_profile)
-        assert overhead > 1_000
+        he = model.estimate_seconds(ExecutionBackend.HE, small_profile)
+        assert he > 1_000 * model.plain_seconds(small_profile)
 
     def test_tee_overhead_modest_for_large_jobs(self, model):
         profile = WorkloadProfile(macs=10**9, data_bytes=10**6,
                                   transitions=10)
-        overhead = model.overhead_factor(ExecutionBackend.TEE, profile)
-        assert overhead < 2.0  # attestation amortized away
+        tee = model.estimate_seconds(ExecutionBackend.TEE, profile)
+        assert tee < 2.0 * model.plain_seconds(profile)  # attestation amortized
 
 
 class TestTEEBehaviors:
@@ -91,8 +91,3 @@ class TestProfiles:
             WorkloadProfile(macs=-1, data_bytes=0)
         with pytest.raises(ValueError):
             WorkloadProfile(macs=1, data_bytes=1, interactive_depth=0)
-
-    def test_zero_compute_overhead_undefined(self, model):
-        profile = WorkloadProfile(macs=0, data_bytes=1)
-        with pytest.raises(ValueError):
-            model.overhead_factor(ExecutionBackend.TEE, profile)

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.workload import enclave_entry_point
 from repro.crypto.ecdsa import PrivateKey
-from repro.errors import EnclaveViolationError, SealingError
+from repro.errors import EnclaveViolationError
 from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform, _describe
 
 
@@ -263,37 +263,3 @@ class TestEncryptedOutput:
         key = shared_secret(consumer, enclave.ephemeral_public_key)
         result = from_canonical_json(decrypt(key, envelope))
         assert result == {"echo": "payload"}
-
-
-class TestSealing:
-    def test_seal_unseal_round_trip(self, platform, code):
-        enclave = platform.launch(code)
-        blob = enclave.seal(b"model-checkpoint")
-        assert enclave.unseal(blob) == b"model-checkpoint"
-
-    def test_same_code_same_platform_unseals(self, platform, code):
-        first = platform.launch(code)
-        second = platform.launch(code)
-        blob = first.seal(b"state")
-        assert second.unseal(blob) == b"state"
-
-    def test_different_code_cannot_unseal(self, platform, code):
-        enclave = platform.launch(code)
-        blob = enclave.seal(b"state")
-        v2 = platform.launch(
-            EnclaveCode(name="test", version="2", entry_point=echo_entry)
-        )
-        with pytest.raises(SealingError):
-            v2.unseal(blob)
-
-    def test_different_platform_cannot_unseal(self, platform, code, rng):
-        enclave = platform.launch(code)
-        blob = enclave.seal(b"state")
-        other_platform = TEEPlatform("plat-2", rng)
-        with pytest.raises(SealingError):
-            other_platform.launch(code).unseal(blob)
-
-    def test_sealed_blob_hides_content(self, platform, code):
-        enclave = platform.launch(code)
-        blob = enclave.seal(b"find-this-secret")
-        assert b"find-this-secret" not in blob.to_bytes()

@@ -5,6 +5,8 @@
 and :func:`registry_samples` flattens a registry into the shape the parser
 returns, so ``parse(to_prometheus(r)) == registry_samples(r)`` is the
 round-trip the exporter tests (and CI's ``telemetry-smoke``) assert.
+:func:`metric_named` and :func:`series_total` read a registry the same
+way, one metric at a time.
 """
 
 from __future__ import annotations
@@ -89,3 +91,13 @@ def registry_samples(registry: MetricsRegistry) -> dict[
                         flat[(f"{metric.name}_{qkey}", base)] = \
                             quantiles[qkey]
     return flat
+
+
+def metric_named(registry: MetricsRegistry, name: str):
+    """The metric registered as ``name``, or None."""
+    return next((m for m in registry.collect() if m.name == name), None)
+
+
+def series_total(metric) -> float:
+    """A counter's or gauge's value summed over every label set."""
+    return sum(child.value for _, child in metric.children())

@@ -82,12 +82,6 @@ class TestTraceContext:
         assert (batch_trace_context(["x", "y", "z"])
                 == batch_trace_context(["z", "x", "y"]))
 
-    def test_child_context_uses_stable_coordinates(self):
-        ctx = batch_trace_context(["d"])
-        child = ctx.child("job", "1")
-        assert child.trace_id == ctx.trace_id
-        assert child.span_id == derive_span_id(ctx.trace_id, "job", "1")
-
 
 # ---------------------------------------------------------------------------
 # Streaming exporters

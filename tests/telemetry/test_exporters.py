@@ -15,7 +15,11 @@ from repro.telemetry.exporters import (
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
-from tests.telemetry.exposition_oracle import parse_prometheus, registry_samples
+from tests.telemetry.exposition_oracle import (
+    metric_named,
+    parse_prometheus,
+    registry_samples,
+)
 
 
 def populated_registry() -> MetricsRegistry:
@@ -143,11 +147,12 @@ class TestEventReplay:
             _FakeEvent("phase.started", phase="execute"),
         ]
         registry = registry_from_events(events)
-        assert registry.get("pds2_events_total").value(
-            name="phase.started") == 2
-        assert registry.get("pds2_gas_used_total").value(phase="deploy") == 500
-        assert registry.get("pds2_events_by_phase_total").value(
-            phase="execute") == 1
+        assert metric_named(registry, "pds2_events_total").labels(
+            name="phase.started").value == 2
+        assert metric_named(registry, "pds2_gas_used_total").labels(
+            phase="deploy").value == 500
+        assert metric_named(registry, "pds2_events_by_phase_total").labels(
+            phase="execute").value == 1
 
 
 class TestExemplarExposition:

@@ -14,6 +14,7 @@ from repro.telemetry.metrics import (
     MAX_LABEL_SETS,
     MetricsRegistry,
 )
+from tests.telemetry.exposition_oracle import metric_named, series_total
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -29,15 +30,15 @@ class TestCounter:
         c = registry.counter("pds2_test_total", "help")
         c.inc()
         c.inc(2.5)
-        assert c.value() == 3.5
+        assert c.labels().value == 3.5
 
     def test_labeled_children_are_independent(self, registry):
         c = registry.counter("pds2_test_total", "", labelnames=("kind",))
         c.labels(kind="a").inc(3)
         c.labels(kind="b").inc()
-        assert c.value(kind="a") == 3
-        assert c.value(kind="b") == 1
-        assert c.total() == 4
+        assert c.labels(kind="a").value == 3
+        assert c.labels(kind="b").value == 1
+        assert series_total(c) == 4
 
     def test_counters_only_go_up(self, registry):
         c = registry.counter("pds2_test_total")
@@ -57,16 +58,15 @@ class TestCounter:
     def test_label_values_coerced_to_str(self, registry):
         c = registry.counter("pds2_test_total", labelnames=("height",))
         c.labels(height=7).inc()
-        assert c.value(height="7") == 1
+        assert c.labels(height="7").value == 1
 
 
 class TestGauge:
-    def test_set_inc_dec(self, registry):
+    def test_set_replaces_the_value(self, registry):
         g = registry.gauge("pds2_depth")
         g.set(10)
-        g.inc(5)
-        g.dec(3)
-        assert g.value() == 12
+        g.set(12)
+        assert g.labels().value == 12
 
 
 class TestHistogramBucketEdges:
@@ -119,7 +119,7 @@ class TestCardinalityGuard:
         with pytest.raises(TelemetryError):
             c.labels(addr="0x999999")
         c.labels(addr="0x0").inc()
-        assert c.value(addr="0x0") == 2
+        assert c.labels(addr="0x0").value == 2
 
 
 class TestRegistry:
@@ -159,13 +159,7 @@ class TestRegistry:
         assert h.child().count == 0
         # The same child object keeps working after reset.
         child.inc()
-        assert c.value(k="v") == 1
-
-    def test_contains_and_get(self, registry):
-        registry.counter("pds2_x_total")
-        assert "pds2_x_total" in registry
-        assert registry.get("pds2_x_total") is not None
-        assert registry.get("absent") is None
+        assert c.labels(k="v").value == 1
 
 
 class TestSnapshotRoundTrip:
@@ -184,10 +178,11 @@ class TestSnapshotRoundTrip:
     def test_round_trip_preserves_every_value(self):
         original = self._populated()
         rebuilt = MetricsRegistry.from_snapshot(original.snapshot())
-        assert rebuilt.get("pds2_a_total").value(kind="x") == 3
-        assert rebuilt.get("pds2_a_total").value(kind="y") == 1.5
-        assert rebuilt.get("pds2_g").value() == -2.5
-        child = rebuilt.get("pds2_h").child()
+        counter = metric_named(rebuilt, "pds2_a_total")
+        assert counter.labels(kind="x").value == 3
+        assert counter.labels(kind="y").value == 1.5
+        assert metric_named(rebuilt, "pds2_g").labels().value == -2.5
+        child = metric_named(rebuilt, "pds2_h").child()
         assert child.bucket_counts == [1, 1, 1]
         assert child.sum == pytest.approx(55.5)
         assert child.count == 3
@@ -251,10 +246,11 @@ class TestPersistedSnapshots:
         assert snap["format"] == "pds2-metrics-snapshot/2" and contexts
         registry = MetricsRegistry.from_snapshot(snap)
         assert _loaded(registry) == _totals(snap)
-        mults = registry.get("pds2_crypto_scalar_mult_total")
-        assert mults.value(kind="base") == 54 + 37
-        assert mults.value(kind="point") == 16
-        assert registry.get("pds2_crypto_sign_seconds").child().count == 72
+        mults = metric_named(registry, "pds2_crypto_scalar_mult_total")
+        assert mults.labels(kind="base").value == 54 + 37
+        assert mults.labels(kind="point").value == 16
+        signs = metric_named(registry, "pds2_crypto_sign_seconds")
+        assert signs.child().count == 72
         text = to_prometheus(registry)
         assert "session_id" not in text
         assert 'pds2_crypto_scalar_mult_total{kind="double_base"} 66' in text
@@ -270,8 +266,8 @@ class TestPersistedSnapshots:
                 {"labels": {}, "value": 3.0, "context": {"session_id": "a"}},
                 {"labels": {}, "value": 5.0, "context": {"session_id": "b"}},
             ]}]}
-        assert MetricsRegistry.from_snapshot(snap).get(
-            "pds2_depth").value() == 5.0
+        depth = metric_named(MetricsRegistry.from_snapshot(snap), "pds2_depth")
+        assert depth.labels().value == 5.0
 
     def test_format_1_loads_unchanged(self):
         # Cut from benchmarks/results/e12.metrics.json at 20d0a98.
@@ -279,8 +275,8 @@ class TestPersistedSnapshots:
         assert snap["format"] == "pds2-metrics-snapshot/1"
         registry = MetricsRegistry.from_snapshot(snap)
         assert _loaded(registry) == _totals(snap)
-        assert registry.get("pds2_crypto_scalar_mult_total").value(
-            kind="double_base") == 309
+        assert metric_named(registry, "pds2_crypto_scalar_mult_total").labels(
+            kind="double_base").value == 309
         rewritten = registry.snapshot()
         assert rewritten["format"] == "pds2-metrics-snapshot/2"
         for before, after in zip(snap["metrics"], rewritten["metrics"]):
@@ -333,7 +329,8 @@ class TestCounterExemplars:
         child.set_exemplar(trace_id="abc123")
         snap = registry.snapshot()
         rebuilt = MetricsRegistry.from_snapshot(snap)
-        restored = rebuilt.get("pds2_jobs_total").labels(outcome="settled")
+        restored = metric_named(rebuilt, "pds2_jobs_total").labels(
+            outcome="settled")
         assert restored.value == 3
         assert restored.exemplar == {"trace_id": "abc123"}
 

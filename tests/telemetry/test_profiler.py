@@ -20,8 +20,6 @@ from repro.errors import TelemetryError
 from repro.telemetry import (
     Profile,
     Profiler,
-    active_profiler,
-    profile_snapshot,
     profile_to_collapsed,
     profiled,
     render_profile_tree,
@@ -73,7 +71,8 @@ class TestValidation:
         with Profiler(mode="calls"):
             with pytest.raises(TelemetryError):
                 Profiler(mode="calls").start()
-        assert active_profiler() is None
+        with Profiler(mode="calls"):  # the slot is free again
+            pass
 
 
 class TestSampling:
@@ -139,7 +138,6 @@ class TestOverhead:
         generous absolute bound (100k enters/exits under a second) so the
         test never flakes on slow CI while still catching an accidental
         O(expensive) disabled path."""
-        assert active_profiler() is None
         marker = profiled("hot.region")
         started = time.perf_counter()
         for _ in range(100_000):
@@ -174,17 +172,6 @@ class TestExporters:
         )
         assert profile_to_collapsed(reordered) == text
         assert "span:a;repro/x.py:f 3" in text
-
-    def test_snapshot_round_trip(self):
-        profile = self._tiny_profile()
-        restored = Profile.from_dict(profile_snapshot(profile))
-        assert restored.samples == profile.samples
-        assert restored.total_samples == profile.total_samples
-        assert restored.attribution_ratio == profile.attribution_ratio
-
-    def test_from_dict_rejects_other_formats(self):
-        with pytest.raises(TelemetryError):
-            Profile.from_dict({"format": "not-a-profile"})
 
     def test_tree_render_mentions_heavy_branch(self):
         rendered = render_profile_tree(self._tiny_profile())

@@ -32,8 +32,8 @@ class TestSpanNesting:
             assert tracer.current is outer
             with tracer.span("inner") as inner:
                 assert inner.parent_id == outer.span_id
-                assert tracer.depth == 2
-        assert tracer.depth == 0
+                assert tracer.current is inner
+        assert tracer.current is None
         assert outer.parent_id == ""
 
     def test_siblings_share_a_parent(self, tracer):
@@ -100,7 +100,7 @@ class TestErrorStatus:
         assert by_name["inner"].status == "error"
         assert by_name["outer"].status == "error"
         # Stack unwound cleanly despite the exception.
-        assert tracer.depth == 0
+        assert tracer.current is None
 
 
 class TestHooksAndReset:

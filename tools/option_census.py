@@ -44,7 +44,7 @@ PRODUCTION_ROOTS = ("src", "benchmarks", "examples")
 TEST_ROOTS = ("tests",)
 
 #: ``--check`` fails above this; lower it whenever the count falls.
-PRODUCTION_UNSET_CEILING = 141
+PRODUCTION_UNSET_CEILING = 130
 
 #: Production-unset values that stay settable: ``(pattern, reason)``, the
 #: pattern an ``fnmatch`` glob over ``module.owner(param)`` /
@@ -94,13 +94,9 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
      "input record: the workload being assessed"),
     ("repro.tee.cost_model.WorkloadProfile.*",
      "input record: the workload being costed"),
-    ("repro.privacy.accountant.PrivacyAccountant.spend(*)",
-     "the (epsilon, delta) bill and its ledger label are data, not settings"),
     # -- safety paths only a small value reaches -----------------------
     ("repro.chain.blockchain.Blockchain.__init__(block_gas_limit)",
      "the mempool-deferral tests reach that path only with small blocks"),
-    ("repro.net.simulator.Simulator.run_to_completion(max_events)",
-     "loop backstop: the runaway test reaches it only with a small cap"),
     ("repro.rewards.distribution.normalize_weights_bps(total)",
      "the largest-remainder rounding test needs a total that does not divide"),
     # -- parameters of analytic models and synthetic problems ----------
@@ -108,8 +104,6 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
      "analytic cost-model parameters; E3/E4 print them, tests vary them"),
     ("repro.rewards.economics.*.*",
      "analytic economics parameters; E17 prints them, tests vary them"),
-    ("repro.ml.datasets.make_*(*)",
-     "synthetic-problem difficulty, chosen by the model and dataset tests"),
     # -- state records: defaults are initial state, not settings -------
     ("repro.core.lifecycle.SessionContext.*", "state record: one session"),
     ("repro.core.actors.*Actor.*", "state record: one actor"),
@@ -123,12 +117,9 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
     ("repro.storage.swarm.SwarmNode.*", "state record: one swarm node"),
     ("repro.storage.catalog.DataCatalog.*", "state record: the catalog"),
     ("repro.crypto.smc.CommunicationLog.*", "state record: SMC traffic"),
-    ("repro.tee.oblivious.*.*", "state record: touch tallies"),
     ("repro.identity.device.IoTDevice.*", "state record: one device"),
     ("repro.identity.authenticity.VerificationStats.*",
      "state record: verifier tallies"),
-    ("repro.privacy.accountant.PrivacyAccountant.*",
-     "state record: the spent budget"),
     ("repro.rewards.shapley.DataValuationTask.*", "state record: a cache"),
     ("repro.bench.compare.ComparisonReport.*",
      "result record: one comparison"),
