@@ -130,18 +130,21 @@ class Contract:
     # -- dispatch ----------------------------------------------------------------
 
     @classmethod
-    def external_methods(cls) -> set[str]:
-        """Names of externally callable methods (public, not framework)."""
-        framework = {
-            "setup", "sread", "swrite", "sdelete", "emit", "require",
-            "external_methods", "ctx", "storage", "address", "audit_invariants",
-        }
-        names = set()
-        for name in dir(cls):
-            if name.startswith("_") or name in framework:
-                continue
-            if callable(getattr(cls, name, None)):
-                names.add(name)
+    def external_methods(cls) -> frozenset[str]:
+        """Names of externally callable methods (public, not framework),
+        worked out once per class — the VM asks on every call — and kept in
+        the class's own ``__dict__``, so a subclass never reads its base's."""
+        names = cls.__dict__.get("_external_methods")
+        if names is None:
+            framework = {
+                "setup", "sread", "swrite", "sdelete", "emit", "require",
+                "external_methods", "ctx", "storage", "address",
+                "audit_invariants",
+            }
+            names = cls._external_methods = frozenset(
+                name for name in dir(cls)
+                if not name.startswith("_") and name not in framework
+                and callable(getattr(cls, name, None)))
         return names
 
 

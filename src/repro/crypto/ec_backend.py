@@ -2,10 +2,11 @@
 
 This module is the performance engine behind :mod:`repro.crypto.ecdsa`.  A
 textbook affine implementation performs one modular inversion *per point
-addition* (≈380 inversions per scalar multiplication); this backend works in
-Jacobian projective coordinates ``(X, Y, Z)`` with ``x = X/Z²``, ``y = Y/Z³``
-so a full scalar multiplication needs exactly **one** inversion, at the very
-end.  On top of the coordinate change it layers the classic
+addition* (≈380 inversions per scalar multiplication).  Here a doubling
+chain's accumulator works in Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``,
+``y = Y/Z³`` — one inversion per scalar multiplication, at the end — and
+independent additions (bucket fills, table entries) stay affine and share one
+inversion per round (:func:`batch_add`).  On top of that it layers the classic
 speed-for-memory trades:
 
 * a **fixed-base comb table** for the generator ``G`` (33 rows of signed
@@ -20,17 +21,17 @@ speed-for-memory trades:
 * the **GLV endomorphism** on every variable-base path: each full-length
   scalar splits into two half-length ones, so ~128 doublings instead of ~256;
 * **Pippenger's bucket method** for wide batches of points that will not
-  recur (a block's signature nonce points): no per-point table at all, one
-  mixed addition per point per window.
+  recur (32 or more of a block's signature nonce points): no per-point
+  table at all, one batched affine addition per point per window.
 
 There is one variable-base engine, :func:`multi_scalar_mult`; ECDH
 (:func:`scalar_mult`), single verification
 (:func:`double_scalar_mult_base`) and batch verification are its one-point,
 one-pair and many-pair cases.
 
-All tables are built lazily on first use, sharing one inversion across many
-points (Montgomery's trick, :func:`batch_inverse`), so importing this module
-costs nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
+All tables are built lazily on first use, each entry one batched addition
+across every point or row being built, so importing this module costs
+nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
 ``None`` for the point at infinity — the same convention as the textbook
 affine oracle the differential tests hold every path here against
 (``tests/crypto/affine_oracle.py``).
@@ -65,32 +66,27 @@ _WNAF_BASE_WIDTH = 7
 _WNAF_POINT_WIDTH = 5
 
 # One-shot points at or above this count go through Pippenger's buckets
-# instead of per-point wNAF tables.  Bucket ÷ Strauss wall time, measured:
-# 1.5 at 8 points, 1.07 at 32, 1.0 at 48, 0.93 at 64, 0.77 at 128, 0.65 at
+# instead of per-point wNAF tables.  Bucket ÷ Strauss wall time with both
+# sides on batched affine additions, measured: 1.38 at 8 points, 1.16 at
+# 16, 1.01 at 24, 0.94 at 32, 0.86 at 48, 0.79 at 64, 0.73 at 128, 0.67 at
 # 256 (EXPERIMENTS §E25) — the first power of two past the crossover.
-_BUCKET_MIN_POINTS = 64
+_BUCKET_MIN_POINTS = 32
 
 # Scalars at or below this length skip the GLV split in multi-scalar
 # multiplication: they are already no longer than the half-length components
 # the split would produce, so splitting would only add a second stream.
 _GLV_SHORT_BITS = 140
 
-# Scalar-multiplication call counters.  Children are resolved per call (not
-# pre-bound at import) so the series splits under the ambient session_id
-# while a workload runs; the lookup is one dict hit against the O(100µs)
-# multiplication it counts.  Spans are deliberately absent here: these
-# functions sit under crypto.sign/verify timing already, and the sampling
-# profiler names them by their own frames.
+# Scalar-multiplication call counters, one child per algorithm kind; the
+# label lookup is one dict hit against the O(100µs) multiplication it
+# counts.  Spans are deliberately absent here: these functions sit under
+# crypto.sign/verify timing already, and the sampling profiler names them
+# by their own frames.
 _SCALAR_MULTS = _tm.counter(
     "pds2_crypto_scalar_mult_total",
     "Elliptic-curve scalar multiplications, by algorithm kind",
     labelnames=("kind",),
 )
-
-
-def field_inverse(value: int) -> int:
-    """Inverse in F_p (extended Euclid via CPython's ``pow``)."""
-    return pow(value, -1, P)
 
 
 # -- Jacobian primitives -----------------------------------------------------
@@ -109,35 +105,6 @@ def jacobian_double(point: JacobianPoint) -> JacobianPoint:
     x3 = (m * m - 2 * s) % P
     y3 = (m * (s - x3) - 8 * y1_sq * y1_sq) % P
     z3 = 2 * y1 * z1 % P
-    return (x3, y3, z3)
-
-
-def jacobian_add(p1: JacobianPoint, p2: JacobianPoint) -> JacobianPoint:
-    """Add two Jacobian points (general case, 16 field multiplications)."""
-    if p1 is None:
-        return p2
-    if p2 is None:
-        return p1
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    z1_sq = z1 * z1 % P
-    z2_sq = z2 * z2 % P
-    u1 = x1 * z2_sq % P
-    u2 = x2 * z1_sq % P
-    s1 = y1 * z2_sq * z2 % P
-    s2 = y2 * z1_sq * z1 % P
-    if u1 == u2:
-        if s1 != s2:
-            return None  # P + (-P)
-        return jacobian_double(p1)
-    h = (u2 - u1) % P
-    r = (s2 - s1) % P
-    h_sq = h * h % P
-    h_cu = h * h_sq % P
-    u1h_sq = u1 * h_sq % P
-    x3 = (r * r - h_cu - 2 * u1h_sq) % P
-    y3 = (r * (u1h_sq - x3) - s1 * h_cu) % P
-    z3 = h * z1 * z2 % P
     return (x3, y3, z3)
 
 
@@ -168,19 +135,12 @@ def jacobian_add_affine(p1: JacobianPoint, p2: AffinePoint) -> JacobianPoint:
     return (x3, y3, z3)
 
 
-def to_jacobian(point: AffinePoint) -> JacobianPoint:
-    """Lift an affine point to Jacobian coordinates."""
-    if point is None:
-        return None
-    return (point[0], point[1], 1)
-
-
 def to_affine(point: JacobianPoint) -> AffinePoint:
     """Project back to affine with the single inversion of the whole mul."""
     if point is None or point[2] == 0:
         return None
     x, y, z = point
-    z_inv = field_inverse(z)
+    z_inv = pow(z, -1, P)
     z_inv_sq = z_inv * z_inv % P
     return (x * z_inv_sq % P, y * z_inv_sq * z_inv % P)
 
@@ -209,8 +169,8 @@ def batch_inverse(values: Sequence[int], modulus: int) -> list[int]:
 def batch_to_affine(points: list[JacobianPoint]) -> list[AffinePoint]:
     """Normalize many Jacobian points with one shared inversion.
 
-    Used when building precomputation tables: inverting thousands of Z
-    coordinates one-by-one would cost more than the table saves.
+    Used for the comb's 33 row bases, the ends of Jacobian doubling chains:
+    one inversion where one per base would cost 32 more.
     """
     inv_zs = iter(batch_inverse(
         [p[2] for p in points if p is not None and p[2] != 0], P
@@ -225,6 +185,42 @@ def batch_to_affine(points: list[JacobianPoint]) -> list[AffinePoint]:
         z_inv_sq = z_inv * z_inv % P
         result.append((x * z_inv_sq % P, y * z_inv_sq * z_inv % P))
     return result
+
+
+def batch_add(lefts: Sequence[AffinePoint],
+              rights: Sequence[AffinePoint]) -> list[AffinePoint]:
+    """``[Pᵢ + Qᵢ]`` for independent affine pairs with ONE shared inversion.
+
+    Slopes are ``(y₂ − y₁)/(x₂ − x₁)``, or ``3x₁²/(2y₁)`` when ``Pᵢ = Qᵢ``;
+    ``Pᵢ = −Qᵢ`` and an infinite operand need no denominator.  With every
+    denominator in one :func:`batch_inverse` a sum costs about six
+    multiplications, against a Jacobian addition's eleven to sixteen.
+    """
+    p = P
+    sums: list[AffinePoint] = [None] * len(lefts)
+    chords: list[int] = []
+    denominators: list[int] = []
+    for index, (left, right) in enumerate(zip(lefts, rights)):
+        if left is None:
+            sums[index] = right
+        elif right is None:
+            sums[index] = left
+        elif left[0] != right[0]:
+            chords.append(index)
+            denominators.append(right[0] - left[0])
+        elif left[1] == right[1]:  # no point of secp256k1 has y = 0
+            chords.append(index)
+            denominators.append(2 * left[1])
+    for index, inverse in zip(chords, batch_inverse(denominators, p)):
+        x1, y1 = lefts[index]
+        x2, y2 = rights[index]
+        if x1 != x2:
+            slope = (y2 - y1) * inverse % p
+        else:
+            slope = 3 * x1 * x1 * inverse % p
+        x3 = (slope * slope - x1 - x2) % p
+        sums[index] = (x3, (slope * (x1 - x3) - y1) % p)
+    return sums
 
 
 # -- wNAF recoding -----------------------------------------------------------
@@ -253,17 +249,22 @@ def wnaf(scalar: int, width: int) -> list[int]:
     return digits
 
 
-def _odd_multiples(point: AffinePoint, width: int) -> list[JacobianPoint]:
-    """Jacobian table ``[1P, 3P, 5P, ..., (2^(width-1) - 1)P]``."""
-    base = to_jacobian(point)
-    twice = jacobian_double(base)
-    table = [base]
+def _odd_multiples(points: Sequence[tuple[int, int]],
+                   width: int) -> list[list[AffinePoint]]:
+    """Affine tables ``[1P, 3P, 5P, ..., (2^(width-1) - 1)P]`` for many
+    points in lock step: one batched doubling, then one batched addition
+    of ``2P`` per entry, every step sharing an inversion across the points."""
+    twice = batch_add(points, points)
+    column: list[AffinePoint] = list(points)
+    tables = [[point] for point in points]
     for _ in range((1 << (width - 1)) // 2 - 1):
-        table.append(jacobian_add(table[-1], twice))
-    return table
+        column = batch_add(column, twice)
+        for table, entry in zip(tables, column):
+            table.append(entry)
+    return tables
 
 
-# -- precomputed tables for G (built lazily, normalized in one batch) --------
+# -- precomputed tables for G (built lazily, rows in lock step) -------------
 
 _FIXED_BASE_TABLE: Optional[list[list[AffinePoint]]] = None
 _G_WNAF_TABLE: Optional[list[AffinePoint]] = None
@@ -274,9 +275,9 @@ def _fixed_base_table() -> list[list[AffinePoint]]:
     """``table[i][d-1] = d · 256^i · G`` for rows ``i`` and digits ``d``.
 
     Built in affine coordinates with the rows in lock step: entry ``d`` of
-    every row is entry ``d − 1`` plus the row's base, and the 33 slope
-    denominators of one step share a single inversion — about six
-    multiplications per point and no normalization pass afterwards.
+    every row is entry ``d − 1`` plus the row's base, one :func:`batch_add`
+    over the 33 rows per step — about six multiplications per point and no
+    normalization pass afterwards.
     """
     global _FIXED_BASE_TABLE
     if _FIXED_BASE_TABLE is None:
@@ -287,19 +288,12 @@ def _fixed_base_table() -> list[list[AffinePoint]]:
                 point = jacobian_double(point)
             jacobian_bases.append(point)
         bases = batch_to_affine(jacobian_bases)
-        doubles = batch_to_affine([jacobian_double(b) for b in jacobian_bases])
-        table = [[base, double] for base, double in zip(bases, doubles)]
+        column = batch_add(bases, bases)
+        table = [[base, double] for base, double in zip(bases, column)]
         for _ in range(_COMB_HALF - 2):
-            # d·B and B never share an x for 2 ≤ d ≤ 128, so no denominator
-            # is zero and the plain chord formula covers every step.
-            inverses = batch_inverse(
-                [row[-1][0] - row[0][0] for row in table], P
-            )
-            for row, inverse in zip(table, inverses):
-                (x1, y1), (x2, y2) = row[-1], row[0]
-                slope = (y1 - y2) * inverse % P
-                x3 = (slope * slope - x1 - x2) % P
-                row.append((x3, (slope * (x1 - x3) - y1) % P))
+            column = batch_add(column, bases)
+            for row, entry in zip(table, column):
+                row.append(entry)
         _FIXED_BASE_TABLE = table
     return _FIXED_BASE_TABLE
 
@@ -308,9 +302,7 @@ def _g_wnaf_table() -> list[AffinePoint]:
     """Affine odd multiples of G for the wide wNAF in Shamir's trick."""
     global _G_WNAF_TABLE
     if _G_WNAF_TABLE is None:
-        _G_WNAF_TABLE = batch_to_affine(
-            _odd_multiples((GX, GY), _WNAF_BASE_WIDTH)
-        )
+        _G_WNAF_TABLE = _odd_multiples([(GX, GY)], _WNAF_BASE_WIDTH)[0]
     return _G_WNAF_TABLE
 
 
@@ -439,15 +431,15 @@ def double_scalar_mult_base(scalar_g: int, scalar_q: int,
 
 def _point_tables_batched(points: list[tuple[int, int]],
                           kept: int) -> list[list[AffinePoint]]:
-    """Odd-multiple wNAF tables for many points, normalized in ONE inversion.
+    """Odd-multiple wNAF tables for many points, built in lock step.
 
     A block-sized batch verification brings dozens of fresh nonce points and
-    public keys at once, so uncached tables are built in Jacobian form first
-    and the whole concatenation shares a single batched inversion.  Tables of
-    the first ``kept`` points (public keys: repeat senders across blocks) go
-    through the shared per-point LRU; the rest (signature nonce points, never
-    seen again) are built and dropped, so a block's worth of them cannot
-    evict every sender's table.
+    public keys at once, so the uncached tables are built together by
+    :func:`_odd_multiples`: each table entry is one batched affine addition
+    across every missing point.  Tables of the first ``kept`` points (public
+    keys: repeat senders across blocks) go through the shared per-point LRU;
+    the rest (signature nonce points, never seen again) are built and
+    dropped, so a block's worth of them cannot evict every sender's table.
     """
     result: list[Optional[list[AffinePoint]]] = []
     missing: list[int] = []
@@ -459,13 +451,9 @@ def _point_tables_batched(points: list[tuple[int, int]],
             missing.append(index)
         result.append(cached)
     if missing:
-        jac_tables = [_odd_multiples(points[index], _WNAF_POINT_WIDTH)
-                      for index in missing]
-        flat = [entry for table in jac_tables for entry in table]
-        affine = batch_to_affine(flat)
-        per = (1 << (_WNAF_POINT_WIDTH - 1)) // 2
-        for row, index in enumerate(missing):
-            table = affine[row * per:(row + 1) * per]
+        built = _odd_multiples([points[index] for index in missing],
+                               _WNAF_POINT_WIDTH)
+        for index, table in zip(missing, built):
             result[index] = table
             if index < kept:
                 _POINT_TABLE_CACHE[points[index]] = table
@@ -479,50 +467,60 @@ def _bucket_events(pairs: list[tuple[int, tuple[int, int]]],
     """Pippenger's bucket method: ``Σ kᵢ·Pᵢ`` as addends for a doubling chain.
 
     Every scalar (``0 < kᵢ < n``) is cut into signed ``c``-bit digits, ``c``
-    from the pair count; within window ``j`` a point is added into the bucket
-    of its digit's magnitude — one mixed addition, y negated for a negative
-    digit — and a running sum collapses the buckets to
-    ``Sⱼ = Σ_b b·bucket[b]``.  Returns ``[(c·j, Sⱼ), …]`` (affine, one shared
-    inversion, infinities dropped) with ``Σ kᵢ·Pᵢ = Σⱼ 2^(c·j)·Sⱼ``.  No
-    per-point table is built or normalized and nothing is wNAF-recoded: a
-    point costs its ``bits/c`` additions, a window a fixed ``2^c`` additions
-    for the collapse.
+    from the pair count; in window ``j`` a point joins the bucket of its
+    digit's magnitude (y negated for a negative digit), and a running sum
+    collapses the buckets to ``Sⱼ = Σ_b b·bucket[b]``.  Returns
+    ``[(c·j, Sⱼ), …]`` (affine, infinities dropped) with
+    ``Σ kᵢ·Pᵢ = Σⱼ 2^(c·j)·Sⱼ``.  All additions are batched
+    (:func:`batch_add`): pairwise fill rounds over every bucket of every
+    window, then one round per bucket index for all windows' collapses.  A
+    point costs ``bits/c`` additions, a window ``2^c``; no table is built.
     """
-    # Measured optimum 5/6/7/7/8 bits at 64/128/256/512/1024 points, flat
-    # within 4 % one bit either side.
-    width = max(4, len(pairs).bit_length() - 3)
+    # Measured optimum 4-5/4-5/5/5/5-6/6-7/7/8 bits at 32/48/64/96/128/256/
+    # 512/1024 points; this rule is within 4 % of it at every count.
+    width = max(5, len(pairs).bit_length() - 3)
     full = 1 << width
     half = full >> 1
     mask = full - 1
     # One window beyond the longest scalar takes the final carry.
     windows = max(k.bit_length() for k, _ in pairs) // width + 1
-    buckets: list[list[JacobianPoint]] = [[None] * half
-                                          for _ in range(windows)]
+    # Bucket b (magnitude b + 1) of window j is buckets[j·half + b].
+    buckets: list[list[AffinePoint]] = [[] for _ in range(windows * half)]
     for k, point in pairs:
         negated = (point[0], P - point[1])
-        for row in buckets:
-            if not k:
-                break
+        below = -1  # window j's magnitude m is buckets[below + m]
+        while k:
             digit = k & mask
             k >>= width
             if digit > half:  # signed digit: borrow from the next window
-                digit -= full
                 k += 1
-            if digit > 0:
-                row[digit - 1] = jacobian_add_affine(row[digit - 1], point)
-            elif digit < 0:
-                row[-digit - 1] = jacobian_add_affine(row[-digit - 1],
-                                                      negated)
-    sums: list[JacobianPoint] = []
-    for row in buckets:
-        running: JacobianPoint = None
-        total: JacobianPoint = None
-        for held in reversed(row):
-            running = jacobian_add(running, held)
-            total = jacobian_add(total, running)
-        sums.append(total)
+                buckets[below + full - digit].append(negated)
+            elif digit:
+                buckets[below + digit].append(point)
+            below += half
+    filling = [held for held in buckets if len(held) > 1]
+    while filling:
+        lefts, rights = [], []
+        for held in filling:
+            lefts += held[0:len(held) - 1:2]
+            rights += held[1::2]
+        sums = batch_add(lefts, rights)
+        start = 0
+        for held in filling:
+            paired = len(held) // 2
+            held[:] = sums[start:start + paired] + held[2 * paired:]
+            start += paired
+        filling = [held for held in filling if len(held) > 1]
+    values = [held[0] if held else None for held in buckets]
+    # Running sums Rᵦ = Σ_{b' ≥ b} bucket[b'] and totals Σᵦ Rᵦ, every window
+    # in one round per b: the total takes Rᵦ₊₁ while R moves on to Rᵦ.
+    running: list[AffinePoint] = [None] * windows
+    totals: list[AffinePoint] = [None] * windows
+    for b in range(half - 1, -1, -1):
+        both = batch_add(running + totals, values[b::half] + running)
+        running, totals = both[:windows], both[windows:]
     return [(width * window, point)
-            for window, point in enumerate(batch_to_affine(sums))
+            for window, point in enumerate(batch_add(totals, running))
             if point is not None]
 
 
@@ -535,7 +533,7 @@ def multi_scalar_mult(base_scalar: int,
     Strauss interleaving generalized to arbitrarily many points: every
     scalar is GLV-split into half-length halves and wNAF-recoded, all
     streams share a single ~128-step doubling chain, and all per-point
-    precomputation tables are normalized with one batched inversion.  This
+    precomputation tables are built together in affine lock step.  This
     is the one variable-base engine:
     amortized batch signature verification (the per-signature cost collapses
     to the mixed additions of its streams), single verification

@@ -76,11 +76,6 @@ GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 _Point = Optional[tuple[int, int]]  # None is the point at infinity.
 
 
-def _inverse_mod(value: int, modulus: int) -> int:
-    """Modular inverse via Python's built-in extended-Euclid pow."""
-    return pow(value, -1, modulus)
-
-
 def _is_on_curve(point: _Point) -> bool:
     if point is None:
         return True
@@ -213,7 +208,7 @@ class PublicKey:
             ).inc()
             return cached
         began = _time.perf_counter()
-        s_inv = _inverse_mod(s, N)
+        s_inv = pow(s, -1, N)
         u1 = digest * s_inv % N
         u2 = r * s_inv % N
         point = ec_backend.double_scalar_mult_base(u1, u2, (self.x, self.y))
@@ -309,7 +304,7 @@ class PrivateKey:
             if r == 0:
                 attempt += 1
                 continue
-            s = _inverse_mod(k, N) * (digest + r * self.secret) % N
+            s = pow(k, -1, N) * (digest + r * self.secret) % N
             if s == 0:
                 attempt += 1
                 continue
@@ -520,12 +515,15 @@ def batch_verify(
     resolve(batch)
     if batch:
         _VERIFY_SECONDS.observe(_time.perf_counter() - began)
+    confirmed = 0
     for index, verdict in enumerate(verdicts):
         if verdict and cache_keys[index] is not None:
-            _VERIFY_TOTAL.labels(cached="batch", outcome="ok").inc()
+            confirmed += 1
             _VERIFY_CACHE[cache_keys[index]] = True
             if len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
                 _VERIFY_CACHE.popitem(last=False)
+    if confirmed:
+        _VERIFY_TOTAL.labels(cached="batch", outcome="ok").inc(confirmed)
     for index in singles:
         public_key, message, signature = items[index]
         verdicts[index] = public_key.verify(message, signature)

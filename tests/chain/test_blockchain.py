@@ -139,9 +139,9 @@ class TestBlockEntryVerification:
         built = []
         real = ec_backend._odd_multiples
 
-        def recording(point, width):
-            built.append(point)
-            return real(point, width)
+        def recording(points, width):
+            built.extend(points)
+            return real(points, width)
 
         monkeypatch.setattr(ec_backend, "_odd_multiples", recording)
         for expect_sender_tables in (64, 0):

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain import contract as contract_mod
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import Contract, ContractRegistry
+from repro.chain.tokens.erc20 import ERC20Token
 from repro.chain.transaction import Transaction
 from repro.errors import DuplicateTransactionError
 from tests.conftest import make_funded_wallet
@@ -112,6 +114,60 @@ class TestCalls:
         receipt = wallet.call_and_mine(address, "increment", wrong_arg=1)
         assert not receipt.status
         assert "bad call arguments" in receipt.error
+
+
+class TestDispatchTable:
+    """``Contract.external_methods`` is worked out once per class."""
+
+    @pytest.mark.parametrize("base_first", [True, False])
+    def test_subclass_method_is_external_on_the_subclass_only(
+            self, base_first):
+        class LoudCounter(Counter):
+            def shout(self) -> str:
+                return "!"
+
+        classes = [Counter, LoudCounter]
+        for cls in classes if base_first else classes[::-1]:
+            cls.external_methods()  # warm, in either order
+        assert "shout" in LoudCounter.external_methods()
+        assert "shout" not in Counter.external_methods()
+        assert LoudCounter.external_methods() == \
+            Counter.external_methods() | {"shout"}
+        assert isinstance(Counter.external_methods(), frozenset)
+
+    @pytest.mark.parametrize("method", ["_require_state", "__init__",
+                                        "swrite", "external_methods",
+                                        "audit_invariants"])
+    def test_private_and_framework_names_rejected_cold_and_warm(
+            self, wallet, monkeypatch, method):
+        monkeypatch.delattr(Counter, "_external_methods", raising=False)
+        address = wallet.deploy_and_mine("counter")
+        for _ in range(2):
+            receipt = wallet.call_and_mine(address, method)
+            assert not receipt.status
+            assert receipt.error == \
+                f"Counter has no external method {method!r}"
+
+    def test_warm_erc20_block_calls_dir_zero_times(
+            self, chain, funded_wallet, monkeypatch):
+        token = funded_wallet.deploy_and_mine("erc20", initial_supply=100)
+        monkeypatch.delattr(ERC20Token, "_external_methods", raising=False)
+        listed = []
+
+        def counting_dir(*args):
+            listed.append(args)
+            return dir(*args)
+
+        monkeypatch.setattr(contract_mod, "dir", counting_dir, raising=False)
+        for expected in ([(ERC20Token,)], []):  # cold block, warm block
+            del listed[:]
+            hashes = [funded_wallet.call(token, "transfer",
+                                         recipient="0x" + "22" * 20,
+                                         amount=1)
+                      for _ in range(4)]
+            chain.mine_block()
+            assert all(chain.receipt_for(h).status for h in hashes)
+            assert listed == expected
 
 
 class TestRevert:

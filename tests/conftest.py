@@ -46,18 +46,21 @@ def curve_ops(monkeypatch) -> dict:
     """Counts the big-number operations batch verification exists to avoid.
 
     ``pow`` is shadowed in the two EC modules, so every modular square root
-    (``sqrt``: exponent ``(p + 1) / 4`` mod p) and every inversion mod n
-    (``inverse_mod_n``) they perform is counted, whichever function asks.
+    (``sqrt``: exponent ``(p + 1) / 4`` mod p), every inversion mod n
+    (``inverse_mod_n``) and every inversion mod p (``inverse_mod_p``) they
+    perform is counted, whichever function asks.
     """
     from repro.crypto import ec_backend, ecdsa
 
-    counts = {"sqrt": 0, "inverse_mod_n": 0}
+    counts = {"sqrt": 0, "inverse_mod_n": 0, "inverse_mod_p": 0}
 
     def counting_pow(base, exponent, modulus=None):
         if modulus == ecdsa.P and exponent == (ecdsa.P + 1) // 4:
             counts["sqrt"] += 1
         elif modulus == ecdsa.N and exponent == -1:
             counts["inverse_mod_n"] += 1
+        elif modulus == ecdsa.P and exponent == -1:
+            counts["inverse_mod_p"] += 1
         return pow(base, exponent, modulus)
 
     for module in (ecdsa, ec_backend):

@@ -313,6 +313,36 @@ class TestBatchVerify:
         for pk, msg, sig in items:
             assert pk.verify(msg, sig)
 
+    def test_verdict_counters_after_a_512_signature_batch(self):
+        # One verdict per item, on the path that decided it: a cache hit,
+        # one multi-scalar confirmation per batched item, the oracle for
+        # the forged item and any neighbour bisection leaves alone with it.
+        keys = [PrivateKey.from_seed(b"count-%d" % index)
+                for index in range(64)]
+        items = []
+        for index in range(512):
+            key = keys[index % 64]
+            message = b"count-msg-%d" % index
+            items.append((key.public_key, message, key.sign(message)))
+        pk, msg, sig = items[7]
+        items[7] = (pk, msg + b"!", sig)
+        assert items[300][0].verify(*items[300][1:])
+        labels = [("batch", "ok"), ("yes", "ok"), ("no", "ok"),
+                  ("no", "fail")]
+
+        def counts():
+            return [ecdsa._VERIFY_TOTAL.labels(cached=cached,
+                                               outcome=outcome).value
+                    for cached, outcome in labels]
+
+        before = counts()
+        stats: dict = {}
+        assert batch_verify(items, stats) == \
+            [index != 7 for index in range(512)]
+        spent = [after - start for after, start in zip(counts(), before)]
+        assert stats["batched"] == 511
+        assert spent == [511 - stats["singles"], 1, stats["singles"] - 1, 1]
+
     @pytest.mark.parametrize("seed", range(20))
     def test_bisection_isolates_single_corruption(self, seed):
         """≥20 seeds: exactly one corrupted signature, only it rejected."""

@@ -5,7 +5,9 @@ through ``_bucket_events`` and fewer through per-point wNAF tables.  Both
 must name the same group element for every input, so each test here
 evaluates one ``(base_scalar, pairs, one_shot_pairs)`` on both sides of
 that constant — and, where the input is small enough for it, against sums
-of the affine ``point_mul`` of :mod:`tests.crypto.affine_oracle`.
+of the affine ``point_mul`` of :mod:`tests.crypto.affine_oracle`.  The
+bucket kernel itself must return exactly the events of its Jacobian form in
+:mod:`tests.crypto.jacobian_oracle`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import ec_backend
@@ -27,6 +29,7 @@ from repro.crypto.ec_backend import (
     scalar_mult_base,
 )
 from tests.crypto.affine_oracle import point_add, point_mul
+from tests.crypto.jacobian_oracle import bucket_events, bucket_width
 
 G = (GX, GY)
 
@@ -81,17 +84,21 @@ def _oracle(base_scalar, terms):
 
 class TestBucketsAgainstStrauss:
     @settings(max_examples=20, deadline=None)
-    @given(scalars, one_shot_terms(st.sampled_from([63, 64, 65, 150])))
+    @given(scalars, one_shot_terms(st.sampled_from(
+        [ec_backend._BUCKET_MIN_POINTS + offset for offset in (-1, 0, 1)]
+        + [150])))
     def test_default_selection_equals_strauss_around_the_boundary(
             self, base_scalar, one_shot):
         pairs = [(N - 5, KEYS[0]), (2**200 + 9, KEYS[1])]
         assert multi_scalar_mult(base_scalar, pairs, one_shot) == \
             _strauss(base_scalar, pairs, one_shot)
 
-    @pytest.mark.parametrize("count, bucketed", [(63, False), (64, True),
-                                                 (65, True)])
-    def test_selection_is_by_live_one_shot_count(self, monkeypatch, count,
+    @pytest.mark.parametrize("offset, bucketed",
+                             [(-1, False), (0, True), (1, True)],
+                             ids=["below", "at", "above"])
+    def test_selection_is_by_live_one_shot_count(self, monkeypatch, offset,
                                                  bucketed):
+        count = ec_backend._BUCKET_MIN_POINTS + offset
         calls = []
         real = ec_backend._bucket_events
 
@@ -127,6 +134,48 @@ class TestBucketsAgainstStrauss:
         base_scalar = _RANDOM.randrange(1, N)
         assert multi_scalar_mult(base_scalar, pairs, one_shot) == \
             _strauss(base_scalar, pairs, one_shot)
+
+
+def _fill_rounds(pairs):
+    """Pairwise rounds the fullest bucket needs: ⌈log₂ of its size⌉, from
+    the same signed-digit recoding the kernel makes."""
+    width = bucket_width(len(pairs))
+    full, half = 1 << width, 1 << (width - 1)
+    sizes = {}
+    for k, _ in pairs:
+        window = 0
+        while k:
+            digit = k & (full - 1)
+            k >>= width
+            if digit > half:
+                digit, k = full - digit, k + 1
+            if digit:
+                sizes[window, digit] = sizes.get((window, digit), 0) + 1
+            window += 1
+    return (max(sizes.values()) - 1).bit_length(), half
+
+
+class TestBucketKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(one_shot_terms(st.integers(1, 90)))
+    def test_events_equal_the_jacobian_oracle(self, terms):
+        live = [(k % N, point) for k, point in terms if k % N]
+        assume(live)
+        assert ec_backend._bucket_events(live) == bucket_events(live)
+
+    def test_512_points_take_one_inversion_per_round(self, curve_ops):
+        points = [scalar_mult_base(_RANDOM.randrange(1, N))
+                  for _ in range(512)]
+        pairs = [(_RANDOM.randrange(1, 2**128) | 1, point)
+                 for point in points]
+        fill_rounds, half = _fill_rounds(pairs)
+        before = curve_ops["inverse_mod_p"]
+        events = ec_backend._bucket_events(pairs)
+        # One per fill round, one per bucket index (a window's running sum
+        # and total share it) and one for the last running sum.
+        assert curve_ops["inverse_mod_p"] - before <= \
+            fill_rounds + half + 1
+        assert events == bucket_events(pairs)
 
 
 class TestBucketEdgeCases:

@@ -26,19 +26,19 @@ from repro.crypto.ec_backend import (
     N,
     P,
     batch_to_affine,
+    batch_add,
     double_scalar_mult_base,
-    jacobian_add,
     jacobian_add_affine,
     jacobian_double,
     scalar_mult,
     scalar_mult_base,
     to_affine,
-    to_jacobian,
     wnaf,
 )
 from repro.crypto.ecdsa import PrivateKey
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.glv_derivation import derive_glv
+from tests.crypto.jacobian_oracle import odd_multiples, to_jacobian
 
 G = (GX, GY)
 
@@ -58,7 +58,7 @@ def _wnaf_scalar_mult(scalar, point):
     scalar %= N
     if scalar == 0 or point is None:
         return None
-    table = batch_to_affine(ec_backend._odd_multiples(point, 5))
+    table = odd_multiples(point, 5)
     accumulator = None
     for digit in reversed(wnaf(scalar, 5)):
         accumulator = jacobian_double(accumulator)
@@ -80,32 +80,16 @@ class TestJacobianPrimitives:
         assert to_affine(jacobian_double(to_jacobian(point))) == \
             point_add(point, point)
 
-    def test_add_matches_oracle(self):
-        p1 = point_mul(1111, G)
-        p2 = point_mul(2222, G)
-        assert to_affine(jacobian_add(to_jacobian(p1), to_jacobian(p2))) == \
-            point_add(p1, p2)
-
     def test_mixed_add_matches_oracle(self):
         p1 = point_mul(31337, G)
         p2 = point_mul(271828, G)
         assert to_affine(jacobian_add_affine(to_jacobian(p1), p2)) == \
             point_add(p1, p2)
 
-    def test_add_inverse_is_infinity(self):
-        point = point_mul(42, G)
-        negated = (point[0], P - point[1])
-        assert jacobian_add(to_jacobian(point), to_jacobian(negated)) is None
-
-    def test_add_equal_points_doubles(self):
-        point = point_mul(7, G)
-        assert to_affine(jacobian_add(to_jacobian(point), to_jacobian(point))) \
-            == point_mul(14, G)
-
     def test_infinity_identities(self):
         point = to_jacobian(point_mul(5, G))
-        assert jacobian_add(None, point) == point
-        assert jacobian_add(point, None) == point
+        assert jacobian_add_affine(point, None) == point
+        assert jacobian_add_affine(None, point_mul(5, G)) == point
         assert jacobian_double(None) is None
         assert to_affine(None) is None
 
@@ -118,6 +102,68 @@ class TestJacobianPrimitives:
 
     def test_batch_to_affine_all_infinity(self):
         assert batch_to_affine([None, None]) == [None, None]
+
+
+class TestBatchAdd:
+    """``batch_add`` case by case, then every case in one call."""
+
+    def test_chords_match_oracle(self):
+        lefts = [point_mul(k, G) for k in (1111, 3, 2**200)]
+        rights = [point_mul(k, G) for k in (2222, 5, N - 7)]
+        assert batch_add(lefts, rights) == \
+            [point_add(a, b) for a, b in zip(lefts, rights)]
+
+    def test_equal_points_double(self):
+        points = [point_mul(k, G) for k in (7, 987654321)]
+        assert batch_add(points, points) == \
+            [point_mul(14, G), point_mul(2 * 987654321, G)]
+
+    def test_opposite_points_cancel(self, curve_ops):
+        point = point_mul(42, G)
+        negated = (point[0], P - point[1])
+        assert batch_add([point, negated], [negated, point]) == [None, None]
+        assert curve_ops["inverse_mod_p"] == 0  # no denominator at all
+
+    def test_infinite_operands(self):
+        point = point_mul(5, G)
+        assert batch_add([None, point, None], [point, None, None]) == \
+            [point, point, None]
+        assert batch_add([], []) == []
+
+    def test_every_case_in_one_call_shares_one_inversion(self, curve_ops):
+        a, b = point_mul(31337, G), point_mul(271828, G)
+        minus_a = (a[0], P - a[1])
+        lefts = [a, a, a, None, b, a]
+        rights = [b, a, minus_a, b, None, point_mul(N - 31336, G)]
+        assert batch_add(lefts, rights) == \
+            [point_add(x, y) for x, y in zip(lefts, rights)]
+        assert curve_ops["inverse_mod_p"] == 1
+
+
+class TestTablesAgainstJacobianBuilds:
+    """Tables built by batched affine additions equal the same tables built
+    one Jacobian addition at a time (``tests.crypto.jacobian_oracle``)."""
+
+    def test_point_tables_batched(self, monkeypatch):
+        monkeypatch.setattr(ec_backend, "_POINT_TABLE_CACHE",
+                            type(ec_backend._POINT_TABLE_CACHE)())
+        points = [point_mul(k, G) for k in (1, 2, 3, 0xBEEF, N - 1)]
+        points.append(points[2])  # a repeat inside one call
+        tables = ec_backend._point_tables_batched(points, 2)
+        assert tables == [odd_multiples(point, 5) for point in points]
+        assert list(ec_backend._POINT_TABLE_CACHE) == points[:2]
+        # A second call reads the two kept tables and rebuilds the rest.
+        assert ec_backend._point_tables_batched(points, 0) == tables
+
+    def test_g_table(self):
+        assert ec_backend._g_wnaf_table() == odd_multiples(G, 7)
+
+    def test_comb_rows_are_running_sums_of_their_base(self):
+        for row in ec_backend._fixed_base_table():
+            running = None
+            for entry in row:
+                running = jacobian_add_affine(running, row[0])
+                assert entry == to_affine(running)
 
 
 class TestWnaf:
