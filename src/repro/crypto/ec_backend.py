@@ -1,4 +1,4 @@
-"""Fast secp256k1 point arithmetic: Jacobian coordinates, wNAF, fixed-base.
+"""Fast secp256k1 point arithmetic: Jacobian coordinates, wNAF, GLV combs.
 
 This module is the performance engine behind :mod:`repro.crypto.ecdsa`.  A
 textbook affine implementation performs one modular inversion *per point
@@ -6,40 +6,32 @@ addition* (≈380 inversions per scalar multiplication).  Here a doubling
 chain's accumulator works in Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``,
 ``y = Y/Z³`` — one inversion per scalar multiplication, at the end — and
 independent additions (bucket fills, table entries) stay affine and share one
-inversion per round (:func:`batch_add`).  On top of that it layers the classic
-speed-for-memory trades:
+inversion per round (:func:`batch_add`).  On top of that:
 
-* a **fixed-base comb table** for the generator ``G`` (33 rows of signed
-  8-bit digits, 128 affine points each — 4 224 points, ≈ 0.8 MB): key
-  generation and signing become at most 33 mixed additions with no doublings
-  at all;
-* **wNAF** (width-5 non-adjacent form) recoding for variable-point
-  multiplication, cutting additions from ~128 to ~43 per 256-bit scalar;
-* **Shamir's trick** (interleaved dual-scalar multiplication) for the
-  ``u1·G + u2·Q`` inside ECDSA verification: one shared doubling chain instead
-  of two, with a wide (width-7) precomputed wNAF table for the ``G`` side;
-* the **GLV endomorphism** on every variable-base path: each full-length
-  scalar splits into two half-length ones, so ~128 doublings instead of ~256;
-* **Pippenger's bucket method** for wide batches of points that will not
-  recur (32 or more of a block's signature nonce points): no per-point
-  table at all, one batched affine addition per point per window.
+* the **GLV endomorphism** splits every scalar into two halves below 2¹²⁸;
+* **GLV combs** (:func:`_build_comb`) for ``G`` always and for any point at
+  its fifth single-point multiplication: at most ``2 × rows`` mixed
+  additions and no doubling, so signing, and a verify or ECDH on a key
+  seen before, skip the doubling chain;
+* **wNAF** recoding and **Strauss interleaving** for other points: all
+  their streams share one ~128-step doubling chain;
+* **Pippenger's bucket method** for 32 or more one-shot points (a block's
+  signature nonce points): no per-point table at all.
 
-There is one variable-base engine, :func:`multi_scalar_mult`; ECDH
-(:func:`scalar_mult`), single verification
-(:func:`double_scalar_mult_base`) and batch verification are its one-point,
-one-pair and many-pair cases.
-
-All tables are built lazily on first use, each entry one batched addition
-across every point or row being built, so importing this module costs
-nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
-``None`` for the point at infinity — the same convention as the textbook
-affine oracle the differential tests hold every path here against
+There is one engine, :func:`multi_scalar_mult`; key generation and signing
+(:func:`scalar_mult_base`), ECDH (:func:`scalar_mult`), single verification
+(:func:`double_scalar_mult_base`) and batch verification are its no-point,
+one-point, one-pair and many-pair cases.  Tables are built lazily, so
+importing this module costs nothing.  Points at the API boundary are affine
+``(x, y)`` tuples or ``None`` for the point at infinity — the convention of
+the affine oracle the differential tests hold every path here against
 (``tests/crypto/affine_oracle.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from functools import cache
 from typing import Optional, Sequence
 
 from repro.telemetry import metrics as _tm
@@ -54,16 +46,22 @@ AffinePoint = Optional[tuple[int, int]]
 #: Jacobian point (X, Y, Z); None is the point at infinity.
 JacobianPoint = Optional[tuple[int, int, int]]
 
-# Fixed-base comb geometry: signed 8-bit digits over 256-bit scalars.  A row
-# holds the multiples 1..128 of its window base (a negative digit negates y
-# for free), and one row beyond the scalar's 32 bytes takes the final carry.
-_COMB_BITS = 8
-_COMB_HALF = 1 << (_COMB_BITS - 1)
-_COMB_ROWS = 256 // _COMB_BITS + 1
-
-# wNAF widths: wide for the static G table, narrower for per-call points.
-_WNAF_BASE_WIDTH = 7
-_WNAF_POINT_WIDTH = 5
+# Comb widths in digit bits, and the promotion rule: a point's comb is built
+# at its _COMB_PROMOTE_AT-th single-point multiplication, kept in an LRU of
+# _COMB_CACHE_MAX; uses of points without one are counted in an LRU of
+# _COMB_USES_MAX.  E25 sessions/s and peak_rss_mb against these values,
+# medians of seeds 1-3 (EXPERIMENTS §E25 "PR 28"): G at 10 bits or points
+# at 5-6 bits or an LRU of 32 gain ≤ 3 % but put ml_wide's RSS up 5-6 %;
+# G at 8 bits −1 %; an LRU of 16 thrashes ml_wide (−3.5 %, 21 recurring
+# points a pass); promotion at 3 / 4 / 8 costs ml_wide 7 / 5 / 2.5 % (a
+# build per 4-use enclave key, or late), 6 is level.  Counts: a point's
+# uses before its fifth are at most 28 distinct points apart.
+_G_COMB_WIDTH = 9
+_POINT_COMB_WIDTH = 4
+_COMB_PROMOTE_AT = 5
+_COMB_CACHE_MAX = 24
+_COMB_USES_MAX = 256
+_WNAF_POINT_WIDTH = 5  # points without a comb
 
 # One-shot points at or above this count go through Pippenger's buckets
 # instead of per-point wNAF tables.  Bucket ÷ Strauss wall time with both
@@ -169,8 +167,8 @@ def batch_inverse(values: Sequence[int], modulus: int) -> list[int]:
 def batch_to_affine(points: list[JacobianPoint]) -> list[AffinePoint]:
     """Normalize many Jacobian points with one shared inversion.
 
-    Used for the comb's 33 row bases, the ends of Jacobian doubling chains:
-    one inversion where one per base would cost 32 more.
+    Used for a comb's row bases, the ends of one Jacobian doubling chain:
+    one inversion where one per base would cost one per row more.
     """
     inv_zs = iter(batch_inverse(
         [p[2] for p in points if p is not None and p[2] != 0], P
@@ -264,52 +262,8 @@ def _odd_multiples(points: Sequence[tuple[int, int]],
     return tables
 
 
-# -- precomputed tables for G (built lazily, rows in lock step) -------------
-
-_FIXED_BASE_TABLE: Optional[list[list[AffinePoint]]] = None
-_G_WNAF_TABLE: Optional[list[AffinePoint]] = None
-_PHI_G_WNAF_TABLE: Optional[list[AffinePoint]] = None
-
-
-def _fixed_base_table() -> list[list[AffinePoint]]:
-    """``table[i][d-1] = d · 256^i · G`` for rows ``i`` and digits ``d``.
-
-    Built in affine coordinates with the rows in lock step: entry ``d`` of
-    every row is entry ``d − 1`` plus the row's base, one :func:`batch_add`
-    over the 33 rows per step — about six multiplications per point and no
-    normalization pass afterwards.
-    """
-    global _FIXED_BASE_TABLE
-    if _FIXED_BASE_TABLE is None:
-        jacobian_bases: list[JacobianPoint] = [(GX, GY, 1)]
-        for _ in range(_COMB_ROWS - 1):
-            point = jacobian_bases[-1]
-            for _ in range(_COMB_BITS):
-                point = jacobian_double(point)
-            jacobian_bases.append(point)
-        bases = batch_to_affine(jacobian_bases)
-        column = batch_add(bases, bases)
-        table = [[base, double] for base, double in zip(bases, column)]
-        for _ in range(_COMB_HALF - 2):
-            column = batch_add(column, bases)
-            for row, entry in zip(table, column):
-                row.append(entry)
-        _FIXED_BASE_TABLE = table
-    return _FIXED_BASE_TABLE
-
-
-def _g_wnaf_table() -> list[AffinePoint]:
-    """Affine odd multiples of G for the wide wNAF in Shamir's trick."""
-    global _G_WNAF_TABLE
-    if _G_WNAF_TABLE is None:
-        _G_WNAF_TABLE = _odd_multiples([(GX, GY)], _WNAF_BASE_WIDTH)[0]
-    return _G_WNAF_TABLE
-
-
-# LRU of per-point odd-multiple tables (see ``_point_tables_batched``).
-# Real workloads verify many signatures from a small set of keys (validator
-# seals, repeat senders), so the per-point precomputation is worth
-# remembering across calls.
+# LRU of per-point odd-multiple tables (see ``_point_tables_batched``):
+# batches verify many signatures from a few keys (seals, repeat senders).
 _POINT_TABLE_CACHE: "OrderedDict[tuple[int, int], list[AffinePoint]]" = \
     OrderedDict()
 _POINT_TABLE_CACHE_MAX = 512
@@ -319,56 +273,14 @@ _POINT_TABLE_CACHE_MAX = 512
 
 
 def scalar_mult_base(scalar: int) -> AffinePoint:
-    """``scalar · G`` via the signed 8-bit comb table (no doublings)."""
-    _SCALAR_MULTS.labels(kind="base").inc()
-    scalar %= N
-    if scalar == 0:
-        return None
-    p = P
-    # Mixed additions inlined over scalar locals (az == 0 is infinity); this
-    # is the signing hot loop, at most 33 iterations with no doublings.
-    ax = ay = az = 0
-    carry = 0
-    for row, byte in zip(_fixed_base_table(),
-                         scalar.to_bytes(_COMB_ROWS, "little")):
-        digit = byte + carry
-        carry = digit > _COMB_HALF
-        if carry:  # signed digit: borrow 256 from the next window
-            digit -= 1 << _COMB_BITS
-        if not digit:
-            continue
-        if digit > 0:
-            qx, qy = row[digit - 1]
-        else:
-            qx, qy = row[-digit - 1]
-            qy = p - qy
-        if az == 0:
-            ax, ay, az = qx, qy, 1
-            continue
-        z_sq = az * az % p
-        u2 = qx * z_sq % p
-        if ax == u2:  # same x: doubling or cancellation (rare)
-            result = jacobian_add_affine((ax, ay, az), (qx, qy))
-            ax, ay, az = result if result is not None else (0, 0, 0)
-            continue
-        s2 = qy * z_sq * az % p
-        h = u2 - ax
-        r = (s2 - ay) % p
-        h_sq = h * h % p
-        h_cu = h * h_sq % p
-        u1h_sq = ax * h_sq % p
-        x3 = (r * r - h_cu - 2 * u1h_sq) % p
-        ay = (r * (u1h_sq - x3) - ay * h_cu) % p
-        ax = x3
-        az = h * az % p
-    if az == 0:
-        return None
-    return to_affine((ax, ay, az))
+    """``scalar · G``: the no-point case of :func:`multi_scalar_mult`, read
+    from ``G``'s comb with no doubling."""
+    return multi_scalar_mult(scalar, [])
 
 
 def scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
     """``scalar · point``: the one-point case of :func:`multi_scalar_mult`
-    (GLV split into two half-length streams, ~128 doublings)."""
+    (the point's comb once it recurs, else a ~128-step doubling chain)."""
     return multi_scalar_mult(0, [(scalar, point)])
 
 
@@ -393,7 +305,12 @@ _GLV_B2 = 0x3086D221A7D46BCDE86C90E49284EB15
 
 
 def _glv_split(k: int) -> tuple[int, int]:
-    """Decompose ``k ≡ k1 + k2·λ (mod n)`` with half-length components."""
+    """Decompose ``k ≡ k1 + k2·λ (mod n)`` with ``|k1|, |k2| < 2¹²⁸``.
+
+    Bound, for every integer ``k``: ``(k1, k2)`` is ``(k, 0)`` minus its
+    coordinates in the basis (``a1·b2 − a2·b1 = n``) rounded, each off by
+    at most ½, so ``|k1| ≤ (a1 + a2)/2`` and ``|k2| ≤ (|b1| + b2)/2 = a2/2``.
+    """
     c1 = (2 * _GLV_B2 * k + N) // (2 * N)
     c2 = (-2 * _GLV_B1 * k + N) // (2 * N)
     k1 = k - c1 * _GLV_A1 - c2 * _GLV_A2
@@ -401,31 +318,113 @@ def _glv_split(k: int) -> tuple[int, int]:
     return k1, k2
 
 
-def _phi_g_wnaf_table() -> list[AffinePoint]:
-    """Affine odd multiples of φ(G) (the G table mapped through β)."""
-    global _PHI_G_WNAF_TABLE
-    if _PHI_G_WNAF_TABLE is None:
-        _PHI_G_WNAF_TABLE = [
-            (_GLV_BETA * x % P, y) for x, y in _g_wnaf_table()
-        ]
-    return _PHI_G_WNAF_TABLE
+_GLV_HALF_BITS = 128  # |k1|, |k2| < 2^128, proved at _glv_split
+
+
+# -- combs: rows 2^(w·i)·P, read as signed digits of both GLV halves --------
+
+Comb = list[list[tuple[int, int]]]
+
+
+def _build_comb(point: tuple[int, int], width: int) -> Comb:
+    """``comb[i][d − 1] = d · 2^(width·i) · point`` for ``d ≤ 2^(width−1)``.
+
+    ``128 // width`` rows hold a half's digits and one more its last carry
+    (no digit of that row exceeds ``2^(width−1)``, so nothing carries out).
+    Row bases: one Jacobian doubling chain and one inversion.  Then every
+    row doubles in length per :func:`batch_add` (entries ``1..m`` plus the
+    ``m``-th give ``m + 1..2m``): ``width − 1`` inversions in all.
+    """
+    jacobian_bases: list[JacobianPoint] = [(point[0], point[1], 1)]
+    for _ in range(_GLV_HALF_BITS // width):
+        base = jacobian_bases[-1]
+        for _ in range(width):
+            base = jacobian_double(base)
+        jacobian_bases.append(base)
+    comb = [[base] for base in batch_to_affine(jacobian_bases)]
+    for _ in range(width - 1):
+        size = len(comb[0])
+        sums = iter(batch_add([entry for row in comb for entry in row],
+                              [row[-1] for row in comb for _ in row]))
+        for row in comb:
+            row += [next(sums) for _ in range(size)]
+    return comb
+
+
+def _comb_addends(scalar: int, comb: Comb, width: int,
+                  addends: list[tuple[int, int]]) -> None:
+    """Append affine points that sum to ``scalar · P``, ``P`` the comb's.
+
+    Each GLV half is cut into signed ``width``-bit digits (one above
+    ``2^(width−1)`` borrows from the next row), its sign folded into y; the
+    ``k2`` half reads ``φ(P)`` as ``(β·x, y)``.  A half the rows cannot
+    hold raises instead of losing its top bits.
+    """
+    p = P
+    full = 1 << width
+    half = full >> 1
+    mask = full - 1
+    for k, phi in zip(_glv_split(scalar), (False, True)):
+        flip = k < 0
+        if flip:
+            k = -k
+        for row in comb:
+            if not k:
+                break
+            digit = k & mask
+            k >>= width
+            if digit > half:
+                k += 1
+                x, y = row[full - digit - 1]
+                negative = not flip
+            elif digit:
+                x, y = row[digit - 1]
+                negative = flip
+            else:
+                continue
+            addends.append((_GLV_BETA * x % p if phi else x,
+                            p - y if negative else y))
+        if k:
+            raise ArithmeticError("GLV half exceeds the comb's rows")
+
+
+# Combs of recurring points (LRU) and single-point uses of points without
+# one (LRU of counts); batch equations touch neither.
+_COMBS: "OrderedDict[tuple[int, int], Comb]" = OrderedDict()
+_COMB_USES: "OrderedDict[tuple[int, int], int]" = OrderedDict()
+
+
+@cache
+def _g_comb() -> Comb:
+    return _build_comb((GX, GY), _G_COMB_WIDTH)
+
+
+def _promoted_comb(point: tuple[int, int]) -> Optional[Comb]:
+    """Count a single-point multiplication on ``point``; its comb, built
+    at the ``_COMB_PROMOTE_AT``-th such use, or None before that."""
+    comb = _COMBS.get(point)
+    if comb is not None:
+        _COMBS.move_to_end(point)
+        return comb
+    uses = _COMB_USES.pop(point, 0) + 1
+    if uses < _COMB_PROMOTE_AT:
+        _COMB_USES[point] = uses
+        if len(_COMB_USES) > _COMB_USES_MAX:
+            _COMB_USES.popitem(last=False)
+        return None
+    comb = _COMBS[point] = _build_comb(point, _POINT_COMB_WIDTH)
+    if len(_COMBS) > _COMB_CACHE_MAX:
+        _COMBS.popitem(last=False)
+    return comb
 
 
 # -- Shamir / Strauss interleaved multi-scalar multiplication ----------------
 
 
-def _signed_stream(scalar: int, width: int,
-                   table: list[AffinePoint]) -> tuple[list[int], list[AffinePoint]]:
-    """wNAF digits of ``|scalar|`` plus the table, with the sign folded in."""
-    if scalar < 0:
-        return wnaf(-scalar, width), [(x, P - y) for x, y in table]
-    return wnaf(scalar, width), table
-
-
 def double_scalar_mult_base(scalar_g: int, scalar_q: int,
                             point_q: AffinePoint) -> AffinePoint:
-    """``scalar_g · G + scalar_q · Q``: Shamir's trick as used by ECDSA
-    verification, the one-pair case of :func:`multi_scalar_mult`."""
+    """``scalar_g · G + scalar_q · Q`` (ECDSA verification): the one-pair
+    case of :func:`multi_scalar_mult`, with no doubling once ``Q`` recurs."""
     return multi_scalar_mult(scalar_g, [(scalar_q, point_q)])
 
 
@@ -528,17 +527,18 @@ def multi_scalar_mult(base_scalar: int,
                       pairs: list[tuple[int, AffinePoint]],
                       one_shot_pairs: Sequence[tuple[int, AffinePoint]] = (),
                       ) -> AffinePoint:
-    """``base_scalar · G + Σ kᵢ · Qᵢ`` with one shared doubling chain.
+    """``base_scalar · G + Σ kᵢ · Qᵢ`` with at most one doubling chain.
 
-    Strauss interleaving generalized to arbitrarily many points: every
-    scalar is GLV-split into half-length halves and wNAF-recoded, all
-    streams share a single ~128-step doubling chain, and all per-point
-    precomputation tables are built together in affine lock step.  This
-    is the one variable-base engine:
-    amortized batch signature verification (the per-signature cost collapses
-    to the mixed additions of its streams), single verification
-    (:func:`double_scalar_mult_base`, one pair) and ECDH
-    (:func:`scalar_mult`, one pair and no base scalar).
+    ``G``'s term is read from its comb, and so is the point of a
+    single-point call (one pair, no one-shot pairs) once
+    :func:`_promoted_comb` has built one: fully scaled addends that join
+    after the last doubling, so such a call runs no doubling at all
+    (``kind="comb"``; ``"base"`` for ``G`` alone).  Every other point is
+    Strauss-interleaved (``kind="multi"``): GLV-split, wNAF-recoded, all
+    streams on one ~128-step doubling chain, their tables built together
+    in affine lock step.  A batch equation neither counts toward a comb
+    nor reads one: it pays a doubling chain anyway, and wNAF streams are
+    the cheaper addends there.
 
     ``one_shot_pairs`` are further ``(kᵢ, Qᵢ)`` terms of the same sum whose
     points will not recur (signature nonce points): their tables stay out
@@ -549,41 +549,42 @@ def multi_scalar_mult(base_scalar: int,
     """
     base_scalar %= N
     live = [(k % N, q) for k, q in pairs if q is not None and k % N != 0]
-    kept = len(live)
     one_shot = [(k % N, q) for k, q in one_shot_pairs
                 if q is not None and k % N != 0]
-    if not live and not one_shot:
-        return scalar_mult_base(base_scalar)
-    _SCALAR_MULTS.labels(kind="multi").inc()
-    bucket_events: list[tuple[int, tuple[int, int]]] = []
-    if len(one_shot) >= _BUCKET_MIN_POINTS:
-        bucket_events = _bucket_events(one_shot)
-    else:
-        live += one_shot
-    tables = _point_tables_batched([q for _, q in live], kept)
-    sources: list[tuple[int, int, list[AffinePoint]]] = []
+    addends: list[tuple[int, int]] = []
     if base_scalar:
-        g1, g2 = _glv_split(base_scalar)
-        sources.append((g1, _WNAF_BASE_WIDTH, _g_wnaf_table()))
-        sources.append((g2, _WNAF_BASE_WIDTH, _phi_g_wnaf_table()))
+        _comb_addends(base_scalar, _g_comb(), _G_COMB_WIDTH, addends)
+    kind = "base"
+    if live and len(pairs) == 1 and not one_shot_pairs:
+        comb = _promoted_comb(live[0][1])
+        if comb is not None:
+            _comb_addends(live[0][0], comb, _POINT_COMB_WIDTH, addends)
+            live = []
+            kind = "comb"
+    kept = len(live)
+    bucket_events: list[tuple[int, tuple[int, int]]] = []
+    if live or one_shot:
+        kind = "multi"
+        if len(one_shot) >= _BUCKET_MIN_POINTS:
+            bucket_events = _bucket_events(one_shot)
+        else:
+            live += one_shot
+    _SCALAR_MULTS.labels(kind=kind).inc()
+    tables = _point_tables_batched([q for _, q in live], kept)
+    streams: list[tuple[list[int], list[AffinePoint]]] = []
     for (scalar, _), table in zip(live, tables):
-        if scalar.bit_length() <= _GLV_SHORT_BITS:
-            sources.append((scalar, _WNAF_POINT_WIDTH, table))
-            continue
-        k1, k2 = _glv_split(scalar)
-        sources.append((k1, _WNAF_POINT_WIDTH, table))
-        if k2:
-            sources.append((
-                k2, _WNAF_POINT_WIDTH,
-                [(_GLV_BETA * x % P, y) for x, y in table],
-            ))
-    streams = [
-        _signed_stream(scalar, width, table)
-        for scalar, width, table in sources
-        if scalar != 0
-    ]
+        halves = [(scalar, table)]
+        if scalar.bit_length() > _GLV_SHORT_BITS:
+            k1, k2 = _glv_split(scalar)
+            halves = [(k1, table),
+                      (k2, [(_GLV_BETA * x % P, y) for x, y in table])]
+        for k, half_table in halves:
+            if k < 0:  # the sign folded into the table
+                k, half_table = -k, [(x, P - y) for x, y in half_table]
+            streams.append((wnaf(k, _WNAF_POINT_WIDTH), half_table))
     length = max([len(digits) for digits, _ in streams]
-                 + [bit + 1 for bit, _ in bucket_events], default=0)
+                 + [bit + 1 for bit, _ in bucket_events]
+                 + [1] * bool(addends), default=0)
     p = P
     # Resolve every non-zero digit to its affine addend up front, bucketed
     # by bit position.  With dozens of interleaved streams the inner loop
@@ -600,23 +601,22 @@ def multi_scalar_mult(base_scalar: int,
                 events[index].append((x, p - y))
     for bit, point in bucket_events:
         events[bit].append(point)
+    if addends:
+        events[0] += addends
     # The accumulator lives in three scalar locals (az == 0 means
     # infinity) with doubling and mixed addition open-coded: over ~128-256
     # iterations tuple packing and helper calls are the dominant
     # interpreter cost.  Rare degenerate branches fall back to the helper.
     ax = ay = az = 0
     for index in range(length - 1, -1, -1):
-        if az:
-            if ay == 0:
-                az = 0
-            else:
-                y_sq = ay * ay % p
-                s = 4 * ax * y_sq % p
-                m = 3 * ax * ax % p
-                x3 = (m * m - 2 * s) % p
-                az = 2 * ay * az % p
-                ay = (m * (s - x3) - 8 * y_sq * y_sq) % p
-                ax = x3
+        if az:  # no point of secp256k1 has y = 0: a doubling is never 𝒪
+            y_sq = ay * ay % p
+            s = 4 * ax * y_sq % p
+            m = 3 * ax * ax % p
+            x3 = (m * m - 2 * s) % p
+            az = 2 * ay * az % p
+            ay = (m * (s - x3) - 8 * y_sq * y_sq) % p
+            ax = x3
         for qx, qy in events[index]:
             if az == 0:
                 ax, ay, az = qx, qy, 1

@@ -11,10 +11,9 @@ enclave quote in the reproduction:
 * Ethereum-style address derivation from the uncompressed public key.
 
 The point arithmetic behind signing, verification and ECDH lives in
-:mod:`repro.crypto.ec_backend` (Jacobian coordinates, wNAF, fixed-base
-tables, Shamir's trick, GLV on every variable-base path): scalar
-multiplications that used to cost one modular inversion per point addition
-now cost one inversion total.  On top of the fast math sits a small LRU
+:mod:`repro.crypto.ec_backend` (GLV combs for ``G`` and recurring keys,
+wNAF and Shamir's trick for the rest): one modular inversion per scalar
+multiplication, not one per point addition.  On top sits a small LRU
 cache of verification outcomes, so chain audits that re-verify the same
 seals (``verify_chain``) are near-free.
 
@@ -224,7 +223,7 @@ class PublicKey:
 
 @lru_cache(maxsize=2048)
 def _derive_public_key(secret: int) -> PublicKey:
-    """``secret · G`` via the fixed-base table, cached per scalar.
+    """``secret · G`` via ``G``'s comb, cached per scalar.
 
     Wallets ask for their address (and hence public key) on every
     transaction they build; deriving it once per key instead of once per

@@ -8,17 +8,22 @@ exactly — same tables, same ``(bit, point)`` events — sharing no addition
 formula with them.  It is unchanged but for its imports and
 :func:`bucket_width`, which must give the kernel's window width (its floor
 rose from 4 to 5 bits when the kernel changed) for the events to be equal.
+:func:`wnaf_scalar_mult` is the one-point multiplication of 62b3626, the
+fast second oracle for bulk runs the affine one is too slow for.
 """
 
 from __future__ import annotations
 
 from repro.crypto.ec_backend import (
+    N,
     P,
     AffinePoint,
     JacobianPoint,
     batch_to_affine,
     jacobian_add_affine,
     jacobian_double,
+    to_affine,
+    wnaf,
 )
 
 
@@ -67,6 +72,24 @@ def odd_multiples(point: AffinePoint, width: int) -> list[AffinePoint]:
     for _ in range((1 << (width - 1)) // 2 - 1):
         table.append(jacobian_add(table[-1], twice))
     return batch_to_affine(table)
+
+
+def wnaf_scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
+    """``ec_backend.scalar_mult`` as of 62b3626: one full-length width-5
+    wNAF stream, ~256 doublings, no GLV split and no comb."""
+    scalar %= N
+    if scalar == 0 or point is None:
+        return None
+    table = odd_multiples(point, 5)
+    accumulator = None
+    for digit in reversed(wnaf(scalar, 5)):
+        accumulator = jacobian_double(accumulator)
+        if digit > 0:
+            accumulator = jacobian_add_affine(accumulator, table[digit >> 1])
+        elif digit < 0:
+            x, y = table[(-digit) >> 1]
+            accumulator = jacobian_add_affine(accumulator, (x, P - y))
+    return to_affine(accumulator)
 
 
 def bucket_width(count: int) -> int:

@@ -38,7 +38,11 @@ from repro.crypto.ec_backend import (
 from repro.crypto.ecdsa import PrivateKey
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.glv_derivation import derive_glv
-from tests.crypto.jacobian_oracle import odd_multiples, to_jacobian
+from tests.crypto.jacobian_oracle import (
+    odd_multiples,
+    to_jacobian,
+    wnaf_scalar_mult,
+)
 
 G = (GX, GY)
 
@@ -51,23 +55,17 @@ def random_scalar() -> int:
     return _RANDOM.randrange(1, N)
 
 
-def _wnaf_scalar_mult(scalar, point):
-    """``ec_backend.scalar_mult`` as of 62b3626: one full-length width-5 wNAF
-    stream, ~256 doublings, no GLV split.  Kept here as a second oracle for
-    the multi-scalar engine that replaced it."""
-    scalar %= N
-    if scalar == 0 or point is None:
-        return None
-    table = odd_multiples(point, 5)
-    accumulator = None
-    for digit in reversed(wnaf(scalar, 5)):
-        accumulator = jacobian_double(accumulator)
-        if digit > 0:
-            accumulator = jacobian_add_affine(accumulator, table[digit >> 1])
-        elif digit < 0:
-            x, y = table[(-digit) >> 1]
-            accumulator = jacobian_add_affine(accumulator, (x, P - y))
-    return to_affine(accumulator)
+def comb_sum(comb, width, halves):
+    """``k1·P + k2·φ(P)`` from ``_comb_addends`` with the split replaced
+    by ``halves``, summed on the affine oracle."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ec_backend, "_glv_split", lambda _: halves)
+        addends = []
+        ec_backend._comb_addends(1, comb, width, addends)
+    total = None
+    for addend in addends:
+        total = point_add(total, addend)
+    return total, len(addends)
 
 
 class TestJacobianPrimitives:
@@ -155,15 +153,24 @@ class TestTablesAgainstJacobianBuilds:
         # A second call reads the two kept tables and rebuilds the rest.
         assert ec_backend._point_tables_batched(points, 0) == tables
 
-    def test_g_table(self):
-        assert ec_backend._g_wnaf_table() == odd_multiples(G, 7)
-
     def test_comb_rows_are_running_sums_of_their_base(self):
-        for row in ec_backend._fixed_base_table():
-            running = None
-            for entry in row:
-                running = jacobian_add_affine(running, row[0])
-                assert entry == to_affine(running)
+        """Row ``i`` of a comb starts at ``2^(w·i)·P`` and entry ``d`` is
+        ``d`` Jacobian additions of that base — for ``G``'s comb and for a
+        point's."""
+        point = point_mul(0xFACADE, G)
+        for comb, start, width in [
+                (ec_backend._g_comb(), G, ec_backend._G_COMB_WIDTH),
+                (ec_backend._build_comb(point, ec_backend._POINT_COMB_WIDTH),
+                 point, ec_backend._POINT_COMB_WIDTH)]:
+            base = to_jacobian(start)
+            for row in comb:
+                assert row[0] == to_affine(base)
+                running = None
+                for entry in row:
+                    running = jacobian_add_affine(running, row[0])
+                    assert entry == to_affine(running)
+                for _ in range(width):
+                    base = jacobian_double(base)
 
 
 class TestWnaf:
@@ -202,11 +209,16 @@ class TestGLV:
             assert point_mul(lam, (x, y)) == (beta * x % P, y)
 
     def test_split_congruence_and_size(self):
-        lam = ec_backend._GLV_LAMBDA
-        for k in EDGE_SCALARS + [random_scalar() for _ in range(50)]:
+        """The bound ``_glv_split`` proves: ``|k1| ≤ (a1 + a2)/2``,
+        ``|k2| ≤ a2/2``, both below 2¹²⁸ — what a comb's rows rely on."""
+        lam, _, a1, _, a2, _ = self.CONSTANTS
+        assert ((a1 + a2) // 2).bit_length() == ec_backend._GLV_HALF_BITS
+        edges = EDGE_SCALARS + [0, lam, N - lam, lam * lam % N,
+                                2**128 - 1, 2**128 + 1]
+        for k in edges + [random_scalar() for _ in range(10_000)]:
             k1, k2 = ec_backend._glv_split(k)
             assert (k1 + k2 * lam - k) % N == 0
-            assert max(abs(k1), abs(k2)).bit_length() <= 135
+            assert 2 * abs(k1) <= a1 + a2 and 2 * abs(k2) <= a2, hex(k)
 
 
 class TestDifferentialScalarMult:
@@ -217,8 +229,31 @@ class TestDifferentialScalarMult:
         assert scalar_mult_base(N) is None
 
     def test_fixed_base_comb_carry_chains(self):
-        """Signed 8-bit digits: a byte above 128 borrows from the next row,
-        a run of them carries through every row to the 33rd."""
+        """Signed digits: one above ``2^(w−1)`` borrows from the next row,
+        a run of them carries through every row into the last, and a half
+        the rows cannot hold raises.  The halves are set directly (the
+        split replaced), with either sign, on ``G``'s comb and a point's."""
+        point = point_mul(0xC0FFEE, G)
+        lam = ec_backend._GLV_LAMBDA
+        for comb, start, width in [
+                (ec_backend._g_comb(), G, ec_backend._G_COMB_WIDTH),
+                (ec_backend._build_comb(point, ec_backend._POINT_COMB_WIDTH),
+                 point, ec_backend._POINT_COMB_WIDTH)]:
+            half = 1 << (width - 1)
+            runs = [half - 1, half, half + 1, (1 << width) - 1,
+                    sum((half + 1) << (width * i)
+                        for i in range(128 // width)),
+                    2**128 - 1, 2**127]
+            for k1, k2 in [(run, 0) for run in runs] + [
+                    (0, 2**128 - 1), (-(2**128 - 1), 2**128 - 1),
+                    (-half, -(half + 1))]:
+                total, count = comb_sum(comb, width, (k1, k2))
+                assert total == point_mul(k1 + k2 * lam, start), \
+                    (width, hex(k1), hex(k2))
+                assert count <= 2 * len(comb)
+            with pytest.raises(ArithmeticError):
+                comb_sum(comb, width, (1 << (width * len(comb)), 0))
+        # And whole scalars through signing's path.
         scalars = [127, 128, 129, 255, 256, 257, 0x80FF, 0xFF80,
                    int("80" * 32, 16), int("81" * 32, 16),
                    int("ff" * 32, 16) % N, 2**255, N - 1, N - 2]
@@ -227,12 +262,17 @@ class TestDifferentialScalarMult:
                 hex(scalar)
 
     def test_fixed_base_table_geometry(self):
-        table = ec_backend._fixed_base_table()
-        assert [len(row) for row in table] == [128] * 33
-        for row_index in (0, 1, 32):
-            for digit in (1, 2, 3, 128):
-                assert table[row_index][digit - 1] == \
-                    point_mul(digit << (8 * row_index), G)
+        """``comb[i][d − 1] = d · 2^(w·i) · P``: ``G`` at width 9 is 15 rows
+        of 256 (3 840 points), a recurring point at width 4 is 33 of 8."""
+        point = point_mul(0xD00D, G)
+        for comb, start, width, rows in [
+                (ec_backend._g_comb(), G, 9, 15),
+                (ec_backend._build_comb(point, 4), point, 4, 33)]:
+            assert [len(row) for row in comb] == [1 << (width - 1)] * rows
+            for row_index in (0, 1, rows - 1):
+                for digit in (1, 2, 3, 1 << (width - 1)):
+                    assert comb[row_index][digit - 1] == \
+                        point_mul(digit << (width * row_index), start)
 
     def test_fixed_base_bulk_1000(self):
         """The headline differential: 1000 random scalars, fast vs oracle."""
@@ -261,7 +301,7 @@ class TestDifferentialScalarMult:
         for scalar in scalars:
             got = scalar_mult(scalar, base)
             assert got == point_mul(scalar, base), hex(scalar)
-            assert got == _wnaf_scalar_mult(scalar, base), hex(scalar)
+            assert got == wnaf_scalar_mult(scalar, base), hex(scalar)
         # N itself and multiples fold to the point at infinity.
         assert scalar_mult(N, base) is None
         assert scalar_mult(3 * N, base) is None
@@ -271,7 +311,7 @@ class TestDifferentialScalarMult:
            st.integers(min_value=1, max_value=N - 1))
     def test_variable_point_hypothesis(self, scalar, point_scalar):
         point = scalar_mult_base(point_scalar)
-        assert scalar_mult(scalar, point) == _wnaf_scalar_mult(scalar, point)
+        assert scalar_mult(scalar, point) == wnaf_scalar_mult(scalar, point)
 
     def test_variable_point_is_the_one_point_multi_scalar_case(
             self, monkeypatch):
