@@ -20,6 +20,7 @@ from repro.bench import (
 from repro.core import (
     LIFECYCLE_PHASES,
     Marketplace,
+    MLTrainingKind,
     ModelSpec,
     TrainingSpec,
     WorkloadSpec,
@@ -69,9 +70,10 @@ def run_bench(quick: bool = False) -> dict:
     """One full Fig. 2 lifecycle, measured and itemized per phase."""
     providers, executors = (6, 2) if quick else (8, 2)
     market, consumer = build_market(providers, executors)
-    result = market.run_workload(consumer,
-                                 har_spec("e1-bench", confirmations=2))
-    trail = market.event_log.for_session(result.session_id)
+    session = market.session_for(
+        consumer, MLTrainingKind(har_spec("e1-bench", confirmations=2)))
+    result = session.run()
+    trail = session.trail
     wall = phase_wall_times(trail)
     gas = phase_gas_totals(trail)
     rows = [

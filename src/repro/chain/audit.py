@@ -99,8 +99,6 @@ class Violation:
                 "detail": self.detail, "account": self.account}
 
 
-#: How many recent finished spans a forensic bundle captures.
-BUNDLE_SPAN_WINDOW = 25
 #: Which bit of the victim's balance :func:`install_state_corruption` flips.
 CORRUPTED_BIT = 20
 
@@ -329,10 +327,8 @@ class ChainAuditor:
                 "hashes": sorted(tx.tx_hash.hex()
                                  for tx in self.chain.mempool),
             },
-            "recent_spans": [
-                span.to_dict() for span
-                in list(_tracer().finished)[-BUNDLE_SPAN_WINDOW:]
-            ],
+            "recent_spans": [span.to_dict()
+                             for span in list(_tracer().finished)],
         }
 
     def _write_bundle(self, bundle: dict) -> None:

@@ -10,11 +10,11 @@ seeds produce byte-identical ``blocks.jsonl`` files.
 
 The records power two consumers:
 
-* :func:`render_chain_top` — the fixed-width panel behind
-  ``python -m repro chain top [--watch]``.
-* :class:`ChainRunRecorder` / :func:`read_chain_run` — a crash-tolerant
-  run directory (``blocks.jsonl`` is append-only and read back through the
-  same torn-tail reader as the batch journals).
+* :func:`render_chain_top` — the chain pane of ``python -m repro top RUN
+  [--watch]``.
+* :class:`ChainRunRecorder` / :func:`read_chain_run` — the chain half of a
+  crash-tolerant run directory (``blocks.jsonl`` is append-only and read
+  back through the same torn-tail reader as the batch journals).
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ RECORD_VERSION = 2
 #: How many block records an observer keeps in memory (the tail; sinks
 #: receive every record, so a run directory holds them all).
 MAX_BLOCK_RECORDS = 1024
+
+#: A run directory's chain files: one record per sealed block, the auditor
+#: summary written when the run ends, and the auditor's forensic bundles.
+BLOCKS_FILE = "blocks.jsonl"
+AUDIT_FILE = "audit.json"
+FORENSICS_DIR = "forensics"
 
 #: Gas-price buckets for per-block fee percentiles.
 FEE_BUCKETS: tuple[float, ...] = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
@@ -133,7 +139,7 @@ class ChainObserver:
 
 
 # ---------------------------------------------------------------------------
-# Rendering: python -m repro chain top
+# Rendering: the chain pane of python -m repro top
 # ---------------------------------------------------------------------------
 
 _WIDTH = 74
@@ -227,20 +233,27 @@ class ChainRunRecorder:
     def __init__(self, root: str):
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._fh = open(os.path.join(root, "blocks.jsonl"), "a",
+        self._fh = open(os.path.join(root, BLOCKS_FILE), "a",
                         encoding="utf-8")
 
     def sink(self, record: dict) -> None:
         append_jsonl(self._fh, record)
 
     def attach(self, chain: Any) -> None:
-        """Wire this recorder into a chain's observer and auditor."""
+        """Wire this recorder into a chain's observer and auditor.
+
+        The observer's backlog (blocks sealed before the recorder existed,
+        up to :data:`MAX_BLOCK_RECORDS`) is written first, so
+        ``blocks.jsonl`` starts at block 1.
+        """
+        for record in chain.observer.records:
+            self.sink(record)
         chain.observer.sinks.append(self.sink)
-        chain.auditor.forensics_dir = os.path.join(self.root, "forensics")
+        chain.auditor.forensics_dir = os.path.join(self.root, FORENSICS_DIR)
 
     def close(self, chain: Any) -> None:
         """Write the audit summary and release the stream."""
-        with open(os.path.join(self.root, "audit.json"), "w",
+        with open(os.path.join(self.root, AUDIT_FILE), "w",
                   encoding="utf-8") as fh:
             json.dump(chain.auditor.summary(), fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -259,9 +272,9 @@ def read_chain_run(root: str) -> dict:
     read back as they are, and an ``attribution.json`` left by such a run is
     ignored.
     """
-    records = read_jsonl(os.path.join(root, "blocks.jsonl"), ChainError)
+    records = read_jsonl(os.path.join(root, BLOCKS_FILE), ChainError)
     audit: Optional[dict] = None
-    audit_path = os.path.join(root, "audit.json")
+    audit_path = os.path.join(root, AUDIT_FILE)
     if os.path.exists(audit_path):
         try:
             with open(audit_path, "r", encoding="utf-8") as fh:

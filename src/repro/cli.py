@@ -8,19 +8,26 @@ Usage::
     python -m repro aggregate --kind mean --dp-epsilon 1.0
                                          # run a DP aggregate workload
     python -m repro faults crash-execute # inject a fault, watch recovery
-    python -m repro quickstart --trace run.jsonl
-    python -m repro trace run.jsonl      # replay a session's event timeline
-    python -m repro metrics run.jsonl    # Prometheus view of a run
-    python -m repro spans run.jsonl      # flame-style span tree of a run
+    python -m repro quickstart --run RUNS/q
+                                         # record a run directory
+    python -m repro trace RUNS/q         # replay a session's event timeline
+    python -m repro metrics RUNS/q       # Prometheus view of a run
+    python -m repro spans RUNS/q         # flame-style span tree of a run
     python -m repro bench --suite quick --compare BENCH_seed.json
                                          # benchmark trajectory + CI gate
     python -m repro profile --format collapsed
                                          # deterministic sampling profile
     python -m repro batch submit RUNS/b --jobs 240
                                          # sharded, crash-resumable batch
-    python -m repro top RUNS/b --watch 2 # live ops view: workers, SLO burn
+    python -m repro chain run RUNS/c     # mine a synthetic chain workload
+    python -m repro top RUNS/b --watch 2 # the console: batch and chain panes
     python -m repro batch trace RUNS/b --chrome t.json
                                          # assembled distributed trace
+    python -m repro chain audit RUNS/c   # auditor verdicts, exit 1 on any
+
+Every recording command (``quickstart|faults --run``, ``chain run``,
+``batch submit``) writes one run-directory layout (DESIGN §9) and refuses
+a RUN that already holds a run.
 
 The CLI exists so a downstream user can see the platform move without
 writing code; anything serious should use the Python API (see README).
@@ -30,24 +37,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
 import numpy as np
-
-
-def _labeled_snapshot() -> dict:
-    """Snapshot the process registry with run provenance attached.
-
-    Readers (``repro metrics``, the bench harness) ignore unknown top-level
-    keys, so old sidecars without ``provenance`` stay loadable.
-    """
-    from repro import telemetry
-    from repro.bench.schema import provenance
-
-    snap = telemetry.snapshot(telemetry.REGISTRY)
-    snap["provenance"] = provenance()
-    return snap
 
 
 class OutputWriter:
@@ -160,42 +154,62 @@ def _demo_spec(args: argparse.Namespace, workload_id: str, steps: int,
     return WorkloadSpec(**fields)
 
 
-def _run_traced(market: Any, trace: str | None, out: OutputWriter,
-                run: Any) -> Any:
-    """``run()``, with ``--trace PATH`` also writing the market's events to
-    PATH and the process registry to the PATH.metrics.json sidecar."""
-    if not trace:
-        return run()
-    from repro.core.events import JSONLSink
+def _claim_run(root: str, out: OutputWriter) -> bool:
+    """Create RUN for a recording command.  A RUN that already holds
+    anything is refused with one line on stderr (the caller exits 2): a
+    second run recorded into it would interleave with the first."""
+    if os.path.exists(root) and not (os.path.isdir(root)
+                                     and not os.listdir(root)):
+        out.error(f"{root!r} already holds a run; record into a new "
+                  "directory (`repro batch resume` continues a batch)")
+        return False
+    os.makedirs(root, exist_ok=True)
+    return True
 
-    with JSONLSink(trace) as sink:
+
+def _holds_batch(root: str) -> bool:
+    from repro.control import JobsDB
+
+    return os.path.exists(JobsDB(root).specs_path)
+
+
+def _record_session(market: Any, root: str | None, out: OutputWriter,
+                    run: Any) -> Any:
+    """``run()``; with ``--run RUN`` the market's events stream to
+    ``RUN/events.jsonl`` and its chain's blocks to ``RUN/blocks.jsonl``, and
+    the audit summary and the metrics snapshot are written at the end."""
+    if not root:
+        return run()
+    from repro.chain.observe import ChainRunRecorder
+    from repro.core.events import EVENTS_FILE, JSONLSink
+    from repro.telemetry import write_run_metrics
+
+    recorder = ChainRunRecorder(root)
+    recorder.attach(market.chain)
+    with JSONLSink(os.path.join(root, EVENTS_FILE)) as sink:
         market.events.attach(sink)
         try:
             result = run()
         finally:
             market.events.detach(sink)
-    # Sidecar snapshot of the process-wide registry: `repro metrics`
-    # prefers this exact view over a replay-derived approximation.
-    metrics_path = trace + ".metrics.json"
-    with open(metrics_path, "w", encoding="utf-8") as fh:
-        json.dump(_labeled_snapshot(), fh, indent=2)
-    out.line(f"event trace written to {trace} "
-             f"(replay: python -m repro trace {trace})")
-    out.line(f"metrics snapshot written to {metrics_path} "
-             f"(view: python -m repro metrics {metrics_path})")
-    out.set("trace", trace)
-    out.set("metrics_snapshot", metrics_path)
+            recorder.close(market.chain)
+    write_run_metrics(root)
+    out.line(f"run recorded in {root} "
+             f"(read: python -m repro top|trace|spans|metrics {root})")
+    out.set("run", root)
     return result
 
 
 def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
+    if args.run and not _claim_run(args.run, out):
+        return 2
     market, consumer = _demo_market(args, rows=1600)
     spec = _demo_spec(args, "cli-quickstart", steps=150,
                       dp_epsilon=args.dp_epsilon)
     out.line(f"running workload with {args.providers} providers, "
              f"{args.executors} executors…")
-    report = _run_traced(market, args.trace, out,
-                         lambda: market.run_workload(consumer, spec))
+    report = _record_session(market, args.run, out,
+                             lambda: market.run_workload(consumer, spec))
     out.line(f"accuracy: {report.consumer_score:.3f}")
     out.line(f"gas used: {report.gas_used:,}")
     out.line(f"rewards paid: {report.total_paid:,} "
@@ -221,6 +235,8 @@ def _cmd_faults(args: argparse.Namespace, out: OutputWriter) -> int:
         out.error(f"unknown fault scenario {args.scenario!r} "
                   f"(choose from: {', '.join(sorted(SCENARIOS))})")
         return 2
+    if args.run and not _claim_run(args.run, out):
+        return 2
     out.line(f"scenario {scenario.name}: {scenario.description}")
 
     market, consumer = _demo_market(args, rows=900)
@@ -236,8 +252,8 @@ def _cmd_faults(args: argparse.Namespace, out: OutputWriter) -> int:
     recover = not args.no_recovery
     out.line(f"recovery policy: {'on' if recover else 'off (baseline)'}")
 
-    result = _run_traced(
-        market, args.trace, out,
+    result = _record_session(
+        market, args.run, out,
         lambda: run_with_faults(market, consumer, spec, plan,
                                 recover=recover))
 
@@ -422,16 +438,21 @@ def _cmd_gossip(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.core.events import phase_gas_totals, read_jsonl_events
+    from repro.core.events import (
+        EVENTS_FILE,
+        phase_gas_totals,
+        read_jsonl_events,
+    )
     from repro.errors import PDS2Error
 
+    path = os.path.join(args.run, EVENTS_FILE)
     try:
-        events = read_jsonl_events(args.run)
+        events = read_jsonl_events(path)
     except (OSError, PDS2Error) as exc:
-        out.error(f"cannot read trace {args.run!r}: {exc}")
+        out.error(f"cannot read trace {path!r}: {exc}")
         return 1
     if not events:
-        out.error(f"no events in {args.run!r}")
+        out.error(f"no events in {path!r}")
         return 1
 
     sessions: list[str] = []
@@ -479,57 +500,33 @@ def _cmd_trace(args: argparse.Namespace, out: OutputWriter) -> int:
     return 0
 
 
-def _load_metrics_registry(source: str, out: OutputWriter):
-    """Build a registry from either a snapshot sidecar or a JSONL trace.
-
-    ``*.json`` sources are parsed as ``pds2-metrics-snapshot`` documents
-    (the exact registry state at the end of a run); anything else is
-    treated as an event trace and replayed into the derived event/gas/span
-    metrics.  Returns None after printing an error.
-    """
-    from repro.errors import TelemetryError
-    from repro.telemetry import MetricsRegistry, registry_from_events
-
-    if source.endswith(".json"):
-        try:
-            with open(source, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            out.error(f"cannot read snapshot {source!r}: {exc}")
-            return None
-        except json.JSONDecodeError as exc:
-            out.error(f"snapshot {source!r} is not valid JSON: {exc}")
-            return None
-        try:
-            return MetricsRegistry.from_snapshot(data)
-        except TelemetryError as exc:
-            out.error(f"snapshot {source!r} rejected: {exc}")
-            return None
-    from repro.core.events import read_jsonl_events
-
-    try:
-        events = read_jsonl_events(source)
-    except (OSError, TelemetryError) as exc:
-        out.error(f"cannot read trace {source!r}: {exc}")
-        return None
-    if not events:
-        out.error(f"no events in {source!r}")
-        return None
-    return registry_from_events(events)
-
-
 def _cmd_metrics(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.telemetry import snapshot, to_prometheus
+    """Prometheus view of ``RUN/metrics.json`` (or of a snapshot file)."""
+    from repro.errors import TelemetryError
+    from repro.telemetry import MetricsRegistry, snapshot, to_prometheus
+    from repro.telemetry.exporters import METRICS_FILE
 
-    registry = _load_metrics_registry(args.source, out)
-    if registry is None:
+    path = args.source
+    if os.path.isdir(path):
+        path = os.path.join(path, METRICS_FILE)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            registry = MetricsRegistry.from_snapshot(json.load(fh))
+    except OSError as exc:
+        out.error(f"cannot read snapshot {path!r}: {exc}")
+        return 1
+    except json.JSONDecodeError as exc:
+        out.error(f"snapshot {path!r} is not valid JSON: {exc}")
+        return 1
+    except TelemetryError as exc:
+        out.error(f"snapshot {path!r} rejected: {exc}")
         return 1
     exposition = to_prometheus(registry)
     if not exposition.strip():
-        out.error(f"{args.source!r} produced an empty registry")
+        out.error(f"{path!r} holds an empty registry")
         return 1
     if out.json_mode:
-        out.set("source", args.source)
+        out.set("source", path)
         out.set("snapshot", snapshot(registry))
     else:
         out.line(exposition.rstrip("\n"))
@@ -537,51 +534,26 @@ def _cmd_metrics(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_spans(args: argparse.Namespace, out: OutputWriter) -> int:
-    """Render spans from an event trace, a span sidecar, or a batch dir.
-
-    The source is sniffed, not flagged: a directory is treated as a batch
-    root (all ``spans/*.jsonl`` sidecars merged), a JSONL file whose
-    records carry ``"type": "span"`` as one sidecar shard, and anything
-    else as a lifecycle event trace carrying ``span.end`` events.
-    """
-    import os
-
+    """Render the spans a run recorded: the batch's span sidecars
+    (``RUN/spans/``) when RUN holds a batch, else the ``span.end`` events
+    of ``RUN/events.jsonl``."""
+    from repro.control import JobsDB
+    from repro.core.events import EVENTS_FILE, read_jsonl_events
     from repro.errors import PDS2Error
-    from repro.telemetry import (
-        Span,
-        read_span_records,
-        render_span_tree,
-        spans_from_events,
-    )
+    from repro.telemetry import Span, render_span_tree, spans_from_events
 
     source = args.run
     try:
-        if os.path.isdir(source):
-            from repro.control import JobsDB
-
-            db = JobsDB.open(source)
-            try:
-                records = db.span_records()
-            finally:
-                db.close()
+        if _holds_batch(source):
+            spans = [Span.from_dict(record)
+                     for record in JobsDB(source).span_records()
+                     if record.get("type") == "span"]
         else:
-            records = read_span_records(source)
+            spans = spans_from_events(
+                read_jsonl_events(os.path.join(source, EVENTS_FILE)))
     except (OSError, PDS2Error) as exc:
-        out.error(f"cannot read {source!r}: {exc}")
+        out.error(f"cannot read spans of {source!r}: {exc}")
         return 1
-
-    if any(r.get("type") == "span" for r in records):
-        spans = [Span.from_dict(r) for r in records
-                 if r.get("type") == "span"]
-    else:
-        from repro.core.events import read_jsonl_events
-
-        try:
-            events = read_jsonl_events(source)
-        except (OSError, PDS2Error) as exc:
-            out.error(f"cannot read trace {source!r}: {exc}")
-            return 1
-        spans = spans_from_events(events)
     if args.session:
         spans = [s for s in spans
                  if s.attributes.get("session_id") == args.session]
@@ -593,8 +565,7 @@ def _cmd_spans(args: argparse.Namespace, out: OutputWriter) -> int:
                    f"trace {args.trace_id!r}" if args.trace_id else ""]
         applied = " for " + " and ".join(f for f in filters if f) \
             if any(filters) else ""
-        out.error(f"no finished spans in {source!r}{applied}"
-                  " (was the trace written with span support?)")
+        out.error(f"no finished spans in {source!r}{applied}")
         return 1
     out.line(f"{len(spans)} spans from {source}")
     out.line(render_span_tree(spans))
@@ -714,26 +685,13 @@ def _cmd_profile(args: argparse.Namespace, out: OutputWriter) -> int:
     return 0
 
 
-def _batch_status_lines(out: OutputWriter, index: dict,
-                        manifest: dict | None) -> None:
-    batch = index.get("batch", {})
-    out.line(f"batch status: {batch.get('status', 'pending')}")
-    counts = index.get("counts", {})
-    for outcome in sorted(counts):
-        out.line(f"  {outcome:>18}: {counts[outcome]}")
-    if index.get("divergent"):
-        out.line(f"  DIVERGENT checkpoints: {len(index['divergent'])}")
-    if manifest:
-        out.line(f"manifest: {manifest.get('status')} "
-                 f"({manifest.get('jobs')} jobs, "
-                 f"{manifest.get('worker_deaths')} worker deaths, "
-                 f"{manifest.get('requeues')} requeues, "
-                 f"{manifest.get('wall_s', 0.0):.1f}s)")
-        out.line(f"batch digest: {manifest.get('batch_digest', '')}")
-
-
 def _batch_run(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.control import TERMINAL_BATCH_STATES, JobsDB, batch_execute
+    from repro.control import (
+        TERMINAL_BATCH_STATES,
+        batch_execute,
+        ops_snapshot,
+        render_top,
+    )
 
     last = [-1]
 
@@ -750,9 +708,7 @@ def _batch_run(args: argparse.Namespace, out: OutputWriter) -> int:
         kill_after=tuple(args.kill_worker_after or ()),
         progress=progress,
     )
-    db = JobsDB.open(args.root)
-    _batch_status_lines(out, db.compact(), db.read_manifest())
-    db.close()
+    out.line(render_top(ops_snapshot(args.root)).rstrip("\n"))
     out.set("status", report.status)
     out.set("counts", report.counts)
     out.set("batch_digest", report.batch_digest)
@@ -765,29 +721,48 @@ def _batch_run(args: argparse.Namespace, out: OutputWriter) -> int:
 
 
 def _cmd_top(args: argparse.Namespace, out: OutputWriter) -> int:
-    """Live (or one-shot) operator view of a batch directory."""
+    """The console over one run directory: a batch pane when RUN holds a
+    batch, a chain pane when it holds ``blocks.jsonl``.  ``--watch``
+    refreshes until every pane shown is final (a terminal batch state; an
+    ``audit.json``, which a run writes when it ends)."""
     import dataclasses
     import time as _time
 
+    from repro.chain.observe import (
+        BLOCKS_FILE,
+        read_chain_run,
+        render_chain_top,
+    )
     from repro.control import TERMINAL_BATCH_STATES, ops_snapshot, render_top
     from repro.errors import PDS2Error
 
-    snap = None
+    root = args.run
+    batch = _holds_batch(root)
+    chain = os.path.exists(os.path.join(root, BLOCKS_FILE))
+    if not (batch or chain):
+        out.error(f"no run at {root!r}: it holds neither a batch nor "
+                  f"{BLOCKS_FILE}")
+        return 1
     while True:
+        final = True
         try:
-            snap = ops_snapshot(args.root,
-                                settled_objective=args.slo_settled,
-                                p95_objective_s=args.slo_p95)
+            if batch:
+                snap = ops_snapshot(root)
+                out.line(render_top(snap).rstrip("\n"))
+                out.set("snapshot", dataclasses.asdict(snap))
+                final = snap.batch_status in TERMINAL_BATCH_STATES
+            if chain:
+                data = read_chain_run(root)
+                out.line(render_chain_top(data["records"], data["audit"]))
+                out.set("blocks", len(data["records"]))
+                final = final and data["audit"] is not None
         except PDS2Error as exc:
-            out.error(f"cannot read batch at {args.root!r}: {exc}")
+            out.error(f"cannot read run at {root!r}: {exc}")
             return 1
-        out.line(render_top(snap).rstrip("\n"))
-        if args.watch is None or snap.batch_status in TERMINAL_BATCH_STATES:
-            break
+        if args.watch is None or final:
+            return 0
         out.line("")
         _time.sleep(args.watch)
-    out.set("snapshot", dataclasses.asdict(snap))
-    return 0
 
 
 def _batch_trace(args: argparse.Namespace, out: OutputWriter) -> int:
@@ -843,6 +818,8 @@ def _cmd_batch(args: argparse.Namespace, out: OutputWriter) -> int:
         return _batch_trace(args, out)
 
     if args.batch_command == "submit":
+        if not _claim_run(args.root, out):
+            return 2
         specs = []
         for index in range(args.jobs):
             faulted = (args.fault_rate > 0
@@ -864,15 +841,6 @@ def _cmd_batch(args: argparse.Namespace, out: OutputWriter) -> int:
         return _batch_run(args, out)
     if args.batch_command == "resume":
         return _batch_run(args, out)
-    if args.batch_command == "status":
-        db = JobsDB.open(args.root)
-        index = db.compact()
-        _batch_status_lines(out, index, db.read_manifest())
-        out.set("batch", index.get("batch", {}))
-        out.set("counts", index.get("counts", {}))
-        out.set("divergent", index.get("divergent", []))
-        db.close()
-        return 0
     if args.batch_command == "kill":
         db = JobsDB.open(args.root)
         db.request_kill("cli")
@@ -892,7 +860,10 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
     from repro.chain.blockchain import Blockchain, Wallet
     from repro.chain.consensus import ProofOfAuthority
     from repro.chain.observe import ChainRunRecorder
+    from repro.telemetry import write_run_metrics
 
+    if not _claim_run(args.root, out):
+        return 2
     rng = np.random.default_rng(args.seed)
     consensus = ProofOfAuthority.with_generated_validators(1, rng)
     chain = Blockchain(consensus)
@@ -929,6 +900,7 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
                                 1000 + int(rng.integers(0, 1000)))
         chain.mine_block()
     recorder.close(chain)
+    write_run_metrics(args.root)
     violations = len(chain.auditor.violations)
     out.line(f"mined {chain.height} blocks into {args.root}")
     out.line(f"audit: {violations} violation(s) over "
@@ -939,37 +911,15 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
     return 0
 
 
-def _chain_top(args: argparse.Namespace, out: OutputWriter) -> int:
-    """Render the chain ops panel from a (possibly live) run directory."""
-    import time as _time
-
-    from repro.chain.observe import read_chain_run, render_chain_top
-
-    data = None
-    while True:
-        data = read_chain_run(args.root)
-        out.line(render_chain_top(data["records"],
-                                  data["audit"]).rstrip("\n"))
-        # audit.json only appears when the run finalizes — the chain
-        # equivalent of a terminal batch state for --watch.
-        if args.watch is None or data["audit"] is not None:
-            break
-        out.line("")
-        _time.sleep(args.watch)
-    out.set("blocks", len(data["records"]))
-    return 0
-
-
 def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
     """Report audit verdicts for a finished run; nonzero on violations."""
-    import os as _os
-
-    from repro.chain.observe import read_chain_run
+    from repro.chain.observe import AUDIT_FILE, FORENSICS_DIR, read_chain_run
 
     data = read_chain_run(args.root)
     audit = data["audit"]
     if audit is None:
-        out.error(f"no audit report in {args.root!r} (run not finalized)")
+        out.error(f"no {AUDIT_FILE} in {args.root!r} (no chain recorded "
+                  "there, or the run has not ended)")
         return 2
     checked = audit.get("blocks_checked", 0)
     violations = audit.get("violations", [])
@@ -978,11 +928,11 @@ def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
     for violation in violations:
         out.line(f"  block {violation.get('block')} "
                  f"[{violation.get('kind')}] {violation.get('detail')}")
-    forensics = _os.path.join(args.root, "forensics")
-    if violations and _os.path.isdir(forensics):
-        bundles = sorted(_os.listdir(forensics))
+    forensics = os.path.join(args.root, FORENSICS_DIR)
+    if violations and os.path.isdir(forensics):
+        bundles = sorted(os.listdir(forensics))
         out.line(f"forensic bundles: "
-                 f"{', '.join(_os.path.join(forensics, b) for b in bundles)}")
+                 f"{', '.join(os.path.join(forensics, b) for b in bundles)}")
     out.set("blocks_checked", checked)
     out.set("violations", violations)
     return 1 if violations else 0
@@ -994,8 +944,6 @@ def _cmd_chain(args: argparse.Namespace, out: OutputWriter) -> int:
     if args.chain_command == "run":
         return _chain_run(args, out)
     try:
-        if args.chain_command == "top":
-            return _chain_top(args, out)
         if args.chain_command == "audit":
             return _chain_audit(args, out)
     except ChainError as exc:
@@ -1028,10 +976,10 @@ def build_parser() -> argparse.ArgumentParser:
     quickstart.add_argument("--executors", type=int, default=2)
     quickstart.add_argument("--seed", type=int, default=42)
     quickstart.add_argument("--dp-epsilon", type=float, default=None)
-    quickstart.add_argument("--trace", default=None, metavar="PATH",
-                            help="write the lifecycle event trace to a "
-                                 "JSONL file (replay with `repro trace`) "
-                                 "plus a PATH.metrics.json snapshot")
+    quickstart.add_argument("--run", default=None, metavar="RUN",
+                            help="record the run into a new directory "
+                                 "(read with `repro top|trace|spans|"
+                                 "metrics RUN`)")
     add_json_flag(quickstart)
     quickstart.set_defaults(handler=_cmd_quickstart)
 
@@ -1056,9 +1004,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the fail-fast baseline engine (no retry/"
                              "re-match/degrade); injected faults are "
                              "terminal")
-    faults.add_argument("--trace", default=None, metavar="PATH",
-                        help="write the lifecycle event trace to a JSONL "
-                             "file plus a PATH.metrics.json snapshot")
+    faults.add_argument("--run", default=None, metavar="RUN",
+                        help="record the run into a new directory")
     add_json_flag(faults)
     faults.set_defaults(handler=_cmd_faults)
 
@@ -1098,8 +1045,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace = subparsers.add_parser(
         "trace", help="replay a recorded lifecycle event trace"
     )
-    trace.add_argument("run", help="path to a JSONL trace written by "
-                                   "`repro quickstart --trace`")
+    trace.add_argument("run", help="run directory written by "
+                                   "`repro quickstart|faults --run`")
     trace.add_argument("--session", default=None,
                        help="session id to replay (default: the last "
                             "session in the trace)")
@@ -1109,20 +1056,18 @@ def build_parser() -> argparse.ArgumentParser:
     metrics = subparsers.add_parser(
         "metrics", help="render run metrics in Prometheus text format"
     )
-    metrics.add_argument("source",
-                         help="a *.metrics.json snapshot written by "
-                              "`repro quickstart --trace`, or a JSONL "
-                              "trace to replay into derived metrics")
+    metrics.add_argument("source", metavar="RUN",
+                         help="a run directory (its metrics.json) or a "
+                              "metrics snapshot file")
     add_json_flag(metrics)
     metrics.set_defaults(handler=_cmd_metrics)
 
     spans = subparsers.add_parser(
         "spans", help="render the span tree recorded in a trace"
     )
-    spans.add_argument("run", help="a JSONL event trace (from `repro "
-                                   "quickstart --trace`), a span sidecar "
-                                   "(spans/<shard>.jsonl), or a batch "
-                                   "directory (all sidecars merged)")
+    spans.add_argument("run", help="a run directory: a batch's span "
+                                   "sidecars, or else the span.end events "
+                                   "of its events.jsonl")
     spans.add_argument("--session", default=None,
                        help="only spans of one session id")
     spans.add_argument("--trace", dest="trace_id", default=None,
@@ -1132,19 +1077,14 @@ def build_parser() -> argparse.ArgumentParser:
     spans.set_defaults(handler=_cmd_spans)
 
     top = subparsers.add_parser(
-        "top", help="live ops view of a batch: workers, heartbeats, "
-                    "outcomes, SLO burn"
+        "top", help="the console over a run directory: a batch pane "
+                    "(workers, outcomes, SLO burn) and a chain pane "
+                    "(blocks, mempool, audit verdict)"
     )
-    top.add_argument("root", help="batch directory (running or settled)")
+    top.add_argument("run", help="run directory (running or finished)")
     top.add_argument("--watch", type=float, default=None, metavar="SECONDS",
-                     help="refresh every SECONDS until the batch reaches "
-                          "a terminal state (default: print once)")
-    top.add_argument("--slo-settled", type=float, default=0.95,
-                     metavar="FRACTION",
-                     help="settled-fraction objective for the burn gauge")
-    top.add_argument("--slo-p95", type=float, default=5.0,
-                     metavar="SECONDS",
-                     help="p95 job wall-time objective for the burn gauge")
+                     help="refresh every SECONDS until every pane shown is "
+                          "final (default: print once)")
     add_json_flag(top)
     top.set_defaults(handler=_cmd_top)
 
@@ -1234,13 +1174,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_json_flag(resume)
     resume.set_defaults(handler=_cmd_batch)
 
-    status = batch_sub.add_parser(
-        "status", help="show batch progress from the journal"
-    )
-    status.add_argument("root", help="existing batch directory")
-    add_json_flag(status)
-    status.set_defaults(handler=_cmd_batch)
-
     kill = batch_sub.add_parser(
         "kill", help="write the KILL sentinel: abort the running batch"
     )
@@ -1260,8 +1193,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_trace.set_defaults(handler=_cmd_batch)
 
     chain_cmd = subparsers.add_parser(
-        "chain", help="run, watch, and audit the blockchain substrate's "
-                      "ops plane"
+        "chain", help="run and audit the blockchain substrate's ops plane"
     )
     chain_sub = chain_cmd.add_subparsers(dest="chain_command", required=True)
 
@@ -1280,18 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 "block N seals (auditor must catch it)")
     add_json_flag(chain_run)
     chain_run.set_defaults(handler=_cmd_chain)
-
-    chain_top = chain_sub.add_parser(
-        "top", help="ops panel: utilization, fees, mempool, batch "
-                    "verification, audit verdict"
-    )
-    chain_top.add_argument("root", help="chain run directory")
-    chain_top.add_argument("--watch", type=float, default=None,
-                           metavar="SECONDS",
-                           help="refresh every SECONDS until the run "
-                                "finalizes (default: print once)")
-    add_json_flag(chain_top)
-    chain_top.set_defaults(handler=_cmd_chain)
 
     chain_audit = chain_sub.add_parser(
         "audit", help="report invariant-audit verdicts for a finished "

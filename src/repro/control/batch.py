@@ -489,11 +489,7 @@ def batch_execute(root: str, workers: int = 4, *,
         "results": {job_id: result.to_dict()
                     for job_id, result in sorted(results.items())},
     })
-    sidecar = os.path.join(root, "manifest.metrics.json")
-    with open(sidecar, "w", encoding="utf-8") as handle:
-        json.dump(telemetry.snapshot(telemetry.REGISTRY), handle,
-                  sort_keys=True, indent=2)
-        handle.write("\n")
+    telemetry.write_run_metrics(root)
     db.close()
     return BatchReport(
         status=status, counts=counts, results=results, jobs=total,

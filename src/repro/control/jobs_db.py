@@ -6,8 +6,9 @@ One batch lives in one directory::
       specs.jsonl          # submitted JobSpecs, one per line (written once)
       journal/<shard>.jsonl# append-only progress records, one shard per
                            # writer process (no cross-process file locking)
+      spans/<shard>.jsonl  # span sidecars, one shard per writer process
       manifest.json        # final batch manifest (terminal states only)
-      manifest.metrics.json# telemetry sidecar (coordinator registry)
+      metrics.json         # coordinator registry snapshot (terminal states)
       heartbeats/<id>.json # per-worker liveness beacons
       KILL                 # operator kill sentinel (``repro batch kill``)
 
@@ -45,6 +46,21 @@ BATCH_PARTIAL_FAILED = "partial_failed"
 BATCH_STATES = (BATCH_PENDING, BATCH_RUNNING, BATCH_DONE, BATCH_FAILED,
                 BATCH_PARTIAL_FAILED)
 TERMINAL_BATCH_STATES = (BATCH_DONE, BATCH_FAILED, BATCH_PARTIAL_FAILED)
+
+
+def _read_shards(directory: str) -> list[dict]:
+    """Every record of every ``*.jsonl`` shard in ``directory``, torn tails
+    dropped, in ``(ts, shard, seq)`` order (per-shard order is exact;
+    cross-shard order is wall-clock best-effort)."""
+    records: list[dict] = []
+    if os.path.isdir(directory):
+        for name in sorted(os.listdir(directory)):
+            if name.endswith(".jsonl"):
+                records.extend(read_jsonl(os.path.join(directory, name),
+                                          JobsDBError))
+    records.sort(key=lambda r: (r.get("ts", 0.0), r.get("shard", ""),
+                                r.get("seq", 0)))
+    return records
 
 
 def _atomic_write_json(path: str, payload: Any) -> None:
@@ -173,33 +189,13 @@ class JobsDB:
         return self._span_writers[shard]
 
     def span_records(self) -> list[dict]:
-        """Every span-sidecar record across all shards, torn tails dropped,
-        in ``(ts, shard, seq)`` best-effort global order."""
-        from repro.telemetry.distributed import read_span_records
-
-        records: list[dict] = []
-        if os.path.isdir(self.spans_dir):
-            for name in sorted(os.listdir(self.spans_dir)):
-                if name.endswith(".jsonl"):
-                    records.extend(read_span_records(
-                        os.path.join(self.spans_dir, name)))
-        records.sort(key=lambda r: (r.get("ts", 0.0), r.get("shard", ""),
-                                    r.get("seq", 0)))
-        return records
+        """Every span-sidecar record across all shards (:func:`_read_shards`)."""
+        return _read_shards(self.spans_dir)
 
     def journal_records(self) -> list[dict]:
-        """Every record across all shards, in global ``(ts, shard, seq)``
-        order (per-shard order is exact; cross-shard order is wall-clock
-        best-effort, which compaction only uses for tie-breaking)."""
-        records: list[dict] = []
-        if os.path.isdir(self.journal_dir):
-            for name in sorted(os.listdir(self.journal_dir)):
-                if name.endswith(".jsonl"):
-                    records.extend(read_jsonl(
-                        os.path.join(self.journal_dir, name), JobsDBError))
-        records.sort(key=lambda r: (r.get("ts", 0.0), r.get("shard", ""),
-                                    r.get("seq", 0)))
-        return records
+        """Every journal record across all shards (:func:`_read_shards`);
+        compaction only uses the cross-shard order for tie-breaking."""
+        return _read_shards(self.journal_dir)
 
     # -- compaction ---------------------------------------------------------
 

@@ -6,11 +6,12 @@ Two consumers share this module:
   the jobs journal, and heartbeat evidence into one causally-linked tree
   (:func:`assemble_batch_trace`), render the deterministic critical-path
   report, and optionally export Chrome trace-event JSON.
-* ``repro top ROOT`` — the live view: per-worker job states and heartbeat
-  ages, per-job retry counts, outcome tallies, and SLO burn rates
-  (:func:`ops_snapshot` / :func:`render_top`).  Everything reads the same
-  torn-tail-tolerant files the coordinator writes, so ``top`` can watch a
-  batch that is mid-flight — or post-mortem one whose coordinator died.
+* ``repro top RUN`` — the batch pane: per-worker job states and heartbeat
+  ages, retry counts, outcome tallies, divergent checkpoints, SLO burn and,
+  once terminal, the batch digest (:func:`ops_snapshot` /
+  :func:`render_top`).  It reads the same torn-tail-tolerant files the
+  coordinator writes, so ``top`` can watch a batch that is mid-flight — or
+  post-mortem one whose coordinator died.
 
 SLO burn convention (error-budget consumption, dimensionless):
 
@@ -29,14 +30,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.control.jobs_db import JobsDB
+from repro.control.jobs_db import TERMINAL_BATCH_STATES, JobsDB
 from repro.telemetry.distributed import (
     AssembledTrace,
     assemble_trace,
 )
 from repro.telemetry.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 
-#: Default SLO objectives for the burn gauges (overridable from the CLI).
+#: SLO objectives for the burn gauges.
 DEFAULT_SETTLED_OBJECTIVE = 0.95
 DEFAULT_P95_OBJECTIVE_S = 5.0
 
@@ -76,19 +77,21 @@ class OpsSnapshot:
     p95_burn: Optional[float] = None
     worker_deaths: int = 0
     requeues: int = 0
+    #: Jobs whose attempts journaled different digests for one boundary.
+    divergent: int = 0
+    #: The manifest's digest over every result; empty until terminal.
+    batch_digest: str = ""
 
 
-def ops_snapshot(root: str, *,
-                 settled_objective: float = DEFAULT_SETTLED_OBJECTIVE,
-                 p95_objective_s: float = DEFAULT_P95_OBJECTIVE_S,
-                 now: Optional[float] = None) -> OpsSnapshot:
+def ops_snapshot(root: str) -> OpsSnapshot:
     """Read the batch directory into one :class:`OpsSnapshot`."""
-    now = time.time() if now is None else now
+    now = time.time()
     db = JobsDB.open(root)
     try:
         index = db.compact()
         records = db.journal_records()
         beats = db.read_heartbeats()
+        manifest = db.read_manifest() or {}
     finally:
         db.close()
 
@@ -131,9 +134,9 @@ def ops_snapshot(root: str, *,
     settled_burn = None
     p95_burn = None
     if terminal:
-        budget = max(1e-9, 1.0 - settled_objective)
+        budget = max(1e-9, 1.0 - DEFAULT_SETTLED_OBJECTIVE)
         settled_burn = (1.0 - settled_fraction) / budget
-        p95_burn = p95_wall_s / max(1e-9, p95_objective_s)
+        p95_burn = p95_wall_s / max(1e-9, DEFAULT_P95_OBJECTIVE_S)
 
     workers: dict[str, dict] = {}
     for worker, beat in sorted(beats.items()):
@@ -146,9 +149,10 @@ def ops_snapshot(root: str, *,
             "pid": beat.get("pid", 0),
         }
 
+    batch_status = index.get("batch", {}).get("status", "unknown")
     return OpsSnapshot(
         root=root,
-        batch_status=index.get("batch", {}).get("status", "unknown"),
+        batch_status=batch_status,
         trace_id=trace_id,
         jobs=len(jobs) or int(index.get("batch", {}).get("jobs", 0)),
         counts=counts,
@@ -160,6 +164,9 @@ def ops_snapshot(root: str, *,
         p95_burn=p95_burn,
         worker_deaths=worker_deaths,
         requeues=requeues,
+        divergent=len(index.get("divergent", [])),
+        batch_digest=(manifest.get("batch_digest", "")
+                      if batch_status in TERMINAL_BATCH_STATES else ""),
     )
 
 
@@ -182,8 +189,10 @@ def render_top(snap: OpsSnapshot) -> str:
          f"burn={_burn(snap.settled_burn)}  "
          f"p95_wall={snap.p95_wall_s:.3f}s burn={_burn(snap.p95_burn)}"),
         (f"faults: worker_deaths={snap.worker_deaths} "
-         f"requeues={snap.requeues}"),
+         f"requeues={snap.requeues} divergent={snap.divergent}"),
     ]
+    if snap.batch_digest:
+        lines.append(f"batch digest: {snap.batch_digest}")
     if snap.retries:
         tail = ", ".join(f"{job}x{attempts}" for job, attempts
                          in list(snap.retries.items())[:8])

@@ -29,7 +29,6 @@ from repro.core.events import (
     EventBus,
     JSONLSink,
     LifecycleEvent,
-    RingBufferSink,
     phase_gas_totals,
     phase_wall_times,
     read_jsonl_events,
@@ -90,7 +89,6 @@ __all__ = [
     "EventBus",
     "JSONLSink",
     "LifecycleEvent",
-    "RingBufferSink",
     "phase_gas_totals",
     "phase_wall_times",
     "read_jsonl_events",

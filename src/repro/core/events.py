@@ -3,9 +3,10 @@
 Every observable step of a workload lifecycle — phase transitions, block
 mining, attestation checks, enclave launches, data submissions, payouts —
 is published as a frozen :class:`LifecycleEvent` on the marketplace
-:class:`EventBus`.  Sinks are pluggable: the default in-memory
-:class:`RingBufferSink` backs interactive queries and tests and a
-:class:`JSONLSink` persists a run for ``python -m repro trace``.
+:class:`EventBus`.  The bus keeps nothing: a session's events live in its
+own ``session.trail``, and any other reader attaches a sink — a
+:class:`JSONLSink` persists a run's events to ``RUN/events.jsonl`` for
+``python -m repro trace|spans``.
 
 The event trail is the off-chain half of the audit story (DataBright/D2M
 structure their markets the same way): each event records the session id,
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Protocol
@@ -97,23 +97,8 @@ class EventSink(Protocol):
         ...
 
 
-#: Events the marketplace's in-memory ring keeps.
-RING_BUFFER_CAPACITY = 10_000
-
-
-class RingBufferSink:
-    """Keep the most recent :data:`RING_BUFFER_CAPACITY` events in memory
-    (the default sink)."""
-
-    def __init__(self):
-        self._buffer: deque[LifecycleEvent] = deque(maxlen=RING_BUFFER_CAPACITY)
-
-    def emit(self, event: LifecycleEvent) -> None:
-        self._buffer.append(event)
-
-    def for_session(self, session_id: str) -> tuple[LifecycleEvent, ...]:
-        """All buffered events of one session, in publication order."""
-        return tuple(e for e in self._buffer if e.session_id == session_id)
+#: A run directory's lifecycle events, one JSON line each.
+EVENTS_FILE = "events.jsonl"
 
 
 class JSONLSink:

@@ -53,7 +53,7 @@ from repro.core.actors import (
     ProviderActor,
     accept_all_policy,
 )
-from repro.core.events import EventBus, LifecycleEvent, RingBufferSink
+from repro.core.events import EventBus, LifecycleEvent
 from repro.core.lifecycle import (
     AggregateWorkloadKind,
     MLTrainingKind,
@@ -126,17 +126,16 @@ class Marketplace:
         self.manufacturers = ManufacturerRegistry()
         self.clock = 0.0
 
-        # Structured observability: every layer reports into this bus; the
-        # ring buffer keeps the recent history queryable in-process.
+        # Structured observability: every layer reports into this bus.  It
+        # keeps nothing: a session's events live in ``session.trail``, and
+        # any other reader attaches a sink.
         self.events = EventBus()
-        self.event_log = RingBufferSink()
-        self.events.attach(self.event_log)
         self._active: Optional[WorkloadSession] = None
         self._session_counter = 0
 
         # Telemetry: this marketplace drives the process tracer's sim clock
         # and publishes every finished span as a `span.end` event, which is
-        # how spans reach JSONL traces and `python -m repro spans`.  The
+        # how spans reach a run's events.jsonl and `python -m repro spans`.  The
         # tracer clock follows whichever marketplace was constructed last —
         # one simulation at a time, like the sim itself.
         self.tracer = telemetry.tracer()

@@ -36,7 +36,6 @@ from repro.telemetry.distributed import (
     critical_path,
     derive_span_id,
     derive_trace_id,
-    read_span_records,
     render_critical_path,
     to_chrome_trace,
     validate_chrome_trace,
@@ -44,12 +43,12 @@ from repro.telemetry.distributed import (
 from repro.telemetry.exporters import (
     profile_snapshot,
     profile_to_collapsed,
-    registry_from_events,
     render_profile_tree,
     render_span_tree,
     snapshot,
     spans_from_events,
     to_prometheus,
+    write_run_metrics,
 )
 from repro.telemetry.metrics import (
     BYTES_BUCKETS,
@@ -124,8 +123,6 @@ __all__ = [
     "profile_snapshot",
     "profile_to_collapsed",
     "profiled",
-    "read_span_records",
-    "registry_from_events",
     "render_critical_path",
     "render_profile_tree",
     "render_span_tree",
@@ -136,4 +133,5 @@ __all__ = [
     "to_prometheus",
     "tracer",
     "validate_chrome_trace",
+    "write_run_metrics",
 ]

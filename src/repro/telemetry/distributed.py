@@ -43,7 +43,6 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.errors import TelemetryError
 from repro.telemetry.tracing import Span
-from repro.utils.serialization import read_jsonl
 
 TRACEPARENT_VERSION = "00"
 TRACEPARENT_FLAGS = "01"
@@ -217,15 +216,6 @@ def _jsonable(value: Any) -> Any:
         if hasattr(value, "item"):  # numpy scalar
             return value.item()
         return str(value)
-
-
-def read_span_records(path: str) -> list[dict]:
-    """Torn-tail-tolerant reader over one sidecar JSONL file.
-
-    Same contract as the jobs journal: a half-written final line from a
-    SIGKILLed writer is dropped; corruption anywhere else raises.
-    """
-    return read_jsonl(path, TelemetryError)
 
 
 # ---------------------------------------------------------------------------

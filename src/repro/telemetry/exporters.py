@@ -7,7 +7,7 @@ Three consumers, three formats:
   histogram buckets) — what a scraper or the CI smoke job reads;
 * :func:`snapshot` / :class:`~repro.telemetry.metrics.MetricsRegistry.from_snapshot`
   round-trip a registry through JSON — what benchmark results files and
-  ``quickstart --trace`` sidecars carry;
+  a run directory's ``metrics.json`` (:func:`write_run_metrics`) carry;
 * :func:`render_span_tree` prints a flame-style nested tree of finished
   spans with both clocks — what ``python -m repro spans`` shows.
 
@@ -17,11 +17,14 @@ The exposition format is tested as a round-trip against the parser in
 
 from __future__ import annotations
 
+import json
 import math
+import os
 from typing import Iterable, Mapping
 
 from repro.telemetry.metrics import (
     QUANTILE_POINTS,
+    REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -118,6 +121,25 @@ def snapshot(registry: MetricsRegistry) -> dict:
     """JSON-serializable snapshot (inverse:
     :meth:`MetricsRegistry.from_snapshot`)."""
     return registry.snapshot()
+
+
+#: A run directory's registry snapshot, written when the run ends.
+METRICS_FILE = "metrics.json"
+
+
+def write_run_metrics(root: str) -> str:
+    """Write the process registry, with run provenance, to
+    ``root/metrics.json`` (every recording command ends with this); returns
+    the path.  ``repro metrics`` reads it back through
+    :meth:`MetricsRegistry.from_snapshot`, which ignores the extra key."""
+    from repro.bench.schema import provenance
+
+    path = os.path.join(root, METRICS_FILE)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump({**snapshot(REGISTRY), "provenance": provenance()},
+                  handle, sort_keys=True, indent=2)
+        handle.write("\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -263,46 +285,3 @@ def spans_from_events(events: Iterable) -> list[Span]:
         if event.name == "span.end":
             spans.append(Span.from_dict(dict(event.data)))
     return spans
-
-
-# ---------------------------------------------------------------------------
-# Trace replay -> registry (for `repro metrics` over a bare trace)
-# ---------------------------------------------------------------------------
-
-
-def registry_from_events(events: Iterable) -> MetricsRegistry:
-    """Rebuild a metrics view from a recorded event stream.
-
-    A JSONL trace may predate (or lack) its metrics sidecar; the event
-    stream still carries enough to derive the event/gas/span metrics, so
-    ``repro metrics trace.jsonl`` always has something faithful to show.
-    Duck-typed like :func:`spans_from_events`.
-    """
-    registry = MetricsRegistry()
-    by_name = registry.counter(
-        "pds2_events_total", "Lifecycle events by name", labelnames=("name",)
-    )
-    by_phase = registry.counter(
-        "pds2_events_by_phase_total", "Lifecycle events by phase",
-        labelnames=("phase",),
-    )
-    gas = registry.counter(
-        "pds2_gas_used_total", "Gas consumed, by lifecycle phase",
-        labelnames=("phase",),
-    )
-    span_sim = registry.histogram(
-        "pds2_span_sim_duration", "Sim-clock span durations by span name",
-        buckets=(0.5, 1, 2, 5, 10, 25, 50, 100, 250, 1000),
-        labelnames=("span",),
-    )
-    for event in events:
-        by_name.labels(name=event.name).inc()
-        by_phase.labels(phase=event.phase).inc()
-        if event.gas_delta:
-            gas.labels(phase=event.phase).inc(event.gas_delta)
-        if event.name == "span.end":
-            data = dict(event.data)
-            span_sim.child(span=data.get("name", "?")).observe(
-                float(data.get("sim_duration", 0.0))
-            )
-    return registry

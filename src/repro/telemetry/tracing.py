@@ -9,10 +9,11 @@ the run (the marketplace tick or the discrete-event simulator), and free-form
 attributes (gas, bytes, message counts).
 
 The tracer is deliberately simple: a stack, because the whole reproduction
-is single-threaded; a bounded deque of finished spans for in-process
-queries; and an ``on_finish`` hook the marketplace uses to publish every
-finished span as a ``span.end`` event on its :class:`EventBus` — which is
-how spans reach JSONL traces and the ``python -m repro spans`` renderer.
+is single-threaded; the last :data:`KEPT_SPANS` finished spans, which a
+chain auditor's forensic bundle captures; and an ``on_finish`` hook the
+marketplace uses to publish every finished span as a ``span.end`` event on
+its :class:`EventBus` — which is how spans reach a run's ``events.jsonl``
+and the ``python -m repro spans`` renderer.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ from typing import Any, Callable, Iterator, Mapping, Optional
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
 
-#: How many finished spans a tracer keeps for in-process queries.
-MAX_FINISHED_SPANS = 50_000
+#: How many finished spans a tracer keeps: the window a chain auditor's
+#: forensic bundle captures (sinks and exporters see every span).
+KEPT_SPANS = 25
 
 
 @dataclass
@@ -116,7 +118,7 @@ class Tracer:
         #: exporters compose: the distributed span exporter registers here
         #: so building a marketplace mid-job cannot silently detach it.
         self.exporters: list[Callable[[Span], None]] = []
-        self.finished: deque[Span] = deque(maxlen=MAX_FINISHED_SPANS)
+        self.finished: deque[Span] = deque(maxlen=KEPT_SPANS)
         #: Ambient attributes merged under every opened span's own
         #: attributes (the marketplace sets ``session_id`` here for the
         #: duration of an active session, so *all* spans — chain, TEE,

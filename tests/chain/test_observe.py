@@ -213,7 +213,7 @@ class TestRunDirectory:
 
     def test_mid_file_corruption_raises(self, tmp_path, capsys):
         """One damaged record in the middle must not hide the blocks
-        behind it from ``chain top`` / ``chain audit`` with exit 0."""
+        behind it from ``top`` / ``chain audit`` with exit 0."""
         from repro.cli import main
 
         root = str(tmp_path / "run")
@@ -230,14 +230,15 @@ class TestRunDirectory:
             fh.writelines(lines)
         with pytest.raises(ChainError, match="line 2"):
             read_chain_run(root)
-        for command in ("top", "audit"):
-            assert main(["chain", command, root]) == 2
-            assert "cannot read chain run" in capsys.readouterr().err
+        assert main(["top", root]) == 1
+        assert "cannot read run" in capsys.readouterr().err
+        assert main(["chain", "audit", root]) == 2
+        assert "cannot read chain run" in capsys.readouterr().err
 
     def test_truncated_audit_json_raises(self, tmp_path, capsys):
         """A finalized run whose ``audit.json`` was cut short is damaged,
-        not "still running": ``chain audit`` must not say "not finalized"
-        and ``chain top --watch`` must not wait for ever."""
+        not "still running": ``chain audit`` must not say the run has not
+        ended and ``top --watch`` must not wait for ever."""
         from repro.cli import main
 
         root = str(tmp_path / "run")
@@ -253,10 +254,11 @@ class TestRunDirectory:
             fh.write(text[:len(text) // 2])
         with pytest.raises(ChainError, match="audit.json"):
             read_chain_run(root)
-        for command in (["top"], ["top", "--watch", "0.01"], ["audit"]):
-            assert main(["chain", *command, root]) == 2
+        for command, code in ((["top"], 1), (["top", "--watch", "0.01"], 1),
+                              (["chain", "audit"], 2)):
+            assert main([*command, root]) == code
             err = capsys.readouterr().err
-            assert "audit.json" in err and "not finalized" not in err
+            assert "audit.json" in err and "not ended" not in err
 
 
 class TestExemplarSatellite:

@@ -103,7 +103,7 @@ class TestBatchExecute:
         manifest = db.read_manifest()
         assert manifest["status"] == BATCH_DONE
         assert manifest["batch_digest"] == report.batch_digest
-        assert (tmp_path / "batch" / "manifest.metrics.json").exists()
+        assert (tmp_path / "batch" / "metrics.json").exists()
         assert not (tmp_path / "batch" / "index.json").exists()
 
     def test_chaos_kill_requeues_and_still_matches(self, tmp_path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import types
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.control import (
     ops_snapshot,
     render_top,
     submit_batch,
+    trace_ops,
 )
 from repro.telemetry.distributed import (
     LOST_WORKER_SPAN,
@@ -157,9 +159,11 @@ class TestOpsSnapshot:
         assert snap.p95_burn is None
         assert snap.batch_status == "pending"
 
-    def test_render_top_panel_shape(self, tmp_path):
+    def test_render_top_panel_shape(self, tmp_path, monkeypatch):
         root, _ = run_batch(tmp_path, n=6, kill_after=[2])
-        snap = ops_snapshot(root, now=1e12)
+        monkeypatch.setattr(trace_ops, "time",
+                            types.SimpleNamespace(time=lambda: 1e12))
+        snap = ops_snapshot(root)
         panel = render_top(snap)
         assert panel.startswith(f"batch {root}")
         assert f"trace {snap.trace_id}" in panel
@@ -167,13 +171,18 @@ class TestOpsSnapshot:
         assert f"worker_deaths={snap.worker_deaths}" in panel
         assert "retried jobs:" in panel
         assert "workers:" in panel
-        # Ancient heartbeats (now=1e12) are flagged stale.
+        assert "divergent=0" in panel
+        assert f"batch digest: {snap.batch_digest}" in panel
+        assert len(snap.batch_digest) == 64
+        # Ancient heartbeats (the clock reads 1e12) are flagged stale.
         assert "STALE" in panel
 
-    def test_stale_objective_overrides_flag_burn(self, tmp_path):
+    def test_stale_objective_overrides_flag_burn(self, tmp_path,
+                                                 monkeypatch):
         root, _ = run_batch(tmp_path, n=2)
-        snap = ops_snapshot(root, settled_objective=0.999999,
-                            p95_objective_s=1e-9)
+        monkeypatch.setattr(trace_ops, "DEFAULT_SETTLED_OBJECTIVE", 0.999999)
+        monkeypatch.setattr(trace_ops, "DEFAULT_P95_OBJECTIVE_S", 1e-9)
+        snap = ops_snapshot(root)
         assert snap.p95_burn is not None
         panel = render_top(snap)
         assert "!" in panel  # over-budget burns are flagged

@@ -24,6 +24,7 @@ from repro.ml.datasets import (
 )
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.utils.serialization import canonical_json_bytes
+from tests.core.trail_sink import TrailSink
 
 
 @pytest.fixture(scope="module")
@@ -66,15 +67,16 @@ class TestAdversarialExecutors:
 
     def test_vote_reverted_after_quorum_is_reported(self, adversary_market):
         market, consumer = adversary_market
+        sink = market.events.attach(TrailSink())
         outcome = run_with_adversaries(
             market, consumer, spec("adv-late-vote", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
              ExecutorBehavior.WRONG_RESULT],
         )
         assert outcome.completed
+        market.events.detach(sink)
         reverted = [
-            event for event
-            in market.event_log.for_session(outcome.report.session_id)
+            event for event in sink.for_session(outcome.report.session_id)
             if event.name == "chain.tx_reverted"
         ]
         assert [(e.actor, e.data["method"]) for e in reverted] == [

@@ -2,9 +2,39 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+
+QUICKSTART = ["quickstart", "--providers", "3", "--executors", "1",
+              "--seed", "6", "--run"]
+FAULTS = ["faults", "crash-execute", "--seed", "5", "--run"]
+CHAIN = ["chain", "run", "--blocks", "3", "--seed", "7"]
+BATCH = ["batch", "submit", "--jobs", "4", "--workers", "2",
+         "--kill-worker-after", "1"]
+
+
+@pytest.fixture(scope="module")
+def quickstart_run(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("cli-quickstart") / "run")
+    assert main(QUICKSTART + [root]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def faults_run(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("cli-faults") / "run")
+    assert main(FAULTS + [root]) == 0
+    return root
+
+
+@pytest.fixture(scope="module")
+def chain_run(tmp_path_factory):
+    root = str(tmp_path_factory.mktemp("cli-chain") / "run")
+    assert main(CHAIN + [root]) == 0
+    return root
 
 
 class TestParser:
@@ -109,22 +139,19 @@ class TestFaults:
         assert [r["action"] for r in payload["recoveries"]] == ["retry"]
         assert payload["rewards_paid"] == 600_000
 
-    def test_trace_records_fault_and_recovery_events(self, tmp_path,
+    def test_trace_records_fault_and_recovery_events(self, faults_run,
                                                      capsys):
         from repro.core.events import read_jsonl_events
         from tests.telemetry.exposition_oracle import parse_prometheus
 
-        path = str(tmp_path / "faults.jsonl")
-        assert main(["faults", "crash-execute", "--seed", "5",
-                     "--trace", path]) == 0
-        capsys.readouterr()
-        names = {event.name for event in read_jsonl_events(path)}
+        names = {event.name for event in read_jsonl_events(
+            os.path.join(faults_run, "events.jsonl"))}
         assert "fault.injected" in names
         assert "recovery.degrade" in names
         assert "session.completed" in names
-        # The sidecar snapshot carries the recovery counters into the
+        # The run's metrics snapshot carries the recovery counters into the
         # Prometheus exposition (what the CI smoke job greps for).
-        assert main(["metrics", path + ".metrics.json"]) == 0
+        assert main(["metrics", faults_run]) == 0
         output = capsys.readouterr().out
         samples = parse_prometheus(output)
         # >= because the process-global registry accumulates across the
@@ -138,17 +165,11 @@ class TestFaults:
 
 
 class TestTrace:
-    @pytest.fixture(scope="class")
-    def trace_path(self, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("trace") / "run.jsonl")
-        assert main(["quickstart", "--providers", "3", "--executors", "1",
-                     "--seed", "6", "--trace", path]) == 0
-        return path
-
-    def test_quickstart_writes_trace(self, trace_path):
+    def test_quickstart_writes_trace(self, quickstart_run):
         from repro.core.events import read_jsonl_events
 
-        events = read_jsonl_events(trace_path)
+        events = read_jsonl_events(os.path.join(quickstart_run,
+                                                "events.jsonl"))
         assert events
         phases = {e.phase for e in events if e.session_id}
         # One event minimum for every lifecycle phase.
@@ -156,59 +177,62 @@ class TestTrace:
                 "start_execution", "execute", "aggregate", "settle",
                 "audit"} <= phases
 
-    def test_trace_replays_timeline(self, trace_path, capsys):
-        assert main(["trace", trace_path]) == 0
+    def test_trace_replays_timeline(self, quickstart_run, capsys):
+        assert main(["trace", quickstart_run]) == 0
         output = capsys.readouterr().out
         assert "session-0001-cli-quickstart" in output
         assert "chain.block_mined" in output
         assert "total gas:" in output
 
-    def test_trace_unknown_session(self, trace_path, capsys):
-        assert main(["trace", trace_path, "--session", "nope"]) == 1
+    def test_trace_unknown_session(self, quickstart_run, capsys):
+        assert main(["trace", quickstart_run, "--session", "nope"]) == 1
         assert "not in trace" in capsys.readouterr().err
 
     def test_trace_missing_file(self, tmp_path, capsys):
-        assert main(["trace", str(tmp_path / "absent.jsonl")]) == 1
+        assert main(["trace", str(tmp_path / "absent")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
 
 class TestTelemetryCommands:
-    @pytest.fixture(scope="class")
-    def trace_path(self, tmp_path_factory):
-        path = str(tmp_path_factory.mktemp("telemetry") / "run.jsonl")
-        assert main(["quickstart", "--providers", "3", "--executors", "1",
-                     "--seed", "6", "--trace", path]) == 0
-        return path
-
-    def test_quickstart_writes_metrics_sidecar(self, trace_path):
+    def test_quickstart_writes_metrics_sidecar(self, quickstart_run):
         import json
 
-        with open(trace_path + ".metrics.json", encoding="utf-8") as fh:
+        with open(os.path.join(quickstart_run, "metrics.json"),
+                  encoding="utf-8") as fh:
             snapshot = json.load(fh)
         assert snapshot["format"] == "pds2-metrics-snapshot/2"
+        assert snapshot["provenance"]["argv"]
         names = {metric["name"] for metric in snapshot["metrics"]}
         assert "pds2_chain_blocks_mined_total" in names
         assert "pds2_crypto_sign_total" in names
 
-    def test_metrics_from_snapshot_is_valid_exposition(self, trace_path,
+    def test_metrics_from_snapshot_is_valid_exposition(self, quickstart_run,
                                                        capsys):
         from tests.telemetry.exposition_oracle import parse_prometheus
 
-        assert main(["metrics", trace_path + ".metrics.json"]) == 0
+        assert main(["metrics", quickstart_run]) == 0
         output = capsys.readouterr().out
         samples = parse_prometheus(output)  # raises on malformed lines
         assert samples
         assert any(name == "pds2_chain_blocks_mined_total"
                    for name, _ in samples)
+        # The snapshot file itself goes through the same decoder.
+        assert main(["metrics",
+                     os.path.join(quickstart_run, "metrics.json")]) == 0
+        assert capsys.readouterr().out == output
 
-    def test_metrics_from_bare_trace_replays_events(self, trace_path,
-                                                    capsys):
-        assert main(["metrics", trace_path]) == 0
-        output = capsys.readouterr().out
-        assert "pds2_events_total" in output
-        assert "pds2_span_sim_duration" in output
+    def test_metrics_of_an_event_trace_is_refused(self, quickstart_run,
+                                                  capsys):
+        # Nothing replays events into a second registry: a JSONL trace is
+        # not a snapshot, and the command says so in one line.
+        assert main(["metrics",
+                     os.path.join(quickstart_run, "events.jsonl")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "not valid JSON" in captured.err
 
-    def test_metrics_json_mode_round_trips(self, trace_path, capsys):
+    def test_metrics_json_mode_round_trips(self, quickstart_run, capsys):
         import json
 
         from repro.telemetry import MetricsRegistry
@@ -217,7 +241,7 @@ class TestTelemetryCommands:
             series_total,
         )
 
-        assert main(["metrics", trace_path + ".metrics.json", "--json"]) == 0
+        assert main(["metrics", quickstart_run, "--json"]) == 0
         output = capsys.readouterr().out
         payload = json.loads(output)  # pure JSON, no prose mixed in
         rebuilt = MetricsRegistry.from_snapshot(payload["snapshot"])
@@ -245,8 +269,8 @@ class TestTelemetryCommands:
         assert main(["metrics", str(path)]) == 1
         assert "rejected" in capsys.readouterr().err
 
-    def test_spans_renders_nested_phase_tree(self, trace_path, capsys):
-        assert main(["spans", trace_path]) == 0
+    def test_spans_renders_nested_phase_tree(self, quickstart_run, capsys):
+        assert main(["spans", quickstart_run]) == 0
         output = capsys.readouterr().out
         assert "lifecycle.session" in output
         for phase in ("deploy", "match", "register_executors",
@@ -255,10 +279,10 @@ class TestTelemetryCommands:
             assert f"lifecycle.phase.{phase}" in output
         assert "├─" in output and "└─" in output
 
-    def test_spans_json_mode(self, trace_path, capsys):
+    def test_spans_json_mode(self, quickstart_run, capsys):
         import json
 
-        assert main(["spans", trace_path, "--json"]) == 0
+        assert main(["spans", quickstart_run, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["span_count"] == len(payload["spans"])
         names = {span["name"] for span in payload["spans"]}
@@ -267,20 +291,22 @@ class TestTelemetryCommands:
     def test_spans_empty_trace_errors(self, tmp_path, capsys):
         import json
 
-        path = tmp_path / "nospans.jsonl"
         record = {"session_id": "s", "phase": "p", "name": "not.a.span",
                   "sequence": 1, "wall_time": 0.0, "sim_clock": 0.0}
-        path.write_text(json.dumps(record) + "\n")
-        assert main(["spans", str(path)]) == 1
+        (tmp_path / "events.jsonl").write_text(json.dumps(record) + "\n")
+        assert main(["spans", str(tmp_path)]) == 1
         assert "no finished spans" in capsys.readouterr().err
 
 
 class TestMalformedTraceFiles:
-    """Valid JSON of the wrong shape: a typed error and one line on stderr
-    from ``trace``, ``spans`` and ``metrics`` — never a traceback."""
+    """Valid JSON of the wrong shape in the file a reader opens: a typed
+    error and one line on stderr from ``trace``, ``spans`` and ``metrics``
+    — never a traceback."""
 
     EVENT = {"session_id": "s-1", "phase": "deploy", "name": "phase.started",
              "sequence": 1, "wall_time": 0.5, "sim_clock": 1.0}
+    READS = {"trace": "events.jsonl", "spans": "events.jsonl",
+             "metrics": "metrics.json"}
 
     @pytest.mark.parametrize("command", ["trace", "spans", "metrics"])
     @pytest.mark.parametrize("line", ["{}", "[1, 2]", '{"session_id": "s"}',
@@ -291,9 +317,9 @@ class TestMalformedTraceFiles:
                                                  command, line):
         import json
 
-        path = tmp_path / "bad.jsonl"
+        path = tmp_path / self.READS[command]
         path.write_text(json.dumps(self.EVENT) + "\n" + line + "\n")
-        assert main([command, str(path)]) == 1
+        assert main([command, str(tmp_path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.strip().splitlines()) == 1
@@ -304,23 +330,28 @@ class TestMalformedTraceFiles:
         import json
 
         good = json.dumps(self.EVENT)
-        path = tmp_path / "torn-middle.jsonl"
+        path = tmp_path / self.READS[command]
         path.write_text(good + "\n" + good[:20] + "\n" + good + "\n")
-        assert main([command, str(path)]) == 1
+        assert main([command, str(tmp_path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
     def test_a_future_unknown_key_is_ignored(self, tmp_path, capsys):
         import json
 
         from repro.core.events import read_jsonl_events
+        from repro.telemetry import MetricsRegistry, snapshot
 
-        path = tmp_path / "future.jsonl"
+        path = tmp_path / "events.jsonl"
         path.write_text(json.dumps({**self.EVENT, "shard": "v9"}) + "\n")
         (event,) = read_jsonl_events(str(path))
         assert (event.session_id, event.name) == ("s-1", "phase.started")
-        assert main(["trace", str(path)]) == 0
+        assert main(["trace", str(tmp_path)]) == 0
         assert "phase.started" in capsys.readouterr().out
-        assert main(["metrics", str(path)]) == 0
+        registry = MetricsRegistry()
+        registry.counter("pds2_x_total", "x").inc()
+        (tmp_path / "metrics.json").write_text(json.dumps(
+            {**snapshot(registry), "shard": "v9"}))
+        assert main(["metrics", str(tmp_path)]) == 0
 
 
 class TestGossipCommand:
@@ -372,37 +403,33 @@ class TestGossipCommand:
 def batch_root(tmp_path_factory):
     """One small chaos batch shared by the trace/top/spans CLI tests."""
     root = str(tmp_path_factory.mktemp("cli-batch") / "batch")
-    assert main(["batch", "submit", root, "--jobs", "4", "--workers", "2",
-                 "--kill-worker-after", "1"]) == 0
+    assert main(BATCH + [root]) == 0
     return root
 
 
 class TestTraceOpsCommands:
     def test_new_commands_parse(self):
         parser = build_parser()
-        for argv in (["top", "some/root", "--watch", "2",
-                      "--slo-settled", "0.9"],
+        for argv in (["top", "some/root", "--watch", "2"],
                      ["batch", "trace", "some/root", "--chrome", "x.json"],
-                     ["spans", "trace.jsonl", "--trace", "abc",
+                     ["spans", "some/root", "--trace", "abc",
                       "--session", "s"]):
             args = parser.parse_args(argv)
             assert callable(args.handler)
 
-    def test_batch_status_follows_the_journal(self, batch_root, tmp_path,
-                                              capsys):
+    def test_top_follows_the_journal(self, batch_root, tmp_path, capsys):
         # A resumed batch must not look finished: status is read from the
         # journal, never from an index.json an earlier run (or an older
         # version) left behind.
         import json
-        import os
         import shutil
 
         from repro.control import JobsDB
 
         root = str(tmp_path / "resumed")
         shutil.copytree(batch_root, root)
-        assert main(["batch", "status", root]) == 0
-        assert "batch status: done" in capsys.readouterr().out
+        assert main(["top", root]) == 0
+        assert "status=done" in capsys.readouterr().out
         with open(os.path.join(root, "index.json"), "w") as handle:
             json.dump({"format": "pds2-batch-index/1",
                        "batch": {"status": "done"}, "jobs": {},
@@ -412,8 +439,8 @@ class TestTraceOpsCommands:
         db.append({"type": "job", "job_id": "job-00000",
                    "status": "requeued", "attempt": 1})
         db.close()
-        assert main(["batch", "status", root]) == 0
-        assert "batch status: running" in capsys.readouterr().out
+        assert main(["top", root]) == 0
+        assert "status=running" in capsys.readouterr().out
 
     def test_top_panel(self, batch_root, capsys):
         assert main(["top", batch_root]) == 0
@@ -469,9 +496,106 @@ class TestTraceOpsCommands:
         assert main(["spans", batch_root, "--trace", "0" * 32]) == 1
         capsys.readouterr()
 
-    def test_spans_reads_sidecar_file(self, batch_root, capsys):
-        import os as _os
-        sidecars = sorted(_os.listdir(_os.path.join(batch_root, "spans")))
+    def test_spans_refuses_a_sidecar_file(self, batch_root, capsys):
+        # spans reads a run directory; one shard of it is not one.
+        sidecars = sorted(os.listdir(os.path.join(batch_root, "spans")))
         assert main(["spans",
-                     _os.path.join(batch_root, "spans", sidecars[-1])]) == 0
-        assert "batch.job" in capsys.readouterr().out
+                     os.path.join(batch_root, "spans", sidecars[-1])]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+
+
+#: Exit code of every reader on every writer's run directory: 0 where the
+#: reader applies; an inapplicable pair prints one line and exits nonzero.
+READER_EXITS = {
+    #               top trace spans metrics audit batch-trace
+    "quickstart": (0, 0, 0, 0, 0, 1),
+    "faults": (0, 0, 0, 0, 0, 1),
+    "chain": (0, 1, 1, 0, 0, 1),
+    "batch": (0, 1, 0, 0, 2, 0),
+}
+READERS = (["top"], ["trace"], ["spans"], ["metrics"], ["chain", "audit"],
+           ["batch", "trace"])
+WRITERS = {"quickstart": (QUICKSTART, "quickstart_run"),
+           "faults": (FAULTS, "faults_run"),
+           "chain": (CHAIN, "chain_run"),
+           "batch": (BATCH, "batch_root")}
+
+
+def tree_bytes(root: str) -> dict[str, bytes]:
+    found = {}
+    for folder, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(folder, name)
+            with open(path, "rb") as handle:
+                found[os.path.relpath(path, root)] = handle.read()
+    return found
+
+
+class TestRunDirectory:
+    """Four recording commands write one layout; six readers read it."""
+
+    @pytest.mark.parametrize("reader", READERS, ids=" ".join)
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_writer_reader_matrix(self, request, capsys, writer, reader):
+        root = request.getfixturevalue(WRITERS[writer][1])
+        expected = READER_EXITS[writer][READERS.index(reader)]
+        assert main(reader + [root]) == expected
+        captured = capsys.readouterr()
+        if expected:
+            assert captured.out == ""
+            assert len(captured.err.strip().splitlines()) == 1
+            assert "Traceback" not in captured.err
+        else:
+            assert captured.out.strip()
+
+    def test_top_panes_follow_the_files(self, quickstart_run, batch_root,
+                                        capsys):
+        assert main(["top", quickstart_run, "--watch", "60"]) == 0
+        output = capsys.readouterr().out
+        # Finished on the first frame: the chain pane's audit.json exists.
+        assert output.count("PDS2 CHAIN") == 1
+        assert "audit: OK" in output and "status=" not in output
+        assert main(["top", batch_root, "--watch", "60"]) == 0
+        output = capsys.readouterr().out
+        assert "status=done" in output and "PDS2 CHAIN" not in output
+        assert "batch digest: " in output and "divergent=0" in output
+
+    def test_blocks_of_a_session_run_start_at_block_one(self,
+                                                        quickstart_run):
+        import json
+
+        with open(os.path.join(quickstart_run, "blocks.jsonl"),
+                  encoding="utf-8") as handle:
+            numbers = [json.loads(line)["number"] for line in handle]
+        assert numbers == list(range(1, len(numbers) + 1))
+        with open(os.path.join(quickstart_run, "audit.json"),
+                  encoding="utf-8") as handle:
+            assert json.load(handle)["blocks_checked"] == len(numbers)
+
+    def test_no_run_at_all(self, tmp_path, capsys):
+        assert main(["top", str(tmp_path)]) == 1
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_recording_into_an_occupied_run_is_refused(
+            self, request, tmp_path, capsys, writer):
+        import shutil
+
+        argv, fixture = WRITERS[writer]
+        root = str(tmp_path / "run")
+        shutil.copytree(request.getfixturevalue(fixture), root)
+        before = tree_bytes(root)
+        assert main(argv + [root]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "already holds a run" in captured.err
+        assert tree_bytes(root) == before
+
+    def test_an_empty_directory_is_not_occupied(self, tmp_path, capsys):
+        root = tmp_path / "run"
+        root.mkdir()
+        assert main(CHAIN + [str(root)]) == 0
+        assert "mined" in capsys.readouterr().out

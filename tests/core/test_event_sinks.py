@@ -13,8 +13,6 @@ from repro.core.events import (
     read_jsonl_events,
 )
 from repro.errors import TelemetryError
-from repro.telemetry.exporters import registry_from_events
-from tests.telemetry.exposition_oracle import metric_named, series_total
 
 
 def make_event(sequence: int = 1, **overrides) -> LifecycleEvent:
@@ -113,33 +111,3 @@ class TestKilledMidRunTrace:
         (tmp_path / "edited.jsonl").write_text("\n".join(lines) + "\n")
         with pytest.raises(TelemetryError, match="line 2"):
             read_jsonl_events(path)
-
-
-def by_label(registry, metric: str, label: str) -> dict[str, int]:
-    return {labels[label]: int(child.value)
-            for labels, child in metric_named(registry, metric).children()}
-
-
-class TestMetricsSinkRegistry:
-    """``registry_from_events``, the one events -> metrics derivation."""
-
-    def test_uses_private_registry_by_default(self):
-        from repro.telemetry import REGISTRY
-
-        registry = registry_from_events([make_event(gas_delta=100)])
-        assert registry is not REGISTRY
-        assert series_total(metric_named(registry, "pds2_gas_used_total")) == 100
-        assert by_label(registry, "pds2_events_by_phase_total",
-                        "phase")["execute"] == 1
-
-    def test_counter_views_match_legacy_shapes(self):
-        registry = registry_from_events([
-            make_event(1, name="a", gas_delta=5),
-            make_event(2, name="a"),
-            make_event(3, name="b", phase="settle", gas_delta=7),
-        ])
-        assert series_total(metric_named(registry, "pds2_events_total")) == 3
-        assert by_label(registry, "pds2_events_total", "name") == \
-            {"a": 2, "b": 1}
-        assert by_label(registry, "pds2_gas_used_total", "phase") == \
-            {"execute": 5, "settle": 7}

@@ -8,6 +8,7 @@ from repro.core import DEFAULT_FUNDING, FaultKind, FaultPlan, run_with_faults
 from repro.governance.audit import trail_covers_chain
 
 from tests.core.test_resilience import address_of, build_market, spec
+from tests.core.trail_sink import TrailSink
 
 REWARD_POOL = 600_000
 
@@ -17,19 +18,21 @@ REWARD_POOL = 600_000
     FaultKind.CRASH_EXECUTE,
 ])
 def crashed_run(request):
-    """One recovered run per crash kind, shared across the assertions."""
+    """One recovered run per crash kind, shared across the assertions:
+    ``(market, result, the session's events)``."""
     kind = request.param
     market, consumer = build_market()
+    sink = market.events.attach(TrailSink())
     plan = FaultPlan.single(kind, target="e1")
     result = run_with_faults(market, consumer,
                              spec(f"wl-pay-{kind.value}"), plan)
     assert result.completed, result.error
-    return market, result
+    return market, result, sink.for_session(result.session_id)
 
 
 class TestCrashedExecutorPayouts:
     def test_crashed_executor_receives_nothing(self, crashed_run):
-        market, result = crashed_run
+        market, result, _ = crashed_run
         dead = address_of(market, "e1")
         assert dead in result.blacklisted
         assert result.payouts.get(dead, 0) == 0
@@ -37,7 +40,7 @@ class TestCrashedExecutorPayouts:
         assert market.chain.state.balance_of(dead) <= DEFAULT_FUNDING
 
     def test_surviving_executors_split_the_infra_pool(self, crashed_run):
-        market, result = crashed_run
+        market, result, _ = crashed_run
         survivors = [address_of(market, name) for name in ("e0", "e2")]
         shares = [result.payouts.get(address, 0) for address in survivors]
         assert all(share > 0 for share in shares)
@@ -45,18 +48,17 @@ class TestCrashedExecutorPayouts:
         assert max(shares) - min(shares) <= 1
 
     def test_collect_payouts_conserves_the_escrow(self, crashed_run):
-        market, result = crashed_run
+        market, result, _ = crashed_run
         assert sum(result.payouts.values()) == REWARD_POOL
         assert market.chain.state.balance_of(result.workload_address) == 0
 
     def test_trail_covers_chain_on_recovered_session(self, crashed_run):
-        market, result = crashed_run
-        trail = market.event_log.for_session(result.session_id)
+        market, result, trail = crashed_run
         assert trail_covers_chain(market.chain, result.workload_address,
                                   trail) == []
 
     def test_audit_stays_clean_after_recovery(self, crashed_run):
-        _, result = crashed_run
+        _, result, _ = crashed_run
         assert result.report.audit.clean, result.report.audit.violations
 
 

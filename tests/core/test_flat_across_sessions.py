@@ -2,18 +2,22 @@
 
 One process serves session after session on one chain, so anything a
 session leaves behind in process-wide state is a ceiling on how many it
-can serve.  Two such stores are pinned flat here: the metrics registry
-(no label may carry a session's identity) and the chain observer's block
-records (a tail; sinks get every record).
+can serve.  Pinned flat here: the metrics registry (no label may carry a
+session's identity), the chain observer's block records and the tracer's
+finished spans (tails; sinks get every one), and the lifecycle events
+alive in the process (the marketplace keeps no event store: a session's
+events live in its own trail and go when it goes).
 """
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
 from repro import telemetry
 from repro.chain import observe
-from repro.core import FaultKind, FaultPlan, run_with_faults
+from repro.core import FaultKind, FaultPlan, LifecycleEvent, run_with_faults
 from repro.core.aggregates import AggregateKind, AggregateSpec
 from repro.storage.semantic import ConceptRequirement
 from tests.core.test_resilience import build_market, spec
@@ -42,6 +46,12 @@ def registry_children() -> int:
                for _ in metric.children())
 
 
+def live_events() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, LifecycleEvent))
+
+
 @pytest.mark.parametrize("run_session", [aggregate_session, crashed_session])
 def test_process_state_is_flat_across_sessions(run_session, monkeypatch):
     monkeypatch.setattr(observe, "MAX_BLOCK_RECORDS", RECORDS_KEPT)
@@ -53,8 +63,10 @@ def test_process_state_is_flat_across_sessions(run_session, monkeypatch):
     kept = {}
     for index in range(1, 13):
         run_session(market, consumer, index)
-        kept[index] = (registry_children(), len(observer.records))
+        kept[index] = (registry_children(), len(observer.records),
+                       len(telemetry.tracer().finished), live_events())
     assert kept[3] == kept[12]
     assert kept[12][1] == RECORDS_KEPT
+    assert kept[12][2] == telemetry.tracing.KEPT_SPANS
     assert list(observer.records) == delivered[-RECORDS_KEPT:]
     assert len(delivered) == market.chain.height - height_before

@@ -45,7 +45,7 @@ from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee.enclave import Enclave
-from repro.telemetry.exporters import registry_from_events
+from repro import telemetry
 from tests.chain.test_mempool import _forge
 from tests.telemetry.exposition_oracle import metric_named, series_total
 
@@ -172,9 +172,10 @@ class TestEventTrail:
     @pytest.fixture(scope="class")
     def run(self, market_setup):
         market, consumer = market_setup
-        report = market.run_workload(consumer, small_spec("wl-trail"))
-        trail = market.event_log.for_session(report.session_id)
-        return market, report, trail
+        session = market.session_for(consumer,
+                                     MLTrainingKind(small_spec("wl-trail")))
+        report = session.run()
+        return market, report, session.trail
 
     def test_every_phase_appears_in_trail(self, run):
         market, report, trail = run
@@ -222,32 +223,36 @@ class TestEventTrail:
         market, _, _ = run
         path = str(tmp_path / "trace.jsonl")
         consumer = market.consumers[0]
+        session = market.session_for(consumer,
+                                     MLTrainingKind(small_spec("wl-jsonl")))
         with JSONLSink(path) as sink:
             market.events.attach(sink)
             try:
-                report = market.run_workload(
-                    consumer, small_spec("wl-jsonl")
-                )
+                report = session.run()
             finally:
                 market.events.detach(sink)
         replayed = read_jsonl_events(path)
-        in_memory = market.event_log.for_session(report.session_id)
+        in_memory = session.trail
         assert [e.to_dict() for e in replayed
                 if e.session_id == report.session_id] == \
                [e.to_dict() for e in in_memory]
 
     def test_metrics_sink_counts(self, run):
+        """A session's chain work lands in the process registry, the one
+        metrics store (nothing replays events into a second one)."""
         market, _, _ = run
+        names = ("pds2_chain_gas_total", "pds2_chain_blocks_mined_total")
+
+        def totals():
+            return [series_total(metric_named(telemetry.REGISTRY, name))
+                    for name in names]
+
+        before = totals()
         report = market.run_workload(market.consumers[0],
                                      small_spec("wl-metrics"))
-        metrics = registry_from_events(
-            market.event_log.for_session(report.session_id))
-        gas = metric_named(metrics, "pds2_gas_used_total")
-        assert series_total(gas) == report.gas_used
-        assert metric_named(metrics, "pds2_events_total").labels(
-            name="chain.block_mined").value == report.blocks_mined
-        assert metric_named(metrics, "pds2_events_by_phase_total").labels(
-            phase="execute").value > 0
+        after = totals()
+        assert [a - b for a, b in zip(after, before)] == [
+            report.gas_used, report.blocks_mined]
 
 
 class TestInterceptors:
@@ -423,10 +428,10 @@ class TestOneSeamMinesAndReadsReceipts:
     def test_deferred_certificate_rides_into_the_next_block(
             self, narrow_market):
         market, consumer = narrow_market
-        report = market.run_workload(
-            consumer, small_spec("wl-narrow", min_providers=3))
-        sizes = [event.data["transactions"] for event
-                 in market.event_log.for_session(report.session_id)
+        session = market.session_for(consumer, MLTrainingKind(
+            small_spec("wl-narrow", min_providers=3)))
+        report = session.run()
+        sizes = [event.data["transactions"] for event in session.trail
                  if event.name == "chain.block_mined"]
         assert sizes == [1, 2, 2, 2, 1]
         assert report.audit.clean and len(report.participants) == 3
@@ -442,9 +447,10 @@ class TestOneSeamMinesAndReadsReceipts:
                                 min_samples=10)):
             market.add_provider(f"v{index}", part,
                                 SemanticAnnotation("heart_rate", {}))
-        report = market.run_workload(
-            consumer, small_spec("wl-late-start", min_providers=5))
-        trail = market.event_log.for_session(report.session_id)
+        session = market.session_for(consumer, MLTrainingKind(
+            small_spec("wl-late-start", min_providers=5)))
+        report = session.run()
+        trail = session.trail
         assert [event.data["transactions"] for event in trail
                 if event.name == "chain.block_mined"] == [1, 2, 2, 2, 2, 1]
         marks = [event.data.get("log_name", event.name) for event in trail]

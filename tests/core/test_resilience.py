@@ -43,6 +43,7 @@ from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_spl
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee.attestation import AttestationService
 from repro.tee.enclave import TEEPlatform
+from tests.core.trail_sink import TrailSink
 
 N_PROVIDERS = 3
 N_EXECUTORS = 3
@@ -185,8 +186,11 @@ class TestCrashExecuteAcceptance:
         assert result.contract_state == "cancelled"
 
     def test_recovered_trail_still_covers_chain(self):
-        market, result = self.run_once(recover=True)
-        trail = market.event_log.for_session(result.session_id)
+        market, consumer = build_market()
+        sink = market.events.attach(TrailSink())
+        result = run_with_faults(market, consumer, spec("wl-crash-exec"),
+                                 self.PLAN, recover=True)
+        trail = sink.for_session(result.session_id)
         assert trail_covers_chain(market.chain, result.workload_address,
                                   trail) == []
         assert result.report.audit.clean, result.report.audit.violations
@@ -478,6 +482,7 @@ class TestEscrowConservation:
         supply_before = total_supply(market)
         consumer_before = market.chain.state.balance_of(consumer.address)
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
+        sink = market.events.attach(TrailSink())
         result = run_with_faults(market, consumer, spec("wl-refund"), plan,
                                  recover=False)
         assert result.outcome == "failed"
@@ -488,7 +493,7 @@ class TestEscrowConservation:
         assert result.refunded == 600_000
         assert 0 < gas_fees < 600_000
         assert market.chain.state.balance_of(result.workload_address) == 0
-        trail = market.event_log.for_session(result.session_id)
+        trail = sink.for_session(result.session_id)
         names = [event.name for event in trail]
         assert "session.refunded" in names
         assert "session.failed" in names

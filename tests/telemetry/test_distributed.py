@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from repro.errors import TelemetryError
+from repro.control import JobsDB
+from repro.errors import JobsDBError, TelemetryError
 from repro.telemetry.distributed import (
     LOST_WORKER_SPAN,
     SPAN_RECORD,
@@ -22,7 +23,6 @@ from repro.telemetry.distributed import (
     critical_path,
     derive_span_id,
     derive_trace_id,
-    read_span_records,
     render_critical_path,
     to_chrome_trace,
     validate_chrome_trace,
@@ -179,24 +179,30 @@ class TestJobSpanExporter:
 
 
 # ---------------------------------------------------------------------------
-# Sidecar reader
+# Sidecar reader: the batch's shard reader over spans/
 # ---------------------------------------------------------------------------
 
 
 class TestReadSpanRecords:
+    @staticmethod
+    def spans_dir(tmp_path):
+        path = tmp_path / "spans"
+        path.mkdir()
+        return path
+
     def test_missing_file_is_empty(self, tmp_path):
-        assert read_span_records(str(tmp_path / "nope.jsonl")) == []
+        assert JobsDB(str(tmp_path)).span_records() == []
 
     def test_round_trip_and_torn_tail(self, tmp_path):
-        path = tmp_path / "w0.jsonl"
+        path = self.spans_dir(tmp_path) / "w0.jsonl"
         path.write_text('{"a": 1}\n{"b": 2}\n{"torn', encoding="utf-8")
-        assert read_span_records(str(path)) == [{"a": 1}, {"b": 2}]
+        assert JobsDB(str(tmp_path)).span_records() == [{"a": 1}, {"b": 2}]
 
     def test_mid_file_corruption_raises(self, tmp_path):
-        path = tmp_path / "w0.jsonl"
+        path = self.spans_dir(tmp_path) / "w0.jsonl"
         path.write_text('{"a": 1}\n{torn}\n{"b": 2}\n', encoding="utf-8")
-        with pytest.raises(TelemetryError):
-            read_span_records(str(path))
+        with pytest.raises(JobsDBError, match="line 2"):
+            JobsDB(str(tmp_path)).span_records()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for exporters: Prometheus round-trip, span trees, event replay."""
+"""Tests for exporters: Prometheus round-trip, span trees, span replay."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro.errors import TelemetryError
 from repro.telemetry.exporters import (
-    registry_from_events,
     render_span_tree,
     spans_from_events,
     to_prometheus,
@@ -16,7 +15,6 @@ from repro.telemetry.exporters import (
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Tracer
 from tests.telemetry.exposition_oracle import (
-    metric_named,
     parse_prometheus,
     registry_samples,
 )
@@ -140,19 +138,6 @@ class TestEventReplay:
         assert span.name == "x"
         assert span.sim_duration == 2.0
 
-    def test_registry_from_events_counts_and_gas(self):
-        events = [
-            _FakeEvent("phase.started", phase="deploy"),
-            _FakeEvent("chain.block_mined", phase="deploy", gas_delta=500),
-            _FakeEvent("phase.started", phase="execute"),
-        ]
-        registry = registry_from_events(events)
-        assert metric_named(registry, "pds2_events_total").labels(
-            name="phase.started").value == 2
-        assert metric_named(registry, "pds2_gas_used_total").labels(
-            phase="deploy").value == 500
-        assert metric_named(registry, "pds2_events_by_phase_total").labels(
-            phase="execute").value == 1
 
 
 class TestExemplarExposition:

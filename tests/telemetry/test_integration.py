@@ -54,9 +54,10 @@ def completed_run():
                             SemanticAnnotation("heart_rate", {}))
     consumer = market.add_consumer("c", validation=validation)
     market.add_executor("e0")
-    report = market.run_workload(consumer, small_spec("wl-spans"))
-    trail = market.event_log.for_session(report.session_id)
-    return market, consumer, report, trail
+    session = market.session_for(consumer,
+                                 MLTrainingKind(small_spec("wl-spans")))
+    report = session.run()
+    return market, consumer, report, session.trail
 
 
 class TestLifecycleSpans:

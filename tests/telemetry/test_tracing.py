@@ -113,7 +113,7 @@ class TestHooksAndReset:
         assert seen == ["inner", "outer"]
 
     def test_finished_deque_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(tracing, "MAX_FINISHED_SPANS", 3)
+        monkeypatch.setattr(tracing, "KEPT_SPANS", 3)
         small = Tracer()
         for i in range(5):
             with small.span(f"s{i}"):

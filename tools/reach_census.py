@@ -200,11 +200,12 @@ ENTRY_POINTS: tuple[EntryPoint, ...] = (
     _cli("experiments"),
     _cli("experiments", "--json"),
     _cli("quickstart", "--providers", "4", "--executors", "1", "--seed", "5",
-         "--trace", "{tmp}/run.jsonl"),
+         "--run", "{tmp}/run"),
+    _cli("quickstart", "--run", "{tmp}/run", exit_code=2),
     _cli("quickstart", "--providers", "4", "--executors", "2",
          "--dp-epsilon", "1.0", "--json"),
     *(_cli("faults", scenario, "--json") for scenario in FAULT_SCENARIOS),
-    _cli("faults", "crash-execute", "--trace", "{tmp}/faults.jsonl"),
+    _cli("faults", "crash-execute", "--run", "{tmp}/faults"),
     _cli("faults", "crash-execute", "--no-recovery", exit_code=1),
     _cli("faults", "no-such-scenario", exit_code=2),
     *(_cli("aggregate", "--kind", kind)
@@ -213,13 +214,15 @@ ENTRY_POINTS: tuple[EntryPoint, ...] = (
     _cli("gossip", "--nodes", "16", "--duration", "100", "--json"),
     _cli("gossip", "--nodes", "16", "--duration", "100",
          "--availability", "0.8"),
-    _cli("trace", "{tmp}/run.jsonl"),
-    _cli("trace", "{tmp}/run.jsonl", "--json"),
-    _cli("metrics", "{tmp}/run.jsonl.metrics.json"),
-    _cli("metrics", "{tmp}/run.jsonl", "--json"),
-    _cli("metrics", "{tmp}/faults.jsonl.metrics.json"),
-    _cli("spans", "{tmp}/run.jsonl"),
-    _cli("spans", "{tmp}/run.jsonl", "--json"),
+    _cli("trace", "{tmp}/run"),
+    _cli("trace", "{tmp}/run", "--json"),
+    _cli("metrics", "{tmp}/run"),
+    _cli("metrics", "{tmp}/run/metrics.json", "--json"),
+    _cli("metrics", "{tmp}/faults"),
+    _cli("spans", "{tmp}/run"),
+    _cli("spans", "{tmp}/run", "--json"),
+    _cli("top", "{tmp}/run"),
+    _cli("chain", "audit", "{tmp}/faults"),
     _cli("profile", "--mode", "calls", "--format", "collapsed",
          "--providers", "4", "--executors", "2"),
     _cli("profile", "--mode", "wall", "--providers", "4", "--executors", "2"),
@@ -228,25 +231,24 @@ ENTRY_POINTS: tuple[EntryPoint, ...] = (
     _cli("batch", "submit", "{tmp}/batch", "--jobs", "12", "--workers", "2",
          "--fault-rate", "0.4", "--fault-every", "3",
          "--kill-worker-after", "3", "--json"),
-    _cli("batch", "status", "{tmp}/batch"),
-    _cli("batch", "status", "{tmp}/batch", "--json"),
     _cli("batch", "resume", "{tmp}/batch", "--workers", "1"),
     _cli("batch", "trace", "{tmp}/batch", "--chrome", "{tmp}/chrome.json"),
     _cli("batch", "trace", "{tmp}/batch", "--json"),
     _cli("spans", "{tmp}/batch"),
     _cli("top", "{tmp}/batch"),
     _cli("top", "{tmp}/batch", "--json"),
+    _cli("metrics", "{tmp}/batch"),
     _cli("batch", "submit", "{tmp}/held", "--jobs", "4", "--no-execute"),
     _cli("batch", "kill", "{tmp}/held"),
-    _cli("batch", "status", "{tmp}/held"),
+    _cli("top", "{tmp}/held"),
     _cli("chain", "run", "{tmp}/chain", "--blocks", "6", "--seed", "7"),
-    _cli("chain", "top", "{tmp}/chain"),
-    _cli("chain", "top", "{tmp}/chain", "--json"),
+    _cli("top", "{tmp}/chain", "--watch", "1"),
+    _cli("top", "{tmp}/chain", "--json"),
     _cli("chain", "audit", "{tmp}/chain"),
     _cli("chain", "audit", "{tmp}/chain", "--json"),
     _cli("chain", "run", "{tmp}/chain-bad", "--blocks", "6", "--seed", "7",
          "--corrupt-block", "3"),
-    _cli("chain", "top", "{tmp}/chain-bad"),
+    _cli("top", "{tmp}/chain-bad"),
     _cli("chain", "audit", "{tmp}/chain-bad", exit_code=1),
     EntryPoint("tests", ("-m", "pytest", "-q", "-p", "no:cacheprovider")),
 )
