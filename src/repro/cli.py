@@ -827,7 +827,6 @@ def _cmd_batch(args: argparse.Namespace, out: OutputWriter) -> int:
             specs.append(JobSpec(
                 job_id=f"job-{index:05d}",
                 seed=args.seed + index,
-                workload=args.workload,
                 fault_rate=args.fault_rate if faulted else 0.0,
             ))
         submit_batch(args.root, specs)
@@ -1153,8 +1152,6 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--jobs", type=int, default=100)
     submit.add_argument("--seed", type=int, default=0,
                         help="job i runs with seed SEED+i")
-    submit.add_argument("--workload", default="ml-train",
-                        help="registered workload handler")
     submit.add_argument("--fault-rate", type=float, default=0.0,
                         help="per-actor fault probability for faulted jobs")
     submit.add_argument("--fault-every", type=int, default=1,

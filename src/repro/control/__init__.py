@@ -39,11 +39,9 @@ from repro.control.jobs_db import (
     JournalShard,
 )
 from repro.control.supervisor import (
-    HANDLERS,
     BoundaryRecorder,
     JobContext,
     build_ml_market,
-    handler,
     result_digest_of,
     run_job,
 )
@@ -76,11 +74,9 @@ __all__ = [
     "TERMINAL_BATCH_STATES",
     "JobsDB",
     "JournalShard",
-    "HANDLERS",
     "BoundaryRecorder",
     "JobContext",
     "build_ml_market",
-    "handler",
     "result_digest_of",
     "run_job",
     "OpsSnapshot",

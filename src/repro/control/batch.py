@@ -32,7 +32,6 @@ journaled checkpoints.
 
 from __future__ import annotations
 
-import json
 import os
 import signal
 import time
@@ -49,16 +48,17 @@ from repro.control.jobs_db import (
     BATCH_PARTIAL_FAILED,
     BATCH_RUNNING,
     JobsDB,
+    fold,
 )
 from repro.control.supervisor import JobContext, run_job
-from repro.errors import BatchError
+from repro.errors import BatchError, JobsDBError
 from repro.telemetry.distributed import (
-    TRACE_ANNOUNCE_RECORD,
     TRACE_EVENT_RECORD,
     CoordinatorSpanExporter,
+    TraceContext,
     batch_trace_context,
 )
-from repro.utils.serialization import canonical_json_bytes
+from repro.utils.serialization import canonical_json_bytes, jsonl_record
 
 _JOBS_TOTAL = telemetry.counter(
     "pds2_batch_jobs_total", "Batch jobs by terminal outcome",
@@ -101,11 +101,13 @@ def _exporting(span_tracer, exporter):
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(root: str, worker_id: str, task_queue) -> None:
+def _worker_main(root: str, worker_id: str, task_queue,
+                 trace: TraceContext) -> None:
     """Worker loop: pull (spec, attempt, resume digests), run, journal.
 
     All output goes through this worker's own journal shard; the terminal
-    ``done`` record is the result hand-off.  Exits on the ``None`` sentinel.
+    ``done`` record is the result hand-off.  ``trace`` is the batch's
+    context, handed over once at fork.  Exits on the ``None`` sentinel.
     """
     # The fork inherits the coordinator's tracer *with its exporter
     # attached* (and the coordinator's open sidecar handle).  Drop it:
@@ -126,16 +128,14 @@ def _worker_main(root: str, worker_id: str, task_queue) -> None:
         item = task_queue.get()
         if item is None:
             break
-        spec_record, attempt, resume_digests = item
-        spec = JobSpec.from_dict(spec_record)
+        spec, attempt, resume_digests = item
         db.heartbeat(worker_id, {"status": "busy", "job_id": spec.job_id,
                                  "pid": os.getpid()})
         last_beat[0] = time.monotonic()
         ctx = JobContext(
-            db=db, shard=worker_id, worker=worker_id, attempt=attempt,
-            resume_digests={int(k): v for k, v in resume_digests.items()},
-            heartbeat=heartbeat,
-            span_sink=db.span_writer(worker_id).append,
+            db=db, worker=worker_id, attempt=attempt,
+            resume_digests=resume_digests, heartbeat=heartbeat,
+            span_sink=db.span_writer(worker_id).append, trace=trace,
         )
         run_job(spec, ctx)
         db.heartbeat(worker_id, {"status": "idle", "pid": os.getpid()})
@@ -149,12 +149,14 @@ class _JournalTail:
     A line missing its trailing newline is an in-progress (or torn) write;
     it is left pending and re-examined on the next poll.  Offsets only ever
     advance past ``\\n``, so a SIGKILLed writer's torn tail is simply never
-    consumed.
+    consumed.  A complete line that is not a JSON object is corruption, as
+    in ``read_jsonl``: it raises :class:`JobsDBError` naming shard and line.
     """
 
     def __init__(self, journal_dir: str):
         self.journal_dir = journal_dir
         self._offsets: dict[str, int] = {}
+        self._lines: dict[str, int] = {}
 
     def poll(self) -> list[dict]:
         records: list[dict] = []
@@ -172,14 +174,12 @@ class _JournalTail:
             if end < 0:
                 continue
             self._offsets[name] = offset + end + 1
-            for line in data[:end + 1].splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:  # pragma: no cover - defensive
-                    continue
+            for line in data[:end].decode("utf-8", "replace").split("\n"):
+                self._lines[name] = self._lines.get(name, 0) + 1
+                record = jsonl_record(line, self._lines[name], path,
+                                      JobsDBError, final=False)
+                if record is not None:
+                    records.append(record)
         return records
 
 
@@ -245,12 +245,11 @@ def batch_execute(root: str, workers: int = 4, *,
     db = JobsDB.open(root)
     db.clear_kill()  # an explicit (re)start supersedes any older kill
     specs = {spec.job_id: spec for spec in db.specs()}
+    tail = _JournalTail(db.journal_dir)
+    tail.poll()  # compact() folds the history; the tail folds what follows
     index = db.compact()
 
     results: dict[str, JobResult] = db.results(index)
-    checkpoints: dict[str, dict[int, str]] = {
-        job_id: db.checkpoints_for(job_id, index) for job_id in specs
-    }
     attempts: dict[str, int] = {
         job_id: entry.get("attempts", 0)
         for job_id, entry in index["jobs"].items()
@@ -264,12 +263,10 @@ def batch_execute(root: str, workers: int = 4, *,
         spec.spec_digest() for spec in specs.values())
     db.append({"type": "batch", "status": BATCH_RUNNING, "jobs": total,
                "pending": len(pending), "workers": workers})
-    db.append({"type": TRACE_ANNOUNCE_RECORD, "trace_id": trace.trace_id,
+    db.append({"type": "trace", "trace_id": trace.trace_id,
                "root_span_id": trace.span_id})
 
     mp = multiprocessing.get_context("fork")
-    tail = _JournalTail(db.journal_dir)
-    tail.poll()  # skip history: only records from this run onward
     pool: dict[str, _Worker] = {}
     next_worker = 0
     worker_deaths = 0
@@ -284,8 +281,8 @@ def batch_execute(root: str, workers: int = 4, *,
         worker_id = f"w{next_worker}"
         next_worker += 1
         queue = mp.Queue()
-        process = mp.Process(target=_worker_main, args=(root, worker_id, queue),
-                             daemon=True)
+        process = mp.Process(target=_worker_main,
+                             args=(root, worker_id, queue, trace), daemon=True)
         process.start()
         worker = _Worker(worker_id=worker_id, process=process, queue=queue)
         pool[worker_id] = worker
@@ -294,12 +291,7 @@ def batch_execute(root: str, workers: int = 4, *,
     def assign(worker: _Worker, job_id: str) -> None:
         attempt = attempts.get(job_id, 0) + 1
         attempts[job_id] = attempt
-        resume = {str(k): v for k, v in checkpoints.get(job_id, {}).items()}
-        # Stamp trace context at assignment time (spec_digest unchanged).
-        spec_record = (specs[job_id]
-                       .with_trace_parent(trace.to_traceparent())
-                       .to_dict())
-        task = (spec_record, attempt, resume)
+        task = (specs[job_id], attempt, db.checkpoints_for(job_id, index))
         worker.assigned = (job_id, attempt)
         worker.assigned_at = time.monotonic()
         db.append({"type": "job", "job_id": job_id, "status": "queued",
@@ -310,6 +302,8 @@ def batch_execute(root: str, workers: int = 4, *,
         """A worker is gone: account for it and rescue its job."""
         nonlocal worker_deaths, requeues
         worker_deaths += 1
+        db.append({"type": "worker_lost", "worker": worker.worker_id,
+                   "reason": reason})
         deaths = _WORKER_DEATHS.labels(reason=reason)
         deaths.inc()
         deaths.set_exemplar(trace_id=trace.trace_id)
@@ -365,32 +359,26 @@ def batch_execute(root: str, workers: int = 4, *,
             spawn_worker()
         try:
             while True:
-                # 1. Ingest journal growth: results and fresh checkpoints.
+                # 1. Fold journal growth into the index (fresh checkpoints
+                # become resume digests); a landed result frees its worker.
                 for record in tail.poll():
-                    if record.get("type") != "job":
+                    landed = fold(index, record)
+                    if landed is None or landed["job_id"] in results:
                         continue
-                    job_id = record.get("job_id", "")
-                    if record.get("status") == "checkpoint":
-                        checkpoints.setdefault(job_id, {})[
-                            int(record.get("boundary", 0))
-                        ] = record.get("digest", "")
-                    elif (record.get("status") == "done"
-                          and job_id not in results):
-                        result = JobResult.from_dict(record["result"])
-                        results[job_id] = result
-                        done_this_run += 1
-                        jobs_child = _JOBS_TOTAL.labels(
-                            outcome=result.outcome)
-                        jobs_child.inc()
-                        jobs_child.set_exemplar(trace_id=trace.trace_id)
-                        for worker in pool.values():
-                            if (worker.assigned is not None
-                                    and worker.assigned[0] == job_id):
-                                worker.assigned = None
-                        if result.outcome == JOB_ERROR:
-                            # Unexpected failure: no point burning the rest
-                            # of the sweep; drain and report FAILED.
-                            pending.clear()
+                    result = JobResult.from_dict(landed)
+                    results[result.job_id] = result
+                    done_this_run += 1
+                    jobs_child = _JOBS_TOTAL.labels(outcome=result.outcome)
+                    jobs_child.inc()
+                    jobs_child.set_exemplar(trace_id=trace.trace_id)
+                    for worker in pool.values():
+                        if (worker.assigned is not None
+                                and worker.assigned[0] == result.job_id):
+                            worker.assigned = None
+                    if result.outcome == JOB_ERROR:
+                        # Unexpected failure: no point burning the rest of
+                        # the sweep; drain and report FAILED.
+                        pending.clear()
 
                 # 2. Operator kill sentinel aborts the whole batch.
                 if db.kill_requested() is not None:

@@ -1,14 +1,14 @@
 """Job specifications and results: the unit of work the control plane moves.
 
 A :class:`JobSpec` is a *self-contained, deterministic* description of one
-workload session: seed, workload handler name, handler parameters, and the
+workload session: seed, workload name, parameters, and the
 fault-injection rate.  Self-contained matters — any worker process (or the
 single-process baseline) must be able to rebuild the exact same marketplace
 and fault plan from the spec alone, which is what makes sharding, dead-worker
 re-queue and replay-based resume sound.  Fault plans derive from the spec id
 via :func:`repro.core.resilience.job_fault_seed`, never from process state.
 
-A :class:`JobResult` is the terminal record a handler returns: the outcome
+A :class:`JobResult` is the terminal record a job returns: the outcome
 class, a canonical ``result_digest`` over every seed-determined settlement
 field (the byte-identity witness the E21 acceptance criterion compares
 across sharded and baseline runs), and accounting counters.
@@ -16,7 +16,7 @@ across sharded and baseline runs), and accounting counters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from hashlib import sha256
 from typing import Any, Mapping
 
@@ -26,12 +26,15 @@ from repro.utils.serialization import canonical_json_bytes
 #: Job outcomes.  ``settled``/``settled_degraded`` are successes; ``failed``
 #: is a *deterministic* lifecycle failure (e.g. an unrecoverable injected
 #: fault) — expected for intentionally-faulted jobs; ``error`` is an
-#: unexpected handler/infrastructure failure and always fails the batch.
+#: unexpected job/infrastructure failure and always fails the batch.
 JOB_SETTLED = "settled"
 JOB_SETTLED_DEGRADED = "settled_degraded"
 JOB_FAILED = "failed"
 JOB_ERROR = "error"
 JOB_OUTCOMES = (JOB_SETTLED, JOB_SETTLED_DEGRADED, JOB_FAILED, JOB_ERROR)
+
+#: The one workload the supervisor runs: one ML training lifecycle.
+WORKLOAD = "ml-train"
 
 
 @dataclass(frozen=True)
@@ -40,10 +43,10 @@ class JobSpec:
 
     job_id: str
     seed: int
-    #: Handler name in the supervisor registry (see ``repro.control
-    #: .supervisor``); the default handler runs one ML training lifecycle.
-    workload: str = "ml-train"
-    #: Handler-specific parameters (provider/executor counts, samples,
+    #: Part of the spec format (and so of every digest); the supervisor
+    #: runs :data:`WORKLOAD` and fails a job that names another.
+    workload: str = WORKLOAD
+    #: Workload parameters (provider/executor counts, samples,
     #: steps…).  Must be canonically serializable.
     params: Mapping[str, Any] = field(default_factory=dict)
     #: Per-actor fault probability; 0 disables injection.  The plan is
@@ -51,13 +54,6 @@ class JobSpec:
     fault_rate: float = 0.0
     #: Recover from faults (False reproduces the fail-fast baseline).
     recover: bool = True
-    #: W3C-style traceparent the coordinator stamps at assignment time so
-    #: the worker's spans join the batch trace.  Observability metadata,
-    #: not identity: excluded from :meth:`spec_digest` (a traced and an
-    #: untraced run of the same work are the same content) and from
-    #: ``to_dict`` when empty, so submitted ``specs.jsonl`` bytes and all
-    #: existing digests are unchanged.
-    trace_parent: str = ""
 
     def __post_init__(self) -> None:
         if not self.job_id:
@@ -65,7 +61,7 @@ class JobSpec:
         object.__setattr__(self, "params", dict(self.params))
 
     def to_dict(self) -> dict:
-        record = {
+        return {
             "job_id": self.job_id,
             "seed": self.seed,
             "workload": self.workload,
@@ -73,9 +69,6 @@ class JobSpec:
             "fault_rate": self.fault_rate,
             "recover": self.recover,
         }
-        if self.trace_parent:
-            record["trace_parent"] = self.trace_parent
-        return record
 
     @classmethod
     def from_dict(cls, record: dict) -> "JobSpec":
@@ -83,25 +76,17 @@ class JobSpec:
             return cls(
                 job_id=record["job_id"],
                 seed=int(record["seed"]),
-                workload=record.get("workload", "ml-train"),
+                workload=record.get("workload", WORKLOAD),
                 params=record.get("params", {}),
                 fault_rate=float(record.get("fault_rate", 0.0)),
                 recover=bool(record.get("recover", True)),
-                trace_parent=str(record.get("trace_parent", "")),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise JobsDBError(f"malformed job spec: {exc}") from exc
 
-    def with_trace_parent(self, trace_parent: str) -> "JobSpec":
-        """A copy carrying trace context (same ``spec_digest``)."""
-        return replace(self, trace_parent=trace_parent)
-
     def spec_digest(self) -> str:
-        """Canonical content address of this spec (trace context excluded:
-        the digest names the *work*, not how it is observed)."""
-        payload = self.to_dict()
-        payload.pop("trace_parent", None)
-        return sha256(canonical_json_bytes(payload)).hexdigest()
+        """Canonical content address of this spec."""
+        return sha256(canonical_json_bytes(self.to_dict())).hexdigest()
 
 
 @dataclass

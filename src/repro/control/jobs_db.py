@@ -15,13 +15,15 @@ One batch lives in one directory::
 The journal is the source of truth.  Every writer appends to its *own*
 shard (stamped ``shard``/``seq``/``ts``), flushing per record, so a
 SIGKILLed worker loses at most one torn final line — which the readers
-tolerate, exactly like the event-trace JSONL format.  ``compact()`` merges
-all shards in ``(ts, shard, seq)`` order into a queryable index: per-job
-status, attempt counts, checkpoint digests per phase boundary, and any
-*divergence* (two attempts of one deterministic job journaling different
-digests for the same boundary — a determinism violation worth failing
-loudly over).  The index is computed from the journal on every call and
-never persisted, so no reader can see an older run's state.
+tolerate, exactly like the event-trace JSONL format.  :func:`fold` is the
+one reader of the records' vocabulary: ``compact()`` runs it over all
+shards in ``(ts, shard, seq)`` order, and the coordinator over each record
+it tails.  The index holds per-job status, attempt counts, checkpoint
+digests per phase boundary, and any *divergence* (two attempts of one
+deterministic job journaling different digests for the same boundary — a
+determinism violation worth failing loudly over).  The index is computed
+from the journal on every call and never persisted, so no reader can see
+an older run's state.
 """
 
 from __future__ import annotations
@@ -61,6 +63,94 @@ def _read_shards(directory: str) -> list[dict]:
     records.sort(key=lambda r: (r.get("ts", 0.0), r.get("shard", ""),
                                 r.get("seq", 0)))
     return records
+
+
+def fold_journal(records: Iterable[dict]) -> dict:
+    """The index of ``records``, folded in the order given, with per-outcome
+    ``counts`` (an outcome for settled jobs, a status for the rest)."""
+    index: dict = {"batch": {"status": BATCH_PENDING}, "jobs": {},
+                   "divergent": [], "trace": {}, "last_write": {},
+                   "requeues": 0, "worker_deaths": 0}
+    for record in records:
+        fold(index, record)
+    counts: dict[str, int] = {}
+    for entry in index["jobs"].values():
+        result = entry["result"]
+        outcome = result["outcome"] if result else entry["status"]
+        counts[outcome] = counts.get(outcome, 0) + 1
+    index["counts"] = counts
+    return index
+
+
+def fold(index: dict, record: dict) -> Optional[dict]:
+    """Fold one journal record into ``index``: the one reader of the
+    journal's record vocabulary.
+
+    Returns the result a ``done`` record carries, else None.  Beside
+    per-job status, attempts, checkpoints and result, the index keeps
+    what trace assembly and the console need: the trace announce, each
+    queued attempt's worker and queued/requeued stamps (``runs``), every
+    writer's last stamp, and requeues and worker deaths over the batch's
+    whole life (every run of it).
+    """
+    ts = float(record.get("ts", 0.0))
+    writer = record.get("worker", "") or record.get("shard", "")
+    if writer:
+        index["last_write"][writer] = max(
+            index["last_write"].get(writer, 0.0), ts)
+    kind = record.get("type")
+    if kind == "batch":
+        index["batch"] = {k: v for k, v in record.items()
+                          if k not in ("type", "shard", "seq", "ts")}
+    elif kind == "trace":
+        index["trace"] = {"trace_id": record.get("trace_id", ""),
+                          "root_span_id": record.get("root_span_id", "")}
+    elif kind == "worker_lost":
+        index["worker_deaths"] += 1
+    if kind != "job":
+        return None
+    job_id = record.get("job_id", "")
+    entry = index["jobs"].setdefault(job_id, {
+        "status": "queued", "attempts": 0, "worker": "", "checkpoints": {},
+        "result": None, "error": "", "runs": {},
+    })
+    status = record.get("status")
+    attempt = int(record.get("attempt", 1))
+    entry["attempts"] = max(entry["attempts"], attempt)
+    if record.get("worker"):
+        entry["worker"] = record["worker"]
+    if status == "checkpoint":
+        boundary = str(record.get("boundary", 0))
+        digest = record.get("digest", "")
+        previous = entry["checkpoints"].get(boundary)
+        if previous is not None and previous["digest"] != digest:
+            index["divergent"].append({
+                "job_id": job_id, "boundary": int(boundary),
+                "digests": [previous["digest"], digest],
+            })
+        entry["checkpoints"][boundary] = {
+            "phase": record.get("phase", ""), "digest": digest,
+        }
+        entry["status"] = "running"
+    elif status == "started":
+        entry["status"] = "running"
+    elif status == "requeued":
+        entry["status"] = "queued"
+        index["requeues"] += 1
+        if attempt in entry["runs"]:
+            entry["runs"][attempt]["requeued_ts"] = ts
+    elif status == "done":
+        entry["status"] = "done"
+        entry["result"] = record.get("result")
+        if record.get("result", {}).get("error"):
+            entry["error"] = record["result"]["error"]
+        return entry["result"]
+    elif status == "queued":
+        entry["runs"][attempt] = {"worker": record.get("worker", ""),
+                                  "queued_ts": ts, "requeued_ts": None}
+        if entry["status"] not in ("running", "done"):
+            entry["status"] = "queued"
+    return None
 
 
 def _atomic_write_json(path: str, payload: Any) -> None:
@@ -200,58 +290,8 @@ class JobsDB:
     # -- compaction ---------------------------------------------------------
 
     def compact(self) -> dict:
-        """Fold the journal into the queryable index."""
-        jobs: dict[str, dict] = {}
-        batch: dict = {"status": BATCH_PENDING}
-        divergent: list[dict] = []
-        for record in self.journal_records():
-            kind = record.get("type")
-            if kind == "batch":
-                batch = {k: v for k, v in record.items()
-                         if k not in ("type", "shard", "seq", "ts")}
-            elif kind == "job":
-                job_id = record.get("job_id", "")
-                entry = jobs.setdefault(job_id, {
-                    "status": "queued", "attempts": 0, "worker": "",
-                    "checkpoints": {}, "result": None, "error": "",
-                })
-                status = record.get("status")
-                attempt = int(record.get("attempt", 1))
-                entry["attempts"] = max(entry["attempts"], attempt)
-                if record.get("worker"):
-                    entry["worker"] = record["worker"]
-                if status == "checkpoint":
-                    boundary = str(record.get("boundary", 0))
-                    digest = record.get("digest", "")
-                    previous = entry["checkpoints"].get(boundary)
-                    if previous is not None and previous["digest"] != digest:
-                        divergent.append({
-                            "job_id": job_id, "boundary": int(boundary),
-                            "digests": [previous["digest"], digest],
-                        })
-                    entry["checkpoints"][boundary] = {
-                        "phase": record.get("phase", ""), "digest": digest,
-                    }
-                    entry["status"] = "running"
-                elif status == "started":
-                    entry["status"] = "running"
-                elif status == "requeued":
-                    entry["status"] = "queued"
-                elif status == "done":
-                    entry["status"] = "done"
-                    entry["result"] = record.get("result")
-                    if record.get("result", {}).get("error"):
-                        entry["error"] = record["result"]["error"]
-                elif status == "queued":
-                    if entry["status"] not in ("running", "done"):
-                        entry["status"] = "queued"
-        counts: dict[str, int] = {}
-        for entry in jobs.values():
-            result = entry.get("result")
-            outcome = result["outcome"] if result else entry["status"]
-            counts[outcome] = counts.get(outcome, 0) + 1
-        return {"batch": batch, "jobs": jobs, "counts": counts,
-                "divergent": divergent}
+        """Fold the journal into the queryable index (:func:`fold_journal`)."""
+        return fold_journal(self.journal_records())
 
     def checkpoints_for(self, job_id: str,
                         index: Optional[dict] = None) -> dict[int, str]:

@@ -1,12 +1,12 @@
-"""Job supervisor: handler registry + checkpointed single-job execution.
+"""Job supervisor: checkpointed single-job execution.
 
-A *handler* turns one :class:`~repro.control.jobs.JobSpec` into one
+:func:`run_ml_train` turns one :class:`~repro.control.jobs.JobSpec` into one
 :class:`~repro.control.jobs.JobResult`, building its entire world (market,
 actors, fault plan) from the spec's seed so any process produces the same
-bytes.  The built-in ``ml-train`` handler runs one lean training lifecycle —
-the unit of work the E21 10k-session sweep shards.
+bytes: one lean training lifecycle, the unit of work the E21 10k-session
+sweep shards.
 
-:func:`run_job` wraps a handler with the control-plane contract:
+:func:`run_job` wraps it with the control-plane contract:
 
 * telemetry isolation — ``telemetry.reset()`` per job, so the tracer's
   span ids restart and a job's exported spans are a function of the job
@@ -32,31 +32,21 @@ from typing import Callable, Optional
 import numpy as np
 
 from repro import telemetry
-from repro.control.jobs import JOB_ERROR, JobResult, JobSpec
+from repro.control.jobs import JOB_ERROR, WORKLOAD, JobResult, JobSpec
 from repro.control.jobs_db import JobsDB
 from repro.errors import ControlPlaneError
+from repro.telemetry.distributed import JobSpanExporter, TraceContext
 from repro.utils.serialization import canonical_json_bytes
-
-#: Handler registry: workload name -> callable(spec, ctx) -> JobResult.
-HANDLERS: dict[str, Callable[["JobSpec", "JobContext"], JobResult]] = {}
-
-
-def handler(name: str):
-    """Register a workload handler under ``name`` (decorator)."""
-    def register(func):
-        HANDLERS[name] = func
-        return func
-    return register
 
 
 @dataclass
 class JobContext:
-    """What the control plane threads into a handler invocation."""
+    """What the control plane threads into one job attempt."""
 
     #: Journal destination; ``None`` runs the job bare (the single-process
     #: baseline path used for digest comparison).
     db: Optional[JobsDB] = None
-    shard: str = ""
+    #: The worker running the attempt; its journal shard bears its name.
     worker: str = ""
     attempt: int = 1
     #: Boundary index -> digest journaled by a previous attempt; replay
@@ -68,6 +58,9 @@ class JobContext:
     #: worker points this at its ``spans/<worker>.jsonl`` sidecar.  None
     #: keeps tracing in-process only (the bare baseline path).
     span_sink: Optional[Callable[[dict], None]] = None
+    #: The batch's trace context, handed to the worker when it is forked;
+    #: None for the bare baseline path.
+    trace: Optional[TraceContext] = None
 
     def journal(self, record: dict) -> None:
         if self.db is not None:
@@ -75,7 +68,7 @@ class JobContext:
             payload.setdefault("type", "job")
             payload.setdefault("worker", self.worker)
             payload.setdefault("attempt", self.attempt)
-            self.db.append(payload, shard=self.shard or "coordinator")
+            self.db.append(payload, shard=self.worker or "coordinator")
 
 
 class BoundaryRecorder:
@@ -150,7 +143,7 @@ def result_digest_of(outcome) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Built-in handler: one lean ML-training lifecycle per job
+# The workload: one lean ML-training lifecycle per job
 # ---------------------------------------------------------------------------
 
 #: Calibrated for sweep throughput (~tens of ms/job): minimal quorum, one
@@ -203,7 +196,6 @@ def build_ml_market(spec: JobSpec):
     return market, consumer, workload, executor_names, provider_names
 
 
-@handler("ml-train")
 def run_ml_train(spec: JobSpec, ctx: JobContext) -> JobResult:
     """One full lifecycle session; faults drawn from the job's own seed."""
     from repro.core import FaultPlan, run_with_faults
@@ -240,30 +232,23 @@ def run_ml_train(spec: JobSpec, ctx: JobContext) -> JobResult:
 def run_job(spec: JobSpec, ctx: Optional[JobContext] = None) -> JobResult:
     """Execute one job under the control-plane contract.
 
-    Never raises: an unknown workload or a handler exception (including
-    replay divergence) terminates as outcome ``error``, which the batch
-    state machine treats as fatal.  The terminal record is journaled here
-    so a result survives even if the worker dies immediately after.
+    Never raises: a workload other than ``ml-train`` or an exception in
+    the run (including replay divergence) terminates as outcome ``error``,
+    which the batch state machine treats as fatal.  The terminal record is
+    journaled here so a result survives even if the worker dies
+    immediately after.
     """
-    from repro.errors import TelemetryError
-    from repro.telemetry.distributed import JobSpanExporter, TraceContext
-
     ctx = ctx if ctx is not None else JobContext()
     telemetry.reset()
     # Re-anchor the tracer's sim clock too: ``reset()`` leaves it bound to
     # the *previous* job's marketplace, so this job's root span would open
     # at whatever sim time that run ended on — making its sim_duration
     # depend on worker scheduling.  Zeroed here (and re-bound by the
-    # handler's own Marketplace), the span's sim window is a pure function
+    # job's own Marketplace), the span's sim window is a pure function
     # of the job, which the critical-path determinism guarantee needs.
     telemetry.tracer().sim_clock = lambda: 0.0
     spec_digest = spec.spec_digest()
-    trace: Optional[TraceContext] = None
-    if spec.trace_parent:
-        try:
-            trace = TraceContext.from_traceparent(spec.trace_parent)
-        except TelemetryError:
-            trace = None  # a malformed traceparent must never fail the job
+    trace = ctx.trace
     exporter = None
     span_tracer = telemetry.tracer()
     if trace is not None and ctx.span_sink is not None:
@@ -275,17 +260,15 @@ def run_job(spec: JobSpec, ctx: Optional[JobContext] = None) -> JobResult:
     started = time.perf_counter()
     ctx.journal({"job_id": spec.job_id, "status": "started",
                  "spec_digest": spec_digest})
-    job_handler = HANDLERS.get(spec.workload)
     try:
         if trace is not None:
             span_tracer.context["trace_id"] = trace.trace_id
-        if job_handler is None:
+        if spec.workload != WORKLOAD:
             raise ControlPlaneError(
-                f"no handler registered for workload {spec.workload!r}"
-            )
+                f"no handler for workload {spec.workload!r}")
         with span_tracer.span("batch.job", job_id=spec.job_id,
                               workload=spec.workload, attempt=ctx.attempt):
-            result = job_handler(spec, ctx)
+            result = run_ml_train(spec, ctx)
     except Exception as exc:  # noqa: BLE001 - the journal is the report
         result = JobResult(job_id=spec.job_id, outcome=JOB_ERROR,
                            error=f"{type(exc).__name__}: {exc}")

@@ -3,7 +3,7 @@
 Two consumers share this module:
 
 * ``repro batch trace ROOT`` — offline assembly: merge the span sidecars,
-  the jobs journal, and heartbeat evidence into one causally-linked tree
+  the folded jobs journal, and heartbeat evidence into one causally-linked tree
   (:func:`assemble_batch_trace`), render the deterministic critical-path
   report, and optionally export Chrome trace-event JSON.
 * ``repro top RUN`` — the batch pane: per-worker job states and heartbeat
@@ -11,7 +11,9 @@ Two consumers share this module:
   once terminal, the batch digest (:func:`ops_snapshot` /
   :func:`render_top`).  It reads the same torn-tail-tolerant files the
   coordinator writes, so ``top`` can watch a batch that is mid-flight — or
-  post-mortem one whose coordinator died.
+  post-mortem one whose coordinator died.  Its worker deaths and requeues
+  count the batch's whole journal (every run of it); the manifest's count
+  the run that wrote it.
 
 SLO burn convention (error-budget consumption, dimensionless):
 
@@ -49,7 +51,7 @@ def assemble_batch_trace(root: str) -> AssembledTrace:
     """Assemble the distributed trace of the batch at ``root``."""
     db = JobsDB.open(root)
     try:
-        return assemble_trace(db.span_records(), db.journal_records(),
+        return assemble_trace(db.span_records(), db.compact(),
                               heartbeats=db.read_heartbeats())
     finally:
         db.close()
@@ -75,6 +77,7 @@ class OpsSnapshot:
     #: job has settled or failed.
     settled_burn: Optional[float] = None
     p95_burn: Optional[float] = None
+    #: Over the whole journal, every run of the batch included.
     worker_deaths: int = 0
     requeues: int = 0
     #: Jobs whose attempts journaled different digests for one boundary.
@@ -89,26 +92,13 @@ def ops_snapshot(root: str) -> OpsSnapshot:
     db = JobsDB.open(root)
     try:
         index = db.compact()
-        records = db.journal_records()
         beats = db.read_heartbeats()
         manifest = db.read_manifest() or {}
     finally:
         db.close()
 
-    trace_id = ""
-    worker_deaths = 0
-    requeues = 0
-    for record in records:
-        if record.get("type") == "trace":
-            trace_id = record.get("trace_id", trace_id)
-        elif record.get("type") == "batch":
-            worker_deaths = int(record.get("worker_deaths", worker_deaths))
-        elif (record.get("type") == "job"
-                and record.get("status") == "requeued"):
-            requeues += 1
-
-    jobs = index.get("jobs", {})
-    counts = dict(index.get("counts", {}))
+    jobs = index["jobs"]
+    counts = dict(index["counts"])
     retries = {job_id: entry.get("attempts", 0)
                for job_id, entry in sorted(jobs.items())
                if entry.get("attempts", 0) > 1}
@@ -149,12 +139,12 @@ def ops_snapshot(root: str) -> OpsSnapshot:
             "pid": beat.get("pid", 0),
         }
 
-    batch_status = index.get("batch", {}).get("status", "unknown")
+    batch_status = index["batch"].get("status", "unknown")
     return OpsSnapshot(
         root=root,
         batch_status=batch_status,
-        trace_id=trace_id,
-        jobs=len(jobs) or int(index.get("batch", {}).get("jobs", 0)),
+        trace_id=index["trace"].get("trace_id", ""),
+        jobs=len(jobs) or int(index["batch"].get("jobs", 0)),
         counts=counts,
         retries=retries,
         workers=workers,
@@ -162,9 +152,9 @@ def ops_snapshot(root: str) -> OpsSnapshot:
         p95_wall_s=p95_wall_s,
         settled_burn=settled_burn,
         p95_burn=p95_burn,
-        worker_deaths=worker_deaths,
-        requeues=requeues,
-        divergent=len(index.get("divergent", [])),
+        worker_deaths=index["worker_deaths"],
+        requeues=index["requeues"],
+        divergent=len(index["divergent"]),
         batch_digest=(manifest.get("batch_digest", "")
                       if batch_status in TERMINAL_BATCH_STATES else ""),
     )

@@ -5,8 +5,8 @@ the batch control plane runs one session per *worker process*, so a
 chaos-killed sweep leaves disconnected per-worker span fragments with no
 causal story.  This module closes that gap with four pieces:
 
-* :class:`TraceContext` — a W3C-traceparent-style ``(trace_id, span_id)``
-  pair with ``00-<trace32>-<span16>-01`` encoding, plus *deterministic* id
+* :class:`TraceContext` — a ``(trace_id, span_id)`` pair the coordinator
+  hands each worker when it forks it, with *deterministic* id
   derivation: the batch trace id is a digest over the submitted job spec
   digests, and every exported span id is a digest over
   ``(trace id, spec digest, attempt, local span id)``.  Local span ids
@@ -20,7 +20,8 @@ causal story.  This module closes that gap with four pieces:
   tolerant journal discipline of ``jobs_db.py``; the sink is any callable
   taking a dict, so this module stays independent of the control layer).
 * :func:`assemble_trace` — merges worker sidecars, coordinator spans, and
-  journal/heartbeat evidence into one causally-linked tree per batch:
+  the evidence of the folded jobs journal (its index) and heartbeats into
+  one causally-linked tree per batch:
   winning attempts form each job's canonical subtree, attempts that died
   with their worker hang under synthetic ``batch.lost-worker`` spans
   closed from heartbeat evidence, and anything that fails to link is
@@ -44,16 +45,11 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 from repro.errors import TelemetryError
 from repro.telemetry.tracing import Span
 
-TRACEPARENT_VERSION = "00"
-TRACEPARENT_FLAGS = "01"
-
 #: Span record type tag in sidecar JSONL files (the journal stamps
 #: ``shard``/``seq``/``ts`` on top of these).
 SPAN_RECORD = "span"
 #: Instant-event record type (worker deaths, requeues, operator kills).
 TRACE_EVENT_RECORD = "trace_event"
-#: Trace-announcement record the coordinator journals at batch start.
-TRACE_ANNOUNCE_RECORD = "trace"
 
 #: Synthetic span name for an attempt whose worker died before its ``done``
 #: record landed.
@@ -83,28 +79,6 @@ class TraceContext:
 
     trace_id: str
     span_id: str
-
-    def __post_init__(self) -> None:
-        if len(self.trace_id) != 32 or not _is_hex(self.trace_id):
-            raise TelemetryError(f"bad trace_id {self.trace_id!r}")
-        if len(self.span_id) != 16 or not _is_hex(self.span_id):
-            raise TelemetryError(f"bad span_id {self.span_id!r}")
-
-    def to_traceparent(self) -> str:
-        """W3C-style ``00-<trace_id>-<span_id>-01`` header value."""
-        return (f"{TRACEPARENT_VERSION}-{self.trace_id}-{self.span_id}"
-                f"-{TRACEPARENT_FLAGS}")
-
-    @classmethod
-    def from_traceparent(cls, header: str) -> "TraceContext":
-        parts = header.strip().split("-")
-        if len(parts) != 4 or parts[0] != TRACEPARENT_VERSION:
-            raise TelemetryError(f"malformed traceparent {header!r}")
-        return cls(trace_id=parts[1], span_id=parts[2])
-
-
-def _is_hex(value: str) -> bool:
-    return all(c in "0123456789abcdef" for c in value)
 
 
 def batch_trace_context(spec_digests: Iterable[str]) -> TraceContext:
@@ -174,33 +148,22 @@ class JobSpanExporter:
 
 
 class CoordinatorSpanExporter:
-    """Export the coordinator's own spans into its sidecar shard.
-
-    ``batch.execute`` maps onto the deterministic batch-root span id so
-    every worker-exported job span (whose parent is that id) links up;
-    other coordinator spans get sequence-derived ids under it.
+    """Export the coordinator's ``batch.execute`` span into its sidecar
+    shard under the deterministic batch-root span id, so every
+    worker-exported job span (whose parent is that id) links up.  The
+    coordinator opens no other span.
     """
 
     ROOT_SPAN = "batch.execute"
 
-    def __init__(self, trace: TraceContext,
-                 sink: Optional[Callable[[dict], Any]]):
+    def __init__(self, trace: TraceContext, sink: Callable[[dict], Any]):
         self.trace = trace
         self.sink = sink
-        self._seq = 0
-        self._ids: dict[str, str] = {}
 
     def __call__(self, span: Span) -> None:
         if span.name == self.ROOT_SPAN:
-            span_id, parent = self.trace.span_id, ""
-        else:
-            self._seq += 1
-            span_id = derive_span_id(self.trace.trace_id, "coordinator",
-                                     f"{self._seq:06d}")
-            parent = self._ids.get(span.parent_id, self.trace.span_id)
-        self._ids[span.span_id] = span_id
-        if self.sink is not None:
-            self.sink(span_record(span, self.trace.trace_id, span_id, parent))
+            self.sink(span_record(span, self.trace.trace_id,
+                                  self.trace.span_id, ""))
 
 
 def _jsonable(value: Any) -> Any:
@@ -270,19 +233,20 @@ def _chains_to(record_id: str, by_id: Mapping[str, dict],
     return False
 
 
-def assemble_trace(span_records: Sequence[Mapping],
-                   journal_records: Sequence[Mapping],
+def assemble_trace(span_records: Sequence[Mapping], index: Mapping,
                    heartbeats: Optional[Mapping[str, Mapping]] = None,
                    ) -> AssembledTrace:
     """Merge sidecar spans + journal/heartbeat evidence into one tree.
 
-    Evidence drives three decisions the spans alone cannot make:
+    ``index`` is the folded jobs journal (``repro.control.jobs_db
+    .fold_journal``).  Its evidence drives three decisions the spans alone
+    cannot make:
 
     * which attempt *won* each job (the journaled ``done`` record);
-    * which attempts were *lost* (a ``queued`` record with no matching
-      ``done`` — their partial spans hang under a synthetic
-      ``batch.lost-worker`` span closed from the dead worker's last
-      heartbeat, or failing that its last journal write);
+    * which attempts were *lost* (a queued attempt that did not win —
+      their partial spans hang under a synthetic ``batch.lost-worker``
+      span closed from the dead worker's last heartbeat, or failing that
+      its last journal write);
     * the trace id, when the coordinator's announce record is present
       (otherwise taken from the span records themselves).
     """
@@ -292,42 +256,23 @@ def assemble_trace(span_records: Sequence[Mapping],
     events = [dict(r) for r in span_records
               if r.get("type") == TRACE_EVENT_RECORD]
 
-    trace_id = ""
-    root_span_id = ""
-    for record in journal_records:
-        if record.get("type") == TRACE_ANNOUNCE_RECORD:
-            trace_id = record.get("trace_id", trace_id)
-            root_span_id = record.get("root_span_id", root_span_id)
+    trace_id = index["trace"].get("trace_id", "")
+    root_span_id = index["trace"].get("root_span_id", "")
     if not trace_id and spans:
         trace_id = spans[0].get("trace_id", "")
     if not trace_id:
         raise TelemetryError("no trace evidence: neither a trace announce "
                              "record nor any span records")
 
-    # -- per-(job, attempt) bookkeeping from the journal --------------------
-    winners: dict[str, int] = {}
-    outcomes: dict[str, str] = {}
-    queued: dict[tuple[str, int], dict] = {}
-    requeued: dict[tuple[str, int], dict] = {}
-    last_write: dict[str, float] = {}  # worker -> last journal ts
-    for record in journal_records:
-        worker = record.get("worker", "") or record.get("shard", "")
-        if worker:
-            last_write[worker] = max(last_write.get(worker, 0.0),
-                                     float(record.get("ts", 0.0)))
-        if record.get("type") != "job":
-            continue
-        job_id = record.get("job_id", "")
-        attempt = int(record.get("attempt", 1))
-        status = record.get("status")
-        if status == "queued":
-            queued[(job_id, attempt)] = record
-        elif status == "requeued":
-            requeued[(job_id, attempt)] = record
-        elif status == "done":
-            result = record.get("result", {}) or {}
-            winners[job_id] = int(result.get("attempt", attempt))
-            outcomes[job_id] = result.get("outcome", "")
+    # -- per-(job, attempt) evidence from the index -------------------------
+    results = {job_id: entry["result"]
+               for job_id, entry in index["jobs"].items() if entry["result"]}
+    winners = {job_id: int(result.get("attempt", 1))
+               for job_id, result in results.items()}
+    runs ={(job_id, attempt): run
+            for job_id, entry in index["jobs"].items()
+            for attempt, run in entry["runs"].items()}
+    last_write = index["last_write"]  # writer -> its last journal stamp
 
     # -- the root -----------------------------------------------------------
     if not root_span_id:
@@ -356,16 +301,16 @@ def assemble_trace(span_records: Sequence[Mapping],
     # partial spans the dead attempt streamed out before the SIGKILL.
     lost: list[dict] = []
     lost_parent: dict[tuple[str, int], str] = {}
-    for (job_id, attempt), record in sorted(queued.items()):
+    for (job_id, attempt), run in sorted(runs.items()):
         if winners.get(job_id) == attempt:
             continue
-        worker = record.get("worker", "")
-        start_ts = float(record.get("ts", 0.0))
+        worker = run["worker"]
+        start_ts = run["queued_ts"]
         beat = heartbeats.get(worker, {})
         evidence = "none"
         end_ts = start_ts
-        if requeued.get((job_id, attempt)):
-            end_ts = float(requeued[(job_id, attempt)].get("ts", start_ts))
+        if run["requeued_ts"] is not None:
+            end_ts = run["requeued_ts"]
             evidence = "journal"
         if (beat.get("job_id") == job_id
                 and float(beat.get("ts", 0.0)) >= start_ts):
@@ -438,8 +383,9 @@ def assemble_trace(span_records: Sequence[Mapping],
     # Jobs whose winning record came from a live worker (anything but the
     # coordinator's attempt-exhaustion `error` synthesis) should all be
     # witnessed by an exported job span; `error` jobs never ran to a span.
-    expected = {job_id for job_id, outcome in outcomes.items()
-                if outcome in ("settled", "settled_degraded", "failed")}
+    expected = {job_id for job_id, result in results.items()
+                if result.get("outcome") in ("settled", "settled_degraded",
+                                             "failed")}
     unwitnessed = sorted(expected - witnessed)
     completeness = (len(witnessed & expected) / len(expected)
                     if expected else 1.0)

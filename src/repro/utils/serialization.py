@@ -156,21 +156,29 @@ def read_jsonl(path: str, corrupt: type[Exception]) -> list[dict]:
         return []
     with open(path, encoding="utf-8") as handle:
         lines = handle.readlines()
-    records = []
-    for index, line in enumerate(lines):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            if index == len(lines) - 1:
-                break
-            raise corrupt(
-                f"corrupt JSONL line {index + 1} in {path}"
-            ) from None
-        if not isinstance(record, dict):
-            raise corrupt(
-                f"JSONL line {index + 1} in {path} is not an object")
-        records.append(record)
-    return records
+    records = (jsonl_record(line, number, path, corrupt,
+                            final=number == len(lines))
+               for number, line in enumerate(lines, start=1))
+    return [record for record in records if record is not None]
+
+
+def jsonl_record(line: str, number: int, path: str,
+                 corrupt: type[Exception], final: bool) -> dict | None:
+    """Line ``number`` of the JSONL file at ``path`` as a record.
+
+    ``None`` for a blank line, and for an undecodable line when it is the
+    ``final`` one a killed writer may have left half-written; any other
+    line that is not a JSON object raises ``corrupt`` naming the line.
+    """
+    line = line.strip()
+    if not line:
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        if final:
+            return None
+        raise corrupt(f"corrupt JSONL line {number} in {path}") from None
+    if not isinstance(record, dict):
+        raise corrupt(f"JSONL line {number} in {path} is not an object")
+    return record

@@ -14,6 +14,7 @@ from repro.control import (
     JobSpec,
     JobsDB,
 )
+from repro.control.batch import _JournalTail
 from repro.errors import JobsDBError
 
 
@@ -111,6 +112,29 @@ class TestJournal:
             db.journal_records()
 
 
+class TestJournalTail:
+    def test_reads_complete_lines_only(self, tmp_path):
+        shard = tmp_path / "w0.jsonl"
+        shard.write_text('{"a": 1}\n{"b": 2', encoding="utf-8")
+        tail = _JournalTail(str(tmp_path))
+        assert tail.poll() == [{"a": 1}]
+        with open(shard, "a", encoding="utf-8") as handle:
+            handle.write('}\n')
+        assert tail.poll() == [{"b": 2}]
+
+    def test_corrupt_complete_line_raises_naming_shard_and_line(
+            self, tmp_path):
+        # A skipped `done` would leave its worker marked busy for good.
+        shard = tmp_path / "w3.jsonl"
+        shard.write_text('{"a": 1}\n', encoding="utf-8")
+        tail = _JournalTail(str(tmp_path))
+        assert tail.poll() == [{"a": 1}]
+        with open(shard, "a", encoding="utf-8") as handle:
+            handle.write('{"type": "job", "sta\n{"b": 2}\n')
+        with pytest.raises(JobsDBError, match=r"line 2 in .*w3\.jsonl"):
+            tail.poll()
+
+
 class TestCompaction:
     def test_lifecycle_to_done(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())
@@ -155,6 +179,32 @@ class TestCompaction:
         assert index["divergent"] == [
             {"job_id": "job-0", "boundary": 2, "digests": ["aaa", "bbb"]}
         ]
+
+    def test_index_keeps_trace_attempt_and_fault_evidence(self, tmp_path):
+        db = JobsDB.create(str(tmp_path / "b"), make_specs())
+        db.append({"type": "trace", "trace_id": "t" * 32,
+                   "root_span_id": "r" * 16})
+        queued = db.append({"type": "job", "job_id": "job-0",
+                            "status": "queued", "attempt": 1,
+                            "worker": "w0"})
+        db.append({"type": "worker_lost", "worker": "w0", "reason": "crash"})
+        requeued = db.append({"type": "job", "job_id": "job-0",
+                              "status": "requeued", "attempt": 1,
+                              "worker": "w0"})
+        db.append({"type": "job", "job_id": "job-0", "status": "queued",
+                   "attempt": 2, "worker": "w1"})
+        db.append({"type": "batch", "status": "done", "worker_deaths": 0})
+        index = db.compact()
+        assert index["trace"] == {"trace_id": "t" * 32,
+                                  "root_span_id": "r" * 16}
+        runs = index["jobs"]["job-0"]["runs"]
+        assert runs[1] == {"worker": "w0", "queued_ts": queued["ts"],
+                           "requeued_ts": requeued["ts"]}
+        assert runs[2]["worker"] == "w1"
+        assert runs[2]["requeued_ts"] is None
+        assert index["last_write"]["w0"] == requeued["ts"]
+        # Counted over the journal, not read off the last batch record.
+        assert (index["worker_deaths"], index["requeues"]) == (1, 1)
 
     def test_identical_redelivered_digests_are_not_divergent(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())

@@ -140,6 +140,35 @@ class TestOpsSnapshot:
         assert snap.retries  # the requeued job needed a second attempt
         assert all(attempts >= 2 for attempts in snap.retries.values())
 
+    def test_running_batch_shows_its_worker_death(self, tmp_path):
+        # The chaos kill lands just before progress is reported, so a
+        # console refresh from the callback already sees the death.
+        root = str(tmp_path / "batch")
+        submit_batch(root, specs_for(6))
+        seen = []
+
+        def progress(done: int, total: int) -> None:
+            if done:
+                seen.append(ops_snapshot(root))
+
+        report = batch_execute(root, workers=2, kill_after=[1],
+                               progress=progress)
+        assert report.worker_deaths == 1
+        running = [snap for snap in seen if snap.batch_status == "running"]
+        assert running
+        assert max(snap.worker_deaths for snap in running) >= 1
+
+    def test_resumed_batch_keeps_its_worker_death(self, tmp_path):
+        root, report = run_batch(tmp_path, n=6, kill_after=[2])
+        assert report.worker_deaths == 1
+        resumed = batch_execute(root, workers=2)
+        assert resumed.worker_deaths == 0  # the manifest counts one run
+        assert resumed.batch_digest == report.batch_digest
+        snap = ops_snapshot(root)
+        assert snap.batch_status == "done"
+        assert (snap.worker_deaths, snap.requeues) == (1, report.requeues)
+        assert snap.batch_digest == report.batch_digest
+
     def test_snapshot_is_read_only(self, tmp_path):
         root, _ = run_batch(tmp_path, n=2)
         names = sorted(os.listdir(root))

@@ -9,15 +9,14 @@ import random
 import pytest
 
 from repro.control import JobsDB
+from repro.control.jobs_db import fold, fold_journal
 from repro.errors import JobsDBError, TelemetryError
 from repro.telemetry.distributed import (
     LOST_WORKER_SPAN,
     SPAN_RECORD,
     STATUS_LOST,
-    TRACE_ANNOUNCE_RECORD,
     CoordinatorSpanExporter,
     JobSpanExporter,
-    TraceContext,
     assemble_trace,
     batch_trace_context,
     critical_path,
@@ -47,28 +46,6 @@ class FakeClock:
 
 
 class TestTraceContext:
-    def test_traceparent_round_trip(self):
-        ctx = batch_trace_context(["d1", "d2"])
-        header = ctx.to_traceparent()
-        assert header == f"00-{ctx.trace_id}-{ctx.span_id}-01"
-        assert TraceContext.from_traceparent(header) == ctx
-
-    @pytest.mark.parametrize("header", [
-        "", "00-abc", "01-" + "a" * 32 + "-" + "b" * 16 + "-01",
-        "00-" + "a" * 32 + "-" + "b" * 16,
-    ])
-    def test_malformed_traceparent_rejected(self, header):
-        with pytest.raises(TelemetryError):
-            TraceContext.from_traceparent(header)
-
-    def test_bad_id_lengths_rejected(self):
-        with pytest.raises(TelemetryError):
-            TraceContext("abc", "b" * 16)
-        with pytest.raises(TelemetryError):
-            TraceContext("a" * 32, "xyz")
-        with pytest.raises(TelemetryError):
-            TraceContext("Z" * 32, "b" * 16)  # non-hex
-
     def test_derivation_is_deterministic(self):
         assert derive_trace_id("m") == derive_trace_id("m")
         assert derive_trace_id("m") != derive_trace_id("n")
@@ -171,11 +148,11 @@ class TestJobSpanExporter:
         with tracer.span("batch.execute"):
             with tracer.span("batch.settle"):
                 pass
-        root = next(r for r in records if r["name"] == "batch.execute")
-        child = next(r for r in records if r["name"] == "batch.settle")
+        # The coordinator exports its root span only.
+        (root,) = records
+        assert root["name"] == "batch.execute"
         assert root["span_id"] == trace.span_id
         assert root["parent_id"] == ""
-        assert child["parent_id"] == trace.span_id
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +188,7 @@ class TestReadSpanRecords:
 
 
 def build_batch(lose_first_attempt=False):
-    """Synthesize one two-job batch's span + journal records.
+    """Synthesize one two-job batch's span records and folded journal.
 
     With ``lose_first_attempt`` job-2's first attempt streams a partial
     fragment (child exported, parent never finished — the SIGKILL shape)
@@ -227,7 +204,7 @@ def build_batch(lose_first_attempt=False):
         pass
 
     journal = [
-        {"type": TRACE_ANNOUNCE_RECORD, "trace_id": trace.trace_id,
+        {"type": "trace", "trace_id": trace.trace_id,
          "root_span_id": trace.span_id},
         {"type": "job", "status": "queued", "job_id": "job-1",
          "attempt": 1, "worker": "w1", "ts": 1.0},
@@ -269,7 +246,7 @@ def build_batch(lose_first_attempt=False):
              "result": {"outcome": "settled", "attempt": 1}},
         ]
         spans.extend(export_job_spans(trace, "job-2", "d2", 1, simple_job))
-    return trace, spans, journal, heartbeats
+    return trace, spans, fold_journal(journal), heartbeats
 
 
 class TestAssembleTrace:
@@ -307,22 +284,18 @@ class TestAssembleTrace:
 
     def test_unwitnessed_job_lowers_completeness(self):
         trace, spans, journal, beats = build_batch()
-        journal = journal + [
-            {"type": "job", "status": "done", "job_id": "job-3",
-             "attempt": 1, "ts": 9.0,
-             "result": {"outcome": "failed", "attempt": 1}},
-        ]
+        fold(journal, {"type": "job", "status": "done", "job_id": "job-3",
+                       "attempt": 1, "ts": 9.0,
+                       "result": {"outcome": "failed", "attempt": 1}})
         assembled = assemble_trace(spans, journal, heartbeats=beats)
         assert assembled.unwitnessed == ["job-3"]
         assert assembled.completeness == pytest.approx(2 / 3)
 
     def test_error_outcome_jobs_are_out_of_scope(self):
         trace, spans, journal, beats = build_batch()
-        journal = journal + [
-            {"type": "job", "status": "done", "job_id": "job-3",
-             "attempt": 1, "ts": 9.0,
-             "result": {"outcome": "error", "attempt": 1}},
-        ]
+        fold(journal, {"type": "job", "status": "done", "job_id": "job-3",
+                       "attempt": 1, "ts": 9.0,
+                       "result": {"outcome": "error", "attempt": 1}})
         assembled = assemble_trace(spans, journal, heartbeats=beats)
         assert assembled.unwitnessed == []
         assert assembled.completeness == 1.0
@@ -342,7 +315,7 @@ class TestAssembleTrace:
 
     def test_no_evidence_raises(self):
         with pytest.raises(TelemetryError):
-            assemble_trace([], [])
+            assemble_trace([], fold_journal([]))
 
     def test_missing_root_span_is_synthesized(self):
         trace, spans, journal, beats = build_batch()
@@ -404,8 +377,8 @@ class TestCriticalPath:
                 with tracer.span("lifecycle.phase.settle"):
                     clock.now += 1.0
 
-        journal = [
-            {"type": TRACE_ANNOUNCE_RECORD, "trace_id": trace.trace_id,
+        journal = fold_journal([
+            {"type": "trace", "trace_id": trace.trace_id,
              "root_span_id": trace.span_id},
             {"type": "job", "status": "done", "job_id": "job-1",
              "attempt": 1, "ts": 1.0,
@@ -413,7 +386,7 @@ class TestCriticalPath:
             {"type": "job", "status": "done", "job_id": "job-2",
              "attempt": 1, "ts": 1.0,
              "result": {"outcome": "settled", "attempt": 1}},
-        ]
+        ])
         spans = (export_job_spans(trace, "job-1", "d1", 1, simple_job)
                  + export_job_spans(trace, "job-2", "d2", 1, heavy))
         path = critical_path(assemble_trace(spans, journal))
@@ -439,9 +412,9 @@ class TestCriticalPath:
 
     def test_empty_trace_renders_placeholder(self):
         trace = batch_trace_context(["d"])
-        journal = [{"type": TRACE_ANNOUNCE_RECORD,
-                    "trace_id": trace.trace_id,
-                    "root_span_id": trace.span_id}]
+        journal = fold_journal([{"type": "trace",
+                                 "trace_id": trace.trace_id,
+                                 "root_span_id": trace.span_id}])
         path = critical_path(assemble_trace([], journal))
         assert path.jobs_analyzed == 0
         assert "(none)" in render_critical_path(path)
