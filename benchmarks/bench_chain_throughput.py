@@ -6,11 +6,13 @@ drives full governance sessions at the E12 scale (32 providers each, one
 deploy + 35-transaction executor chain per session) through two regimes:
 
 * **baseline** — the historical usage pattern: one block mined per protocol
-  phase, signatures verified per transaction at submit;
+  phase;
 * **batched** — all sessions submitted up front into the nonce-ordered,
-  fee-prioritized mempool, signatures batch-verified at block entry (one
-  multi-scalar multiplication per block), blocks mined until the pool
-  drains.
+  fee-prioritized mempool, blocks mined until the pool drains.
+
+Both regimes batch-verify signatures at block entry (one multi-scalar
+multiplication per block); they differ only in how many transactions a
+block holds.
 
 Gated: settled sessions per block (packing is deterministic) and the ≥5×
 improvement over the baseline.  Wall-clock amortization of batch signature

@@ -20,7 +20,11 @@ from repro.bench import (
     lower_is_better,
 )
 from repro.core import Marketplace, ModelSpec, TrainingSpec, WorkloadSpec
-from repro.core.adversary import ExecutorBehavior, run_with_adversaries
+from repro.core.adversary import (
+    CRONY_ADDRESS,
+    ExecutorBehavior,
+    run_with_adversaries,
+)
 from repro.ml.datasets import (
     make_iot_activity,
     split_dirichlet,
@@ -82,28 +86,34 @@ def run_bench(quick: bool = False) -> dict:
     crony_total = 0
     paid_total = 0
     for index, (name, behaviors, should_complete) in enumerate(SCENARIOS):
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, make_spec(f"e16-{index}"), behaviors,
         )
-        if outcome.completed == expected_completion(name, should_complete):
+        completed = session.outcome != "failed"
+        if completed == expected_completion(name, should_complete):
             matches += 1
-        crony_total += outcome.crony_payout
-        paid_total += outcome.paid_total
+        paid = sum(session.ctx.payouts.values())
+        crony = session.ctx.payouts.get(CRONY_ADDRESS, 0)
+        crony_total += crony
+        paid_total += paid
         rows.append([
             name,
-            outcome.final_state,
-            f"{outcome.paid_total:,}",
-            outcome.crony_payout,
+            session.read_state(),
+            f"{paid:,}",
+            f"{session.ctx.refunded:,}",
+            crony,
         ])
 
     lines = format_table(
-        ["scenario", "final state", "paid", "crony payout"], rows,
+        ["scenario", "final state", "paid", "refunded", "crony payout"],
+        rows,
     )
     lines += [
         "",
-        "invariants: no payout without a quorum; self-dealing weights never",
-        "confirmed; a colluding majority is the documented trust boundary",
-        "(the same 2-of-3 honesty assumption the paper cites for Falcon).",
+        "invariants: no payout without a quorum, and a quorum that never",
+        "forms refunds the escrow; self-dealing weights never confirmed; a",
+        "colluding majority is the documented trust boundary (the same",
+        "2-of-3 honesty assumption the paper cites for Falcon).",
     ]
     metrics = {
         "scenarios_as_expected": higher_is_better(matches,

@@ -83,16 +83,16 @@ def run_cell(rate: float, recover: bool, runs: int = RUNS_PER_CELL):
         market, consumer, provider_names, executor_names = build_market(seed)
         plan = FaultPlan.sample(rate, executor_names, provider_names,
                                 seed=seed)
-        result = run_with_faults(
+        session = run_with_faults(
             market, consumer, make_spec(f"e18-{rate}-{run}"), plan,
             recover=recover,
         )
-        faults += len(result.injected)
-        recoveries += len(result.recoveries)
-        if result.completed:
+        faults += len(session.injector.injected)
+        recoveries += len(session.ctx.recovery_log)
+        if session.outcome != "failed":
             settled += 1
-            gas.append(result.gas_used)
-            if result.degraded:
+            gas.append(session.gas_used)
+            if session.ctx.degraded:
                 degraded += 1
     return settled, degraded, gas, recoveries, faults
 

@@ -26,8 +26,7 @@ conservation laws the ledger is supposed to enforce by construction:
 On a violation the auditor captures a **forensic bundle**: the offending
 block, pre/post balance diffs with the accounts no mined transaction can
 explain, a mempool snapshot, and the most recent trace spans — then emits
-a ``chain.audit.violation`` span and (in strict mode) raises
-:class:`~repro.errors.ChainAuditError`.  The default is record-only so an
+a ``chain.audit.violation`` span.  It records and never raises, so an
 always-on auditor cannot mask the original failure.
 
 The module also provides the tamper seam ``repro chain run
@@ -48,7 +47,6 @@ from typing import Any, Optional
 from repro.chain.block import Block
 from repro.chain.transaction import CREATE
 from repro.crypto.hashing import keccak256
-from repro.errors import ChainAuditError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.tracing import tracer as _tracer
 from repro.utils.serialization import canonical_json_bytes
@@ -108,10 +106,6 @@ class ChainAuditor:
 
     def __init__(self, chain: Any):
         self.chain = chain
-        #: When set to True a violation raises :class:`ChainAuditError`;
-        #: the default records it (counters, bundle, span event) and lets
-        #: the chain continue, so auditing never masks the original bug.
-        self.strict = False
         #: Directory forensic bundles are written to (None = memory only).
         self.forensics_dir: Optional[str] = None
         self.blocks_checked = 0
@@ -273,12 +267,6 @@ class ChainAuditor:
             suspects=",".join(bundle["suspect_accounts"][:4]),
         ):
             pass
-        if self.strict:
-            first = "; ".join(v.detail for v in found[:3])
-            raise ChainAuditError(
-                f"{len(found)} invariant violation(s) at block "
-                f"{block.header.number}: {first}"
-            )
 
     def _forensic_bundle(self, block: Any, found: list[Violation],
                          pre: dict) -> dict:
@@ -349,7 +337,6 @@ class ChainAuditor:
             "blocks_checked": self.blocks_checked,
             "violation_count": len(self.violations),
             "violations": [v.to_dict() for v in self.violations],
-            "strict": self.strict,
         }
 
 

@@ -252,46 +252,53 @@ def _cmd_faults(args: argparse.Namespace, out: OutputWriter) -> int:
     recover = not args.no_recovery
     out.line(f"recovery policy: {'on' if recover else 'off (baseline)'}")
 
-    result = _record_session(
+    session = _record_session(
         market, args.run, out,
         lambda: run_with_faults(market, consumer, spec, plan,
                                 recover=recover))
+    ctx = session.ctx
+    completed = session.outcome != "failed"
+    contract_state = session.read_state() if ctx.workload_address else ""
+    error = ("" if session.failure is None
+             else f"{type(session.failure).__name__}: {session.failure}")
+    injected = session.injector.injected
 
-    out.line(f"outcome: {result.outcome} "
-             f"(session {result.session_state}, "
-             f"contract {result.contract_state or 'not deployed'})")
-    out.line(f"faults injected: {len(result.injected)}")
-    for action in result.recoveries:
+    out.line(f"outcome: {session.outcome} "
+             f"(session {session.state}, "
+             f"contract {contract_state or 'not deployed'})")
+    out.line(f"faults injected: {len(injected)}")
+    for action in ctx.recovery_log:
         out.line(f"  recovery: {action['action']} in {action['phase']} "
                  f"-> {action['target']} ({action['reason']})")
-    if result.blacklisted:
-        out.line(f"blacklisted executors: {', '.join(result.blacklisted)}")
-    if result.dropped_providers:
-        out.line("dropped providers: "
-                 f"{', '.join(result.dropped_providers)}")
-    if result.completed:
-        out.line(f"rewards paid: {sum(result.payouts.values()):,} "
-                 f"across {len(result.payouts)} recipients")
-    if result.refunded:
-        out.line(f"escrow refunded to consumer: {result.refunded:,}")
-    if result.error:
-        out.line(f"terminal error: {result.error}")
-    out.line(f"gas used: {result.gas_used:,}")
+    if ctx.blacklist:
+        out.line(f"blacklisted executors: {', '.join(ctx.blacklist)}")
+    dropped = sorted(ctx.dropped_providers)
+    if dropped:
+        out.line(f"dropped providers: {', '.join(dropped)}")
+    paid = sum(ctx.payouts.values())
+    if completed:
+        out.line(f"rewards paid: {paid:,} "
+                 f"across {len(ctx.payouts)} recipients")
+    if ctx.refunded:
+        out.line(f"escrow refunded to consumer: {ctx.refunded:,}")
+    if error:
+        out.line(f"terminal error: {error}")
+    out.line(f"gas used: {session.gas_used:,}")
     out.set("scenario", scenario.name)
     out.set("recovery", recover)
-    out.set("outcome", result.outcome)
-    out.set("completed", result.completed)
-    out.set("degraded", result.degraded)
-    out.set("contract_state", result.contract_state)
-    out.set("faults_injected", len(result.injected))
-    out.set("recoveries", result.recoveries)
-    out.set("blacklisted", result.blacklisted)
-    out.set("dropped_providers", result.dropped_providers)
-    out.set("rewards_paid", sum(result.payouts.values()))
-    out.set("refunded", result.refunded)
-    out.set("gas_used", result.gas_used)
-    out.set("error", result.error)
-    return 0 if result.completed else 1
+    out.set("outcome", session.outcome)
+    out.set("completed", completed)
+    out.set("degraded", ctx.degraded)
+    out.set("contract_state", contract_state)
+    out.set("faults_injected", len(injected))
+    out.set("recoveries", ctx.recovery_log)
+    out.set("blacklisted", ctx.blacklist)
+    out.set("dropped_providers", dropped)
+    out.set("rewards_paid", paid)
+    out.set("refunded", ctx.refunded)
+    out.set("gas_used", session.gas_used)
+    out.set("error", error)
+    return 0 if completed else 1
 
 
 def _cmd_experiments(args: argparse.Namespace, out: OutputWriter) -> int:
@@ -811,44 +818,39 @@ def _batch_trace(args: argparse.Namespace, out: OutputWriter) -> int:
     return 0 if not assembled.orphans else 1
 
 
-def _cmd_batch(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.control import JobSpec, JobsDB, submit_batch
+def _batch_submit(args: argparse.Namespace, out: OutputWriter) -> int:
+    from repro.control import JobSpec, submit_batch
 
-    if args.batch_command == "trace":
-        return _batch_trace(args, out)
-
-    if args.batch_command == "submit":
-        if not _claim_run(args.root, out):
-            return 2
-        specs = []
-        for index in range(args.jobs):
-            faulted = (args.fault_rate > 0
-                       and index % max(1, args.fault_every) == 0)
-            specs.append(JobSpec(
-                job_id=f"job-{index:05d}",
-                seed=args.seed + index,
-                fault_rate=args.fault_rate if faulted else 0.0,
-            ))
-        submit_batch(args.root, specs)
-        out.line(f"submitted {len(specs)} jobs to {args.root}")
-        out.set("root", args.root)
-        out.set("jobs", len(specs))
-        if args.no_execute:
-            out.line(f"execute with: python -m repro batch resume "
-                     f"{args.root}")
-            return 0
-        return _batch_run(args, out)
-    if args.batch_command == "resume":
-        return _batch_run(args, out)
-    if args.batch_command == "kill":
-        db = JobsDB.open(args.root)
-        db.request_kill("cli")
-        db.close()
-        out.line(f"kill requested for {args.root} (the running coordinator "
-                 f"aborts at its next poll; resume clears it)")
+    if not _claim_run(args.root, out):
+        return 2
+    specs = []
+    for index in range(args.jobs):
+        faulted = (args.fault_rate > 0
+                   and index % max(1, args.fault_every) == 0)
+        specs.append(JobSpec(
+            job_id=f"job-{index:05d}",
+            seed=args.seed + index,
+            fault_rate=args.fault_rate if faulted else 0.0,
+        ))
+    submit_batch(args.root, specs)
+    out.line(f"submitted {len(specs)} jobs to {args.root}")
+    out.set("root", args.root)
+    out.set("jobs", len(specs))
+    if args.no_execute:
+        out.line(f"execute with: python -m repro batch resume {args.root}")
         return 0
-    out.error(f"unknown batch command {args.batch_command!r}")
-    return 2
+    return _batch_run(args, out)
+
+
+def _batch_kill(args: argparse.Namespace, out: OutputWriter) -> int:
+    from repro.control import JobsDB
+
+    db = JobsDB.open(args.root)
+    db.request_kill("cli")
+    db.close()
+    out.line(f"kill requested for {args.root} (the running coordinator "
+             f"aborts at its next poll; resume clears it)")
+    return 0
 
 
 def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
@@ -913,8 +915,13 @@ def _chain_run(args: argparse.Namespace, out: OutputWriter) -> int:
 def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
     """Report audit verdicts for a finished run; nonzero on violations."""
     from repro.chain.observe import AUDIT_FILE, FORENSICS_DIR, read_chain_run
+    from repro.errors import ChainError
 
-    data = read_chain_run(args.root)
+    try:
+        data = read_chain_run(args.root)
+    except ChainError as exc:
+        out.error(f"cannot read chain run at {args.root!r}: {exc}")
+        return 2
     audit = data["audit"]
     if audit is None:
         out.error(f"no {AUDIT_FILE} in {args.root!r} (no chain recorded "
@@ -935,21 +942,6 @@ def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
     out.set("blocks_checked", checked)
     out.set("violations", violations)
     return 1 if violations else 0
-
-
-def _cmd_chain(args: argparse.Namespace, out: OutputWriter) -> int:
-    from repro.errors import ChainError
-
-    if args.chain_command == "run":
-        return _chain_run(args, out)
-    try:
-        if args.chain_command == "audit":
-            return _chain_audit(args, out)
-    except ChainError as exc:
-        out.error(f"cannot read chain run at {args.root!r}: {exc}")
-        return 2
-    out.error(f"unknown chain command {args.chain_command!r}")
-    return 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1161,7 +1153,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "`repro batch resume`")
     add_execute_flags(submit)
     add_json_flag(submit)
-    submit.set_defaults(handler=_cmd_batch)
+    submit.set_defaults(handler=_batch_submit)
 
     resume = batch_sub.add_parser(
         "resume", help="run (or continue) every unfinished job"
@@ -1169,14 +1161,14 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument("root", help="existing batch directory")
     add_execute_flags(resume)
     add_json_flag(resume)
-    resume.set_defaults(handler=_cmd_batch)
+    resume.set_defaults(handler=_batch_run)
 
     kill = batch_sub.add_parser(
         "kill", help="write the KILL sentinel: abort the running batch"
     )
     kill.add_argument("root", help="existing batch directory")
     add_json_flag(kill)
-    kill.set_defaults(handler=_cmd_batch)
+    kill.set_defaults(handler=_batch_kill)
 
     batch_trace = batch_sub.add_parser(
         "trace", help="assemble the distributed trace: completeness, "
@@ -1187,7 +1179,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="also write Chrome trace-event JSON "
                                   "(chrome://tracing / ui.perfetto.dev)")
     add_json_flag(batch_trace)
-    batch_trace.set_defaults(handler=_cmd_batch)
+    batch_trace.set_defaults(handler=_batch_trace)
 
     chain_cmd = subparsers.add_parser(
         "chain", help="run and audit the blockchain substrate's ops plane"
@@ -1208,7 +1200,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="arm a corrupt_state fault right after "
                                 "block N seals (auditor must catch it)")
     add_json_flag(chain_run)
-    chain_run.set_defaults(handler=_cmd_chain)
+    chain_run.set_defaults(handler=_chain_run)
 
     chain_audit = chain_sub.add_parser(
         "audit", help="report invariant-audit verdicts for a finished "
@@ -1216,7 +1208,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chain_audit.add_argument("root", help="chain run directory")
     add_json_flag(chain_audit)
-    chain_audit.set_defaults(handler=_cmd_chain)
+    chain_audit.set_defaults(handler=_chain_audit)
     return parser
 
 

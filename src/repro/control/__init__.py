@@ -42,7 +42,6 @@ from repro.control.supervisor import (
     BoundaryRecorder,
     JobContext,
     build_ml_market,
-    result_digest_of,
     run_job,
 )
 from repro.control.trace_ops import (
@@ -77,7 +76,6 @@ __all__ = [
     "BoundaryRecorder",
     "JobContext",
     "build_ml_market",
-    "result_digest_of",
     "run_job",
     "OpsSnapshot",
     "assemble_batch_trace",

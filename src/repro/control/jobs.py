@@ -9,8 +9,8 @@ re-queue and replay-based resume sound.  Fault plans derive from the spec id
 via :func:`repro.core.resilience.job_fault_seed`, never from process state.
 
 A :class:`JobResult` is the terminal record a job returns: the outcome
-class, a canonical ``result_digest`` over every seed-determined settlement
-field (the byte-identity witness the E21 acceptance criterion compares
+class, the finished session's digest over every seed-determined field
+(the byte-identity witness the E21 acceptance criterion compares
 across sharded and baseline runs), and accounting counters.
 """
 
@@ -95,9 +95,8 @@ class JobResult:
 
     job_id: str
     outcome: str
-    #: SHA-256 over the canonical settlement summary (see the supervisor's
-    #: ``result_digest_of``): equal digests mean two runs of this job
-    #: settled byte-identically.
+    #: The finished session's ``digest()``: equal digests mean two runs of
+    #: this job settled byte-identically.
     result_digest: str = ""
     session_id: str = ""
     gas_used: int = 0

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from hashlib import sha256
 from typing import Callable, Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ from repro.control.jobs import JOB_ERROR, WORKLOAD, JobResult, JobSpec
 from repro.control.jobs_db import JobsDB
 from repro.errors import ControlPlaneError
 from repro.telemetry.distributed import JobSpanExporter, TraceContext
-from repro.utils.serialization import canonical_json_bytes
 
 
 @dataclass
@@ -109,39 +107,6 @@ class BoundaryRecorder:
                                 "boundary": boundary})
 
 
-def result_digest_of(outcome) -> str:
-    """Canonical digest over every seed-determined settlement field.
-
-    Equal digests between a sharded run and the single-process baseline is
-    the E21 byte-identity acceptance criterion; wall clocks and worker
-    identity deliberately excluded.
-    """
-    report = outcome.report
-    summary = {
-        "session_id": outcome.session_id,
-        "outcome": outcome.outcome,
-        "session_state": outcome.session_state,
-        "contract_state": outcome.contract_state,
-        "result_hash": "" if report is None else report.result_hash,
-        "params": (None if report is None
-                   else np.asarray(report.final_params, dtype=float)),
-        "consumer_score": None if report is None else report.consumer_score,
-        "weights_bps": {} if report is None else dict(report.weights_bps),
-        "payouts": dict(outcome.payouts),
-        "refunded": outcome.refunded,
-        "degraded": outcome.degraded,
-        "blacklisted": sorted(outcome.blacklisted),
-        "dropped_providers": sorted(outcome.dropped_providers),
-        "recoveries": outcome.recoveries,
-        "injected": outcome.injected,
-        "gas_used": outcome.gas_used,
-        "blocks_mined": outcome.blocks_mined,
-        "audit_clean": None if report is None else bool(report.audit.clean),
-        "error": outcome.error,
-    }
-    return sha256(canonical_json_bytes(summary)).hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # The workload: one lean ML-training lifecycle per job
 # ---------------------------------------------------------------------------
@@ -206,21 +171,23 @@ def run_ml_train(spec: JobSpec, ctx: JobContext) -> JobResult:
     plan = FaultPlan.for_job(spec.job_id, spec.fault_rate,
                              executor_names, provider_names)
     recorder = BoundaryRecorder(spec, ctx)
-    outcome = run_with_faults(market, consumer, workload, plan,
+    session = run_with_faults(market, consumer, workload, plan,
                               recover=spec.recover,
                               on_phase_boundary=recorder)
+    failure = session.failure
+    error = "" if failure is None else f"{type(failure).__name__}: {failure}"
     return JobResult(
         job_id=spec.job_id,
-        outcome=outcome.outcome,
-        result_digest=result_digest_of(outcome),
-        session_id=outcome.session_id,
-        gas_used=outcome.gas_used,
-        blocks_mined=outcome.blocks_mined,
-        faults_injected=len(outcome.injected),
-        recoveries=len(outcome.recoveries),
+        outcome=session.outcome,
+        result_digest=session.digest(),
+        session_id=session.session_id,
+        gas_used=session.gas_used,
+        blocks_mined=session.blocks_mined,
+        faults_injected=len(session.injector.injected),
+        recoveries=len(session.ctx.recovery_log),
         boundaries=recorder.boundaries,
         resumed_boundary=recorder.resumed_boundary,
-        error=outcome.error,
+        error=error,
     )
 
 

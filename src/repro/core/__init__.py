@@ -6,7 +6,6 @@ architecture of Fig. 1 and runs the full Fig. 2 workload lifecycle.
 """
 
 from repro.core.adversary import (
-    AdversarialOutcome,
     ExecutorBehavior,
     run_with_adversaries,
 )
@@ -53,7 +52,6 @@ from repro.core.resilience import (
     FaultInjector,
     FaultKind,
     FaultPlan,
-    FaultRunOutcome,
     Scenario,
     job_fault_seed,
     run_with_faults,
@@ -72,7 +70,6 @@ from repro.core.workload import (
 )
 
 __all__ = [
-    "AdversarialOutcome",
     "ExecutorBehavior",
     "run_with_adversaries",
     "AggregateKind",
@@ -109,7 +106,6 @@ __all__ = [
     "FaultInjector",
     "FaultKind",
     "FaultPlan",
-    "FaultRunOutcome",
     "Scenario",
     "job_fault_seed",
     "run_with_faults",

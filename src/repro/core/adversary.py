@@ -21,7 +21,6 @@ behavior — no marketplace internals are duplicated or reached into.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.core.lifecycle import (
     PHASE_SETTLE,
@@ -29,9 +28,9 @@ from repro.core.lifecycle import (
     MLTrainingKind,
     WorkloadSession,
 )
-from repro.core.marketplace import Marketplace, WorkloadRunReport
+from repro.core.marketplace import Marketplace
 from repro.core.workload import WorkloadSpec
-from repro.errors import MarketplaceError
+from repro.errors import LifecycleError, MarketplaceError
 from repro.governance.contracts import BPS
 
 
@@ -42,18 +41,6 @@ class ExecutorBehavior(enum.Enum):
     WRONG_RESULT = "wrong_result"       # votes for a fabricated model hash
     SELF_DEALING = "self_dealing"       # reroutes payout weights to a crony
     SILENT = "silent"                   # never submits (lazy/crashed)
-
-
-@dataclass
-class AdversarialOutcome:
-    """What happened when a workload ran against misbehaving executors."""
-
-    completed: bool
-    honest_result_hash: str | None
-    final_state: str
-    paid_total: int
-    crony_payout: int
-    report: WorkloadRunReport | None = None
 
 
 def adversarial_settle_interceptor(behaviors: list["ExecutorBehavior"]):
@@ -97,14 +84,15 @@ CRONY_ADDRESS = "0x" + "c0" * 20
 
 def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
                          behaviors: list[ExecutorBehavior],
-                         ) -> AdversarialOutcome:
+                         ) -> WorkloadSession:
     """Run the Fig. 2 lifecycle with per-executor behaviors.
 
     Drives the same :class:`~repro.core.lifecycle.WorkloadSession` engine
     as :meth:`Marketplace.run_workload`, with the settle phase intercepted
     so each executor votes according to its assigned behavior.  The
-    function never raises on adversarial failure; it reports what the
-    contract did.
+    function never raises on adversarial failure: a quorum that never
+    forms fails the session in settle, which refunds the escrow, and the
+    returned session reports what the contract did.
     """
     executors = market.executors
     if len(behaviors) != len(executors):
@@ -113,24 +101,9 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     session = market.session_for(
         consumer, MLTrainingKind(spec),
         interceptors={PHASE_SETTLE: adversarial_settle_interceptor(behaviors)},
-        require_completion=False,
-        audit=False,
     )
-    report = session.run()
-    ctx = session.ctx
-
-    crony_paid = sum(
-        int(log.data["amount"])
-        for _, log in market.chain.events(name="RewardPaid",
-                                          address=ctx.workload_address)
-        if log.data["recipient"] == CRONY_ADDRESS
-    )
-    completed = ctx.final_state == "complete"
-    return AdversarialOutcome(
-        completed=completed,
-        honest_result_hash=ctx.result_hash,
-        final_state=ctx.final_state,
-        paid_total=sum(ctx.payouts.values()),
-        crony_payout=crony_paid,
-        report=report if completed else None,
-    )
+    try:
+        session.run()
+    except LifecycleError:
+        pass  # the session holds it as ``failure``
+    return session

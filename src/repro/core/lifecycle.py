@@ -492,8 +492,6 @@ class WorkloadSession:
     def __init__(self, market: "Marketplace", consumer: ConsumerActor,
                  kind: WorkloadKind,
                  interceptors: Optional[Mapping[str, PhaseInterceptor]] = None,
-                 require_completion: bool = True,
-                 audit: bool = True,
                  recover: bool = False,
                  injector: Optional[Any] = None,
                  on_phase_boundary: Optional[Callable[
@@ -506,8 +504,6 @@ class WorkloadSession:
         self.interceptors: dict[str, PhaseInterceptor] = dict(
             interceptors or {}
         )
-        self.require_completion = require_completion
-        self.audit_enabled = audit
         #: Whether a failing phase consults
         #: :func:`repro.core.resilience.decide` (False fails fast).
         self.recover = recover
@@ -532,6 +528,8 @@ class WorkloadSession:
         self.awaited: list[tuple[bytes, str, str]] = []
         self.trail: list[LifecycleEvent] = []
         self.ctx = SessionContext(executors=list(market.executors))
+        #: The error that failed the session (None unless it failed).
+        self.failure: Optional[LifecycleError] = None
 
     # -- observability ------------------------------------------------------
 
@@ -545,6 +543,14 @@ class WorkloadSession:
         return sum(
             1 for event in self.trail if event.name == "chain.block_mined"
         )
+
+    @property
+    def outcome(self) -> str:
+        """``settled``, ``settled_degraded`` or ``failed`` (also while the
+        session has not completed)."""
+        if self.state != TERMINAL_COMPLETE:
+            return "failed"
+        return "settled_degraded" if self.ctx.degraded else "settled"
 
     def emit(self, name: str, *, gas_delta: int = 0, block_height: int = -1,
              actor: str = "", **data: Any) -> LifecycleEvent:
@@ -818,6 +824,7 @@ class WorkloadSession:
                 ctx.submitted.discard(provider.address)
 
     def _fail(self, phase: "LifecyclePhase", error: LifecycleError) -> None:
+        self.failure = error
         self.emit("phase.failed", error=type(error).__name__,
                   message=str(error))
         self._release_escrow()
@@ -1150,18 +1157,16 @@ class SettlePhase(LifecyclePhase):
 
     def after_block(self, session: WorkloadSession,
                     receipts: list["Receipt"]) -> None:
-        """Check completion and account the payouts."""
+        """Check completion and account the payouts; a quorum that did not
+        form fails the session, which refunds the escrow."""
         ctx = session.ctx
         ctx.final_state = session.read_state()
         if ctx.final_state != STATE_COMPLETE:
             session.emit("settle.incomplete", state=ctx.final_state)
-            if session.require_completion:
-                raise SettlementFailure(
-                    "workload did not complete "
-                    f"(state={ctx.final_state!r})",
-                    snapshot=session.record(),
-                )
-            return
+            raise SettlementFailure(
+                f"workload did not complete (state={ctx.final_state!r})",
+                snapshot=session.record(),
+            )
         ctx.payouts = session.collect_payouts()
         for provider in ctx.participants:
             provider.rewards_received += ctx.payouts.get(provider.address, 0)
@@ -1177,8 +1182,6 @@ class AuditPhase(LifecyclePhase):
     failure_class = AuditFailure
 
     def run(self, session: WorkloadSession) -> None:
-        if not session.audit_enabled:
-            return
         report = audit_workload(
             session.market.chain, session.ctx.workload_address,
             auditor=session.consumer.address,

@@ -23,8 +23,8 @@ two halves that meet inside :class:`~repro.core.lifecycle.WorkloadSession`:
   provider that keeps failing past its retry budget is **dropped** as
   long as ``min_providers`` still holds.
 
-:func:`run_with_faults` wires both halves to one session and reports what
-happened; :data:`SCENARIOS` names the canned plans the CLI
+:func:`run_with_faults` wires both halves to one session and returns it;
+:data:`SCENARIOS` names the canned plans the CLI
 (``python -m repro faults <scenario>``) and the CI smoke job run.
 """
 
@@ -39,7 +39,6 @@ from repro.core.lifecycle import (
     PHASE_EXECUTE,
     PHASE_REGISTER,
     PHASE_SUBMIT,
-    TERMINAL_COMPLETE,
     LifecyclePhase,
     MLTrainingKind,
     RecoveryDirective,
@@ -47,7 +46,7 @@ from repro.core.lifecycle import (
     WorkloadSession,
 )
 from repro.core.workload import WorkloadSpec
-from repro.errors import InjectedFaultError, LifecycleError, PDS2Error
+from repro.errors import InjectedFaultError, LifecycleError
 from repro.telemetry import metrics as _tm
 from repro.telemetry import tracing as _tt
 from repro.utils.rng import derive_rng
@@ -382,84 +381,30 @@ def _executor_dead(session: WorkloadSession, phase: LifecyclePhase,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FaultRunOutcome:
-    """What one injected run did, for tests, the CLI and the benchmark."""
-
-    outcome: str            # "settled" | "settled_degraded" | "failed"
-    completed: bool
-    degraded: bool
-    session_state: str      # the session's terminal state
-    contract_state: str     # the workload contract's final state
-    session_id: str
-    workload_address: str
-    injected: list[dict]
-    recoveries: list[dict]
-    blacklisted: list[str]
-    dropped_providers: list[str]
-    payouts: dict[str, int]
-    refunded: int
-    gas_used: int
-    blocks_mined: int
-    error: str = ""
-    report: object = None
-
-
 def run_with_faults(market: "Marketplace", consumer: "ConsumerActor",
                     kind: WorkloadKind | WorkloadSpec,
                     plan: FaultPlan,
                     *, recover: bool = True,
-                    **session_kwargs) -> FaultRunOutcome:
-    """Run one lifecycle session with ``plan`` armed.
+                    **session_kwargs) -> WorkloadSession:
+    """Run one lifecycle session with ``plan`` armed; return the session.
 
     ``recover=False`` runs the pre-recovery engine — every injected fault
     is terminal — which is the baseline the acceptance criterion and the
     E18 sweep compare against.  The function never raises on lifecycle
-    failure; it reports.
+    failure: the finished session reports it (``outcome``, ``failure``,
+    ``ctx``, ``injector.injected``).
     """
     if isinstance(kind, WorkloadSpec):
         kind = MLTrainingKind(kind)
-    injector = FaultInjector(plan)
     session = market.session_for(
-        consumer, kind, recover=recover, injector=injector, **session_kwargs,
+        consumer, kind, recover=recover, injector=FaultInjector(plan),
+        **session_kwargs,
     )
-    report: object = None
-    error = ""
     try:
-        report = session.run()
-    except LifecycleError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-    ctx = session.ctx
-    contract_state = ""
-    if ctx.workload_address:
-        try:
-            contract_state = session.read_state()
-        except PDS2Error:  # pragma: no cover - defensive
-            contract_state = "unknown"
-    completed = session.state == TERMINAL_COMPLETE
-    if completed:
-        outcome = "settled_degraded" if ctx.degraded else "settled"
-    else:
-        outcome = "failed"
-    return FaultRunOutcome(
-        outcome=outcome,
-        completed=completed,
-        degraded=ctx.degraded,
-        session_state=session.state,
-        contract_state=contract_state,
-        session_id=session.session_id,
-        workload_address=ctx.workload_address,
-        injected=list(injector.injected),
-        recoveries=[dict(entry) for entry in ctx.recovery_log],
-        blacklisted=list(ctx.blacklist),
-        dropped_providers=sorted(ctx.dropped_providers),
-        payouts=dict(ctx.payouts),
-        refunded=ctx.refunded,
-        gas_used=session.gas_used,
-        blocks_mined=session.blocks_mined,
-        error=error,
-        report=report,
-    )
+        session.run()
+    except LifecycleError:
+        pass  # the session holds it as ``failure``
+    return session
 
 
 # ---------------------------------------------------------------------------

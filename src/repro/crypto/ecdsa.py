@@ -131,9 +131,12 @@ class Signature:
         return cls(r=r, s=s, v=data[64])
 
 
-# Verification outcomes, keyed by (pubkey x, pubkey y, digest, r, s).  Chain
-# audits re-verify the same seals and transaction signatures over and over;
-# the outcome is deterministic, so replays cost a dict lookup.
+# Verification outcomes, keyed by (pubkey x, pubkey y, digest, r, s); the
+# outcome is deterministic, so a repeat costs a dict lookup.  In a lifecycle
+# session every repeat is a provider re-verifying the quote of an enclave
+# another provider already checked (``AttestationService._verify_checked``):
+# measured on E25, 12 hits per ``ml_wide`` session, 2 per ``agg_sustained``
+# and 5.3 per ``ml_faulted``; ``chain_bulk``'s block entry hits 0 of 4 096.
 _VERIFY_CACHE: OrderedDict[tuple[int, int, int, int, int], bool] = OrderedDict()
 _VERIFY_CACHE_MAX = 8192
 
@@ -189,8 +192,9 @@ class PublicKey:
         Scalars are range-checked and low-s is *required* before any EC math
         runs (high-s twins are malleable duplicates, see
         :meth:`Signature.from_bytes`).  Outcomes are LRU-cached keyed by
-        ``(pubkey, digest, r, s)``, so audit replays of already-seen
-        signatures (``Blockchain.verify_chain``) skip the curve entirely.
+        ``(pubkey, digest, r, s)``, so a signature seen before skips the
+        curve entirely (in a session: the quote of an enclave several
+        providers are routed to).
         """
         r, s = signature.r, signature.s
         if not (1 <= r < N and 1 <= s < N):

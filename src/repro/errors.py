@@ -79,10 +79,6 @@ class InvalidBlockError(ChainError):
     """A block fails structural or consensus validation."""
 
 
-class ChainAuditError(ChainError):
-    """The continuous invariant auditor found a violation (strict mode)."""
-
-
 class UnknownContractError(ChainError):
     """A call targets an address with no deployed contract."""
 

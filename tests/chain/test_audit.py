@@ -16,7 +16,6 @@ from repro.chain.audit import install_state_corruption
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
-from repro.errors import ChainAuditError
 from tests.chain.test_journal_root import recompute_state_root
 
 BYSTANDER = "0x" + "b7" * 20
@@ -109,15 +108,6 @@ class TestSeededCorruption:
         assert path.exists()
         bundle = json.loads(path.read_text(encoding="utf-8"))
         assert bundle["violations"]
-
-    def test_strict_mode_raises(self):
-        chain, wallets = _build_chain(37)
-        chain.auditor.strict = True
-        install_state_corruption(chain, block_number=1, seed=1)
-        for wallet in wallets:
-            wallet.transfer("0x" + "ee" * 20, 100)
-        with pytest.raises(ChainAuditError):
-            chain.mine_block()
 
     def test_matched_seeds_pick_the_same_victim(self):
         victims = []

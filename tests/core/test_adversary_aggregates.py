@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import Marketplace, ModelSpec, TrainingSpec, WorkloadSpec
 from repro.core.adversary import (
+    CRONY_ADDRESS,
     ExecutorBehavior,
     run_with_adversaries,
 )
@@ -16,7 +17,11 @@ from repro.core.aggregates import (
     AggregateSpec,
     aggregate_enclave_entry_point,
 )
-from repro.errors import MarketplaceError, WorkloadSpecError
+from repro.errors import (
+    MarketplaceError,
+    SettlementFailure,
+    WorkloadSpecError,
+)
 from repro.ml.datasets import (
     make_iot_activity,
     split_dirichlet,
@@ -54,29 +59,43 @@ def spec(workload_id: str, confirmations: int) -> WorkloadSpec:
     )
 
 
+B = ExecutorBehavior
+
+#: E16's seven executor mixes (``benchmarks/bench_e16_fault_injection.py``).
+E16_MIXES = {
+    "all honest": [B.HONEST, B.HONEST, B.HONEST],
+    "1 liar / 3": [B.HONEST, B.HONEST, B.WRONG_RESULT],
+    "1 self-dealer / 3": [B.HONEST, B.HONEST, B.SELF_DEALING],
+    "1 lazy / 3": [B.HONEST, B.HONEST, B.SILENT],
+    "2 liars / 3": [B.HONEST, B.WRONG_RESULT, B.WRONG_RESULT],
+    "split 3 ways": [B.HONEST, B.WRONG_RESULT, B.SELF_DEALING],
+    "all lazy": [B.SILENT, B.SILENT, B.SILENT],
+}
+
+
 class TestAdversarialExecutors:
     def test_honest_majority_wins(self, adversary_market):
         market, consumer = adversary_market
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-major", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
              ExecutorBehavior.WRONG_RESULT],
         )
-        assert outcome.completed
-        assert outcome.paid_total == 100_000
+        assert session.outcome == "settled"
+        assert sum(session.ctx.payouts.values()) == 100_000
 
     def test_vote_reverted_after_quorum_is_reported(self, adversary_market):
         market, consumer = adversary_market
         sink = market.events.attach(TrailSink())
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-late-vote", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
              ExecutorBehavior.WRONG_RESULT],
         )
-        assert outcome.completed
+        assert session.outcome == "settled"
         market.events.detach(sink)
         reverted = [
-            event for event in sink.for_session(outcome.report.session_id)
+            event for event in sink.for_session(session.session_id)
             if event.name == "chain.tx_reverted"
         ]
         assert [(e.actor, e.data["method"]) for e in reverted] == [
@@ -85,7 +104,7 @@ class TestAdversarialExecutors:
 
     def test_finalized_result_is_the_honest_one(self, adversary_market):
         market, consumer = adversary_market
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-honest-hash", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
              ExecutorBehavior.WRONG_RESULT],
@@ -93,41 +112,43 @@ class TestAdversarialExecutors:
         # Find the workload address through the completion event.
         completion = [
             log for _, log in market.chain.events(name="WorkloadCompleted")
-            if log.data["result_hash"] == outcome.honest_result_hash
+            if log.data["result_hash"] == session.ctx.result_hash
         ]
         assert completion, "honest result must be the confirmed one"
 
     def test_split_vote_blocks_payout(self, adversary_market):
         market, consumer = adversary_market
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-split", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.WRONG_RESULT,
              ExecutorBehavior.SELF_DEALING],
         )
-        assert not outcome.completed
-        assert outcome.final_state == "executing"
-        assert outcome.paid_total == 0
+        assert session.outcome == "failed"
+        assert isinstance(session.failure, SettlementFailure)
+        assert session.read_state() == "cancelled"
+        assert session.ctx.refunded == 100_000
+        assert session.ctx.payouts == {}
 
     def test_lazy_executors_block_payout_not_corrupt_it(self,
                                                         adversary_market):
         market, consumer = adversary_market
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-lazy", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.SILENT,
              ExecutorBehavior.SILENT],
         )
-        assert not outcome.completed
-        assert outcome.paid_total == 0
+        assert session.outcome == "failed"
+        assert session.ctx.payouts == {}
 
     def test_self_dealing_minority_fails(self, adversary_market):
         market, consumer = adversary_market
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-greed", 2),
             [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
              ExecutorBehavior.SELF_DEALING],
         )
-        assert outcome.completed  # honest quorum reached
-        assert outcome.crony_payout == 0
+        assert session.outcome == "settled"  # honest quorum reached
+        assert session.ctx.payouts.get(CRONY_ADDRESS, 0) == 0
 
     def test_behavior_count_validated(self, adversary_market):
         market, consumer = adversary_market
@@ -137,12 +158,26 @@ class TestAdversarialExecutors:
 
     def test_confirmed_result_none_while_pending(self, adversary_market):
         market, consumer = adversary_market
-        outcome = run_with_adversaries(
+        session = run_with_adversaries(
             market, consumer, spec("adv-pending", 3),
             [ExecutorBehavior.HONEST, ExecutorBehavior.SILENT,
              ExecutorBehavior.SILENT],
         )
-        assert not outcome.completed
+        assert session.outcome == "failed"
+
+    @pytest.mark.parametrize("name", list(E16_MIXES))
+    def test_every_e16_mix_conserves_the_escrow(self, adversary_market,
+                                                name):
+        """Payouts + refund = escrow, and the contract keeps nothing."""
+        market, consumer = adversary_market
+        index = list(E16_MIXES).index(name)
+        session = run_with_adversaries(
+            market, consumer, spec(f"adv-escrow-{index}", 2),
+            E16_MIXES[name],
+        )
+        ctx = session.ctx
+        assert sum(ctx.payouts.values()) + ctx.refunded == 100_000
+        assert market.chain.state.balance_of(ctx.workload_address) == 0
 
 
 def make_inputs(parts) -> dict:

@@ -26,7 +26,6 @@ from repro.core import (
     WorkloadSpec,
     run_with_faults,
 )
-from repro.core.lifecycle import TERMINAL_COMPLETE
 from repro.errors import LifecycleError, SessionPaused
 from repro.ml.datasets import (
     make_iot_activity,
@@ -73,14 +72,10 @@ def make_kind() -> MLTrainingKind:
 def settlement_key(session) -> str:
     """Canonical fingerprint of everything settlement-observable."""
     ctx = session.ctx
-    if session.state == TERMINAL_COMPLETE:
-        outcome = "settled_degraded" if ctx.degraded else "settled"
-    else:
-        outcome = "failed"
     injected = (list(session.injector.injected)
                 if session.injector is not None else [])
     return canonical_json({
-        "outcome": outcome,
+        "outcome": session.outcome,
         "payouts": dict(ctx.payouts),
         "gas": session.gas_used,
         "blocks": session.blocks_mined,
@@ -92,26 +87,6 @@ def settlement_key(session) -> str:
         "hash": ctx.result_hash,
         "params": ctx.result_vector,
         "session": session.session_id,
-    })
-
-
-def outcome_key(outcome) -> str:
-    """The same fingerprint, from a FaultRunOutcome (baseline side)."""
-    report = outcome.report
-    return canonical_json({
-        "outcome": outcome.outcome,
-        "payouts": outcome.payouts,
-        "gas": outcome.gas_used,
-        "blocks": outcome.blocks_mined,
-        "recoveries": outcome.recoveries,
-        "injected": outcome.injected,
-        "blacklist": sorted(outcome.blacklisted),
-        "dropped": sorted(outcome.dropped_providers),
-        "refunded": outcome.refunded,
-        "hash": report.result_hash if report is not None else "",
-        "params": (report.final_params if report is not None
-                   else None),
-        "session": outcome.session_id,
     })
 
 
@@ -158,7 +133,8 @@ def test_scenario_resumes_byte_identically_from_every_boundary(name):
 
     market, consumer = build_market()
     baseline = run_with_faults(market, consumer, make_kind(), plan)
-    baseline_key = outcome_key(baseline)
+    baseline_key = settlement_key(baseline)
+    recoveries = baseline.ctx.recovery_log
 
     boundaries = scenario_boundaries(plan)
     assert boundaries, "scenario produced no phase boundaries"
@@ -167,9 +143,9 @@ def test_scenario_resumes_byte_identically_from_every_boundary(name):
         index for index, (state, next_phase, _) in enumerate(boundaries)
         if any(entry.get("target") == next_phase
                and entry.get("phase") == state
-               for entry in baseline.recoveries)
+               for entry in recoveries)
     ]
-    if baseline.recoveries:
+    if recoveries:
         # The pause sweep must cover the recovery re-entry edges, not just
         # the straight-line boundaries.
         assert recovery_edges

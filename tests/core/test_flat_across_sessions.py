@@ -35,10 +35,10 @@ def aggregate_session(market, consumer, index: int) -> None:
 
 
 def crashed_session(market, consumer, index: int) -> None:
-    result = run_with_faults(
+    session = run_with_faults(
         market, consumer, spec(f"flat-crash-{index}"),
         FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1"))
-    assert result.outcome == "settled_degraded"
+    assert session.outcome == "settled_degraded"
 
 
 def registry_children() -> int:

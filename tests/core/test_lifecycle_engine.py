@@ -271,7 +271,7 @@ class TestInterceptors:
         assert seen["phase"] == "audit"
         assert report.audit.clean
 
-    def test_silent_settle_leaves_contract_executing(self, market_setup):
+    def test_silent_settle_refunds_the_escrow(self, market_setup):
         market, consumer = market_setup
 
         def no_votes(session, phase):
@@ -280,13 +280,22 @@ class TestInterceptors:
         session = market.session_for(
             consumer, MLTrainingKind(small_spec("wl-novotes")),
             interceptors={"settle": no_votes},
-            require_completion=False, audit=False,
         )
-        session.run()
-        assert session.blocks_mined == 5  # the settle block holds no vote
+        with pytest.raises(SettlementFailure) as excinfo:
+            session.run()
+        # The settle block holds no vote; the abort is mined in a sixth.
+        assert session.blocks_mined == 6
         assert session.ctx.final_state == "executing"
+        assert session.read_state() == "cancelled"
+        assert session.outcome == "failed"
+        assert session.failure is excinfo.value
         assert session.ctx.payouts == {}
-        assert "settle.incomplete" in [e.name for e in session.trail]
+        assert session.ctx.refunded == small_spec("wl-novotes").reward_pool
+        assert market.chain.state.balance_of(
+            session.ctx.workload_address) == 0
+        names = [e.name for e in session.trail]
+        assert "settle.incomplete" in names
+        assert "session.refunded" in names
 
     def test_missing_quorum_raises_settlement_failure(self, market_setup):
         market, consumer = market_setup

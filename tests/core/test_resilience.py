@@ -35,6 +35,7 @@ from repro.crypto.symmetric import decrypt
 from repro.errors import (
     DecryptionError,
     EnclaveViolationError,
+    InjectedFaultError,
     MarketplaceError,
     SessionPaused,
 )
@@ -145,55 +146,54 @@ class TestCrashExecuteAcceptance:
 
     def run_once(self, *, recover: bool):
         market, consumer = build_market()
-        result = run_with_faults(market, consumer, spec("wl-crash-exec"),
-                                 self.PLAN, recover=recover)
-        return market, result
+        session = run_with_faults(market, consumer, spec("wl-crash-exec"),
+                                  self.PLAN, recover=recover)
+        return market, session
 
     def test_recovers_degraded_and_settles(self):
-        market, result = self.run_once(recover=True)
-        assert result.outcome == "settled_degraded"
-        assert result.completed and result.degraded
-        assert result.contract_state == "complete"
-        assert [r["action"] for r in result.recoveries] == ["degrade"]
-        assert result.blacklisted == [address_of(market, "e1")]
-        assert result.report.degraded
-        assert sum(result.payouts.values()) == 600_000
+        market, session = self.run_once(recover=True)
+        assert session.outcome == "settled_degraded"
+        assert session.ctx.degraded
+        assert session.read_state() == "complete"
+        assert [r["action"] for r in session.ctx.recovery_log] == ["degrade"]
+        assert session.ctx.blacklist == [address_of(market, "e1")]
+        assert sum(session.ctx.payouts.values()) == 600_000
 
     def test_crashed_executor_is_never_paid(self):
-        market, result = self.run_once(recover=True)
+        market, session = self.run_once(recover=True)
         dead = address_of(market, "e1")
-        assert result.payouts.get(dead, 0) == 0
+        assert session.ctx.payouts.get(dead, 0) == 0
         # The surviving quorum did get the infra share.
         for name in ("e0", "e2"):
-            assert result.payouts.get(address_of(market, name), 0) > 0
+            assert session.ctx.payouts.get(address_of(market, name), 0) > 0
 
     def test_identical_across_two_runs(self):
         _, first = self.run_once(recover=True)
         _, second = self.run_once(recover=True)
-        assert first.report.result_hash == second.report.result_hash
-        assert first.payouts == second.payouts
+        assert first.ctx.result_hash == second.ctx.result_hash
+        assert first.ctx.payouts == second.ctx.payouts
         assert first.gas_used == second.gas_used
-        assert first.injected == second.injected
-        assert first.recoveries == second.recoveries
+        assert first.injector.injected == second.injector.injected
+        assert first.ctx.recovery_log == second.ctx.recovery_log
 
     def test_without_recovery_the_session_fails(self):
-        market, result = self.run_once(recover=False)
-        assert result.outcome == "failed"
-        assert result.session_state == TERMINAL_FAILED
-        assert "InjectedFaultError" in result.error
+        market, session = self.run_once(recover=False)
+        assert session.outcome == "failed"
+        assert session.state == TERMINAL_FAILED
+        assert isinstance(session.failure, InjectedFaultError)
         # The failure path still releases the escrow (satellite fix).
-        assert result.refunded == 600_000
-        assert result.contract_state == "cancelled"
+        assert session.ctx.refunded == 600_000
+        assert session.read_state() == "cancelled"
 
     def test_recovered_trail_still_covers_chain(self):
         market, consumer = build_market()
         sink = market.events.attach(TrailSink())
-        result = run_with_faults(market, consumer, spec("wl-crash-exec"),
-                                 self.PLAN, recover=True)
-        trail = sink.for_session(result.session_id)
-        assert trail_covers_chain(market.chain, result.workload_address,
+        session = run_with_faults(market, consumer, spec("wl-crash-exec"),
+                                  self.PLAN, recover=True)
+        trail = sink.for_session(session.session_id)
+        assert trail_covers_chain(market.chain, session.ctx.workload_address,
                                   trail) == []
-        assert result.report.audit.clean, result.report.audit.violations
+        assert session.ctx.audit.clean, session.ctx.audit.violations
 
 
 class TestPreStartCrashRecovery:
@@ -204,30 +204,30 @@ class TestPreStartCrashRecovery:
     def test_crash_before_start_rematches(self, kind, point):
         market, consumer = build_market()
         plan = FaultPlan.single(kind, target="e1")
-        result = run_with_faults(market, consumer,
-                                 spec(f"wl-{kind.value}"), plan)
-        assert result.completed
-        assert [r["action"] for r in result.recoveries] == ["rematch"]
-        assert result.recoveries[0]["target"] == PHASE_REGISTER
-        assert result.blacklisted == [address_of(market, "e1")]
-        assert result.injected[0]["point"] == point
+        session = run_with_faults(market, consumer,
+                                  spec(f"wl-{kind.value}"), plan)
+        assert session.failure is None
+        assert [r["action"] for r in session.ctx.recovery_log] == ["rematch"]
+        assert session.ctx.recovery_log[0]["target"] == PHASE_REGISTER
+        assert session.ctx.blacklist == [address_of(market, "e1")]
+        assert session.injector.injected[0]["point"] == point
         # Re-matching keeps the full quorum: not a degraded run.
-        assert not result.degraded
-        assert result.payouts.get(address_of(market, "e1"), 0) == 0
-        assert sum(result.payouts.values()) == 600_000
+        assert not session.ctx.degraded
+        assert session.ctx.payouts.get(address_of(market, "e1"), 0) == 0
+        assert sum(session.ctx.payouts.values()) == 600_000
 
     def test_rematch_blocked_when_quorum_impossible(self):
         # With required_confirmations == executors, losing one executor
         # leaves no legal re-match: the session must fail (and refund).
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.CRASH_REGISTER, target="e1")
-        result = run_with_faults(
+        session = run_with_faults(
             market, consumer,
             spec("wl-no-quorum", required_confirmations=N_EXECUTORS), plan,
         )
-        assert result.outcome == "failed"
-        assert result.recoveries == []
-        assert result.refunded == 600_000
+        assert session.outcome == "failed"
+        assert session.ctx.recovery_log == []
+        assert session.ctx.refunded == 600_000
 
 
 class TestTransientRetry:
@@ -235,12 +235,13 @@ class TestTransientRetry:
         market, consumer = build_market()
         before = market.clock
         plan = FaultPlan.single(FaultKind.DROP_SUBMISSION, target="u0")
-        result = run_with_faults(market, consumer, spec("wl-drop"), plan)
-        assert result.outcome == "settled"
-        assert [r["action"] for r in result.recoveries] == ["retry"]
-        assert result.recoveries[0]["delay_s"] == 1.0
+        session = run_with_faults(market, consumer, spec("wl-drop"), plan)
+        assert session.outcome == "settled"
+        assert [r["action"] for r in session.ctx.recovery_log] == ["retry"]
+        assert session.ctx.recovery_log[0]["delay_s"] == 1.0
         assert market.clock >= before + 1.0
-        assert not result.blacklisted and not result.dropped_providers
+        assert not session.ctx.blacklist
+        assert not session.ctx.dropped_providers
 
     def test_backoff_is_capped_exponential(self):
         assert [resilience.retry_delay(a) for a in range(7)] == \
@@ -250,35 +251,36 @@ class TestTransientRetry:
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.PROVIDER_CHURN, target="u0",
                                 times=3)
-        result = run_with_faults(market, consumer, spec("wl-churn"), plan)
-        assert result.outcome == "settled"
-        assert [r["action"] for r in result.recoveries] == ["retry"] * 3
-        delays = [r["delay_s"] for r in result.recoveries]
+        session = run_with_faults(market, consumer, spec("wl-churn"), plan)
+        assert session.outcome == "settled"
+        assert [r["action"] for r in session.ctx.recovery_log] == ["retry"] * 3
+        delays = [r["delay_s"] for r in session.ctx.recovery_log]
         assert delays == [1.0, 2.0, 4.0]
 
     def test_chain_rejection_retries_in_place(self):
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.CHAIN_REJECT, times=2,
                                 point="start.chain_tx")
-        result = run_with_faults(market, consumer, spec("wl-flaky"), plan)
-        assert result.outcome == "settled"
-        assert [r["action"] for r in result.recoveries] == ["retry", "retry"]
+        session = run_with_faults(market, consumer, spec("wl-flaky"), plan)
+        assert session.outcome == "settled"
+        assert [r["action"] for r in session.ctx.recovery_log] == \
+            ["retry", "retry"]
         assert all(r["phase"] == "start_execution"
-                   for r in result.recoveries)
+                   for r in session.ctx.recovery_log)
 
     def test_exhausted_retries_drop_the_provider(self):
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.PROVIDER_CHURN, target="u0",
                                 times=1_000)
-        result = run_with_faults(market, consumer, spec("wl-drop-prov"), plan)
-        assert result.outcome == "settled_degraded"
-        actions = [r["action"] for r in result.recoveries]
+        session = run_with_faults(market, consumer, spec("wl-drop-prov"), plan)
+        assert session.outcome == "settled_degraded"
+        actions = [r["action"] for r in session.ctx.recovery_log]
         assert actions[:-1] == ["retry"] * resilience.MAX_ATTEMPTS
         assert actions[-1] == "drop_provider"
-        assert result.dropped_providers == [address_of(market, "u0")]
+        assert session.ctx.dropped_providers == {address_of(market, "u0")}
         # Only contributors are paid; the pool is still fully spent.
-        assert result.payouts.get(address_of(market, "u0"), 0) == 0
-        assert sum(result.payouts.values()) == 600_000
+        assert session.ctx.payouts.get(address_of(market, "u0"), 0) == 0
+        assert sum(session.ctx.payouts.values()) == 600_000
 
     def test_drop_blocked_below_min_providers(self):
         # min_providers == provider count: dropping anyone breaks the
@@ -286,14 +288,14 @@ class TestTransientRetry:
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.PROVIDER_CHURN, target="u0",
                                 times=1_000)
-        result = run_with_faults(
+        session = run_with_faults(
             market, consumer,
             spec("wl-min-prov", min_providers=N_PROVIDERS), plan,
         )
-        assert result.outcome == "failed"
-        assert [r["action"] for r in result.recoveries] == \
+        assert session.outcome == "failed"
+        assert [r["action"] for r in session.ctx.recovery_log] == \
             ["retry"] * resilience.MAX_ATTEMPTS
-        assert result.refunded == 600_000
+        assert session.ctx.refunded == 600_000
 
 
 class _CrashAfterDelivery(FaultInjector):
@@ -333,9 +335,9 @@ class TestRematchReencrypts:
         monkeypatch.setattr(ProviderActor, "prepare_submission_for",
                             recording)
         market, consumer = build_market(n_providers=4)
-        result = run_with_faults(market, consumer, spec("wl-rekey"), plan)
-        assert result.outcome == "settled"
-        assert "crash_submit" in [r["kind"] for r in result.injected]
+        session = run_with_faults(market, consumer, spec("wl-rekey"), plan)
+        assert session.outcome == "settled"
+        assert "crash_submit" in [r["kind"] for r in session.injector.injected]
 
         u0 = [entry for entry in submissions if entry[0].name == "u0"]
         assert len(u0) == 2 and len(submissions) == 5
@@ -396,8 +398,8 @@ class TestQuotePerEnclave:
         shown = self._record_quotes(monkeypatch)
         market, consumer = build_market(n_providers=4)
         plan = FaultPlan.single(FaultKind.CRASH_SUBMIT, target="e0")
-        result = run_with_faults(market, consumer, spec("wl-requote"), plan)
-        assert result.outcome == "settled"
+        session = run_with_faults(market, consumer, spec("wl-requote"), plan)
+        assert session.outcome == "settled"
         # Every enclave is terminated once the session settles, so the
         # crashed one is told apart by the host it ran on.
         dead_host = market.executors[0].platform
@@ -444,16 +446,16 @@ class TestEnclavesReleased:
     def test_after_a_failed_run(self, launched):
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
-        result = run_with_faults(market, consumer, spec("wl-release-f"),
-                                 plan, recover=False)
-        assert result.outcome == "failed"
+        session = run_with_faults(market, consumer, spec("wl-release-f"),
+                                  plan, recover=False)
+        assert session.outcome == "failed"
         self._assert_released(market, launched)
 
     def test_after_a_degraded_run(self, launched):
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
-        result = run_with_faults(market, consumer, spec("wl-release-d"), plan)
-        assert result.outcome == "settled_degraded"
+        session = run_with_faults(market, consumer, spec("wl-release-d"), plan)
+        assert session.outcome == "settled_degraded"
         self._assert_released(market, launched)
 
     def test_a_paused_session_keeps_its_enclaves(self, launched):
@@ -483,17 +485,17 @@ class TestEscrowConservation:
         consumer_before = market.chain.state.balance_of(consumer.address)
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
         sink = market.events.attach(TrailSink())
-        result = run_with_faults(market, consumer, spec("wl-refund"), plan,
-                                 recover=False)
-        assert result.outcome == "failed"
+        session = run_with_faults(market, consumer, spec("wl-refund"), plan,
+                                  recover=False)
+        assert session.outcome == "failed"
         # Gas fees move to validators but never leave the system.
         assert total_supply(market) == supply_before
         # The consumer got the whole escrow back; only gas was spent.
         gas_fees = consumer_before - market.chain.state.balance_of(consumer.address)
-        assert result.refunded == 600_000
+        assert session.ctx.refunded == 600_000
         assert 0 < gas_fees < 600_000
-        assert market.chain.state.balance_of(result.workload_address) == 0
-        trail = sink.for_session(result.session_id)
+        assert market.chain.state.balance_of(session.ctx.workload_address) == 0
+        trail = sink.for_session(session.session_id)
         names = [event.name for event in trail]
         assert "session.refunded" in names
         assert "session.failed" in names
@@ -502,10 +504,10 @@ class TestEscrowConservation:
         market, consumer = build_market()
         supply_before = total_supply(market)
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
-        result = run_with_faults(market, consumer, spec("wl-conserve"), plan)
-        assert result.completed
+        session = run_with_faults(market, consumer, spec("wl-conserve"), plan)
+        assert session.failure is None
         assert total_supply(market) == supply_before
-        assert market.chain.state.balance_of(result.workload_address) == 0
+        assert market.chain.state.balance_of(session.ctx.workload_address) == 0
 
 
 class TestRecoveryPolicyLimits:
@@ -517,22 +519,22 @@ class TestRecoveryPolicyLimits:
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.PROVIDER_CHURN, target="u0",
                                 times=1_000)
-        result = run_with_faults(market, consumer, spec("wl-cap"), plan)
-        assert result.outcome == "failed"
-        assert len(result.recoveries) == 3
+        session = run_with_faults(market, consumer, spec("wl-cap"), plan)
+        assert session.outcome == "failed"
+        assert len(session.ctx.recovery_log) == 3
 
     def test_disabled_degrade_fails_mid_execute_crash(self):
         # Degrading needs a surviving quorum.  When every executor must
         # confirm, losing one leaves none: no directive, fail and refund.
         market, consumer = build_market()
         plan = FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")
-        result = run_with_faults(
+        session = run_with_faults(
             market, consumer,
             spec("wl-nodeg", required_confirmations=len(EXECUTOR_NAMES)),
             plan)
-        assert result.outcome == "failed"
-        assert result.recoveries == []
-        assert result.refunded == 600_000
+        assert session.outcome == "failed"
+        assert session.ctx.recovery_log == []
+        assert session.ctx.refunded == 600_000
 
 
 class TestGuards:
