@@ -20,6 +20,7 @@ marketplace: it tracks nonces, signs, and exposes ``deploy`` / ``call`` /
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional
 
@@ -146,10 +147,10 @@ class Blockchain:
         #: harness uses to corrupt state at a block boundary
         #: (:func:`repro.chain.audit.install_state_corruption`).
         self.tamper_hooks: list[Any] = []
-        #: Per-block analytics.
-        self.observer = ChainObserver(self)
-        #: Continuous invariant auditor.
-        self.auditor = ChainAuditor(self)
+        #: Per-block analytics and the continuous invariant auditor; they
+        #: hold the chain weakly, so it is freed by reference counting.
+        self.observer = ChainObserver(weakref.proxy(self))
+        self.auditor = ChainAuditor(weakref.proxy(self))
         self._seal_genesis()
 
     # -- construction --------------------------------------------------------

@@ -34,9 +34,10 @@ Everything is deterministic under the marketplace seed.
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -113,6 +114,18 @@ class WorkloadRunReport:
         return sum(self.payouts.values())
 
 
+def _weakly(method: Callable[..., None]) -> Callable[..., None]:
+    """``method`` as a hook that does not keep its object alive (a dropped
+    marketplace is freed by reference counting, not the cyclic collector)."""
+    ref, function = weakref.ref(method.__self__), method.__func__
+
+    def hook(*args: Any) -> None:
+        owner = ref()
+        if owner is not None:
+            function(owner, *args)
+    return hook
+
+
 class Marketplace:
     """A complete, self-contained PDS2 deployment."""
 
@@ -137,10 +150,11 @@ class Marketplace:
         # and publishes every finished span as a `span.end` event, which is
         # how spans reach a run's events.jsonl and `python -m repro spans`.  The
         # tracer clock follows whichever marketplace was constructed last —
-        # one simulation at a time, like the sim itself.
+        # one simulation at a time — while it lives (then it reads 0.0).
         self.tracer = telemetry.tracer()
-        self.tracer.sim_clock = lambda: self.clock
-        self.tracer.on_finish = self._record_span
+        market = weakref.ref(self)
+        self.tracer.sim_clock = lambda: getattr(market(), "clock", 0.0)
+        self.tracer.on_finish = _weakly(self._record_span)
 
         consensus = ProofOfAuthority.with_generated_validators(
             validators, derive_rng(seed, "validators")
@@ -148,8 +162,8 @@ class Marketplace:
         registry = default_registry()
         register_governance_contracts(registry)
         self.chain = Blockchain(consensus, registry=registry)
-        self.chain.block_observers.append(self._record_block)
-        self.attestation.on_verified = self._record_attestation
+        self.chain.block_observers.append(_weakly(self._record_block))
+        self.attestation.on_verified = _weakly(self._record_attestation)
 
         # Platform operator wallet deploys the shared registries.
         self.operator = self._new_wallet("operator")
@@ -428,7 +442,7 @@ class Marketplace:
             platform_id=f"platform-{name}",
             rng=derive_rng(self.seed, f"platform-{name}"),
         )
-        platform.on_launch = self._record_enclave_launch
+        platform.on_launch = _weakly(self._record_enclave_launch)
         self.attestation.provision_platform(platform)
         executor = ExecutorActor(name=name, wallet=wallet, platform=platform)
         self.executors.append(executor)

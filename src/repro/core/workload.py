@@ -13,7 +13,6 @@ parameters — all within enclave-private memory.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -28,7 +27,7 @@ from repro.ml.models import (
     SoftmaxRegressionModel,
 )
 from repro.storage.semantic import Requirement
-from repro.utils.serialization import CANONICAL_JSON_SETTINGS
+from repro.utils.serialization import canonical_json_bytes
 
 
 @dataclass(frozen=True)
@@ -154,12 +153,6 @@ class WorkloadSpec:
 # ---------------------------------------------------------------------------
 
 
-#: A row is string keys, floats and one list, so the recursive type walk of
-#: ``canonical_json`` has nothing to convert and the bare encoder emits the
-#: same bytes; ``allow_nan=False`` is its NaN/inf rejection.
-_ROW_ENCODER = json.JSONEncoder(**CANONICAL_JSON_SETTINGS, allow_nan=False)
-
-
 def serialize_partition(features: np.ndarray,
                         targets: np.ndarray) -> list[bytes]:
     """Serialize a provider's partition row by row (Merkle leaves).
@@ -173,8 +166,7 @@ def serialize_partition(features: np.ndarray,
         return []
     xs = np.asarray(features, dtype=float).reshape(count, -1).tolist()
     ys = np.asarray(targets, dtype=float).reshape(-1).tolist()
-    encode = _ROW_ENCODER.encode
-    return [encode({"x": x, "y": y}).encode("ascii")
+    return [canonical_json_bytes({"x": x, "y": y})
             for x, y in zip(xs, ys, strict=True)]
 
 

@@ -13,9 +13,9 @@ enclave quote in the reproduction:
 The point arithmetic behind signing, verification and ECDH lives in
 :mod:`repro.crypto.ec_backend` (GLV combs for ``G`` and recurring keys,
 wNAF and Shamir's trick for the rest): one modular inversion per scalar
-multiplication, not one per point addition.  On top sits a small LRU
-cache of verification outcomes, so chain audits that re-verify the same
-seals (``verify_chain``) are near-free.
+multiplication, not one per point addition.  On top sits a small LRU of
+verification outcomes; its hits are providers re-checking a quote, not
+``verify_chain`` seals (an ``agg_sustained`` audit verifies 5, 0 hits).
 
 There are two verifiers and they agree on every input.
 :meth:`PublicKey.verify` checks one signature and is the authority;

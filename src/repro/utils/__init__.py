@@ -1,17 +1,2 @@
-"""Shared utilities: canonical serialization, RNG discipline, and helpers."""
-
-from repro.utils.serialization import (
-    canonical_json,
-    canonical_json_bytes,
-    from_canonical_json,
-)
-from repro.utils.rng import derive_rng, derive_seed, rng_from_seed
-
-__all__ = [
-    "canonical_json",
-    "canonical_json_bytes",
-    "from_canonical_json",
-    "derive_rng",
-    "derive_seed",
-    "rng_from_seed",
-]
+"""Shared utilities: canonical serialization, RNG discipline, and helpers
+(import them from ``repro.utils.serialization`` and ``repro.utils.rng``)."""

@@ -1,30 +1,28 @@
 """Canonical serialization used everywhere a hash or signature is computed.
 
-Hashes over structured data (transactions, blocks, workload specs, sensor
-readings, session checkpoints, batch job records) must be stable across
-Python versions and dict insertion orders.  ``canonical_json`` provides that
-stability: keys are sorted, no insignificant whitespace is emitted, and only
-a small set of JSON-safe types is accepted.  Binary payloads are encoded as
-``{"__bytes__": "<hex>"}`` wrappers so they can round-trip without loss;
-numpy arrays as ``{"__ndarray__": {...}}`` wrappers carrying dtype + shape.
+Hashes over structured data (transactions, blocks, workload specs,
+checkpoints, batch job records) must not depend on Python version or dict
+insertion order.  ``canonical_json`` is one C ``json`` encoder pass with
+sorted keys, no insignificant whitespace and a small set of accepted types;
+``from_canonical_json`` is one C ``json.loads``.  Bytes travel as
+``{"__bytes__": "<hex>"}``, numpy arrays as ``{"__ndarray__": {...}}``
+(C-order data, dtype string, explicit shape).
 
-Determinism rules (golden-tested in ``tests/test_serialization_golden.py``):
+Determinism rules (golden-tested in ``tests/test_serialization_golden.py``;
+``tests/serialization_oracle.py`` is the recursive walk they came from):
 
-* dict keys are sorted lexicographically and must be strings;
-* sets and frozensets are emitted as lists sorted by each element's own
-  canonical encoding (so ``{"b", "a"}`` and ``{"a", "b"}`` are identical
-  on the wire) — they decode as lists, a deliberate loss: canonical
-  documents have no set type, callers re-wrap where set semantics matter;
-* floats use Python's shortest round-trip ``repr`` (what ``json.dumps``
-  emits), so ``0.1`` is exactly ``0.1`` and ``-0.0`` keeps its sign;
-  NaN/inf are rejected rather than emitted as non-standard JSON;
-* numpy scalars are coerced to their Python equivalents, numpy arrays to
-  the ndarray wrapper (C-order data, dtype string, explicit shape).
+* dict keys are sorted and must be strings;
+* sets and frozensets are lists sorted by each element's canonical
+  encoding, and decode as lists: canonical documents have no set type;
+* floats use Python's shortest round-trip ``repr``, so ``0.1`` is exactly
+  ``0.1`` and ``-0.0`` keeps its sign; NaN/inf are rejected;
+* numpy scalars are coerced to their Python equivalents.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import IO, Any
 
@@ -34,95 +32,101 @@ _BYTES_KEY = "__bytes__"
 _NDARRAY_KEY = "__ndarray__"
 _RESERVED_KEYS = (_BYTES_KEY, _NDARRAY_KEY)
 
-#: ``json`` settings of every canonical document: sorted keys, no
-#: insignificant whitespace, ASCII only.
-CANONICAL_JSON_SETTINGS = {
-    "sort_keys": True, "separators": (",", ":"), "ensure_ascii": True,
-}
-
 #: ndarray dtypes allowed on the wire (everything else is a modeling error).
 _NDARRAY_DTYPES = ("float64", "float32", "int64", "int32", "bool")
 
-
-def _encode_ndarray(value: np.ndarray) -> dict:
-    dtype = str(value.dtype)
-    if dtype not in _NDARRAY_DTYPES:
-        raise TypeError(
-            f"ndarray dtype {dtype!r} is not canonically serializable "
-            f"(allowed: {', '.join(_NDARRAY_DTYPES)})"
-        )
-    flat = value.ravel(order="C").tolist()
-    return {_NDARRAY_KEY: {
-        "dtype": dtype,
-        "shape": list(value.shape),
-        "data": [_encode(item) for item in flat],
-    }}
+#: What the C encoder walks itself; everything else reaches ``_default``.
+_CONTAINERS = (dict, list, tuple)
+#: Exact types ``_check_keys`` skips without an ``isinstance`` test.
+_LEAVES = frozenset({str, int, float, bool, type(None), bytes})
 
 
-def _encode(value: Any) -> Any:
-    """Recursively convert ``value`` into a JSON-serializable structure."""
+def _check_keys(value: Any) -> None:
+    """Raise on the dict keys the C encoder would let through: it writes
+    ``1``/``True``/``None``/float keys as strings and knows nothing of the
+    wrapper keys.  What ``_default`` converts (sets, arrays) holds no dict;
+    a cyclic tree ends here in ``RecursionError``."""
+    if isinstance(value, dict):
+        for key in value:
+            if not isinstance(key, str):
+                raise TypeError(f"canonical JSON requires string keys, "
+                                f"got {type(key).__name__}")
+        if _BYTES_KEY in value or _NDARRAY_KEY in value:
+            raise ValueError(f"the keys {_RESERVED_KEYS} are reserved for "
+                             f"typed payload wrappers")
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return
+    for item in value:
+        if type(item) not in _LEAVES and isinstance(item, _CONTAINERS):
+            _check_keys(item)
+
+
+def _default(value: Any) -> Any:
+    """What the C encoder writes for a value it has no rule for."""
     if isinstance(value, bytes):
         return {_BYTES_KEY: value.hex()}
     if isinstance(value, np.ndarray):
-        return _encode_ndarray(value)
-    if isinstance(value, dict):
-        encoded = {}
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise TypeError(
-                    f"canonical JSON requires string keys, got {type(key).__name__}"
-                )
-            if key in _RESERVED_KEYS:
-                raise ValueError(
-                    f"the key {key!r} is reserved for typed payload wrappers"
-                )
-            encoded[key] = _encode(item)
-        return encoded
+        dtype = str(value.dtype)
+        if dtype not in _NDARRAY_DTYPES:
+            raise TypeError(f"ndarray dtype {dtype!r} is not canonically "
+                            f"serializable (allowed: {_NDARRAY_DTYPES})")
+        return {_NDARRAY_KEY: {"dtype": dtype, "shape": list(value.shape),
+                               "data": value.ravel(order="C").tolist()}}
     if isinstance(value, (set, frozenset)):
-        items = [_encode(item) for item in value]
-        return sorted(items, key=lambda item: json.dumps(
-            item, **CANONICAL_JSON_SETTINGS
-        ))
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    if isinstance(value, (bool, np.bool_)):
+        # Set elements are hashable, so they hold no dict to key-check.
+        return sorted(value, key=_ENCODER.encode)
+    if isinstance(value, np.bool_):
         return bool(value)
-    if value is None or isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (float, np.floating)):
-        value = float(value)
-        # Floats are allowed but NaN/inf would break JSON round-tripping.
-        if value != value or value in (float("inf"), float("-inf")):
-            raise ValueError("NaN and infinite floats are not canonically serializable")
-        return value
+    if isinstance(value, np.floating):
+        return float(value)
     raise TypeError(f"type {type(value).__name__} is not canonically serializable")
 
 
-def _decode(value: Any) -> Any:
-    """Inverse of :func:`_encode`: restore bytes and ndarray wrappers."""
-    if isinstance(value, dict):
-        if len(value) == 1 and _BYTES_KEY in value:
-            return bytes.fromhex(value[_BYTES_KEY])
-        if len(value) == 1 and _NDARRAY_KEY in value:
-            wrapped = value[_NDARRAY_KEY]
-            array = np.asarray(wrapped["data"], dtype=wrapped["dtype"])
-            return array.reshape(wrapped["shape"])
-        return {key: _decode(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_decode(item) for item in value]
-    return value
+#: The one encoder of every canonical document: sorted keys, no
+#: insignificant whitespace, ASCII only.  ``allow_nan=False`` is the NaN/inf
+#: rejection (``np.float64`` is a float; other numpy floats come back from
+#: ``_default`` as floats).
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=True, allow_nan=False,
+                            default=_default)
+
+
+def _unwrap(obj: dict) -> Any:
+    """The decoder's ``object_hook``: a one-key wrapper dict back to bytes
+    or an array; a malformed wrapper raises ``ValueError`` naming it."""
+    if len(obj) != 1:
+        return obj
+    if _BYTES_KEY in obj:
+        if not isinstance(obj[_BYTES_KEY], str):
+            raise ValueError(f"{_BYTES_KEY} payload is not a hex string")
+        return bytes.fromhex(obj[_BYTES_KEY])
+    if _NDARRAY_KEY not in obj:
+        return obj
+    wrapped = obj[_NDARRAY_KEY]
+    if not (isinstance(wrapped, dict)
+            and {"dtype", "shape", "data"} <= wrapped.keys()):
+        raise ValueError(f"{_NDARRAY_KEY} needs dtype, shape and data")
+    dtype, shape, data = wrapped["dtype"], wrapped["shape"], wrapped["data"]
+    if dtype not in _NDARRAY_DTYPES:
+        raise ValueError(f"{_NDARRAY_KEY} dtype {dtype!r} is not allowed")
+    try:
+        if all(type(n) is int and n >= 0 for n in shape):
+            array = np.asarray(data, dtype=dtype)
+            if array.shape == (math.prod(shape),):
+                return array.reshape(shape)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{_NDARRAY_KEY} data does not fit shape {shape!r}")
 
 
 def canonical_json(value: Any) -> str:
-    """Serialize ``value`` to a canonical JSON string.
-
-    The output is deterministic: keys sorted, separators fixed, bytes encoded
-    as hex wrappers.  Two structurally-equal values always serialize to the
-    same string, which makes the result safe to hash or sign.
-    """
-    return json.dumps(_encode(value), **CANONICAL_JSON_SETTINGS)
+    """``value`` as a canonical JSON string: structurally equal values give
+    the same string, so it is safe to hash or sign."""
+    _check_keys(value)
+    return _ENCODER.encode(value)
 
 
 def canonical_json_bytes(value: Any) -> bytes:
@@ -131,10 +135,11 @@ def canonical_json_bytes(value: Any) -> bytes:
 
 
 def from_canonical_json(text: str | bytes) -> Any:
-    """Parse a canonical JSON document, restoring binary payloads."""
+    """Parse a canonical JSON document, restoring binary payloads (the C
+    scanner builds the tree; ``_unwrap`` sees each dict once)."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    return _decode(json.loads(text))
+    return json.loads(text, object_hook=_unwrap)
 
 
 def append_jsonl(handle: IO[str], record: dict) -> None:

@@ -6,12 +6,15 @@ can serve.  Pinned flat here: the metrics registry (no label may carry a
 session's identity), the chain observer's block records and the tracer's
 finished spans (tails; sinks get every one), and the lifecycle events
 alive in the process (the marketplace keeps no event store: a session's
-events live in its own trail and go when it goes).
+events live in its own trail and go when it goes).  A marketplace that is
+dropped goes too, by reference counting alone: nothing it hooks into
+holds it strongly, so no pass of the cyclic collector is needed.
 """
 
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -70,3 +73,29 @@ def test_process_state_is_flat_across_sessions(run_session, monkeypatch):
     assert kept[12][2] == telemetry.tracing.KEPT_SPANS
     assert list(observer.records) == delivered[-RECORDS_KEPT:]
     assert len(delivered) == market.chain.height - height_before
+
+
+def dropped_chain(run_session) -> weakref.ref:
+    """A weak reference to the chain of a marketplace that ran one
+    session and has since been dropped."""
+    market, consumer = build_market()
+    run_session(market, consumer, 0)
+    return weakref.ref(market.chain)
+
+
+@pytest.mark.parametrize("run_session", [aggregate_session, crashed_session])
+def test_a_dropped_marketplace_is_freed_by_reference_counting(run_session):
+    gc.collect()
+    gc.disable()
+    try:
+        assert dropped_chain(run_session)() is None
+    finally:
+        gc.enable()
+
+
+def test_the_tracer_outlives_a_dropped_marketplace():
+    """Its clock and finish hook fall back to the tracer's own."""
+    assert dropped_chain(aggregate_session)() is None
+    with telemetry.tracer().span("after-the-marketplace") as span:
+        pass
+    assert (span.start_sim, span.end_sim) == (0.0, 0.0)

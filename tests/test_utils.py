@@ -60,6 +60,29 @@ class TestCanonicalJson:
     def test_bytes_output_is_utf8(self):
         assert canonical_json_bytes({"a": 1}) == b'{"a":1}'
 
+    @pytest.mark.parametrize("document, wrapper", [
+        ('{"__ndarray__":{"data":[1]}}', "__ndarray__"),
+        ('{"__ndarray__":{"dtype":"int64","shape":[1]}}', "__ndarray__"),
+        ('{"__ndarray__":5}', "__ndarray__"),
+        ('[{"__bytes__":5}]', "__bytes__"),
+        ('{"a":{"__bytes__":["00"]}}', "__bytes__"),
+        ('{"__ndarray__":{"data":[1],"dtype":"uint8","shape":[1]}}',
+         "__ndarray__"),
+        ('{"__ndarray__":{"data":[1],"dtype":"object","shape":[1]}}',
+         "__ndarray__"),
+        ('{"__ndarray__":{"data":[1,2,3],"dtype":"int64","shape":[2]}}',
+         "__ndarray__"),
+        ('{"__ndarray__":{"data":[[1],[2]],"dtype":"int64","shape":[2]}}',
+         "__ndarray__"),
+        ('{"__ndarray__":{"data":[1,2],"dtype":"int64","shape":[-1]}}',
+         "__ndarray__"),
+        ('{"__ndarray__":{"data":[null],"dtype":"int64","shape":[1]}}',
+         "__ndarray__"),
+    ])
+    def test_malformed_wrapper_is_a_value_error(self, document, wrapper):
+        with pytest.raises(ValueError, match=wrapper):
+            from_canonical_json(document)
+
     @given(st.recursive(
         st.one_of(st.none(), st.booleans(), st.integers(-10**9, 10**9),
                   st.text(max_size=20), st.binary(max_size=20)),
