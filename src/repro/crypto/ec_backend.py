@@ -15,8 +15,9 @@ inversion per round (:func:`batch_add`).  On top of that:
   seen before, skip the doubling chain;
 * **wNAF** recoding and **Strauss interleaving** for other points: all
   their streams share one ~128-step doubling chain;
-* **Pippenger's bucket method** for 32 or more one-shot points (a block's
-  signature nonce points): no per-point table at all.
+* **Pippenger's bucket method** once a sum holds 32 or more one-shot points
+  (a block's signature nonce points): its keys join them as GLV halves,
+  and no table is built.
 
 There is one engine, :func:`multi_scalar_mult`; key generation and signing
 (:func:`scalar_mult_base`), ECDH (:func:`scalar_mult`), single verification
@@ -263,7 +264,7 @@ def _odd_multiples(points: Sequence[tuple[int, int]],
 
 
 # LRU of per-point odd-multiple tables (see ``_point_tables_batched``):
-# batches verify many signatures from a few keys (seals, repeat senders).
+# keys of narrow batch equations (seals, lifecycle blocks).
 _POINT_TABLE_CACHE: "OrderedDict[tuple[int, int], list[AffinePoint]]" = \
     OrderedDict()
 _POINT_TABLE_CACHE_MAX = 512
@@ -430,16 +431,10 @@ def double_scalar_mult_base(scalar_g: int, scalar_q: int,
 
 def _point_tables_batched(points: list[tuple[int, int]],
                           kept: int) -> list[list[AffinePoint]]:
-    """Odd-multiple wNAF tables for many points, built in lock step.
-
-    A block-sized batch verification brings dozens of fresh nonce points and
-    public keys at once, so the uncached tables are built together by
-    :func:`_odd_multiples`: each table entry is one batched affine addition
-    across every missing point.  Tables of the first ``kept`` points (public
-    keys: repeat senders across blocks) go through the shared per-point LRU;
-    the rest (signature nonce points, never seen again) are built and
-    dropped, so a block's worth of them cannot evict every sender's table.
-    """
+    """Odd-multiple wNAF tables for many points, the missing ones built
+    together by :func:`_odd_multiples`.  Tables of the first ``kept``
+    points (public keys) go through the shared per-point LRU; the rest
+    (signature nonce points, never seen again) are built and dropped."""
     result: list[Optional[list[AffinePoint]]] = []
     missing: list[int] = []
     for index, point in enumerate(points):
@@ -531,21 +526,19 @@ def multi_scalar_mult(base_scalar: int,
 
     ``G``'s term is read from its comb, and so is the point of a
     single-point call (one pair, no one-shot pairs) once
-    :func:`_promoted_comb` has built one: fully scaled addends that join
-    after the last doubling, so such a call runs no doubling at all
-    (``kind="comb"``; ``"base"`` for ``G`` alone).  Every other point is
-    Strauss-interleaved (``kind="multi"``): GLV-split, wNAF-recoded, all
-    streams on one ~128-step doubling chain, their tables built together
-    in affine lock step.  A batch equation neither counts toward a comb
-    nor reads one: it pays a doubling chain anyway, and wNAF streams are
-    the cheaper addends there.
+    :func:`_promoted_comb` has built one: addends that join after the last
+    doubling, so such a call runs no doubling at all (``kind="comb"``;
+    ``"base"`` for ``G`` alone).  A batch equation neither counts toward a
+    comb nor reads one.
 
-    ``one_shot_pairs`` are further ``(kᵢ, Qᵢ)`` terms of the same sum whose
-    points will not recur (signature nonce points): their tables stay out
-    of the per-point LRU that ``pairs`` (public keys) share across calls,
-    and ``_BUCKET_MIN_POINTS`` or more of them skip tables altogether — they
-    go through :func:`_bucket_events` and join the doubling chain as
-    one addend per window.
+    ``one_shot_pairs`` are further terms whose points will not recur
+    (signature nonce points).  Below ``_BUCKET_MIN_POINTS`` live ones they
+    are Strauss-interleaved with ``pairs`` (``kind="multi"``): GLV-split,
+    wNAF-recoded on tables built in lock step (``pairs``' via the LRU),
+    all streams on one ~128-step doubling chain.  At that count
+    (``kind="bucket"``) every term goes through :func:`_bucket_events`,
+    each ``pairs`` point as its GLV halves ``(|k1|, ±Q)`` and ``(|k2|,
+    ±φ(Q))``: no table, no wNAF, one addend per window on the chain.
     """
     base_scalar %= N
     live = [(k % N, q) for k, q in pairs if q is not None and k % N != 0]
@@ -563,12 +556,17 @@ def multi_scalar_mult(base_scalar: int,
             kind = "comb"
     kept = len(live)
     bucket_events: list[tuple[int, tuple[int, int]]] = []
-    if live or one_shot:
+    if len(one_shot) >= _BUCKET_MIN_POINTS:
+        kind = "bucket"
+        for scalar, (x, y) in live:  # GLV halves join the buckets
+            for k, qx in zip(_glv_split(scalar), (x, _GLV_BETA * x % P)):
+                if k:
+                    one_shot.append((abs(k), (qx, P - y if k < 0 else y)))
+        live = []
+        bucket_events = _bucket_events(one_shot)
+    elif live or one_shot:
         kind = "multi"
-        if len(one_shot) >= _BUCKET_MIN_POINTS:
-            bucket_events = _bucket_events(one_shot)
-        else:
-            live += one_shot
+        live += one_shot
     _SCALAR_MULTS.labels(kind=kind).inc()
     tables = _point_tables_batched([q for _, q in live], kept)
     streams: list[tuple[list[int], list[AffinePoint]]] = []

@@ -350,10 +350,10 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 #     Σ aᵢ·u1ᵢ · G  +  Σ_Q (Σ_{i: Qᵢ=Q} aᵢ·u2ᵢ) · Q  −  Σ aᵢ · Rᵢ  =  𝒪
 #
 # with independent 128-bit coefficients ``aᵢ`` (terms of one public key are
-# folded into a single scalar, so a block costs one full-length stream pair
-# per *sender*, not per transaction).  A forged signature makes the
-# combination miss the point at infinity except with probability ~2⁻¹²⁸, and
-# because the coefficients are derived deterministically from the batch
+# folded into one full-length scalar per *sender*, not per transaction; in a
+# wide block it joins the nonce points' buckets as two GLV halves).  A forged
+# signature makes the combination miss the point at infinity except with
+# probability ~2⁻¹²⁸, and because the coefficients are derived from the batch
 # content (keccak), the whole check is reproducible.  On failure the batch is
 # bisected to isolate the culprits; singletons fall back to the individual
 # :meth:`PublicKey.verify`, which remains the authoritative oracle.
@@ -402,7 +402,7 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
     derived from a keccak commitment to the whole sub-batch, so a signer
     cannot grind a signature against coefficients chosen before seeing it.
     Entries that share a public key share one term, ``(Σ aᵢ·u2ᵢ)·Q`` — the
-    same sum, so a block from few senders carries few full-length streams.
+    same sum, so a block from few senders carries few full-length terms.
     """
     commitment = keccak256(b"".join(
         q[0].to_bytes(32, "big") + q[1].to_bytes(32, "big")

@@ -128,14 +128,12 @@ class TestBlockEntryVerification:
             "invalid": 0,
         }
 
-    def test_sender_tables_survive_a_blocks_worth_of_nonce_points(
-            self, chain, rng, monkeypatch):
-        # 64 senders × 8 transactions: 512 one-shot nonce points per block
-        # against a 512-entry table LRU.  Every sender's table must still
-        # be cached when the second block arrives.
+    def test_a_wide_block_builds_no_point_table(self, chain, rng,
+                                                monkeypatch):
+        # 64 senders × 8 transactions: 512 nonce points and 64 folded key
+        # terms, all of them in Pippenger's buckets (the keys as GLV halves),
+        # so neither block builds a wNAF table or touches the table LRU.
         wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(64)]
-        senders = {(w.key.public_key.x, w.key.public_key.y) for w in wallets}
-        ec_backend._POINT_TABLE_CACHE.clear()
         built = []
         real = ec_backend._odd_multiples
 
@@ -144,16 +142,18 @@ class TestBlockEntryVerification:
             return real(points, width)
 
         monkeypatch.setattr(ec_backend, "_odd_multiples", recording)
-        for expect_sender_tables in (64, 0):
+        cached = list(ec_backend._POINT_TABLE_CACHE.items())
+        for _ in range(2):
             for wallet in wallets:
                 for _ in range(8):
                     wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
-            del built[:]
+            ecdsa._VERIFY_CACHE.clear()  # earlier tests sign the same txs
             block = chain.mine_block()
             assert len(block.transactions) == 512
-            assert len(senders.intersection(built)) == expect_sender_tables
-        assert senders <= set(ec_backend._POINT_TABLE_CACHE)
-        assert len(ec_backend._POINT_TABLE_CACHE) < 100  # no nonce points
+            stats = chain.observer.records[-1]["verify"]
+            assert (stats["batched"], stats["subchecks"]) == (512, 1)
+        assert built == []
+        assert list(ec_backend._POINT_TABLE_CACHE.items()) == cached
 
 
 class TestReceiptsAndEvents:

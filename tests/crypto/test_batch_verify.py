@@ -202,6 +202,34 @@ class TestKeyFoldedEquation:
         assert batch_verify(items, stats) == [i != 17 for i in range(24)]
         assert stats["depth"] >= 3  # bisected inside one key group
 
+    def test_a_wide_forged_batch_bisects_across_the_bucket_threshold(
+            self, monkeypatch):
+        # 5 keys × 8 signatures, interleaved, one of key 2's forged: the
+        # first equation is wide (40 nonce points, 5 key terms), the
+        # sub-batches bisection descends to are not.
+        items = [_signed(key, message) for message in range(8)
+                 for key in range(5)]
+        forged = 3 * 5 + 2
+        items[forged] = _corrupt_item(items[forged], "bad_message", None)
+        widths = []
+        real = ec_backend.multi_scalar_mult
+
+        def spy(base_scalar, pairs, one_shot_pairs=()):
+            widths.append(len(one_shot_pairs))
+            return real(base_scalar, pairs, one_shot_pairs)
+
+        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
+        stats: dict = {}
+        got = batch_verify(items, stats)
+        monkeypatch.undo()
+        _VERIFY_CACHE.clear()
+        assert got == [key.verify(message, sig)
+                       for key, message, sig in items]
+        assert got == [index != forged for index in range(40)]
+        assert stats["depth"] >= 1
+        threshold = ec_backend._BUCKET_MIN_POINTS
+        assert widths[0] == 40 >= threshold > min(widths)
+
     def test_single_key_batch_is_one_key_term(self, monkeypatch):
         seen = []
         real = ec_backend.multi_scalar_mult

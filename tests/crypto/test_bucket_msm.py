@@ -51,6 +51,10 @@ def _negate(point):
     return (point[0], P - point[1])
 
 
+def _phi(point):
+    return (ec_backend._GLV_BETA * point[0] % P, point[1])
+
+
 @st.composite
 def one_shot_terms(draw, counts):
     """``count`` terms over a 48-point pool, so duplicates (the doubling
@@ -124,16 +128,29 @@ class TestBucketsAgainstStrauss:
         assert _strauss(base_scalar, pairs, one_shot) == expected
 
     def test_wide_batch_of_batch_verifier_shape(self):
-        # 300 odd 128-bit coefficients over distinct points, two full-length
-        # key terms and a base scalar: what one block hands the engine.
+        # 300 odd 128-bit coefficients over distinct points, 64 full-length
+        # key terms and a base scalar: what one chain_bulk block hands the
+        # engine.
         points = [scalar_mult_base(_RANDOM.randrange(1, N))
                   for _ in range(300)]
         one_shot = [(_RANDOM.randrange(1, 2**128) | 1, point)
                     for point in points]
-        pairs = [(_RANDOM.randrange(1, N), key) for key in KEYS[:2]]
+        pairs = [(_RANDOM.randrange(2**255, N), scalar_mult_base(
+            _RANDOM.randrange(1, N))) for _ in range(64)]
         base_scalar = _RANDOM.randrange(1, N)
         assert multi_scalar_mult(base_scalar, pairs, one_shot) == \
             _strauss(base_scalar, pairs, one_shot)
+
+    @pytest.mark.parametrize("count, kind", [(32, "bucket"), (31, "multi")])
+    def test_the_counter_names_the_path(self, count, kind):
+        counter = ec_backend._SCALAR_MULTS
+        before = {name: counter.labels(kind=name).value
+                  for name in ("bucket", "multi")}
+        multi_scalar_mult(7, [(N - 3, KEYS[0])],
+                          [(index + 1, POOL[index]) for index in range(count)])
+        after = {name: counter.labels(kind=name).value
+                 for name in ("bucket", "multi")}
+        assert after == {**before, kind: before[kind] + 1}
 
 
 def _fill_rounds(pairs):
@@ -215,3 +232,68 @@ class TestBucketEdgeCases:
                 for bit, addend in events:
                     total = point_add(total, point_mul(1 << bit, addend))
                 assert total == point_mul(scalar * count, point)
+
+
+def _key_scalar(wanted):
+    """The first scalar of a fixed stream whose GLV halves' signs match
+    ``wanted`` — ``(k1 < 0, k2 < 0)``."""
+    stream = random.Random(0x6E1F)
+    while True:
+        k = stream.randrange(2**255, N)
+        k1, k2 = ec_backend._glv_split(k)
+        if (k1 < 0, k2 < 0) == wanted:
+            return k, k1, k2
+
+
+# Small scalars over distinct points: enough one-shot terms for the bucket
+# path, each in window 0 only, so a key half and a nonce term that share
+# a digit in any higher window meet each other alone in that bucket.
+FILLERS = [(index + 1, POOL[index]) for index in range(32)]
+
+
+class TestKeyHalvesInBuckets:
+    """A wide equation's key terms join the buckets as GLV halves ``(|k1|,
+    ±Q)`` and ``(|k2|, ±φ(Q))``; each case holds the default selection to
+    the Strauss path and to the affine oracle."""
+
+    @staticmethod
+    def _check(base_scalar, pairs, one_shot):
+        assert len(one_shot) >= ec_backend._BUCKET_MIN_POINTS
+        expected = _oracle(base_scalar, pairs + one_shot)
+        assert multi_scalar_mult(base_scalar, pairs, one_shot) == expected
+        assert _strauss(base_scalar, pairs, one_shot) == expected
+        return expected
+
+    def test_a_scalar_below_2_128_has_no_k2_half(self):
+        for scalar in (1, 2**64 + 3, 2**127 + 5):
+            assert ec_backend._glv_split(scalar)[1] == 0
+            self._check(11, [(scalar, KEYS[0])], FILLERS)
+
+    @pytest.mark.parametrize("wanted", [(True, False), (False, True),
+                                        (True, True)],
+                             ids=["k1", "k2", "both"])
+    def test_negative_halves_fold_their_sign_into_y(self, wanted):
+        scalar, _, _ = _key_scalar(wanted)
+        self._check(11, [(scalar, KEYS[1])], FILLERS)
+
+    def test_a_key_equal_to_a_nonce_point_doubles_in_the_buckets(self):
+        scalar, k1, _ = _key_scalar((False, False))
+        self._check(5, [(scalar, KEYS[0])], FILLERS + [(k1, KEYS[0])])
+
+    def test_a_key_against_its_negated_nonce_point_cancels(self):
+        scalar, k1, k2 = _key_scalar((False, False))
+        key = KEYS[0]
+        # k·Q − k1·Q − k2·φ(Q) = 𝒪: only the fillers are left.
+        total = self._check(0, [(scalar, key)], FILLERS + [
+            (k1, _negate(key)), (k2, _negate(_phi(key)))])
+        assert total == _oracle(0, FILLERS)
+
+    def test_a_key_whose_phi_is_a_nonce_point(self):
+        scalar, _, k2 = _key_scalar((False, False))
+        self._check(3, [(scalar, KEYS[2])], FILLERS + [(k2, _phi(KEYS[2]))])
+
+    def test_the_same_key_twice_in_pairs(self):
+        scalar, _, _ = _key_scalar((True, False))
+        pairs = [(scalar, KEYS[1]), (scalar, KEYS[1]), (N - scalar, KEYS[1])]
+        total = self._check(9, pairs, FILLERS)
+        assert total == _oracle(9, [(scalar, KEYS[1])] + FILLERS)
