@@ -51,9 +51,9 @@ def run_market(num_providers: int):
         required_confirmations=1,
     )
     start = time.perf_counter()
-    result = market.run_workload(consumer, spec)
+    session = market.run_workload(consumer, spec)
     elapsed = time.perf_counter() - start
-    return result, elapsed
+    return session, elapsed
 
 
 def run_bench(quick: bool = False) -> dict:
@@ -64,14 +64,14 @@ def run_bench(quick: bool = False) -> dict:
     gas_per_provider = []
     audits_clean = True
     for count in counts:
-        result, elapsed = run_market(count)
-        audits_clean = audits_clean and result.audit.clean
-        per_provider = result.gas_used / count
-        total_gas.append(result.gas_used)
+        session, elapsed = run_market(count)
+        audits_clean = audits_clean and session.ctx.audit.clean
+        per_provider = session.gas_used / count
+        total_gas.append(session.gas_used)
         gas_per_provider.append(per_provider)
         rows.append([
-            count, f"{result.gas_used:,}", f"{per_provider:,.0f}",
-            result.blocks_mined, f"{elapsed:.1f}",
+            count, f"{session.gas_used:,}", f"{per_provider:,.0f}",
+            session.blocks_mined, f"{elapsed:.1f}",
         ])
 
     lines = format_table(

@@ -23,6 +23,7 @@ from repro.core import (
     MLTrainingKind,
     ModelSpec,
     TrainingSpec,
+    WorkloadSession,
     WorkloadSpec,
     phase_gas_totals,
     phase_wall_times,
@@ -70,22 +71,24 @@ def run_bench(quick: bool = False) -> dict:
     """One full Fig. 2 lifecycle, measured and itemized per phase."""
     providers, executors = (6, 2) if quick else (8, 2)
     market, consumer = build_market(providers, executors)
-    session = market.session_for(
-        consumer, MLTrainingKind(har_spec("e1-bench", confirmations=2)))
-    result = session.run()
+    spec = har_spec("e1-bench", confirmations=2)
+    session = WorkloadSession(market, consumer, MLTrainingKind(spec)).run()
+    ctx = session.ctx
     trail = session.trail
     wall = phase_wall_times(trail)
     gas = phase_gas_totals(trail)
+    score = consumer.evaluate_result(spec, ctx.result_vector)
+    paid = sum(ctx.payouts.values())
     rows = [
-        ["providers participating", len(result.participants)],
-        ["executors", len(result.executors)],
-        ["active executors", len(result.active_executors)],
-        ["consumer model accuracy", f"{result.consumer_score:.3f}"],
-        ["reward pool fully paid", result.total_paid == 1_000_000],
-        ["gas per workload", f"{result.gas_used:,}"],
-        ["blocks mined", result.blocks_mined],
-        ["audit clean", result.audit.clean],
-        ["certificates recorded", result.audit.certificates],
+        ["providers participating", len(ctx.participants)],
+        ["executors", len(ctx.executors)],
+        ["active executors", len(ctx.active_executors)],
+        ["consumer model accuracy", f"{score:.3f}"],
+        ["reward pool fully paid", paid == 1_000_000],
+        ["gas per workload", f"{session.gas_used:,}"],
+        ["blocks mined", session.blocks_mined],
+        ["audit clean", ctx.audit.clean],
+        ["certificates recorded", ctx.audit.certificates],
     ]
     phase_rows = [
         [phase, f"{wall.get(phase, 0.0) * 1e3:.1f}", f"{gas.get(phase, 0):,}"]
@@ -95,17 +98,17 @@ def run_bench(quick: bool = False) -> dict:
              + ["", "phase timings (from the event bus):", ""]
              + format_table(["phase", "wall ms", "gas"], phase_rows))
     metrics = {
-        "gas_used": lower_is_better(result.gas_used, unit="gas"),
-        "blocks_mined": lower_is_better(result.blocks_mined, unit="blocks"),
-        "consumer_score": higher_is_better(result.consumer_score),
-        "reward_paid": info(result.total_paid, unit="tokens"),
-        "providers": info(len(result.participants)),
+        "gas_used": lower_is_better(session.gas_used, unit="gas"),
+        "blocks_mined": lower_is_better(session.blocks_mined, unit="blocks"),
+        "consumer_score": higher_is_better(score),
+        "reward_paid": info(paid, unit="tokens"),
+        "providers": info(len(ctx.participants)),
     }
     claims = {
-        "audit_clean": result.audit.clean,
-        "phase_gas_sums": sum(gas.values()) == result.gas_used,
-        "accurate_model": result.consumer_score > 0.6,
-        "pool_fully_paid": result.total_paid == 1_000_000,
+        "audit_clean": ctx.audit.clean,
+        "phase_gas_sums": sum(gas.values()) == session.gas_used,
+        "accurate_model": score > 0.6,
+        "pool_fully_paid": paid == 1_000_000,
     }
     return {"metrics": metrics, "lines": lines, "claims": claims}
 

@@ -64,24 +64,25 @@ def main() -> None:
 
     print(f"submitting workload {spec.workload_id!r} "
           f"(spec hash {spec.spec_hash[:16]}…)")
-    report = market.run_workload(consumer, spec)
+    session = market.run_workload(consumer, spec)
+    ctx = session.ctx
 
-    print(f"\nworkload contract: {report.workload_address}")
-    print(f"participants:      {len(report.participants)} providers")
-    print(f"model accuracy:    {report.consumer_score:.3f} "
-          "(consumer validation set)")
-    print(f"result hash:       {report.result_hash[:16]}…")
-    print(f"gas consumed:      {report.gas_used:,} over "
-          f"{report.blocks_mined} blocks")
+    print(f"\nworkload contract: {ctx.workload_address}")
+    print(f"participants:      {len(ctx.participants)} providers")
+    accuracy = consumer.evaluate_result(spec, ctx.result_vector)
+    print(f"model accuracy:    {accuracy:.3f} (consumer validation set)")
+    print(f"result hash:       {ctx.result_hash[:16]}…")
+    print(f"gas consumed:      {session.gas_used:,} over "
+          f"{session.blocks_mined} blocks")
 
     print("\nreward payouts:")
-    for address, amount in sorted(report.payouts.items(),
+    for address, amount in sorted(ctx.payouts.items(),
                                   key=lambda item: -item[1]):
         share = amount / spec.reward_pool
         print(f"  {address[:10]}…  {amount:>9,} tokens  ({share:6.2%})")
-    print(f"  total            {report.total_paid:>9,} tokens")
+    print(f"  total            {sum(ctx.payouts.values()):>9,} tokens")
 
-    audit = report.audit
+    audit = ctx.audit
     print(f"\naudit: clean={audit.clean} chain_valid={audit.chain_valid} "
           f"rewards_conserved={audit.rewards_conserved} "
           f"certificates={audit.certificates}")

@@ -23,7 +23,8 @@ Quickstart::
 
     market = Marketplace(seed=7)
     # ... add providers / a consumer / executors, then:
-    # report = market.run_workload(consumer, spec)
+    # session = market.run_workload(consumer, spec)
+    # session.ctx.payouts, session.ctx.audit.clean, session.gas_used
 """
 
 from repro.core import Marketplace, ModelSpec, TrainingSpec, WorkloadSpec

@@ -185,25 +185,18 @@ class Blockchain:
             raise ChainError(f"no receipt for transaction {tx_hash.hex()}")
         return self._receipts[tx_hash]
 
-    def events(self, name: Optional[str] = None,
-               address: Optional[str] = None,
+    def events(self, address: str, name: Optional[str] = None,
                ) -> Iterator[tuple[int, LogEntry]]:
-        """Iterate ``(block_number, log)`` over successful-tx events.
+        """Iterate ``(block_number, log)`` over ``address``'s events from
+        successful transactions, optionally only those called ``name``.
 
-        Filters by event name and/or emitting contract address.  This is the
-        query surface providers and auditors use to follow workloads; asked
-        by address it reads that contract's own log list (kept at seal
-        time), otherwise it walks every block.
+        This is the query surface providers and auditors use to follow a
+        workload contract; it reads that contract's own log list (kept at
+        seal time).
         """
-        if address is not None:
-            for number, log in self._logs_by_address.get(address, ()):
-                if name is None or log.name == name:
-                    yield number, log
-            return
-        for block in self.blocks:
-            for log in self.logs_of(block):
-                if name is None or log.name == name:
-                    yield block.header.number, log
+        for number, log in self._logs_by_address.get(address, ()):
+            if name is None or log.name == name:
+                yield number, log
 
     # -- transaction intake and mining ----------------------------------------------
 

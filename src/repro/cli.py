@@ -208,23 +208,25 @@ def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
                       dp_epsilon=args.dp_epsilon)
     out.line(f"running workload with {args.providers} providers, "
              f"{args.executors} executors…")
-    report = _record_session(market, args.run, out,
-                             lambda: market.run_workload(consumer, spec))
-    out.line(f"accuracy: {report.consumer_score:.3f}")
-    out.line(f"gas used: {report.gas_used:,}")
-    out.line(f"rewards paid: {report.total_paid:,} "
-             f"across {len(report.payouts)} recipients")
-    if report.achieved_epsilon is not None:
-        out.line("differential privacy: epsilon = "
-                 f"{report.achieved_epsilon:.2f}")
-    out.line(f"audit clean: {report.audit.clean}")
-    out.set("accuracy", report.consumer_score)
-    out.set("gas_used", report.gas_used)
-    out.set("rewards_paid", report.total_paid)
-    out.set("recipients", len(report.payouts))
-    out.set("dp_epsilon", report.achieved_epsilon)
-    out.set("audit_clean", report.audit.clean)
-    return 0 if report.audit.clean else 1
+    session = _record_session(market, args.run, out,
+                              lambda: market.run_workload(consumer, spec))
+    ctx = session.ctx
+    accuracy = consumer.evaluate_result(spec, ctx.result_vector)
+    paid = sum(ctx.payouts.values())
+    epsilon = ctx.extra["achieved_epsilon"]
+    out.line(f"accuracy: {accuracy:.3f}")
+    out.line(f"gas used: {session.gas_used:,}")
+    out.line(f"rewards paid: {paid:,} across {len(ctx.payouts)} recipients")
+    if epsilon is not None:
+        out.line(f"differential privacy: epsilon = {epsilon:.2f}")
+    out.line(f"audit clean: {ctx.audit.clean}")
+    out.set("accuracy", accuracy)
+    out.set("gas_used", session.gas_used)
+    out.set("rewards_paid", paid)
+    out.set("recipients", len(ctx.payouts))
+    out.set("dp_epsilon", epsilon)
+    out.set("audit_clean", ctx.audit.clean)
+    return 0 if ctx.audit.clean else 1
 
 
 def _cmd_faults(args: argparse.Namespace, out: OutputWriter) -> int:

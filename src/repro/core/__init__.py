@@ -56,11 +56,7 @@ from repro.core.resilience import (
     job_fault_seed,
     run_with_faults,
 )
-from repro.core.marketplace import (
-    DEFAULT_FUNDING,
-    Marketplace,
-    WorkloadRunReport,
-)
+from repro.core.marketplace import DEFAULT_FUNDING, Marketplace
 from repro.core.workload import (
     ModelSpec,
     TrainingSpec,
@@ -111,7 +107,6 @@ __all__ = [
     "run_with_faults",
     "DEFAULT_FUNDING",
     "Marketplace",
-    "WorkloadRunReport",
     "ModelSpec",
     "TrainingSpec",
     "WorkloadSpec",

@@ -98,8 +98,8 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     if len(behaviors) != len(executors):
         raise MarketplaceError("one behavior per marketplace executor")
 
-    session = market.session_for(
-        consumer, MLTrainingKind(spec),
+    session = WorkloadSession(
+        market, consumer, MLTrainingKind(spec),
         interceptors={PHASE_SETTLE: adversarial_settle_interceptor(behaviors)},
     )
     try:

@@ -15,7 +15,7 @@ aggregate workloads ride the existing attestation/certificate machinery.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -190,7 +190,7 @@ class AggregateResult:
     kind: AggregateKind
     dp_epsilon: float | None
     total_samples: int
-    sample_counts: dict[str, int] = field(default_factory=dict)
+    sample_counts: dict[str, int]
 
     @classmethod
     def from_output(cls, output: dict) -> "AggregateResult":

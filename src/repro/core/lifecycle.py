@@ -12,10 +12,11 @@ snapshot), and a structured event trail published on the marketplace
 
 What *kind* of workload runs is a strategy object (:class:`WorkloadKind`):
 ML training (:class:`MLTrainingKind`) and statistical aggregates
-(:class:`AggregateWorkloadKind`) differ only in the enclave entry point,
-the way enclave outputs are combined, and the shape of the final result.
-``Marketplace.run_workload`` and ``Marketplace.run_aggregate_workload``
-are thin drivers over this one engine.
+(:class:`AggregateWorkloadKind`) differ only in the enclave entry point
+and the way enclave outputs are combined (the kind-specific fields land
+in ``ctx.extra``).  ``Marketplace.run_workload`` and
+``Marketplace.run_aggregate_workload`` are thin drivers over this one
+engine; like every driver they return the finished session.
 
 Phases are individually testable objects and none of them mines (see
 :class:`LifecyclePhase`).  A phase's sending half can be *intercepted*
@@ -45,7 +46,6 @@ import numpy as np
 
 from repro.core.actors import ConsumerActor, ExecutorActor, ProviderActor, result_hash_of
 from repro.core.aggregates import (
-    AggregateResult,
     AggregateSpec,
     aggregate_enclave_entry_point,
     combine_aggregate_outputs,
@@ -214,10 +214,6 @@ class WorkloadKind(ABC):
         (achieved epsilon, the combined statistic, sample counts).
         """
 
-    @abstractmethod
-    def build_result(self, session: "WorkloadSession") -> Any:
-        """Shape the session context into this kind's public return value."""
-
     def submission_rng_label(self, provider: ProviderActor) -> str:
         """Derivation label for the provider's envelope-encryption rng."""
         return f"submit-{provider.name}"
@@ -303,36 +299,6 @@ class MLTrainingKind(WorkloadKind):
             "achieved_epsilon": achieved,
         }
 
-    def build_result(self, session: "WorkloadSession") -> "Any":
-        from repro.core.marketplace import WorkloadRunReport
-
-        ctx = session.ctx
-        consumer_score = None
-        if session.consumer.validation is not None:
-            consumer_score = session.consumer.evaluate_result(
-                self.spec, ctx.result_vector
-            )
-        return WorkloadRunReport(
-            workload_address=ctx.workload_address,
-            spec=self.spec,
-            participants=[p.address for p in ctx.participants],
-            executors=[e.address for e in ctx.executors],
-            active_executors=[e.address for e in ctx.active_executors],
-            final_params=ctx.result_vector,
-            result_hash=ctx.result_hash,
-            consumer_score=consumer_score,
-            payouts=dict(ctx.payouts),
-            weights_bps=dict(ctx.weights_bps),
-            gas_used=session.gas_used,
-            blocks_mined=session.blocks_mined,
-            achieved_epsilon=ctx.extra.get("achieved_epsilon"),
-            audit=ctx.audit,
-            session_id=session.session_id,
-            degraded=ctx.degraded,
-            recoveries=[dict(entry) for entry in ctx.recovery_log],
-            blacklisted=list(ctx.blacklist),
-        )
-
 
 #: Executors' cut of an aggregate workload's reward pool (basis points).
 AGGREGATE_INFRA_SHARE_BPS = 1000
@@ -342,9 +308,9 @@ class AggregateWorkloadKind(WorkloadKind):
     """The other workload class: privacy-preserving statistical aggregates."""
 
     def __init__(self, workload_id: str, requirement: Any,
-                 agg_spec: AggregateSpec, reward_pool: int = 100_000,
-                 min_providers: int = 1, min_samples: int = 1,
-                 required_confirmations: int = 1):
+                 agg_spec: AggregateSpec, reward_pool: int,
+                 min_providers: int, min_samples: int,
+                 required_confirmations: int):
         self.workload_id = workload_id
         self.requirement = requirement
         self.agg_spec = agg_spec
@@ -394,19 +360,6 @@ class AggregateWorkloadKind(WorkloadKind):
             "combined": combined,
             "sample_counts": sample_counts,
         }
-
-    def build_result(self, session: "WorkloadSession"
-                     ) -> tuple[AggregateResult, AuditReport, str]:
-        ctx = session.ctx
-        sample_counts = ctx.extra["sample_counts"]
-        result = AggregateResult(
-            statistic=ctx.extra["combined"],
-            kind=self.agg_spec.kind,
-            dp_epsilon=self.agg_spec.dp_epsilon,
-            total_samples=int(sum(sample_counts.values())),
-            sample_counts={k: int(v) for k, v in sample_counts.items()},
-        )
-        return result, ctx.audit, ctx.workload_address
 
 
 # ---------------------------------------------------------------------------
@@ -641,8 +594,8 @@ class WorkloadSession:
             )
         self.state = next_state
 
-    def run(self) -> Any:
-        """Drive every phase in order; returns the kind-shaped result.
+    def run(self) -> "WorkloadSession":
+        """Drive every phase in order; returns this session, finished.
 
         The whole run is one ``lifecycle.session`` span; each phase nests a
         ``lifecycle.phase.<name>`` child under it (and chain mining,
@@ -688,13 +641,12 @@ class WorkloadSession:
                 root.set_attribute("gas_used", self.gas_used)
                 root.set_attribute("blocks_mined", self.blocks_mined)
                 root.set_attribute("degraded", self.ctx.degraded)
-                outcome = "degraded" if self.ctx.degraded else "complete"
-                _SESSION_OUTCOMES.labels(outcome=outcome).inc()
+                _SESSION_OUTCOMES.labels(outcome=self.outcome).inc()
                 self.emit("session.completed", gas_used=self.gas_used,
                           blocks_mined=self.blocks_mined,
                           degraded=self.ctx.degraded,
                           recoveries=len(self.ctx.recovery_log))
-        return self.kind.build_result(self)
+        return self
 
     def _run_phase(self, phase: "LifecyclePhase") -> Optional[str]:
         """Run one phase; None means proceed, a name means re-enter there."""
@@ -828,8 +780,8 @@ class WorkloadSession:
         self.emit("phase.failed", error=type(error).__name__,
                   message=str(error))
         self._release_escrow()
-        _SESSION_OUTCOMES.labels(outcome="failed").inc()
         self.advance(TERMINAL_FAILED)
+        _SESSION_OUTCOMES.labels(outcome=self.outcome).inc()
         self._release_enclaves(self.ctx.executors)
         self.emit("session.failed", phase=phase.name)
 

@@ -36,10 +36,7 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
-
-import numpy as np
 
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
@@ -63,7 +60,6 @@ from repro.core.lifecycle import (
 from repro.core.workload import WorkloadSpec
 from repro.errors import ChainError, MarketplaceError
 from repro.governance import register_governance_contracts
-from repro.governance.audit import AuditReport
 from repro.identity.device import ManufacturerRegistry
 from repro.ml.datasets import Dataset
 from repro.storage.base import StorageBackend, content_address
@@ -77,41 +73,6 @@ from repro.utils.rng import derive_rng
 
 #: Genesis balance granted to every actor wallet (covers gas + escrows).
 DEFAULT_FUNDING = 10**12
-
-
-@dataclass
-class WorkloadRunReport:
-    """Everything observable about one completed workload run."""
-
-    workload_address: str
-    spec: WorkloadSpec
-    participants: list[str]
-    executors: list[str]
-    final_params: np.ndarray
-    result_hash: str
-    consumer_score: Optional[float]
-    payouts: dict[str, int]
-    weights_bps: dict[str, int]
-    gas_used: int
-    blocks_mined: int
-    achieved_epsilon: Optional[float]
-    audit: AuditReport
-    #: Executors that actually received data and executed (a subset of
-    #: ``executors``, which lists every registered executor — with more
-    #: executors than providers, round-robin leaves some idle).
-    active_executors: list[str] = field(default_factory=list)
-    session_id: str = ""
-    #: True when the session finished on a partial quorum (one or more
-    #: executors lost mid-run, payouts reweighted over the survivors).
-    degraded: bool = False
-    #: Recovery actions the lifecycle engine applied, in order.
-    recoveries: list[dict] = field(default_factory=list)
-    #: Executors blacklisted for this session after crashing.
-    blacklisted: list[str] = field(default_factory=list)
-
-    @property
-    def total_paid(self) -> int:
-        return sum(self.payouts.values())
 
 
 def _weakly(method: Callable[..., None]) -> Callable[..., None]:
@@ -462,29 +423,26 @@ class Marketplace:
                 willing.append(provider)
         return willing
 
-    def session_for(self, consumer: ConsumerActor, kind,
-                    **session_kwargs) -> WorkloadSession:
-        """Build a lifecycle session over this marketplace's substrates."""
-        return WorkloadSession(self, consumer, kind, **session_kwargs)
-
     def run_workload(self, consumer: ConsumerActor,
-                     spec: WorkloadSpec) -> WorkloadRunReport:
-        """Run the complete Fig. 2 sequence and return the full report."""
-        return self.session_for(consumer, MLTrainingKind(spec)).run()
+                     spec: WorkloadSpec) -> WorkloadSession:
+        """Run the complete Fig. 2 sequence; returns the finished session."""
+        return WorkloadSession(self, consumer, MLTrainingKind(spec)).run()
 
     def run_aggregate_workload(self, consumer: ConsumerActor,
                                workload_id: str, requirement,
                                agg_spec, reward_pool: int = 100_000,
                                min_providers: int = 1,
                                min_samples: int = 1,
-                               required_confirmations: int = 1):
+                               required_confirmations: int = 1
+                               ) -> WorkloadSession:
         """Run a *statistical aggregate* workload through the full lifecycle.
 
         The paper generalizes PDS2 beyond ML training; this is that other
         workload class on exactly the same engine: the same contract,
         certificates, attestation and quorum — only the enclave entry point
-        (and the result: a statistic, not a model) differ.  Returns
-        ``(AggregateResult, AuditReport, workload_address)``.
+        (and the result: a statistic, not a model) differ.  Returns the
+        finished session: the statistic is ``ctx.extra["combined"]``, the
+        per-provider counts ``ctx.extra["sample_counts"]``.
         """
         kind = AggregateWorkloadKind(
             workload_id, requirement, agg_spec,
@@ -492,4 +450,4 @@ class Marketplace:
             min_samples=min_samples,
             required_confirmations=required_confirmations,
         )
-        return self.session_for(consumer, kind).run()
+        return WorkloadSession(self, consumer, kind).run()

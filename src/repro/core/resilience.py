@@ -396,8 +396,8 @@ def run_with_faults(market: "Marketplace", consumer: "ConsumerActor",
     """
     if isinstance(kind, WorkloadSpec):
         kind = MLTrainingKind(kind)
-    session = market.session_for(
-        consumer, kind, recover=recover, injector=FaultInjector(plan),
+    session = WorkloadSession(
+        market, consumer, kind, recover=recover, injector=FaultInjector(plan),
         **session_kwargs,
     )
     try:

@@ -176,13 +176,13 @@ class TestReceiptsAndEvents:
         funded_wallet.call_and_mine(address, "transfer",
                                     recipient="0x" + "22" * 20, amount=1)
         # Every event carries its block number; that is the block filter.
-        recent = [(number, log) for number, log in chain.events()
+        recent = [(number, log) for number, log in chain.events(address)
                   if number > height_after_deploy]
         assert [log.name for _, log in recent] == ["Transfer"]
 
 
     def test_events_by_address_equal_the_filtered_scan(self, chain, rng):
-        """``events(address=...)`` reads a list kept at seal time; the scan
+        """``events(address)`` reads a list kept at seal time; the scan
         over every block and receipt is what it has to agree with."""
         rich, other = (make_funded_wallet(chain, rng, name)
                        for name in ("rich", "other"))
@@ -206,7 +206,8 @@ class TestReceiptsAndEvents:
                       amount=round_)
             chain.mine_block()
             chain.mine_block()  # an empty block between rounds
-        scan = list(chain.events())
+        scan = [(block.header.number, log) for block in chain.blocks
+                for log in chain.logs_of(block)]
         assert {log.address for _, log in scan} == {*tokens, deed}
         statuses = [chain.receipt_for(tx.tx_hash).status
                     for block in chain.blocks for tx in block.transactions]
@@ -219,7 +220,9 @@ class TestReceiptsAndEvents:
                     if log.address == address and name in (None, log.name)
                 ]
         assert list(chain.events(address=rich.address)) == []
-        assert list(chain.events(name="Approval")) == [
+        approvals = (entry for address in (*tokens, deed)
+                     for entry in chain.events(address, name="Approval"))
+        assert sorted(approvals, key=scan.index) == [
             entry for entry in scan if entry[1].name == "Approval"]
 
 

@@ -185,10 +185,11 @@ class TestRevert:
 
     def test_revert_drops_logs(self, wallet, vm_chain):
         address = wallet.deploy_and_mine("counter")
-        balance_events_before = len(list(vm_chain.events(name="Incremented")))
+        balance_events_before = len(list(
+            vm_chain.events(address, name="Incremented")))
         receipt = wallet.call_and_mine(address, "fail_after_write")
         assert receipt.logs == []
-        assert len(list(vm_chain.events(name="Incremented"))) == \
+        assert len(list(vm_chain.events(address, name="Incremented"))) == \
             balance_events_before
 
     def test_require_guard(self, wallet):

@@ -109,9 +109,9 @@ class TestAdversarialExecutors:
             [ExecutorBehavior.HONEST, ExecutorBehavior.HONEST,
              ExecutorBehavior.WRONG_RESULT],
         )
-        # Find the workload address through the completion event.
         completion = [
-            log for _, log in market.chain.events(name="WorkloadCompleted")
+            log for _, log in market.chain.events(
+                session.ctx.workload_address, name="WorkloadCompleted")
             if log.data["result_hash"] == session.ctx.result_hash
         ]
         assert completion, "honest result must be the confirmed one"

@@ -40,48 +40,49 @@ class TestAggregateLifecycle:
     def test_exact_mean_through_chain(self, market_setup):
         market, consumer, data = market_setup
         spec = AggregateSpec(AggregateKind.MEAN, field_index=3)
-        result, audit, address = market.run_aggregate_workload(
+        ctx = market.run_aggregate_workload(
             consumer, "agg-mean", ConceptRequirement("physiological"),
             spec, reward_pool=50_000, min_providers=3, min_samples=100,
             required_confirmations=2,
-        )
-        assert result.statistic == pytest.approx(
+        ).ctx
+        audit = ctx.audit
+        assert ctx.extra["combined"] == pytest.approx(
             float(data.features[:, 3].mean()), abs=1e-9
         )
-        assert result.total_samples == 600
+        assert sum(ctx.extra["sample_counts"].values()) == 600
         assert audit.clean, audit.violations
         assert audit.total_paid == 50_000
 
     def test_count_and_histogram(self, market_setup):
         market, consumer, data = market_setup
-        count_result, audit, _ = market.run_aggregate_workload(
+        count = market.run_aggregate_workload(
             consumer, "agg-count", ConceptRequirement("physiological"),
             AggregateSpec(AggregateKind.COUNT, field_index=0),
             reward_pool=10_000,
-        )
-        assert count_result.statistic == 600
-        assert audit.clean
-        hist_result, audit2, _ = market.run_aggregate_workload(
+        ).ctx
+        assert count.extra["combined"] == 600
+        assert count.audit.clean
+        hist = market.run_aggregate_workload(
             consumer, "agg-hist", ConceptRequirement("physiological"),
             AggregateSpec(AggregateKind.HISTOGRAM, field_index=0,
                           bin_edges=(-5.0, 0.0, 5.0)),
             reward_pool=10_000,
-        )
-        assert sum(hist_result.statistic) == 600
-        assert audit2.clean
+        ).ctx
+        assert sum(hist.extra["combined"]) == 600
+        assert hist.audit.clean
 
     def test_dp_aggregate_differs_from_exact(self, market_setup):
         market, consumer, data = market_setup
         spec = AggregateSpec(AggregateKind.MEAN, field_index=3,
                              dp_epsilon=2.0, sensitivity=0.01)
-        result, audit, _ = market.run_aggregate_workload(
+        ctx = market.run_aggregate_workload(
             consumer, "agg-dp", ConceptRequirement("physiological"),
             spec, reward_pool=10_000,
-        )
+        ).ctx
         exact = float(data.features[:, 3].mean())
-        assert result.statistic != pytest.approx(exact, abs=1e-12)
-        assert abs(result.statistic - exact) < 0.5
-        assert audit.clean
+        assert ctx.extra["combined"] != pytest.approx(exact, abs=1e-12)
+        assert abs(ctx.extra["combined"] - exact) < 0.5
+        assert ctx.audit.clean
 
     def test_no_matching_providers(self, market_setup):
         market, consumer, data = market_setup

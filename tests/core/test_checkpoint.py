@@ -24,6 +24,7 @@ from repro.core import (
     MLTrainingKind,
     ModelSpec,
     TrainingSpec,
+    WorkloadSession,
     WorkloadSpec,
     job_fault_seed,
 )
@@ -79,19 +80,21 @@ def make_kind() -> MLTrainingKind:
     ))
 
 
-def report_key(report) -> str:
+def settled_key(session) -> str:
     """Canonical fingerprint over every seed-determined settlement field."""
+    ctx = session.ctx
     return canonical_json({
-        "params": report.final_params,
-        "hash": report.result_hash,
-        "payouts": report.payouts,
-        "gas": report.gas_used,
-        "blocks": report.blocks_mined,
-        "score": report.consumer_score,
-        "weights": report.weights_bps,
-        "session": report.session_id,
-        "clean": report.audit.clean,
-        "degraded": report.degraded,
+        "params": ctx.result_vector,
+        "hash": ctx.result_hash,
+        "payouts": ctx.payouts,
+        "gas": session.gas_used,
+        "blocks": session.blocks_mined,
+        "score": session.consumer.evaluate_result(session.kind.spec,
+                                                  ctx.result_vector),
+        "weights": ctx.weights_bps,
+        "session": session.session_id,
+        "clean": ctx.audit.clean,
+        "degraded": ctx.degraded,
     })
 
 
@@ -112,8 +115,7 @@ class _PauseAt:
 @pytest.fixture(scope="module")
 def baseline_key() -> str:
     market, consumer = build_market()
-    report = market.session_for(consumer, make_kind()).run()
-    return report_key(report)
+    return settled_key(WorkloadSession(market, consumer, make_kind()).run())
 
 
 #: The happy path fires a boundary after each phase except the last
@@ -126,8 +128,8 @@ class TestCheckpointRoundTrip:
     def test_pause_serialize_restore_resume_every_boundary(
             self, boundary, baseline_key):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(boundary))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  on_phase_boundary=_PauseAt(boundary))
         with pytest.raises(SessionPaused):
             session.run()
 
@@ -138,17 +140,17 @@ class TestCheckpointRoundTrip:
         assert session.record()["format"] == CHECKPOINT_FORMAT
 
         session_id = session.session_id
-        report = session.run()
-        assert report.session_id == session_id
-        assert report_key(report) == baseline_key
+        assert session.run() is session
+        assert session.session_id == session_id
+        assert settled_key(session) == baseline_key
 
     def test_created_state_checkpoint_runs_from_scratch(self, baseline_key):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind())
+        session = WorkloadSession(market, consumer, make_kind())
         record = session.record()
         assert (record["state"], record["next_phase"]) == \
             ("created", "deploy")
-        assert report_key(session.run()) == baseline_key
+        assert settled_key(session.run()) == baseline_key
 
     def test_digest_is_process_portable(self):
         # Twin markets paused at the same boundary produce the same digest
@@ -157,8 +159,8 @@ class TestCheckpointRoundTrip:
         digests = []
         for _ in range(2):
             market, consumer = build_market()
-            session = market.session_for(consumer, make_kind(),
-                                         on_phase_boundary=_PauseAt(3))
+            session = WorkloadSession(market, consumer, make_kind(),
+                                      on_phase_boundary=_PauseAt(3))
             with pytest.raises(SessionPaused):
                 session.run()
             digests.append(session.digest())
@@ -166,8 +168,8 @@ class TestCheckpointRoundTrip:
 
     def test_to_bytes_carries_no_trail(self):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(4))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  on_phase_boundary=_PauseAt(4))
         with pytest.raises(SessionPaused):
             session.run()
         assert session.trail
@@ -187,20 +189,20 @@ def _names(session) -> list[str]:
 class TestRunAgain:
     def test_two_consecutive_pauses(self, baseline_key):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(2, 3))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  on_phase_boundary=_PauseAt(2, 3))
         with pytest.raises(SessionPaused):
             session.run()
         assert session.next_phase == "attest_and_submit"
         with pytest.raises(SessionPaused):
             session.run()
         assert session.next_phase == "start_execution"
-        assert report_key(session.run()) == baseline_key
+        assert settled_key(session.run()) == baseline_key
 
     def test_one_started_and_one_resumed_per_resume(self):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(1, 5))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  on_phase_boundary=_PauseAt(1, 5))
         with pytest.raises(SessionPaused):
             session.run()
         assert _names(session).count("session.started") == 1
@@ -222,15 +224,15 @@ class TestRunAgain:
 
     def test_complete_session_refuses_to_run(self):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind())
+        session = WorkloadSession(market, consumer, make_kind())
         session.run()
         assert session.state == TERMINAL_COMPLETE
         self._assert_refuses(market, session)
 
     def test_failed_session_refuses_to_run(self):
         market, consumer = build_market()
-        session = market.session_for(
-            consumer, make_kind(), injector=FaultInjector(
+        session = WorkloadSession(
+            market, consumer, make_kind(), injector=FaultInjector(
                 FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
         with pytest.raises(LifecycleError):  # recover=False: terminal
             session.run()
@@ -252,8 +254,8 @@ class TestSnapshotConsistency:
         # A failure's snapshot *is* the session record at the moment it
         # was raised: same keys, same progress, same format tag.
         market, consumer = build_market()
-        session = market.session_for(
-            consumer, make_kind(), injector=FaultInjector(
+        session = WorkloadSession(
+            market, consumer, make_kind(), injector=FaultInjector(
                 FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
         with pytest.raises(InjectedFaultError) as excinfo:
             session.run()
@@ -269,8 +271,8 @@ class TestSnapshotConsistency:
 
     def test_snapshot_bookkeeping_sets_are_sorted_lists(self):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(5))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  on_phase_boundary=_PauseAt(5))
         with pytest.raises(SessionPaused):
             session.run()
         record = session.record()
@@ -282,7 +284,7 @@ class TestSnapshotConsistency:
 class TestRecordInAnyState:
     def test_terminal_session_has_a_record(self):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind())
+        session = WorkloadSession(market, consumer, make_kind())
         session.run()
         record = session.record()
         assert record["state"] == TERMINAL_COMPLETE
@@ -307,9 +309,9 @@ class TestInjectorStateRoundTrip:
         market, consumer = build_market()
         plan = FaultPlan.sample(0.9, ("e0", "e1"), ("u0", "u1"), seed=3)
         injector = FaultInjector(plan)
-        session = market.session_for(consumer, make_kind(),
-                                     injector=injector,
-                                     on_phase_boundary=_PauseAt(2))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  injector=injector,
+                                  on_phase_boundary=_PauseAt(2))
         try:
             session.run()
         except SessionPaused:
@@ -320,7 +322,7 @@ class TestInjectorStateRoundTrip:
         # An unarmed session's record has no injector key at all (absent,
         # not null — the bytes every journaled digest was taken over).
         market, consumer = build_market()
-        bare = market.session_for(consumer, make_kind()).record()
+        bare = WorkloadSession(market, consumer, make_kind()).record()
         assert "injector" not in bare
 
 
@@ -331,8 +333,8 @@ class TestSessionPausedSemantics:
 
     def test_pause_does_not_trigger_recovery_or_settlement(self):
         market, consumer = build_market()
-        session = market.session_for(consumer, make_kind(),
-                                     on_phase_boundary=_PauseAt(2))
+        session = WorkloadSession(market, consumer, make_kind(),
+                                  on_phase_boundary=_PauseAt(2))
         with pytest.raises(SessionPaused):
             session.run()
         assert session.ctx.recovery_log == []

@@ -161,7 +161,7 @@ class TestFaults:
         assert samples[("pds2_lifecycle_recovery_total",
                         (("action", "degrade"),))] >= 1.0
         assert samples[("pds2_lifecycle_sessions_total",
-                        (("outcome", "degraded"),))] >= 1.0
+                        (("outcome", "settled_degraded"),))] >= 1.0
 
 
 class TestTrace:

@@ -23,6 +23,7 @@ from repro.core import (
     MLTrainingKind,
     ModelSpec,
     TrainingSpec,
+    WorkloadSession,
     WorkloadSpec,
     run_with_faults,
 )
@@ -118,8 +119,8 @@ def scenario_boundaries(plan) -> list[tuple[str, str, str]]:
 def paused_session(plan, boundary: int):
     """A fresh seed-built market's session, stopped at ``boundary``."""
     market, consumer = build_market()
-    session = market.session_for(
-        consumer, make_kind(), recover=True,
+    session = WorkloadSession(
+        market, consumer, make_kind(), recover=True,
         injector=FaultInjector(plan), on_phase_boundary=_PauseAt(boundary),
     )
     with pytest.raises(SessionPaused):
@@ -178,8 +179,8 @@ def test_twin_replay_reaches_the_paused_digest_at_every_boundary(name):
 
 def test_happy_path_session_id_is_preserved_across_restore():
     market, consumer = build_market()
-    session = market.session_for(consumer, make_kind(),
-                                 on_phase_boundary=_PauseAt(0))
+    session = WorkloadSession(market, consumer, make_kind(),
+                              on_phase_boundary=_PauseAt(0))
     with pytest.raises(SessionPaused):
         session.run()
     session_id = session.session_id

@@ -25,7 +25,7 @@ from repro.utils.rng import derive_rng
 
 class TestHeterogeneousBackends:
     @pytest.fixture(scope="class")
-    def market_and_report(self):
+    def market_and_session(self):
         rng = np.random.default_rng(81)
         data = make_iot_activity(900, rng)
         train, validation = train_test_split(data, 0.25, rng)
@@ -55,30 +55,29 @@ class TestHeterogeneousBackends:
             reward_pool=300_000, min_providers=3, min_samples=100,
             required_confirmations=1,
         )
-        report = market.run_workload(consumer, spec)
-        return market, report
+        return market, market.run_workload(consumer, spec)
 
-    def test_all_backends_participate(self, market_and_report):
-        market, report = market_and_report
-        assert len(report.participants) == 3
-        assert report.audit.clean
+    def test_all_backends_participate(self, market_and_session):
+        market, session = market_and_session
+        assert len(session.ctx.participants) == 3
+        assert session.ctx.audit.clean
 
-    def test_each_backend_holds_the_data(self, market_and_report):
-        market, report = market_and_report
+    def test_each_backend_holds_the_data(self, market_and_session):
+        market, _ = market_and_session
         for provider in market.providers:
             data = provider.store.get(provider.stored_object_id,
                                       provider.address)
             assert data == provider.partition_payload()
 
-    def test_swarm_backend_is_chunked(self, market_and_report):
-        market, _ = market_and_report
+    def test_swarm_backend_is_chunked(self, market_and_session):
+        market, _ = market_and_session
         swarm_provider = market.providers[1]
         assert isinstance(swarm_provider.store, SwarmStore)
         holding = [n for n in swarm_provider.store.nodes if n.chunks]
         assert len(holding) >= 2
 
-    def test_cloud_backend_hides_plaintext(self, market_and_report):
-        market, _ = market_and_report
+    def test_cloud_backend_hides_plaintext(self, market_and_session):
+        market, _ = market_and_session
         cloud_provider = market.providers[2]
         assert isinstance(cloud_provider.store, CloudStore)
         visible = cloud_provider.store.cloud_visible_bytes(
@@ -86,9 +85,9 @@ class TestHeterogeneousBackends:
         )
         assert cloud_provider.partition_payload()[:32] not in visible
 
-    def test_currency_conserved_across_lifecycle(self, market_and_report):
+    def test_currency_conserved_across_lifecycle(self, market_and_session):
         """No token is created or destroyed by the whole marketplace run."""
-        market, _ = market_and_report
+        market, _ = market_and_session
         from repro.core.marketplace import DEFAULT_FUNDING
 
         # operator + 3 providers + 1 consumer + 1 executor were funded.

@@ -29,12 +29,12 @@ RECORDS_KEPT = 8
 
 
 def aggregate_session(market, consumer, index: int) -> None:
-    _, audit, _ = market.run_aggregate_workload(
+    session = market.run_aggregate_workload(
         consumer, f"flat-agg-{index}", ConceptRequirement("physiological"),
         AggregateSpec(AggregateKind.MEAN, field_index=3),
         reward_pool=10_000,
     )
-    assert audit.clean
+    assert session.ctx.audit.clean
 
 
 def crashed_session(market, consumer, index: int) -> None:

@@ -13,14 +13,20 @@ from repro.core import (
     LIFECYCLE_PHASES,
     PHASES_BY_NAME,
     TRANSITIONS,
+    ExecutorBehavior,
+    FaultPlan,
     Marketplace,
     MLTrainingKind,
     ModelSpec,
     TrainingSpec,
+    WorkloadSession,
     WorkloadSpec,
     phase_gas_totals,
+    run_with_adversaries,
+    run_with_faults,
 )
 from repro.core import lifecycle
+from repro.core.aggregates import AggregateKind, AggregateSpec
 from repro.core.events import JSONLSink, read_jsonl_events
 from repro.core.lifecycle import (
     STATE_CREATED,
@@ -52,6 +58,10 @@ from tests.telemetry.exposition_oracle import metric_named, series_total
 
 @pytest.fixture(scope="module")
 def market_setup():
+    return build_market()
+
+
+def build_market():
     rng = np.random.default_rng(50)
     data = make_iot_activity(500, rng)
     train, validation = train_test_split(data, 0.25, rng)
@@ -120,8 +130,8 @@ class TestTransitionTable:
 class TestSessionStateMachine:
     def test_illegal_transition_raises(self, market_setup):
         market, consumer = market_setup
-        session = market.session_for(
-            consumer, MLTrainingKind(small_spec("wl-illegal"))
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(small_spec("wl-illegal"))
         )
         with pytest.raises(TransitionError) as excinfo:
             session.advance("execute")
@@ -130,8 +140,8 @@ class TestSessionStateMachine:
 
     def test_terminal_state_is_final(self, market_setup):
         market, consumer = market_setup
-        session = market.session_for(
-            consumer, MLTrainingKind(small_spec("wl-final"))
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(small_spec("wl-final"))
         )
         session.state = TERMINAL_COMPLETE
         with pytest.raises(TransitionError):
@@ -139,8 +149,8 @@ class TestSessionStateMachine:
 
     def test_deploy_phase_rejects_empty_executor_set(self, market_setup):
         market, consumer = market_setup
-        session = market.session_for(
-            consumer, MLTrainingKind(small_spec("wl-noexec")))
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(small_spec("wl-noexec")))
         session.ctx.executors = []
         with pytest.raises(DeployFailure) as excinfo:
             DeployPhase().run(session)
@@ -158,7 +168,7 @@ class TestSessionStateMachine:
     def test_failed_session_records_failure_events(self, market_setup):
         market, consumer = market_setup
         spec = small_spec("wl-fail", requirement=ConceptRequirement("motion"))
-        session = market.session_for(consumer, MLTrainingKind(spec))
+        session = WorkloadSession(market, consumer, MLTrainingKind(spec))
         with pytest.raises(MatchFailure) as excinfo:
             session.run()
         assert session.state == TERMINAL_FAILED
@@ -172,13 +182,12 @@ class TestEventTrail:
     @pytest.fixture(scope="class")
     def run(self, market_setup):
         market, consumer = market_setup
-        session = market.session_for(consumer,
-                                     MLTrainingKind(small_spec("wl-trail")))
-        report = session.run()
-        return market, report, session.trail
+        session = WorkloadSession(market, consumer,
+                                  MLTrainingKind(small_spec("wl-trail")))
+        return market, session.run(), session.trail
 
     def test_every_phase_appears_in_trail(self, run):
-        market, report, trail = run
+        market, session, trail = run
         for phase in LIFECYCLE_PHASES:
             phased = [e for e in trail if e.phase == phase.name]
             assert phased, f"no events for phase {phase.name}"
@@ -187,26 +196,26 @@ class TestEventTrail:
             assert "phase.completed" in names
 
     def test_gas_derived_from_event_deltas(self, run):
-        market, report, trail = run
-        assert report.gas_used == sum(e.gas_delta for e in trail)
-        assert report.gas_used == sum(phase_gas_totals(trail).values())
-        assert report.gas_used > 0
+        market, session, trail = run
+        assert session.gas_used == sum(e.gas_delta for e in trail)
+        assert session.gas_used == sum(phase_gas_totals(trail).values())
+        assert session.gas_used > 0
         # On-chain phases each carry at least one block's gas delta.
         for phase in ("deploy", "register_executors", "attest_and_submit",
                       "start_execution", "settle"):
             assert phase_gas_totals(trail).get(phase, 0) > 0, phase
 
     def test_blocks_counted_from_events(self, run):
-        market, report, trail = run
+        market, session, trail = run
         mined = [e for e in trail if e.name == "chain.block_mined"]
-        assert len(mined) == report.blocks_mined
+        assert len(mined) == session.blocks_mined
         assert all(e.block_height >= 0 for e in mined)
 
     def test_trail_covers_onchain_history(self, run):
-        market, report, trail = run
-        assert trail_covers_chain(market.chain, report.workload_address,
+        market, session, trail = run
+        assert trail_covers_chain(market.chain, session.ctx.workload_address,
                                   trail) == []
-        assert report.audit.clean, report.audit.violations
+        assert session.ctx.audit.clean, session.ctx.audit.violations
 
     def test_cumulative_gas_counter_matches_blocks(self, run):
         market, *_ = run
@@ -215,26 +224,28 @@ class TestEventTrail:
         )
 
     def test_report_lists_active_executors(self, run):
-        market, report, trail = run
-        assert set(report.active_executors) <= set(report.executors)
-        assert report.active_executors
+        market, session, trail = run
+        ctx = session.ctx
+        assert ({e.address for e in ctx.active_executors}
+                <= {e.address for e in ctx.executors})
+        assert ctx.active_executors
 
     def test_jsonl_sink_round_trips(self, run, tmp_path):
         market, _, _ = run
         path = str(tmp_path / "trace.jsonl")
         consumer = market.consumers[0]
-        session = market.session_for(consumer,
-                                     MLTrainingKind(small_spec("wl-jsonl")))
+        session = WorkloadSession(market, consumer,
+                                  MLTrainingKind(small_spec("wl-jsonl")))
         with JSONLSink(path) as sink:
             market.events.attach(sink)
             try:
-                report = session.run()
+                session.run()
             finally:
                 market.events.detach(sink)
         replayed = read_jsonl_events(path)
         in_memory = session.trail
         assert [e.to_dict() for e in replayed
-                if e.session_id == report.session_id] == \
+                if e.session_id == session.session_id] == \
                [e.to_dict() for e in in_memory]
 
     def test_metrics_sink_counts(self, run):
@@ -248,11 +259,11 @@ class TestEventTrail:
                     for name in names]
 
         before = totals()
-        report = market.run_workload(market.consumers[0],
-                                     small_spec("wl-metrics"))
+        session = market.run_workload(market.consumers[0],
+                                      small_spec("wl-metrics"))
         after = totals()
         assert [a - b for a, b in zip(after, before)] == [
-            report.gas_used, report.blocks_mined]
+            session.gas_used, session.blocks_mined]
 
 
 class TestInterceptors:
@@ -264,12 +275,12 @@ class TestInterceptors:
             seen["phase"] = phase.name
             phase.run(session)
 
-        report = market.session_for(
-            consumer, MLTrainingKind(small_spec("wl-spy")),
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(small_spec("wl-spy")),
             interceptors={"audit": spy},
         ).run()
         assert seen["phase"] == "audit"
-        assert report.audit.clean
+        assert session.ctx.audit.clean
 
     def test_silent_settle_refunds_the_escrow(self, market_setup):
         market, consumer = market_setup
@@ -277,8 +288,8 @@ class TestInterceptors:
         def no_votes(session, phase):
             """Nobody votes; the engine still mines and checks the state."""
 
-        session = market.session_for(
-            consumer, MLTrainingKind(small_spec("wl-novotes")),
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(small_spec("wl-novotes")),
             interceptors={"settle": no_votes},
         )
         with pytest.raises(SettlementFailure) as excinfo:
@@ -304,11 +315,42 @@ class TestInterceptors:
             """Nobody votes; the engine still mines and checks the state."""
 
         with pytest.raises(SettlementFailure) as excinfo:
-            market.session_for(
-                consumer, MLTrainingKind(small_spec("wl-strict")),
+            WorkloadSession(
+                market, consumer, MLTrainingKind(small_spec("wl-strict")),
                 interceptors={"settle": no_votes},
             ).run()
         assert excinfo.value.snapshot["final_state"] == "executing"
+
+
+class TestDriversReturnTheSession:
+    """All four drivers hand back the finished session, not a copy of it."""
+
+    def test_every_driver_returns_a_complete_session(self, market_setup):
+        market, consumer = market_setup
+        sessions = [
+            market.run_workload(consumer, small_spec("wl-driver-ml")),
+            market.run_aggregate_workload(
+                consumer, "wl-driver-agg", ConceptRequirement("physiological"),
+                AggregateSpec(AggregateKind.MEAN, field_index=3)),
+            run_with_faults(market, consumer, small_spec("wl-driver-faults"),
+                            FaultPlan()),
+            run_with_adversaries(
+                market, consumer, small_spec("wl-driver-adv"),
+                [ExecutorBehavior.HONEST] * len(market.executors)),
+        ]
+        for session in sessions:
+            assert isinstance(session, WorkloadSession)
+            assert session.state == TERMINAL_COMPLETE
+            assert session.outcome == "settled"
+            assert session.ctx.audit.clean
+
+    def test_run_workload_is_the_session_run(self):
+        spec = small_spec("wl-driver-digest")
+        market, consumer = build_market()
+        twin, twin_consumer = build_market()
+        assert market.run_workload(consumer, spec).digest() == \
+            WorkloadSession(twin, twin_consumer,
+                            MLTrainingKind(spec)).run().digest()
 
 
 def tamper_calls(monkeypatch, method, change):
@@ -336,7 +378,7 @@ def forged(real, wallet, contract, args):
 
 
 def run_failing(market, consumer, spec, failure):
-    session = market.session_for(consumer, MLTrainingKind(spec))
+    session = WorkloadSession(market, consumer, MLTrainingKind(spec))
     with pytest.raises(failure) as excinfo:
         session.run()
     return session, excinfo.value
@@ -437,13 +479,13 @@ class TestOneSeamMinesAndReadsReceipts:
     def test_deferred_certificate_rides_into_the_next_block(
             self, narrow_market):
         market, consumer = narrow_market
-        session = market.session_for(consumer, MLTrainingKind(
+        session = WorkloadSession(market, consumer, MLTrainingKind(
             small_spec("wl-narrow", min_providers=3)))
-        report = session.run()
+        ctx = session.run().ctx
         sizes = [event.data["transactions"] for event in session.trail
                  if event.name == "chain.block_mined"]
         assert sizes == [1, 2, 2, 2, 1]
-        assert report.audit.clean and len(report.participants) == 3
+        assert ctx.audit.clean and len(ctx.participants) == 3
 
     def test_deferred_start_is_mined_before_any_enclave_runs(
             self, narrow_market, rng):
@@ -456,16 +498,16 @@ class TestOneSeamMinesAndReadsReceipts:
                                 min_samples=10)):
             market.add_provider(f"v{index}", part,
                                 SemanticAnnotation("heart_rate", {}))
-        session = market.session_for(consumer, MLTrainingKind(
+        session = WorkloadSession(market, consumer, MLTrainingKind(
             small_spec("wl-late-start", min_providers=5)))
-        report = session.run()
+        ctx = session.run().ctx
         trail = session.trail
         assert [event.data["transactions"] for event in trail
                 if event.name == "chain.block_mined"] == [1, 2, 2, 2, 2, 1]
         marks = [event.data.get("log_name", event.name) for event in trail]
         assert (marks.index("ExecutionStarted")
                 < marks.index("enclave.executed"))
-        assert report.audit.clean and len(report.participants) == 5
+        assert ctx.audit.clean and len(ctx.participants) == 5
 
     def test_unmineable_start_does_not_open_the_gate(
             self, narrow_market, monkeypatch):
@@ -492,7 +534,7 @@ class TestOneSeamMinesAndReadsReceipts:
         monkeypatch.setattr(
             Blockchain, "mine_block",
             lambda chain, *a, **k: mined.append(1) or real_mine(chain, *a, **k))
-        report = market.run_workload(consumer, small_spec("wl-five"))
-        assert len(mined) == report.blocks_mined == 5
+        session = market.run_workload(consumer, small_spec("wl-five"))
+        assert len(mined) == session.blocks_mined == 5
         source = inspect.getsource(lifecycle)
         assert "_mine(" not in source and "mine_block(" not in source

@@ -62,64 +62,68 @@ def har_spec(**overrides) -> WorkloadSpec:
 
 class TestFullLifecycle:
     @pytest.fixture(scope="class")
-    def report(self, market_setup):
+    def session(self, market_setup):
         market, providers, consumer, executors = market_setup
         return market.run_workload(consumer, har_spec())
 
-    def test_workload_completes(self, report):
-        assert report.result_hash
-        assert len(report.final_params) == 35  # (6+1)*5 softmax params
+    def test_workload_completes(self, session):
+        assert session.ctx.result_hash
+        assert len(session.ctx.result_vector) == 35  # (6+1)*5 softmax params
 
-    def test_model_is_useful(self, report):
-        assert report.consumer_score is not None
-        assert report.consumer_score > 0.6
+    def test_model_is_useful(self, session, market_setup):
+        consumer = market_setup[2]
+        score = consumer.evaluate_result(session.kind.spec,
+                                         session.ctx.result_vector)
+        assert score is not None
+        assert score > 0.6
 
-    def test_all_matching_providers_participate(self, report, market_setup):
+    def test_all_matching_providers_participate(self, session, market_setup):
         market, providers, *_ = market_setup
-        assert len(report.participants) == len(providers)
+        assert len(session.ctx.participants) == len(providers)
 
-    def test_rewards_fully_distributed(self, report):
-        assert report.total_paid == report.spec.reward_pool
+    def test_rewards_fully_distributed(self, session):
+        assert sum(session.ctx.payouts.values()) == \
+            session.kind.spec.reward_pool
 
-    def test_providers_paid_by_contribution(self, report, market_setup):
+    def test_providers_paid_by_contribution(self, session, market_setup):
         market, providers, *_ = market_setup
         for provider in providers:
-            assert report.payouts.get(provider.address, 0) > 0
+            assert session.ctx.payouts.get(provider.address, 0) > 0
 
-    def test_executors_earn_infra_share(self, report, market_setup):
+    def test_executors_earn_infra_share(self, session, market_setup):
         market, _, _, executors = market_setup
         executor_total = sum(
-            report.payouts.get(executor.address, 0)
+            session.ctx.payouts.get(executor.address, 0)
             for executor in executors
         )
-        expected = report.spec.reward_pool * \
-            report.spec.infra_share_bps // 10_000
+        spec = session.kind.spec
+        expected = spec.reward_pool * spec.infra_share_bps // 10_000
         assert executor_total == expected
 
-    def test_weights_sum_to_bps(self, report):
-        assert sum(report.weights_bps.values()) == 10_000
+    def test_weights_sum_to_bps(self, session):
+        assert sum(session.ctx.weights_bps.values()) == 10_000
 
-    def test_audit_is_clean(self, report):
-        assert report.audit.clean, report.audit.violations
-        assert report.audit.rewards_conserved
+    def test_audit_is_clean(self, session):
+        assert session.ctx.audit.clean, session.ctx.audit.violations
+        assert session.ctx.audit.rewards_conserved
 
-    def test_gas_accounted(self, report):
-        assert report.gas_used > 0
-        assert report.blocks_mined >= 4
+    def test_gas_accounted(self, session):
+        assert session.gas_used > 0
+        assert session.blocks_mined >= 4
 
 
 class TestLifecycleVariants:
     def test_dp_training(self, market_setup):
         market, providers, consumer, executors = market_setup
-        report = market.run_workload(consumer, har_spec(
+        ctx = market.run_workload(consumer, har_spec(
             workload_id="wl-dp",
             dp_epsilon=4.0,
             training=TrainingSpec(steps=60, learning_rate=0.2),
             required_confirmations=1,
-        ))
-        assert report.achieved_epsilon is not None
-        assert report.achieved_epsilon <= 4.2
-        assert report.audit.clean
+        )).ctx
+        assert ctx.extra["achieved_epsilon"] is not None
+        assert ctx.extra["achieved_epsilon"] <= 4.2
+        assert ctx.audit.clean
 
     def test_requirement_filters_providers(self, market_setup):
         market, providers, consumer, executors = market_setup
@@ -138,18 +142,19 @@ class TestLifecycleVariants:
             SemanticAnnotation("heart_rate", {"rate_hz": 1.0}),
             policy=lambda spec, matching_records: False,
         )
-        report = market.run_workload(consumer, har_spec(
+        session = market.run_workload(consumer, har_spec(
             workload_id="wl-policy",
         ))
-        assert picky.address not in report.participants
+        assert picky.address not in [
+            provider.address for provider in session.ctx.participants]
         market.providers.remove(picky)
 
     def test_sequential_workloads_on_one_market(self, market_setup):
         market, providers, consumer, executors = market_setup
         first = market.run_workload(consumer, har_spec(workload_id="wl-a"))
         second = market.run_workload(consumer, har_spec(workload_id="wl-b"))
-        assert first.workload_address != second.workload_address
-        assert first.audit.clean and second.audit.clean
+        assert first.ctx.workload_address != second.ctx.workload_address
+        assert first.ctx.audit.clean and second.ctx.audit.clean
 
     def test_provider_rewards_accumulate(self, market_setup):
         market, providers, consumer, executors = market_setup
@@ -183,8 +188,9 @@ class TestDataPathDoesWorkOnce:
         market, providers, consumer, _ = market_setup
         encodings = self._count_calls(monkeypatch, actors_module,
                                       "serialize_partition")
-        report = market.run_workload(consumer, har_spec(workload_id="wl-once"))
-        assert report.audit.clean
+        session = market.run_workload(consumer,
+                                      har_spec(workload_id="wl-once"))
+        assert session.ctx.audit.clean
         assert encodings == []  # add_provider already encoded every dataset
 
         provider = providers[0]
@@ -205,9 +211,9 @@ class TestDataPathDoesWorkOnce:
         built = self._count_calls(monkeypatch, MerkleTree, "__init__")
         hashed = self._count_calls(monkeypatch, merkle_module, "_hash_leaf")
         for workload_id in ("wl-tree-1", "wl-tree-2"):
-            report = market.run_workload(consumer,
-                                         har_spec(workload_id=workload_id))
-            assert len(report.participants) == len(providers)
+            session = market.run_workload(consumer,
+                                          har_spec(workload_id=workload_id))
+            assert len(session.ctx.participants) == len(providers)
         # Blocks build trees over transaction hashes; nobody builds one
         # over a provider's rows, and no row is hashed a second time.
         assert [args for args in built if args[1] in rows] == []
@@ -251,8 +257,8 @@ class TestDataPathDoesWorkOnce:
         measurements = []
         for workload_id in ("wl-m1", "wl-m2"):
             spec = har_spec(workload_id=workload_id)
-            report = market.run_workload(consumer, spec)
-            onchain = consumer.wallet.view(report.workload_address,
+            session = market.run_workload(consumer, spec)
+            onchain = consumer.wallet.view(session.ctx.workload_address,
                                            "code_measurement")
             assert onchain == market.executors[0].code_for(
                 spec).measurement.hex()
@@ -294,17 +300,19 @@ class TestActiveExecutors:
         consumer = market.add_consumer("c", validation=validation)
         for index in range(4):
             market.add_executor(f"e{index}")
-        report = market.run_workload(consumer, har_spec(
+        ctx = market.run_workload(consumer, har_spec(
             workload_id="wl-idle", min_providers=2, min_samples=20,
             required_confirmations=1,
             training=TrainingSpec(steps=30, learning_rate=0.3),
-        ))
+        )).ctx
         # Round-robin hands 2 providers to the first 2 of 4 executors;
         # the other two register (and earn infra share) but never execute.
-        assert len(report.executors) == 4
-        assert len(report.active_executors) == 2
-        assert set(report.active_executors) < set(report.executors)
-        assert report.audit.clean, report.audit.violations
+        executors = {executor.address for executor in ctx.executors}
+        active = {executor.address for executor in ctx.active_executors}
+        assert len(ctx.executors) == 4
+        assert len(ctx.active_executors) == 2
+        assert active < executors
+        assert ctx.audit.clean, ctx.audit.violations
 
 
 class TestDeterminism:
@@ -330,6 +338,6 @@ class TestDeterminism:
 
         a = build_and_run(9)
         b = build_and_run(9)
-        assert a.result_hash == b.result_hash
-        assert a.payouts == b.payouts
+        assert a.ctx.result_hash == b.ctx.result_hash
+        assert a.ctx.payouts == b.ctx.payouts
         assert a.gas_used == b.gas_used

@@ -15,6 +15,7 @@ from repro.core import (
     MLTrainingKind,
     ModelSpec,
     TrainingSpec,
+    WorkloadSession,
     WorkloadSpec,
     run_with_faults,
 )
@@ -384,8 +385,8 @@ class TestQuotePerEnclave:
             return sign(key, message)
 
         monkeypatch.setattr(PrivateKey, "sign", recording)
-        report = market.run_workload(consumer, spec("wl-quotes"))
-        assert report.audit.clean
+        session = market.run_workload(consumer, spec("wl-quotes"))
+        assert session.ctx.audit.clean
         enclaves = {id(enclave) for enclave, _ in shown}
         assert len(shown) == 6 and 1 < len(enclaves) < 6
         assert len({id(quote) for _, quote in shown}) == len(enclaves)
@@ -440,7 +441,8 @@ class TestEnclavesReleased:
 
     def test_after_run_workload(self, launched):
         market, consumer = build_market()
-        assert market.run_workload(consumer, spec("wl-release")).audit.clean
+        session = market.run_workload(consumer, spec("wl-release"))
+        assert session.ctx.audit.clean
         self._assert_released(market, launched)
 
     def test_after_a_failed_run(self, launched):
@@ -465,8 +467,8 @@ class TestEnclavesReleased:
             if next_phase == "aggregate":
                 raise SessionPaused("pause")
 
-        session = market.session_for(
-            consumer, MLTrainingKind(spec("wl-release-p")),
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(spec("wl-release-p")),
             on_phase_boundary=pause_before_aggregate)
         with pytest.raises(SessionPaused):
             session.run()

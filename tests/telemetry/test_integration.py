@@ -12,6 +12,7 @@ from repro.core import (
     MLTrainingKind,
     ModelSpec,
     TrainingSpec,
+    WorkloadSession,
     WorkloadSpec,
 )
 from repro.errors import MatchFailure
@@ -54,15 +55,14 @@ def completed_run():
                             SemanticAnnotation("heart_rate", {}))
     consumer = market.add_consumer("c", validation=validation)
     market.add_executor("e0")
-    session = market.session_for(consumer,
-                                 MLTrainingKind(small_spec("wl-spans")))
-    report = session.run()
-    return market, consumer, report, session.trail
+    session = WorkloadSession(market, consumer,
+                              MLTrainingKind(small_spec("wl-spans"))).run()
+    return market, consumer, session, session.trail
 
 
 class TestLifecycleSpans:
     def test_all_nine_phases_have_spans(self, completed_run):
-        market, _, report, trail = completed_run
+        market, _, session, trail = completed_run
         spans = spans_from_events(trail)
         phase_spans = {s.name for s in spans
                        if s.name.startswith("lifecycle.phase.")}
@@ -71,7 +71,7 @@ class TestLifecycleSpans:
         }
 
     def test_phase_spans_nest_under_session_root(self, completed_run):
-        market, _, report, trail = completed_run
+        market, _, session, trail = completed_run
         spans = spans_from_events(trail)
         roots, children = build_span_tree(spans)
         session_roots = [r for r in roots if r.name == "lifecycle.session"]
@@ -83,7 +83,7 @@ class TestLifecycleSpans:
         ]
 
     def test_children_sim_durations_sum_within_parent(self, completed_run):
-        market, _, report, trail = completed_run
+        market, _, session, trail = completed_run
         spans = spans_from_events(trail)
         roots, children = build_span_tree(spans)
         # Acceptance criterion: for every span with children, the children's
@@ -95,18 +95,18 @@ class TestLifecycleSpans:
                     span.sim_duration + 1e-9, span.name
 
     def test_root_span_carries_gas_attribute(self, completed_run):
-        market, _, report, trail = completed_run
+        market, _, session, trail = completed_run
         (root,) = [s for s in spans_from_events(trail)
                    if s.name == "lifecycle.session"]
-        assert root.attributes["gas_used"] == report.gas_used
+        assert root.attributes["gas_used"] == session.gas_used
         assert root.attributes["workload_id"] == "wl-spans"
 
     def test_chain_spans_nest_inside_phases(self, completed_run):
-        market, _, report, trail = completed_run
+        market, _, session, trail = completed_run
         spans = spans_from_events(trail)
         by_id = {s.span_id: s for s in spans}
         mined = [s for s in spans if s.name == "chain.mine_block"]
-        assert len(mined) == report.blocks_mined
+        assert len(mined) == session.blocks_mined
         for span in mined:
             parent = by_id[span.parent_id]
             assert parent.name.startswith("lifecycle.phase.")
@@ -126,7 +126,7 @@ class TestFailurePathSpans:
         # An unmatchable requirement fails in the match phase.
         spec = small_spec("wl-span-fail",
                           requirement=ConceptRequirement("motion"))
-        session = market.session_for(consumer, MLTrainingKind(spec))
+        session = WorkloadSession(market, consumer, MLTrainingKind(spec))
         with pytest.raises(MatchFailure):
             session.run()
         spans = spans_from_events(session.trail)

@@ -131,8 +131,6 @@ ALLOWLIST: tuple[tuple[str, str, str], ...] = (
     ("repro.core.lifecycle.WorkloadKind.run_kwargs", "abstract",
      "workload kind"),
     ("repro.core.lifecycle.WorkloadKind.combine", "abstract", "workload kind"),
-    ("repro.core.lifecycle.WorkloadKind.build_result", "abstract",
-     "workload kind"),
     ("repro.core.lifecycle.LifecyclePhase.run", "abstract", "lifecycle phase"),
     ("repro.ml.models.Model.num_params", "abstract", "model interface"),
     ("repro.ml.models.Model.loss", "abstract", "model interface"),
