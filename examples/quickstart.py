@@ -65,6 +65,10 @@ def main() -> None:
     print(f"submitting workload {spec.workload_id!r} "
           f"(spec hash {spec.spec_hash[:16]}…)")
     session = market.run_workload(consumer, spec)
+    if session.failure is not None:  # a failed run is returned, not raised
+        raise SystemExit(f"workload {session.outcome}: "
+                         f"{type(session.failure).__name__}: "
+                         f"{session.failure}")
     ctx = session.ctx
 
     print(f"\nworkload contract: {ctx.workload_address}")

@@ -156,8 +156,7 @@ class ChainAuditor:
             "native_sum": sum(state.balances.values()),
         }
 
-    def post_block(self, block: Any, execution: Any,
-                   pre: dict) -> list[Violation]:
+    def post_block(self, block: Any, pre: dict) -> list[Violation]:
         """Check every invariant against the sealed block; returns new
         violations (empty on a healthy block)."""
         header = block.header

@@ -21,7 +21,7 @@ marketplace: it tracks nonces, signs, and exposes ``deploy`` / ``call`` /
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Optional
 
 import numpy as np
@@ -74,49 +74,6 @@ _VERIFY_BATCH = _tm.counter(
     "Block-entry batch signature verifications, by outcome",
     labelnames=("outcome",),  # clean | invalid
 )
-
-
-@dataclass
-class BlockExecution:
-    """Outcome of applying one block's worth of transactions."""
-
-    #: Transactions included in the block, in commit order.
-    included: list[Transaction] = field(default_factory=list)
-    #: Receipt per included transaction hash.
-    receipts: dict[bytes, Receipt] = field(default_factory=dict)
-    #: Admission failures: ``(tx, error message)`` — the chain writes the
-    #: synthetic failed receipt (it owns receipt bookkeeping).
-    rejected: list[tuple[Transaction, str]] = field(default_factory=list)
-    #: Transactions to put back in the pool (sender chain behind a failure).
-    deferred: list[Transaction] = field(default_factory=list)
-    gas_used: int = 0
-
-
-def execute_serial(vm: VM, state: WorldState, block: BlockContext,
-                   txs: list[Transaction]) -> BlockExecution:
-    """Apply ``txs`` in block order.
-
-    A transaction that fails admission (bad nonce, unaffordable) is
-    rejected with its error string, and the same sender's later
-    transactions are deferred back to the pool instead of being run into
-    certain ``bad nonce`` failures.
-    """
-    result = BlockExecution()
-    failed_senders: set[str] = set()
-    for tx in txs:
-        if tx.sender in failed_senders:
-            result.deferred.append(tx)
-            continue
-        try:
-            receipt = vm.apply_transaction(state, block, tx)
-        except ChainError as exc:
-            result.rejected.append((tx, str(exc)))
-            failed_senders.add(tx.sender)
-            continue
-        result.receipts[tx.tx_hash] = receipt
-        result.included.append(tx)
-        result.gas_used += receipt.gas_used
-    return result
 
 
 class Blockchain:
@@ -313,24 +270,35 @@ class Blockchain:
             verify_stats: dict[str, int] = {}
             if selected:
                 selected = self._verify_block_batch(selected, verify_stats)
+            # Apply in block order.  After an admission failure the sender's
+            # later transactions return to the pool (they would hit bad nonce).
+            included: list[Transaction] = []
+            rejected = deferred = gas_used = 0
+            failed_senders: set[str] = set()
             with _tracer().span("block.execute", height=number):
-                execution = execute_serial(
-                    self.vm, self.state, block_ctx, selected,
-                )
-            for tx, error in execution.rejected:
-                # Never overwrite a mined receipt with a synthetic failure
-                # (the duplicate-submission clobber this layer used to have).
-                if tx.tx_hash not in self._receipts:
-                    self._receipts[tx.tx_hash] = Receipt(
-                        tx_hash=tx.tx_hash, status=False, gas_used=0,
-                        error=f"rejected: {error}", block_number=number,
-                    )
-                _TXS_REJECTED.inc()
-            for tx in execution.deferred:
-                self.mempool.requeue(tx)
-            self._receipts.update(execution.receipts)
-            included = execution.included
-            gas_used = execution.gas_used
+                for tx in selected:
+                    if tx.sender in failed_senders:
+                        self.mempool.requeue(tx)
+                        deferred += 1
+                        continue
+                    try:
+                        receipt = self.vm.apply_transaction(
+                            self.state, block_ctx, tx)
+                    except ChainError as exc:
+                        failed_senders.add(tx.sender)
+                        rejected += 1
+                        _TXS_REJECTED.inc()
+                        # Never overwrite a mined receipt with a synthetic one.
+                        if tx.tx_hash not in self._receipts:
+                            self._receipts[tx.tx_hash] = Receipt(
+                                tx_hash=tx.tx_hash, status=False,
+                                gas_used=0, error=f"rejected: {exc}",
+                                block_number=number,
+                            )
+                        continue
+                    self._receipts[tx.tx_hash] = receipt
+                    included.append(tx)
+                    gas_used += receipt.gas_used
             header = BlockHeader(
                 number=number,
                 parent_hash=self.head.block_hash,
@@ -358,10 +326,9 @@ class Blockchain:
             # sees exactly what the next block would build on.
             for hook in self.tamper_hooks:
                 hook(self, block)
-            self.observer.record_block(
-                block, execution, self.mempool.last_selection, verify_stats,
-            )
-            self.auditor.post_block(block, execution, pre_audit)
+            self.observer.record_block(block, rejected, deferred,
+                                       self.mempool.last_selection, verify_stats)
+            self.auditor.post_block(block, pre_audit)
         for observer in self.block_observers:
             observer(block)
         return block

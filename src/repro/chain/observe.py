@@ -93,8 +93,8 @@ class ChainObserver:
         #: registers here; the chain layer stays storage-agnostic).
         self.sinks: list[Callable[[dict], None]] = []
 
-    def record_block(self, block: Any, execution: Any, selection: dict,
-                     verify_stats: dict) -> dict:
+    def record_block(self, block: Any, rejected: int, deferred: int,
+                     selection: dict, verify_stats: dict) -> dict:
         header = block.header
         gas_limit = self.chain.block_gas_limit
         utilization = (100.0 * header.gas_used / gas_limit) if gas_limit \
@@ -117,10 +117,7 @@ class ChainObserver:
             "tx_mix": mix,
             "mempool": dict(selection),
             "verify": dict(verify_stats),
-            "execution": {
-                "rejected": len(execution.rejected),
-                "deferred": len(execution.deferred),
-            },
+            "execution": {"rejected": rejected, "deferred": deferred},
         }
         _BLOCK_UTILIZATION.observe(utilization)
         _POOL_DEPTH.set(selection.get("depth_after", len(self.chain.mempool)))

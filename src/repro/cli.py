@@ -210,6 +210,10 @@ def _cmd_quickstart(args: argparse.Namespace, out: OutputWriter) -> int:
              f"{args.executors} executors…")
     session = _record_session(market, args.run, out,
                               lambda: market.run_workload(consumer, spec))
+    if session.failure is not None:
+        out.error(f"workload {session.outcome}: "
+                  f"{type(session.failure).__name__}: {session.failure}")
+        return 1
     ctx = session.ctx
     accuracy = consumer.evaluate_result(spec, ctx.result_vector)
     paid = sum(ctx.payouts.values())
@@ -946,6 +950,19 @@ def _chain_audit(args: argparse.Namespace, out: OutputWriter) -> int:
     return 1 if violations else 0
 
 
+def _at_least(minimum: int):
+    """argparse ``type=`` of a count flag: an int >= ``minimum``, refused
+    at parse time (exit 2, before any RUN exists) rather than mid-run."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -965,8 +982,8 @@ def build_parser() -> argparse.ArgumentParser:
     quickstart = subparsers.add_parser(
         "quickstart", help="run one workload end to end"
     )
-    quickstart.add_argument("--providers", type=int, default=8)
-    quickstart.add_argument("--executors", type=int, default=2)
+    quickstart.add_argument("--providers", type=_at_least(1), default=8)
+    quickstart.add_argument("--executors", type=_at_least(1), default=2)
     quickstart.add_argument("--seed", type=int, default=42)
     quickstart.add_argument("--dp-epsilon", type=float, default=None)
     quickstart.add_argument("--run", default=None, metavar="RUN",
@@ -990,8 +1007,8 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument("scenario",
                         help="named fault scenario to arm (an unknown name "
                              "lists the valid ones)")
-    faults.add_argument("--providers", type=int, default=3)
-    faults.add_argument("--executors", type=int, default=3)
+    faults.add_argument("--providers", type=_at_least(1), default=3)
+    faults.add_argument("--executors", type=_at_least(1), default=3)
     faults.add_argument("--seed", type=int, default=42)
     faults.add_argument("--no-recovery", action="store_true",
                         help="run the fail-fast baseline engine (no retry/"
@@ -1017,7 +1034,7 @@ def build_parser() -> argparse.ArgumentParser:
     gossip = subparsers.add_parser(
         "gossip", help="run one gossip-learning experiment"
     )
-    gossip.add_argument("--nodes", type=int, default=64,
+    gossip.add_argument("--nodes", type=_at_least(2), default=64,
                         help="population size (tens of thousands run in "
                              "seconds)")
     gossip.add_argument("--per-node", type=int, default=24,
@@ -1116,8 +1133,8 @@ def build_parser() -> argparse.ArgumentParser:
                          default="tree",
                          help="collapsed = flamegraph.pl input lines; "
                               "tree = indented terminal view")
-    profile.add_argument("--providers", type=int, default=6)
-    profile.add_argument("--executors", type=int, default=2)
+    profile.add_argument("--providers", type=_at_least(1), default=6)
+    profile.add_argument("--executors", type=_at_least(1), default=2)
     profile.add_argument("--seed", type=int, default=42)
     add_json_flag(profile)
     profile.set_defaults(handler=_cmd_profile)
@@ -1129,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
     batch_sub = batch.add_subparsers(dest="batch_command", required=True)
 
     def add_execute_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--workers", type=int, default=4,
+        sub.add_argument("--workers", type=_at_least(1), default=4,
                          help="worker processes to shard across")
         sub.add_argument("--max-attempts", type=int, default=3,
                          help="attempts per job before it counts as lost")
@@ -1143,7 +1160,7 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="create a batch of job specs (and run it)"
     )
     submit.add_argument("root", help="batch directory to create")
-    submit.add_argument("--jobs", type=int, default=100)
+    submit.add_argument("--jobs", type=_at_least(1), default=100)
     submit.add_argument("--seed", type=int, default=0,
                         help="job i runs with seed SEED+i")
     submit.add_argument("--fault-rate", type=float, default=0.0,
@@ -1195,7 +1212,7 @@ def build_parser() -> argparse.ArgumentParser:
     chain_run.add_argument("root", help="run directory to create")
     chain_run.add_argument("--blocks", type=int, default=12,
                            help="workload blocks to mine (plus setup)")
-    chain_run.add_argument("--wallets", type=int, default=8)
+    chain_run.add_argument("--wallets", type=_at_least(1), default=8)
     chain_run.add_argument("--seed", type=int, default=0)
     chain_run.add_argument("--corrupt-block", type=int, default=None,
                            metavar="N",

@@ -30,7 +30,7 @@ from repro.core.lifecycle import (
 )
 from repro.core.marketplace import Marketplace
 from repro.core.workload import WorkloadSpec
-from repro.errors import LifecycleError, MarketplaceError
+from repro.errors import MarketplaceError
 from repro.governance.contracts import BPS
 
 
@@ -98,12 +98,7 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     if len(behaviors) != len(executors):
         raise MarketplaceError("one behavior per marketplace executor")
 
-    session = WorkloadSession(
+    return WorkloadSession(
         market, consumer, MLTrainingKind(spec),
         interceptors={PHASE_SETTLE: adversarial_settle_interceptor(behaviors)},
-    )
-    try:
-        session.run()
-    except LifecycleError:
-        pass  # the session holds it as ``failure``
-    return session
+    ).run()

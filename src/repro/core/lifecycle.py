@@ -6,8 +6,8 @@ One :class:`WorkloadSession` drives a workload through nine typed phases —
            → start_execution → execute → aggregate → settle → audit
 
 — with a declared transition table (:data:`TRANSITIONS`), per-phase failure
-classes (:class:`repro.errors.LifecycleError` subclasses carrying a session
-snapshot), and a structured event trail published on the marketplace
+classes (:class:`repro.errors.LifecycleError` subclasses), and a structured
+event trail published on the marketplace
 :class:`~repro.core.events.EventBus`.
 
 What *kind* of workload runs is a strategy object (:class:`WorkloadKind`):
@@ -516,8 +516,9 @@ class WorkloadSession:
     def record(self) -> dict:
         """This session's seed-determined progress, in any state.
 
-        The one projection of a session: what a failure carries as its
-        ``snapshot`` and what :meth:`digest` is taken over.  It is coherent
+        The one projection of a session: what :meth:`digest` is taken
+        over, and on a failed session where it died (``next_phase`` keeps
+        the phase that failed, ``state`` reads ``failed``).  It is coherent
         at *phase boundaries* — where :attr:`on_phase_boundary` fires —
         and excludes everything wall-clock-bearing (the event trail
         appears as its gas and block totals), so two processes reaching
@@ -589,13 +590,11 @@ class WorkloadSession:
         if next_state not in allowed:
             raise TransitionError(
                 f"illegal transition {self.state!r} -> {next_state!r} "
-                f"(allowed: {allowed})",
-                snapshot=self.record(),
-            )
+                f"(allowed: {allowed})")
         self.state = next_state
 
     def run(self) -> "WorkloadSession":
-        """Drive every phase in order; returns this session, finished.
+        """Drive every phase in order; returns this session, settled or failed.
 
         The whole run is one ``lifecycle.session`` span; each phase nests a
         ``lifecycle.phase.<name>`` child under it (and chain mining,
@@ -608,10 +607,11 @@ class WorkloadSession:
 
         Re-entrant: a session stopped by :class:`~repro.errors.SessionPaused`
         continues at :attr:`next_phase` when ``run()`` is called again.
+        A phase failure is ``self.failure``; only misuse (``TransitionError``)
+        and the boundary hook's ``SessionPaused`` raise.
         """
         if self.state in TERMINAL_STATES:
-            raise TransitionError(f"session is {self.state}; nothing to run",
-                                  snapshot=self.record())
+            raise TransitionError(f"session is {self.state}; nothing to run")
         with self.market.active_session(self):
             with self.market.tracer.span(
                 "lifecycle.session", session_id=self.session_id,
@@ -628,6 +628,9 @@ class WorkloadSession:
                 while self.next_phase != TERMINAL_COMPLETE:
                     index = PHASE_INDEX[self.next_phase]
                     target = self._run_phase(LIFECYCLE_PHASES[index])
+                    if target == TERMINAL_FAILED:
+                        root.fail(self.failure)
+                        return self
                     if target is None:  # no recovery edge: straight on
                         target = (LIFECYCLE_PHASES[index + 1].name
                                   if index + 1 < len(LIFECYCLE_PHASES)
@@ -649,7 +652,8 @@ class WorkloadSession:
         return self
 
     def _run_phase(self, phase: "LifecyclePhase") -> Optional[str]:
-        """Run one phase; None means proceed, a name means re-enter there."""
+        """Run one phase; None means proceed, a name means re-enter there
+        (``failed``: the session failed)."""
         self.advance(phase.name)
         gas_before = self.market.chain.total_gas_used
         self.emit("phase.started")
@@ -671,12 +675,9 @@ class WorkloadSession:
                         self.awaited, required=interceptor is None,
                         drain=phase.drain))
             except LifecycleError as err:
-                if not err.snapshot:
-                    err.snapshot = self.record()
                 return self._recover_or_fail(phase, err, span)
             except PDS2Error as err:
-                failure = phase.failure_class(str(err),
-                                              snapshot=self.record())
+                failure = phase.failure_class(str(err))
                 failure.__cause__ = err
                 return self._recover_or_fail(phase, failure, span)
             span.set_attribute(
@@ -690,13 +691,14 @@ class WorkloadSession:
     def _recover_or_fail(self, phase: "LifecyclePhase",
                          error: LifecycleError, span: Any) -> str:
         """Consult :func:`~repro.core.resilience.decide` when recovery is
-        on; apply its directive or fail."""
+        on; returns the directive's re-entry target, or ``failed``."""
         from repro.core.resilience import decide
 
         directive = decide(self, phase, error) if self.recover else None
         if directive is None:
             self._fail(phase, error)
-            raise error
+            span.fail(error)
+            return TERMINAL_FAILED
         self._apply_recovery(phase, directive, error)
         span.set_attribute("recovered", directive.action)
         return directive.target
@@ -901,13 +903,10 @@ class DeployPhase(LifecyclePhase):
         kind = session.kind
         executors = session.ctx.executors
         if not executors:
-            raise DeployFailure("no executors available",
-                                snapshot=session.record())
+            raise DeployFailure("no executors available")
         if kind.required_confirmations > len(executors):
             raise DeployFailure(
-                "spec requires more confirmations than executors exist",
-                snapshot=session.record(),
-            )
+                "spec requires more confirmations than executors exist")
         session.fault_point("deploy.chain_tx")
         wallet = session.consumer.wallet
         tx_hash = wallet.deploy("workload", value=kind.reward_pool,
@@ -937,9 +936,7 @@ class MatchPhase(LifecyclePhase):
         if len(participants) < session.kind.min_providers:
             raise MatchFailure(
                 f"only {len(participants)} willing providers; "
-                f"spec requires {session.kind.min_providers}",
-                snapshot=session.record(),
-            )
+                f"spec requires {session.kind.min_providers}")
         session.ctx.participants = participants
         for provider in participants:
             session.emit("match.provider_joined", actor=provider.address)
@@ -1116,9 +1113,7 @@ class SettlePhase(LifecyclePhase):
         if ctx.final_state != STATE_COMPLETE:
             session.emit("settle.incomplete", state=ctx.final_state)
             raise SettlementFailure(
-                f"workload did not complete (state={ctx.final_state!r})",
-                snapshot=session.record(),
-            )
+                f"workload did not complete (state={ctx.final_state!r})")
         ctx.payouts = session.collect_payouts()
         for provider in ctx.participants:
             provider.rewards_received += ctx.payouts.get(provider.address, 0)

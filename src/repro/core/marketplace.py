@@ -1,10 +1,10 @@
 """The PDS2 marketplace facade: the paper's Fig. 1/Fig. 2 wired together.
 
 :class:`Marketplace` owns one instance of every substrate — blockchain +
-governance contracts, attestation service, data catalog, manufacturer
-registry — plus the structured :class:`~repro.core.events.EventBus` every
-layer reports into.  The Fig. 2 workload lifecycle itself lives in
-:mod:`repro.core.lifecycle`: :meth:`Marketplace.run_workload` and
+governance contracts, attestation service, data catalog — plus the
+structured :class:`~repro.core.events.EventBus` every layer reports into.
+The Fig. 2 workload lifecycle itself lives in :mod:`repro.core.lifecycle`:
+:meth:`Marketplace.run_workload` and
 :meth:`Marketplace.run_aggregate_workload` are thin drivers that build a
 :class:`~repro.core.lifecycle.WorkloadKind` strategy and hand it to one
 :class:`~repro.core.lifecycle.WorkloadSession`, which walks the phase
@@ -60,7 +60,6 @@ from repro.core.lifecycle import (
 from repro.core.workload import WorkloadSpec
 from repro.errors import ChainError, MarketplaceError
 from repro.governance import register_governance_contracts
-from repro.identity.device import ManufacturerRegistry
 from repro.ml.datasets import Dataset
 from repro.storage.base import StorageBackend, content_address
 from repro.storage.catalog import DataCatalog, DataRecord
@@ -97,7 +96,6 @@ class Marketplace:
         self.ontology = Ontology.iot_default()
         self.catalog = DataCatalog(self.ontology)
         self.attestation = AttestationService()
-        self.manufacturers = ManufacturerRegistry()
         self.clock = 0.0
 
         # Structured observability: every layer reports into this bus.  It
@@ -430,10 +428,9 @@ class Marketplace:
 
     def run_aggregate_workload(self, consumer: ConsumerActor,
                                workload_id: str, requirement,
-                               agg_spec, reward_pool: int = 100_000,
-                               min_providers: int = 1,
-                               min_samples: int = 1,
-                               required_confirmations: int = 1
+                               agg_spec, reward_pool: int,
+                               min_providers: int, min_samples: int,
+                               required_confirmations: int
                                ) -> WorkloadSession:
         """Run a *statistical aggregate* workload through the full lifecycle.
 

@@ -266,7 +266,7 @@ class FaultInjector:
         _FAULTS_INJECTED.labels(kind=fault.kind.value).inc()
         # Stamp the innermost open span so the distributed trace shows
         # *where* the fault fired without correlating against the event
-        # log (the span will also be marked status=error by the raise).
+        # log (a fault that fails the session also marks it status=error).
         current = _tt.tracer().current
         if current is not None:
             current.set_attribute("fault_kind", fault.kind.value)
@@ -277,7 +277,6 @@ class FaultInjector:
         raise InjectedFaultError(
             f"injected {fault.kind.value} at {point}"
             + (f" on {fault.target}" if fault.target else ""),
-            snapshot=session.record(),
             point=point,
             transient=fault.kind in TRANSIENT_KINDS,
             dead_executor=dead_executor,
@@ -396,15 +395,10 @@ def run_with_faults(market: "Marketplace", consumer: "ConsumerActor",
     """
     if isinstance(kind, WorkloadSpec):
         kind = MLTrainingKind(kind)
-    session = WorkloadSession(
+    return WorkloadSession(
         market, consumer, kind, recover=recover, injector=FaultInjector(plan),
         **session_kwargs,
-    )
-    try:
-        session.run()
-    except LifecycleError:
-        pass  # the session holds it as ``failure``
-    return session
+    ).run()
 
 
 # ---------------------------------------------------------------------------

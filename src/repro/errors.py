@@ -233,21 +233,11 @@ class BatchError(ControlPlaneError):
 
 
 class LifecycleError(MarketplaceError):
-    """A workload lifecycle phase failed.
+    """A workload lifecycle phase failed (one subclass per phase).
 
-    Carries a ``snapshot`` — the session's ``record()`` at the moment of
-    failure (session id, phase, workload address, participants, gas so far,
-    phase bookkeeping) — so callers and
-    the adversary harness can inspect exactly where a run died without
-    parsing the message.  One subclass exists per lifecycle phase.
+    ``WorkloadSession.run()`` returns the failed session with this as its
+    ``failure``; only misuse (:class:`TransitionError`) is raised to callers.
     """
-
-    #: The lifecycle phase this error class belongs to.
-    phase: str = ""
-
-    def __init__(self, message: str, snapshot: dict | None = None):
-        super().__init__(message)
-        self.snapshot: dict = dict(snapshot or {})
 
 
 class TransitionError(LifecycleError):
@@ -257,55 +247,37 @@ class TransitionError(LifecycleError):
 class DeployFailure(LifecycleError):
     """Deploying the workload contract (or validating the run) failed."""
 
-    phase = "deploy"
-
 
 class MatchFailure(LifecycleError, MatchingError):
     """Provider matching found fewer willing providers than required."""
-
-    phase = "match"
 
 
 class RegistrationFailure(LifecycleError):
     """Executor enclave launch or on-chain registration failed."""
 
-    phase = "register_executors"
-
 
 class SubmissionFailure(LifecycleError):
     """Attestation or certified data submission failed."""
-
-    phase = "attest_and_submit"
 
 
 class StartFailure(LifecycleError):
     """The consumer could not start execution."""
 
-    phase = "start_execution"
-
 
 class ExecutionFailure(LifecycleError):
     """An enclave failed while executing the workload."""
-
-    phase = "execute"
 
 
 class AggregationFailure(LifecycleError):
     """Combining enclave outputs or casting result votes failed."""
 
-    phase = "aggregate"
-
 
 class SettlementFailure(LifecycleError):
     """The contract did not reach completion, or payout collection failed."""
 
-    phase = "settle"
-
 
 class AuditFailure(LifecycleError):
     """The post-completion audit could not be produced."""
-
-    phase = "audit"
 
 
 class SessionPaused(PDS2Error):
@@ -328,10 +300,10 @@ class InjectedFaultError(LifecycleError):
     (addresses, empty when not applicable).
     """
 
-    def __init__(self, message: str, snapshot: dict | None = None, *,
-                 point: str = "", transient: bool = False,
-                 dead_executor: str = "", provider: str = ""):
-        super().__init__(message, snapshot=snapshot)
+    def __init__(self, message: str, *, point: str = "",
+                 transient: bool = False, dead_executor: str = "",
+                 provider: str = ""):
+        super().__init__(message)
         self.point = point
         self.transient = transient
         self.dead_executor = dead_executor

@@ -62,6 +62,11 @@ class Span:
     def set_attribute(self, key: str, value: Any) -> None:
         self.attributes[key] = value
 
+    def fail(self, exc: BaseException) -> None:
+        """Mark the span ``status="error"`` with ``exc``'s type and text."""
+        self.status = STATUS_ERROR
+        self.error = f"{type(exc).__name__}: {exc}"
+
     def to_dict(self) -> dict:
         """The JSON record shape carried by ``span.end`` events."""
         return {
@@ -181,9 +186,10 @@ class Tracer:
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """Open a child span of the current span for the ``with`` body.
 
-        An exception propagating out marks the span ``status="error"``
-        (with the exception text) and re-raises — failed lifecycle phases
-        keep their timing but are visibly distinguished in the tree.
+        An exception propagating out marks the span failed
+        (:meth:`Span.fail`) and re-raises; a caller that handles a failure
+        itself calls :meth:`Span.fail` — a failed lifecycle phase keeps its
+        timing but is visibly distinguished in the tree.
         """
         span = Span(
             name=name,
@@ -197,8 +203,7 @@ class Tracer:
         try:
             yield span
         except BaseException as exc:
-            span.status = STATUS_ERROR
-            span.error = f"{type(exc).__name__}: {exc}"
+            span.fail(exc)
             raise
         finally:
             span.end_wall = time.perf_counter()

@@ -12,6 +12,7 @@ from repro.core.aggregates import (
     combine_aggregate_outputs,
 )
 from repro.errors import (
+    DeployFailure,
     MarketplaceError,
     MatchingError,
     SettlementFailure,
@@ -36,6 +37,10 @@ def market_setup():
     return market, consumer, data
 
 
+#: What ``run_aggregate_workload`` used to default to.
+ONE_OF_EACH = dict(min_providers=1, min_samples=1, required_confirmations=1)
+
+
 class TestAggregateLifecycle:
     def test_exact_mean_through_chain(self, market_setup):
         market, consumer, data = market_setup
@@ -58,7 +63,7 @@ class TestAggregateLifecycle:
         count = market.run_aggregate_workload(
             consumer, "agg-count", ConceptRequirement("physiological"),
             AggregateSpec(AggregateKind.COUNT, field_index=0),
-            reward_pool=10_000,
+            reward_pool=10_000, **ONE_OF_EACH,
         ).ctx
         assert count.extra["combined"] == 600
         assert count.audit.clean
@@ -66,7 +71,7 @@ class TestAggregateLifecycle:
             consumer, "agg-hist", ConceptRequirement("physiological"),
             AggregateSpec(AggregateKind.HISTOGRAM, field_index=0,
                           bin_edges=(-5.0, 0.0, 5.0)),
-            reward_pool=10_000,
+            reward_pool=10_000, **ONE_OF_EACH,
         ).ctx
         assert sum(hist.extra["combined"]) == 600
         assert hist.audit.clean
@@ -77,7 +82,7 @@ class TestAggregateLifecycle:
                              dp_epsilon=2.0, sensitivity=0.01)
         ctx = market.run_aggregate_workload(
             consumer, "agg-dp", ConceptRequirement("physiological"),
-            spec, reward_pool=10_000,
+            spec, reward_pool=10_000, **ONE_OF_EACH,
         ).ctx
         exact = float(data.features[:, 3].mean())
         assert ctx.extra["combined"] != pytest.approx(exact, abs=1e-12)
@@ -86,27 +91,30 @@ class TestAggregateLifecycle:
 
     def test_no_matching_providers(self, market_setup):
         market, consumer, data = market_setup
-        with pytest.raises(MatchingError) as excinfo:
-            market.run_aggregate_workload(
-                consumer, "agg-none", ConceptRequirement("motion"),
-                AggregateSpec(AggregateKind.MEAN, field_index=0),
-            )
-        # Lifecycle failures carry a session snapshot of where the run died.
-        assert excinfo.value.snapshot["state"] == "match"
+        session = market.run_aggregate_workload(
+            consumer, "agg-none", ConceptRequirement("motion"),
+            AggregateSpec(AggregateKind.MEAN, field_index=0),
+            reward_pool=100_000, **ONE_OF_EACH,
+        )
+        assert isinstance(session.failure, MatchingError)
+        # A failed session's record names where the run died.
+        assert session.record()["next_phase"] == "match"
 
     def test_confirmations_exceeding_executors_rejected(self, market_setup):
         market, consumer, data = market_setup
-        with pytest.raises(MarketplaceError, match="confirmations"):
-            market.run_aggregate_workload(
-                consumer, "agg-overconf", ConceptRequirement("physiological"),
-                AggregateSpec(AggregateKind.MEAN, field_index=0),
-                required_confirmations=3,  # only 2 executors exist
-            )
+        session = market.run_aggregate_workload(
+            consumer, "agg-overconf", ConceptRequirement("physiological"),
+            AggregateSpec(AggregateKind.MEAN, field_index=0),
+            reward_pool=100_000, min_providers=1, min_samples=1,
+            required_confirmations=3,  # only 2 executors exist
+        )
+        assert isinstance(session.failure, DeployFailure)
+        assert "confirmations" in str(session.failure)
 
     def test_missing_quorum_reports_noncomplete_state(self):
         # One provider means one active executor; with two required
         # confirmations the contract never completes and settlement fails
-        # with the observed contract state in the snapshot.
+        # with the observed contract state in the session record.
         rng = np.random.default_rng(77)
         data = make_iot_activity(120, rng)
         market = Marketplace(seed=4)
@@ -114,15 +122,16 @@ class TestAggregateLifecycle:
         consumer = market.add_consumer("c")
         market.add_executor("e0")
         market.add_executor("e1")
-        with pytest.raises(SettlementFailure) as excinfo:
-            market.run_aggregate_workload(
-                consumer, "agg-quorum", ConceptRequirement("physiological"),
-                AggregateSpec(AggregateKind.MEAN, field_index=0),
-                required_confirmations=2,
-            )
-        assert excinfo.value.snapshot["final_state"] == "executing"
+        session = market.run_aggregate_workload(
+            consumer, "agg-quorum", ConceptRequirement("physiological"),
+            AggregateSpec(AggregateKind.MEAN, field_index=0),
+            reward_pool=100_000, min_providers=1, min_samples=1,
+            required_confirmations=2,
+        )
+        assert isinstance(session.failure, SettlementFailure)
+        assert session.record()["final_state"] == "executing"
         # The typed failure still matches the legacy catch-all.
-        assert isinstance(excinfo.value, MarketplaceError)
+        assert isinstance(session.failure, MarketplaceError)
 
 
 class TestCombine:

@@ -2,7 +2,8 @@
 
 ``WorkloadSession.record()`` is the one projection of a session —
 seed-determined progress only, no event trail — whose digest is what a
-replay is verified against and which a failure carries as its snapshot.
+replay is verified against and which, on a failed session, names where the
+run died.
 The paused session itself stays a live object: ``run()`` again continues it
 at ``next_phase``, byte-identically to an uninterrupted run, and a terminal
 session refuses to run.
@@ -234,8 +235,8 @@ class TestRunAgain:
         session = WorkloadSession(
             market, consumer, make_kind(), injector=FaultInjector(
                 FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
-        with pytest.raises(LifecycleError):  # recover=False: terminal
-            session.run()
+        assert session.run() is session  # recover=False: terminal
+        assert isinstance(session.failure, LifecycleError)
         assert session.state == TERMINAL_FAILED
         self._assert_refuses(market, session)
 
@@ -250,24 +251,19 @@ class TestRunAgain:
 
 
 class TestSnapshotConsistency:
-    def test_snapshot_matches_checkpoint_mid_run(self):
-        # A failure's snapshot *is* the session record at the moment it
-        # was raised: same keys, same progress, same format tag.
+    def test_failed_record_names_where_it_died(self):
+        # A failed session keeps the phase that failed as ``next_phase``:
+        # its record says where the run died, in the checkpoint format.
         market, consumer = build_market()
         session = WorkloadSession(
             market, consumer, make_kind(), injector=FaultInjector(
-                FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1")))
-        with pytest.raises(InjectedFaultError) as excinfo:
-            session.run()
-        snapshot = excinfo.value.snapshot
+                FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1"))).run()
         record = session.record()
-        assert set(snapshot) == set(record)
-        assert snapshot["format"] == CHECKPOINT_FORMAT
-        assert snapshot["state"] == "execute"
-        for key in ("session_id", "next_phase", "registered", "submitted",
-                    "certified", "executed", "voted", "dropped_providers",
-                    "retries", "participants", "workload_address"):
-            assert snapshot[key] == record[key], key
+        assert record["format"] == CHECKPOINT_FORMAT
+        assert record["state"] == TERMINAL_FAILED
+        assert record["next_phase"] == "execute"
+        assert isinstance(session.failure, InjectedFaultError)
+        assert session.failure.point == "execute.executor"
 
     def test_snapshot_bookkeeping_sets_are_sorted_lists(self):
         market, consumer = build_market()

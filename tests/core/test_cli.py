@@ -70,6 +70,32 @@ class TestParser:
         assert "meteor-strike" in captured.err
         assert ", ".join(sorted(SCENARIOS)) in captured.err
 
+    @pytest.mark.parametrize("argv,flag,minimum", [
+        (["quickstart", "--executors", "0"], "--executors", 1),
+        (["faults", "crash-execute", "--executors", "0"], "--executors", 1),
+        (["profile", "--executors", "0"], "--executors", 1),
+        (["quickstart", "--providers", "0"], "--providers", 1),
+        (["batch", "submit", "RUN", "--workers", "0"], "--workers", 1),
+        (["batch", "submit", "RUN", "--jobs", "0"], "--jobs", 1),
+        (["chain", "run", "RUN", "--wallets", "0"], "--wallets", 1),
+        (["gossip", "--nodes", "1"], "--nodes", 2),
+    ], ids=["quickstart-executors", "faults-executors", "profile-executors",
+            "quickstart-providers", "batch-workers", "batch-jobs",
+            "chain-wallets", "gossip-nodes"])
+    def test_count_flag_below_its_minimum_is_refused_at_parse(
+            self, tmp_path, capsys, argv, flag, minimum):
+        run = tmp_path / "run"
+        argv = [str(run) if arg == "RUN" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(
+            f"argument {flag}: must be at least {minimum}, "
+            f"got {minimum - 1}")
+        assert not run.exists()  # refused before any RUN is created
+
 
 class TestCommands:
     def test_info(self, capsys):

@@ -32,7 +32,8 @@ def aggregate_session(market, consumer, index: int) -> None:
     session = market.run_aggregate_workload(
         consumer, f"flat-agg-{index}", ConceptRequirement("physiological"),
         AggregateSpec(AggregateKind.MEAN, field_index=3),
-        reward_pool=10_000,
+        reward_pool=10_000, min_providers=1, min_samples=1,
+        required_confirmations=1,
     )
     assert session.ctx.audit.clean
 

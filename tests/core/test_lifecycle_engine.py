@@ -14,6 +14,7 @@ from repro.core import (
     PHASES_BY_NAME,
     TRANSITIONS,
     ExecutorBehavior,
+    FaultKind,
     FaultPlan,
     Marketplace,
     MLTrainingKind,
@@ -37,6 +38,7 @@ from repro.core.lifecycle import (
 )
 from repro.errors import (
     DeployFailure,
+    InjectedFaultError,
     LifecycleError,
     MarketplaceError,
     MatchFailure,
@@ -133,9 +135,9 @@ class TestSessionStateMachine:
         session = WorkloadSession(
             market, consumer, MLTrainingKind(small_spec("wl-illegal"))
         )
-        with pytest.raises(TransitionError) as excinfo:
+        with pytest.raises(TransitionError):
             session.advance("execute")
-        assert excinfo.value.snapshot["state"] == STATE_CREATED
+        assert session.record()["state"] == STATE_CREATED
         assert session.state == STATE_CREATED
 
     def test_terminal_state_is_final(self, market_setup):
@@ -152,9 +154,9 @@ class TestSessionStateMachine:
         session = WorkloadSession(
             market, consumer, MLTrainingKind(small_spec("wl-noexec")))
         session.ctx.executors = []
-        with pytest.raises(DeployFailure) as excinfo:
+        with pytest.raises(DeployFailure, match="no executors available"):
             DeployPhase().run(session)
-        assert excinfo.value.snapshot["session_id"] == session.session_id
+        assert session.record()["session_id"] == session.session_id
 
     def test_failure_classes_stay_catchable_as_before(self):
         # The refactor must not break callers catching the old exception
@@ -168,11 +170,11 @@ class TestSessionStateMachine:
     def test_failed_session_records_failure_events(self, market_setup):
         market, consumer = market_setup
         spec = small_spec("wl-fail", requirement=ConceptRequirement("motion"))
-        session = WorkloadSession(market, consumer, MLTrainingKind(spec))
-        with pytest.raises(MatchFailure) as excinfo:
-            session.run()
+        session = WorkloadSession(market, consumer,
+                                  MLTrainingKind(spec)).run()
         assert session.state == TERMINAL_FAILED
-        assert excinfo.value.snapshot["state"] == "match"
+        assert isinstance(session.failure, MatchFailure)
+        assert session.record()["next_phase"] == "match"
         names = [event.name for event in session.trail]
         assert "phase.failed" in names
         assert "session.failed" in names
@@ -291,15 +293,13 @@ class TestInterceptors:
         session = WorkloadSession(
             market, consumer, MLTrainingKind(small_spec("wl-novotes")),
             interceptors={"settle": no_votes},
-        )
-        with pytest.raises(SettlementFailure) as excinfo:
-            session.run()
+        ).run()
         # The settle block holds no vote; the abort is mined in a sixth.
         assert session.blocks_mined == 6
         assert session.ctx.final_state == "executing"
         assert session.read_state() == "cancelled"
         assert session.outcome == "failed"
-        assert session.failure is excinfo.value
+        assert isinstance(session.failure, SettlementFailure)
         assert session.ctx.payouts == {}
         assert session.ctx.refunded == small_spec("wl-novotes").reward_pool
         assert market.chain.state.balance_of(
@@ -314,12 +314,12 @@ class TestInterceptors:
         def no_votes(session, phase):
             """Nobody votes; the engine still mines and checks the state."""
 
-        with pytest.raises(SettlementFailure) as excinfo:
-            WorkloadSession(
-                market, consumer, MLTrainingKind(small_spec("wl-strict")),
-                interceptors={"settle": no_votes},
-            ).run()
-        assert excinfo.value.snapshot["final_state"] == "executing"
+        session = WorkloadSession(
+            market, consumer, MLTrainingKind(small_spec("wl-strict")),
+            interceptors={"settle": no_votes},
+        ).run()
+        assert isinstance(session.failure, SettlementFailure)
+        assert session.record()["final_state"] == "executing"
 
 
 class TestDriversReturnTheSession:
@@ -331,7 +331,9 @@ class TestDriversReturnTheSession:
             market.run_workload(consumer, small_spec("wl-driver-ml")),
             market.run_aggregate_workload(
                 consumer, "wl-driver-agg", ConceptRequirement("physiological"),
-                AggregateSpec(AggregateKind.MEAN, field_index=3)),
+                AggregateSpec(AggregateKind.MEAN, field_index=3),
+                reward_pool=100_000, min_providers=1, min_samples=1,
+                required_confirmations=1),
             run_with_faults(market, consumer, small_spec("wl-driver-faults"),
                             FaultPlan()),
             run_with_adversaries(
@@ -343,6 +345,47 @@ class TestDriversReturnTheSession:
             assert session.state == TERMINAL_COMPLETE
             assert session.outcome == "settled"
             assert session.ctx.audit.clean
+
+    @pytest.mark.parametrize("driver,failure", [
+        ("run_workload", MatchFailure),
+        ("run_aggregate_workload", MatchFailure),
+        ("run_with_faults", InjectedFaultError),
+        ("run_with_adversaries", SettlementFailure),
+    ])
+    def test_every_driver_returns_a_failed_session(self, market_setup,
+                                                   driver, failure):
+        """A failed run is returned, not raised: typed ``failure``, the
+        escrow refunded, one ``outcome="failed"`` count."""
+        market, consumer = market_setup
+        unmatched = ConceptRequirement("motion")
+        runs = {
+            "run_workload": lambda: market.run_workload(
+                consumer, small_spec("wl-fail-ml", requirement=unmatched)),
+            "run_aggregate_workload": lambda: market.run_aggregate_workload(
+                consumer, "wl-fail-agg", unmatched,
+                AggregateSpec(AggregateKind.MEAN, field_index=3),
+                reward_pool=100_000, min_providers=1, min_samples=1,
+                required_confirmations=1),
+            "run_with_faults": lambda: run_with_faults(
+                market, consumer, small_spec("wl-fail-faults"),
+                FaultPlan.single(FaultKind.CRASH_EXECUTE, target="e1"),
+                recover=False),
+            "run_with_adversaries": lambda: run_with_adversaries(
+                market, consumer, small_spec("wl-fail-adv"),
+                [ExecutorBehavior.SILENT] * len(market.executors)),
+        }
+        failed = metric_named(telemetry.REGISTRY,
+                              "pds2_lifecycle_sessions_total")
+        before = failed.labels(outcome="failed").value
+        session = runs[driver]()
+        assert isinstance(session, WorkloadSession)
+        assert session.state == TERMINAL_FAILED
+        assert session.outcome == "failed"
+        assert type(session.failure) is failure
+        assert session.ctx.workload_address  # deploy precedes every failure
+        assert session.ctx.refunded == 100_000
+        assert session.read_state() == "cancelled"
+        assert failed.labels(outcome="failed").value == before + 1
 
     def test_run_workload_is_the_session_run(self):
         spec = small_spec("wl-driver-digest")
@@ -378,10 +421,11 @@ def forged(real, wallet, contract, args):
 
 
 def run_failing(market, consumer, spec, failure):
-    session = WorkloadSession(market, consumer, MLTrainingKind(spec))
-    with pytest.raises(failure) as excinfo:
-        session.run()
-    return session, excinfo.value
+    """Run ``spec`` to a ``failure``; returns the session and its error."""
+    session = WorkloadSession(market, consumer, MLTrainingKind(spec)).run()
+    assert session.state == TERMINAL_FAILED
+    assert isinstance(session.failure, failure)
+    return session, session.failure
 
 
 class TestOneSeamMinesAndReadsReceipts:
@@ -400,7 +444,7 @@ class TestOneSeamMinesAndReadsReceipts:
             market, consumer, small_spec("wl-gate", min_samples=10_000),
             StartFailure)
         assert "workload preconditions are not met" in str(error)
-        assert error.snapshot["state"] == "start_execution"
+        assert session.record()["next_phase"] == "start_execution"
         assert runs == []
         names = [event.name for event in session.trail]
         assert "enclave.executed" not in names
@@ -436,7 +480,7 @@ class TestOneSeamMinesAndReadsReceipts:
             market, consumer, small_spec(f"wl-refused-{method}"), failure)
         assert type(error) is failure
         assert method in str(error) and reason in str(error)
-        assert error.snapshot["state"] == phase
+        assert session.record()["next_phase"] == phase
         assert [e.data["phase"] for e in session.trail
                 if e.name == "session.failed"] == [phase]
         assert session.ctx.refunded == 100_000
@@ -523,7 +567,7 @@ class TestOneSeamMinesAndReadsReceipts:
         session, error = run_failing(
             market, consumer, small_spec("wl-pooled-start"), StartFailure)
         assert "still pooled" in str(error)
-        assert error.snapshot["state"] == "start_execution"
+        assert session.record()["next_phase"] == "start_execution"
         assert runs == []
 
     def test_fault_free_session_mines_five_blocks_through_the_seam(

@@ -128,11 +128,11 @@ class TestLifecycleVariants:
     def test_requirement_filters_providers(self, market_setup):
         market, providers, consumer, executors = market_setup
         # No provider annotated motion data, so matching fails.
-        with pytest.raises(MatchingError):
-            market.run_workload(consumer, har_spec(
-                workload_id="wl-nomatch",
-                requirement=ConceptRequirement("motion"),
-            ))
+        session = market.run_workload(consumer, har_spec(
+            workload_id="wl-nomatch",
+            requirement=ConceptRequirement("motion"),
+        ))
+        assert isinstance(session.failure, MatchingError)
 
     def test_policy_can_refuse(self, market_setup, rng):
         market, providers, consumer, executors = market_setup

@@ -126,9 +126,9 @@ class TestFailurePathSpans:
         # An unmatchable requirement fails in the match phase.
         spec = small_spec("wl-span-fail",
                           requirement=ConceptRequirement("motion"))
-        session = WorkloadSession(market, consumer, MLTrainingKind(spec))
-        with pytest.raises(MatchFailure):
-            session.run()
+        session = WorkloadSession(market, consumer,
+                                  MLTrainingKind(spec)).run()
+        assert isinstance(session.failure, MatchFailure)
         spans = spans_from_events(session.trail)
         by_name = {s.name: s for s in spans}
         match_span = by_name["lifecycle.phase.match"]
@@ -136,6 +136,7 @@ class TestFailurePathSpans:
         assert "MatchFailure" in match_span.error
         root = by_name["lifecycle.session"]
         assert root.status == "error"
+        assert root.error == match_span.error
         # Phases never reached have no spans; the completed deploy is ok.
         assert by_name["lifecycle.phase.deploy"].status == "ok"
         assert "lifecycle.phase.execute" not in by_name
