@@ -21,6 +21,7 @@ from repro.ml.gossip import GossipConfig, GossipTrainer
 from repro.ml.models import SoftmaxRegressionModel
 
 DURATION_S = 900.0
+SEED = 15
 
 VARIANTS = [
     ("dense float64", CompressionConfig()),
@@ -37,14 +38,15 @@ def factory():
     return SoftmaxRegressionModel(6, 5)
 
 
+def gossip_config(compression: CompressionConfig) -> GossipConfig:
+    return GossipConfig(wake_interval_s=10, local_steps=4,
+                        learning_rate=0.3, compression=compression)
+
+
 def run(parts, test, compression: CompressionConfig,
         duration: float = DURATION_S):
-    trainer = GossipTrainer(
-        factory, parts, test,
-        GossipConfig(wake_interval_s=10, local_steps=4, learning_rate=0.3,
-                     compression=compression),
-        seed=15,
-    )
+    trainer = GossipTrainer(factory, parts, test,
+                            gossip_config(compression), seed=SEED)
     return trainer.run(duration, duration)
 
 

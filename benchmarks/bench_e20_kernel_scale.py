@@ -3,16 +3,16 @@
 Two claims, both measured on the seeded HAR workload:
 
 * **Speedup** — at 256 nodes the flat-array kernel engine (what
-  ``GossipTrainer`` hands back for this workload) runs the identical
-  simulation at least an order of magnitude faster than the per-node
-  object engine, built here by class name as the reference,
-  while reproducing its accuracy-versus-time history *byte-identically*
+  ``GossipTrainer`` builds) runs the identical simulation at least an
+  order of magnitude faster than the per-node test oracle
+  (``tests/kernels/gossip_oracle.py``), while reproducing its
+  accuracy-versus-time history *byte-identically*
   (same ``derive_rng`` streams, same IEEE-754 operation order; see
   ``repro.kernels.ops``).  The speedup is a same-process wall-time ratio,
   so it is meaningful on shared hardware and gated in the BENCH
   trajectory.
 * **Scale** — a 10,000-node gossip experiment, far beyond what the
-  object engine can touch in CI, completes in seconds on the kernel
+  per-node oracle can touch in CI, completes in seconds on the kernel
   engine (even the quick suite runs it).
 
 The 10k population uses an even per-node split rather than the Dirichlet
@@ -23,22 +23,30 @@ and partition skew is irrelevant to a throughput measurement.
 
 from __future__ import annotations
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from harness import har_problem
-from repro.bench import (
+sys.path.insert(0, str(Path(__file__).parent.parent))  # tests/ (the oracle)
+
+from harness import har_problem  # noqa: E402
+from repro.bench import (  # noqa: E402
     Experiment,
     format_table,
     higher_is_better,
     info,
     lower_is_better,
 )
-from repro.kernels.gossip_kernel import GossipKernelTrainer
-from repro.ml.datasets import make_iot_activity, train_test_split
-from repro.ml.gossip import GossipConfig, GossipNodeTrainer, GossipTrainer
-from repro.ml.models import SoftmaxRegressionModel
+from repro.kernels.gossip_kernel import GossipKernelTrainer  # noqa: E402
+from repro.ml.datasets import (  # noqa: E402
+    make_iot_activity,
+    train_test_split,
+)
+from repro.ml.gossip import GossipConfig, GossipTrainer  # noqa: E402
+from repro.ml.models import SoftmaxRegressionModel  # noqa: E402
+from tests.kernels.gossip_oracle import GossipNodeTrainer  # noqa: E402
 
 COMPARE_NODES = 256
 COMPARE_SEED = 11

@@ -10,7 +10,10 @@ d features:
   calibrated attestation/transition costs from the cost model;
 * SMC — the real additive-sharing engine (3 parties), wall time plus the
   modeled network time for its logged traffic;
-* HE — real Paillier encrypted dot products at benchmark key size.
+* HE — real Paillier encrypted dot products.  ``he_s`` scales one row
+  timed at :data:`HE_CLAIM_BITS` (the deployable key size the claim is
+  about) to all n rows; the same workload at the reduced benchmark key
+  size :data:`PAILLIER_BITS` rides along as ``he_384_s``.
 
 Reported: wall seconds and slowdown versus plain.  The paper's ordering
 (plain < TEE << SMC < HE) must hold.
@@ -31,6 +34,7 @@ from repro.tee.enclave import EnclaveCode, TEEPlatform
 SAMPLES = 200
 FEATURES = 16
 PAILLIER_BITS = 384
+HE_CLAIM_BITS = 2048
 
 
 def scoring_entry(inputs, weights=None):
@@ -75,8 +79,8 @@ def run_smc(features, weights, rng, network: NetworkProfile) -> float:
     return compute + network_time
 
 
-def run_he(features, weights, rng) -> float:
-    keypair = generate_keypair(PAILLIER_BITS, rng)
+def run_he(features, weights, rng, bits: int) -> float:
+    keypair = generate_keypair(bits, rng)
     codec = keypair.codec
     encoded_weights = [codec.encode(float(w)) for w in weights]
     start = time.perf_counter()
@@ -100,13 +104,20 @@ def run_bench(quick: bool = False) -> dict:
     plain_s = max(run_plain(features, weights), 1e-6)
     tee_s = run_tee(features, weights, rng, cost_model)
     smc_s = run_smc(features, weights, rng, network)
-    he_s = run_he(features[:he_rows], weights, rng) * (samples / he_rows)
+    he_384_s = (run_he(features[:he_rows], weights, rng, PAILLIER_BITS)
+                * (samples / he_rows))
+    # One row at the claim's key size (seconds each), scaled like the rows
+    # above: the ordering compares HE at a key size it would deploy with.
+    he_s = run_he(features[:1], weights, rng, HE_CLAIM_BITS) * samples
 
     rows = [
         ["plain", f"{plain_s:.5f}", "1x"],
         ["tee", f"{tee_s:.5f}", f"{tee_s / plain_s:,.0f}x"],
         ["smc (3 parties)", f"{smc_s:.5f}", f"{smc_s / plain_s:,.0f}x"],
-        ["he (paillier)", f"{he_s:.5f}", f"{he_s / plain_s:,.0f}x"],
+        [f"he (paillier {HE_CLAIM_BITS})", f"{he_s:.5f}",
+         f"{he_s / plain_s:,.0f}x"],
+        [f"he (paillier {PAILLIER_BITS})", f"{he_384_s:.5f}",
+         f"{he_384_s / plain_s:,.0f}x"],
     ]
     lines = format_table(["backend", "seconds", "slowdown"], rows)
     # Wall seconds are noisy on shared runners: only the qualitative
@@ -116,6 +127,7 @@ def run_bench(quick: bool = False) -> dict:
         "tee_s": info(tee_s, unit="s"),
         "smc_s": info(smc_s, unit="s"),
         "he_s": info(he_s, unit="s"),
+        "he_384_s": info(he_384_s, unit="s"),
         "he_over_tee": info(he_s / tee_s, unit="x"),
     }
     claims = {

@@ -2,10 +2,11 @@
 
     PYTHONHASHSEED=0 PYTHONPATH=src python benchmarks/profile_gossip_engines.py
 
-Profiles the same 64-node, 600 s-simulated gossip run on both engines
-with the deterministic calls-mode sampler and writes collapsed stacks
+Profiles the same 64-node, 600 s-simulated gossip run on the kernels and
+on the per-node test oracle (``tests/kernels/gossip_oracle.py``) with the
+deterministic calls-mode sampler and writes collapsed stacks
 (flamegraph.pl input) to ``docs/profile_gossip_objects.collapsed`` and
-``docs/profile_gossip_kernel.collapsed``.  The object engine's samples
+``docs/profile_gossip_kernel.collapsed``.  The oracle's samples
 concentrate under ``GossipNode.on_wake`` inside ``span:gossip.run``
 (per-node python), the kernel engine's under ``region:kernel.round`` /
 ``kernel.merge`` / ``kernel.train`` / ``kernel.push`` (stacked array
@@ -19,12 +20,14 @@ import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
+sys.path.insert(0, str(Path(__file__).parent.parent))  # tests/ (the oracle)
 
 from bench_e20_kernel_scale import build  # noqa: E402
 from harness import har_problem  # noqa: E402
 from repro.kernels.gossip_kernel import GossipKernelTrainer  # noqa: E402
-from repro.ml.gossip import GossipConfig, GossipNodeTrainer  # noqa: E402
+from repro.ml.gossip import GossipConfig  # noqa: E402
 from repro.telemetry import Profiler, profile_to_collapsed  # noqa: E402
+from tests.kernels.gossip_oracle import GossipNodeTrainer  # noqa: E402
 
 
 def main() -> int:

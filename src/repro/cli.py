@@ -1037,14 +1037,14 @@ def build_parser() -> argparse.ArgumentParser:
     gossip.add_argument("--nodes", type=_at_least(2), default=64,
                         help="population size (tens of thousands run in "
                              "seconds)")
-    gossip.add_argument("--per-node", type=int, default=24,
+    gossip.add_argument("--per-node", type=_at_least(1), default=24,
                         help="training samples per node")
     gossip.add_argument("--duration", type=float, default=300.0,
                         help="simulated seconds")
     gossip.add_argument("--eval-interval", type=float, default=100.0,
                         help="accuracy checkpoint spacing in simulated "
                              "seconds")
-    gossip.add_argument("--batch-size", type=int, default=8)
+    gossip.add_argument("--batch-size", type=_at_least(1), default=8)
     gossip.add_argument("--availability", type=float, default=1.0,
                         help="node availability in (0, 1]; below 1 enables "
                              "the churn model")

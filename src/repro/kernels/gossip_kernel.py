@@ -1,37 +1,34 @@
 """Flat-array gossip engine: whole rounds as stacked matrix ops.
 
-This is the engine :func:`repro.ml.gossip.GossipTrainer` hands back
-whenever the model has a vectorized family and messages are not
-subsampled.  Instead of one ``GossipNode`` object per participant
-exchanging per-message simulator callbacks, all per-node state lives in
-preallocated arrays owned by :class:`GossipKernelTrainer`:
+This is the engine :func:`repro.ml.gossip.GossipTrainer` builds for every
+input.  All per-node state lives in preallocated arrays owned by
+:class:`GossipKernelTrainer`:
 
 * ``params``  — ``(N, P)`` model parameter matrix,
 * ``ages``    — ``(N,)`` merge ages,
 * ``X_pad`` / ``y_pad`` — ``(N, n_max, F)`` / ``(N, n_max)`` padded local
   datasets,
 * ``adjacency`` / ``latency`` — ``(N, max_degree)`` overlay neighbor ids
-  and per-link latencies in the object engine's (lexicographic) peer
-  order,
+  and per-link latencies in lexicographic peer-address order,
 * churn as precomputed toggle timelines
   (:meth:`repro.net.churn.ChurnModel.precompute_timeline`).
 
 A whole wake round becomes a handful of stacked kernels from
 :mod:`repro.kernels.ops`: one ``(G, B, F) x (G, F, C)`` matmul per SGD
-slot, elementwise convex combinations for merges, one vectorized pass for
-peer picks, delivery times, drop checks, and traffic accounting.  Traffic
+slot, elementwise convex combinations for merges (masked to the sent
+coordinates when messages are subsampled), one vectorized pass for peer
+picks, delivery times, drop checks, and traffic accounting.  Traffic
 counters are charged in aggregate (``Counter.inc(n)``,
 ``Histogram.observe_repeated``).
 
-**Byte-identity.**  At matched seeds the kernel reproduces the object
-engine exactly — same accuracy-versus-time history, same final parameter
-bytes, same traffic counters and event counts (``tests/kernels`` enforces
-this differentially).  The mechanics: both engines share the re-disciplined
-protocol (mailbox merges, round tags, the single-draw-per-wake stream
-layout documented in :mod:`repro.ml.gossip`), consume the identical
-``derive_rng`` streams at identical positions, and route every
-floating-point operation through the same stacked kernels, which are
-elementwise-stable under stacking (see :mod:`repro.kernels.ops`).
+**Byte-identity.**  ``tests/kernels`` runs a per-node reference engine
+(``tests/kernels/gossip_oracle.py``: one object and one simulator callback
+per node and per message) and holds the kernels equal to it at matched
+seeds — same accuracy-versus-time history, final parameter bytes, traffic
+counters and event counts.  Both follow the protocol and stream layout
+documented in :mod:`repro.ml.gossip` and route every floating-point
+operation through the same kernels, which are elementwise-stable under
+stacking (see :mod:`repro.kernels.ops`).
 """
 
 from __future__ import annotations
@@ -43,6 +40,7 @@ import numpy as np
 from repro.errors import MLError
 from repro.kernels.ops import (
     clamped_floor_indices,
+    convex_combine_rows,
     counts_to_offsets,
     dequantize_rows,
     family_of,
@@ -79,32 +77,27 @@ from repro.telemetry.tracing import tracer as _tracer
 from repro.utils.rng import derive_rng
 
 # A queued (delivered, not yet merged) message is a tuple:
-#   (delivery_time, send_seq, params_row, age, samples, sender_round)
-_T_D, _SEQ, _PARAMS, _AGE, _SAMPLES, _ROUND = range(6)
+#   (delivery_time, send_seq, params_row, age, samples, sender_round, mask)
+# where mask marks the sent coordinates of a subsampled message (else None).
+_T_D, _SEQ, _PARAMS, _AGE, _SAMPLES, _ROUND, _MASK = range(7)
 
 
 class GossipKernelTrainer:
     """Array-of-structs → struct-of-arrays gossip engine.
 
     Construct via :func:`repro.ml.gossip.GossipTrainer` rather than
-    directly; it validates the shared arguments, builds the models and
-    picks this engine for every input it supports.  ``models`` holds one
-    fresh model per partition and ``uplinks`` one upload rate per partition.
+    directly; it validates the shared arguments and builds the models.
+    ``models`` holds one fresh model per partition and ``uplinks`` one
+    upload rate per partition.
     """
 
     def __init__(self, models: list[Model], partitions: list[Dataset],
                  test_set: Dataset, config: GossipConfig, seed: int,
                  churn: Optional[ChurnModel], uplinks: list[float]):
-        if config.compression.kind is CompressionKind.SUBSAMPLE:
-            raise MLError(
-                "the kernel engine does not support subsample compression "
-                "(its per-message coordinate draws are inherently "
-                "per-object)"
-            )
         family = family_of(models[0])
         if family is None:
             raise MLError(
-                f"the kernel engine has no vectorized family for "
+                f"gossip has no vectorized family for "
                 f"{type(models[0]).__name__}"
             )
         self.config = config
@@ -136,11 +129,10 @@ class GossipKernelTrainer:
         self._x_flat = self._X.reshape(num_nodes * n_max, num_features)
         self._y_flat = self._y.reshape(num_nodes * n_max)
 
-        # Overlay + latencies: replay the object engine's exact topology-rng
-        # draw order (overlay first, then one lognormal per edge), then lay
-        # the neighbors out in neighbors_map's lexicographic address order —
-        # the object engine's peer-list order, which the floor-sampled peer
-        # pick indexes into.
+        # Overlay + latencies: the topology rng draws the overlay first,
+        # then one lognormal per edge; neighbors are laid out in
+        # neighbors_map's lexicographic address order, which the
+        # floor-sampled peer pick indexes into.
         topo_rng = derive_rng(seed, "gossip-topology")
         overlay = random_regular_overlay(
             num_nodes, min(config.overlay_degree, num_nodes - 1), topo_rng
@@ -171,13 +163,19 @@ class GossipKernelTrainer:
         self.rngs = [derive_rng(seed, f"gossip-node-{i}")
                      for i in range(num_nodes)]
 
-        # Wire size is uniform across messages for NONE/QUANTIZE; probe it
-        # through the real compressor so accounting can never drift from
-        # the object engine's CompressedUpdate.size_bytes.
+        # Wire size is uniform across messages; probe it through the real
+        # compressor so accounting can never drift from
+        # CompressedUpdate.size_bytes.
         probe = compress(np.zeros(num_params), age=0, samples=0,
                          config=config.compression,
                          rng=derive_rng(seed, "gossip-size-probe"))
         self.message_size = probe.size_bytes
+        #: Coordinates per subsampled message; None when not subsampling.
+        self.subsample_count = (
+            len(probe.indices)
+            if config.compression.kind is CompressionKind.SUBSAMPLE
+            else None
+        )
 
         # Mailboxes and traffic accounting (filled during run()).
         self._pending: list[list[tuple]] = [[] for _ in range(num_nodes)]
@@ -220,7 +218,8 @@ class GossipKernelTrainer:
     # -- evaluation -------------------------------------------------------------
 
     def mean_score(self) -> float:
-        """Seeded-sample mean accuracy; same draw as the object engine."""
+        """Mean accuracy over the seeded node sample
+        (:func:`~repro.kernels.ops.sample_eval_indices`)."""
         indices = sample_eval_indices(self.seed, self.num_nodes)
         return float(np.mean(self.family.scores(
             self.params[indices], self._test_X, self._test_y
@@ -250,8 +249,8 @@ class GossipKernelTrainer:
         _WAKES.inc(count)
 
         # Mailbox eligibility: strictly-earlier delivery AND strictly-lower
-        # sender round; merge order is the object mailbox's arrival order,
-        # i.e. (delivery_time, send_seq).
+        # sender round; merge order is arrival order, i.e.
+        # (delivery_time, send_seq).
         local_steps = config.local_steps
         push_count = config.push_count
         eligible: list[list[tuple]] = []
@@ -275,26 +274,33 @@ class GossipKernelTrainer:
                 merge_counts[pos] = len(mine)
             eligible.append(mine)
 
-        # The per-wake draws, exactly the object engine's stream layout:
-        # one uniform vector covering (merges + local_steps) minibatches
-        # plus the peer picks, then one normal block when DP noise is on.
+        # The per-wake draws, in the stream layout of repro.ml.gossip: one
+        # uniform vector covering (merges + local_steps) minibatches plus
+        # the peer picks, then one normal block when DP noise is on, then
+        # one coordinate choice per push when messages are subsampled.
         takes_act = self.takes[act]
-        batch_uniforms: list[np.ndarray | None] = [None] * count
+        batch_uniforms: list[np.ndarray] = []
         push_uniforms = np.empty((count, push_count))
         noise: list[np.ndarray] = []
         dp_std = config.dp_noise_std
         num_params = self.params.shape[1]
+        subsample = self.subsample_count
+        masks = (np.zeros((count * push_count, num_params), dtype=bool)
+                 if subsample is not None else None)
         for pos in range(count):
+            rng = self.rngs[act[pos]]
             take = int(takes_act[pos])
             rows = int(merge_counts[pos]) + local_steps
-            draw = self.rngs[act[pos]].random(rows * take + push_count)
-            if take:
-                batch_uniforms[pos] = draw[:rows * take].reshape(rows, take)
+            draw = rng.random(rows * take + push_count)
+            batch_uniforms.append(draw[:rows * take].reshape(rows, take))
             push_uniforms[pos] = draw[rows * take:]
             if dp_std > 0:
-                noise.append(self.rngs[act[pos]].normal(
-                    0.0, dp_std, (push_count, num_params)
-                ))
+                noise.append(rng.normal(0.0, dp_std,
+                                        (push_count, num_params)))
+            if masks is not None:
+                for push in range(pos * push_count, (pos + 1) * push_count):
+                    masks[push, rng.choice(num_params, size=subsample,
+                                           replace=False)] = True
 
         work = self.params[act]          # gathered copies; scattered back
         ages_work = self.ages[act]       # at the end of the segment
@@ -320,10 +326,15 @@ class GossipKernelTrainer:
                 [msg[_SAMPLES] for mine in eligible for msg in mine],
                 dtype=np.int64,
             )
+            if masks is not None:
+                msg_masks = np.stack(
+                    [msg[_MASK] for mine in eligible for msg in mine]
+                )
 
         def merge_slot(sub: np.ndarray, slot: int) -> None:
             """Merge the slot-th eligible message of each position in
-            ``sub`` — elementwise convex combination, strategy-weighted."""
+            ``sub`` — elementwise convex combination, strategy-weighted,
+            over the sent coordinates only when subsampling."""
             rows = offsets[sub] + slot
             remote = msg_params[rows]
             remote_age = msg_ages[rows]
@@ -341,9 +352,11 @@ class GossipKernelTrainer:
                 w_local = np.maximum(1, ages_work[sub]).astype(
                     float)[:, None]
                 w_remote = np.maximum(1, remote_age).astype(float)[:, None]
-            total = w_local + w_remote
-            work[sub] = ((w_local / total) * work[sub]
-                         + (w_remote / total) * remote)
+            merged = convex_combine_rows(work[sub], remote, w_local,
+                                         w_remote)
+            if masks is not None:
+                merged = np.where(msg_masks[rows], merged, work[sub])
+            work[sub] = merged
             ages_work[sub] = np.maximum(ages_work[sub], remote_age)
             self.merges += len(sub)
             _MERGES.inc(len(sub))
@@ -351,56 +364,51 @@ class GossipKernelTrainer:
         # Nodes with different batch sizes (takes) cannot share a stacked
         # SGD call, but their wakes are causally independent within the
         # round, so each take-group runs its whole merge+train sequence
-        # back to back.  Per node the order is the object engine's:
-        # (merge, correction step) per eligible message, then local steps.
+        # back to back.  Per node the order is (merge, correction step) per
+        # eligible message, then the local steps.
         for take in np.unique(takes_act):
             take = int(take)
             positions = np.nonzero(takes_act == take)[0]
             m_group = merge_counts[positions]
-            max_merges = int(m_group.max()) if len(positions) else 0
-            if take:
-                # One dense uniform cube per group: row r of node g is the
-                # minibatch draw for its r-th SGD step this wake.
-                cube = np.zeros((len(positions),
-                                 max_merges + local_steps, take))
-                for index, pos in enumerate(positions):
-                    block = batch_uniforms[pos]
-                    cube[index, :block.shape[0]] = block
-                ids = act[positions]
-                row_base = (ids * n_max)[:, None]
-                n_sub = self.samples[ids]
+            max_merges = int(m_group.max())
+            # One dense uniform cube per group: row r of node g is the
+            # minibatch draw for its r-th SGD step this wake.
+            cube = np.zeros((len(positions), max_merges + local_steps, take))
+            for index, pos in enumerate(positions):
+                block = batch_uniforms[pos]
+                cube[index, :block.shape[0]] = block
+            ids = act[positions]
+            row_base = (ids * n_max)[:, None]
+            n_sub = self.samples[ids]
 
-                def sgd_slot(inside: np.ndarray, row_index,
-                             cube=cube, row_base=row_base, n_sub=n_sub,
-                             take=take, positions=positions) -> None:
-                    uniforms = cube[inside, row_index]
-                    limits = np.repeat(n_sub[inside], take)
-                    picks = clamped_floor_indices(
-                        uniforms.ravel(), limits
-                    ).reshape(len(inside), take)
-                    rows = row_base[inside] + picks
-                    stacked = work[positions[inside]]
-                    self.family.sgd_step(stacked, x_flat[rows],
-                                         y_flat[rows], learning_rate)
-                    work[positions[inside]] = stacked
+            def sgd_slot(inside: np.ndarray, row_index, cube=cube,
+                         row_base=row_base, n_sub=n_sub, take=take,
+                         positions=positions) -> None:
+                uniforms = cube[inside, row_index]
+                limits = np.repeat(n_sub[inside], take)
+                picks = clamped_floor_indices(
+                    uniforms.ravel(), limits
+                ).reshape(len(inside), take)
+                rows = row_base[inside] + picks
+                stacked = work[positions[inside]]
+                self.family.sgd_step(stacked, x_flat[rows], y_flat[rows],
+                                     learning_rate)
+                work[positions[inside]] = stacked
 
             with profiled("kernel.merge"):
                 for slot in range(max_merges):
                     inside = np.nonzero(m_group > slot)[0]
                     merge_slot(positions[inside], slot)
-                    if take:
-                        sgd_slot(inside, slot)
-                        ages_work[positions[inside]] += 1
-            if take:
-                with profiled("kernel.train"):
-                    everyone = np.arange(len(positions))
-                    for step in range(local_steps):
-                        sgd_slot(everyone, m_group + step)
-                    ages_work[positions] += local_steps
+                    sgd_slot(inside, slot)
+                    ages_work[positions[inside]] += 1
+            with profiled("kernel.train"):
+                everyone = np.arange(len(positions))
+                for step in range(local_steps):
+                    sgd_slot(everyone, m_group + step)
+                ages_work[positions] += local_steps
 
         # Push phase: every message of the segment in one vectorized pass,
-        # flattened sender-major in event order (matching the object
-        # engine's send sequence).
+        # flattened sender-major in event order (the send sequence).
         with profiled("kernel.push"):
             degrees_act = self.degrees[act]
             slot_limits = np.repeat(degrees_act, push_count)
@@ -437,8 +445,8 @@ class GossipKernelTrainer:
             delivery_times = (send_times[sent_positions]
                               + link_latency[sent_positions]
                               + size / self.uplinks[senders[sent_positions]])
-            # Deliveries past the horizon stay in flight: the object
-            # engine's simulator never pops them.
+            # Deliveries past the horizon stay in flight: they would fire
+            # after the last checkpoint the run advances to.
             fires = delivery_times <= horizon
             self.events_processed += int(fires.sum())
             receiving = self._online_at(receivers[sent_positions],
@@ -463,6 +471,7 @@ class GossipKernelTrainer:
                         int(message_ages[flat_pos]),
                         int(message_samples[flat_pos]),
                         wake_index,
+                        masks[flat_pos] if masks is not None else None,
                     ))
 
         self.params[act] = work
@@ -472,13 +481,13 @@ class GossipKernelTrainer:
 
     def run(self, duration_s: float,
             eval_interval_s: float = 50.0) -> GossipResult:
-        """Run the protocol; same semantics and results as the object
-        engine's :meth:`~repro.ml.gossip.GossipNodeTrainer.run`."""
+        """Run the protocol for ``duration_s`` of simulated time, scoring
+        the seeded node sample every ``eval_interval_s``."""
         config = self.config
         checkpoints = np.arange(eval_interval_s, duration_s + 1e-9,
                                 eval_interval_s)
-        # The object engine only ever advances the simulator to its last
-        # checkpoint, so that — not duration_s — is the causal horizon.
+        # Nothing runs past the last checkpoint, so that — not
+        # duration_s — is the causal horizon.
         horizon = float(checkpoints[-1]) if len(checkpoints) else None
 
         if self.churn is not None and self.churn.mean_offline_s > 0:
@@ -499,8 +508,8 @@ class GossipKernelTrainer:
         tracer = _tracer()
         with tracer.span("gossip.run", nodes=self.num_nodes,
                          duration_s=duration_s):
-            # Wake timelines: first draw on each node stream is the random
-            # phase, exactly as the object engine draws it.
+            # Wake timelines: the first draw on each node stream is the
+            # random wake phase (desynchronization).
             firsts = np.asarray([
                 float(rng.uniform(0, config.wake_interval_s))
                 for rng in self.rngs

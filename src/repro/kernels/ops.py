@@ -1,4 +1,4 @@
-"""Stacked numeric kernels shared by both gossip engines.
+"""Stacked numeric kernels of the gossip engine and its per-node oracle.
 
 Complexity contract
 -------------------
@@ -19,13 +19,14 @@ size, ``K`` the number of drawn indices:
 Determinism rules
 -----------------
 
-The gossip kernel engine promises **byte-identical** results to the object
-engine at matched seeds.  That holds because both engines call the *same*
-functions below, and every function is elementwise-stable under stacking:
+The gossip kernels promise **byte-identical** results to the per-node
+test oracle (``tests/kernels/gossip_oracle.py``) at matched seeds.  That
+holds because both call the *same* functions below, and every function is
+elementwise-stable under stacking:
 
 * batched ``np.matmul`` over a ``(G, …)`` stack executes the identical
   per-slice dgemm as the ``G`` separate 2-D calls, so a stacked step equals
-  the per-node step bit-for-bit (the object engine calls these kernels with
+  the per-node step bit-for-bit (the oracle calls these kernels with
   ``G == 1``);
 * merges are elementwise convex combinations (never a ``coeffs @ stacked``
   dgemv, whose accumulation order would differ from the scalar form);
@@ -170,11 +171,11 @@ def convex_combine_rows(local: np.ndarray, remote: np.ndarray,
                         local_weight, remote_weight) -> np.ndarray:
     """Pairwise convex combination, elementwise.
 
-    Weights are scalars (object engine) or ``(G, 1)`` columns (kernel
-    engine); either way each element computes
+    Weights are scalars (the per-node oracle) or ``(G, 1)`` columns (the
+    kernels); either way each element computes
     ``w_l/(w_l+w_r) * local + w_r/(w_l+w_r) * remote`` with identical
-    floating-point operations, which is why both engines share this
-    function instead of the dgemv in ``merge_parameter_vectors``.
+    floating-point operations, which is why both share this function
+    instead of the dgemv in ``merge_parameter_vectors``.
     """
     total = local_weight + remote_weight
     local_coeff = local_weight / total
@@ -206,8 +207,8 @@ def dequantize_rows(codes: np.ndarray, low: np.ndarray, high: np.ndarray,
                     bits: int) -> np.ndarray:
     """Row-wise inverse of :func:`quantize_rows`.
 
-    Mirrors :func:`repro.ml.compression.decompress_dense`:
-    ``low + codes / levels * span`` with the same operation order.
+    ``low + codes / levels * span``: what a receiver of a quantized
+    message merges.
     """
     levels = (1 << bits) - 1
     span = high - low

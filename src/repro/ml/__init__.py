@@ -10,8 +10,6 @@ from repro.ml.compression import (
     CompressionConfig,
     CompressionKind,
     compress,
-    decompress_dense,
-    merge_compressed_into,
 )
 from repro.ml.datasets import (
     Dataset,
@@ -34,14 +32,11 @@ from repro.ml.federated import (
 )
 from repro.ml.gossip import (
     GossipConfig,
-    GossipNode,
-    GossipNodeTrainer,
     GossipResult,
     GossipTrainer,
 )
 from repro.ml.merge import (
     MergeStrategy,
-    TrackedModel,
     merge_parameter_vectors,
 )
 from repro.ml.models import (
@@ -56,8 +51,6 @@ __all__ = [
     "CompressionConfig",
     "CompressionKind",
     "compress",
-    "decompress_dense",
-    "merge_compressed_into",
     "Dataset",
     "HAR_ACTIVITIES",
     "make_binary_classification",
@@ -74,12 +67,9 @@ __all__ = [
     "FederatedTrainer",
     "SERVER_ADDRESS",
     "GossipConfig",
-    "GossipNode",
-    "GossipNodeTrainer",
     "GossipResult",
     "GossipTrainer",
     "MergeStrategy",
-    "TrackedModel",
     "merge_parameter_vectors",
     "LinearRegressionModel",
     "MLPClassifier",

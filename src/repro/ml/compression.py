@@ -22,13 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MLError, ModelCompatibilityError
-from repro.kernels.ops import (
-    convex_combine_rows,
-    dequantize_rows,
-    quantize_rows,
-)
-from repro.ml.merge import MergeStrategy, TrackedModel
+from repro.errors import MLError
+from repro.kernels.ops import quantize_rows
 
 
 class CompressionKind(enum.Enum):
@@ -118,58 +113,3 @@ def compress(params: np.ndarray, age: int, samples: int,
         codes=codes[0], scale_min=float(low[0]), scale_max=float(high[0]),
         quantize_bits=config.quantize_bits,
     )
-
-
-def decompress_dense(update: CompressedUpdate) -> np.ndarray:
-    """Reconstruct a dense vector from a NONE or QUANTIZE update."""
-    if update.kind is CompressionKind.NONE:
-        return update.values.copy()
-    if update.kind is CompressionKind.QUANTIZE:
-        return dequantize_rows(
-            update.codes[None, :],
-            np.asarray([update.scale_min]),
-            np.asarray([update.scale_max]),
-            update.quantize_bits,
-        )[0]
-    raise MLError("subsampled updates have no dense reconstruction; "
-                  "merge them with merge_compressed_into")
-
-
-def merge_compressed_into(local: TrackedModel, update: CompressedUpdate,
-                          strategy: MergeStrategy) -> None:
-    """Fold a compressed update into a local model in place.
-
-    Dense/quantized updates merge like ordinary vectors.  Subsampled
-    updates merge *coordinate-wise*: only the transmitted coordinates move,
-    each toward the remote value with the strategy's weighting — the
-    standard partitioned-merge rule for sparsified gossip.
-    """
-    if update.num_params != local.model.num_params:
-        raise ModelCompatibilityError("update has incompatible shape")
-    if update.kind in (CompressionKind.NONE, CompressionKind.QUANTIZE):
-        remote = decompress_dense(update)
-        weights = _strategy_weights(local, update, strategy)
-        # Elementwise pairwise combine shared with the kernel engine (see
-        # repro.kernels.ops for why this form, not a dgemv, is used).
-        merged = convex_combine_rows(local.model.params, remote,
-                                     weights[0], weights[1])
-        local.model.set_params(merged)
-    else:
-        params = local.model.params
-        weights = _strategy_weights(local, update, strategy)
-        total = weights[0] + weights[1]
-        local_coeff = weights[0] / total
-        remote_coeff = weights[1] / total
-        params[update.indices] = (local_coeff * params[update.indices]
-                                  + remote_coeff * update.values)
-        local.model.set_params(params)
-    local.age = max(local.age, update.age)
-
-
-def _strategy_weights(local: TrackedModel, update: CompressedUpdate,
-                      strategy: MergeStrategy) -> list[float]:
-    if strategy is MergeStrategy.AVERAGE:
-        return [1.0, 1.0]
-    if strategy is MergeStrategy.SAMPLE_WEIGHTED:
-        return [float(max(1, local.samples)), float(max(1, update.samples))]
-    return [float(max(1, local.age)), float(max(1, update.age))]

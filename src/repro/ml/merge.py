@@ -10,12 +10,10 @@ them under identical schedules.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MLError
-from repro.ml.models import Model
 
 
 class MergeStrategy(enum.Enum):
@@ -24,20 +22,6 @@ class MergeStrategy(enum.Enum):
     AVERAGE = "average"              # plain parameter mean
     SAMPLE_WEIGHTED = "sample"       # weighted by training-set size
     AGE_WEIGHTED = "age"             # weighted by model age (gossip learning)
-
-
-@dataclass
-class TrackedModel:
-    """A model plus the merge-relevant bookkeeping.
-
-    ``age`` counts absorbed updates (grows on every local step and is
-    max-combined on merge, following the gossip-learning rule); ``samples``
-    is the size of the data the model was trained on.
-    """
-
-    model: Model
-    age: int = 0
-    samples: int = 0
 
 
 def merge_parameter_vectors(vectors: list[np.ndarray],

@@ -49,17 +49,6 @@ class Model(abc.ABC):
         """A copy of the flat parameter vector."""
         return self._params.copy()
 
-    def params_buffer(self) -> np.ndarray:
-        """The live flat parameter array (no copy, no shape check).
-
-        Engine hot paths (the gossip trainers) mutate this in place through
-        the stacked kernels in :mod:`repro.kernels.ops`; everyone else
-        should prefer :attr:`params` / :meth:`set_params`.  The buffer is
-        replaced (not resized) by :meth:`set_params`, so views must be
-        re-acquired after any merge.
-        """
-        return self._params
-
     def set_params(self, params: np.ndarray) -> None:
         """Replace the parameter vector (shape-checked)."""
         params = np.asarray(params, dtype=float)

@@ -105,8 +105,8 @@ class ChurnModel:
         *precisely* the order the event-driven path consumes it — one
         ``random()`` + one ``exponential()`` per node at install, then one
         ``exponential()`` each time a toggle event fires, in global
-        ``(time, schedule-order)`` order — so a kernel engine replaying this
-        timeline matches the object engine's churn byte-for-byte.  Toggles
+        ``(time, schedule-order)`` order — so the gossip kernels replaying
+        this timeline match the event-driven churn byte-for-byte.  Toggles
         past ``horizon`` never fire in the event-driven path and therefore
         draw nothing here either.
         """

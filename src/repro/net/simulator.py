@@ -1,20 +1,17 @@
 """Deterministic discrete-event network simulator.
 
-All decentralized-ML experiments (E5, E6) run on this substrate.  It is a
-classic event-heap simulator:
+The federated baseline of E5/E6 runs on this substrate.  It is a classic
+event-heap simulator:
 
 * events are ``(time, sequence, callback)`` tuples; the sequence number makes
   tie-breaking — and therefore the whole simulation — fully deterministic;
-* :class:`Network` models point-to-point message passing with per-link
+* :class:`Network` models point-to-point message passing with link
   latency, per-node bandwidth and online/offline state;
 * every delivered message is charged to traffic counters, giving the
   communication-cost axis of the gossip-vs-federated comparison.
 
-A fast path keeps the heap small for vectorized experiments:
-:meth:`Simulator.schedule_batch` registers a whole pre-sorted timeline of
-events (one *lane*) while holding only the lane head in the heap.  Sequence
-numbers for the entire lane are allocated contiguously up front, so
-tie-breaking against individually scheduled events stays deterministic.
+Gossip runs on the flat-array kernels instead; their per-node test
+oracle subclasses both classes here (event lanes, per-link latencies).
 """
 
 from __future__ import annotations
@@ -22,13 +19,13 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol
 
 from repro.errors import SimulationError
 from repro.telemetry import metrics as _tm
 
-# Transport counters, pre-resolved per outcome: send() is the hottest
-# non-numeric loop in the gossip experiments.
+# Transport counters, pre-resolved per outcome: send() runs once per
+# message.
 _NET_MESSAGES = _tm.counter(
     "pds2_net_messages_total", "Messages by transport outcome",
     labelnames=("outcome",),
@@ -51,36 +48,6 @@ _HEAP_HIGH_WATER = _tm.gauge(
     "pds2_sim_heap_high_water",
     "Peak event-heap size of the most recent simulator run loop",
 )
-
-
-class _EventLane:
-    """A pre-sorted timeline of events holding one heap slot at a time.
-
-    Created by :meth:`Simulator.schedule_batch`.  The lane keeps its own
-    position cursor; firing the head re-pushes the next entry with its
-    pre-allocated sequence number before running the callback, so events the
-    callback schedules at the same instant still order after the lane.
-    """
-
-    __slots__ = ("_sim", "_times", "_fn", "_seq0", "_pos")
-
-    def __init__(self, sim: "Simulator", times: list[float],
-                 fn: Callable[[int], None], seq0: int) -> None:
-        self._sim = sim
-        self._times = times
-        self._fn = fn
-        self._seq0 = seq0
-        self._pos = 0
-
-    def __call__(self) -> None:
-        pos = self._pos
-        self._pos = pos + 1
-        if self._pos < len(self._times):
-            heapq.heappush(
-                self._sim._heap,
-                [self._times[self._pos], self._seq0 + self._pos, self],
-            )
-        self._fn(pos)
 
 
 class Simulator:
@@ -113,41 +80,11 @@ class Simulator:
             )
         if delay < 0:
             raise SimulationError("cannot schedule events in the past")
-        # Entries are lists, as lane entries are: heapq comparisons between
-        # mixed tuple/list entries raise.
+        # Entries are lists, so a subclass may push list entries of its own
+        # (heapq comparisons between tuple and list entries raise).
         heapq.heappush(
             self._heap, [self.now + delay, self._next_seq(), callback]
         )
-        self._note_heap_size()
-
-    def schedule_batch(self, times: Sequence[float],
-                       fn: Callable[[int], None]) -> None:
-        """Register a whole timeline of events as one heap *lane*.
-
-        ``times`` are **absolute** simulation times, non-decreasing and
-        ``>= now``; ``fn(i)`` runs at ``times[i]``.  Only the lane head
-        occupies a heap slot, so a million-event timeline costs one heap
-        entry.  Sequence numbers for every lane event are allocated
-        contiguously at registration, keeping same-time tie-breaking against
-        later individually-scheduled events deterministic (the lane, being
-        registered first, wins).
-        """
-        times = [float(t) for t in times]
-        if not times:
-            return
-        previous = self.now
-        for t in times:
-            if not math.isfinite(t):
-                raise SimulationError(f"event time must be finite, got {t!r}")
-            if t < previous:
-                raise SimulationError(
-                    "batch times must be non-decreasing and not in the past"
-                )
-            previous = t
-        seq0 = self._seq
-        self._seq = seq0 + len(times)
-        lane = _EventLane(self, times, fn, seq0)
-        heapq.heappush(self._heap, [times[0], seq0, lane])
         self._note_heap_size()
 
     def run_until(self, end_time: float) -> None:
@@ -173,13 +110,6 @@ class MessageHandler(Protocol):
     def on_message(self, sender: str, message: Any) -> None:
         """Receive one delivered message."""
         ...  # pragma: no cover - protocol definition
-
-
-@dataclass
-class LinkProfile:
-    """Per-link latency; per-node bandwidth lives on :class:`NodeState`."""
-
-    latency_s: float = 0.05
 
 
 @dataclass
@@ -221,7 +151,6 @@ class Network:
     def __init__(self, simulator: Simulator):
         self.simulator = simulator
         self._nodes: dict[str, NodeState] = {}
-        self._links: dict[tuple[str, str], LinkProfile] = {}
         self.stats = TrafficStats()
 
     # -- membership --------------------------------------------------------------
@@ -253,15 +182,9 @@ class Network:
 
     # -- links ---------------------------------------------------------------------
 
-    def set_link(self, src: str, dst: str, latency_s: float) -> None:
-        """Override the latency of one directed link."""
-        if latency_s < 0:
-            raise SimulationError("latency must be non-negative")
-        self._links[(src, dst)] = LinkProfile(latency_s=latency_s)
-
     def link_latency(self, src: str, dst: str) -> float:
-        profile = self._links.get((src, dst))
-        return profile.latency_s if profile else MEAN_LATENCY_S
+        """One-way latency of a link: :data:`MEAN_LATENCY_S` on every link."""
+        return MEAN_LATENCY_S
 
     # -- transport -------------------------------------------------------------------
 

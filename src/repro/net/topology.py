@@ -1,9 +1,7 @@
 """Topology builders for the decentralized-ML experiments.
 
 Gossip learning runs over a random regular peer overlay.  These helpers
-build that ``networkx`` graph and assign per-link latencies, drawn the same
-way for every protocol that runs over them — the fairness requirement of
-experiment E5.
+build that ``networkx`` graph, its peer lists and its per-link latencies.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.net.simulator import MEAN_LATENCY_S, Network
+from repro.net.simulator import MEAN_LATENCY_S
 
 
 def random_regular_overlay(num_nodes: int, degree: int,
@@ -41,29 +39,16 @@ def edge_latencies(graph: nx.Graph, rng: np.random.Generator,
     """Draw one symmetric latency per edge of ``graph``.
 
     Latencies are lognormal around :data:`MEAN_LATENCY_S` with relative
-    spread :data:`LATENCY_JITTER`.  Draw order follows ``graph.edges`` iteration, which is
-    deterministic for a deterministically built graph — the object engine
-    and the vectorized kernel engine both consume this exact stream, which
-    is what keeps their simulations byte-identical.
+    spread :data:`LATENCY_JITTER`.  Draw order follows ``graph.edges``
+    iteration, which is deterministic for a deterministically built graph;
+    the gossip kernels and their per-node test oracle both consume this
+    exact stream.
     """
     return {
         (u, v): float(MEAN_LATENCY_S
                       * rng.lognormal(mean=0.0, sigma=LATENCY_JITTER))
         for u, v in graph.edges
     }
-
-
-def assign_latencies(network: Network, graph: nx.Graph,
-                     address_of, rng: np.random.Generator) -> None:
-    """Draw a symmetric latency for every edge of ``graph``.
-
-    The same value is set in both directions.  ``address_of`` maps graph
-    node ids to network addresses.  Draws delegate to
-    :func:`edge_latencies` so both gossip engines see identical links.
-    """
-    for (u, v), latency in edge_latencies(graph, rng).items():
-        network.set_link(address_of(u), address_of(v), latency)
-        network.set_link(address_of(v), address_of(u), latency)
 
 
 def neighbors_map(graph: nx.Graph, address_of) -> dict[str, list[str]]:

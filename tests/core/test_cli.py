@@ -79,9 +79,12 @@ class TestParser:
         (["batch", "submit", "RUN", "--jobs", "0"], "--jobs", 1),
         (["chain", "run", "RUN", "--wallets", "0"], "--wallets", 1),
         (["gossip", "--nodes", "1"], "--nodes", 2),
+        (["gossip", "--per-node", "0"], "--per-node", 1),
+        (["gossip", "--batch-size", "0"], "--batch-size", 1),
     ], ids=["quickstart-executors", "faults-executors", "profile-executors",
             "quickstart-providers", "batch-workers", "batch-jobs",
-            "chain-wallets", "gossip-nodes"])
+            "chain-wallets", "gossip-nodes", "gossip-per-node",
+            "gossip-batch-size"])
     def test_count_flag_below_its_minimum_is_refused_at_parse(
             self, tmp_path, capsys, argv, flag, minimum):
         run = tmp_path / "run"
@@ -391,15 +394,16 @@ class TestGossipCommand:
             build_parser().parse_args(["gossip", "--engine", "kernel"])
 
     def test_engines_agree_byte_for_byte(self, capsys, monkeypatch):
-        """The CLI lands on the kernels; with the per-node engine swapped in
-        under it, the same command prints the same numbers."""
+        """The CLI lands on the kernels; with the per-node oracle swapped
+        in under it, the same command prints the same numbers."""
         import json
 
         import repro.ml.gossip as gossip
+        from tests.kernels.gossip_oracle import GossipNodeTrainer
         from tests.kernels.test_differential import build
 
         def per_node(factory, parts, test, config, seed, churn):
-            return build(gossip.GossipNodeTrainer, parts, test, config,
+            return build(GossipNodeTrainer, parts, test, config,
                          seed=seed, churn=churn, model_factory=factory)
 
         argv = ["gossip", "--nodes", "12", "--per-node", "16",

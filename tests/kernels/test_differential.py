@@ -1,19 +1,20 @@
 """Differential tests: the kernel engine must be byte-identical to the
-per-node engine at matched seeds, and ``GossipTrainer`` must pick between
-them from its inputs alone.
+per-node oracle (``gossip_oracle.py``) at matched seeds, and
+``GossipTrainer`` must build the kernels for every input it accepts.
 
 Every assertion here is strict equality — not approx — because the two
 engines promise the same IEEE-754 operations in the same order (see the
 determinism notes in ``repro.kernels.ops``).  The sweep covers merge
-strategies, churn, DP noise, quantization, multi-push, and uneven
-partitions across many seeds and node counts.  Both engines are built by
-class name here — ``GossipTrainer`` would only ever hand back the kernel
-for these inputs.
+strategies, churn, DP noise, quantization, subsampling, multi-push, and
+uneven partitions across many seeds and node counts.  Both engines are
+built by class name here.
 """
 
 from __future__ import annotations
 
 import copy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from repro.ml.datasets import (
     split_dirichlet,
     train_test_split,
 )
-from repro.ml.gossip import GossipConfig, GossipNodeTrainer, GossipTrainer
+from repro.ml.gossip import GossipConfig, GossipTrainer
 from repro.ml.merge import MergeStrategy
 from repro.ml.models import MLPClassifier, SoftmaxRegressionModel
 from repro.net.churn import ChurnModel
+from tests.kernels.gossip_oracle import GossipNodeTrainer
 
 NUM_FEATURES = 6
 NUM_CLASSES = 5
@@ -63,13 +65,14 @@ def build(engine, parts, test, config, seed=0, churn=None,
 
 
 def run_both(problem, config_kwargs, seed, churn=None,
-             duration=200.0, interval=100.0, uplinks=None):
+             duration=200.0, interval=100.0, uplinks=None,
+             model_factory=factory):
     parts, test = problem
     results = {}
     for name, engine in ENGINES.items():
         trainer = build(engine, parts, test, GossipConfig(**config_kwargs),
                         seed=seed, churn=copy.deepcopy(churn),
-                        uplinks=uplinks)
+                        uplinks=uplinks, model_factory=model_factory)
         outcome = trainer.run(duration, eval_interval_s=interval)
         results[name] = (trainer, outcome)
     return results
@@ -208,19 +211,59 @@ def no_family_factory():
                          init_rng=np.random.default_rng(0))
 
 
-SUBSAMPLE = CompressionConfig(kind=CompressionKind.SUBSAMPLE,
-                              subsample_fraction=0.5)
+def subsample(fraction):
+    return CompressionConfig(kind=CompressionKind.SUBSAMPLE,
+                             subsample_fraction=fraction)
+
+
+class TestSubsample:
+    """Subsampled messages: one coordinate draw per push after the DP
+    draw, merged over the sent coordinates only."""
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.25, 0.5])
+    @pytest.mark.parametrize("strategy", list(MergeStrategy),
+                             ids=lambda strategy: strategy.value)
+    def test_fraction_by_merge_strategy(self, problem, fraction, strategy):
+        assert_identical(run_both(
+            problem,
+            {"compression": subsample(fraction), "merge_strategy": strategy},
+            seed=3, duration=100.0, interval=50.0))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_dp_noise_multi_push_churn(self, problem, seed):
+        churn = ChurnModel.from_availability(0.7, mean_online_s=40)
+        assert_identical(run_both(
+            problem,
+            {"compression": subsample(0.25), "dp_noise_std": 0.05,
+             "push_count": 3},
+            seed, churn=churn))
+
+    def test_multi_push_sample_weighted(self, problem):
+        assert_identical(run_both(
+            problem,
+            {"compression": subsample(0.5), "push_count": 3,
+             "merge_strategy": MergeStrategy.SAMPLE_WEIGHTED},
+            seed=5))
+
+    def test_e15_subsample_row(self):
+        """E15's "subsample 25%" row at its quick size."""
+        sys.path.insert(0, str(Path(__file__).parents[2] / "benchmarks"))
+        import bench_e15_compression as e15
+
+        parts, test = e15.har_problem(12, 1500)
+        config = e15.gossip_config(dict(e15.VARIANTS)["subsample 25%"])
+        results = {}
+        for name, engine in ENGINES.items():
+            trainer = build(engine, parts, test, config, seed=e15.SEED,
+                            model_factory=e15.factory)
+            results[name] = (trainer, trainer.run(450.0, 450.0))
+        assert_identical(results)
+        assert results["kernel"][1].messages_delivered > 0
 
 
 class TestKernelRejections:
     """Naming the kernel class for an input it cannot run is a typed
     error, and the selector that used to reach it is gone."""
-
-    def test_subsample_compression_unsupported(self, problem):
-        parts, test = problem
-        with pytest.raises(MLError):
-            build(GossipKernelTrainer, parts, test,
-                  GossipConfig(compression=SUBSAMPLE))
 
     def test_unsupported_model_family(self):
         parts, test = no_family_problem()
@@ -246,8 +289,8 @@ class CountingFactory:
 
 
 class TestEngineSelection:
-    """``GossipTrainer`` picks the engine from the model and the
-    compression kind, and builds each model exactly once either way."""
+    """``GossipTrainer`` builds the kernels for every input it accepts,
+    and each model exactly once."""
 
     @pytest.mark.parametrize("compression", [
         CompressionConfig(),
@@ -261,22 +304,19 @@ class TestEngineSelection:
         assert type(trainer) is GossipKernelTrainer
         assert counting.calls == len(parts)
 
-    def test_subsample_runs_per_node(self, problem):
+    def test_subsample_runs_on_the_kernel(self, problem):
         parts, test = problem
         counting = CountingFactory(factory)
         trainer = GossipTrainer(counting, parts, test,
-                                GossipConfig(compression=SUBSAMPLE))
-        assert type(trainer) is GossipNodeTrainer
+                                GossipConfig(compression=subsample(0.5)))
+        assert type(trainer) is GossipKernelTrainer
         assert counting.calls == len(parts)
         assert trainer.run(100.0, 100.0).messages_delivered > 0
 
-    def test_unvectorized_model_runs_per_node(self):
+    def test_unvectorized_model_raises(self):
         parts, test = no_family_problem()
-        counting = CountingFactory(no_family_factory)
-        trainer = GossipTrainer(counting, parts, test)
-        assert type(trainer) is GossipNodeTrainer
-        assert counting.calls == len(parts)
-        assert trainer.run(100.0, 100.0).messages_delivered > 0
+        with pytest.raises(MLError, match="no vectorized family"):
+            GossipTrainer(no_family_factory, parts, test)
 
     def test_selected_kernel_matches_named_per_node_engine(self, problem):
         """The public constructor's result equals the reference engine

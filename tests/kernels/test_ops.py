@@ -45,7 +45,7 @@ class TestSoftmaxFamily:
         expected = SoftmaxRegressionModel(6, 5, l2=0.01)
         expected.sgd_step(batch_x, batch_y, learning_rate=0.3)
 
-        params = model.params_buffer()[None, :]
+        params = model._params[None, :]
         family.sgd_step(params, batch_x[None, :, :], batch_y[None, :],
                         learning_rate=0.3)
         assert np.array_equal(model.params, expected.params)
@@ -99,8 +99,8 @@ class TestMergeKernels:
             CompressionConfig,
             CompressionKind,
             compress,
-            decompress_dense,
         )
+        from tests.kernels.gossip_oracle import decompress_dense
 
         values = rng.normal(size=(4, 20))
         codes, low, high = ops.quantize_rows(values, bits=8)

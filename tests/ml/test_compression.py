@@ -12,12 +12,15 @@ from repro.ml.compression import (
     CompressionConfig,
     CompressionKind,
     compress,
+)
+from repro.ml.gossip import GossipConfig, GossipTrainer
+from repro.ml.merge import MergeStrategy
+from repro.ml.models import LinearRegressionModel, SoftmaxRegressionModel
+from tests.kernels.gossip_oracle import (
+    TrackedModel,
     decompress_dense,
     merge_compressed_into,
 )
-from repro.ml.gossip import GossipConfig, GossipTrainer
-from repro.ml.merge import MergeStrategy, TrackedModel
-from repro.ml.models import LinearRegressionModel, SoftmaxRegressionModel
 
 
 def dense_size(num_params: int) -> int:

@@ -94,6 +94,17 @@ class TestGossip:
         with pytest.raises(MLError):
             GossipTrainer(factory, parts[:1], test, seed=1)
 
+    def test_zero_batch_size_rejected(self):
+        with pytest.raises(MLError, match="batch size"):
+            GossipConfig(batch_size=0)
+
+    def test_empty_partition_rejected(self, problem):
+        parts, test = problem
+        empty = type(parts[0])(features=parts[0].features[:0],
+                               targets=parts[0].targets[:0])
+        with pytest.raises(MLError, match="at least one sample"):
+            GossipTrainer(factory, [*parts, empty], test, seed=1)
+
 
 class TestFederated:
     def test_learning_improves_over_time(self, problem):
@@ -166,3 +177,16 @@ class TestHeterogeneousUplinks:
         with pytest.raises(MLError):
             GossipTrainer(factory, parts, test, seed=1,
                           upload_bytes_per_s=[1.0, 2.0])
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"),
+                                      float("inf")])
+    def test_rate_not_positive_and_finite_rejected(self, problem, rate):
+        parts, test = problem
+        with pytest.raises(MLError, match="positive and finite"):
+            GossipTrainer(factory, parts, test, seed=1,
+                          upload_bytes_per_s=rate)
+        rates = [1_250_000.0] * len(parts)
+        rates[-1] = rate
+        with pytest.raises(MLError, match="positive and finite"):
+            GossipTrainer(factory, parts, test, seed=1,
+                          upload_bytes_per_s=rates)

@@ -8,17 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MLError, ModelCompatibilityError
-from repro.ml.compression import (
-    CompressionConfig,
-    compress,
-    merge_compressed_into,
-)
-from repro.ml.merge import (
-    MergeStrategy,
-    TrackedModel,
-    merge_parameter_vectors,
-)
+from repro.ml.compression import CompressionConfig, compress
+from repro.ml.merge import MergeStrategy, merge_parameter_vectors
 from repro.ml.models import LinearRegressionModel
+from tests.kernels.gossip_oracle import TrackedModel, merge_compressed_into
 
 
 def tracked(params, age=1, samples=10) -> TrackedModel:

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.net.simulator import MEAN_LATENCY_S, Network, Simulator
+from tests.kernels.gossip_oracle import LaneSimulator, LinkNetwork
 from tests.telemetry.exposition_oracle import metric_named
 
 
@@ -106,8 +107,12 @@ class TestNetwork:
         time, _, _ = nodes["b"].received[0]
         assert time == pytest.approx(MEAN_LATENCY_S + 0.5)
 
-    def test_link_override(self, net):
-        sim, network, nodes = net
+    def test_link_override(self):
+        sim = Simulator()
+        network = LinkNetwork(sim)
+        nodes = {name: Recorder(sim) for name in ("a", "c")}
+        for name, node in nodes.items():
+            network.attach(name, node, upload_bytes_per_s=1000.0)
         network.set_link("a", "c", 0.5)
         network.send("a", "c", "x", size_bytes=0)
         sim.run_until(1.0)
@@ -157,8 +162,10 @@ class TestNetwork:
 
 
 class TestScheduleBatch:
+    """The per-node oracle's event lanes."""
+
     def test_lane_fires_in_order(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         seen = []
         sim.schedule_batch([1.0, 2.0, 3.0], seen.append)
         sim.run_until(10.0)
@@ -166,7 +173,7 @@ class TestScheduleBatch:
         assert sim.events_processed == 3
 
     def test_lane_interleaves_with_scheduled_events(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         order = []
         sim.schedule_batch([1.0, 3.0], lambda i: order.append(f"lane{i}"))
         sim.schedule(2.0, lambda: order.append("solo"))
@@ -174,7 +181,7 @@ class TestScheduleBatch:
         assert order == ["lane0", "solo", "lane1"]
 
     def test_lane_registered_first_wins_ties(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         order = []
         sim.schedule_batch([1.0], lambda i: order.append("lane"))
         sim.schedule(1.0, lambda: order.append("solo"))
@@ -182,7 +189,7 @@ class TestScheduleBatch:
         assert order == ["lane", "solo"]
 
     def test_lane_occupies_one_heap_slot(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         sim.schedule_batch([float(t) for t in range(1, 1001)], lambda i: None)
         assert len(sim._heap) == 1
         sim.run_until(2000.0)
@@ -190,7 +197,7 @@ class TestScheduleBatch:
         assert sim.heap_high_water == 1
 
     def test_partial_run_leaves_lane_resumable(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         seen = []
         sim.schedule_batch([1.0, 2.0, 3.0], seen.append)
         sim.run_until(1.5)
@@ -199,25 +206,25 @@ class TestScheduleBatch:
         assert seen == [0, 1, 2]
 
     def test_empty_batch_is_noop(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         sim.schedule_batch([], lambda i: None)
         sim.run_until(10.0)
         assert sim.events_processed == 0
 
     def test_decreasing_times_rejected(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         with pytest.raises(SimulationError):
             sim.schedule_batch([2.0, 1.0], lambda i: None)
 
     def test_past_times_rejected(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         sim.schedule(1.0, lambda: None)
         sim.run_until(5.0)
         with pytest.raises(SimulationError):
             sim.schedule_batch([1.0, 2.0], lambda i: None)
 
     def test_non_finite_times_rejected(self):
-        sim = Simulator()
+        sim = LaneSimulator()
         with pytest.raises(SimulationError):
             sim.schedule_batch([1.0, float("inf")], lambda i: None)
 

@@ -8,11 +8,8 @@ import pytest
 from repro.errors import SimulationError
 from repro.net.churn import ChurnModel
 from repro.net.simulator import Network, Simulator
-from repro.net.topology import (
-    assign_latencies,
-    neighbors_map,
-    random_regular_overlay,
-)
+from repro.net.topology import neighbors_map, random_regular_overlay
+from tests.kernels.gossip_oracle import LinkNetwork, assign_latencies
 
 
 class _Sink:
@@ -38,7 +35,7 @@ class TestTopologies:
 
     def test_assign_latencies_symmetric(self, rng):
         sim = Simulator()
-        network = Network(sim)
+        network = LinkNetwork(sim)
         graph = nx.complete_graph(4)
         for index in range(4):
             network.attach(f"n{index}", _Sink())

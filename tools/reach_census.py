@@ -92,10 +92,8 @@ ALLOWLIST: tuple[tuple[str, str, str], ...] = (
      "what the finite-difference gradient check differentiates"),
     ("repro.ml.models.SoftmaxRegressionModel.loss", "oracle",
      "what the finite-difference gradient check differentiates"),
-    ("repro.ml.gossip.GossipNodeTrainer.final_ages", "oracle",
-     "the per-node engine's ages, compared with the kernel engine's"),
     ("repro.kernels.gossip_kernel.GossipKernelTrainer.final_ages", "oracle",
-     "the kernel engine's ages, compared with the per-node engine's"),
+     "the kernel engine's ages, compared with the per-node oracle's"),
     # -- token-standard and contract ABI surface -------------------------
     ("repro.chain.tokens.erc20.ERC20Token.name", "abi", "ERC-20 view"),
     ("repro.chain.tokens.erc20.ERC20Token.symbol", "abi", "ERC-20 view"),
