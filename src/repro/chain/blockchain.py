@@ -96,9 +96,6 @@ class Blockchain:
         #: Cumulative gas over all sealed blocks, maintained at mine time so
         #: gas accounting is O(1) instead of a rescan of the whole chain.
         self.total_gas_used = 0
-        #: Observers called with each newly sealed block (the event-bus hook
-        #: the marketplace uses; the chain layer stays core-agnostic).
-        self.block_observers: list[Any] = []
         #: Hooks called ``hook(chain, block)`` right after a block seals,
         #: *before* the auditor runs — the tamper seam the resilience
         #: harness uses to corrupt state at a block boundary
@@ -329,8 +326,6 @@ class Blockchain:
             self.observer.record_block(block, rejected, deferred,
                                        self.mempool.last_selection, verify_stats)
             self.auditor.post_block(block, pre_audit)
-        for observer in self.block_observers:
-            observer(block)
         return block
 
     def logs_of(self, block: Block) -> Iterator[LogEntry]:

@@ -11,15 +11,14 @@ sweep shards.
 * telemetry isolation — ``telemetry.reset()`` per job, so the tracer's
   span ids restart and a job's exported spans are a function of the job
   alone, not of what the worker ran before it;
-* boundary checkpoints — an ``on_phase_boundary`` hook journals the
-  session's :meth:`~repro.core.lifecycle.WorkloadSession.digest` at every
-  phase boundary;
+* boundary checkpoints — at every phase boundary ``Marketplace.drive``
+  yields, the job journals the session's ``digest()``;
 * replay-verified resume — a re-queued attempt replays the job from its
   seed and *verifies* each boundary digest against what the dead worker
   journaled.  Live enclave/chain state dies with a process, so this is the
-  one way back from a crash (a session that was merely paused is still an
-  object: ``run()`` again).  A mismatch is a determinism violation and
-  raises :class:`ControlPlaneError`.
+  one way back from a crash (a session that was merely paused is still a
+  generator: iterate its driver again).  A mismatch is a determinism
+  violation and raises :class:`ControlPlaneError`.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ class JobContext:
 
 
 class BoundaryRecorder:
-    """The ``on_phase_boundary`` hook for one job attempt.
+    """What one job attempt does at each phase boundary.
 
     Counts boundaries (the phase sequence is seed-deterministic, so the
     running index is a stable coordinate across attempts), journals each
@@ -163,7 +162,7 @@ def build_ml_market(spec: JobSpec):
 
 def run_ml_train(spec: JobSpec, ctx: JobContext) -> JobResult:
     """One full lifecycle session; faults drawn from the job's own seed."""
-    from repro.core import FaultPlan, run_with_faults
+    from repro.core import FaultInjector, FaultPlan, MLTrainingKind, WorkloadSession
 
     market, consumer, workload, executor_names, provider_names = (
         build_ml_market(spec)
@@ -171,9 +170,11 @@ def run_ml_train(spec: JobSpec, ctx: JobContext) -> JobResult:
     plan = FaultPlan.for_job(spec.job_id, spec.fault_rate,
                              executor_names, provider_names)
     recorder = BoundaryRecorder(spec, ctx)
-    session = run_with_faults(market, consumer, workload, plan,
+    session = WorkloadSession(market, consumer, MLTrainingKind(workload),
                               recover=spec.recover,
-                              on_phase_boundary=recorder)
+                              injector=FaultInjector(plan))
+    for next_phase in market.drive(session.steps(), session):
+        recorder(session, next_phase)
     failure = session.failure
     error = "" if failure is None else f"{type(failure).__name__}: {failure}"
     return JobResult(

@@ -40,7 +40,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Optional
 
 import numpy as np
 
@@ -148,6 +148,10 @@ TRANSITIONS: dict[str, tuple[str, ...]] = {
 }
 
 TERMINAL_STATES = (TERMINAL_COMPLETE, TERMINAL_FAILED)
+
+#: What :meth:`WorkloadSession.steps` yields when it needs a block:
+#: :meth:`Marketplace.drive` mines one and resumes it.
+AWAIT = "await"
 
 #: Layout tag of :meth:`WorkloadSession.record`, part of every digest; bump
 #: it when a field is added, removed or changes meaning.
@@ -446,9 +450,7 @@ class WorkloadSession:
                  kind: WorkloadKind,
                  interceptors: Optional[Mapping[str, PhaseInterceptor]] = None,
                  recover: bool = False,
-                 injector: Optional[Any] = None,
-                 on_phase_boundary: Optional[Callable[
-                     ["WorkloadSession", str], None]] = None):
+                 injector: Optional[Any] = None):
         self.market = market
         self.consumer = consumer
         self.kind = kind
@@ -463,12 +465,6 @@ class WorkloadSession:
         #: Fault injector whose ``fire(session, point, **info)`` runs at
         #: every named :meth:`fault_point` (None disables injection).
         self.injector = injector
-        #: Called as ``hook(session, next_phase)`` after every completed
-        #: phase and after every applied recovery directive — the points a
-        #: checkpoint is coherent at.  The hook may raise
-        #: :class:`~repro.errors.SessionPaused` to stop the session;
-        #: calling :meth:`run` again continues it at :attr:`next_phase`.
-        self.on_phase_boundary = on_phase_boundary
         #: The phase the engine (re-)enters next — where a paused session
         #: continues; on a recovery edge it is ``state`` or an earlier phase.
         self.next_phase = PHASE_DEPLOY
@@ -477,25 +473,22 @@ class WorkloadSession:
         #: shows the re-entry ordinal without diffing span names.
         self._phase_entries = 0
         #: ``(tx_hash, sender, method)`` of every transaction sent and not
-        #: yet read back; :meth:`Marketplace.mine_and_read` drains it.
+        #: yet read back; :meth:`Marketplace.seam` drains it.
         self.awaited: list[tuple[bytes, str, str]] = []
         self.trail: list[LifecycleEvent] = []
         self.ctx = SessionContext(executors=list(market.executors))
         #: The error that failed the session (None unless it failed).
         self.failure: Optional[LifecycleError] = None
+        #: Gas of this session's own receipts (the seam adds them) and the
+        #: blocks mined while it awaited (the driver counts them).
+        self.gas_used = 0
+        self.blocks_mined = 0
+        #: The span stack and ambient context :meth:`Marketplace.drive`
+        #: installs on every resume, rooted where the session was built.
+        self.spans, self.span_context = market.tracer.branch(
+            session_id=self.session_id)
 
     # -- observability ------------------------------------------------------
-
-    @property
-    def gas_used(self) -> int:
-        """Session gas, derived from the event trail's chain deltas."""
-        return sum(event.gas_delta for event in self.trail)
-
-    @property
-    def blocks_mined(self) -> int:
-        return sum(
-            1 for event in self.trail if event.name == "chain.block_mined"
-        )
 
     @property
     def outcome(self) -> str:
@@ -519,13 +512,13 @@ class WorkloadSession:
         The one projection of a session: what :meth:`digest` is taken
         over, and on a failed session where it died (``next_phase`` keeps
         the phase that failed, ``state`` reads ``failed``).  It is coherent
-        at *phase boundaries* — where :attr:`on_phase_boundary` fires —
+        at *phase boundaries* — where :meth:`steps` yields the next phase —
         and excludes everything wall-clock-bearing (the event trail
         appears as its gas and block totals), so two processes reaching
         the same boundary at the same seed hold equal records.  Nothing
-        reads it back: a paused session continues on the live object and a
-        crashed one is replayed from its seed (:mod:`repro.control.supervisor`
-        compares digests at each boundary).
+        reads it back: a paused session continues on its live generator and
+        a crashed one is replayed from its seed (the supervisor compares
+        digests at each boundary).
         """
         ctx = self.ctx
         record = {
@@ -594,7 +587,17 @@ class WorkloadSession:
         self.state = next_state
 
     def run(self) -> "WorkloadSession":
-        """Drive every phase in order; returns this session, settled or failed.
+        """Drive :meth:`steps` to the end; returns this session, settled or
+        failed (``self.failure``).  Raises only ``TransitionError``."""
+        for _ in self.market.drive(self.steps(), self):
+            pass
+        return self
+
+    def steps(self) -> Generator[str, None, None]:
+        """The session as a generator, run by :meth:`Marketplace.drive`:
+        yields :data:`AWAIT` where it needs a block and the next phase at
+        each boundary (after every completed phase and applied recovery
+        directive).  Left at a boundary, the session is paused.
 
         The whole run is one ``lifecycle.session`` span; each phase nests a
         ``lifecycle.phase.<name>`` child under it (and chain mining,
@@ -604,58 +607,46 @@ class WorkloadSession:
         With ``recover=True``, a failing phase may re-enter an
         earlier phase (or itself) instead of failing the session; the loop
         below follows whatever re-entry target :meth:`_run_phase` returns.
-
-        Re-entrant: a session stopped by :class:`~repro.errors.SessionPaused`
-        continues at :attr:`next_phase` when ``run()`` is called again.
-        A phase failure is ``self.failure``; only misuse (``TransitionError``)
-        and the boundary hook's ``SessionPaused`` raise.
         """
-        if self.state in TERMINAL_STATES:
+        if self.state != STATE_CREATED:
             raise TransitionError(f"session is {self.state}; nothing to run")
-        with self.market.active_session(self):
-            with self.market.tracer.span(
-                "lifecycle.session", session_id=self.session_id,
-                workload_id=self.kind.workload_id,
-                kind=type(self.kind).__name__,
-            ) as root:
-                if self.state == STATE_CREATED:
-                    self.emit("session.started",
-                              workload_id=self.kind.workload_id,
-                              kind=type(self.kind).__name__)
-                else:  # paused: continue where it stopped
-                    self.emit("session.resumed", phase=self.next_phase,
-                              state=self.state)
-                while self.next_phase != TERMINAL_COMPLETE:
-                    index = PHASE_INDEX[self.next_phase]
-                    target = self._run_phase(LIFECYCLE_PHASES[index])
-                    if target == TERMINAL_FAILED:
-                        root.fail(self.failure)
-                        return self
-                    if target is None:  # no recovery edge: straight on
-                        target = (LIFECYCLE_PHASES[index + 1].name
-                                  if index + 1 < len(LIFECYCLE_PHASES)
-                                  else TERMINAL_COMPLETE)
-                    self.next_phase = target
-                    if (self.on_phase_boundary is not None
-                            and target != TERMINAL_COMPLETE):
-                        self.on_phase_boundary(self, target)
-                self.advance(TERMINAL_COMPLETE)
-                self._release_enclaves(self.ctx.executors)
-                root.set_attribute("gas_used", self.gas_used)
-                root.set_attribute("blocks_mined", self.blocks_mined)
-                root.set_attribute("degraded", self.ctx.degraded)
-                _SESSION_OUTCOMES.labels(outcome=self.outcome).inc()
-                self.emit("session.completed", gas_used=self.gas_used,
-                          blocks_mined=self.blocks_mined,
-                          degraded=self.ctx.degraded,
-                          recoveries=len(self.ctx.recovery_log))
-        return self
+        with self.market.tracer.span(
+            "lifecycle.session", session_id=self.session_id,
+            workload_id=self.kind.workload_id,
+            kind=type(self.kind).__name__,
+        ) as root:
+            self.emit("session.started", workload_id=self.kind.workload_id,
+                      kind=type(self.kind).__name__)
+            while self.next_phase != TERMINAL_COMPLETE:
+                index = PHASE_INDEX[self.next_phase]
+                target = yield from self._run_phase(LIFECYCLE_PHASES[index])
+                if target == TERMINAL_FAILED:
+                    root.fail(self.failure)
+                    return
+                if target is None:  # no recovery edge: straight on
+                    target = (LIFECYCLE_PHASES[index + 1].name
+                              if index + 1 < len(LIFECYCLE_PHASES)
+                              else TERMINAL_COMPLETE)
+                self.next_phase = target
+                if target != TERMINAL_COMPLETE:
+                    yield target
+            self.advance(TERMINAL_COMPLETE)
+            self._release_enclaves(self.ctx.executors)
+            root.set_attribute("gas_used", self.gas_used)
+            root.set_attribute("blocks_mined", self.blocks_mined)
+            root.set_attribute("degraded", self.ctx.degraded)
+            _SESSION_OUTCOMES.labels(outcome=self.outcome).inc()
+            self.emit("session.completed", gas_used=self.gas_used,
+                      blocks_mined=self.blocks_mined,
+                      degraded=self.ctx.degraded,
+                      recoveries=len(self.ctx.recovery_log))
 
-    def _run_phase(self, phase: "LifecyclePhase") -> Optional[str]:
+    def _run_phase(self, phase: "LifecyclePhase"
+                   ) -> Generator[str, None, Optional[str]]:
         """Run one phase; None means proceed, a name means re-enter there
         (``failed``: the session failed)."""
         self.advance(phase.name)
-        gas_before = self.market.chain.total_gas_used
+        gas_before = self.gas_used
         self.emit("phase.started")
         self._phase_entries += 1
         with self.market.tracer.span(
@@ -671,32 +662,31 @@ class WorkloadSession:
                 if phase.on_chain:
                     # What an interceptor sent may revert (a vote after
                     # quorum): reported by the seam, not required.
-                    phase.after_block(self, self.market.mine_and_read(
-                        self.awaited, required=interceptor is None,
-                        drain=phase.drain))
+                    phase.after_block(self, (yield from self.market.seam(
+                        self, self.awaited,
+                        required=self.awaited if interceptor is None else (),
+                        drain=phase.drain)))
             except LifecycleError as err:
-                return self._recover_or_fail(phase, err, span)
+                return (yield from self._recover_or_fail(phase, err, span))
             except PDS2Error as err:
                 failure = phase.failure_class(str(err))
                 failure.__cause__ = err
-                return self._recover_or_fail(phase, failure, span)
-            span.set_attribute(
-                "gas", self.market.chain.total_gas_used - gas_before
-            )
+                return (yield from self._recover_or_fail(phase, failure, span))
+            span.set_attribute("gas", self.gas_used - gas_before)
         self.ctx.retries.pop(phase.name, None)
-        self.emit("phase.completed",
-                  gas_used=self.market.chain.total_gas_used - gas_before)
+        self.emit("phase.completed", gas_used=self.gas_used - gas_before)
         return None
 
     def _recover_or_fail(self, phase: "LifecyclePhase",
-                         error: LifecycleError, span: Any) -> str:
+                         error: LifecycleError, span: Any
+                         ) -> Generator[str, None, str]:
         """Consult :func:`~repro.core.resilience.decide` when recovery is
         on; returns the directive's re-entry target, or ``failed``."""
         from repro.core.resilience import decide
 
         directive = decide(self, phase, error) if self.recover else None
         if directive is None:
-            self._fail(phase, error)
+            yield from self._fail(phase, error)
             span.fail(error)
             return TERMINAL_FAILED
         self._apply_recovery(phase, directive, error)
@@ -777,11 +767,12 @@ class WorkloadSession:
             for provider in orphans:
                 ctx.submitted.discard(provider.address)
 
-    def _fail(self, phase: "LifecyclePhase", error: LifecycleError) -> None:
+    def _fail(self, phase: "LifecyclePhase",
+              error: LifecycleError) -> Generator[str, None, None]:
         self.failure = error
         self.emit("phase.failed", error=type(error).__name__,
                   message=str(error))
-        self._release_escrow()
+        yield from self._release_escrow()
         self.advance(TERMINAL_FAILED)
         _SESSION_OUTCOMES.labels(outcome=self.outcome).inc()
         self._release_enclaves(self.ctx.executors)
@@ -790,13 +781,13 @@ class WorkloadSession:
     def _release_enclaves(self, executors: list[ExecutorActor]) -> None:
         """Terminate and forget this workload's enclaves on ``executors``:
         decrypted provider rows must not outlive the session they were
-        submitted to (a paused session keeps its enclaves)."""
+        submitted to (a session left at a boundary keeps its enclaves)."""
         for executor in executors:
             enclave = executor.enclaves.pop(self.kind.workload_id, None)
             if enclave is not None:
                 enclave.terminate()
 
-    def _release_escrow(self) -> None:
+    def _release_escrow(self) -> Generator[str, None, None]:
         """Settle-or-refund: a dying session must not strand the escrow.
 
         If the workload contract was deployed and is still unsettled, the
@@ -813,12 +804,12 @@ class WorkloadSession:
             escrow = int(self.consumer.wallet.view(
                 ctx.workload_address, "escrow"
             ))
-            # The failed phase's own sends die with it.  The seam raises
-            # unless the abort was mined and succeeded (state cancelled).
-            self.awaited.clear()
+            # The abort's block also mines the failed phase's sends: the
+            # seam reads them, but only the abort must succeed (cancelled).
             self.send(self.consumer.wallet, "abort")
-            self.market.mine_and_read(self.awaited, required=True,
-                                      drain=True)
+            yield from self.market.seam(self, self.awaited,
+                                        required=self.awaited[-1:],
+                                        drain=True)
             ctx.refunded = escrow
             _ESCROW_REFUNDED.inc(escrow)
             self.emit("session.refunded", actor=self.consumer.address,
@@ -870,11 +861,11 @@ class LifecyclePhase:
 
     A phase never mines.  :meth:`run` is all of an off-chain phase and the
     *submit* half of an ``on_chain`` one (:meth:`WorkloadSession.send`) —
-    the half a :data:`PhaseInterceptor` replaces.  The engine then mines
-    one block through :meth:`Marketplace.mine_and_read`, also when nothing
-    was sent, and calls :meth:`after_block` with the receipts of what was.
+    the half a :data:`PhaseInterceptor` replaces.  The engine then awaits
+    one block through :meth:`Marketplace.seam`, also when nothing was
+    sent, and calls :meth:`after_block` with the receipts of what was.
     A phase that ``drain``s is not over while a transaction the block gas
-    limit deferred is still pooled: the seam mines until each has a receipt.
+    limit deferred is still pooled: the seam waits until each has a receipt.
     """
 
     name: str = ""

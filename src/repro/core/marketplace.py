@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 import weakref
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Generator, Iterable, Iterator, Optional
 
-from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.contract import default_registry
@@ -53,6 +52,7 @@ from repro.core.actors import (
 )
 from repro.core.events import EventBus, LifecycleEvent
 from repro.core.lifecycle import (
+    AWAIT,
     AggregateWorkloadKind,
     MLTrainingKind,
     WorkloadSession,
@@ -102,7 +102,9 @@ class Marketplace:
         # keeps nothing: a session's events live in ``session.trail``, and
         # any other reader attaches a sink.
         self.events = EventBus()
-        self._active: Optional[WorkloadSession] = None
+        #: Where chain, TEE and span events go: the session :meth:`drive`
+        #: resumed.
+        self._resumed: Optional[WorkloadSession] = None
         self._session_counter = 0
 
         # Telemetry: this marketplace drives the process tracer's sim clock
@@ -121,7 +123,6 @@ class Marketplace:
         registry = default_registry()
         register_governance_contracts(registry)
         self.chain = Blockchain(consensus, registry=registry)
-        self.chain.block_observers.append(_weakly(self._record_block))
         self.attestation.on_verified = _weakly(self._record_attestation)
 
         # Platform operator wallet deploys the shared registries.
@@ -171,32 +172,65 @@ class Marketplace:
         self.clock += float(seconds)
         return self.clock
 
-    def mine_and_read(self, awaited: list[tuple[bytes, str, str]], *,
-                      required: bool, drain: bool) -> list[Receipt]:
-        """The one place ``repro.core`` mines and reads receipts.
+    def drive(self, steps: Generator[Any, None, Any],
+              session: Optional[WorkloadSession]) -> Iterator[str]:
+        """The one loop that runs a session and the one place ``repro.core``
+        mines (besides ``__init__``): resumes ``steps`` with ``session``'s
+        context installed (the session events go to, its span stack and its
+        ``session_id``; onboarding passes None), mines a block on the
+        marketplace clock per :data:`AWAIT` it yields, and hands the caller
+        each boundary's next phase.  Closing it closes ``steps`` in that
+        context, so a dropped session ends its spans on its own stack."""
+        try:
+            while True:
+                with self._resumed_as(session):
+                    step = next(steps, None)
+                    while step is AWAIT:
+                        self.chain.mine_block(self._tick())
+                        if session is not None:
+                            session.blocks_mined += 1
+                        step = next(steps, None)
+                if step is None:
+                    return
+                yield step
+        finally:
+            with self._resumed_as(session):
+                steps.close()
 
-        Mines one block — also when nothing is pooled — and empties
-        ``awaited`` of every ``(tx_hash, sender, method)`` entry that block
-        decided.  One the block deferred (still pooled: the block gas limit
-        was reached) stays for the caller's next block, unless the caller
-        cannot go on without it (``drain``: a deployment, the start gate,
-        an abort, a registration): then the seam mines on until the pool
-        stops shrinking.  A transaction that reverted, is neither mined nor
-        pooled (forged: dropped at block entry) or can never be mined is
-        published as a ``chain.tx_reverted`` event, and if the sends were
-        ``required`` the first such one raises with the chain's reason.
+    @contextmanager
+    def _resumed_as(self, session: Optional[WorkloadSession]
+                    ) -> Iterator[None]:
+        if session is None:
+            yield
+            return
+        outer, self._resumed = self._resumed, session
+        try:
+            with self.tracer.installed(session.spans, session.span_context):
+                yield
+        finally:
+            self._resumed = outer
 
-        The block is timed by the marketplace clock (not ``mine_block``'s
-        head-timestamp + 1): a run failing right after a block would
-        otherwise leave the clock behind the head timestamp and the *next*
-        session would mine a non-monotonic block.
+    def seam(self, session: Optional[WorkloadSession],
+             awaited: list[tuple[bytes, str, str]], *,
+             required: Iterable[tuple[bytes, str, str]], drain: bool
+             ) -> Generator[object, None, list[Receipt]]:
+        """Yield :data:`AWAIT` (one block, also an empty one), then empty
+        ``awaited`` of each ``(tx_hash, sender, method)`` it decided and
+        return their receipts.  One the block gas limit deferred stays for
+        the next block unless the caller ``drain``s (a deployment, the
+        start gate, an abort, onboarding): then it waits on until the pool
+        stops shrinking.  One that reverted, was dropped at block entry
+        (forged) or can never be mined becomes a ``chain.tx_reverted``
+        event; the first among ``required`` raises with the chain's reason.
         """
+        required = set(required)
         receipts: list[Receipt] = []
         failure = ""
         while True:
             depth = len(self.chain.mempool)
-            self.chain.mine_block(self._tick())
+            yield AWAIT
             stuck = len(self.chain.mempool) == depth
+            self._record_block(session, awaited)
             pooled = []
             for entry in awaited:
                 tx_hash, sender, method = entry
@@ -215,11 +249,13 @@ class Marketplace:
                     if receipt.status:
                         continue
                     reason = receipt.error
-                self.publish_event("chain.tx_reverted", actor=sender,
+                self.publish_event("chain.tx_reverted", session=session,
+                                   actor=sender,
                                    data={"method": method, "reason": reason})
-                failure = failure or f"{method} from {sender} failed: {reason}"
+                if entry in required and not failure:
+                    failure = f"{method} from {sender} failed: {reason}"
             awaited[:] = pooled
-            if required and failure:
+            if failure:
                 raise MarketplaceError(failure)
             if not (drain and pooled):
                 return receipts
@@ -236,7 +272,13 @@ class Marketplace:
         off-chain when the registry refuses."""
         sent: list[tuple[bytes, str, str]] = []
         self.send(sent, wallet, self.actor_registry, "register", role=role)
-        self.mine_and_read(sent, required=True, drain=True)
+        self._onboard(sent)
+
+    def _onboard(self, sent: list[tuple[bytes, str, str]]) -> None:
+        """Drive the seam with no session until every send succeeded."""
+        for _ in self.drive(self.seam(None, sent, required=sent, drain=True),
+                            None):
+            pass
 
     def _new_wallet(self, label: str) -> Wallet:
         wallet = Wallet.generate(
@@ -251,35 +293,15 @@ class Marketplace:
         self._session_counter += 1
         return f"session-{self._session_counter:04d}-{workload_id}"
 
-    @contextmanager
-    def active_session(self, session: WorkloadSession) -> Iterator[None]:
-        """Attribute chain/TEE events to ``session`` while it runs.
-
-        Beyond event attribution, every span opened inside (chain, TEE,
-        storage — not just lifecycle) inherits a ``session_id`` attribute
-        via the tracer context, so span and profiler output can be filtered
-        per session.  Metrics carry no session dimension.
-        """
-        if self._active is not None:
-            raise MarketplaceError(
-                f"session {self._active.session_id} is already running"
-            )
-        self._active = session
-        try:
-            with self.tracer.scoped_context(session_id=session.session_id):
-                yield
-        finally:
-            self._active = None
-
     def publish_event(self, name: str, *,
                       session: Optional[WorkloadSession] = None,
                       gas_delta: int = 0, block_height: int = -1,
                       actor: str = "",
                       data: Optional[dict] = None) -> LifecycleEvent:
-        """Emit one event on the bus, attributed to the given (or active)
-        session's current phase; platform-level events (onboarding,
-        out-of-session mining) carry an empty session id."""
-        session = session if session is not None else self._active
+        """Emit one event on the bus, attributed to the given (or resumed)
+        session's current phase; platform-level events (onboarding) carry
+        an empty session id."""
+        session = session if session is not None else self._resumed
         event = self.events.emit(
             session_id=session.session_id if session else "",
             phase=session.state if session else "platform",
@@ -294,28 +316,33 @@ class Marketplace:
             session.trail.append(event)
         return event
 
-    def _record_block(self, block: Block) -> None:
-        """Chain hook: one event per mined block (carrying the gas delta)
-        plus one per contract log, so session gas accounting and the
-        audit-trail cross-check both derive from the event stream."""
+    def _record_block(self, session: Optional[WorkloadSession],
+                      awaited: list[tuple[bytes, str, str]]) -> None:
+        """The head block as ``session`` sees it: ``chain.block_mined`` with
+        its own receipts' gas (added to its counter), their ``chain.log``s."""
+        block = self.chain.head
+        sent = {tx_hash for tx_hash, _, _ in awaited}
+        own = [self.chain.receipt_for(tx.tx_hash)
+               for tx in block.transactions if tx.tx_hash in sent]
+        gas = sum(receipt.gas_used for receipt in own)
+        if session is not None:
+            session.gas_used += gas
         self.publish_event(
-            "chain.block_mined",
-            gas_delta=block.header.gas_used,
-            block_height=block.header.number,
-            actor=block.header.validator,
-            data={"transactions": len(block.transactions)},
+            "chain.block_mined", session=session, gas_delta=gas,
+            block_height=block.header.number, actor=block.header.validator,
+            data={"transactions": len(own)},
         )
-        for log in self.chain.logs_of(block):
-            self.publish_event(
-                "chain.log",
-                block_height=block.header.number,
-                actor=log.address,
-                data={"log_name": log.name, "log_address": log.address},
-            )
+        for receipt in own:
+            for log in receipt.logs if receipt.status else ():
+                self.publish_event(
+                    "chain.log", session=session,
+                    block_height=block.header.number, actor=log.address,
+                    data={"log_name": log.name, "log_address": log.address},
+                )
 
     def _record_span(self, span: "telemetry.Span") -> None:
         """Tracer hook: every finished span becomes a ``span.end`` event
-        (attributed to the active session, so a session's trace carries
+        (attributed to the resumed session, so a session's trace carries
         its own span tree)."""
         self.publish_event("span.end", data=span.to_dict())
 
@@ -369,7 +396,7 @@ class Marketplace:
             size_bytes=len(provider.partition_payload()),
         )
         # Nothing is recorded off-chain until the chain accepted both.
-        self.mine_and_read(sent, required=True, drain=True)
+        self._onboard(sent)
         self.catalog.register(DataRecord(
             record_id=provider.record_id,
             owner=wallet.address,

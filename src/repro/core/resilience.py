@@ -383,8 +383,7 @@ def _executor_dead(session: WorkloadSession, phase: LifecyclePhase,
 def run_with_faults(market: "Marketplace", consumer: "ConsumerActor",
                     kind: WorkloadKind | WorkloadSpec,
                     plan: FaultPlan,
-                    *, recover: bool = True,
-                    **session_kwargs) -> WorkloadSession:
+                    *, recover: bool = True) -> WorkloadSession:
     """Run one lifecycle session with ``plan`` armed; return the session.
 
     ``recover=False`` runs the pre-recovery engine — every injected fault
@@ -397,7 +396,6 @@ def run_with_faults(market: "Marketplace", consumer: "ConsumerActor",
         kind = MLTrainingKind(kind)
     return WorkloadSession(
         market, consumer, kind, recover=recover, injector=FaultInjector(plan),
-        **session_kwargs,
     ).run()
 
 

@@ -280,16 +280,6 @@ class AuditFailure(LifecycleError):
     """The post-completion audit could not be produced."""
 
 
-class SessionPaused(PDS2Error):
-    """A phase-boundary hook stopped the session.
-
-    Deliberately *not* a :class:`LifecycleError`: pausing is not a phase
-    failure, so it must never trigger the recovery policy or escrow
-    release.  The session object stays live — ``WorkloadSession.run()``
-    again continues it at its ``next_phase``.
-    """
-
-
 class InjectedFaultError(LifecycleError):
     """A fault injected by the resilience harness fired.
 

@@ -9,11 +9,12 @@ the run (the marketplace tick or the discrete-event simulator), and free-form
 attributes (gas, bytes, message counts).
 
 The tracer is deliberately simple: a stack, because the whole reproduction
-is single-threaded; the last :data:`KEPT_SPANS` finished spans, which a
-chain auditor's forensic bundle captures; and an ``on_finish`` hook the
-marketplace uses to publish every finished span as a ``span.end`` event on
-its :class:`EventBus` — which is how spans reach a run's ``events.jsonl``
-and the ``python -m repro spans`` renderer.
+is single-threaded (a session that suspends brings its own,
+:meth:`Tracer.installed` on every resume); the last :data:`KEPT_SPANS`
+finished spans, which a chain auditor's forensic bundle captures; and an
+``on_finish`` hook the marketplace uses to publish every finished span as a
+``span.end`` event on its :class:`EventBus` — which is how spans reach a
+run's ``events.jsonl`` and the ``python -m repro spans`` renderer.
 """
 
 from __future__ import annotations
@@ -124,10 +125,9 @@ class Tracer:
         #: so building a marketplace mid-job cannot silently detach it.
         self.exporters: list[Callable[[Span], None]] = []
         self.finished: deque[Span] = deque(maxlen=KEPT_SPANS)
-        #: Ambient attributes merged under every opened span's own
-        #: attributes (the marketplace sets ``session_id`` here for the
-        #: duration of an active session, so *all* spans — chain, TEE,
-        #: storage — are filterable per session, not just lifecycle ones).
+        #: Ambient attributes merged under every opened span's own (a
+        #: session's carry its ``session_id``: *all* its spans — chain, TEE,
+        #: storage — are filterable per session).
         self.context: dict[str, Any] = {}
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
@@ -162,25 +162,22 @@ class Tracer:
         except ValueError:
             pass
 
-    @contextmanager
-    def scoped_context(self, **entries: Any) -> Iterator[None]:
-        """Set ambient context entries for the ``with`` body only.
+    def branch(self, **entries: Any) -> tuple[list[Span], dict[str, Any]]:
+        """A span stack and context of their own, from the current ones plus
+        ``entries``, for work that suspends (a session awaiting a block)."""
+        return list(self._stack), {**self.context, **entries}
 
-        Restores the previous value (or absence) of every entry on exit —
-        including when an exception escapes the span stack, which the bare
-        ``self.context[key] = value`` idiom this replaces did not guarantee
-        at call sites without their own try/finally.
-        """
-        saved = {key: self.context[key] for key in entries
-                 if key in self.context}
-        missing = [key for key in entries if key not in self.context]
-        self.context.update(entries)
+    @contextmanager
+    def installed(self, stack: list[Span],
+                  context: dict[str, Any]) -> Iterator[None]:
+        """Run the ``with`` body on a :meth:`branch`: its spans nest under
+        that stack's open spans; the previous ones come back on exit."""
+        saved = self._stack, self.context
+        self._stack, self.context = stack, context
         try:
             yield
         finally:
-            self.context.update(saved)
-            for key in missing:
-                self.context.pop(key, None)
+            self._stack, self.context = saved
 
     @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:

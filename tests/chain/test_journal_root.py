@@ -480,9 +480,16 @@ def test_a_session_on_a_tall_chain_touches_only_what_it_wrote(monkeypatch):
     monkeypatch.setattr(WorldState, "snapshot", counting_snapshot)
     sealed = record_encodings(monkeypatch, state_module)
     audited = record_encodings(monkeypatch, audit_module)
-    # Block observers run after the auditor: where each block's share ends.
+    # mine_block returns after the auditor: where each block's share ends.
     marks = [0]
-    chain.block_observers.append(lambda block: marks.append(len(audited)))
+    mine_block = chain.mine_block
+
+    def mine_and_mark(*args, **kwargs):
+        block = mine_block(*args, **kwargs)
+        marks.append(len(audited))
+        return block
+
+    monkeypatch.setattr(chain, "mine_block", mine_and_mark)
     aggregate_session(market, consumer, f"tall-{index}")
 
     blocks = chain.blocks[height_before + 1:]

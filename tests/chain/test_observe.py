@@ -264,14 +264,14 @@ class TestRunDirectory:
 class TestExemplarSatellite:
     def test_admission_counter_picks_up_trace_context(self):
         chain, wallets = _build_chain(23)
-        with tracer().scoped_context(trace_id="trace-obs-1"):
+        with tracer().installed(*tracer().branch(trace_id="trace-obs-1")):
             wallets[0].transfer("0x" + "ee" * 20, 5)
         child = mempool_mod._POOL_ADMITTED.labels(kind="new")
         assert child.exemplar == {"trace_id": "trace-obs-1"}
 
     def test_fault_kind_annotation_rides_along(self):
         chain, wallets = _build_chain(23)
-        with tracer().scoped_context(trace_id="trace-obs-2"):
+        with tracer().installed(*tracer().branch(trace_id="trace-obs-2")):
             with tracer().span("fault.window", fault_kind="corrupt_state"):
                 wallets[0].transfer("0x" + "ee" * 20, 5)
         child = mempool_mod._POOL_ADMITTED.labels(kind="new")
@@ -281,7 +281,7 @@ class TestExemplarSatellite:
     def test_verify_batch_counter_annotated(self):
         chain, wallets = _build_chain(23)
         from repro.chain import blockchain as blockchain_mod
-        with tracer().scoped_context(trace_id="trace-obs-3"):
+        with tracer().installed(*tracer().branch(trace_id="trace-obs-3")):
             wallets[0].transfer("0x" + "ee" * 20, 5)
             chain.mine_block()
         child = blockchain_mod._VERIFY_BATCH.labels(outcome="clean")

@@ -1,12 +1,12 @@
-"""The session record and the pause path: record, digest, ``run()`` again.
+"""The session record and the pause path: record, digest, drive on.
 
 ``WorkloadSession.record()`` is the one projection of a session —
 seed-determined progress only, no event trail — whose digest is what a
 replay is verified against and which, on a failed session, names where the
 run died.
-The paused session itself stays a live object: ``run()`` again continues it
-at ``next_phase``, byte-identically to an uninterrupted run, and a terminal
-session refuses to run.
+A paused session is a generator left at a phase boundary: driving it on
+continues it at ``next_phase``, byte-identically to an uninterrupted run,
+and a session whose steps already ran refuses to run.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ from repro.core.lifecycle import (
 from repro.errors import (
     InjectedFaultError,
     LifecycleError,
-    PDS2Error,
-    SessionPaused,
     TransitionError,
 )
 from repro.ml.datasets import (
@@ -99,18 +97,18 @@ def settled_key(session) -> str:
     })
 
 
-class _PauseAt:
-    """Raise :class:`SessionPaused` at each of the given boundary indices."""
+def paused_at(session, boundary: int):
+    """Drive ``session`` to phase boundary ``boundary`` and leave it there;
+    returns its driver (iterate it to continue)."""
+    driver = session.market.drive(session.steps(), session)
+    for _ in range(boundary + 1):
+        next(driver)
+    return driver
 
-    def __init__(self, *ks: int):
-        self.ks = set(ks)
-        self.fired = 0
 
-    def __call__(self, session, next_phase):
-        boundary = self.fired
-        self.fired += 1
-        if boundary in self.ks:
-            raise SessionPaused("pause for checkpoint")
+def finish(driver) -> None:
+    for _ in driver:
+        pass
 
 
 @pytest.fixture(scope="module")
@@ -129,10 +127,8 @@ class TestCheckpointRoundTrip:
     def test_pause_serialize_restore_resume_every_boundary(
             self, boundary, baseline_key):
         market, consumer = build_market()
-        session = WorkloadSession(market, consumer, make_kind(),
-                                  on_phase_boundary=_PauseAt(boundary))
-        with pytest.raises(SessionPaused):
-            session.run()
+        session = WorkloadSession(market, consumer, make_kind())
+        driver = paused_at(session, boundary)
 
         blob = canonical_json_bytes(session.record())
         # Byte-stable, and the digest is over exactly these bytes.
@@ -141,7 +137,7 @@ class TestCheckpointRoundTrip:
         assert session.record()["format"] == CHECKPOINT_FORMAT
 
         session_id = session.session_id
-        assert session.run() is session
+        finish(driver)
         assert session.session_id == session_id
         assert settled_key(session) == baseline_key
 
@@ -160,25 +156,21 @@ class TestCheckpointRoundTrip:
         digests = []
         for _ in range(2):
             market, consumer = build_market()
-            session = WorkloadSession(market, consumer, make_kind(),
-                                      on_phase_boundary=_PauseAt(3))
-            with pytest.raises(SessionPaused):
-                session.run()
+            session = WorkloadSession(market, consumer, make_kind())
+            paused_at(session, 3)
             digests.append(session.digest())
         assert digests[0] == digests[1]
 
     def test_to_bytes_carries_no_trail(self):
         market, consumer = build_market()
-        session = WorkloadSession(market, consumer, make_kind(),
-                                  on_phase_boundary=_PauseAt(4))
-        with pytest.raises(SessionPaused):
-            session.run()
+        session = WorkloadSession(market, consumer, make_kind())
+        paused_at(session, 4)
         assert session.trail
         record = session.record()
         assert "trail" not in record
         blob = canonical_json_bytes(record)
         assert b"wall_time" not in blob and b"phase.started" not in blob
-        # Trail-derived accounting is in the record as totals.
+        # Chain accounting is in the record as totals.
         assert record["gas_used"] == session.gas_used
         assert record["blocks_mined"] == session.blocks_mined
 
@@ -190,38 +182,48 @@ def _names(session) -> list[str]:
 class TestRunAgain:
     def test_two_consecutive_pauses(self, baseline_key):
         market, consumer = build_market()
-        session = WorkloadSession(market, consumer, make_kind(),
-                                  on_phase_boundary=_PauseAt(2, 3))
-        with pytest.raises(SessionPaused):
-            session.run()
+        session = WorkloadSession(market, consumer, make_kind())
+        driver = paused_at(session, 2)
         assert session.next_phase == "attest_and_submit"
-        with pytest.raises(SessionPaused):
-            session.run()
+        assert next(driver) == "start_execution"
         assert session.next_phase == "start_execution"
-        assert settled_key(session.run()) == baseline_key
+        finish(driver)
+        assert settled_key(session) == baseline_key
 
-    def test_one_started_and_one_resumed_per_resume(self):
+    def test_one_started_and_one_completed_across_pauses(self):
         market, consumer = build_market()
-        session = WorkloadSession(market, consumer, make_kind(),
-                                  on_phase_boundary=_PauseAt(1, 5))
-        with pytest.raises(SessionPaused):
-            session.run()
+        session = WorkloadSession(market, consumer, make_kind())
+        driver = paused_at(session, 1)
         assert _names(session).count("session.started") == 1
-        assert _names(session).count("session.resumed") == 0
-        with pytest.raises(SessionPaused):
-            session.run()
-        assert _names(session).count("session.resumed") == 1
-        session.run()
+        for _ in range(4):
+            next(driver)
+        assert session.next_phase == "aggregate"
+        finish(driver)
         names = _names(session)
         assert names.count("session.started") == 1
-        assert names.count("session.resumed") == 2
         assert names.count("session.completed") == 1
-        resumed = [event for event in session.trail
-                   if event.name == "session.resumed"]
-        assert [event.data["phase"] for event in resumed] == \
-            ["register_executors", "aggregate"]
-        # Every phase ran exactly once across the three run() calls.
+        # Every phase ran exactly once across the pauses.
         assert names.count("phase.completed") == len(LIFECYCLE_PHASES)
+
+    def test_paused_session_records_one_ok_root_span(self):
+        # A pause is a session left at a boundary, not a failure: the
+        # continued run closes the one root span it opened, status ok.
+        market, consumer = build_market()
+        session = WorkloadSession(market, consumer, make_kind())
+        finish(paused_at(session, 3))
+        roots = [event.data for event in session.trail
+                 if event.name == "span.end"
+                 and event.data["name"] == "lifecycle.session"]
+        assert [root["status"] for root in roots] == ["ok"]
+        assert session.outcome == "settled"
+
+    def test_running_session_refuses_a_second_run(self):
+        market, consumer = build_market()
+        session = WorkloadSession(market, consumer, make_kind())
+        driver = paused_at(session, 2)
+        self._assert_refuses(market, session)
+        finish(driver)
+        assert session.outcome == "settled"
 
     def test_complete_session_refuses_to_run(self):
         market, consumer = build_market()
@@ -267,10 +269,8 @@ class TestSnapshotConsistency:
 
     def test_snapshot_bookkeeping_sets_are_sorted_lists(self):
         market, consumer = build_market()
-        session = WorkloadSession(market, consumer, make_kind(),
-                                  on_phase_boundary=_PauseAt(5))
-        with pytest.raises(SessionPaused):
-            session.run()
+        session = WorkloadSession(market, consumer, make_kind())
+        paused_at(session, 5)
         record = session.record()
         for field in ("registered", "submitted", "certified", "executed",
                       "voted", "dropped_providers"):
@@ -306,13 +306,10 @@ class TestInjectorStateRoundTrip:
         plan = FaultPlan.sample(0.9, ("e0", "e1"), ("u0", "u1"), seed=3)
         injector = FaultInjector(plan)
         session = WorkloadSession(market, consumer, make_kind(),
-                                  injector=injector,
-                                  on_phase_boundary=_PauseAt(2))
+                                  injector=injector)
         try:
-            session.run()
-        except SessionPaused:
-            pass
-        except Exception:
+            paused_at(session, 2)
+        except StopIteration:
             pytest.skip("fault terminated the session before boundary 2")
         assert session.record()["injector"] == injector.state_dict()
         # An unarmed session's record has no injector key at all (absent,
@@ -323,16 +320,10 @@ class TestInjectorStateRoundTrip:
 
 
 class TestSessionPausedSemantics:
-    def test_session_paused_is_not_a_lifecycle_error(self):
-        assert issubclass(SessionPaused, PDS2Error)
-        assert not issubclass(SessionPaused, LifecycleError)
-
     def test_pause_does_not_trigger_recovery_or_settlement(self):
         market, consumer = build_market()
-        session = WorkloadSession(market, consumer, make_kind(),
-                                  on_phase_boundary=_PauseAt(2))
-        with pytest.raises(SessionPaused):
-            session.run()
+        session = WorkloadSession(market, consumer, make_kind())
+        paused_at(session, 2)
         assert session.ctx.recovery_log == []
         assert session.ctx.payouts == {}
         assert session.state not in ("complete", "failed")

@@ -1,9 +1,9 @@
 """Pause at every boundary, continue, settle byte-identically.
 
-The acceptance criterion for pausable sessions: stopping at *any* phase
-boundary — including the boundaries RECOVERY_TRANSITIONS re-entry edges
-create after retry/re-match/degrade directives — and calling ``run()``
-again must reproduce the uninterrupted run's settlement bytes exactly, at
+The acceptance criterion for pausable sessions: leaving a session at *any*
+phase boundary — including the boundaries RECOVERY_TRANSITIONS re-entry
+edges create after retry/re-match/degrade directives — and then driving it
+on must reproduce the uninterrupted run's settlement bytes exactly, at
 the same seed; the armed injector rides along on the live session, so the
 continued run faces exactly the faults still owed.  And the rule a crashed
 session comes back by (``control.supervisor.BoundaryRecorder``): a twin
@@ -27,7 +27,6 @@ from repro.core import (
     WorkloadSpec,
     run_with_faults,
 )
-from repro.errors import SessionPaused
 from repro.ml.datasets import (
     make_iot_activity,
     split_dirichlet,
@@ -91,41 +90,34 @@ def settlement_key(session) -> str:
     })
 
 
-class _PauseAt:
-    def __init__(self, k: int):
-        self.k = k
-        self.fired = 0
-
-    def __call__(self, session, next_phase):
-        boundary = self.fired
-        self.fired += 1
-        if boundary == self.k:
-            raise SessionPaused("crash point")
+def pause_at(session, boundary: int):
+    """Drive ``session`` to boundary ``boundary`` and leave it there;
+    returns the driver, whose iteration continues the session."""
+    driver = session.market.drive(session.steps(), session)
+    for _ in range(boundary + 1):
+        next(driver)
+    return driver
 
 
 def scenario_boundaries(plan) -> list[tuple[str, str, str]]:
     """(state, next_phase, checkpoint digest) at every boundary of the
     scenario's uninterrupted run."""
     market, consumer = build_market()
-    boundaries: list[tuple[str, str, str]] = []
-    run_with_faults(
-        market, consumer, make_kind(), plan,
-        on_phase_boundary=lambda s, n: boundaries.append(
-            (s.state, n, s.digest())),
-    )
-    return boundaries
+    session = WorkloadSession(market, consumer, make_kind(), recover=True,
+                              injector=FaultInjector(plan))
+    return [(session.state, next_phase, session.digest())
+            for next_phase in market.drive(session.steps(), session)]
 
 
 def paused_session(plan, boundary: int):
-    """A fresh seed-built market's session, stopped at ``boundary``."""
+    """A fresh seed-built market's session, left at ``boundary``, and its
+    driver."""
     market, consumer = build_market()
     session = WorkloadSession(
         market, consumer, make_kind(), recover=True,
-        injector=FaultInjector(plan), on_phase_boundary=_PauseAt(boundary),
+        injector=FaultInjector(plan),
     )
-    with pytest.raises(SessionPaused):
-        session.run()
-    return session
+    return session, pause_at(session, boundary)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -151,12 +143,13 @@ def test_scenario_resumes_byte_identically_from_every_boundary(name):
         # the straight-line boundaries.
         assert recovery_edges
 
-    for pause_at, (state, next_phase, _) in enumerate(boundaries):
-        session = paused_session(plan, pause_at)
+    for boundary, (state, next_phase, _) in enumerate(boundaries):
+        session, driver = paused_session(plan, boundary)
         assert (session.state, session.next_phase) == (state, next_phase)
-        session.run()  # failing scenarios legitimately fail after a pause
+        for _ in driver:  # failing scenarios legitimately fail after a pause
+            pass
         assert settlement_key(session) == baseline_key, (
-            f"{name}: boundary {pause_at} ({state} -> {next_phase}) "
+            f"{name}: boundary {boundary} ({state} -> {next_phase}) "
             f"did not continue byte-identically"
         )
 
@@ -166,24 +159,24 @@ def test_twin_replay_reaches_the_paused_digest_at_every_boundary(name):
     plan = SCENARIOS[name].plan(EXECUTOR_NAMES, PROVIDER_NAMES)
     # The twin: a second market from the seed, replaying without a pause.
     replayed = scenario_boundaries(plan)
-    for pause_at, (state, next_phase, digest) in enumerate(replayed):
-        paused = paused_session(plan, pause_at)
+    for boundary, (state, next_phase, digest) in enumerate(replayed):
+        paused, _ = paused_session(plan, boundary)
         assert paused.digest() == digest, (
-            f"{name}: twin diverged at boundary {pause_at} "
+            f"{name}: twin diverged at boundary {boundary} "
             f"({state} -> {next_phase})"
         )
 
 
 def test_happy_path_session_id_is_preserved_across_restore():
     market, consumer = build_market()
-    session = WorkloadSession(market, consumer, make_kind(),
-                              on_phase_boundary=_PauseAt(0))
-    with pytest.raises(SessionPaused):
-        session.run()
+    session = WorkloadSession(market, consumer, make_kind())
+    driver = pause_at(session, 0)
     session_id = session.session_id
     counter_before = market._session_counter
-    report = session.run()
+    for _ in driver:
+        pass
     # Continuing must not burn a fresh session id: it IS the same session,
     # and later sessions' ids must not shift.
-    assert report.session_id == session.session_id == session_id
+    assert session.outcome == "settled"
+    assert session.session_id == session_id
     assert market._session_counter == counter_before

@@ -429,7 +429,7 @@ def run_failing(market, consumer, spec, failure):
 
 
 class TestOneSeamMinesAndReadsReceipts:
-    """Phases submit; ``Marketplace.mine_and_read`` mines the block and a
+    """Phases submit; ``Marketplace.seam`` reads the block back and a
     required transaction the chain refused fails the phase that sent it."""
 
     def test_unmet_preconditions_stop_before_any_enclave_runs(
@@ -502,6 +502,38 @@ class TestOneSeamMinesAndReadsReceipts:
         assert refund[0].data["error"] == "MarketplaceError"
         assert "only the consumer may abort" in refund[0].data["message"]
         assert session.ctx.refunded == 0
+
+    def test_abort_reads_the_failed_phase_sends(self, market_setup,
+                                                monkeypatch):
+        # e0's registration is sent, then e1 crashes: the phase fails with
+        # that send still pooled.  The abort's block mines it, and the
+        # seam reads it without requiring it — its revert is reported and
+        # its gas is the session's.
+        market, consumer = market_setup
+        sent = []
+
+        def wrong_measurement(real, wallet, contract, args):
+            sent.append(real(wallet, contract, "register_executor",
+                             claimed_measurement="00" * 32))
+            return sent[-1]
+
+        tamper_calls(monkeypatch, "register_executor", wrong_measurement)
+        height = market.chain.height
+        session = run_with_faults(
+            market, consumer, small_spec("wl-orphan"),
+            FaultPlan.single(FaultKind.CRASH_REGISTER, target="e1"),
+            recover=False)
+        assert session.state == TERMINAL_FAILED
+        assert session.ctx.refunded == 100_000
+        reverted = [e.data for e in session.trail
+                    if e.name == "chain.tx_reverted"]
+        assert [r["method"] for r in reverted] == ["register_executor"]
+        receipt = market.chain.receipt_for(sent[0])
+        assert not receipt.status and receipt.gas_used > 0
+        blocks = market.chain.blocks[height + 1:]
+        assert sent[0] in {tx.tx_hash for tx in blocks[-1].transactions}
+        assert session.gas_used == sum(b.header.gas_used for b in blocks)
+        assert session.blocks_mined == len(blocks)
 
     @pytest.fixture
     def narrow_market(self, rng):

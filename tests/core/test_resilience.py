@@ -38,7 +38,6 @@ from repro.errors import (
     EnclaveViolationError,
     InjectedFaultError,
     MarketplaceError,
-    SessionPaused,
 )
 from repro.governance.audit import trail_covers_chain
 from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
@@ -462,21 +461,18 @@ class TestEnclavesReleased:
 
     def test_a_paused_session_keeps_its_enclaves(self, launched):
         market, consumer = build_market()
-
-        def pause_before_aggregate(session, next_phase):
-            if next_phase == "aggregate":
-                raise SessionPaused("pause")
-
         session = WorkloadSession(
-            market, consumer, MLTrainingKind(spec("wl-release-p")),
-            on_phase_boundary=pause_before_aggregate)
-        with pytest.raises(SessionPaused):
-            session.run()
+            market, consumer, MLTrainingKind(spec("wl-release-p")))
+        driver = market.drive(session.steps(), session)
+        for next_phase in driver:
+            if next_phase == "aggregate":
+                break  # left at the boundary: paused
         held = [executor.enclaves["wl-release-p"]
                 for executor in market.executors]
         assert held == launched
         assert all(enclave.extract_output() for enclave in held)
-        session.run()
+        for _ in driver:
+            pass
         self._assert_released(market, launched)
 
 

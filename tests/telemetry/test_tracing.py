@@ -170,8 +170,11 @@ class TestBuildSpanTree:
 
 
 class TestScopedContext:
+    """A branch (a session's span stack and context) installed for a
+    ``with`` body, as ``Marketplace.drive`` does on every resume."""
+
     def test_entries_live_only_inside_the_block(self, tracer):
-        with tracer.scoped_context(session_id="s1"):
+        with tracer.installed(*tracer.branch(session_id="s1")):
             with tracer.span("inner") as span:
                 pass
             assert tracer.context == {"session_id": "s1"}
@@ -180,27 +183,47 @@ class TestScopedContext:
 
     def test_previous_value_restored(self, tracer):
         tracer.context["session_id"] = "outer"
-        with tracer.scoped_context(session_id="inner"):
+        with tracer.installed(*tracer.branch(session_id="inner")):
             assert tracer.context["session_id"] == "inner"
         assert tracer.context["session_id"] == "outer"
 
     def test_restored_even_when_exception_escapes(self, tracer):
-        # Regression: the bare ``context[key] = value`` idiom this replaced
-        # leaked the entry into every later span when the body raised.
         with pytest.raises(RuntimeError):
-            with tracer.scoped_context(session_id="doomed"):
-                raise RuntimeError("boom")
+            with tracer.installed(*tracer.branch(session_id="doomed")):
+                with tracer.span("open"):
+                    raise RuntimeError("boom")
         assert "session_id" not in tracer.context
+        assert tracer.current is None
         with tracer.span("after") as span:
             pass
         assert "session_id" not in span.attributes
 
     def test_nested_scopes_unwind_in_order(self, tracer):
-        with tracer.scoped_context(a=1):
-            with tracer.scoped_context(a=2, b=3):
+        with tracer.installed(*tracer.branch(a=1)):
+            with tracer.installed(*tracer.branch(a=2, b=3)):
                 assert tracer.context == {"a": 2, "b": 3}
             assert tracer.context == {"a": 1}
         assert tracer.context == {}
+
+    def test_branches_keep_their_own_open_spans(self, tracer):
+        # Two suspended units alternate: each one's spans nest under its
+        # own open spans, never under the other's.
+        with tracer.span("outer") as outer:
+            first, second = tracer.branch(), tracer.branch()
+        with tracer.installed(*first):
+            left = tracer.span("left")
+            left_span = left.__enter__()
+        with tracer.installed(*second):
+            with tracer.span("right") as right_span:
+                pass
+        with tracer.installed(*first):
+            with tracer.span("left.child") as child:
+                pass
+            left.__exit__(None, None, None)
+        assert right_span.parent_id == outer.span_id
+        assert child.parent_id == left_span.span_id
+        assert left_span.parent_id == outer.span_id
+        assert tracer.current is None
 
 
 class TestExporters:

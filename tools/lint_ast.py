@@ -18,8 +18,8 @@ One structural rule of this repository's own rides along:
 
 * **PDS001** — under ``src/repro/core/`` a call that mines a block
   (``mine_block``, ``_mine``, ``call_and_mine``, ``deploy_and_mine``) may
-  appear only in ``Marketplace.mine_and_read`` (the seam every phase and
-  every onboarding call goes through, DESIGN §8) and in
+  appear only in ``Marketplace.drive`` (the loop that mines a block for
+  every seam a session or onboarding call awaits, DESIGN §8) and in
   ``Marketplace.__init__`` (the three genesis deploys).
 
     python tools/lint_ast.py [PATH ...]      # default: src tests benchmarks
@@ -40,7 +40,7 @@ DEFAULT_PATHS = ("src", "tests", "benchmarks")
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 MINING_SCOPE = ("src", "repro", "core")
 MINING_CALLS = {"mine_block", "_mine", "call_and_mine", "deploy_and_mine"}
-MINING_ALLOWED = {"Marketplace.mine_and_read", "Marketplace.__init__"}
+MINING_ALLOWED = {"Marketplace.drive", "Marketplace.__init__"}
 
 
 def _imported(tree: ast.AST) -> list[tuple[str, int]]:
@@ -103,7 +103,7 @@ def lint_file(path: Path) -> list[str]:
         for name, lineno, scope in _mining_calls(tree):
             if scope not in MINING_ALLOWED:
                 found.append(f"{path}:{lineno}: PDS001 {name}() mines outside "
-                             "Marketplace.mine_and_read")
+                             "Marketplace.drive")
     if not set(path.parts) & set(LONG_LINES_ALLOWED):
         for lineno, line in enumerate(lines, start=1):
             if len(line) > LINE_LENGTH and not silenced(lineno):
