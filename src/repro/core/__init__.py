@@ -35,7 +35,6 @@ from repro.core.events import (
 from repro.core.lifecycle import (
     CHECKPOINT_FORMAT,
     LIFECYCLE_PHASES,
-    PHASES_BY_NAME,
     RECOVERY_TRANSITIONS,
     TRANSITIONS,
     AggregateWorkloadKind,
@@ -87,7 +86,6 @@ __all__ = [
     "read_jsonl_events",
     "CHECKPOINT_FORMAT",
     "LIFECYCLE_PHASES",
-    "PHASES_BY_NAME",
     "RECOVERY_TRANSITIONS",
     "TRANSITIONS",
     "AggregateWorkloadKind",

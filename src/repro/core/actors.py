@@ -15,7 +15,7 @@ Section II-B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -40,11 +40,15 @@ from repro.core.workload import (
     serialize_partition,
 )
 
-#: A provider policy: (spec, own matching record count) -> participate?
-ParticipationPolicy = Callable[[WorkloadSpec, int], bool]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.core.lifecycle import WorkloadKind
+
+#: A provider policy: (workload kind, own matching record count) ->
+#: participate?  The match phase asks it for every kind of workload.
+ParticipationPolicy = Callable[["WorkloadKind", int], bool]
 
 
-def accept_all_policy(spec: WorkloadSpec, matching_records: int) -> bool:
+def accept_all_policy(kind: "WorkloadKind", matching_records: int) -> bool:
     """The default policy: join every workload with eligible data."""
     return matching_records > 0
 
@@ -102,11 +106,11 @@ class ProviderActor:
         )
         return self.stored_object_id
 
-    def wants_to_participate(self, spec: WorkloadSpec,
+    def wants_to_participate(self, kind: "WorkloadKind",
                              ontology: Ontology) -> bool:
         """Apply the participation policy to one advertised workload."""
-        matches = int(spec.requirement.matches(ontology, self.annotation))
-        return self.policy(spec, matches)
+        matches = int(kind.requirement.matches(ontology, self.annotation))
+        return self.policy(kind, matches)
 
     def prepare_submission_for(self, workload_id: str, executor_address: str,
                                enclave_key: PublicKey, issued_at: float,

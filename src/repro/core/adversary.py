@@ -12,22 +12,18 @@ without being detected".  Two mechanisms enforce this in PDS2:
    result or the rewards.
 
 This module provides the attack harness used by tests and the E15 fault
-bench.  It plugs into the lifecycle engine as a *phase interceptor*: the
-session runs every phase honestly up to aggregation, then the intercepted
-settle phase casts one vote per executor according to its assigned
-behavior — no marketplace internals are duplicated or reached into.
+bench.  It is a workload kind (:class:`AdversarialKind`) whose settle votes
+lie: the session runs every phase honestly up to aggregation, then settle
+casts one vote per executor according to its assigned behavior — no
+marketplace internals are duplicated or reached into.
 """
 
 from __future__ import annotations
 
 import enum
 
-from repro.core.lifecycle import (
-    PHASE_SETTLE,
-    LifecyclePhase,
-    MLTrainingKind,
-    WorkloadSession,
-)
+from repro.core.actors import ExecutorActor
+from repro.core.lifecycle import MLTrainingKind, SessionContext, WorkloadSession
 from repro.core.marketplace import Marketplace
 from repro.core.workload import WorkloadSpec
 from repro.errors import MarketplaceError
@@ -43,39 +39,43 @@ class ExecutorBehavior(enum.Enum):
     SILENT = "silent"                   # never submits (lazy/crashed)
 
 
-def adversarial_settle_interceptor(behaviors: list["ExecutorBehavior"]):
-    """Build a settle-phase interceptor casting one vote per behavior.
+class AdversarialKind(MLTrainingKind):
+    """ML training whose executors vote by their assigned behaviors.
 
-    The default settle phase has the first ``required_confirmations``
-    active executors vote the honest (hash, weights) pair; this replacement
-    lets *every* active executor vote according to its assigned behavior.
-    The engine then mines and runs the phase's own
-    :meth:`~repro.core.lifecycle.SettlePhase.after_block` (state check,
-    payout accounting); a vote the contract reverts is reported in the
-    trail as ``chain.tx_reverted``, not raised.
+    Where the honest kind has the first ``required_confirmations`` active
+    executors vote the honest (hash, weights) pair, here *every* active
+    executor votes according to its behavior.  A vote the contract reverts
+    (one after quorum) is reported in the trail as ``chain.tx_reverted``,
+    not raised; the settle phase still checks the contract's state.
     """
 
-    def intercept(session: WorkloadSession, phase: LifecyclePhase) -> None:
-        ctx = session.ctx
-        for executor, behavior in zip(ctx.executors, behaviors):
+    votes_required = False
+
+    def __init__(self, spec: WorkloadSpec,
+                 behaviors: list[ExecutorBehavior]):
+        super().__init__(spec)
+        self.behaviors = behaviors
+
+    def votes(self, ctx: SessionContext
+              ) -> list[tuple[ExecutorActor, str, dict[str, int]]]:
+        votes = []
+        for executor, behavior in zip(ctx.executors, self.behaviors):
             if executor not in ctx.active_executors:
                 continue
             if behavior is ExecutorBehavior.HONEST:
-                session.cast_vote(executor, ctx.result_hash, ctx.weights_bps)
+                votes.append((executor, ctx.result_hash, ctx.weights_bps))
             elif behavior is ExecutorBehavior.WRONG_RESULT:
-                session.cast_vote(executor, "ff" * 32, ctx.weights_bps)
+                votes.append((executor, "ff" * 32, ctx.weights_bps))
             elif behavior is ExecutorBehavior.SELF_DEALING:
                 # Route everything to one (possibly sybil) provider the
                 # attacker controls — the contract only accepts registered
                 # participants, so the crony must be a participant to even
                 # be a valid key.
                 corrupt = dict.fromkeys(ctx.weights_bps, 0)
-                victim = sorted(corrupt)[0]
-                corrupt[victim] = BPS
-                session.cast_vote(executor, ctx.result_hash, corrupt)
-            # SILENT: do nothing.
-
-    return intercept
+                corrupt[sorted(corrupt)[0]] = BPS
+                votes.append((executor, ctx.result_hash, corrupt))
+            # SILENT: no vote.
+        return votes
 
 
 #: The non-participant address a self-dealing payout would have to reach.
@@ -88,7 +88,7 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     """Run the Fig. 2 lifecycle with per-executor behaviors.
 
     Drives the same :class:`~repro.core.lifecycle.WorkloadSession` engine
-    as :meth:`Marketplace.run_workload`, with the settle phase intercepted
+    as :meth:`Marketplace.run_workload`, with an :class:`AdversarialKind`
     so each executor votes according to its assigned behavior.  The
     function never raises on adversarial failure: a quorum that never
     forms fails the session in settle, which refunds the escrow, and the
@@ -98,7 +98,5 @@ def run_with_adversaries(market: Marketplace, consumer, spec: WorkloadSpec,
     if len(behaviors) != len(executors):
         raise MarketplaceError("one behavior per marketplace executor")
 
-    return WorkloadSession(
-        market, consumer, MLTrainingKind(spec),
-        interceptors={PHASE_SETTLE: adversarial_settle_interceptor(behaviors)},
-    ).run()
+    return WorkloadSession(market, consumer,
+                           AdversarialKind(spec, behaviors)).run()

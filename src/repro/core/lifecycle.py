@@ -5,24 +5,23 @@ One :class:`WorkloadSession` drives a workload through nine typed phases —
     deploy → match → register_executors → attest_and_submit
            → start_execution → execute → aggregate → settle → audit
 
-— with a declared transition table (:data:`TRANSITIONS`), per-phase failure
-classes (:class:`repro.errors.LifecycleError` subclasses), and a structured
-event trail published on the marketplace
+— with a transition table read off that order (:data:`TRANSITIONS`),
+per-phase failure classes (:class:`repro.errors.LifecycleError`
+subclasses), and a structured event trail published on the marketplace
 :class:`~repro.core.events.EventBus`.
 
 What *kind* of workload runs is a strategy object (:class:`WorkloadKind`):
 ML training (:class:`MLTrainingKind`) and statistical aggregates
 (:class:`AggregateWorkloadKind`) differ only in the enclave entry point
 and the way enclave outputs are combined (the kind-specific fields land
-in ``ctx.extra``).  ``Marketplace.run_workload`` and
-``Marketplace.run_aggregate_workload`` are thin drivers over this one
-engine; like every driver they return the finished session.
+in ``ctx.extra``); the adversary harness is a kind whose settle votes lie.
+``Marketplace.run_workload`` and ``Marketplace.run_aggregate_workload``
+are thin drivers over this one engine; like every driver they return the
+finished session.
 
-Phases are individually testable objects and none of them mines (see
-:class:`LifecyclePhase`).  A phase's sending half can be *intercepted*
-(replaced by a callable) — the adversary harness substitutes malicious
-result votes for the honest ones this way, without reaching into
-marketplace internals.
+A phase is a function of the session and none of them mines (see
+:class:`LifecyclePhase`): an on-chain phase is a generator that sends and
+then waits for its block inline.
 
 Failures need not be terminal.  A session built with ``recover=True``
 consults :func:`repro.core.resilience.decide` whenever a phase raises: it
@@ -30,7 +29,7 @@ may direct a **retry** of the same phase (backoff on the sim
 clock), a **re-match** onto the surviving executors (re-entering
 ``register_executors`` with the dead executor blacklisted), a quorum
 **degrade** (proceed with the executors that still hold data), or a
-provider **drop** — each a declared re-entry edge in :data:`TRANSITIONS`.
+provider **drop** — each a declared edge in :data:`RECOVERY_TRANSITIONS`.
 Without recovery the session fails; a failing session that already
 escrowed funds aborts the workload contract so the consumer is refunded.
 """
@@ -40,7 +39,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from hashlib import sha256
-from typing import TYPE_CHECKING, Any, Callable, Generator, Mapping, Optional
+from inspect import isgenerator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 import numpy as np
 
@@ -75,6 +75,7 @@ from repro.governance.contracts import (
     STATE_OPEN,
 )
 from repro.rewards.distribution import normalize_weights_bps
+from repro.storage.semantic import Requirement
 from repro.tee.enclave import EnclaveCode
 from repro.telemetry import metrics as _tm
 from repro.utils.rng import derive_rng
@@ -103,48 +104,23 @@ PHASE_AUDIT = "audit"
 TERMINAL_COMPLETE = "complete"
 TERMINAL_FAILED = "failed"
 
-#: Recovery re-entry edges layered over the happy path.  Every phase may
-#: retry itself (transient faults back off on the sim clock and run the
-#: phase again); a crash discovered while the contract is still OPEN
-#: re-enters ``register_executors`` (or ``match``, if the participant set
-#: must be rebuilt) with the dead executor blacklisted; a crash during
-#: ``execute`` re-enters the same phase over the surviving quorum.
+#: Recovery re-entry edges layered over the happy path, exactly the ones
+#: :func:`repro.core.resilience.decide` returns: every phase may retry
+#: itself (transient faults back off on the sim clock; a provider that
+#: keeps failing is dropped and the phase re-run), a crash discovered while
+#: the contract is still OPEN re-enters ``register_executors`` with the
+#: dead executor blacklisted, and a crash during ``execute`` re-enters the
+#: same phase over the surviving quorum.
 RECOVERY_TRANSITIONS: dict[str, tuple[str, ...]] = {
     PHASE_DEPLOY: (PHASE_DEPLOY,),
     PHASE_MATCH: (PHASE_MATCH,),
     PHASE_REGISTER: (PHASE_REGISTER,),
-    PHASE_SUBMIT: (PHASE_SUBMIT, PHASE_MATCH, PHASE_REGISTER),
+    PHASE_SUBMIT: (PHASE_SUBMIT, PHASE_REGISTER),
     PHASE_START: (PHASE_START,),
-    PHASE_EXECUTE: (PHASE_EXECUTE, PHASE_REGISTER),
+    PHASE_EXECUTE: (PHASE_EXECUTE,),
     PHASE_AGGREGATE: (PHASE_AGGREGATE,),
     PHASE_SETTLE: (PHASE_SETTLE,),
     PHASE_AUDIT: (PHASE_AUDIT,),
-}
-
-#: The full transition table.  Every phase may fail; terminal states have no
-#: outgoing transitions (tests assert this closure property).
-TRANSITIONS: dict[str, tuple[str, ...]] = {
-    STATE_CREATED: (PHASE_DEPLOY, TERMINAL_FAILED),
-    PHASE_DEPLOY: (PHASE_MATCH, TERMINAL_FAILED,
-                   *RECOVERY_TRANSITIONS[PHASE_DEPLOY]),
-    PHASE_MATCH: (PHASE_REGISTER, TERMINAL_FAILED,
-                  *RECOVERY_TRANSITIONS[PHASE_MATCH]),
-    PHASE_REGISTER: (PHASE_SUBMIT, TERMINAL_FAILED,
-                     *RECOVERY_TRANSITIONS[PHASE_REGISTER]),
-    PHASE_SUBMIT: (PHASE_START, TERMINAL_FAILED,
-                   *RECOVERY_TRANSITIONS[PHASE_SUBMIT]),
-    PHASE_START: (PHASE_EXECUTE, TERMINAL_FAILED,
-                  *RECOVERY_TRANSITIONS[PHASE_START]),
-    PHASE_EXECUTE: (PHASE_AGGREGATE, TERMINAL_FAILED,
-                    *RECOVERY_TRANSITIONS[PHASE_EXECUTE]),
-    PHASE_AGGREGATE: (PHASE_SETTLE, TERMINAL_FAILED,
-                      *RECOVERY_TRANSITIONS[PHASE_AGGREGATE]),
-    PHASE_SETTLE: (PHASE_AUDIT, TERMINAL_FAILED,
-                   *RECOVERY_TRANSITIONS[PHASE_SETTLE]),
-    PHASE_AUDIT: (TERMINAL_COMPLETE, TERMINAL_FAILED,
-                  *RECOVERY_TRANSITIONS[PHASE_AUDIT]),
-    TERMINAL_COMPLETE: (),
-    TERMINAL_FAILED: (),
 }
 
 TERMINAL_STATES = (TERMINAL_COMPLETE, TERMINAL_FAILED)
@@ -181,27 +157,25 @@ _ESCROW_REFUNDED = _tm.counter(
 
 
 class WorkloadKind(ABC):
-    """What differs between workload classes riding the same lifecycle."""
+    """What differs between workload classes riding the same lifecycle.
+
+    A kind is built with what the engine reads as values: the storage
+    ``requirement`` providers are matched against, the measured enclave
+    ``code`` and the ``spec_hash`` recorded on-chain at deployment.
+    """
 
     workload_id: str
+    requirement: Requirement
+    code: EnclaveCode
+    spec_hash: str
     reward_pool: int
     min_providers: int
     min_samples: int
     infra_share_bps: int
     required_confirmations: int
 
-    @property
-    @abstractmethod
-    def code(self) -> EnclaveCode:
-        """The measured enclave code unit for this workload."""
-
-    @abstractmethod
-    def spec_hash(self) -> str:
-        """Canonical hash recorded on-chain at deployment."""
-
-    @abstractmethod
-    def match(self, market: "Marketplace") -> list[ProviderActor]:
-        """Providers whose data and policy admit this workload."""
+    #: Whether a settle vote the contract reverts fails the phase.
+    votes_required = True
 
     @abstractmethod
     def run_kwargs(self, market: "Marketplace") -> dict:
@@ -218,6 +192,15 @@ class WorkloadKind(ABC):
         (achieved epsilon, the combined statistic, sample counts).
         """
 
+    def votes(self, ctx: "SessionContext"
+              ) -> list[tuple[ExecutorActor, str, dict[str, int]]]:
+        """The settle votes ``(executor, result_hash, weights_bps)``: the
+        first ``required_confirmations`` active executors vote the honest
+        pair."""
+        return [(executor, ctx.result_hash, ctx.weights_bps)
+                for executor in
+                ctx.active_executors[:self.required_confirmations]]
+
     def submission_rng_label(self, provider: ProviderActor) -> str:
         """Derivation label for the provider's envelope-encryption rng."""
         return f"submit-{provider.name}"
@@ -225,7 +208,7 @@ class WorkloadKind(ABC):
     def contract_args(self) -> dict:
         """Deployment arguments of the on-chain workload contract."""
         return {
-            "spec_hash": self.spec_hash(),
+            "spec_hash": self.spec_hash,
             "code_measurement": self.code.measurement.hex(),
             "min_providers": self.min_providers,
             "min_samples": self.min_samples,
@@ -280,17 +263,9 @@ class MLTrainingKind(WorkloadKind):
         self.min_samples = spec.min_samples
         self.infra_share_bps = spec.infra_share_bps
         self.required_confirmations = spec.required_confirmations
-        self._code = ExecutorActor.code_for(spec)
-
-    @property
-    def code(self) -> EnclaveCode:
-        return self._code
-
-    def spec_hash(self) -> str:
-        return self.spec.spec_hash
-
-    def match(self, market: "Marketplace") -> list[ProviderActor]:
-        return market.matching_providers(self.spec)
+        self.requirement = spec.requirement
+        self.code = ExecutorActor.code_for(spec)
+        self.spec_hash = spec.spec_hash
 
     def run_kwargs(self, market: "Marketplace") -> dict:
         return {"spec_dict": self.spec.to_dict(),
@@ -311,7 +286,7 @@ AGGREGATE_INFRA_SHARE_BPS = 1000
 class AggregateWorkloadKind(WorkloadKind):
     """The other workload class: privacy-preserving statistical aggregates."""
 
-    def __init__(self, workload_id: str, requirement: Any,
+    def __init__(self, workload_id: str, requirement: Requirement,
                  agg_spec: AggregateSpec, reward_pool: int,
                  min_providers: int, min_samples: int,
                  required_confirmations: int):
@@ -324,25 +299,12 @@ class AggregateWorkloadKind(WorkloadKind):
         self.min_samples = min_samples
         self.infra_share_bps = AGGREGATE_INFRA_SHARE_BPS
         self.required_confirmations = required_confirmations
-        self._code = EnclaveCode(
+        self.spec_hash = hash_object(self.spec_dict).hex()
+        self.code = EnclaveCode(
             name=f"pds2-aggregate-{workload_id}",
-            version=hash_object(self.spec_dict).hex(),
+            version=self.spec_hash,
             entry_point=aggregate_enclave_entry_point,
         )
-
-    @property
-    def code(self) -> EnclaveCode:
-        return self._code
-
-    def spec_hash(self) -> str:
-        return hash_object(self.spec_dict).hex()
-
-    def match(self, market: "Marketplace") -> list[ProviderActor]:
-        return [
-            provider for provider in market.providers
-            if market.catalog.match_for_owner(self.requirement,
-                                              provider.address)
-        ]
 
     def submission_rng_label(self, provider: ProviderActor) -> str:
         return f"agg-{self.workload_id}-{provider.name}"
@@ -438,17 +400,11 @@ class RecoveryDirective:
     reason: str = ""
 
 
-#: An interceptor replaces one phase's ``run`` (see :class:`LifecyclePhase`).
-#: It receives the session and the phase object it displaced.
-PhaseInterceptor = Callable[["WorkloadSession", "LifecyclePhase"], None]
-
-
 class WorkloadSession:
     """One workload's trip through the lifecycle state machine."""
 
     def __init__(self, market: "Marketplace", consumer: ConsumerActor,
                  kind: WorkloadKind,
-                 interceptors: Optional[Mapping[str, PhaseInterceptor]] = None,
                  recover: bool = False,
                  injector: Optional[Any] = None):
         self.market = market
@@ -456,9 +412,6 @@ class WorkloadSession:
         self.kind = kind
         self.session_id = market.next_session_id(kind.workload_id)
         self.state = STATE_CREATED
-        self.interceptors: dict[str, PhaseInterceptor] = dict(
-            interceptors or {}
-        )
         #: Whether a failing phase consults
         #: :func:`repro.core.resilience.decide` (False fails fast).
         self.recover = recover
@@ -525,7 +478,7 @@ class WorkloadSession:
             "format": CHECKPOINT_FORMAT,
             "session_id": self.session_id,
             "workload_id": self.kind.workload_id,
-            "spec_hash": self.kind.spec_hash(),
+            "spec_hash": self.kind.spec_hash,
             # The phase last completed (or failing, on a recovery edge) and
             # the one (re-)entered next.
             "state": self.state,
@@ -654,18 +607,9 @@ class WorkloadSession:
             entry=self._phase_entries,
         ) as span:
             try:
-                interceptor = self.interceptors.get(phase.name)
-                if interceptor is not None:
-                    interceptor(self, phase)
-                else:
-                    phase.run(self)
-                if phase.on_chain:
-                    # What an interceptor sent may revert (a vote after
-                    # quorum): reported by the seam, not required.
-                    phase.after_block(self, (yield from self.market.seam(
-                        self, self.awaited,
-                        required=self.awaited if interceptor is None else (),
-                        drain=phase.drain)))
+                steps = phase.step(self)
+                if isgenerator(steps):
+                    yield from steps
             except LifecycleError as err:
                 return (yield from self._recover_or_fail(phase, err, span))
             except PDS2Error as err:
@@ -818,37 +762,24 @@ class WorkloadSession:
             self.emit("session.refund_failed", error=type(exc).__name__,
                       message=str(exc))
 
-    # -- helpers shared between the honest engine and interceptors ----------
+    # -- helpers the phases share -------------------------------------------
 
     def send(self, wallet: "Wallet", method: str, **args: Any) -> None:
         """Queue one call to the workload contract and await its receipt."""
         self.market.send(self.awaited, wallet, self.ctx.workload_address,
                          method, **args)
 
-    def cast_vote(self, executor: ExecutorActor, result_hash: str,
-                  weights_bps: dict[str, int]) -> None:
-        """One executor submits one (result hash, weights) vote on-chain."""
-        self.send(executor.wallet, "submit_result", result_hash=result_hash,
-                  provider_weights_bps=weights_bps)
-        self.ctx.voted.add(executor.address)
-        self.emit("settle.vote_cast", actor=executor.address,
-                  result_hash=result_hash)
+    def block(self, *, drain: bool) -> Generator[str, None, list["Receipt"]]:
+        """Await one block (also when nothing was sent) and return the
+        receipts of this session's sends, every one of which must succeed;
+        one deferred by the block gas limit waits for a later block unless
+        the phase ``drain``s (see :meth:`Marketplace.seam`)."""
+        return self.market.seam(self, self.awaited, required=self.awaited,
+                                drain=drain)
 
     def read_state(self) -> str:
         """The workload contract's current lifecycle state (free view)."""
         return self.consumer.wallet.view(self.ctx.workload_address, "state")
-
-    def collect_payouts(self) -> dict[str, int]:
-        """Sum the contract's RewardPaid events per recipient."""
-        payouts: dict[str, int] = {}
-        for _, log in self.market.chain.events(
-            name="RewardPaid", address=self.ctx.workload_address
-        ):
-            payouts[log.data["recipient"]] = (
-                payouts.get(log.data["recipient"], 0)
-                + int(log.data["amount"])
-            )
-        return payouts
 
 
 # ---------------------------------------------------------------------------
@@ -856,304 +787,274 @@ class WorkloadSession:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class LifecyclePhase:
     """One individually-testable lifecycle step.
 
-    A phase never mines.  :meth:`run` is all of an off-chain phase and the
-    *submit* half of an ``on_chain`` one (:meth:`WorkloadSession.send`) —
-    the half a :data:`PhaseInterceptor` replaces.  The engine then awaits
-    one block through :meth:`Marketplace.seam`, also when nothing was
-    sent, and calls :meth:`after_block` with the receipts of what was.
-    A phase that ``drain``s is not over while a transaction the block gas
-    limit deferred is still pooled: the seam waits until each has a receipt.
+    ``step(session)`` is the phase; a failure it raises is re-raised as
+    ``failure_class`` unless it is a lifecycle error already.  An off-chain
+    step is a plain function.  An on-chain step is a generator: it sends
+    (:meth:`WorkloadSession.send`) and does ``receipts = yield from
+    session.block(drain=...)`` where it needs them — exactly one block per
+    entry, also when it sent nothing.  A step never mines.
     """
 
-    name: str = ""
-    failure_class: type[LifecycleError] = LifecycleError
-    on_chain: bool = False
-    drain: bool = False
-
-    def run(self, session: WorkloadSession) -> None:
-        raise NotImplementedError
-
-    def after_block(self, session: WorkloadSession,
-                    receipts: list["Receipt"]) -> None:
-        """What follows the block; every receipt passed here succeeded
-        unless an interceptor sent its transaction."""
+    name: str
+    failure_class: type[LifecycleError]
+    step: Callable[["WorkloadSession"], Any]
 
 
-class DeployPhase(LifecyclePhase):
+def deploy(session: WorkloadSession) -> Generator[str, None, None]:
     """Fig. 2 step 1: validate the run and deploy the escrowed contract."""
-
-    name = PHASE_DEPLOY
-    failure_class = DeployFailure
-    on_chain = True
-    drain = True  # the next phases need the contract's address
-
-    def run(self, session: WorkloadSession) -> None:
-        kind = session.kind
-        executors = session.ctx.executors
-        if not executors:
-            raise DeployFailure("no executors available")
-        if kind.required_confirmations > len(executors):
-            raise DeployFailure(
-                "spec requires more confirmations than executors exist")
-        session.fault_point("deploy.chain_tx")
-        wallet = session.consumer.wallet
-        tx_hash = wallet.deploy("workload", value=kind.reward_pool,
-                                **kind.contract_args())
-        session.awaited.append((tx_hash, wallet.address, "deploy"))
-
-    def after_block(self, session: WorkloadSession,
-                    receipts: list["Receipt"]) -> None:
-        session.ctx.workload_address = receipts[-1].contract_address
-        session.emit("contract.deployed",
-                     actor=session.consumer.address,
-                     workload_address=session.ctx.workload_address,
-                     reward_pool=session.kind.reward_pool)
+    kind = session.kind
+    executors = session.ctx.executors
+    if not executors:
+        raise DeployFailure("no executors available")
+    if kind.required_confirmations > len(executors):
+        raise DeployFailure(
+            "spec requires more confirmations than executors exist")
+    session.fault_point("deploy.chain_tx")
+    wallet = session.consumer.wallet
+    tx_hash = wallet.deploy("workload", value=kind.reward_pool,
+                            **kind.contract_args())
+    session.awaited.append((tx_hash, wallet.address, "deploy"))
+    # Drained: the next phases need the contract's address.
+    receipts = yield from session.block(drain=True)
+    session.ctx.workload_address = receipts[-1].contract_address
+    session.emit("contract.deployed",
+                 actor=session.consumer.address,
+                 workload_address=session.ctx.workload_address,
+                 reward_pool=kind.reward_pool)
 
 
-class MatchPhase(LifecyclePhase):
-    """Fig. 2 step 2: storage-subsystem matching + provider consent."""
+def match(session: WorkloadSession) -> None:
+    """Fig. 2 step 2: storage-subsystem matching + provider consent.
 
-    name = PHASE_MATCH
-    failure_class = MatchFailure
+    A provider joins when its storage subsystem holds a record the
+    requirement matches, its participation policy accepts this kind, and
+    recovery has not dropped it — for every kind of workload.
+    """
+    market = session.market
+    kind = session.kind
+    participants = [
+        provider for provider in market.providers
+        if market.catalog.match_for_owner(kind.requirement, provider.address)
+        and provider.wants_to_participate(kind, market.ontology)
+        and provider.address not in session.ctx.dropped_providers
+    ]
+    if len(participants) < kind.min_providers:
+        raise MatchFailure(
+            f"only {len(participants)} willing providers; "
+            f"spec requires {kind.min_providers}")
+    session.ctx.participants = participants
+    for provider in participants:
+        session.emit("match.provider_joined", actor=provider.address)
+    session.emit("match.completed", providers=len(participants))
 
-    def run(self, session: WorkloadSession) -> None:
-        participants = [
-            provider for provider in session.kind.match(session.market)
-            if provider.address not in session.ctx.dropped_providers
-        ]
-        if len(participants) < session.kind.min_providers:
-            raise MatchFailure(
-                f"only {len(participants)} willing providers; "
-                f"spec requires {session.kind.min_providers}")
-        session.ctx.participants = participants
-        for provider in participants:
-            session.emit("match.provider_joined", actor=provider.address)
-        session.emit("match.completed", providers=len(participants))
 
-
-class RegisterExecutorsPhase(LifecyclePhase):
+def register_executors(session: WorkloadSession
+                       ) -> Generator[str, None, None]:
     """Fig. 2 step 3: executors launch enclaves and register on-chain."""
-
-    name = PHASE_REGISTER
-    failure_class = RegistrationFailure
-    on_chain = True
-
-    def run(self, session: WorkloadSession) -> None:
-        kind = session.kind
-        ctx = session.ctx
-        for executor in list(ctx.executors):
-            if executor.address in ctx.registered:
-                continue  # recovery re-entry: already registered on-chain
-            session.fault_point("register.executor", executor=executor)
-            executor.launch_enclave_for(kind.workload_id, kind.code)
-            session.send(executor.wallet, "register_executor",
-                         claimed_measurement=kind.code.measurement.hex())
-            ctx.registered.add(executor.address)
-            session.emit("executor.registered", actor=executor.address)
+    kind = session.kind
+    ctx = session.ctx
+    for executor in list(ctx.executors):
+        if executor.address in ctx.registered:
+            continue  # recovery re-entry: already registered on-chain
+        session.fault_point("register.executor", executor=executor)
+        executor.launch_enclave_for(kind.workload_id, kind.code)
+        session.send(executor.wallet, "register_executor",
+                     claimed_measurement=kind.code.measurement.hex())
+        ctx.registered.add(executor.address)
+        session.emit("executor.registered", actor=executor.address)
+    yield from session.block(drain=False)
 
 
-class AttestAndSubmitPhase(LifecyclePhase):
+def attest_and_submit(session: WorkloadSession
+                      ) -> Generator[str, None, None]:
     """Fig. 2 step 4: providers attest executors, send data + certificates."""
-
-    name = PHASE_SUBMIT
-    failure_class = SubmissionFailure
-    on_chain = True
-
-    def run(self, session: WorkloadSession) -> None:
-        market = session.market
-        kind = session.kind
-        ctx = session.ctx
-        onchain_measurement = session.consumer.wallet.view(
-            ctx.workload_address, "code_measurement"
+    market = session.market
+    kind = session.kind
+    ctx = session.ctx
+    onchain_measurement = session.consumer.wallet.view(
+        ctx.workload_address, "code_measurement"
+    )
+    expected = bytes.fromhex(onchain_measurement)
+    for executor in ctx.executors:
+        ctx.assignments.setdefault(executor.address, [])
+    for provider in ctx.participants:
+        if provider.address in ctx.submitted:
+            continue  # recovery re-entry: data already with a live executor
+        # Round-robin over the (surviving) executors; on a fault-free
+        # run ``len(ctx.submitted)`` is the participant index.
+        executor = ctx.executors[len(ctx.submitted) % len(ctx.executors)]
+        session.fault_point("submit.executor", executor=executor)
+        session.fault_point("submit.provider", provider=provider,
+                            executor=executor)
+        quote = executor.quote_for_workload(kind.workload_id, kind.code)
+        enclave_key = market.attestation.verify(
+            quote, expected_measurement=expected
         )
-        expected = bytes.fromhex(onchain_measurement)
-        for executor in ctx.executors:
-            ctx.assignments.setdefault(executor.address, [])
-        for provider in ctx.participants:
-            if provider.address in ctx.submitted:
-                continue  # recovery re-entry: data already with a live executor
-            # Round-robin over the (surviving) executors; on a fault-free
-            # run ``len(ctx.submitted)`` is the participant index.
-            executor = ctx.executors[len(ctx.submitted) % len(ctx.executors)]
-            session.fault_point("submit.executor", executor=executor)
-            session.fault_point("submit.provider", provider=provider,
-                                executor=executor)
-            quote = executor.quote_for_workload(kind.workload_id, kind.code)
-            enclave_key = market.attestation.verify(
-                quote, expected_measurement=expected
+        envelope, certificate = provider.prepare_submission_for(
+            kind.workload_id, executor.address, enclave_key,
+            issued_at=market._tick(),
+            rng=derive_rng(market.seed,
+                           kind.submission_rng_label(provider)),
+        )
+        certificate.verify()
+        executor.accept_data_for(
+            kind.workload_id, kind.code, provider.address, envelope,
+            provider.wallet.key.public_key,
+        )
+        if provider.address not in ctx.certified:
+            # A provider re-matched onto a new executor after a crash
+            # already has a certificate on-chain; submitting a second
+            # one would double-count its samples in the contract.
+            session.send(
+                executor.wallet, "submit_participation",
+                provider=provider.address,
+                certificate_hash=certificate.certificate_hash.hex(),
+                data_root=certificate.data_root.hex(),
+                item_count=certificate.item_count,
             )
-            envelope, certificate = provider.prepare_submission_for(
-                kind.workload_id, executor.address, enclave_key,
-                issued_at=market._tick(),
-                rng=derive_rng(market.seed,
-                               kind.submission_rng_label(provider)),
-            )
-            certificate.verify()
-            executor.accept_data_for(
-                kind.workload_id, kind.code, provider.address, envelope,
-                provider.wallet.key.public_key,
-            )
-            if provider.address not in ctx.certified:
-                # A provider re-matched onto a new executor after a crash
-                # already has a certificate on-chain; submitting a second
-                # one would double-count its samples in the contract.
-                session.send(
-                    executor.wallet, "submit_participation",
-                    provider=provider.address,
-                    certificate_hash=certificate.certificate_hash.hex(),
-                    data_root=certificate.data_root.hex(),
-                    item_count=certificate.item_count,
-                )
-                ctx.certified.add(provider.address)
-            ctx.assignments[executor.address].append(provider)
-            ctx.submitted.add(provider.address)
-            session.emit("storage.data_submitted", actor=provider.address,
-                         executor=executor.address,
-                         item_count=certificate.item_count)
+            ctx.certified.add(provider.address)
+        ctx.assignments[executor.address].append(provider)
+        ctx.submitted.add(provider.address)
+        session.emit("storage.data_submitted", actor=provider.address,
+                     executor=executor.address,
+                     item_count=certificate.item_count)
+    yield from session.block(drain=False)
 
 
-class StartExecutionPhase(LifecyclePhase):
+def start_execution(session: WorkloadSession) -> Generator[str, None, None]:
     """Fig. 2 step 5: gate execution on the consumer's preconditions."""
-
-    name = PHASE_START
-    failure_class = StartFailure
-    on_chain = True
-    drain = True  # no enclave runs before the gate's receipt is read
-
-    def run(self, session: WorkloadSession) -> None:
-        session.fault_point("start.chain_tx")
-        session.send(session.consumer.wallet, "start_execution")
-        session.emit("execution.start_requested",
-                     actor=session.consumer.address)
+    session.fault_point("start.chain_tx")
+    session.send(session.consumer.wallet, "start_execution")
+    session.emit("execution.start_requested",
+                 actor=session.consumer.address)
+    # Drained: no enclave runs before the gate's receipt is read.
+    yield from session.block(drain=True)
 
 
-class ExecutePhase(LifecyclePhase):
+def execute(session: WorkloadSession) -> None:
     """Fig. 2 step 6a: every enclave that received data executes."""
-
-    name = PHASE_EXECUTE
-    failure_class = ExecutionFailure
-
-    def run(self, session: WorkloadSession) -> None:
-        kind = session.kind
-        ctx = session.ctx
-        ctx.active_executors = [
-            executor for executor in ctx.executors
-            if ctx.assignments.get(executor.address)
-        ]
-        run_kwargs = kind.run_kwargs(session.market)
-        for executor in list(ctx.active_executors):
-            if executor.address in ctx.executed:
-                continue  # recovery re-entry: this enclave already ran
-            session.fault_point("execute.executor", executor=executor)
-            output = executor.execute_for(kind.workload_id, kind.code,
-                                          **run_kwargs)
-            ctx.outputs.append(output)
-            ctx.executed.add(executor.address)
-            session.emit("enclave.executed", actor=executor.address,
-                         providers=len(ctx.assignments[executor.address]))
+    kind = session.kind
+    ctx = session.ctx
+    ctx.active_executors = [
+        executor for executor in ctx.executors
+        if ctx.assignments.get(executor.address)
+    ]
+    run_kwargs = kind.run_kwargs(session.market)
+    for executor in list(ctx.active_executors):
+        if executor.address in ctx.executed:
+            continue  # recovery re-entry: this enclave already ran
+        session.fault_point("execute.executor", executor=executor)
+        output = executor.execute_for(kind.workload_id, kind.code,
+                                      **run_kwargs)
+        ctx.outputs.append(output)
+        ctx.executed.add(executor.address)
+        session.emit("enclave.executed", actor=executor.address,
+                     providers=len(ctx.assignments[executor.address]))
 
 
-class AggregatePhase(LifecyclePhase):
+def aggregate(session: WorkloadSession) -> None:
     """Fig. 2 step 6b: all-reduce outputs and agree on payout weights."""
-
-    name = PHASE_AGGREGATE
-    failure_class = AggregationFailure
-
-    def run(self, session: WorkloadSession) -> None:
-        ctx = session.ctx
-        vector, weights_bps, extra = session.kind.combine(
-            session, ctx.outputs
-        )
-        ctx.result_vector = vector
-        ctx.weights_bps = weights_bps
-        ctx.extra = extra
-        ctx.result_hash = result_hash_of(vector, weights_bps)
-        session.emit("aggregate.completed", result_hash=ctx.result_hash,
-                     outputs=len(ctx.outputs), degraded=ctx.degraded)
+    ctx = session.ctx
+    vector, weights_bps, extra = session.kind.combine(session, ctx.outputs)
+    ctx.result_vector = vector
+    ctx.weights_bps = weights_bps
+    ctx.extra = extra
+    ctx.result_hash = result_hash_of(vector, weights_bps)
+    session.emit("aggregate.completed", result_hash=ctx.result_hash,
+                 outputs=len(ctx.outputs), degraded=ctx.degraded)
 
 
-class SettlePhase(LifecyclePhase):
+def settle(session: WorkloadSession) -> Generator[str, None, None]:
     """Fig. 2 step 6c/7: quorum votes, contract payout, reward accounting.
 
-    The adversary harness intercepts this phase to cast malicious votes;
-    :meth:`after_block` is the tail the engine runs after either.
+    The kind says who votes what (:meth:`WorkloadKind.votes`); a quorum
+    that did not form fails the session, which refunds the escrow.
     """
+    kind = session.kind
+    ctx = session.ctx
+    for executor, result_hash, weights_bps in kind.votes(ctx):
+        if executor.address in ctx.voted:
+            continue  # recovery re-entry: vote already on-chain
+        session.fault_point("settle.chain_tx", executor=executor)
+        session.send(executor.wallet, "submit_result",
+                     result_hash=result_hash,
+                     provider_weights_bps=weights_bps)
+        ctx.voted.add(executor.address)
+        session.emit("settle.vote_cast", actor=executor.address,
+                     result_hash=result_hash)
+    # A vote the kind does not require (one after quorum) may revert: the
+    # seam reports it as ``chain.tx_reverted`` instead of raising.
+    yield from session.market.seam(
+        session, session.awaited,
+        required=session.awaited if kind.votes_required else (),
+        drain=False)
+    ctx.final_state = session.read_state()
+    if ctx.final_state != STATE_COMPLETE:
+        session.emit("settle.incomplete", state=ctx.final_state)
+        raise SettlementFailure(
+            f"workload did not complete (state={ctx.final_state!r})")
+    # Sum the contract's RewardPaid events per recipient.
+    ctx.payouts = {}
+    for _, log in session.market.chain.events(
+            name="RewardPaid", address=ctx.workload_address):
+        recipient = log.data["recipient"]
+        ctx.payouts[recipient] = (ctx.payouts.get(recipient, 0)
+                                  + int(log.data["amount"]))
+    for provider in ctx.participants:
+        provider.rewards_received += ctx.payouts.get(provider.address, 0)
+    session.emit("settle.payouts_recorded",
+                 total_paid=sum(ctx.payouts.values()),
+                 recipients=len(ctx.payouts))
 
-    name = PHASE_SETTLE
-    failure_class = SettlementFailure
-    on_chain = True
 
-    def run(self, session: WorkloadSession) -> None:
-        ctx = session.ctx
-        voters = ctx.active_executors[:session.kind.required_confirmations]
-        for executor in voters:
-            if executor.address in ctx.voted:
-                continue  # recovery re-entry: vote already on-chain
-            session.fault_point("settle.chain_tx", executor=executor)
-            session.cast_vote(executor, ctx.result_hash, ctx.weights_bps)
-
-    def after_block(self, session: WorkloadSession,
-                    receipts: list["Receipt"]) -> None:
-        """Check completion and account the payouts; a quorum that did not
-        form fails the session, which refunds the escrow."""
-        ctx = session.ctx
-        ctx.final_state = session.read_state()
-        if ctx.final_state != STATE_COMPLETE:
-            session.emit("settle.incomplete", state=ctx.final_state)
-            raise SettlementFailure(
-                f"workload did not complete (state={ctx.final_state!r})")
-        ctx.payouts = session.collect_payouts()
-        for provider in ctx.participants:
-            provider.rewards_received += ctx.payouts.get(provider.address, 0)
-        session.emit("settle.payouts_recorded",
-                     total_paid=sum(ctx.payouts.values()),
-                     recipients=len(ctx.payouts))
-
-
-class AuditPhase(LifecyclePhase):
+def audit(session: WorkloadSession) -> None:
     """Fig. 2 step 8: re-derive the history and cross-check the event trail."""
-
-    name = PHASE_AUDIT
-    failure_class = AuditFailure
-
-    def run(self, session: WorkloadSession) -> None:
-        report = audit_workload(
-            session.market.chain, session.ctx.workload_address,
-            auditor=session.consumer.address,
-        )
-        # The off-chain trail must cover the on-chain history: every event
-        # the contract emitted appears in this session's event log.
-        report.violations.extend(trail_covers_chain(
-            session.market.chain, session.ctx.workload_address,
-            session.trail,
-        ))
-        session.ctx.audit = report
-        session.emit("audit.completed", clean=report.clean,
-                     violations=len(report.violations))
+    report = audit_workload(
+        session.market.chain, session.ctx.workload_address,
+        auditor=session.consumer.address,
+    )
+    # The off-chain trail must cover the on-chain history: every event
+    # the contract emitted appears in this session's event log.
+    report.violations.extend(trail_covers_chain(
+        session.market.chain, session.ctx.workload_address,
+        session.trail,
+    ))
+    session.ctx.audit = report
+    session.emit("audit.completed", clean=report.clean,
+                 violations=len(report.violations))
 
 
 #: The canonical phase order the engine drives.
 LIFECYCLE_PHASES: tuple[LifecyclePhase, ...] = (
-    DeployPhase(),
-    MatchPhase(),
-    RegisterExecutorsPhase(),
-    AttestAndSubmitPhase(),
-    StartExecutionPhase(),
-    ExecutePhase(),
-    AggregatePhase(),
-    SettlePhase(),
-    AuditPhase(),
+    LifecyclePhase(PHASE_DEPLOY, DeployFailure, deploy),
+    LifecyclePhase(PHASE_MATCH, MatchFailure, match),
+    LifecyclePhase(PHASE_REGISTER, RegistrationFailure, register_executors),
+    LifecyclePhase(PHASE_SUBMIT, SubmissionFailure, attest_and_submit),
+    LifecyclePhase(PHASE_START, StartFailure, start_execution),
+    LifecyclePhase(PHASE_EXECUTE, ExecutionFailure, execute),
+    LifecyclePhase(PHASE_AGGREGATE, AggregationFailure, aggregate),
+    LifecyclePhase(PHASE_SETTLE, SettlementFailure, settle),
+    LifecyclePhase(PHASE_AUDIT, AuditFailure, audit),
 )
-
-#: Phase name -> phase object, for tests and interceptor writers.
-PHASES_BY_NAME: dict[str, LifecyclePhase] = {
-    phase.name: phase for phase in LIFECYCLE_PHASES
-}
 
 #: Phase name -> position in the canonical order (recovery re-entry).
 PHASE_INDEX: dict[str, int] = {
     phase.name: index for index, phase in enumerate(LIFECYCLE_PHASES)
+}
+
+_ORDER = (STATE_CREATED, *PHASE_INDEX, TERMINAL_COMPLETE)
+
+#: The full transition table, read off the phase order: each state leads to
+#: the next one, to ``failed`` and along its recovery edges; terminal states
+#: have no outgoing transitions (tests assert this closure property).
+TRANSITIONS: dict[str, tuple[str, ...]] = {
+    **{state: (following, TERMINAL_FAILED,
+               *RECOVERY_TRANSITIONS.get(state, ()))
+       for state, following in zip(_ORDER, _ORDER[1:])},
+    TERMINAL_COMPLETE: (),
+    TERMINAL_FAILED: (),
 }

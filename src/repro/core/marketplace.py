@@ -436,18 +436,6 @@ class Marketplace:
 
     # -- the lifecycle -------------------------------------------------------------------
 
-    def matching_providers(self, spec: WorkloadSpec) -> list[ProviderActor]:
-        """Phase 2: storage-subsystem matching + provider consent."""
-        willing = []
-        for provider in self.providers:
-            records = self.catalog.match_for_owner(
-                spec.requirement, provider.address
-            )
-            if records and provider.wants_to_participate(spec,
-                                                         self.ontology):
-                willing.append(provider)
-        return willing
-
     def run_workload(self, consumer: ConsumerActor,
                      spec: WorkloadSpec) -> WorkloadSession:
         """Run the complete Fig. 2 sequence; returns the finished session."""

@@ -163,3 +163,49 @@ class TestCombine:
     def test_empty_rejected(self):
         with pytest.raises(WorkloadSpecError):
             combine_aggregate_outputs(AggregateKind.MEAN, [])
+
+
+class TestProviderConsent:
+    """A provider's participation policy binds every kind of workload."""
+
+    def test_refusing_provider_is_not_matched_into_an_aggregate(self):
+        rng = np.random.default_rng(31)
+        data = make_iot_activity(600, rng)
+        parts = split_dirichlet(data, 4, 1.0, rng, min_samples=10)
+        market = Marketplace(seed=9)
+        asked = []
+
+        def refuse(kind, matching_records):
+            asked.append((kind.workload_id, matching_records))
+            return False
+
+        providers = [
+            market.add_provider(f"u{index}", part,
+                                SemanticAnnotation("heart_rate", {}),
+                                **({"policy": refuse} if index == 0 else {}))
+            for index, part in enumerate(parts)
+        ]
+        consumer = market.add_consumer("c")
+        market.add_executor("e0")
+        market.add_executor("e1")
+        session = market.run_aggregate_workload(
+            consumer, "agg-consent", ConceptRequirement("physiological"),
+            AggregateSpec(AggregateKind.MEAN, field_index=3),
+            reward_pool=100_000, **ONE_OF_EACH,
+        )
+        refuser = providers[0]
+        ctx = session.ctx
+        assert session.outcome == "settled"
+        assert asked == [("agg-consent", 1)]
+        assert refuser.address not in [p.address for p in ctx.participants]
+        assert refuser.address not in [p.address for held in
+                                       ctx.assignments.values() for p in held]
+        assert refuser.address not in ctx.extra["sample_counts"]
+        assert ctx.payouts.get(refuser.address, 0) == 0
+        assert refuser.rewards_received == 0
+        # The statistic covers exactly the consenting providers' rows.
+        rest = np.concatenate([p.dataset.features[:, 3]
+                               for p in providers[1:]])
+        assert ctx.extra["combined"] == pytest.approx(float(rest.mean()),
+                                                      abs=1e-9)
+        assert ctx.audit.clean

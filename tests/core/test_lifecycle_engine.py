@@ -11,7 +11,6 @@ from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.gas import DEFAULT_TX_GAS_LIMIT
 from repro.core import (
     LIFECYCLE_PHASES,
-    PHASES_BY_NAME,
     TRANSITIONS,
     ExecutorBehavior,
     FaultKind,
@@ -34,7 +33,7 @@ from repro.core.lifecycle import (
     TERMINAL_COMPLETE,
     TERMINAL_FAILED,
     TERMINAL_STATES,
-    DeployPhase,
+    deploy,
 )
 from repro.errors import (
     DeployFailure,
@@ -123,10 +122,13 @@ class TestTransitionTable:
             state = phase.name
         assert TERMINAL_COMPLETE in TRANSITIONS[state]
 
-    def test_phases_by_name_is_complete(self):
-        assert set(PHASES_BY_NAME) == {p.name for p in LIFECYCLE_PHASES}
-        for phase in LIFECYCLE_PHASES:
-            assert PHASES_BY_NAME[phase.name] is phase
+    def test_exactly_the_sending_phases_are_generators(self):
+        # A phase that sends waits for its block inline, so its step is a
+        # generator function; an off-chain phase is a plain function.
+        sending = {"deploy", "register_executors", "attest_and_submit",
+                   "start_execution", "settle"}
+        assert {phase.name for phase in LIFECYCLE_PHASES
+                if inspect.isgeneratorfunction(phase.step)} == sending
 
 
 class TestSessionStateMachine:
@@ -155,7 +157,7 @@ class TestSessionStateMachine:
             market, consumer, MLTrainingKind(small_spec("wl-noexec")))
         session.ctx.executors = []
         with pytest.raises(DeployFailure, match="no executors available"):
-            DeployPhase().run(session)
+            next(deploy(session))
         assert session.record()["session_id"] == session.session_id
 
     def test_failure_classes_stay_catchable_as_before(self):
@@ -268,32 +270,16 @@ class TestEventTrail:
             session.gas_used, session.blocks_mined]
 
 
-class TestInterceptors:
-    def test_interceptor_replaces_phase(self, market_setup):
-        market, consumer = market_setup
-        seen = {}
+class TestSilentQuorum:
+    """Nobody votes; the engine still mines the settle block and checks
+    the contract's state."""
 
-        def spy(session, phase):
-            seen["phase"] = phase.name
-            phase.run(session)
-
-        session = WorkloadSession(
-            market, consumer, MLTrainingKind(small_spec("wl-spy")),
-            interceptors={"audit": spy},
-        ).run()
-        assert seen["phase"] == "audit"
-        assert session.ctx.audit.clean
+    SILENT = [ExecutorBehavior.SILENT, ExecutorBehavior.SILENT]
 
     def test_silent_settle_refunds_the_escrow(self, market_setup):
         market, consumer = market_setup
-
-        def no_votes(session, phase):
-            """Nobody votes; the engine still mines and checks the state."""
-
-        session = WorkloadSession(
-            market, consumer, MLTrainingKind(small_spec("wl-novotes")),
-            interceptors={"settle": no_votes},
-        ).run()
+        session = run_with_adversaries(
+            market, consumer, small_spec("wl-novotes"), self.SILENT)
         # The settle block holds no vote; the abort is mined in a sixth.
         assert session.blocks_mined == 6
         assert session.ctx.final_state == "executing"
@@ -310,14 +296,8 @@ class TestInterceptors:
 
     def test_missing_quorum_raises_settlement_failure(self, market_setup):
         market, consumer = market_setup
-
-        def no_votes(session, phase):
-            """Nobody votes; the engine still mines and checks the state."""
-
-        session = WorkloadSession(
-            market, consumer, MLTrainingKind(small_spec("wl-strict")),
-            interceptors={"settle": no_votes},
-        ).run()
+        session = run_with_adversaries(
+            market, consumer, small_spec("wl-strict"), self.SILENT)
         assert isinstance(session.failure, SettlementFailure)
         assert session.record()["final_state"] == "executing"
 

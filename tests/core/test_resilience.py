@@ -23,8 +23,6 @@ from repro.core import resilience
 from repro.core.actors import ProviderActor
 from repro.core.lifecycle import (
     LIFECYCLE_PHASES,
-    PHASE_EXECUTE,
-    PHASE_MATCH,
     PHASE_REGISTER,
     PHASE_SUBMIT,
     TERMINAL_FAILED,
@@ -101,11 +99,36 @@ class TestRecoveryTransitions:
             assert phase.name in TRANSITIONS[phase.name]
 
     def test_rematch_edges_exist(self):
-        # A crash before start_execution can send the session back to
-        # re-register survivors; mid-submit it may also re-enter matching.
+        # Drive decide() for every phase with every error shape it reads
+        # (transient, transient naming a provider, dead executor), before
+        # and after the retry budget runs out: the edges it returns are
+        # exactly the declared recovery edges — none missing, none unused.
+        market, consumer = build_market()
+        session = WorkloadSession(market, consumer,
+                                  MLTrainingKind(spec("wl-edges")))
+        ctx = session.ctx
+        ctx.participants = list(market.providers)
+        ctx.assignments = {executor.address: list(market.providers)
+                           for executor in ctx.executors}
+        errors = [
+            InjectedFaultError("transient", transient=True),
+            InjectedFaultError("churn", transient=True,
+                               provider=market.providers[0].address),
+            InjectedFaultError("crash",
+                               dead_executor=ctx.executors[0].address),
+        ]
+        taken: dict[str, set[str]] = {}
+        for phase in LIFECYCLE_PHASES:
+            for error in errors:
+                for attempt in (0, resilience.MAX_ATTEMPTS):
+                    ctx.retries = {phase.name: attempt}
+                    directive = resilience.decide(session, phase, error)
+                    if directive is not None:
+                        taken.setdefault(phase.name, set()).add(
+                            directive.target)
+        assert taken == {name: set(targets)
+                         for name, targets in RECOVERY_TRANSITIONS.items()}
         assert PHASE_REGISTER in TRANSITIONS[PHASE_SUBMIT]
-        assert PHASE_MATCH in TRANSITIONS[PHASE_SUBMIT]
-        assert PHASE_REGISTER in TRANSITIONS[PHASE_EXECUTE]
 
     def test_terminal_states_gain_no_edges(self):
         for terminal in TERMINAL_STATES:

@@ -122,14 +122,9 @@ ALLOWLIST: tuple[tuple[str, str, str], ...] = (
     ("repro.chain.contract.Contract.setup", "abstract",
      "the constructor hook a contract may override"),
     ("repro.core.events.EventSink.emit", "abstract", "sink protocol"),
-    ("repro.core.lifecycle.WorkloadKind.code", "abstract", "workload kind"),
-    ("repro.core.lifecycle.WorkloadKind.spec_hash", "abstract",
-     "workload kind"),
-    ("repro.core.lifecycle.WorkloadKind.match", "abstract", "workload kind"),
     ("repro.core.lifecycle.WorkloadKind.run_kwargs", "abstract",
      "workload kind"),
     ("repro.core.lifecycle.WorkloadKind.combine", "abstract", "workload kind"),
-    ("repro.core.lifecycle.LifecyclePhase.run", "abstract", "lifecycle phase"),
     ("repro.ml.models.Model.num_params", "abstract", "model interface"),
     ("repro.ml.models.Model.loss", "abstract", "model interface"),
     ("repro.ml.models.Model.gradient", "abstract", "model interface"),
