@@ -334,21 +334,17 @@ def _cmd_aggregate(args: argparse.Namespace, out: OutputWriter) -> int:
         AggregateSpec,
         aggregate_enclave_entry_point,
     )
+    from repro.core.workload import join_rows, serialize_partition
     from repro.ml.datasets import make_iot_activity
     from repro.tee.enclave import EnclaveCode, TEEPlatform
-    from repro.utils.serialization import canonical_json_bytes
 
     rng = np.random.default_rng(args.seed)
     data = make_iot_activity(1000, rng)
     half = len(data) // 2
     inputs = {}
-    for index, rows in enumerate((range(0, half), range(half, len(data)))):
-        payload = canonical_json_bytes([
-            {"x": [float(v) for v in data.features[i]],
-             "y": float(data.targets[i])}
-            for i in rows
-        ])
-        inputs[f"provider:0x{index:040x}"] = payload
+    for index, rows in enumerate((slice(0, half), slice(half, len(data)))):
+        inputs[f"provider:0x{index:040x}"] = join_rows(serialize_partition(
+            data.features[rows], data.targets[rows]))
 
     spec = AggregateSpec(
         kind=AggregateKind(args.kind),

@@ -83,7 +83,7 @@ class ProviderActor:
         return self._encoded
 
     def partition_rows(self) -> list[bytes]:
-        """The canonical serialized rows (Merkle leaves), encoded once.
+        """The packed float64 rows (Merkle leaves), encoded once.
 
         Storage, every session's certificate and envelope, and every fault
         re-match commit to these same bytes.
@@ -96,7 +96,8 @@ class ProviderActor:
         return self._encode()[2]
 
     def partition_payload(self) -> bytes:
-        """The canonical serialized partition (rows as one JSON document)."""
+        """The partition document: row width, then the rows
+        (:func:`~repro.core.workload.join_rows`)."""
         return join_rows(self.partition_rows())
 
     def store_dataset(self) -> str:

@@ -20,8 +20,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.core.workload import decode_partition
 from repro.errors import WorkloadSpecError
-from repro.utils.serialization import from_canonical_json
 
 
 class AggregateKind(enum.Enum):
@@ -121,8 +121,7 @@ def aggregate_enclave_entry_point(inputs: dict[str, Any], agg_spec: dict,
     for label, blob in inputs.items():
         if not label.startswith("provider:"):
             continue
-        rows = from_canonical_json(blob)
-        features = np.asarray([row["x"] for row in rows], dtype=float)
+        features, _ = decode_partition(blob)
         if spec.field_index >= features.shape[1]:
             raise WorkloadSpecError(
                 f"field index {spec.field_index} out of range for "

@@ -381,19 +381,20 @@ class Marketplace:
             annotation=annotation, store=store, policy=policy,
             record_id=f"record-{name}",
         )
+        # Encoding validates the rows, so a bad dataset sends nothing.
+        payload = provider.partition_payload()
         sent: list[tuple[bytes, str, str]] = []
         self.send(sent, wallet, self.actor_registry, "register",
                   role="provider")
         object_id = provider.store_dataset()
-        payload_hash = content_address(provider.partition_payload())
+        payload_hash = content_address(payload)
         from repro.crypto.hashing import hash_object
 
         annotation_hash = hash_object(annotation.to_dict()).hex()
         self.send(
             sent, wallet, self.data_registry, "register_dataset",
             record_id=provider.record_id, content_hash=payload_hash,
-            annotation_hash=annotation_hash,
-            size_bytes=len(provider.partition_payload()),
+            annotation_hash=annotation_hash, size_bytes=len(payload),
         )
         # Nothing is recorded off-chain until the chain accepted both.
         self._onboard(sent)
@@ -403,7 +404,7 @@ class Marketplace:
             backend_name=type(store).__name__,
             object_id=object_id,
             content_hash=payload_hash,
-            size_bytes=len(provider.partition_payload()),
+            size_bytes=len(payload),
             created_at=self.clock,
             annotation=annotation,
         ))

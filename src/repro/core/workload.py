@@ -7,12 +7,13 @@ conditions, and the privacy/reward policies.  Its canonical hash is recorded
 on-chain; the actual definition travels off-chain to executors.
 
 ``enclave_entry_point`` is the code that runs inside executor TEEs: it
-deserializes provider rows, trains the specified model, and returns the
+decodes provider rows, trains the specified model, and returns the
 parameters — all within enclave-private memory.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -27,7 +28,6 @@ from repro.ml.models import (
     SoftmaxRegressionModel,
 )
 from repro.storage.semantic import Requirement
-from repro.utils.serialization import canonical_json_bytes
 
 
 @dataclass(frozen=True)
@@ -152,42 +152,59 @@ class WorkloadSpec:
 # Row serialization: how provider datasets travel to enclaves
 # ---------------------------------------------------------------------------
 
+#: A partition document's header: the row width ``w``, a little-endian uint32.
+_HEADER = struct.Struct("<I")
+
 
 def serialize_partition(features: np.ndarray,
                         targets: np.ndarray) -> list[bytes]:
     """Serialize a provider's partition row by row (Merkle leaves).
 
-    Each row is the canonical JSON of ``{"x": [floats], "y": float}``; the
-    whole partition as one canonical document is :func:`join_rows` of the
-    result.
+    A row is its features followed by its target, all little-endian float64
+    (``8·w`` bytes for ``w - 1`` features); the whole partition as one
+    document is :func:`join_rows` of the result.  A non-finite value raises
+    ``ValueError``.
     """
     count = len(features)
     if count == 0:
         return []
-    xs = np.asarray(features, dtype=float).reshape(count, -1).tolist()
-    ys = np.asarray(targets, dtype=float).reshape(-1).tolist()
-    return [canonical_json_bytes({"x": x, "y": y})
-            for x, y in zip(xs, ys, strict=True)]
+    xs = np.asarray(features, dtype=float).reshape(count, -1)
+    ys = np.asarray(targets, dtype=float).reshape(-1)
+    table = np.column_stack((xs, ys)).astype("<f8", copy=False)
+    if not np.isfinite(table).all():
+        raise ValueError("partition values must be finite")
+    blob, size = table.tobytes(), table.shape[1] * 8
+    return [blob[start:start + size] for start in range(0, len(blob), size)]
 
 
 def join_rows(rows: list[bytes]) -> bytes:
-    """The canonical JSON list whose items are the encoded ``rows``.
+    """The partition document: the row width, then the ``rows`` in order."""
+    width = len(rows[0]) // 8 if rows else 0
+    return _HEADER.pack(width) + b"".join(rows)
 
-    Canonical JSON puts nothing but a comma between list items, so joining
-    the items' encodings is the encoding of the list.
+
+def decode_partition(blob: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The features ``(n, w - 1)`` and targets ``(n,)`` of a partition
+    document (:func:`join_rows`), as read-only float64 views of ``blob``.
+
+    Raises :class:`WorkloadSpecError` unless ``blob`` is a header and one or
+    more whole rows of two or more finite values.
     """
-    return b"[" + b",".join(rows) + b"]"
+    width = _HEADER.unpack_from(blob)[0] if len(blob) >= _HEADER.size else 0
+    body = len(blob) - _HEADER.size
+    if width < 2 or body <= 0 or body % (8 * width):
+        raise WorkloadSpecError(f"not a partition document: {len(blob)} "
+                                f"bytes, row width {width}")
+    table = np.frombuffer(blob, dtype="<f8",
+                          offset=_HEADER.size).reshape(-1, width)
+    if not np.isfinite(table).all():
+        raise WorkloadSpecError("partition holds a non-finite value")
+    return table[:, :-1], table[:, -1]
 
 
 # ---------------------------------------------------------------------------
 # The enclave entry point (its code object is the workload code measurement)
 # ---------------------------------------------------------------------------
-
-# The measurement covers the entry point's bytecode, constants and names,
-# its docstring included, so changing any of them re-pins every state root
-# and E25 digest: that waits for a declared golden-value change.  Until
-# then its ``"shapley"`` branch stays as compiled and is unreachable —
-# ``WorkloadSpec.to_dict`` always emits ``"by_samples"``.
 
 
 def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
@@ -195,31 +212,20 @@ def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
     """Train the specified model on all provisioned partitions.
 
     Runs *inside* a TEE: ``inputs`` maps ``provider:<address>`` labels to
-    serialized row blobs; the function deserializes, concatenates, trains
-    per the spec, and returns the parameters plus per-provider sample
-    counts.  Nothing here can reach the host except the return value.
+    partition documents; the function decodes, concatenates, trains per the
+    spec, and returns the parameters plus per-provider sample counts.
+    Nothing here can reach the host except the return value.
 
-    Two spec-controlled variants run entirely inside the enclave:
-
-    * when ``dp_epsilon`` is set, training uses DP-SGD calibrated (via the
-      RDP accountant) to that epsilon — the Section IV-D mitigation;
-    * when ``reward_scheme`` is ``"shapley"``, the enclave also computes
-      truncated-Monte-Carlo Shapley fractions over the provider partitions,
-      so reward weighting never exposes per-provider data.
+    With ``dp_epsilon`` set, training is DP-SGD calibrated (via the RDP
+    accountant) to that epsilon: the Section IV-D mitigation.
     """
     import numpy as _np
 
-    from repro.utils.rng import derive_rng, rng_from_seed  # noqa: F401
-    from repro.utils.serialization import from_canonical_json
+    from repro.utils.rng import rng_from_seed
 
-    partitions: dict[str, tuple] = {}
-    for label, blob in inputs.items():
-        if not label.startswith("provider:"):
-            continue
-        rows = from_canonical_json(blob)
-        features = _np.asarray([row["x"] for row in rows], dtype=float)
-        targets = _np.asarray([row["y"] for row in rows])
-        partitions[label.split(":", 1)[1]] = (features, targets)
+    partitions = {label.split(":", 1)[1]: decode_partition(blob)
+                  for label, blob in inputs.items()
+                  if label.startswith("provider:")}
     if not partitions:
         raise WorkloadSpecError("no provider data provisioned")
 
@@ -265,7 +271,7 @@ def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
             rng=rng_from_seed(training_seed),
         )
 
-    output = {
+    return {
         "params": [float(v) for v in model.params],
         "sample_counts": {
             provider: int(len(partitions[provider][0]))
@@ -274,9 +280,3 @@ def enclave_entry_point(inputs: dict[str, Any], spec_dict: dict,
         "trained_samples": int(len(all_features)),
         "achieved_epsilon": achieved_epsilon,
     }
-
-    if spec_dict.get("reward_scheme") == "shapley" and len(partitions) > 1:
-        output["shapley_fractions"] = _enclave_shapley_fractions(  # noqa: F821
-            partitions, model_spec, training, training_seed, classification
-        )
-    return output

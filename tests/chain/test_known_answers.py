@@ -23,11 +23,20 @@ cause per commit:
   hashes and the ``code_measurement`` log field) moved for the first time;
   ``erc20_block_with_revert`` has no enclave and kept its ``aaf7470`` values.
 
+A third re-pin came with packed float64 provider rows (``core/workload.py``:
+``serialize_partition``/``join_rows``).  A provider's encoded rows are what
+its dataset content hash, ``size_bytes``, certificate data root and
+certificate hash commit to, and both entry points' code changed with the
+decoder, so in the two marketplace scenarios ``state_root``, ``head``,
+``roots`` and ``receipts`` moved once more; ``height`` and ``gas`` did not.
+
 ``structure`` is what the receipts say with every identity taken out: status,
-gas, error, logs with the enclave measurement masked, return value, created
-address and block, and no transaction hash.  It was computed at ``d865906``
-and is equal at both commits above: neither changed what any transaction
-did.
+gas, error, logs with the byte commitments (``COMMITMENTS``) masked, return
+value, created address and block, and no transaction hash.  Computed with
+the enclave measurement alone masked at ``d865906``, it was equal at both
+commits above: neither changed what any transaction did.  With the
+commitments masked as well it is equal on both sides of the row-format
+change.
 """
 
 from __future__ import annotations
@@ -54,6 +63,12 @@ from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 REQUIREMENT = ConceptRequirement("physiological")
 
 
+#: Log fields that commit to bytes rather than say what a transaction did:
+#: the enclave measurement, and the hashes of a provider's encoded rows.
+COMMITMENTS = ("code_measurement", "content_hash", "certificate_hash",
+               "data_root")
+
+
 def fingerprint(chain: Blockchain) -> dict:
     """Digests of everything a changed state transition would move."""
     receipts, structure = [], []
@@ -71,7 +86,7 @@ def fingerprint(chain: Blockchain) -> dict:
             receipts.append({"tx": receipt.tx_hash, **blind})
             structure.append({**blind, "logs": [
                 [log.address, log.name,
-                 {key: "<measurement>" if key == "code_measurement" else value
+                 {key: f"<{key}>" if key in COMMITMENTS else value
                   for key, value in log.data.items()}]
                 for log in receipt.logs]})
     return {
@@ -156,29 +171,29 @@ KNOWN = {
         "height": 14,
         "gas": 1064405,
         "state_root":
-            "82783c8983916c318eeb02895c543a8df041517f4999cde1cda3f46f73579bb4",
+            "618f58eeaae7ec1ff423edc152a029dad577fd669bdbdb6258bc356b4a3cf955",
         "head":
-            "ef7df81dec4611257fca6e4081b05cb76d0c65094001b431a0f407772f0243dc",
+            "fe9da2d668ef0a15b37a224ebb012ce199c9b2f53a859df47b4cc0545651bdd6",
         "roots":
-            "14a0b845f183c0339b0e82bee0818122e3f5452cb6f1bf186222b11301b8a046",
+            "779e5ad5c53489140de6bb6cdd23f9ee6dd3d7a8b3f1f0f8d4ad64e6c7f57508",
         "receipts":
-            "21f9dccfadf38f96dffc58b89542ee0005f404bbf8ef591c00c0b400a0246c53",
+            "831967184a2256a9d1043a3bb755a1b4526f7aec56ce35054565e2355ccc6453",
         "structure":
-            "8678fb8671c51b4d54b4aa15fb06e8ac7b506a67c315018213b953cbdf9032f3",
+            "3b00bff1c029d9333045f1fed021ad349fe9612a03ccef514c37942889f8fe92",
     },
     "aggregate_sessions": {
         "height": 20,
         "gas": 1740719,
         "state_root":
-            "88439f2defeeab57c7d60f7ccbf06866883d4644236715e2affadddbed9f39c0",
+            "cc3b433022367ae4c3548dfd705cbb184473d957663d6a2325dc0c852650946c",
         "head":
-            "ba7c2ac7a27eae4804807814e0464dd8377fb36f25a095c1d9d7331b9a5cfe80",
+            "174ba4f6be3e56bfe5093926adc247ce16b67460d2aa713ee6269b77d474b547",
         "roots":
-            "30f78c7fae1e9e59903f9f603149d785c0a5a91249b7db4d3ca0cf625feade89",
+            "bfd390a92b877bedb38af9835bb0bf9b0f9ea3689f4b8fb2bdf211e1bddab2e1",
         "receipts":
-            "fd4cafe0d919cf7697b26e0313c2557793529440706e9491fb71d7a33ebb087a",
+            "4dfbd0624d6738d1dce6f4d6fe2df0cf3194dabad5a095a14dcafcd5caddc030",
         "structure":
-            "edfaf4a8873428cd7aa1b1b7b5ebe8532e9e065b10d79b07b0351d8e4080de1b",
+            "951a5c06bf093c0d57e700827123465c41103a558f0196134213b0a98c412694",
     },
     "erc20_block_with_revert": {
         "height": 2,

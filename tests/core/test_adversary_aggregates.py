@@ -17,6 +17,7 @@ from repro.core.aggregates import (
     AggregateSpec,
     aggregate_enclave_entry_point,
 )
+from repro.core.workload import join_rows, serialize_partition
 from repro.errors import (
     MarketplaceError,
     SettlementFailure,
@@ -28,7 +29,6 @@ from repro.ml.datasets import (
     train_test_split,
 )
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
-from repro.utils.serialization import canonical_json_bytes
 from tests.core.trail_sink import TrailSink
 
 
@@ -183,12 +183,8 @@ class TestAdversarialExecutors:
 def make_inputs(parts) -> dict:
     inputs = {}
     for index, part in enumerate(parts):
-        payload = canonical_json_bytes([
-            {"x": [float(v) for v in part.features[i]],
-             "y": float(part.targets[i])}
-            for i in range(len(part))
-        ])
-        inputs[f"provider:0x{index:040x}"] = payload
+        inputs[f"provider:0x{index:040x}"] = join_rows(
+            serialize_partition(part.features, part.targets))
     return inputs
 
 

@@ -19,7 +19,12 @@ from repro.crypto import merkle as merkle_module
 from repro.crypto.merkle import MerkleTree
 from repro.errors import MarketplaceError, MatchingError
 from repro.governance.certificates import issue_certificate
-from repro.ml.datasets import make_iot_activity, split_dirichlet, train_test_split
+from repro.ml.datasets import (
+    Dataset,
+    make_iot_activity,
+    split_dirichlet,
+    train_test_split,
+)
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee import enclave as enclave_module
 from tests.core.test_workload_spec import _reference_payload
@@ -284,6 +289,24 @@ class TestOnboardingReadsReceipts:
         assert market.providers == []
         assert market.catalog._records == {}
         assert market.attestation._platforms == platforms
+
+    def test_unencodable_dataset_sends_nothing(self, rng):
+        """A dataset that cannot be encoded is refused before its provider
+        sends ``register``, so the next onboarding block mines no orphan
+        provider registration."""
+        market = Marketplace(seed=23)
+        data = make_iot_activity(40, rng)
+        features = data.features.copy()
+        features[3, 2] = np.nan
+        with pytest.raises(ValueError):
+            market.add_provider("x", Dataset(features, data.targets),
+                                SemanticAnnotation("heart_rate", {}))
+        market.add_consumer("c")
+        roles = [log.data["role"] for _, log in
+                 market.chain.events(market.actor_registry, "ActorRegistered")]
+        assert roles == ["consumer"]
+        assert market.providers == []
+        assert len(market.chain.mempool) == 0
 
 
 class TestActiveExecutors:

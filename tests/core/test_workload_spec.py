@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from repro.core.workload import (
 from repro.errors import WorkloadSpecError
 from repro.ml.datasets import Dataset, make_iot_activity
 from repro.storage.semantic import ConceptRequirement
-from repro.utils.serialization import canonical_json_bytes, from_canonical_json
 
 
 def make_spec(**overrides) -> WorkloadSpec:
@@ -76,9 +77,9 @@ class TestRowSerialization:
     def test_row_round_trip(self, rng):
         data = make_iot_activity(5, rng)
         rows = serialize_partition(data.features, data.targets)
-        records = [from_canonical_json(row) for row in rows]
-        assert np.allclose([r["x"] for r in records], data.features)
-        assert np.allclose([r["y"] for r in records], data.targets)
+        records = [np.frombuffer(row, dtype="<f8") for row in rows]
+        assert np.allclose([r[:-1] for r in records], data.features)
+        assert np.allclose([r[-1] for r in records], data.targets)
 
     def test_row_bytes_deterministic(self):
         a = serialize_partition(np.array([[1.0, 2.0]]), np.array([1]))
@@ -87,23 +88,22 @@ class TestRowSerialization:
 
 
 def _reference_rows(features, targets) -> list[bytes]:
-    """Row by row through ``canonical_json`` (what the bulk encoder replaced)."""
-    return [
-        canonical_json_bytes({
-            "x": [float(v) for v in np.asarray(features[index]).ravel()],
-            "y": float(targets[index]),
-        })
-        for index in range(len(features))
-    ]
+    """Row by row through ``struct`` (what the bulk encoder must equal)."""
+    rows = []
+    for index in range(len(features)):
+        values = [float(v) for v in np.asarray(features[index]).ravel()]
+        values.append(float(targets[index]))
+        rows.append(struct.pack(f"<{len(values)}d", *values))
+    return rows
 
 
 def _reference_payload(dataset: Dataset) -> bytes:
     """The partition document, encoded from the values a second time."""
-    return canonical_json_bytes([
-        {"x": [float(v) for v in dataset.features[i]],
-         "y": float(dataset.targets[i])}
-        for i in range(len(dataset))
-    ])
+    width = dataset.features.shape[1] + 1
+    return struct.pack("<I", width) + b"".join(
+        struct.pack(f"<{width}d", *dataset.features[i],
+                    dataset.targets[i])
+        for i in range(len(dataset)))
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -114,11 +114,11 @@ _TARGETS = st.one_of(
 
 
 class TestSameRowBytes:
-    """One bulk encoding; the bytes are those of ``canonical_json``."""
+    """One bulk encoding; the bytes are those of ``struct``, row by row."""
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float64, (7, 3), elements=_FINITE), _TARGETS)
-    def test_rows_and_payload_match_canonical_json(self, features, targets):
+    def test_rows_and_payload_match_struct(self, features, targets):
         rows = serialize_partition(features, targets)
         assert rows == _reference_rows(features, targets)
         assert join_rows(rows) == _reference_payload(
@@ -131,19 +131,19 @@ class TestSameRowBytes:
             targets = np.arange(len(features))
             rows = serialize_partition(features, targets)
             assert rows == _reference_rows(features, targets)
-        assert b"-0.0" in serialize_partition(np.array([[-0.0]]),
-                                              np.array([1]))[0]
+        assert serialize_partition(np.array([[-0.0]]), np.array([1]))[0] == (
+            b"\x00" * 7 + b"\x80" + struct.pack("<d", 1.0))
 
     def test_one_dimensional_features(self):
         features, targets = np.array([0.5, -1.25, 3.0]), np.array([0, 1, 0])
         rows = serialize_partition(features, targets)
         assert rows == _reference_rows(features, targets)
         assert rows[0] == serialize_partition(features[:1], targets[:1])[0]
-        assert rows[1] == b'{"x":[-1.25],"y":1.0}'
+        assert rows[1] == struct.pack("<2d", -1.25, 1.0)
 
     def test_empty_partition(self):
         assert serialize_partition(np.empty((0, 3)), np.empty(0)) == []
-        assert join_rows([]) == canonical_json_bytes([])
+        assert join_rows([]) == struct.pack("<I", 0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
                                      float("-inf")])

@@ -16,21 +16,20 @@ from repro.core.aggregates import (
     AggregateSpec,
     aggregate_enclave_entry_point,
 )
-from repro.core.workload import enclave_entry_point
+from repro.core.workload import (
+    enclave_entry_point,
+    join_rows,
+    serialize_partition,
+)
 from repro.crypto.ecdsa import PrivateKey
 from repro.errors import AttestationError
 from repro.ml.datasets import make_iot_activity
 from repro.tee.attestation import AttestationService
 from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform
-from repro.utils.serialization import canonical_json_bytes
 
 
-def payload_for(data, rows) -> bytes:
-    return canonical_json_bytes([
-        {"x": [float(v) for v in data.features[i]],
-         "y": float(data.targets[i])}
-        for i in rows
-    ])
+def payload_for(data) -> bytes:
+    return join_rows(serialize_partition(data.features, data.targets))
 
 
 @pytest.fixture
@@ -54,7 +53,7 @@ class TestAggregateThroughEnclave:
         )
         provider_key = PrivateKey.generate(rng)
         envelope = Enclave.encrypt_for_enclave(
-            enclave_key, provider_key, payload_for(data, range(200)), rng
+            enclave_key, provider_key, payload_for(data), rng
         )
         enclave.provision_input("provider:0x" + "ab" * 20, envelope,
                                 provider_key.public_key)
@@ -83,7 +82,7 @@ class TestAggregateThroughEnclave:
         platform, service, code, data = setup
         enclave = platform.launch(code)
         enclave.provision_plain("provider:0x" + "ab" * 20,
-                                payload_for(data, range(200)))
+                                payload_for(data))
         spec = AggregateSpec(AggregateKind.MEAN, field_index=0,
                              dp_epsilon=2.0, sensitivity=0.05)
         enclave.run(agg_spec=spec.to_dict(), noise_seed=9)

@@ -118,6 +118,10 @@ ALLOWLIST: tuple[tuple[str, str, str], ...] = (
     ("repro.chain.state.WorldState.restore", "probe", "chain.state_snapshot"),
     ("repro.crypto.merkle.MerkleTree.verify_proof", "probe", "crypto.merkle"),
     ("repro.crypto.merkle.merkle_root", "probe", "crypto.merkle"),
+    ("repro.utils.serialization.from_canonical_json", "probe",
+     "serialization.decode; enclave rows stopped being JSON"),
+    ("repro.utils.serialization._unwrap", "probe",
+     "from_canonical_json's object hook"),
     # -- abstract declarations -------------------------------------------
     ("repro.chain.contract.Contract.setup", "abstract",
      "the constructor hook a contract may override"),
