@@ -5,7 +5,7 @@ identically under SIGKILLed workers; this experiment asks whether it can
 *explain itself* under the same abuse.  A chaos sweep runs with periodic
 worker kills (the quick suite reuses the run directory E21 just settled —
 same specs, seeds and kill schedule), then the trace assembler merges the
-per-shard span sidecars, the jobs journal, and heartbeat evidence —
+per-shard span sidecars and the jobs journal —
 entirely from disk, as a post-mortem would — into one causally-linked
 tree.
 
@@ -86,7 +86,7 @@ def run_bench(quick: bool = False) -> dict:
         "",
         f"trace {assembled.trace_id}: one busy worker SIGKILLed every",
         f"{kill_every} results; dead attempts hang under synthetic",
-        "lost-worker spans closed from heartbeat/journal evidence.",
+        "lost-worker spans closed from journal evidence.",
         f"chrome export: {len(chrome['traceEvents'])} events, "
         f"{len(chrome_errors)} schema violations",
     ]

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Any
@@ -827,8 +828,7 @@ def _batch_submit(args: argparse.Namespace, out: OutputWriter) -> int:
         return 2
     specs = []
     for index in range(args.jobs):
-        faulted = (args.fault_rate > 0
-                   and index % max(1, args.fault_every) == 0)
+        faulted = args.fault_rate > 0 and index % args.fault_every == 0
         specs.append(JobSpec(
             job_id=f"job-{index:05d}",
             seed=args.seed + index,
@@ -850,8 +850,8 @@ def _batch_kill(args: argparse.Namespace, out: OutputWriter) -> int:
     db = JobsDB.open(args.root)
     db.request_kill("cli")
     db.close()
-    out.line(f"kill requested for {args.root} (the running coordinator "
-             f"aborts at its next poll; resume clears it)")
+    out.line(f"kill journaled for {args.root} (the running coordinator "
+             f"aborts at its next poll; a later run supersedes it)")
     return 0
 
 
@@ -959,6 +959,35 @@ def _at_least(minimum: int):
     return count
 
 
+def _above(bound: float):
+    """argparse ``type=`` of a real-valued flag (a duration, an interval, a
+    rate): a finite float above ``bound``, refused at parse time like a
+    count below its minimum."""
+    def number(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value > bound):
+            raise argparse.ArgumentTypeError(
+                f"must be a finite number above {bound:g}, got {text}")
+        return value
+
+    return number
+
+
+def _fraction(*, zero: bool):
+    """argparse ``type=`` of a probability flag: a float in [0, 1], or in
+    (0, 1] when ``zero`` is not a meaningful value."""
+    interval = "[0, 1]" if zero else "(0, 1]"
+
+    def fraction(text: str) -> float:
+        value = float(text)
+        if not (0.0 <= value <= 1.0) or (value == 0.0 and not zero):
+            raise argparse.ArgumentTypeError(
+                f"must be in {interval}, got {text}")
+        return value
+
+    return fraction
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1035,13 +1064,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "seconds)")
     gossip.add_argument("--per-node", type=_at_least(1), default=24,
                         help="training samples per node")
-    gossip.add_argument("--duration", type=float, default=300.0,
+    gossip.add_argument("--duration", type=_above(0), default=300.0,
                         help="simulated seconds")
-    gossip.add_argument("--eval-interval", type=float, default=100.0,
+    gossip.add_argument("--eval-interval", type=_above(0), default=100.0,
                         help="accuracy checkpoint spacing in simulated "
                              "seconds")
     gossip.add_argument("--batch-size", type=_at_least(1), default=8)
-    gossip.add_argument("--availability", type=float, default=1.0,
+    gossip.add_argument("--availability", type=_fraction(zero=False),
+                        default=1.0,
                         help="node availability in (0, 1]; below 1 enables "
                              "the churn model")
     gossip.add_argument("--seed", type=int, default=0)
@@ -1088,7 +1118,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(blocks, mempool, audit verdict)"
     )
     top.add_argument("run", help="run directory (running or finished)")
-    top.add_argument("--watch", type=float, default=None, metavar="SECONDS",
+    top.add_argument("--watch", type=_above(0), default=None,
+                     metavar="SECONDS",
                      help="refresh every SECONDS until every pane shown is "
                           "final (default: print once)")
     add_json_flag(top)
@@ -1121,9 +1152,9 @@ def build_parser() -> argparse.ArgumentParser:
                          default="calls",
                          help="sampling trigger (calls = deterministic, "
                               "the default)")
-    profile.add_argument("--interval", type=int, default=64,
+    profile.add_argument("--interval", type=_at_least(1), default=64,
                          help="calls mode: sample every Nth profile event")
-    profile.add_argument("--hz", type=float, default=97.0,
+    profile.add_argument("--hz", type=_above(0), default=97.0,
                          help="wall/sim mode: sampling rate")
     profile.add_argument("--format", choices=["collapsed", "tree"],
                          default="tree",
@@ -1144,7 +1175,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_execute_flags(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--workers", type=_at_least(1), default=4,
                          help="worker processes to shard across")
-        sub.add_argument("--max-attempts", type=int, default=3,
+        sub.add_argument("--max-attempts", type=_at_least(1), default=3,
                          help="attempts per job before it counts as lost")
         sub.add_argument("--kill-worker-after", type=int, action="append",
                          metavar="N",
@@ -1159,9 +1190,10 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--jobs", type=_at_least(1), default=100)
     submit.add_argument("--seed", type=int, default=0,
                         help="job i runs with seed SEED+i")
-    submit.add_argument("--fault-rate", type=float, default=0.0,
+    submit.add_argument("--fault-rate", type=_fraction(zero=True),
+                        default=0.0,
                         help="per-actor fault probability for faulted jobs")
-    submit.add_argument("--fault-every", type=int, default=1,
+    submit.add_argument("--fault-every", type=_at_least(1), default=1,
                         help="arm faults on every N-th job only")
     submit.add_argument("--no-execute", action="store_true",
                         help="only write the specs; run later with "
@@ -1179,7 +1211,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.set_defaults(handler=_batch_run)
 
     kill = batch_sub.add_parser(
-        "kill", help="write the KILL sentinel: abort the running batch"
+        "kill", help="journal a kill record: abort the running batch"
     )
     kill.add_argument("root", help="existing batch directory")
     add_json_flag(kill)
@@ -1206,7 +1238,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "recorded run directory"
     )
     chain_run.add_argument("root", help="run directory to create")
-    chain_run.add_argument("--blocks", type=int, default=12,
+    chain_run.add_argument("--blocks", type=_at_least(1), default=12,
                            help="workload blocks to mine (plus setup)")
     chain_run.add_argument("--wallets", type=_at_least(1), default=8)
     chain_run.add_argument("--seed", type=int, default=0)

@@ -10,7 +10,7 @@ The state machine (journaled into the batch's :class:`JobsDB`)::
                                  +--> FAILED          any unexpected error,
                                  |                    divergence, or attempt
                                  |                    exhaustion
-                                 +--> FAILED          operator KILL sentinel
+                                 +--> FAILED          an operator kill record
 
 Crash-safety posture: the *only* shared IPC is each worker's private task
 queue, with the coordinator as sole producer and that worker as sole
@@ -18,12 +18,14 @@ consumer — a SIGKILL can lose at most the victim's own in-flight job, which
 the coordinator already tracks and re-queues.  Results do not travel over a
 queue at all: workers journal ``done`` records into their own shard files
 (flushed per line) and the coordinator *tails* the journal for complete
-lines.  Dead workers are detected by ``Process.is_alive`` plus heartbeat
-staleness (hung-but-alive); their jobs are re-queued with ``attempt + 1``
-and the boundary digests the dead attempt journaled, so the replacement
-attempt replay-verifies determinism as it resumes (see the supervisor).
-Replacement workers get fresh ids — and therefore fresh journal shards —
-so a half-written shard is never appended to by two writers.
+lines.  The journal is also the liveness signal: a worker is dead when
+``Process.is_alive`` says so, and hung when it is busy and its own records
+have been silent for ``_SILENCE_TIMEOUT_S``.  A lost worker's job is
+re-queued with ``attempt + 1`` and the boundary digests the dead attempt
+journaled, so the replacement attempt replay-verifies determinism as it
+resumes (see the supervisor).  Replacement workers — and the workers of a
+resumed run — get fresh ids, and therefore fresh journal shards, so a
+half-written shard is never appended to by two writers.
 
 Calling :func:`batch_execute` on a directory with prior progress *resumes*
 it: settled jobs are skipped, unfinished jobs re-queued from their
@@ -53,7 +55,6 @@ from repro.control.jobs_db import (
 from repro.control.supervisor import JobContext, run_job
 from repro.errors import BatchError, JobsDBError
 from repro.telemetry.distributed import (
-    TRACE_EVENT_RECORD,
     CoordinatorSpanExporter,
     TraceContext,
     batch_trace_context,
@@ -74,9 +75,9 @@ _BATCHES = telemetry.counter(
 
 #: Queue poll / supervision cadence (seconds).
 _POLL_S = 0.05
-_HEARTBEAT_MIN_INTERVAL_S = 0.5
-#: A busy worker silent for this long (no heartbeat) is reaped as hung.
-_HEARTBEAT_TIMEOUT_S = 60.0
+#: A busy worker whose own journal records have been silent for this long
+#: is reaped as hung.
+_SILENCE_TIMEOUT_S = 60.0
 
 
 def submit_batch(root: str, specs: Sequence[JobSpec]) -> JobsDB:
@@ -115,31 +116,16 @@ def _worker_main(root: str, worker_id: str, task_queue,
     # into its own shard, or two processes interleave one file.
     telemetry.tracer().exporters.clear()
     db = JobsDB.open(root)
-    last_beat = [0.0]
-
-    def heartbeat(payload: dict) -> None:
-        now = time.monotonic()
-        if now - last_beat[0] >= _HEARTBEAT_MIN_INTERVAL_S:
-            last_beat[0] = now
-            db.heartbeat(worker_id, dict(payload, pid=os.getpid()))
-
-    db.heartbeat(worker_id, {"status": "idle", "pid": os.getpid()})
     while True:
         item = task_queue.get()
         if item is None:
             break
         spec, attempt, resume_digests = item
-        db.heartbeat(worker_id, {"status": "busy", "job_id": spec.job_id,
-                                 "pid": os.getpid()})
-        last_beat[0] = time.monotonic()
-        ctx = JobContext(
+        run_job(spec, JobContext(
             db=db, worker=worker_id, attempt=attempt,
-            resume_digests=resume_digests, heartbeat=heartbeat,
+            resume_digests=resume_digests,
             span_sink=db.span_writer(worker_id).append, trace=trace,
-        )
-        run_job(spec, ctx)
-        db.heartbeat(worker_id, {"status": "idle", "pid": os.getpid()})
-        last_beat[0] = time.monotonic()
+        ))
     db.close()
 
 
@@ -159,6 +145,8 @@ class _JournalTail:
         self._lines: dict[str, int] = {}
 
     def poll(self) -> list[dict]:
+        """The complete lines appended since the last poll, in the
+        ``(ts, shard, seq)`` order ``compact()`` folds in."""
         records: list[dict] = []
         if not os.path.isdir(self.journal_dir):
             return records
@@ -180,6 +168,8 @@ class _JournalTail:
                                       JobsDBError, final=False)
                 if record is not None:
                     records.append(record)
+        records.sort(key=lambda r: (r.get("ts", 0.0), r.get("shard", ""),
+                                    r.get("seq", 0)))
         return records
 
 
@@ -193,8 +183,9 @@ class _Worker:
     worker_id: str
     process: object
     queue: object
-    #: (spec, attempt, resume_digests) currently assigned, or None (idle).
+    #: (job_id, attempt) currently assigned, or None (idle).
     assigned: Optional[tuple] = None
+    #: Wall stamp of the assignment (the journal's clock).
     assigned_at: float = 0.0
 
 
@@ -242,8 +233,9 @@ def batch_execute(root: str, workers: int = 4, *,
 
     if workers < 1:
         raise BatchError("batch_execute needs at least one worker")
+    if max_attempts < 1:
+        raise BatchError("batch_execute needs at least one attempt per job")
     db = JobsDB.open(root)
-    db.clear_kill()  # an explicit (re)start supersedes any older kill
     specs = {spec.job_id: spec for spec in db.specs()}
     tail = _JournalTail(db.journal_dir)
     tail.poll()  # compact() folds the history; the tail folds what follows
@@ -268,7 +260,7 @@ def batch_execute(root: str, workers: int = 4, *,
 
     mp = multiprocessing.get_context("fork")
     pool: dict[str, _Worker] = {}
-    next_worker = 0
+    next_worker = len(index["workers"])  # a resumed run's ids are fresh
     worker_deaths = 0
     requeues = 0
     done_this_run = 0
@@ -293,7 +285,7 @@ def batch_execute(root: str, workers: int = 4, *,
         attempts[job_id] = attempt
         task = (specs[job_id], attempt, db.checkpoints_for(job_id, index))
         worker.assigned = (job_id, attempt)
-        worker.assigned_at = time.monotonic()
+        worker.assigned_at = time.time()
         db.append({"type": "job", "job_id": job_id, "status": "queued",
                    "attempt": attempt, "worker": worker.worker_id})
         worker.queue.put(task)
@@ -302,16 +294,13 @@ def batch_execute(root: str, workers: int = 4, *,
         """A worker is gone: account for it and rescue its job."""
         nonlocal worker_deaths, requeues
         worker_deaths += 1
+        held_job, held_attempt = worker.assigned or ("", 0)
         db.append({"type": "worker_lost", "worker": worker.worker_id,
-                   "reason": reason})
+                   "reason": reason, "job_id": held_job,
+                   "attempt": held_attempt})
         deaths = _WORKER_DEATHS.labels(reason=reason)
         deaths.inc()
         deaths.set_exemplar(trace_id=trace.trace_id)
-        span_sink({"type": TRACE_EVENT_RECORD, "name": "worker.lost",
-                   "trace_id": trace.trace_id, "worker": worker.worker_id,
-                   "reason": reason,
-                   "job_id": worker.assigned[0] if worker.assigned else "",
-                   "attempt": worker.assigned[1] if worker.assigned else 0})
         if worker.process.is_alive():  # hung, not dead: put it down
             os.kill(worker.process.pid, signal.SIGKILL)
         worker.process.join(timeout=5.0)
@@ -342,15 +331,10 @@ def batch_execute(root: str, workers: int = 4, *,
                 db.append({"type": "job", "job_id": job_id,
                            "status": "requeued", "attempt": attempt,
                            "worker": worker.worker_id})
-                span_sink({"type": TRACE_EVENT_RECORD,
-                           "name": "job.requeued",
-                           "trace_id": trace.trace_id,
-                           "worker": worker.worker_id,
-                           "job_id": job_id, "attempt": attempt})
                 pending.insert(0, job_id)
 
-    span_sink = db.span_writer("coordinator").append
-    exporter = CoordinatorSpanExporter(trace, span_sink)
+    exporter = CoordinatorSpanExporter(
+        trace, db.span_writer("coordinator").append)
     with _exporting(telemetry.tracer(), exporter), \
             telemetry.tracer().span("batch.execute", root=root, jobs=total,
                                     workers=workers,
@@ -360,7 +344,8 @@ def batch_execute(root: str, workers: int = 4, *,
         try:
             while True:
                 # 1. Fold journal growth into the index (fresh checkpoints
-                # become resume digests); a landed result frees its worker.
+                # become resume digests, worker records their liveness); a
+                # landed result frees its worker.
                 for record in tail.poll():
                     landed = fold(index, record)
                     if landed is None or landed["job_id"] in results:
@@ -380,26 +365,22 @@ def batch_execute(root: str, workers: int = 4, *,
                         # the sweep; drain and report FAILED.
                         pending.clear()
 
-                # 2. Operator kill sentinel aborts the whole batch.
-                if db.kill_requested() is not None:
+                # 2. A journaled operator kill (after this run's start)
+                # aborts the whole batch.
+                if index["kill"] is not None:
                     aborted = True
                     break
 
-                # 3. Dead or hung workers.
-                beats = None
+                # 3. Dead workers, and busy ones whose journal is silent.
                 for worker in list(pool.values()):
                     if not worker.process.is_alive():
                         reap(worker, reason="crash")
                         continue
-                    if worker.assigned is not None:
-                        if beats is None:
-                            beats = db.read_heartbeats()
-                        beat = beats.get(worker.worker_id, {})
-                        seen = max(beat.get("ts", 0.0), 0.0)
-                        busy_for = time.monotonic() - worker.assigned_at
-                        if (busy_for > _HEARTBEAT_TIMEOUT_S
-                                and time.time() - seen > _HEARTBEAT_TIMEOUT_S):
-                            reap(worker, reason="hung")
+                    seen = index["workers"].get(worker.worker_id, {})
+                    quiet_since = max(worker.assigned_at, seen.get("ts", 0.0))
+                    if (worker.assigned is not None
+                            and time.time() - quiet_since > _SILENCE_TIMEOUT_S):
+                        reap(worker, reason="hung")
 
                 # 4. Keep the pool at strength while there is work left.
                 outstanding = len(pending) + sum(

@@ -9,11 +9,11 @@ One batch lives in one directory::
       spans/<shard>.jsonl  # span sidecars, one shard per writer process
       manifest.json        # final batch manifest (terminal states only)
       metrics.json         # coordinator registry snapshot (terminal states)
-      heartbeats/<id>.json # per-worker liveness beacons
-      KILL                 # operator kill sentinel (``repro batch kill``)
 
-The journal is the source of truth.  Every writer appends to its *own*
-shard (stamped ``shard``/``seq``/``ts``), flushing per record, so a
+The journal is the only record of batch state: progress, worker liveness
+and losses, and the operator kill (``repro batch kill`` journals a
+``kill`` record into a shard of its own).  Every writer appends to its
+*own* shard (stamped ``shard``/``seq``/``ts``), flushing per record, so a
 SIGKILLed worker loses at most one torn final line — which the readers
 tolerate, exactly like the event-trace JSONL format.  :func:`fold` is the
 one reader of the records' vocabulary: ``compact()`` runs it over all
@@ -69,8 +69,8 @@ def fold_journal(records: Iterable[dict]) -> dict:
     """The index of ``records``, folded in the order given, with per-outcome
     ``counts`` (an outcome for settled jobs, a status for the rest)."""
     index: dict = {"batch": {"status": BATCH_PENDING}, "jobs": {},
-                   "divergent": [], "trace": {}, "last_write": {},
-                   "requeues": 0, "worker_deaths": 0}
+                   "divergent": [], "trace": {}, "workers": {}, "lost": [],
+                   "kill": None, "requeues": 0}
     for record in records:
         fold(index, record)
     counts: dict[str, int] = {}
@@ -82,6 +82,34 @@ def fold_journal(records: Iterable[dict]) -> dict:
     return index
 
 
+#: The state a job record leaves the worker it names in.
+_WORKER_STATE = {"queued": "busy", "started": "busy", "checkpoint": "busy",
+                 "done": "idle"}
+
+
+def _move_worker(workers: dict, record: dict, ts: float) -> None:
+    """The state of the worker ``record`` names: its status, the job and
+    attempt it holds, and the stamp of the last record that moved it.  A
+    lost worker stays lost: the coordinator's later records about its job
+    name it too."""
+    name = record.get("worker", "")
+    kind = record.get("type")
+    if kind == "worker_lost":
+        status = "lost"
+    elif kind == "job":
+        status = _WORKER_STATE.get(record.get("status"))
+    else:
+        status = None
+    if (not name or status is None
+            or workers.get(name, {}).get("status") == "lost"):
+        return
+    held = status != "idle"
+    workers[name] = {"status": status,
+                     "job_id": record.get("job_id", "") if held else "",
+                     "attempt": int(record.get("attempt", 0)) if held else 0,
+                     "ts": ts}
+
+
 def fold(index: dict, record: dict) -> Optional[dict]:
     """Fold one journal record into ``index``: the one reader of the
     journal's record vocabulary.
@@ -89,24 +117,30 @@ def fold(index: dict, record: dict) -> Optional[dict]:
     Returns the result a ``done`` record carries, else None.  Beside
     per-job status, attempts, checkpoints and result, the index keeps
     what trace assembly and the console need: the trace announce, each
-    queued attempt's worker and queued/requeued stamps (``runs``), every
-    writer's last stamp, and requeues and worker deaths over the batch's
-    whole life (every run of it).
+    queued attempt's worker and queued/requeued stamps (``runs``), each
+    worker's last state, every worker loss with the job and attempt the
+    worker held, the operator kill a run has not superseded, and requeues
+    over the batch's whole life (every run of it).
     """
     ts = float(record.get("ts", 0.0))
-    writer = record.get("worker", "") or record.get("shard", "")
-    if writer:
-        index["last_write"][writer] = max(
-            index["last_write"].get(writer, 0.0), ts)
+    _move_worker(index["workers"], record, ts)
     kind = record.get("type")
     if kind == "batch":
         index["batch"] = {k: v for k, v in record.items()
                           if k not in ("type", "shard", "seq", "ts")}
+        if record.get("status") == BATCH_RUNNING:
+            index["kill"] = None  # a run supersedes any earlier kill
+    elif kind == "kill":
+        index["kill"] = {"reason": record.get("reason", ""), "ts": ts}
     elif kind == "trace":
         index["trace"] = {"trace_id": record.get("trace_id", ""),
                           "root_span_id": record.get("root_span_id", "")}
     elif kind == "worker_lost":
-        index["worker_deaths"] += 1
+        index["lost"].append({"worker": record.get("worker", ""),
+                              "reason": record.get("reason", ""),
+                              "job_id": record.get("job_id", ""),
+                              "attempt": int(record.get("attempt", 0)),
+                              "ts": ts})
     if kind != "job":
         return None
     job_id = record.get("job_id", "")
@@ -187,7 +221,7 @@ class JournalShard:
 
 
 class JobsDB:
-    """One batch directory: specs, sharded journal, liveness."""
+    """One batch directory: specs, sharded journal, span sidecars."""
 
     def __init__(self, root: str):
         self.root = root
@@ -195,8 +229,6 @@ class JobsDB:
         self.journal_dir = os.path.join(root, "journal")
         self.spans_dir = os.path.join(root, "spans")
         self.manifest_path = os.path.join(root, "manifest.json")
-        self.heartbeat_dir = os.path.join(root, "heartbeats")
-        self.kill_path = os.path.join(root, "KILL")
         self._writers: dict[str, JournalShard] = {}
         self._span_writers: dict[str, JournalShard] = {}
 
@@ -209,7 +241,6 @@ class JobsDB:
         if os.path.exists(db.specs_path):
             raise JobsDBError(f"batch already submitted at {root}")
         os.makedirs(db.journal_dir, exist_ok=True)
-        os.makedirs(db.heartbeat_dir, exist_ok=True)
         specs = list(specs)
         if not specs:
             raise JobsDBError("a batch needs at least one job spec")
@@ -234,7 +265,6 @@ class JobsDB:
         if not os.path.exists(db.specs_path):
             raise JobsDBError(f"no batch at {root} (missing specs.jsonl)")
         os.makedirs(db.journal_dir, exist_ok=True)
-        os.makedirs(db.heartbeat_dir, exist_ok=True)
         return db
 
     def close(self) -> None:
@@ -261,6 +291,12 @@ class JobsDB:
 
     def append(self, record: dict, shard: str = "coordinator") -> dict:
         return self.writer(shard).append(record)
+
+    def request_kill(self, reason: str = "operator") -> dict:
+        """Journal an operator kill into a shard of its own: the running
+        coordinator folds it at its next poll and aborts the batch; a
+        later run's ``running`` record supersedes it."""
+        return self.append({"type": "kill", "reason": reason}, shard="kill")
 
     # -- span sidecars ------------------------------------------------------
 
@@ -308,49 +344,6 @@ class JobsDB:
             if entry.get("result"):
                 out[job_id] = JobResult.from_dict(entry["result"])
         return out
-
-    # -- liveness -----------------------------------------------------------
-
-    def heartbeat(self, worker: str, payload: dict) -> None:
-        stamped = dict(payload)
-        stamped["ts"] = time.time()
-        _atomic_write_json(
-            os.path.join(self.heartbeat_dir, f"{worker}.json"), stamped
-        )
-
-    def read_heartbeats(self) -> dict[str, dict]:
-        beats: dict[str, dict] = {}
-        if not os.path.isdir(self.heartbeat_dir):
-            return beats
-        for name in os.listdir(self.heartbeat_dir):
-            if not name.endswith(".json"):
-                continue
-            try:
-                with open(os.path.join(self.heartbeat_dir, name),
-                          encoding="utf-8") as handle:
-                    beats[name[:-5]] = json.load(handle)
-            except (json.JSONDecodeError, OSError):  # mid-replace race
-                continue
-        return beats
-
-    # -- operator kill ------------------------------------------------------
-
-    def request_kill(self, reason: str = "operator") -> None:
-        _atomic_write_json(self.kill_path,
-                           {"reason": reason, "ts": time.time()})
-
-    def kill_requested(self) -> Optional[dict]:
-        if not os.path.exists(self.kill_path):
-            return None
-        try:
-            with open(self.kill_path, encoding="utf-8") as handle:
-                return json.load(handle)
-        except (json.JSONDecodeError, OSError):
-            return {"reason": "unreadable"}
-
-    def clear_kill(self) -> None:
-        if os.path.exists(self.kill_path):
-            os.remove(self.kill_path)
 
     # -- manifest -----------------------------------------------------------
 

@@ -12,7 +12,9 @@ sweep shards.
   span ids restart and a job's exported spans are a function of the job
   alone, not of what the worker ran before it;
 * boundary checkpoints — at every phase boundary ``Marketplace.drive``
-  yields, the job journals the session's ``digest()``;
+  yields, the job journals the session's ``digest()`` (these records are
+  also the worker's liveness: the coordinator reaps a busy worker whose
+  journal falls silent);
 * replay-verified resume — a re-queued attempt replays the job from its
   seed and *verifies* each boundary digest against what the dead worker
   journaled.  Live enclave/chain state dies with a process, so this is the
@@ -49,8 +51,6 @@ class JobContext:
     #: Boundary index -> digest journaled by a previous attempt; replay
     #: must reproduce these byte-for-byte before running past them.
     resume_digests: dict[int, str] = field(default_factory=dict)
-    #: Liveness callback, invoked at each boundary (throttled by caller).
-    heartbeat: Optional[Callable[[dict], None]] = None
     #: Where exported span records go (one dict per finished span); the
     #: worker points this at its ``spans/<worker>.jsonl`` sidecar.  None
     #: keeps tracing in-process only (the bare baseline path).
@@ -101,9 +101,6 @@ class BoundaryRecorder:
             "boundary": boundary, "phase": next_phase,
             "state": session.state, "digest": digest,
         })
-        if self.ctx.heartbeat is not None:
-            self.ctx.heartbeat({"job_id": self.spec.job_id,
-                                "boundary": boundary})
 
 
 # ---------------------------------------------------------------------------

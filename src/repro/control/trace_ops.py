@@ -2,13 +2,13 @@
 
 Two consumers share this module:
 
-* ``repro batch trace ROOT`` — offline assembly: merge the span sidecars,
-  the folded jobs journal, and heartbeat evidence into one causally-linked tree
+* ``repro batch trace ROOT`` — offline assembly: merge the span sidecars
+  and the folded jobs journal into one causally-linked tree
   (:func:`assemble_batch_trace`), render the deterministic critical-path
   report, and optionally export Chrome trace-event JSON.
-* ``repro top RUN`` — the batch pane: per-worker job states and heartbeat
-  ages, retry counts, outcome tallies, divergent checkpoints, SLO burn and,
-  once terminal, the batch digest (:func:`ops_snapshot` /
+* ``repro top RUN`` — the batch pane: each worker's last journaled state
+  and its age, retry counts, outcome tallies, divergent checkpoints, SLO
+  burn and, once terminal, the batch digest (:func:`ops_snapshot` /
   :func:`render_top`).  It reads the same torn-tail-tolerant files the
   coordinator writes, so ``top`` can watch a batch that is mid-flight — or
   post-mortem one whose coordinator died.  Its worker deaths and requeues
@@ -43,16 +43,16 @@ from repro.telemetry.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 DEFAULT_SETTLED_OBJECTIVE = 0.95
 DEFAULT_P95_OBJECTIVE_S = 5.0
 
-#: Heartbeat older than this is flagged stale in the top view (seconds).
-STALE_HEARTBEAT_S = 15.0
+#: A worker whose last journal record is older than this is flagged stale
+#: in the top view (seconds).
+STALE_WORKER_S = 15.0
 
 
 def assemble_batch_trace(root: str) -> AssembledTrace:
     """Assemble the distributed trace of the batch at ``root``."""
     db = JobsDB.open(root)
     try:
-        return assemble_trace(db.span_records(), db.compact(),
-                              heartbeats=db.read_heartbeats())
+        return assemble_trace(db.span_records(), db.compact())
     finally:
         db.close()
 
@@ -69,7 +69,8 @@ class OpsSnapshot:
     counts: dict[str, int] = field(default_factory=dict)
     #: Jobs that needed more than one attempt: job_id -> attempts.
     retries: dict[str, int] = field(default_factory=dict)
-    #: worker -> {status, job_id, age_s, stale, pid}.
+    #: worker -> its last journaled state (status busy, idle or lost;
+    #: job_id, attempt, ts) plus age_s and stale.
     workers: dict[str, dict] = field(default_factory=dict)
     settled_fraction: float = 0.0
     p95_wall_s: float = 0.0
@@ -92,7 +93,6 @@ def ops_snapshot(root: str) -> OpsSnapshot:
     db = JobsDB.open(root)
     try:
         index = db.compact()
-        beats = db.read_heartbeats()
         manifest = db.read_manifest() or {}
     finally:
         db.close()
@@ -129,15 +129,9 @@ def ops_snapshot(root: str) -> OpsSnapshot:
         p95_burn = p95_wall_s / max(1e-9, DEFAULT_P95_OBJECTIVE_S)
 
     workers: dict[str, dict] = {}
-    for worker, beat in sorted(beats.items()):
-        age = max(0.0, now - float(beat.get("ts", 0.0)))
-        workers[worker] = {
-            "status": beat.get("status", "?"),
-            "job_id": beat.get("job_id", ""),
-            "age_s": age,
-            "stale": age > STALE_HEARTBEAT_S,
-            "pid": beat.get("pid", 0),
-        }
+    for worker, state in sorted(index["workers"].items()):
+        age = max(0.0, now - state["ts"])
+        workers[worker] = dict(state, age_s=age, stale=age > STALE_WORKER_S)
 
     batch_status = index["batch"].get("status", "unknown")
     return OpsSnapshot(
@@ -152,7 +146,7 @@ def ops_snapshot(root: str) -> OpsSnapshot:
         p95_wall_s=p95_wall_s,
         settled_burn=settled_burn,
         p95_burn=p95_burn,
-        worker_deaths=index["worker_deaths"],
+        worker_deaths=len(index["lost"]),
         requeues=index["requeues"],
         divergent=len(index["divergent"]),
         batch_digest=(manifest.get("batch_digest", "")
@@ -192,10 +186,10 @@ def render_top(snap: OpsSnapshot) -> str:
         lines.append(f"retried jobs: {tail}")
     lines.append("workers:")
     if not snap.workers:
-        lines.append("  (no heartbeats)")
+        lines.append("  (none journaled)")
     for worker, info in snap.workers.items():
         stale = "  STALE" if info["stale"] else ""
         job = info["job_id"] or "-"
         lines.append(f"  {worker:<8} {info['status']:<6} job={job:<12} "
-                     f"beat={info['age_s']:.1f}s ago{stale}")
+                     f"seen={info['age_s']:.1f}s ago{stale}")
     return "\n".join(lines) + "\n"

@@ -168,8 +168,11 @@ class FaultPlan:
         Used by the E18 sweep: executors draw a mid-execute crash,
         providers a dropped submission, and the run as a whole a transient
         chain rejection.  All draws come from one derived rng, so the same
-        (rate, actors, seed) triple always yields the same plan.
+        (rate, actors, seed) triple always yields the same plan.  A rate
+        outside [0, 1] is not a probability: ``ValueError``.
         """
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"fault rate must be in [0, 1], got {rate}")
         rng = derive_rng(seed, f"fault-plan-{rate}")
         faults: list[Fault] = []
         for name in executor_names:

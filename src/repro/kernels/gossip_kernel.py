@@ -56,6 +56,7 @@ from repro.ml.gossip import (
     _WAKES,
     GossipConfig,
     GossipResult,
+    eval_checkpoints,
 )
 from repro.ml.merge import MergeStrategy
 from repro.ml.models import Model
@@ -484,8 +485,7 @@ class GossipKernelTrainer:
         """Run the protocol for ``duration_s`` of simulated time, scoring
         the seeded node sample every ``eval_interval_s``."""
         config = self.config
-        checkpoints = np.arange(eval_interval_s, duration_s + 1e-9,
-                                eval_interval_s)
+        checkpoints = eval_checkpoints(duration_s, eval_interval_s)
         # Nothing runs past the last checkpoint, so that — not
         # duration_s — is the causal horizon.
         horizon = float(checkpoints[-1]) if len(checkpoints) else None

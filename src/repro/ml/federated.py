@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import MLError
 from repro.ml.datasets import Dataset
-from repro.ml.gossip import MESSAGE_OVERHEAD_BYTES
+from repro.ml.gossip import MESSAGE_OVERHEAD_BYTES, eval_checkpoints
 from repro.ml.merge import merge_parameter_vectors
 from repro.ml.models import Model
 from repro.net.churn import ChurnModel
@@ -228,10 +228,9 @@ class FederatedTrainer:
     def run(self, duration_s: float,
             eval_interval_s: float = 50.0) -> FederatedResult:
         """Run FedAvg for ``duration_s`` of simulated time."""
+        checkpoints = eval_checkpoints(duration_s, eval_interval_s)
         self.server.start()
         history: list[tuple[float, float]] = []
-        checkpoints = np.arange(eval_interval_s, duration_s + 1e-9,
-                                eval_interval_s)
         for checkpoint in checkpoints:
             self.simulator.run_until(float(checkpoint))
             score = self.server.model.score(self.test_set.features,

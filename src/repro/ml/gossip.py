@@ -39,6 +39,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from repro.errors import MLError
 from repro.ml.compression import CompressionConfig
 from repro.ml.datasets import Dataset
@@ -104,6 +106,17 @@ class GossipResult:
     events_processed: int = 0                    # simulator events that ran
     wakes: int = 0                               # online wake cycles
     merges: int = 0                              # models merged at wakes
+
+
+def eval_checkpoints(duration_s: float, eval_interval_s: float) -> np.ndarray:
+    """The simulated times a trainer's ``run`` scores at: every
+    ``eval_interval_s`` up to ``duration_s``.  Both must be finite and
+    positive; anything else raises :class:`~repro.errors.MLError`."""
+    for name, value in (("duration", duration_s),
+                        ("eval interval", eval_interval_s)):
+        if not (math.isfinite(value) and value > 0):
+            raise MLError(f"{name} must be finite and positive, got {value}")
+    return np.arange(eval_interval_s, duration_s + 1e-9, eval_interval_s)
 
 
 def GossipTrainer(model_factory: Callable[[], Model],

@@ -19,13 +19,14 @@ causal story.  This module closes that gap with four pieces:
   record per finished span into a per-shard sidecar (the torn-tail-
   tolerant journal discipline of ``jobs_db.py``; the sink is any callable
   taking a dict, so this module stays independent of the control layer).
-* :func:`assemble_trace` — merges worker sidecars, coordinator spans, and
-  the evidence of the folded jobs journal (its index) and heartbeats into
-  one causally-linked tree per batch:
+* :func:`assemble_trace` — merges worker sidecars and coordinator spans
+  with the evidence of the folded jobs journal (its index) into one
+  causally-linked tree per batch:
   winning attempts form each job's canonical subtree, attempts that died
   with their worker hang under synthetic ``batch.lost-worker`` spans
-  closed from heartbeat evidence, and anything that fails to link is
-  surfaced as an orphan (the CI trace-smoke job asserts there are none).
+  closed from journal stamps, the journal's worker losses and requeues
+  become instant events, and anything that fails to link is surfaced as
+  an orphan (the CI trace-smoke job asserts there are none).
 * Exporters and analyzers over the assembled tree — Chrome trace-event
   (catapult) output via :func:`to_chrome_trace` (validated against
   ``docs/chrome-trace.schema.json`` by :func:`validate_chrome_trace`),
@@ -48,8 +49,6 @@ from repro.telemetry.tracing import Span
 #: Span record type tag in sidecar JSONL files (the journal stamps
 #: ``shard``/``seq``/``ts`` on top of these).
 SPAN_RECORD = "span"
-#: Instant-event record type (worker deaths, requeues, operator kills).
-TRACE_EVENT_RECORD = "trace_event"
 
 #: Synthetic span name for an attempt whose worker died before its ``done``
 #: record landed.
@@ -207,8 +206,8 @@ class AssembledTrace:
     unwitnessed: list[str] = field(default_factory=list)
     #: Fraction of worker-settled jobs whose job span chains to the root.
     completeness: float = 0.0
-    #: Instant-event records (worker deaths, requeues) riding along for
-    #: the Chrome exporter.
+    #: Instant events for the Chrome exporter, read off the journal: one
+    #: ``worker.lost`` per worker loss, one ``job.requeued`` per requeue.
     events: list[dict] = field(default_factory=list)
 
     def job_spans(self) -> list[dict]:
@@ -233,28 +232,25 @@ def _chains_to(record_id: str, by_id: Mapping[str, dict],
     return False
 
 
-def assemble_trace(span_records: Sequence[Mapping], index: Mapping,
-                   heartbeats: Optional[Mapping[str, Mapping]] = None,
-                   ) -> AssembledTrace:
-    """Merge sidecar spans + journal/heartbeat evidence into one tree.
+def assemble_trace(span_records: Sequence[Mapping],
+                   index: Mapping) -> AssembledTrace:
+    """Merge sidecar spans + journal evidence into one tree.
 
     ``index`` is the folded jobs journal (``repro.control.jobs_db
-    .fold_journal``).  Its evidence drives three decisions the spans alone
+    .fold_journal``).  Its evidence drives the decisions the spans alone
     cannot make:
 
     * which attempt *won* each job (the journaled ``done`` record);
     * which attempts were *lost* (a queued attempt that did not win —
       their partial spans hang under a synthetic ``batch.lost-worker``
-      span closed from the dead worker's last heartbeat, or failing that
-      its last journal write);
+      span closed at the attempt's requeue, or failing that the dead
+      worker's last journal record);
+    * the instant events: the journal's worker losses and requeues;
     * the trace id, when the coordinator's announce record is present
       (otherwise taken from the span records themselves).
     """
-    heartbeats = dict(heartbeats or {})
     spans = [dict(r) for r in span_records
              if r.get("type") == SPAN_RECORD]
-    events = [dict(r) for r in span_records
-              if r.get("type") == TRACE_EVENT_RECORD]
 
     trace_id = index["trace"].get("trace_id", "")
     root_span_id = index["trace"].get("root_span_id", "")
@@ -269,10 +265,17 @@ def assemble_trace(span_records: Sequence[Mapping], index: Mapping,
                for job_id, entry in index["jobs"].items() if entry["result"]}
     winners = {job_id: int(result.get("attempt", 1))
                for job_id, result in results.items()}
-    runs ={(job_id, attempt): run
+    runs = {(job_id, attempt): run
             for job_id, entry in index["jobs"].items()
             for attempt, run in entry["runs"].items()}
-    last_write = index["last_write"]  # writer -> its last journal stamp
+    # Each instant sits on the lane of the worker it is about.
+    events = [{"name": "worker.lost", "shard": loss["worker"], **loss}
+              for loss in index["lost"]]
+    events += [{"name": "job.requeued", "shard": run["worker"],
+                "ts": run["requeued_ts"], "worker": run["worker"],
+                "job_id": job_id, "attempt": attempt}
+               for (job_id, attempt), run in sorted(runs.items())
+               if run["requeued_ts"] is not None]
 
     # -- the root -----------------------------------------------------------
     if not root_span_id:
@@ -306,19 +309,12 @@ def assemble_trace(span_records: Sequence[Mapping], index: Mapping,
             continue
         worker = run["worker"]
         start_ts = run["queued_ts"]
-        beat = heartbeats.get(worker, {})
-        evidence = "none"
-        end_ts = start_ts
-        if run["requeued_ts"] is not None:
-            end_ts = run["requeued_ts"]
-            evidence = "journal"
-        if (beat.get("job_id") == job_id
-                and float(beat.get("ts", 0.0)) >= start_ts):
-            end_ts = max(end_ts, float(beat.get("ts", 0.0)))
-            evidence = "heartbeat"
-        elif last_write.get(worker, 0.0) > start_ts:
-            end_ts = max(end_ts, last_write[worker])
-            evidence = "journal" if evidence == "none" else evidence
+        end_ts = run["requeued_ts"]
+        last_seen = index["workers"].get(worker, {}).get("ts", 0.0)
+        if end_ts is None and last_seen > start_ts:
+            end_ts = last_seen
+        evidence = "none" if end_ts is None else "journal"
+        end_ts = start_ts if end_ts is None else end_ts
         synthetic = {
             "type": SPAN_RECORD, "trace_id": trace_id,
             "span_id": derive_span_id(trace_id, "lost", job_id,

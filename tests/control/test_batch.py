@@ -3,14 +3,19 @@
 Small-scale versions of the E21 acceptance criteria, fast enough for
 tier-1: a sharded batch settles byte-identically against bare single
 process replays, survives a SIGKILLed worker via re-queue with replay
-verification, honors the operator KILL sentinel, and classifies terminal
-states (DONE / PARTIAL_FAILED / FAILED) correctly.
+verification, reaps a worker whose journal falls silent, honors a
+journaled operator kill, and classifies terminal states (DONE /
+PARTIAL_FAILED / FAILED) correctly.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
+from repro.control import batch as batch_module
+from repro.control import supervisor
 from repro.control import (
     BATCH_DONE,
     BATCH_FAILED,
@@ -156,10 +161,10 @@ class TestBatchExecute:
         assert report.results["job-bad"].outcome == "error"
 
     def test_operator_kill_aborts_then_resume_completes(self, tmp_path):
-        # The coordinator reports progress just before it sleeps and checks
-        # the KILL sentinel at the top of its next loop, so a kill written
-        # when the first result is counted lands with 29 jobs still queued
-        # or running, however fast sessions are.
+        # The coordinator reports progress just before it sleeps and folds
+        # the journal at the top of its next loop, so a kill record
+        # journaled when the first result is counted lands with 29 jobs
+        # still queued or running, however fast sessions are.
         specs = clean_specs(30, seed0=950)
         root = str(tmp_path / "batch")
         submit_batch(root, specs)
@@ -173,19 +178,66 @@ class TestBatchExecute:
         assert aborted.status == BATCH_FAILED
         assert aborted.aborted
         assert len(aborted.results) < 30
+        assert db.compact()["kill"]["reason"] == "test"
 
         resumed = batch_execute(root, workers=2)
         assert resumed.status == BATCH_DONE
         assert len(resumed.results) == 30
+        # The resumed run's `running` record superseded the kill, which
+        # stays in the journal; its workers got fresh ids (and shards).
+        index = db.compact()
+        assert index["kill"] is None
+        assert sorted(index["workers"]) == ["w0", "w1", "w2", "w3"]
+        kills = [r for r in db.journal_records() if r["type"] == "kill"]
+        assert kills and {r["shard"] for r in kills} == {"kill"}
         # Jobs settled before the abort are not re-run on resume.
         for job_id, result in aborted.results.items():
             assert resumed.results[job_id].attempt == result.attempt
+
+    def test_kill_journaled_before_a_run_does_not_abort_it(self, tmp_path):
+        root = str(tmp_path / "batch")
+        submit_batch(root, clean_specs(3, seed0=970))
+        JobsDB.open(root).request_kill("stale")
+        report = batch_execute(root, workers=2)
+        assert report.status == BATCH_DONE
+        assert not report.aborted
+        assert len(report.results) == 3
+
+    def test_silent_busy_worker_is_reaped_hung_and_requeued(
+            self, tmp_path, monkeypatch):
+        # The forked worker inherits both patches: job-001's first attempt
+        # journals `started` and then nothing, so once the threshold passes
+        # the coordinator reaps it `hung`, and attempt 2 settles it.
+        real = supervisor.run_ml_train
+
+        def stall_first_attempt(spec, ctx):
+            if spec.job_id == "job-001" and ctx.attempt == 1:
+                time.sleep(600)
+            return real(spec, ctx)
+
+        monkeypatch.setattr(supervisor, "run_ml_train", stall_first_attempt)
+        monkeypatch.setattr(batch_module, "_SILENCE_TIMEOUT_S", 2.0)
+        root = str(tmp_path / "batch")
+        submit_batch(root, clean_specs(3, seed0=980))
+        report = batch_execute(root, workers=2)
+        assert report.status == BATCH_DONE
+        assert (report.worker_deaths, report.requeues) == (1, 1)
+        assert report.results["job-001"].attempt == 2
+        lost = JobsDB.open(root).compact()["lost"]
+        assert [(loss["reason"], loss["job_id"], loss["attempt"])
+                for loss in lost] == [("hung", "job-001", 1)]
 
     def test_rejects_zero_workers(self, tmp_path):
         root = str(tmp_path / "batch")
         submit_batch(root, clean_specs(1))
         with pytest.raises(BatchError):
             batch_execute(root, workers=0)
+
+    def test_rejects_zero_attempts(self, tmp_path):
+        root = str(tmp_path / "batch")
+        submit_batch(root, clean_specs(1))
+        with pytest.raises(BatchError):
+            batch_execute(root, workers=1, max_attempts=0)
 
     def test_rejects_unsubmitted_root(self, tmp_path):
         with pytest.raises(JobsDBError):

@@ -1,4 +1,5 @@
-"""JobsDB: specs, sharded journal, torn tails, compaction, liveness."""
+"""JobsDB: specs, sharded journal, torn tails, compaction, liveness and
+kill records."""
 
 from __future__ import annotations
 
@@ -187,7 +188,9 @@ class TestCompaction:
         queued = db.append({"type": "job", "job_id": "job-0",
                             "status": "queued", "attempt": 1,
                             "worker": "w0"})
-        db.append({"type": "worker_lost", "worker": "w0", "reason": "crash"})
+        lost = db.append({"type": "worker_lost", "worker": "w0",
+                          "reason": "crash", "job_id": "job-0",
+                          "attempt": 1})
         requeued = db.append({"type": "job", "job_id": "job-0",
                               "status": "requeued", "attempt": 1,
                               "worker": "w0"})
@@ -202,9 +205,17 @@ class TestCompaction:
                            "requeued_ts": requeued["ts"]}
         assert runs[2]["worker"] == "w1"
         assert runs[2]["requeued_ts"] is None
-        assert index["last_write"]["w0"] == requeued["ts"]
+        # The loss keeps the job and attempt the worker held; the requeue
+        # that names w0 afterwards does not move a lost worker.
+        assert index["lost"] == [{"worker": "w0", "reason": "crash",
+                                  "job_id": "job-0", "attempt": 1,
+                                  "ts": lost["ts"]}]
+        assert index["workers"]["w0"] == {"status": "lost",
+                                          "job_id": "job-0", "attempt": 1,
+                                          "ts": lost["ts"]}
+        assert index["workers"]["w1"]["status"] == "busy"
         # Counted over the journal, not read off the last batch record.
-        assert (index["worker_deaths"], index["requeues"]) == (1, 1)
+        assert (len(index["lost"]), index["requeues"]) == (1, 1)
 
     def test_identical_redelivered_digests_are_not_divergent(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())
@@ -216,20 +227,39 @@ class TestCompaction:
 
 
 class TestLivenessAndManifest:
-    def test_heartbeat_round_trip(self, tmp_path):
+    def test_worker_state_follows_its_journal_records(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())
-        db.heartbeat("w0", {"status": "busy", "job_id": "job-0"})
-        beats = db.read_heartbeats()
-        assert beats["w0"]["status"] == "busy"
-        assert beats["w0"]["ts"] > 0
+        db.append({"type": "job", "job_id": "job-0", "status": "queued",
+                   "attempt": 1, "worker": "w0"})
+        assert db.compact()["workers"]["w0"]["status"] == "busy"
+        checkpoint = db.append({"type": "job", "job_id": "job-0",
+                                "status": "checkpoint", "boundary": 0,
+                                "digest": "d", "attempt": 1,
+                                "worker": "w0"}, shard="w0")
+        assert db.compact()["workers"]["w0"] == {
+            "status": "busy", "job_id": "job-0", "attempt": 1,
+            "ts": checkpoint["ts"]}
+        done = db.append({"type": "job", "job_id": "job-0", "status": "done",
+                          "attempt": 1, "worker": "w0",
+                          "result": {"outcome": "settled"}}, shard="w0")
+        assert db.compact()["workers"]["w0"] == {
+            "status": "idle", "job_id": "", "attempt": 0, "ts": done["ts"]}
+        # No record of a worker, no state: nothing stands in for the
+        # journal.
+        assert sorted(os.listdir(db.root)) == ["journal", "specs.jsonl"]
 
-    def test_kill_sentinel(self, tmp_path):
+    def test_kill_record_until_a_run_supersedes_it(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())
-        assert db.kill_requested() is None
+        assert db.compact()["kill"] is None
         db.request_kill("operator")
-        assert db.kill_requested()["reason"] == "operator"
-        db.clear_kill()
-        assert db.kill_requested() is None
+        assert db.compact()["kill"]["reason"] == "operator"
+        # The kill sits in a shard of its own, beside the coordinator's.
+        assert sorted(os.listdir(db.journal_dir)) == ["coordinator.jsonl",
+                                                      "kill.jsonl"]
+        db.append({"type": "batch", "status": "running"})
+        assert db.compact()["kill"] is None
+        db.request_kill("again")
+        assert db.compact()["kill"]["reason"] == "again"
 
     def test_manifest_round_trip_with_format(self, tmp_path):
         db = JobsDB.create(str(tmp_path / "b"), make_specs())

@@ -16,6 +16,7 @@ import types
 import pytest
 
 from repro.control import (
+    JobsDB,
     JobSpec,
     assemble_batch_trace,
     batch_execute,
@@ -82,8 +83,12 @@ class TestBatchTraceEndToEnd:
         assert assembled.orphans == []
         assert any(r["name"] == LOST_WORKER_SPAN for r in assembled.spans)
         for synthetic in assembled.lost:
-            assert synthetic["attributes"]["evidence"] in ("heartbeat",
-                                                           "journal")
+            assert synthetic["attributes"]["evidence"] == "journal"
+        # The batch is its journal: nothing beside it records liveness,
+        # kills or losses.
+        assert sorted(os.listdir(root)) == [
+            "journal", "manifest.json", "metrics.json", "spans",
+            "specs.jsonl"]
 
     def test_critical_path_replays_byte_identically(self, tmp_path):
         root, _ = run_batch(tmp_path, n=6, kill_after=[2])
@@ -108,6 +113,15 @@ class TestBatchTraceEndToEnd:
         doc = to_chrome_trace(assemble_batch_trace(root))
         assert validate_chrome_trace(doc, schema) == []
         json.loads(json.dumps(doc))
+        # One instant per journaled worker loss and per requeue.
+        records = JobsDB(root).journal_records()
+        losses = sum(r["type"] == "worker_lost" for r in records)
+        requeues = sum(r.get("status") == "requeued" for r in records)
+        instants = [e["name"] for e in doc["traceEvents"] if e["ph"] == "i"]
+        assert losses >= 1
+        assert instants.count("worker.lost") == losses
+        assert instants.count("job.requeued") == requeues
+        assert len(instants) == losses + requeues
 
     def test_job_spans_carry_trace_context(self, tmp_path):
         root, report = run_batch(tmp_path, n=2)
@@ -158,6 +172,23 @@ class TestOpsSnapshot:
         assert running
         assert max(snap.worker_deaths for snap in running) >= 1
 
+    def test_killed_worker_reads_lost(self, tmp_path):
+        root, report = run_batch(tmp_path, n=6, kill_after=[2])
+        snap = ops_snapshot(root)
+        (loss,) = JobsDB(root).compact()["lost"]
+        lost = {worker: info for worker, info in snap.workers.items()
+                if info["status"] == "lost"}
+        assert report.worker_deaths == len(lost) == 1
+        # The pane shows the job and attempt the worker died holding, not
+        # the job the coordinator's later requeue record names it for.
+        info = lost[loss["worker"]]
+        assert (info["job_id"], info["attempt"]) == (loss["job_id"],
+                                                     loss["attempt"])
+        assert info["job_id"] in report.results
+        assert all(info["status"] == "idle"
+                   for worker, info in snap.workers.items()
+                   if worker not in lost)
+
     def test_resumed_batch_keeps_its_worker_death(self, tmp_path):
         root, report = run_batch(tmp_path, n=6, kill_after=[2])
         assert report.worker_deaths == 1
@@ -203,7 +234,8 @@ class TestOpsSnapshot:
         assert "divergent=0" in panel
         assert f"batch digest: {snap.batch_digest}" in panel
         assert len(snap.batch_digest) == 64
-        # Ancient heartbeats (the clock reads 1e12) are flagged stale.
+        # Workers last seen long ago (the clock reads 1e12) are flagged
+        # stale.
         assert "STALE" in panel
 
     def test_stale_objective_overrides_flag_burn(self, tmp_path,

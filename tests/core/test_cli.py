@@ -81,10 +81,16 @@ class TestParser:
         (["gossip", "--nodes", "1"], "--nodes", 2),
         (["gossip", "--per-node", "0"], "--per-node", 1),
         (["gossip", "--batch-size", "0"], "--batch-size", 1),
+        (["profile", "--interval", "0"], "--interval", 1),
+        (["batch", "submit", "RUN", "--fault-every", "0"], "--fault-every", 1),
+        (["batch", "submit", "RUN", "--max-attempts", "0"],
+         "--max-attempts", 1),
+        (["chain", "run", "RUN", "--blocks", "0"], "--blocks", 1),
     ], ids=["quickstart-executors", "faults-executors", "profile-executors",
             "quickstart-providers", "batch-workers", "batch-jobs",
             "chain-wallets", "gossip-nodes", "gossip-per-node",
-            "gossip-batch-size"])
+            "gossip-batch-size", "profile-interval", "batch-fault-every",
+            "batch-max-attempts", "chain-blocks"])
     def test_count_flag_below_its_minimum_is_refused_at_parse(
             self, tmp_path, capsys, argv, flag, minimum):
         run = tmp_path / "run"
@@ -98,6 +104,36 @@ class TestParser:
             f"argument {flag}: must be at least {minimum}, "
             f"got {minimum - 1}")
         assert not run.exists()  # refused before any RUN is created
+
+    @pytest.mark.parametrize("argv,flag,refusal", [
+        (["gossip", "--eval-interval", "0"], "--eval-interval",
+         "must be a finite number above 0, got 0"),
+        (["gossip", "--eval-interval", "-5"], "--eval-interval",
+         "must be a finite number above 0, got -5"),
+        (["gossip", "--duration", "nan"], "--duration",
+         "must be a finite number above 0, got nan"),
+        (["gossip", "--availability", "0"], "--availability",
+         "must be in (0, 1], got 0"),
+        (["profile", "--hz", "0"], "--hz",
+         "must be a finite number above 0, got 0"),
+        (["batch", "submit", "RUN", "--fault-rate", "2.5"], "--fault-rate",
+         "must be in [0, 1], got 2.5"),
+        (["top", "RUN", "--watch", "-1"], "--watch",
+         "must be a finite number above 0, got -1"),
+    ], ids=["gossip-eval-interval-0", "gossip-eval-interval-negative",
+            "gossip-duration-nan", "gossip-availability", "profile-hz",
+            "batch-fault-rate", "top-watch"])
+    def test_impossible_number_is_refused_at_parse(self, tmp_path, capsys,
+                                                   argv, flag, refusal):
+        run = tmp_path / "run"
+        argv = [str(run) if arg == "RUN" else arg for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith(f"argument {flag}: {refusal}")
+        assert not run.exists()
 
 
 class TestCommands:

@@ -155,6 +155,11 @@ class TestFaultPlan:
         # Every executor, every provider, plus the chain rejection.
         assert len(all_of_them.faults) == N_EXECUTORS + N_PROVIDERS + 1
 
+    @pytest.mark.parametrize("rate", [-0.1, 2.5, float("nan")])
+    def test_sample_refuses_a_rate_that_is_no_probability(self, rate):
+        with pytest.raises(ValueError, match="fault rate"):
+            FaultPlan.sample(rate, EXECUTOR_NAMES, PROVIDER_NAMES, seed=7)
+
     def test_scenarios_build_plans(self):
         for name, scenario in SCENARIOS.items():
             plan = scenario.plan(EXECUTOR_NAMES, PROVIDER_NAMES)

@@ -190,3 +190,19 @@ class TestHeterogeneousUplinks:
         with pytest.raises(MLError, match="positive and finite"):
             GossipTrainer(factory, parts, test, seed=1,
                           upload_bytes_per_s=rates)
+
+
+class TestRunDurations:
+    @pytest.mark.parametrize("trainer_cls", [GossipTrainer, FederatedTrainer],
+                             ids=["gossip", "federated"])
+    @pytest.mark.parametrize("duration,interval", [
+        (100.0, 0.0), (100.0, -5.0), (100.0, float("nan")),
+        (100.0, float("inf")), (0.0, 50.0), (-100.0, 50.0),
+        (float("inf"), 50.0),
+    ])
+    def test_run_refuses_an_impossible_duration_or_interval(
+            self, problem, trainer_cls, duration, interval):
+        parts, test = problem
+        trainer = trainer_cls(factory, parts, test, seed=1)
+        with pytest.raises(MLError, match="finite and positive"):
+            trainer.run(duration, eval_interval_s=interval)

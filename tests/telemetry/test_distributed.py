@@ -213,7 +213,6 @@ def build_batch(lose_first_attempt=False):
     ]
     spans.extend(export_job_spans(trace, "job-1", "d1", 1, simple_job))
 
-    heartbeats = {}
     if lose_first_attempt:
         def partial(tracer, clock):
             exporter = tracer.exporters[0]
@@ -227,6 +226,11 @@ def build_batch(lose_first_attempt=False):
         journal += [
             {"type": "job", "status": "queued", "job_id": "job-2",
              "attempt": 1, "worker": "w2", "ts": 3.0},
+            {"type": "job", "status": "checkpoint", "job_id": "job-2",
+             "attempt": 1, "worker": "w2", "boundary": 0, "digest": "c",
+             "ts": 4.5},
+            {"type": "worker_lost", "worker": "w2", "reason": "chaos",
+             "job_id": "job-2", "attempt": 1, "ts": 5.0},
             {"type": "job", "status": "requeued", "job_id": "job-2",
              "attempt": 1, "worker": "w2", "ts": 5.0},
             {"type": "job", "status": "queued", "job_id": "job-2",
@@ -235,7 +239,6 @@ def build_batch(lose_first_attempt=False):
              "attempt": 2, "ts": 6.0,
              "result": {"outcome": "settled", "attempt": 2}},
         ]
-        heartbeats = {"w2": {"job_id": "job-2", "ts": 4.5}}
         spans.extend(export_job_spans(trace, "job-2", "d2", 2, simple_job))
     else:
         journal += [
@@ -246,13 +249,13 @@ def build_batch(lose_first_attempt=False):
              "result": {"outcome": "settled", "attempt": 1}},
         ]
         spans.extend(export_job_spans(trace, "job-2", "d2", 1, simple_job))
-    return trace, spans, fold_journal(journal), heartbeats
+    return trace, spans, fold_journal(journal)
 
 
 class TestAssembleTrace:
     def test_happy_path_is_complete(self):
-        trace, spans, journal, beats = build_batch()
-        assembled = assemble_trace(spans, journal, heartbeats=beats)
+        trace, spans, journal = build_batch()
+        assembled = assemble_trace(spans, journal)
         assert assembled.trace_id == trace.trace_id
         assert assembled.root["span_id"] == trace.span_id
         assert assembled.completeness == 1.0
@@ -262,18 +265,17 @@ class TestAssembleTrace:
         assert assembled.winners == {"job-1": 1, "job-2": 1}
 
     def test_lost_attempt_gets_synthetic_span(self):
-        trace, spans, journal, beats = build_batch(lose_first_attempt=True)
-        assembled = assemble_trace(spans, journal, heartbeats=beats)
+        trace, spans, journal = build_batch(lose_first_attempt=True)
+        assembled = assemble_trace(spans, journal)
         assert assembled.completeness == 1.0
         assert assembled.orphans == []
         assert len(assembled.lost) == 1
         synthetic = assembled.lost[0]
         assert synthetic["name"] == LOST_WORKER_SPAN
         assert synthetic["status"] == STATUS_LOST
-        assert synthetic["attributes"]["evidence"] == "heartbeat"
+        assert synthetic["attributes"]["evidence"] == "journal"
         assert synthetic["attributes"]["worker"] == "w2"
-        # Queued at 3.0; the requeue record at 5.0 is the latest evidence
-        # (the heartbeat at 4.5 upgrades the evidence label, not the end).
+        # Queued at 3.0, requeued at 5.0: the journal brackets the attempt.
         assert synthetic["wall_ms"] == pytest.approx(2000.0)
         # The dead attempt's fragment hangs under the synthetic span.
         fragment = next(r for r in assembled.spans
@@ -283,25 +285,25 @@ class TestAssembleTrace:
         assert assembled.winners["job-2"] == 2
 
     def test_unwitnessed_job_lowers_completeness(self):
-        trace, spans, journal, beats = build_batch()
+        trace, spans, journal = build_batch()
         fold(journal, {"type": "job", "status": "done", "job_id": "job-3",
                        "attempt": 1, "ts": 9.0,
                        "result": {"outcome": "failed", "attempt": 1}})
-        assembled = assemble_trace(spans, journal, heartbeats=beats)
+        assembled = assemble_trace(spans, journal)
         assert assembled.unwitnessed == ["job-3"]
         assert assembled.completeness == pytest.approx(2 / 3)
 
     def test_error_outcome_jobs_are_out_of_scope(self):
-        trace, spans, journal, beats = build_batch()
+        trace, spans, journal = build_batch()
         fold(journal, {"type": "job", "status": "done", "job_id": "job-3",
                        "attempt": 1, "ts": 9.0,
                        "result": {"outcome": "error", "attempt": 1}})
-        assembled = assemble_trace(spans, journal, heartbeats=beats)
+        assembled = assemble_trace(spans, journal)
         assert assembled.unwitnessed == []
         assert assembled.completeness == 1.0
 
     def test_winning_attempt_with_broken_parent_is_orphaned(self):
-        trace, spans, journal, beats = build_batch()
+        trace, spans, journal = build_batch()
         spans = spans + [{
             "type": SPAN_RECORD, "trace_id": trace.trace_id,
             "span_id": derive_span_id(trace.trace_id, "stray"),
@@ -310,7 +312,7 @@ class TestAssembleTrace:
             "end_sim": 0.0, "sim_duration": 0.0, "wall_ms": 0.0,
             "status": "ok", "error": "", "attributes": {},
         }]
-        assembled = assemble_trace(spans, journal, heartbeats=beats)
+        assembled = assemble_trace(spans, journal)
         assert [r["name"] for r in assembled.orphans] == ["stray"]
 
     def test_no_evidence_raises(self):
@@ -318,9 +320,9 @@ class TestAssembleTrace:
             assemble_trace([], fold_journal([]))
 
     def test_missing_root_span_is_synthesized(self):
-        trace, spans, journal, beats = build_batch()
+        trace, spans, journal = build_batch()
         spans = [r for r in spans if r["span_id"] != trace.span_id]
-        assembled = assemble_trace(spans, journal, heartbeats=beats)
+        assembled = assemble_trace(spans, journal)
         assert assembled.root["attributes"].get("synthetic") is True
         assert assembled.completeness == 1.0
 
@@ -334,14 +336,22 @@ class TestChromeTrace:
     def test_export_validates_against_checked_in_schema(self):
         with open(SCHEMA_PATH, encoding="utf-8") as handle:
             schema = json.load(handle)
-        trace, spans, journal, beats = build_batch(lose_first_attempt=True)
-        doc = to_chrome_trace(assemble_trace(spans, journal,
-                                             heartbeats=beats))
+        trace, spans, journal = build_batch(lose_first_attempt=True)
+        doc = to_chrome_trace(assemble_trace(spans, journal))
         assert validate_chrome_trace(doc, schema) == []
         json.loads(json.dumps(doc))  # serializable
         assert doc["otherData"]["trace_id"] == trace.trace_id
         phases = {event["ph"] for event in doc["traceEvents"]}
-        assert phases == {"M", "X"} or phases == {"M", "X", "i"}
+        assert phases == {"M", "X", "i"}
+        # One instant per journaled loss and requeue, on the dead worker's
+        # lane, carrying the job and attempt it held.
+        instants = [e for e in doc["traceEvents"] if e["ph"] == "i"]
+        assert sorted(e["name"] for e in instants) == ["job.requeued",
+                                                       "worker.lost"]
+        for instant in instants:
+            assert instant["args"]["job_id"] == "job-2"
+            assert instant["args"]["attempt"] == 1
+            assert instant["args"]["worker"] == "w2"
         lost = [e for e in doc["traceEvents"] if e.get("cat") == "lost"]
         assert len(lost) == 1
         assert all(e["ts"] >= 0 for e in doc["traceEvents"]
@@ -399,14 +409,13 @@ class TestCriticalPath:
         assert count == 2
 
     def test_report_is_stable_under_record_order(self):
-        trace, spans, journal, beats = build_batch(lose_first_attempt=True)
+        trace, spans, journal = build_batch(lose_first_attempt=True)
         first = render_critical_path(
-            critical_path(assemble_trace(spans, journal, heartbeats=beats)))
+            critical_path(assemble_trace(spans, journal)))
         shuffled = list(spans)
         random.Random(7).shuffle(shuffled)
         second = render_critical_path(
-            critical_path(assemble_trace(shuffled, journal,
-                                         heartbeats=beats)))
+            critical_path(assemble_trace(shuffled, journal)))
         assert first == second
         assert first.endswith("\n")
 
