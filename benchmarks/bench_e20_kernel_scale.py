@@ -8,9 +8,10 @@ Two claims, both measured on the seeded HAR workload:
   (``tests/kernels/gossip_oracle.py``), while reproducing its
   accuracy-versus-time history *byte-identically*
   (same ``derive_rng`` streams, same IEEE-754 operation order; see
-  ``repro.kernels.ops``).  The speedup is a same-process wall-time ratio,
-  so it is meaningful on shared hardware and gated in the BENCH
-  trajectory.
+  ``repro.kernels.ops``).  The speedup is the median of
+  ``TIMING_REPEATS`` same-process wall-time ratios, the engines
+  alternating, so it is meaningful on shared hardware and gated in the
+  BENCH trajectory; its spread rides along.
 * **Scale** — a 10,000-node gossip experiment, far beyond what the
   per-node oracle can touch in CI, completes in seconds on the kernel
   engine (even the quick suite runs it).
@@ -23,6 +24,7 @@ and partition skew is irrelevant to a throughput measurement.
 
 from __future__ import annotations
 
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -31,7 +33,12 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).parent.parent))  # tests/ (the oracle)
 
-from harness import har_problem  # noqa: E402
+from harness import (  # noqa: E402
+    TIMING_REPEATS,
+    alternating_repeats,
+    har_problem,
+    median_spread,
+)
 from repro.bench import (  # noqa: E402
     Experiment,
     format_table,
@@ -86,25 +93,35 @@ def run_bench(quick: bool = False) -> dict:
 
     # -- engine comparison at 256 nodes, identical seeds --------------------
     parts, test = har_problem(COMPARE_NODES, 6144)
-    runs = {}
-    for name, engine in (("objects", GossipNodeTrainer),
-                         ("kernel", GossipKernelTrainer)):
-        start = time.perf_counter()
-        trainer = build(engine, parts, test, GossipConfig(batch_size=8),
-                        seed=COMPARE_SEED)
-        outcome = trainer.run(duration, eval_interval_s=eval_every)
-        runs[name] = (time.perf_counter() - start, trainer, outcome)
 
-    obj_wall, obj_trainer, obj = runs["objects"]
-    ker_wall, ker_trainer, ker = runs["kernel"]
-    speedup = obj_wall / ker_wall
-    identical = (
+    def timed(engine):
+        def run():
+            start = time.perf_counter()
+            trainer = build(engine, parts, test, GossipConfig(batch_size=8),
+                            seed=COMPARE_SEED)
+            outcome = trainer.run(duration, eval_interval_s=eval_every)
+            return time.perf_counter() - start, trainer, outcome
+        return run
+
+    runs = alternating_repeats({"objects": timed(GossipNodeTrainer),
+                                "kernel": timed(GossipKernelTrainer)})
+    obj_walls = [wall for wall, _, _ in runs["objects"]]
+    ker_walls = [wall for wall, _, _ in runs["kernel"]]
+    speedup, speedup_spread = median_spread(
+        [o / k for o, k in zip(obj_walls, ker_walls)])
+    obj_wall = statistics.median(obj_walls)
+    ker_wall = statistics.median(ker_walls)
+    identical = all(
         obj.history == ker.history
         and np.array_equal(obj_trainer.final_params(),
                            ker_trainer.final_params())
         and obj.events_processed == ker.events_processed
         and obj.bytes_delivered == ker.bytes_delivered
+        for (_, obj_trainer, obj), (_, ker_trainer, ker)
+        in zip(runs["objects"], runs["kernel"])
     )
+    _, _, obj = runs["objects"][0]
+    _, _, ker = runs["kernel"][0]
 
     # -- 10k-node throughput run on the kernel engine -----------------------
     scale_parts, scale_test = scale_problem()
@@ -127,8 +144,9 @@ def run_bench(quick: bool = False) -> dict:
         ["engine", "wall s", "final acc", "events"], rows)
     lines += [
         "",
-        f"speedup {speedup:.1f}x at {COMPARE_NODES} nodes, "
-        f"byte-identical: {identical}",
+        f"speedup {speedup:.1f}x at {COMPARE_NODES} nodes (median of "
+        f"{TIMING_REPEATS} alternating repeats, spread "
+        f"{speedup_spread:.3f}), byte-identical: {identical}",
         f"{SCALE_NODES:,} nodes x {scale_duration:.0f}s sim: "
         f"{scale_wall:.1f}s wall, {scale.events_processed:,} events "
         f"({events_per_s:,.0f} events/s), "
@@ -136,10 +154,12 @@ def run_bench(quick: bool = False) -> dict:
     ]
 
     metrics = {
-        # A wall-time *ratio* on the same process/hardware: stable enough
-        # to gate, with slack for noisy CI runners.
+        # The median of paired wall-time *ratios* on the same
+        # process/hardware: stable enough to gate, with slack for noisy
+        # CI runners.
         "kernel_speedup_256": higher_is_better(speedup, unit="x",
                                                threshold_pct=30.0),
+        "kernel_speedup_256_spread": info(speedup_spread),
         "scale_10k_final_score": higher_is_better(scale.final_mean_score),
         "scale_10k_events": lower_is_better(scale.events_processed,
                                             unit="events"),

@@ -1,7 +1,9 @@
 """Builders the experiments share.
 
 ``har_problem`` is the seeded ML split E5, E6, E15 and E20 train on;
-``chaos_sweep`` is the chaos batch E21 settles and E22 explains.  The
+``chaos_sweep`` is the chaos batch E21 settles and E22 explains;
+``alternating_repeats`` and ``median_spread`` turn E3's and E20's
+timing-derived gates into medians of repeats.  The
 experiments themselves run through ``python -m repro bench``
 (:mod:`repro.bench.runner`), which puts this directory on ``sys.path``.
 """
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import atexit
 import shutil
+import statistics
 import tempfile
+from typing import Callable
 
 import numpy as np
 
@@ -39,6 +43,31 @@ def har_problem(nodes: int = 24, samples: int = 3000):
                                 min_samples=15)
         _HAR_CACHE[key] = (parts, test)
     return _HAR_CACHE[key]
+
+
+#: A gate derived from wall times is the median of this many alternating
+#: repeats in one process (E25's rule), never one ratio of two walls.
+TIMING_REPEATS = 5
+
+
+def alternating_repeats(runs: dict[str, Callable[[], object]],
+                        repeats: int = TIMING_REPEATS) -> dict[str, list]:
+    """Call every function in ``runs`` once per repeat, in turn (a, b, a,
+    b, ...), so drift on a shared host falls on each side alike; returns
+    each function's results in repeat order."""
+    results: dict[str, list] = {name: [] for name in runs}
+    for _ in range(repeats):
+        for name, run in runs.items():
+            results[name].append(run())
+    return results
+
+
+def median_spread(values: list[float]) -> tuple[float, float]:
+    """``(median, spread)`` with spread the interquartile range over the
+    median, as E25 reports it."""
+    median = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return median, (q3 - q1) / median
 
 
 #: Every CHAOS_FAULT_EVERY-th chaos job runs with faults armed at

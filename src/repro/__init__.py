@@ -9,7 +9,7 @@ Section VI calls for.  Subpackages map to the paper's subsystems:
 * :mod:`repro.governance` — actor/data registries, workload contracts, audit;
 * :mod:`repro.tee`     — simulated enclaves, attestation, cost models;
 * :mod:`repro.storage` — local / swarm / cloud backends, semantic discovery;
-* :mod:`repro.net`     — discrete-event network simulation with churn;
+* :mod:`repro.net`     — link model, overlays and churn timelines;
 * :mod:`repro.ml`      — models, datasets, gossip learning, FedAvg;
 * :mod:`repro.privacy` — DP-SGD, RDP accounting, membership inference;
 * :mod:`repro.rewards` — Shapley valuation, pricing, distribution;

@@ -87,7 +87,7 @@ def _cmd_info(args: argparse.Namespace, out: OutputWriter) -> int:
         ("repro.governance", "registries, workload contracts, audit"),
         ("repro.tee", "enclaves, attestation, backend cost model"),
         ("repro.storage", "local/swarm/cloud backends, semantic catalog"),
-        ("repro.net", "discrete-event network, topologies, churn"),
+        ("repro.net", "link model, topologies, churn timelines"),
         ("repro.ml", "models, datasets, gossip learning, FedAvg"),
         ("repro.privacy", "DP-SGD, RDP accounting, membership inference"),
         ("repro.rewards", "Shapley, pricing, distribution, economics"),

@@ -158,7 +158,7 @@ class ModelCompatibilityError(MLError):
 
 
 class SimulationError(PDS2Error):
-    """The discrete-event network simulation reached an invalid state."""
+    """The network model (overlay, churn) was given an impossible value."""
 
 
 # ---------------------------------------------------------------------------

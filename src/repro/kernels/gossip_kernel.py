@@ -61,14 +61,12 @@ from repro.ml.gossip import (
 from repro.ml.merge import MergeStrategy
 from repro.ml.models import Model
 from repro.net.churn import ChurnModel
-from repro.net.simulator import (
-    MEAN_LATENCY_S,
+from repro.net.topology import (
     _MSG_DELIVERED,
     _MSG_DROPPED,
     _MSG_SENT,
     _NET_BYTES_DELIVERED,
-)
-from repro.net.topology import (
+    MEAN_LATENCY_S,
     edge_latencies,
     neighbors_map,
     random_regular_overlay,
@@ -209,8 +207,8 @@ class GossipKernelTrainer:
         """Vectorized churn lookup: online flags for node/time pairs.
 
         A node is online iff its initial state XOR an odd number of toggles
-        at times ``<= t`` (toggle events run before same-time queries, per
-        the simulator's install-order tie-break)."""
+        at times ``<= t``: a toggle at ``t`` counts for a query at ``t``,
+        as in the event-driven oracle, which installs churn first."""
         if self._toggle_pad is None:
             return np.ones(len(nodes), dtype=bool)
         flips = (self._toggle_pad[nodes] <= times[:, None]).sum(axis=1)

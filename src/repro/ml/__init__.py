@@ -23,12 +23,9 @@ from repro.ml.datasets import (
     train_test_split,
 )
 from repro.ml.federated import (
-    FederatedClient,
     FederatedConfig,
     FederatedResult,
-    FederatedServer,
     FederatedTrainer,
-    SERVER_ADDRESS,
 )
 from repro.ml.gossip import (
     GossipConfig,
@@ -60,12 +57,9 @@ __all__ = [
     "split_dirichlet",
     "split_iid",
     "train_test_split",
-    "FederatedClient",
     "FederatedConfig",
     "FederatedResult",
-    "FederatedServer",
     "FederatedTrainer",
-    "SERVER_ADDRESS",
     "GossipConfig",
     "GossipResult",
     "GossipTrainer",

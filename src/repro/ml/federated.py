@@ -1,9 +1,28 @@
 """Federated learning (FedAvg) — the centralized baseline of Section III-C.
 
-McMahan et al.'s FedAvg over the same discrete-event network the gossip
-implementation uses: a coordinator samples clients each round, broadcasts
-the global model, clients train locally and upload updates, and the server
-replaces the global model with the sample-weighted average.
+McMahan et al.'s FedAvg on the network model the gossip kernels use: at
+every round tick a coordinator samples the online clients, sends them the
+global model, each trains locally and uploads its update, and the server
+replaces the global model with the sample-weighted average of the updates
+that arrived.
+
+A run is a loop over round ticks.  Online state comes from
+:meth:`~repro.net.churn.ChurnModel.precompute_timeline` (a node is online
+at ``t`` iff an even number of its toggles lie at or before ``t``), and
+every message's fate is closed form:
+
+* a message sent at ``t`` arrives at ``t + (MEAN_LATENCY_S + size /
+  sender uplink)``; one that would arrive after the last checkpoint stays
+  in flight;
+* it is dropped when either endpoint is offline when it is sent or when
+  it arrives;
+* an update counts for the round it answers only if it arrives strictly
+  before the server's next online tick;
+* the counted updates are averaged in arrival order.  Every client has
+  the same uplink, so that is the sorted order of the chosen clients.
+
+``tests/ml/fedavg_oracle.py`` keeps the event-driven engine this loop is
+checked against byte for byte.
 
 The implementation deliberately exposes the failure modes the paper
 attributes to centralization: all traffic transits the server's uplink
@@ -13,6 +32,7 @@ arrive (churn sensitivity), and the server is a single point of failure.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -20,15 +40,26 @@ import numpy as np
 
 from repro.errors import MLError
 from repro.ml.datasets import Dataset
-from repro.ml.gossip import MESSAGE_OVERHEAD_BYTES, eval_checkpoints
+from repro.ml.gossip import (
+    MESSAGE_OVERHEAD_BYTES,
+    eval_checkpoints,
+    require_finite_positive,
+)
 from repro.ml.merge import merge_parameter_vectors
 from repro.ml.models import Model
 from repro.net.churn import ChurnModel
-from repro.net.simulator import Network, Simulator
+from repro.net.topology import (
+    _MSG_DELIVERED,
+    _MSG_DROPPED,
+    _MSG_SENT,
+    _NET_BYTES_DELIVERED,
+    MEAN_LATENCY_S,
+)
 from repro.utils.rng import derive_rng
 
-SERVER_ADDRESS = "fed-server"
-#: The coordinator's uplink, 100 Mbit/s — ten times a client's default.
+#: A client's uplink, 10 Mbit/s.
+CLIENT_UPLOAD_BYTES_PER_S = 1_250_000.0
+#: The coordinator's uplink, 100 Mbit/s — ten times a client's.
 SERVER_UPLOAD_BYTES_PER_S = 12_500_000.0
 
 
@@ -43,133 +74,14 @@ class FederatedConfig:
     learning_rate: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.round_interval_s <= 0:
-            raise MLError("round interval must be positive")
+        require_finite_positive(("round interval", self.round_interval_s),
+                                ("learning rate", self.learning_rate))
         if not 0 < self.client_fraction <= 1:
             raise MLError("client fraction must be in (0, 1]")
         if self.local_steps < 1:
             raise MLError("local steps must be >= 1")
-
-
-@dataclass
-class _GlobalModelMessage:
-    """Server -> client: the current global parameters."""
-
-    params: np.ndarray
-    round_number: int
-
-    @property
-    def size_bytes(self) -> int:
-        return self.params.nbytes + MESSAGE_OVERHEAD_BYTES
-
-
-@dataclass
-class _UpdateMessage:
-    """Client -> server: locally trained parameters plus sample count."""
-
-    params: np.ndarray
-    samples: int
-    round_number: int
-
-    @property
-    def size_bytes(self) -> int:
-        return self.params.nbytes + MESSAGE_OVERHEAD_BYTES
-
-
-class FederatedClient:
-    """One data-holding client that trains on request."""
-
-    def __init__(self, address: str, model: Model, data: Dataset,
-                 config: FederatedConfig, network: Network,
-                 rng: np.random.Generator):
-        self.address = address
-        self.model = model
-        self.data = data
-        self.config = config
-        self.network = network
-        self.rng = rng
-        self.rounds_participated = 0
-
-    def on_message(self, sender: str, message: _GlobalModelMessage) -> None:
-        """Receive the global model, train locally, send the update back."""
-        self.model.set_params(message.params)
-        if len(self.data):
-            self.model.train_steps(
-                self.data.features, self.data.targets,
-                steps=self.config.local_steps,
-                learning_rate=self.config.learning_rate,
-                batch_size=self.config.batch_size,
-                rng=self.rng,
-            )
-        self.rounds_participated += 1
-        update = _UpdateMessage(
-            params=self.model.params,
-            samples=len(self.data),
-            round_number=message.round_number,
-        )
-        self.network.send(self.address, sender, update, update.size_bytes)
-
-
-class FederatedServer:
-    """The coordinator: samples clients, aggregates their updates."""
-
-    def __init__(self, model: Model, config: FederatedConfig,
-                 simulator: Simulator, network: Network,
-                 client_addresses: list[str], rng: np.random.Generator):
-        self.model = model
-        self.config = config
-        self.simulator = simulator
-        self.network = network
-        self.client_addresses = list(client_addresses)
-        self.rng = rng
-        self.round_number = 0
-        self.rounds_completed = 0
-        self.rounds_empty = 0
-        self._inbox: list[_UpdateMessage] = []
-
-    def start(self) -> None:
-        """Kick off the periodic round driver."""
-        self.simulator.schedule(self.config.round_interval_s, self._round)
-
-    def _round(self) -> None:
-        self.simulator.schedule(self.config.round_interval_s, self._round)
-        if not self.network.is_online(SERVER_ADDRESS):
-            return
-        self._aggregate()
-        self.round_number += 1
-        online = [
-            address for address in self.client_addresses
-            if self.network.is_online(address)
-        ]
-        if not online:
-            return
-        count = max(1, int(round(len(online) * self.config.client_fraction)))
-        chosen_idx = self.rng.choice(len(online), size=min(count, len(online)),
-                                     replace=False)
-        message = _GlobalModelMessage(params=self.model.params,
-                                      round_number=self.round_number)
-        for index in np.sort(chosen_idx):
-            self.network.send(SERVER_ADDRESS, online[int(index)], message,
-                              message.size_bytes)
-
-    def _aggregate(self) -> None:
-        """Close the previous round: average whatever updates arrived."""
-        if not self._inbox:
-            if self.round_number > 0:
-                self.rounds_empty += 1
-            return
-        vectors = [update.params for update in self._inbox]
-        weights = [float(max(1, update.samples)) for update in self._inbox]
-        self.model.set_params(merge_parameter_vectors(vectors, weights))
-        self._inbox.clear()
-        self.rounds_completed += 1
-
-    def on_message(self, sender: str, message: _UpdateMessage) -> None:
-        """Collect a client update for the current round."""
-        if message.round_number == self.round_number:
-            self._inbox.append(message)
-        # Stale updates (from a previous round) are discarded, as in
-        # synchronous FedAvg.
+        if self.batch_size < 1:
+            raise MLError("batch size must be >= 1")
 
 
 @dataclass
@@ -186,8 +98,15 @@ class FederatedResult:
     rounds_empty: int = 0
 
 
+
 class FederatedTrainer:
-    """Builds and runs a FedAvg deployment on the simulated network."""
+    """Builds and runs a FedAvg deployment.
+
+    ``model_factory`` is called once for the server, then once per
+    partition in index order (factories may be stateful).  With ``churn``
+    every client churns, and the server too when
+    ``server_subject_to_churn``.
+    """
 
     def __init__(self, model_factory: Callable[[], Model],
                  partitions: list[Dataset], test_set: Dataset,
@@ -198,53 +117,133 @@ class FederatedTrainer:
             raise MLError("federated learning needs at least one client")
         self.config = config if config is not None else FederatedConfig()
         self.test_set = test_set
-        self.simulator = Simulator()
-        self.network = Network(self.simulator)
-        self.server = FederatedServer(
-            model=model_factory(), config=self.config,
-            simulator=self.simulator, network=self.network,
-            client_addresses=[], rng=derive_rng(seed, "fed-server"),
-        )
-        self.network.attach(SERVER_ADDRESS, self.server,
-                            upload_bytes_per_s=SERVER_UPLOAD_BYTES_PER_S)
-        self.clients: list[FederatedClient] = []
-        for index, part in enumerate(partitions):
-            address = f"fed-client-{index}"
-            client = FederatedClient(
-                address=address, model=model_factory(), data=part,
-                config=self.config, network=self.network,
-                rng=derive_rng(seed, f"fed-client-{index}"),
-            )
-            self.clients.append(client)
-            self.network.attach(address, client)
-            self.server.client_addresses.append(address)
-        if churn is not None:
-            churned = [client.address for client in self.clients]
-            if server_subject_to_churn:
-                churned.append(SERVER_ADDRESS)
-            churn.install(self.simulator, self.network, churned,
-                          derive_rng(seed, "fed-churn"))
+        self.partitions = list(partitions)
+        self.seed = seed
+        self.churn = churn
+        self.server_subject_to_churn = server_subject_to_churn
+        self.model = model_factory()
+        self.client_models = [model_factory() for _ in partitions]
+        self.server_rng = derive_rng(seed, "fed-server")
+        self.client_rngs = [derive_rng(seed, f"fed-client-{index}")
+                            for index in range(len(partitions))]
 
     def run(self, duration_s: float,
             eval_interval_s: float = 50.0) -> FederatedResult:
-        """Run FedAvg for ``duration_s`` of simulated time."""
+        """Run FedAvg for ``duration_s`` of simulated time, scoring the
+        server model every ``eval_interval_s``."""
+        config = self.config
         checkpoints = eval_checkpoints(duration_s, eval_interval_s)
-        self.server.start()
+        # Nothing runs past the last checkpoint: that is the horizon.
+        horizon = float(checkpoints[-1]) if len(checkpoints) else 0.0
+        # Nodes 0..n-1 are the clients, node n the server.
+        server = len(self.partitions)
+        initial = np.ones(server + 1, dtype=bool)
+        toggles = [np.empty(0)] * (server + 1)
+        if self.churn is not None:
+            churned = server + int(self.server_subject_to_churn)
+            initial[:churned], toggles[:churned] = (
+                self.churn.precompute_timeline(
+                    churned, derive_rng(self.seed, "fed-churn"), horizon))
+
+        def online(node: int, t: float) -> bool:
+            flips = int(np.searchsorted(toggles[node], t, side="right"))
+            return bool(initial[node]) != bool(flips & 1)
+
+        traffic = Counter()
+
+        def transmit(src: int, dst: int, at: float,
+                     latency: float) -> Optional[float]:
+            """Charge one message sent at ``at``; its arrival if it lands."""
+            if not (online(src, at) and online(dst, at)):
+                traffic["dropped"] += 1
+                return None
+            traffic["sent"] += 1
+            traffic["server"] += src == server
+            arrival = at + latency
+            if arrival > horizon:
+                return None               # still in flight when the run ends
+            if not online(dst, arrival):
+                traffic["dropped"] += 1
+                return None
+            traffic["delivered"] += 1
+            traffic["server"] += dst == server
+            return arrival
+
+        size = self.model.params.nbytes + MESSAGE_OVERHEAD_BYTES
+        down = MEAN_LATENCY_S + size / SERVER_UPLOAD_BYTES_PER_S
+        up = MEAN_LATENCY_S + size / CLIENT_UPLOAD_BYTES_PER_S
+        round_number = rounds_completed = rounds_empty = 0
+        # The open round's delivered updates: (arrival, params, samples).
+        updates: list[tuple[float, np.ndarray, int]] = []
         history: list[tuple[float, float]] = []
+        tick = 0.0
         for checkpoint in checkpoints:
-            self.simulator.run_until(float(checkpoint))
-            score = self.server.model.score(self.test_set.features,
-                                            self.test_set.targets)
-            history.append((float(checkpoint), score))
-        server_state = self.network.node_state(SERVER_ADDRESS)
+            while tick + config.round_interval_s <= checkpoint:
+                tick += config.round_interval_s
+                if not online(server, tick):
+                    continue
+                # Close the open round on what arrived before this tick.
+                arrived = [update for update in updates if update[0] < tick]
+                if arrived:
+                    self.model.set_params(merge_parameter_vectors(
+                        [params for _, params, _ in arrived],
+                        [float(max(1, samples))
+                         for _, _, samples in arrived]))
+                    rounds_completed += 1
+                elif round_number > 0:
+                    rounds_empty += 1
+                round_number += 1
+                updates = []
+                ready = [c for c in range(server) if online(c, tick)]
+                if not ready:
+                    continue
+                count = max(1, int(round(len(ready)
+                                         * config.client_fraction)))
+                chosen = self.server_rng.choice(
+                    len(ready), size=min(count, len(ready)), replace=False)
+                global_params = self.model.params
+                for index in np.sort(chosen):
+                    client = ready[int(index)]
+                    received = transmit(server, client, tick, down)
+                    if received is None:
+                        continue
+                    update = self._train(client, global_params)
+                    arrival = transmit(client, server, received, up)
+                    if arrival is not None:
+                        updates.append((arrival, update,
+                                        len(self.partitions[client])))
+            history.append((float(checkpoint), self._score()))
+
+        _MSG_SENT.inc(traffic["sent"])
+        _MSG_DELIVERED.inc(traffic["delivered"])
+        _MSG_DROPPED.inc(traffic["dropped"])
+        _NET_BYTES_DELIVERED.inc(size * traffic["delivered"])
         return FederatedResult(
             history=history,
-            final_score=self.server.model.score(self.test_set.features,
-                                                self.test_set.targets),
-            bytes_delivered=self.network.stats.bytes_delivered,
-            messages_delivered=self.network.stats.messages_delivered,
-            messages_dropped=self.network.stats.messages_dropped,
-            server_bytes=server_state.bytes_sent + server_state.bytes_received,
-            rounds_completed=self.server.rounds_completed,
-            rounds_empty=self.server.rounds_empty,
+            final_score=self._score(),
+            bytes_delivered=size * traffic["delivered"],
+            messages_delivered=traffic["delivered"],
+            messages_dropped=traffic["dropped"],
+            server_bytes=size * traffic["server"],
+            rounds_completed=rounds_completed,
+            rounds_empty=rounds_empty,
         )
+
+    def _train(self, client: int, global_params: np.ndarray) -> np.ndarray:
+        """One client's local training from the global parameters."""
+        model = self.client_models[client]
+        data = self.partitions[client]
+        model.set_params(global_params)
+        if len(data):
+            model.train_steps(
+                data.features, data.targets,
+                steps=self.config.local_steps,
+                learning_rate=self.config.learning_rate,
+                batch_size=self.config.batch_size,
+                rng=self.client_rngs[client],
+            )
+        return model.params
+
+    def _score(self) -> float:
+        return self.model.score(self.test_set.features,
+                                self.test_set.targets)

@@ -81,8 +81,8 @@ class GossipConfig:
     dp_noise_std: float = 0.0  # Gaussian noise on every *shared* model
 
     def __post_init__(self) -> None:
-        if self.wake_interval_s <= 0:
-            raise MLError("wake interval must be positive")
+        require_finite_positive(("wake interval", self.wake_interval_s),
+                                ("learning rate", self.learning_rate))
         if self.local_steps < 1 or self.push_count < 1:
             raise MLError("local steps and push count must be >= 1")
         if self.batch_size < 1:
@@ -103,19 +103,25 @@ class GossipResult:
     messages_dropped: int
     max_node_bytes: int                          # heaviest single node load
     per_node_scores: list[float] = field(default_factory=list)
-    events_processed: int = 0                    # simulator events that ran
+    events_processed: int = 0                    # wakes, deliveries, toggles
     wakes: int = 0                               # online wake cycles
     merges: int = 0                              # models merged at wakes
+
+
+def require_finite_positive(*named: tuple[str, float]) -> None:
+    """Raise :class:`~repro.errors.MLError` unless every ``(name, value)``
+    holds a finite value above zero."""
+    for name, value in named:
+        if not (math.isfinite(value) and value > 0):
+            raise MLError(f"{name} must be finite and positive, got {value}")
 
 
 def eval_checkpoints(duration_s: float, eval_interval_s: float) -> np.ndarray:
     """The simulated times a trainer's ``run`` scores at: every
     ``eval_interval_s`` up to ``duration_s``.  Both must be finite and
     positive; anything else raises :class:`~repro.errors.MLError`."""
-    for name, value in (("duration", duration_s),
-                        ("eval interval", eval_interval_s)):
-        if not (math.isfinite(value) and value > 0):
-            raise MLError(f"{name} must be finite and positive, got {value}")
+    require_finite_positive(("duration", duration_s),
+                            ("eval interval", eval_interval_s))
     return np.arange(eval_interval_s, duration_s + 1e-9, eval_interval_s)
 
 

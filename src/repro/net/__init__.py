@@ -1,28 +1,22 @@
-"""Network substrate: deterministic discrete-event simulation.
+"""Network substrate: the link, overlay and churn models.
 
-Message passing with latency/bandwidth/availability models, overlay
-topology builders, and exponential churn — the physical-environment stand-in
-for the decentralized-ML experiments.
+Overlay topology builders, the mean link latency and transport counters
+every message is charged to, and exponential churn precomputed as per-node
+on/off timelines: the physical-environment stand-in for the
+decentralized-ML experiments.  Gossip and FedAvg compute each message's
+fate in closed form from these; no event heap runs.
 """
 
 from repro.net.churn import ChurnModel
-from repro.net.simulator import (
-    Network,
-    NodeState,
-    Simulator,
-    TrafficStats,
-)
 from repro.net.topology import (
+    MEAN_LATENCY_S,
     neighbors_map,
     random_regular_overlay,
 )
 
 __all__ = [
     "ChurnModel",
-    "Network",
-    "NodeState",
-    "Simulator",
-    "TrafficStats",
+    "MEAN_LATENCY_S",
     "neighbors_map",
     "random_regular_overlay",
 ]

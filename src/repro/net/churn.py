@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.net.simulator import Network, Simulator
 
 
 @dataclass
 class ChurnModel:
-    """Exponential on/off churn applied to a set of addresses.
+    """Exponential on/off churn applied to a population of nodes.
 
     ``availability`` is the long-run fraction of time online:
     ``mean_online / (mean_online + mean_offline)``.
@@ -49,66 +48,23 @@ class ChurnModel:
         mean_offline = mean_online_s * (1 - availability) / availability
         return cls(mean_online_s=mean_online_s, mean_offline_s=mean_offline)
 
-    def install(self, simulator: Simulator, network: Network,
-                addresses: list[str], rng: np.random.Generator) -> None:
-        """Schedule the on/off cycle for every address.
-
-        Each node's *initial* state is drawn from the stationary
-        distribution — online with probability ``availability`` — instead
-        of starting everyone online, which would bias measured
-        availability above the model's target for the first cycle.  The
-        exponential session lengths are memoryless, so drawing a fresh
-        duration for the current session is exactly a mid-cycle start.
-
-        With ``mean_offline_s == 0`` the model is a no-op (always online).
-        """
-        if self.mean_offline_s == 0:
-            return
-        for address in addresses:
-            online = bool(rng.random() < self.availability)
-            network.set_online(address, online)
-            if online:
-                self._schedule_down(simulator, network, address, rng)
-            else:
-                self._schedule_up(simulator, network, address, rng)
-
-    def _schedule_down(self, simulator: Simulator, network: Network,
-                       address: str, rng: np.random.Generator) -> None:
-        online_duration = float(rng.exponential(self.mean_online_s))
-
-        def go_down() -> None:
-            network.set_online(address, False)
-            self._schedule_up(simulator, network, address, rng)
-
-        simulator.schedule(online_duration, go_down)
-
-    def _schedule_up(self, simulator: Simulator, network: Network,
-                     address: str, rng: np.random.Generator) -> None:
-        offline_duration = float(rng.exponential(self.mean_offline_s))
-
-        def come_up() -> None:
-            network.set_online(address, True)
-            self._schedule_down(simulator, network, address, rng)
-
-        simulator.schedule(offline_duration, come_up)
-
-    # -- vectorized replay ------------------------------------------------------
-
     def precompute_timeline(
         self, num_nodes: int, rng: np.random.Generator, horizon: float
     ) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Replay :meth:`install`'s exact draw sequence without a simulator.
+        """Draw every node's on/off timeline up to ``horizon``.
 
         Returns ``(initial_online, toggle_times)``: the stationary initial
-        state per node and, per node, the sorted times ``<= horizon`` at
-        which its online flag flips.  The RNG stream is consumed in
-        *precisely* the order the event-driven path consumes it — one
-        ``random()`` + one ``exponential()`` per node at install, then one
-        ``exponential()`` each time a toggle event fires, in global
-        ``(time, schedule-order)`` order — so the gossip kernels replaying
-        this timeline match the event-driven churn byte-for-byte.  Toggles
-        past ``horizon`` never fire in the event-driven path and therefore
-        draw nothing here either.
+        state per node (online with probability ``availability``, so the
+        first cycle is not biased towards online; the exponential session
+        lengths are memoryless, so a fresh draw for the current session is
+        exactly a mid-cycle start) and, per node, the sorted times
+        ``<= horizon`` at which its online flag flips.  The stream is one
+        ``random()`` + one ``exponential()`` per node in index order, then
+        one ``exponential()`` per toggle in global ``(time, draw-order)``
+        order; toggles past ``horizon`` draw nothing.  With
+        ``mean_offline_s == 0`` every node is always online and nothing is
+        drawn.  ``tests/net/event_oracle.py`` schedules the same stream as
+        simulator events.
         """
         initial = np.ones(num_nodes, dtype=bool)
         toggles: list[list[float]] = [[] for _ in range(num_nodes)]

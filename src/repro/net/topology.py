@@ -1,7 +1,9 @@
-"""Topology builders for the decentralized-ML experiments.
+"""Topology and link model for the decentralized-ML experiments.
 
 Gossip learning runs over a random regular peer overlay.  These helpers
-build that ``networkx`` graph, its peer lists and its per-link latencies.
+build that ``networkx`` graph, its peer lists and its per-link latencies,
+and hold what the gossip kernels and FedAvg share about a link: the mean
+latency and the transport counters every message is charged to.
 """
 
 from __future__ import annotations
@@ -10,7 +12,26 @@ import networkx as nx
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.net.simulator import MEAN_LATENCY_S
+from repro.telemetry import metrics as _tm
+
+#: Mean one-way link latency: what an unprofiled link costs, and the mean
+#: of the per-edge lognormal draws below.
+MEAN_LATENCY_S = 0.05
+
+# Transport counters, pre-resolved per outcome.  A message is ``sent`` when
+# both endpoints are online at send time, else ``dropped``; a sent message
+# that lands before the run ends is ``delivered``, or ``dropped`` when its
+# receiver is offline on arrival.
+_NET_MESSAGES = _tm.counter(
+    "pds2_net_messages_total", "Messages by transport outcome",
+    labelnames=("outcome",),
+)
+_MSG_SENT = _NET_MESSAGES.labels(outcome="sent")
+_MSG_DELIVERED = _NET_MESSAGES.labels(outcome="delivered")
+_MSG_DROPPED = _NET_MESSAGES.labels(outcome="dropped")
+_NET_BYTES_DELIVERED = _tm.counter(
+    "pds2_net_bytes_delivered_total", "Payload bytes delivered to handlers"
+)
 
 
 def random_regular_overlay(num_nodes: int, degree: int,

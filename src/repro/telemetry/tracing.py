@@ -5,8 +5,8 @@ block, an enclave run, a gossip evaluation interval — carrying a parent id
 (nesting is tracked by the :class:`Tracer`'s span stack), a wall-clock
 duration from ``time.perf_counter`` (monotonic; wall-of-day clocks can step
 backwards under NTP), a sim-clock duration from whichever simulation drives
-the run (the marketplace tick or the discrete-event simulator), and free-form
-attributes (gas, bytes, message counts).
+the run (the marketplace tick), and free-form attributes (gas, bytes,
+message counts).
 
 The tracer is deliberately simple: a stack, because the whole reproduction
 is single-threaded (a session that suspends brings its own,
@@ -114,7 +114,7 @@ class Tracer:
 
     def __init__(self, sim_clock: Optional[Callable[[], float]] = None):
         #: Where simulated time comes from.  The marketplace points this at
-        #: its lifecycle clock; the gossip trainer at the event simulator.
+        #: its lifecycle clock.
         self.sim_clock: Callable[[], float] = sim_clock or (lambda: 0.0)
         #: Called with every finished span (the marketplace publishes them
         #: as ``span.end`` events); None means spans stay in-process only.

@@ -3,7 +3,8 @@
 :func:`repro.ml.gossip.GossipTrainer` runs every input on the flat-array
 kernels (:mod:`repro.kernels.gossip_kernel`).  This module runs the same
 protocol the direct way — one :class:`GossipNode` per participant on the
-discrete-event network, one simulator callback per wake and per message,
+discrete-event network of ``tests/net/event_oracle.py``, one simulator
+callback per wake and per message,
 one :class:`~repro.ml.compression.CompressedUpdate` per push — drawing the
 same ``derive_rng`` streams at the same positions.  ``tests/kernels``
 holds the two byte-identical; E20 and
@@ -52,7 +53,6 @@ from repro.ml.gossip import (
 from repro.ml.merge import MergeStrategy
 from repro.ml.models import Model
 from repro.net.churn import ChurnModel
-from repro.net.simulator import Network, Simulator
 from repro.net.topology import (
     edge_latencies,
     neighbors_map,
@@ -60,6 +60,7 @@ from repro.net.topology import (
 )
 from repro.telemetry.tracing import tracer as _tracer
 from repro.utils.rng import derive_rng
+from tests.net.event_oracle import Network, Simulator, install_churn
 
 
 # -- the simulator and network the engine runs on ------------------------------
@@ -96,7 +97,7 @@ class _EventLane:
 
 
 class LaneSimulator(Simulator):
-    """A :class:`~repro.net.simulator.Simulator` that also takes whole
+    """A :class:`~tests.net.event_oracle.Simulator` that also takes whole
     pre-sorted timelines (one *lane* each) while holding only the lane
     head in the heap."""
 
@@ -130,7 +131,7 @@ class LaneSimulator(Simulator):
 
 
 class LinkNetwork(Network):
-    """A :class:`~repro.net.simulator.Network` with per-link latencies."""
+    """A :class:`~tests.net.event_oracle.Network` with per-link latencies."""
 
     def __init__(self, simulator: Simulator):
         super().__init__(simulator)
@@ -375,7 +376,7 @@ class GossipNodeTrainer:
             node.peers = peer_map[node.address]
         assign_latencies(self.network, overlay, self._address_of, topo_rng)
         if churn is not None:
-            churn.install(self.simulator, self.network,
+            install_churn(churn, self.simulator, self.network,
                           [node.address for node in self.nodes],
                           derive_rng(seed, "gossip-churn"))
         self.family = self.nodes[0].family

@@ -206,3 +206,30 @@ class TestRunDurations:
         trainer = trainer_cls(factory, parts, test, seed=1)
         with pytest.raises(MLError, match="finite and positive"):
             trainer.run(duration, eval_interval_s=interval)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestImpossibleTrainingNumbers:
+    """Refused at construction: each of these used to train silently to
+    chance, die deep inside numpy, or run zero rounds."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -1),
+        ("learning_rate", NAN), ("learning_rate", INF),
+        ("learning_rate", 0.0), ("learning_rate", -0.1),
+        ("round_interval_s", NAN), ("round_interval_s", INF),
+    ])
+    def test_federated_config(self, field, value):
+        with pytest.raises(MLError):
+            FederatedConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("wake_interval_s", NAN), ("wake_interval_s", INF),
+        ("learning_rate", NAN), ("learning_rate", INF),
+        ("learning_rate", 0.0), ("learning_rate", -0.1),
+    ])
+    def test_gossip_config(self, field, value):
+        with pytest.raises(MLError, match="finite and positive"):
+            GossipConfig(**{field: value})

@@ -1,17 +1,23 @@
-"""Deterministic discrete-event network simulator.
+"""The discrete-event network: the reference the round loops are checked against.
 
-The federated baseline of E5/E6 runs on this substrate.  It is a classic
-event-heap simulator:
+Production code runs no event heap.  Gossip runs on the flat-array
+kernels (:mod:`repro.kernels.gossip_kernel`) and FedAvg on round ticks
+(:mod:`repro.ml.federated`); both read churn from
+:meth:`repro.net.churn.ChurnModel.precompute_timeline` and compute message
+delivery in closed form.  This module keeps the event-driven engine they
+replaced:
 
-* events are ``(time, sequence, callback)`` tuples; the sequence number makes
-  tie-breaking — and therefore the whole simulation — fully deterministic;
+* events are ``(time, sequence, callback)`` entries; the sequence number
+  makes tie-breaking, and so the whole simulation, deterministic;
 * :class:`Network` models point-to-point message passing with link
-  latency, per-node bandwidth and online/offline state;
-* every delivered message is charged to traffic counters, giving the
-  communication-cost axis of the gossip-vs-federated comparison.
+  latency, per-node bandwidth and online/offline state, and charges the
+  production transport counters exactly as the round loops do;
+* :func:`install_churn` schedules :class:`~repro.net.churn.ChurnModel`'s
+  on/off cycle as events, drawing the stream ``precompute_timeline``
+  replays.
 
-Gossip runs on the flat-array kernels instead; their per-node test
-oracle subclasses both classes here (event lanes, per-link latencies).
+``tests/kernels/gossip_oracle.py`` (the per-node gossip engine) and
+``tests/ml/fedavg_oracle.py`` (the event-driven FedAvg) run on it.
 """
 
 from __future__ import annotations
@@ -21,32 +27,16 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Protocol
 
+import numpy as np
+
 from repro.errors import SimulationError
-from repro.telemetry import metrics as _tm
-
-# Transport counters, pre-resolved per outcome: send() runs once per
-# message.
-_NET_MESSAGES = _tm.counter(
-    "pds2_net_messages_total", "Messages by transport outcome",
-    labelnames=("outcome",),
-)
-_MSG_SENT = _NET_MESSAGES.labels(outcome="sent")
-_MSG_DELIVERED = _NET_MESSAGES.labels(outcome="delivered")
-_MSG_DROPPED = _NET_MESSAGES.labels(outcome="dropped")
-_NET_BYTES_DELIVERED = _tm.counter(
-    "pds2_net_bytes_delivered_total", "Payload bytes delivered to handlers"
-)
-
-# Simulator observability (satellite of the kernels PR): both gauges are
-# refreshed when a run loop returns, so after any experiment the registry
-# reflects the last simulator that ran.
-_EVENTS_PROCESSED = _tm.gauge(
-    "pds2_sim_events_processed",
-    "Events executed by the most recent simulator run loop",
-)
-_HEAP_HIGH_WATER = _tm.gauge(
-    "pds2_sim_heap_high_water",
-    "Peak event-heap size of the most recent simulator run loop",
+from repro.net.churn import ChurnModel
+from repro.net.topology import (
+    _MSG_DELIVERED,
+    _MSG_DROPPED,
+    _MSG_SENT,
+    _NET_BYTES_DELIVERED,
+    MEAN_LATENCY_S,
 )
 
 
@@ -97,11 +87,6 @@ class Simulator:
             self.events_processed += 1
             callback()
         self.now = end_time
-        self._export_gauges()
-
-    def _export_gauges(self) -> None:
-        _EVENTS_PROCESSED.set(self.events_processed)
-        _HEAP_HIGH_WATER.set(self.heap_high_water)
 
 
 class MessageHandler(Protocol):
@@ -132,11 +117,6 @@ class TrafficStats:
     messages_delivered: int = 0
     messages_dropped: int = 0
     bytes_delivered: int = 0
-
-
-#: Mean one-way link latency: what an unprofiled link costs, and the mean
-#: of the per-edge lognormal draws in :mod:`repro.net.topology`.
-MEAN_LATENCY_S = 0.05
 
 
 class Network:
@@ -225,3 +205,36 @@ class Network:
 
         self.simulator.schedule(delay, deliver)
         return True
+
+
+# -- churn as events ---------------------------------------------------------------
+
+
+def install_churn(model: ChurnModel, simulator: Simulator, network: Network,
+                  addresses: list[str], rng: np.random.Generator) -> None:
+    """Schedule ``model``'s on/off cycle for every address.
+
+    Each node's *initial* state is drawn from the stationary
+    distribution (online with probability ``availability``) and then one
+    exponential session length; every toggle that fires draws the next.
+    :meth:`~repro.net.churn.ChurnModel.precompute_timeline` replays this
+    draw sequence.  With ``mean_offline_s == 0`` nothing is scheduled
+    (always online).
+    """
+    if model.mean_offline_s == 0:
+        return
+
+    def schedule_toggle(address: str, online: bool) -> None:
+        mean = model.mean_online_s if online else model.mean_offline_s
+        duration = float(rng.exponential(mean))
+
+        def toggle() -> None:
+            network.set_online(address, not online)
+            schedule_toggle(address, not online)
+
+        simulator.schedule(duration, toggle)
+
+    for address in addresses:
+        online = bool(rng.random() < model.availability)
+        network.set_online(address, online)
+        schedule_toggle(address, online)

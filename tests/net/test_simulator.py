@@ -1,13 +1,13 @@
-"""Tests for the discrete-event simulator and network transport."""
+"""Tests for the discrete-event oracle: simulator and network transport."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.net.simulator import MEAN_LATENCY_S, Network, Simulator
+from repro.net.topology import MEAN_LATENCY_S
 from tests.kernels.gossip_oracle import LaneSimulator, LinkNetwork
-from tests.telemetry.exposition_oracle import metric_named
+from tests.net.event_oracle import Network, Simulator
 
 
 class Recorder:
@@ -229,21 +229,10 @@ class TestScheduleBatch:
             sim.schedule_batch([1.0, float("inf")], lambda i: None)
 
 
-class TestTelemetryGauges:
+class TestHeapAccounting:
     def test_heap_high_water_tracks_peak(self):
         sim = Simulator()
         for t in range(1, 6):
             sim.schedule(float(t), lambda: None)
         sim.run_until(10.0)
         assert sim.heap_high_water == 5
-
-    def test_gauges_exported_after_run(self):
-        from repro.telemetry.metrics import REGISTRY
-
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.run_until(10.0)
-        events = metric_named(REGISTRY, "pds2_sim_events_processed")
-        heap = metric_named(REGISTRY, "pds2_sim_heap_high_water")
-        assert events.labels().value >= 1
-        assert heap.labels().value >= 1

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.net.churn import ChurnModel
-from repro.net.simulator import Network, Simulator
 from repro.net.topology import neighbors_map, random_regular_overlay
 from tests.kernels.gossip_oracle import LinkNetwork, assign_latencies
+from tests.net.event_oracle import Network, Simulator, install_churn
 
 
 class _Sink:
@@ -61,7 +62,7 @@ class TestChurn:
         sim = Simulator()
         network = Network(sim)
         network.attach("a", _Sink())
-        model.install(sim, network, ["a"], rng)
+        install_churn(model, sim, network, ["a"], rng)
         sim.run_until(1e6)
         assert sim.events_processed == 0
 
@@ -78,7 +79,7 @@ class TestChurn:
         addresses = [f"n{i}" for i in range(20)]
         for address in addresses:
             network.attach(address, _Sink())
-        model.install(sim, network, addresses, rng)
+        install_churn(model, sim, network, addresses, rng)
         saw_offline = False
         saw_online = False
         for end in range(10, 200, 10):
@@ -89,7 +90,7 @@ class TestChurn:
         assert saw_offline and saw_online
 
     def test_initial_state_drawn_from_stationary_distribution(self, rng):
-        # Regression: install() used to start every node online, which
+        # Regression: churn used to start every node online, which
         # biased measured availability above the target for the whole
         # first on-cycle.  The initial state is now a Bernoulli draw at
         # the model's availability.
@@ -100,7 +101,7 @@ class TestChurn:
         addresses = [f"n{i}" for i in range(400)]
         for address in addresses:
             network.attach(address, _Sink())
-        model.install(sim, network, addresses, rng)
+        install_churn(model, sim, network, addresses, rng)
         online = sum(network.is_online(a) for a in addresses)
         assert abs(online / len(addresses) - target) < 0.1
 
@@ -114,7 +115,7 @@ class TestChurn:
         addresses = [f"n{i}" for i in range(300)]
         for address in addresses:
             network.attach(address, _Sink())
-        model.install(sim, network, addresses, rng)
+        install_churn(model, sim, network, addresses, rng)
         samples = []
         for end in range(2, 22, 2):  # 20 s << mean_online_s == 100 s
             sim.run_until(float(end))
@@ -132,7 +133,7 @@ class TestChurn:
         addresses = [f"n{i}" for i in range(50)]
         for address in addresses:
             network.attach(address, _Sink())
-        model.install(sim, network, addresses, rng)
+        install_churn(model, sim, network, addresses, rng)
         samples = []
         for end in range(50, 2000, 50):
             sim.run_until(float(end))
@@ -141,3 +142,51 @@ class TestChurn:
             )
         mean_availability = sum(samples) / len(samples)
         assert abs(mean_availability - target) < 0.12
+
+
+class _TogglingNetwork(Network):
+    """Records every churn toggle as ``(time, address)``."""
+
+    def __init__(self, simulator: Simulator):
+        super().__init__(simulator)
+        self.toggles: list[tuple[float, str]] = []
+
+    def set_online(self, address: str, online: bool) -> None:
+        if self.is_online(address) != online:
+            self.toggles.append((self.simulator.now, address))
+        super().set_online(address, online)
+
+
+class TestTimelineReplaysEventChurn:
+    """``precompute_timeline`` draws what the event-driven churn draws."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("availability", [0.2, 0.5, 0.9])
+    def test_same_initial_states_and_toggles(self, seed, availability):
+        model = ChurnModel.from_availability(availability, mean_online_s=7.0)
+        horizon = 120.0
+        sim = Simulator()
+        network = _TogglingNetwork(sim)
+        addresses = [f"n{i}" for i in range(12)]
+        for address in addresses:
+            network.attach(address, _Sink())
+        install_churn(model, sim, network, addresses,
+                      np.random.default_rng(seed))
+        initial = [network.is_online(a) for a in addresses]
+        network.toggles.clear()   # install's own initial-state writes
+        sim.run_until(horizon)
+
+        states, toggles = model.precompute_timeline(
+            len(addresses), np.random.default_rng(seed), horizon)
+        assert states.tolist() == initial
+        for index, address in enumerate(addresses):
+            expected = [t for t, who in network.toggles if who == address]
+            assert toggles[index].tolist() == expected
+        assert sum(len(t) for t in toggles) == sim.events_processed > 0
+
+    def test_full_availability_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        states, toggles = ChurnModel.from_availability(
+            1.0).precompute_timeline(3, rng, 100.0)
+        assert states.all() and all(len(t) == 0 for t in toggles)
+        assert rng.random() == np.random.default_rng(0).random()
