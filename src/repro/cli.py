@@ -674,7 +674,8 @@ def _cmd_profile(args: argparse.Namespace, out: OutputWriter) -> int:
     market, consumer = _demo_market(args, rows=800)
     spec = _demo_spec(args, "cli-profile", steps=60)
     profiler = Profiler(mode=args.mode, hz=args.hz,
-                        call_interval=args.interval)
+                        call_interval=args.interval,
+                        sim_clock=lambda: market.clock)
     with profiler:
         market.run_workload(consumer, spec)
     profile = profiler.result()

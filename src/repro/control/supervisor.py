@@ -205,13 +205,6 @@ def run_job(spec: JobSpec, ctx: Optional[JobContext] = None) -> JobResult:
     """
     ctx = ctx if ctx is not None else JobContext()
     telemetry.reset()
-    # Re-anchor the tracer's sim clock too: ``reset()`` leaves it bound to
-    # the *previous* job's marketplace, so this job's root span would open
-    # at whatever sim time that run ended on — making its sim_duration
-    # depend on worker scheduling.  Zeroed here (and re-bound by the
-    # job's own Marketplace), the span's sim window is a pure function
-    # of the job, which the critical-path determinism guarantee needs.
-    telemetry.tracer().sim_clock = lambda: 0.0
     spec_digest = spec.spec_digest()
     trace = ctx.trace
     exporter = None

@@ -34,9 +34,10 @@ Everything is deterministic under the marketplace seed.
 from __future__ import annotations
 
 import math
-import weakref
+from collections import deque
 from contextlib import contextmanager
-from typing import Any, Callable, Generator, Iterable, Iterator, Optional
+from functools import partial
+from typing import Any, Generator, Iterable, Iterator, Optional
 
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
@@ -65,25 +66,13 @@ from repro.storage.base import StorageBackend, content_address
 from repro.storage.catalog import DataCatalog, DataRecord
 from repro.storage.local import LocalEncryptedStore
 from repro.storage.semantic import Ontology, SemanticAnnotation
-from repro.tee.attestation import AttestationService, Quote
-from repro.tee.enclave import Enclave, TEEPlatform
+from repro.tee.attestation import AttestationService
+from repro.tee.enclave import TEEPlatform
 from repro import telemetry
 from repro.utils.rng import derive_rng
 
 #: Genesis balance granted to every actor wallet (covers gas + escrows).
 DEFAULT_FUNDING = 10**12
-
-
-def _weakly(method: Callable[..., None]) -> Callable[..., None]:
-    """``method`` as a hook that does not keep its object alive (a dropped
-    marketplace is freed by reference counting, not the cyclic collector)."""
-    ref, function = weakref.ref(method.__self__), method.__func__
-
-    def hook(*args: Any) -> None:
-        owner = ref()
-        if owner is not None:
-            function(owner, *args)
-    return hook
 
 
 class Marketplace:
@@ -102,20 +91,11 @@ class Marketplace:
         # keeps nothing: a session's events live in ``session.trail``, and
         # any other reader attaches a sink.
         self.events = EventBus()
-        #: Where chain, TEE and span events go: the session :meth:`drive`
-        #: resumed.
-        self._resumed: Optional[WorkloadSession] = None
         self._session_counter = 0
-
-        # Telemetry: this marketplace drives the process tracer's sim clock
-        # and publishes every finished span as a `span.end` event, which is
-        # how spans reach a run's events.jsonl and `python -m repro spans`.  The
-        # tracer clock follows whichever marketplace was constructed last —
-        # one simulation at a time — while it lives (then it reads 0.0).
         self.tracer = telemetry.tracer()
-        market = weakref.ref(self)
-        self.tracer.sim_clock = lambda: getattr(market(), "clock", 0.0)
-        self.tracer.on_finish = _weakly(self._record_span)
+        #: This market's finished-span window (:class:`SpanScope`).
+        self.kept_spans: deque[telemetry.Span] = deque(
+            maxlen=telemetry.tracing.KEPT_SPANS)
 
         consensus = ProofOfAuthority.with_generated_validators(
             validators, derive_rng(seed, "validators")
@@ -123,30 +103,25 @@ class Marketplace:
         registry = default_registry()
         register_governance_contracts(registry)
         self.chain = Blockchain(consensus, registry=registry)
-        self.attestation.on_verified = _weakly(self._record_attestation)
 
         # Platform operator wallet deploys the shared registries.
         self.operator = self._new_wallet("operator")
-        self.actor_registry = self.operator.deploy_and_mine("actor_registry")
-        if mint_deeds:
-            deed_minter = VM.contract_address_for(
-                self.operator.address,
-                self.chain.state.nonce_of(self.operator.address) + 1,
-            )
-            deed_tx = self.operator.deploy("erc721", name="PDS2 Data Deed",
-                                           symbol="DEED", minter=deed_minter)
-            self.chain.mine_block(self._tick())
-            self.deed_token: Optional[str] = self.operator.deployed_address(
-                deed_tx
-            )
+        self.deed_token: Optional[str] = None
+        with self._resumed_as(None):
+            self.actor_registry = self.operator.deploy_and_mine(
+                "actor_registry")
+            if mint_deeds:
+                deed_minter = VM.contract_address_for(
+                    self.operator.address,
+                    self.chain.state.nonce_of(self.operator.address) + 1,
+                )
+                deed_tx = self.operator.deploy(
+                    "erc721", name="PDS2 Data Deed", symbol="DEED",
+                    minter=deed_minter)
+                self.chain.mine_block(self._tick())
+                self.deed_token = self.operator.deployed_address(deed_tx)
             self.data_registry = self.operator.deploy_and_mine(
-                "data_registry", deed_token=self.deed_token
-            )
-        else:
-            self.deed_token = None
-            self.data_registry = self.operator.deploy_and_mine(
-                "data_registry", deed_token=None
-            )
+                "data_registry", deed_token=self.deed_token)
 
         self.providers: list[ProviderActor] = []
         self.consumers: list[ConsumerActor] = []
@@ -175,12 +150,13 @@ class Marketplace:
     def drive(self, steps: Generator[Any, None, Any],
               session: Optional[WorkloadSession]) -> Iterator[str]:
         """The one loop that runs a session and the one place ``repro.core``
-        mines (besides ``__init__``): resumes ``steps`` with ``session``'s
-        context installed (the session events go to, its span stack and its
-        ``session_id``; onboarding passes None), mines a block on the
-        marketplace clock per :data:`AWAIT` it yields, and hands the caller
-        each boundary's next phase.  Closing it closes ``steps`` in that
-        context, so a dropped session ends its spans on its own stack."""
+        mines (besides ``__init__``): resumes ``steps`` with this market's
+        span scope and ``session``'s context installed (the session events
+        go to, its span stack and its ``session_id``; onboarding passes
+        None), mines a block on the marketplace clock per :data:`AWAIT` it
+        yields, and hands the caller each boundary's next phase.  Closing it
+        closes ``steps`` in that context, so a dropped session ends its
+        spans on its own stack."""
         try:
             while True:
                 with self._resumed_as(session):
@@ -200,15 +176,17 @@ class Marketplace:
     @contextmanager
     def _resumed_as(self, session: Optional[WorkloadSession]
                     ) -> Iterator[None]:
-        if session is None:
+        """Install this market's span scope — its clock, its window, and its
+        bus, where spans and TEE events go as ``session``'s — with
+        ``session``'s span stack and context (onboarding and genesis: the
+        caller's, and their events are the platform's)."""
+        stack, context = (self.tracer.branch() if session is None
+                          else (session.spans, session.span_context))
+        scope = telemetry.SpanScope(lambda: self.clock, self.kept_spans,
+                                    partial(self.publish_event,
+                                            session=session))
+        with self.tracer.scoped(scope), self.tracer.installed(stack, context):
             yield
-            return
-        outer, self._resumed = self._resumed, session
-        try:
-            with self.tracer.installed(session.spans, session.span_context):
-                yield
-        finally:
-            self._resumed = outer
 
     def seam(self, session: Optional[WorkloadSession],
              awaited: list[tuple[bytes, str, str]], *,
@@ -298,10 +276,9 @@ class Marketplace:
                       gas_delta: int = 0, block_height: int = -1,
                       actor: str = "",
                       data: Optional[dict] = None) -> LifecycleEvent:
-        """Emit one event on the bus, attributed to the given (or resumed)
-        session's current phase; platform-level events (onboarding) carry
-        an empty session id."""
-        session = session if session is not None else self._resumed
+        """Emit one event on the bus, attributed to ``session``'s current
+        phase; platform-level events (onboarding) carry an empty session
+        id."""
         event = self.events.emit(
             session_id=session.session_id if session else "",
             phase=session.state if session else "platform",
@@ -339,29 +316,6 @@ class Marketplace:
                     block_height=block.header.number, actor=log.address,
                     data={"log_name": log.name, "log_address": log.address},
                 )
-
-    def _record_span(self, span: "telemetry.Span") -> None:
-        """Tracer hook: every finished span becomes a ``span.end`` event
-        (attributed to the resumed session, so a session's trace carries
-        its own span tree)."""
-        self.publish_event("span.end", data=span.to_dict())
-
-    def _record_attestation(self, quote: Quote) -> None:
-        """Attestation hook: a quote passed verification."""
-        self.publish_event(
-            "tee.attestation_verified",
-            actor=quote.platform_id,
-            data={"measurement": quote.measurement.hex()},
-        )
-
-    def _record_enclave_launch(self, enclave: Enclave) -> None:
-        """TEE hook: a platform launched a measured enclave."""
-        self.publish_event(
-            "tee.enclave_launched",
-            actor=enclave.platform.platform_id,
-            data={"code": enclave.code.name,
-                  "measurement": enclave.measurement.hex()},
-        )
 
     # -- actor onboarding --------------------------------------------------------------
 
@@ -429,7 +383,6 @@ class Marketplace:
             platform_id=f"platform-{name}",
             rng=derive_rng(self.seed, f"platform-{name}"),
         )
-        platform.on_launch = _weakly(self._record_enclave_launch)
         self.attestation.provision_platform(platform)
         executor = ExecutorActor(name=name, wallet=wallet, platform=platform)
         self.executors.append(executor)

@@ -19,7 +19,6 @@ whose measurement equals the workload code hash recorded on-chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.crypto.ecdsa import PublicKey, Signature
 from repro.errors import AttestationError
@@ -69,9 +68,6 @@ class AttestationService:
     def __init__(self) -> None:
         self._platforms: dict[str, PublicKey] = {}
         self._revoked: set[str] = set()
-        #: Optional observer called with each successfully verified quote
-        #: (the marketplace event bus hooks in here; None means unobserved).
-        self.on_verified: Callable[[Quote], None] | None = None
 
     # -- provisioning ---------------------------------------------------------
 
@@ -137,8 +133,9 @@ class AttestationService:
             _VERIFICATIONS.labels(outcome="fail").inc()
             raise
         _VERIFICATIONS.labels(outcome="ok").inc()
-        if self.on_verified is not None:
-            self.on_verified(quote)
+        _tracer().scope.emit("tee.attestation_verified",
+                             actor=quote.platform_id,
+                             data={"measurement": quote.measurement.hex()})
         return key
 
     def _verify_checked(self, quote: Quote,

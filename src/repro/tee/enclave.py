@@ -151,9 +151,6 @@ class TEEPlatform:
         rng.bytes(32)
         self.attestation_key = PrivateKey.generate(rng)
         self._rng = rng
-        #: Optional observer called with every launched enclave (the
-        #: marketplace event bus hooks in here; None means unobserved).
-        self.on_launch: Callable[["Enclave"], None] | None = None
 
     def launch(self, code: EnclaveCode) -> "Enclave":
         """Instantiate an enclave running ``code`` on this platform."""
@@ -161,8 +158,9 @@ class TEEPlatform:
                             platform=self.platform_id):
             enclave = Enclave(platform=self, code=code, rng=self._rng)
         _LAUNCHES.inc()
-        if self.on_launch is not None:
-            self.on_launch(enclave)
+        _tracer().scope.emit("tee.enclave_launched", actor=self.platform_id,
+                             data={"code": code.name,
+                                   "measurement": enclave.measurement.hex()})
         return enclave
 
 

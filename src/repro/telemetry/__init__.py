@@ -73,6 +73,7 @@ from repro.telemetry.profiler import (
 from repro.telemetry.tracing import (
     TRACER,
     Span,
+    SpanScope,
     Tracer,
     build_span_tree,
     tracer,
@@ -109,6 +110,7 @@ __all__ = [
     "Profile",
     "Profiler",
     "Span",
+    "SpanScope",
     "TraceContext",
     "Tracer",
     "assemble_trace",

@@ -168,7 +168,7 @@ class Profiler:
                 "another profiler is active (sys.setprofile is process-global)"
             )
         if self.mode == "sim":
-            sim = self._sim_clock or self._tracer.sim_clock
+            sim = self._sim_clock or self._tracer.scope.clock
             self._sim = sim
             self._next = float(sim()) + self.period
         elif self.mode == "wall":

@@ -10,11 +10,11 @@ message counts).
 
 The tracer is deliberately simple: a stack, because the whole reproduction
 is single-threaded (a session that suspends brings its own,
-:meth:`Tracer.installed` on every resume); the last :data:`KEPT_SPANS`
-finished spans, which a chain auditor's forensic bundle captures; and an
-``on_finish`` hook the marketplace uses to publish every finished span as a
-``span.end`` event on its :class:`EventBus` — which is how spans reach a
-run's ``events.jsonl`` and the ``python -m repro spans`` renderer.
+:meth:`Tracer.installed` on every resume), and a :class:`SpanScope` each
+marketplace installs while it runs: its sim clock, its last
+:data:`KEPT_SPANS` finished spans (a forensic bundle's window) and its
+:class:`EventBus`, where every finished span becomes a ``span.end`` event —
+how spans reach a run's ``events.jsonl`` and ``python -m repro spans``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Optional
+
+from repro.errors import TelemetryError
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -87,50 +89,83 @@ class Span:
     def from_dict(cls, record: Mapping) -> "Span":
         """View a :meth:`to_dict` record — the ``span.end`` payload, or a
         sidecar record, whose ``trace_id`` / ``job_id`` / ``attempt``
-        become attributes — as a span (trace replay, the tree renderer)."""
-        wall_ms = float(record.get("wall_ms", 0.0))
-        start_sim = float(record.get("start_sim", 0.0))
-        end_sim = record.get("end_sim")
-        attributes = dict(record.get("attributes", {}))
+        become attributes — as a span (trace replay, the tree renderer);
+        a field of the wrong type raises :class:`TelemetryError` naming it."""
+        if not isinstance(record, Mapping):
+            raise TelemetryError(f"span record is not an object: {record!r}")
+
+        def read(key: str, default: Any, kind: type) -> Any:
+            value = record.get(key)
+            value = default if value is None else value
+            try:
+                if kind is float:
+                    return float(value)
+                if isinstance(value, kind):
+                    return value
+            except (TypeError, ValueError):
+                pass
+            raise TelemetryError(f"span record field {key!r} is not a "
+                                 f"{kind.__name__}: {value!r}")
+
+        start_sim = read("start_sim", 0.0, float)
+        attributes = dict(read("attributes", {}, Mapping))
         for key in ("trace_id", "job_id", "attempt"):
             if record.get(key):
                 attributes.setdefault(key, record[key])
         return cls(
-            name=record.get("name", "?"),
-            span_id=record.get("span_id", ""),
-            parent_id=record.get("parent_id", ""),
+            name=read("name", "?", str),
+            span_id=read("span_id", "", str),
+            parent_id=read("parent_id", "", str),
             start_wall=0.0,
             start_sim=start_sim,
             attributes=attributes,
-            end_wall=wall_ms / 1000.0,
-            end_sim=float(end_sim) if end_sim is not None else start_sim,
-            status=record.get("status", STATUS_OK),
-            error=record.get("error", ""),
+            end_wall=read("wall_ms", 0.0, float) / 1000.0,
+            end_sim=read("end_sim", start_sim, float),
+            status=read("status", STATUS_OK, str),
+            error=read("error", "", str),
         )
+
+
+@dataclass
+class SpanScope:
+    """Where spans read sim time, the window of finished spans kept, and
+    where events go — a finished span's ``span.end``, and what the layers
+    report (``emit(name, actor=, data=)``): the tracer's own, or a
+    marketplace's while it runs (its clock, its bus, its resumed session)."""
+
+    clock: Callable[[], float]
+    finished: deque[Span]
+    emit: Callable[..., Any]
 
 
 class Tracer:
     """Context-managed span creation with automatic parent linkage."""
 
     def __init__(self, sim_clock: Optional[Callable[[], float]] = None):
-        #: Where simulated time comes from.  The marketplace points this at
-        #: its lifecycle clock.
-        self.sim_clock: Callable[[], float] = sim_clock or (lambda: 0.0)
-        #: Called with every finished span (the marketplace publishes them
-        #: as ``span.end`` events); None means spans stay in-process only.
-        self.on_finish: Optional[Callable[[Span], None]] = None
-        #: Secondary finish hooks (:meth:`add_exporter`).  Unlike
-        #: ``on_finish`` — which ``Marketplace.__init__`` *overwrites* —
-        #: exporters compose: the distributed span exporter registers here
-        #: so building a marketplace mid-job cannot silently detach it.
+        #: The installed scope (:meth:`scoped`); outside any marketplace the
+        #: tracer's own, which reads ``sim_clock`` and emits nowhere.
+        self.scope = SpanScope(sim_clock or (lambda: 0.0),
+                               deque(maxlen=KEPT_SPANS), lambda *_, **__: None)
+        #: Called with every finished span: it emits it in the installed
+        #: scope as a ``span.end`` event.
+        self.on_finish: Optional[Callable[[Span], None]] = \
+            lambda span: self.scope.emit("span.end", data=span.to_dict())
+        #: Secondary finish hooks (:meth:`add_exporter`): the distributed
+        #: span exporter registers here, whichever scope is installed.
         self.exporters: list[Callable[[Span], None]] = []
-        self.finished: deque[Span] = deque(maxlen=KEPT_SPANS)
         #: Ambient attributes merged under every opened span's own (a
         #: session's carry its ``session_id``: *all* its spans — chain, TEE,
         #: storage — are filterable per session).
         self.context: dict[str, Any] = {}
         self._stack: list[Span] = []
         self._ids = itertools.count(1)
+        #: Open span id -> the latest sim end among its finished children.
+        self._reach: dict[str, float] = {}
+
+    @property
+    def finished(self) -> deque[Span]:
+        """The installed scope's last :data:`KEPT_SPANS` finished spans."""
+        return self.scope.finished
 
     @property
     def current(self) -> Optional[Span]:
@@ -180,6 +215,16 @@ class Tracer:
             self._stack, self.context = saved
 
     @contextmanager
+    def scoped(self, scope: SpanScope) -> Iterator[None]:
+        """Run the ``with`` body in ``scope``: its spans read that clock and
+        are kept there, its events go there; the previous scope comes back."""
+        saved, self.scope = self.scope, scope
+        try:
+            yield
+        finally:
+            self.scope = saved
+
+    @contextmanager
     def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """Open a child span of the current span for the ``with`` body.
 
@@ -193,7 +238,7 @@ class Tracer:
             span_id=f"sp-{next(self._ids):06d}",
             parent_id=self._stack[-1].span_id if self._stack else "",
             start_wall=time.perf_counter(),
-            start_sim=float(self.sim_clock()),
+            start_sim=float(self.scope.clock()),
             attributes={**self.context, **attributes},
         )
         self._stack.append(span)
@@ -204,9 +249,16 @@ class Tracer:
             raise
         finally:
             span.end_wall = time.perf_counter()
-            span.end_sim = float(self.sim_clock())
+            # A span's sim window covers its children's, also in another
+            # scope: a batch job's ends where its market's session did.
+            end = float(self.scope.clock())
+            span.end_sim = max(end, self._reach.pop(span.span_id, end))
             self._stack.pop()
-            self.finished.append(span)
+            if self._stack:
+                parent = self._stack[-1].span_id
+                self._reach[parent] = max(
+                    span.end_sim, self._reach.get(parent, span.end_sim))
+            self.scope.finished.append(span)
             if self.on_finish is not None:
                 self.on_finish(span)
             for exporter in tuple(self.exporters):
@@ -225,6 +277,7 @@ class Tracer:
         self.finished.clear()
         self._stack.clear()
         self.context.clear()
+        self._reach.clear()
         self._ids = itertools.count(1)
 
 
@@ -233,7 +286,7 @@ TRACER = Tracer()
 
 
 def tracer() -> Tracer:
-    """The default tracer (one simulation at a time drives its clocks)."""
+    """The default tracer (each marketplace installs its own scope)."""
     return TRACER
 
 

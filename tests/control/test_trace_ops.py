@@ -123,6 +123,29 @@ class TestBatchTraceEndToEnd:
         assert instants.count("job.requeued") == requeues
         assert len(instants) == losses + requeues
 
+    def test_bounding_job_is_the_one_with_the_most_sim_time(self, tmp_path):
+        # job-000 onboards a third provider, so its market's clock ends
+        # later; job-001 would win a tie on its id.
+        root = str(tmp_path / "batch")
+        submit_batch(root, [
+            JobSpec(job_id="job-000", seed=700, params={"providers": 3}),
+            JobSpec(job_id="job-001", seed=701)])
+        batch_execute(root, workers=2)
+        assembled = assemble_batch_trace(root)
+        jobs = {r["job_id"]: r for r in assembled.job_spans()
+                if r["name"] == "batch.job"}
+        for job_id, job in jobs.items():
+            (session,) = [r for r in assembled.job_spans()
+                          if r["job_id"] == job_id
+                          and r["name"] == "lifecycle.session"]
+            # A job span ends at its market's final clock: its session's.
+            assert job["start_sim"] == 0.0
+            assert job["end_sim"] == session["end_sim"] > 0.0
+        assert jobs["job-000"]["end_sim"] > jobs["job-001"]["end_sim"]
+        path = critical_path(assembled)
+        assert path.job_id == "job-000"
+        assert path.total_sim == max(r["sim_duration"] for r in jobs.values())
+
     def test_job_spans_carry_trace_context(self, tmp_path):
         root, report = run_batch(tmp_path, n=2)
         assembled = assemble_batch_trace(root)

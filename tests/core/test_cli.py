@@ -334,6 +334,16 @@ class TestTelemetryCommands:
         assert main(["metrics", str(path)]) == 1
         assert "rejected" in capsys.readouterr().err
 
+    def test_sim_mode_profile_samples_on_its_markets_clock(self, capsys):
+        import json
+
+        assert main(["profile", "--mode", "sim", "--providers", "3",
+                     "--executors", "1", "--seed", "6", "--json"]) == 0
+        profile = json.loads(capsys.readouterr().out)["profile"]
+        assert profile["mode"] == "sim"
+        assert profile["total_samples"] > 0
+        assert profile["attributed_samples"] > 0
+
     def test_spans_renders_nested_phase_tree(self, quickstart_run, capsys):
         assert main(["spans", quickstart_run]) == 0
         output = capsys.readouterr().out
@@ -399,6 +409,35 @@ class TestMalformedTraceFiles:
         path.write_text(good + "\n" + good[:20] + "\n" + good + "\n")
         assert main([command, str(tmp_path)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    SPAN = {"span_id": "sp-000001", "parent_id": "", "name": "x.y",
+            "start_sim": 0.0, "end_sim": 1.0, "wall_ms": 2.0,
+            "status": "ok", "error": "", "attributes": {}}
+
+    @pytest.mark.parametrize("source", ["run-directory", "batch-sidecar"])
+    @pytest.mark.parametrize("field, value", [("wall_ms", "abc"),
+                                              ("attributes", [1, 2])])
+    def test_a_malformed_span_record_exits_one(self, tmp_path, batch_root,
+                                               capsys, source, field, value):
+        import json
+        import shutil
+
+        span = {**self.SPAN, field: value}
+        if source == "run-directory":
+            root = tmp_path
+            (root / "events.jsonl").write_text(json.dumps(
+                {**self.EVENT, "name": "span.end", "data": span}) + "\n")
+        else:
+            root = tmp_path / "batch"
+            shutil.copytree(batch_root, root)
+            with open(root / "spans" / "w1.jsonl", "a",
+                      encoding="utf-8") as sidecar:
+                sidecar.write(json.dumps({**span, "type": "span"}) + "\n")
+        assert main(["spans", str(root)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot read spans" in captured.err
+        assert repr(field) in captured.err
 
     def test_a_future_unknown_key_is_ignored(self, tmp_path, capsys):
         import json

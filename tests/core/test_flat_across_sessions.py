@@ -3,8 +3,8 @@
 One process serves session after session on one chain, so anything a
 session leaves behind in process-wide state is a ceiling on how many it
 can serve.  Pinned flat here: the metrics registry (no label may carry a
-session's identity), the chain observer's block records and the tracer's
-finished spans (tails; sinks get every one), and the lifecycle events
+session's identity), the chain observer's block records and the market's
+finished-span window (tails; sinks get every one), and the lifecycle events
 alive in the process (the marketplace keeps no event store: a session's
 events live in its own trail and go when it goes).  A marketplace that is
 dropped goes too, by reference counting alone: nothing it hooks into
@@ -68,7 +68,7 @@ def test_process_state_is_flat_across_sessions(run_session, monkeypatch):
     for index in range(1, 13):
         run_session(market, consumer, index)
         kept[index] = (registry_children(), len(observer.records),
-                       len(telemetry.tracer().finished), live_events())
+                       len(market.kept_spans), live_events())
     assert kept[3] == kept[12]
     assert kept[12][1] == RECORDS_KEPT
     assert kept[12][2] == telemetry.tracing.KEPT_SPANS
@@ -95,7 +95,8 @@ def test_a_dropped_marketplace_is_freed_by_reference_counting(run_session):
 
 
 def test_the_tracer_outlives_a_dropped_marketplace():
-    """Its clock and finish hook fall back to the tracer's own."""
+    """Outside every marketplace's scope a span reads the tracer's own
+    clock."""
     assert dropped_chain(aggregate_session)() is None
     with telemetry.tracer().span("after-the-marketplace") as span:
         pass
