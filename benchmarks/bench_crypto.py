@@ -1,14 +1,13 @@
-"""Crypto microbenchmarks: fast EC backend vs the affine reference.
+"""Crypto microbenchmarks: the public API vs the affine reference.
 
 Measures keygen / sign / verify under both the textbook affine
 implementation (the differential-testing oracle, ``tests/crypto/
-affine_oracle.py``) and the Jacobian/wNAF/GLV backend behind the public
-API, plus the
-chain-facing caches (verification replay, Merkle proofs).  Verify and ECDH
-are timed on both sides of the comb selection: on a *first-use* key (one
-the process has never multiplied, so its wNAF table is built and a
-doubling chain runs) and on a *recurring* key (past its fifth use, read
-from its own comb with no doubling), beside the cost of one comb build.
+affine_oracle.py``) and the public API — ``G``'s comb for keygen and
+signing, OpenSSL for verify and ECDH — plus the chain-facing caches
+(verification replay, Merkle proofs).  Verify and ECDH are timed on a
+*first-use* key (its OpenSSL handle parsed in the call) and on a
+*recurring* key (handle already held), beside the cost of building one
+private key's handle.
 
 Every number is wall-clock and therefore noisy on shared runners, so
 nothing gates and the quick suite cuts the iteration counts; the full
@@ -126,7 +125,7 @@ def run_bench(quick: bool = False) -> dict:
         lambda: shared_secret(key, next(fresh)[0]), iters_fast
     )
 
-    # A recurring key: used past the promotion count first, then timed.
+    # A recurring key: its handle built by a first use, then timed.
     verify_counter = iter(range(10**9))
 
     def verify_recurring():
@@ -134,18 +133,20 @@ def run_bench(quick: bool = False) -> dict:
         index = next(verify_counter) % len(messages)
         assert public.verify(messages[index], signatures[index])
 
-    for _ in range(ec_backend._COMB_PROMOTE_AT):
-        verify_recurring()
-        shared_secret(key, peer.public_key)
+    verify_recurring()
+    shared_secret(key, peer.public_key)
     ms["verify_recurring"] = _time_per_call(verify_recurring, iters_fast)
     ms["ecdh_recurring"] = _time_per_call(
         lambda: shared_secret(key, peer.public_key), iters_fast
     )
-    ms["comb_build"] = _time_per_call(
-        lambda: ec_backend._build_comb((public.x, public.y),
-                                       ec_backend._POINT_COMB_WIDTH),
-        iters_slow,
-    )
+    # One private key's OpenSSL handle, its public point derived before.
+    handle_keys = [PrivateKey.from_seed(b"bench-handle-%d" % i)
+                   for i in range(iters_fast)]
+    for handle_key in handle_keys:
+        assert handle_key.public_key  # from G's comb, untimed
+    unbuilt = iter(handle_keys)
+    ms["private_handle"] = _time_per_call(lambda: next(unbuilt)._openssl,
+                                          iters_fast)
 
     assert public.verify(messages[0], signatures[0])
     ms["fast_verify_cached"] = _time_per_call(
@@ -173,13 +174,13 @@ def run_bench(quick: bool = False) -> dict:
          f"{speedup['sign']:.1f}x"],
         ["verify, first-use key", f"{ms['affine_verify']:.3f}",
          f"{ms['fast_verify']:.3f}", f"{speedup['verify']:.1f}x"],
-        ["verify, recurring key (comb)", "-",
+        ["verify, recurring key", "-",
          f"{ms['verify_recurring']:.3f}", "-"],
         ["verify (LRU replay)", "-", f"{ms['fast_verify_cached']:.4f}", "-"],
         ["ECDH, first-use key", "-", f"{ms['ecdh']:.3f}", "-"],
-        ["ECDH, recurring key (comb)", "-", f"{ms['ecdh_recurring']:.3f}",
-         "-"],
-        ["comb build (one point)", "-", f"{ms['comb_build']:.3f}", "-"],
+        ["ECDH, recurring key", "-", f"{ms['ecdh_recurring']:.3f}", "-"],
+        ["private key handle (one key)", "-",
+         f"{ms['private_handle']:.3f}", "-"],
         ["merkle proof (cached)", "-", f"{ms['merkle_proof_cached']:.4f}",
          "-"],
     ]
@@ -195,7 +196,7 @@ def run_bench(quick: bool = False) -> dict:
         "verify_recurring_ms": info(ms["verify_recurring"], unit="ms"),
         "ecdh_first_use_ms": info(ms["ecdh"], unit="ms"),
         "ecdh_recurring_ms": info(ms["ecdh_recurring"], unit="ms"),
-        "comb_build_ms": info(ms["comb_build"], unit="ms"),
+        "private_handle_ms": info(ms["private_handle"], unit="ms"),
     }
     claims = {}
     if not quick:

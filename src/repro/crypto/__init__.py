@@ -1,7 +1,8 @@
 """Cryptographic substrate: hashing, signatures, Merkle trees, HE, SMC.
 
 This package implements — from scratch, on the standard library and numpy —
-every cryptographic building block the PDS2 architecture needs:
+every cryptographic building block the PDS2 architecture needs (ECDH and
+the check of one signature run in OpenSSL, through ``cryptography``):
 
 * :mod:`repro.crypto.hashing` — Keccak-style digests and address derivation;
 * :mod:`repro.crypto.ecdsa` — secp256k1 ECDSA (accounts, devices, quotes);

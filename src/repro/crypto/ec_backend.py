@@ -1,31 +1,31 @@
-"""Fast secp256k1 point arithmetic: Jacobian coordinates, wNAF, GLV combs.
+"""Fast secp256k1 point arithmetic for the two jobs pure Python wins.
 
-This module is the performance engine behind :mod:`repro.crypto.ecdsa`.  A
-textbook affine implementation performs one modular inversion *per point
-addition* (≈380 inversions per scalar multiplication).  Here a doubling
-chain's accumulator works in Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``,
-``y = Y/Z³`` — one inversion per scalar multiplication, at the end — and
-independent additions (bucket fills, table entries) stay affine and share one
-inversion per round (:func:`batch_add`).  On top of that:
+This module is the engine behind :mod:`repro.crypto.ecdsa`'s fixed-base
+and batch operations; the variable-base ones — ECDH and the check of one
+signature — run in OpenSSL there.  A textbook affine implementation
+performs one modular inversion *per point addition* (≈380 inversions per
+scalar multiplication).  Here a doubling chain's accumulator works in
+Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``, ``y = Y/Z³`` — one
+inversion per scalar multiplication, at the end — and independent additions
+(bucket fills, table entries) stay affine and share one inversion per round
+(:func:`batch_add`).  On top of that:
 
 * the **GLV endomorphism** splits every scalar into two halves below 2¹²⁸;
-* **GLV combs** (:func:`_build_comb`) for ``G`` always and for any point at
-  its fifth single-point multiplication: at most ``2 × rows`` mixed
-  additions and no doubling, so signing, and a verify or ECDH on a key
-  seen before, skip the doubling chain;
-* **wNAF** recoding and **Strauss interleaving** for other points: all
-  their streams share one ~128-step doubling chain;
+* a **GLV comb** of ``G`` (:func:`_build_comb`): at most ``2 × rows``
+  mixed additions and no doubling, so ``k·G`` for signing and key
+  derivation skips the doubling chain;
+* **wNAF** recoding and **Strauss interleaving** for the other points of
+  a batch equation: all their streams share one ~128-step doubling chain;
 * **Pippenger's bucket method** once a sum holds 32 or more one-shot points
   (a block's signature nonce points): its keys join them as GLV halves,
   and no table is built.
 
-There is one engine, :func:`multi_scalar_mult`; key generation and signing
-(:func:`scalar_mult_base`), ECDH (:func:`scalar_mult`), single verification
-(:func:`double_scalar_mult_base`) and batch verification are its no-point,
-one-point, one-pair and many-pair cases.  Tables are built lazily, so
-importing this module costs nothing.  Points at the API boundary are affine
-``(x, y)`` tuples or ``None`` for the point at infinity — the convention of
-the affine oracle the differential tests hold every path here against
+There is one engine, :func:`multi_scalar_mult`; ``k·G``
+(:func:`scalar_mult_base`) is its no-point case and batch verification its
+many-pair case.  Tables are built lazily, so importing this module costs
+nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
+``None`` for the point at infinity — the convention of the affine oracle
+the differential tests hold every path here against
 (``tests/crypto/affine_oracle.py``).
 """
 
@@ -47,22 +47,11 @@ AffinePoint = Optional[tuple[int, int]]
 #: Jacobian point (X, Y, Z); None is the point at infinity.
 JacobianPoint = Optional[tuple[int, int, int]]
 
-# Comb widths in digit bits, and the promotion rule: a point's comb is built
-# at its _COMB_PROMOTE_AT-th single-point multiplication, kept in an LRU of
-# _COMB_CACHE_MAX; uses of points without one are counted in an LRU of
-# _COMB_USES_MAX.  E25 sessions/s and peak_rss_mb against these values,
-# medians of seeds 1-3 (EXPERIMENTS §E25 "PR 28"): G at 10 bits or points
-# at 5-6 bits or an LRU of 32 gain ≤ 3 % but put ml_wide's RSS up 5-6 %;
-# G at 8 bits −1 %; an LRU of 16 thrashes ml_wide (−3.5 %, 21 recurring
-# points a pass); promotion at 3 / 4 / 8 costs ml_wide 7 / 5 / 2.5 % (a
-# build per 4-use enclave key, or late), 6 is level.  Counts: a point's
-# uses before its fifth are at most 28 distinct points apart.
+# G's comb width in digit bits.  E25 sessions/s and peak_rss_mb against
+# it, medians of seeds 1-3 (EXPERIMENTS §E25 "PR 28"): 10 bits gains ≤ 3 %
+# but puts ml_wide's RSS up 5-6 %; 8 bits −1 %.
 _G_COMB_WIDTH = 9
-_POINT_COMB_WIDTH = 4
-_COMB_PROMOTE_AT = 5
-_COMB_CACHE_MAX = 24
-_COMB_USES_MAX = 256
-_WNAF_POINT_WIDTH = 5  # points without a comb
+_WNAF_POINT_WIDTH = 5  # every point but G
 
 # One-shot points at or above this count go through Pippenger's buckets
 # instead of per-point wNAF tables.  Bucket ÷ Strauss wall time with both
@@ -279,12 +268,6 @@ def scalar_mult_base(scalar: int) -> AffinePoint:
     return multi_scalar_mult(scalar, [])
 
 
-def scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
-    """``scalar · point``: the one-point case of :func:`multi_scalar_mult`
-    (the point's comb once it recurs, else a ~128-step doubling chain)."""
-    return multi_scalar_mult(0, [(scalar, point)])
-
-
 # -- GLV endomorphism --------------------------------------------------------
 #
 # secp256k1 has j-invariant 0, so F_p contains a primitive cube root of unity
@@ -389,44 +372,12 @@ def _comb_addends(scalar: int, comb: Comb, width: int,
             raise ArithmeticError("GLV half exceeds the comb's rows")
 
 
-# Combs of recurring points (LRU) and single-point uses of points without
-# one (LRU of counts); batch equations touch neither.
-_COMBS: "OrderedDict[tuple[int, int], Comb]" = OrderedDict()
-_COMB_USES: "OrderedDict[tuple[int, int], int]" = OrderedDict()
-
-
 @cache
 def _g_comb() -> Comb:
     return _build_comb((GX, GY), _G_COMB_WIDTH)
 
 
-def _promoted_comb(point: tuple[int, int]) -> Optional[Comb]:
-    """Count a single-point multiplication on ``point``; its comb, built
-    at the ``_COMB_PROMOTE_AT``-th such use, or None before that."""
-    comb = _COMBS.get(point)
-    if comb is not None:
-        _COMBS.move_to_end(point)
-        return comb
-    uses = _COMB_USES.pop(point, 0) + 1
-    if uses < _COMB_PROMOTE_AT:
-        _COMB_USES[point] = uses
-        if len(_COMB_USES) > _COMB_USES_MAX:
-            _COMB_USES.popitem(last=False)
-        return None
-    comb = _COMBS[point] = _build_comb(point, _POINT_COMB_WIDTH)
-    if len(_COMBS) > _COMB_CACHE_MAX:
-        _COMBS.popitem(last=False)
-    return comb
-
-
 # -- Shamir / Strauss interleaved multi-scalar multiplication ----------------
-
-
-def double_scalar_mult_base(scalar_g: int, scalar_q: int,
-                            point_q: AffinePoint) -> AffinePoint:
-    """``scalar_g · G + scalar_q · Q`` (ECDSA verification): the one-pair
-    case of :func:`multi_scalar_mult`, with no doubling once ``Q`` recurs."""
-    return multi_scalar_mult(scalar_g, [(scalar_q, point_q)])
 
 
 def _point_tables_batched(points: list[tuple[int, int]],
@@ -524,12 +475,8 @@ def multi_scalar_mult(base_scalar: int,
                       ) -> AffinePoint:
     """``base_scalar · G + Σ kᵢ · Qᵢ`` with at most one doubling chain.
 
-    ``G``'s term is read from its comb, and so is the point of a
-    single-point call (one pair, no one-shot pairs) once
-    :func:`_promoted_comb` has built one: addends that join after the last
-    doubling, so such a call runs no doubling at all (``kind="comb"``;
-    ``"base"`` for ``G`` alone).  A batch equation neither counts toward a
-    comb nor reads one.
+    ``G``'s term is read from its comb: addends that join after the last
+    doubling, so ``G`` alone runs no doubling at all (``kind="base"``).
 
     ``one_shot_pairs`` are further terms whose points will not recur
     (signature nonce points).  Below ``_BUCKET_MIN_POINTS`` live ones they
@@ -548,12 +495,6 @@ def multi_scalar_mult(base_scalar: int,
     if base_scalar:
         _comb_addends(base_scalar, _g_comb(), _G_COMB_WIDTH, addends)
     kind = "base"
-    if live and len(pairs) == 1 and not one_shot_pairs:
-        comb = _promoted_comb(live[0][1])
-        if comb is not None:
-            _comb_addends(live[0][0], comb, _POINT_COMB_WIDTH, addends)
-            live = []
-            kind = "comb"
     kept = len(live)
     bucket_events: list[tuple[int, tuple[int, int]]] = []
     if len(one_shot) >= _BUCKET_MIN_POINTS:

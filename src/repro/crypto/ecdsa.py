@@ -1,4 +1,4 @@
-"""Pure-Python ECDSA over secp256k1.
+"""ECDSA and ECDH over secp256k1.
 
 This is the signature scheme behind every account, device, certificate and
 enclave quote in the reproduction:
@@ -10,15 +10,16 @@ enclave quote in the reproduction:
   side too, so the (r, -s) malleability twin of a signature is rejected,
 * Ethereum-style address derivation from the uncompressed public key.
 
-The point arithmetic behind signing, verification and ECDH lives in
-:mod:`repro.crypto.ec_backend` (GLV combs for ``G`` and recurring keys,
-wNAF and Shamir's trick for the rest): one modular inversion per scalar
-multiplication, not one per point addition.  On top sits a small LRU of
-verification outcomes; its hits are providers re-checking a quote, not
-``verify_chain`` seals (an ``agg_sustained`` audit verifies 5, 0 hits).
+``k·G`` (signing, key derivation) and the batch equation, which OpenSSL
+lacks, run in :mod:`repro.crypto.ec_backend`.  :func:`shared_secret` and
+:meth:`PublicKey.verify` run in OpenSSL (``cryptography``) on a handle each
+key builds for itself: a private key's belongs to the actor holding it.
+On top sits a small LRU of verification outcomes; its hits are providers
+re-checking a quote, not ``verify_chain`` seals (an ``agg_sustained`` audit
+verifies 5, 0 hits).
 
-There are two verifiers and they agree on every input.
-:meth:`PublicKey.verify` checks one signature and is the authority;
+There are two verifiers, independent implementations that agree on every
+input.  :meth:`PublicKey.verify` checks one signature and is the authority;
 :func:`batch_verify` checks many in one key-folded multi-scalar equation —
 the chain's block-entry path — and bisects down to ``PublicKey.verify`` on
 any failure.
@@ -29,10 +30,17 @@ from __future__ import annotations
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.utils import (
+    Prehashed,
+    encode_dss_signature,
+)
+from cryptography.hazmat.primitives.hashes import SHA256
 
 from repro.crypto import ec_backend
 from repro.crypto.hashing import (
@@ -73,6 +81,12 @@ GX = 0x79BE667EF9DCBBAC55A06295CE870B07029BFCDB2DCE28D959F2815B16F81798
 GY = 0x483ADA7726A3C4655DA4FBFC0E1108A8FD17B448A68554199C47D08FFB10D4B8
 
 _Point = Optional[tuple[int, int]]  # None is the point at infinity.
+
+_CURVE = ec.SECP256K1()
+# The digest is computed here (keccak256 mod n); OpenSSL takes its 32 bytes
+# as given.  The SHA256 only names the digest's length.
+_PREHASHED = ec.ECDSA(Prehashed(SHA256()))
+_ECDH = ec.ECDH()
 
 
 def _is_on_curve(point: _Point) -> bool:
@@ -165,6 +179,16 @@ class PublicKey:
         if not _is_on_curve((self.x, self.y)):
             raise InvalidKeyError("public key is not a point on secp256k1")
 
+    @cached_property
+    def _openssl(self) -> ec.EllipticCurvePublicKey:
+        """This key's OpenSSL handle, parsed on first use."""
+        return ec.EllipticCurvePublicNumbers(self.x, self.y,
+                                             _CURVE).public_key()
+
+    def __getstate__(self) -> dict:
+        # The handle does not pickle; a copy parses its own on use.
+        return {"x": self.x, "y": self.y}
+
     def to_bytes(self) -> bytes:
         """Uncompressed SEC1 encoding: ``0x04 || x (32) || y (32)``."""
         return b"\x04" + self.x.to_bytes(32, "big") + self.y.to_bytes(32, "big")
@@ -211,11 +235,13 @@ class PublicKey:
             ).inc()
             return cached
         began = _time.perf_counter()
-        s_inv = pow(s, -1, N)
-        u1 = digest * s_inv % N
-        u2 = r * s_inv % N
-        point = ec_backend.double_scalar_mult_base(u1, u2, (self.x, self.y))
-        ok = point is not None and point[0] % N == r
+        try:
+            self._openssl.verify(signature=encode_dss_signature(r, s),
+                                 data=digest.to_bytes(32, "big"),
+                                 signature_algorithm=_PREHASHED)
+            ok = True
+        except (InvalidSignature, ValueError):
+            ok = False
         _VERIFY_SECONDS.observe(_time.perf_counter() - began)
         _VERIFY_TOTAL.labels(cached="no",
                              outcome="ok" if ok else "fail").inc()
@@ -247,6 +273,20 @@ class PrivateKey:
     def __post_init__(self) -> None:
         if not 1 <= self.secret < N:
             raise InvalidKeyError("private key scalar out of range [1, n)")
+
+    @cached_property
+    def _openssl(self) -> ec.EllipticCurvePrivateKey:
+        """This key's own OpenSSL handle, built on first use from the
+        secret and the public point ``G``'s comb already derived."""
+        public = self.public_key
+        return ec.EllipticCurvePrivateNumbers(
+            self.secret,
+            ec.EllipticCurvePublicNumbers(public.x, public.y, _CURVE),
+        ).private_key()
+
+    def __getstate__(self) -> dict:
+        # The handle does not pickle; a copy builds its own on use.
+        return {"secret": self.secret}
 
     @classmethod
     def generate(cls, rng: np.random.Generator) -> "PrivateKey":
@@ -326,16 +366,15 @@ class PrivateKey:
 def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
     """Static ECDH on secp256k1: derive a shared 32-byte secret.
 
-    Both sides compute ``secret * PeerPublic`` and hash the x coordinate.
-    Used to provision data keys into enclaves: the provider encrypts under
-    the ECDH secret shared with the enclave's ephemeral key.
+    Both sides compute ``secret * PeerPublic`` (in OpenSSL) and hash the
+    x coordinate.  Used to provision data keys into enclaves: the provider
+    encrypts under the ECDH secret shared with the enclave's ephemeral key.
     """
-    point = ec_backend.scalar_mult(
-        private_key.secret, (public_key.x, public_key.y)
-    )
-    if point is None:
-        raise InvalidKeyError("ECDH produced the point at infinity")
-    return keccak256(b"ecdh" + point[0].to_bytes(32, "big"))
+    try:
+        x = private_key._openssl.exchange(_ECDH, public_key._openssl)
+    except ValueError as exc:
+        raise InvalidKeyError(f"ECDH failed: {exc}") from None
+    return keccak256(b"ecdh" + x)
 
 
 # -- amortized batch verification --------------------------------------------

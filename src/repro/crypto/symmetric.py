@@ -10,8 +10,9 @@ SHAKE-256 keystream:
 * ``tag = HMAC-SHA256(mac_key, nonce || ciphertext)``, checked first
 
 This is a standard, honest construction (a keyed XOF as stream cipher, plus
-HMAC), implemented with primitives from the standard library so the
-repository has no binary dependencies.  Keys are 32 bytes; nonces are 16
+HMAC), implemented with primitives from the standard library; OpenSSL
+(the ``cryptography`` package) is used only for ECDH and single-signature
+checks in :mod:`repro.crypto.ecdsa`.  Keys are 32 bytes; nonces are 16
 bytes and must be unique per message, which :func:`encrypt` guarantees by
 drawing them from the caller's RNG and embedding them in the envelope.
 """

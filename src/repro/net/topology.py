@@ -3,16 +3,22 @@
 Gossip learning runs over a random regular peer overlay.  These helpers
 build that ``networkx`` graph, its peer lists and its per-link latencies,
 and hold what the gossip kernels and FedAvg share about a link: the mean
-latency and the transport counters every message is charged to.
+latency and the transport counters every message is charged to.  Only
+:func:`random_regular_overlay` imports ``networkx``: a marketplace never
+loads it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.telemetry import metrics as _tm
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 #: Mean one-way link latency: what an unprofiled link costs, and the mean
 #: of the per-edge lognormal draws below.
@@ -41,6 +47,8 @@ def random_regular_overlay(num_nodes: int, degree: int,
     Retries until connected; for degree >= 3 this succeeds almost surely in
     a handful of attempts.
     """
+    import networkx as nx
+
     if num_nodes <= degree:
         raise SimulationError("need more nodes than the overlay degree")
     for _ in range(100):

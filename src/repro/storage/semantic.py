@@ -6,7 +6,7 @@ tension: richer metadata enables more precise matching but leaks more
 information to the storage subsystem.  This module implements all three
 pieces:
 
-* :class:`Ontology` — a concept taxonomy (DAG) with subsumption reasoning;
+* :class:`Ontology` — a concept taxonomy (a tree) with subsumption reasoning;
 * :class:`Requirement` — a small predicate language over annotations
   (concept subsumption, numeric ranges, conjunction);
 * :func:`annotation_leakage_bits` — an information-theoretic measure of what
@@ -20,56 +20,63 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-import networkx as nx
-
 from repro.errors import StorageError
 
 
 class Ontology:
     """A rooted is-a taxonomy of concepts.
 
-    Implemented over a ``networkx.DiGraph`` with edges parent -> child.
+    A tree: every concept but the root has exactly one parent, held in
+    :attr:`parent`, and :attr:`children` lists each concept's children.
     Concepts are strings; ``subsumes(general, specific)`` answers the
     reasoning queries requirements need.
     """
 
     def __init__(self, root: str = "thing"):
-        self._graph = nx.DiGraph()
-        self._graph.add_node(root)
         self.root = root
+        self.parent: dict[str, str | None] = {root: None}
+        self.children: dict[str, list[str]] = {root: []}
 
     def add_concept(self, concept: str, parent: str) -> None:
         """Add ``concept`` as a child of an existing ``parent``."""
-        if parent not in self._graph:
+        if parent not in self.parent:
             raise StorageError(f"unknown parent concept {parent!r}")
-        if concept in self._graph:
+        if concept in self.parent:
             raise StorageError(f"concept {concept!r} already defined")
-        self._graph.add_node(concept)
-        self._graph.add_edge(parent, concept)
+        self.parent[concept] = parent
+        self.children[concept] = []
+        self.children[parent].append(concept)
 
     def has_concept(self, concept: str) -> bool:
-        return concept in self._graph
+        return concept in self.parent
 
     def subsumes(self, general: str, specific: str) -> bool:
         """True when ``specific`` is-a ``general`` (reflexive)."""
-        if general not in self._graph or specific not in self._graph:
+        if general not in self.parent or specific not in self.parent:
             return False
-        if general == specific:
-            return True
-        return nx.has_path(self._graph, general, specific)
+        node: str | None = specific
+        while node is not None:
+            if node == general:
+                return True
+            node = self.parent[node]
+        return False
 
     def descendants(self, concept: str) -> set[str]:
         """All concepts subsumed by ``concept`` (excluding itself)."""
-        if concept not in self._graph:
+        if concept not in self.parent:
             raise StorageError(f"unknown concept {concept!r}")
-        return nx.descendants(self._graph, concept)
+        found: set[str] = set()
+        frontier = list(self.children[concept])
+        while frontier:
+            node = frontier.pop()
+            found.add(node)
+            frontier += self.children[node]
+        return found
 
     def leaves_under(self, concept: str) -> set[str]:
         """Leaf concepts subsumed by ``concept`` (including itself if leaf)."""
         subtree = self.descendants(concept) | {concept}
-        return {
-            node for node in subtree if self._graph.out_degree(node) == 0
-        }
+        return {node for node in subtree if not self.children[node]}
 
     @classmethod
     def iot_default(cls) -> "Ontology":
@@ -232,11 +239,13 @@ def generalize_annotation(ontology: Ontology,
     coarser annotation leaks less but may miss matching workloads.
     """
     concept = annotation.concept
+    if not ontology.has_concept(concept):
+        raise StorageError(f"unknown concept {concept!r}")
     for _ in range(levels):
-        parents = list(ontology._graph.predecessors(concept))
-        if not parents:
+        parent = ontology.parent[concept]
+        if parent is None:
             break
-        concept = parents[0]
+        concept = parent
     remaining = {
         key: value for key, value in annotation.properties.items()
         if key not in set(drop_properties)

@@ -27,15 +27,15 @@ from repro.crypto.ec_backend import (
     P,
     batch_to_affine,
     batch_add,
-    double_scalar_mult_base,
     jacobian_add_affine,
     jacobian_double,
-    scalar_mult,
+    multi_scalar_mult,
     scalar_mult_base,
     to_affine,
     wnaf,
 )
-from repro.crypto.ecdsa import PrivateKey
+from repro.crypto.ecdsa import PrivateKey, shared_secret
+from repro.crypto.hashing import keccak256
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.glv_derivation import derive_glv
 from tests.crypto.jacobian_oracle import (
@@ -45,6 +45,9 @@ from tests.crypto.jacobian_oracle import (
 )
 
 G = (GX, GY)
+# Production builds one comb, G's; a width-4 comb of another point holds
+# the generic builder and reader to a second geometry.
+POINT_COMB_WIDTH = 4
 
 # Deterministic scalar pool shared by the bulk differential tests.
 _RANDOM = random.Random(0xEC0FFEE)
@@ -53,6 +56,19 @@ EDGE_SCALARS = [1, 2, 3, N - 1, N - 2, N // 2, N // 2 + 1, 2**128, 2**255 % N]
 
 def random_scalar() -> int:
     return _RANDOM.randrange(1, N)
+
+
+def scalar_mult(scalar, point):
+    """``scalar · point``: the engine's one-point case.  No production
+    call has this shape (ECDH runs in OpenSSL); it is the Strauss path of
+    a batch equation's key term on its own."""
+    return multi_scalar_mult(0, [(scalar, point)])
+
+
+def double_scalar_mult_base(u1, u2, point):
+    """``u1 · G + u2 · point``: the engine's one-pair case, ``G`` from its
+    comb and ``point`` as a Strauss stream."""
+    return multi_scalar_mult(u1, [(u2, point)])
 
 
 def comb_sum(comb, width, halves):
@@ -160,8 +176,8 @@ class TestTablesAgainstJacobianBuilds:
         point = point_mul(0xFACADE, G)
         for comb, start, width in [
                 (ec_backend._g_comb(), G, ec_backend._G_COMB_WIDTH),
-                (ec_backend._build_comb(point, ec_backend._POINT_COMB_WIDTH),
-                 point, ec_backend._POINT_COMB_WIDTH)]:
+                (ec_backend._build_comb(point, POINT_COMB_WIDTH),
+                 point, POINT_COMB_WIDTH)]:
             base = to_jacobian(start)
             for row in comb:
                 assert row[0] == to_affine(base)
@@ -237,8 +253,8 @@ class TestDifferentialScalarMult:
         lam = ec_backend._GLV_LAMBDA
         for comb, start, width in [
                 (ec_backend._g_comb(), G, ec_backend._G_COMB_WIDTH),
-                (ec_backend._build_comb(point, ec_backend._POINT_COMB_WIDTH),
-                 point, ec_backend._POINT_COMB_WIDTH)]:
+                (ec_backend._build_comb(point, POINT_COMB_WIDTH),
+                 point, POINT_COMB_WIDTH)]:
             half = 1 << (width - 1)
             runs = [half - 1, half, half + 1, (1 << width) - 1,
                     sum((half + 1) << (width * i)
@@ -313,19 +329,16 @@ class TestDifferentialScalarMult:
         point = scalar_mult_base(point_scalar)
         assert scalar_mult(scalar, point) == wnaf_scalar_mult(scalar, point)
 
-    def test_variable_point_is_the_one_point_multi_scalar_case(
-            self, monkeypatch):
-        calls = []
-        real = ec_backend.multi_scalar_mult
-
-        def spy(base_scalar, pairs, *rest):
-            calls.append((base_scalar, pairs))
-            return real(base_scalar, pairs, *rest)
-
-        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
-        base = point_mul(77, G)
-        assert scalar_mult(9, base) == point_mul(9 * 77, G)
-        assert calls == [(0, [(9, base)])]
+    def test_variable_point_is_the_one_point_multi_scalar_case(self):
+        """The product ECDH takes from OpenSSL is the engine's one-point
+        case: two implementations of ``k · Q``, one x coordinate."""
+        for seed in range(4):
+            own = PrivateKey.from_seed(b"one-point-%d" % seed)
+            peer = PrivateKey.from_seed(b"one-point-peer-%d" % seed)
+            q = (peer.public_key.x, peer.public_key.y)
+            x = scalar_mult(own.secret, q)[0]
+            assert shared_secret(own, peer.public_key) == \
+                keccak256(b"ecdh" + x.to_bytes(32, "big"))
 
     def test_dual_scalar_differential(self):
         q = point_mul(0xC0DE, G)

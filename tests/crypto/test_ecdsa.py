@@ -2,19 +2,31 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
+from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ecdsa as ecdsa_module
 from repro.crypto.ecdsa import (
+    GX,
+    GY,
     N,
     P,
     PrivateKey,
     PublicKey,
     Signature,
+    _batch_equation_holds,
+    _recover_nonce_point,
     shared_secret,
 )
+from repro.crypto.hashing import hash_to_int, keccak256
 from repro.errors import InvalidKeyError, InvalidSignatureError
+from tests.crypto.affine_oracle import point_add, point_mul
+
+G = (GX, GY)
 
 
 @pytest.fixture
@@ -193,42 +205,129 @@ class TestMalleabilityHardening:
         assert Signature.from_bytes(signature.to_bytes()) == signature
 
 
+class CountingHandle:
+    """Stands in for a public key's OpenSSL handle and counts its checks."""
+
+    def __init__(self, real):
+        self.real = real
+        self.calls = 0
+
+    def verify(self, **kwargs):
+        self.calls += 1
+        return self.real.verify(**kwargs)
+
+
 class TestVerificationCache:
     def test_replay_skips_ec_math(self, key, monkeypatch):
-        import repro.crypto.ecdsa as ecdsa_module
-
         message = b"cache me"
         signature = key.sign(message)
         public = key.public_key
         ecdsa_module._VERIFY_CACHE.clear()
-        calls = 0
-        real = ecdsa_module.ec_backend.double_scalar_mult_base
-
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return real(*args)
-
-        monkeypatch.setattr(ecdsa_module.ec_backend,
-                            "double_scalar_mult_base", counting)
+        handle = CountingHandle(public._openssl)
+        monkeypatch.setitem(vars(public), "_openssl", handle)
         assert public.verify(message, signature)
         assert public.verify(message, signature)
         assert public.verify(message, signature)
-        assert calls == 1
+        assert handle.calls == 1
 
     def test_failures_are_cached_too(self, key, monkeypatch):
-        import repro.crypto.ecdsa as ecdsa_module
-
         message = b"bad sig"
         signature = key.sign(b"something else")
         ecdsa_module._VERIFY_CACHE.clear()
         assert not key.public_key.verify(message, signature)
-        monkeypatch.setattr(
-            ecdsa_module.ec_backend, "double_scalar_mult_base",
-            lambda *args: pytest.fail("EC math ran on a cached outcome"),
-        )
+        handle = CountingHandle(key.public_key._openssl)
+        monkeypatch.setitem(vars(key.public_key), "_openssl", handle)
         assert not key.public_key.verify(message, signature)
+        assert handle.calls == 0
 
+
+def _policy(signature: Signature) -> bool:
+    """The scalar checks every verifier runs before any curve math."""
+    return 1 <= signature.r < N and 1 <= signature.s <= N // 2
+
+
+def _oracle_verdict(public_key, message, signature) -> bool:
+    """Textbook ECDSA on the affine oracle, behind the same policy."""
+    if not _policy(signature):
+        return False
+    w = pow(signature.s, -1, N)
+    digest = hash_to_int(message, N)
+    point = point_add(point_mul(digest * w % N, G),
+                      point_mul(signature.r * w % N,
+                                (public_key.x, public_key.y)))
+    return point is not None and point[0] % N == signature.r
+
+
+def _equation_verdict(public_key, message, signature) -> bool:
+    """The Python batch equation over this one entry, behind the same
+    policy: ``u1·G + u2·Q − R = 𝒪`` with ``R`` recovered from ``(r, v)``."""
+    if not _policy(signature):
+        return False
+    nonce_point = _recover_nonce_point(signature.r, signature.v)
+    if nonce_point is None:
+        return False
+    w = pow(signature.s, -1, N)
+    digest = hash_to_int(message, N)
+    return _batch_equation_holds([(digest * w % N, signature.r * w % N,
+                                   (public_key.x, public_key.y),
+                                   nonce_point)])
+
+
+CASES = ["valid", "forged_s", "forged_r", "wrong_key", "wrong_digest",
+         "high_s", "r_zero", "r_n", "s_zero", "s_n"]
+
+
+class TestThreeVerifiersAgree:
+    """OpenSSL's :meth:`PublicKey.verify`, the Python batch equation and
+    the affine oracle: three implementations, one verdict."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CASES), st.integers(1, 2**32),
+           st.binary(max_size=32), st.integers(1, N - 1))
+    def test_verdicts_agree(self, case, seed, message, noise):
+        signer = PrivateKey.from_seed(b"three-%d" % seed)
+        signature = signer.sign(message)
+        public_key = signer.public_key
+        r, s, v = signature.r, signature.s, signature.v
+        if case == "forged_s":
+            s = noise % (N // 2) + 1
+            if s == signature.s:
+                s = s % (N // 2) + 1
+        elif case == "forged_r":
+            r = r % (N - 1) + 1
+        elif case == "wrong_key":
+            public_key = PrivateKey.from_seed(b"other-%d" % seed).public_key
+        elif case == "wrong_digest":
+            message += b"!"
+        elif case == "high_s":
+            s = N - s
+        elif case != "valid":
+            field_name, value = case.split("_")
+            bad = {"zero": 0, "n": N}[value]
+            r, s = (bad, s) if field_name == "r" else (r, bad)
+        forged = Signature(r, s, v)
+        ecdsa_module._VERIFY_CACHE.clear()
+        verdicts = (public_key.verify(message, forged),
+                    _equation_verdict(public_key, message, forged),
+                    _oracle_verdict(public_key, message, forged))
+        assert verdicts == ((case == "valid"),) * 3, case
+
+
+class TestECDH:
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, N - 1), st.integers(1, N - 1))
+    def test_secret_is_the_oracles_x_coordinate(self, own, peer):
+        peer_key = PrivateKey(peer).public_key
+        x = point_mul(own, (peer_key.x, peer_key.y))[0]
+        assert shared_secret(PrivateKey(own), peer_key) == \
+            keccak256(b"ecdh" + x.to_bytes(32, "big"))
+
+    def test_short_x_is_padded_to_32_bytes(self):
+        own, peer = PrivateKey.from_seed(b"z41"), PrivateKey.from_seed(b"b")
+        x = point_mul(own.secret, (peer.public_key.x, peer.public_key.y))[0]
+        assert x < 2**248  # a leading zero byte
+        assert shared_secret(own, peer.public_key) == \
+            keccak256(b"ecdh" + x.to_bytes(32, "big"))
 
 class TestECDH:
     def test_symmetric(self, rng):
@@ -243,3 +342,44 @@ class TestECDH:
     def test_secret_is_32_bytes(self, rng):
         a, b = PrivateKey.generate(rng), PrivateKey.generate(rng)
         assert len(shared_secret(a, b.public_key)) == 32
+
+
+class TestOpenSSLHandles:
+    def test_keys_pickle_after_use(self, rng):
+        own, peer = PrivateKey.generate(rng), PrivateKey.generate(rng)
+        signature = own.sign(b"pickled")
+        ecdsa_module._VERIFY_CACHE.clear()
+        assert own.public_key.verify(b"pickled", signature)
+        secret = shared_secret(own, peer.public_key)
+        assert "_openssl" in vars(own) and "_openssl" in vars(own.public_key)
+        own_copy = pickle.loads(pickle.dumps(own))
+        public_copy = pickle.loads(pickle.dumps(own.public_key))
+        assert own_copy == own and public_copy == own.public_key
+        assert "_openssl" not in vars(own_copy)
+        assert "_openssl" not in vars(public_copy)
+        ecdsa_module._VERIFY_CACHE.clear()
+        assert public_copy.verify(b"pickled", own_copy.sign(b"pickled"))
+        assert shared_secret(own_copy, peer.public_key) == secret
+        assert shared_secret(peer, public_copy) == secret
+
+    def test_each_key_builds_its_own_handle(self, key):
+        twin = PrivateKey(key.secret)
+        assert twin == key and twin._openssl is not key._openssl
+
+    def test_an_openssl_value_error_is_an_invalid_key(self, rng, monkeypatch):
+        own, peer = PrivateKey.generate(rng), PrivateKey.generate(rng)
+        other_curve = ec.derive_private_key(5, ec.SECP256R1()).public_key()
+        monkeypatch.setitem(vars(peer.public_key), "_openssl", other_curve)
+        with pytest.raises(InvalidKeyError):
+            shared_secret(own, peer.public_key)
+
+    def test_an_openssl_error_is_a_failed_verify(self, key, monkeypatch):
+        class Refusing:
+            def verify(self, **kwargs):
+                raise ValueError("refused")
+
+        signature = key.sign(b"refused")
+        ecdsa_module._VERIFY_CACHE.clear()
+        monkeypatch.setitem(vars(key.public_key), "_openssl", Refusing())
+        assert key.public_key.verify(b"refused", signature) is False
+        ecdsa_module._VERIFY_CACHE.clear()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import networkx as nx
 import pytest
 
 from repro.errors import StorageError
@@ -54,6 +55,28 @@ class TestOntology:
     def test_ancestors_descendants(self, onto):
         assert "temperature" in onto.descendants("environmental")
         assert "environmental" not in onto.descendants("temperature")
+
+    def test_tree_maps_agree_with_a_networkx_digraph(self, onto):
+        """The parent and children maps answer every query the
+        ``networkx.DiGraph`` they replaced answered, on every pair."""
+        graph = nx.DiGraph()
+        graph.add_node(onto.root)
+        graph.add_edges_from((parent, child)
+                             for child, parent in onto.parent.items()
+                             if parent is not None)
+        for general in graph:
+            assert onto.descendants(general) == nx.descendants(graph, general)
+            assert onto.leaves_under(general) == {
+                node for node in nx.descendants(graph, general) | {general}
+                if graph.out_degree(node) == 0}
+            for specific in graph:
+                assert onto.subsumes(general, specific) == (
+                    general == specific
+                    or nx.has_path(graph, general, specific))
+
+    def test_generalizing_an_unknown_concept_is_a_storage_error(self, onto):
+        with pytest.raises(StorageError):
+            generalize_annotation(onto, SemanticAnnotation("unknown"), 1)
 
 
 class TestRequirements:

@@ -79,6 +79,8 @@ ALLOWLIST: tuple[tuple[str, str, str], ...] = (
      "wire decoder: rejects malformed and high-s signatures"),
     ("repro.crypto.symmetric.Envelope.from_bytes", "safety",
      "wire decoder: rejects truncated envelopes"),
+    ("repro.crypto.ecdsa.P*Key.__getstate__", "safety",
+     "a used key pickles and deep-copies: its OpenSSL handle stays out"),
     ("repro.tee.attestation.AttestationService.revoke_platform", "safety",
      "fills the revocation list every quote verification consults"),
     # -- test oracles ----------------------------------------------------
