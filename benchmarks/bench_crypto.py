@@ -6,8 +6,7 @@ affine_oracle.py``) and the public API — ``G``'s comb for keygen and
 signing, OpenSSL for verify and ECDH — plus the chain-facing caches
 (verification replay, Merkle proofs).  Verify and ECDH are timed on a
 *first-use* key (its OpenSSL handle parsed in the call) and on a
-*recurring* key (handle already held), beside the cost of building one
-private key's handle.
+*recurring* key (handle already held).
 
 Every number is wall-clock and therefore noisy on shared runners, so
 nothing gates and the quick suite cuts the iteration counts; the full
@@ -139,14 +138,6 @@ def run_bench(quick: bool = False) -> dict:
     ms["ecdh_recurring"] = _time_per_call(
         lambda: shared_secret(key, peer.public_key), iters_fast
     )
-    # One private key's OpenSSL handle, its public point derived before.
-    handle_keys = [PrivateKey.from_seed(b"bench-handle-%d" % i)
-                   for i in range(iters_fast)]
-    for handle_key in handle_keys:
-        assert handle_key.public_key  # from G's comb, untimed
-    unbuilt = iter(handle_keys)
-    ms["private_handle"] = _time_per_call(lambda: next(unbuilt)._openssl,
-                                          iters_fast)
 
     assert public.verify(messages[0], signatures[0])
     ms["fast_verify_cached"] = _time_per_call(
@@ -179,8 +170,6 @@ def run_bench(quick: bool = False) -> dict:
         ["verify (LRU replay)", "-", f"{ms['fast_verify_cached']:.4f}", "-"],
         ["ECDH, first-use key", "-", f"{ms['ecdh']:.3f}", "-"],
         ["ECDH, recurring key", "-", f"{ms['ecdh_recurring']:.3f}", "-"],
-        ["private key handle (one key)", "-",
-         f"{ms['private_handle']:.3f}", "-"],
         ["merkle proof (cached)", "-", f"{ms['merkle_proof_cached']:.4f}",
          "-"],
     ]
@@ -196,7 +185,6 @@ def run_bench(quick: bool = False) -> dict:
         "verify_recurring_ms": info(ms["verify_recurring"], unit="ms"),
         "ecdh_first_use_ms": info(ms["ecdh"], unit="ms"),
         "ecdh_recurring_ms": info(ms["ecdh_recurring"], unit="ms"),
-        "private_handle_ms": info(ms["private_handle"], unit="ms"),
     }
     claims = {}
     if not quick:

@@ -329,7 +329,6 @@ class TestECDH:
         assert shared_secret(own, peer.public_key) == \
             keccak256(b"ecdh" + x.to_bytes(32, "big"))
 
-class TestECDH:
     def test_symmetric(self, rng):
         a = PrivateKey.generate(rng)
         b = PrivateKey.generate(rng)

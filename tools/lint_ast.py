@@ -4,15 +4,18 @@ line length, from the standard library's ``ast`` alone.
 
 CI runs ``ruff check`` (pyproject.toml: E, W, F, B) *and* this script.  A
 change prepared where ruff is not installed has been checked by this pass
-only, which covers two of ruff's rules and nothing else:
+only, which covers three of ruff's rules and nothing else:
 
 * **F401** — a name bound by ``import`` / ``from … import`` that the file
   never reads.  A name counts as read when it occurs as an identifier, or
   as a word inside a string constant (quoted annotations, ``__all__``).
+* **F811** — an undecorated ``def`` or ``class`` that rebinds a name an
+  earlier one in the same module or class body bound.  The later one
+  wins, so the earlier (a test class, say) silently stops existing.
 * **E501** — a line longer than ``[tool.ruff] line-length`` (100); exempt
   under ``benchmarks/`` and ``examples/``, as in ``per-file-ignores``.
 
-``# noqa`` on the line silences both, as it does for ruff.
+``# noqa`` on the line silences all three, as it does for ruff.
 
 One structural rule of this repository's own rides along:
 
@@ -68,6 +71,21 @@ def _read_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def _redefinitions(body: list[ast.stmt]) -> list[tuple[str, int, int]]:
+    """``(name, line, earlier line)`` of every undecorated ``def``/``class``
+    that rebinds a name bound by an earlier one in ``body`` or in the body of
+    a class nested in it."""
+    found, seen = [], {}
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in seen and not node.decorator_list:
+                found.append((node.name, node.lineno, seen[node.name]))
+            seen[node.name] = node.lineno
+            if isinstance(node, ast.ClassDef):
+                found.extend(_redefinitions(node.body))
+    return found
+
+
 def _mining_calls(node: ast.AST, scope: str = "") -> list[tuple[str, int, str]]:
     """``(called name, line, enclosing scope)`` of every mining call."""
     found = []
@@ -99,6 +117,10 @@ def lint_file(path: Path) -> list[str]:
     for name, lineno in _imported(tree):
         if name not in read and not silenced(lineno):
             found.append(f"{path}:{lineno}: F401 {name!r} imported but unused")
+    for name, lineno, earlier in _redefinitions(tree.body):
+        if not silenced(lineno):
+            found.append(f"{path}:{lineno}: F811 redefinition of {name!r} "
+                         f"from line {earlier}")
     if path.parts[-len(MINING_SCOPE) - 1:-1] == MINING_SCOPE:
         for name, lineno, scope in _mining_calls(tree):
             if scope not in MINING_ALLOWED:
@@ -127,7 +149,8 @@ def main(argv: list[str]) -> int:
     for line in found:
         print(line)
     print(f"lint_ast: {len(files)} files, {len(found)} finding(s) "
-          "(F401 unused imports, E501 line length, PDS001 one mining "
+          "(F401 unused imports, F811 redefinitions, E501 line length, "
+          "PDS001 one mining "
           "seam; not a ruff run)",
           file=sys.stderr)
     return 1 if found else 0
