@@ -7,31 +7,28 @@ performs one modular inversion *per point addition* (≈380 inversions per
 scalar multiplication).  Here a doubling chain's accumulator works in
 Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``, ``y = Y/Z³`` — one
 inversion per scalar multiplication, at the end — and independent additions
-(bucket fills, table entries) stay affine and share one inversion per round
+(bucket fills, comb rows) stay affine and share one inversion per round
 (:func:`batch_add`).  On top of that:
 
-* the **GLV endomorphism** splits every scalar into two halves below 2¹²⁸;
+* the **GLV endomorphism** splits a scalar into two halves below 2¹²⁸;
 * a **GLV comb** of ``G`` (:func:`_build_comb`): at most ``2 × rows``
   mixed additions and no doubling, so ``k·G`` for signing and key
   derivation skips the doubling chain;
-* **wNAF** recoding and **Strauss interleaving** for the other points of
-  a batch equation: all their streams share one ~128-step doubling chain;
-* **Pippenger's bucket method** once a sum holds 32 or more one-shot points
-  (a block's signature nonce points): its keys join them as GLV halves,
-  and no table is built.
+* **Pippenger's bucket method** for every other point of a batch
+  equation (:func:`_bucket_events`): a full-length scalar joins as its two
+  GLV halves, so one ~130-step doubling chain carries the whole sum.
 
 There is one engine, :func:`multi_scalar_mult`; ``k·G``
-(:func:`scalar_mult_base`) is its no-point case and batch verification its
-many-pair case.  Tables are built lazily, so importing this module costs
-nothing.  Points at the API boundary are affine ``(x, y)`` tuples or
-``None`` for the point at infinity — the convention of the affine oracle
-the differential tests hold every path here against
-(``tests/crypto/affine_oracle.py``).
+(:func:`scalar_mult_base`) is its no-point case and a batch equation its
+many-point case.  No point but ``G`` has a table, and ``G``'s comb, built
+on first use, is the module's only state.  Points at the API boundary are
+affine ``(x, y)`` tuples or ``None`` for the point at infinity — the
+convention of the affine oracle the differential tests hold every path
+here against (``tests/crypto/affine_oracle.py``).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import cache
 from typing import Optional, Sequence
 
@@ -51,19 +48,6 @@ JacobianPoint = Optional[tuple[int, int, int]]
 # it, medians of seeds 1-3 (EXPERIMENTS §E25 "PR 28"): 10 bits gains ≤ 3 %
 # but puts ml_wide's RSS up 5-6 %; 8 bits −1 %.
 _G_COMB_WIDTH = 9
-_WNAF_POINT_WIDTH = 5  # every point but G
-
-# One-shot points at or above this count go through Pippenger's buckets
-# instead of per-point wNAF tables.  Bucket ÷ Strauss wall time with both
-# sides on batched affine additions, measured: 1.38 at 8 points, 1.16 at
-# 16, 1.01 at 24, 0.94 at 32, 0.86 at 48, 0.79 at 64, 0.73 at 128, 0.67 at
-# 256 (EXPERIMENTS §E25) — the first power of two past the crossover.
-_BUCKET_MIN_POINTS = 32
-
-# Scalars at or below this length skip the GLV split in multi-scalar
-# multiplication: they are already no longer than the half-length components
-# the split would produce, so splitting would only add a second stream.
-_GLV_SHORT_BITS = 140
 
 # Scalar-multiplication call counters, one child per algorithm kind; the
 # label lookup is one dict hit against the O(100µs) multiplication it
@@ -211,54 +195,6 @@ def batch_add(lefts: Sequence[AffinePoint],
     return sums
 
 
-# -- wNAF recoding -----------------------------------------------------------
-
-
-def wnaf(scalar: int, width: int) -> list[int]:
-    """Width-``w`` non-adjacent form of ``scalar`` (least significant first).
-
-    Digits are zero or odd in ``(-2^(w-1), 2^(w-1))``; at most one in any
-    ``width`` consecutive positions is non-zero, so a 256-bit scalar needs
-    about ``256 / (width + 1)`` point additions.
-    """
-    digits: list[int] = []
-    window = 1 << width
-    half = window >> 1
-    while scalar > 0:
-        if scalar & 1:
-            digit = scalar % window
-            if digit >= half:
-                digit -= window
-            scalar -= digit
-        else:
-            digit = 0
-        digits.append(digit)
-        scalar >>= 1
-    return digits
-
-
-def _odd_multiples(points: Sequence[tuple[int, int]],
-                   width: int) -> list[list[AffinePoint]]:
-    """Affine tables ``[1P, 3P, 5P, ..., (2^(width-1) - 1)P]`` for many
-    points in lock step: one batched doubling, then one batched addition
-    of ``2P`` per entry, every step sharing an inversion across the points."""
-    twice = batch_add(points, points)
-    column: list[AffinePoint] = list(points)
-    tables = [[point] for point in points]
-    for _ in range((1 << (width - 1)) // 2 - 1):
-        column = batch_add(column, twice)
-        for table, entry in zip(tables, column):
-            table.append(entry)
-    return tables
-
-
-# LRU of per-point odd-multiple tables (see ``_point_tables_batched``):
-# keys of narrow batch equations (seals, lifecycle blocks).
-_POINT_TABLE_CACHE: "OrderedDict[tuple[int, int], list[AffinePoint]]" = \
-    OrderedDict()
-_POINT_TABLE_CACHE_MAX = 512
-
-
 # -- public scalar-multiplication API ----------------------------------------
 
 
@@ -377,34 +313,7 @@ def _g_comb() -> Comb:
     return _build_comb((GX, GY), _G_COMB_WIDTH)
 
 
-# -- Shamir / Strauss interleaved multi-scalar multiplication ----------------
-
-
-def _point_tables_batched(points: list[tuple[int, int]],
-                          kept: int) -> list[list[AffinePoint]]:
-    """Odd-multiple wNAF tables for many points, the missing ones built
-    together by :func:`_odd_multiples`.  Tables of the first ``kept``
-    points (public keys) go through the shared per-point LRU; the rest
-    (signature nonce points, never seen again) are built and dropped."""
-    result: list[Optional[list[AffinePoint]]] = []
-    missing: list[int] = []
-    for index, point in enumerate(points):
-        cached = _POINT_TABLE_CACHE.get(point)
-        if cached is not None:
-            _POINT_TABLE_CACHE.move_to_end(point)
-        else:
-            missing.append(index)
-        result.append(cached)
-    if missing:
-        built = _odd_multiples([points[index] for index in missing],
-                               _WNAF_POINT_WIDTH)
-        for index, table in zip(missing, built):
-            result[index] = table
-            if index < kept:
-                _POINT_TABLE_CACHE[points[index]] = table
-                if len(_POINT_TABLE_CACHE) > _POINT_TABLE_CACHE_MAX:
-                    _POINT_TABLE_CACHE.popitem(last=False)
-    return result
+# -- Pippenger's bucket method ----------------------------------------------
 
 
 def _bucket_events(pairs: list[tuple[int, tuple[int, int]]],
@@ -470,80 +379,45 @@ def _bucket_events(pairs: list[tuple[int, tuple[int, int]]],
 
 
 def multi_scalar_mult(base_scalar: int,
-                      pairs: list[tuple[int, AffinePoint]],
-                      one_shot_pairs: Sequence[tuple[int, AffinePoint]] = (),
+                      terms: Sequence[tuple[int, AffinePoint]],
                       ) -> AffinePoint:
     """``base_scalar · G + Σ kᵢ · Qᵢ`` with at most one doubling chain.
 
     ``G``'s term is read from its comb: addends that join after the last
     doubling, so ``G`` alone runs no doubling at all (``kind="base"``).
-
-    ``one_shot_pairs`` are further terms whose points will not recur
-    (signature nonce points).  Below ``_BUCKET_MIN_POINTS`` live ones they
-    are Strauss-interleaved with ``pairs`` (``kind="multi"``): GLV-split,
-    wNAF-recoded on tables built in lock step (``pairs``' via the LRU),
-    all streams on one ~128-step doubling chain.  At that count
-    (``kind="bucket"``) every term goes through :func:`_bucket_events`,
-    each ``pairs`` point as its GLV halves ``(|k1|, ±Q)`` and ``(|k2|,
-    ±φ(Q))``: no table, no wNAF, one addend per window on the chain.
+    Every other term goes through :func:`_bucket_events`
+    (``kind="bucket"``): a scalar of at most 128 bits (a batch equation's
+    nonce coefficients) as it is, a longer one (a key term) as its GLV
+    halves ``(|k1|, ±Q)`` and ``(|k2|, ±φ(Q))``.  No table is built.
     """
     base_scalar %= N
-    live = [(k % N, q) for k, q in pairs if q is not None and k % N != 0]
-    one_shot = [(k % N, q) for k, q in one_shot_pairs
-                if q is not None and k % N != 0]
+    p = P
     addends: list[tuple[int, int]] = []
     if base_scalar:
         _comb_addends(base_scalar, _g_comb(), _G_COMB_WIDTH, addends)
-    kind = "base"
-    kept = len(live)
-    bucket_events: list[tuple[int, tuple[int, int]]] = []
-    if len(one_shot) >= _BUCKET_MIN_POINTS:
-        kind = "bucket"
-        for scalar, (x, y) in live:  # GLV halves join the buckets
-            for k, qx in zip(_glv_split(scalar), (x, _GLV_BETA * x % P)):
-                if k:
-                    one_shot.append((abs(k), (qx, P - y if k < 0 else y)))
-        live = []
-        bucket_events = _bucket_events(one_shot)
-    elif live or one_shot:
-        kind = "multi"
-        live += one_shot
-    _SCALAR_MULTS.labels(kind=kind).inc()
-    tables = _point_tables_batched([q for _, q in live], kept)
-    streams: list[tuple[list[int], list[AffinePoint]]] = []
-    for (scalar, _), table in zip(live, tables):
-        halves = [(scalar, table)]
-        if scalar.bit_length() > _GLV_SHORT_BITS:
-            k1, k2 = _glv_split(scalar)
-            halves = [(k1, table),
-                      (k2, [(_GLV_BETA * x % P, y) for x, y in table])]
-        for k, half_table in halves:
-            if k < 0:  # the sign folded into the table
-                k, half_table = -k, [(x, P - y) for x, y in half_table]
-            streams.append((wnaf(k, _WNAF_POINT_WIDTH), half_table))
-    length = max([len(digits) for digits, _ in streams]
-                 + [bit + 1 for bit, _ in bucket_events]
+    pairs: list[tuple[int, tuple[int, int]]] = []
+    for k, point in terms:
+        k %= N
+        if point is None or not k:
+            continue
+        if k.bit_length() <= _GLV_HALF_BITS:
+            pairs.append((k, point))
+            continue
+        x, y = point
+        for half, qx in zip(_glv_split(k), (x, _GLV_BETA * x % p)):
+            if half:
+                pairs.append((abs(half), (qx, p - y if half < 0 else y)))
+    _SCALAR_MULTS.labels(kind="bucket" if pairs else "base").inc()
+    bucket_events = _bucket_events(pairs) if pairs else []
+    length = max([bit + 1 for bit, _ in bucket_events]
                  + [1] * bool(addends), default=0)
-    p = P
-    # Resolve every non-zero digit to its affine addend up front, bucketed
-    # by bit position.  With dozens of interleaved streams the inner loop
-    # would otherwise spend most of its time skipping zero digits (wNAF
-    # density is ~1/6); bucketing turns that scan into one list walk per
-    # doubling step.
     events: list[list[tuple[int, int]]] = [[] for _ in range(length)]
-    for digits, table in streams:
-        for index, digit in enumerate(digits):
-            if digit > 0:
-                events[index].append(table[digit >> 1])
-            elif digit < 0:
-                x, y = table[(-digit) >> 1]
-                events[index].append((x, p - y))
     for bit, point in bucket_events:
         events[bit].append(point)
     if addends:
         events[0] += addends
     # The accumulator lives in three scalar locals (az == 0 means
-    # infinity) with doubling and mixed addition open-coded: over ~128-256
+    # infinity) with doubling and mixed addition open-coded: over ~130
     # iterations tuple packing and helper calls are the dominant
     # interpreter cost.  Rare degenerate branches fall back to the helper.
     ax = ay = az = 0

@@ -14,15 +14,17 @@ enclave quote in the reproduction:
 lacks, run in :mod:`repro.crypto.ec_backend`.  :func:`shared_secret` and
 :meth:`PublicKey.verify` run in OpenSSL (``cryptography``) on a handle each
 key builds for itself: a private key's belongs to the actor holding it.
-On top sits a small LRU of verification outcomes; its hits are providers
+A key also derives its own public point and address, once, and keeps them;
+nothing derived from a key is shared between keys.  Beside them sits one
+process-wide LRU of verification outcomes; its hits are providers
 re-checking a quote, not ``verify_chain`` seals (an ``agg_sustained`` audit
 verifies 5, 0 hits).
 
 There are two verifiers, independent implementations that agree on every
 input.  :meth:`PublicKey.verify` checks one signature and is the authority;
-:func:`batch_verify` checks many in one key-folded multi-scalar equation —
-the chain's block-entry path — and bisects down to ``PublicKey.verify`` on
-any failure.
+:func:`batch_verify` — the chain's block-entry path — hands a batch of
+fewer than 32 signatures to it one by one, checks a wider one in one
+key-folded bucket equation, and bisects a failed equation down to it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import time as _time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -130,7 +132,9 @@ class Signature:
         EC math can run on them: ``r`` and ``s`` must lie in ``[1, n-1]``
         and ``s`` must be in the low half of the range (the high-s twin of
         a valid signature also verifies under textbook ECDSA, which would
-        make signatures malleable identifiers).
+        make signatures malleable identifiers).  ``v`` must be 0 or 1: the
+        verifiers read only its parity, so any other byte would decode to a
+        second, unequal signature that verifies as the first.
         """
         if len(data) != 65:
             raise InvalidSignatureError(f"signature must be 65 bytes, got {len(data)}")
@@ -142,6 +146,8 @@ class Signature:
             raise InvalidSignatureError("signature s out of range [1, n-1]")
         if s > N // 2:
             raise InvalidSignatureError("signature s is not low-s normalized")
+        if data[64] > 1:  # only the parity of the nonce point's y
+            raise InvalidSignatureError("signature v is not 0 or 1")
         return cls(r=r, s=s, v=data[64])
 
 
@@ -153,15 +159,6 @@ class Signature:
 # and 5.3 per ``ml_faulted``; ``chain_bulk``'s block entry hits 0 of 4 096.
 _VERIFY_CACHE: OrderedDict[tuple[int, int, int, int, int], bool] = OrderedDict()
 _VERIFY_CACHE_MAX = 8192
-
-
-@lru_cache(maxsize=4096)
-def _cached_address(x: int, y: int) -> str:
-    """Address derivation is hash + hex; cached because the chain layer asks
-    for the same key's address on every signature check."""
-    return address_from_public_key(
-        x.to_bytes(32, "big") + y.to_bytes(32, "big")
-    )
 
 
 @dataclass(frozen=True)
@@ -186,7 +183,8 @@ class PublicKey:
                                              _CURVE).public_key()
 
     def __getstate__(self) -> dict:
-        # The handle does not pickle; a copy parses its own on use.
+        # The handle does not pickle and the address is derived: a copy
+        # rebuilds both on use.
         return {"x": self.x, "y": self.y}
 
     def to_bytes(self) -> bytes:
@@ -202,10 +200,11 @@ class PublicKey:
             x=int.from_bytes(data[1:33], "big"), y=int.from_bytes(data[33:65], "big")
         )
 
-    @property
+    @cached_property
     def address(self) -> str:
-        """Ethereum-style address: last 20 bytes of keccak256(x || y)."""
-        return _cached_address(self.x, self.y)
+        """Ethereum-style address: last 20 bytes of keccak256(x || y),
+        derived once per key (the chain asks on every signature check)."""
+        return address_from_public_key(self.to_bytes()[1:])
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify an ECDSA signature over ``keccak256(message)``.
@@ -251,19 +250,6 @@ class PublicKey:
         return ok
 
 
-@lru_cache(maxsize=2048)
-def _derive_public_key(secret: int) -> PublicKey:
-    """``secret · G`` via ``G``'s comb, cached per scalar.
-
-    Wallets ask for their address (and hence public key) on every
-    transaction they build; deriving it once per key instead of once per
-    call removes a full scalar multiplication from the hot path.
-    """
-    point = ec_backend.scalar_mult_base(secret)
-    assert point is not None  # secret is in [1, n) so this cannot be infinity
-    return PublicKey(*point)
-
-
 @dataclass(frozen=True)
 class PrivateKey:
     """A secp256k1 private scalar with deterministic (RFC 6979-style) signing."""
@@ -285,7 +271,8 @@ class PrivateKey:
         ).private_key()
 
     def __getstate__(self) -> dict:
-        # The handle does not pickle; a copy builds its own on use.
+        # The handle does not pickle and the public key is derived: a copy
+        # rebuilds both on use.
         return {"secret": self.secret}
 
     @classmethod
@@ -312,10 +299,14 @@ class PrivateKey:
                 return cls(candidate)
             counter += 1
 
-    @property
+    @cached_property
     def public_key(self) -> PublicKey:
-        """The corresponding curve point ``secret * G`` (computed once)."""
-        return _derive_public_key(self.secret)
+        """The corresponding curve point ``secret * G``, read from ``G``'s
+        comb once per key: wallets ask for their address (and hence public
+        key) on every transaction they build."""
+        point = ec_backend.scalar_mult_base(self.secret)
+        assert point is not None  # secret is in [1, n): never infinity
+        return PublicKey(*point)
 
     @property
     def address(self) -> str:
@@ -384,21 +375,35 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 # bit ``v`` the nonce point can be *recovered* from ``(r, v)``, which turns
 # the per-signature check into a point equation; a random linear combination
 # of many such equations then collapses a whole block's verification into a
-# single multi-scalar multiplication (Shamir's trick at batch width):
+# single multi-scalar multiplication, one Pippenger bucket sum:
 #
 #     Σ aᵢ·u1ᵢ · G  +  Σ_Q (Σ_{i: Qᵢ=Q} aᵢ·u2ᵢ) · Q  −  Σ aᵢ · Rᵢ  =  𝒪
 #
 # with independent 128-bit coefficients ``aᵢ`` (terms of one public key are
-# folded into one full-length scalar per *sender*, not per transaction; in a
-# wide block it joins the nonce points' buckets as two GLV halves).  A forged
-# signature makes the combination miss the point at infinity except with
-# probability ~2⁻¹²⁸, and because the coefficients are derived from the batch
-# content (keccak), the whole check is reproducible.  On failure the batch is
-# bisected to isolate the culprits; singletons fall back to the individual
+# folded into one full-length scalar per *sender*, not per transaction, and
+# join the nonce points' buckets as two GLV halves).  A forged signature
+# makes the combination miss the point at infinity except with probability
+# ~2⁻¹²⁸, and because the coefficients are derived from the batch content
+# (keccak), the whole check is reproducible.  On failure the batch is
+# bisected to isolate the culprits; a sub-batch under
+# ``_BATCH_MIN_SIGNATURES`` falls back to the individual
 # :meth:`PublicKey.verify`, which remains the authoritative oracle.
 
 #: Coefficient width for the random linear combination (bits of soundness).
 _BATCH_COEFF_BITS = 128
+
+# A batch, or a bisected sub-batch, of fewer signatures than this goes to
+# :meth:`PublicKey.verify` one by one; at this count and above it is one
+# bucket equation.  ms per batch on distinct keys, cold, medians of five
+# sweeps of five alternating runs (EXPERIMENTS §E25 "PR 44"):
+#
+#     signatures    2     5     8    16    24    32    48
+#     one by one  1.60  3.93  6.50  12.6  18.9  23.0  27.7
+#     equation    5.39  6.66  8.68  13.4  17.7  21.8  25.5
+#
+# One by one wins below 16; from 16 to 48 the two are within 8 %.  A
+# lifecycle block holds 1-15 signatures, a chain_bulk block 512.
+_BATCH_MIN_SIGNATURES = 32
 
 
 def _recover_nonce_point(r: int, v: int,
@@ -451,7 +456,7 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
     ))
     base_scalar = 0
     key_scalars: dict[_Point, int] = {}
-    nonce_pairs: list[tuple[int, _Point]] = []
+    nonce_terms: list[tuple[int, _Point]] = []
     for index, (u1, u2, q, r_pt) in enumerate(entries):
         coeff = int.from_bytes(
             keccak256(commitment + index.to_bytes(4, "big"))[
@@ -462,10 +467,10 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
         base_scalar = (base_scalar + coeff * u1) % N
         key_scalars[q] = (key_scalars.get(q, 0) + coeff * u2) % N
         # −aᵢ·Rᵢ as aᵢ·(−Rᵢ): the coefficient stays 128 bits, so the R
-        # stream needs no GLV split — half the additions of an N − aᵢ run.
-        nonce_pairs.append((coeff, (r_pt[0], P - r_pt[1])))
+        # term joins the buckets whole, not as the two GLV halves of N − aᵢ.
+        nonce_terms.append((coeff, (r_pt[0], P - r_pt[1])))
     return ec_backend.multi_scalar_mult(
-        base_scalar, [(k, q) for q, k in key_scalars.items()], nonce_pairs
+        base_scalar, [(k, q) for q, k in key_scalars.items()] + nonce_terms
     ) is None
 
 
@@ -475,26 +480,26 @@ def batch_verify(
 ) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples at once.
 
-    Agrees with :meth:`PublicKey.verify` on every input — same range and
-    low-s policy, same LRU cache (hits are honored, outcomes are written
-    back) — but amortizes the curve work across the batch: one multi-scalar
-    multiplication when every signature is good, O(log n) sub-batch checks
-    plus individual verifies to isolate the bad ones otherwise.  Items whose
-    nonce point cannot be recovered from ``(r, v)`` (corrupted parity bit,
-    non-residue x) are verified individually; the individual path is always
-    the authoritative oracle.
+    One size rule: fewer than ``_BATCH_MIN_SIGNATURES`` items go to
+    :meth:`PublicKey.verify` one by one.  A wider batch agrees with it on
+    every input — same range and low-s policy, same LRU cache (hits are
+    honored, outcomes are written back) — but amortizes the curve work: one
+    bucket equation when every signature is good; when one fails, it is
+    bisected, and each half under the size rule goes to the individual
+    verifier.  Items whose nonce point cannot be recovered from ``(r, v)``
+    (corrupted parity bit, non-residue x) are verified individually; the
+    individual path is always the authoritative oracle.
 
     When a ``stats`` dict is passed it is filled with bisection telemetry:
-    ``batched`` (items entering the multi-scalar path), ``singles`` (items
-    routed to the individual oracle), ``subchecks`` (batch equations
-    evaluated) and ``depth`` (deepest bisection level; 0 when the first
-    equation held).
+    ``batched`` (items entering the bisection), ``singles`` (items routed to
+    the individual oracle), ``subchecks`` (batch equations evaluated) and
+    ``depth`` (deepest bisection level; 0 when the first equation held).
     """
-    if len(items) == 1:  # nothing to amortize, no nonce point to recover
-        public_key, message, signature = items[0]
+    if len(items) < _BATCH_MIN_SIGNATURES:
         if stats is not None:
-            stats.update(batched=0, singles=1, subchecks=0, depth=0)
-        return [public_key.verify(message, signature)]
+            stats.update(batched=0, singles=len(items), subchecks=0, depth=0)
+        return [public_key.verify(message, signature)
+                for public_key, message, signature in items]
     verdicts: list[Optional[bool]] = [None] * len(items)
     singles: list[int] = []
     pending: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, z, r, Q, R)
@@ -539,10 +544,8 @@ def batch_verify(
     def resolve(entries: list[tuple[int, int, int, _Point, _Point]],
                 depth: int = 0) -> None:
         nonlocal subchecks, max_depth
-        if not entries:
-            return
-        if len(entries) == 1:
-            singles.append(entries[0][0])
+        if len(entries) < _BATCH_MIN_SIGNATURES:
+            singles.extend(entry[0] for entry in entries)
             return
         subchecks += 1
         max_depth = max(max_depth, depth)
@@ -555,7 +558,7 @@ def batch_verify(
         resolve(entries[mid:], depth + 1)
 
     resolve(batch)
-    if batch:
+    if subchecks:
         _VERIFY_SECONDS.observe(_time.perf_counter() - began)
     confirmed = 0
     for index, verdict in enumerate(verdicts):

@@ -97,13 +97,14 @@ class TestMining:
 
 
 class TestBlockEntryVerification:
-    """One batched check per block is the only verification a tx gets."""
+    """One batched check per block is the only verification a tx gets; a
+    block of 32 or more transactions is one equation."""
 
     def test_one_batch_call_and_no_individual_verifies(
             self, chain, rng, monkeypatch):
         wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(6)]
         for wallet in wallets:
-            for _ in range(3):
+            for _ in range(6):
                 wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
         batches, singles = [], []
         real_batch = blockchain_mod.batch_verify
@@ -120,29 +121,27 @@ class TestBlockEntryVerification:
         monkeypatch.setattr(blockchain_mod, "batch_verify", counting_batch)
         monkeypatch.setattr(PublicKey, "verify", counting_verify)
         block = chain.mine_block()
-        assert len(block.transactions) == 18
-        assert batches == [18]
+        assert len(block.transactions) == 36
+        assert batches == [36]
         assert singles == []
         assert chain.observer.records[-1]["verify"] == {
-            "batched": 18, "singles": 0, "subchecks": 1, "depth": 0,
+            "batched": 36, "singles": 0, "subchecks": 1, "depth": 0,
             "invalid": 0,
         }
 
     def test_a_wide_block_builds_no_point_table(self, chain, rng,
                                                 monkeypatch):
         # 64 senders × 8 transactions: 512 nonce points and 64 folded key
-        # terms, all of them in Pippenger's buckets (the keys as GLV halves),
-        # so neither block builds a wNAF table or touches the table LRU.
+        # terms, all of them in one bucket sum (the keys as GLV halves).
         wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(64)]
-        built = []
-        real = ec_backend._odd_multiples
+        sums = []
+        real = ec_backend._bucket_events
 
-        def recording(points, width):
-            built.extend(points)
-            return real(points, width)
+        def recording(pairs):
+            sums.append(len(pairs))
+            return real(pairs)
 
-        monkeypatch.setattr(ec_backend, "_odd_multiples", recording)
-        cached = list(ec_backend._POINT_TABLE_CACHE.items())
+        monkeypatch.setattr(ec_backend, "_bucket_events", recording)
         for _ in range(2):
             for wallet in wallets:
                 for _ in range(8):
@@ -152,8 +151,9 @@ class TestBlockEntryVerification:
             assert len(block.transactions) == 512
             stats = chain.observer.records[-1]["verify"]
             assert (stats["batched"], stats["subchecks"]) == (512, 1)
-        assert built == []
-        assert list(ec_backend._POINT_TABLE_CACHE.items()) == cached
+        # Each block: its 512 nonce terms and two halves per key term
+        # (a half is zero with probability ~2⁻¹²⁸).
+        assert sums == [512 + 2 * 64] * 2
 
 
 class TestReceiptsAndEvents:
@@ -269,7 +269,7 @@ class TestVerification:
             self, rng, monkeypatch):
         consensus = ProofOfAuthority.with_generated_validators(3, rng)
         chain = Blockchain(consensus)
-        for _ in range(7):
+        for _ in range(31):
             chain.mine_block()
         batches, singles = [], []
         real_batch = consensus_mod.batch_verify
@@ -286,13 +286,16 @@ class TestVerification:
         monkeypatch.setattr(consensus_mod, "batch_verify", counting_batch)
         monkeypatch.setattr(PublicKey, "verify", counting_verify)
         ecdsa._VERIFY_CACHE.clear()
-        chain.verify_chain()  # eight fresh seals, folded onto three keys
-        chain.verify_chain()  # eight answers from the verification LRU
-        chain.mine_block()
-        chain.mine_block()
-        chain.verify_chain()  # two fresh seals among eight remembered
-        assert batches == [8, 8, 10]
+        chain.verify_chain()  # 32 fresh seals, folded onto three keys
+        chain.verify_chain()  # 32 answers from the verification LRU
         assert singles == []
+        chain.mine_block()
+        chain.mine_block()
+        # Two fresh seals among 32 remembered: under the size rule, so the
+        # two go to the individual verifier.
+        chain.verify_chain()
+        assert batches == [32, 32, 34]
+        assert len(singles) == 2
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_one_bad_seal_among_forty_is_detected(self, chain, warm):

@@ -1,15 +1,17 @@
 """The Jacobian forms of the batched kernels in ``repro.crypto.ec_backend``.
 
-``ec_backend`` builds odd-multiple tables and fills Pippenger's buckets with
-batched affine additions (:func:`ec_backend.batch_add`, one inversion per
-round).  Before that it did the same work one Jacobian addition at a time;
-that code lives on here as the reference the batched kernels must equal
-exactly — same tables, same ``(bit, point)`` events — sharing no addition
-formula with them.  It is unchanged but for its imports and
-:func:`bucket_width`, which must give the kernel's window width (its floor
-rose from 4 to 5 bits when the kernel changed) for the events to be equal.
-:func:`wnaf_scalar_mult` is the one-point multiplication of 62b3626, the
-fast second oracle for bulk runs the affine one is too slow for.
+``ec_backend`` fills Pippenger's buckets with batched affine additions
+(:func:`ec_backend.batch_add`, one inversion per round).  Before that it
+did the same work one Jacobian addition at a time; that code lives on here
+as the reference the batched kernel must equal exactly — same ``(bit,
+point)`` events — sharing no addition formula with it.  It is unchanged but
+for its imports and :func:`bucket_width`, which must give the kernel's
+window width (its floor rose from 4 to 5 bits when the kernel changed) for
+the events to be equal.  :func:`wnaf_scalar_mult` is the one-point
+multiplication of 62b3626, the fast second oracle for bulk runs the affine
+one is too slow for, and :func:`strauss_msm` the many-point one: the
+interleaved wNAF streams narrow batch equations ran on before every
+equation became one bucket sum.
 """
 
 from __future__ import annotations
@@ -23,8 +25,30 @@ from repro.crypto.ec_backend import (
     jacobian_add_affine,
     jacobian_double,
     to_affine,
-    wnaf,
 )
+
+
+def wnaf(scalar: int, width: int) -> list[int]:
+    """Width-``w`` non-adjacent form of ``scalar`` (least significant first).
+
+    Digits are zero or odd in ``(-2^(w-1), 2^(w-1))``; at most one in any
+    ``width`` consecutive positions is non-zero, so a 256-bit scalar needs
+    about ``256 / (width + 1)`` point additions.
+    """
+    digits: list[int] = []
+    window = 1 << width
+    half = window >> 1
+    while scalar > 0:
+        if scalar & 1:
+            digit = scalar % window
+            if digit >= half:
+                digit -= window
+            scalar -= digit
+        else:
+            digit = 0
+        digits.append(digit)
+        scalar >>= 1
+    return digits
 
 
 def to_jacobian(point: AffinePoint) -> JacobianPoint:
@@ -89,6 +113,27 @@ def wnaf_scalar_mult(scalar: int, point: AffinePoint) -> AffinePoint:
         elif digit < 0:
             x, y = table[(-digit) >> 1]
             accumulator = jacobian_add_affine(accumulator, (x, P - y))
+    return to_affine(accumulator)
+
+
+def strauss_msm(terms: list[tuple[int, AffinePoint]]) -> AffinePoint:
+    """``Σ kᵢ·Pᵢ`` by Strauss interleaving: one full-length width-5 wNAF
+    stream per term over its odd multiples, every stream on one shared
+    ~256-step doubling chain, one Jacobian mixed addition per digit."""
+    streams = [(wnaf(k % N, 5), odd_multiples(point, 5))
+               for k, point in terms if point is not None and k % N]
+    accumulator = None
+    for index in range(max((len(d) for d, _ in streams), default=0) - 1,
+                       -1, -1):
+        accumulator = jacobian_double(accumulator)
+        for digits, table in streams:
+            digit = digits[index] if index < len(digits) else 0
+            if digit > 0:
+                accumulator = jacobian_add_affine(accumulator,
+                                                  table[digit >> 1])
+            elif digit < 0:
+                x, y = table[(-digit) >> 1]
+                accumulator = jacobian_add_affine(accumulator, (x, P - y))
     return to_affine(accumulator)
 
 

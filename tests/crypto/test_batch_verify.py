@@ -5,10 +5,13 @@ differentially against the affine oracle in :mod:`tests.crypto.affine_oracle`
 (sums of ``point_mul`` results).  ``ecdsa.batch_verify`` is checked for
 *agreement with the individual verifier* — the authoritative oracle — on
 all-good batches, corrupted batches, malformed scalars, flipped parity bits,
-and cache interactions.  The bisection sweep runs ≥20 seeds with exactly one
-corrupted signature each, asserting only that signature is rejected; the
-Hypothesis sweep draws batches from few keys (so the per-key folded term is
-always exercised) with up to three corruptions of five kinds.
+and cache interactions.  A batch under ``_BATCH_MIN_SIGNATURES`` (32) never
+reaches the equation, so every such check runs on 32 or more signatures,
+and the size rule itself is pinned at 31/32.  The bisection sweep runs ≥20
+seeds with exactly one corrupted signature each, asserting only that
+signature is rejected; the Hypothesis sweep draws batches from few keys (so
+the per-key folded term is always exercised) with up to three corruptions
+of five kinds.
 """
 
 from __future__ import annotations
@@ -85,22 +88,16 @@ class TestMultiScalarMult:
         assert multi_scalar_mult(base, pairs) == _oracle_msm(base, pairs)
 
     def test_one_shot_pairs_are_terms_of_the_same_sum(self):
-        pairs = [(random_scalar(), point_mul(random_scalar(), G))
-                 for _ in range(6)]
+        # A nonce coefficient (≤ 128 bits) joins the buckets whole, a key
+        # scalar as its two GLV halves: any mix of the two is one sum.
+        scalars = [random_scalar() for _ in range(6)]
+        points = [point_mul(random_scalar(), G) for _ in range(6)]
         base = random_scalar()
-        expected = _oracle_msm(base, pairs)
-        for cut in range(len(pairs) + 1):
-            assert multi_scalar_mult(base, pairs[:cut], pairs[cut:]) \
-                == expected
-
-    def test_one_shot_tables_stay_out_of_the_lru(self):
-        ec_backend._POINT_TABLE_CACHE.clear()
-        keys = [point_mul(random_scalar(), G) for _ in range(3)]
-        nonces = [point_mul(random_scalar(), G) for _ in range(5)]
-        multi_scalar_mult(random_scalar(),
-                          [(random_scalar(), q) for q in keys],
-                          [(random_scalar(), r) for r in nonces])
-        assert set(ec_backend._POINT_TABLE_CACHE) == set(keys)
+        for cut in range(len(points) + 1):
+            terms = [(k >> 128 if index < cut else k, q)
+                     for index, (k, q) in enumerate(zip(scalars, points))]
+            assert multi_scalar_mult(base, terms) == \
+                _oracle_msm(base, terms)
 
 
 def _make_batch(seed: int, size: int):
@@ -115,7 +112,7 @@ def _make_batch(seed: int, size: int):
 
 @lru_cache(maxsize=None)
 def _signed(key_index: int, message_index: int):
-    """One of 4 keys × 40 messages, signed once per process."""
+    """One of 4 keys × 64 messages, signed once per process."""
     key = PrivateKey.from_seed(b"fold-key-%d" % key_index)
     message = b"fold-msg-%d-%d" % (key_index, message_index)
     return key.public_key, message, key.sign(message)
@@ -141,11 +138,12 @@ def _corrupt_item(item, kind: str, other_key: PublicKey):
 
 @st.composite
 def _batches(draw):
-    """(items, corrupted indices → kind) from 1–4 keys, 2–40 signatures."""
+    """(items, corrupted indices → kind) from 1–4 keys, 32–48 signatures:
+    wide enough for the equation."""
     keys = draw(st.integers(1, 4))
-    size = draw(st.integers(2, 40))
+    size = draw(st.integers(32, 48))
     slots = draw(st.lists(
-        st.tuples(st.integers(0, keys - 1), st.integers(0, 39)),
+        st.tuples(st.integers(0, keys - 1), st.integers(0, 63)),
         min_size=size, max_size=size, unique=True,
     ))
     items = [_signed(*slot) for slot in slots]
@@ -186,27 +184,30 @@ class TestKeyFoldedEquation:
         # ignores v); every other corruption is not.
         assert expected == [corrupted.get(index, "flip_v") == "flip_v"
                             for index in range(len(items))]
-        # Every corrupted item — and nothing that a passing sub-batch
-        # vouched for — reaches the individual oracle.  A good item ends
-        # up there only as the sibling leaf of a bad one (at most two per
-        # bad item: sub-batches of three split 1 + 2).
+        # Every corrupted item reaches the individual oracle, and no good
+        # one unless bisection split it off a failed equation into a
+        # sub-batch under 32; a clean batch is one equation and no single.
         assert stats["batched"] + stats["singles"] >= len(items)
-        assert len(corrupted) <= stats["singles"] <= 3 * len(corrupted)
+        assert len(corrupted) <= stats["singles"]
         if not corrupted:
-            assert (stats["subchecks"], stats["depth"]) == (1, 0)
+            assert (stats["singles"], stats["subchecks"],
+                    stats["depth"]) == (0, 1, 0)
 
     def test_one_bad_signature_among_a_senders_good_ones(self):
-        items = [_signed(0, index) for index in range(24)]
+        items = [_signed(0, index) for index in range(64)]
         items[17] = _corrupt_item(items[17], "bad_s", None)
         stats: dict = {}
-        assert batch_verify(items, stats) == [i != 17 for i in range(24)]
-        assert stats["depth"] >= 3  # bisected inside one key group
+        assert batch_verify(items, stats) == [i != 17 for i in range(64)]
+        # Bisected inside one key group: 64 → 32 + 32, the failed half's
+        # 16 + 16 to the oracle.
+        assert (stats["subchecks"], stats["depth"], stats["singles"]) == \
+            (3, 1, 32)
 
     def test_a_wide_forged_batch_bisects_across_the_bucket_threshold(
             self, monkeypatch):
         # 5 keys × 8 signatures, interleaved, one of key 2's forged: the
-        # first equation is wide (40 nonce points, 5 key terms), the
-        # sub-batches bisection descends to are not.
+        # one equation is wide (40 nonce points, 5 key terms), the halves
+        # bisection splits it into are under 32 and go to the oracle.
         items = [_signed(key, message) for message in range(8)
                  for key in range(5)]
         forged = 3 * 5 + 2
@@ -214,9 +215,9 @@ class TestKeyFoldedEquation:
         widths = []
         real = ec_backend.multi_scalar_mult
 
-        def spy(base_scalar, pairs, one_shot_pairs=()):
-            widths.append(len(one_shot_pairs))
-            return real(base_scalar, pairs, one_shot_pairs)
+        def spy(base_scalar, terms):
+            widths.append(len(terms))
+            return real(base_scalar, terms)
 
         monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
         stats: dict = {}
@@ -226,23 +227,24 @@ class TestKeyFoldedEquation:
         assert got == [key.verify(message, sig)
                        for key, message, sig in items]
         assert got == [index != forged for index in range(40)]
-        assert stats["depth"] >= 1
-        threshold = ec_backend._BUCKET_MIN_POINTS
-        assert widths[0] == 40 >= threshold > min(widths)
+        assert widths == [40 + 5]
+        assert (stats["depth"], stats["singles"]) == (0, 40)
 
     def test_single_key_batch_is_one_key_term(self, monkeypatch):
         seen = []
         real = ec_backend.multi_scalar_mult
 
-        def spy(base_scalar, pairs, one_shot_pairs=()):
-            seen.append((len(pairs), len(one_shot_pairs)))
-            return real(base_scalar, pairs, one_shot_pairs)
+        def spy(base_scalar, terms):
+            seen.append((sum(k.bit_length() > 128 for k, _ in terms),
+                         len(terms)))
+            return real(base_scalar, terms)
 
         # Signing is a call of the engine too, so sign before spying.
-        items = [_signed(k, m) for k in range(3) for m in range(8)]
+        items = [_signed(k, m) for k in range(3) for m in range(11)]
         monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
-        assert batch_verify(items) == [True] * 24
-        assert seen == [(3, 24)]
+        assert batch_verify(items) == [True] * 33
+        # Three folded key scalars, full length, beside 33 nonce terms.
+        assert seen == [(3, 3 + 33)]
 
     def test_key_term_folding_to_zero(self, monkeypatch):
         # With every coefficient forced to 1, u2 and n − u2 under one key
@@ -283,8 +285,10 @@ class TestBatchVerify:
         _VERIFY_CACHE.clear()
 
     def test_all_good_batch(self):
-        items = _make_batch(1, 16)
-        assert batch_verify(items) == [True] * 16
+        items = _make_batch(1, 32)
+        stats: dict = {}
+        assert batch_verify(items, stats) == [True] * 32
+        assert (stats["subchecks"], stats["singles"]) == (1, 0)
 
     def test_empty_batch(self):
         assert batch_verify([]) == []
@@ -300,7 +304,7 @@ class TestBatchVerify:
         assert batch_verify([(pk, msg + b"!", sig)]) == [False]
 
     def test_agrees_with_individual_verifier(self):
-        items = _make_batch(2, 12)
+        items = _make_batch(2, 36)
         # Corrupt a third of them in assorted ways.
         pk, msg, sig = items[3]
         items[3] = (pk, msg + b"tamper", sig)
@@ -320,24 +324,36 @@ class TestBatchVerify:
         # The individual verifier ignores v, so a corrupted parity bit must
         # not change the batch outcome — it routes through the singleton
         # fallback instead.
-        items = _make_batch(3, 6)
+        items = _make_batch(3, 32)
         pk, msg, sig = items[2]
         items[2] = (pk, msg, Signature(r=sig.r, s=sig.s, v=sig.v ^ 1))
-        assert batch_verify(items) == [True] * 6
+        stats: dict = {}
+        assert batch_verify(items, stats) == [True] * 32
+        # −R misses the equation; bisection hands the halves to the oracle.
+        assert (stats["subchecks"], stats["singles"]) == (1, 32)
 
     def test_malformed_scalars_rejected_without_curve_math(self):
-        items = _make_batch(4, 3)
+        items = _make_batch(4, 34)
         pk, msg, sig = items[0]
         high_s = N - sig.s  # high-s twin: malleable duplicate
         items[0] = (pk, msg, Signature(r=sig.r, s=high_s, v=sig.v))
-        got = batch_verify(items)
-        assert got == [False, True, True]
+        pk, msg, sig = items[1]
+        items[1] = (pk, msg, Signature(r=N, s=sig.s, v=sig.v))
+        stats: dict = {}
+        got = batch_verify(items, stats)
+        assert got == [False, False] + [True] * 32
+        # Both fail before the equation, which holds for the other 32.
+        assert (stats["batched"], stats["subchecks"], stats["singles"]) \
+            == (32, 1, 0)
 
     def test_cache_round_trip(self):
-        items = _make_batch(5, 8)
-        assert batch_verify(items) == [True] * 8
+        items = _make_batch(5, 32)
+        stats: dict = {}
+        assert batch_verify(items, stats) == [True] * 32
+        assert stats["subchecks"] == 1
         # Second pass must be all cache hits and still correct.
-        assert batch_verify(items) == [True] * 8
+        assert batch_verify(items, stats) == [True] * 32
+        assert (stats["batched"], stats["subchecks"]) == (0, 0)
         # Individual verifier sees the batch-written outcomes too.
         for pk, msg, sig in items:
             assert pk.verify(msg, sig)
@@ -376,7 +392,7 @@ class TestBatchVerify:
     def test_bisection_isolates_single_corruption(self, seed):
         """≥20 seeds: exactly one corrupted signature, only it rejected."""
         rng = random.Random(seed)
-        size = rng.randrange(5, 24)
+        size = rng.randrange(32, 64)
         items = _make_batch(100 + seed, size)
         victim = rng.randrange(size)
         pk, msg, sig = items[victim]
@@ -385,3 +401,35 @@ class TestBatchVerify:
         got = batch_verify(items)
         expected = [index != victim for index in range(size)]
         assert got == expected
+
+    @pytest.mark.parametrize("size, equations", [(31, 0), (32, 1)],
+                             ids=["31", "32"])
+    def test_31_go_one_by_one_32_to_one_bucket_sum(self, size, equations):
+        items = _make_batch(7, size)
+        buckets = ec_backend._SCALAR_MULTS.labels(kind="bucket")
+        before = buckets.value
+        stats: dict = {}
+        assert batch_verify(items, stats) == [True] * size
+        assert buckets.value - before == equations
+        assert (stats["subchecks"], stats["singles"]) == \
+            (equations, 0 if equations else size)
+
+    def test_a_forged_wide_batch_bisects_down_to_singles_under_32(
+            self, monkeypatch):
+        items = _make_batch(8, 96)
+        items[70] = _corrupt_item(items[70], "bad_message", None)
+        sizes = []
+        real = ecdsa._batch_equation_holds
+        monkeypatch.setattr(ecdsa, "_batch_equation_holds",
+                            lambda entries: sizes.append(len(entries))
+                            or real(entries))
+        stats: dict = {}
+        got = batch_verify(items, stats)
+        # 96 fails; of its halves the clean 48 holds and the forged 48
+        # goes to the oracle as two 24s, no equation under 32.
+        assert sizes == [96, 48, 48]
+        assert stats["singles"] == 48
+        _VERIFY_CACHE.clear()
+        assert got == [key.verify(message, sig)
+                       for key, message, sig in items]
+        assert got == [index != 70 for index in range(96)]

@@ -1,25 +1,27 @@
-"""Pippenger's bucket path against the Strauss path and the affine oracle.
+"""Pippenger's bucket path against the Strauss oracle and the affine one.
 
-``multi_scalar_mult`` sends ``_BUCKET_MIN_POINTS`` or more one-shot points
-through ``_bucket_events`` and fewer through per-point wNAF tables.  Both
-must name the same group element for every input, so each test here
-evaluates one ``(base_scalar, pairs, one_shot_pairs)`` on both sides of
-that constant — and, where the input is small enough for it, against sums
-of the affine ``point_mul`` of :mod:`tests.crypto.affine_oracle`.  The
-bucket kernel itself must return exactly the events of its Jacobian form in
-:mod:`tests.crypto.jacobian_oracle`.
+``multi_scalar_mult`` sends every term but ``G``'s through
+``_bucket_events``, a key term as its two GLV halves.  Each test here
+evaluates one ``(base_scalar, terms)`` on the engine and on
+:func:`tests.crypto.jacobian_oracle.strauss_msm` — the interleaved wNAF
+streams narrow batch equations ran on until every equation became one
+bucket sum — and, where the input is small enough for it, against sums of
+the affine ``point_mul`` of :mod:`tests.crypto.affine_oracle`.  The bucket
+kernel itself must return exactly the events of its Jacobian form in
+:mod:`tests.crypto.jacobian_oracle`.  Which batches reach the equation at
+all is ``batch_verify``'s size rule, pinned where it counts signatures.
 """
 
 from __future__ import annotations
 
 import random
-from unittest import mock
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec_backend
+from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ec_backend import (
     GX,
     GY,
@@ -29,7 +31,12 @@ from repro.crypto.ec_backend import (
     scalar_mult_base,
 )
 from tests.crypto.affine_oracle import point_add, point_mul
-from tests.crypto.jacobian_oracle import bucket_events, bucket_width
+from repro.crypto.ecdsa import PrivateKey, Signature, batch_verify
+from tests.crypto.jacobian_oracle import (
+    bucket_events,
+    bucket_width,
+    strauss_msm,
+)
 
 G = (GX, GY)
 
@@ -69,14 +76,14 @@ def one_shot_terms(draw, counts):
     return terms
 
 
-def _strauss(base_scalar, pairs, one_shot):
-    with mock.patch.object(ec_backend, "_BUCKET_MIN_POINTS", 10**9):
-        return multi_scalar_mult(base_scalar, pairs, one_shot)
+def _strauss(base_scalar, terms):
+    return strauss_msm([(base_scalar, G)] + terms)
 
 
-def _buckets(base_scalar, pairs, one_shot):
-    with mock.patch.object(ec_backend, "_BUCKET_MIN_POINTS", 1):
-        return multi_scalar_mult(base_scalar, pairs, one_shot)
+@lru_cache(maxsize=None)
+def _signed(index):
+    key = PrivateKey.from_seed(b"bucket-rule-%d" % index)
+    return key.public_key, b"m%d" % index, key.sign(b"m%d" % index)
 
 
 def _oracle(base_scalar, terms):
@@ -89,20 +96,29 @@ def _oracle(base_scalar, terms):
 class TestBucketsAgainstStrauss:
     @settings(max_examples=20, deadline=None)
     @given(scalars, one_shot_terms(st.sampled_from(
-        [ec_backend._BUCKET_MIN_POINTS + offset for offset in (-1, 0, 1)]
+        [ecdsa._BATCH_MIN_SIGNATURES + offset for offset in (-1, 0, 1)]
         + [150])))
     def test_default_selection_equals_strauss_around_the_boundary(
             self, base_scalar, one_shot):
-        pairs = [(N - 5, KEYS[0]), (2**200 + 9, KEYS[1])]
-        assert multi_scalar_mult(base_scalar, pairs, one_shot) == \
-            _strauss(base_scalar, pairs, one_shot)
+        terms = [(N - 5, KEYS[0]), (2**200 + 9, KEYS[1])] + one_shot
+        assert multi_scalar_mult(base_scalar, terms) == \
+            _strauss(base_scalar, terms)
 
     @pytest.mark.parametrize("offset, bucketed",
                              [(-1, False), (0, True), (1, True)],
                              ids=["below", "at", "above"])
     def test_selection_is_by_live_one_shot_count(self, monkeypatch, offset,
                                                  bucketed):
-        count = ec_backend._BUCKET_MIN_POINTS + offset
+        # batch_verify counts the signatures an equation would carry: a
+        # cached verdict and two malformed scalars do not count.
+        count = ecdsa._BATCH_MIN_SIGNATURES + offset
+        items = [_signed(index) for index in range(count + 3)]
+        ecdsa._VERIFY_CACHE.clear()
+        assert items[0][0].verify(*items[0][1:])
+        for index, (r, s) in ((1, (N, 1)), (2, (1, N - 1))):
+            public_key, message, signature = items[index]
+            items[index] = (public_key, message,
+                            Signature(r, s, signature.v))
         calls = []
         real = ec_backend._bucket_events
 
@@ -111,21 +127,20 @@ class TestBucketsAgainstStrauss:
             return real(pairs)
 
         monkeypatch.setattr(ec_backend, "_bucket_events", spy)
-        one_shot = [(index + 1, POOL[index % len(POOL)])
-                    for index in range(count)]
-        # Dead terms (zero scalar, infinity) do not count toward the choice.
-        multi_scalar_mult(7, [], one_shot + [(0, POOL[0]), (5, None)])
-        assert calls == ([count] if bucketed else [])
+        stats: dict = {}
+        assert batch_verify(items, stats) == [True, False, False] + \
+            [True] * count
+        assert len(calls) == stats["subchecks"] == int(bucketed)
 
     @settings(max_examples=30, deadline=None)
     @given(scalars, st.lists(scalars, max_size=2),
            one_shot_terms(st.integers(1, 10)))
     def test_small_inputs_equal_strauss_and_the_affine_oracle(
             self, base_scalar, key_scalars, one_shot):
-        pairs = list(zip(key_scalars, KEYS))
-        expected = _oracle(base_scalar, pairs + one_shot)
-        assert _buckets(base_scalar, pairs, one_shot) == expected
-        assert _strauss(base_scalar, pairs, one_shot) == expected
+        terms = list(zip(key_scalars, KEYS)) + one_shot
+        expected = _oracle(base_scalar, terms)
+        assert multi_scalar_mult(base_scalar, terms) == expected
+        assert _strauss(base_scalar, terms) == expected
 
     def test_wide_batch_of_batch_verifier_shape(self):
         # 300 odd 128-bit coefficients over distinct points, 64 full-length
@@ -138,18 +153,18 @@ class TestBucketsAgainstStrauss:
         pairs = [(_RANDOM.randrange(2**255, N), scalar_mult_base(
             _RANDOM.randrange(1, N))) for _ in range(64)]
         base_scalar = _RANDOM.randrange(1, N)
-        assert multi_scalar_mult(base_scalar, pairs, one_shot) == \
-            _strauss(base_scalar, pairs, one_shot)
+        assert multi_scalar_mult(base_scalar, pairs + one_shot) == \
+            _strauss(base_scalar, pairs + one_shot)
 
-    @pytest.mark.parametrize("count, kind", [(32, "bucket"), (31, "multi")])
+    @pytest.mark.parametrize("count, kind", [(32, "bucket"), (0, "base")])
     def test_the_counter_names_the_path(self, count, kind):
         counter = ec_backend._SCALAR_MULTS
         before = {name: counter.labels(kind=name).value
-                  for name in ("bucket", "multi")}
-        multi_scalar_mult(7, [(N - 3, KEYS[0])],
-                          [(index + 1, POOL[index]) for index in range(count)])
+                  for name in ("base", "bucket")}
+        multi_scalar_mult(7, [(index + 1, POOL[index])
+                              for index in range(count)])
         after = {name: counter.labels(kind=name).value
-                 for name in ("bucket", "multi")}
+                 for name in ("base", "bucket")}
         assert after == {**before, kind: before[kind] + 1}
 
 
@@ -201,23 +216,22 @@ class TestBucketEdgeCases:
         for scalar in (1, 2**128 - 1, N - 1):
             terms = [(scalar, point), (scalar, _negate(point))]
             assert ec_backend._bucket_events(terms) == []
-            assert _buckets(0, [], terms) is None
-            assert _buckets(9, [], terms) == point_mul(9, G)
+            assert multi_scalar_mult(0, terms) is None
+            assert multi_scalar_mult(9, terms) == point_mul(9, G)
 
     def test_same_point_twice_doubles_inside_its_buckets(self):
         # Equal scalars have equal digits, so in every window the second
         # copy meets the first in the same bucket: P + P, not a chord.
         point = POOL[1]
         scalar = 2**128 - 12345
-        assert _buckets(0, [], [(scalar, point), (scalar, point)]) == \
+        assert multi_scalar_mult(0, [(scalar, point), (scalar, point)]) == \
             point_mul(2 * scalar, point)
 
     def test_all_terms_cancel_with_no_other_stream(self):
         terms = [(k, POOL[k]) for k in range(1, 40)]
         terms += [(k, _negate(POOL[k])) for k in range(1, 40)]
-        assert len(terms) >= ec_backend._BUCKET_MIN_POINTS
-        assert multi_scalar_mult(0, [], terms) is None
-        assert multi_scalar_mult(0, [(3, KEYS[0])], terms) == \
+        assert multi_scalar_mult(0, terms) is None
+        assert multi_scalar_mult(0, [(3, KEYS[0])] + terms) == \
             point_mul(3, KEYS[0])
 
     def test_carry_runs_through_every_window(self):
@@ -245,23 +259,22 @@ def _key_scalar(wanted):
             return k, k1, k2
 
 
-# Small scalars over distinct points: enough one-shot terms for the bucket
-# path, each in window 0 only, so a key half and a nonce term that share
-# a digit in any higher window meet each other alone in that bucket.
+# Small scalars over distinct points: as many terms as the narrowest
+# equation, each in window 0 only, so a key half and a nonce term that
+# share a digit in any higher window meet each other alone in that bucket.
 FILLERS = [(index + 1, POOL[index]) for index in range(32)]
 
 
 class TestKeyHalvesInBuckets:
-    """A wide equation's key terms join the buckets as GLV halves ``(|k1|,
-    ±Q)`` and ``(|k2|, ±φ(Q))``; each case holds the default selection to
-    the Strauss path and to the affine oracle."""
+    """An equation's key terms join the buckets as GLV halves ``(|k1|,
+    ±Q)`` and ``(|k2|, ±φ(Q))``; each case holds the engine to the
+    Strauss oracle and to the affine one."""
 
     @staticmethod
     def _check(base_scalar, pairs, one_shot):
-        assert len(one_shot) >= ec_backend._BUCKET_MIN_POINTS
         expected = _oracle(base_scalar, pairs + one_shot)
-        assert multi_scalar_mult(base_scalar, pairs, one_shot) == expected
-        assert _strauss(base_scalar, pairs, one_shot) == expected
+        assert multi_scalar_mult(base_scalar, pairs + one_shot) == expected
+        assert _strauss(base_scalar, pairs + one_shot) == expected
         return expected
 
     def test_a_scalar_below_2_128_has_no_k2_half(self):

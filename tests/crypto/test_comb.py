@@ -2,15 +2,15 @@
 is the only one the engine builds.
 
 ``ec_backend.multi_scalar_mult`` reads ``G`` from its comb always; every
-other point is a wNAF stream or a bucket addend of a batch equation, and
-the variable-base single-point operations (ECDH, one signature's check)
-run in OpenSSL.  A point's own comb is built here only, with the same
-builder at width 4, to hold the reader to a second geometry.  Every result
+other point is a bucket addend of a batch equation, and the variable-base
+single-point operations (ECDH, one signature's check) run in OpenSSL.  A
+point's own comb is built here only, with the same builder at width 4, to
+hold the reader to a second geometry.  Every result
 is held against the affine oracle of :mod:`tests.crypto.affine_oracle` —
 or, for the 1 000-scalar run, the Jacobian wNAF loop of
 :mod:`tests.crypto.jacobian_oracle` — and the rule itself is counted: what
-single-point uses and batch equations build (nothing) and how large the
-engine's tables may grow.
+single-point uses and batch equations build (nothing) and what the crypto
+layer keeps across calls (``G``'s comb and the bounded verdict LRU).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.crypto.ec_backend import (
     multi_scalar_mult,
     scalar_mult_base,
 )
+from repro.crypto import ecdsa
 from repro.crypto.ecdsa import (
     _VERIFY_CACHE,
     PrivateKey,
@@ -77,7 +78,7 @@ def comb_mult(scalar, comb):
 
 def kinds():
     return {kind: ec_backend._SCALAR_MULTS.labels(kind=kind).value
-            for kind in ("base", "multi", "bucket")}
+            for kind in ("base", "bucket")}
 
 
 class TestCombPathAgainstTheOracle:
@@ -109,7 +110,7 @@ class TestCombPathAgainstTheOracle:
 
     @pytest.mark.parametrize("sign", [1, -1], ids=["G", "minus_G"])
     def test_q_is_plus_or_minus_g(self, sign):
-        # G's comb addends and Q's wNAF stream name the same points:
+        # G's comb addends and Q's bucket addends name the same points:
         # same-x additions (doubling or cancellation) inside the
         # accumulator are the rule, not rare.
         q = G if sign == 1 else (GX, P - GY)
@@ -163,15 +164,14 @@ class TestPromotion:
                            "base": before["base"] + 2 * USES}
 
     def test_dead_terms_do_not_count(self, monkeypatch):
-        monkeypatch.setattr(ec_backend, "_POINT_TABLE_CACHE",
-                            type(ec_backend._POINT_TABLE_CACHE)())
+        builds = self.spy_builds(monkeypatch)
         q = point_mul(0xDEAD, G)
         before = kinds()
         for _ in range(2 * USES):
             assert multi_scalar_mult(0, [(N, q)]) is None
             assert multi_scalar_mult(9, [(0, q), (5, None)]) == \
                 point_mul(9, G)
-        assert not ec_backend._POINT_TABLE_CACHE
+        assert builds == []
         assert kinds() == {**before, "base": before["base"] + 4 * USES}
 
     def test_batch_equations_neither_count_nor_build(self, monkeypatch):
@@ -186,32 +186,37 @@ class TestPromotion:
         monkeypatch.setattr(ec_backend, "_comb_addends", spy)
         q, q2, r = (point_mul(k, G) for k in (0xA1, 0xA2, 0xA3))
         key = PrivateKey.from_seed(b"comb-batch")
+        # The narrowest batch that reaches the equation.
         items = [(key.public_key, b"m%d" % i, key.sign(b"m%d" % i))
-                 for i in range(2)]
+                 for i in range(ecdsa._BATCH_MIN_SIGNATURES)]
         read.clear()
         for _ in range(2 * USES):
-            assert multi_scalar_mult(5, [(11, q)], [(13, r)]) == \
+            assert multi_scalar_mult(5, [(11, q), (13, r)]) == \
                 point_mul(5 + 11 * 0xA1 + 13 * 0xA3, G)
             assert multi_scalar_mult(0, [(11, q), (13, q2)]) == \
                 point_mul(11 * 0xA1 + 13 * 0xA2, G)
             _VERIFY_CACHE.clear()
-            assert batch_verify(items) == [True, True]
+            assert batch_verify(items) == [True] * len(items)
         assert builds == []
         # G's comb is read once per equation with a G term, nothing else.
         assert read == [ec_backend._G_COMB_WIDTH] * (2 * 2 * USES)
 
     def test_both_structures_stay_bounded(self, monkeypatch):
-        """The engine's two tables: ``G``'s comb, one object however many
-        points pass, and the point-table LRU, held at its cap."""
-        monkeypatch.setattr(ec_backend, "_POINT_TABLE_CACHE",
-                            type(ec_backend._POINT_TABLE_CACHE)())
-        monkeypatch.setattr(ec_backend, "_POINT_TABLE_CACHE_MAX", 8)
+        """What the crypto layer keeps across calls: ``G``'s comb, one
+        object however many points pass, and the verdict LRU, held at its
+        cap.  No point's table is kept."""
+        monkeypatch.setattr(ecdsa, "_VERIFY_CACHE", type(_VERIFY_CACHE)())
+        monkeypatch.setattr(ecdsa, "_VERIFY_CACHE_MAX", 8)
         comb = ec_backend._g_comb()
-        points = [scalar_mult_base(k) for k in range(1, 8 + 4)]
-        for point in points:
+        keys = [PrivateKey(k) for k in range(1, 8 + 4)]
+        signed = [(key.public_key, key.sign(b"cap")) for key in keys]
+        for public_key, signature in signed:
+            point = (public_key.x, public_key.y)
             assert multi_scalar_mult(3, [(5, point)]) == \
                 point_add(point_mul(3, G), point_mul(5, point))
-        assert list(ec_backend._POINT_TABLE_CACHE) == points[3:]
+            assert public_key.verify(b"cap", signature)
+        assert [key[:2] for key in ecdsa._VERIFY_CACHE] == \
+            [(public_key.x, public_key.y) for public_key, _ in signed[3:]]
         assert ec_backend._g_comb() is comb
         assert [len(row) for row in comb] == \
             [1 << (ec_backend._G_COMB_WIDTH - 1)] * 15

@@ -3,7 +3,7 @@
 The textbook affine implementation in :mod:`tests.crypto.affine_oracle`
 (:func:`point_add` / :func:`point_mul`) is deliberately naive and shares no
 code with :mod:`repro.crypto.ec_backend`; everything here cross-checks the
-optimized Jacobian/wNAF/GLV paths against it, plus externally published
+optimized Jacobian/GLV/comb/bucket paths against it, plus externally published
 secp256k1 test vectors (RFC 6979 deterministic nonces), so a bug would have
 to appear identically in two independent implementations *and* the published
 constants to slip through.
@@ -32,15 +32,14 @@ from repro.crypto.ec_backend import (
     multi_scalar_mult,
     scalar_mult_base,
     to_affine,
-    wnaf,
 )
 from repro.crypto.ecdsa import PrivateKey, shared_secret
 from repro.crypto.hashing import keccak256
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.glv_derivation import derive_glv
 from tests.crypto.jacobian_oracle import (
-    odd_multiples,
     to_jacobian,
+    wnaf,
     wnaf_scalar_mult,
 )
 
@@ -60,14 +59,14 @@ def random_scalar() -> int:
 
 def scalar_mult(scalar, point):
     """``scalar · point``: the engine's one-point case.  No production
-    call has this shape (ECDH runs in OpenSSL); it is the Strauss path of
-    a batch equation's key term on its own."""
+    call has this shape (ECDH runs in OpenSSL); it is a batch equation's
+    key term on its own, two GLV halves in the buckets."""
     return multi_scalar_mult(0, [(scalar, point)])
 
 
 def double_scalar_mult_base(u1, u2, point):
     """``u1 · G + u2 · point``: the engine's one-pair case, ``G`` from its
-    comb and ``point`` as a Strauss stream."""
+    comb and ``point`` as bucket addends."""
     return multi_scalar_mult(u1, [(u2, point)])
 
 
@@ -156,18 +155,7 @@ class TestBatchAdd:
 
 class TestTablesAgainstJacobianBuilds:
     """Tables built by batched affine additions equal the same tables built
-    one Jacobian addition at a time (``tests.crypto.jacobian_oracle``)."""
-
-    def test_point_tables_batched(self, monkeypatch):
-        monkeypatch.setattr(ec_backend, "_POINT_TABLE_CACHE",
-                            type(ec_backend._POINT_TABLE_CACHE)())
-        points = [point_mul(k, G) for k in (1, 2, 3, 0xBEEF, N - 1)]
-        points.append(points[2])  # a repeat inside one call
-        tables = ec_backend._point_tables_batched(points, 2)
-        assert tables == [odd_multiples(point, 5) for point in points]
-        assert list(ec_backend._POINT_TABLE_CACHE) == points[:2]
-        # A second call reads the two kept tables and rebuilds the rest.
-        assert ec_backend._point_tables_batched(points, 0) == tables
+    one Jacobian addition at a time."""
 
     def test_comb_rows_are_running_sums_of_their_base(self):
         """Row ``i`` of a comb starts at ``2^(w·i)·P`` and entry ``d`` is
@@ -190,6 +178,8 @@ class TestTablesAgainstJacobianBuilds:
 
 
 class TestWnaf:
+    """The recoding the Jacobian oracles' streams run on."""
+
     @pytest.mark.parametrize("width", [2, 4, 5, 7])
     def test_wnaf_reconstructs_scalar(self, width):
         for scalar in EDGE_SCALARS + [random_scalar() for _ in range(20)]:
@@ -310,7 +300,7 @@ class TestDifferentialScalarMult:
         lam = ec_backend._GLV_LAMBDA
         base = point_mul(0xFACADE, G)
         scalars = [1, 2, N - 1, lam, lam * lam % N, N - lam,
-                   2**127, 2**128 - 1, 2**140, 2**140 + 1,  # the GLV-skip edge
+                   2**127, 2**128 - 1, 2**128, 2**128 + 1,  # the GLV-split edge
                    2**255, 2**255 + 12345]
         scalars += [_RANDOM.randrange(1, 2**128) for _ in range(5)]
         scalars += [_RANDOM.randrange(2**255, N) for _ in range(5)]
@@ -481,7 +471,7 @@ class TestRFC6979Vectors:
         assert r == r_expected
         s = pow(nonce, -1, N) * (digest + r * secret) % N
         assert min(s, N - s) == s_expected  # vectors publish low-s
-        # And the backend's Shamir dual-mul recovers the nonce point.
+        # And the backend's one-pair sum recovers the nonce point.
         s_low = min(s, N - s)
         s_inv = pow(s_low, -1, N)
         u1 = digest * s_inv % N

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import pickle
+from functools import lru_cache
 
 import pytest
 from cryptography.hazmat.primitives.asymmetric import ec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.crypto import ec_backend
 from repro.crypto import ecdsa as ecdsa_module
 from repro.crypto.ecdsa import (
     GX,
@@ -20,6 +22,7 @@ from repro.crypto.ecdsa import (
     Signature,
     _batch_equation_holds,
     _recover_nonce_point,
+    batch_verify,
     shared_secret,
 )
 from repro.crypto.hashing import hash_to_int, keccak256
@@ -204,6 +207,14 @@ class TestMalleabilityHardening:
         signature = key.sign(b"msg")
         assert Signature.from_bytes(signature.to_bytes()) == signature
 
+    @pytest.mark.parametrize("v", [2, 3, 27, 255])
+    def test_from_bytes_rejects_a_non_canonical_v(self, key, v):
+        # Both verifiers read only v's parity, so any other byte would be
+        # a second, unequal encoding of one valid signature.
+        signature = key.sign(b"msg")
+        with pytest.raises(InvalidSignatureError, match="v is not 0 or 1"):
+            Signature.from_bytes(signature.to_bytes()[:64] + bytes([v]))
+
 
 class CountingHandle:
     """Stands in for a public key's OpenSSL handle and counts its checks."""
@@ -273,13 +284,34 @@ def _equation_verdict(public_key, message, signature) -> bool:
                                    nonce_point)])
 
 
+@lru_cache(maxsize=None)
+def _fillers() -> tuple:
+    """Valid signatures that widen one entry to the narrowest batch
+    ``batch_verify`` checks by the equation."""
+    keys = [PrivateKey.from_seed(b"filler-%d" % index) for index in range(8)]
+    return tuple((keys[index % 8].public_key, b"filler-%d" % index,
+                  keys[index % 8].sign(b"filler-%d" % index))
+                 for index in range(ecdsa_module._BATCH_MIN_SIGNATURES - 1))
+
+
+def _batch_verdict(public_key, message, signature) -> bool:
+    """``batch_verify``'s verdict on the entry among 31 valid others: one
+    32-signature equation, bisected to the oracle when it fails."""
+    ecdsa_module._VERIFY_CACHE.clear()
+    verdicts = batch_verify([(public_key, message, signature)]
+                            + list(_fillers()))
+    assert verdicts[1:] == [True] * len(_fillers())
+    return verdicts[0]
+
+
 CASES = ["valid", "forged_s", "forged_r", "wrong_key", "wrong_digest",
          "high_s", "r_zero", "r_n", "s_zero", "s_n"]
 
 
 class TestThreeVerifiersAgree:
     """OpenSSL's :meth:`PublicKey.verify`, the Python batch equation and
-    the affine oracle: three implementations, one verdict."""
+    the affine oracle: three implementations, one verdict — and
+    ``batch_verify`` on a 32-signature batch gives it too."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(CASES), st.integers(1, 2**32),
@@ -309,8 +341,9 @@ class TestThreeVerifiersAgree:
         ecdsa_module._VERIFY_CACHE.clear()
         verdicts = (public_key.verify(message, forged),
                     _equation_verdict(public_key, message, forged),
-                    _oracle_verdict(public_key, message, forged))
-        assert verdicts == ((case == "valid"),) * 3, case
+                    _oracle_verdict(public_key, message, forged),
+                    _batch_verdict(public_key, message, forged))
+        assert verdicts == ((case == "valid"),) * 4, case
 
 
 class TestECDH:
@@ -364,6 +397,33 @@ class TestOpenSSLHandles:
     def test_each_key_builds_its_own_handle(self, key):
         twin = PrivateKey(key.secret)
         assert twin == key and twin._openssl is not key._openssl
+
+    def test_each_key_derives_its_own_point_and_address(self, key,
+                                                        monkeypatch):
+        assert key.address == key.public_key.address  # derived, kept
+        derivations = []
+        real = ec_backend.scalar_mult_base
+        monkeypatch.setattr(ec_backend, "scalar_mult_base",
+                            lambda k: derivations.append(k) or real(k))
+        twin = PrivateKey(key.secret)
+        assert twin.public_key == key.public_key
+        assert twin.public_key is not key.public_key
+        assert twin.address == key.address
+        assert derivations == [key.secret]  # once for the twin, not again
+        assert key.public_key.address is vars(key.public_key)["address"]
+
+    def test_pickled_state_after_use_is_the_key_alone(self, rng):
+        own, peer = PrivateKey.generate(rng), PrivateKey.generate(rng)
+        signature = own.sign(b"used")
+        ecdsa_module._VERIFY_CACHE.clear()
+        assert own.public_key.verify(b"used", signature)
+        shared_secret(own, peer.public_key)
+        assert own.address == own.public_key.address
+        assert {"public_key", "_openssl"} <= set(vars(own))
+        assert {"address", "_openssl"} <= set(vars(own.public_key))
+        assert set(vars(pickle.loads(pickle.dumps(own)))) == {"secret"}
+        assert set(vars(pickle.loads(pickle.dumps(own.public_key)))) == \
+            {"x", "y"}
 
     def test_an_openssl_value_error_is_an_invalid_key(self, rng, monkeypatch):
         own, peer = PrivateKey.generate(rng), PrivateKey.generate(rng)

@@ -7,8 +7,8 @@ the point the square root yields (so coefficients and verdicts cannot
 differ), every other hint — absent, wrong, negated, out of range, or for an
 ``r`` whose point has ``x ≥ n`` — costs one square root and nothing else,
 and ``batch_verify`` agrees with :meth:`PublicKey.verify` on all of them,
-alone and inside a 512-item batch whose bisection crosses the bucket
-method's size boundary.
+in the narrowest batch that reaches the equation (32 signatures) and
+inside a 512-item batch whose bisection ends at that size.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto import ec_backend
+from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ec_backend import GX, GY
 from repro.crypto.ecdsa import (
     _VERIFY_CACHE,
@@ -143,38 +143,54 @@ class TestRecoverWithHint:
         assert other == _recover_nonce_point(signature.r, signature.v ^ 1)
 
 
+def _others(count: int):
+    """``count`` plain signatures beside the one under test: together the
+    narrowest batch that reaches the equation."""
+    return [_signed(index) for index in range(100, 100 + count)]
+
+
+WIDTH = ecdsa._BATCH_MIN_SIGNATURES
+
+
 class TestBatchVerifyWithHints:
     @pytest.mark.parametrize("name", sorted(HINTS))
     def test_pair_agrees_with_the_individual_verifier(self, name):
-        items = [_with_hint(_signed(1), name), _signed(2)]
-        assert batch_verify(items) == [True, True]
-        tampered = [(items[0][0], items[0][1] + b"!", items[0][2]), items[1]]
-        assert batch_verify(tampered) == [False, True]
+        items = [_with_hint(_signed(1), name)] + _others(WIDTH - 1)
+        stats: dict = {}
+        assert batch_verify(items, stats) == [True] * WIDTH
+        assert (stats["subchecks"], stats["singles"]) == (1, 0)
+        tampered = [(items[0][0], items[0][1] + b"!", items[0][2])]
+        assert batch_verify(tampered + items[1:]) == \
+            [False] + [True] * (WIDTH - 1)
 
     def test_hinted_and_stripped_batches_run_the_same_equation(
             self, monkeypatch):
         calls = []
         real = ec_backend.multi_scalar_mult
 
-        def spy(base_scalar, pairs, one_shot_pairs=()):
-            calls.append((base_scalar, pairs, list(one_shot_pairs)))
-            return real(base_scalar, pairs, one_shot_pairs)
+        def spy(base_scalar, terms):
+            calls.append((base_scalar, list(terms)))
+            return real(base_scalar, terms)
 
         # Signing is a call of the engine too, so sign before spying.
-        hinted = [_signed(index) for index in range(10)]
+        hinted = [_signed(index) for index in range(WIDTH)]
         monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
-        assert batch_verify(hinted) == [True] * 10
+        assert batch_verify(hinted) == [True] * WIDTH
         _VERIFY_CACHE.clear()
         assert batch_verify([_with_hint(item, "absent")
-                             for item in hinted]) == [True] * 10
+                             for item in hinted]) == [True] * WIDTH
         assert len(calls) == 2 and calls[0] == calls[1]
 
     def test_hint_is_not_part_of_the_verdict_cache_key(self):
         item = _signed(3)
         assert item[0].verify(item[1], item[2])
+        stats: dict = {}
         assert batch_verify([_with_hint(item, "absent"),
-                             _with_hint(item, "wrong_value")]) == [True] * 2
-        assert len(_VERIFY_CACHE) == 1
+                             _with_hint(item, "wrong_value")]
+                            + _others(WIDTH), stats) == [True] * (WIDTH + 2)
+        # Both copies hit the one cached verdict; the others are new.
+        assert (stats["batched"], stats["subchecks"]) == (WIDTH, 1)
+        assert len(_VERIFY_CACHE) == 1 + WIDTH
 
     @pytest.mark.parametrize("r_is_curve_x", [False, True])
     def test_nonce_point_with_x_above_n(self, r_is_curve_x):
@@ -183,10 +199,11 @@ class TestBatchVerifyWithHints:
         assert public_key.verify(message, signature)
         _VERIFY_CACHE.clear()
         stats: dict = {}
-        assert batch_verify([item, _signed(4)], stats) == [True, True]
+        assert batch_verify([item] + _others(WIDTH - 1), stats) == \
+            [True] * WIDTH
         # Recovery reaches the true point only when r is no curve x itself;
-        # otherwise the equation misses and the oracle decides both.
-        assert stats["singles"] == (2 if r_is_curve_x else 0)
+        # otherwise the equation misses and the oracle decides all 32.
+        assert stats["singles"] == (WIDTH if r_is_curve_x else 0)
 
     def test_512_items_every_hint_kind_three_forgeries(self):
         items = [_signed(index) for index in range(512)]
@@ -211,7 +228,7 @@ class TestBatchVerifyWithHints:
         _VERIFY_CACHE.clear()
         assert got == [key.verify(message, signature)
                        for key, message, signature in items]
-        # 512 → 256 → 128 → 64 → 32 → …: sub-batches on both sides of
-        # ec_backend._BUCKET_MIN_POINTS were evaluated.
-        assert stats["depth"] >= 8
-        assert 3 <= stats["singles"] <= 3 * len(forged) + 2
+        # 512 → 256 → 128 → 64 → 32: the four 32-item sub-batches that
+        # hold a forgery or the r-is-a-curve-x signature (300) fail, and
+        # their 16-item halves go to the individual oracle.
+        assert (stats["depth"], stats["singles"]) == (4, 4 * WIDTH)
