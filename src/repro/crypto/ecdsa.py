@@ -15,10 +15,11 @@ lacks, run in :mod:`repro.crypto.ec_backend`.  :func:`shared_secret` and
 :meth:`PublicKey.verify` run in OpenSSL (``cryptography``) on a handle each
 key builds for itself: a private key's belongs to the actor holding it.
 A key also derives its own public point and address, once, and keeps them;
-nothing derived from a key is shared between keys.  Beside them sits one
-process-wide LRU of verification outcomes; its hits are providers
-re-checking a quote, not ``verify_chain`` seals (an ``agg_sustained`` audit
-verifies 5, 0 hits).
+nothing derived from a key is shared between keys, and no verdict is kept
+here: every call checks its signature.  A verdict worth remembering stays
+with the actor that reached it (``AttestationService`` keeps each
+platform's checked quote, ``AuthenticityVerifier`` its accepted device
+certificates).
 
 There are two verifiers, independent implementations that agree on every
 input.  :meth:`PublicKey.verify` checks one signature and is the authority;
@@ -30,7 +31,6 @@ key-folded bucket equation, and bisects a failed equation down to it.
 from __future__ import annotations
 
 import time as _time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -56,7 +56,9 @@ from repro.telemetry import metrics as _tm
 
 # Crypto telemetry: every sign/verify batch the chain and TEE layers issue
 # shows up here, so perf PRs can prove their win from the system's own
-# instruments.  The `cached` label separates real curve work from LRU hits.
+# instruments.  The `path` label names what decided a verdict: `single` is
+# one OpenSSL check, `batch` a bucket equation or a malformed scalar
+# ``batch_verify`` refused before any curve math.
 _SIGN_TOTAL = _tm.counter(
     "pds2_crypto_sign_total", "ECDSA signatures produced"
 )
@@ -66,11 +68,11 @@ _SIGN_SECONDS = _tm.histogram(
 )
 _VERIFY_TOTAL = _tm.counter(
     "pds2_crypto_verify_total", "ECDSA verifications, by path and outcome",
-    labelnames=("cached", "outcome"),
+    labelnames=("path", "outcome"),
 )
 _VERIFY_SECONDS = _tm.histogram(
     "pds2_crypto_verify_seconds",
-    "Wall time per uncached ECDSA verification",
+    "Wall time per ECDSA verification",
     buckets=_tm.LATENCY_BUCKETS_S,
 )
 
@@ -110,9 +112,9 @@ class Signature:
     ``nonce_y`` is an unsigned *hint*, not part of the signature: the signer
     computed the nonce point and may leave its y coordinate here so a batch
     verifier can confirm it with the curve equation instead of taking a
-    modular square root.  It is absent from the wire format, equality, the
-    hash and every cache key; a missing or wrong hint costs the verifier one
-    square root and changes no verdict.
+    modular square root.  It is absent from the wire format, equality and
+    the hash; a missing or wrong hint costs the verifier one square root
+    and changes no verdict.
     """
 
     r: int
@@ -149,16 +151,6 @@ class Signature:
         if data[64] > 1:  # only the parity of the nonce point's y
             raise InvalidSignatureError("signature v is not 0 or 1")
         return cls(r=r, s=s, v=data[64])
-
-
-# Verification outcomes, keyed by (pubkey x, pubkey y, digest, r, s); the
-# outcome is deterministic, so a repeat costs a dict lookup.  In a lifecycle
-# session every repeat is a provider re-verifying the quote of an enclave
-# another provider already checked (``AttestationService._verify_checked``):
-# measured on E25, 12 hits per ``ml_wide`` session, 2 per ``agg_sustained``
-# and 5.3 per ``ml_faulted``; ``chain_bulk``'s block entry hits 0 of 4 096.
-_VERIFY_CACHE: OrderedDict[tuple[int, int, int, int, int], bool] = OrderedDict()
-_VERIFY_CACHE_MAX = 8192
 
 
 @dataclass(frozen=True)
@@ -214,10 +206,7 @@ class PublicKey:
 
         Scalars are range-checked and low-s is *required* before any EC math
         runs (high-s twins are malleable duplicates, see
-        :meth:`Signature.from_bytes`).  Outcomes are LRU-cached keyed by
-        ``(pubkey, digest, r, s)``, so a signature seen before skips the
-        curve entirely (in a session: the quote of an enclave several
-        providers are routed to).
+        :meth:`Signature.from_bytes`); every other call runs OpenSSL.
         """
         r, s = signature.r, signature.s
         if not (1 <= r < N and 1 <= s < N):
@@ -225,14 +214,6 @@ class PublicKey:
         if s > N // 2:
             return False
         digest = hash_to_int(message, N)
-        cache_key = (self.x, self.y, digest, r, s)
-        cached = _VERIFY_CACHE.get(cache_key)
-        if cached is not None:
-            _VERIFY_CACHE.move_to_end(cache_key)
-            _VERIFY_TOTAL.labels(
-                cached="yes", outcome="ok" if cached else "fail"
-            ).inc()
-            return cached
         began = _time.perf_counter()
         try:
             self._openssl.verify(signature=encode_dss_signature(r, s),
@@ -242,11 +223,8 @@ class PublicKey:
         except (InvalidSignature, ValueError):
             ok = False
         _VERIFY_SECONDS.observe(_time.perf_counter() - began)
-        _VERIFY_TOTAL.labels(cached="no",
+        _VERIFY_TOTAL.labels(path="single",
                              outcome="ok" if ok else "fail").inc()
-        _VERIFY_CACHE[cache_key] = ok
-        if len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
-            _VERIFY_CACHE.popitem(last=False)
         return ok
 
 
@@ -482,13 +460,12 @@ def batch_verify(
 
     One size rule: fewer than ``_BATCH_MIN_SIGNATURES`` items go to
     :meth:`PublicKey.verify` one by one.  A wider batch agrees with it on
-    every input — same range and low-s policy, same LRU cache (hits are
-    honored, outcomes are written back) — but amortizes the curve work: one
-    bucket equation when every signature is good; when one fails, it is
-    bisected, and each half under the size rule goes to the individual
-    verifier.  Items whose nonce point cannot be recovered from ``(r, v)``
-    (corrupted parity bit, non-residue x) are verified individually; the
-    individual path is always the authoritative oracle.
+    every input — same range and low-s policy — but amortizes the curve
+    work: one bucket equation when every signature is good; when one fails,
+    it is bisected, and each half under the size rule goes to the
+    individual verifier.  Items whose nonce point cannot be recovered from
+    ``(r, v)`` (corrupted parity bit, non-residue x) are verified
+    individually; the individual path is always the authoritative oracle.
 
     When a ``stats`` dict is passed it is filled with bisection telemetry:
     ``batched`` (items entering the bisection), ``singles`` (items routed to
@@ -504,24 +481,13 @@ def batch_verify(
     singles: list[int] = []
     pending: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, z, r, Q, R)
     pending_s: list[int] = []
-    cache_keys: list[Optional[tuple[int, int, int, int, int]]] = [None] * len(items)
     for index, (public_key, message, signature) in enumerate(items):
         r, s = signature.r, signature.s
         if not (1 <= r < N and 1 <= s < N) or s > N // 2:
             verdicts[index] = False
-            _VERIFY_TOTAL.labels(cached="no", outcome="fail").inc()
+            _VERIFY_TOTAL.labels(path="batch", outcome="fail").inc()
             continue
         digest = hash_to_int(message, N)
-        cache_key = (public_key.x, public_key.y, digest, r, s)
-        cached = _VERIFY_CACHE.get(cache_key)
-        if cached is not None:
-            _VERIFY_CACHE.move_to_end(cache_key)
-            _VERIFY_TOTAL.labels(
-                cached="yes", outcome="ok" if cached else "fail"
-            ).inc()
-            verdicts[index] = cached
-            continue
-        cache_keys[index] = cache_key
         nonce_point = _recover_nonce_point(r, signature.v, signature.nonce_y)
         if nonce_point is None:
             singles.append(index)
@@ -560,15 +526,9 @@ def batch_verify(
     resolve(batch)
     if subchecks:
         _VERIFY_SECONDS.observe(_time.perf_counter() - began)
-    confirmed = 0
-    for index, verdict in enumerate(verdicts):
-        if verdict and cache_keys[index] is not None:
-            confirmed += 1
-            _VERIFY_CACHE[cache_keys[index]] = True
-            if len(_VERIFY_CACHE) > _VERIFY_CACHE_MAX:
-                _VERIFY_CACHE.popitem(last=False)
+    confirmed = sum(1 for verdict in verdicts if verdict)
     if confirmed:
-        _VERIFY_TOTAL.labels(cached="batch", outcome="ok").inc(confirmed)
+        _VERIFY_TOTAL.labels(path="batch", outcome="ok").inc(confirmed)
     for index in singles:
         public_key, message, signature = items[index]
         verdicts[index] = public_key.verify(message, signature)

@@ -58,7 +58,12 @@ class VerificationStats:
 
 
 class AuthenticityVerifier:
-    """Stateful verifier an executor keeps for one workload."""
+    """Stateful verifier an executor keeps for one workload.
+
+    It remembers the device certificates it has accepted (``_certificates``,
+    one per device it has seen): a certificate equal to one of them, as a
+    whole value, is not checked against its manufacturer again.
+    """
 
     def __init__(self, registry: ManufacturerRegistry,
                  freshness_window_s: float | None = None):
@@ -66,26 +71,39 @@ class AuthenticityVerifier:
         self.freshness_window_s = freshness_window_s
         self._seen: set[tuple[str, int]] = set()
         self._last_timestamp: dict[str, float] = {}
+        self._certificates: set[DeviceCertificate] = set()
         self.stats = VerificationStats()
 
     def verify(self, reading: SignedReading,
                certificate: DeviceCertificate,
                now: float | None = None) -> None:
         """Accept or raise :class:`AuthenticityError` with a typed reason."""
+        self._decide(reading, certificate, now, None)
+
+    def _decide(self, reading: SignedReading,
+                certificate: DeviceCertificate, now: float | None,
+                signature_ok: bool | None) -> None:
+        """The checks of :meth:`verify`, in order; ``signature_ok`` is the
+        reading signature's verdict when the caller already holds it, and
+        None to check it here."""
         if certificate.serial != reading.serial:
             self._reject(RejectionReason.BAD_CERTIFICATE,
                          "certificate serial does not match the reading")
-        try:
-            self.registry.verify_certificate(certificate)
-        except AuthenticityError:
-            if not self.registry.is_registered(certificate.manufacturer_id):
-                self._reject(RejectionReason.UNKNOWN_MANUFACTURER,
-                             "unknown manufacturer")
-            self._reject(RejectionReason.BAD_CERTIFICATE,
-                         "invalid device certificate")
-        if not certificate.device_public_key.verify(
-            reading.signed_payload(), reading.signature
-        ):
+        if certificate not in self._certificates:
+            try:
+                self.registry.verify_certificate(certificate)
+            except AuthenticityError:
+                if not self.registry.is_registered(
+                        certificate.manufacturer_id):
+                    self._reject(RejectionReason.UNKNOWN_MANUFACTURER,
+                                 "unknown manufacturer")
+                self._reject(RejectionReason.BAD_CERTIFICATE,
+                             "invalid device certificate")
+            self._certificates.add(certificate)
+        if signature_ok is None:
+            signature_ok = certificate.device_public_key.verify(
+                reading.signed_payload(), reading.signature)
+        if not signature_ok:
             self._reject(RejectionReason.BAD_SIGNATURE,
                          "reading signature invalid")
         key = (reading.serial, reading.sequence)
@@ -113,21 +131,22 @@ class AuthenticityVerifier:
                      ) -> tuple[list[SignedReading], list[str]]:
         """Verify many readings; returns (accepted, rejection reasons).
 
-        One device's readings share one key, so the signatures are checked
-        up front in a single key-folded :func:`batch_verify`.  That call
-        only leaves its verdicts in the verification LRU; :meth:`verify`
-        below still decides every reading, in order, and finds them there.
+        The reading signatures are checked up front in one
+        :func:`batch_verify`; then every reading is decided, in order, by
+        the checks of :meth:`verify` with its signature verdict taken from
+        that batch, so the decisions and reasons are those of calling
+        :meth:`verify` reading by reading.
         """
-        batch_verify([
+        verdicts = batch_verify([
             (certificate.device_public_key, reading.signed_payload(),
              reading.signature)
             for reading, certificate in items
         ])
         accepted: list[SignedReading] = []
         reasons: list[str] = []
-        for reading, certificate in items:
+        for (reading, certificate), signature_ok in zip(items, verdicts):
             try:
-                self.verify(reading, certificate)
+                self._decide(reading, certificate, None, signature_ok)
                 accepted.append(reading)
             except AuthenticityError as exc:
                 reasons.append(str(exc))

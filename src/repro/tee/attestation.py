@@ -10,7 +10,10 @@ Mirrors the Intel SGX EPID/DCAP flow at the protocol level:
   a provider is about to encrypt data to;
 * verifiers call :meth:`AttestationService.verify`, which checks platform
   registration, revocation status, the signature, and (optionally) that the
-  measurement is on the expected list.
+  measurement is on the expected list.  Providers ask the service, as under
+  EPID/IAS, rather than each checking the platform signature locally
+  (DCAP): every provider routed to one enclave is shown the same quote, and
+  the service checks its signature once.
 
 In PDS2, providers refuse to send data until the executor presents a quote
 whose measurement equals the workload code hash recorded on-chain.
@@ -63,11 +66,19 @@ class AttestationService:
     Plays the role of Intel's attestation service; in a deployment this
     could itself be a smart contract, which is why verification is pure and
     deterministic.
+
+    The service remembers, per provisioned platform, the last quote whose
+    signature it checked (``_verified``; at most one entry per platform).
+    A quote equal to it as a whole value, signature included, skips only
+    the signature check: registration, revocation, the key match, the
+    measurement and the report data are checked on every call, and
+    revoking a platform forgets its quote.
     """
 
     def __init__(self) -> None:
         self._platforms: dict[str, PublicKey] = {}
         self._revoked: set[str] = set()
+        self._verified: dict[str, Quote] = {}
 
     # -- provisioning ---------------------------------------------------------
 
@@ -84,6 +95,7 @@ class AttestationService:
         if platform_id not in self._platforms:
             raise AttestationError(f"unknown platform {platform_id!r}")
         self._revoked.add(platform_id)
+        self._verified.pop(platform_id, None)
 
     # -- quoting ---------------------------------------------------------------
 
@@ -149,11 +161,13 @@ class AttestationService:
             quote.platform_public_key.x, quote.platform_public_key.y
         ):
             raise AttestationError("quote key does not match provisioned key")
-        payload = Quote.payload_bytes(
-            quote.platform_id, quote.measurement, quote.report_data
-        )
-        if not registered.verify(payload, quote.signature):
-            raise AttestationError("invalid quote signature")
+        if self._verified.get(quote.platform_id) != quote:
+            payload = Quote.payload_bytes(
+                quote.platform_id, quote.measurement, quote.report_data
+            )
+            if not registered.verify(payload, quote.signature):
+                raise AttestationError("invalid quote signature")
+            self._verified[quote.platform_id] = quote
         if (expected_measurement is not None
                 and quote.measurement != expected_measurement):
             raise AttestationError(

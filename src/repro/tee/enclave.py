@@ -6,12 +6,11 @@ implements a *behavioral* simulation that preserves every property the
 marketplace protocol observes:
 
 * **Measurement** — an enclave's identity is the hash of the exact code it
-  runs (``EnclaveCode.measurement`` hashes name, version and the registered
-  function's code object — bytecode, constants, names — once per code unit:
-  like MRENCLAVE it is fixed when the code is built, and every later quote,
-  launch and event reads that value).  Change one instruction or constant
-  of the workload and the measurement changes; change a comment and it
-  does not.
+  runs (``EnclaveCode.measurement`` hashes name, version and the digest of
+  the registered function's code object — bytecode, constants, names —
+  which is walked once per function: like MRENCLAVE it is fixed when the
+  code is built).  Change one instruction or constant of the workload and
+  the measurement changes; change a comment and it does not.
 * **Isolation** — inputs provisioned into an enclave are encrypted under an
   ECDH key shared with the enclave's ephemeral key; the host object never
   holds plaintext, and the host-facing API exposes none.
@@ -101,22 +100,10 @@ def _describe(value: Any) -> str:
 @lru_cache(maxsize=256)
 def _measured_code(entry_point: Callable[..., Any]) -> bytes:
     """The digest of :func:`_describe` of an entry point, walked once per
-    function: every workload is a code unit of its own
-    (``ExecutorActor.code_for``) over the one shared entry point, so
-    :func:`_measure` misses once per session."""
+    function: a program constant, like ``G``'s comb.  Every workload is a
+    code unit of its own (``ExecutorActor.code_for``) over the one shared
+    entry point, so its measurement is one hash over this digest."""
     return keccak256(_describe(entry_point).encode("utf-8"))
-
-
-@lru_cache(maxsize=256)
-def _measure(name: str, version: str,
-             entry_point: Callable[..., Any]) -> bytes:
-    """The measurement of one code unit, computed on first use.
-
-    Keyed by value because callers build an equal ``EnclaveCode`` per use
-    (``ExecutorActor.code_for``); bounded, since the key holds the function.
-    """
-    payload = "\x00".join([name, version, _measured_code(entry_point).hex()])
-    return keccak256(payload.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -133,8 +120,11 @@ class EnclaveCode:
 
     @property
     def measurement(self) -> bytes:
-        """32-byte identity hash of this code unit (computed once)."""
-        return _measure(self.name, self.version, self.entry_point)
+        """32-byte identity hash of this code unit: name, version and the
+        entry point's code digest, hashed per call (a few µs)."""
+        payload = "\x00".join([self.name, self.version,
+                               _measured_code(self.entry_point).hex()])
+        return keccak256(payload.encode("utf-8"))
 
 
 class TEEPlatform:

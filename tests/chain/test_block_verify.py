@@ -4,12 +4,15 @@
 ``batch_verify`` call; these tests pin what the chain does with the
 verdicts: valid batches are included whole, bisection isolates a single
 corrupted signature (dropped, no receipt), receipts equal the per-item
-oracle's, and a forged head defers its sender's later nonces.  The last
+oracle's, a forged head defers its sender's later nonces, and two
+matched-seed chains in one process write equal block records.  The last
 class counts what a 512-transaction block costs in square roots and
 inversions mod n.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -18,7 +21,7 @@ from repro.chain import blockchain as blockchain_mod
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto.ecdsa import _VERIFY_CACHE, N, Signature
+from repro.crypto.ecdsa import N, Signature
 from repro.errors import ChainError
 
 
@@ -95,7 +98,6 @@ class TestBlockVerify:
         for verifier in ("batch", "per_item"):
             if verifier == "per_item":
                 monkeypatch.setattr(blockchain_mod, "batch_verify", per_item)
-            _VERIFY_CACHE.clear()  # matched seeds replay identical signatures
             chain, wallets = _build_chain(30, 5)
             hashes = [w.transfer("0x" + "44" * 20, 250) for w in wallets]
             forged = Transaction(
@@ -142,6 +144,26 @@ class TestBlockVerify:
         chain.mine_block()
         assert chain.receipt_for(fixed.tx_hash).status
         assert chain.receipt_for(second_hash).status
+
+
+class TestMatchedSeedsInOneProcess:
+    def test_two_chains_write_equal_block_records(self):
+        # Nothing is cleared between the runs: the second chain's block
+        # entry checks the same 40 signatures in one equation again, as a
+        # fresh process would.
+        def records():
+            chain, wallets = _build_chain(40, 8)
+            for _ in range(5):
+                for wallet in wallets:
+                    wallet.transfer("0x" + "77" * 20, 3, gas_limit=50_000)
+            chain.mine_block()
+            return [json.dumps(record, sort_keys=True)
+                    for record in chain.observer.records]
+
+        first = records()
+        verify = json.loads(first[-1])["verify"]
+        assert (verify["batched"], verify["subchecks"]) == (40, 1)
+        assert records() == first
 
 
 class TestWideBlockCost:

@@ -10,7 +10,7 @@ from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto import ec_backend, ecdsa
+from repro.crypto import ec_backend
 from repro.crypto.ecdsa import PublicKey
 from repro.errors import ChainError, InvalidBlockError
 from tests.conftest import make_funded_wallet
@@ -146,7 +146,6 @@ class TestBlockEntryVerification:
             for wallet in wallets:
                 for _ in range(8):
                     wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
-            ecdsa._VERIFY_CACHE.clear()  # earlier tests sign the same txs
             block = chain.mine_block()
             assert len(block.transactions) == 512
             stats = chain.observer.records[-1]["verify"]
@@ -285,23 +284,18 @@ class TestVerification:
 
         monkeypatch.setattr(consensus_mod, "batch_verify", counting_batch)
         monkeypatch.setattr(PublicKey, "verify", counting_verify)
-        ecdsa._VERIFY_CACHE.clear()
-        chain.verify_chain()  # 32 fresh seals, folded onto three keys
-        chain.verify_chain()  # 32 answers from the verification LRU
-        assert singles == []
+        chain.verify_chain()  # 32 seals, folded onto three keys
+        chain.verify_chain()  # the same 32 again: one equation again
         chain.mine_block()
         chain.mine_block()
-        # Two fresh seals among 32 remembered: under the size rule, so the
-        # two go to the individual verifier.
         chain.verify_chain()
         assert batches == [32, 32, 34]
-        assert len(singles) == 2
+        assert singles == []
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_one_bad_seal_among_forty_is_detected(self, chain, warm):
         for _ in range(40):
             chain.mine_block()
-        ecdsa._VERIFY_CACHE.clear()
         if warm:
             chain.verify_chain()
         # A genuine signature by the right validator, over another header.
@@ -328,7 +322,6 @@ class TestVerifyChainSince:
         for index in range(self.HEAD):
             funded_wallet.transfer("0x" + "11" * 20, 5 + index)
             chain.mine_block()
-        ecdsa._VERIFY_CACHE.clear()
         return chain
 
     @staticmethod

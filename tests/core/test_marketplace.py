@@ -15,6 +15,7 @@ from repro.core import (
     WorkloadSpec,
 )
 from repro.core.workload import enclave_entry_point
+from repro.crypto.ecdsa import PublicKey
 from repro.crypto import merkle as merkle_module
 from repro.crypto.merkle import MerkleTree
 from repro.errors import MarketplaceError, MatchingError
@@ -23,6 +24,7 @@ from repro.ml.datasets import (
     Dataset,
     make_iot_activity,
     split_dirichlet,
+    split_iid,
     train_test_split,
 )
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
@@ -253,7 +255,6 @@ class TestDataPathDoesWorkOnce:
         """Source is not read at all any more; what is measured once per
         entry point is its code object."""
         market, _, consumer, _ = market_setup
-        enclave_module._measure.cache_clear()
         enclave_module._measured_code.cache_clear()
         reads = self._count_calls(monkeypatch, inspect, "getsource")
         walks = self._count_calls(monkeypatch, enclave_module, "_describe")
@@ -364,3 +365,33 @@ class TestDeterminism:
         assert a.ctx.result_hash == b.ctx.result_hash
         assert a.ctx.payouts == b.ctx.payouts
         assert a.gas_used == b.gas_used
+
+
+class TestQuoteChecks:
+    def test_the_service_checks_each_executors_quote_once(self,
+                                                          monkeypatch):
+        # 16 providers routed to 4 executors ask the one attestation
+        # service about 4 quotes: it checks each signature once, not once
+        # per provider.
+        rng = np.random.default_rng(3)
+        market = Marketplace(seed=3)
+        for index, part in enumerate(split_iid(
+                make_iot_activity(16 * 40, rng), 16, rng)):
+            market.add_provider(f"u{index}", part,
+                                SemanticAnnotation("heart_rate", {}))
+        consumer = market.add_consumer("c")
+        for index in range(4):
+            market.add_executor(f"e{index}")
+        callers = []
+        real = PublicKey.verify
+
+        def recording(key, message, signature):
+            callers.append(inspect.currentframe().f_back.f_code.co_name)
+            return real(key, message, signature)
+
+        monkeypatch.setattr(PublicKey, "verify", recording)
+        session = market.run_workload(consumer, har_spec(
+            workload_id="wl-quotes", min_providers=16, min_samples=50,
+            training=TrainingSpec(steps=10, learning_rate=0.3)))
+        assert session.outcome == "settled"
+        assert callers.count("_verify_checked") == 4

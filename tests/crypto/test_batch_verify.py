@@ -4,10 +4,10 @@ Two layers are under test here.  ``ec_backend.multi_scalar_mult`` is checked
 differentially against the affine oracle in :mod:`tests.crypto.affine_oracle`
 (sums of ``point_mul`` results).  ``ecdsa.batch_verify`` is checked for
 *agreement with the individual verifier* — the authoritative oracle — on
-all-good batches, corrupted batches, malformed scalars, flipped parity bits,
-and cache interactions.  A batch under ``_BATCH_MIN_SIGNATURES`` (32) never
-reaches the equation, so every such check runs on 32 or more signatures,
-and the size rule itself is pinned at 31/32.  The bisection sweep runs ≥20
+all-good batches, corrupted batches, malformed scalars and flipped parity
+bits.  A batch under ``_BATCH_MIN_SIGNATURES`` (32) never reaches the
+equation, so every such check runs on 32 or more signatures, and the size
+rule itself is pinned at 31/32.  The bisection sweep runs ≥20
 seeds with exactly one corrupted signature each, asserting only that
 signature is rejected; the Hypothesis sweep draws batches from few keys (so
 the per-key folded term is always exercised) with up to three corruptions
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ec_backend import GX, GY, N, multi_scalar_mult
 from repro.crypto.ecdsa import (
-    _VERIFY_CACHE,
     PrivateKey,
     PublicKey,
     Signature,
@@ -166,18 +165,13 @@ def _batches(draw):
 class TestKeyFoldedEquation:
     """Entries sharing a public key share one ``(Σ aᵢ·u2ᵢ)·Q`` term."""
 
-    def setup_method(self):
-        _VERIFY_CACHE.clear()
-
     @settings(max_examples=40, deadline=None)
     @given(_batches())
     def test_agrees_with_individual_verifier_on_generated_batches(
             self, batch):
         items, corrupted = batch
-        _VERIFY_CACHE.clear()
         stats: dict = {}
         got = batch_verify(items, stats)
-        _VERIFY_CACHE.clear()
         expected = [key.verify(message, sig) for key, message, sig in items]
         assert got == expected
         # A flipped parity bit is still a valid signature (``verify``
@@ -223,7 +217,6 @@ class TestKeyFoldedEquation:
         stats: dict = {}
         got = batch_verify(items, stats)
         monkeypatch.undo()
-        _VERIFY_CACHE.clear()
         assert got == [key.verify(message, sig)
                        for key, message, sig in items]
         assert got == [index != forged for index in range(40)]
@@ -281,9 +274,6 @@ class TestRecoverNoncePoint:
 
 
 class TestBatchVerify:
-    def setup_method(self):
-        _VERIFY_CACHE.clear()
-
     def test_all_good_batch(self):
         items = _make_batch(1, 32)
         stats: dict = {}
@@ -315,7 +305,6 @@ class TestBatchVerify:
         other = PrivateKey.from_seed(b"interloper").public_key
         items[11] = (other, msg, sig)
         got = batch_verify(items)
-        _VERIFY_CACHE.clear()
         expected = [pk.verify(msg, sig) for pk, msg, sig in items]
         assert got == expected
         assert got[3] is False and got[7] is False and got[11] is False
@@ -346,22 +335,11 @@ class TestBatchVerify:
         assert (stats["batched"], stats["subchecks"], stats["singles"]) \
             == (32, 1, 0)
 
-    def test_cache_round_trip(self):
-        items = _make_batch(5, 32)
-        stats: dict = {}
-        assert batch_verify(items, stats) == [True] * 32
-        assert stats["subchecks"] == 1
-        # Second pass must be all cache hits and still correct.
-        assert batch_verify(items, stats) == [True] * 32
-        assert (stats["batched"], stats["subchecks"]) == (0, 0)
-        # Individual verifier sees the batch-written outcomes too.
-        for pk, msg, sig in items:
-            assert pk.verify(msg, sig)
-
     def test_verdict_counters_after_a_512_signature_batch(self):
-        # One verdict per item, on the path that decided it: a cache hit,
-        # one multi-scalar confirmation per batched item, the oracle for
-        # the forged item and any neighbour bisection leaves alone with it.
+        # One verdict per item, on the path that decided it: the batch for
+        # each item the equation confirmed and for a high-s scalar refused
+        # before any curve math, one OpenSSL check for the forged item and
+        # each neighbour bisection leaves alone with it.
         keys = [PrivateKey.from_seed(b"count-%d" % index)
                 for index in range(64)]
         items = []
@@ -371,19 +349,20 @@ class TestBatchVerify:
             items.append((key.public_key, message, key.sign(message)))
         pk, msg, sig = items[7]
         items[7] = (pk, msg + b"!", sig)
-        assert items[300][0].verify(*items[300][1:])
-        labels = [("batch", "ok"), ("yes", "ok"), ("no", "ok"),
-                  ("no", "fail")]
+        pk, msg, sig = items[300]
+        items[300] = (pk, msg, Signature(sig.r, N - sig.s, sig.v))
+        labels = [("batch", "ok"), ("batch", "fail"), ("single", "ok"),
+                  ("single", "fail")]
 
         def counts():
-            return [ecdsa._VERIFY_TOTAL.labels(cached=cached,
+            return [ecdsa._VERIFY_TOTAL.labels(path=path,
                                                outcome=outcome).value
-                    for cached, outcome in labels]
+                    for path, outcome in labels]
 
         before = counts()
         stats: dict = {}
         assert batch_verify(items, stats) == \
-            [index != 7 for index in range(512)]
+            [index not in (7, 300) for index in range(512)]
         spent = [after - start for after, start in zip(counts(), before)]
         assert stats["batched"] == 511
         assert spent == [511 - stats["singles"], 1, stats["singles"] - 1, 1]
@@ -429,7 +408,6 @@ class TestBatchVerify:
         # goes to the oracle as two 24s, no equation under 32.
         assert sizes == [96, 48, 48]
         assert stats["singles"] == 48
-        _VERIFY_CACHE.clear()
         assert got == [key.verify(message, sig)
                        for key, message, sig in items]
         assert got == [index != 70 for index in range(96)]

@@ -10,7 +10,7 @@ is held against the affine oracle of :mod:`tests.crypto.affine_oracle` —
 or, for the 1 000-scalar run, the Jacobian wNAF loop of
 :mod:`tests.crypto.jacobian_oracle` — and the rule itself is counted: what
 single-point uses and batch equations build (nothing) and what the crypto
-layer keeps across calls (``G``'s comb and the bounded verdict LRU).
+layer keeps across calls (``G``'s comb, and no verdict).
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.crypto.ec_backend import (
 )
 from repro.crypto import ecdsa
 from repro.crypto.ecdsa import (
-    _VERIFY_CACHE,
     PrivateKey,
     batch_verify,
     shared_secret,
@@ -154,7 +153,6 @@ class TestPromotion:
         for use in range(2 * USES):
             message = b"use-%d" % use
             signature = peer.sign(message)
-            _VERIFY_CACHE.clear()
             assert peer.public_key.verify(message, signature)
             assert shared_secret(own, peer.public_key) == \
                 shared_secret(peer, own.public_key)
@@ -195,28 +193,27 @@ class TestPromotion:
                 point_mul(5 + 11 * 0xA1 + 13 * 0xA3, G)
             assert multi_scalar_mult(0, [(11, q), (13, q2)]) == \
                 point_mul(11 * 0xA1 + 13 * 0xA2, G)
-            _VERIFY_CACHE.clear()
             assert batch_verify(items) == [True] * len(items)
         assert builds == []
         # G's comb is read once per equation with a G term, nothing else.
         assert read == [ec_backend._G_COMB_WIDTH] * (2 * 2 * USES)
 
-    def test_both_structures_stay_bounded(self, monkeypatch):
+    def test_both_structures_stay_bounded(self):
         """What the crypto layer keeps across calls: ``G``'s comb, one
-        object however many points pass, and the verdict LRU, held at its
-        cap.  No point's table is kept."""
-        monkeypatch.setattr(ecdsa, "_VERIFY_CACHE", type(_VERIFY_CACHE)())
-        monkeypatch.setattr(ecdsa, "_VERIFY_CACHE_MAX", 8)
+        object however many points pass.  No point's table is kept, and
+        no verdict: a signature checked before is checked again."""
         comb = ec_backend._g_comb()
         keys = [PrivateKey(k) for k in range(1, 8 + 4)]
         signed = [(key.public_key, key.sign(b"cap")) for key in keys]
-        for public_key, signature in signed:
-            point = (public_key.x, public_key.y)
-            assert multi_scalar_mult(3, [(5, point)]) == \
-                point_add(point_mul(3, G), point_mul(5, point))
-            assert public_key.verify(b"cap", signature)
-        assert [key[:2] for key in ecdsa._VERIFY_CACHE] == \
-            [(public_key.x, public_key.y) for public_key, _ in signed[3:]]
+        checks = ecdsa._VERIFY_TOTAL.labels(path="single", outcome="ok")
+        before = checks.value
+        for _ in range(2):
+            for public_key, signature in signed:
+                point = (public_key.x, public_key.y)
+                assert multi_scalar_mult(3, [(5, point)]) == \
+                    point_add(point_mul(3, G), point_mul(5, point))
+                assert public_key.verify(b"cap", signature)
+        assert checks.value - before == 2 * len(signed)
         assert ec_backend._g_comb() is comb
         assert [len(row) for row in comb] == \
             [1 << (ec_backend._G_COMB_WIDTH - 1)] * 15

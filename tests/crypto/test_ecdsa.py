@@ -228,28 +228,16 @@ class CountingHandle:
         return self.real.verify(**kwargs)
 
 
-class TestVerificationCache:
-    def test_replay_skips_ec_math(self, key, monkeypatch):
-        message = b"cache me"
-        signature = key.sign(message)
-        public = key.public_key
-        ecdsa_module._VERIFY_CACHE.clear()
-        handle = CountingHandle(public._openssl)
-        monkeypatch.setitem(vars(public), "_openssl", handle)
-        assert public.verify(message, signature)
-        assert public.verify(message, signature)
-        assert public.verify(message, signature)
-        assert handle.calls == 1
-
-    def test_failures_are_cached_too(self, key, monkeypatch):
-        message = b"bad sig"
-        signature = key.sign(b"something else")
-        ecdsa_module._VERIFY_CACHE.clear()
-        assert not key.public_key.verify(message, signature)
+class TestNoVerdictIsKept:
+    def test_every_check_runs_openssl(self, key, monkeypatch):
+        message = b"checked each time"
+        good, bad = key.sign(message), key.sign(b"something else")
         handle = CountingHandle(key.public_key._openssl)
         monkeypatch.setitem(vars(key.public_key), "_openssl", handle)
-        assert not key.public_key.verify(message, signature)
-        assert handle.calls == 0
+        assert [key.public_key.verify(message, signature)
+                for signature in (good, good, bad, bad)] == \
+            [True, True, False, False]
+        assert handle.calls == 4
 
 
 def _policy(signature: Signature) -> bool:
@@ -297,7 +285,6 @@ def _fillers() -> tuple:
 def _batch_verdict(public_key, message, signature) -> bool:
     """``batch_verify``'s verdict on the entry among 31 valid others: one
     32-signature equation, bisected to the oracle when it fails."""
-    ecdsa_module._VERIFY_CACHE.clear()
     verdicts = batch_verify([(public_key, message, signature)]
                             + list(_fillers()))
     assert verdicts[1:] == [True] * len(_fillers())
@@ -338,7 +325,6 @@ class TestThreeVerifiersAgree:
             bad = {"zero": 0, "n": N}[value]
             r, s = (bad, s) if field_name == "r" else (r, bad)
         forged = Signature(r, s, v)
-        ecdsa_module._VERIFY_CACHE.clear()
         verdicts = (public_key.verify(message, forged),
                     _equation_verdict(public_key, message, forged),
                     _oracle_verdict(public_key, message, forged),
@@ -380,7 +366,6 @@ class TestOpenSSLHandles:
     def test_keys_pickle_after_use(self, rng):
         own, peer = PrivateKey.generate(rng), PrivateKey.generate(rng)
         signature = own.sign(b"pickled")
-        ecdsa_module._VERIFY_CACHE.clear()
         assert own.public_key.verify(b"pickled", signature)
         secret = shared_secret(own, peer.public_key)
         assert "_openssl" in vars(own) and "_openssl" in vars(own.public_key)
@@ -389,7 +374,6 @@ class TestOpenSSLHandles:
         assert own_copy == own and public_copy == own.public_key
         assert "_openssl" not in vars(own_copy)
         assert "_openssl" not in vars(public_copy)
-        ecdsa_module._VERIFY_CACHE.clear()
         assert public_copy.verify(b"pickled", own_copy.sign(b"pickled"))
         assert shared_secret(own_copy, peer.public_key) == secret
         assert shared_secret(peer, public_copy) == secret
@@ -415,7 +399,6 @@ class TestOpenSSLHandles:
     def test_pickled_state_after_use_is_the_key_alone(self, rng):
         own, peer = PrivateKey.generate(rng), PrivateKey.generate(rng)
         signature = own.sign(b"used")
-        ecdsa_module._VERIFY_CACHE.clear()
         assert own.public_key.verify(b"used", signature)
         shared_secret(own, peer.public_key)
         assert own.address == own.public_key.address
@@ -438,7 +421,5 @@ class TestOpenSSLHandles:
                 raise ValueError("refused")
 
         signature = key.sign(b"refused")
-        ecdsa_module._VERIFY_CACHE.clear()
         monkeypatch.setitem(vars(key.public_key), "_openssl", Refusing())
         assert key.public_key.verify(b"refused", signature) is False
-        ecdsa_module._VERIFY_CACHE.clear()

@@ -20,7 +20,6 @@ import pytest
 from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ec_backend import GX, GY
 from repro.crypto.ecdsa import (
-    _VERIFY_CACHE,
     N,
     P,
     PrivateKey,
@@ -85,11 +84,6 @@ def _wrapped_r_signature(message: bytes, r_is_curve_x: bool):
     minus_u1_g = point_mul(N - u1, G)
     q = point_mul(pow(u2, -1, N), point_add((x, y), minus_u1_g))
     return PublicKey(*q), message, Signature(r, s, y & 1, nonce_y=y)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_verdicts():
-    _VERIFY_CACHE.clear()
 
 
 class TestSignerLeavesTheHint:
@@ -176,28 +170,29 @@ class TestBatchVerifyWithHints:
         hinted = [_signed(index) for index in range(WIDTH)]
         monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
         assert batch_verify(hinted) == [True] * WIDTH
-        _VERIFY_CACHE.clear()
         assert batch_verify([_with_hint(item, "absent")
                              for item in hinted]) == [True] * WIDTH
         assert len(calls) == 2 and calls[0] == calls[1]
 
     def test_hint_is_not_part_of_the_verdict_cache_key(self):
+        # One signature under three hints is one signature: each copy
+        # joins the one equation and gets its verdict, with or without a
+        # usable hint.
         item = _signed(3)
-        assert item[0].verify(item[1], item[2])
+        copies = [_with_hint(item, name)
+                  for name in ("valid", "absent", "wrong_value")]
+        assert copies[0] == copies[1] == copies[2]
         stats: dict = {}
-        assert batch_verify([_with_hint(item, "absent"),
-                             _with_hint(item, "wrong_value")]
-                            + _others(WIDTH), stats) == [True] * (WIDTH + 2)
-        # Both copies hit the one cached verdict; the others are new.
-        assert (stats["batched"], stats["subchecks"]) == (WIDTH, 1)
-        assert len(_VERIFY_CACHE) == 1 + WIDTH
+        assert batch_verify(copies + _others(WIDTH), stats) == \
+            [True] * (WIDTH + 3)
+        assert (stats["batched"], stats["subchecks"], stats["singles"]) == \
+            (WIDTH + 3, 1, 0)
 
     @pytest.mark.parametrize("r_is_curve_x", [False, True])
     def test_nonce_point_with_x_above_n(self, r_is_curve_x):
         item = _wrapped_r_signature(b"wrapped", r_is_curve_x)
         public_key, message, signature = item
         assert public_key.verify(message, signature)
-        _VERIFY_CACHE.clear()
         stats: dict = {}
         assert batch_verify([item] + _others(WIDTH - 1), stats) == \
             [True] * WIDTH
@@ -225,7 +220,6 @@ class TestBatchVerifyWithHints:
         stats: dict = {}
         got = batch_verify(items, stats)
         assert got == [index not in forged for index in range(512)]
-        _VERIFY_CACHE.clear()
         assert got == [key.verify(message, signature)
                        for key, message, signature in items]
         # 512 → 256 → 128 → 64 → 32: the four 32-item sub-batches that

@@ -7,6 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.crypto.ecdsa import N, PublicKey
 from repro.errors import AuthenticityError, IdentityError
 from repro.identity.authenticity import (
     AuthenticityVerifier,
@@ -140,6 +141,18 @@ class TestVerifier:
         with pytest.raises(AuthenticityError):
             verifier.verify(reading, device_b.certificate)
 
+    def test_a_remembered_certificate_with_a_forged_signature_fails(
+            self, registry, device):
+        verifier = AuthenticityVerifier(registry)
+        verifier.verify(device.produce_reading({"t": 1.0}, timestamp=1.0),
+                        device.certificate)
+        signature = device.certificate.signature
+        forged = dataclasses.replace(device.certificate, signature=(
+            dataclasses.replace(signature, s=signature.s % (N // 2) + 1)))
+        with pytest.raises(AuthenticityError, match="bad_certificate"):
+            verifier.verify(device.produce_reading({"t": 2.0}, timestamp=2.0),
+                            forged)
+
     def test_unknown_manufacturer_reason(self, manufacturer):
         verifier = AuthenticityVerifier(ManufacturerRegistry())
         device = manufacturer.build_device("SN-X")
@@ -177,8 +190,7 @@ class TestAdversarialStream:
             self, manufacturer, registry, device, monkeypatch):
         """``verify_batch`` checks the signatures in one ``batch_verify`` up
         front; the decisions, their order and the reasons must be those of
-        calling ``verify`` reading by reading on a cold cache."""
-        from repro.crypto import ecdsa
+        calling ``verify`` reading by reading."""
         from repro.identity import authenticity
 
         rng = np.random.default_rng(57)
@@ -197,7 +209,6 @@ class TestAdversarialStream:
         items += [(reading, device.certificate) for reading in late[::-1]]
 
         def outcome(verifier, run):
-            ecdsa._VERIFY_CACHE.clear()
             accepted, reasons = run(verifier)
             return ([r.sequence for r in accepted], reasons,
                     verifier.stats.accepted, dict(verifier.stats.rejected))
@@ -223,3 +234,21 @@ class TestAdversarialStream:
         assert warmed == outcome(AuthenticityVerifier(registry), loop)
         assert {"bad_signature", "duplicate", "timestamp_regression",
                 "unknown_manufacturer", "bad_certificate"} <= set(warmed[3])
+
+    def test_twenty_readings_of_one_device_are_21_checks(
+            self, registry, device, monkeypatch):
+        # Each reading signature is checked once, by the batch, and the
+        # device certificate once: 20 + 1, where checking every reading's
+        # certificate and signature again in the loop made 60.
+        readings = [device.produce_reading({"v": float(i)},
+                                           timestamp=float(i))
+                    for i in range(20)]
+        checks = []
+        real = PublicKey.verify
+        monkeypatch.setattr(PublicKey, "verify",
+                            lambda key, message, signature: checks.append(
+                                key) or real(key, message, signature))
+        accepted, reasons = AuthenticityVerifier(registry).verify_batch(
+            [(reading, device.certificate) for reading in readings])
+        assert (len(accepted), reasons) == (20, [])
+        assert len(checks) == 21

@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from repro.crypto.ecdsa import PrivateKey
+from repro.crypto.ecdsa import N, PrivateKey, PublicKey
 from repro.errors import AttestationError
 from repro.tee.attestation import AttestationService, Quote
 from repro.tee.enclave import EnclaveCode, TEEPlatform
@@ -147,3 +147,59 @@ class TestQuoteKeptByEnclave:
         assert AttestationService.produce_quote(enclave) is quote
         with pytest.raises(AttestationError, match="revoked"):
             service.verify(quote)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The public keys ``PublicKey.verify`` is called on, in order."""
+    called = []
+    real = PublicKey.verify
+    monkeypatch.setattr(PublicKey, "verify",
+                        lambda key, message, signature: called.append(key)
+                        or real(key, message, signature))
+    return called
+
+
+class TestServiceRemembersCheckedQuotes:
+    """A service checks a quote's signature once; the verdict is its own."""
+
+    def test_two_services_each_check_a_quote_once(self, platform, service,
+                                                  code, checks):
+        other = AttestationService()
+        other.provision_platform(platform)
+        quote = AttestationService.produce_quote(platform.launch(code))
+        for verifier in (service, other, service, other, service):
+            verifier.verify(quote, expected_measurement=code.measurement)
+        assert checks == [platform.attestation_key.public_key] * 2
+
+    def test_a_new_quote_replaces_the_remembered_one(self, platform, service,
+                                                     code, checks):
+        first, second = (AttestationService.produce_quote(platform.launch(code))
+                         for _ in range(2))
+        for quote in (first, second, second, first):
+            service.verify(quote)
+        assert len(checks) == 3
+        assert service._verified == {platform.platform_id: first}
+
+    def test_revoked_after_its_quote_was_checked_fails_that_quote(
+            self, platform, service, code):
+        quote = AttestationService.produce_quote(platform.launch(code))
+        service.verify(quote)
+        service.revoke_platform(platform.platform_id)
+        assert service._verified == {}
+        with pytest.raises(AttestationError, match="revoked"):
+            service.verify(quote)
+
+    def test_a_forged_signature_on_the_remembered_quote_is_rejected(
+            self, platform, service, code, checks):
+        quote = AttestationService.produce_quote(platform.launch(code))
+        service.verify(quote)
+        signature = quote.signature
+        forged = dataclasses.replace(quote, signature=dataclasses.replace(
+            signature, s=signature.s % (N // 2) + 1))
+        with pytest.raises(AttestationError, match="invalid quote signature"):
+            service.verify(forged)
+        # The forgery was checked and not remembered: the genuine quote
+        # still needs no second check.
+        service.verify(quote)
+        assert len(checks) == 2
