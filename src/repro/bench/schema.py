@@ -106,23 +106,22 @@ def info(value: float, unit: str = "") -> Metric:
                   threshold_pct=None)
 
 
-def git_sha(cwd: Optional[Path] = None) -> str:
-    """The current (short) commit id, or ``"unknown"`` outside a git
-    checkout."""
+def git_sha() -> str:
+    """The current (short) commit id of the working directory's checkout,
+    or ``"unknown"`` outside one."""
     cmd = ["git", "rev-parse", "--short", "HEAD"]
     try:
-        out = subprocess.run(cmd, cwd=cwd, capture_output=True, text=True,
-                             timeout=10)
+        out = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
     sha = out.stdout.strip()
     return sha if out.returncode == 0 and sha else "unknown"
 
 
-def provenance(cwd: Optional[Path] = None) -> dict:
+def provenance() -> dict:
     """Who/where/what produced a trajectory point or metrics sidecar."""
     return {
-        "git_sha": git_sha(cwd=cwd),
+        "git_sha": git_sha(),
         "python_version": platform.python_version(),
         "hostname": socket.gethostname(),
         "platform": platform.platform(),

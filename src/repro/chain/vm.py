@@ -186,9 +186,9 @@ class ExecutionContext:
 
     # -- cross-contract calls -----------------------------------------------------
 
-    def call(self, address: str, method: str, value: int = 0,
-             **args: Any) -> Any:
-        """Call another contract with this contract as the message sender."""
+    def call(self, address: str, method: str, **args: Any) -> Any:
+        """Call another contract with this contract as the message sender
+        (no value moves with the call)."""
         if self._depth + 1 > MAX_CALL_DEPTH:
             raise ContractError("maximum call depth exceeded")
         return self._vm.execute_call(
@@ -199,7 +199,7 @@ class ExecutionContext:
             target=address,
             method=method,
             args=args,
-            value=value,
+            value=0,
             gas_meter=self._gas,
             logs=self._logs,
             static=self._static,

@@ -15,14 +15,16 @@ Section II-B.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey, X25519PublicKey
 
 from repro.chain.blockchain import Wallet
-from repro.crypto.ecdsa import PublicKey
+from repro.crypto import hpke
+from repro.crypto.hashing import sha256
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.symmetric import Envelope
 from repro.errors import MarketplaceError
 from repro.governance.certificates import (
     ParticipationCertificate,
@@ -53,6 +55,11 @@ def accept_all_policy(kind: "WorkloadKind", matching_records: int) -> bool:
     return matching_records > 0
 
 
+def _channel_info(workload_id: str, provider_address: str) -> bytes:
+    """HPKE ``info``: a blob sealed for another workload or provider fails."""
+    return f"pds2/partition/{workload_id}/{provider_address}".encode()
+
+
 @dataclass
 class ProviderActor:
     """A data provider: wallet + dataset + storage + annotation + policy."""
@@ -74,6 +81,12 @@ class ProviderActor:
     @property
     def address(self) -> str:
         return self.wallet.address
+
+    @cached_property
+    def channel_key(self) -> X25519PrivateKey:
+        """Static X25519 key it seals to enclaves with, from its wallet secret."""
+        secret = self.wallet.key.secret.to_bytes(32, "big")
+        return X25519PrivateKey.from_private_bytes(sha256(b"pds2/channel-key/x25519" + secret))
 
     def _encode(self) -> tuple[Dataset, list[bytes], MerkleTree]:
         if self._encoded is None or self._encoded[0] is not self.dataset:
@@ -114,13 +127,13 @@ class ProviderActor:
         return self.policy(kind, matches)
 
     def prepare_submission_for(self, workload_id: str, executor_address: str,
-                               enclave_key: PublicKey, issued_at: float,
+                               enclave_key: X25519PublicKey, issued_at: float,
                                rng: np.random.Generator
-                               ) -> tuple[Envelope, ParticipationCertificate]:
-        """Build the encrypted data blob and the participation certificate.
+                               ) -> tuple[bytes, ParticipationCertificate]:
+        """Build the sealed data blob and the participation certificate.
 
         The certificate Merkle-commits to the exact serialized rows; the
-        envelope carries the same rows encrypted to the *attested* enclave
+        blob carries the same rows sealed (HPKE) to the *attested* enclave
         key, so only the measured code can read them.  Kind-agnostic: both
         ML-training and aggregate workloads submit data this way.
         """
@@ -128,10 +141,9 @@ class ProviderActor:
             self.wallet.key, workload_id, executor_address,
             self.partition_tree(), issued_at=issued_at,
         )
-        envelope = Enclave.encrypt_for_enclave(
-            enclave_key, self.wallet.key, self.partition_payload(), rng
-        )
-        return envelope, certificate
+        blob = hpke.seal(enclave_key, self.channel_key, self.partition_payload(),
+                         _channel_info(workload_id, self.address), rng)
+        return blob, certificate
 
 
 @dataclass
@@ -201,12 +213,13 @@ class ExecutorActor:
         )
 
     def accept_data_for(self, workload_id: str, code: EnclaveCode,
-                        provider_address: str, envelope: Envelope,
-                        provider_key: PublicKey) -> None:
-        """Provision one provider's encrypted partition into the enclave."""
+                        provider_address: str, blob: bytes,
+                        provider_key: X25519PublicKey) -> None:
+        """Provision one provider's sealed partition into the enclave."""
         enclave = self.launch_enclave_for(workload_id, code)
         enclave.provision_input(
-            f"provider:{provider_address}", envelope, provider_key
+            f"provider:{provider_address}", blob, provider_key,
+            _channel_info(workload_id, provider_address),
         )
 
     def execute_for(self, workload_id: str, code: EnclaveCode,

@@ -85,6 +85,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.chain.blockchain import Wallet
     from repro.chain.transaction import Receipt
     from repro.core.marketplace import Marketplace
+    from repro.core.resilience import FaultInjector
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +203,7 @@ class WorkloadKind(ABC):
                 ctx.active_executors[:self.required_confirmations]]
 
     def submission_rng_label(self, provider: ProviderActor) -> str:
-        """Derivation label for the provider's envelope-encryption rng."""
+        """Derivation label of the rng the provider seals its data with."""
         return f"submit-{provider.name}"
 
     def contract_args(self) -> dict:
@@ -406,7 +407,7 @@ class WorkloadSession:
     def __init__(self, market: "Marketplace", consumer: ConsumerActor,
                  kind: WorkloadKind,
                  recover: bool = False,
-                 injector: Optional[Any] = None):
+                 injector: Optional["FaultInjector"] = None):
         self.market = market
         self.consumer = consumer
         self.kind = kind
@@ -451,13 +452,12 @@ class WorkloadSession:
             return "failed"
         return "settled_degraded" if self.ctx.degraded else "settled"
 
-    def emit(self, name: str, *, gas_delta: int = 0, block_height: int = -1,
-             actor: str = "", **data: Any) -> LifecycleEvent:
-        """Publish one event attributed to this session's current phase."""
-        return self.market.publish_event(
-            name, session=self, gas_delta=gas_delta,
-            block_height=block_height, actor=actor, data=data,
-        )
+    def emit(self, name: str, *, actor: str = "",
+             **data: Any) -> LifecycleEvent:
+        """Publish one event attributed to this session's current phase
+        (chain events, which carry gas and a height, are the market's)."""
+        return self.market.publish_event(name, session=self, actor=actor,
+                                         data=data)
 
     def record(self) -> dict:
         """This session's seed-determined progress, in any state.
@@ -894,7 +894,7 @@ def attest_and_submit(session: WorkloadSession
         enclave_key = market.attestation.verify(
             quote, expected_measurement=expected
         )
-        envelope, certificate = provider.prepare_submission_for(
+        blob, certificate = provider.prepare_submission_for(
             kind.workload_id, executor.address, enclave_key,
             issued_at=market._tick(),
             rng=derive_rng(market.seed,
@@ -902,8 +902,8 @@ def attest_and_submit(session: WorkloadSession
         )
         certificate.verify()
         executor.accept_data_for(
-            kind.workload_id, kind.code, provider.address, envelope,
-            provider.wallet.key.public_key,
+            kind.workload_id, kind.code, provider.address, blob,
+            provider.channel_key.public_key(),
         )
         if provider.address not in ctx.certified:
             # A provider re-matched onto a new executor after a crash

@@ -1,18 +1,18 @@
 """Cryptographic substrate: hashing, signatures, Merkle trees, HE, SMC.
 
-This package implements — from scratch, on the standard library and numpy —
-every cryptographic building block the PDS2 architecture needs (ECDH and
-the check of one signature run in OpenSSL, through ``cryptography``):
+Built from scratch on the standard library and numpy, except what OpenSSL
+(``cryptography``) runs: one secp256k1 check, X25519, P-256 and AES-GCM.
 
 * :mod:`repro.crypto.hashing` — Keccak-style digests and address derivation;
-* :mod:`repro.crypto.ecdsa` — secp256k1 ECDSA (accounts, devices, quotes);
+* :mod:`repro.crypto.ecdsa` — secp256k1 ECDSA (accounts, seals, devices);
+* :mod:`repro.crypto.hpke` — RFC 9180 HPKE: the provider → enclave channel;
 * :mod:`repro.crypto.merkle` — Merkle commitments with inclusion proofs;
 * :mod:`repro.crypto.paillier` — additively homomorphic encryption (the HE
   baseline of Section III-B);
 * :mod:`repro.crypto.secret_sharing` — additive and Shamir sharing;
 * :mod:`repro.crypto.smc` — additive-sharing multiparty computation (the SMC
   baseline of Section III-B);
-* :mod:`repro.crypto.symmetric` — authenticated encryption for storage.
+* :mod:`repro.crypto.symmetric` — AES-256-GCM for storage at rest.
 """
 
 from repro.crypto.hashing import (

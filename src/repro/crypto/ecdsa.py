@@ -1,7 +1,9 @@
 """ECDSA and ECDH over secp256k1.
 
-This is the signature scheme behind every account, device, certificate and
-enclave quote in the reproduction:
+This is the signature scheme behind every account, transaction, block
+seal, device and certificate in the reproduction (enclave quotes are P-256
+and the channel into an enclave is X25519: :mod:`repro.tee.attestation`,
+:mod:`repro.crypto.hpke`):
 
 * key generation from an RNG or deterministic seed,
 * RFC 6979-style deterministic nonces (no RNG needed at signing time, and no
@@ -209,9 +211,8 @@ class PublicKey:
         :meth:`Signature.from_bytes`); every other call runs OpenSSL.
         """
         r, s = signature.r, signature.s
-        if not (1 <= r < N and 1 <= s < N):
-            return False
-        if s > N // 2:
+        if not (1 <= r < N and 1 <= s <= N // 2):
+            _VERIFY_TOTAL.labels(path="single", outcome="fail").inc()
             return False
         digest = hash_to_int(message, N)
         began = _time.perf_counter()
@@ -336,8 +337,8 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
     """Static ECDH on secp256k1: derive a shared 32-byte secret.
 
     Both sides compute ``secret * PeerPublic`` (in OpenSSL) and hash the
-    x coordinate.  Used to provision data keys into enclaves: the provider
-    encrypts under the ECDH secret shared with the enclave's ephemeral key.
+    x coordinate.  No protocol step uses it any more (the enclave channel
+    is :mod:`repro.crypto.hpke`); E25's ``crypto.ecdh`` layer probes it.
     """
     try:
         x = private_key._openssl.exchange(_ECDH, public_key._openssl)

@@ -24,7 +24,7 @@ def keccak256(data: bytes) -> bytes:
 
 
 def sha256(data: bytes) -> bytes:
-    """Plain SHA-256, used for envelope keys."""
+    """Plain SHA-256, used to derive channel keys from wallet secrets."""
     return hashlib.sha256(data).digest()
 
 

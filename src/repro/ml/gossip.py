@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -48,6 +48,9 @@ from repro.ml.merge import MergeStrategy
 from repro.ml.models import Model
 from repro.net.churn import ChurnModel
 from repro.telemetry import metrics as _tm
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.kernels.gossip_kernel import GossipKernelTrainer
 
 #: Fixed per-message envelope overhead (headers, age, sample count).
 MESSAGE_OVERHEAD_BYTES = 64
@@ -129,7 +132,8 @@ def GossipTrainer(model_factory: Callable[[], Model],
                   partitions: list[Dataset], test_set: Dataset,
                   config: Optional[GossipConfig] = None, seed: int = 0,
                   churn: Optional[ChurnModel] = None,
-                  upload_bytes_per_s: "float | list[float]" = 1_250_000.0):
+                  upload_bytes_per_s: "float | list[float]" = 1_250_000.0,
+                  ) -> "GossipKernelTrainer":
     """Build a full gossip-learning deployment — the one public constructor.
 
     Returns a :class:`~repro.kernels.gossip_kernel.GossipKernelTrainer`

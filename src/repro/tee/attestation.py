@@ -5,9 +5,9 @@ Mirrors the Intel SGX EPID/DCAP flow at the protocol level:
 * platforms are **provisioned**: their attestation keys are registered with
   a (decentralizable) :class:`AttestationService`;
 * an enclave produces a :class:`Quote` — (measurement, report data, platform
-  id) signed by the platform's attestation key.  The report data binds the
-  enclave's ephemeral public key so a verified quote authenticates the key
-  a provider is about to encrypt data to;
+  id) signed by the platform's P-256 key as DCAP signs (RFC 6979 nonces:
+  reproducible bytes).  The report data is the enclave's raw 32-byte X25519
+  key, so a verified quote authenticates the key a provider seals data to;
 * verifiers call :meth:`AttestationService.verify`, which checks platform
   registration, revocation status, the signature, and (optionally) that the
   measurement is on the expected list.  Providers ask the service, as under
@@ -23,7 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.ecdsa import PublicKey, Signature
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PublicKey
+from cryptography.hazmat.primitives.serialization import Encoding, PublicFormat
+
 from repro.errors import AttestationError
 from repro.tee.enclave import Enclave, TEEPlatform
 from repro.telemetry import metrics as _tm
@@ -37,6 +42,13 @@ _VERIFICATIONS = _tm.counter(
     "pds2_tee_attestations_total", "Quote verifications, by outcome",
     labelnames=("outcome",),
 )
+#: Quote signatures: ECDSA-SHA256 with RFC 6979 nonces.
+_SIGNING = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
+
+
+def _point(public_key: ec.EllipticCurvePublicKey) -> bytes:
+    """Uncompressed SEC1 encoding of a P-256 public key."""
+    return public_key.public_bytes(Encoding.X962, PublicFormat.UncompressedPoint)
 
 
 @dataclass(frozen=True)
@@ -46,8 +58,8 @@ class Quote:
     platform_id: str
     measurement: bytes
     report_data: bytes
-    platform_public_key: PublicKey
-    signature: Signature
+    platform_public_key: bytes  # uncompressed SEC1 P-256
+    signature: bytes            # DER ECDSA over payload_bytes
 
     @staticmethod
     def payload_bytes(platform_id: str, measurement: bytes,
@@ -76,7 +88,7 @@ class AttestationService:
     """
 
     def __init__(self) -> None:
-        self._platforms: dict[str, PublicKey] = {}
+        self._platforms: dict[str, ec.EllipticCurvePublicKey] = {}
         self._revoked: set[str] = set()
         self._verified: dict[str, Quote] = {}
 
@@ -88,7 +100,7 @@ class AttestationService:
             raise AttestationError(
                 f"platform {platform.platform_id!r} already provisioned"
             )
-        self._platforms[platform.platform_id] = platform.attestation_key.public_key
+        self._platforms[platform.platform_id] = platform.attestation_key.public_key()
 
     def revoke_platform(self, platform_id: str) -> None:
         """Revoke a compromised platform; its future quotes fail."""
@@ -111,7 +123,8 @@ class AttestationService:
         signed statement instead of a byte-identical re-signature.
         """
         if enclave.quote is None:
-            report_data = enclave.ephemeral_public_key.to_bytes()
+            report_data = enclave.ephemeral_public_key.public_bytes_raw()
+            key = enclave.platform.attestation_key
             payload = Quote.payload_bytes(
                 enclave.platform.platform_id, enclave.measurement, report_data
             )
@@ -119,9 +132,8 @@ class AttestationService:
                 platform_id=enclave.platform.platform_id,
                 measurement=enclave.measurement,
                 report_data=report_data,
-                platform_public_key=(
-                    enclave.platform.attestation_key.public_key),
-                signature=enclave.platform.attestation_key.sign(payload),
+                platform_public_key=_point(key.public_key()),
+                signature=key.sign(payload, _SIGNING),
             )
             _QUOTES_PRODUCED.inc()
         return enclave.quote
@@ -129,7 +141,7 @@ class AttestationService:
     # -- verification -------------------------------------------------------------
 
     def verify(self, quote: Quote,
-               expected_measurement: bytes | None = None) -> PublicKey:
+               expected_measurement: bytes | None = None) -> X25519PublicKey:
         """Verify a quote; returns the attested enclave ephemeral public key.
 
         Raises :class:`AttestationError` when the platform is unknown or
@@ -151,29 +163,29 @@ class AttestationService:
         return key
 
     def _verify_checked(self, quote: Quote,
-                        expected_measurement: bytes | None) -> PublicKey:
+                        expected_measurement: bytes | None
+                        ) -> X25519PublicKey:
         registered = self._platforms.get(quote.platform_id)
         if registered is None:
             raise AttestationError(f"unknown platform {quote.platform_id!r}")
         if quote.platform_id in self._revoked:
             raise AttestationError(f"platform {quote.platform_id!r} is revoked")
-        if (registered.x, registered.y) != (
-            quote.platform_public_key.x, quote.platform_public_key.y
-        ):
+        if _point(registered) != quote.platform_public_key:
             raise AttestationError("quote key does not match provisioned key")
         if self._verified.get(quote.platform_id) != quote:
             payload = Quote.payload_bytes(
                 quote.platform_id, quote.measurement, quote.report_data
             )
-            if not registered.verify(payload, quote.signature):
-                raise AttestationError("invalid quote signature")
+            try:
+                registered.verify(quote.signature, payload, _SIGNING)
+            except InvalidSignature:
+                raise AttestationError("invalid quote signature") from None
             self._verified[quote.platform_id] = quote
         if (expected_measurement is not None
                 and quote.measurement != expected_measurement):
             raise AttestationError(
                 "enclave measurement does not match the expected workload code"
             )
-        try:
-            return PublicKey.from_bytes(quote.report_data)
-        except Exception as exc:  # malformed report data is an attack signal
-            raise AttestationError("quote report data is not a public key") from exc
+        if len(quote.report_data) != 32:  # malformed: an attack signal
+            raise AttestationError("quote report data is not an X25519 key")
+        return X25519PublicKey.from_public_bytes(quote.report_data)

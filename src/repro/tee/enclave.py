@@ -11,11 +11,12 @@ marketplace protocol observes:
   which is walked once per function: like MRENCLAVE it is fixed when the
   code is built).  Change one instruction or constant of the workload and
   the measurement changes; change a comment and it does not.
-* **Isolation** — inputs provisioned into an enclave are encrypted under an
-  ECDH key shared with the enclave's ephemeral key; the host object never
-  holds plaintext, and the host-facing API exposes none.
+* **Isolation** — inputs provisioned into an enclave are sealed to the
+  enclave's ephemeral X25519 key with HPKE (:mod:`repro.crypto.hpke`); the
+  host object never holds plaintext, and the host-facing API exposes none.
 * **Attestation** — quotes bind (measurement, report data, platform) under
-  the platform's provisioned key; see :mod:`repro.tee.attestation`.
+  the platform's provisioned P-256 key, as DCAP quotes do; see
+  :mod:`repro.tee.attestation`.
 
 What the simulation intentionally does *not* model are micro-architectural
 side channels; their mitigation cost is represented by the calibrated cost
@@ -30,10 +31,14 @@ from types import CodeType
 from typing import Any, Callable
 
 import numpy as np
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.x25519 import (
+    X25519PrivateKey,
+    X25519PublicKey,
+)
 
-from repro.crypto.ecdsa import PrivateKey, PublicKey, shared_secret
+from repro.crypto import hpke
 from repro.crypto.hashing import keccak256
-from repro.crypto.symmetric import Envelope, decrypt, encrypt
 from repro.errors import DecryptionError, EnclaveViolationError
 from repro.telemetry import metrics as _tm
 from repro.telemetry.tracing import tracer as _tracer
@@ -127,11 +132,16 @@ class EnclaveCode:
         return keccak256(payload.encode("utf-8"))
 
 
+#: The order of P-256's base point: an attestation scalar lies in [1, n).
+_P256_ORDER = 0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551
+
+
 class TEEPlatform:
     """One machine with TEE hardware (an executor's host).
 
     Holds the platform secret (fused into the CPU on real hardware) and the
-    provisioned attestation key.  The platform can launch many enclaves.
+    provisioned attestation key, an ECDSA P-256 key as in DCAP.  The
+    platform can launch many enclaves.
     """
 
     def __init__(self, platform_id: str, rng: np.random.Generator):
@@ -139,7 +149,8 @@ class TEEPlatform:
         # The platform secret (fused into the CPU): nothing here derives a
         # key from it, but the attestation key is the stream's next draw.
         rng.bytes(32)
-        self.attestation_key = PrivateKey.generate(rng)
+        scalar = int.from_bytes(rng.bytes(32), "big") % (_P256_ORDER - 1) + 1
+        self.attestation_key = ec.derive_private_key(scalar, ec.SECP256R1())
         self._rng = rng
 
     def launch(self, code: EnclaveCode) -> "Enclave":
@@ -164,20 +175,19 @@ class Enclave:
     2. the executor requests a quote binding the ephemeral public key
        (:meth:`repro.tee.attestation.AttestationService.produce_quote`);
     3. providers verify the quote, then provision data with
-       :meth:`provision_input`, encrypting under the ECDH shared key;
+       :meth:`provision_input`, sealed to the attested key with HPKE;
     4. :meth:`run` executes the measured code over the decrypted inputs,
        entirely inside enclave-private state;
-    5. results come out via :meth:`extract_output`, optionally encrypted to
-       the consumer's key so even the executor never sees them.
+    5. the result comes out via :meth:`extract_output`.
     """
 
     def __init__(self, platform: TEEPlatform, code: EnclaveCode,
                  rng: np.random.Generator):
         self.platform = platform
         self.code = code
-        self._rng = rng
         # Ephemeral enclave identity, generated inside the enclave.
-        self._ephemeral_key = PrivateKey.generate(rng)
+        self._ephemeral_key = X25519PrivateKey.from_private_bytes(
+            rng.bytes(32))
         # Private memory: host code must never touch attributes starting
         # with _private.  (Python cannot enforce this; tests do.)
         self._private_inputs: dict[str, Any] = {}
@@ -195,9 +205,9 @@ class Enclave:
         return self.code.measurement
 
     @property
-    def ephemeral_public_key(self) -> PublicKey:
+    def ephemeral_public_key(self) -> X25519PublicKey:
         """Public half of the enclave's session key (bound into quotes)."""
-        return self._ephemeral_key.public_key
+        return self._ephemeral_key.public_key()
 
     def terminate(self) -> None:
         """Tear the enclave down (host crash / power loss).
@@ -217,27 +227,18 @@ class Enclave:
 
     # -- input provisioning ------------------------------------------------------
 
-    @staticmethod
-    def encrypt_for_enclave(enclave_public_key: PublicKey,
-                            sender_key: PrivateKey, plaintext: bytes,
-                            rng: np.random.Generator) -> Envelope:
-        """Provider-side helper: encrypt ``plaintext`` to an attested enclave.
-
-        Uses static ECDH between the provider key and the enclave's
-        ephemeral key, then authenticated symmetric encryption.
-        """
-        key = shared_secret(sender_key, enclave_public_key)
-        return encrypt(key, plaintext, rng)
-
-    def provision_input(self, label: str, envelope: Envelope,
-                        sender_public_key: PublicKey) -> None:
-        """Accept an encrypted input; decrypt it *inside* the enclave."""
+    def provision_input(self, label: str, blob: bytes,
+                        sender_public_key: X25519PublicKey,
+                        info: bytes) -> None:
+        """Accept a blob :func:`repro.crypto.hpke.seal` sealed to this
+        enclave by ``sender_public_key``'s holder under ``info``; open it
+        *inside* the enclave."""
         self._require_alive()
         self.call_transitions += 1
         _PROVISIONS.labels(kind="encrypted").inc()
-        key = shared_secret(self._ephemeral_key, sender_public_key)
         try:
-            plaintext = decrypt(key, envelope)
+            plaintext = hpke.open(self._ephemeral_key, sender_public_key,
+                                  blob, info)
         except DecryptionError as exc:
             raise EnclaveViolationError(
                 f"input {label!r} failed authenticated decryption"
@@ -274,23 +275,10 @@ class Enclave:
 
     # -- output extraction ----------------------------------------------------------
 
-    def extract_output(self, recipient_public_key: PublicKey | None = None,
-                       ) -> Any | Envelope:
-        """Release the result.
-
-        With ``recipient_public_key`` the output is serialized and encrypted
-        under an ECDH key with the recipient, so the *executor host* never
-        sees it — the workload-confidentiality requirement of Section II-B.
-        Without it, the plaintext result is returned (for public outputs).
-        """
+    def extract_output(self) -> Any:
+        """Release the (public) result of :meth:`run`."""
         self._require_alive()
         if not self._ran:
             raise EnclaveViolationError("enclave has not executed yet")
         self.call_transitions += 1
-        if recipient_public_key is None:
-            return self._private_output
-        from repro.utils.serialization import canonical_json_bytes
-
-        payload = canonical_json_bytes(self._private_output)
-        key = shared_secret(self._ephemeral_key, recipient_public_key)
-        return encrypt(key, payload, self._rng)
+        return self._private_output

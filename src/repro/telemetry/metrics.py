@@ -466,18 +466,15 @@ def counter(name: str, help: str = "",
     return REGISTRY.counter(name, help, labelnames=labelnames)
 
 
-def gauge(name: str, help: str = "",
-          labelnames: Sequence[str] = ()) -> Gauge:
-    """Get-or-create a gauge on the default registry."""
-    return REGISTRY.gauge(name, help, labelnames=labelnames)
+def gauge(name: str, help: str = "") -> Gauge:
+    """Get-or-create an unlabelled gauge on the default registry."""
+    return REGISTRY.gauge(name, help)
 
 
 def histogram(name: str, help: str = "",
-              buckets: Sequence[float] = LATENCY_BUCKETS_S,
-              labelnames: Sequence[str] = ()) -> Histogram:
-    """Get-or-create a histogram on the default registry."""
-    return REGISTRY.histogram(name, help, buckets=buckets,
-                              labelnames=labelnames)
+              buckets: Sequence[float] = LATENCY_BUCKETS_S) -> Histogram:
+    """Get-or-create an unlabelled histogram on the default registry."""
+    return REGISTRY.histogram(name, help, buckets=buckets)
 
 
 def annotate_exemplar(child: object) -> None:

@@ -15,7 +15,7 @@ from repro.core import (
     WorkloadSpec,
 )
 from repro.core.workload import enclave_entry_point
-from repro.crypto.ecdsa import PublicKey
+from repro.crypto import ecdsa
 from repro.crypto import merkle as merkle_module
 from repro.crypto.merkle import MerkleTree
 from repro.errors import MarketplaceError, MatchingError
@@ -30,6 +30,7 @@ from repro.ml.datasets import (
 from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee import enclave as enclave_module
 from tests.core.test_workload_spec import _reference_payload
+from tests.tee.counting_key import CountingKey
 
 
 @pytest.fixture(scope="module")
@@ -370,9 +371,11 @@ class TestDeterminism:
 class TestQuoteChecks:
     def test_the_service_checks_each_executors_quote_once(self,
                                                           monkeypatch):
-        # 16 providers routed to 4 executors ask the one attestation
-        # service about 4 quotes: it checks each signature once, not once
-        # per provider.
+        # 16 providers routed to 4 executors (the ``ml_wide`` shape) ask
+        # the one attestation service about 4 quotes: it checks each
+        # signature once, not once per provider.  Quotes are P-256 and the
+        # channel is HPKE: no secp256k1 key agreement, and no secp256k1
+        # signature over a quote payload.
         rng = np.random.default_rng(3)
         market = Marketplace(seed=3)
         for index, part in enumerate(split_iid(
@@ -382,16 +385,29 @@ class TestQuoteChecks:
         consumer = market.add_consumer("c")
         for index in range(4):
             market.add_executor(f"e{index}")
-        callers = []
-        real = PublicKey.verify
-
-        def recording(key, message, signature):
-            callers.append(inspect.currentframe().f_back.f_code.co_name)
-            return real(key, message, signature)
-
-        monkeypatch.setattr(PublicKey, "verify", recording)
+        # Count on the service's side: it provisioned the plain keys.
+        keys = {}
+        for executor in market.executors:
+            platform = executor.platform
+            keys[platform.platform_id] = CountingKey(platform.attestation_key)
+            platform.attestation_key = keys[platform.platform_id]
+            market.attestation._platforms[platform.platform_id] = (
+                keys[platform.platform_id].public_key())
+        agreements, signed = [], []
+        monkeypatch.setattr(ecdsa, "shared_secret",
+                            lambda *args: agreements.append(args))
+        real_sign = ecdsa.PrivateKey.sign
+        monkeypatch.setattr(ecdsa.PrivateKey, "sign",
+                            lambda key, message: signed.append(message)
+                            or real_sign(key, message))
         session = market.run_workload(consumer, har_spec(
             workload_id="wl-quotes", min_providers=16, min_samples=50,
             training=TrainingSpec(steps=10, learning_rate=0.3)))
         assert session.outcome == "settled"
-        assert callers.count("_verify_checked") == 4
+        checked = [payload for key in keys.values() for payload in key.checked]
+        assert len(checked) == 4
+        assert all(b'"report_data"' in payload for payload in checked)
+        assert sum(len(key.signed) for key in keys.values()) == 4
+        assert agreements == []
+        assert signed and not any(b'"report_data"' in message
+                                  for message in signed)

@@ -20,7 +20,7 @@ from repro.core import (
     run_with_faults,
 )
 from repro.core import resilience
-from repro.core.actors import ProviderActor
+from repro.core.actors import ProviderActor, _channel_info
 from repro.core.lifecycle import (
     LIFECYCLE_PHASES,
     PHASE_REGISTER,
@@ -29,8 +29,7 @@ from repro.core.lifecycle import (
     TERMINAL_STATES,
 )
 from repro.core.resilience import Fault, FaultInjector
-from repro.crypto.ecdsa import PrivateKey, shared_secret
-from repro.crypto.symmetric import decrypt
+from repro.crypto import hpke
 from repro.errors import (
     DecryptionError,
     EnclaveViolationError,
@@ -43,6 +42,7 @@ from repro.storage.semantic import ConceptRequirement, SemanticAnnotation
 from repro.tee.attestation import AttestationService
 from repro.tee.enclave import TEEPlatform
 from tests.core.trail_sink import TrailSink
+from tests.tee.counting_key import CountingKey
 
 N_PROVIDERS = 3
 N_EXECUTORS = 3
@@ -362,6 +362,7 @@ class TestRematchReencrypts:
 
         monkeypatch.setattr(ProviderActor, "prepare_submission_for",
                             recording)
+        shown = TestQuotePerEnclave._record_quotes(monkeypatch)
         market, consumer = build_market(n_providers=4)
         session = run_with_faults(market, consumer, spec("wl-rekey"), plan)
         assert session.outcome == "settled"
@@ -374,12 +375,18 @@ class TestRematchReencrypts:
         assert new_key != old_key
         assert new_certificate.executor != old_certificate.executor
         assert new_certificate.data_root == old_certificate.data_root
-        assert new_envelope.to_bytes() != old_envelope.to_bytes()
-        payload = provider.partition_payload()
-        assert decrypt(shared_secret(provider.wallet.key, new_key),
-                       new_envelope) == payload
+        assert new_envelope != old_envelope
+        # Only the enclave a blob was sealed to opens it (the test reads
+        # the enclaves' private keys; no host code does).
+        enclave_of = {quote.report_data: enclave for enclave, quote in shown}
+        new_enclave, old_enclave = (enclave_of[key.public_bytes_raw()]
+                                    for key in (new_key, old_key))
+        sender = provider.channel_key.public_key()
+        info = _channel_info(session.kind.workload_id, provider.address)
+        assert hpke.open(new_enclave._ephemeral_key, sender, new_envelope,
+                         info) == provider.partition_payload()
         with pytest.raises(DecryptionError):
-            decrypt(shared_secret(provider.wallet.key, old_key), new_envelope)
+            hpke.open(old_enclave._ephemeral_key, sender, new_envelope, info)
 
 
 class TestQuotePerEnclave:
@@ -402,23 +409,16 @@ class TestQuotePerEnclave:
     def test_one_quote_per_enclave_per_session(self, monkeypatch):
         shown = self._record_quotes(monkeypatch)
         market, consumer = build_market(n_providers=6)
-        platform_keys = {executor.platform.attestation_key
-                         for executor in market.executors}
-        signed = []
-        sign = PrivateKey.sign
-
-        def recording(key, message):
-            signed.append(key)
-            return sign(key, message)
-
-        monkeypatch.setattr(PrivateKey, "sign", recording)
+        keys = [CountingKey(executor.platform.attestation_key)
+                for executor in market.executors]
+        for executor, key in zip(market.executors, keys):
+            executor.platform.attestation_key = key
         session = market.run_workload(consumer, spec("wl-quotes"))
         assert session.ctx.audit.clean
         enclaves = {id(enclave) for enclave, _ in shown}
         assert len(shown) == 6 and 1 < len(enclaves) < 6
         assert len({id(quote) for _, quote in shown}) == len(enclaves)
-        assert len([key for key in signed if key in platform_keys]) \
-            == len(enclaves)
+        assert sum(len(key.signed) for key in keys) == len(enclaves)
 
     def test_rematch_onto_a_new_enclave_gets_a_new_quote(self, monkeypatch):
         monkeypatch.setattr("repro.core.resilience.FaultInjector",

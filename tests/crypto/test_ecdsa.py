@@ -182,6 +182,32 @@ class TestMalleabilityHardening:
         forged = Signature(r=signature.r, s=s, v=signature.v)
         assert not key.public_key.verify(b"msg", forged)
 
+    @staticmethod
+    def _single_verdicts():
+        return [ecdsa_module._VERIFY_TOTAL.labels(path="single",
+                                                  outcome=outcome).value
+                for outcome in ("ok", "fail")]
+
+    @pytest.mark.parametrize("case", ["high_s", "r_zero", "r_n", "s_zero",
+                                      "s_n"])
+    def test_a_refused_scalar_counts_as_a_single_failure(self, key, case,
+                                                         monkeypatch):
+        """A scalar refused before any curve math is still a verdict:
+        ``pds2_crypto_verify_total{path="single",outcome="fail"}`` counts
+        it, as ``batch_verify`` counts its own refusals, and OpenSSL is
+        not asked."""
+        signature = key.sign(b"msg")
+        r, s = {"high_s": (signature.r, N - signature.s),
+                "r_zero": (0, signature.s), "r_n": (N, signature.s),
+                "s_zero": (signature.r, 0), "s_n": (signature.r, N)}[case]
+        handle = CountingHandle(key.public_key._openssl)
+        monkeypatch.setitem(vars(key.public_key), "_openssl", handle)
+        before = self._single_verdicts()
+        assert not key.public_key.verify(b"msg", Signature(r, s, 0))
+        after = self._single_verdicts()
+        assert [a - b for a, b in zip(after, before)] == [0, 1]
+        assert handle.calls == 0
+
     def test_from_bytes_rejects_zero_r(self, key):
         signature = key.sign(b"msg")
         data = (0).to_bytes(32, "big") + signature.s.to_bytes(32, "big") \

@@ -6,16 +6,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.hashing import hmac_sha256
 from repro.crypto.symmetric import (
     Envelope,
     KEY_BYTES,
     NONCE_BYTES,
-    _derive_subkeys,
-    _keystream,
+    TAG_BYTES,
     decrypt,
     encrypt,
     generate_key,
@@ -114,54 +113,66 @@ def _pattern(length: int) -> bytes:
 
 
 #: ``Envelope.to_bytes().hex()`` of ``encrypt(bytes(range(32)),
-#: _pattern(n), default_rng(0))``.  Nonce (first 16 bytes) and every seeded
-#: value downstream are those of commit f47aa5d; tag and ciphertext were
-#: re-pinned when the keystream became one SHAKE-256 call (the length-0
-#: envelope, which has no keystream, did not move).  4096 is pinned by the
+#: _pattern(n), default_rng(0))``.  The nonce (first 16 bytes) is the RNG's
+#: first draw, unchanged since commit f47aa5d; tag and ciphertext were
+#: re-pinned when the cipher became AES-256-GCM.  4096 is pinned by the
 #: SHA-256 of the same wire bytes.
 _KNOWN_ENVELOPES = {
     0: (
-        "5f82c2d9cfeb0fa321d7d982f8bd10455252b9ac417ddb7ff2cc633d393c5dcc"
-        "715583b9db94c7e1793e2f259315fb50"
+        "5f82c2d9cfeb0fa321d7d982f8bd104562ba60c8a0f723dd9ee3e1d213540eee"
     ),
     1: (
-        "5f82c2d9cfeb0fa321d7d982f8bd10458d2781c714ff85e5fa8b847f53e5262d"
-        "5b52bdcb934494b6cd616335c5f37d05d9"
+        "5f82c2d9cfeb0fa321d7d982f8bd104577d505b98178baa11dfdfbedf4791191"
+        "40"
     ),
     31: (
-        "5f82c2d9cfeb0fa321d7d982f8bd1045509e3220912d5c4d3cf65bacd8001a5b"
-        "fb6baf2751fb6dc52f21cac0e232e809d95dec72c5075db46ea47d06e2214b26"
-        "7514f312ce52700256580851a49a68"
+        "5f82c2d9cfeb0fa321d7d982f8bd104583e179f33295f3485680fb7874c047bb"
+        "4045dab551e3358b9b6febbed0bb303f4d397a2088da13231c0c72ece205d5"
     ),
     32: (
-        "5f82c2d9cfeb0fa321d7d982f8bd1045cc603b5f4405f079bba9d00eff01210a"
-        "06c4e45c7a3bce84c68585b57bf2a7e7d95dec72c5075db46ea47d06e2214b26"
-        "7514f312ce52700256580851a49a683d"
+        "5f82c2d9cfeb0fa321d7d982f8bd104598d32b9ee3b0db31e1adbb3cfe33d6db"
+        "4045dab551e3358b9b6febbed0bb303f4d397a2088da13231c0c72ece205d5d1"
     ),
     33: (
-        "5f82c2d9cfeb0fa321d7d982f8bd104593bec9c35764af8482a0a42a93bfb7d7"
-        "707090b257fc8400927714044b7d8c01d95dec72c5075db46ea47d06e2214b26"
-        "7514f312ce52700256580851a49a683d6c"
+        "5f82c2d9cfeb0fa321d7d982f8bd104512725b3f3ce36c9b42bec713df3b06af"
+        "4045dab551e3358b9b6febbed0bb303f4d397a2088da13231c0c72ece205d5d1"
+        "11"
     ),
 }
 _KNOWN_ENVELOPE_4096_SHA256 = (
-    "2d71f56ea17df2b38e1b1fdbe05640c7dc69fce4008b6ea3c82daa6af208e743")
+    "e6e130bd926b06e0ab1e6c2572c59c1be9ae90eb0e227f6f5e146ee00f976f2a")
 
 
 def _reference_encrypt(key: bytes, plaintext: bytes,
                        rng: np.random.Generator) -> Envelope:
-    """The per-byte construction the word-wide XOR replaced (test oracle)."""
-    enc_key, mac_key = _derive_subkeys(key)
+    """AES-GCM fed one byte at a time through OpenSSL's streaming
+    interface, not the one-shot AEAD call (test oracle)."""
     nonce = rng.bytes(NONCE_BYTES)
-    stream = _keystream(enc_key, nonce, len(plaintext))
-    ciphertext = bytes(p ^ s for p, s in zip(plaintext, stream))
-    return Envelope(nonce=nonce, ciphertext=ciphertext,
-                    tag=hmac_sha256(mac_key, nonce + ciphertext))
+    encryptor = Cipher(algorithms.AES(key), modes.GCM(nonce)).encryptor()
+    ciphertext = b"".join(encryptor.update(bytes([byte]))
+                          for byte in plaintext) + encryptor.finalize()
+    return Envelope(nonce=nonce, ciphertext=ciphertext, tag=encryptor.tag)
+
+
+class _Nonce:
+    """An RNG stand-in whose one draw is a chosen nonce."""
+
+    def __init__(self, nonce: bytes):
+        self.nonce = nonce
+
+    def bytes(self, length: int) -> bytes:
+        assert length == len(self.nonce)
+        return self.nonce
+
+
+def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """The counter-mode keystream: the ciphertext of ``length`` zeros."""
+    return encrypt(key, bytes(length), _Nonce(nonce)).ciphertext
 
 
 class TestSameBytes:
-    """The envelope bytes are pinned: a faster XOR may not move them, and a
-    change of keystream moves them once, on purpose."""
+    """The envelope bytes are pinned: a faster path may not move them, and a
+    change of cipher moves them once, on purpose."""
 
     @pytest.mark.parametrize("length", sorted(_KNOWN_ENVELOPES))
     def test_known_answer(self, length):
@@ -183,21 +194,21 @@ class TestSameBytes:
         envelope = encrypt(key, plaintext, np.random.default_rng(seed))
         assert envelope == _reference_encrypt(
             key, plaintext, np.random.default_rng(seed))
+        assert len(envelope.tag) == TAG_BYTES
         assert decrypt(key, envelope) == plaintext
 
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 4096])
     def test_keystream_is_a_prefix_of_every_longer_one(self, length):
-        """One XOF output stream per (key, nonce): asking for more bytes
+        """One counter-mode stream per (key, nonce): a longer message
         continues it, so a message's keystream does not depend on how long
         the message is."""
-        enc_key, nonce = bytes(range(32)), bytes(range(16))
-        stream = _keystream(enc_key, nonce, length)
+        key, nonce = bytes(range(32)), bytes(range(16))
+        stream = _keystream(key, nonce, length)
         assert len(stream) == length
         for extra in (1, 31, 32, 137):
-            assert _keystream(enc_key, nonce,
-                              length + extra)[:length] == stream
+            assert _keystream(key, nonce, length + extra)[:length] == stream
         if length:
-            assert stream != _keystream(enc_key, nonce[::-1], length)
+            assert stream != _keystream(key, nonce[::-1], length)
             assert stream != _keystream(nonce * 2, nonce, length)
 
     @settings(max_examples=60, deadline=None)
@@ -210,3 +221,33 @@ class TestSameBytes:
         wire[position] ^= data.draw(st.integers(1, 255))
         with pytest.raises(DecryptionError):
             decrypt(key, Envelope.from_bytes(bytes(wire)))
+
+
+class TestDecoderRobustness:
+    """Malformed wire bytes raise :class:`DecryptionError` — never a raw
+    ``InvalidTag`` or ``ValueError`` from the cipher underneath."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.binary(max_size=120))
+    def test_garbage(self, wire):
+        key = bytes(range(32))
+        with pytest.raises(DecryptionError):
+            decrypt(key, Envelope.from_bytes(wire))
+
+    @pytest.mark.parametrize("keep", [0, 1, NONCE_BYTES,
+                                      NONCE_BYTES + TAG_BYTES - 1,
+                                      NONCE_BYTES + TAG_BYTES, -1])
+    def test_truncated(self, keep):
+        rng = np.random.default_rng(3)
+        key = generate_key(rng)
+        wire = encrypt(key, b"sixteen byte msg", rng).to_bytes()
+        with pytest.raises(DecryptionError):
+            decrypt(key, Envelope.from_bytes(wire[:keep]))
+
+    def test_fields_of_the_wrong_length(self, rng):
+        key = generate_key(rng)
+        envelope = encrypt(key, b"data", rng)
+        for forged in (Envelope(b"", envelope.ciphertext, envelope.tag),
+                       Envelope(envelope.nonce, envelope.ciphertext, b"")):
+            with pytest.raises(DecryptionError):
+                decrypt(key, forged)

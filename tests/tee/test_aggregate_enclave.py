@@ -9,6 +9,7 @@ encrypted.
 from __future__ import annotations
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from repro.core.aggregates import (
     AggregateKind,
@@ -21,11 +22,11 @@ from repro.core.workload import (
     join_rows,
     serialize_partition,
 )
-from repro.crypto.ecdsa import PrivateKey
+from repro.crypto import hpke
 from repro.errors import AttestationError
 from repro.ml.datasets import make_iot_activity
 from repro.tee.attestation import AttestationService
-from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform
+from repro.tee.enclave import EnclaveCode, TEEPlatform
 
 
 def payload_for(data) -> bytes:
@@ -51,12 +52,12 @@ class TestAggregateThroughEnclave:
         enclave_key = service.verify(
             quote, expected_measurement=code.measurement
         )
-        provider_key = PrivateKey.generate(rng)
-        envelope = Enclave.encrypt_for_enclave(
-            enclave_key, provider_key, payload_for(data), rng
-        )
-        enclave.provision_input("provider:0x" + "ab" * 20, envelope,
-                                provider_key.public_key)
+        provider_key = X25519PrivateKey.from_private_bytes(rng.bytes(32))
+        info = b"pds2/partition/agg/0x" + b"ab" * 20
+        blob = hpke.seal(enclave_key, provider_key, payload_for(data), info,
+                         rng)
+        enclave.provision_input("provider:0x" + "ab" * 20, blob,
+                                provider_key.public_key(), info)
         spec = AggregateSpec(AggregateKind.MEAN, field_index=3)
         enclave.run(agg_spec=spec.to_dict(), noise_seed=5)
         result = AggregateResult.from_output(enclave.extract_output())

@@ -5,15 +5,30 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from cryptography.hazmat.primitives.serialization import (
+    Encoding,
+    PublicFormat,
+)
 
-from repro.crypto.ecdsa import N, PrivateKey, PublicKey
 from repro.errors import AttestationError
 from repro.tee.attestation import AttestationService, Quote
 from repro.tee.enclave import EnclaveCode, TEEPlatform
+from tests.tee.counting_key import CountingKey
+
+#: How quotes are signed: ECDSA-SHA256 with RFC 6979 nonces.
+SIGNING = ec.ECDSA(hashes.SHA256(), deterministic_signing=True)
 
 
 def workload_entry(inputs):
     return {"done": True}
+
+
+def point(public_key) -> bytes:
+    return public_key.public_bytes(Encoding.X962,
+                                   PublicFormat.UncompressedPoint)
 
 
 @pytest.fixture
@@ -24,6 +39,7 @@ def service():
 @pytest.fixture
 def platform(rng, service):
     platform = TEEPlatform("plat-1", rng)
+    platform.attestation_key = CountingKey(platform.attestation_key)
     service.provision_platform(platform)
     return platform
 
@@ -48,8 +64,12 @@ class TestQuotes:
         enclave = platform.launch(code)
         quote = AttestationService.produce_quote(enclave)
         key = service.verify(quote)
-        assert (key.x, key.y) == (enclave.ephemeral_public_key.x,
-                                  enclave.ephemeral_public_key.y)
+        assert key.public_bytes_raw() == (
+            enclave.ephemeral_public_key.public_bytes_raw())
+
+    def test_platform_key_is_p256(self, rng):
+        key = TEEPlatform("plat-2", rng).attestation_key
+        assert isinstance(key.curve, ec.SECP256R1)
 
     def test_expected_measurement_enforced(self, service, platform, code):
         enclave = platform.launch(code)
@@ -81,25 +101,44 @@ class TestQuotes:
     def test_forged_report_data_rejected(self, service, platform, code, rng):
         enclave = platform.launch(code)
         quote = AttestationService.produce_quote(enclave)
-        attacker_key = PrivateKey.generate(rng).public_key.to_bytes()
+        attacker_key = X25519PrivateKey.from_private_bytes(
+            rng.bytes(32)).public_key().public_bytes_raw()
         forged = dataclasses.replace(quote, report_data=attacker_key)
-        with pytest.raises(AttestationError):
+        with pytest.raises(AttestationError, match="invalid quote signature"):
             service.verify(forged)
+
+    @pytest.mark.parametrize("size", [0, 31, 33, 65])
+    def test_malformed_report_data_rejected(self, service, platform, code,
+                                            size):
+        """Report data the platform signed but that is no X25519 key."""
+        quote = AttestationService.produce_quote(platform.launch(code))
+        report_data = bytes(range(size))
+        signed = dataclasses.replace(
+            quote, report_data=report_data,
+            signature=platform.attestation_key.sign(Quote.payload_bytes(
+                quote.platform_id, quote.measurement, report_data), SIGNING))
+        with pytest.raises(AttestationError, match="not an X25519 key"):
+            service.verify(signed)
 
     def test_impersonated_platform_rejected(self, service, platform, code,
                                             rng):
         enclave = platform.launch(code)
         quote = AttestationService.produce_quote(enclave)
-        attacker = PrivateKey.generate(rng)
+        attacker = ec.derive_private_key(
+            int.from_bytes(rng.bytes(16), "big") + 1, ec.SECP256R1())
         forged = dataclasses.replace(
             quote,
-            platform_public_key=attacker.public_key,
+            platform_public_key=point(attacker.public_key()),
             signature=attacker.sign(quote.payload_bytes(
                 quote.platform_id, quote.measurement, quote.report_data
-            )),
+            ), SIGNING),
         )
-        with pytest.raises(AttestationError):
+        with pytest.raises(AttestationError, match="does not match"):
             service.verify(forged)
+        # The attacker's signature under the genuine key is no better.
+        with pytest.raises(AttestationError, match="invalid quote signature"):
+            service.verify(dataclasses.replace(
+                forged, platform_public_key=quote.platform_public_key))
 
 
 class TestQuoteKeptByEnclave:
@@ -108,26 +147,19 @@ class TestQuoteKeptByEnclave:
     def test_same_bytes_as_a_fresh_signature(self, platform, code):
         enclave = platform.launch(code)
         quote = AttestationService.produce_quote(enclave)
+        raw = enclave.ephemeral_public_key.public_bytes_raw()
         payload = Quote.payload_bytes(
-            platform.platform_id, enclave.measurement,
-            enclave.ephemeral_public_key.to_bytes())
-        assert quote.signature == platform.attestation_key.sign(payload)
-        assert quote.report_data == enclave.ephemeral_public_key.to_bytes()
+            platform.platform_id, enclave.measurement, raw)
+        assert quote.signature == platform.attestation_key.sign(payload,
+                                                                SIGNING)
+        assert quote.report_data == raw and len(raw) == 32
         assert quote.measurement == code.measurement
 
-    def test_one_signature_per_enclave(self, platform, code, monkeypatch):
-        signed = []
-        real = PrivateKey.sign
-
-        def recording(key, message):
-            signed.append(key)
-            return real(key, message)
-
-        monkeypatch.setattr(PrivateKey, "sign", recording)
+    def test_one_signature_per_enclave(self, platform, code):
         first, second = platform.launch(code), platform.launch(code)
         quotes = [AttestationService.produce_quote(enclave)
                   for enclave in (first, second, first, first, second)]
-        assert signed == [platform.attestation_key] * 2
+        assert len(platform.attestation_key.signed) == 2
         assert quotes[0] is quotes[2] is quotes[3]
         assert quotes[1] is quotes[4]
         assert quotes[0].report_data != quotes[1].report_data
@@ -150,14 +182,10 @@ class TestQuoteKeptByEnclave:
 
 
 @pytest.fixture
-def checks(monkeypatch):
-    """The public keys ``PublicKey.verify`` is called on, in order."""
-    called = []
-    real = PublicKey.verify
-    monkeypatch.setattr(PublicKey, "verify",
-                        lambda key, message, signature: called.append(key)
-                        or real(key, message, signature))
-    return called
+def checks(platform):
+    """The payloads whose signature was checked against the platform's
+    key, in order."""
+    return platform.attestation_key.checked
 
 
 class TestServiceRemembersCheckedQuotes:
@@ -170,7 +198,8 @@ class TestServiceRemembersCheckedQuotes:
         quote = AttestationService.produce_quote(platform.launch(code))
         for verifier in (service, other, service, other, service):
             verifier.verify(quote, expected_measurement=code.measurement)
-        assert checks == [platform.attestation_key.public_key] * 2
+        assert checks == [Quote.payload_bytes(
+            quote.platform_id, quote.measurement, quote.report_data)] * 2
 
     def test_a_new_quote_replaces_the_remembered_one(self, platform, service,
                                                      code, checks):
@@ -194,9 +223,9 @@ class TestServiceRemembersCheckedQuotes:
             self, platform, service, code, checks):
         quote = AttestationService.produce_quote(platform.launch(code))
         service.verify(quote)
-        signature = quote.signature
-        forged = dataclasses.replace(quote, signature=dataclasses.replace(
-            signature, s=signature.s % (N // 2) + 1))
+        forged = dataclasses.replace(
+            quote, signature=quote.signature[:-1]
+            + bytes([quote.signature[-1] ^ 1]))
         with pytest.raises(AttestationError, match="invalid quote signature"):
             service.verify(forged)
         # The forgery was checked and not remembered: the genuine quote

@@ -12,10 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+
 from repro.core.workload import enclave_entry_point
-from repro.crypto.ecdsa import PrivateKey
+from repro.crypto import hpke
 from repro.errors import EnclaveViolationError
-from repro.tee.enclave import Enclave, EnclaveCode, TEEPlatform, _describe
+from repro.tee.enclave import EnclaveCode, TEEPlatform, _describe
 
 
 def echo_entry(inputs, suffix=""):
@@ -208,58 +210,53 @@ class TestExecution:
         assert enclave.call_transitions == 3
 
 
+INFO = b"pds2/partition/wl/0xsender"
+
+
+def _x25519(rng) -> X25519PrivateKey:
+    return X25519PrivateKey.from_private_bytes(rng.bytes(32))
+
+
 class TestConfidentialInput:
     def test_encrypted_provisioning(self, platform, code, rng):
         enclave = platform.launch(code)
-        sender = PrivateKey.generate(rng)
-        envelope = Enclave.encrypt_for_enclave(
-            enclave.ephemeral_public_key, sender, b"secret-readings", rng
-        )
-        enclave.provision_input("data", envelope, sender.public_key)
+        sender = _x25519(rng)
+        blob = hpke.seal(enclave.ephemeral_public_key, sender,
+                         b"secret-readings", INFO, rng)
+        enclave.provision_input("data", blob, sender.public_key(), INFO)
         enclave.run()
         assert enclave.extract_output() == {"echo": "secret-readings"}
 
     def test_envelope_hides_plaintext(self, platform, code, rng):
         enclave = platform.launch(code)
-        sender = PrivateKey.generate(rng)
-        envelope = Enclave.encrypt_for_enclave(
-            enclave.ephemeral_public_key, sender, b"secret-readings", rng
-        )
-        assert b"secret-readings" not in envelope.to_bytes()
+        blob = hpke.seal(enclave.ephemeral_public_key, _x25519(rng),
+                         b"secret-readings", INFO, rng)
+        assert b"secret-readings" not in blob
 
     def test_wrong_sender_key_rejected(self, platform, code, rng):
         enclave = platform.launch(code)
-        sender = PrivateKey.generate(rng)
-        imposter = PrivateKey.generate(rng)
-        envelope = Enclave.encrypt_for_enclave(
-            enclave.ephemeral_public_key, sender, b"data", rng
-        )
+        sender = _x25519(rng)
+        imposter = _x25519(rng)
+        blob = hpke.seal(enclave.ephemeral_public_key, sender, b"data",
+                         INFO, rng)
         with pytest.raises(EnclaveViolationError):
-            enclave.provision_input("data", envelope, imposter.public_key)
+            enclave.provision_input("data", blob, imposter.public_key(), INFO)
 
     def test_wrong_enclave_rejected(self, platform, code, rng):
         enclave_a = platform.launch(code)
         enclave_b = platform.launch(code)
-        sender = PrivateKey.generate(rng)
-        envelope = Enclave.encrypt_for_enclave(
-            enclave_a.ephemeral_public_key, sender, b"data", rng
-        )
+        sender = _x25519(rng)
+        blob = hpke.seal(enclave_a.ephemeral_public_key, sender, b"data",
+                         INFO, rng)
         # Each enclave instance has a distinct ephemeral key.
         with pytest.raises(EnclaveViolationError):
-            enclave_b.provision_input("data", envelope, sender.public_key)
+            enclave_b.provision_input("data", blob, sender.public_key(), INFO)
 
-
-class TestEncryptedOutput:
-    def test_output_to_consumer(self, platform, code, rng):
-        from repro.crypto.ecdsa import shared_secret
-        from repro.crypto.symmetric import decrypt
-        from repro.utils.serialization import from_canonical_json
-
+    def test_wrong_info_rejected(self, platform, code, rng):
         enclave = platform.launch(code)
-        enclave.provision_plain("data", b"payload")
-        enclave.run()
-        consumer = PrivateKey.generate(rng)
-        envelope = enclave.extract_output(consumer.public_key)
-        key = shared_secret(consumer, enclave.ephemeral_public_key)
-        result = from_canonical_json(decrypt(key, envelope))
-        assert result == {"echo": "payload"}
+        sender = _x25519(rng)
+        blob = hpke.seal(enclave.ephemeral_public_key, sender, b"data",
+                         INFO, rng)
+        with pytest.raises(EnclaveViolationError):
+            enclave.provision_input("data", blob, sender.public_key(),
+                                    b"pds2/partition/other/0xsender")

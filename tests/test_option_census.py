@@ -131,3 +131,92 @@ class TestRepository:
 
     def test_every_allowlist_entry_has_a_reason(self):
         assert all(reason.strip() for _, reason in option_census.ALLOWLIST)
+
+
+RECEIVERS_SOURCE = '''
+from dataclasses import dataclass
+
+
+class Verifier:
+    def verify(self, reading, certificate, now=None):
+        return reading
+
+    def check_all(self, readings, clock=0.0):
+        return [self.verify(r, None, clock) for r in readings]
+
+
+class Quiet(Verifier):
+    def verify(self, reading, certificate, now=None, strict=False):
+        return reading
+
+
+@dataclass
+class Holder:
+    verifier: Verifier
+
+
+def make_holder() -> Holder:
+    return Holder(Verifier())
+'''
+
+RECEIVERS_PRODUCTION = '''
+from cryptography.hazmat.primitives.asymmetric import ec
+
+from repro.mod import Verifier, make_holder
+
+
+def check_quote(signature, data, algorithm):
+    key = ec.derive_private_key(5, ec.SECP256R1()).public_key()
+    key.verify(signature, data, algorithm)
+
+
+def check_reading(reading, certificate):
+    verifier = Verifier()
+    verifier.verify(reading, certificate)
+    make_holder().verifier.check_all([reading], clock=1.0)
+
+
+def unknown(thing, reading):
+    thing.verify(reading, None, 3.0, True)
+'''
+
+
+@pytest.fixture
+def receiver_census(tmp_path):
+    for relative, text in (("src/repro/mod.py", RECEIVERS_SOURCE),
+                           ("benchmarks/run.py", RECEIVERS_PRODUCTION)):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    census = option_census.census_of(tmp_path)
+    return census, {option.key: option for option in census.options}
+
+
+class TestReceivers:
+    """A method call reaches the methods of the receiver's class, where the
+    AST names that class, and nothing when it names none."""
+
+    def test_a_cryptography_keys_verify_sets_nothing_of_ours(
+            self, receiver_census):
+        # ``key.verify(signature, data, algorithm)`` on a third-party key
+        # passes three positional arguments, as a call that sets ``now``
+        # would: by name alone it matched ``Verifier.verify``.
+        # Only ``self.verify(r, None, clock)`` in ``check_all`` sets it.
+        _, options = receiver_census
+        (where,) = options["repro.mod.Verifier.verify(now)"].production
+        assert where.endswith("src/repro/mod.py:10")
+
+    def test_self_and_annotated_attributes_resolve(self, receiver_census):
+        _, options = receiver_census
+        (where,) = options["repro.mod.Verifier.check_all(clock)"].production
+        assert where.endswith("benchmarks/run.py:15")
+
+    def test_an_unnamed_receiver_is_ambiguous_and_counts_nothing(
+            self, receiver_census):
+        # The key (built by a module outside ``src/repro``) and an
+        # unannotated parameter: listed, neither sets ``strict``.
+        census, options = receiver_census
+        assert options["repro.mod.Quiet.verify(strict)"].production == []
+        assert [(where.rsplit("/", 1)[-1], name)
+                for where, name in census.ambiguous] == [
+            ("run.py:9", "verify"), ("run.py:19", "verify")]

@@ -10,10 +10,15 @@ reach) — separately for production code (``src``, ``benchmarks``,
 
 A call is matched to definitions by name: ``foo(...)`` to every function or
 class named ``foo`` (narrowed by the file's own ``from … import foo`` when
-that leaves a candidate), ``x.foo(...)`` to every method, function or class
-of that name, ``cls(...)`` to the class it is written in.  The match
-over-approximates, so "production-unset" is a lower bound: a value it
-reports has no production call site that could be setting it.
+that leaves a candidate), ``cls(...)`` to the class it is written in.  A
+method call ``x.foo(...)`` is matched only where the AST names the
+receiver's class: ``self``/``cls``/``super()`` in a class body, a class
+name, a name the same function (or module) binds from ``Class(...)`` only,
+or a module (``ecdsa.foo(...)`` reaches that module's ``foo``; a module
+outside ``src/repro`` reaches nothing).  Any other receiver — a parameter,
+an attribute, a third-party object such as a ``cryptography`` key whose
+``verify(signature, data, algorithm)`` shares a name with ours — is
+*ambiguous*: ``--all`` lists it and it counts for nothing.
 
     python tools/option_census.py            # the production-unset list
     python tools/option_census.py --all      # every defaulted value
@@ -53,7 +58,6 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
     # -- paths: deployment settings ------------------------------------
     ("repro.bench.runner.run_suite(bench_dir)",
      "path: where the benchmark modules live"),
-    ("repro.bench.schema.provenance(cwd)", "path: the checkout to describe"),
     ("repro.bench.schema.source_lines(package_root)",
      "path: the package to count"),
     # -- clocks and seams a test substitutes ---------------------------
@@ -66,8 +70,6 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
     ("repro.cli.main(argv)",
      "argv: sys.argv unless a test or an embedding caller passes its own"),
     # -- protocol features the paper names -----------------------------
-    ("repro.tee.enclave.Enclave.extract_output(recipient_public_key)",
-     "protocol: results encrypted to the consumer's key (Section III-B)"),
     ("repro.core.marketplace.Marketplace.add_provider(*)",
      "protocol: a provider's own storage backend and participation policy"),
     ("repro.identity.authenticity.AuthenticityVerifier.*",
@@ -84,6 +86,8 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
     ("repro.chain.block.BlockHeader.*", "sealed format: a block header"),
     ("repro.chain.blockchain.Wallet.*_and_mine(*)",
      "Transaction.value and gas_limit, passed through by the wallet"),
+    ("repro.chain.blockchain.Wallet.transfer(gas_limit)",
+     "Transaction.gas_limit: block-packing tests fit more transfers per block"),
     ("repro.chain.tokens.erc721.ERC721Token.mint(*)",
      "contract ABI: arguments arrive in a transaction payload"),
     ("repro.core.resilience.FaultPlan.single(point)",
@@ -118,6 +122,10 @@ ALLOWLIST: tuple[tuple[str, str], ...] = (
     ("repro.rewards.shapley.DataValuationTask.*", "state record: a cache"),
     ("repro.bench.compare.ComparisonReport.*",
      "result record: one comparison"),
+    # -- set through a receiver whose class the AST does not name --------
+    ("repro.telemetry.metrics._CounterChild.inc(amount)",
+     "set as metric.labels(...).inc(n): labels() returns each metric's own "
+     "child class"),
 )
 
 
@@ -147,6 +155,76 @@ class Callee:
 
     module: str
     options: list[Option]
+    owner: str = ""        # the class of a method; "" for a function or class
+    returns: object = None    # its return annotation, then the class it names
+
+
+def _annotated(annotation: ast.expr | None, classes: set[str]) -> str | None:
+    """The one known class an annotation names: ``X``, ``"X"``, ``m.X``,
+    ``Optional[X]`` or ``X | None``; None for anything else."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        try:
+            annotation = ast.parse(annotation.value, mode="eval").body
+        except SyntaxError:
+            return None
+    if isinstance(annotation, ast.Subscript) and _name_of(annotation.value) in (
+            "Optional", "type"):                 # a class object: called, an instance
+        return _annotated(annotation.slice, classes)
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [side for side in (annotation.left, annotation.right)
+                 if not (isinstance(side, ast.Constant) and side.value is None)]
+        return _annotated(sides[0], classes) if len(sides) == 1 else None
+    if isinstance(annotation, (ast.Name, ast.Attribute)):
+        name = _name_of(annotation)
+        return name if name in classes else None
+    return None
+
+
+def _bindings(scope: ast.AST, classes: set[str]) -> dict[str, list]:
+    """What each name ``scope`` binds may hold: a class name (from an
+    annotation), an expression whose type is looked up when needed, or
+    None (unknown).  Nested functions and classes are scopes of their own
+    and are skipped."""
+    bound: dict[str, list] = defaultdict(list)
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        args = scope.args
+        for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                    args.vararg, args.kwarg]:
+            if arg is not None and arg.arg not in ("self", "cls"):
+                bound[arg.arg].append(_annotated(arg.annotation, classes))
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 \
+                and isinstance(node.targets[0], ast.Name):
+            bound[node.targets[0].id].append(node.value)
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound[node.target.id].append(_annotated(node.annotation, classes))
+        elif isinstance(node, (ast.Assign, ast.AugAssign, ast.For, ast.With,
+                               ast.comprehension, ast.NamedExpr)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [item.optional_vars for item in node.items]
+                       if isinstance(node, ast.With) else [node.target])
+            for target in filter(None, targets):
+                for name in _bound_names(target):
+                    bound[name].append(None)
+    return bound
+
+
+def _bound_names(target: ast.expr) -> list[str]:
+    """The names an assignment target binds (``a``, ``a, *b``; not the
+    ``a`` of ``a.x = …`` or ``a[i] = …``)."""
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if isinstance(target, ast.Starred):
+        return _bound_names(target.value)
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [name for element in target.elts for name in _bound_names(element)]
+    return []
 
 
 def _name_of(node: ast.expr) -> str:
@@ -184,13 +262,61 @@ class Census:
         self._classes: dict[str, tuple[str, ast.ClassDef]] = {}
         self._inits: dict[str, Callee] = {}
         self._field_cache: dict[str, list[Option]] = {}
+        self.modules: set[str] = set()
+        #: method calls whose receiver's class the AST does not name:
+        #: ``(where, name)``, listed by ``--all`` and counted for nothing
+        self.ambiguous: list[tuple[str, str]] = []
         for path in python_files([source_root]):
             parts = path.relative_to(source_root.parent).with_suffix("").parts
             module = ".".join(parts).removesuffix(".__init__")
+            self.modules.add(module)
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
             self._collect(module, tree.body, owner="")
         for name in self._classes:
             self._bind_class(name)
+        classes = set(self._classes)
+        for callee in (c for found in self.callees.values() for c in found):
+            callee.returns = _annotated(callee.returns, classes)
+        #: class -> attribute -> the one known class it holds
+        self.attributes = {name: self._attribute_types(node, classes)
+                           for name, (_, node) in self._classes.items()}
+
+    @staticmethod
+    def _attribute_types(node: ast.ClassDef, classes: set[str]) -> dict[str, str]:
+        """``name: X`` in the class body, and ``self.name: X = …``,
+        ``self.name = X(...)`` or ``self.name = param`` (``param: X``) in
+        its methods; a name given two classes is left out."""
+        found: dict[str, set] = defaultdict(set)
+        for stmt in node.body:
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                found[stmt.target.id].add(_annotated(stmt.annotation, classes))
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = {arg.arg: _annotated(arg.annotation, classes)
+                      for arg in [*stmt.args.args, *stmt.args.kwonlyargs]}
+            for assign in ast.walk(stmt):
+                if isinstance(assign, ast.Assign) and len(assign.targets) == 1:
+                    target, value, annotation = assign.targets[0], assign.value, None
+                elif isinstance(assign, ast.AnnAssign):
+                    target, value, annotation = (assign.target, assign.value,
+                                                 assign.annotation)
+                else:
+                    continue
+                if not (isinstance(target, ast.Attribute)
+                        and _name_of(target.value) == "self"):
+                    continue
+                if annotation is not None:
+                    held = _annotated(annotation, classes)
+                elif isinstance(value, ast.Call):
+                    held = _name_of(value.func) if _name_of(value.func) in classes \
+                        else None
+                elif isinstance(value, ast.Name):
+                    held = params.get(value.id)
+                else:
+                    held = None
+                found[target.attr].add(held)
+        return {name: held.pop() for name, held in found.items()
+                if len(held) == 1 and None not in held}
 
     # -- definitions ---------------------------------------------------
 
@@ -199,7 +325,8 @@ class Census:
         nested in functions are closures, not API, and are skipped)."""
         for node in body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                callee = Callee(module, self._parameters(module, node, owner))
+                callee = Callee(module, self._parameters(module, node, owner),
+                                owner, node.returns)
                 self.options.extend(callee.options)
                 if node.name == "__init__":
                     self._inits[owner] = callee
@@ -269,7 +396,8 @@ class Census:
         while name in self._classes and name not in seen:
             seen.add(name)
             if name in self._inits:
-                self.callees[node.name].append(self._inits[name])
+                init = self._inits[name]
+                self.callees[node.name].append(Callee(init.module, init.options))
                 return
             bases = map(_name_of, self._classes[name][1].bases)
             name = next((b for b in bases if b in self._classes), "")
@@ -287,19 +415,112 @@ class Census:
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names
             }
-            self._visit(tree, "", imported, str(path), production)
+            # Names bound to a module: ``import a.b as c`` / ``from a import b``.
+            modules = {
+                alias.asname or alias.name.partition(".")[0]:
+                    alias.name if alias.asname else alias.name.partition(".")[0]
+                for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names
+            }
+            modules.update({
+                alias.asname or alias.name: f"{node.module}.{alias.name}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module
+                for alias in node.names
+                if f"{node.module}.{alias.name}" in self.modules
+            })
+            scope = _Scope(imported, modules, str(path), production,
+                           [_bindings(tree, set(self._classes))])
+            self._visit(tree, "", scope)
 
-    def _visit(self, node: ast.AST, enclosing: str, imported: dict[str, str],
-               path: str, production: bool) -> None:
+    def _visit(self, node: ast.AST, enclosing: str, scope: "_Scope") -> None:
         if isinstance(node, ast.ClassDef):
             enclosing = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope.inner(_bindings(node, set(self._classes)))
         elif isinstance(node, ast.Call):
-            self._call(node, enclosing, imported, f"{path}:{node.lineno}", production)
+            self._call(node, enclosing, scope)
         for child in ast.iter_child_nodes(node):
-            self._visit(child, enclosing, imported, path, production)
+            self._visit(child, enclosing, scope)
 
-    def _call(self, node: ast.Call, enclosing: str, imported: dict[str, str],
-              where: str, production: bool) -> None:
+    def _mro(self, name: str) -> list[str]:
+        """``name`` and its known bases, nearest first."""
+        order: list[str] = []
+        while name in self._classes and name not in order:
+            order.append(name)
+            bases = map(_name_of, self._classes[name][1].bases)
+            name = next((b for b in bases if b in self._classes), "")
+        return order
+
+    def _method(self, classes: list[str], name: str) -> list[Callee]:
+        """``name`` as the nearest of ``classes`` defines it, plus every
+        override in a subclass of the first: the receiver may be one."""
+        methods = [c for c in self.callees.get(name, ()) if c.owner]
+        found = next(([c for c in methods if c.owner == owner]
+                      for owner in classes
+                      if any(c.owner == owner for c in methods)), [])
+        if classes:
+            found += [c for c in methods if c.owner != classes[0]
+                      and classes[0] in self._mro(c.owner)[1:]]
+        return found
+
+    def _type_of(self, node: ast.expr, enclosing: str, scope: "_Scope",
+                 seen: frozenset = frozenset()) -> str | None:
+        """The known class of the value ``node`` evaluates to, where the
+        AST names it: ``self``, a name bound only to one class's values, an
+        attribute a class declares, a constructor, an annotated return."""
+        if isinstance(node, ast.Name):
+            if node.id in ("self", "cls") and enclosing:
+                return enclosing
+            if node.id in self._classes:
+                return node.id
+            if node.id in seen:
+                return None
+            held = {binding if binding is None or isinstance(binding, str)
+                    else self._type_of(binding, enclosing, scope,
+                                       seen | {node.id})
+                    for binding in scope.lookup(node.id)}
+            return held.pop() if len(held) == 1 else None
+        if isinstance(node, ast.Attribute):
+            owner = self._type_of(node.value, enclosing, scope, seen)
+            for cls in self._mro(owner or ""):
+                if node.attr in self.attributes[cls]:
+                    return self.attributes[cls][node.attr]
+            return None
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                if node.func.id in self._classes:
+                    return node.func.id
+                held = self._type_of(node.func, enclosing, scope, seen)
+                if held:                              # a ``type[X]`` value
+                    return held
+                callees = [c for c in self.callees.get(node.func.id, ())
+                           if not c.owner]
+            else:
+                callees = self._callees_of(node.func, enclosing, scope, seen) or []
+            returns = {c.returns for c in callees}
+            return returns.pop() if len(returns) == 1 else None
+        return None
+
+    def _callees_of(self, func: ast.expr, enclosing: str, scope: "_Scope",
+                    seen: frozenset = frozenset()) -> list[Callee] | None:
+        """The definitions ``receiver.name(...)`` reaches, or None when the
+        AST does not name the receiver's class."""
+        if not isinstance(func, ast.Attribute):
+            return None
+        receiver, name = func.value, func.attr
+        if (isinstance(receiver, ast.Call) and _name_of(receiver.func) == "super"
+                and enclosing):
+            return self._method(self._mro(enclosing)[1:], name) or None
+        if isinstance(receiver, ast.Name) and receiver.id in scope.modules \
+                and not scope.lookup(receiver.id):
+            module = scope.modules[receiver.id]       # a module: its own defs
+            return [c for c in self.callees.get(name, ())
+                    if c.module == module and not c.owner]
+        cls = self._type_of(receiver, enclosing, scope, seen)
+        return (self._method(self._mro(cls), name) or None) if cls else None
+
+    def _call(self, node: ast.Call, enclosing: str, scope: "_Scope") -> None:
         func, args = node.func, list(node.args)
         if _name_of(func) == "partial" and args:      # partial(f, …) calls f later
             func, args = args[0], args[1:]
@@ -311,27 +532,69 @@ class Census:
         if name == "replace":                         # dataclasses.replace(obj, field=…)
             reached = [option for keyword in keywords - {None}
                        for option in self.fields.get(keyword, ())]
-        candidates = self.callees.get(name, ())
-        if isinstance(func, ast.Name) and name in imported:
+        candidates = [c for c in self.callees.get(name, ()) if not c.owner]
+        if isinstance(func, ast.Name) and name in scope.imported:
             narrowed = [c for c in candidates
-                        if c.module.startswith(imported[name].lstrip("."))]
+                        if c.module.startswith(scope.imported[name].lstrip("."))]
             candidates = narrowed or candidates
-        starred = any(isinstance(a, ast.Starred) for a in args)
-        for callee in candidates:
-            for option in callee.options:
-                if (option.name in keywords or None in keywords or
-                        (option.position is not None and
-                         (starred or len(args) > option.position))):
-                    reached.append(option)
+        elif isinstance(func, ast.Attribute):
+            resolved = self._callees_of(func, enclosing, scope)
+            if resolved is None:
+                candidates = []
+                if self._sets(self.callees.get(name, ()), args, keywords):
+                    self.ambiguous.append((scope.where(node), name))
+            else:
+                candidates = resolved
+        elif not isinstance(func, ast.Name):
+            candidates = []
+        reached += self._sets(candidates, args, keywords)
         for option in reached:
-            (option.production if production else option.tests).append(where)
+            (option.production if scope.production else option.tests).append(
+                scope.where(node))
+
+    @staticmethod
+    def _sets(candidates, args: list[ast.expr], keywords: set) -> list[Option]:
+        """The options of ``candidates`` a call with these arguments sets."""
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        return [option for callee in candidates for option in callee.options
+                if option.name in keywords or None in keywords
+                or (option.position is not None
+                    and (starred or len(args) > option.position))]
 
 
-def run_census(repo: Path) -> list[Option]:
+@dataclass
+class _Scope:
+    """What one file, and the functions around a call site, tell it."""
+
+    imported: dict[str, str]
+    modules: dict[str, str]
+    path: str
+    production: bool
+    #: the bindings of each enclosing scope, outermost (the module) first
+    frames: list[dict[str, list]]
+
+    def inner(self, bound: dict[str, list]) -> "_Scope":
+        return _Scope(self.imported, self.modules, self.path, self.production,
+                      [*self.frames, bound])
+
+    def lookup(self, name: str) -> list:
+        """The bindings of ``name`` in the innermost scope that binds it."""
+        return next((frame[name] for frame in reversed(self.frames)
+                     if name in frame), [])
+
+    def where(self, node: ast.AST) -> str:
+        return f"{self.path}:{node.lineno}"
+
+
+def census_of(repo: Path) -> Census:
     census = Census(repo / SOURCE_ROOT)
     census.count([repo / root for root in PRODUCTION_ROOTS], production=True)
     census.count([repo / root for root in TEST_ROOTS], production=False)
-    return sorted(census.options, key=lambda o: o.key)
+    return census
+
+
+def run_census(repo: Path) -> list[Option]:
+    return sorted(census_of(repo).options, key=lambda o: o.key)
 
 
 def allowed_by(option: Option) -> str | None:
@@ -392,7 +655,8 @@ def design_table(options: list[Option], repo: Path) -> str:
 
 def main(argv: list[str]) -> int:
     repo = Path(__file__).resolve().parent.parent
-    options = run_census(repo)
+    census = census_of(repo)
+    options = sorted(census.options, key=lambda o: o.key)
     unset = [o for o in options if not o.production]
     if "--table" in argv:
         print(design_table(options, repo))
@@ -410,6 +674,9 @@ def main(argv: list[str]) -> int:
     for option in (options if "--all" in argv else unset):
         print(f"{len(option.production):4d} {len(option.tests):4d}  "
               f"{option.key} = {option.default}")
+    if "--all" in argv:
+        for where, name in census.ambiguous:
+            print(f"ambiguous  {Path(where).relative_to(repo)}  .{name}(...)")
     print(f"option_census: {len(options)} defaulted, {len(unset)} production-unset",
           file=sys.stderr)
     return 0

@@ -77,6 +77,8 @@ ALLOWLIST: tuple[tuple[str, str, str], ...] = (
      "undo log: a nonce bumped inside a transaction reverts with it"),
     ("repro.crypto.ecdsa.Signature.from_bytes", "safety",
      "wire decoder: rejects malformed and high-s signatures"),
+    ("repro.crypto.ecdsa.PublicKey.from_bytes", "safety",
+     "wire decoder: rejects off-curve and non-canonical keys"),
     ("repro.crypto.symmetric.Envelope.from_bytes", "safety",
      "wire decoder: rejects truncated envelopes"),
     ("repro.crypto.ecdsa.P*Key.__getstate__", "safety",
