@@ -7,11 +7,11 @@ the governance layer (Section II-C) requires.
 
 Signatures are checked **once, at block entry, batched**: ``submit`` does no
 curve work for a transaction that contests nothing, ``mine_block`` runs one
-key-folded :func:`~repro.crypto.ecdsa.batch_verify` over everything the
-mempool selected, and nothing below it re-verifies.  Deferred
-is not trusted: a transaction that fails the batch is dropped without a
-receipt, and a transaction that contests a pooled one is verified on the
-spot (see :meth:`Blockchain.submit`).
+:func:`~repro.crypto.ecdsa.batch_verify` over everything the mempool
+selected, and nothing below it re-verifies.  Deferred is not trusted: a
+transaction that fails the batch is dropped without a receipt, and a
+transaction that contests a pooled one is verified on the spot (see
+:meth:`Blockchain.submit`).
 
 :class:`Wallet` is the ergonomic account handle used throughout the
 marketplace: it tracks nonces, signs, and exposes ``deploy`` / ``call`` /
@@ -183,13 +183,12 @@ class Blockchain:
                             stats: dict) -> list[Transaction]:
         """Batch-verify the signatures of the block's transactions.
 
-        One key-folded multi-scalar multiplication covers the whole batch;
-        bisection inside :func:`~repro.crypto.ecdsa.batch_verify` isolates
-        any bad signatures.  Those are dropped and counted — **no receipt**:
-        the hash does not cover the signature, so a receipt for a forgery
-        would mark the genuine transaction "already mined" — while the rest
-        of their sender's chain goes back to the pool (a later nonce cannot
-        run once its predecessor is dropped).  Returns the transactions to
+        Bad signatures :func:`~repro.crypto.ecdsa.batch_verify` finds are
+        dropped and counted — **no receipt**: the hash does not cover the
+        signature, so a receipt for a forgery would mark the genuine
+        transaction "already mined" — while the rest of their sender's
+        chain goes back to the pool (a later nonce cannot run once its
+        predecessor is dropped).  Returns the transactions to
         execute; ``stats`` receives the bisection telemetry plus ``invalid``.
         """
         with _tracer().span("chain.verify_batch",

@@ -69,9 +69,8 @@ class ProofOfAuthority:
     def verify_seals(self, headers: Sequence[BlockHeader]) -> None:
         """Check every header was sealed by its scheduled proposer.
 
-        Who sealed what is checked header by header; the signatures then go
-        to one key-folded :func:`~repro.crypto.ecdsa.batch_verify`, which
-        checks every seal on every call; no verdict is kept.
+        Who sealed what is checked header by header, then every seal, on
+        every call, in one :func:`~repro.crypto.ecdsa.batch_verify`.
         """
         items = []
         for header in headers:

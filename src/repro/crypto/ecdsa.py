@@ -23,18 +23,19 @@ with the actor that reached it (``AttestationService`` keeps each
 platform's checked quote, ``AuthenticityVerifier`` its accepted device
 certificates).
 
-There are two verifiers, independent implementations that agree on every
-input.  :meth:`PublicKey.verify` checks one signature and is the authority;
-:func:`batch_verify` — the chain's block-entry path — hands a batch of
-fewer than 32 signatures to it one by one, checks a wider one in one
-key-folded bucket equation, and bisects a failed equation down to it.
+:meth:`PublicKey.verify` (OpenSSL) is the authority; :func:`batch_verify`,
+the chain's block-entry path, runs the cheaper of OpenSSL checks over the
+verifier's cores (OpenSSL releases the GIL) and one bucket equation.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
+from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -203,30 +204,10 @@ class PublicKey:
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify an ECDSA signature over ``keccak256(message)``.
 
-        Returns True/False rather than raising, because verification failure
-        is an expected condition for adversarial inputs.
-
-        Scalars are range-checked and low-s is *required* before any EC math
-        runs (high-s twins are malleable duplicates, see
-        :meth:`Signature.from_bytes`); every other call runs OpenSSL.
+        Returns True/False rather than raising: failure is expected for
+        adversarial inputs.  Counted on ``{path="single"}``, refusals too.
         """
-        r, s = signature.r, signature.s
-        if not (1 <= r < N and 1 <= s <= N // 2):
-            _VERIFY_TOTAL.labels(path="single", outcome="fail").inc()
-            return False
-        digest = hash_to_int(message, N)
-        began = _time.perf_counter()
-        try:
-            self._openssl.verify(signature=encode_dss_signature(r, s),
-                                 data=digest.to_bytes(32, "big"),
-                                 signature_algorithm=_PREHASHED)
-            ok = True
-        except (InvalidSignature, ValueError):
-            ok = False
-        _VERIFY_SECONDS.observe(_time.perf_counter() - began)
-        _VERIFY_TOTAL.labels(path="single",
-                             outcome="ok" if ok else "fail").inc()
-        return ok
+        return _check_each([(self, message, signature)])[0]
 
 
 @dataclass(frozen=True)
@@ -364,25 +345,92 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 # makes the combination miss the point at infinity except with probability
 # ~2⁻¹²⁸, and because the coefficients are derived from the batch content
 # (keccak), the whole check is reproducible.  On failure the batch is
-# bisected to isolate the culprits; a sub-batch under
-# ``_BATCH_MIN_SIGNATURES`` falls back to the individual
-# :meth:`PublicKey.verify`, which remains the authoritative oracle.
+# bisected to isolate the culprits, each half priced again.
 
 #: Coefficient width for the random linear combination (bits of soundness).
 _BATCH_COEFF_BITS = 128
 
-# A batch, or a bisected sub-batch, of fewer signatures than this goes to
-# :meth:`PublicKey.verify` one by one; at this count and above it is one
-# bucket equation.  ms per batch on distinct keys, cold, medians of five
-# sweeps of five alternating runs (EXPERIMENTS §E25 "PR 44"):
-#
-#     signatures    2     5     8    16    24    32    48
-#     one by one  1.60  3.93  6.50  12.6  18.9  23.0  27.7
-#     equation    5.39  6.66  8.68  13.4  17.7  21.8  25.5
-#
-# One by one wins below 16; from 16 to 48 the two are within 8 %.  A
-# lifecycle block holds 1-15 signatures, a chain_bulk block 512.
-_BATCH_MIN_SIGNATURES = 32
+# The batch rule, in ms for n signatures from k keys: checks over the cores,
+# ⌈n / cores⌉ · c, or one equation over n nonce points and two GLV halves a
+# key, a + b·(n + 2k); c, a, b fit the sweep in benchmarks/results/batch_rule.txt.
+_CHECK_MS = 0.81
+_EQUATION_MS = (4.4, 0.191)
+
+#: The verifier's cores; its ``_CORES − 1`` check threads serve this queue.
+_CORES = len(os.sched_getaffinity(0))
+_POOL: Optional[SimpleQueue] = None
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool but no thread to run what it submits.
+    global _POOL
+    _POOL = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _equation_pays(signatures: int, keys: int) -> bool:
+    """True when one bucket equation costs less than the OpenSSL checks."""
+    a, b = _EQUATION_MS
+    return a + b * (signatures + 2 * keys) < -(-signatures // _CORES) * _CHECK_MS
+
+
+def _check(handle: ec.EllipticCurvePublicKey, message: bytes,
+           signature: Signature) -> bool:
+    """One check on a key's handle, with no metric, so any thread may run
+    it.  Low-s is *required*: high-s twins are malleable duplicates."""
+    r, s = signature.r, signature.s
+    if not (1 <= r < N and 1 <= s <= N // 2):
+        return False
+    try:
+        handle.verify(signature=encode_dss_signature(r, s),
+                      data=hash_to_int(message, N).to_bytes(32, "big"),
+                      signature_algorithm=_PREHASHED)
+    except (InvalidSignature, ValueError):
+        return False
+    return True
+
+
+def _serve(requests: SimpleQueue) -> None:
+    """A check thread: answer each ``(index, checks, replies)`` it takes."""
+    while True:
+        index, checks, replies = requests.get()
+        try:
+            replies.put((index, [_check(*check) for check in checks]))
+        except BaseException as exc:  # the caller raises it
+            replies.put((index, exc))
+
+
+def _check_each(items: list[tuple[PublicKey, bytes, Signature]]) -> list[bool]:
+    """:func:`_check` on every item in ``min(_CORES, n)`` contiguous chunks:
+    the first here, the rest on the check threads.  Only this thread builds
+    handles and counts; it calls C queue puts and gets, whatever the timing."""
+    global _POOL
+    began = _time.perf_counter()
+    checks = [(key._openssl, message, signature)
+              for key, message, signature in items]
+    parts = max(1, min(_CORES, len(checks)))
+    if parts > 1 and _POOL is None:
+        _POOL = SimpleQueue()
+        for _ in range(_CORES - 1):
+            threading.Thread(target=_serve, args=(_POOL,), daemon=True).start()
+    bounds = [len(checks) * part // parts for part in range(parts + 1)]
+    replies: SimpleQueue = SimpleQueue()
+    for part in range(1, parts):
+        _POOL.put((part, checks[bounds[part]:bounds[part + 1]], replies))
+    verdicts = [_check(*check) for check in checks[:bounds[1]]]
+    for _, chunk in sorted(replies.get() for _ in range(1, parts)):
+        if isinstance(chunk, BaseException):
+            raise chunk
+        verdicts += chunk
+    _VERIFY_SECONDS.observe_repeated(
+        (_time.perf_counter() - began) / max(len(items), 1), len(items))
+    ok = sum(verdicts)
+    for outcome, count in (("ok", ok), ("fail", len(verdicts) - ok)):
+        if count:
+            _VERIFY_TOTAL.labels(path="single", outcome=outcome).inc(count)
+    return verdicts
 
 
 def _recover_nonce_point(r: int, v: int,
@@ -459,25 +507,19 @@ def batch_verify(
 ) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples at once.
 
-    One size rule: fewer than ``_BATCH_MIN_SIGNATURES`` items go to
-    :meth:`PublicKey.verify` one by one.  A wider batch agrees with it on
-    every input — same range and low-s policy — but amortizes the curve
-    work: one bucket equation when every signature is good; when one fails,
-    it is bisected, and each half under the size rule goes to the
-    individual verifier.  Items whose nonce point cannot be recovered from
-    ``(r, v)`` (corrupted parity bit, non-residue x) are verified
-    individually; the individual path is always the authoritative oracle.
+    One cost rule (:func:`_equation_pays`) picks OpenSSL checks over the
+    cores or one bucket equation, which agrees with them on every input; a
+    failed equation is bisected, each half priced again.  Items whose nonce
+    point ``(r, v)`` does not name (bad parity bit, non-residue) go singly.
 
-    When a ``stats`` dict is passed it is filled with bisection telemetry:
-    ``batched`` (items entering the bisection), ``singles`` (items routed to
-    the individual oracle), ``subchecks`` (batch equations evaluated) and
-    ``depth`` (deepest bisection level; 0 when the first equation held).
+    A ``stats`` dict receives ``batched`` (items entering the bisection),
+    ``singles`` (items checked singly), ``subchecks`` (equations evaluated)
+    and ``depth`` (deepest bisection level; 0 when the first one held).
     """
-    if len(items) < _BATCH_MIN_SIGNATURES:
+    if not _equation_pays(len(items), len({key for key, _, _ in items})):
         if stats is not None:
             stats.update(batched=0, singles=len(items), subchecks=0, depth=0)
-        return [public_key.verify(message, signature)
-                for public_key, message, signature in items]
+        return _check_each(items)
     verdicts: list[Optional[bool]] = [None] * len(items)
     singles: list[int] = []
     pending: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, z, r, Q, R)
@@ -511,7 +553,7 @@ def batch_verify(
     def resolve(entries: list[tuple[int, int, int, _Point, _Point]],
                 depth: int = 0) -> None:
         nonlocal subchecks, max_depth
-        if len(entries) < _BATCH_MIN_SIGNATURES:
+        if not _equation_pays(len(entries), len({e[3] for e in entries})):
             singles.extend(entry[0] for entry in entries)
             return
         subchecks += 1
@@ -530,9 +572,9 @@ def batch_verify(
     confirmed = sum(1 for verdict in verdicts if verdict)
     if confirmed:
         _VERIFY_TOTAL.labels(path="batch", outcome="ok").inc(confirmed)
-    for index in singles:
-        public_key, message, signature = items[index]
-        verdicts[index] = public_key.verify(message, signature)
+    for index, verdict in zip(singles,
+                              _check_each([items[i] for i in singles])):
+        verdicts[index] = verdict
     if stats is not None:
         stats.update(batched=len(batch), singles=len(singles),
                      subchecks=subchecks, depth=max_depth)

@@ -24,6 +24,9 @@ from repro.chain.transaction import Transaction
 from repro.crypto.ecdsa import N, Signature
 from repro.errors import ChainError
 
+#: The telemetry pinned here follows a rule that counts signatures, not
+#: the host's cores (tests/crypto/rule.py).
+pytestmark = pytest.mark.usefixtures("equation_from_32")
 
 def _build_chain(seed: int, wallets: int):
     """A chain plus funded wallets, fully determined by ``seed``."""

@@ -10,8 +10,7 @@ from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto import ec_backend
-from repro.crypto.ecdsa import PublicKey
+from repro.crypto import ec_backend, ecdsa
 from repro.errors import ChainError, InvalidBlockError
 from tests.conftest import make_funded_wallet
 
@@ -96,6 +95,7 @@ class TestMining:
         assert chain.state.balance_of(validator) == 21_032 * (1 + 2 + 3 + 5 + 8 + 13)
 
 
+@pytest.mark.usefixtures("equation_from_32")
 class TestBlockEntryVerification:
     """One batched check per block is the only verification a tx gets; a
     block of 32 or more transactions is one equation."""
@@ -108,18 +108,18 @@ class TestBlockEntryVerification:
                 wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
         batches, singles = [], []
         real_batch = blockchain_mod.batch_verify
-        real_verify = PublicKey.verify
+        real_check = ecdsa._check
 
         def counting_batch(items, stats=None):
             batches.append(len(items))
             return real_batch(items, stats)
 
-        def counting_verify(key, message, signature):
-            singles.append(key)
-            return real_verify(key, message, signature)
+        def counting_check(handle, message, signature):
+            singles.append(handle)
+            return real_check(handle, message, signature)
 
         monkeypatch.setattr(blockchain_mod, "batch_verify", counting_batch)
-        monkeypatch.setattr(PublicKey, "verify", counting_verify)
+        monkeypatch.setattr(ecdsa, "_check", counting_check)
         block = chain.mine_block()
         assert len(block.transactions) == 36
         assert batches == [36]
@@ -264,6 +264,7 @@ class TestVerification:
         with pytest.raises(InvalidBlockError, match="genesis"):
             chain.verify_chain()
 
+    @pytest.mark.usefixtures("equation_from_32")
     def test_seals_go_to_one_batch_and_no_individual_verifies(
             self, rng, monkeypatch):
         consensus = ProofOfAuthority.with_generated_validators(3, rng)
@@ -272,18 +273,18 @@ class TestVerification:
             chain.mine_block()
         batches, singles = [], []
         real_batch = consensus_mod.batch_verify
-        real_verify = PublicKey.verify
+        real_check = ecdsa._check
 
         def counting_batch(items, stats=None):
             batches.append(len(items))
             return real_batch(items, stats)
 
-        def counting_verify(key, message, signature):
-            singles.append(key)
-            return real_verify(key, message, signature)
+        def counting_check(handle, message, signature):
+            singles.append(handle)
+            return real_check(handle, message, signature)
 
         monkeypatch.setattr(consensus_mod, "batch_verify", counting_batch)
-        monkeypatch.setattr(PublicKey, "verify", counting_verify)
+        monkeypatch.setattr(ecdsa, "_check", counting_check)
         chain.verify_chain()  # 32 seals, folded onto three keys
         chain.verify_chain()  # the same 32 again: one equation again
         chain.mine_block()

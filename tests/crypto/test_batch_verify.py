@@ -5,13 +5,13 @@ differentially against the affine oracle in :mod:`tests.crypto.affine_oracle`
 (sums of ``point_mul`` results).  ``ecdsa.batch_verify`` is checked for
 *agreement with the individual verifier* — the authoritative oracle — on
 all-good batches, corrupted batches, malformed scalars and flipped parity
-bits.  A batch under ``_BATCH_MIN_SIGNATURES`` (32) never reaches the
-equation, so every such check runs on 32 or more signatures, and the size
-rule itself is pinned at 31/32.  The bisection sweep runs ≥20
-seeds with exactly one corrupted signature each, asserting only that
-signature is rejected; the Hypothesis sweep draws batches from few keys (so
-the per-key folded term is always exercised) with up to three corruptions
-of five kinds.
+bits.  Every test runs under a rule pinned to count signatures
+(``tests/crypto/rule.py``): a batch under 32 never reaches the equation, so
+every such check runs on 32 or more, and the routing is pinned at 31/32.
+The bisection sweep runs ≥20 seeds with exactly one corrupted signature
+each, asserting only that signature is rejected; the Hypothesis sweep
+draws batches from few keys (so the per-key folded term is always
+exercised) with up to three corruptions of five kinds.
 """
 
 from __future__ import annotations
@@ -34,6 +34,10 @@ from repro.crypto.ecdsa import (
     batch_verify,
 )
 from tests.crypto.affine_oracle import point_add, point_mul
+
+
+#: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
+pytestmark = pytest.mark.usefixtures("equation_from_32")
 
 G = (GX, GY)
 

@@ -9,7 +9,7 @@ bucket sum — and, where the input is small enough for it, against sums of
 the affine ``point_mul`` of :mod:`tests.crypto.affine_oracle`.  The bucket
 kernel itself must return exactly the events of its Jacobian form in
 :mod:`tests.crypto.jacobian_oracle`.  Which batches reach the equation at
-all is ``batch_verify``'s size rule, pinned where it counts signatures.
+all is ``batch_verify``'s cost rule, pinned here to count signatures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec_backend, ecdsa
+from repro.crypto import ec_backend
 from repro.crypto.ec_backend import (
     GX,
     GY,
@@ -37,6 +37,10 @@ from tests.crypto.jacobian_oracle import (
     bucket_width,
     strauss_msm,
 )
+from tests.crypto.rule import WIDTH
+
+#: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
+pytestmark = pytest.mark.usefixtures("equation_from_32")
 
 G = (GX, GY)
 
@@ -96,7 +100,7 @@ def _oracle(base_scalar, terms):
 class TestBucketsAgainstStrauss:
     @settings(max_examples=20, deadline=None)
     @given(scalars, one_shot_terms(st.sampled_from(
-        [ecdsa._BATCH_MIN_SIGNATURES + offset for offset in (-1, 0, 1)]
+        [WIDTH + offset for offset in (-1, 0, 1)]
         + [150])))
     def test_default_selection_equals_strauss_around_the_boundary(
             self, base_scalar, one_shot):
@@ -111,7 +115,7 @@ class TestBucketsAgainstStrauss:
                                                  bucketed):
         # batch_verify counts the signatures an equation would carry: two
         # malformed scalars do not count.
-        count = ecdsa._BATCH_MIN_SIGNATURES + offset
+        count = WIDTH + offset
         items = [_signed(index) for index in range(count + 2)]
         for index, (r, s) in ((0, (N, 1)), (1, (1, N - 1))):
             public_key, message, signature = items[index]

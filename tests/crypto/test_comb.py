@@ -36,6 +36,11 @@ from repro.crypto.ecdsa import (
 )
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.jacobian_oracle import wnaf_scalar_mult
+from tests.crypto.rule import WIDTH
+
+
+#: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
+pytestmark = pytest.mark.usefixtures("equation_from_32")
 
 G = (GX, GY)
 LAM = ec_backend._GLV_LAMBDA
@@ -186,7 +191,7 @@ class TestPromotion:
         key = PrivateKey.from_seed(b"comb-batch")
         # The narrowest batch that reaches the equation.
         items = [(key.public_key, b"m%d" % i, key.sign(b"m%d" % i))
-                 for i in range(ecdsa._BATCH_MIN_SIGNATURES)]
+                 for i in range(WIDTH)]
         read.clear()
         for _ in range(2 * USES):
             assert multi_scalar_mult(5, [(11, q), (13, r)]) == \

@@ -28,6 +28,7 @@ from repro.crypto.ecdsa import (
 from repro.crypto.hashing import hash_to_int, keccak256
 from repro.errors import InvalidKeyError, InvalidSignatureError
 from tests.crypto.affine_oracle import point_add, point_mul
+from tests.crypto.rule import WIDTH, equation_from
 
 G = (GX, GY)
 
@@ -305,14 +306,15 @@ def _fillers() -> tuple:
     keys = [PrivateKey.from_seed(b"filler-%d" % index) for index in range(8)]
     return tuple((keys[index % 8].public_key, b"filler-%d" % index,
                   keys[index % 8].sign(b"filler-%d" % index))
-                 for index in range(ecdsa_module._BATCH_MIN_SIGNATURES - 1))
+                 for index in range(WIDTH - 1))
 
 
 def _batch_verdict(public_key, message, signature) -> bool:
     """``batch_verify``'s verdict on the entry among 31 valid others: one
     32-signature equation, bisected to the oracle when it fails."""
-    verdicts = batch_verify([(public_key, message, signature)]
-                            + list(_fillers()))
+    with equation_from(WIDTH):
+        verdicts = batch_verify([(public_key, message, signature)]
+                                + list(_fillers()))
     assert verdicts[1:] == [True] * len(_fillers())
     return verdicts[0]
 

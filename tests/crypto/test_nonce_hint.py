@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto import ec_backend, ecdsa
+from repro.crypto import ec_backend
 from repro.crypto.ec_backend import GX, GY
 from repro.crypto.ecdsa import (
     N,
@@ -30,6 +30,11 @@ from repro.crypto.ecdsa import (
 )
 from repro.crypto.hashing import hash_to_int
 from tests.crypto.affine_oracle import point_add, point_mul
+from tests.crypto.rule import WIDTH
+
+
+#: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
+pytestmark = pytest.mark.usefixtures("equation_from_32")
 
 G = (GX, GY)
 
@@ -142,8 +147,6 @@ def _others(count: int):
     narrowest batch that reaches the equation."""
     return [_signed(index) for index in range(100, 100 + count)]
 
-
-WIDTH = ecdsa._BATCH_MIN_SIGNATURES
 
 
 class TestBatchVerifyWithHints:

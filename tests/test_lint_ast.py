@@ -75,6 +75,48 @@ def test_an_allowlisted_cache_passes_and_a_stale_entry_is_reported(
                         " matches nothing")
 
 
+#: Process-wide state held by rebinding a module global, the shape a lazily
+#: started worker pool takes.
+GLOBAL_REBIND = '''
+_POOL = None
+_HITS = 0
+
+
+def pool():
+    global _POOL
+    if _POOL is None:
+        _POOL = object()
+    return _POOL
+
+
+def hit():
+    global _HITS
+    _HITS += 1
+
+
+def reads_only():
+    global _POOL
+    return _POOL
+'''
+
+
+def test_a_global_rebind_is_reported_unless_allowlisted(tmp_path,
+                                                        monkeypatch):
+    found = _lint(tmp_path, "src/repro/crypto/pool.py", GLOBAL_REBIND)
+    assert found == [
+        "PDS002 module global rebound by a function: '_POOL' is "
+        "process-wide state (give it an owner)",
+        "PDS002 module global rebound by a function: '_HITS' is "
+        "process-wide state (give it an owner)",
+    ]
+    monkeypatch.setattr(lint_ast, "PROCESS_STATE_ALLOWED", {
+        "repro.crypto.pool._POOL": "a reason"})
+    assert _lint(tmp_path, "src/repro/crypto/pool.py", GLOBAL_REBIND) == [
+        "PDS002 module global rebound by a function: '_HITS' is "
+        "process-wide state (give it an owner)",
+    ]
+
+
 def test_the_repository_is_clean():
     files = lint_ast.python_files([REPO / "src", REPO / "tools"])
     assert [line for file in files for line in lint_ast.lint_file(file)] == []

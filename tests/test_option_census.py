@@ -129,6 +129,15 @@ class TestRepository:
     def test_allowlist_covers_every_unset_value_and_nothing_stale(self, options):
         assert option_census.check(options) == []
 
+    def test_a_wallet_fixtures_gas_limit_is_seen(self, options):
+        # ``wallet.transfer(..., gas_limit=50_000)`` on a fixture's wallet:
+        # no test setter by type, an ambiguous one by name.
+        (option,) = [option for option in options if option.key ==
+                     "repro.chain.blockchain.Wallet.transfer(gas_limit)"]
+        assert option.tests == []
+        assert any("tests/chain/test_blockchain.py" in where
+                   for where in option.ambiguous_tests)
+
     def test_every_allowlist_entry_has_a_reason(self):
         assert all(reason.strip() for _, reason in option_census.ALLOWLIST)
 
@@ -220,3 +229,28 @@ class TestReceivers:
         assert [(where.rsplit("/", 1)[-1], name)
                 for where, name in census.ambiguous] == [
             ("run.py:9", "verify"), ("run.py:19", "verify")]
+
+
+RECEIVERS_TESTS = '''
+def test_through_a_fixture(thing, reading):
+    thing.verify(reading, None, 3.0, True)
+'''
+
+
+def test_a_tests_untyped_receiver_is_counted_as_ambiguous(tmp_path):
+    # A test reaches a method through a fixture the AST cannot type: the
+    # call counts, by name, in the third column, and in neither other one.
+    for relative, text in (("src/repro/mod.py", RECEIVERS_SOURCE),
+                           ("tests/test_mod.py", RECEIVERS_TESTS)):
+        path = tmp_path / relative
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    options = {option.key: option
+               for option in option_census.run_census(tmp_path)}
+    for key in ("repro.mod.Quiet.verify(strict)",
+                "repro.mod.Verifier.verify(now)",
+                "repro.mod.Quiet.verify(now)"):
+        (where,) = options[key].ambiguous_tests
+        assert where.endswith("tests/test_mod.py:3")
+        assert options[key].tests == []
+    assert options["repro.mod.Verifier.check_all(clock)"].ambiguous_tests == []

@@ -28,7 +28,8 @@ Two structural rules of this repository's own ride along:
   module-level container (a ``dict``/``list``/``set`` display or
   comprehension, or a ``dict()``, ``OrderedDict()``, ``deque()``, … call)
   that a function mutates (item assignment or deletion, or a mutating
-  method such as ``append``, ``update``, ``clear``, ``move_to_end``), and a
+  method such as ``append``, ``update``, ``clear``, ``move_to_end``), a
+  module global a function rebinds (``global`` and an assignment), and a
   module-level ``functools.cache``/``lru_cache``, is reported unless
   ``PROCESS_STATE_ALLOWED`` names it with a reason.  A process runs every
   actor, so such state lets one actor's work become another's (DESIGN
@@ -68,6 +69,10 @@ PROCESS_STATE_ALLOWED = {
         "a constant: G's comb, built on first use and never changed",
     "repro.tee.enclave._measured_code":
         "one digest per entry-point function, a pure function of its code",
+    "repro.telemetry.profiler._ACTIVE":
+        "the profiler sys.setprofile runs, which is itself process-wide",
+    "repro.crypto.ecdsa._POOL":
+        "the host's worker threads for OpenSSL checks; they hold no verdict",
 }
 
 
@@ -182,6 +187,21 @@ def _mutated_containers(tree: ast.Module) -> list[tuple[str, int]]:
     return found
 
 
+def _rebound_globals(tree: ast.Module) -> list[tuple[str, int]]:
+    """``(name, line)`` of every module global a function rebinds through
+    a ``global`` statement."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        declared = {name for node in ast.walk(function)
+                    if isinstance(node, ast.Global) for name in node.names}
+        found.extend((node.id, node.lineno) for node in ast.walk(function)
+                     if isinstance(node, ast.Name) and node.id in declared
+                     and isinstance(node.ctx, (ast.Store, ast.Del)))
+    return found
+
+
 def _memoized(body: list[ast.stmt]) -> list[tuple[str, int]]:
     """``(name, line)`` of every module-level (or class-body) function
     decorated with ``functools.cache``/``lru_cache``."""
@@ -208,11 +228,15 @@ def _process_state(path: Path, tree: ast.Module) -> list[str]:
     """PDS002 findings of one file under ``src/repro``."""
     parts = path.with_suffix("").parts
     module = ".".join(parts[parts.index("repro"):])
-    first = {}
-    for name, line in sorted(_mutated_containers(tree), key=lambda f: f[1]):
-        first.setdefault(name, line)
-    state = [(name, line, "module-level container mutated by a function")
-             for name, line in first.items()]
+    state = []
+    for what, sites in (
+            ("module-level container mutated by a function",
+             _mutated_containers(tree)),
+            ("module global rebound by a function", _rebound_globals(tree))):
+        first = {}
+        for name, line in sorted(sites, key=lambda f: f[1]):
+            first.setdefault(name, line)
+        state += [(name, line, what) for name, line in first.items()]
     state += [(name, line, "module-level functools cache")
               for name, line in _memoized(tree.body)]
     found, matched = [], set()

@@ -18,7 +18,11 @@ or a module (``ecdsa.foo(...)`` reaches that module's ``foo``; a module
 outside ``src/repro`` reaches nothing).  Any other receiver — a parameter,
 an attribute, a third-party object such as a ``cryptography`` key whose
 ``verify(signature, data, algorithm)`` shares a name with ours — is
-*ambiguous*: ``--all`` lists it and it counts for nothing.
+*ambiguous*: ``--all`` lists it, and it sets nothing.  A test's ambiguous
+call site is counted apart, in a third column, against every method of
+that name it could set: tests reach methods through fixtures and
+parameters, which the AST cannot type, so the ``tests`` column alone
+under-reports.
 
     python tools/option_census.py            # the production-unset list
     python tools/option_census.py --all      # every defaulted value
@@ -141,6 +145,8 @@ class Option:
     is_field: bool = False
     production: list[str] = field(default_factory=list)   # "path:line"
     tests: list[str] = field(default_factory=list)
+    #: test call sites on an untyped receiver that may set it, by name
+    ambiguous_tests: list[str] = field(default_factory=list)
 
     @property
     def key(self) -> str:
@@ -541,8 +547,12 @@ class Census:
             resolved = self._callees_of(func, enclosing, scope)
             if resolved is None:
                 candidates = []
-                if self._sets(self.callees.get(name, ()), args, keywords):
+                maybe = self._sets(self.callees.get(name, ()), args, keywords)
+                if maybe:
                     self.ambiguous.append((scope.where(node), name))
+                if not scope.production:
+                    for option in maybe:
+                        option.ambiguous_tests.append(scope.where(node))
             else:
                 candidates = resolved
         elif not isinstance(func, ast.Name):
@@ -671,9 +681,11 @@ def main(argv: list[str]) -> int:
               f"(ceiling {PRODUCTION_UNSET_CEILING}), {len(problems)} problem(s)",
               file=sys.stderr)
         return 1 if problems else 0
+    print(f"{'prod':>4} {'test':>4} {'amb.':>4}  option = default "
+          "(amb.: test call sites on an untyped receiver)")
     for option in (options if "--all" in argv else unset):
-        print(f"{len(option.production):4d} {len(option.tests):4d}  "
-              f"{option.key} = {option.default}")
+        print(f"{len(option.production):4d} {len(option.tests):4d} "
+              f"{len(option.ambiguous_tests):4d}  {option.key} = {option.default}")
     if "--all" in argv:
         for where, name in census.ambiguous:
             print(f"ambiguous  {Path(where).relative_to(repo)}  .{name}(...)")
