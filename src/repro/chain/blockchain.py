@@ -179,54 +179,30 @@ class Blockchain:
         self.mempool.add(tx, self.state.nonce_of(tx.sender))
         return tx.tx_hash
 
-    def _verify_block_batch(self, selected: list[Transaction],
-                            stats: dict) -> list[Transaction]:
-        """Batch-verify the signatures of the block's transactions.
+    def _verify_block_batch(self, selected: list[Transaction]) -> list[bool]:
+        """The signature verdict of each of the block's transactions.
 
-        Bad signatures :func:`~repro.crypto.ecdsa.batch_verify` finds are
-        dropped and counted — **no receipt**: the hash does not cover the
-        signature, so a receipt for a forgery would mark the genuine
-        transaction "already mined" — while the rest of their sender's
-        chain goes back to the pool (a later nonce cannot run once its
-        predecessor is dropped).  Returns the transactions to
-        execute; ``stats`` receives the bisection telemetry plus ``invalid``.
+        A transaction with no signature, or whose key does not derive its
+        sender, fails with no curve work; the rest go to one
+        :func:`~repro.crypto.ecdsa.batch_verify` call.
         """
         with _tracer().span("chain.verify_batch",
                             transactions=len(selected)) as span:
-            invalid: set[int] = set()
-            items = []
-            item_indices = []
-            for index, tx in enumerate(selected):
-                if (tx.signature is None or tx.public_key is None
-                        or tx.public_key.address != tx.sender):
-                    invalid.add(index)
-                else:
-                    items.append((tx.public_key, tx.signing_bytes(),
-                                  tx.signature))
-                    item_indices.append(index)
-            verdicts = batch_verify(items, stats) if items else []
-            invalid.update(index for index, good
-                           in zip(item_indices, verdicts) if not good)
-            failed_senders: set[str] = set()
-            to_execute: list[Transaction] = []
-            for index, tx in enumerate(selected):
-                if tx.sender in failed_senders:
-                    self.mempool.requeue(tx)
-                elif index in invalid:
-                    _TXS_REJECTED.inc()
-                    failed_senders.add(tx.sender)
-                else:
-                    to_execute.append(tx)
-            span.set_attribute("invalid", len(invalid))
-            for key in ("batched", "singles", "subchecks", "depth"):
-                stats.setdefault(key, 0)
-            stats["invalid"] = len(invalid)
+            formed = [tx.signature is not None and tx.public_key is not None
+                      and tx.public_key.address == tx.sender
+                      for tx in selected]
+            checked = iter(batch_verify([
+                (tx.public_key, tx.signing_bytes(), tx.signature)
+                for tx, ok in zip(selected, formed) if ok]))
+            verdicts = [ok and next(checked) for ok in formed]
+            invalid = verdicts.count(False)
+            span.set_attribute("invalid", invalid)
             child = _VERIFY_BATCH.labels(
                 outcome="invalid" if invalid else "clean"
             )
             child.inc()
             _tm.annotate_exemplar(child)
-        return to_execute
+        return verdicts
 
     def mine_block(self, timestamp: Optional[float] = None) -> Block:
         """Seal the best pending transactions into the next block.
@@ -263,16 +239,21 @@ class Blockchain:
                     "deferred",
                     self.mempool.last_selection.get("deferred", 0),
                 )
-            verify_stats: dict[str, int] = {}
-            if selected:
-                selected = self._verify_block_batch(selected, verify_stats)
-            # Apply in block order.  After an admission failure the sender's
-            # later transactions return to the pool (they would hit bad nonce).
+            verdicts = self._verify_block_batch(selected) if selected else []
+            # Apply in block order.  A forged transaction is dropped with no
+            # receipt: the hash does not cover the signature, so a receipt
+            # would mark the genuine transaction "already mined".  After a
+            # forgery or an admission failure the sender's later genuine
+            # transactions return to the pool (they would hit bad nonce).
             included: list[Transaction] = []
             rejected = deferred = gas_used = 0
             failed_senders: set[str] = set()
             with _tracer().span("block.execute", height=number):
-                for tx in selected:
+                for tx, genuine in zip(selected, verdicts):
+                    if not genuine:
+                        failed_senders.add(tx.sender)
+                        _TXS_REJECTED.inc()
+                        continue
                     if tx.sender in failed_senders:
                         self.mempool.requeue(tx)
                         deferred += 1
@@ -322,8 +303,10 @@ class Blockchain:
             # sees exactly what the next block would build on.
             for hook in self.tamper_hooks:
                 hook(self, block)
-            self.observer.record_block(block, rejected, deferred,
-                                       self.mempool.last_selection, verify_stats)
+            self.observer.record_block(
+                block, rejected, deferred, self.mempool.last_selection,
+                {"signatures": len(verdicts),
+                 "invalid": verdicts.count(False)})
             self.auditor.post_block(block, pre_audit)
         return block
 

@@ -4,9 +4,10 @@ Counterpart of the batch control plane's ``trace_ops``: every sealed block
 becomes one deterministic, JSON-safe record — gas utilization, fee
 percentiles (through the same histogram-quantile math the telemetry
 registry exports), transaction mix, the mempool's selection-time gauges,
-batch-signature bisection stats, and how many transactions were rejected or
-deferred at admission.  Records carry no wall-clock values, so matched
-seeds produce byte-identical ``blocks.jsonl`` files.
+how many signatures block entry checked and how many it found invalid,
+and how many transactions were rejected or deferred at admission.
+Records carry no wall-clock values, so matched seeds produce
+byte-identical ``blocks.jsonl`` files.
 
 The records power two consumers:
 
@@ -32,7 +33,7 @@ from repro.telemetry.tracing import tracer as _tracer
 from repro.utils.serialization import append_jsonl, read_jsonl
 
 #: Bumped when the block-record shape changes (readers stay tolerant).
-RECORD_VERSION = 2
+RECORD_VERSION = 3
 
 #: How many block records an observer keeps in memory (the tail; sinks
 #: receive every record, so a run directory holds them all).
@@ -94,7 +95,7 @@ class ChainObserver:
         self.sinks: list[Callable[[dict], None]] = []
 
     def record_block(self, block: Any, rejected: int, deferred: int,
-                     selection: dict, verify_stats: dict) -> dict:
+                     selection: dict, verify: dict) -> dict:
         header = block.header
         gas_limit = self.chain.block_gas_limit
         utilization = (100.0 * header.gas_used / gas_limit) if gas_limit \
@@ -116,7 +117,7 @@ class ChainObserver:
             "fees": _fee_quantiles(prices) if prices else {},
             "tx_mix": mix,
             "mempool": dict(selection),
-            "verify": dict(verify_stats),
+            "verify": verify,
             "execution": {"rejected": rejected, "deferred": deferred},
         }
         _BLOCK_UTILIZATION.observe(utilization)
@@ -193,12 +194,10 @@ def render_chain_top(records: Sequence[dict],
         f"   rbf {pool.get('replacements_total', 0):>4}"
         f"   sel-age p95 {age_p95:>4}"
     )
-    # bisect = batch equations evaluated / deepest bisection level.
+    # A record older than version 3 carries no signature count.
     lines.append(
-        f"  verify        batched {verify.get('batched', 0):>5}"
-        f"   singles {verify.get('singles', 0):>3}"
-        f"   bisect {verify.get('subchecks', 0):>4}/{verify.get('depth', 0):<2}"
-        f"   bad {verify.get('invalid', 0):>3}"
+        f"  verify        signatures {verify.get('signatures', '-'):>5}"
+        f"   bad {verify.get('invalid', '-'):>5}"
     )
     lines.append(rule)
     if audit is not None:
@@ -265,9 +264,9 @@ def read_chain_run(root: str) -> dict:
     an ``audit.json`` that is present but undecodable, raises
     :class:`~repro.errors.ChainError` naming the file rather than hiding
     the blocks behind it or reporting a finalized run as still running.
-    Version-1 records (which carry engine attribution under ``execution``)
-    read back as they are, and an ``attribution.json`` left by such a run is
-    ignored.
+    Older records read back as they are: version 1 carries engine
+    attribution under ``execution`` (an ``attribution.json`` left by such a
+    run is ignored), version 2 bisection counts under ``verify``.
     """
     records = read_jsonl(os.path.join(root, BLOCKS_FILE), ChainError)
     audit: Optional[dict] = None

@@ -59,9 +59,10 @@ from repro.telemetry import metrics as _tm
 
 # Crypto telemetry: every sign/verify batch the chain and TEE layers issue
 # shows up here, so perf PRs can prove their win from the system's own
-# instruments.  The `path` label names what decided a verdict: `single` is
-# one OpenSSL check, `batch` a bucket equation or a malformed scalar
-# ``batch_verify`` refused before any curve math.
+# instruments.  The `path` label names what decided a verdict: `batch` a
+# bucket equation that held (with the malformed scalars refused beside
+# it), `single` an OpenSSL check.  Each verdict counts once, and each
+# signature is one sample of the seconds histogram on either path.
 _SIGN_TOTAL = _tm.counter(
     "pds2_crypto_sign_total", "ECDSA signatures produced"
 )
@@ -344,8 +345,8 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 # join the nonce points' buckets as two GLV halves).  A forged signature
 # makes the combination miss the point at infinity except with probability
 # ~2⁻¹²⁸, and because the coefficients are derived from the batch content
-# (keccak), the whole check is reproducible.  On failure the batch is
-# bisected to isolate the culprits, each half priced again.
+# (keccak), the whole check is reproducible.  A failed equation names no
+# culprit: the OpenSSL checks it would have replaced decide every item.
 
 #: Coefficient width for the random linear combination (bits of soundness).
 _BATCH_COEFF_BITS = 128
@@ -503,79 +504,45 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
 
 def batch_verify(
     items: list[tuple[PublicKey, bytes, Signature]],
-    stats: Optional[dict] = None,
 ) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples at once.
 
-    One cost rule (:func:`_equation_pays`) picks OpenSSL checks over the
-    cores or one bucket equation, which agrees with them on every input; a
-    failed equation is bisected, each half priced again.  Items whose nonce
-    point ``(r, v)`` does not name (bad parity bit, non-residue) go singly.
-
-    A ``stats`` dict receives ``batched`` (items entering the bisection),
-    ``singles`` (items checked singly), ``subchecks`` (equations evaluated)
-    and ``depth`` (deepest bisection level; 0 when the first one held).
+    One cost rule (:func:`_equation_pays`, priced on the well-formed
+    items) picks OpenSSL checks over the cores or one bucket equation over
+    every well-formed item, which agrees with them on every input.  When
+    that equation holds it decides the batch: each well-formed item
+    passes, each malformed scalar fails.  In every other case (the rule
+    picks the checks, a nonce point ``(r, v)`` names no curve point, or
+    the equation fails) :func:`_check_each` decides every item.
     """
-    if not _equation_pays(len(items), len({key for key, _, _ in items})):
-        if stats is not None:
-            stats.update(batched=0, singles=len(items), subchecks=0, depth=0)
+    began = _time.perf_counter()
+    formed = [1 <= signature.r < N and 1 <= signature.s <= N // 2
+              for _, _, signature in items]
+    live = [item for item, ok in zip(items, formed) if ok]
+    if not live or not _equation_pays(len(live),
+                                      len({key for key, _, _ in live})):
         return _check_each(items)
-    verdicts: list[Optional[bool]] = [None] * len(items)
-    singles: list[int] = []
-    pending: list[tuple[int, int, int, _Point, _Point]] = []  # (idx, z, r, Q, R)
-    pending_s: list[int] = []
-    for index, (public_key, message, signature) in enumerate(items):
-        r, s = signature.r, signature.s
-        if not (1 <= r < N and 1 <= s < N) or s > N // 2:
-            verdicts[index] = False
-            _VERIFY_TOTAL.labels(path="batch", outcome="fail").inc()
-            continue
-        digest = hash_to_int(message, N)
-        nonce_point = _recover_nonce_point(r, signature.v, signature.nonce_y)
+    entries = []  # (z, r, Q, R)
+    for public_key, message, signature in live:
+        nonce_point = _recover_nonce_point(signature.r, signature.v,
+                                           signature.nonce_y)
         if nonce_point is None:
-            singles.append(index)
-            continue
-        pending.append((index, digest, r, (public_key.x, public_key.y),
-                        nonce_point))
-        pending_s.append(s)
+            return _check_each(items)
+        entries.append((hash_to_int(message, N), signature.r,
+                        (public_key.x, public_key.y), nonce_point))
     # Every s here passed the range check above, so none is zero mod n and
     # the whole batch shares one inversion.
-    batch = [  # (idx, u1, u2, Q, R)
-        (index, digest * s_inv % N, r * s_inv % N, q, nonce_point)
-        for (index, digest, r, q, nonce_point), s_inv
-        in zip(pending, ec_backend.batch_inverse(pending_s, N))
-    ]
-
-    began = _time.perf_counter()
-    subchecks = 0
-    max_depth = 0
-
-    def resolve(entries: list[tuple[int, int, int, _Point, _Point]],
-                depth: int = 0) -> None:
-        nonlocal subchecks, max_depth
-        if not _equation_pays(len(entries), len({e[3] for e in entries})):
-            singles.extend(entry[0] for entry in entries)
-            return
-        subchecks += 1
-        max_depth = max(max_depth, depth)
-        if _batch_equation_holds([entry[1:] for entry in entries]):
-            for entry in entries:
-                verdicts[entry[0]] = True
-            return
-        mid = len(entries) // 2
-        resolve(entries[:mid], depth + 1)
-        resolve(entries[mid:], depth + 1)
-
-    resolve(batch)
-    if subchecks:
-        _VERIFY_SECONDS.observe(_time.perf_counter() - began)
-    confirmed = sum(1 for verdict in verdicts if verdict)
-    if confirmed:
-        _VERIFY_TOTAL.labels(path="batch", outcome="ok").inc(confirmed)
-    for index, verdict in zip(singles,
-                              _check_each([items[i] for i in singles])):
-        verdicts[index] = verdict
-    if stats is not None:
-        stats.update(batched=len(batch), singles=len(singles),
-                     subchecks=subchecks, depth=max_depth)
-    return [bool(verdict) for verdict in verdicts]
+    s_inverses = ec_backend.batch_inverse([signature.s
+                                           for _, _, signature in live], N)
+    if not _batch_equation_holds([
+        (digest * s_inv % N, r * s_inv % N, q, nonce_point)
+        for (digest, r, q, nonce_point), s_inv in zip(entries, s_inverses)
+    ]):
+        return _check_each(items)
+    _VERIFY_SECONDS.observe_repeated(
+        (_time.perf_counter() - began) / len(items), len(items))
+    for outcome, count in (("ok", len(live)),
+                           ("fail", len(items) - len(live))):
+        if count:
+            _VERIFY_TOTAL.labels(path="batch", outcome=outcome).inc(count)
+    return formed

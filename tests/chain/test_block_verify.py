@@ -2,12 +2,13 @@
 
 ``mine_block`` checks every selected transaction's signature in one
 ``batch_verify`` call; these tests pin what the chain does with the
-verdicts: valid batches are included whole, bisection isolates a single
-corrupted signature (dropped, no receipt), receipts equal the per-item
-oracle's, a forged head defers its sender's later nonces, and two
-matched-seed chains in one process write equal block records.  The last
-class counts what a 512-transaction block costs in square roots and
-inversions mod n.
+verdicts: valid batches are included whole, a single corrupted signature
+is dropped with no receipt at the cost of one failed equation plus the
+checks, receipts equal the per-item oracle's, a forged head defers its
+sender's later nonces, a 512-transaction block with 32 forgeries gets the
+oracle's verdicts, and two matched-seed chains in one process write equal
+block records.  The last class counts what a 512-transaction block costs
+in square roots and inversions mod n.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from repro.chain import blockchain as blockchain_mod
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto.ecdsa import N, Signature
+from repro.crypto.ecdsa import N, Signature, _recover_nonce_point
 from repro.errors import ChainError
+from tests.crypto.rule import cost, counted
 
 #: The telemetry pinned here follows a rule that counts signatures, not
 #: the host's cores (tests/crypto/rule.py).
@@ -68,20 +70,28 @@ class TestBlockVerify:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_bisection_isolates_single_corruption(self, seed):
-        chain, wallets = _build_chain(100 + seed, 7)
-        bad_index = seed % len(wallets)
+        """One corrupted signature among 36: only it is dropped, at the
+        cost of the one equation (none when the corrupted r names no nonce
+        point) plus the checks of all 36."""
+        chain, wallets = _build_chain(100 + seed, 36)
+        bad_index = 5 * seed % len(wallets)
         hashes = []
         for i, w in enumerate(wallets):
             tx = Transaction(
                 sender=w.address, nonce=0, to="0x" + "66" * 20,
-                value=50 + i,
+                value=50 + i, gas_limit=50_000,
             ).sign(w.key)
             if i == bad_index:
                 _corrupt(tx)
+                resolves = _recover_nonce_point(tx.signature.r,
+                                                tx.signature.v) is not None
             hashes.append(chain.submit(tx))
-        block = chain.mine_block()
+        with counted() as spent:
+            block = chain.mine_block()
+        assert cost(spent) == (int(resolves), len(wallets))
         assert len(block.transactions) == len(wallets) - 1
-        assert chain.observer.records[-1]["verify"]["invalid"] == 1
+        assert chain.observer.records[-1]["verify"] == {
+            "signatures": len(wallets), "invalid": 1}
         for i, tx_hash in enumerate(hashes):
             if i == bad_index:
                 # Dropped and counted, never receipted: a receipt would
@@ -93,7 +103,7 @@ class TestBlockVerify:
                 assert chain.receipt_for(tx_hash).status
 
     def test_receipts_identical_to_per_item_oracle(self, monkeypatch):
-        def per_item(items, stats=None):
+        def per_item(items):
             return [key.verify(message, signature)
                     for key, message, signature in items]
 
@@ -149,6 +159,73 @@ class TestBlockVerify:
         assert chain.receipt_for(second_hash).status
 
 
+    def test_a_forgery_behind_a_failed_head_is_dropped_not_requeued(self):
+        chain, [alice] = _build_chain(32, 1)
+        txs = [Transaction(sender=alice.address, nonce=nonce,
+                           to="0x" + "33" * 20, value=9).sign(alice.key)
+               for nonce in range(3)]
+        for tx in txs:
+            chain.submit(_corrupt(tx) if tx.nonce != 1 else tx)
+        block = chain.mine_block()
+        # Only the genuine follower goes back to the pool.
+        assert block.transactions == []
+        assert list(chain.mempool) == [txs[1]]
+        assert chain.observer.records[-1]["verify"] == {"signatures": 3,
+                                                        "invalid": 2}
+        assert chain.observer.records[-1]["execution"]["deferred"] == 1
+
+    def test_512_from_64_with_32_forgeries_gets_the_oracles_verdicts(
+            self, monkeypatch):
+        # Senders 0..31 each forge one of their 8 transactions (nonce
+        # i % 8): the one equation fails, and the checks of all 512 decide.
+        chain, wallets = _build_chain(42, 64)
+        forged = {wallet.address: index % 8
+                  for index, wallet in enumerate(wallets[:32])}
+        by_nonce = {}
+        for wallet in wallets:
+            for nonce in range(8):
+                tx = Transaction(
+                    sender=wallet.address, nonce=nonce, to="0x" + "88" * 20,
+                    value=1 + nonce, gas_limit=50_000,
+                ).sign(wallet.key)
+                if forged.get(wallet.address) == nonce:
+                    # A wrong s keeps the nonce point: the equation runs.
+                    sig = tx.signature
+                    tx.signature = Signature(sig.r, sig.s % (N // 2) + 1,
+                                             sig.v)
+                by_nonce[wallet.address, nonce] = tx
+                chain.submit(tx)
+        verdicts = []
+        real = blockchain_mod.batch_verify
+
+        def recorded(items):
+            verdicts.append((real(items), [key.verify(message, signature)
+                                           for key, message, signature
+                                           in items]))
+            return verdicts[-1][0]
+
+        monkeypatch.setattr(blockchain_mod, "batch_verify", recorded)
+        with counted() as spent:
+            block = chain.mine_block()
+        [(got, oracle)] = verdicts
+        assert got == oracle and got.count(False) == 32
+        assert cost(spent) == (1, 2 * 512)  # the oracle's 512 included
+        later = sum(7 - nonce for nonce in forged.values())
+        assert len(block.transactions) == 512 - 32 - later
+        assert chain.observer.records[-1]["verify"] == {"signatures": 512,
+                                                        "invalid": 32}
+        assert chain.observer.records[-1]["execution"] == {
+            "rejected": 0, "deferred": later}
+        requeued = {(tx.sender, tx.nonce) for tx in chain.mempool}
+        for (sender, nonce), tx in by_nonce.items():
+            if sender not in forged or nonce < forged[sender]:
+                assert chain.receipt_for(tx.tx_hash).status
+                continue
+            with pytest.raises(ChainError, match="no receipt"):
+                chain.receipt_for(tx.tx_hash)
+            assert ((sender, nonce) in requeued) == (nonce > forged[sender])
+
+
 class TestMatchedSeedsInOneProcess:
     def test_two_chains_write_equal_block_records(self):
         # Nothing is cleared between the runs: the second chain's block
@@ -164,8 +241,8 @@ class TestMatchedSeedsInOneProcess:
                     for record in chain.observer.records]
 
         first = records()
-        verify = json.loads(first[-1])["verify"]
-        assert (verify["batched"], verify["subchecks"]) == (40, 1)
+        assert json.loads(first[-1])["verify"] == {"signatures": 40,
+                                                   "invalid": 0}
         assert records() == first
 
 
@@ -190,9 +267,9 @@ class TestWideBlockCost:
         spent = []
         real = blockchain_mod.batch_verify
 
-        def metered(items, stats=None):
+        def metered(items):
             before = dict(curve_ops)
-            verdicts = real(items, stats)
+            verdicts = real(items)
             # Inversions mod p follow table-cache state; test_bucket_msm
             # bounds them per call.
             spent.append({name: curve_ops[name] - before[name]
@@ -203,9 +280,7 @@ class TestWideBlockCost:
         block = chain.mine_block()
         assert len(block.transactions) == 512
         assert chain.observer.records[-1]["verify"] == {
-            "batched": 512, "singles": 0, "subchecks": 1, "depth": 0,
-            "invalid": 0,
-        }
+            "signatures": 512, "invalid": 0}
         return spent
 
     def test_wallet_signed_block_takes_no_square_root_and_one_inversion(

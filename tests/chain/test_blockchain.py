@@ -110,9 +110,9 @@ class TestBlockEntryVerification:
         real_batch = blockchain_mod.batch_verify
         real_check = ecdsa._check
 
-        def counting_batch(items, stats=None):
+        def counting_batch(items):
             batches.append(len(items))
-            return real_batch(items, stats)
+            return real_batch(items)
 
         def counting_check(handle, message, signature):
             singles.append(handle)
@@ -125,9 +125,7 @@ class TestBlockEntryVerification:
         assert batches == [36]
         assert singles == []
         assert chain.observer.records[-1]["verify"] == {
-            "batched": 36, "singles": 0, "subchecks": 1, "depth": 0,
-            "invalid": 0,
-        }
+            "signatures": 36, "invalid": 0}
 
     def test_a_wide_block_builds_no_point_table(self, chain, rng,
                                                 monkeypatch):
@@ -148,8 +146,8 @@ class TestBlockEntryVerification:
                     wallet.transfer("0x" + "11" * 20, 5, gas_limit=50_000)
             block = chain.mine_block()
             assert len(block.transactions) == 512
-            stats = chain.observer.records[-1]["verify"]
-            assert (stats["batched"], stats["subchecks"]) == (512, 1)
+            assert chain.observer.records[-1]["verify"] == {
+                "signatures": 512, "invalid": 0}
         # Each block: its 512 nonce terms and two halves per key term
         # (a half is zero with probability ~2⁻¹²⁸).
         assert sums == [512 + 2 * 64] * 2
@@ -275,9 +273,9 @@ class TestVerification:
         real_batch = consensus_mod.batch_verify
         real_check = ecdsa._check
 
-        def counting_batch(items, stats=None):
+        def counting_batch(items):
             batches.append(len(items))
-            return real_batch(items, stats)
+            return real_batch(items)
 
         def counting_check(handle, message, signature):
             singles.append(handle)
@@ -344,9 +342,9 @@ class TestVerifyChainSince:
             structures.append(block.header.number)
             return real_structure(block)
 
-        def counting_batch(items, stats=None):
+        def counting_batch(items):
             batches.append(len(items))
-            return real_batch(items, stats)
+            return real_batch(items)
 
         monkeypatch.setattr(Block, "validate_structure", counting_structure)
         monkeypatch.setattr(consensus_mod, "batch_verify", counting_batch)

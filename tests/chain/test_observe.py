@@ -56,14 +56,14 @@ class TestBlockRecords:
         records = chain.observer.records
         assert [r["number"] for r in records] == [1, 2, 3]
         record = records[-1]
-        assert record["v"] == 2
+        assert record["v"] == 3
         assert record["txs"] == len(wallets)
         assert record["gas_used"] > 0
         assert 0 < record["utilization_pct"] <= 100
         assert record["tx_mix"] == {"transfer": len(wallets), "call": 0,
                                     "deploy": 0}
         assert set(record["fees"]) == {"p50", "p95", "p99"}
-        assert record["verify"]["invalid"] == 0
+        assert record["verify"] == {"signatures": len(wallets), "invalid": 0}
         assert record["execution"] == {"rejected": 0, "deferred": 0}
         # Records must be JSON-safe and key-stable.
         assert json.loads(json.dumps(record, sort_keys=True)) == record
@@ -128,7 +128,7 @@ class TestRenderChainTop:
         chain, wallets = _build_chain(17, wallets=8)
         _mine_traffic(chain, wallets, blocks=2)
         # Last block: one forged transaction among the honest traffic, so
-        # the verify row shows non-zero singles and bad.
+        # the verify row shows a non-zero bad count.
         forged = Transaction(
             sender=wallets[3].address, nonce=2, to="0x" + "ee" * 20, value=1,
         ).sign(wallets[3].key)
@@ -136,8 +136,8 @@ class TestRenderChainTop:
         forged.signature = Signature(r=sig.r ^ 1, s=sig.s, v=sig.v)
         chain.submit(forged)
         _mine_traffic(chain, wallets[:3] + wallets[4:], blocks=1)
-        verify = chain.observer.records[-1]["verify"]
-        assert verify["invalid"] == 1 and verify["singles"] >= 1
+        assert chain.observer.records[-1]["verify"] == {"signatures": 8,
+                                                        "invalid": 1}
         panel = render_chain_top(chain.observer.records,
                                  audit=chain.auditor.summary())
         assert "PDS2 CHAIN" in panel
@@ -145,20 +145,14 @@ class TestRenderChainTop:
         assert "mempool" in panel
         [row] = [line for line in panel.splitlines()
                  if line.startswith("  verify")]
-        assert row.split() == [
-            "verify", "batched", str(verify["batched"]),
-            "singles", str(verify["singles"]),
-            "bisect", f"{verify['subchecks']}/{verify['depth']}",
-            "bad", "1",
-        ]
+        assert row.split() == ["verify", "signatures", "8", "bad", "1"]
         assert "audit: OK" in panel
         # Deterministic width discipline: no line exceeds the panel.
         assert max(len(line) for line in panel.splitlines()) <= 74
 
     def test_verify_row_fits_at_block_capacity(self):
-        record = {"txs": 1428, "verify": {
-            "batched": 1428, "singles": 1428, "subchecks": 2855,
-            "depth": 11, "invalid": 1428}}
+        record = {"txs": 1428, "verify": {"signatures": 1428,
+                                          "invalid": 1428}}
         panel = render_chain_top([record])
         assert max(len(line) for line in panel.splitlines()) <= 74
 
@@ -210,6 +204,23 @@ class TestRunDirectory:
         assert data == {"records": [old], "audit": None}
         panel = render_chain_top(data["records"], data["audit"])
         assert "blocks      1   txs       3" in panel
+
+    def test_v2_directory_with_bisection_counts_reads_back(self, tmp_path):
+        # A run recorded while a failed equation was bisected: version-2
+        # records carry its counts under ``verify``.
+        root = tmp_path / "run"
+        root.mkdir()
+        old = {"v": 2, "number": 1, "txs": 40, "gas_used": 840000,
+               "utilization_pct": 2.8, "tx_mix": {"transfer": 40},
+               "verify": {"batched": 40, "singles": 20, "subchecks": 3,
+                          "depth": 1, "invalid": 1},
+               "execution": {"rejected": 0, "deferred": 0}}
+        (root / "blocks.jsonl").write_text(json.dumps(old) + "\n")
+        data = read_chain_run(str(root))
+        assert data == {"records": [old], "audit": None}
+        [row] = [line for line in render_chain_top(data["records"])
+                 .splitlines() if line.startswith("  verify")]
+        assert row.split() == ["verify", "signatures", "-", "bad", "1"]
 
     def test_mid_file_corruption_raises(self, tmp_path, capsys):
         """One damaged record in the middle must not hide the blocks

@@ -1,4 +1,4 @@
-"""Batch signature verification: multi-scalar differential + bisection.
+"""Batch signature verification: multi-scalar differential + verdicts.
 
 Two layers are under test here.  ``ec_backend.multi_scalar_mult`` is checked
 differentially against the affine oracle in :mod:`tests.crypto.affine_oracle`
@@ -8,10 +8,13 @@ all-good batches, corrupted batches, malformed scalars and flipped parity
 bits.  Every test runs under a rule pinned to count signatures
 (``tests/crypto/rule.py``): a batch under 32 never reaches the equation, so
 every such check runs on 32 or more, and the routing is pinned at 31/32.
-The bisection sweep runs ≥20 seeds with exactly one corrupted signature
-each, asserting only that signature is rejected; the Hypothesis sweep
-draws batches from few keys (so the per-key folded term is always
-exercised) with up to three corruptions of five kinds.
+What a batch costs is stated with :func:`tests.crypto.rule.counted`: one
+equation when it holds, and otherwise the OpenSSL checks of every item
+after it.  The single-corruption sweep runs ≥20 seeds with exactly one
+corrupted signature each, asserting only that signature is rejected; the
+Hypothesis sweep draws batches from few keys (so the per-key folded term
+is always exercised) with up to three corruptions of seven kinds, under
+both pinned arms.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from repro.crypto.ecdsa import (
     batch_verify,
 )
 from tests.crypto.affine_oracle import point_add, point_mul
+from tests.crypto.rule import cost, counted, equation_from
 
 
 #: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
@@ -121,7 +125,11 @@ def _signed(key_index: int, message_index: int):
     return key.public_key, message, key.sign(message)
 
 
-CORRUPTIONS = ("bad_r", "bad_s", "flip_v", "swap_key", "bad_message")
+CORRUPTIONS = ("bad_r", "bad_s", "flip_v", "swap_key", "bad_message",
+               "high_s", "non_residue_r")
+
+#: An r no nonce point has: 5³ + 7 is a quadratic non-residue mod p.
+NON_RESIDUE_R = 5
 
 
 def _corrupt_item(item, kind: str, other_key: PublicKey):
@@ -134,6 +142,10 @@ def _corrupt_item(item, kind: str, other_key: PublicKey):
                                               sig.v)
     if kind == "flip_v":
         return public_key, message, Signature(sig.r, sig.s, sig.v ^ 1)
+    if kind == "high_s":
+        return public_key, message, Signature(sig.r, N - sig.s, sig.v)
+    if kind == "non_residue_r":
+        return public_key, message, Signature(NON_RESIDUE_R, sig.s, sig.v)
     if kind == "swap_key":
         return other_key, message, sig
     return public_key, message + b"!", sig
@@ -174,58 +186,53 @@ class TestKeyFoldedEquation:
     def test_agrees_with_individual_verifier_on_generated_batches(
             self, batch):
         items, corrupted = batch
-        stats: dict = {}
-        got = batch_verify(items, stats)
         expected = [key.verify(message, sig) for key, message, sig in items]
-        assert got == expected
         # A flipped parity bit is still a valid signature (``verify``
         # ignores v); every other corruption is not.
         assert expected == [corrupted.get(index, "flip_v") == "flip_v"
                             for index in range(len(items))]
-        # Every corrupted item reaches the individual oracle, and no good
-        # one unless bisection split it off a failed equation into a
-        # sub-batch under 32; a clean batch is one equation and no single.
-        assert stats["batched"] + stats["singles"] >= len(items)
-        assert len(corrupted) <= stats["singles"]
-        if not corrupted:
-            assert (stats["singles"], stats["subchecks"],
-                    stats["depth"]) == (0, 1, 0)
+        # The equation runs when the rule prices its well-formed items to
+        # it and each of their nonce points resolves (a non-residue r, or
+        # a corrupted r that happens to be one, leaves nothing to equate).
+        # It holds when the only corruptions are high-s scalars, refused
+        # beside it; otherwise every item is checked.
+        live = [sig for _, _, sig in items
+                if 1 <= sig.r < N and 1 <= sig.s <= N // 2]
+        resolves = all(_recover_nonce_point(sig.r, sig.v) is not None
+                       for sig in live)
+        holds = set(corrupted.values()) <= {"high_s"}
+        for width in (32, len(items) + 1):
+            with equation_from(width), counted() as spent:
+                assert batch_verify(items) == expected
+            if len(live) < width or not resolves:
+                assert cost(spent) == (0, len(items))
+            else:
+                assert cost(spent) == (1, 0 if holds else len(items))
 
     def test_one_bad_signature_among_a_senders_good_ones(self):
         items = [_signed(0, index) for index in range(64)]
         items[17] = _corrupt_item(items[17], "bad_s", None)
-        stats: dict = {}
-        assert batch_verify(items, stats) == [i != 17 for i in range(64)]
-        # Bisected inside one key group: 64 → 32 + 32, the failed half's
-        # 16 + 16 to the oracle.
-        assert (stats["subchecks"], stats["depth"], stats["singles"]) == \
-            (3, 1, 32)
+        with counted() as spent:
+            assert batch_verify(items) == [i != 17 for i in range(64)]
+        # The equation fails and names no culprit: the 64 checks it would
+        # have replaced decide the batch.
+        assert cost(spent) == (1, 64)
 
-    def test_a_wide_forged_batch_bisects_across_the_bucket_threshold(
-            self, monkeypatch):
+    def test_a_wide_forged_batch_is_one_equation_then_the_checks(self):
         # 5 keys × 8 signatures, interleaved, one of key 2's forged: the
-        # one equation is wide (40 nonce points, 5 key terms), the halves
-        # bisection splits it into are under 32 and go to the oracle.
+        # one equation is wide (40 nonce points, 5 key terms); when it
+        # fails, the 40 checks decide.
         items = [_signed(key, message) for message in range(8)
                  for key in range(5)]
         forged = 3 * 5 + 2
         items[forged] = _corrupt_item(items[forged], "bad_message", None)
-        widths = []
-        real = ec_backend.multi_scalar_mult
-
-        def spy(base_scalar, terms):
-            widths.append(len(terms))
-            return real(base_scalar, terms)
-
-        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
-        stats: dict = {}
-        got = batch_verify(items, stats)
-        monkeypatch.undo()
+        with counted() as spent:
+            got = batch_verify(items)
         assert got == [key.verify(message, sig)
                        for key, message, sig in items]
         assert got == [index != forged for index in range(40)]
-        assert widths == [40 + 5]
-        assert (stats["depth"], stats["singles"]) == (0, 40)
+        assert spent["equations"] == [40 + 5]
+        assert cost(spent) == (1, 40)
 
     def test_single_key_batch_is_one_key_term(self, monkeypatch):
         seen = []
@@ -280,9 +287,9 @@ class TestRecoverNoncePoint:
 class TestBatchVerify:
     def test_all_good_batch(self):
         items = _make_batch(1, 32)
-        stats: dict = {}
-        assert batch_verify(items, stats) == [True] * 32
-        assert (stats["subchecks"], stats["singles"]) == (1, 0)
+        with counted() as spent:
+            assert batch_verify(items) == [True] * 32
+        assert cost(spent) == (1, 0)
 
     def test_empty_batch(self):
         assert batch_verify([]) == []
@@ -291,10 +298,9 @@ class TestBatchVerify:
         monkeypatch.setattr(ecdsa, "_recover_nonce_point",
                             lambda r, v: pytest.fail("nothing to amortize"))
         [(pk, msg, sig)] = _make_batch(6, 1)
-        stats: dict = {}
-        assert batch_verify([(pk, msg, sig)], stats) == [True]
-        assert stats == {"batched": 0, "singles": 1, "subchecks": 0,
-                         "depth": 0}
+        with counted() as spent:
+            assert batch_verify([(pk, msg, sig)]) == [True]
+        assert cost(spent) == (0, 1)
         assert batch_verify([(pk, msg + b"!", sig)]) == [False]
 
     def test_agrees_with_individual_verifier(self):
@@ -315,15 +321,14 @@ class TestBatchVerify:
 
     def test_flipped_parity_bit_still_verifies(self):
         # The individual verifier ignores v, so a corrupted parity bit must
-        # not change the batch outcome — it routes through the singleton
-        # fallback instead.
+        # not change the batch outcome: −R misses the equation, and the
+        # checks decide every item.
         items = _make_batch(3, 32)
         pk, msg, sig = items[2]
         items[2] = (pk, msg, Signature(r=sig.r, s=sig.s, v=sig.v ^ 1))
-        stats: dict = {}
-        assert batch_verify(items, stats) == [True] * 32
-        # −R misses the equation; bisection hands the halves to the oracle.
-        assert (stats["subchecks"], stats["singles"]) == (1, 32)
+        with counted() as spent:
+            assert batch_verify(items) == [True] * 32
+        assert cost(spent) == (1, 32)
 
     def test_malformed_scalars_rejected_without_curve_math(self):
         items = _make_batch(4, 34)
@@ -332,48 +337,57 @@ class TestBatchVerify:
         items[0] = (pk, msg, Signature(r=sig.r, s=high_s, v=sig.v))
         pk, msg, sig = items[1]
         items[1] = (pk, msg, Signature(r=N, s=sig.s, v=sig.v))
-        stats: dict = {}
-        got = batch_verify(items, stats)
+        with counted() as spent:
+            got = batch_verify(items)
         assert got == [False, False] + [True] * 32
-        # Both fail before the equation, which holds for the other 32.
-        assert (stats["batched"], stats["subchecks"], stats["singles"]) \
-            == (32, 1, 0)
+        # Both are refused beside the equation, which holds for the other
+        # 32 and decides the batch.
+        assert spent["equations"] == [32 + 32] and not spent["checks"]
 
-    def test_verdict_counters_after_a_512_signature_batch(self):
-        # One verdict per item, on the path that decided it: the batch for
-        # each item the equation confirmed and for a high-s scalar refused
-        # before any curve math, one OpenSSL check for the forged item and
-        # each neighbour bisection leaves alone with it.
-        keys = [PrivateKey.from_seed(b"count-%d" % index)
-                for index in range(64)]
-        items = []
-        for index in range(512):
-            key = keys[index % 64]
-            message = b"count-msg-%d" % index
-            items.append((key.public_key, message, key.sign(message)))
-        pk, msg, sig = items[7]
-        items[7] = (pk, msg + b"!", sig)
-        pk, msg, sig = items[300]
-        items[300] = (pk, msg, Signature(sig.r, N - sig.s, sig.v))
+    @staticmethod
+    def _spend(forged, high_s):
+        """Verdict counter and seconds-histogram deltas, and the cost, of
+        the 512/64 batch with ``forged`` messages and ``high_s`` scalars."""
+        items = _wide_batch()
+        for index in forged:
+            pk, msg, sig = items[index]
+            items[index] = (pk, msg + b"!", sig)
+        for index in high_s:
+            pk, msg, sig = items[index]
+            items[index] = (pk, msg, Signature(sig.r, N - sig.s, sig.v))
         labels = [("batch", "ok"), ("batch", "fail"), ("single", "ok"),
                   ("single", "fail")]
+        histogram = ecdsa._VERIFY_SECONDS.child()
 
         def counts():
             return [ecdsa._VERIFY_TOTAL.labels(path=path,
                                                outcome=outcome).value
-                    for path, outcome in labels]
+                    for path, outcome in labels] + [histogram.count]
 
         before = counts()
-        stats: dict = {}
-        assert batch_verify(items, stats) == \
-            [index not in (7, 300) for index in range(512)]
-        spent = [after - start for after, start in zip(counts(), before)]
-        assert stats["batched"] == 511
-        assert spent == [511 - stats["singles"], 1, stats["singles"] - 1, 1]
+        with counted() as spent:
+            assert batch_verify(items) == \
+                [index not in forged + high_s for index in range(512)]
+        return ([after - start for after, start in zip(counts(), before)],
+                cost(spent))
+
+    def test_verdict_counters_after_a_512_signature_batch(self):
+        # One verdict per item, on the path that decided it: a forgery
+        # fails the equation, and then every item is an OpenSSL check.
+        assert self._spend((7,), (300,)) == ([0, 0, 510, 2, 512], (1, 512))
+
+    def test_one_seconds_sample_per_signature_on_the_equation_path(self):
+        # The equation held: the batch path for its 512 (or 511 beside a
+        # refused high-s scalar), and one seconds sample per signature,
+        # not one per equation.
+        assert self._spend((), ()) == ([512, 0, 0, 0, 512], (1, 0))
+        assert self._spend((), (300,)) == ([511, 1, 0, 0, 512], (1, 0))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_bisection_isolates_single_corruption(self, seed):
-        """≥20 seeds: exactly one corrupted signature, only it rejected."""
+        """≥20 seeds: exactly one corrupted signature, only it rejected,
+        at the cost of one equation (none when the corrupted r names no
+        nonce point) plus the checks of every item."""
         rng = random.Random(seed)
         size = rng.randrange(32, 64)
         items = _make_batch(100 + seed, size)
@@ -381,9 +395,13 @@ class TestBatchVerify:
         pk, msg, sig = items[victim]
         corrupt_r = (sig.r + rng.randrange(1, N - 1)) % N or 1
         items[victim] = (pk, msg, Signature(r=corrupt_r, s=sig.s, v=sig.v))
-        got = batch_verify(items)
-        expected = [index != victim for index in range(size)]
-        assert got == expected
+        with counted() as spent:
+            got = batch_verify(items)
+        assert got == [key.verify(message, signature)
+                       for key, message, signature in items]
+        assert got == [index != victim for index in range(size)]
+        resolves = _recover_nonce_point(corrupt_r, sig.v) is not None
+        assert cost(spent) == (int(resolves), size)
 
     @pytest.mark.parametrize("size, equations", [(31, 0), (32, 1)],
                              ids=["31", "32"])
@@ -391,27 +409,34 @@ class TestBatchVerify:
         items = _make_batch(7, size)
         buckets = ec_backend._SCALAR_MULTS.labels(kind="bucket")
         before = buckets.value
-        stats: dict = {}
-        assert batch_verify(items, stats) == [True] * size
+        with counted() as spent:
+            assert batch_verify(items) == [True] * size
         assert buckets.value - before == equations
-        assert (stats["subchecks"], stats["singles"]) == \
-            (equations, 0 if equations else size)
+        assert cost(spent) == (equations, 0 if equations else size)
 
-    def test_a_forged_wide_batch_bisects_down_to_singles_under_32(
-            self, monkeypatch):
+    def test_a_forged_wide_batch_is_one_equation_then_96_checks(self):
         items = _make_batch(8, 96)
         items[70] = _corrupt_item(items[70], "bad_message", None)
-        sizes = []
-        real = ecdsa._batch_equation_holds
-        monkeypatch.setattr(ecdsa, "_batch_equation_holds",
-                            lambda entries: sizes.append(len(entries))
-                            or real(entries))
-        stats: dict = {}
-        got = batch_verify(items, stats)
-        # 96 fails; of its halves the clean 48 holds and the forged 48
-        # goes to the oracle as two 24s, no equation under 32.
-        assert sizes == [96, 48, 48]
-        assert stats["singles"] == 48
+        with counted() as spent:
+            got = batch_verify(items)
+        # The one equation, over all 96 nonce points and 96 key terms,
+        # fails, and none runs on a part of the batch.
+        assert spent["equations"] == [96 + 96]
+        assert cost(spent) == (1, 96)
         assert got == [key.verify(message, sig)
                        for key, message, sig in items]
         assert got == [index != 70 for index in range(96)]
+
+
+@lru_cache(maxsize=None)
+def _wide_signatures() -> tuple:
+    keys = [PrivateKey.from_seed(b"count-%d" % index) for index in range(64)]
+    return tuple((keys[index % 64].public_key, b"count-msg-%d" % index,
+                  keys[index % 64].sign(b"count-msg-%d" % index))
+                 for index in range(512))
+
+
+def _wide_batch() -> list:
+    """512 signatures from 64 keys, the shape of a ``chain_bulk`` block,
+    signed once per process."""
+    return list(_wide_signatures())

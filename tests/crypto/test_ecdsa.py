@@ -311,7 +311,7 @@ def _fillers() -> tuple:
 
 def _batch_verdict(public_key, message, signature) -> bool:
     """``batch_verify``'s verdict on the entry among 31 valid others: one
-    32-signature equation, bisected to the oracle when it fails."""
+    32-signature equation, or the checks of all 32 when it fails."""
     with equation_from(WIDTH):
         verdicts = batch_verify([(public_key, message, signature)]
                                 + list(_fillers()))

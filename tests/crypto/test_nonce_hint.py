@@ -8,7 +8,8 @@ differ), every other hint — absent, wrong, negated, out of range, or for an
 ``r`` whose point has ``x ≥ n`` — costs one square root and nothing else,
 and ``batch_verify`` agrees with :meth:`PublicKey.verify` on all of them,
 in the narrowest batch that reaches the equation (32 signatures) and
-inside a 512-item batch whose bisection ends at that size.
+inside a 512-item batch whose forgeries fail the equation, so the checks
+decide it.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.crypto.ecdsa import (
 )
 from repro.crypto.hashing import hash_to_int
 from tests.crypto.affine_oracle import point_add, point_mul
-from tests.crypto.rule import WIDTH
+from tests.crypto.rule import WIDTH, cost, counted
 
 
 #: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
@@ -153,9 +154,9 @@ class TestBatchVerifyWithHints:
     @pytest.mark.parametrize("name", sorted(HINTS))
     def test_pair_agrees_with_the_individual_verifier(self, name):
         items = [_with_hint(_signed(1), name)] + _others(WIDTH - 1)
-        stats: dict = {}
-        assert batch_verify(items, stats) == [True] * WIDTH
-        assert (stats["subchecks"], stats["singles"]) == (1, 0)
+        with counted() as spent:
+            assert batch_verify(items) == [True] * WIDTH
+        assert cost(spent) == (1, 0)
         tampered = [(items[0][0], items[0][1] + b"!", items[0][2])]
         assert batch_verify(tampered + items[1:]) == \
             [False] + [True] * (WIDTH - 1)
@@ -185,23 +186,22 @@ class TestBatchVerifyWithHints:
         copies = [_with_hint(item, name)
                   for name in ("valid", "absent", "wrong_value")]
         assert copies[0] == copies[1] == copies[2]
-        stats: dict = {}
-        assert batch_verify(copies + _others(WIDTH), stats) == \
-            [True] * (WIDTH + 3)
-        assert (stats["batched"], stats["subchecks"], stats["singles"]) == \
-            (WIDTH + 3, 1, 0)
+        items = copies + _others(WIDTH)
+        with counted() as spent:
+            assert batch_verify(items) == [True] * (WIDTH + 3)
+        assert cost(spent) == (1, 0)
 
     @pytest.mark.parametrize("r_is_curve_x", [False, True])
     def test_nonce_point_with_x_above_n(self, r_is_curve_x):
         item = _wrapped_r_signature(b"wrapped", r_is_curve_x)
         public_key, message, signature = item
         assert public_key.verify(message, signature)
-        stats: dict = {}
-        assert batch_verify([item] + _others(WIDTH - 1), stats) == \
-            [True] * WIDTH
+        items = [item] + _others(WIDTH - 1)
+        with counted() as spent:
+            assert batch_verify(items) == [True] * WIDTH
         # Recovery reaches the true point only when r is no curve x itself;
-        # otherwise the equation misses and the oracle decides all 32.
-        assert stats["singles"] == (WIDTH if r_is_curve_x else 0)
+        # otherwise the equation misses and the checks decide all 32.
+        assert cost(spent) == (1, WIDTH if r_is_curve_x else 0)
 
     def test_512_items_every_hint_kind_three_forgeries(self):
         items = [_signed(index) for index in range(512)]
@@ -220,12 +220,11 @@ class TestBatchVerifyWithHints:
             else:
                 public_key = items[position + 1][0]
             items[position] = (public_key, message, signature)
-        stats: dict = {}
-        got = batch_verify(items, stats)
+        with counted() as spent:
+            got = batch_verify(items)
         assert got == [index not in forged for index in range(512)]
         assert got == [key.verify(message, signature)
                        for key, message, signature in items]
-        # 512 → 256 → 128 → 64 → 32: the four 32-item sub-batches that
-        # hold a forgery or the r-is-a-curve-x signature (300) fail, and
-        # their 16-item halves go to the individual oracle.
-        assert (stats["depth"], stats["singles"]) == (4, 4 * WIDTH)
+        # The forgeries and the r-is-a-curve-x signature (300) fail the
+        # one equation; the 512 checks decide.
+        assert cost(spent) == (1, 512)
