@@ -80,33 +80,6 @@ def jacobian_double(point: JacobianPoint) -> JacobianPoint:
     return (x3, y3, z3)
 
 
-def jacobian_add_affine(p1: JacobianPoint, p2: AffinePoint) -> JacobianPoint:
-    """Mixed addition: Jacobian + affine (Z2 = 1), saving 5 multiplications."""
-    if p2 is None:
-        return p1
-    if p1 is None:
-        x2, y2 = p2
-        return (x2, y2, 1)
-    x1, y1, z1 = p1
-    x2, y2 = p2
-    z1_sq = z1 * z1 % P
-    u2 = x2 * z1_sq % P
-    s2 = y2 * z1_sq * z1 % P
-    if x1 == u2:
-        if y1 != s2:
-            return None
-        return jacobian_double(p1)
-    h = (u2 - x1) % P
-    r = (s2 - y1) % P
-    h_sq = h * h % P
-    h_cu = h * h_sq % P
-    u1h_sq = x1 * h_sq % P
-    x3 = (r * r - h_cu - 2 * u1h_sq) % P
-    y3 = (r * (u1h_sq - x3) - y1 * h_cu) % P
-    z3 = h * z1 % P
-    return (x3, y3, z3)
-
-
 def to_affine(point: JacobianPoint) -> AffinePoint:
     """Project back to affine with the single inversion of the whole mul."""
     if point is None or point[2] == 0:
@@ -419,7 +392,7 @@ def multi_scalar_mult(base_scalar: int,
     # The accumulator lives in three scalar locals (az == 0 means
     # infinity) with doubling and mixed addition open-coded: over ~130
     # iterations tuple packing and helper calls are the dominant
-    # interpreter cost.  Rare degenerate branches fall back to the helper.
+    # interpreter cost.  A rare same-x addend doubles through the helper.
     ax = ay = az = 0
     for index in range(length - 1, -1, -1):
         if az:  # no point of secp256k1 has y = 0: a doubling is never 𝒪
@@ -436,11 +409,11 @@ def multi_scalar_mult(base_scalar: int,
                 continue
             z_sq = az * az % p
             u2 = qx * z_sq % p
-            if ax == u2:  # same x: doubling or cancellation (rare)
-                result = jacobian_add_affine((ax, ay, az), (qx, qy))
-                ax, ay, az = result if result is not None else (0, 0, 0)
-                continue
             s2 = qy * z_sq * az % p
+            if ax == u2:  # the same point doubles, its negation cancels
+                ax, ay, az = (jacobian_double((ax, ay, az)) if ay == s2
+                              else (0, 0, 0))
+                continue
             h = u2 - ax
             r = (s2 - ay) % p
             h_sq = h * h % p

@@ -24,17 +24,19 @@ platform's checked quote, ``AuthenticityVerifier`` its accepted device
 certificates).
 
 :meth:`PublicKey.verify` (OpenSSL) is the authority; :func:`batch_verify`,
-the chain's block-entry path, runs the cheaper of OpenSSL checks over the
-verifier's cores (OpenSSL releases the GIL) and one bucket equation.
+the chain's block-entry path, runs the cheaper of OpenSSL checks on threads
+and one bucket equation on forked workers, over the verifier's cores.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
+from multiprocessing.connection import Connection, Pipe
 from queue import SimpleQueue
 from typing import Optional
 
@@ -353,28 +355,73 @@ _BATCH_COEFF_BITS = 128
 
 # The batch rule, in ms for n signatures from k keys: checks over the cores,
 # ⌈n / cores⌉ · c, or one equation over n nonce points and two GLV halves a
-# key, a + b·(n + 2k); c, a, b fit the sweep in benchmarks/results/batch_rule.txt.
-_CHECK_MS = 0.81
-_EQUATION_MS = (4.4, 0.191)
+# key summed over the cores, a + b·(n + 2k) / cores, plus d past one core;
+# c, a, b, d fit the sweep in benchmarks/results/batch_rule.txt.
+_CHECK_MS = 0.67
+_EQUATION_MS = (3.9, 0.178, 1.4)
 
-#: The verifier's cores; its ``_CORES − 1`` check threads serve this queue.
+#: The verifier's cores; ``_POOL`` serves the other ``_CORES − 1``: a queue
+#: for their check threads, a pipe to each forked equation worker, its pid.
 _CORES = len(os.sched_getaffinity(0))
-_POOL: Optional[SimpleQueue] = None
+_POOL: Optional[tuple[SimpleQueue, list[Connection], list[int]]] = None
 
 
 def _forget_pool() -> None:
-    # A forked child inherits the pool but no thread to run what it submits.
+    # A forked child closes the pipes it inherited and starts its own pool.
     global _POOL
+    for pipe in _POOL[1] if _POOL else ():
+        pipe.close()
     _POOL = None
 
 
 os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _start_pool() -> tuple[SimpleQueue, list[Connection], list[int]]:
+    """Fork the equation workers (``multiprocessing`` gives a daemonic batch
+    worker none), then the check threads, so a fork copies no thread."""
+    global _POOL
+    _POOL = (SimpleQueue(), [], [])
+    try:
+        for _ in range(_CORES - 1):
+            ours, theirs = Pipe()
+            _POOL[1].append(ours)  # the worker's fork closes it there
+            if not (pid := os.fork()):
+                try:  # sum each list of terms read, keep nothing, exit at EOF
+                    while True:
+                        theirs.send(
+                            ec_backend.multi_scalar_mult(0, theirs.recv()))
+                finally:
+                    os._exit(0)
+            theirs.close()
+            _POOL[2].append(pid)
+        for _ in range(_CORES - 1):
+            threading.Thread(target=_serve, args=(_POOL[0],),
+                             daemon=True).start()
+    except BaseException:  # a pool with no thread would hang its caller
+        _drop_pool()
+        raise
+    return _POOL
+
+
+@atexit.register
+def _drop_pool() -> None:
+    """Stop the check threads; close each worker's pipe, wait for its exit."""
+    global _POOL
+    requests, pipes, workers = _POOL or (None, [], [])
+    _POOL = None
+    for pipe in pipes:
+        pipe.close()
+    for pid in workers:
+        requests.put(None)
+        os.waitpid(pid, 0)
+
+
 def _equation_pays(signatures: int, keys: int) -> bool:
     """True when one bucket equation costs less than the OpenSSL checks."""
-    a, b = _EQUATION_MS
-    return a + b * (signatures + 2 * keys) < -(-signatures // _CORES) * _CHECK_MS
+    a, b, d = _EQUATION_MS
+    return (a + b * (signatures + 2 * keys) / _CORES + d * (_CORES > 1)
+            < -(-signatures // _CORES) * _CHECK_MS)
 
 
 def _check(handle: ec.EllipticCurvePublicKey, message: bytes,
@@ -394,9 +441,10 @@ def _check(handle: ec.EllipticCurvePublicKey, message: bytes,
 
 
 def _serve(requests: SimpleQueue) -> None:
-    """A check thread: answer each ``(index, checks, replies)`` it takes."""
-    while True:
-        index, checks, replies = requests.get()
+    """A check thread: answer each ``(index, checks, replies)`` it takes,
+    until it takes ``None``."""
+    while request := requests.get():
+        index, checks, replies = request
         try:
             replies.put((index, [_check(*check) for check in checks]))
         except BaseException as exc:  # the caller raises it
@@ -407,19 +455,15 @@ def _check_each(items: list[tuple[PublicKey, bytes, Signature]]) -> list[bool]:
     """:func:`_check` on every item in ``min(_CORES, n)`` contiguous chunks:
     the first here, the rest on the check threads.  Only this thread builds
     handles and counts; it calls C queue puts and gets, whatever the timing."""
-    global _POOL
     began = _time.perf_counter()
     checks = [(key._openssl, message, signature)
               for key, message, signature in items]
     parts = max(1, min(_CORES, len(checks)))
-    if parts > 1 and _POOL is None:
-        _POOL = SimpleQueue()
-        for _ in range(_CORES - 1):
-            threading.Thread(target=_serve, args=(_POOL,), daemon=True).start()
     bounds = [len(checks) * part // parts for part in range(parts + 1)]
     replies: SimpleQueue = SimpleQueue()
     for part in range(1, parts):
-        _POOL.put((part, checks[bounds[part]:bounds[part + 1]], replies))
+        (_POOL or _start_pool())[0].put(
+            (part, checks[bounds[part]:bounds[part + 1]], replies))
     verdicts = [_check(*check) for check in checks[:bounds[1]]]
     for _, chunk in sorted(replies.get() for _ in range(1, parts)):
         if isinstance(chunk, BaseException):
@@ -497,9 +541,35 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
         # −aᵢ·Rᵢ as aᵢ·(−Rᵢ): the coefficient stays 128 bits, so the R
         # term joins the buckets whole, not as the two GLV halves of N − aᵢ.
         nonce_terms.append((coeff, (r_pt[0], P - r_pt[1])))
-    return ec_backend.multi_scalar_mult(
+    return _equation_sum(
         base_scalar, [(k, q) for q, k in key_scalars.items()] + nonce_terms
     ) is None
+
+
+def _equation_sum(base_scalar: int,
+                  terms: list[tuple[int, _Point]]) -> _Point:
+    """``base_scalar · G + Σ kᵢ · Qᵢ`` over the verifier's cores: every
+    ``parts``-th term in one of ``min(_CORES, len(terms))`` parts (so the
+    key terms spread evenly), the first summed here with ``G``'s term, each
+    other by a worker; one caller at a time, the verifier's thread.  If a
+    worker is gone, the pool goes and this thread sums all."""
+    parts = min(_CORES, len(terms))
+    if parts < 2:
+        return ec_backend.multi_scalar_mult(base_scalar, terms)
+    try:
+        pipes = (_POOL or _start_pool())[1]
+        for part in range(1, parts):
+            pipes[part % len(pipes)].send(terms[part::parts])
+        total = ec_backend.multi_scalar_mult(base_scalar, terms[::parts])
+        for part in range(1, parts):
+            [total] = ec_backend.batch_add([total],
+                                           [pipes[part % len(pipes)].recv()])
+    except BaseException as exc:
+        _drop_pool()  # no later call may read a sum still in flight
+        if not isinstance(exc, (EOFError, OSError)):
+            raise
+        return ec_backend.multi_scalar_mult(base_scalar, terms)
+    return total
 
 
 def batch_verify(

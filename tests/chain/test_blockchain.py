@@ -10,7 +10,7 @@ from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto import ec_backend, ecdsa
+from repro.crypto import ecdsa
 from repro.errors import ChainError, InvalidBlockError
 from tests.conftest import make_funded_wallet
 
@@ -130,16 +130,18 @@ class TestBlockEntryVerification:
     def test_a_wide_block_builds_no_point_table(self, chain, rng,
                                                 monkeypatch):
         # 64 senders × 8 transactions: 512 nonce points and 64 folded key
-        # terms, all of them in one bucket sum (the keys as GLV halves).
+        # terms, all of them in one equation (the keys as GLV halves),
+        # counted where the verifier hands it out, whichever of its cores
+        # sums each part.
         wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(64)]
         sums = []
-        real = ec_backend._bucket_events
+        real = ecdsa._equation_sum
 
-        def recording(pairs):
-            sums.append(len(pairs))
-            return real(pairs)
+        def recording(base_scalar, terms):
+            sums.append(sum(1 + (k.bit_length() > 128) for k, _ in terms))
+            return real(base_scalar, terms)
 
-        monkeypatch.setattr(ec_backend, "_bucket_events", recording)
+        monkeypatch.setattr(ecdsa, "_equation_sum", recording)
         for _ in range(2):
             for wallet in wallets:
                 for _ in range(8):

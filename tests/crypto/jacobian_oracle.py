@@ -11,7 +11,8 @@ the events to be equal.  :func:`wnaf_scalar_mult` is the one-point
 multiplication of 62b3626, the fast second oracle for bulk runs the affine
 one is too slow for, and :func:`strauss_msm` the many-point one: the
 interleaved wNAF streams narrow batch equations ran on before every
-equation became one bucket sum.
+equation became one bucket sum.  :func:`jacobian_add_affine` is the mixed
+addition those two ran on, which the kernel's doubling chain open-codes.
 """
 
 from __future__ import annotations
@@ -22,10 +23,36 @@ from repro.crypto.ec_backend import (
     AffinePoint,
     JacobianPoint,
     batch_to_affine,
-    jacobian_add_affine,
     jacobian_double,
     to_affine,
 )
+
+
+def jacobian_add_affine(p1: JacobianPoint, p2: AffinePoint) -> JacobianPoint:
+    """Mixed addition: Jacobian + affine (Z2 = 1), saving 5 multiplications."""
+    if p2 is None:
+        return p1
+    if p1 is None:
+        x2, y2 = p2
+        return (x2, y2, 1)
+    x1, y1, z1 = p1
+    x2, y2 = p2
+    z1_sq = z1 * z1 % P
+    u2 = x2 * z1_sq % P
+    s2 = y2 * z1_sq * z1 % P
+    if x1 == u2:
+        if y1 != s2:
+            return None
+        return jacobian_double(p1)
+    h = (u2 - x1) % P
+    r = (s2 - y1) % P
+    h_sq = h * h % P
+    h_cu = h * h_sq % P
+    u1h_sq = x1 * h_sq % P
+    x3 = (r * r - h_cu - 2 * u1h_sq) % P
+    y3 = (r * (u1h_sq - x3) - y1 * h_cu) % P
+    z3 = h * z1 % P
+    return (x3, y3, z3)
 
 
 def wnaf(scalar: int, width: int) -> list[int]:

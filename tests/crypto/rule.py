@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.crypto import ec_backend, ecdsa
+from repro.crypto import ecdsa
 
 #: The narrowest batch a pinned rule checks by the equation.
 WIDTH = 32
@@ -32,23 +32,22 @@ def equation_from(width: int = WIDTH):
 @contextmanager
 def counted():
     """Yield ``{"equations": [...], "checks": [...]}``: one entry per
-    ``ec_backend.multi_scalar_mult`` call with terms (its term count; a
-    signature's ``k·G`` has none) and per ``ecdsa._check`` call on any
-    thread."""
+    batch equation and per ``ecdsa._check`` call on any thread.  An
+    equation is counted where its caller hands it out
+    (``ecdsa._equation_sum``), by its terms over all the parts the
+    verifier's cores sum; a worker process counts nothing."""
     spent: dict[str, list] = {"equations": [], "checks": []}
-    multi_scalar_mult, check = ec_backend.multi_scalar_mult, ecdsa._check
+    equation_sum, check = ecdsa._equation_sum, ecdsa._check
 
     def counting_equation(base_scalar, terms):
-        if terms:
-            spent["equations"].append(len(terms))
-        return multi_scalar_mult(base_scalar, terms)
+        spent["equations"].append(len(terms))
+        return equation_sum(base_scalar, terms)
 
     def counting_check(handle, message, signature):
         spent["checks"].append(handle)  # list.append is atomic
         return check(handle, message, signature)
 
-    with mock.patch.object(ec_backend, "multi_scalar_mult",
-                           counting_equation), \
+    with mock.patch.object(ecdsa, "_equation_sum", counting_equation), \
             mock.patch.object(ecdsa, "_check", counting_check):
         yield spent
 

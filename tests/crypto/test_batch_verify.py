@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -185,7 +186,14 @@ class TestKeyFoldedEquation:
     @given(_batches())
     def test_agrees_with_individual_verifier_on_generated_batches(
             self, batch):
-        items, corrupted = batch
+        # On one core, and with the equation's terms cut into two and
+        # three parts, the first summed here and the rest by the workers.
+        for cores in (1, 2, 3):
+            with mock.patch.object(ecdsa, "_CORES", cores):
+                self._agrees_with_individual_verifier(*batch)
+
+    @staticmethod
+    def _agrees_with_individual_verifier(items, corrupted):
         expected = [key.verify(message, sig) for key, message, sig in items]
         # A flipped parity bit is still a valid signature (``verify``
         # ignores v); every other corruption is not.
@@ -235,17 +243,18 @@ class TestKeyFoldedEquation:
         assert cost(spent) == (1, 40)
 
     def test_single_key_batch_is_one_key_term(self, monkeypatch):
+        # Seen where the caller hands the equation out: all of its terms,
+        # whichever of the verifier's cores sums each part.
         seen = []
-        real = ec_backend.multi_scalar_mult
+        real = ecdsa._equation_sum
 
         def spy(base_scalar, terms):
             seen.append((sum(k.bit_length() > 128 for k, _ in terms),
                          len(terms)))
             return real(base_scalar, terms)
 
-        # Signing is a call of the engine too, so sign before spying.
         items = [_signed(k, m) for k in range(3) for m in range(11)]
-        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
+        monkeypatch.setattr(ecdsa, "_equation_sum", spy)
         assert batch_verify(items) == [True] * 33
         # Three folded key scalars, full length, beside 33 nonce terms.
         assert seen == [(3, 3 + 33)]

@@ -35,7 +35,7 @@ from repro.crypto.ecdsa import (
     shared_secret,
 )
 from tests.crypto.affine_oracle import point_add, point_mul
-from tests.crypto.jacobian_oracle import wnaf_scalar_mult
+from tests.crypto.jacobian_oracle import jacobian_add_affine, wnaf_scalar_mult
 from tests.crypto.rule import WIDTH
 
 
@@ -76,7 +76,7 @@ def comb_mult(scalar, comb):
     ec_backend._comb_addends(scalar, comb, POINT_COMB_WIDTH, addends)
     total = None
     for addend in addends:
-        total = ec_backend.jacobian_add_affine(total, addend)
+        total = jacobian_add_affine(total, addend)
     return ec_backend.to_affine(total)
 
 

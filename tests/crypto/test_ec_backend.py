@@ -27,7 +27,6 @@ from repro.crypto.ec_backend import (
     P,
     batch_to_affine,
     batch_add,
-    jacobian_add_affine,
     jacobian_double,
     multi_scalar_mult,
     scalar_mult_base,
@@ -38,6 +37,7 @@ from repro.crypto.hashing import keccak256
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.glv_derivation import derive_glv
 from tests.crypto.jacobian_oracle import (
+    jacobian_add_affine,
     to_jacobian,
     wnaf,
     wnaf_scalar_mult,

@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.crypto import ec_backend
+from repro.crypto import ec_backend, ecdsa
 from repro.crypto.ec_backend import GX, GY
 from repro.crypto.ecdsa import (
     N,
@@ -163,16 +163,17 @@ class TestBatchVerifyWithHints:
 
     def test_hinted_and_stripped_batches_run_the_same_equation(
             self, monkeypatch):
+        # Seen where the caller hands the equation out: every term, not
+        # only the part its own core sums.
         calls = []
-        real = ec_backend.multi_scalar_mult
+        real = ecdsa._equation_sum
 
         def spy(base_scalar, terms):
             calls.append((base_scalar, list(terms)))
             return real(base_scalar, terms)
 
-        # Signing is a call of the engine too, so sign before spying.
         hinted = [_signed(index) for index in range(WIDTH)]
-        monkeypatch.setattr(ec_backend, "multi_scalar_mult", spy)
+        monkeypatch.setattr(ecdsa, "_equation_sum", spy)
         assert batch_verify(hinted) == [True] * WIDTH
         assert batch_verify([_with_hint(item, "absent")
                              for item in hinted]) == [True] * WIDTH

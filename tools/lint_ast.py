@@ -72,7 +72,9 @@ PROCESS_STATE_ALLOWED = {
     "repro.telemetry.profiler._ACTIVE":
         "the profiler sys.setprofile runs, which is itself process-wide",
     "repro.crypto.ecdsa._POOL":
-        "the host's worker threads for OpenSSL checks; they hold no verdict",
+        "the verifier's helpers on its other cores: threads for OpenSSL "
+        "checks and forked workers for equation parts; they keep no verdict "
+        "and nothing between calls",
 }
 
 
