@@ -3,8 +3,10 @@
 Measures keygen / sign / verify under both the textbook affine
 implementation (the differential-testing oracle, ``tests/crypto/
 affine_oracle.py``) and the public API — ``G``'s comb for keygen and
-signing, OpenSSL for verify and ECDH — plus the cached Merkle proof
-path.  Verify and ECDH are timed on a
+signing, OpenSSL for verify and ECDH — plus ``batch_verify``'s one
+libcrypto equation over 2, 16 and 512 signatures (the last a
+``chain_bulk`` block's shape, 64 keys) and the cached Merkle proof path.
+Verify and ECDH are timed on a
 *first-use* key (its OpenSSL handle parsed in the call) and on a
 *recurring* key (handle already held).
 
@@ -18,16 +20,18 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).parent.parent))  # tests/ (the oracle)
 
 from repro.bench import Experiment, format_table, info  # noqa: E402
-from repro.crypto import ec_backend  # noqa: E402
+from repro.crypto import ec_backend, ecdsa  # noqa: E402
 from repro.crypto.ecdsa import (  # noqa: E402
     GX,
     GY,
     N,
     PrivateKey,
+    batch_verify,
     shared_secret,
 )
 from repro.crypto.hashing import hash_to_int  # noqa: E402
@@ -64,6 +68,23 @@ def _affine_verify(public, message: bytes, r: int, s: int) -> bool:
         point_mul(r * s_inv % N, (public.x, public.y)),
     )
     return point is not None and point[0] % N == r
+
+
+#: Batch-equation shapes: (signatures, keys).
+EQUATION_SHAPES = ((2, 2), (16, 4), (512, 64))
+
+
+def _equation_ms(signatures: int, keys: int, iterations: int) -> float:
+    """Milliseconds per ``batch_verify`` of a valid batch, priced to the
+    equation whatever the rule says (every key's handle built first)."""
+    signers = [PrivateKey.from_seed(b"bench-equation-%d" % index)
+               for index in range(keys)]
+    items = [(signers[index % keys].public_key, b"equation %d" % index,
+              signers[index % keys].sign(b"equation %d" % index))
+             for index in range(signatures)]
+    with mock.patch.object(ecdsa, "_equation_pays", lambda n, k: True):
+        assert batch_verify(items) == [True] * signatures
+        return _time_per_call(lambda: batch_verify(items), iterations)
 
 
 def run_bench(quick: bool = False) -> dict:
@@ -136,6 +157,10 @@ def run_bench(quick: bool = False) -> dict:
         lambda: shared_secret(key, peer.public_key), iters_fast
     )
 
+    for signatures, keys in EQUATION_SHAPES:
+        ms[f"equation_{signatures}"] = _equation_ms(
+            signatures, keys, max(iters_slow, iters_fast * 16 // signatures))
+
     # Merkle: one tree, repeated proofs (the cached-levels path).
     leaves = [b"leaf-%d" % i for i in range(256)]
     tree = MerkleTree(leaves)
@@ -161,6 +186,8 @@ def run_bench(quick: bool = False) -> dict:
          f"{ms['verify_recurring']:.3f}", "-"],
         ["ECDH, first-use key", "-", f"{ms['ecdh']:.3f}", "-"],
         ["ECDH, recurring key", "-", f"{ms['ecdh_recurring']:.3f}", "-"],
+        *([f"batch equation, {n} sigs / {k} keys", "-",
+           f"{ms[f'equation_{n}']:.3f}", "-"] for n, k in EQUATION_SHAPES),
         ["merkle proof (cached)", "-", f"{ms['merkle_proof_cached']:.4f}",
          "-"],
     ]
@@ -175,6 +202,8 @@ def run_bench(quick: bool = False) -> dict:
         "verify_recurring_ms": info(ms["verify_recurring"], unit="ms"),
         "ecdh_first_use_ms": info(ms["ecdh"], unit="ms"),
         "ecdh_recurring_ms": info(ms["ecdh_recurring"], unit="ms"),
+        **{f"equation_{n}_ms": info(ms[f"equation_{n}"], unit="ms")
+           for n, _ in EQUATION_SHAPES},
     }
     claims = {}
     if not quick:

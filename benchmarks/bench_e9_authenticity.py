@@ -4,13 +4,17 @@ Sweeps the adversarial rate in a mixed reading stream and reports detection
 precision/recall, plus the verifier's throughput (readings/second) — the
 cost of putting signature verification on the executor's ingest path — and
 ``verify_batch``'s speedup over checking the same readings one by one, a
-ratio of two timings taken side by side in one run (the raw throughput
-also measures the host).
+ratio of two timings taken side by side in one run.  The throughput is in
+reference-host readings/s: each batch's wall time is rescaled by E25's
+host slice (``benchmarks/e25/run.py``), run just before and just after it,
+so two hosts, or one host in a slow phase, read alike.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,15 @@ ATTACK_RATES = [0.1, 0.3, 0.5]
 HONEST_PER_DEVICE = 60
 DEVICES = 3
 THROUGHPUT_REPEATS = 7
+
+
+def _e25_run():
+    """``benchmarks/e25/run.py``, for its host slice and reference."""
+    path = Path(__file__).resolve().parent / "e25" / "run.py"
+    spec = importlib.util.spec_from_file_location("e25_run", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def run_detection(attack_rate: float, seed: int,
@@ -79,11 +92,13 @@ def run_bench(quick: bool = False) -> dict:
             f"{precision:.3f}", f"{recall:.3f}", reasons,
         ])
 
-    # Throughput: honest verification cost per reading (wall clock), the
-    # median of THROUGHPUT_REPEATS fresh verifiers over the same readings
-    # (one ~20 ms batch alone is mostly noise).  Each repeat also times the
-    # same signatures checked one by one, alternating with the batch, for
-    # a same-run reference.
+    # Throughput: honest verification cost per reading in reference-host
+    # time (wall clock × reference slice / the slices beside the batch),
+    # the median of THROUGHPUT_REPEATS fresh verifiers over the same
+    # readings (one batch alone is mostly noise).  Each repeat also times
+    # the same signatures checked one by one, alternating with the batch,
+    # for a same-run reference.
+    e25 = _e25_run()
     manufacturer = Manufacturer("acme", b"root")
     registry = ManufacturerRegistry()
     registry.register(manufacturer)
@@ -102,12 +117,14 @@ def run_bench(quick: bool = False) -> dict:
             device_key.verify(reading.signed_payload(), reading.signature)
         one_by_one = time.perf_counter() - start
         verifier = AuthenticityVerifier(registry)
+        slice_before = e25.host_slice()
         start = time.perf_counter()
         verifier.verify_batch(
             [(reading, device.certificate) for reading in readings]
         )
         batched = max(time.perf_counter() - start, 1e-9)
-        throughputs.append(count / batched)
+        timed = {"slice_ms": (slice_before + e25.host_slice()) / 2}
+        throughputs.append(count / (batched * e25.host_scale(timed)))
         speedups.append(one_by_one / batched)
     q1, throughput, q3 = np.percentile(throughputs, [25, 50, 75])
     speedup = float(np.median(speedups))
@@ -117,8 +134,8 @@ def run_bench(quick: bool = False) -> dict:
          "rejection reasons"],
         rows,
     )
-    lines += ["", f"verifier throughput: {throughput:,.0f} readings/s "
-                  f"(median of {THROUGHPUT_REPEATS}; quartiles {q1:,.0f}"
+    lines += ["", f"verifier throughput: {throughput:,.0f} reference-host "
+                  f"readings/s (median of {THROUGHPUT_REPEATS}; quartiles {q1:,.0f}"
                   f"–{q3:,.0f}, range {min(throughputs):,.0f}–{max(throughputs):,.0f})",
               f"verify_batch vs one by one: {speedup:.2f}x (median of "
               f"{THROUGHPUT_REPEATS} alternating pairs)"]

@@ -1,10 +1,12 @@
 """Cryptographic substrate: hashing, signatures, Merkle trees, HE, SMC.
 
 Built from scratch on the standard library and numpy, except what OpenSSL
-(``cryptography``) runs: one secp256k1 check, X25519, P-256 and AES-GCM.
+runs: in ``cryptography`` one secp256k1 check, X25519, P-256 and AES-GCM,
+and in the interpreter's own libcrypto the batch signature equation.
 
 * :mod:`repro.crypto.hashing` — Keccak-style digests and address derivation;
 * :mod:`repro.crypto.ecdsa` — secp256k1 ECDSA (accounts, seals, devices);
+* :mod:`repro.crypto.libcrypto` — the batch equation's ``ctypes`` binding;
 * :mod:`repro.crypto.hpke` — RFC 9180 HPKE: the provider → enclave channel;
 * :mod:`repro.crypto.merkle` — Merkle commitments with inclusion proofs;
 * :mod:`repro.crypto.paillier` — additively homomorphic encryption (the HE

@@ -1,30 +1,24 @@
-"""Fast secp256k1 point arithmetic for the two jobs pure Python wins.
+"""Fast secp256k1 point arithmetic for the one job pure Python keeps: ``k·G``.
 
-This module is the engine behind :mod:`repro.crypto.ecdsa`'s fixed-base
-and batch operations; the variable-base ones — ECDH and the check of one
-signature — run in OpenSSL there.  A textbook affine implementation
-performs one modular inversion *per point addition* (≈380 inversions per
-scalar multiplication).  Here a doubling chain's accumulator works in
-Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``, ``y = Y/Z³`` — one
-inversion per scalar multiplication, at the end — and independent additions
-(bucket fills, comb rows) stay affine and share one inversion per round
-(:func:`batch_add`).  On top of that:
+This module is the engine behind :mod:`repro.crypto.ecdsa`'s signing and
+key derivation; the check of one signature and ECDH run in OpenSSL there,
+and the batch equation in libcrypto (:mod:`repro.crypto.libcrypto`).  A
+textbook affine implementation performs one modular inversion *per point
+addition* (≈380 inversions per scalar multiplication).  Here the one
+accumulator works in Jacobian coordinates ``(X, Y, Z)``, ``x = X/Z²``,
+``y = Y/Z³`` — one inversion per scalar multiplication, at the end — and
+independent additions (comb rows) stay affine and share one inversion per
+round (:func:`batch_add`).  On top of that:
 
 * the **GLV endomorphism** splits a scalar into two halves below 2¹²⁸;
 * a **GLV comb** of ``G`` (:func:`_build_comb`): at most ``2 × rows``
-  mixed additions and no doubling, so ``k·G`` for signing and key
-  derivation skips the doubling chain;
-* **Pippenger's bucket method** for every other point of a batch
-  equation (:func:`_bucket_events`): a full-length scalar joins as its two
-  GLV halves, so one ~130-step doubling chain carries the whole sum.
+  mixed additions and no doubling, so ``k·G`` skips the doubling chain.
 
-There is one engine, :func:`multi_scalar_mult`; ``k·G``
-(:func:`scalar_mult_base`) is its no-point case and a batch equation its
-many-point case.  No point but ``G`` has a table, and ``G``'s comb, built
-on first use, is the module's only state.  Points at the API boundary are
-affine ``(x, y)`` tuples or ``None`` for the point at infinity — the
-convention of the affine oracle the differential tests hold every path
-here against (``tests/crypto/affine_oracle.py``).
+No point but ``G`` has a table, and ``G``'s comb, built on first use, is
+the module's only state.  Points at the API boundary are affine ``(x, y)``
+tuples or ``None`` for the point at infinity — the convention of the
+affine oracle the differential tests hold every path here against
+(``tests/crypto/affine_oracle.py``).
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ JacobianPoint = Optional[tuple[int, int, int]]
 # but puts ml_wide's RSS up 5-6 %; 8 bits −1 %.
 _G_COMB_WIDTH = 9
 
-# Scalar-multiplication call counters, one child per algorithm kind; the
+# Scalar-multiplication calls, by kind (``base``: ``k·G`` on the comb); the
 # label lookup is one dict hit against the O(100µs) multiplication it
 # counts.  Spans are deliberately absent here: these functions sit under
 # crypto.sign/verify timing already, and the sampling profiler names them
@@ -168,22 +162,13 @@ def batch_add(lefts: Sequence[AffinePoint],
     return sums
 
 
-# -- public scalar-multiplication API ----------------------------------------
-
-
-def scalar_mult_base(scalar: int) -> AffinePoint:
-    """``scalar · G``: the no-point case of :func:`multi_scalar_mult`, read
-    from ``G``'s comb with no doubling."""
-    return multi_scalar_mult(scalar, [])
-
-
 # -- GLV endomorphism --------------------------------------------------------
 #
 # secp256k1 has j-invariant 0, so F_p contains a primitive cube root of unity
 # β and the map φ(x, y) = (βx, y) is an endomorphism acting as multiplication
 # by a cube root of unity λ in Z_n.  Any scalar k then splits as
-# ``k ≡ k1 + k2·λ (mod n)`` with |k1|, |k2| ≈ √n, halving the doubling chain
-# of a multi-scalar multiplication.  The constants of this fixed curve — the
+# ``k ≡ k1 + k2·λ (mod n)`` with |k1|, |k2| ≈ √n, halving the rows of a
+# comb.  The constants of this fixed curve — the
 # paired roots and a short basis ``(a1, b1), (a2, b2)`` of the lattice
 # ``{(x, y) : x + y·λ ≡ 0 (mod n)}`` — are written down; the derivation (cube
 # roots by exponentiation, the basis by the extended Euclidean algorithm)
@@ -286,143 +271,43 @@ def _g_comb() -> Comb:
     return _build_comb((GX, GY), _G_COMB_WIDTH)
 
 
-# -- Pippenger's bucket method ----------------------------------------------
+# -- public scalar-multiplication API ----------------------------------------
 
 
-def _bucket_events(pairs: list[tuple[int, tuple[int, int]]],
-                   ) -> list[tuple[int, tuple[int, int]]]:
-    """Pippenger's bucket method: ``Σ kᵢ·Pᵢ`` as addends for a doubling chain.
-
-    Every scalar (``0 < kᵢ < n``) is cut into signed ``c``-bit digits, ``c``
-    from the pair count; in window ``j`` a point joins the bucket of its
-    digit's magnitude (y negated for a negative digit), and a running sum
-    collapses the buckets to ``Sⱼ = Σ_b b·bucket[b]``.  Returns
-    ``[(c·j, Sⱼ), …]`` (affine, infinities dropped) with
-    ``Σ kᵢ·Pᵢ = Σⱼ 2^(c·j)·Sⱼ``.  All additions are batched
-    (:func:`batch_add`): pairwise fill rounds over every bucket of every
-    window, then one round per bucket index for all windows' collapses.  A
-    point costs ``bits/c`` additions, a window ``2^c``; no table is built.
-    """
-    # Measured optimum 4-5/4-5/5/5/5-6/6-7/7/8 bits at 32/48/64/96/128/256/
-    # 512/1024 points; this rule is within 4 % of it at every count.
-    width = max(5, len(pairs).bit_length() - 3)
-    full = 1 << width
-    half = full >> 1
-    mask = full - 1
-    # One window beyond the longest scalar takes the final carry.
-    windows = max(k.bit_length() for k, _ in pairs) // width + 1
-    # Bucket b (magnitude b + 1) of window j is buckets[j·half + b].
-    buckets: list[list[AffinePoint]] = [[] for _ in range(windows * half)]
-    for k, point in pairs:
-        negated = (point[0], P - point[1])
-        below = -1  # window j's magnitude m is buckets[below + m]
-        while k:
-            digit = k & mask
-            k >>= width
-            if digit > half:  # signed digit: borrow from the next window
-                k += 1
-                buckets[below + full - digit].append(negated)
-            elif digit:
-                buckets[below + digit].append(point)
-            below += half
-    filling = [held for held in buckets if len(held) > 1]
-    while filling:
-        lefts, rights = [], []
-        for held in filling:
-            lefts += held[0:len(held) - 1:2]
-            rights += held[1::2]
-        sums = batch_add(lefts, rights)
-        start = 0
-        for held in filling:
-            paired = len(held) // 2
-            held[:] = sums[start:start + paired] + held[2 * paired:]
-            start += paired
-        filling = [held for held in filling if len(held) > 1]
-    values = [held[0] if held else None for held in buckets]
-    # Running sums Rᵦ = Σ_{b' ≥ b} bucket[b'] and totals Σᵦ Rᵦ, every window
-    # in one round per b: the total takes Rᵦ₊₁ while R moves on to Rᵦ.
-    running: list[AffinePoint] = [None] * windows
-    totals: list[AffinePoint] = [None] * windows
-    for b in range(half - 1, -1, -1):
-        both = batch_add(running + totals, values[b::half] + running)
-        running, totals = both[:windows], both[windows:]
-    return [(width * window, point)
-            for window, point in enumerate(batch_add(totals, running))
-            if point is not None]
-
-
-def multi_scalar_mult(base_scalar: int,
-                      terms: Sequence[tuple[int, AffinePoint]],
-                      ) -> AffinePoint:
-    """``base_scalar · G + Σ kᵢ · Qᵢ`` with at most one doubling chain.
-
-    ``G``'s term is read from its comb: addends that join after the last
-    doubling, so ``G`` alone runs no doubling at all (``kind="base"``).
-    Every other term goes through :func:`_bucket_events`
-    (``kind="bucket"``): a scalar of at most 128 bits (a batch equation's
-    nonce coefficients) as it is, a longer one (a key term) as its GLV
-    halves ``(|k1|, ±Q)`` and ``(|k2|, ±φ(Q))``.  No table is built.
-    """
-    base_scalar %= N
-    p = P
+def scalar_mult_base(scalar: int) -> AffinePoint:
+    """``scalar · G``: ``G``'s comb addends summed in one Jacobian
+    accumulator, with no doubling chain."""
+    scalar %= N
+    _SCALAR_MULTS.labels(kind="base").inc()
+    if not scalar:
+        return None
     addends: list[tuple[int, int]] = []
-    if base_scalar:
-        _comb_addends(base_scalar, _g_comb(), _G_COMB_WIDTH, addends)
-    pairs: list[tuple[int, tuple[int, int]]] = []
-    for k, point in terms:
-        k %= N
-        if point is None or not k:
+    _comb_addends(scalar, _g_comb(), _G_COMB_WIDTH, addends)
+    # The accumulator lives in three scalar locals with the mixed addition
+    # open-coded: helper calls and tuple packing would be the interpreter's
+    # dominant cost.  A rare same-x addend doubles through the helper.
+    p = P
+    (ax, ay), az = addends[0], 1
+    for qx, qy in addends[1:]:
+        if az == 0:
+            ax, ay, az = qx, qy, 1
             continue
-        if k.bit_length() <= _GLV_HALF_BITS:
-            pairs.append((k, point))
+        z_sq = az * az % p
+        u2 = qx * z_sq % p
+        s2 = qy * z_sq * az % p
+        if ax == u2:  # the same point doubles, its negation cancels
+            ax, ay, az = (jacobian_double((ax, ay, az)) if ay == s2
+                          else (0, 0, 0))
             continue
-        x, y = point
-        for half, qx in zip(_glv_split(k), (x, _GLV_BETA * x % p)):
-            if half:
-                pairs.append((abs(half), (qx, p - y if half < 0 else y)))
-    _SCALAR_MULTS.labels(kind="bucket" if pairs else "base").inc()
-    bucket_events = _bucket_events(pairs) if pairs else []
-    length = max([bit + 1 for bit, _ in bucket_events]
-                 + [1] * bool(addends), default=0)
-    events: list[list[tuple[int, int]]] = [[] for _ in range(length)]
-    for bit, point in bucket_events:
-        events[bit].append(point)
-    if addends:
-        events[0] += addends
-    # The accumulator lives in three scalar locals (az == 0 means
-    # infinity) with doubling and mixed addition open-coded: over ~130
-    # iterations tuple packing and helper calls are the dominant
-    # interpreter cost.  A rare same-x addend doubles through the helper.
-    ax = ay = az = 0
-    for index in range(length - 1, -1, -1):
-        if az:  # no point of secp256k1 has y = 0: a doubling is never 𝒪
-            y_sq = ay * ay % p
-            s = 4 * ax * y_sq % p
-            m = 3 * ax * ax % p
-            x3 = (m * m - 2 * s) % p
-            az = 2 * ay * az % p
-            ay = (m * (s - x3) - 8 * y_sq * y_sq) % p
-            ax = x3
-        for qx, qy in events[index]:
-            if az == 0:
-                ax, ay, az = qx, qy, 1
-                continue
-            z_sq = az * az % p
-            u2 = qx * z_sq % p
-            s2 = qy * z_sq * az % p
-            if ax == u2:  # the same point doubles, its negation cancels
-                ax, ay, az = (jacobian_double((ax, ay, az)) if ay == s2
-                              else (0, 0, 0))
-                continue
-            h = u2 - ax
-            r = (s2 - ay) % p
-            h_sq = h * h % p
-            h_cu = h * h_sq % p
-            u1h_sq = ax * h_sq % p
-            x3 = (r * r - h_cu - 2 * u1h_sq) % p
-            ay = (r * (u1h_sq - x3) - ay * h_cu) % p
-            ax = x3
-            az = h * az % p
+        h = u2 - ax
+        r = (s2 - ay) % p
+        h_sq = h * h % p
+        h_cu = h * h_sq % p
+        u1h_sq = ax * h_sq % p
+        x3 = (r * r - h_cu - 2 * u1h_sq) % p
+        ay = (r * (u1h_sq - x3) - ay * h_cu) % p
+        ax = x3
+        az = h * az % p
     if az == 0:
         return None
     return to_affine((ax, ay, az))

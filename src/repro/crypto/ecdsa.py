@@ -12,10 +12,12 @@ and the channel into an enclave is X25519: :mod:`repro.tee.attestation`,
   side too, so the (r, -s) malleability twin of a signature is rejected,
 * Ethereum-style address derivation from the uncompressed public key.
 
-``k·G`` (signing, key derivation) and the batch equation, which OpenSSL
-lacks, run in :mod:`repro.crypto.ec_backend`.  :func:`shared_secret` and
+``k·G`` (signing, key derivation) runs on ``G``'s comb in
+:mod:`repro.crypto.ec_backend`.  :func:`shared_secret` and
 :meth:`PublicKey.verify` run in OpenSSL (``cryptography``) on a handle each
 key builds for itself: a private key's belongs to the actor holding it.
+The batch equation, which ``cryptography`` lacks, runs in the
+interpreter's own libcrypto (:mod:`repro.crypto.libcrypto`).
 A key also derives its own public point and address, once, and keeps them;
 nothing derived from a key is shared between keys, and no verdict is kept
 here: every call checks its signature.  A verdict worth remembering stays
@@ -24,8 +26,8 @@ platform's checked quote, ``AuthenticityVerifier`` its accepted device
 certificates).
 
 :meth:`PublicKey.verify` (OpenSSL) is the authority; :func:`batch_verify`,
-the chain's block-entry path, runs the cheaper of OpenSSL checks on threads
-and one bucket equation on forked workers, over the verifier's cores.
+the chain's block-entry path, runs the cheaper of OpenSSL checks over the
+verifier's cores and one OpenSSL equation on the caller's thread.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ import threading
 import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
-from multiprocessing.connection import Connection, Pipe
 from queue import SimpleQueue
 from typing import Optional
 
@@ -49,7 +50,7 @@ from cryptography.hazmat.primitives.asymmetric.utils import (
 )
 from cryptography.hazmat.primitives.hashes import SHA256
 
-from repro.crypto import ec_backend
+from repro.crypto import ec_backend, libcrypto
 from repro.crypto.hashing import (
     address_from_public_key,
     hash_to_int,
@@ -61,9 +62,9 @@ from repro.telemetry import metrics as _tm
 
 # Crypto telemetry: every sign/verify batch the chain and TEE layers issue
 # shows up here, so perf PRs can prove their win from the system's own
-# instruments.  The `path` label names what decided a verdict: `batch` a
-# bucket equation that held (with the malformed scalars refused beside
-# it), `single` an OpenSSL check.  Each verdict counts once, and each
+# instruments.  The `path` label names what decided a verdict: `batch` an
+# equation that held (with the malformed scalars refused beside it),
+# `single` an OpenSSL check.  Each verdict counts once, and each
 # signature is one sample of the seconds histogram on either path.
 _SIGN_TOTAL = _tm.counter(
     "pds2_crypto_sign_total", "ECDSA signatures produced"
@@ -338,67 +339,54 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 # bit ``v`` the nonce point can be *recovered* from ``(r, v)``, which turns
 # the per-signature check into a point equation; a random linear combination
 # of many such equations then collapses a whole block's verification into a
-# single multi-scalar multiplication, one Pippenger bucket sum:
+# single multi-scalar multiplication, one ``EC_POINTs_mul`` in libcrypto:
 #
 #     Σ aᵢ·u1ᵢ · G  +  Σ_Q (Σ_{i: Qᵢ=Q} aᵢ·u2ᵢ) · Q  −  Σ aᵢ · Rᵢ  =  𝒪
 #
 # with independent 128-bit coefficients ``aᵢ`` (terms of one public key are
-# folded into one full-length scalar per *sender*, not per transaction, and
-# join the nonce points' buckets as two GLV halves).  A forged signature
-# makes the combination miss the point at infinity except with probability
-# ~2⁻¹²⁸, and because the coefficients are derived from the batch content
-# (keccak), the whole check is reproducible.  A failed equation names no
-# culprit: the OpenSSL checks it would have replaced decide every item.
+# folded into one full-length scalar per *sender*, not per transaction).  A
+# forged signature makes the combination miss the point at infinity except
+# with probability ~2⁻¹²⁸, and because the coefficients are derived from
+# the batch content (keccak), the whole check is reproducible.  A failed
+# equation names no culprit: the OpenSSL checks it would have replaced
+# decide every item.
 
 #: Coefficient width for the random linear combination (bits of soundness).
 _BATCH_COEFF_BITS = 128
 
-# The batch rule, in ms for n signatures from k keys: checks over the cores,
-# ⌈n / cores⌉ · c, or one equation over n nonce points and two GLV halves a
-# key summed over the cores, a + b·(n + 2k) / cores, plus d past one core;
-# c, a, b, d fit the sweep in benchmarks/results/batch_rule.txt.
-_CHECK_MS = 0.67
-_EQUATION_MS = (3.9, 0.178, 1.4)
+# The batch rule, in units of one OpenSSL check, for n signatures from k
+# keys: the checks over the cores, ⌈n / cores⌉, or one OpenSSL equation
+# over n nonce points and k key terms, a + b·(n + k), on the caller's
+# thread.  (a, b) = (a_ms, b_ms) / c_ms of the sweep in
+# benchmarks/results/batch_rule.txt, so host speed cancels.
+_EQUATION_CHECKS = (1.58, 0.1107)
 
-#: The verifier's cores; ``_POOL`` serves the other ``_CORES − 1``: a queue
-#: for their check threads, a pipe to each forked equation worker, its pid.
+#: The verifier's cores; ``_POOL`` serves the other ``_CORES − 1``: the
+#: queue their check threads take chunks from, and the threads.
 _CORES = len(os.sched_getaffinity(0))
-_POOL: Optional[tuple[SimpleQueue, list[Connection], list[int]]] = None
+_POOL: Optional[tuple[SimpleQueue, list[threading.Thread]]] = None
 
 
 def _forget_pool() -> None:
-    # A forked child closes the pipes it inherited and starts its own pool.
+    # A forked child has the queue but none of the threads: its own pool.
     global _POOL
-    for pipe in _POOL[1] if _POOL else ():
-        pipe.close()
     _POOL = None
 
 
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _start_pool() -> tuple[SimpleQueue, list[Connection], list[int]]:
-    """Fork the equation workers (``multiprocessing`` gives a daemonic batch
-    worker none), then the check threads, so a fork copies no thread."""
+def _start_pool() -> tuple[SimpleQueue, list[threading.Thread]]:
+    """Start the check threads; a start that fails leaves no pool."""
     global _POOL
-    _POOL = (SimpleQueue(), [], [])
+    _POOL = (SimpleQueue(), [])
     try:
         for _ in range(_CORES - 1):
-            ours, theirs = Pipe()
-            _POOL[1].append(ours)  # the worker's fork closes it there
-            if not (pid := os.fork()):
-                try:  # sum each list of terms read, keep nothing, exit at EOF
-                    while True:
-                        theirs.send(
-                            ec_backend.multi_scalar_mult(0, theirs.recv()))
-                finally:
-                    os._exit(0)
-            theirs.close()
-            _POOL[2].append(pid)
-        for _ in range(_CORES - 1):
-            threading.Thread(target=_serve, args=(_POOL[0],),
-                             daemon=True).start()
-    except BaseException:  # a pool with no thread would hang its caller
+            thread = threading.Thread(target=_serve, args=(_POOL[0],),
+                                      daemon=True)
+            thread.start()
+            _POOL[1].append(thread)
+    except BaseException:  # a pool short of a thread would hang its caller
         _drop_pool()
         raise
     return _POOL
@@ -406,22 +394,20 @@ def _start_pool() -> tuple[SimpleQueue, list[Connection], list[int]]:
 
 @atexit.register
 def _drop_pool() -> None:
-    """Stop the check threads; close each worker's pipe, wait for its exit."""
+    """Stop the check threads: one ``None`` each."""
     global _POOL
-    requests, pipes, workers = _POOL or (None, [], [])
+    requests, threads = _POOL or (None, [])
     _POOL = None
-    for pipe in pipes:
-        pipe.close()
-    for pid in workers:
+    for _ in threads:
         requests.put(None)
-        os.waitpid(pid, 0)
 
 
 def _equation_pays(signatures: int, keys: int) -> bool:
-    """True when one bucket equation costs less than the OpenSSL checks."""
-    a, b, d = _EQUATION_MS
-    return (a + b * (signatures + 2 * keys) / _CORES + d * (_CORES > 1)
-            < -(-signatures // _CORES) * _CHECK_MS)
+    """True when one OpenSSL equation costs less than the checks; never
+    without a libcrypto to run it in."""
+    a, b = _EQUATION_CHECKS
+    return (libcrypto.LIBCRYPTO is not None
+            and a + b * (signatures + keys) < -(-signatures // _CORES))
 
 
 def _check(handle: ec.EllipticCurvePublicKey, message: bytes,
@@ -538,38 +524,9 @@ def _batch_equation_holds(entries: list[tuple[int, int, _Point, _Point]]) -> boo
         ) | 1  # force odd so no coefficient degenerates to zero
         base_scalar = (base_scalar + coeff * u1) % N
         key_scalars[q] = (key_scalars.get(q, 0) + coeff * u2) % N
-        # −aᵢ·Rᵢ as aᵢ·(−Rᵢ): the coefficient stays 128 bits, so the R
-        # term joins the buckets whole, not as the two GLV halves of N − aᵢ.
-        nonce_terms.append((coeff, (r_pt[0], P - r_pt[1])))
-    return _equation_sum(
-        base_scalar, [(k, q) for q, k in key_scalars.items()] + nonce_terms
-    ) is None
-
-
-def _equation_sum(base_scalar: int,
-                  terms: list[tuple[int, _Point]]) -> _Point:
-    """``base_scalar · G + Σ kᵢ · Qᵢ`` over the verifier's cores: every
-    ``parts``-th term in one of ``min(_CORES, len(terms))`` parts (so the
-    key terms spread evenly), the first summed here with ``G``'s term, each
-    other by a worker; one caller at a time, the verifier's thread.  If a
-    worker is gone, the pool goes and this thread sums all."""
-    parts = min(_CORES, len(terms))
-    if parts < 2:
-        return ec_backend.multi_scalar_mult(base_scalar, terms)
-    try:
-        pipes = (_POOL or _start_pool())[1]
-        for part in range(1, parts):
-            pipes[part % len(pipes)].send(terms[part::parts])
-        total = ec_backend.multi_scalar_mult(base_scalar, terms[::parts])
-        for part in range(1, parts):
-            [total] = ec_backend.batch_add([total],
-                                           [pipes[part % len(pipes)].recv()])
-    except BaseException as exc:
-        _drop_pool()  # no later call may read a sum still in flight
-        if not isinstance(exc, (EOFError, OSError)):
-            raise
-        return ec_backend.multi_scalar_mult(base_scalar, terms)
-    return total
+        nonce_terms.append((coeff, (r_pt[0], P - r_pt[1])))  # −aᵢ·Rᵢ
+    return libcrypto.sum_is_infinity(
+        base_scalar, [(k, q) for q, k in key_scalars.items()] + nonce_terms)
 
 
 def batch_verify(
@@ -578,12 +535,13 @@ def batch_verify(
     """Verify many ``(public_key, message, signature)`` triples at once.
 
     One cost rule (:func:`_equation_pays`, priced on the well-formed
-    items) picks OpenSSL checks over the cores or one bucket equation over
-    every well-formed item, which agrees with them on every input.  When
-    that equation holds it decides the batch: each well-formed item
+    items) picks OpenSSL checks over the cores or one OpenSSL equation
+    over every well-formed item, which agrees with them on every input.
+    When that equation holds it decides the batch: each well-formed item
     passes, each malformed scalar fails.  In every other case (the rule
     picks the checks, a nonce point ``(r, v)`` names no curve point, or
-    the equation fails) :func:`_check_each` decides every item.
+    libcrypto refuses a point or fails the equation) :func:`_check_each`
+    decides every item.
     """
     began = _time.perf_counter()
     formed = [1 <= signature.r < N and 1 <= signature.s <= N // 2

@@ -10,7 +10,7 @@ from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, Wallet
 from repro.chain.consensus import ProofOfAuthority
 from repro.chain.transaction import Transaction
-from repro.crypto import ecdsa
+from repro.crypto import ecdsa, libcrypto
 from repro.errors import ChainError, InvalidBlockError
 from tests.conftest import make_funded_wallet
 
@@ -130,18 +130,18 @@ class TestBlockEntryVerification:
     def test_a_wide_block_builds_no_point_table(self, chain, rng,
                                                 monkeypatch):
         # 64 senders × 8 transactions: 512 nonce points and 64 folded key
-        # terms, all of them in one equation (the keys as GLV halves),
-        # counted where the verifier hands it out, whichever of its cores
-        # sums each part.
+        # terms, all of them in one equation, counted at the binding's
+        # call: libcrypto gets the points and scalars, no table.
         wallets = [make_funded_wallet(chain, rng, f"w{i}") for i in range(64)]
         sums = []
-        real = ecdsa._equation_sum
+        real = libcrypto.sum_is_infinity
 
         def recording(base_scalar, terms):
-            sums.append(sum(1 + (k.bit_length() > 128) for k, _ in terms))
+            sums.append((len(terms),
+                         sum(k.bit_length() > 128 for k, _ in terms)))
             return real(base_scalar, terms)
 
-        monkeypatch.setattr(ecdsa, "_equation_sum", recording)
+        monkeypatch.setattr(libcrypto, "sum_is_infinity", recording)
         for _ in range(2):
             for wallet in wallets:
                 for _ in range(8):
@@ -150,9 +150,9 @@ class TestBlockEntryVerification:
             assert len(block.transactions) == 512
             assert chain.observer.records[-1]["verify"] == {
                 "signatures": 512, "invalid": 0}
-        # Each block: its 512 nonce terms and two halves per key term
-        # (a half is zero with probability ~2⁻¹²⁸).
-        assert sums == [512 + 2 * 64] * 2
+        # Each block: its 512 nonce terms (128-bit coefficients) and 64
+        # full-length key terms (one is shorter with probability ~2⁻¹²⁸).
+        assert sums == [(512 + 64, 64)] * 2
 
 
 class TestReceiptsAndEvents:

@@ -1,18 +1,12 @@
-"""The Jacobian forms of the batched kernels in ``repro.crypto.ec_backend``.
+"""Jacobian-coordinate engines the fast paths once ran on, kept as oracles.
 
-``ec_backend`` fills Pippenger's buckets with batched affine additions
-(:func:`ec_backend.batch_add`, one inversion per round).  Before that it
-did the same work one Jacobian addition at a time; that code lives on here
-as the reference the batched kernel must equal exactly — same ``(bit,
-point)`` events — sharing no addition formula with it.  It is unchanged but
-for its imports and :func:`bucket_width`, which must give the kernel's
-window width (its floor rose from 4 to 5 bits when the kernel changed) for
-the events to be equal.  :func:`wnaf_scalar_mult` is the one-point
-multiplication of 62b3626, the fast second oracle for bulk runs the affine
-one is too slow for, and :func:`strauss_msm` the many-point one: the
-interleaved wNAF streams narrow batch equations ran on before every
-equation became one bucket sum.  :func:`jacobian_add_affine` is the mixed
-addition those two ran on, which the kernel's doubling chain open-codes.
+:func:`wnaf_scalar_mult` is the one-point multiplication of 62b3626, the
+fast second oracle for bulk runs the affine one is too slow for, and
+:func:`strauss_msm` the many-point one: the interleaved wNAF streams
+narrow batch equations ran on before they left Python, the reference
+libcrypto's equation sum is held to over hundreds of terms.
+:func:`jacobian_add_affine` is the mixed addition those two run on, which
+``ec_backend.scalar_mult_base`` open-codes.
 """
 
 from __future__ import annotations
@@ -162,47 +156,3 @@ def strauss_msm(terms: list[tuple[int, AffinePoint]]) -> AffinePoint:
                 x, y = table[(-digit) >> 1]
                 accumulator = jacobian_add_affine(accumulator, (x, P - y))
     return to_affine(accumulator)
-
-
-def bucket_width(count: int) -> int:
-    """``ec_backend._bucket_events``' window width for ``count`` points."""
-    return max(5, count.bit_length() - 3)
-
-
-def bucket_events(pairs: list[tuple[int, tuple[int, int]]],
-                  ) -> list[tuple[int, tuple[int, int]]]:
-    """Pippenger's bucket method with one Jacobian addition per fill and two
-    per collapse step: the events ``ec_backend._bucket_events`` returns."""
-    width = bucket_width(len(pairs))
-    full = 1 << width
-    half = full >> 1
-    mask = full - 1
-    windows = max(k.bit_length() for k, _ in pairs) // width + 1
-    buckets: list[list[JacobianPoint]] = [[None] * half
-                                          for _ in range(windows)]
-    for k, point in pairs:
-        negated = (point[0], P - point[1])
-        for row in buckets:
-            if not k:
-                break
-            digit = k & mask
-            k >>= width
-            if digit > half:
-                digit -= full
-                k += 1
-            if digit > 0:
-                row[digit - 1] = jacobian_add_affine(row[digit - 1], point)
-            elif digit < 0:
-                row[-digit - 1] = jacobian_add_affine(row[-digit - 1],
-                                                      negated)
-    sums: list[JacobianPoint] = []
-    for row in buckets:
-        running: JacobianPoint = None
-        total: JacobianPoint = None
-        for held in reversed(row):
-            running = jacobian_add(running, held)
-            total = jacobian_add(total, running)
-        sums.append(total)
-    return [(width * window, point)
-            for window, point in enumerate(batch_to_affine(sums))
-            if point is not None]

@@ -2,7 +2,7 @@
 count what a batch spends.
 
 The real rule (``ecdsa._equation_pays``) prices a batch by its signatures,
-its distinct keys, the host's cores and three fitted costs, so which path
+its distinct keys, the host's cores and two fitted costs, so which path
 a 32-signature batch takes depends on the machine.  A test of the
 equation, of a failed equation's checks or of a block's verify record runs
 under :func:`equation_from` instead: one equation from ``width``
@@ -16,7 +16,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from unittest import mock
 
-from repro.crypto import ecdsa
+from repro.crypto import ecdsa, libcrypto
 
 #: The narrowest batch a pinned rule checks by the equation.
 WIDTH = 32
@@ -33,21 +33,20 @@ def equation_from(width: int = WIDTH):
 def counted():
     """Yield ``{"equations": [...], "checks": [...]}``: one entry per
     batch equation and per ``ecdsa._check`` call on any thread.  An
-    equation is counted where its caller hands it out
-    (``ecdsa._equation_sum``), by its terms over all the parts the
-    verifier's cores sum; a worker process counts nothing."""
+    equation is counted at the binding's call
+    (``libcrypto.sum_is_infinity``), by its terms."""
     spent: dict[str, list] = {"equations": [], "checks": []}
-    equation_sum, check = ecdsa._equation_sum, ecdsa._check
+    sum_is_infinity, check = libcrypto.sum_is_infinity, ecdsa._check
 
     def counting_equation(base_scalar, terms):
         spent["equations"].append(len(terms))
-        return equation_sum(base_scalar, terms)
+        return sum_is_infinity(base_scalar, terms)
 
     def counting_check(handle, message, signature):
         spent["checks"].append(handle)  # list.append is atomic
         return check(handle, message, signature)
 
-    with mock.patch.object(ecdsa, "_equation_sum", counting_equation), \
+    with mock.patch.object(libcrypto, "sum_is_infinity", counting_equation), \
             mock.patch.object(ecdsa, "_check", counting_check):
         yield spent
 

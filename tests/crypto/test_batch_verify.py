@@ -1,8 +1,9 @@
 """Batch signature verification: multi-scalar differential + verdicts.
 
-Two layers are under test here.  ``ec_backend.multi_scalar_mult`` is checked
-differentially against the affine oracle in :mod:`tests.crypto.affine_oracle`
-(sums of ``point_mul`` results).  ``ecdsa.batch_verify`` is checked for
+Two layers are under test here.  libcrypto's equation sum
+(``libcrypto.sum_is_infinity``) is checked differentially against the
+affine oracle in :mod:`tests.crypto.affine_oracle` (sums of ``point_mul``
+results, through :func:`tests.crypto.sums.sums_to`).  ``ecdsa.batch_verify`` is checked for
 *agreement with the individual verifier* — the authoritative oracle — on
 all-good batches, corrupted batches, malformed scalars and flipped parity
 bits.  Every test runs under a rule pinned to count signatures
@@ -27,8 +28,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import ec_backend, ecdsa
-from repro.crypto.ec_backend import GX, GY, N, multi_scalar_mult
+from repro.crypto import ecdsa, libcrypto
+from repro.crypto.ec_backend import GX, GY, N
 from repro.crypto.ecdsa import (
     PrivateKey,
     PublicKey,
@@ -39,6 +40,7 @@ from repro.crypto.ecdsa import (
 )
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.rule import cost, counted, equation_from
+from tests.crypto.sums import sums_to
 
 
 #: Every batch here is sized against a pinned rule (tests/crypto/rule.py).
@@ -66,46 +68,42 @@ class TestMultiScalarMult:
         for _ in range(10):
             base = random_scalar()
             pairs = [(random_scalar(), point) for point in points]
-            assert multi_scalar_mult(base, pairs) == _oracle_msm(base, pairs)
+            assert sums_to(base, pairs, _oracle_msm(base, pairs))
 
     def test_degenerate_inputs(self):
         q = point_mul(77, G)
-        assert multi_scalar_mult(5, []) == point_mul(5, G)
-        assert multi_scalar_mult(0, []) is None
-        assert multi_scalar_mult(0, [(9, q)]) == point_mul(9 * 77, G)
-        assert multi_scalar_mult(3, [(0, q), (N, q), (4, None)]) == \
-            point_mul(3, G)
+        assert sums_to(5, [], point_mul(5, G))
+        assert sums_to(0, [], None)
+        assert sums_to(0, [(9, q)], point_mul(9 * 77, G))
+        assert sums_to(3, [(0, q), (N, q)], point_mul(3, G))
 
     def test_cancellation_to_infinity(self):
         q = point_mul(7, G)
         # 7·21·G − 3·49·G = 0 arranged as base + two point streams.
-        assert multi_scalar_mult(
-            147, [(N - 21, q), (0, q)]
-        ) is None
+        assert sums_to(147, [(N - 21, q), (0, q)], None)
 
     def test_single_pair_matches_double_mult(self):
         q = point_mul(0xDEAD, G)
         u1, u2 = random_scalar(), random_scalar()
-        assert multi_scalar_mult(u1, [(u2, q)]) == \
-            point_add(point_mul(u1, G), point_mul(u2, q))
+        assert sums_to(u1, [(u2, q)],
+                       point_add(point_mul(u1, G), point_mul(u2, q)))
 
     def test_wide_batch(self):
         pairs = [(random_scalar(), point_mul(random_scalar(), G))
                  for _ in range(32)]
         base = random_scalar()
-        assert multi_scalar_mult(base, pairs) == _oracle_msm(base, pairs)
+        assert sums_to(base, pairs, _oracle_msm(base, pairs))
 
     def test_one_shot_pairs_are_terms_of_the_same_sum(self):
-        # A nonce coefficient (≤ 128 bits) joins the buckets whole, a key
-        # scalar as its two GLV halves: any mix of the two is one sum.
+        # A nonce coefficient (≤ 128 bits) and a key scalar (full length)
+        # are terms of one sum, in any mix.
         scalars = [random_scalar() for _ in range(6)]
         points = [point_mul(random_scalar(), G) for _ in range(6)]
         base = random_scalar()
         for cut in range(len(points) + 1):
             terms = [(k >> 128 if index < cut else k, q)
                      for index, (k, q) in enumerate(zip(scalars, points))]
-            assert multi_scalar_mult(base, terms) == \
-                _oracle_msm(base, terms)
+            assert sums_to(base, terms, _oracle_msm(base, terms))
 
 
 def _make_batch(seed: int, size: int):
@@ -186,8 +184,8 @@ class TestKeyFoldedEquation:
     @given(_batches())
     def test_agrees_with_individual_verifier_on_generated_batches(
             self, batch):
-        # On one core, and with the equation's terms cut into two and
-        # three parts, the first summed here and the rest by the workers.
+        # On one core, and with a failed equation's checks spread over
+        # two and three.
         for cores in (1, 2, 3):
             with mock.patch.object(ecdsa, "_CORES", cores):
                 self._agrees_with_individual_verifier(*batch)
@@ -243,10 +241,9 @@ class TestKeyFoldedEquation:
         assert cost(spent) == (1, 40)
 
     def test_single_key_batch_is_one_key_term(self, monkeypatch):
-        # Seen where the caller hands the equation out: all of its terms,
-        # whichever of the verifier's cores sums each part.
+        # Seen at the binding's call: all of the equation's terms.
         seen = []
-        real = ecdsa._equation_sum
+        real = libcrypto.sum_is_infinity
 
         def spy(base_scalar, terms):
             seen.append((sum(k.bit_length() > 128 for k, _ in terms),
@@ -254,7 +251,7 @@ class TestKeyFoldedEquation:
             return real(base_scalar, terms)
 
         items = [_signed(k, m) for k in range(3) for m in range(11)]
-        monkeypatch.setattr(ecdsa, "_equation_sum", spy)
+        monkeypatch.setattr(libcrypto, "sum_is_infinity", spy)
         assert batch_verify(items) == [True] * 33
         # Three folded key scalars, full length, beside 33 nonce terms.
         assert seen == [(3, 3 + 33)]
@@ -414,13 +411,13 @@ class TestBatchVerify:
 
     @pytest.mark.parametrize("size, equations", [(31, 0), (32, 1)],
                              ids=["31", "32"])
-    def test_31_go_one_by_one_32_to_one_bucket_sum(self, size, equations):
+    def test_31_go_one_by_one_32_to_one_equation(self, size, equations):
         items = _make_batch(7, size)
-        buckets = ec_backend._SCALAR_MULTS.labels(kind="bucket")
-        before = buckets.value
+        decided = ecdsa._VERIFY_TOTAL.labels(path="batch", outcome="ok")
+        before = decided.value
         with counted() as spent:
             assert batch_verify(items) == [True] * size
-        assert buckets.value - before == equations
+        assert decided.value - before == equations * size
         assert cost(spent) == (equations, 0 if equations else size)
 
     def test_a_forged_wide_batch_is_one_equation_then_96_checks(self):

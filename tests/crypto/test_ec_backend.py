@@ -3,10 +3,10 @@
 The textbook affine implementation in :mod:`tests.crypto.affine_oracle`
 (:func:`point_add` / :func:`point_mul`) is deliberately naive and shares no
 code with :mod:`repro.crypto.ec_backend`; everything here cross-checks the
-optimized Jacobian/GLV/comb/bucket paths against it, plus externally published
-secp256k1 test vectors (RFC 6979 deterministic nonces), so a bug would have
-to appear identically in two independent implementations *and* the published
-constants to slip through.
+optimized Jacobian/GLV/comb paths (and libcrypto's equation sum) against
+it, plus externally published secp256k1 test vectors (RFC 6979
+deterministic nonces), so a bug would have to appear identically in two
+independent implementations *and* the published constants to slip through.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.crypto.ec_backend import (
     batch_to_affine,
     batch_add,
     jacobian_double,
-    multi_scalar_mult,
     scalar_mult_base,
     to_affine,
 )
@@ -36,6 +35,7 @@ from repro.crypto.ecdsa import PrivateKey, shared_secret
 from repro.crypto.hashing import keccak256
 from tests.crypto.affine_oracle import point_add, point_mul
 from tests.crypto.glv_derivation import derive_glv
+from tests.crypto.sums import sums_to
 from tests.crypto.jacobian_oracle import (
     jacobian_add_affine,
     to_jacobian,
@@ -57,17 +57,17 @@ def random_scalar() -> int:
     return _RANDOM.randrange(1, N)
 
 
-def scalar_mult(scalar, point):
-    """``scalar · point``: the engine's one-point case.  No production
-    call has this shape (ECDH runs in OpenSSL); it is a batch equation's
-    key term on its own, two GLV halves in the buckets."""
-    return multi_scalar_mult(0, [(scalar, point)])
+def scalar_mult_is(scalar, point, expected):
+    """libcrypto's ``scalar · point`` is ``expected``: a batch equation's
+    key term on its own.  No production call has this shape (ECDH runs in
+    ``cryptography``)."""
+    return sums_to(0, [(scalar, point)], expected)
 
 
-def double_scalar_mult_base(u1, u2, point):
-    """``u1 · G + u2 · point``: the engine's one-pair case, ``G`` from its
-    comb and ``point`` as bucket addends."""
-    return multi_scalar_mult(u1, [(u2, point)])
+def double_scalar_mult_base_is(u1, u2, point, expected):
+    """libcrypto's ``u1 · G + u2 · point`` is ``expected``: an equation of
+    one signature."""
+    return sums_to(u1, [(u2, point)], expected)
 
 
 def comb_sum(comb, width, halves):
@@ -292,9 +292,8 @@ class TestDifferentialScalarMult:
     def test_variable_point_differential(self):
         base = point_mul(0xBEEF, G)
         for scalar in EDGE_SCALARS + [random_scalar() for _ in range(30)]:
-            assert scalar_mult(scalar, base) == point_mul(scalar, base)
-        assert scalar_mult(5, None) is None
-        assert scalar_mult(0, base) is None
+            assert scalar_mult_is(scalar, base, point_mul(scalar, base))
+        assert scalar_mult_is(0, base, None)
 
     def test_variable_point_glv_edge_scalars(self):
         lam = ec_backend._GLV_LAMBDA
@@ -305,45 +304,46 @@ class TestDifferentialScalarMult:
         scalars += [_RANDOM.randrange(1, 2**128) for _ in range(5)]
         scalars += [_RANDOM.randrange(2**255, N) for _ in range(5)]
         for scalar in scalars:
-            got = scalar_mult(scalar, base)
-            assert got == point_mul(scalar, base), hex(scalar)
-            assert got == wnaf_scalar_mult(scalar, base), hex(scalar)
+            expected = point_mul(scalar, base)
+            assert expected == wnaf_scalar_mult(scalar, base), hex(scalar)
+            assert scalar_mult_is(scalar, base, expected), hex(scalar)
         # N itself and multiples fold to the point at infinity.
-        assert scalar_mult(N, base) is None
-        assert scalar_mult(3 * N, base) is None
+        assert scalar_mult_is(N, base, None)
+        assert scalar_mult_is(3 * N, base, None)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2 * N),
            st.integers(min_value=1, max_value=N - 1))
     def test_variable_point_hypothesis(self, scalar, point_scalar):
         point = scalar_mult_base(point_scalar)
-        assert scalar_mult(scalar, point) == wnaf_scalar_mult(scalar, point)
+        assert scalar_mult_is(scalar, point, wnaf_scalar_mult(scalar, point))
 
     def test_variable_point_is_the_one_point_multi_scalar_case(self):
-        """The product ECDH takes from OpenSSL is the engine's one-point
-        case: two implementations of ``k · Q``, one x coordinate."""
+        """The product ECDH takes from ``cryptography`` is libcrypto's
+        one-point sum: two implementations of ``k · Q``, one point."""
         for seed in range(4):
             own = PrivateKey.from_seed(b"one-point-%d" % seed)
             peer = PrivateKey.from_seed(b"one-point-peer-%d" % seed)
             q = (peer.public_key.x, peer.public_key.y)
-            x = scalar_mult(own.secret, q)[0]
+            product = wnaf_scalar_mult(own.secret, q)
+            assert scalar_mult_is(own.secret, q, product)
             assert shared_secret(own, peer.public_key) == \
-                keccak256(b"ecdh" + x.to_bytes(32, "big"))
+                keccak256(b"ecdh" + product[0].to_bytes(32, "big"))
 
     def test_dual_scalar_differential(self):
         q = point_mul(0xC0DE, G)
         for _ in range(30):
             u1, u2 = random_scalar(), random_scalar()
             expected = point_add(point_mul(u1, G), point_mul(u2, q))
-            assert double_scalar_mult_base(u1, u2, q) == expected
+            assert double_scalar_mult_base_is(u1, u2, q, expected)
 
     def test_dual_scalar_degenerate_cases(self):
         # Cancellation to infinity, doubling overlap, and zero scalars.
         for u1 in (5, 77, 123456):
-            assert double_scalar_mult_base(u1, N - u1, G) is None
-        assert double_scalar_mult_base(7, 7, G) == point_mul(14, G)
-        assert double_scalar_mult_base(9, 0, G) == point_mul(9, G)
-        assert double_scalar_mult_base(0, 9, G) == point_mul(9, G)
+            assert double_scalar_mult_base_is(u1, N - u1, G, None)
+        assert double_scalar_mult_base_is(7, 7, G, point_mul(14, G))
+        assert double_scalar_mult_base_is(9, 0, G, point_mul(9, G))
+        assert double_scalar_mult_base_is(0, 9, G, point_mul(9, G))
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=1, max_value=N - 1))
@@ -356,7 +356,7 @@ class TestDifferentialScalarMult:
     def test_dual_scalar_hypothesis(self, u1, u2):
         q = point_mul(0xF00D, G)
         expected = point_add(point_mul(u1, G), point_mul(u2, q))
-        assert double_scalar_mult_base(u1, u2, q) == expected
+        assert double_scalar_mult_base_is(u1, u2, q, expected)
 
 
 class TestDifferentialSignVerify:
@@ -471,11 +471,13 @@ class TestRFC6979Vectors:
         assert r == r_expected
         s = pow(nonce, -1, N) * (digest + r * secret) % N
         assert min(s, N - s) == s_expected  # vectors publish low-s
-        # And the backend's one-pair sum recovers the nonce point.
+        # And libcrypto's one-pair sum recovers the nonce point (negated
+        # when the low-s flip negated s).
         s_low = min(s, N - s)
         s_inv = pow(s_low, -1, N)
         u1 = digest * s_inv % N
         u2 = r * s_inv % N
         public_point = scalar_mult_base(secret)
-        recovered = double_scalar_mult_base(u1, u2, public_point)
-        assert recovered is not None and recovered[0] % N == r
+        x, y = nonce_point
+        assert double_scalar_mult_base_is(
+            u1, u2, public_point, (x, y if s_low == s else P - y))

@@ -72,9 +72,9 @@ PROCESS_STATE_ALLOWED = {
     "repro.telemetry.profiler._ACTIVE":
         "the profiler sys.setprofile runs, which is itself process-wide",
     "repro.crypto.ecdsa._POOL":
-        "the verifier's helpers on its other cores: threads for OpenSSL "
-        "checks and forked workers for equation parts; they keep no verdict "
-        "and nothing between calls",
+        "the verifier's OpenSSL check threads on its other cores and the "
+        "queue they take chunks from; they keep no verdict and nothing "
+        "between calls",
 }
 
 
