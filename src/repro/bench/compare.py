@@ -13,7 +13,9 @@ loosening a gate is a baseline edit, not a code change.  Rules:
   is a regression;
 * experiments/metrics new in the current run are listed but never gate —
   they gate once they enter the committed baseline;
-* ``info`` metrics are reported as context only.
+* ``info`` metrics are reported as context only, and so is a libcrypto
+  (``provenance["libcrypto"]``, which decides every signature batch's
+  path) that differs between the two runs.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ class ComparisonReport:
     errored_experiments: list[str] = field(default_factory=list)
     missing_metrics: list[tuple[str, str]] = field(default_factory=list)
     new_experiments: list[str] = field(default_factory=list)
+    provenance: list[str] = field(init=False, default_factory=list)
     compared_metrics: int = 0
 
     @property
@@ -112,6 +115,7 @@ class ComparisonReport:
         if self.new_experiments:
             lines.append("new experiments (not gated until baselined):")
             lines.extend(f"  + {x}" for x in self.new_experiments)
+        lines.extend(f"provenance: {line}" for line in self.provenance)
         verdict = ("OK" if self.ok else "REGRESSION")
         lines.append(
             f"verdict: {verdict} — {self.compared_metrics} gated metric(s) "
@@ -181,4 +185,9 @@ def compare_trajectories(baseline: Mapping, current: Mapping
     report.new_experiments = sorted(
         set(curr_experiments) - set(base_experiments)
     )
+    libraries = [trajectory.get("provenance", {}).get("libcrypto", "unrecorded")
+                 for trajectory in (baseline, current)]
+    if libraries[0] != libraries[1]:
+        report.provenance.append("libcrypto %s -> %s" % tuple(
+            library or "not loaded" for library in libraries))
     return report

@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional
 
+from repro.crypto import libcrypto
+
 BENCH_FORMAT = "pds2-bench-trajectory/1"
 
 DIRECTIONS = ("lower", "higher", "info")
@@ -119,13 +121,15 @@ def git_sha() -> str:
 
 
 def provenance() -> dict:
-    """Who/where/what produced a trajectory point or metrics sidecar."""
+    """Who/where/what produced a trajectory point or metrics sidecar; the
+    libcrypto that ran decides the path of every signature batch."""
     return {
         "git_sha": git_sha(),
         "python_version": platform.python_version(),
         "hostname": socket.gethostname(),
         "platform": platform.platform(),
         "argv": list(sys.argv),
+        "libcrypto": getattr(libcrypto.LIBCRYPTO, "version", None),
     }
 
 

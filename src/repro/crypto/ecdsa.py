@@ -26,19 +26,15 @@ platform's checked quote, ``AuthenticityVerifier`` its accepted device
 certificates).
 
 :meth:`PublicKey.verify` (OpenSSL) is the authority; :func:`batch_verify`,
-the chain's block-entry path, runs the cheaper of OpenSSL checks over the
-verifier's cores and one OpenSSL equation on the caller's thread.
+the chain's block-entry path, runs two or more signatures as one libcrypto
+equation, and every check and equation on the caller's thread.
 """
 
 from __future__ import annotations
 
-import atexit
-import os
-import threading
 import time as _time
 from dataclasses import dataclass, field
 from functools import cached_property
-from queue import SimpleQueue
 from typing import Optional
 
 import numpy as np
@@ -354,66 +350,17 @@ def shared_secret(private_key: PrivateKey, public_key: PublicKey) -> bytes:
 #: Coefficient width for the random linear combination (bits of soundness).
 _BATCH_COEFF_BITS = 128
 
-# The batch rule, in units of one OpenSSL check, for n signatures from k
-# keys: the checks over the cores, ⌈n / cores⌉, or one OpenSSL equation
-# over n nonce points and k key terms, a + b·(n + k), on the caller's
-# thread.  (a, b) = (a_ms, b_ms) / c_ms of the sweep in
-# benchmarks/results/batch_rule.txt, so host speed cancels.
-_EQUATION_CHECKS = (1.58, 0.1107)
 
-#: The verifier's cores; ``_POOL`` serves the other ``_CORES − 1``: the
-#: queue their check threads take chunks from, and the threads.
-_CORES = len(os.sched_getaffinity(0))
-_POOL: Optional[tuple[SimpleQueue, list[threading.Thread]]] = None
-
-
-def _forget_pool() -> None:
-    # A forked child has the queue but none of the threads: its own pool.
-    global _POOL
-    _POOL = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _start_pool() -> tuple[SimpleQueue, list[threading.Thread]]:
-    """Start the check threads; a start that fails leaves no pool."""
-    global _POOL
-    _POOL = (SimpleQueue(), [])
-    try:
-        for _ in range(_CORES - 1):
-            thread = threading.Thread(target=_serve, args=(_POOL[0],),
-                                      daemon=True)
-            thread.start()
-            _POOL[1].append(thread)
-    except BaseException:  # a pool short of a thread would hang its caller
-        _drop_pool()
-        raise
-    return _POOL
-
-
-@atexit.register
-def _drop_pool() -> None:
-    """Stop the check threads: one ``None`` each."""
-    global _POOL
-    requests, threads = _POOL or (None, [])
-    _POOL = None
-    for _ in threads:
-        requests.put(None)
-
-
-def _equation_pays(signatures: int, keys: int) -> bool:
-    """True when one OpenSSL equation costs less than the checks; never
-    without a libcrypto to run it in."""
-    a, b = _EQUATION_CHECKS
-    return (libcrypto.LIBCRYPTO is not None
-            and a + b * (signatures + keys) < -(-signatures // _CORES))
+def _equation_pays(signatures: int) -> bool:
+    """One libcrypto equation for two or more well-formed signatures, a
+    check for one; never an equation without a libcrypto to run it in."""
+    return signatures >= 2 and libcrypto.LIBCRYPTO is not None
 
 
 def _check(handle: ec.EllipticCurvePublicKey, message: bytes,
            signature: Signature) -> bool:
-    """One check on a key's handle, with no metric, so any thread may run
-    it.  Low-s is *required*: high-s twins are malleable duplicates."""
+    """One check on a key's handle, with no metric.  Low-s is *required*:
+    high-s twins are malleable duplicates."""
     r, s = signature.r, signature.s
     if not (1 <= r < N and 1 <= s <= N // 2):
         return False
@@ -426,35 +373,11 @@ def _check(handle: ec.EllipticCurvePublicKey, message: bytes,
     return True
 
 
-def _serve(requests: SimpleQueue) -> None:
-    """A check thread: answer each ``(index, checks, replies)`` it takes,
-    until it takes ``None``."""
-    while request := requests.get():
-        index, checks, replies = request
-        try:
-            replies.put((index, [_check(*check) for check in checks]))
-        except BaseException as exc:  # the caller raises it
-            replies.put((index, exc))
-
-
 def _check_each(items: list[tuple[PublicKey, bytes, Signature]]) -> list[bool]:
-    """:func:`_check` on every item in ``min(_CORES, n)`` contiguous chunks:
-    the first here, the rest on the check threads.  Only this thread builds
-    handles and counts; it calls C queue puts and gets, whatever the timing."""
+    """:func:`_check` on every item, in order, on the caller's thread."""
     began = _time.perf_counter()
-    checks = [(key._openssl, message, signature)
-              for key, message, signature in items]
-    parts = max(1, min(_CORES, len(checks)))
-    bounds = [len(checks) * part // parts for part in range(parts + 1)]
-    replies: SimpleQueue = SimpleQueue()
-    for part in range(1, parts):
-        (_POOL or _start_pool())[0].put(
-            (part, checks[bounds[part]:bounds[part + 1]], replies))
-    verdicts = [_check(*check) for check in checks[:bounds[1]]]
-    for _, chunk in sorted(replies.get() for _ in range(1, parts)):
-        if isinstance(chunk, BaseException):
-            raise chunk
-        verdicts += chunk
+    verdicts = [_check(key._openssl, message, signature)
+                for key, message, signature in items]
     _VERIFY_SECONDS.observe_repeated(
         (_time.perf_counter() - began) / max(len(items), 1), len(items))
     ok = sum(verdicts)
@@ -534,21 +457,19 @@ def batch_verify(
 ) -> list[bool]:
     """Verify many ``(public_key, message, signature)`` triples at once.
 
-    One cost rule (:func:`_equation_pays`, priced on the well-formed
-    items) picks OpenSSL checks over the cores or one OpenSSL equation
-    over every well-formed item, which agrees with them on every input.
-    When that equation holds it decides the batch: each well-formed item
-    passes, each malformed scalar fails.  In every other case (the rule
-    picks the checks, a nonce point ``(r, v)`` names no curve point, or
-    libcrypto refuses a point or fails the equation) :func:`_check_each`
-    decides every item.
+    Two or more well-formed items are one libcrypto equation
+    (:func:`_equation_pays`), which agrees with the OpenSSL checks on
+    every input.  When it holds it decides the batch: each well-formed
+    item passes, each malformed scalar fails.  In every other case (one
+    well-formed item, no libcrypto, a nonce point ``(r, v)`` that names no
+    curve point, or libcrypto refuses a point or fails the equation)
+    :func:`_check_each` decides every item on the caller's thread.
     """
     began = _time.perf_counter()
     formed = [1 <= signature.r < N and 1 <= signature.s <= N // 2
               for _, _, signature in items]
     live = [item for item, ok in zip(items, formed) if ok]
-    if not live or not _equation_pays(len(live),
-                                      len({key for key, _, _ in live})):
+    if not _equation_pays(len(live)):
         return _check_each(items)
     entries = []  # (z, r, Q, R)
     for public_key, message, signature in live:

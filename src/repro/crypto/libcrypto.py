@@ -31,12 +31,13 @@ _ARITY = {
     "BN_bin2bn": 3, "EC_GROUP_new_by_curve_name": 1, "EC_POINT_new": 1,
     "EC_POINT_free": 1, "EC_POINT_set_affine_coordinates": 5,
     "EC_POINTs_mul": 7, "EC_POINT_is_at_infinity": 2, "ERR_clear_error": 0,
+    "OpenSSL_version": 1,
 }
 
 
 class Libcrypto:
-    """The functions of one loaded libcrypto, and its secp256k1 group
-    (read-only, kept for the process)."""
+    """The functions of one loaded libcrypto, its version string and its
+    secp256k1 group (read-only, kept for the process)."""
 
     def __init__(self, library: ctypes.CDLL) -> None:
         for name, arity in _ARITY.items():
@@ -44,6 +45,7 @@ class Libcrypto:
             function.argtypes = [ctypes.c_void_p] * arity
             function.restype = ctypes.c_void_p
             setattr(self, name, function)
+        self.version = ctypes.string_at(self.OpenSSL_version(0)).decode()
         self.group = self.EC_GROUP_new_by_curve_name(_NID_SECP256K1)
         if not self.group:
             raise OSError("libcrypto has no secp256k1")

@@ -34,6 +34,7 @@ from repro.bench import (
     source_lines,
 )
 from repro.bench import runner
+from repro.crypto import libcrypto
 
 
 def entry(metrics: dict[str, Metric], status: str = "ok") -> dict:
@@ -201,6 +202,20 @@ class TestCompare:
         assert report.ok
         assert report.new_experiments == ["E99"]
         assert "not gated until baselined" in report.render()
+
+    def test_a_libcrypto_change_is_a_provenance_line_not_a_regression(self):
+        # Whether libcrypto loaded decides every signature batch's path.
+        assert provenance()["libcrypto"] == getattr(libcrypto.LIBCRYPTO,
+                                                     "version", None)
+        baseline, current = self.base(), self.base()
+        baseline["provenance"]["libcrypto"] = "OpenSSL 3.0.19 27 Jan 2026"
+        current["provenance"]["libcrypto"] = None
+        report = compare_trajectories(baseline, current)
+        assert report.ok and not report.regressions
+        assert report.provenance == [
+            "libcrypto OpenSSL 3.0.19 27 Jan 2026 -> not loaded"]
+        assert "provenance: libcrypto OpenSSL" in report.render()
+        assert compare_trajectories(current, current).provenance == []
 
     def test_wrong_format_rejected(self):
         with pytest.raises(ValueError):

@@ -71,8 +71,8 @@ def curve_ops(monkeypatch) -> dict:
 @pytest.fixture
 def equation_from_32():
     """``batch_verify`` under a pinned rule: one equation from 32
-    signatures up, OpenSSL checks below, whatever the host's cores
-    (``tests/crypto/rule.py``).  A module of equation tests opts in with
+    signatures up, OpenSSL checks below (``tests/crypto/rule.py``).  A
+    module of equation tests opts in with
     ``pytestmark = pytest.mark.usefixtures("equation_from_32")``."""
     from tests.crypto.rule import equation_from
 

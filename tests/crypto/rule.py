@@ -1,14 +1,13 @@
 """Pin ``batch_verify``'s cost rule so a test picks the path it checks, and
 count what a batch spends.
 
-The real rule (``ecdsa._equation_pays``) prices a batch by its signatures,
-its distinct keys, the host's cores and two fitted costs, so which path
-a 32-signature batch takes depends on the machine.  A test of the
-equation, of a failed equation's checks or of a block's verify record runs
-under :func:`equation_from` instead: one equation from ``width``
-signatures up, OpenSSL checks below, whatever the host.  :func:`counted`
-tallies the two costs such a test states: a batch is one equation, the
-checks, or a failed equation plus the checks.
+The real rule (``ecdsa._equation_pays``) sends two or more well-formed
+signatures to one equation.  A test that needs the checks for a wider
+batch (a block's verify record, the routing at 31/32) runs under
+:func:`equation_from` instead: one equation from ``width`` signatures up,
+OpenSSL checks below.  :func:`counted` tallies the two costs such a test
+states: a batch is one equation, the checks, or a failed equation plus
+the checks.
 """
 
 from __future__ import annotations
@@ -25,14 +24,14 @@ WIDTH = 32
 @contextmanager
 def equation_from(width: int = WIDTH):
     with mock.patch.object(ecdsa, "_equation_pays",
-                           lambda signatures, keys: signatures >= width):
+                           lambda signatures: signatures >= width):
         yield
 
 
 @contextmanager
 def counted():
     """Yield ``{"equations": [...], "checks": [...]}``: one entry per
-    batch equation and per ``ecdsa._check`` call on any thread.  An
+    batch equation and per ``ecdsa._check`` call.  An
     equation is counted at the binding's call
     (``libcrypto.sum_is_infinity``), by its terms."""
     spent: dict[str, list] = {"equations": [], "checks": []}
@@ -43,7 +42,7 @@ def counted():
         return sum_is_infinity(base_scalar, terms)
 
     def counting_check(handle, message, signature):
-        spent["checks"].append(handle)  # list.append is atomic
+        spent["checks"].append(handle)
         return check(handle, message, signature)
 
     with mock.patch.object(libcrypto, "sum_is_infinity", counting_equation), \

@@ -15,14 +15,15 @@ after it.  The single-corruption sweep runs ≥20 seeds with exactly one
 corrupted signature each, asserting only that signature is rejected; the
 Hypothesis sweep draws batches from few keys (so the per-key folded term
 is always exercised) with up to three corruptions of seven kinds, under
-both pinned arms.
+both pinned arms.  The production rule (two or more signatures are one
+equation) is held to its shapes, and narrow batches, on it and on the
+checks, to the individual verifier's verdicts, counted once per item.
 """
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -184,14 +185,7 @@ class TestKeyFoldedEquation:
     @given(_batches())
     def test_agrees_with_individual_verifier_on_generated_batches(
             self, batch):
-        # On one core, and with a failed equation's checks spread over
-        # two and three.
-        for cores in (1, 2, 3):
-            with mock.patch.object(ecdsa, "_CORES", cores):
-                self._agrees_with_individual_verifier(*batch)
-
-    @staticmethod
-    def _agrees_with_individual_verifier(items, corrupted):
+        items, corrupted = batch
         expected = [key.verify(message, sig) for key, message, sig in items]
         # A flipped parity bit is still a valid signature (``verify``
         # ignores v); every other corruption is not.
@@ -446,3 +440,84 @@ def _wide_batch() -> list:
     """512 signatures from 64 keys, the shape of a ``chain_bulk`` block,
     signed once per process."""
     return list(_wide_signatures())
+
+
+#: The production rule, before ``equation_from_32`` pins it.
+_RULE = ecdsa._equation_pays
+
+
+@pytest.mark.parametrize("signatures, equation", [
+    (1, False),    # a lone signature is one check
+    (2, True),
+    (5, True),     # ml_wide's audit of five seals
+    (15, True),    # an ml_wide block
+    (512, True),   # a chain_bulk block
+])
+def test_the_rule_prices_each_shape(signatures, equation):
+    assert _RULE(signatures) is equation
+
+
+@lru_cache(maxsize=None)
+def _narrow_signed(index: int):
+    key = PrivateKey.from_seed(b"pool-%d" % (index % 4))
+    message = b"pool-message-%d" % index
+    return key.public_key, message, key.sign(message)
+
+
+def _narrow(size: int, forged: tuple[int, ...] = ()) -> list:
+    """``size`` signatures from 4 keys, ``forged`` ones on a changed
+    message."""
+    items = [_narrow_signed(index) for index in range(size)]
+    for index in forged:
+        public_key, message, signature = items[index]
+        items[index] = (public_key, message + b"!", signature)
+    return items
+
+
+def _narrow_cases() -> dict[str, list]:
+    public_key, message, signature = _narrow_signed(0)
+    stranger = PrivateKey.from_seed(b"pool-stranger").public_key
+    return {
+        "good": _narrow(8),
+        "forged": _narrow(8, forged=(2, 5)),
+        "high_s": _narrow(5) + [(public_key, message,
+                                 Signature(signature.r, N - signature.s,
+                                           signature.v))],
+        "out_of_range": _narrow(3) + [
+            (public_key, message, Signature(N, signature.s, signature.v)),
+            (public_key, message, Signature(signature.r, 0, signature.v))],
+        "wrong_key": _narrow(6) + [(stranger, message, signature)],
+        "31_one_forged": _narrow(31, forged=(17,)),
+        "33_one_forged": _narrow(33, forged=(32,)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_narrow_cases()))
+def test_verdicts_equal_one_by_one(case):
+    # Under the production rule, and on the checks alone.
+    items = _narrow_cases()[case]
+    expected = [key.verify(message, signature)
+                for key, message, signature in items]
+    for width in (2, len(items) + 1):
+        with equation_from(width):
+            assert batch_verify(items) == expected
+    assert expected.count(False) == {"good": 0, "forged": 2, "high_s": 1,
+                                     "out_of_range": 2, "wrong_key": 1,
+                                     "31_one_forged": 1,
+                                     "33_one_forged": 1}[case]
+
+
+def test_the_checks_count_each_item_once():
+    # Batches of 1-9, on the checks under the pinned rule.
+    ok = ecdsa._VERIFY_TOTAL.labels(path="single", outcome="ok")
+    fail = ecdsa._VERIFY_TOTAL.labels(path="single", outcome="fail")
+    histogram = ecdsa._VERIFY_SECONDS.child()
+    for repeat in range(200):
+        size = 1 + repeat % 9
+        forged = (repeat % size,) if repeat % 3 == 0 else ()
+        before = (ok.value, fail.value, histogram.count)
+        verdicts = batch_verify(_narrow(size, forged))
+        assert verdicts.count(False) == len(forged)
+        assert (ok.value - before[0], fail.value - before[1],
+                histogram.count - before[2]) == \
+            (size - len(forged), len(forged), size)

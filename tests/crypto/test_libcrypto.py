@@ -8,7 +8,8 @@ repeated points, cancelling ones, scalars that fold to 0 mod n and a base
 scalar of 0; ``ecdsa._batch_equation_holds`` on real signatures, forged or
 not, from repeated keys; a point off the curve is refused and its batch
 goes to the checks; 20 000 equations leave the resident set where it was;
-and a platform whose loader finds no libcrypto checks every signature,
+a forged batch's equation and checks all run on the caller's thread; and
+a platform whose loader finds no libcrypto checks every signature,
 a block's too, with the oracle's verdicts.
 """
 
@@ -176,8 +177,6 @@ class TestRefusedPoints:
             return _off_curve() if len(calls) == 7 else real(r, v, hint)
 
         monkeypatch.setattr(ecdsa, "_recover_nonce_point", one_off_curve)
-        monkeypatch.setattr(ecdsa, "_equation_pays",
-                            lambda signatures, keys: True)
         with counted() as spent:
             assert batch_verify(items) == [True] * 40
         assert cost(spent) == (1, 40)
@@ -207,23 +206,24 @@ def test_20000_equations_keep_the_resident_set():
     assert _resident_bytes() - before < 2 * 2**20
 
 
-def test_an_equation_runs_on_the_callers_thread_and_starts_no_pool(
-        monkeypatch):
-    monkeypatch.setattr(ecdsa, "_CORES", 2)
-    monkeypatch.setattr(ecdsa, "_POOL", None)
-    monkeypatch.setattr(ecdsa, "_equation_pays",
-                        lambda signatures, keys: True)
+def test_an_equation_and_its_checks_run_on_the_callers_thread(monkeypatch):
     threads = []
-    real = libcrypto.sum_is_infinity
+    real_sum, real_check = libcrypto.sum_is_infinity, ecdsa._check
 
-    def spy(base_scalar, terms):
+    def sum_spy(base_scalar, terms):
         threads.append(threading.get_ident())
-        return real(base_scalar, terms)
+        return real_sum(base_scalar, terms)
 
-    monkeypatch.setattr(libcrypto, "sum_is_infinity", spy)
-    assert batch_verify([_signed(index) for index in range(64)]) == \
-        [True] * 64
-    assert threads == [threading.get_ident()] and ecdsa._POOL is None
+    def check_spy(handle, message, signature):
+        threads.append(threading.get_ident())
+        return real_check(handle, message, signature)
+
+    monkeypatch.setattr(libcrypto, "sum_is_infinity", sum_spy)
+    monkeypatch.setattr(ecdsa, "_check", check_spy)
+    items = [_signed(index) for index in range(64)]
+    items[9] = (items[9][0], items[9][1] + b"!", items[9][2])
+    assert batch_verify(items) == [index != 9 for index in range(64)]
+    assert threads == [threading.get_ident()] * (1 + 64)
 
 
 # -- a platform without the symbol ---------------------------------------------
@@ -249,14 +249,14 @@ def test_a_library_without_the_symbol_loads_as_none(monkeypatch):
 @pytest.mark.usefixtures("no_libcrypto")
 class TestWithoutLibcrypto:
     def test_the_rule_prices_every_batch_to_the_checks(self):
-        for signatures, keys in ((2, 1), (15, 4), (512, 64), (4096, 1)):
-            assert not ecdsa._equation_pays(signatures, keys)
+        for signatures in (1, 2, 15, 512, 4096):
+            assert not ecdsa._equation_pays(signatures)
         assert not libcrypto.sum_is_infinity(0, [])
 
     @staticmethod
     def _block(forge: bool, monkeypatch):
         """512 transfers from 64 senders, each of the first 32 forging one
-        (a wrong s) when ``forge``; mined under the real cost rule."""
+        (a wrong s) when ``forge``; mined under the production rule."""
         rng = np.random.default_rng(43)
         chain = Blockchain(ProofOfAuthority.with_generated_validators(1, rng))
         wallets = []

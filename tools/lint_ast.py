@@ -71,10 +71,6 @@ PROCESS_STATE_ALLOWED = {
         "one digest per entry-point function, a pure function of its code",
     "repro.telemetry.profiler._ACTIVE":
         "the profiler sys.setprofile runs, which is itself process-wide",
-    "repro.crypto.ecdsa._POOL":
-        "the verifier's OpenSSL check threads on its other cores and the "
-        "queue they take chunks from; they keep no verdict and nothing "
-        "between calls",
 }
 
 
