@@ -16,8 +16,9 @@ corrupted signature each, asserting only that signature is rejected; the
 Hypothesis sweep draws batches from few keys (so the per-key folded term
 is always exercised) with up to three corruptions of seven kinds, under
 both pinned arms.  The production rule (two or more signatures are one
-equation) is held to its shapes, and narrow batches, on it and on the
-checks, to the individual verifier's verdicts, counted once per item.
+equation) is held to its shapes, each run as a batch from one key or
+many, and narrow batches from 1-3 keys, on it and on the checks, to the
+individual verifier's verdicts, counted once per item.
 """
 
 from __future__ import annotations
@@ -429,11 +430,12 @@ class TestBatchVerify:
 
 
 @lru_cache(maxsize=None)
-def _wide_signatures() -> tuple:
-    keys = [PrivateKey.from_seed(b"count-%d" % index) for index in range(64)]
-    return tuple((keys[index % 64].public_key, b"count-msg-%d" % index,
-                  keys[index % 64].sign(b"count-msg-%d" % index))
-                 for index in range(512))
+def _wide_signatures(signatures: int = 512, keys: int = 64) -> tuple:
+    signers = [PrivateKey.from_seed(b"count-%d" % index)
+               for index in range(keys)]
+    return tuple((signers[index % keys].public_key, b"count-msg-%d" % index,
+                  signers[index % keys].sign(b"count-msg-%d" % index))
+                 for index in range(signatures))
 
 
 def _wide_batch() -> list:
@@ -446,65 +448,77 @@ def _wide_batch() -> list:
 _RULE = ecdsa._equation_pays
 
 
-@pytest.mark.parametrize("signatures, equation", [
-    (1, False),    # a lone signature is one check
-    (2, True),
-    (5, True),     # ml_wide's audit of five seals
-    (15, True),    # an ml_wide block
-    (512, True),   # a chain_bulk block
+@pytest.mark.parametrize("signatures, keys, equation", [
+    (1, 1, False),     # a lone signature is one check
+    (2, 2, True),
+    (5, 5, True),      # ml_wide's audit of five seals
+    (15, 4, True),     # an ml_wide block
+    (15, 1, True),     # ... from one sender: the key count is not priced
+    (512, 64, True),   # a chain_bulk block
+    (512, 1, True),
 ])
-def test_the_rule_prices_each_shape(signatures, equation):
+def test_the_rule_prices_each_shape(monkeypatch, signatures, keys, equation):
+    # A good batch of the shape is one equation, or one check per item.
     assert _RULE(signatures) is equation
+    monkeypatch.setattr(ecdsa, "_equation_pays", _RULE)
+    with counted() as spent:
+        assert batch_verify(list(_wide_signatures(signatures, keys))) == \
+            [True] * signatures
+    assert cost(spent) == ((1, 0) if equation else (0, signatures))
 
 
 @lru_cache(maxsize=None)
-def _narrow_signed(index: int):
-    key = PrivateKey.from_seed(b"pool-%d" % (index % 4))
+def _narrow_signed(index: int, keys: int = 4):
+    key = PrivateKey.from_seed(b"pool-%d" % (index % keys))
     message = b"pool-message-%d" % index
     return key.public_key, message, key.sign(message)
 
 
-def _narrow(size: int, forged: tuple[int, ...] = ()) -> list:
-    """``size`` signatures from 4 keys, ``forged`` ones on a changed
+def _narrow(size: int, forged: tuple[int, ...] = (), keys: int = 4) -> list:
+    """``size`` signatures from ``keys`` keys, ``forged`` ones on a changed
     message."""
-    items = [_narrow_signed(index) for index in range(size)]
+    items = [_narrow_signed(index, keys) for index in range(size)]
     for index in forged:
         public_key, message, signature = items[index]
         items[index] = (public_key, message + b"!", signature)
     return items
 
 
-def _narrow_cases() -> dict[str, list]:
-    public_key, message, signature = _narrow_signed(0)
+def _narrow_cases(keys: int) -> dict[str, list]:
+    public_key, message, signature = _narrow_signed(0, keys)
     stranger = PrivateKey.from_seed(b"pool-stranger").public_key
     return {
-        "good": _narrow(8),
-        "forged": _narrow(8, forged=(2, 5)),
-        "high_s": _narrow(5) + [(public_key, message,
-                                 Signature(signature.r, N - signature.s,
-                                           signature.v))],
-        "out_of_range": _narrow(3) + [
+        "good": _narrow(8, keys=keys),
+        "forged": _narrow(8, forged=(2, 5), keys=keys),
+        "high_s": _narrow(5, keys=keys) + [
+            (public_key, message,
+             Signature(signature.r, N - signature.s, signature.v))],
+        "out_of_range": _narrow(3, keys=keys) + [
             (public_key, message, Signature(N, signature.s, signature.v)),
             (public_key, message, Signature(signature.r, 0, signature.v))],
-        "wrong_key": _narrow(6) + [(stranger, message, signature)],
-        "31_one_forged": _narrow(31, forged=(17,)),
-        "33_one_forged": _narrow(33, forged=(32,)),
+        "wrong_key": _narrow(6, keys=keys) + [(stranger, message, signature)],
+        "31_one_forged": _narrow(31, forged=(17,), keys=keys),
+        "33_one_forged": _narrow(33, forged=(32,), keys=keys),
     }
 
 
-@pytest.mark.parametrize("case", sorted(_narrow_cases()))
-def test_verdicts_equal_one_by_one(case):
-    # Under the production rule, and on the checks alone.
-    items = _narrow_cases()[case]
+#: How many items of each narrow case fail.
+_NARROW_FAILS = {"good": 0, "forged": 2, "high_s": 1, "out_of_range": 2,
+                 "wrong_key": 1, "31_one_forged": 1, "33_one_forged": 1}
+
+
+@pytest.mark.parametrize("keys", [1, 2, 3])
+@pytest.mark.parametrize("case", sorted(_NARROW_FAILS))
+def test_verdicts_equal_one_by_one(case, keys):
+    # Under the production rule, and on the checks alone; the key count
+    # sets how many key terms the equation folds the batch into.
+    items = _narrow_cases(keys)[case]
     expected = [key.verify(message, signature)
                 for key, message, signature in items]
     for width in (2, len(items) + 1):
         with equation_from(width):
             assert batch_verify(items) == expected
-    assert expected.count(False) == {"good": 0, "forged": 2, "high_s": 1,
-                                     "out_of_range": 2, "wrong_key": 1,
-                                     "31_one_forged": 1,
-                                     "33_one_forged": 1}[case]
+    assert expected.count(False) == _NARROW_FAILS[case]
 
 
 def test_the_checks_count_each_item_once():
